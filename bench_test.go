@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"sync"
 	"testing"
 
 	"smalldb"
@@ -125,19 +126,28 @@ func BenchmarkE4Restart(b *testing.B) {
 
 // BenchmarkE5ThroughputBase and ...GroupCommit: concurrent updates, the
 // paper's "more than 15 transactions per second" and its group-commit
-// improvement (§5).
+// improvement (§5). The store's one pipeline groups concurrent commits;
+// the base design's one-update-at-a-time is a mutex here in the harness.
 func BenchmarkE5ThroughputBase(b *testing.B)        { benchThroughput(b, false) }
 func BenchmarkE5ThroughputGroupCommit(b *testing.B) { benchThroughput(b, true) }
 
 func benchThroughput(b *testing.B, group bool) {
-	s, _ := buildServer(b, 500, nameserver.Config{GroupCommit: group})
+	s, _ := buildServer(b, 500, nameserver.Config{})
+	var turn sync.Mutex
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		rng := rand.New(rand.NewSource(5))
 		i := 0
 		for pb.Next() {
-			if err := s.Set(fmt.Sprintf("bench/k%d", i), bench.Value(rng, 32)); err != nil {
+			if !group {
+				turn.Lock()
+			}
+			err := s.Set(fmt.Sprintf("bench/k%d", i), bench.Value(rng, 32))
+			if !group {
+				turn.Unlock()
+			}
+			if err != nil {
 				b.Fatal(err)
 			}
 			i++
@@ -205,22 +215,6 @@ func benchKV(b *testing.B, update func(k, v string) error, lookup func(k string)
 				b.Fatal(err)
 			}
 		} else if _, _, err := lookup(k); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE8 measures the two locking modes' update path cost (the
-// enquiry-latency contrast is in the harness, which needs a blocking disk).
-func BenchmarkE8PaperLocking(b *testing.B)  { benchLockMode(b, false) }
-func BenchmarkE8CoarseLocking(b *testing.B) { benchLockMode(b, true) }
-
-func benchLockMode(b *testing.B, coarse bool) {
-	s, _ := buildServer(b, 500, nameserver.Config{CoarseLocking: coarse})
-	rng := rand.New(rand.NewSource(7))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Set(bench.NameFor(rng.Intn(500)), bench.Value(rng, 32)); err != nil {
 			b.Fatal(err)
 		}
 	}

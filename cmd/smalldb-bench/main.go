@@ -14,8 +14,8 @@
 // The -json snapshot is the bench-trajectory record: an instrumented store
 // runs a fixed update/enquiry workload and the resulting obs metrics —
 // op counts plus p50/p90/p99/max for the paper's verify/pickle/commit/apply
-// phases — are written to the named file, so successive PRs can compare
-// BENCH_*.json files rather than eyeballing means.
+// phases — are written to the named file, so successive runs can be
+// compared by a tool rather than by eyeballing means.
 package main
 
 import (
@@ -779,119 +779,6 @@ func readScalingJSON(seed int64, quick bool) (map[string]any, error) {
 	}, nil
 }
 
-// writeScalingPoint is one goroutine count's update throughput in the
-// write scaling section.
-type writeScalingPoint struct {
-	Goroutines   int     `json:"goroutines"`
-	WritesPerSec float64 `json:"writes_per_sec"`
-}
-
-// writeScalingMode runs an all-update workload at each writer-goroutine
-// count against one log configuration, on a real OS directory: the cost
-// being measured is the durability sync, and the in-memory fs would hide
-// exactly that. With LogShards > 1 concurrent committers land on parallel
-// streams and share epoch seals; the LogShards=1 ablation serializes every
-// commit behind one file's sync.
-func writeScalingMode(seed int64, shards int, counts []int, dur time.Duration) (map[string]any, error) {
-	dir, err := os.MkdirTemp("", "smalldb-bench-write-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	fs, err := vfs.NewOS(dir)
-	if err != nil {
-		return nil, err
-	}
-	reg := obs.NewRegistry()
-	ns, err := nameserver.Open(nameserver.Config{FS: fs, Obs: reg, Retain: 1, LogShards: shards})
-	if err != nil {
-		return nil, err
-	}
-	defer ns.Close()
-
-	// A bounded key set: writers overwrite rather than grow the root, so
-	// the in-memory apply cost stays flat across the run.
-	const keys = 512
-	names := make([]string, keys)
-	for i := range names {
-		names[i] = fmt.Sprintf("wscale/dir%d/e%d", i%31, i)
-	}
-
-	var points []writeScalingPoint
-	for _, g := range counts {
-		var writes atomic.Uint64
-		var stop atomic.Bool
-		var wg sync.WaitGroup
-		errs := make(chan error, g)
-		for w := 0; w < g; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed + int64(g*1000+w)))
-				for !stop.Load() {
-					if err := ns.Set(names[rng.Intn(keys)], "w"); err != nil {
-						errs <- err
-						return
-					}
-					writes.Add(1)
-				}
-			}(w)
-		}
-		time.Sleep(dur)
-		stop.Store(true)
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			return nil, err
-		}
-		points = append(points, writeScalingPoint{
-			Goroutines:   g,
-			WritesPerSec: float64(writes.Load()) / dur.Seconds(),
-		})
-	}
-
-	var scaling float64
-	if points[0].WritesPerSec > 0 {
-		scaling = points[len(points)-1].WritesPerSec / points[0].WritesPerSec
-	}
-	return map[string]any{
-		"log_shards":   shards,
-		"points":       points,
-		"scaling_maxg": scaling,
-		"epochs":       reg.Counter("wal_epochs").Value(),
-	}, nil
-}
-
-// writeScalingJSON measures update throughput scaling across writer counts
-// for the sharded parallel WAL and the LogShards=1 ablation, on a real file
-// system. The CI gate comparing the two is core-count-aware: single-core
-// runners cannot overlap stream syncs, so num_cpu and gomaxprocs are
-// recorded alongside the points.
-func writeScalingJSON(seed int64, quick bool) (map[string]any, error) {
-	counts := []int{1, 4, 16, 32}
-	shards := 8
-	dur := 400 * time.Millisecond
-	if quick {
-		dur = 200 * time.Millisecond
-	}
-	sharded, err := writeScalingMode(seed, shards, counts, dur)
-	if err != nil {
-		return nil, err
-	}
-	single, err := writeScalingMode(seed, 1, counts, dur)
-	if err != nil {
-		return nil, err
-	}
-	return map[string]any{
-		"goroutines":  counts,
-		"duration_ns": dur.Nanoseconds(),
-		"num_cpu":     runtime.NumCPU(),
-		"gomaxprocs":  runtime.GOMAXPROCS(0),
-		"sharded":     sharded,
-		"single":      single,
-	}, nil
-}
-
 // quorumGroupMode measures quorum-commit latency on an N-node replica
 // group at write quorum w over a clean netsim network: one primary fans
 // every update out to the members and acknowledges once w of them
@@ -1182,10 +1069,6 @@ func writeMetricsJSON(path string, ops int, seed int64, quick bool) error {
 	if err != nil {
 		return err
 	}
-	writeScaling, err := writeScalingJSON(seed, quick)
-	if err != nil {
-		return err
-	}
 	cpScaling, err := checkpointScalingJSON(seed, quick)
 	if err != nil {
 		return err
@@ -1223,7 +1106,6 @@ func writeMetricsJSON(path string, ops int, seed int64, quick bool) error {
 		"quorum_commit":      quorum,
 		"tracing_overhead":   traceOv,
 		"read_scaling":       readScaling,
-		"write_scaling":      writeScaling,
 		"metrics":            reg.Snapshot(),
 	}
 	f, err := os.Create(path)

@@ -59,6 +59,47 @@ func TestE2OneSyncPerUpdate(t *testing.T) {
 	}
 }
 
+// TestE5GroupCommitShape asserts the throughput experiment's shape: the
+// base-design arm (writers taking turns) pays exactly one sync per update,
+// and the default pipeline under the same eight writers shares syncs.
+func TestE5GroupCommitShape(t *testing.T) {
+	tables, err := E5(Env{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncs := map[string]float64{}
+	for _, row := range tables[0].Rows {
+		syncs[row[0]], _ = strconv.ParseFloat(row[3], 64)
+	}
+	for _, base := range []string{"1 writer, base design", "8 writers, base design"} {
+		if syncs[base] != 1.00 {
+			t.Errorf("%s: %.2f syncs/update, want 1.00", base, syncs[base])
+		}
+	}
+	if g, ok := syncs["8 writers, group commit"]; !ok || g >= 1 {
+		t.Errorf("8 writers through the default pipeline: %.2f syncs/update, want < 1", g)
+	}
+}
+
+// TestE8CoarseLockStallsEnquiries asserts the locking ablation is not
+// vacuous: an enquiry issued mid-commit returns at memory speed against the
+// store, and waits out the disk write behind the harness's coarse lock.
+func TestE8CoarseLockStallsEnquiries(t *testing.T) {
+	tables, err := E8(Env{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := tables[0].Rows
+	paper, err1 := time.ParseDuration(rows[0][1])
+	coarse, err2 := time.ParseDuration(rows[1][1])
+	if err1 != nil || err2 != nil {
+		t.Fatalf("unparseable p50s %q, %q", rows[0][1], rows[1][1])
+	}
+	if coarse < 10*paper {
+		t.Errorf("enquiry p50 behind the coarse lock %v is under 10x the paper row's %v", coarse, paper)
+	}
+}
+
 // TestE9NoAckedLoss asserts the reliability invariant numerically.
 func TestE9NoAckedLoss(t *testing.T) {
 	tables, err := E9(Env{Quick: true})

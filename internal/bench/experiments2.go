@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"smalldb/internal/baseline/adhoc"
@@ -80,9 +81,30 @@ func e6Engines() []e6Engine {
 	}
 }
 
+// coarseLocked wraps a name server's Set and Lookup in one reader/writer
+// lock held across the whole operation, disk write included: the ablation
+// arm of E8, and (its write side) the one-update-at-a-time base design of
+// E5. It lives here in the harness; the store has no such mode.
+func coarseLocked(s *nameserver.Server) (set func(name, value string) error, lookup func(name string) (string, error)) {
+	var mu sync.RWMutex
+	set = func(name, value string) error {
+		mu.Lock()
+		defer mu.Unlock()
+		return s.Set(name, value)
+	}
+	lookup = func(name string) (string, error) {
+		mu.RLock()
+		defer mu.RUnlock()
+		return s.Lookup(name)
+	}
+	return set, lookup
+}
+
 // E8 is the locking ablation: enquiry latency while updates commit, with
-// the paper's three-mode lock vs a coarse exclusive lock held across the
-// disk write.
+// the store's own locking (enquiries never excluded during a disk transfer)
+// vs a coarse reader/writer lock held across the whole update, disk write
+// included. The coarse lock is an arm of the harness, wrapped around the
+// same store, not a mode of it.
 func E8(env Env) ([]*Table, error) {
 	env = env.Defaults()
 	// The disk really blocks here (~2 ms per commit at 0.1 scale), so an
@@ -99,9 +121,13 @@ func E8(env Env) ([]*Table, error) {
 	}
 	for _, coarse := range []bool{false, true} {
 		_, d := modeledFS(env.Seed, scale)
-		s, err := buildNS(Env{Seed: env.Seed, DBEntries: 500, ValueSize: env.ValueSize}, d, nameserver.Config{CoarseLocking: coarse})
+		s, err := buildNS(Env{Seed: env.Seed, DBEntries: 500, ValueSize: env.ValueSize}, d, nameserver.Config{})
 		if err != nil {
 			return nil, err
+		}
+		set, lookup := s.Set, s.Lookup
+		if coarse {
+			set, lookup = coarseLocked(s)
 		}
 
 		rng := rand.New(rand.NewSource(env.Seed + 9))
@@ -110,12 +136,12 @@ func E8(env Env) ([]*Table, error) {
 			done := make(chan error, 1)
 			u0 := time.Now()
 			go func(i int) {
-				done <- s.Set(NameFor(rng.Intn(500)), Value(rng, 32))
+				done <- set(NameFor(rng.Intn(500)), Value(rng, 32))
 			}(i)
 			// Land inside the commit's disk write.
 			time.Sleep(500 * time.Microsecond)
 			t0 := time.Now()
-			if _, err := s.Lookup(NameFor(1)); err != nil {
+			if _, err := lookup(NameFor(1)); err != nil {
 				s.Close()
 				return nil, err
 			}
@@ -128,9 +154,9 @@ func E8(env Env) ([]*Table, error) {
 		}
 		s.Close()
 
-		mode := "paper (shared/update/exclusive)"
+		mode := "paper (enquiries never wait for the disk)"
 		if coarse {
-			mode = "ablation (exclusive whole update)"
+			mode = "ablation (one lock across the whole update)"
 		}
 		t.Rows = append(t.Rows, []string{
 			mode,

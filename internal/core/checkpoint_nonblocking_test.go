@@ -245,7 +245,7 @@ func TestCloseWaitsForInflightAutoCheckpoint(t *testing.T) {
 // unsynchronized access in the mirror-window paths would trip the detector.
 func TestConcurrentCheckpointChurn(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s := openKV(t, fs, func(c *Config) { c.GroupCommit = true })
+	s := openKV(t, fs)
 	defer s.Close()
 
 	var wg sync.WaitGroup

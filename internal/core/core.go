@@ -7,13 +7,14 @@
 // The shape of every operation follows the paper:
 //
 //   - An enquiry (View) is purely a lookup in the virtual memory structure
-//     under a shared lock; the disk is not involved.
+//     — under a shared lock, or lock-free on a published version when the
+//     root is a VersionedRoot; the disk is not involved.
 //   - An update (Apply) proceeds in three steps under the three-mode lock:
 //     (1) verify preconditions against the in-memory data under the update
 //     lock; (2) pickle the update's parameters and append them to the log —
-//     the disk write that is the commit point — still under the update lock,
-//     so enquiries keep running; (3) upgrade to exclusive and apply the
-//     mutation to the in-memory structure.
+//     the disk write that is the commit point; (3) upgrade to exclusive and
+//     apply the mutation to the in-memory structure. Every update takes the
+//     same pipeline (commit); no update is visible before it is durable.
 //   - A checkpoint (Checkpoint) pickles the entire root under the update
 //     lock — in memory only — then writes it to disk and installs it with
 //     the version-file protocol in the background while updates keep
@@ -91,18 +92,6 @@ type Config struct {
 	// Retain is how many previous checkpoint+log pairs to keep for
 	// hard-error recovery (§4). 0 reproduces the paper's base protocol.
 	Retain int
-	// GroupCommit releases the locks before waiting for the log disk
-	// write, letting concurrent updates share one disk write (§5: "the
-	// only schemes that will perform better than this involve arranging
-	// to record multiple commit records in a single log entry").
-	// Tradeoff: an enquiry may observe an update that a crash then
-	// erases, because the in-memory apply precedes durability; the
-	// updating client itself still only hears success after the sync.
-	GroupCommit bool
-	// CoarseLocking is the E8 ablation: hold the exclusive lock for the
-	// whole update, disk write included, to measure what the paper's
-	// three-mode matrix buys.
-	CoarseLocking bool
 	// LockedEnquiries disables lock-free snapshot enquiries even when the
 	// root implements VersionedRoot: every View takes the shared lock and
 	// is excluded during each update's in-memory apply, as in the paper's
@@ -118,20 +107,16 @@ type Config struct {
 	// decodes log entries on n goroutines while applying them strictly in
 	// sequence order — the recovered state is identical either way.
 	ReplayWorkers int
-	// LogShards splits the redo log into this many parallel streams
-	// (logfileN, logfileN.1, ...), each with its own syncer; updates hash
-	// to a stream by global sequence and commit under epoch-based group
-	// commit — an update is acknowledged once every stream that wrote in
-	// its epoch has synced. 0 and 1 are the paper's single stream. The
-	// recovered state is identical either way (restart merges the streams
-	// by sequence), and the count may change across restarts. Sharding
-	// implies the group-commit pipeline: the in-memory apply precedes the
-	// durability wait, exactly as under GroupCommit, and versioned
-	// enquiries still only ever observe durable state (publication is
-	// deferred to the epoch barrier).
+	// LogShards is the redo log's stream count (logfileN, logfileN.1,
+	// ...): updates hash to a stream by global sequence and are
+	// acknowledged once every stream that wrote in their epoch has synced.
+	// It is a stream count, not a mode — 0 and 1 are the paper's single
+	// stream, committed by the same pipeline. The recovered state is
+	// identical at any count (restart merges the streams by sequence), and
+	// the count may change across restarts.
 	LogShards int
-	// SerialLogSync makes each sharded epoch seal sync its streams one at
-	// a time in stream order instead of in parallel. It exists for the
+	// SerialLogSync makes each epoch seal sync its streams one at a time
+	// in stream order instead of in parallel. It exists for the
 	// deterministic crash sweeps, which need a deterministic file-
 	// operation order; it costs exactly the parallel-sync win.
 	SerialLogSync bool
@@ -271,24 +256,6 @@ type Stats struct {
 	AppliedSeq uint64
 }
 
-// storeLog is the store's view of its redo log. Both layouts — the paper's
-// single *wal.Log and the sharded *wal.Sharded — commit, flush, mirror and
-// close identically; opening and the mirror-window attach (one file vs one
-// per stream) are the only branch points, and both live behind openLog and
-// checkpointNonBlocking.
-type storeLog interface {
-	Append(payload []byte) (uint64, error)
-	AppendAsync(payload []byte) (uint64, func() error)
-	Flush() error
-	Size() int64
-	Close() error
-	MirrorActive() bool
-	BeginMirror() error
-	SyncMirror() error
-	FinishMirror(newName string) (int64, error)
-	AbortMirror()
-}
-
 // pendingPub is one update applied in memory but not yet acknowledged
 // durable by its epoch barrier: its captured version view waits in the
 // publication queue until the durable frontier covers its sequence.
@@ -320,15 +287,15 @@ type Store struct {
 	// never takes statMu.
 	enquiries atomic.Uint64
 
-	// pubMu guards the deferred-publication queue of the sharded commit
-	// path: views captured under the exclusive lock, published in sequence
-	// order once the epoch barrier acknowledges them.
+	// pubMu guards the deferred-publication queue: views captured under
+	// the exclusive lock, published in sequence order once the epoch
+	// barrier acknowledges them.
 	pubMu      sync.Mutex
 	pendingPub []pendingPub
 
 	// mu guards the fields below (log/checkpoint administration).
 	mu         sync.Mutex
-	log        storeLog
+	log        *wal.Sharded
 	cpState    checkpoint.State
 	applied    uint64 // sequence of the last update applied to root
 	logEntries int64
@@ -562,7 +529,8 @@ func (s *Store) initFresh() (*Store, error) {
 	s.applied = 0
 	s.baseBytes.Store(baseBytes)
 	s.seedDeltaBase(root, 1)
-	s.publish(0)
+	s.queuePublish(0)
+	s.publishDurable(0)
 	return s, nil
 }
 
@@ -588,7 +556,7 @@ func (s *Store) load(st checkpoint.State) error {
 	replayOpts := wal.ReplayOptions{Repair: true, SkipDamaged: s.cfg.SkipDamagedLogEntries, Obs: s.cfg.Obs}
 
 	hdr, cs, err := s.readChain(st.Chain())
-	var res wal.ReplayResult
+	var res wal.ShardedReplayResult
 	usedFallback := false
 	if err == nil {
 		s.baseBytes.Store(cs.baseBytes)
@@ -640,7 +608,8 @@ func (s *Store) load(st checkpoint.State) error {
 	s.cpState = st
 	s.applied = res.NextSeq - 1
 	s.logEntries = int64(res.Entries)
-	s.publish(s.applied)
+	s.queuePublish(s.applied)
+	s.publishDurable(s.applied)
 	s.recordStats(func(stats *Stats) {
 		stats.RestartCheckpointTime = cs.baseTime
 		stats.RestartDeltaTime = cs.deltaTime
@@ -764,13 +733,12 @@ func (s *Store) replayWorkers() int {
 // identical to a sequential replay. Recovery is layout-discovering: when
 // stream files (logfileN.1, ...) exist beside the base log, all streams
 // replay concurrently and merge by global sequence — whatever LogShards is
-// configured now — and with only the base file this is exactly the
-// single-stream pipelined replay.
-func (s *Store) replayInto(hdr *header, logName string, firstSeq uint64, opts wal.ReplayOptions) (wal.ReplayResult, error) {
+// configured now.
+func (s *Store) replayInto(hdr *header, logName string, firstSeq uint64, opts wal.ReplayOptions) (wal.ShardedReplayResult, error) {
 	// Progress events let an operator watch a long restart converge.
 	const progressEvery = 10000
 	start := time.Now()
-	sres, err := wal.ReplayShardedPipelined(s.cfg.FS, logName, firstSeq, opts, s.replayWorkers(),
+	res, err := wal.ReplayShardedPipelined(s.cfg.FS, logName, firstSeq, opts, s.replayWorkers(),
 		func(seq uint64, payload []byte) (any, error) {
 			rec := new(logRecord)
 			if err := pickle.Unmarshal(payload, rec); err != nil {
@@ -792,18 +760,11 @@ func (s *Store) replayInto(hdr *header, logName string, firstSeq uint64, opts wa
 			}
 			return nil
 		})
-	res := wal.ReplayResult{
-		Entries:   sres.Entries,
-		LastSeq:   sres.LastSeq,
-		NextSeq:   sres.NextSeq,
-		Truncated: sres.Truncated,
-		Damaged:   sres.Damaged,
-	}
 	dur := time.Since(start)
 	s.recordStats(func(st *Stats) { st.RestartReplayTime += dur })
 	obs.Emit(s.tracer, obs.Event{Name: "restart.replay", Dur: dur, Err: err, Attrs: []obs.Attr{
 		obs.A("log", logName), obs.A("entries", res.Entries), obs.A("damaged", res.Damaged), obs.A("torn", res.Truncated),
-		obs.A("streams", len(sres.Names)), obs.A("discarded", sres.Discarded),
+		obs.A("streams", len(res.Names)), obs.A("discarded", res.Discarded),
 		obs.A("decode_workers", s.replayWorkers()),
 	}})
 	return res, err
@@ -816,8 +777,7 @@ func (s *Store) replayInto(hdr *header, logName string, firstSeq uint64, opts wa
 // runs on the current published version, loaded through one atomic
 // pointer read, with no blocking and no exclusion window — updates and
 // checkpoints proceed underneath it. The view is consistent as of one
-// committed sequence number. (Under Config.GroupCommit an enquiry may, as
-// before, observe an update whose durability sync is still in flight.)
+// committed — durable — sequence number.
 //
 // With an unversioned root — or Config.LockedEnquiries — fn runs on the
 // working root under the shared lock, excluded during each update's
@@ -836,251 +796,276 @@ func (s *Store) View(fn func(root any) error) error {
 	return fn(s.root)
 }
 
-// recordUpdate folds one committed update's phase durations into the sums,
-// histograms and counters, and emits the update.commit event — as the
-// closing of the update's root span when upd is active (a traced apply),
-// as a flat event otherwise. Phases are passed as durations rather than
-// boundary timestamps because the sharded commit path's phases are not
-// consecutive: its commit (the epoch-barrier wait) runs after the apply.
-func (s *Store) recordUpdate(start time.Time, verify, pickling, commit, apply time.Duration, seq uint64, payloadBytes int, upd obs.Span) {
-	s.hist.verify.ObserveDuration(verify)
-	s.hist.pickle.ObserveDuration(pickling)
-	s.hist.commit.ObserveDuration(commit)
-	s.hist.apply.ObserveDuration(apply)
-	s.ctr.updates.Inc()
-	s.recordStats(func(st *Stats) {
-		st.Updates++
-		st.VerifyTime += verify
-		st.PickleTime += pickling
-		st.CommitTime += commit
-		st.ApplyTime += apply
-		st.AppliedSeq = seq
-	})
-	if upd.Active() {
-		upd.End(nil, obs.A("seq", seq), obs.A("bytes", payloadBytes), obs.A("commit", commit.Round(time.Microsecond)))
-		return
-	}
-	obs.Emit(s.tracer, obs.Event{Name: "update.commit", Time: start, Dur: verify + pickling + commit + apply, Attrs: []obs.Attr{
-		obs.A("seq", seq), obs.A("bytes", payloadBytes), obs.A("commit", commit.Round(time.Microsecond)),
-	}})
-}
-
-// Apply runs one update through the paper's three-step protocol. On return
-// the update is durable and applied — unless GroupCommit is on, in which
-// case it is applied and the return still waits for durability, but other
-// updates may share the disk write.
+// Apply runs one update through the paper's three-step protocol (§3):
+// verify, log write — the commit point — and apply. On return the update
+// is durable, applied, and visible to enquiries.
 func (s *Store) Apply(u Update) error {
-	return s.ApplyTraced(u, obs.SpanContext{})
+	return s.commit([]Update{u}, obs.SpanContext{})
 }
 
 // ApplyTraced is Apply carrying a trace context. When sc belongs to a
 // trace and the store has a tracer, the whole update becomes an
 // "update.commit" span under sc with child spans for each phase of the
-// paper's protocol — lock wait, verify, pickle, WAL append, the durability
-// sync (tagged with the checkpoint mirror when one is open), and the
-// exclusive-mode memory mutation — so a single commit's latency can be
-// read phase by phase off the trace. An invalid sc (or the CoarseLocking
-// ablation) degrades to exactly the untraced path.
+// protocol — lock wait, verify, pickle, WAL append, the durability sync
+// (plus a checkpoint.mirror span when a mirror window paid for a dual
+// write), and the exclusive-mode memory mutation — so a single commit's
+// latency can be read phase by phase off the trace. An invalid sc degrades
+// to exactly the untraced path.
 func (s *Store) ApplyTraced(u Update, sc obs.SpanContext) error {
-	if s.cfg.CoarseLocking {
-		return s.applyCoarse(u)
-	}
+	return s.commit([]Update{u}, sc)
+}
 
-	traced := sc.Trace != 0 && s.tracer != nil && s.tracer != obs.Nop
+// ApplyBatch commits a batch of updates through one pass of the pipeline:
+// one lock acquisition, one published version and — with a versioned root —
+// one epoch barrier covering the whole batch. The batch is NOT atomic: if
+// update i fails to verify, updates [0, i) are already committed and the
+// error is returned; callers needing all-or-nothing semantics must
+// pre-validate. Locked enquiries are excluded from the first apply to the
+// last (lock-free ones proceed regardless). The crashtest harness uses
+// batches to form deterministic multi-stream epochs; servers can use them
+// to amortize lock traffic on bulk loads.
+func (s *Store) ApplyBatch(us []Update) error {
+	return s.commit(us, obs.SpanContext{})
+}
+
+// phaseTracer emits the child spans of one traced commit; the zero value
+// (an untraced commit) emits nothing. Callers guard calls that build
+// attributes with on, so the untraced path allocates nothing.
+type phaseTracer struct {
+	on  bool
+	tr  obs.Tracer
+	ctx obs.SpanContext
+}
+
+func (p phaseTracer) emit(name string, at time.Time, dur time.Duration, err error, attrs ...obs.Attr) {
+	p.tr.Emit(obs.Event{Name: name, Time: at, Dur: dur, Err: err,
+		Trace: p.ctx.Trace, Span: obs.NewSpanID(), Parent: p.ctx.Span, Attrs: attrs})
+}
+
+// commit is the store's one update pipeline; a single update is a batch of
+// one. For each update in order: (1) verify its preconditions — under the
+// update lock for the first, so enquiries keep running; (2) pickle its
+// parameters and enqueue them on the log, which assigns the sequence
+// number; (3) under the exclusive lock (taken before the first apply, kept
+// to the last) apply the mutation. The log write that makes step 2 durable
+// is the commit point, and where the pipeline waits for it is the one
+// thing that depends on the root:
+//
+//   - A versioned root applies first and captures ONE new version for the
+//     whole call, releases the lock, waits out the epoch barrier — shared
+//     with every concurrent committer — and only then publishes, so
+//     lock-free enquiries never observe state a crash could erase
+//     (published ≤ durable frontier).
+//   - An unversioned root's enquiries read the working root under the
+//     shared lock, so each entry is synced before it is applied (under the
+//     update lock for the first, enquiries still running).
+//
+// Either way nothing is visible before it is durable, and the caller hears
+// the outcome — success, or a refusal decided against applied-but-
+// unpublished state — only after both.
+func (s *Store) commit(us []Update, sc obs.SpanContext) error {
+	if len(us) == 0 {
+		return nil
+	}
+	tracing := s.tracer != nil && s.tracer != obs.Nop
 	var upd obs.Span
-	var lockStart time.Time
-	if traced {
+	var pt phaseTracer
+	if tracing && sc.Trace != 0 {
 		upd = obs.StartSpan(s.tracer, sc, "update.commit")
-		lockStart = time.Now()
+		pt = phaseTracer{on: true, tr: s.tracer, ctx: upd.Context()}
 	}
-	uctx := upd.Context()
+	start := time.Now()
 	lockWait := s.lock.UpdateWaited()
-	if traced {
-		s.tracer.Emit(obs.Event{Name: "lock.wait", Time: lockStart, Dur: lockWait,
-			Trace: uctx.Trace, Span: obs.NewSpanID(), Parent: uctx.Span,
-			Attrs: []obs.Attr{obs.A("mode", "update")}})
+	if pt.on {
+		pt.emit("lock.wait", start, lockWait, nil, obs.A("mode", "update"))
 	}
+	unlock := s.lock.UpdateUnlock
 
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.lock.UpdateUnlock()
-		return ErrClosed
-	}
-	if s.poisoned != nil {
-		err := s.poisoned
-		s.mu.Unlock()
-		s.lock.UpdateUnlock()
-		return err
-	}
+	err := s.unusable()
 	log := s.log
 	s.mu.Unlock()
-
-	// Step 1: verify preconditions; enquiries are running.
-	t0 := time.Now()
-	if err := u.Verify(s.root); err != nil {
-		s.lock.UpdateUnlock()
+	if err != nil {
+		unlock()
 		return err
 	}
-	t1 := time.Now()
 
-	// Step 2: gather the parameters into a log entry and write it to
-	// disk — the commit point. Enquiries still running. The payload is
-	// pickled into a pooled buffer; the log frames it into its own
-	// pending buffer before AppendAsync returns, so the buffer goes
-	// straight back to the pool and the steady-state path allocates
-	// nothing.
-	bufp := payloadPool.Get().(*[]byte)
-	payload, err := pickle.AppendMarshal((*bufp)[:0], &logRecord{U: u})
-	if err != nil {
-		s.lock.UpdateUnlock()
-		return fmt.Errorf("core: pickling update: %w", err)
-	}
-	payloadBytes := len(payload)
-	t2 := time.Now()
+	var (
+		seq     uint64       // last applied update's sequence
+		wait    func() error // its durability barrier
+		applied int
+		bytes   int
+		fatal   bool // err poisoned the store
+		// Phase times summed over the call; commitNS is enqueue plus
+		// durability wait.
+		verifyNS, pickleNS, commitNS, applyNS time.Duration
+	)
+	for _, u := range us {
+		// Step 1: verify preconditions.
+		t0 := time.Now()
+		if err = u.Verify(s.root); err != nil {
+			break
+		}
+		t1 := time.Now()
 
-	var commitErr error
-	var wait func() error
-	var seq uint64
-	sl, sharded := log.(*wal.Sharded)
-	switch {
-	case sharded:
-		// The sharded commit pipeline: take a global sequence from the
-		// ticket and frame the entry into its stream's pending buffer —
-		// no I/O — then apply in memory and wait out the epoch barrier
-		// after the locks are released, sharing it with every concurrent
-		// committer. Durability semantics are GroupCommit's.
-		seq, wait = log.AppendAsync(payload)
-		if traced {
-			s.tracer.Emit(obs.Event{Name: "wal.append", Time: t2, Dur: time.Since(t2),
-				Trace: uctx.Trace, Span: obs.NewSpanID(), Parent: uctx.Span,
-				Attrs: []obs.Attr{obs.A("seq", seq), obs.A("bytes", payloadBytes)}})
+		// Step 2: gather the parameters into a log entry. The payload is
+		// pickled into a pooled buffer; the log frames it into its own
+		// pending buffer before AppendAsync returns, so the buffer goes
+		// straight back to the pool and the steady-state path allocates
+		// nothing.
+		bufp := payloadPool.Get().(*[]byte)
+		payload, perr := pickle.AppendMarshal((*bufp)[:0], &logRecord{U: u})
+		if perr != nil {
+			err = fmt.Errorf("core: pickling update: %w", perr)
+			break
 		}
-	case s.cfg.GroupCommit:
-		seq, wait = log.AppendAsync(payload)
-	case traced:
-		// Split the commit into its two disk-visible halves — framing
-		// into the pending buffer, then the write+sync that makes it
-		// durable — so the trace shows where the commit's time went.
-		// AppendAsync followed by its wait is exactly Append.
-		var syncWait func() error
-		seq, syncWait = log.AppendAsync(payload)
-		tAppend := time.Now()
-		s.tracer.Emit(obs.Event{Name: "wal.append", Time: t2, Dur: tAppend.Sub(t2),
-			Trace: uctx.Trace, Span: obs.NewSpanID(), Parent: uctx.Span,
-			Attrs: []obs.Attr{obs.A("seq", seq), obs.A("bytes", payloadBytes)}})
-		mirror := log.MirrorActive()
-		commitErr = syncWait()
-		tSync := time.Now()
-		s.tracer.Emit(obs.Event{Name: "wal.sync", Time: tAppend, Dur: tSync.Sub(tAppend),
-			Trace: uctx.Trace, Span: obs.NewSpanID(), Parent: uctx.Span, Err: commitErr,
-			Attrs: []obs.Attr{obs.A("seq", seq)}})
-		if mirror {
-			s.tracer.Emit(obs.Event{Name: "checkpoint.mirror", Time: tAppend, Dur: tSync.Sub(tAppend),
-				Trace: uctx.Trace, Span: obs.NewSpanID(), Parent: uctx.Span,
-				Attrs: []obs.Attr{obs.A("dual_write", true)}})
+		t2 := time.Now()
+		var useq uint64
+		useq, wait = log.AppendAsync(payload)
+		bytes += len(payload)
+		putPayloadBuf(bufp, payload)
+		t3 := time.Now()
+		commitNS += t3.Sub(t2)
+		if pt.on {
+			pt.emit("verify", t0, t1.Sub(t0), nil)
+			pt.emit("pickle", t1, t2.Sub(t1), nil, obs.A("bytes", len(payload)))
+			pt.emit("wal.append", t2, t3.Sub(t2), nil, obs.A("seq", useq), obs.A("bytes", len(payload)))
 		}
-	default:
-		seq, commitErr = log.Append(payload)
-	}
-	putPayloadBuf(bufp, payload)
-	if commitErr != nil {
-		s.poison(commitErr)
-		s.lock.UpdateUnlock()
-		return commitErr
-	}
-	t3 := time.Now()
-	if traced {
-		s.tracer.Emit(obs.Event{Name: "verify", Time: t0, Dur: t1.Sub(t0),
-			Trace: uctx.Trace, Span: obs.NewSpanID(), Parent: uctx.Span})
-		s.tracer.Emit(obs.Event{Name: "pickle", Time: t1, Dur: t2.Sub(t1),
-			Trace: uctx.Trace, Span: obs.NewSpanID(), Parent: uctx.Span,
-			Attrs: []obs.Attr{obs.A("bytes", payloadBytes)}})
-	}
+		if !s.versioned {
+			// Durable before visible to a shared-lock enquiry.
+			d, werr := s.awaitDurable(log, wait, useq, pt)
+			if commitNS += d; werr != nil {
+				err, fatal = werr, true
+				break
+			}
+			t3 = time.Now()
+		}
 
-	// Step 3: convert to exclusive and modify the virtual memory
-	// structure.
-	upWait := s.lock.UpgradeWaited()
-	if traced && upWait > 0 {
-		s.tracer.Emit(obs.Event{Name: "lock.wait", Time: t3, Dur: upWait,
-			Trace: uctx.Trace, Span: obs.NewSpanID(), Parent: uctx.Span,
-			Attrs: []obs.Attr{obs.A("mode", "upgrade")}})
-	}
-	applyErr := u.Apply(s.root)
-	if applyErr == nil {
-		if sharded {
-			// Deferred publication: capture the new version now, under
-			// the exclusive lock, but publish only once the epoch
-			// barrier acknowledges the sequence — lock-free enquiries
-			// never observe state a crash could erase, even though the
-			// in-memory apply ran ahead of the sync.
-			s.queuePublish(seq)
-		} else {
-			// Publication point: the version becomes visible to
-			// lock-free enquiries here, after the WAL commit above and
-			// the in-memory apply, still inside the exclusive section
-			// so publishes are serialized in sequence order.
-			s.publish(seq)
+		// Step 3: convert to exclusive and modify the virtual memory
+		// structure.
+		if applied == 0 {
+			upWait := s.lock.UpgradeWaited()
+			unlock = s.lock.ExclusiveUnlock
+			if pt.on && upWait > 0 {
+				pt.emit("lock.wait", t3, upWait, nil, obs.A("mode", "upgrade"))
+			}
 		}
+		if aerr := u.Apply(s.root); aerr != nil {
+			// The entry is (or will be) on disk but memory was not
+			// updated: log and memory disagree. This is a bug in the
+			// update type; refuse further work.
+			err = fmt.Errorf("core: update applied to log but failed in memory (Verify/Apply contract broken): %w", aerr)
+			s.poison(err)
+			fatal = true
+			break
+		}
+		t4 := time.Now()
+		if pt.on {
+			pt.emit("apply", t3, t4.Sub(t3), nil, obs.A("seq", useq))
+		}
+		seq = useq
+		applied++
+		s.hist.verify.ObserveDuration(t1.Sub(t0))
+		s.hist.pickle.ObserveDuration(t2.Sub(t1))
+		s.hist.apply.ObserveDuration(t4.Sub(t3))
+		verifyNS += t1.Sub(t0)
+		pickleNS += t2.Sub(t1)
+		applyNS += t4.Sub(t3)
+	}
+	if applied > 0 {
 		s.mu.Lock()
 		s.applied = seq
-		s.logEntries++
+		s.logEntries += int64(applied)
 		s.mu.Unlock()
+		if !fatal {
+			// Capture the new version under the exclusive lock; it is
+			// published once the durable frontier covers seq.
+			s.queuePublish(seq)
+		}
 	}
-	s.lock.ExclusiveUnlock()
-	t4 := time.Now()
-	if traced {
-		s.tracer.Emit(obs.Event{Name: "apply", Time: t3, Dur: t4.Sub(t3),
-			Trace: uctx.Trace, Span: obs.NewSpanID(), Parent: uctx.Span,
-			Attrs: []obs.Attr{obs.A("seq", seq)}})
-	}
-
-	if applyErr != nil {
-		// The entry is (or will be) on disk but memory was not
-		// updated: log and memory disagree. This is a bug in the
-		// update type; refuse further work.
-		err := fmt.Errorf("core: update applied to log but failed in memory (Verify/Apply contract broken): %w", applyErr)
-		s.poison(err)
+	unlock()
+	if fatal {
 		return err
 	}
 
-	commitDur := t3.Sub(t2)
-	if wait != nil {
-		if err := wait(); err != nil {
-			s.poison(err)
-			return err
+	// Even on a verify error the applied prefix is enqueued and applied;
+	// wait out its durability so acked ⇒ durable holds for every update
+	// this call reported nothing wrong about. A refusal with nothing
+	// applied waits too, for everything enqueued before it: Verify judged
+	// the working root, which may run ahead of the durable frontier, and
+	// the caller must not learn what it holds ("already applied") before
+	// an enquiry could see it.
+	if applied == 0 {
+		wait = log.Flush
+	}
+	if s.versioned {
+		d, werr := s.awaitDurable(log, wait, seq, pt)
+		if commitNS += d; werr != nil {
+			return werr
 		}
-		if sharded {
-			tSync := time.Now()
-			commitDur += tSync.Sub(t4)
-			if traced {
-				s.tracer.Emit(obs.Event{Name: "wal.sync", Time: t4, Dur: tSync.Sub(t4),
-					Trace: uctx.Trace, Span: obs.NewSpanID(), Parent: uctx.Span,
-					Attrs: []obs.Attr{obs.A("seq", seq)}})
-			}
-			// This sequence — and by the barrier's in-order rule every
-			// sequence below it — is durable: publish the queued views
-			// it covers before acknowledging the caller, preserving
-			// read-your-writes for lock-free enquiries.
-			s.publishDurable(sl.DurableSeq())
-		}
+		// seq — and by the barrier's in-order rule every sequence below
+		// it — is durable: publish the queued versions it covers before
+		// acknowledging the caller, preserving read-your-writes for
+		// lock-free enquiries.
+		s.publishDurable(log.DurableSeq())
+	}
+	if applied == 0 {
+		return err
 	}
 
-	s.recordUpdate(t0, t1.Sub(t0), t2.Sub(t1), commitDur, t4.Sub(t3), seq, payloadBytes, upd)
+	s.hist.commit.ObserveDuration(commitNS)
+	s.ctr.updates.Add(uint64(applied))
+	s.recordStats(func(st *Stats) {
+		st.Updates += uint64(applied)
+		st.VerifyTime += verifyNS
+		st.PickleTime += pickleNS
+		st.CommitTime += commitNS
+		st.ApplyTime += applyNS
+		st.AppliedSeq = seq
+	})
+	if tracing {
+		attrs := []obs.Attr{obs.A("seq", seq), obs.A("updates", applied), obs.A("bytes", bytes),
+			obs.A("commit", commitNS.Round(time.Microsecond))}
+		if upd.Active() {
+			upd.End(nil, attrs...)
+		} else {
+			s.tracer.Emit(obs.Event{Name: "update.commit", Time: start, Dur: time.Since(start), Attrs: attrs})
+		}
+	}
+	if err != nil {
+		return err
+	}
 	s.maybeAutoCheckpoint()
 	return nil
 }
 
+// awaitDurable waits out one entry's durability barrier, poisoning the
+// store if the log write failed, and reports how long it took. A traced
+// commit gets its wal.sync span — and a checkpoint.mirror span when an open
+// mirror window made the sync a dual write.
+func (s *Store) awaitDurable(log *wal.Sharded, wait func() error, seq uint64, pt phaseTracer) (time.Duration, error) {
+	mirror := pt.on && log.MirrorActive()
+	t := time.Now()
+	err := wait()
+	d := time.Since(t)
+	if pt.on {
+		pt.emit("wal.sync", t, d, err, obs.A("seq", seq))
+		if mirror {
+			pt.emit("checkpoint.mirror", t, d, nil, obs.A("dual_write", true))
+		}
+	}
+	if err != nil {
+		s.poison(err)
+	}
+	return d, err
+}
+
 // queuePublish captures the just-applied root's new version under the
 // exclusive lock and queues it for publication once its sequence is
-// acknowledged durable — the sharded commit path's deferred publication
-// point. No-op for unversioned roots.
+// acknowledged durable. No-op for unversioned roots.
 func (s *Store) queuePublish(seq uint64) {
-	if !s.versioned {
-		return
-	}
 	vr, ok := s.root.(VersionedRoot)
-	if !ok {
+	if !s.versioned || !ok {
 		return
 	}
 	view := vr.SnapshotView()
@@ -1127,166 +1112,13 @@ func putPayloadBuf(bufp *[]byte, payload []byte) {
 	payloadPool.Put(bufp)
 }
 
-// applyCoarse is the E8 ablation: the entire update, disk write included,
-// under the exclusive lock, so enquiries stall for the full 20 ms-class
-// disk write rather than only the in-memory mutation.
-func (s *Store) applyCoarse(u Update) error {
-	s.lock.Exclusive()
-	defer s.lock.ExclusiveUnlock()
-
-	s.mu.Lock()
-	switch {
-	case s.closed:
-		s.mu.Unlock()
+// unusable reports why the store accepts no more work — closed, or poisoned
+// — or nil. Callers hold s.mu.
+func (s *Store) unusable() error {
+	if s.closed {
 		return ErrClosed
-	case s.poisoned != nil:
-		err := s.poisoned
-		s.mu.Unlock()
-		return err
 	}
-	log := s.log
-	s.mu.Unlock()
-
-	t0 := time.Now()
-	if err := u.Verify(s.root); err != nil {
-		return err
-	}
-	t1 := time.Now()
-	bufp := payloadPool.Get().(*[]byte)
-	payload, err := pickle.AppendMarshal((*bufp)[:0], &logRecord{U: u})
-	if err != nil {
-		return fmt.Errorf("core: pickling update: %w", err)
-	}
-	payloadBytes := len(payload)
-	t2 := time.Now()
-	seq, err := log.Append(payload)
-	putPayloadBuf(bufp, payload)
-	if err != nil {
-		s.poison(err)
-		return err
-	}
-	t3 := time.Now()
-	if err := u.Apply(s.root); err != nil {
-		err = fmt.Errorf("core: update applied to log but failed in memory: %w", err)
-		s.poison(err)
-		return err
-	}
-	s.publish(seq)
-	s.mu.Lock()
-	s.applied = seq
-	s.logEntries++
-	s.mu.Unlock()
-	t4 := time.Now()
-
-	s.recordUpdate(t0, t1.Sub(t0), t2.Sub(t1), t3.Sub(t2), t4.Sub(t3), seq, payloadBytes, obs.Span{})
-	s.maybeAutoCheckpoint()
-	return nil
-}
-
-// ApplyBatch commits a batch of updates in one exclusive section:
-// verify/pickle/enqueue/apply each in order, then wait for the last one's
-// durability — one epoch barrier (or group-commit sync) covering the whole
-// batch. The batch is NOT atomic: if update i fails to verify, updates
-// [0, i) are already committed and the error is returned; callers needing
-// all-or-nothing semantics must pre-validate. Unlike Apply, the exclusive
-// lock is held for the whole loop, so locked enquiries are excluded for
-// the batch's duration (lock-free snapshot enquiries proceed regardless).
-// The crashtest harness uses batches to form deterministic multi-stream
-// epochs; servers can use them to amortize lock traffic on bulk loads.
-func (s *Store) ApplyBatch(us []Update) error {
-	if len(us) == 0 {
-		return nil
-	}
-	s.lock.Exclusive()
-	s.mu.Lock()
-	switch {
-	case s.closed:
-		s.mu.Unlock()
-		s.lock.ExclusiveUnlock()
-		return ErrClosed
-	case s.poisoned != nil:
-		err := s.poisoned
-		s.mu.Unlock()
-		s.lock.ExclusiveUnlock()
-		return err
-	}
-	log := s.log
-	s.mu.Unlock()
-	sl, sharded := log.(*wal.Sharded)
-
-	t0 := time.Now()
-	var wait func() error
-	var lastSeq uint64
-	applied := 0
-	var batchErr error
-	for _, u := range us {
-		if err := u.Verify(s.root); err != nil {
-			batchErr = err
-			break
-		}
-		bufp := payloadPool.Get().(*[]byte)
-		payload, err := pickle.AppendMarshal((*bufp)[:0], &logRecord{U: u})
-		if err != nil {
-			batchErr = fmt.Errorf("core: pickling update: %w", err)
-			break
-		}
-		seq, w := log.AppendAsync(payload)
-		putPayloadBuf(bufp, payload)
-		if err := u.Apply(s.root); err != nil {
-			err = fmt.Errorf("core: update applied to log but failed in memory (Verify/Apply contract broken): %w", err)
-			s.poison(err)
-			batchErr = err
-			break
-		}
-		if sharded {
-			s.queuePublish(seq)
-		}
-		s.mu.Lock()
-		s.applied = seq
-		s.logEntries++
-		s.mu.Unlock()
-		lastSeq, wait = seq, w
-		applied++
-	}
-	if !sharded && applied > 0 {
-		// Single-stream publication point, as in Apply: inside the
-		// exclusive section, after the appends. The batch's entries sync
-		// together below, so only the final state is published.
-		s.publish(lastSeq)
-	}
-	s.lock.ExclusiveUnlock()
-
-	// Even on an early error the applied prefix is enqueued and applied;
-	// wait out its durability so the usual acked ⇒ durable contract holds
-	// for every update this call reported nothing wrong about.
-	if wait != nil {
-		if err := wait(); err != nil {
-			s.poison(err)
-			if batchErr == nil {
-				batchErr = err
-			}
-			return batchErr
-		}
-		if sharded {
-			s.publishDurable(sl.DurableSeq())
-		}
-	}
-	if applied > 0 {
-		dur := time.Since(t0)
-		s.ctr.updates.Add(uint64(applied))
-		s.recordStats(func(st *Stats) {
-			st.Updates += uint64(applied)
-			st.AppliedSeq = lastSeq
-		})
-		obs.Emit(s.tracer, obs.Event{Name: "update.batch", Time: t0, Dur: dur, Attrs: []obs.Attr{
-			obs.A("updates", applied), obs.A("last_seq", lastSeq),
-		}})
-	}
-	if batchErr != nil {
-		return batchErr
-	}
-	s.maybeAutoCheckpoint()
-	return nil
+	return s.poisoned
 }
 
 func (s *Store) poison(err error) {
@@ -1531,7 +1363,7 @@ func (s *Store) stageHook(stage CheckpointStage) {
 
 // checkpointNonBlocking is the mirror-window checkpoint:
 //
-//  1. Under the update lock: flush the group-commit pipeline (every
+//  1. Under the update lock: flush the commit pipeline (every
 //     applied update becomes durable in the old log), record nextSeq,
 //     pickle the root into a pooled in-memory buffer — the only disk-free,
 //     CPU-bound work — and open the WAL's mirror window. Release the lock;
@@ -1566,20 +1398,13 @@ func (s *Store) stageHook(stage CheckpointStage) {
 func (s *Store) checkpointNonBlocking(forceFull bool) error {
 	s.lock.UpdateUrgent()
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.lock.UpdateUnlock()
-		return ErrClosed
-	}
-	if s.poisoned != nil {
-		err := s.poisoned
-		s.mu.Unlock()
+	err := s.unusable()
+	log, cur := s.log, s.cpState
+	s.mu.Unlock()
+	if err != nil {
 		s.lock.UpdateUnlock()
 		return err
 	}
-	log := s.log
-	cur := s.cpState
-	s.mu.Unlock()
 
 	cpStart := time.Now()
 	if err := log.Flush(); err != nil {
@@ -1587,14 +1412,12 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 		s.lock.UpdateUnlock()
 		return err
 	}
-	if sl, ok := log.(*wal.Sharded); ok {
-		// The flush sealed an epoch covering every applied update, but
-		// their committers may still be blocked on the barrier with their
-		// publications queued. Drain the queue here — we hold the update
-		// lock, so applied is stable — or the pinned snapshot below would
-		// sit behind applied and force the locked-pickle fallback.
-		s.publishDurable(sl.DurableSeq())
-	}
+	// The flush sealed an epoch covering every applied update, but their
+	// committers may still be blocked on the barrier with their
+	// publications queued. Drain the queue here — we hold the update lock,
+	// so applied is stable — or the pinned snapshot below would sit behind
+	// applied and force the locked-pickle fallback.
+	s.publishDurable(log.DurableSeq())
 	s.mu.Lock()
 	nextSeq := s.applied + 1
 	s.mu.Unlock()
@@ -1719,26 +1542,15 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 	ioTime := time.Since(ioStart)
 
 	switchStart := time.Now()
-	if sl, ok := log.(*wal.Sharded); ok {
-		files, err := checkpoint.CreateShardLogFiles(s.cfg.FS, next, sl.Shards())
-		if err != nil {
-			return abort(err)
+	files, err := checkpoint.CreateShardLogFiles(s.cfg.FS, next, log.Shards())
+	if err != nil {
+		return abort(err)
+	}
+	if err := log.AttachMirrorFiles(files); err != nil {
+		for _, f := range files {
+			f.Close()
 		}
-		if err := sl.AttachMirrorFiles(files); err != nil {
-			for _, f := range files {
-				f.Close()
-			}
-			return abort(err)
-		}
-	} else {
-		lf, err := checkpoint.CreateLogFile(s.cfg.FS, next)
-		if err != nil {
-			return abort(err)
-		}
-		if err := log.(*wal.Log).AttachMirrorFile(lf); err != nil {
-			lf.Close()
-			return abort(err)
-		}
+		return abort(err)
 	}
 	if err := log.SyncMirror(); err != nil {
 		// A failed mirror write has already poisoned the WAL (appends
@@ -1842,19 +1654,12 @@ func (s *Store) checkpointBlocking() error {
 	defer s.lock.UpdateUnlock()
 
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if s.poisoned != nil {
-		err := s.poisoned
-		s.mu.Unlock()
+	err := s.unusable()
+	oldLog, cur, nextSeq := s.log, s.cpState, s.applied+1
+	s.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	oldLog := s.log
-	cur := s.cpState
-	nextSeq := s.applied + 1
-	s.mu.Unlock()
 
 	obs.Emit(s.tracer, obs.Event{Name: "checkpoint.start", Attrs: []obs.Attr{
 		obs.A("version", cur.Version), obs.A("next_seq", nextSeq), obs.A("blocking", true),
@@ -1862,8 +1667,8 @@ func (s *Store) checkpointBlocking() error {
 	cpStart := time.Now()
 
 	// Make sure every applied update's entry is durable in the old log
-	// before the new checkpoint supersedes it (group-commit entries may
-	// still be in flight). Close flushes.
+	// before the new checkpoint supersedes it (committers may still be
+	// waiting on their epoch barrier). Close flushes.
 	if err := oldLog.Close(); err != nil {
 		s.poison(err)
 		return err
@@ -1906,19 +1711,10 @@ func (s *Store) checkpointBlocking() error {
 	ioTime := time.Since(prepStart) - pickleTime
 
 	switchStart := time.Now()
-	if n := s.logShards(); n > 1 {
-		var files []vfs.File
-		files, err = checkpoint.CreateShardLogFiles(s.cfg.FS, next, n)
-		for _, f := range files {
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-	} else {
-		var lf vfs.File
-		lf, err = checkpoint.CreateLogFile(s.cfg.FS, next)
-		if err == nil {
-			err = lf.Close()
+	files, err := checkpoint.CreateShardLogFiles(s.cfg.FS, next, oldLog.Shards())
+	for _, f := range files {
+		if cerr := f.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
 	}
 	if err == nil {
@@ -2106,8 +1902,8 @@ func (s *Store) History(fn func(seq uint64, u Update) error) error {
 	log := s.log
 	s.mu.Unlock()
 
-	// Bring the current log file in line with memory (group-commit
-	// entries may still be buffered).
+	// Bring the current log file in line with memory (committers may still
+	// be waiting on their epoch barrier).
 	if err := log.Flush(); err != nil {
 		return err
 	}
@@ -2199,10 +1995,9 @@ func (s *Store) AppliedSeq() uint64 {
 
 // DurableSeq reports the sequence number of the last update known durable
 // on this store — the staleness bound a bounded-staleness read may quote.
-// On a versioned store this is the published version's sequence (deferred
-// publication guarantees published ≤ durable frontier); otherwise it falls
-// back to the applied sequence, which the synchronous commit path only
-// advances after the log sync.
+// On a versioned store this is the published version's sequence (published
+// ≤ durable frontier); on an unversioned one the applied sequence, which
+// only advances after the log sync.
 func (s *Store) DurableSeq() uint64 {
 	if s.versioned {
 		if v := s.vs.pub.Load(); v != nil {
@@ -2244,23 +2039,12 @@ func (s *Store) walOpts() wal.Options {
 	return wal.Options{NoSync: s.cfg.UnsafeNoSync, Obs: s.cfg.Obs, Tracer: s.cfg.Tracer}
 }
 
-// logShards normalizes Config.LogShards: 0 and 1 both mean the paper's
-// single stream.
-func (s *Store) logShards() int {
-	if s.cfg.LogShards > 1 {
-		return s.cfg.LogShards
-	}
-	return 1
-}
+// logShards normalizes Config.LogShards: 0 and 1 both mean one stream.
+func (s *Store) logShards() int { return max(1, s.cfg.LogShards) }
 
-// openLog opens the store's redo log rooted at base — a plain single-stream
-// wal.Log, or a wal.Sharded ticket-and-streams log when Config.LogShards
-// asks for one. Both satisfy storeLog; the rest of the store branches only
-// where the on-disk layout differs (checkpoint mirror attach, recovery).
-func (s *Store) openLog(base string, nextSeq uint64) (storeLog, error) {
-	if n := s.logShards(); n > 1 {
-		return wal.OpenSharded(s.cfg.FS, base, n, nextSeq,
-			wal.ShardedOptions{Options: s.walOpts(), SequentialSync: s.cfg.SerialLogSync})
-	}
-	return wal.Open(s.cfg.FS, base, nextSeq, s.walOpts())
+// openLog opens the store's redo log rooted at base. At one stream the
+// layout is the paper's: the base file alone.
+func (s *Store) openLog(base string, nextSeq uint64) (*wal.Sharded, error) {
+	return wal.OpenSharded(s.cfg.FS, base, s.logShards(), nextSeq,
+		wal.ShardedOptions{Options: s.walOpts(), SequentialSync: s.cfg.SerialLogSync})
 }

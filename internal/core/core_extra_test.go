@@ -10,45 +10,50 @@ import (
 	"smalldb/internal/vfs"
 )
 
-// Acked group-commit updates must survive a crash: the wait() only returns
-// after the shared sync covers the update.
+// Acked updates from concurrent committers must survive a crash: Apply only
+// returns after the (possibly shared) sync covers the update.
 func TestGroupCommitAckedDurable(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		fs := vfs.NewMem(seed)
-		s := openKV(t, fs, func(c *Config) { c.GroupCommit = true })
+	for _, kind := range kvKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			for seed := int64(0); seed < 10; seed++ {
+				fs := vfs.NewMem(seed)
+				s := kind.open(t, fs)
 
-		const writers, each = 4, 10
-		var wg sync.WaitGroup
-		acked := make([][]string, writers)
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < each; i++ {
-					k := fmt.Sprintf("w%d-%d", w, i)
-					if err := s.Apply(&putKV{Key: k, Value: "v"}); err != nil {
-						return
+				const writers, each = 4, 10
+				var wg sync.WaitGroup
+				acked := make([][]string, writers)
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for i := 0; i < each; i++ {
+							k := fmt.Sprintf("w%d-%d", w, i)
+							if err := s.Apply(kind.put(k, "v")); err != nil {
+								return
+							}
+							acked[w] = append(acked[w], k)
+						}
+					}(w)
+				}
+				wg.Wait()
+				// Crash without Close: anything acked must be on disk already.
+				fs.CrashTorn(512)
+
+				s2, err := Open(Config{FS: fs, NewRoot: kind.newRoot})
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				got := kind.snapshot(t, s2)
+				for w := range acked {
+					for _, k := range acked[w] {
+						if _, ok := got[k]; !ok {
+							t.Fatalf("seed %d: acked update %s lost", seed, k)
+						}
 					}
-					acked[w] = append(acked[w], k)
 				}
-			}(w)
-		}
-		wg.Wait()
-		// Crash without Close: anything acked must be on disk already.
-		fs.CrashTorn(512)
-
-		s2, err := Open(Config{FS: fs, NewRoot: newKV})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for w := range acked {
-			for _, k := range acked[w] {
-				if _, ok := get(t, s2, k); !ok {
-					t.Fatalf("seed %d: acked group-commit update %s lost", seed, k)
-				}
+				s2.Close()
 			}
-		}
-		s2.Close()
+		})
 	}
 }
 

@@ -358,84 +358,115 @@ func TestApplyContractViolationPoisons(t *testing.T) {
 	}
 }
 
-func TestGroupCommitMode(t *testing.T) {
-	fs := vfs.NewMem(1)
-	s := openKV(t, fs, func(c *Config) { c.GroupCommit = true })
-	var wg sync.WaitGroup
-	const writers, each = 8, 20
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				if err := s.Apply(&putKV{Key: fmt.Sprintf("w%d-%d", w, i), Value: "v"}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	s.Close()
+// kvKind lets one test body run over both branches of the commit pipeline:
+// the unversioned kv root (each entry durable before its apply, one
+// committer at a time) and the versioned one (apply, release the lock, then
+// share the epoch barrier with every concurrent committer).
+type kvKind struct {
+	name    string
+	newRoot func() any
+	put     func(k, v string) Update
+	data    func(root any) map[string]string
+}
 
-	s2 := openKV(t, fs)
-	defer s2.Close()
-	n := 0
-	s2.View(func(root any) error {
-		n = len(root.(*kvRoot).Data)
+var kvKinds = []kvKind{
+	{"unversioned", newKV,
+		func(k, v string) Update { return &putKV{Key: k, Value: v} },
+		func(root any) map[string]string { return root.(*kvRoot).Data }},
+	{"versioned", newVKV,
+		func(k, v string) Update { return &putVKV{Key: k, Value: v} },
+		func(root any) map[string]string { return root.(*vkvRoot).Data }},
+}
+
+func (k kvKind) open(t *testing.T, fs vfs.FS, mod ...func(*Config)) *Store {
+	t.Helper()
+	return openKV(t, fs, append([]func(*Config){func(c *Config) { c.NewRoot = k.newRoot }}, mod...)...)
+}
+
+// snapshot copies the table an enquiry sees.
+func (k kvKind) snapshot(t *testing.T, s *Store) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	if err := s.View(func(root any) error {
+		for key, v := range k.data(root) {
+			out[key] = v
+		}
 		return nil
-	})
-	if n != writers*each {
-		t.Errorf("recovered %d keys, want %d", n, writers*each)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestGroupCommitMode: concurrent committers through the default pipeline
+// — sharing epoch barriers when the root is versioned — all survive a
+// restart.
+func TestGroupCommitMode(t *testing.T) {
+	for _, kind := range kvKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			fs := vfs.NewMem(1)
+			s := kind.open(t, fs)
+			var wg sync.WaitGroup
+			const writers, each = 8, 20
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < each; i++ {
+						if err := s.Apply(kind.put(fmt.Sprintf("w%d-%d", w, i), "v")); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			s.Close()
+
+			s2 := kind.open(t, fs)
+			defer s2.Close()
+			if n := len(kind.snapshot(t, s2)); n != writers*each {
+				t.Errorf("recovered %d keys, want %d", n, writers*each)
+			}
+		})
 	}
 }
 
 func TestGroupCommitCheckpointInterleaving(t *testing.T) {
-	fs := vfs.NewMem(1)
-	s := openKV(t, fs, func(c *Config) { c.GroupCommit = true })
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			i := 0
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s.Apply(&putKV{Key: fmt.Sprintf("w%d-%d", w, i), Value: "v"})
-				i++
+	for _, kind := range kvKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			fs := vfs.NewMem(1)
+			s := kind.open(t, fs)
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					i := 0
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						s.Apply(kind.put(fmt.Sprintf("w%d-%d", w, i), "v"))
+						i++
+					}
+				}(w)
 			}
-		}(w)
-	}
-	for i := 0; i < 5; i++ {
-		if err := s.Checkpoint(); err != nil {
-			t.Errorf("checkpoint %d: %v", i, err)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-	s.Close()
-	s2 := openKV(t, fs)
-	s2.Close()
-}
-
-func TestCoarseLockingMode(t *testing.T) {
-	fs := vfs.NewMem(1)
-	s := openKV(t, fs, func(c *Config) { c.CoarseLocking = true })
-	put(t, s, "a", "1")
-	if v, _ := get(t, s, "a"); v != "1" {
-		t.Error("coarse mode broken")
-	}
-	s.Close()
-	s2 := openKV(t, fs)
-	defer s2.Close()
-	if v, _ := get(t, s2, "a"); v != "1" {
-		t.Error("coarse mode not durable")
+			for i := 0; i < 5; i++ {
+				if err := s.Checkpoint(); err != nil {
+					t.Errorf("checkpoint %d: %v", i, err)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			close(stop)
+			wg.Wait()
+			s.Close()
+			s2 := kind.open(t, fs)
+			s2.Close()
+		})
 	}
 }
 

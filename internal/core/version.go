@@ -258,16 +258,3 @@ func (s *Store) RetainedVersions() int {
 func (s *Store) LockHolders() (shared int, update, exclusive bool) {
 	return s.lock.Holders()
 }
-
-// publish captures and publishes a new version of the root after an apply,
-// if the root is versioned. Must be called from the serialized write path.
-func (s *Store) publish(seq uint64) {
-	if !s.versioned {
-		return
-	}
-	vr, ok := s.root.(VersionedRoot)
-	if !ok {
-		return
-	}
-	s.vs.publish(vr.SnapshotView(), seq, s.vm.published, s.vm.reclaimed)
-}

@@ -73,10 +73,10 @@ type Config struct {
 	// (0 = auto, 1 = sequential), so the sweep can torture pipelined
 	// restart at every crash point.
 	ReplayWorkers int
-	// LogShards splits the store's redo log into this many parallel
-	// streams (0 or 1 = the paper's single stream). Sharded runs force
-	// SerialLogSync, so each epoch seal syncs its streams one at a time in
-	// stream order and the sweep's fs-op indexing stays deterministic —
+	// LogShards is the store's redo-log stream count (0 or 1 = the
+	// paper's single stream). Multi-stream runs force SerialLogSync, so
+	// each epoch seal syncs its streams one at a time in stream order and
+	// the sweep's fs-op indexing stays deterministic —
 	// crash points then land inside individual stream syncs and, with
 	// Batch, between the streams of one epoch.
 	LogShards int
@@ -307,6 +307,27 @@ func (r *runner) workloadLoop(doOne func() error, checkpoint func() error, k *in
 	return nil
 }
 
+// step commits the plan's next Batch updates through apply, recording each
+// one's op-index window when rec is set, and advances *k past them.
+func (r *runner) step(k *int, rec *recorder, opCount func() int64, apply func([]core.Update) error) error {
+	end := min(*k+r.cfg.Batch, len(r.plan.updates))
+	if rec != nil {
+		for j := *k; j < end; j++ {
+			rec.start(opCount())
+		}
+	}
+	if err := apply(r.plan.updates[*k:end]); err != nil {
+		return err
+	}
+	if rec != nil {
+		for j := *k; j < end; j++ {
+			rec.ack(opCount())
+		}
+	}
+	*k = end
+	return nil
+}
+
 // overlapCheckpoint runs one checkpoint with the stage hook applying
 // overlapPerStage more workload updates at each stage of the mirror
 // window, then clears the hook. The first error — from the checkpoint
@@ -423,23 +444,16 @@ func openFlight(fs vfs.FS) (*obs.FlightRecorder, error) {
 }
 
 // maxCommitSeq scans a decoded flight tail for the newest committed
-// sequence — per-update "update.commit" events or batched "update.batch"
-// events (which carry the batch's last sequence); 0 means no commit event
-// survived.
+// sequence — "update.commit" events carry the last sequence of their commit
+// call, a single update or a whole batch; 0 means no commit event survived.
 func maxCommitSeq(events []obs.Event) int {
 	max := 0
 	for _, e := range events {
-		var key string
-		switch e.Name {
-		case "update.commit":
-			key = "seq"
-		case "update.batch":
-			key = "last_seq"
-		default:
+		if e.Name != "update.commit" {
 			continue
 		}
 		for _, a := range e.Attrs {
-			if a.Key != key {
+			if a.Key != "seq" {
 				continue
 			}
 			if v, err := strconv.Atoi(fmt.Sprint(a.Value)); err == nil && v > max {
@@ -504,33 +518,8 @@ func (r *runner) runStoreWorkload(fs vfs.FS, rec *recorder, opCount func() int64
 	st := srv.Store()
 	rc.launch(st, storeTree)
 	k := 0
-	doOne := func() error {
-		end := k + r.cfg.Batch
-		if end > len(r.plan.updates) {
-			end = len(r.plan.updates)
-		}
-		if rec != nil {
-			for j := k; j < end; j++ {
-				rec.start(opCount())
-			}
-		}
-		var err error
-		if end == k+1 {
-			err = st.Apply(r.plan.updates[k])
-		} else {
-			err = st.ApplyBatch(r.plan.updates[k:end])
-		}
-		if err != nil {
-			return err
-		}
-		if rec != nil {
-			for j := k; j < end; j++ {
-				rec.ack(opCount())
-			}
-		}
-		k = end
-		return nil
-	}
+	// One update or a batch: the store commits both the same way.
+	doOne := func() error { return r.step(&k, rec, opCount, st.ApplyBatch) }
 	checkpoint := srv.Checkpoint
 	if r.cfg.OverlapCheckpoints {
 		checkpoint = func() error {
@@ -689,31 +678,12 @@ func (r *runner) runReplicaWorkload(fs vfs.FS, p *peer, rec *recorder, opCount f
 	rc.launch(node.Store(), replicaTree)
 	k := 0
 	doOne := func() error {
-		end := k + r.cfg.Batch
-		if end > len(r.plan.updates) {
-			end = len(r.plan.updates)
-		}
-		if rec != nil {
-			for j := k; j < end; j++ {
-				rec.start(opCount())
+		return r.step(&k, rec, opCount, func(us []core.Update) error {
+			if len(us) == 1 {
+				return node.Apply(us[0])
 			}
-		}
-		var err error
-		if end == k+1 {
-			err = node.Apply(r.plan.updates[k])
-		} else {
-			err = node.ApplyBatch(r.plan.updates[k:end])
-		}
-		if err != nil {
-			return err
-		}
-		if rec != nil {
-			for j := k; j < end; j++ {
-				rec.ack(opCount())
-			}
-		}
-		k = end
-		return nil
+			return node.ApplyBatch(us)
+		})
 	}
 	checkpoint := node.Checkpoint
 	if r.cfg.OverlapCheckpoints {

@@ -1,9 +1,9 @@
 // Package lintest is a model-based linearizability checker for the
 // store's lock-free snapshot enquiries.
 //
-// The store has a single logical writer (updates serialize on the update
-// lock) and many concurrent readers, so the linearizability argument
-// reduces to two obligations per enquiry:
+// Updates serialize on the store's update lock and many readers run
+// concurrently, so the linearizability argument reduces to two obligations
+// per enquiry:
 //
 //  1. Version consistency: the enquiry observes exactly the state produced
 //     by some prefix of the committed update sequence — never a mix of two
@@ -12,13 +12,18 @@
 //     Apply call had returned before the enquiry began, and nothing that
 //     had not yet been issued when it ended.
 //
-// The harness makes both checkable without recording writer state: the
-// writer's op i deterministically sets key (i mod Keys) to a value that
-// encodes i, so the expected content of every key at any version j has a
-// closed form. A reader takes one pinned snapshot (whose Seq names j
-// exactly), reads all Keys keys from it, and validates each against the
-// closed-form model of version j — any torn or stale mix fails on the
-// spot. The (j, completed-before, started-after) triple of every read is
+// The harness makes both checkable without recording writer state: each
+// writer owns a disjoint key range, and its op i deterministically sets its
+// key (i mod Keys) to a value that encodes i, so every key stays
+// single-writer and the expected content of a writer's keys after its first
+// j ops has a closed form. A reader takes one pinned snapshot, reads every
+// key from it, recovers each writer's j from the newest value in its range,
+// and validates that range against the closed-form model of j — any torn or
+// stale mix fails on the spot — and that the j's sum to the snapshot's Seq,
+// which names exactly how many updates it holds. With several writers the
+// commits overlap (they share epoch barriers), so this is also the check
+// that concurrent committers are published in sequence order. The (j,
+// completed-before, started-after) triple of every read and writer is
 // recorded as an operation history; Check then validates the real-time
 // window and per-reader monotonicity over the whole history.
 package lintest
@@ -38,9 +43,13 @@ import (
 type Config struct {
 	// Readers is the number of concurrent reader goroutines (default 4).
 	Readers int
-	// Ops is the number of writer updates (default 1000).
+	// Writers is the number of concurrent writer goroutines (default 1),
+	// each on its own key range.
+	Writers int
+	// Ops is the number of updates, split evenly over the writers
+	// (default 1000).
 	Ops int
-	// Keys is how many distinct names the writer cycles over (default 8).
+	// Keys is how many distinct names each writer cycles over (default 8).
 	Keys int
 	// Prefix roots the harness's names (default "lin"). The subtree must
 	// not exist when Run starts; Run owns it for the duration.
@@ -50,6 +59,9 @@ type Config struct {
 func (c *Config) defaults() {
 	if c.Readers <= 0 {
 		c.Readers = 4
+	}
+	if c.Writers <= 0 {
+		c.Writers = 1
 	}
 	if c.Ops <= 0 {
 		c.Ops = 1000
@@ -68,26 +80,30 @@ type Stats struct {
 	Reads uint64 // snapshot enquiries validated
 }
 
-// observation is one enquiry in the recorded history: the version it
-// observed and the real-time window it ran in, all in writer-op units.
+// observation is one writer's part of one enquiry in the recorded history:
+// how many of that writer's ops the snapshot held and the real-time window
+// the read ran in, in that writer's op units.
 type observation struct {
-	j  uint64 // writer ops included in the snapshot
-	lo uint64 // writer ops completed before the read began
-	hi uint64 // writer ops started by the time the read ended
+	j  uint64 // the writer's ops included in the snapshot
+	lo uint64 // the writer's ops completed before the read began
+	hi uint64 // the writer's ops started by the time the read ended
 }
 
-// Run drives one writer (Ops sequential updates) against Readers
-// concurrent snapshot enquiries on st, validating every enquiry against
-// the version-ordered model as it happens and the full recorded history
-// afterwards. The store's root must be the nameserver tree (or wrap one
-// reachable as *nameserver.Tree via the root), versioned — Run fails with
-// core.ErrNotVersioned otherwise — and must receive no other updates
-// while Run is active.
+// Run drives Writers concurrent writers (Ops updates between them, each
+// writer's sequential) against Readers concurrent snapshot enquiries on st,
+// validating every enquiry against the version-ordered model as it happens
+// and the full recorded history afterwards. The store's root must be the
+// nameserver tree (or wrap one reachable as *nameserver.Tree via the root),
+// versioned — Run fails with core.ErrNotVersioned otherwise — and must
+// receive no other updates while Run is active.
 func Run(st *core.Store, cfg Config) (Stats, error) {
 	cfg.defaults()
-	keys := make([][]string, cfg.Keys)
-	for c := range keys {
-		keys[c] = []string{cfg.Prefix, "k" + strconv.Itoa(c)}
+	keys := make([][][]string, cfg.Writers)
+	for w := range keys {
+		keys[w] = make([][]string, cfg.Keys)
+		for c := range keys[w] {
+			keys[w][c] = []string{cfg.Prefix, "w" + strconv.Itoa(w), "k" + strconv.Itoa(c)}
+		}
 	}
 
 	// The model starts empty: the harness's subtree must not exist yet.
@@ -101,11 +117,14 @@ func Run(st *core.Store, cfg Config) (Stats, error) {
 	}
 
 	base := st.AppliedSeq()
-	var started, completed atomic.Uint64
+	started := make([]atomic.Uint64, cfg.Writers)
+	completed := make([]atomic.Uint64, cfg.Writers)
 	var stop atomic.Bool
 	var reads atomic.Uint64
+	// histories[r] holds reader r's reads in order, Writers consecutive
+	// observations (one per writer) for each.
 	histories := make([][]observation, cfg.Readers)
-	errs := make(chan error, cfg.Readers)
+	errs := make(chan error, cfg.Readers+cfg.Writers)
 
 	var wg sync.WaitGroup
 	for r := 0; r < cfg.Readers; r++ {
@@ -114,31 +133,43 @@ func Run(st *core.Store, cfg Config) (Stats, error) {
 			defer wg.Done()
 			h := make([]observation, 0, 1024)
 			// Every reader validates at least one snapshot even if the
-			// scheduler only runs it after the writer finishes (on
+			// scheduler only runs it after the writers finish (on
 			// GOMAXPROCS=1 a goroutine can sit runnable for the whole
 			// writer phase).
 			for first := true; first || !stop.Load(); first = false {
-				lo := completed.Load()
+				at := len(h)
+				for w := range completed {
+					h = append(h, observation{lo: completed[w].Load()})
+				}
 				snap, err := st.SnapshotAt()
 				if err != nil {
 					errs <- err
 					return
 				}
 				m := snap.Seq()
-				verr := checkVersion(treeFromRoot(snap.Root()), keys, base, m)
+				tree := treeFromRoot(snap.Root())
+				var verr error
+				var held uint64
+				for w := range keys {
+					if h[at+w].j, verr = checkWriter(tree, keys[w]); verr != nil {
+						break
+					}
+					held += h[at+w].j
+				}
 				snap.Release()
-				hi := started.Load()
+				for w := range started {
+					h[at+w].hi = started[w].Load()
+				}
 				if verr != nil {
 					errs <- verr
 					return
 				}
-				if m < base {
-					errs <- fmt.Errorf("lintest: snapshot at seq %d precedes the run's base %d", m, base)
+				if m < base || held != m-base {
+					errs <- fmt.Errorf("lintest: snapshot at seq %d (run base %d) holds %d of the run's updates", m, base, held)
 					return
 				}
-				h = append(h, observation{j: m - base, lo: lo, hi: hi})
 				reads.Add(1)
-				// Yield so the single writer is never starved by spinning
+				// Yield so the writers are never starved by spinning
 				// readers: snapshot reads block on nothing, so on a small
 				// GOMAXPROCS the run queue is all readers, all runnable.
 				runtime.Gosched()
@@ -147,34 +178,42 @@ func Run(st *core.Store, cfg Config) (Stats, error) {
 		}(r)
 	}
 
-	var werr error
-	for i := uint64(1); i <= uint64(cfg.Ops); i++ {
-		started.Store(i)
-		u := &nameserver.SetValue{Path: keys[i%uint64(cfg.Keys)], Value: valueAt(i)}
-		if werr = st.Apply(u); werr != nil {
-			break
-		}
-		completed.Store(i)
-		// Yield between ops for the same fairness reason as the readers:
-		// the history is only interesting if reads interleave the writes.
-		runtime.Gosched()
+	var wwg sync.WaitGroup
+	for w := 0; w < cfg.Writers; w++ {
+		wwg.Add(1)
+		go func(w int) {
+			defer wwg.Done()
+			for i := uint64(1); i <= uint64(cfg.Ops/cfg.Writers); i++ {
+				started[w].Store(i)
+				u := &nameserver.SetValue{Path: keys[w][i%uint64(cfg.Keys)], Value: valueAt(i)}
+				if err := st.Apply(u); err != nil {
+					errs <- fmt.Errorf("lintest: writer %d op %d: %w", w, i, err)
+					return
+				}
+				completed[w].Store(i)
+				// Yield between ops for the same fairness reason as the
+				// readers: the history is only interesting if reads
+				// interleave the writes.
+				runtime.Gosched()
+			}
+		}(w)
 	}
+	wwg.Wait()
 	stop.Store(true)
 	wg.Wait()
 	close(errs)
-	if werr != nil {
-		return Stats{}, fmt.Errorf("lintest: writer op %d: %w", started.Load(), werr)
-	}
-	for err := range errs {
-		if err != nil {
-			return Stats{}, err
-		}
-	}
-
-	if err := checkHistory(histories); err != nil {
+	if err, failed := <-errs; failed {
 		return Stats{}, err
 	}
-	return Stats{Ops: completed.Load(), Reads: reads.Load()}, nil
+	var ops uint64
+	for w := range completed {
+		ops += completed[w].Load()
+	}
+
+	if err := checkHistory(histories, cfg.Writers); err != nil {
+		return Stats{}, err
+	}
+	return Stats{Ops: ops, Reads: reads.Load()}, nil
 }
 
 // valueAt is the value writer op i writes: it encodes i so a read can
@@ -195,49 +234,57 @@ func lastWrite(j uint64, c, keys int) uint64 {
 	return j - diff
 }
 
-// checkVersion validates every harness key in a snapshot tree against the
-// closed-form model of version j = m - base. Reading all keys from one
-// snapshot is what makes the check complete: a snapshot mixing two
-// versions cannot satisfy the model at any single j, because each op
-// changes exactly one key and the keys cycle.
-func checkVersion(t *nameserver.Tree, keys [][]string, base, m uint64) error {
-	j := m - base
-	for c := range keys {
-		want := lastWrite(j, c, len(keys))
-		n := t.FindNode(keys[c])
-		switch {
-		case want == 0:
-			if n != nil && n.HasValue {
-				return fmt.Errorf("lintest: at version %d key %d should be unwritten, found %q", j, c, n.Value)
+// checkWriter validates one writer's key range in a snapshot tree and
+// reports j, how many of that writer's ops the snapshot holds. j is read
+// off the newest value in the range (op j wrote it); every key must then
+// hold the write the closed-form model of j names (write 0 = unwritten).
+// Reading all the keys from one snapshot is what makes the check complete:
+// a snapshot mixing two versions cannot satisfy the model at any single j,
+// because each op changes exactly one key and the keys cycle.
+func checkWriter(t *nameserver.Tree, keys [][]string) (uint64, error) {
+	var j uint64
+	found := make([]uint64, len(keys)) // the op whose write each key holds
+	for c, k := range keys {
+		if n := t.FindNode(k); n != nil && n.HasValue {
+			i, err := strconv.ParseUint(n.Value[1:], 10, 64)
+			if err != nil || n.Value != valueAt(i) {
+				return 0, fmt.Errorf("lintest: key %v holds %q, which no writer op wrote", k, n.Value)
 			}
-		case n == nil || !n.HasValue:
-			return fmt.Errorf("lintest: at version %d key %d should hold %q, found nothing", j, c, valueAt(want))
-		case n.Value != valueAt(want):
-			return fmt.Errorf("lintest: at version %d key %d should hold %q, found %q", j, c, valueAt(want), n.Value)
+			found[c] = i
+			j = max(j, i)
 		}
 	}
-	return nil
+	for c, i := range found {
+		if want := lastWrite(j, c, len(keys)); i != want {
+			return 0, fmt.Errorf("lintest: at version %d key %v should hold write %d, found write %d", j, keys[c], want, i)
+		}
+	}
+	return j, nil
 }
 
-// checkHistory validates the recorded operation history: every read's
-// version must fall inside its real-time window (reads never travel back
-// before a completed write, never ahead of an issued one), and each
-// reader's versions must be monotone (a reader never observes time moving
-// backwards).
-func checkHistory(histories [][]observation) error {
+// checkHistory validates the recorded operation history, writer by writer:
+// every read's version must fall inside its real-time window (reads never
+// travel back before a completed write, never ahead of an issued one), and
+// each reader's versions must be monotone (a reader never observes time
+// moving backwards).
+func checkHistory(histories [][]observation, writers int) error {
+	prev := make([]uint64, writers)
 	for r, h := range histories {
-		prev := uint64(0)
+		for w := range prev {
+			prev[w] = 0
+		}
 		for i, o := range h {
+			read, w := i/writers, i%writers
 			if o.j < o.lo {
-				return fmt.Errorf("lintest: reader %d read %d observed version %d, but %d writes had completed before it began (stale read)", r, i, o.j, o.lo)
+				return fmt.Errorf("lintest: reader %d read %d observed writer %d at version %d, but %d of its writes had completed before the read began (stale read)", r, read, w, o.j, o.lo)
 			}
 			if o.j > o.hi {
-				return fmt.Errorf("lintest: reader %d read %d observed version %d, but only %d writes had been issued (read from the future)", r, i, o.j, o.hi)
+				return fmt.Errorf("lintest: reader %d read %d observed writer %d at version %d, but only %d of its writes had been issued (read from the future)", r, read, w, o.j, o.hi)
 			}
-			if o.j < prev {
-				return fmt.Errorf("lintest: reader %d went backwards: version %d after %d", r, o.j, prev)
+			if o.j < prev[w] {
+				return fmt.Errorf("lintest: reader %d went backwards on writer %d: version %d after %d", r, w, o.j, prev[w])
 			}
-			prev = o.j
+			prev[w] = o.j
 		}
 	}
 	return nil

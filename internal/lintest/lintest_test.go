@@ -54,14 +54,21 @@ func TestLinearizable(t *testing.T) {
 		t.Logf("validated %d snapshot reads against %d ops", stats.Reads, stats.Ops)
 	})
 
-	// Group commit publishes a version before the batched sync returns
-	// (visible-before-durable, matching the prior locked-View semantics);
-	// the history must still be linearizable.
+	// Group commit on the shipped path: four writers on disjoint key
+	// ranges commit concurrently through the default config, overlapping
+	// in the pipeline and sharing epoch barriers; every snapshot must
+	// still hold a sequence-ordered prefix.
 	t.Run("group-commit", func(t *testing.T) {
-		st := openTree(t, func(c *core.Config) { c.GroupCommit = true })
+		st := openTree(t)
 		defer st.Close()
-		if _, err := Run(st, cfg); err != nil {
+		mw := cfg
+		mw.Writers = 4
+		stats, err := Run(st, mw)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if stats.Ops != uint64(cfg.Ops) {
+			t.Fatalf("committed %d ops, want %d", stats.Ops, cfg.Ops)
 		}
 	})
 }

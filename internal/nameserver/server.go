@@ -14,11 +14,9 @@ import (
 type Config struct {
 	// FS holds the checkpoint and log files.
 	FS vfs.FS
-	// Retain, GroupCommit and the checkpoint policies pass through to
-	// the underlying store.
+	// Retain and the checkpoint policies pass through to the underlying
+	// store.
 	Retain        int
-	GroupCommit   bool
-	CoarseLocking bool
 	UnsafeNoSync  bool
 	MaxLogBytes   int64
 	MaxLogEntries int64
@@ -28,12 +26,11 @@ type Config struct {
 	// ReplayWorkers passes through to the store's restart decode
 	// pipeline (0 = auto, 1 = sequential).
 	ReplayWorkers int
-	// LogShards passes through: >1 splits the redo log into that many
-	// parallel streams under epoch-based group commit (incompatible with
-	// SkipDamagedLogEntries).
+	// LogShards passes through: the redo log's stream count (0 and 1 are
+	// the single stream; more is incompatible with SkipDamagedLogEntries).
 	LogShards int
-	// SerialLogSync passes through: sharded epoch seals sync their streams
-	// one at a time, in stream order (the crash-sweep determinism knob).
+	// SerialLogSync passes through: epoch seals sync their streams one at a
+	// time, in stream order (the crash-sweep determinism knob).
 	SerialLogSync bool
 	// BlockingCheckpoint passes through: checkpoints hold the update
 	// lock for their whole duration instead of the default
@@ -72,8 +69,6 @@ func Open(cfg Config) (*Server, error) {
 		FS:                    cfg.FS,
 		NewRoot:               NewRoot,
 		Retain:                cfg.Retain,
-		GroupCommit:           cfg.GroupCommit,
-		CoarseLocking:         cfg.CoarseLocking,
 		UnsafeNoSync:          cfg.UnsafeNoSync,
 		MaxLogBytes:           cfg.MaxLogBytes,
 		MaxLogEntries:         cfg.MaxLogEntries,

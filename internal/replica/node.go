@@ -36,10 +36,10 @@ type Config struct {
 	// ReplayWorkers passes through to the store's restart decode
 	// pipeline (0 = auto, 1 = sequential).
 	ReplayWorkers int
-	// LogShards passes through: >1 splits the node's redo log into that
-	// many parallel streams under epoch-based group commit.
+	// LogShards passes through: the node's redo-log stream count (0 and 1
+	// are the single stream).
 	LogShards int
-	// SerialLogSync passes through: sharded epoch seals sync their streams
+	// SerialLogSync passes through: epoch seals sync their streams
 	// one at a time, in stream order (the crash-sweep determinism knob).
 	SerialLogSync bool
 	// BlockingCheckpoint passes through: checkpoints hold the update
@@ -260,7 +260,7 @@ func (n *Node) ApplyTraced(inner core.Update, sc obs.SpanContext) error {
 }
 
 // ApplyBatch commits a batch of local updates through one store batch —
-// one epoch barrier on a sharded log — stamping each with consecutive
+// one epoch barrier — stamping each with consecutive
 // local sequence numbers, then pushes the whole batch to every peer in a
 // single RPC. Prefix semantics follow core.Store.ApplyBatch: on error the
 // already-verified prefix is committed (and pushed) and the error returned.

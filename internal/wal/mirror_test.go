@@ -110,11 +110,11 @@ func TestMirrorCarriesUnflushedTail(t *testing.T) {
 	if err := l.SyncMirror(); err != nil {
 		t.Fatal(err)
 	}
-	_, wait := l.AppendAsync([]byte("tail"))
+	l.enqueueSeq(1, []byte("tail"))
 	if _, err := l.FinishMirror("log2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := wait(); err != nil {
+	if err := l.Flush(); err != nil {
 		t.Fatalf("tail commit after retarget: %v", err)
 	}
 	l.Close()
@@ -135,11 +135,11 @@ func TestBeginMirrorRequiresQuiescedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	_, wait := l.AppendAsync([]byte("x"))
+	l.enqueueSeq(1, []byte("x"))
 	if err := l.BeginMirror(); err == nil {
 		t.Fatal("BeginMirror accepted a log with pending frames")
 	}
-	if err := wait(); err != nil {
+	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.BeginMirror(); err != nil {

@@ -4,19 +4,20 @@
 // a global sequence number from one lightly-contended ticket, hashes to a
 // stream by sequence, and commits under epoch-based group commit — an
 // update is acknowledged once every stream that wrote entries in its epoch
-// has synced that epoch.
+// has synced that epoch. N is a stream count, not a mode: at N = 1 this is
+// exactly the paper's single stream, and it is the only log the store opens.
 //
 // Epochs are sealed sync rounds, not persisted state: a seal captures the
-// highest assigned sequence, flushes every stream with pending frames (one
-// dedicated syncer goroutine per stream, in parallel), and on success
-// advances the durable frontier to the captured sequence. Sequences are
-// therefore acknowledged strictly in order, and the on-disk invariant that
-// recovery relies on is simple: an acknowledged sequence's epoch synced on
-// every participating stream, so the merged streams contain every sequence
-// up to the frontier with no gap. Conversely, the first missing sequence
-// after a crash marks the end of the acknowledged prefix — everything
-// beyond it belongs to epochs whose barrier never completed and is
-// discarded by recovery (ReplayShardedPipelined).
+// highest assigned sequence, flushes every stream with pending frames
+// (flushParts), and on success advances the durable frontier to the
+// captured sequence. Sequences are therefore acknowledged strictly in
+// order, and the on-disk invariant that recovery relies on is simple: an
+// acknowledged sequence's epoch synced on every participating stream, so
+// the merged streams contain every sequence up to the frontier with no gap.
+// Conversely, the first missing sequence after a crash marks the end of the
+// acknowledged prefix — everything beyond it belongs to epochs whose
+// barrier never completed and is discarded by recovery
+// (ReplayShardedPipelined).
 package wal
 
 import (
@@ -83,9 +84,10 @@ func ShardFiles(fs vfs.FS, base string) ([]string, error) {
 type ShardedOptions struct {
 	Options
 	// SequentialSync makes each epoch seal sync its streams one at a time
-	// in stream order instead of in parallel. It exists for the op-indexed
-	// crash sweeps, whose deterministic replay needs a deterministic
-	// file-operation order; it costs exactly the parallel-sync win.
+	// in stream order, on the leader, instead of in parallel. It exists for
+	// the op-indexed crash sweeps, whose deterministic replay needs a
+	// deterministic file-operation order; it costs exactly the
+	// parallel-sync win.
 	SequentialSync bool
 }
 
@@ -104,10 +106,7 @@ type Sharded struct {
 	fs    vfs.FS
 	opts  ShardedOptions
 	em    epochMetrics
-	kick  []chan struct{} // one per stream: seal → syncer flush request
-	res   []chan error    // one per stream: syncer → seal flush outcome
-	wg    sync.WaitGroup  // syncer goroutines
-	parts []int           // scratch: streams participating in the current seal
+	parts []int // scratch: streams participating in the current seal
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -143,8 +142,6 @@ func OpenSharded(fs vfs.FS, base string, shards int, nextSeq uint64, opts Sharde
 		nextSeq: nextSeq,
 		durable: nextSeq - 1,
 		streams: make([]*Log, 0, shards),
-		kick:    make([]chan struct{}, shards),
-		res:     make([]chan error, shards),
 		parts:   make([]int, 0, shards),
 		em: epochMetrics{
 			epochs:  opts.Obs.Counter("wal_epochs"),
@@ -171,22 +168,7 @@ func OpenSharded(fs vfs.FS, base string, shards int, nextSeq uint64, opts Sharde
 		}
 		s.streams = append(s.streams, l)
 	}
-	for i := range s.streams {
-		s.kick[i] = make(chan struct{})
-		s.res[i] = make(chan error)
-		s.wg.Add(1)
-		go s.syncer(i)
-	}
 	return s, nil
-}
-
-// syncer is stream i's dedicated sync goroutine: it owns the stream's disk
-// waits so a seal can run all participating streams' flushes concurrently.
-func (s *Sharded) syncer(i int) {
-	defer s.wg.Done()
-	for range s.kick[i] {
-		s.res[i] <- s.streams[i].Flush()
-	}
 }
 
 // Base reports the base file name (stream 0's name).
@@ -198,13 +180,6 @@ func (s *Sharded) Base() string {
 
 // Shards reports the stream count.
 func (s *Sharded) Shards() int { return len(s.streams) }
-
-// NextSeq reports the sequence number the next Append will get.
-func (s *Sharded) NextSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextSeq
-}
 
 // DurableSeq reports the durable frontier: every sequence at or below it
 // has been acknowledged by a completed epoch barrier.
@@ -284,8 +259,7 @@ func (s *Sharded) waitDurable(seq uint64) error {
 }
 
 // sealLocked runs one epoch barrier: capture the highest assigned
-// sequence, flush every stream with pending frames (in parallel through
-// the per-stream syncers, or in stream order with SequentialSync), and on
+// sequence, flush every stream with pending frames (flushParts), and on
 // success advance the durable frontier to the captured sequence. Called
 // with s.mu held (s.sealing set); releases it around the I/O. Entries
 // enqueued after the capture may ride along in a stream's flush — they
@@ -311,24 +285,7 @@ func (s *Sharded) sealLocked() error {
 	}
 	s.mu.Unlock()
 	start := time.Now()
-	var err error
-	if s.opts.SequentialSync {
-		for _, i := range s.parts {
-			s.kick[i] <- struct{}{}
-			if e := <-s.res[i]; e != nil && err == nil {
-				err = e
-			}
-		}
-	} else {
-		for _, i := range s.parts {
-			s.kick[i] <- struct{}{}
-		}
-		for _, i := range s.parts {
-			if e := <-s.res[i]; e != nil && err == nil {
-				err = e
-			}
-		}
-	}
+	err := s.flushParts()
 	dur := time.Since(start)
 	s.mu.Lock()
 	if err != nil {
@@ -348,6 +305,42 @@ func (s *Sharded) sealLocked() error {
 		s.opts.Tracer.Emit(obs.Event{Name: "log.epoch", Time: start, Dur: dur, Attrs: []obs.Attr{
 			obs.A("epoch", s.epoch), obs.A("entries", s.durable-was), obs.A("streams", len(s.parts)),
 		}})
+	}
+	return nil
+}
+
+// flushParts flushes the current seal's participating streams and reports
+// the first failure in stream order. Called by the sealing leader without
+// s.mu. Several streams flush concurrently — the leader takes the first
+// itself, a goroutine each of the rest — so their syncs overlap. One
+// participant (every seal at N = 1) flushes inline: a hop to another
+// goroutine and back buys no overlap and costs two switches per commit.
+// SequentialSync flushes inline too, in stream order.
+func (s *Sharded) flushParts() error {
+	if len(s.parts) == 1 || s.opts.SequentialSync {
+		var err error
+		for _, i := range s.parts {
+			if e := s.streams[i].Flush(); e != nil && err == nil {
+				err = e
+			}
+		}
+		return err
+	}
+	errs := make([]error, len(s.parts))
+	var wg sync.WaitGroup
+	for k, i := range s.parts[1:] {
+		wg.Add(1)
+		go func(k, i int) {
+			defer wg.Done()
+			errs[k] = s.streams[i].Flush()
+		}(k+1, i)
+	}
+	errs[0] = s.streams[s.parts[0]].Flush()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -483,7 +476,10 @@ func (s *Sharded) AbortMirror() {
 	s.mu.Unlock()
 }
 
-// Close flushes and closes every stream and stops the syncers.
+// Close flushes and closes every stream. It is the last seal: committers
+// still waiting on the barrier are acknowledged by the streams' closing
+// flushes (or fail with their error) instead of sealing against closed
+// streams.
 func (s *Sharded) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -493,18 +489,23 @@ func (s *Sharded) Close() error {
 	for s.sealing {
 		s.cond.Wait()
 	}
-	s.closed = true
-	s.cond.Broadcast()
+	s.closed, s.sealing = true, true
+	hi := s.nextSeq - 1
 	s.mu.Unlock()
-	for i := range s.kick {
-		close(s.kick[i])
-	}
-	s.wg.Wait()
 	var err error
 	for _, l := range s.streams {
 		if cerr := l.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}
+	s.mu.Lock()
+	s.sealing = false
+	if err != nil && s.err == nil {
+		s.err = err
+	} else if err == nil && hi > s.durable {
+		s.durable = hi
+	}
+	s.cond.Broadcast()
+	s.mu.Unlock()
 	return err
 }

@@ -1,18 +1,22 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
 	"smalldb/internal/vfs"
 )
 
-// Sharded recovery: each stream is scanned and decoded exactly like a
-// single log — ReplayPipelined's decode-parallel/apply-ordered pattern —
-// but the apply loop merges the streams by global sequence: all stream
-// scanners run concurrently, a shared worker pool decodes payloads out of
-// order, and the caller's goroutine repeatedly applies the smallest
-// sequence among the streams' next entries. The merged prefix must be
+// Pipelined recovery: restart time is dominated by re-deserializing log
+// entries, which is pure CPU and embarrassingly parallel, while applying
+// them must stay strictly sequential to reproduce the exact pre-crash
+// state. So the two are split: one goroutine per stream scans frames off
+// the disk, a shared bounded worker pool decodes payloads out of order, and
+// the caller's goroutine applies results in global sequence order —
+// repeatedly the smallest sequence among the streams' next entries. The
+// applied state is byte-identical to a sequential Replay; only the wall
+// clock differs. The merged prefix must be
 // dense: the first missing sequence ends recovery, because the epoch
 // barrier acknowledges sequences strictly in order — an acknowledged
 // update's epoch synced on every participating stream, so every sequence
@@ -28,6 +32,19 @@ import (
 // acknowledged entries on other streams. A damaged entry mid-stream
 // therefore fails sharded recovery loudly (the retained-version fallback
 // chain still applies).
+
+// errStopped aborts a scanner once the applier has already failed; the
+// applier's error wins.
+var errStopped = errors.New("wal: replay stopped")
+
+// replayJob carries one intact log entry through the decode pool.
+type replayJob struct {
+	seq     uint64
+	payload []byte
+	v       any
+	err     error
+	done    chan struct{} // closed when v/err are ready
+}
 
 // ShardedReplayResult describes what sharded recovery found.
 type ShardedReplayResult struct {
@@ -45,7 +62,7 @@ type ShardedReplayResult struct {
 	// Truncated reports that at least one stream ended in a torn tail.
 	Truncated bool
 	// Damaged is the number of unreadable entries skipped — only possible
-	// on the single-stream degenerate path, where SkipDamaged applies.
+	// with a single stream, where SkipDamaged applies.
 	Damaged int
 	// GapAt is the first missing sequence (0 when the merge was dense to
 	// the end): the point where an epoch's barrier was interrupted.
@@ -81,8 +98,11 @@ func FirstSeqSharded(fs vfs.FS, base string) (uint64, bool, error) {
 // base (whatever streams exist on disk, regardless of the configured shard
 // count), decoding entries concurrently on up to workers goroutines and
 // applying them strictly in global sequence order starting at firstSeq.
-// With a single stream file it degenerates to ReplayPipelined — byte-
-// identical to the paper's sequential recovery, SkipDamaged included.
+// decode must not touch shared state; payload is owned by the callee. The
+// base file alone is the paper's single log: its sequences are checked
+// dense in-stream, SkipDamaged applies, and with workers <= 1 it is read by
+// the plain sequential Replay — the reference the pipelined paths are
+// tested against.
 func ReplayShardedPipelined(fs vfs.FS, base string, firstSeq uint64, opts ReplayOptions, workers int,
 	decode func(seq uint64, payload []byte) (any, error),
 	apply func(seq uint64, v any) error) (ShardedReplayResult, error) {
@@ -96,8 +116,15 @@ func ReplayShardedPipelined(fs vfs.FS, base string, firstSeq uint64, opts Replay
 		_, err := fs.Open(base)
 		return ShardedReplayResult{}, err
 	}
-	if len(names) == 1 && names[0] == base {
-		res, err := ReplayPipelined(fs, base, firstSeq, opts, workers, decode, apply)
+	single := len(names) == 1 && names[0] == base
+	if single && workers <= 1 {
+		res, err := Replay(fs, base, firstSeq, opts, func(seq uint64, payload []byte) error {
+			v, err := decode(seq, payload)
+			if err != nil {
+				return err
+			}
+			return apply(seq, v)
+		})
 		return ShardedReplayResult{
 			Names:         names,
 			StreamResults: []ReplayResult{res},
@@ -110,14 +137,15 @@ func ReplayShardedPipelined(fs vfs.FS, base string, firstSeq uint64, opts Replay
 	}
 
 	// Per-stream scans deliver jobs in stream order on their own channel
-	// (for the merge) and into the shared decode pool. Monotonic replaces
-	// the dense check within a stream; SkipDamaged is off (see above).
+	// (for the merge) and into the shared decode pool. Across several
+	// streams Monotonic replaces the dense check within a stream and
+	// SkipDamaged is off (see above).
 	sopts := opts
-	sopts.Monotonic = true
-	sopts.SkipDamaged = false
-	if workers < 1 {
-		workers = 1
+	if !single {
+		sopts.Monotonic = true
+		sopts.SkipDamaged = false
 	}
+	workers = max(1, workers)
 
 	type streamScan struct {
 		ch  chan *replayJob
@@ -207,9 +235,11 @@ merge:
 			applyErr = fmt.Errorf("wal: %s: duplicate sequence %d across streams of %s", names[best], j.seq, base)
 			halt()
 			break merge
-		case j.seq > expect:
+		case j.seq > expect && !single:
 			// The first missing sequence: the acknowledged prefix ends
 			// here. Everything still unapplied was never acknowledged.
+			// (A single stream's own dense check leaves only the hole of
+			// an entry SkipDamaged hopped over, which is not a gap.)
 			res.GapAt = expect
 			halt()
 			break merge
@@ -242,6 +272,7 @@ merge:
 		if sc.res.Truncated {
 			res.Truncated = true
 		}
+		res.Damaged += sc.res.Damaged
 		scanned += sc.res.Entries
 		if sc.err != nil && sc.err != errStopped && applyErr == nil {
 			applyErr = sc.err

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -297,6 +298,12 @@ func TestShardedConcurrentAppenders(t *testing.T) {
 // the sync count stays well below the entry count — group commit, spanning
 // streams.
 func TestShardedEpochBatching(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testEpochBatching(t, shards) })
+	}
+}
+
+func testEpochBatching(t *testing.T, shards int) {
 	fs := vfs.NewMem(1)
 	var mu sync.Mutex
 	syncs := 0
@@ -307,7 +314,7 @@ func TestShardedEpochBatching(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		return nil
 	}
-	s, _ := OpenSharded(fs, "log", 4, 1, ShardedOptions{})
+	s, _ := OpenSharded(fs, "log", shards, 1, ShardedOptions{})
 	mu.Lock()
 	baseline := syncs
 	mu.Unlock()
@@ -329,6 +336,37 @@ func TestShardedEpochBatching(t *testing.T) {
 	mu.Unlock()
 	if total >= writers*each/2 {
 		t.Errorf("epoch barrier did not batch: %d syncs for %d entries", total, writers*each)
+	}
+}
+
+// TestShardedOneStreamIsPlainLog: one stream is the paper's single log, not
+// a special layout — the base file alone, dense sequences a plain Replay
+// reads — and needs no syncer goroutine, since a seal with one participant
+// flushes inline.
+func TestShardedOneStreamIsPlainLog(t *testing.T) {
+	fs := vfs.NewMem(1)
+	before := runtime.NumGoroutine()
+	s, err := OpenSharded(fs, "log", 1, 1, ShardedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("a one-stream log started %d goroutines", n-before)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := s.Append([]byte(fmt.Sprintf("e%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names, _ := fs.List(); len(names) != 1 || names[0] != "log" {
+		t.Errorf("one-stream layout holds %v, want just the base file", names)
+	}
+	res, got := collect(t, fs, "log", 1, ReplayOptions{})
+	if res.Entries != 10 || string(got[9]) != "e9" {
+		t.Errorf("plain replay of the one-stream layout: %+v", res)
 	}
 }
 
@@ -442,6 +480,105 @@ func TestShardedMirrorWindow(t *testing.T) {
 	}
 	if got2[0] != "win-0" || got2[5] != "post-1" {
 		t.Errorf("new entries: %v", got2)
+	}
+}
+
+// TestSealWaitsForStreamFlushInFlight: a checkpoint's SyncMirror flushes a
+// stream outside any seal, taking the stream's pending frames with it. A
+// seal that runs meanwhile finds nothing pending on that stream — and must
+// still not acknowledge those frames until the flush carrying them has
+// synced.
+func TestSealWaitsForStreamFlushInFlight(t *testing.T) {
+	fs := vfs.NewMem(1)
+	s, err := OpenSharded(fs, "old", 1, 1, ShardedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BeginMirror(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Create("new")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AttachMirrorFiles([]vfs.File{f}); err != nil {
+		t.Fatal(err)
+	}
+	_, wait := s.AppendAsync([]byte("in the window"))
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	fs.FailSync = func(string) error {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		return nil
+	}
+	mirrored := make(chan error, 1)
+	go func() { mirrored <- s.SyncMirror() }()
+	<-entered // SyncMirror's flush holds the frame; its sync is in flight
+
+	acked := make(chan error, 1)
+	go func() { acked <- wait() }()
+	select {
+	case err := <-acked:
+		close(release)
+		t.Fatalf("entry acknowledged (%v) while the flush carrying it is still syncing", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-acked; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-mirrored; err != nil {
+		t.Fatal(err)
+	}
+	s.AbortMirror()
+	s.Close()
+}
+
+// TestCloseIsTheLastSeal: a committer still waiting on the barrier when the
+// log closes is acknowledged by the closing flush — not before it, and not
+// by sealing against an already-closed stream.
+func TestCloseIsTheLastSeal(t *testing.T) {
+	fs := vfs.NewMem(1)
+	s, err := OpenSharded(fs, "log", 1, 1, ShardedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wait := s.AppendAsync([]byte("last"))
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	fs.FailSync = func(string) error {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		return nil
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	<-entered
+
+	acked := make(chan error, 1)
+	go func() { acked <- wait() }()
+	select {
+	case err := <-acked:
+		close(release)
+		t.Fatalf("entry acknowledged (%v) while the closing flush is still syncing", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-acked; err != nil {
+		t.Fatalf("waiter across Close: %v", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := collect(t, fs, "log", 1, ReplayOptions{}); res.Entries != 1 {
+		t.Errorf("closing flush lost the entry: %+v", res)
 	}
 }
 

@@ -22,7 +22,7 @@
 // Group commit — "arranging to record multiple commit records in a single
 // log entry (in the presence of concurrent update requests)", which the
 // paper identifies as the only scheme that can beat one-write-per-update —
-// is available as an option: concurrent Appends share a single Sync.
+// needs no option: concurrent Appends share a single Sync.
 package wal
 
 import (
@@ -166,9 +166,6 @@ func Open(fs vfs.FS, name string, nextSeq uint64, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// Name reports the log's file name.
-func (l *Log) Name() string { return l.name }
-
 // Size reports the log's current size in bytes, including unsynced frames.
 func (l *Log) Size() int64 {
 	l.mu.Lock()
@@ -202,63 +199,28 @@ func frame(seq uint64, payload []byte) []byte {
 
 // Append writes one entry and makes it durable; when it returns, the entry
 // is the committed record of an update. It reports the entry's sequence
-// number. Concurrent Appends are serialized; with GroupCommit they may share
-// one disk write.
+// number. Concurrent Appends share disk writes (see waitDurable).
 func (l *Log) Append(payload []byte) (uint64, error) {
-	seq, wait := l.AppendAsync(payload)
-	return seq, wait()
-}
-
-// AppendAsync enqueues one entry, assigning its sequence number
-// immediately, and returns a wait function that blocks until the entry is
-// durable (performing or joining the disk write as needed). It lets a
-// caller that must assign sequence numbers inside its own critical section
-// move the disk wait outside it — the store's group-commit mode.
-func (l *Log) AppendAsync(payload []byte) (uint64, func() error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return 0, func() error { return ErrClosed }
+		return 0, ErrClosed
 	}
 	if l.err != nil {
-		err := l.err
-		return 0, func() error { return err }
+		return 0, l.err
 	}
 	seq := l.nextSeq
 	l.appendSeqLocked(seq, payload)
-	return seq, func() error { return l.waitDurable(seq) }
+	return seq, l.waitDurable(seq)
 }
 
-// AppendSeqAsync enqueues one entry under a caller-assigned sequence
-// number, at least the log's next one. It exists for logs that are one
-// stream of a Sharded log: the global ticket hands out sequences across
-// streams, so within any single stream they are strictly increasing but
-// not dense. The log's own numbering continues from seq+1; the returned
-// wait function blocks until this stream has synced the entry (the epoch
-// barrier normally waits for all streams instead).
-func (l *Log) AppendSeqAsync(seq uint64, payload []byte) func() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return func() error { return ErrClosed }
-	}
-	if l.err != nil {
-		err := l.err
-		return func() error { return err }
-	}
-	if seq < l.nextSeq {
-		err := fmt.Errorf("wal: AppendSeqAsync sequence %d below next sequence %d", seq, l.nextSeq)
-		return func() error { return err }
-	}
-	l.appendSeqLocked(seq, payload)
-	return func() error { return l.waitDurable(seq) }
-}
-
-// enqueueSeq is AppendSeqAsync without the wait closure: the Sharded
-// append path's epoch barrier is the wait, so building a per-stream
-// closure would be a wasted allocation on the hot path. A closed or
-// poisoned stream drops the frame; the epoch seal's Flush surfaces the
-// same error to every waiter, so acked ⇒ durable still holds.
+// enqueueSeq frames one entry under a caller-assigned sequence number, at
+// least the log's next one, without waiting for it: the log is one stream
+// of a Sharded log, whose global ticket hands out sequences across streams
+// (strictly increasing within a stream, dense only at one stream) and whose
+// epoch barrier is the wait. A closed or poisoned stream drops the frame;
+// the epoch seal's Flush surfaces the same error to every waiter, so
+// acked ⇒ durable still holds.
 func (l *Log) enqueueSeq(seq uint64, payload []byte) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -286,17 +248,14 @@ func (l *Log) appendSeqLocked(seq uint64, payload []byte) {
 	l.m.appendBytes.Add(uint64(frameLen))
 }
 
-// waitDurable blocks until seq is durable. If no flush is in progress it
-// leads one, writing every pending frame with a single disk write and sync;
-// otherwise it waits for the current leader and, if that flush did not
-// cover seq, leads the next. Concurrent waiters therefore share disk
-// writes: this is the group commit the paper describes, arising naturally
-// whenever callers overlap. Callers that serialize (the store's base mode,
-// one update at a time under the update lock) get exactly one disk write
-// per entry.
+// waitDurable blocks until seq is durable. Called with l.mu held. If no
+// flush is in progress it leads one, writing every pending frame with a
+// single disk write and sync; otherwise it waits for the current leader
+// and, if that flush did not cover seq, leads the next. Concurrent waiters
+// therefore share disk writes: this is the group commit the paper
+// describes, arising naturally whenever callers overlap. Callers that
+// serialize get exactly one disk write per entry.
 func (l *Log) waitDurable(seq uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for {
 		if l.err != nil {
 			return l.err
@@ -305,11 +264,7 @@ func (l *Log) waitDurable(seq uint64) error {
 			return nil
 		}
 		if !l.syncing && !l.holdFlush && len(l.pending) > 0 {
-			l.syncing = true
-			err := l.flushLocked()
-			l.syncing = false
-			l.cond.Broadcast()
-			if err != nil {
+			if err := l.flushLocked(); err != nil {
 				return err
 			}
 			continue
@@ -321,12 +276,18 @@ func (l *Log) waitDurable(seq uint64) error {
 	}
 }
 
-// flushLocked writes and syncs all pending frames. Called with l.mu held;
-// releases it around the I/O. While a mirror file is attached, the mirrored
+// flushLocked writes and syncs all pending frames. Called with l.mu held
+// and no flush in flight; marks itself the flush in flight (l.syncing),
+// releases l.mu around the I/O, and wakes every waiter when done. While a mirror file is attached, the mirrored
 // frames are written and synced to it too, and no entry is acknowledged
 // (committed advanced) until both files are durable — the invariant the
 // non-blocking checkpoint's version flip depends on.
 func (l *Log) flushLocked() error {
+	l.syncing = true
+	defer func() {
+		l.syncing = false
+		l.cond.Broadcast()
+	}()
 	buf := l.pending
 	hi := l.pendingHi
 	entries := l.pendingCount
@@ -394,9 +355,6 @@ func (l *Log) flushLocked() error {
 			l.mirror.written += int64(len(mbuf))
 		}
 	}
-	// Wake every waiter regardless of outcome: they either see their
-	// sequence committed or the poisoned log.
-	defer l.cond.Broadcast()
 	if werr == nil && serr == nil && merr == nil {
 		if len(buf) > 0 && hi > l.committed {
 			l.committed = hi
@@ -432,28 +390,19 @@ func (l *Log) Flush() error {
 	if len(l.pending) == 0 {
 		return nil
 	}
-	l.syncing = true
-	err := l.flushLocked()
-	l.syncing = false
-	l.cond.Broadcast()
-	return err
+	return l.flushLocked()
 }
 
-// hasPending reports whether unflushed frames are enqueued. The Sharded
-// epoch seal uses it to pick which streams need a sync this epoch.
+// hasPending reports whether frames are enqueued that may not be durable
+// yet: still pending, or taken by a flush that is in flight — a stream is
+// also flushed outside seals (SyncMirror, Close), and frames such a flush
+// carries are not durable until it returns. The Sharded epoch seal uses it
+// to pick the streams it must Flush (which waits the in-flight one out)
+// before acknowledging.
 func (l *Log) hasPending() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.pending) > 0
-}
-
-// MirrorActive reports whether a mirror window is open — i.e. a
-// non-blocking checkpoint is in flight and appends are being dual-written.
-// Traced commits use it to tag the sync span that paid for the mirror.
-func (l *Log) MirrorActive() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.mirror.active
+	return len(l.pending) > 0 || l.syncing
 }
 
 // BeginMirror opens the mirror window. The caller must have quiesced
@@ -525,11 +474,7 @@ func (l *Log) SyncMirror() error {
 			return nil
 		}
 		if !l.syncing && !l.holdFlush {
-			l.syncing = true
-			err := l.flushLocked()
-			l.syncing = false
-			l.cond.Broadcast()
-			if err != nil {
+			if err := l.flushLocked(); err != nil {
 				return err
 			}
 			continue
@@ -582,7 +527,7 @@ func (l *Log) FinishMirror(newName string) (int64, error) {
 	return entries, nil
 }
 
-// / AbortMirror ends the mirror window without switching files: buffered
+// AbortMirror ends the mirror window without switching files: buffered
 // mirror frames are discarded and the mirror file, if attached, is closed.
 // The log keeps appending to its current file. Safe to call in any state.
 func (l *Log) AbortMirror() {
@@ -613,12 +558,9 @@ func (l *Log) Close() error {
 	for l.syncing {
 		l.cond.Wait()
 	}
-	var err error
-	if l.err == nil && len(l.pending) > 0 {
-		l.syncing = true
+	err := l.err // a poisoned log cannot flush what it still holds
+	if err == nil && len(l.pending) > 0 {
 		err = l.flushLocked()
-		l.syncing = false
-		l.cond.Broadcast()
 	}
 	l.closed = true
 	if cerr := l.f.Close(); err == nil {

@@ -223,6 +223,16 @@ func TestSkipDamagedEntry(t *testing.T) {
 		t.Errorf("entries: %q", got)
 	}
 	_ = end
+
+	// The pipelined replay of the same single stream agrees: the hole the
+	// skipped entry leaves is not an epoch gap.
+	pres, pgot := collectSharded(t, fs, "log", 1, ReplayOptions{SkipDamaged: true})
+	if pres.Entries != 2 || pres.Damaged != 1 || pres.NextSeq != res.NextSeq || pres.GapAt != 0 {
+		t.Fatalf("pipelined result: %+v, sequential %+v", pres, res)
+	}
+	if pgot[0] != "first" || pgot[1] != "third" {
+		t.Errorf("pipelined entries: %q", pgot)
+	}
 }
 
 func TestSequenceDiscontinuityDetected(t *testing.T) {
@@ -399,16 +409,12 @@ func TestFirstSeq(t *testing.T) {
 func TestFlush(t *testing.T) {
 	fs := vfs.NewMem(1)
 	l, _ := Create(fs, "log", 1, Options{})
-	// Enqueue without waiting.
-	_, wait := l.AppendAsync([]byte("async"))
+	// Enqueue without waiting, as a Sharded stream does.
+	l.enqueueSeq(1, []byte("async"))
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// After Flush, the waiter returns instantly and the entry is durable
-	// across a crash.
-	if err := wait(); err != nil {
-		t.Fatal(err)
-	}
+	// After Flush the entry is durable across a crash.
 	l.Close()
 	fs.Crash()
 	res, got := collect(t, fs, "log", 1, ReplayOptions{})
