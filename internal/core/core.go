@@ -211,7 +211,9 @@ type Stats struct {
 	CommitTime time.Duration
 	ApplyTime  time.Duration
 
-	// Per-update phase latency distributions, in nanoseconds.
+	// Phase latency distributions, in nanoseconds: verify, pickle and apply
+	// per update; commit — log enqueue plus durability wait — per
+	// Apply/ApplyBatch call, because a batch's updates share one wait.
 	VerifyDist obs.Snapshot
 	PickleDist obs.Snapshot
 	CommitDist obs.Snapshot
@@ -804,13 +806,11 @@ func (s *Store) Apply(u Update) error {
 }
 
 // ApplyTraced is Apply carrying a trace context. When sc belongs to a
-// trace and the store has a tracer, the whole update becomes an
-// "update.commit" span under sc with child spans for each phase of the
-// protocol — lock wait, verify, pickle, WAL append, the durability sync
-// (plus a checkpoint.mirror span when a mirror window paid for a dual
-// write), and the exclusive-mode memory mutation — so a single commit's
-// latency can be read phase by phase off the trace. An invalid sc degrades
-// to exactly the untraced path.
+// trace and the store has a tracer, the update becomes an "update.commit"
+// span under sc with a child span per phase — lock wait, verify, pickle,
+// WAL append, the durability sync (plus checkpoint.mirror when a mirror
+// window made it a dual write) and apply. An invalid sc degrades to
+// exactly the untraced path.
 func (s *Store) ApplyTraced(u Update, sc obs.SpanContext) error {
 	return s.commit([]Update{u}, sc)
 }
@@ -821,9 +821,12 @@ func (s *Store) ApplyTraced(u Update, sc obs.SpanContext) error {
 // update i fails to verify, updates [0, i) are already committed and the
 // error is returned; callers needing all-or-nothing semantics must
 // pre-validate. Locked enquiries are excluded from the first apply to the
-// last (lock-free ones proceed regardless). The crashtest harness uses
-// batches to form deterministic multi-stream epochs; servers can use them
-// to amortize lock traffic on bulk loads.
+// last (lock-free ones proceed regardless). An unversioned root pays one
+// sync per update instead, all but the first under the exclusive lock, so
+// that a failed sync leaves nothing undurable in view; no caller batches
+// onto one (replica roots are versioned unless LockedEnquiries). The
+// crashtest harness uses batches to form deterministic multi-stream
+// epochs; servers can use them to amortize lock traffic on bulk loads.
 func (s *Store) ApplyBatch(us []Update) error {
 	return s.commit(us, obs.SpanContext{})
 }

@@ -110,7 +110,6 @@ type Sharded struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	base     string
 	streams  []*Log
 	nextSeq  uint64 // sequence the next append gets
 	durable  uint64 // every sequence <= durable is durable on its stream
@@ -138,7 +137,6 @@ func OpenSharded(fs vfs.FS, base string, shards int, nextSeq uint64, opts Sharde
 	s := &Sharded{
 		fs:      fs,
 		opts:    opts,
-		base:    base,
 		nextSeq: nextSeq,
 		durable: nextSeq - 1,
 		streams: make([]*Log, 0, shards),
@@ -169,13 +167,6 @@ func OpenSharded(fs vfs.FS, base string, shards int, nextSeq uint64, opts Sharde
 		s.streams = append(s.streams, l)
 	}
 	return s, nil
-}
-
-// Base reports the base file name (stream 0's name).
-func (s *Sharded) Base() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.base
 }
 
 // Shards reports the stream count.
@@ -347,13 +338,11 @@ func (s *Sharded) flushParts() error {
 
 // Flush makes every enqueued entry durable before returning: it waits out
 // the barrier for the highest assigned sequence, sealing an epoch that
-// covers everything — the epoch boundary a checkpoint cuts at.
+// covers everything — the epoch boundary a checkpoint cuts at. On a closed
+// log it reports what Close, the last seal, left: a committer may hold a
+// log the blocking checkpoint has since closed and swapped out.
 func (s *Sharded) Flush() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
 	hi := s.nextSeq - 1
 	s.mu.Unlock()
 	return s.waitDurable(hi)
@@ -456,8 +445,6 @@ func (s *Sharded) FinishMirror(newBase string) (int64, error) {
 	s.holdSeal = false
 	if firstErr != nil && s.err == nil {
 		s.err = firstErr
-	} else if firstErr == nil {
-		s.base = newBase
 	}
 	s.mirror = false
 	s.cond.Broadcast()
