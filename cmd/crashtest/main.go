@@ -25,6 +25,10 @@
 //
 //	crashtest -net -nodes 5 -quorum 3 -net-crash -seed 1 -ops 40
 //
+// -history-cap bounds every replica's anti-entropy history. Below -window
+// it forces snapshot-install repair at every partition point; below -ops it
+// puts the history's sliding window under every crash point.
+//
 // A violation prints as a replayable (seed, point) pair; the exit status is
 // 1 when any invariant broke, 2 on a setup error.
 package main
@@ -59,6 +63,7 @@ func main() {
 		batch     = flag.Int("batch", 0, "group every k workload updates into one ApplyBatch — one epoch spanning several streams (0/1 = one update at a time)")
 		fullCP    = flag.Bool("full-checkpoints", false, "write every checkpoint in full instead of the default incremental delta chain (the ablation sweep)")
 		deltaCh   = flag.Int("delta-chain", 0, "compact the delta chain after this many deltas (0 = store default); small values put compactions inside the sweep")
+		histCap   = flag.Int("history-cap", 0, "bound every replica's anti-entropy history (0 = 4096 in replica mode, 10000 with -net); below -ops it puts the history trim and snapshot-install repair inside the sweep")
 		verbose   = flag.Bool("v", false, "log progress")
 
 		net      = flag.Bool("net", false, "run the partition sweep instead of the crash-point sweep")
@@ -72,7 +77,7 @@ func main() {
 	flag.Parse()
 
 	if *net {
-		os.Exit(runNet(*seed, *ops, *window, *nodes, *quorum, int(*from), int(*to), int(*stride), *shards, *netCrash, *drop, *jitter, *verbose))
+		os.Exit(runNet(*seed, *ops, *window, *nodes, *quorum, *histCap, int(*from), int(*to), int(*stride), *shards, *netCrash, *drop, *jitter, *verbose))
 	}
 
 	violations := 0
@@ -93,6 +98,7 @@ func main() {
 			Batch:              *batch,
 			FullCheckpoints:    *fullCP,
 			MaxDeltaChain:      *deltaCh,
+			HistoryCap:         *histCap,
 		}
 		if *verbose {
 			cfg.Logf = log.Printf
@@ -129,6 +135,9 @@ func main() {
 		if *deltaCh > 0 {
 			extra += fmt.Sprintf(" -delta-chain %d", *deltaCh)
 		}
+		if *histCap > 0 {
+			extra += fmt.Sprintf(" -history-cap %d", *histCap)
+		}
 		for _, v := range res.Violations {
 			fmt.Printf("VIOLATION %s\n", v)
 			fmt.Printf("  replay: go run ./cmd/crashtest -seed %d -ops %d -mode %s -from %d -to %d%s\n",
@@ -141,7 +150,7 @@ func main() {
 	}
 }
 
-func runNet(seed int64, ops, window, nodes, quorum, from, to, stride, shards int, crash bool, drop float64, jitter time.Duration, verbose bool) int {
+func runNet(seed int64, ops, window, nodes, quorum, histCap, from, to, stride, shards int, crash bool, drop float64, jitter time.Duration, verbose bool) int {
 	cfg := crashtest.NetConfig{
 		Seed:   seed,
 		Ops:    ops,
@@ -159,6 +168,7 @@ func runNet(seed int64, ops, window, nodes, quorum, from, to, stride, shards int
 			MaxDelay:     jitter,
 			DialFailProb: drop,
 		},
+		HistoryCap: histCap,
 	}
 	if verbose {
 		cfg.Logf = log.Printf
@@ -182,6 +192,9 @@ func runNet(seed int64, ops, window, nodes, quorum, from, to, stride, shards int
 		if quorum > 0 {
 			extra += fmt.Sprintf(" -quorum %d", quorum)
 		}
+	}
+	if histCap > 0 {
+		extra += fmt.Sprintf(" -history-cap %d", histCap)
 	}
 	for _, v := range res.Violations {
 		fmt.Printf("VIOLATION %s\n", v)

@@ -802,7 +802,8 @@ func (s *Store) View(fn func(root any) error) error {
 // verify, log write — the commit point — and apply. On return the update
 // is durable, applied, and visible to enquiries.
 func (s *Store) Apply(u Update) error {
-	return s.commit([]Update{u}, obs.SpanContext{})
+	_, err := s.commit([]Update{u}, obs.SpanContext{})
+	return err
 }
 
 // ApplyTraced is Apply carrying a trace context. When sc belongs to a
@@ -812,7 +813,8 @@ func (s *Store) Apply(u Update) error {
 // window made it a dual write) and apply. An invalid sc degrades to
 // exactly the untraced path.
 func (s *Store) ApplyTraced(u Update, sc obs.SpanContext) error {
-	return s.commit([]Update{u}, sc)
+	_, err := s.commit([]Update{u}, sc)
+	return err
 }
 
 // ApplyBatch commits a batch of updates through one pass of the pipeline:
@@ -828,7 +830,17 @@ func (s *Store) ApplyTraced(u Update, sc obs.SpanContext) error {
 // crashtest harness uses batches to form deterministic multi-stream
 // epochs; servers can use them to amortize lock traffic on bulk loads.
 func (s *Store) ApplyBatch(us []Update) error {
-	return s.commit(us, obs.SpanContext{})
+	_, err := s.commit(us, obs.SpanContext{})
+	return err
+}
+
+// ApplyBatchTraced is ApplyBatch carrying a trace context (see ApplyTraced)
+// and reporting how many updates it committed. An error with the store still
+// usable is a refusal of us[applied] — its Verify failed — and a caller that
+// can classify the refusal may resume with us[applied+1:]. An error that
+// poisoned the store reports 0: nothing the call did is acknowledged.
+func (s *Store) ApplyBatchTraced(us []Update, sc obs.SpanContext) (applied int, err error) {
+	return s.commit(us, sc)
 }
 
 // phaseTracer emits the child spans of one traced commit; the zero value
@@ -866,9 +878,9 @@ func (p phaseTracer) emit(name string, at time.Time, dur time.Duration, err erro
 // Either way nothing is visible before it is durable, and the caller hears
 // the outcome — success, or a refusal decided against applied-but-
 // unpublished state — only after both.
-func (s *Store) commit(us []Update, sc obs.SpanContext) error {
+func (s *Store) commit(us []Update, sc obs.SpanContext) (applied int, err error) {
 	if len(us) == 0 {
-		return nil
+		return 0, nil
 	}
 	tracing := s.tracer != nil && s.tracer != obs.Nop
 	var upd obs.Span
@@ -885,20 +897,19 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) error {
 	unlock := s.lock.UpdateUnlock
 
 	s.mu.Lock()
-	err := s.unusable()
+	err = s.unusable()
 	log := s.log
 	s.mu.Unlock()
 	if err != nil {
 		unlock()
-		return err
+		return 0, err
 	}
 
 	var (
-		seq     uint64       // last applied update's sequence
-		wait    func() error // its durability barrier
-		applied int
-		bytes   int
-		fatal   bool // err poisoned the store
+		seq   uint64       // last applied update's sequence
+		wait  func() error // its durability barrier
+		bytes int
+		fatal bool // err poisoned the store
 		// Phase times summed over the call; commitNS is enqueue plus
 		// durability wait.
 		verifyNS, pickleNS, commitNS, applyNS time.Duration
@@ -988,7 +999,7 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) error {
 	}
 	unlock()
 	if fatal {
-		return err
+		return 0, err
 	}
 
 	// Even on a verify error the applied prefix is enqueued and applied;
@@ -1004,7 +1015,7 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) error {
 	if s.versioned {
 		d, werr := s.awaitDurable(log, wait, seq, pt)
 		if commitNS += d; werr != nil {
-			return werr
+			return 0, werr
 		}
 		// seq — and by the barrier's in-order rule every sequence below
 		// it — is durable: publish the queued versions it covers before
@@ -1013,7 +1024,7 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) error {
 		s.publishDurable(log.DurableSeq())
 	}
 	if applied == 0 {
-		return err
+		return 0, err
 	}
 
 	s.hist.commit.ObserveDuration(commitNS)
@@ -1036,10 +1047,10 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) error {
 		}
 	}
 	if err != nil {
-		return err
+		return applied, err
 	}
 	s.maybeAutoCheckpoint()
-	return nil
+	return applied, nil
 }
 
 // awaitDurable waits out one entry's durability barrier, poisoning the

@@ -107,6 +107,13 @@ type Config struct {
 	// check that lock-free enquiries never observe a torn or stale
 	// version, at every crash point. 0 disables.
 	Readers int
+	// HistoryCap bounds the replica nodes' anti-entropy history in
+	// ModeReplica (0 = the replica default, 4096). A cap below Ops puts the
+	// history trim inside the sweep: every crash point then also lands
+	// around a trimmed history, its delta checkpoints' dropped-prefix
+	// counts, and — once a node has lost more than the cap — the
+	// snapshot-install catch-up.
+	HistoryCap int
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -131,7 +138,13 @@ type Result struct {
 	Ops        int
 	TotalFSOps int64 // N: mutating fs ops in the crash-free workload
 	Points     int   // crash points replayed
-	Violations []Violation
+	// ModeReplica only: DeltaRecoveries counts the crash points whose
+	// recovery loaded a delta-checkpoint chain, FullRestores the snapshot
+	// installs a catch-up needed because the history no longer reached
+	// back far enough.
+	DeltaRecoveries uint64
+	FullRestores    uint64
+	Violations      []Violation
 }
 
 type runner struct {
@@ -139,6 +152,10 @@ type runner struct {
 	cpEvery int
 	plan    *plan
 	rec     *recorder
+
+	// reg collects every replica node's counters across all points, plus
+	// the harness's own deltaRecoveriesCounter.
+	reg *obs.Registry
 }
 
 // Run executes the torture: a reference run to count operations and record
@@ -172,7 +189,7 @@ func Run(cfg Config) (*Result, error) {
 		// cadence or it might never fire.
 		cpEvery = ((cpEvery + cfg.Batch - 1) / cfg.Batch) * cfg.Batch
 	}
-	r := &runner{cfg: cfg, cpEvery: cpEvery, plan: makePlan(cfg.Seed, cfg.Ops)}
+	r := &runner{cfg: cfg, cpEvery: cpEvery, plan: makePlan(cfg.Seed, cfg.Ops), reg: obs.NewRegistry()}
 
 	n, err := r.reference()
 	if err != nil {
@@ -224,9 +241,18 @@ func Run(cfg Config) (*Result, error) {
 		}()
 	}
 	wg.Wait()
+	res.DeltaRecoveries = r.reg.Counter(deltaRecoveriesCounter).Value()
+	res.FullRestores = r.reg.Counter(fullRestoresCounter).Value()
+	if cfg.Mode == ModeReplica {
+		r.logf("crashtest: delta-recoveries=%d full-restores=%d", res.DeltaRecoveries, res.FullRestores)
+	}
 	sort.Slice(res.Violations, func(i, j int) bool { return res.Violations[i].Point < res.Violations[j].Point })
 	return res, nil
 }
+
+// deltaRecoveriesCounter counts, in runner.reg, the replica-mode crash points
+// whose recovery applied at least one delta checkpoint.
+const deltaRecoveriesCounter = "crashtest_delta_recoveries"
 
 func (r *runner) logf(format string, args ...any) {
 	if r.cfg.Logf != nil {
@@ -622,7 +648,7 @@ type peer struct {
 }
 
 func (r *runner) newPeer() (*peer, func(), error) {
-	node, err := replica.Open(replica.Config{Name: "b", FS: vfs.NewMem(r.cfg.Seed + 1)})
+	node, err := replica.Open(replica.Config{Name: "b", FS: vfs.NewMem(r.cfg.Seed + 1), HistoryCap: r.cfg.HistoryCap, Obs: r.reg})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -668,8 +694,8 @@ func (r *runner) runReplicaWorkload(fs vfs.FS, p *peer, rec *recorder, opCount f
 		return err // in a torture replay, the crash landed on the ring setup
 	}
 	defer fl.Close()
-	node, err := replica.Open(replica.Config{Name: "a", FS: fs, UnsafeNoSync: r.cfg.UnsafeNoSync, ReplayWorkers: r.cfg.ReplayWorkers,
-		LogShards: r.cfg.LogShards, SerialLogSync: r.cfg.LogShards > 1, Tracer: fl,
+	node, err := replica.Open(replica.Config{Name: "a", FS: fs, HistoryCap: r.cfg.HistoryCap, UnsafeNoSync: r.cfg.UnsafeNoSync, ReplayWorkers: r.cfg.ReplayWorkers,
+		LogShards: r.cfg.LogShards, SerialLogSync: r.cfg.LogShards > 1, Tracer: fl, Obs: r.reg,
 		FullCheckpoints: r.cfg.FullCheckpoints, MaxDeltaChain: r.cfg.MaxDeltaChain, SerialCompaction: true})
 	if err != nil {
 		return err
@@ -720,13 +746,16 @@ func (r *runner) replicaPoint(n int64) (out []Violation) {
 		out = append(out, r.violation(n, "concurrent reader: %s", msg))
 	}
 
-	node, err := replica.Open(replica.Config{Name: "a", FS: snap, ReplayWorkers: r.cfg.ReplayWorkers,
-		LogShards: r.cfg.LogShards, SerialLogSync: r.cfg.LogShards > 1,
+	node, err := replica.Open(replica.Config{Name: "a", FS: snap, HistoryCap: r.cfg.HistoryCap, ReplayWorkers: r.cfg.ReplayWorkers,
+		LogShards: r.cfg.LogShards, SerialLogSync: r.cfg.LogShards > 1, Obs: r.reg,
 		FullCheckpoints: r.cfg.FullCheckpoints, MaxDeltaChain: r.cfg.MaxDeltaChain, SerialCompaction: true})
 	if err != nil {
 		return append(out, r.violation(n, "recovery failed: %v", err))
 	}
 	defer node.Close()
+	if node.Store().Stats().RestartDeltasApplied > 0 {
+		r.reg.Counter(deltaRecoveriesCounter).Inc()
+	}
 
 	// Readers overlap the recovered node's anti-entropy catch-up and the
 	// rest of the workload. Node "a" only ever applies its own origin's

@@ -104,7 +104,7 @@ func (r *groupRunner) groupPoint(k int) []Violation {
 		return []Violation{r.violation(k, "harness: opening flight recorder: %v", err)}
 	}
 	defer fl.Close()
-	primary, err := openNetNode(nw, primaryName, pffs, fl)
+	primary, err := openNetNode(nw, primaryName, pffs, r.cfg, fl)
 	if err != nil {
 		return []Violation{r.violation(k, "harness: opening primary: %v", err)}
 	}
@@ -125,7 +125,7 @@ func (r *groupRunner) groupPoint(k int) []Violation {
 	for i := 1; i < r.nodes; i++ {
 		name := memberName(i)
 		mffs := faultfs.New(vfs.NewMem(r.cfg.Seed+int64(i)), faultfs.Options{CrashAt: faultfs.Never})
-		nn, err := openNetNode(nw, name, mffs, nil)
+		nn, err := openNetNode(nw, name, mffs, r.cfg, nil)
 		if err != nil {
 			return []Violation{r.violation(k, "harness: opening member %s: %v", name, err)}
 		}
@@ -204,7 +204,7 @@ func (r *groupRunner) groupPoint(k int) []Violation {
 			if vs := r.checkGroupFlight(k, frozen, ackedTo); vs != nil {
 				return vs
 			}
-			restarted, err := openNetNode(nw, primaryName, frozen, nil)
+			restarted, err := openNetNode(nw, primaryName, frozen, r.cfg, nil)
 			if err != nil {
 				return []Violation{r.violation(k, "recovery of the crashed primary failed: %v", err)}
 			}
@@ -232,7 +232,7 @@ func (r *groupRunner) groupPoint(k int) []Violation {
 			m := members[victim-1]
 			frozen := m.ffs.Snapshot()
 			m.nn.close()
-			restarted, err := openNetNode(nw, m.name, frozen, nil)
+			restarted, err := openNetNode(nw, m.name, frozen, r.cfg, nil)
 			if err != nil {
 				m.nn = nil
 				return []Violation{r.violation(k, "recovery of crashed member %s failed: %v", m.name, err)}

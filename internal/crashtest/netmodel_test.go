@@ -116,12 +116,12 @@ func TestModelOracle(t *testing.T) {
 	nw := netsim.New(seed, netsim.Options{Profile: hostileProfile})
 	defer nw.Close()
 	ffs := faultfs.New(vfs.NewMem(seed), faultfs.Options{CrashAt: faultfs.Never})
-	a, err := openNetNode(nw, "a", ffs, nil)
+	a, err := openNetNode(nw, "a", ffs, NetConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { a.close() }()
-	b, err := openNetNode(nw, "b", vfs.NewMem(seed+1), nil)
+	b, err := openNetNode(nw, "b", vfs.NewMem(seed+1), NetConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestModelOracle(t *testing.T) {
 			// the full prefix.
 			frozen := ffs.Snapshot()
 			a.close()
-			restarted, err := openNetNode(nw, "a", frozen, nil)
+			restarted, err := openNetNode(nw, "a", frozen, NetConfig{}, nil)
 			if err != nil {
 				t.Fatalf("restart of node a: %v", err)
 			}

@@ -60,21 +60,34 @@ type NetConfig struct {
 	// may not exceed the majority — a larger W could not ack the window
 	// while the minority is unreachable.
 	Quorum int
+	// HistoryCap bounds every node's anti-entropy history (0 = 10000, above
+	// any sweep's op count). A cap below Ops puts the history trim inside
+	// the sweep: a member cut off for longer than the cap can only be
+	// repaired by a full snapshot install.
+	HistoryCap int
 	// Profile is the network weather for the whole run — drops, delays,
 	// flaky dials. Retries must absorb it; the sweep clears the weather
 	// only for the final convergence check.
 	Profile netsim.Profile
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
+
+	// reg collects every node's replication counters across the sweep's
+	// points; RunNet reads NetResult.FullRestores from it.
+	reg *obs.Registry
 }
 
 // NetResult summarizes a partition sweep.
 type NetResult struct {
-	Seed       int64
-	Ops        int
-	Window     int
-	Points     int
-	Violations []Violation
+	Seed   int64
+	Ops    int
+	Window int
+	Points int
+	// FullRestores counts snapshot installs across all points and nodes: a
+	// repair the history could no longer serve (pulled by a pair node,
+	// pushed by a group primary). Zero unless HistoryCap is below Window.
+	FullRestores uint64
+	Violations   []Violation
 }
 
 // netPolicy fails pushes fast when the peer is partitioned away — the
@@ -99,6 +112,7 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
+	cfg.reg = obs.NewRegistry()
 	last := cfg.Ops - cfg.Window
 	from := cfg.From
 	if from < 0 {
@@ -156,9 +170,16 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 		}()
 	}
 	wg.Wait()
+	res.FullRestores = cfg.reg.Counter(fullRestoresCounter).Value()
+	if cfg.Logf != nil {
+		cfg.Logf("crashtest: full-restores=%d", res.FullRestores)
+	}
 	sort.Slice(res.Violations, func(i, j int) bool { return res.Violations[i].Point < res.Violations[j].Point })
 	return res, nil
 }
+
+// fullRestoresCounter is the replica node's snapshot-install counter.
+const fullRestoresCounter = "replica_full_restores"
 
 type netRunner struct {
 	cfg  NetConfig
@@ -196,8 +217,12 @@ type netNode struct {
 	l    *netsim.Listener
 }
 
-func openNetNode(nw *netsim.Network, name string, fs vfs.FS, tracer obs.Tracer) (*netNode, error) {
-	node, err := replica.Open(replica.Config{Name: name, FS: fs, HistoryCap: 10000, PushPolicy: netPolicy, SyncPolicy: netPolicy, Tracer: tracer})
+func openNetNode(nw *netsim.Network, name string, fs vfs.FS, cfg NetConfig, tracer obs.Tracer) (*netNode, error) {
+	historyCap := cfg.HistoryCap
+	if historyCap <= 0 {
+		historyCap = 10000
+	}
+	node, err := replica.Open(replica.Config{Name: name, FS: fs, HistoryCap: historyCap, PushPolicy: netPolicy, SyncPolicy: netPolicy, Tracer: tracer, Obs: cfg.reg})
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +278,7 @@ func (r *netRunner) netPoint(k int) []Violation {
 		return []Violation{r.violation(k, "harness: opening flight recorder: %v", err)}
 	}
 	defer fl.Close()
-	a, err := openNetNode(nw, "a", ffs, fl)
+	a, err := openNetNode(nw, "a", ffs, r.cfg, fl)
 	if err != nil {
 		return []Violation{r.violation(k, "harness: opening node a: %v", err)}
 	}
@@ -262,7 +287,7 @@ func (r *netRunner) netPoint(k int) []Violation {
 			a.close()
 		}
 	}()
-	b, err := openNetNode(nw, "b", vfs.NewMem(r.cfg.Seed+1), nil)
+	b, err := openNetNode(nw, "b", vfs.NewMem(r.cfg.Seed+1), r.cfg, nil)
 	if err != nil {
 		return []Violation{r.violation(k, "harness: opening node b: %v", err)}
 	}
@@ -302,7 +327,7 @@ func (r *netRunner) netPoint(k int) []Violation {
 		if vs := r.checkNetFlight(k, frozen, ackedTo); vs != nil {
 			return vs
 		}
-		restarted, err := openNetNode(nw, "a", frozen, nil)
+		restarted, err := openNetNode(nw, "a", frozen, r.cfg, nil)
 		if err != nil {
 			return []Violation{r.violation(k, "recovery of the acking node failed: %v", err)}
 		}

@@ -606,32 +606,16 @@ func (g *Group) repairRound(ms *memberState) (uint64, error) {
 		return 0, err
 	}
 	if needFull {
-		var snap SnapshotReply
-		if err := g.node.store.View(func(root any) error {
-			r, rerr := rootOf(root)
-			if rerr != nil {
-				return rerr
-			}
-			data, merr := pickle.Marshal(r)
-			if merr != nil {
-				return merr
-			}
-			g.m.aeBytes.Add(uint64(len(data)))
-			var cp Root
-			if uerr := pickle.Unmarshal(data, &cp); uerr != nil {
-				return uerr
-			}
-			snap.Root = &cp
-			return nil
-		}); err != nil {
+		snap, err := g.node.snapshotRoot()
+		if err != nil {
 			return 0, err
 		}
 		var reply InstallReply
-		if err := ms.client.CallRetry("Replica.Install", &InstallArgs{Root: snap.Root}, &reply, g.cfg.SyncPolicy); err != nil {
+		if err := ms.client.CallRetry("Replica.Install", &InstallArgs{Root: snap}, &reply, g.cfg.SyncPolicy); err != nil {
 			return 0, err
 		}
 		g.m.aeInstalls.Inc()
-		return snap.Root.Vector[origin], nil
+		return snap.Vector[origin], nil
 	}
 	if len(entries) == 0 {
 		return vec.Vector[origin], nil

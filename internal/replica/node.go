@@ -283,22 +283,10 @@ func (n *Node) ApplyBatch(inners []core.Update) error {
 		n.mu.Unlock()
 		return err
 	}
-	us := make([]core.Update, len(inners))
-	entries := make([]Entry, len(inners))
-	for i, inner := range inners {
-		us[i] = &Replicated{Origin: n.name, Seq: seq + uint64(i) + 1, Stamp: stamp + uint64(i) + 1, Inner: inner}
-		entries[i] = Entry{Origin: n.name, Seq: seq + uint64(i) + 1, Stamp: stamp + uint64(i) + 1, Inner: inner}
-	}
-	batchErr := n.store.ApplyBatch(us)
-	committedN := len(entries)
-	if batchErr != nil {
-		// Only the applied prefix may be pushed; anti-entropy would
-		// otherwise resurrect updates this node never committed.
-		committedN = int(mustVectorSeq(n.store, n.name) - seq)
-		if committedN < 0 {
-			committedN = 0
-		}
-	}
+	entries, us := n.stamp(inners, seq, stamp)
+	// Only the applied prefix may be pushed; anti-entropy would otherwise
+	// resurrect updates this node never committed.
+	committedN, batchErr := n.store.ApplyBatchTraced(us, obs.SpanContext{})
 	peers := make([]*rpc.Client, 0, len(n.peers))
 	for _, p := range n.peers {
 		peers = append(peers, p)
@@ -348,42 +336,22 @@ func (n *Node) commitLocal(inners []core.Update, sc obs.SpanContext) ([]Entry, e
 	if err != nil {
 		return nil, err
 	}
-	entries := make([]Entry, len(inners))
-	for i, inner := range inners {
-		entries[i] = Entry{Origin: n.name, Seq: seq + uint64(i) + 1, Stamp: stamp + uint64(i) + 1, Inner: inner}
-	}
-	if len(inners) == 1 {
-		if err := n.store.ApplyTraced(&Replicated{Origin: n.name, Seq: entries[0].Seq, Stamp: entries[0].Stamp, Inner: inners[0]}, sc); err != nil {
-			return nil, err
-		}
-		return entries, nil
-	}
-	us := make([]core.Update, len(inners))
-	for i := range inners {
-		us[i] = &Replicated{Origin: n.name, Seq: entries[i].Seq, Stamp: entries[i].Stamp, Inner: inners[i]}
-	}
-	batchErr := n.store.ApplyBatch(us)
-	committedN := len(entries)
-	if batchErr != nil {
-		committedN = int(mustVectorSeq(n.store, n.name) - seq)
-		if committedN < 0 {
-			committedN = 0
-		}
-	}
+	entries, us := n.stamp(inners, seq, stamp)
+	committedN, batchErr := n.store.ApplyBatchTraced(us, sc)
 	return entries[:committedN], batchErr
 }
 
-// mustVectorSeq reads the node's own vector entry, 0 on any error (the
-// caller is already on an error path).
-func mustVectorSeq(st *core.Store, name string) uint64 {
-	var v uint64
-	_ = st.View(func(root any) error {
-		if r, err := rootOf(root); err == nil {
-			v = r.Vector[name]
-		}
-		return nil
-	})
-	return v
+// stamp assigns inners this node's consecutive sequence numbers and Lamport
+// stamps after (seq, stamp), as history entries and as the updates that log
+// them. Callers hold n.mu.
+func (n *Node) stamp(inners []core.Update, seq, stamp uint64) ([]Entry, []core.Update) {
+	entries := make([]Entry, len(inners))
+	us := make([]core.Update, len(inners))
+	for i, inner := range inners {
+		entries[i] = Entry{Origin: n.name, Seq: seq + uint64(i) + 1, Stamp: stamp + uint64(i) + 1, Inner: inner}
+		us[i] = entries[i].update()
+	}
+	return entries, us
 }
 
 // Set, Delete and Lookup are name-tree conveniences over Apply/View.
@@ -554,25 +522,39 @@ func (n *Node) applyEntries(entries []Entry) (applied int, err error) {
 	return n.applyEntriesTraced(entries, obs.SpanContext{})
 }
 
-// applyEntriesTraced is applyEntries under a trace context: each entry's
-// local commit records its phase spans into the pushing side's trace.
+// applyEntriesTraced is applyEntries under a trace context: the batch's
+// local commit records its phase spans into the pushing side's trace. The
+// entries go through one store batch — one log sync however many a
+// coalesced or repair push carries — resumed after each refused entry, so
+// every entry is still judged against the state its predecessors left. Of
+// several unclassified refusals the first is reported.
 func (n *Node) applyEntriesTraced(entries []Entry, sc obs.SpanContext) (applied int, err error) {
-	for _, e := range entries {
-		aerr := n.store.ApplyTraced(&Replicated{Origin: e.Origin, Seq: e.Seq, Stamp: e.Stamp, Inner: e.Inner}, sc)
+	us := make([]core.Update, len(entries))
+	for i, e := range entries {
+		us[i] = e.update()
+	}
+	for len(us) > 0 {
+		k, aerr := n.store.ApplyBatchTraced(us, sc)
+		applied += k
+		if aerr == nil {
+			break
+		}
 		switch {
-		case aerr == nil:
-			applied++
 		case errors.Is(aerr, ErrAlreadyApplied):
 			// fine: duplicate delivery
 		case errors.Is(aerr, ErrSequenceGap):
 			// later anti-entropy round will fill it
 		default:
-			// An inner precondition failure against our state:
-			// the update was valid where it committed, so force
-			// convergence is impossible for this entry; skip it
-			// but surface the error.
-			err = aerr
+			// An inner precondition failure against our state: the
+			// update was valid where it committed, so forced convergence
+			// is impossible for this entry; skip it but surface the
+			// error — the first one; a store that can no longer commit
+			// lands here too, once per remaining entry.
+			if err == nil {
+				err = aerr
+			}
 		}
+		us = us[k+1:]
 	}
 	return applied, err
 }
@@ -819,30 +801,44 @@ func (s *Service) Pull(args *PullArgs, reply *PullReply) error {
 // SnapshotArgs requests a full snapshot.
 type SnapshotArgs struct{}
 
-// SnapshotReply carries a deep copy of the node's entire root.
+// SnapshotReply carries the node's entire root.
 type SnapshotReply struct {
 	Root *Root
 }
 
 // Snapshot returns the node's full state.
-func (s *Service) Snapshot(args *SnapshotArgs, reply *SnapshotReply) error {
-	return s.node.store.View(func(root any) error {
+func (s *Service) Snapshot(args *SnapshotArgs, reply *SnapshotReply) (err error) {
+	reply.Root, err = s.node.snapshotRoot()
+	return err
+}
+
+// snapshotRoot returns the node's whole root for shipping to a peer. A
+// versioned store hands out its published snapshot itself, so the only
+// pickle is the RPC's own: a published root is never mutated and the
+// collector keeps it alive, so it needs no pin (Store.View takes none
+// either) past the moment it is read. An unversioned store deep-copies
+// through pickle under the shared lock, which the result must outlive.
+func (n *Node) snapshotRoot() (*Root, error) {
+	if sn, err := n.store.SnapshotAt(); err == nil {
+		defer sn.Release()
+		return rootOf(sn.Root())
+	}
+	var cp Root
+	err := n.store.View(func(root any) error {
 		r, err := rootOf(root)
 		if err != nil {
 			return err
 		}
-		// Deep-copy via pickle: the reply outlives the shared lock.
 		data, err := pickle.Marshal(r)
 		if err != nil {
 			return err
 		}
-		var cp Root
-		if err := pickle.Unmarshal(data, &cp); err != nil {
-			return err
-		}
-		reply.Root = &cp
-		return nil
+		return pickle.Unmarshal(data, &cp)
 	})
+	if err != nil {
+		return nil, err
+	}
+	return &cp, nil
 }
 
 // VectorArgs requests a member's version vector.

@@ -58,10 +58,15 @@ type Root struct {
 // SnapshotView implements core.VersionedRoot, so replica nodes serve
 // lock-free snapshot enquiries too. The tree contributes its own
 // copy-on-write view; the version vector is copied (Replicated.Apply
-// mutates it in place); History may share its backing array with the
-// writer because entries are immutable and the writer only ever appends
-// past this snapshot's length or replaces the slice wholesale — the
-// slots below len are never rewritten.
+// mutates it in place). History is a sliding window over an append-only
+// backing array that the snapshot shares with the writer, under one
+// invariant: the writer stores only at or past every snapshot's end;
+// re-slice never rewrites. Each snapshot keeps its own slice header;
+// Replicated.Apply appends at the writer's end — which no snapshot's end
+// exceeds — and trims by re-slicing the start forward, which stores
+// nothing; everything else (install, delta apply) replaces the slice
+// wholesale with a fresh array. So no slot inside any snapshot's window
+// is written again.
 func (r *Root) SnapshotView() any {
 	var tv *nameserver.Tree
 	if r.Tree == nil {
@@ -87,20 +92,25 @@ type Entry struct {
 	Inner  core.Update
 }
 
+// update returns the update that applies and logs e.
+func (e Entry) update() *Replicated {
+	return &Replicated{Origin: e.Origin, Seq: e.Seq, Stamp: e.Stamp, Inner: e.Inner}
+}
+
 // DefaultHistoryCap bounds the per-node history when no cap is configured.
 const DefaultHistoryCap = 4096
 
 // NewRootWithCap returns a core.Config.NewRoot constructor with the given
 // history bound.
-func NewRootWithCap(cap int) func() any {
-	if cap <= 0 {
-		cap = DefaultHistoryCap
+func NewRootWithCap(limit int) func() any {
+	if limit <= 0 {
+		limit = DefaultHistoryCap
 	}
 	return func() any {
 		return &Root{
 			Tree:       nameserver.NewTree(),
 			Vector:     make(map[string]uint64),
-			HistoryCap: cap,
+			HistoryCap: limit,
 		}
 	}
 }
@@ -182,12 +192,15 @@ func (u *Replicated) Apply(root any) error {
 	}
 	r.Vector[u.Origin] = u.Seq
 	r.History = append(r.History, Entry{Origin: u.Origin, Seq: u.Seq, Stamp: u.Stamp, Inner: u.Inner})
-	cap := r.HistoryCap
-	if cap <= 0 {
-		cap = DefaultHistoryCap
+	limit := r.HistoryCap
+	if limit <= 0 {
+		limit = DefaultHistoryCap
 	}
-	if len(r.History) > cap {
-		r.History = append(r.History[:0:0], r.History[len(r.History)-cap:]...)
+	if len(r.History) > limit {
+		// Slide the window forward over the backing array instead of
+		// copying it: the only copy left is append's own amortised
+		// reallocation once the slack behind the window runs out.
+		r.History = r.History[len(r.History)-limit:]
 	}
 	return nil
 }

@@ -82,17 +82,18 @@ func TestConvergenceProperty(t *testing.T) {
 	}
 }
 
+// TestSnapshotIsolatedFromLiveTree: Service.Snapshot hands the rpc layer the
+// published root itself (no copy under the lock); the copy a peer receives
+// is the wire's, and mutating it must not reach the live database.
 func TestSnapshotIsolatedFromLiveTree(t *testing.T) {
 	c := makeCluster(t, "a", "b")
 	na := c.nodes[0]
 	na.Set("k", "v1")
 
-	svc := NewService(na)
 	var snap SnapshotReply
-	if err := svc.Snapshot(&SnapshotArgs{}, &snap); err != nil {
+	if err := c.clients["b"]["a"].Call("Replica.Snapshot", &SnapshotArgs{}, &snap); err != nil {
 		t.Fatal(err)
 	}
-	// Mutating the snapshot must not affect the live database.
 	snap.Root.Tree.Root.Children["k"].Value = "hacked"
 	if v, _ := na.Lookup("k"); v != "v1" {
 		t.Error("snapshot aliases the live tree")
