@@ -61,7 +61,6 @@ func main() {
 		readers   = flag.Int("readers", 0, "concurrent snapshot readers validating lock-free enquiries against the oracle during every workload and catch-up")
 		logShards = flag.Int("log-shards", 0, "split the redo log into this many parallel streams (0/1 = single stream); seals sync serially so the sweep stays deterministic")
 		batch     = flag.Int("batch", 0, "group every k workload updates into one ApplyBatch — one epoch spanning several streams (0/1 = one update at a time)")
-		fullCP    = flag.Bool("full-checkpoints", false, "write every checkpoint in full instead of the default incremental delta chain (the ablation sweep)")
 		deltaCh   = flag.Int("delta-chain", 0, "compact the delta chain after this many deltas (0 = store default); small values put compactions inside the sweep")
 		histCap   = flag.Int("history-cap", 0, "bound every replica's anti-entropy history (0 = 4096 in replica mode, 10000 with -net); below -ops it puts the history trim and snapshot-install repair inside the sweep")
 		verbose   = flag.Bool("v", false, "log progress")
@@ -96,7 +95,6 @@ func main() {
 			Readers:            *readers,
 			LogShards:          *logShards,
 			Batch:              *batch,
-			FullCheckpoints:    *fullCP,
 			MaxDeltaChain:      *deltaCh,
 			HistoryCap:         *histCap,
 		}
@@ -128,9 +126,6 @@ func main() {
 		}
 		if *batch > 1 {
 			extra += fmt.Sprintf(" -batch %d", *batch)
-		}
-		if *fullCP {
-			extra += " -full-checkpoints"
 		}
 		if *deltaCh > 0 {
 			extra += fmt.Sprintf(" -delta-chain %d", *deltaCh)

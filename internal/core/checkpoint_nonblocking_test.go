@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -10,7 +9,6 @@ import (
 
 	"smalldb/internal/obs"
 	"smalldb/internal/vfs"
-	"smalldb/internal/vfs/faultfs"
 )
 
 // TestUpdatesProgressDuringSlowCheckpoint is the tentpole's concurrency
@@ -120,48 +118,6 @@ func TestMirroredEntriesSurviveReopen(t *testing.T) {
 		if _, ok := get(t, s2, k); !ok {
 			t.Errorf("key %s lost across the mirror-window checkpoint", k)
 		}
-	}
-}
-
-// TestCheckpointErrorSurfacedWithoutPoison: a checkpoint that cannot write
-// its files must report the failure — error return, LastCheckpointErr,
-// core_checkpoint_errors — and leave the store fully serviceable on the old
-// version.
-func TestCheckpointErrorSurfacedWithoutPoison(t *testing.T) {
-	boom := errors.New("checkpoint disk full")
-	reg := obs.NewRegistry()
-	ffs := faultfs.New(vfs.NewMem(1), faultfs.Options{CrashAt: faultfs.Never})
-	s := openKV(t, ffs, func(c *Config) { c.Obs = reg })
-	defer s.Close()
-	put(t, s, "k", "v1")
-
-	ffs.FailName("checkpoint2", boom)
-	if err := s.Checkpoint(); !errors.Is(err, boom) {
-		t.Fatalf("Checkpoint = %v, want %v", err, boom)
-	}
-	if err := s.LastCheckpointErr(); !errors.Is(err, boom) {
-		t.Fatalf("LastCheckpointErr = %v, want %v", err, boom)
-	}
-	if got := reg.Counter("core_checkpoint_errors").Value(); got != 1 {
-		t.Errorf("core_checkpoint_errors = %d, want 1", got)
-	}
-
-	// Not poisoned: updates and enquiries still work…
-	put(t, s, "k", "v2")
-	if got, _ := get(t, s, "k"); got != "v2" {
-		t.Fatalf("k = %q after failed checkpoint", got)
-	}
-	// …and once the disk heals, a checkpoint succeeds and clears the
-	// error.
-	ffs.ClearFaults()
-	if err := s.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint after heal: %v", err)
-	}
-	if err := s.LastCheckpointErr(); err != nil {
-		t.Fatalf("LastCheckpointErr after heal: %v", err)
-	}
-	if got := reg.Counter("core_checkpoint_errors").Value(); got != 1 {
-		t.Errorf("core_checkpoint_errors = %d after heal, want 1", got)
 	}
 }
 

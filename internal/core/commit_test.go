@@ -164,52 +164,6 @@ func TestRefusalWaitsForWhatItSaw(t *testing.T) {
 	}
 }
 
-// TestRefusalSurvivesLogSwap: a refused update flushes the log it captured
-// under the update lock after releasing it; a blocking checkpoint may close
-// that log and swap in the next version's in between. The old log's Close
-// was its last seal, so the refusal has nothing to wait for — it must not
-// take the closed log for a failed write and poison the store.
-func TestRefusalSurvivesLogSwap(t *testing.T) {
-	s := openVKV(t, func(c *Config) { c.BlockingCheckpoint = true })
-	defer s.Close()
-	if err := s.Apply(&putVKV{Key: "k", Value: "v"}); err != nil {
-		t.Fatal(err)
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := s.Apply(&createVKV{Key: "k"}); !errors.Is(err, errExists) {
-					t.Errorf("refused create = %v, want errExists", err)
-					return
-				}
-			}
-		}()
-	}
-	// The window is a few instructions wide: before the fix ~10k swaps hit
-	// it on two or more cores.
-	deadline := time.Now().Add(2 * time.Second)
-	for i := 0; i < 30000 && !t.Failed() && time.Now().Before(deadline); i++ {
-		if err := s.Checkpoint(); err != nil {
-			t.Errorf("checkpoint %d: %v", i, err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if err := s.Err(); err != nil {
-		t.Fatalf("store poisoned by a refusal racing the log swap: %v", err)
-	}
-}
-
 // TestSingleStreamLayoutCompat: the one-stream log is the paper's plain
 // single file both ways. A directory whose log was written by a bare
 // wal.Log — what every store before the unified pipeline wrote by default —

@@ -20,8 +20,8 @@
 //     the version-file protocol in the background while updates keep
 //     committing (the WAL mirror-window protocol; see checkpointNonBlocking
 //     and DESIGN.md), finally retargeting the log in a brief critical
-//     section. Config.BlockingCheckpoint restores the paper's fully-locked
-//     variant.
+//     section. Every store runs this one protocol; a root that offers no
+//     versions is pickled under the update lock instead of from a snapshot.
 //   - Open recovers: find the current checkpoint, load it, replay the log.
 //
 // The database root and every update type are ordinary Go values; the
@@ -92,12 +92,6 @@ type Config struct {
 	// Retain is how many previous checkpoint+log pairs to keep for
 	// hard-error recovery (§4). 0 reproduces the paper's base protocol.
 	Retain int
-	// LockedEnquiries disables lock-free snapshot enquiries even when the
-	// root implements VersionedRoot: every View takes the shared lock and
-	// is excluded during each update's in-memory apply, as in the paper's
-	// original three-mode protocol. Kept as an ablation so the read-
-	// scaling benchmark can measure what version publication buys.
-	LockedEnquiries bool
 	// SkipDamagedLogEntries makes recovery hop over unreadable log
 	// entries instead of failing, for applications whose updates are
 	// independent (§4).
@@ -115,11 +109,14 @@ type Config struct {
 	// identical at any count (restart merges the streams by sequence), and
 	// the count may change across restarts.
 	LogShards int
-	// SerialLogSync makes each epoch seal sync its streams one at a time
-	// in stream order instead of in parallel. It exists for the
-	// deterministic crash sweeps, which need a deterministic file-
-	// operation order; it costs exactly the parallel-sync win.
-	SerialLogSync bool
+	// Deterministic makes the store's file-operation order a function of
+	// the calls made on it: each epoch seal syncs its streams one at a time
+	// in stream order instead of in parallel, and a due compaction runs
+	// synchronously inside the Checkpoint call that made it due instead of
+	// on a background goroutine. It exists for the crash sweeps, which
+	// replay a run up to a chosen file operation; it costs exactly the
+	// concurrency it removes.
+	Deterministic bool
 	// MaxLogBytes, when > 0, triggers an automatic checkpoint after an
 	// update leaves the log larger than this.
 	MaxLogBytes int64
@@ -133,27 +130,10 @@ type Config struct {
 	// UnsafeNoSync skips the sync on every log append: there is no
 	// commit point, and a crash can lose acknowledged updates. It exists
 	// only as an ablation (E5/E9) quantifying what the paper's one disk
-	// write per update buys and costs.
+	// write per update buys and costs. It selects no other code path:
+	// checkpoints run the same mirror-window protocol, whose file order
+	// still recovers a prefix of the updates at every crash point.
 	UnsafeNoSync bool
-	// BlockingCheckpoint restores the paper's original §3 checkpoint:
-	// the update lock is held across the entire disk transfer, excluding
-	// updates for the checkpoint's whole duration. By default checkpoints
-	// hold the update lock only while the root is pickled in memory and
-	// do every disk write in the background (the mirror-window protocol).
-	// The blocking path remains as the E-series ablation and is implied
-	// by UnsafeNoSync, whose missing commit point defeats the mirror
-	// window's durability reasoning.
-	BlockingCheckpoint bool
-	// FullCheckpoints disables incremental delta checkpoints: every
-	// checkpoint pickles the entire root, as the paper's §3 does. By
-	// default a root that implements DeltaRoot (and serves versioned
-	// enquiries) checkpoints only the subtrees changed since the previous
-	// checkpoint, chained onto the last full image; see DeltaRoot and
-	// internal/checkpoint's delta-chain notes. Kept as the ablation the
-	// checkpoint_scaling experiment measures against. Implied by
-	// BlockingCheckpoint and UnsafeNoSync, whose paths always write full
-	// roots.
-	FullCheckpoints bool
 	// MaxDeltaChain bounds the delta chain: once a checkpoint would make
 	// the chain (full base + deltas) longer than this, a compaction
 	// rewrites the chain into a fresh full image. 0 means the default
@@ -166,12 +146,6 @@ type Config struct {
 	// point the delta machinery saves nothing). 0 means the default
 	// (DefaultMaxDeltaRatio).
 	MaxDeltaRatio float64
-	// SerialCompaction runs a due compaction synchronously inside the
-	// Checkpoint call that made it due, instead of on a background
-	// goroutine. It exists for the deterministic crash sweeps, which need
-	// a deterministic file-operation order; like SerialLogSync it costs
-	// exactly the concurrency it removes.
-	SerialCompaction bool
 	// Obs, when non-nil, receives the store's metrics (core_*), the
 	// log's (wal_*), the checkpoint protocol's (checkpoint_*) and the
 	// three-mode lock's (core_lock_*), for export through the debug
@@ -222,8 +196,8 @@ type Stats struct {
 	CheckpointPickleTime time.Duration
 	CheckpointIOTime     time.Duration
 	// CheckpointStallTime is the update-lock hold time attributable to
-	// checkpoints: with the default non-blocking path, only the in-memory
-	// pickle; with BlockingCheckpoint, the checkpoint's whole duration.
+	// checkpoints: the log flush plus, for an unversioned root, the
+	// in-memory pickle.
 	CheckpointStallTime time.Duration
 	// CheckpointSwitchTime covers the version-switch protocol: new log
 	// creation, mirror drain, newversion commit, install and retention
@@ -239,10 +213,10 @@ type Stats struct {
 	// Restart decomposition: RestartCheckpointTime is reading the chain's
 	// full base image (proportional to root size), RestartDeltaTime is
 	// reading and applying the chain's deltas (proportional to churn since
-	// the base), RestartReplayTime is the log replay. The scaling claim the
-	// checkpoint_scaling experiment gates on is about the delta and replay
-	// components; the base read is paid once per chain, not per restart of
-	// a busy store (compaction refreshes it).
+	// the base), RestartReplayTime is the log replay. The scaling claim
+	// (cost proportional to churn, not root size) is about the delta and
+	// replay components; the base read is paid once per chain, not per
+	// restart of a busy store (compaction refreshes it).
 	RestartCheckpointTime time.Duration
 	RestartDeltaTime      time.Duration
 	RestartDeltaBytes     int64
@@ -278,9 +252,8 @@ type Store struct {
 	// views. With an unversioned root, enquiries read it under shared.
 	root any
 
-	// versioned reports that root implements VersionedRoot (and the
-	// LockedEnquiries ablation is off): enquiries are lock-free reads of
-	// vs's published version.
+	// versioned reports that root implements VersionedRoot: enquiries are
+	// lock-free reads of vs's published version.
 	versioned bool
 	vs        versionSet
 	vm        versionMetrics
@@ -295,9 +268,12 @@ type Store struct {
 	pubMu      sync.Mutex
 	pendingPub []pendingPub
 
+	// log is the redo log. Open sets it once; a checkpoint retargets it to
+	// the new version's files in place (FinishMirror), never replaces it.
+	log *wal.Sharded
+
 	// mu guards the fields below (log/checkpoint administration).
 	mu         sync.Mutex
-	log        *wal.Sharded
 	cpState    checkpoint.State
 	applied    uint64 // sequence of the last update applied to root
 	logEntries int64
@@ -489,11 +465,9 @@ func Open(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("core: SkipDamagedLogEntries is not supported with LogShards > 1")
 	}
 	s := &Store{cfg: cfg}
-	if !cfg.LockedEnquiries {
-		// Probe a throwaway root: versioning is a property of the root
-		// type, and initObs needs it to pick the lock instrumentation.
-		_, s.versioned = cfg.NewRoot().(VersionedRoot)
-	}
+	// Probe a throwaway root: versioning is a property of the root type,
+	// and initObs needs it to pick the lock instrumentation.
+	_, s.versioned = cfg.NewRoot().(VersionedRoot)
 	s.initObs()
 
 	st, err := checkpoint.RecoverWith(cfg.FS, s.cpOpts())
@@ -537,17 +511,12 @@ func (s *Store) initFresh() (*Store, error) {
 }
 
 // seedDeltaBase pins the view the next checkpoint will diff against, when
-// the configuration and root type support delta checkpoints at all.
+// the root type supports delta checkpoints at all.
 func (s *Store) seedDeltaBase(root any, nextSeq uint64) {
-	if s.cfg.FullCheckpoints || s.cfg.BlockingCheckpoint || s.cfg.UnsafeNoSync || !s.versioned {
-		return
+	if dr, ok := root.(DeltaRoot); ok {
+		s.cpPrevView = dr.SnapshotView()
+		s.cpPrevSeq = nextSeq
 	}
-	dr, ok := root.(DeltaRoot)
-	if !ok {
-		return
-	}
-	s.cpPrevView = dr.SnapshotView()
-	s.cpPrevSeq = nextSeq
 }
 
 // load reads the current checkpoint chain (full base plus deltas) and
@@ -781,9 +750,9 @@ func (s *Store) replayInto(hdr *header, logName string, firstSeq uint64, opts wa
 // checkpoints proceed underneath it. The view is consistent as of one
 // committed — durable — sequence number.
 //
-// With an unversioned root — or Config.LockedEnquiries — fn runs on the
-// working root under the shared lock, excluded during each update's
-// in-memory apply, exactly the paper's protocol.
+// With an unversioned root fn runs on the working root under the shared
+// lock, excluded during each update's in-memory apply, exactly the paper's
+// protocol.
 func (s *Store) View(fn func(root any) error) error {
 	if v := s.vs.pub.Load(); v != nil {
 		s.enquiries.Add(1)
@@ -826,7 +795,7 @@ func (s *Store) ApplyTraced(u Update, sc obs.SpanContext) error {
 // last (lock-free ones proceed regardless). An unversioned root pays one
 // sync per update instead, all but the first under the exclusive lock, so
 // that a failed sync leaves nothing undurable in view; no caller batches
-// onto one (replica roots are versioned unless LockedEnquiries). The
+// onto one (the nameserver and replica roots are versioned). The
 // crashtest harness uses batches to form deterministic multi-stream
 // epochs; servers can use them to amortize lock traffic on bulk loads.
 func (s *Store) ApplyBatch(us []Update) error {
@@ -898,7 +867,6 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) (applied int, err error)
 
 	s.mu.Lock()
 	err = s.unusable()
-	log := s.log
 	s.mu.Unlock()
 	if err != nil {
 		unlock()
@@ -906,6 +874,7 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) (applied int, err error)
 	}
 
 	var (
+		log   = s.log
 		seq   uint64       // last applied update's sequence
 		wait  func() error // its durability barrier
 		bytes int
@@ -1191,7 +1160,7 @@ func (s *Store) maybeAutoCheckpoint() {
 func (s *Store) autoCheckpointDue() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.log == nil || s.closed || s.poisoned != nil {
+	if s.closed || s.poisoned != nil {
 		return false
 	}
 	if s.cfg.MaxLogBytes > 0 && s.log.Size() > s.cfg.MaxLogBytes {
@@ -1208,12 +1177,9 @@ func (s *Store) autoCheckpointDue() bool {
 // checkpoint file holds only the subtrees changed since the previous
 // checkpoint, chained onto the last full image; a full rewrite (compaction)
 // runs automatically once the chain crosses Config.MaxDeltaChain or
-// Config.MaxDeltaRatio. By default updates are excluded only while the
-// root is pickled in memory; every disk transfer happens while updates
-// keep committing (see checkpointNonBlocking). With
-// Config.BlockingCheckpoint — or UnsafeNoSync, which has no commit point
-// for the mirror window to preserve — the paper's fully-locked,
-// full-image variant runs instead. Enquiries proceed either way.
+// Config.MaxDeltaRatio. Updates are excluded at most while the root is
+// pickled in memory; every disk transfer happens while updates keep
+// committing (see checkpointNonBlocking). Enquiries proceed throughout.
 // Concurrent Checkpoint calls serialize; each performs a full switch.
 func (s *Store) Checkpoint() error {
 	s.cpMu.Lock()
@@ -1231,9 +1197,6 @@ func (s *Store) Checkpoint() error {
 func (s *Store) checkpointLocked(forceFull bool) error {
 	s.cpInflight.Set(1)
 	defer s.cpInflight.Set(0)
-	if s.cfg.BlockingCheckpoint || s.cfg.UnsafeNoSync {
-		return s.checkpointBlocking()
-	}
 	return s.checkpointNonBlocking(forceFull)
 }
 
@@ -1269,12 +1232,12 @@ func (s *Store) compactionDue() bool {
 // maybeCompact rewrites the delta chain into a fresh full image when it
 // has outgrown its bounds — on a single-flight background goroutine, so
 // the checkpoint that tripped the threshold doesn't absorb a full-root
-// write, or synchronously under Config.SerialCompaction.
+// write, or synchronously under Config.Deterministic.
 func (s *Store) maybeCompact() {
 	if !s.compactionDue() {
 		return
 	}
-	if s.cfg.SerialCompaction {
+	if s.cfg.Deterministic {
 		s.cpMu.Lock()
 		err := s.compactLocked()
 		s.cpMu.Unlock()
@@ -1335,11 +1298,11 @@ func (s *Store) LastCheckpointErr() error {
 	return s.lastCPErr
 }
 
-// CheckpointStage identifies a point inside the non-blocking checkpoint at
-// which the store calls the hook installed by SetCheckpointStageHook. The
-// crashtest harness uses the stages to apply updates deterministically
-// inside the mirror window, so its crash-point sweep covers
-// concurrent-with-checkpoint commits without racing goroutines.
+// CheckpointStage identifies a point inside a checkpoint at which the store
+// calls the hook installed by SetCheckpointStageHook. The crashtest harness
+// uses the stages to apply updates deterministically inside the mirror
+// window, so its crash-point sweep covers concurrent-with-checkpoint commits
+// without racing goroutines.
 type CheckpointStage string
 
 const (
@@ -1357,8 +1320,8 @@ const (
 )
 
 // SetCheckpointStageHook installs fn, called synchronously on the
-// checkpointing goroutine at each stage of every non-blocking checkpoint
-// (nil uninstalls). Test instrumentation; the hook may Apply updates but
+// checkpointing goroutine at each stage of every checkpoint (nil
+// uninstalls). Test instrumentation; the hook may Apply updates but
 // must not call Checkpoint, Close or History.
 func (s *Store) SetCheckpointStageHook(fn func(CheckpointStage)) {
 	s.mu.Lock()
@@ -1413,13 +1376,14 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 	s.lock.UpdateUrgent()
 	s.mu.Lock()
 	err := s.unusable()
-	log, cur := s.log, s.cpState
+	cur := s.cpState
 	s.mu.Unlock()
 	if err != nil {
 		s.lock.UpdateUnlock()
 		return err
 	}
 
+	log := s.log
 	cpStart := time.Now()
 	if err := log.Flush(); err != nil {
 		s.poisonUnlessClosed(err)
@@ -1436,7 +1400,7 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 	nextSeq := s.applied + 1
 	s.mu.Unlock()
 	obs.Emit(s.tracer, obs.Event{Name: "checkpoint.start", Attrs: []obs.Attr{
-		obs.A("version", cur.Version), obs.A("next_seq", nextSeq), obs.A("blocking", false),
+		obs.A("version", cur.Version), obs.A("next_seq", nextSeq),
 	}})
 
 	// Pickle the root in memory. With a versioned root, the lock is held
@@ -1495,7 +1459,7 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 	if snap != nil {
 		ps := time.Now()
 		curView = snap.Root()
-		if prevView := s.cpPrevView; prevView != nil && !forceFull && !s.cfg.FullCheckpoints {
+		if prevView := s.cpPrevView; prevView != nil && !forceFull {
 			if dr, ok := curView.(DeltaRoot); ok {
 				delta, derr := dr.DeltaSince(prevView)
 				if derr == nil {
@@ -1609,35 +1573,35 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 	s.logEntries = int64(s.applied - (nextSeq - 1))
 	s.mu.Unlock()
 
+	// The switch is complete: disk is at version next whatever becomes of
+	// the cleanup below, so the chain accounting and the next delta's base
+	// move with it. curView is the pinned published view this checkpoint
+	// recorded — exactly what on-disk version next reconstructs to. (All
+	// under cpMu, which the caller holds.)
+	if isDelta {
+		s.deltaBytes.Add(cpBytes)
+	} else {
+		s.baseBytes.Store(cpBytes)
+		s.deltaBytes.Store(0)
+	}
+	if _, ok := curView.(DeltaRoot); ok {
+		s.cpPrevView = curView
+		s.cpPrevSeq = nextSeq
+	}
+
 	// Retention cleanup last — after the WAL stopped touching the old
-	// file. A crash here leaves debris recovery clears the same way.
+	// file. A crash here leaves debris recovery clears the same way, and so
+	// does a failure: the store runs on, healthy, at version next, and the
+	// next checkpoint's cleanup starts over from the directory listing.
 	newState, err := checkpoint.Finish(s.cfg.FS, next, s.cpOpts())
 	if err != nil {
-		return err // the switch itself is complete; the store runs on
+		return err
 	}
 	s.mu.Lock()
 	s.cpState = newState
 	s.mu.Unlock()
 	checkpoint.ObserveSwitch(s.cpOpts(), cpStart)
 	switchTime := time.Since(switchStart)
-
-	// Chain accounting and the next delta's base. curView is the pinned
-	// published view this checkpoint recorded — exactly what on-disk
-	// version `next` reconstructs to — so it is the diff base for the
-	// next checkpoint. (All under cpMu, which the caller holds.)
-	if isDelta {
-		s.deltaBytes.Add(cpBytes)
-		s.ctr.deltaCheckpoints.Inc()
-	} else {
-		s.baseBytes.Store(cpBytes)
-		s.deltaBytes.Store(0)
-	}
-	if curView != nil && !s.cfg.FullCheckpoints {
-		if _, ok := curView.(DeltaRoot); ok {
-			s.cpPrevView = curView
-			s.cpPrevSeq = nextSeq
-		}
-	}
 
 	s.recordCheckpointStats(stall, pickleTime, ioTime, switchTime)
 	s.recordStats(func(st *Stats) {
@@ -1646,6 +1610,9 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 			st.DeltaCheckpoints++
 		}
 	})
+	if isDelta {
+		s.ctr.deltaCheckpoints.Inc()
+	}
 	obs.Emit(s.tracer, obs.Event{Name: "checkpoint.finish", Dur: time.Since(cpStart), Attrs: []obs.Attr{
 		obs.A("version", next),
 		obs.A("delta", isDelta),
@@ -1656,128 +1623,6 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 		obs.A("io", ioTime.Round(time.Microsecond)),
 		obs.A("switch", switchTime.Round(time.Microsecond)),
 		obs.A("mirrored", mirrored),
-	}})
-	return nil
-}
-
-// checkpointBlocking is the paper's original §3 checkpoint: the update lock
-// is held across every disk transfer. Kept as the BlockingCheckpoint
-// ablation and the UnsafeNoSync fallback.
-func (s *Store) checkpointBlocking() error {
-	s.lock.UpdateUrgent()
-	defer s.lock.UpdateUnlock()
-
-	s.mu.Lock()
-	err := s.unusable()
-	oldLog, cur, nextSeq := s.log, s.cpState, s.applied+1
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-
-	obs.Emit(s.tracer, obs.Event{Name: "checkpoint.start", Attrs: []obs.Attr{
-		obs.A("version", cur.Version), obs.A("next_seq", nextSeq), obs.A("blocking", true),
-	}})
-	cpStart := time.Now()
-
-	// Make sure every applied update's entry is durable in the old log
-	// before the new checkpoint supersedes it (committers may still be
-	// waiting on their epoch barrier). Close flushes.
-	if err := oldLog.Close(); err != nil {
-		s.poison(err)
-		return err
-	}
-
-	// reopenOld puts the old version's log back in service after a failed
-	// switch step; the old version is still current.
-	reopenOld := func(err error) error {
-		obs.Emit(s.tracer, obs.Event{Name: "checkpoint.finish", Dur: time.Since(cpStart), Err: err})
-		reopened, rerr := s.openLog(cur.LogName(), nextSeq)
-		if rerr != nil {
-			s.poison(rerr)
-			return fmt.Errorf("core: checkpoint failed (%v) and old log could not be reopened: %w", err, rerr)
-		}
-		s.mu.Lock()
-		s.log = reopened
-		s.mu.Unlock()
-		return err
-	}
-
-	// Phase accounting: pickle is the CPU time converting the root to
-	// bytes, io is the checkpoint file's buffered writes plus its sync,
-	// switch is the version-switch protocol (log creation, newversion
-	// commit, install, cleanup).
-	var pickleTime time.Duration
-	var cpBytes int64
-	prepStart := time.Now()
-	next, err := checkpoint.Prepare(s.cfg.FS, cur, func(w io.Writer) error {
-		p0 := time.Now()
-		cw := &countingWriter{w: w}
-		werr := pickle.Write(cw, &header{NextSeq: nextSeq, Root: s.root})
-		pickleTime = time.Since(p0) - cw.ioTime
-		cpBytes = cw.n
-		return werr
-	}, s.cpOpts())
-	if err != nil {
-		checkpoint.Abort(s.cfg.FS, cur.Version+1)
-		return reopenOld(err)
-	}
-	ioTime := time.Since(prepStart) - pickleTime
-
-	switchStart := time.Now()
-	files, err := checkpoint.CreateShardLogFiles(s.cfg.FS, next, oldLog.Shards())
-	for _, f := range files {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	if err == nil {
-		err = checkpoint.CommitNewVersion(s.cfg.FS, next)
-	}
-	if err != nil {
-		checkpoint.Abort(s.cfg.FS, next)
-		return reopenOld(err)
-	}
-	if err := checkpoint.InstallVersion(s.cfg.FS); err != nil {
-		// newversion is durable: recovery would finish this switch, so
-		// reopening the old log would run on a superseded version.
-		s.poison(err)
-		return err
-	}
-	newState, err := checkpoint.Finish(s.cfg.FS, next, s.cpOpts())
-	if err != nil {
-		s.poison(err)
-		return err
-	}
-	checkpoint.ObserveSwitch(s.cpOpts(), cpStart)
-	switchTime := time.Since(switchStart)
-
-	newLog, err := s.openLog(newState.LogName(), nextSeq)
-	if err != nil {
-		s.poison(err)
-		return err
-	}
-	s.mu.Lock()
-	s.log = newLog
-	s.cpState = newState
-	s.logEntries = 0
-	s.mu.Unlock()
-	// The blocking path always writes a full image (see Config
-	// .FullCheckpoints): the chain collapses and any pinned delta base is
-	// stale. (Under cpMu, which the caller holds.)
-	s.baseBytes.Store(cpBytes)
-	s.deltaBytes.Store(0)
-	s.cpPrevView, s.cpPrevSeq = nil, 0
-
-	stall := time.Since(cpStart)
-	s.hist.cpStall.ObserveDuration(stall)
-	s.recordCheckpointStats(stall, pickleTime, ioTime, switchTime)
-	s.recordStats(func(st *Stats) { st.LastCheckpointBytes = cpBytes })
-	obs.Emit(s.tracer, obs.Event{Name: "checkpoint.finish", Dur: time.Since(cpStart), Attrs: []obs.Attr{
-		obs.A("version", newState.Version),
-		obs.A("pickle", pickleTime.Round(time.Microsecond)),
-		obs.A("io", ioTime.Round(time.Microsecond)),
-		obs.A("switch", switchTime.Round(time.Microsecond)),
 	}})
 	return nil
 }
@@ -1826,19 +1671,15 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// countingWriter tracks the bytes written and the time spent inside the
-// underlying writer, to separate pickling CPU from disk time in checkpoint
-// instrumentation and to size checkpoint images.
+// countingWriter counts the bytes written, sizing the initial checkpoint
+// image.
 type countingWriter struct {
-	w      io.Writer
-	n      int64
-	ioTime time.Duration
+	w io.Writer
+	n int64
 }
 
 func (c *countingWriter) Write(p []byte) (int, error) {
-	t := time.Now()
 	n, err := c.w.Write(p)
-	c.ioTime += time.Since(t)
 	c.n += int64(n)
 	return n, err
 }
@@ -1913,12 +1754,11 @@ func (s *Store) History(fn func(seq uint64, u Update) error) error {
 		return ErrClosed
 	}
 	st := s.cpState
-	log := s.log
 	s.mu.Unlock()
 
 	// Bring the current log file in line with memory (committers may still
 	// be waiting on their epoch barrier).
-	if err := log.Flush(); err != nil {
+	if err := s.log.Flush(); err != nil {
 		return err
 	}
 
@@ -1983,10 +1823,8 @@ func (s *Store) Stats() Stats {
 	st.CheckpointIODist = s.hist.cpIO.Snapshot()
 	st.CheckpointStallDist = s.hist.cpStall.Snapshot()
 	st.CheckpointSwitchDist = s.hist.cpSwitch.Snapshot()
+	st.LogBytes = s.log.Size()
 	s.mu.Lock()
-	if s.log != nil {
-		st.LogBytes = s.log.Size()
-	}
 	st.LogEntries = s.logEntries
 	st.ChainLength = int(1 + s.cpState.Version - s.cpState.Base)
 	s.mu.Unlock()
@@ -2033,7 +1871,6 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	stop := s.stopTimer
-	log := s.log
 	s.mu.Unlock()
 	if stop != nil {
 		close(stop)
@@ -2042,10 +1879,7 @@ func (s *Store) Close() error {
 	// Wait for an in-flight auto-checkpoint: it either completes its
 	// switch or aborts against the closed flag before the log goes away.
 	s.cpWG.Wait()
-	if log != nil {
-		return log.Close()
-	}
-	return nil
+	return s.log.Close()
 }
 
 // walOpts derives the log options from the config.
@@ -2060,5 +1894,5 @@ func (s *Store) logShards() int { return max(1, s.cfg.LogShards) }
 // layout is the paper's: the base file alone.
 func (s *Store) openLog(base string, nextSeq uint64) (*wal.Sharded, error) {
 	return wal.OpenSharded(s.cfg.FS, base, s.logShards(), nextSeq,
-		wal.ShardedOptions{Options: s.walOpts(), SequentialSync: s.cfg.SerialLogSync})
+		wal.ShardedOptions{Options: s.walOpts(), SequentialSync: s.cfg.Deterministic})
 }

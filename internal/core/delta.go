@@ -10,8 +10,7 @@ package core
 // copy-on-write snapshots that power lock-free enquiries: the store pins
 // the published view at each checkpoint and diffs the next checkpoint's
 // view against it, with no locking and no extra bookkeeping on the update
-// path. An unversioned root (or Config.LockedEnquiries, or
-// Config.FullCheckpoints) always checkpoints in full.
+// path. An unversioned root always checkpoints in full.
 type DeltaRoot interface {
 	VersionedRoot
 

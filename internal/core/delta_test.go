@@ -222,7 +222,7 @@ func TestCompactionByChainLength(t *testing.T) {
 	fs := vfs.NewMem(1)
 	s := openDKV(t, fs, func(c *Config) {
 		c.MaxDeltaChain = 2
-		c.SerialCompaction = true
+		c.Deterministic = true
 	})
 	defer s.Close()
 	populateDKV(t, s, 100)
@@ -237,7 +237,7 @@ func TestCompactionByChainLength(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The second delta made the chain hit the bound; SerialCompaction ran
+	// The second delta made the chain hit the bound; Deterministic ran
 	// a full switch (v5) inside that Checkpoint call.
 	st := s.Stats()
 	if st.Compactions != 1 {
@@ -261,7 +261,7 @@ func TestCompactionByRatio(t *testing.T) {
 	s := openDKV(t, fs, func(c *Config) {
 		c.MaxDeltaRatio = 0.05
 		c.MaxDeltaChain = 100 // out of the way: the ratio must trigger first
-		c.SerialCompaction = true
+		c.Deterministic = true
 	})
 	defer s.Close()
 	populateDKV(t, s, 300)
@@ -297,38 +297,6 @@ func TestCompactionByRatio(t *testing.T) {
 	}
 }
 
-// TestFullCheckpointsAblation: the knob the checkpoint_scaling experiment
-// flips — every checkpoint writes the full image, no .d files ever.
-func TestFullCheckpointsAblation(t *testing.T) {
-	fs := vfs.NewMem(1)
-	s := openDKV(t, fs, func(c *Config) { c.FullCheckpoints = true })
-	populateDKV(t, s, 100)
-	for round := 0; round < 3; round++ {
-		if err := s.Apply(&putDKV{Key: "k", Value: fmt.Sprintf("%d", round)}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.DeltaCheckpoints != 0 || st.ChainLength != 1 {
-		t.Fatalf("ablation wrote deltas: %+v", st)
-	}
-	for v := uint64(2); v <= 4; v++ {
-		if vfs.Exists(fs, checkpoint.DeltaName(v)) {
-			t.Fatalf("delta file for version %d under FullCheckpoints", v)
-		}
-	}
-	want := dkvData(t, s)
-	s.Close()
-	s2 := openDKV(t, fs, func(c *Config) { c.FullCheckpoints = true })
-	defer s2.Close()
-	if got := dkvData(t, s2); !reflect.DeepEqual(got, want) {
-		t.Fatal("ablation restart diverged")
-	}
-}
-
 // TestDeltaSizeGuard: a checkpoint whose delta would rival the base image
 // writes a full image instead (and resets the chain).
 func TestDeltaSizeGuard(t *testing.T) {
@@ -359,28 +327,36 @@ func TestDeltaSizeGuard(t *testing.T) {
 }
 
 // TestUnversionedRootFullCheckpoints: a root without SnapshotView (or
-// DeltaRoot) keeps the old behaviour untouched.
+// DeltaRoot) is the one branch of the checkpoint protocol — observed from
+// the root, not configured: every checkpoint pickles the whole root under
+// the update lock, no .d file is ever written, and restart reads one image.
 func TestUnversionedRootFullCheckpoints(t *testing.T) {
 	fs := vfs.NewMem(1)
 	s := openKV(t, fs)
-	defer s.Close()
-	if err := s.Apply(&putKV{Key: "a", Value: "1"}); err != nil {
-		t.Fatal(err)
+	for round := 0; round < 3; round++ {
+		put(t, s, "k", fmt.Sprint(round))
+		put(t, s, fmt.Sprintf("r%d", round), "1")
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
+	for v := uint64(2); v <= 4; v++ {
+		if vfs.Exists(fs, checkpoint.DeltaName(v)) {
+			t.Fatalf("unversioned root produced a delta file for version %d", v)
+		}
 	}
-	if err := s.Apply(&putKV{Key: "b", Value: "2"}); err != nil {
-		t.Fatal(err)
+	if st := s.Stats(); st.DeltaCheckpoints != 0 || st.ChainLength != 1 {
+		t.Fatalf("stats claim %d delta checkpoints, chain length %d", st.DeltaCheckpoints, st.ChainLength)
 	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
+	want := kvKinds[0].snapshot(t, s)
+	s.Close()
+	s2 := openKV(t, fs)
+	defer s2.Close()
+	if got := kvKinds[0].snapshot(t, s2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restart from full images diverged: %v vs %v", got, want)
 	}
-	if vfs.Exists(fs, checkpoint.DeltaName(2)) || vfs.Exists(fs, checkpoint.DeltaName(3)) {
-		t.Fatal("unversioned root produced delta files")
-	}
-	if st := s.Stats(); st.DeltaCheckpoints != 0 {
-		t.Fatalf("stats claim %d delta checkpoints", st.DeltaCheckpoints)
+	if rst := s2.Stats(); rst.RestartDeltasApplied != 0 {
+		t.Fatalf("restart applied %d deltas", rst.RestartDeltasApplied)
 	}
 }
 

@@ -132,33 +132,36 @@ func TestShardedShardCountChange(t *testing.T) {
 	}
 }
 
-// TestShardedCheckpoint exercises both checkpoint flavors over a sharded
-// log: the mirror window must dual-write every stream, and the new version
-// must replay cleanly.
+// TestShardedCheckpoint checkpoints over a sharded log with both root kinds
+// — pickled under the update lock, and from a pinned snapshot: the mirror
+// window must dual-write every stream, and the new version must replay
+// cleanly.
 func TestShardedCheckpoint(t *testing.T) {
-	for _, blocking := range []bool{false, true} {
-		t.Run(fmt.Sprintf("blocking=%v", blocking), func(t *testing.T) {
+	for _, kind := range kvKinds {
+		t.Run(kind.name, func(t *testing.T) {
 			fs := vfs.NewMem(1)
-			s := openKV(t, fs, shardedCfg(4), func(c *Config) { c.BlockingCheckpoint = blocking })
+			s := kind.open(t, fs, shardedCfg(4))
 			for i := 0; i < 30; i++ {
-				put(t, s, fmt.Sprintf("pre%d", i), "1")
+				if err := s.Apply(kind.put(fmt.Sprintf("pre%d", i), "1")); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := s.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 30; i++ {
-				put(t, s, fmt.Sprintf("post%d", i), "2")
+				if err := s.Apply(kind.put(fmt.Sprintf("post%d", i), "2")); err != nil {
+					t.Fatal(err)
+				}
 			}
 			s.Close()
 
-			s2 := openKV(t, fs, shardedCfg(4))
+			s2 := kind.open(t, fs, shardedCfg(4))
 			defer s2.Close()
+			got := kind.snapshot(t, s2)
 			for i := 0; i < 30; i++ {
-				if _, ok := get(t, s2, fmt.Sprintf("pre%d", i)); !ok {
-					t.Fatalf("pre%d missing after checkpoint+restart", i)
-				}
-				if _, ok := get(t, s2, fmt.Sprintf("post%d", i)); !ok {
-					t.Fatalf("post%d missing after checkpoint+restart", i)
+				if got[fmt.Sprintf("pre%d", i)] != "1" || got[fmt.Sprintf("post%d", i)] != "2" {
+					t.Fatalf("pre%d/post%d missing after checkpoint+restart", i, i)
 				}
 			}
 		})
@@ -219,7 +222,7 @@ func TestShardedRejectsSkipDamaged(t *testing.T) {
 // verifies prefix semantics when a mid-batch Verify fails.
 func TestShardedApplyBatch(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s := openKV(t, fs, shardedCfg(4), func(c *Config) { c.SerialLogSync = true })
+	s := openKV(t, fs, shardedCfg(4), func(c *Config) { c.Deterministic = true })
 
 	var batch []Update
 	for i := 0; i < 10; i++ {

@@ -14,8 +14,8 @@
 // Opt-in: a root type that implements VersionedRoot promises that a value
 // returned by SnapshotView is never mutated again by later updates, so the
 // store may hand it to concurrent readers. The nameserver tree and the
-// replica root implement it; Config.LockedEnquiries restores the paper's
-// shared-lock enquiries as an ablation.
+// replica root implement it; a root that does not keeps the paper's
+// shared-lock enquiries.
 //
 // Reclamation is epoch-based. A global epoch advances on every publish;
 // readers pin the epoch they entered at into one of a fixed array of
@@ -50,7 +50,7 @@ type VersionedRoot interface {
 }
 
 // ErrNotVersioned is returned by SnapshotAt when the store's root does not
-// implement VersionedRoot (or Config.LockedEnquiries disabled versioning).
+// implement VersionedRoot.
 var ErrNotVersioned = errors.New("core: root is not versioned")
 
 // version is one published, immutable state of the database.

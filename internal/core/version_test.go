@@ -197,8 +197,8 @@ func TestPinTableOverflow(t *testing.T) {
 
 // TestVersionedLockSeries checks the /stats surface (the satellite fix for
 // dead series): a versioned store must not export the never-acquired
-// shared-lock metrics, while the locked-enquiries ablation — whose reads
-// really do take the shared lock — must.
+// shared-lock metrics, while an unversioned one — whose reads really do
+// take the shared lock — must.
 func TestVersionedLockSeries(t *testing.T) {
 	hasShared := func(reg *obs.Registry) bool {
 		for _, n := range reg.Names() {
@@ -231,10 +231,14 @@ func TestVersionedLockSeries(t *testing.T) {
 	s.Close()
 
 	lreg := obs.NewRegistry()
-	ls := openVKV(t, func(c *Config) { c.Obs = lreg; c.LockedEnquiries = true })
+	ls := openKV(t, vfs.NewMem(1), func(c *Config) { c.Obs = lreg })
 	defer ls.Close()
 	if !hasShared(lreg) {
-		t.Error("locked-enquiries store should export the shared-lock series it uses")
+		t.Error("unversioned store should export the shared-lock series it uses")
+	}
+	get(t, ls, "k")
+	if lreg.Counter("core_enquiries_locked").Value() == 0 {
+		t.Error("enquiry on an unversioned root did not count as locked")
 	}
 }
 

@@ -60,8 +60,6 @@ type Config struct {
 	// more updates through the store's stage hook, so the crash sweep
 	// covers updates that are acknowledged while the whole-database
 	// write is in flight and durable only through the mirror protocol.
-	// A store configured for blocking checkpoints has no stages, so the
-	// hook simply never fires and the updates run after the switch.
 	OverlapCheckpoints bool
 	// UnsafeNoSync runs the workload without log syncs. In ModeStore
 	// this is a self-test: the harness must report lost acknowledged
@@ -74,9 +72,9 @@ type Config struct {
 	// restart at every crash point.
 	ReplayWorkers int
 	// LogShards is the store's redo-log stream count (0 or 1 = the
-	// paper's single stream). Multi-stream runs force SerialLogSync, so
-	// each epoch seal syncs its streams one at a time in stream order and
-	// the sweep's fs-op indexing stays deterministic —
+	// paper's single stream). The harness always opens its stores
+	// Deterministic, so each epoch seal syncs its streams one at a time in
+	// stream order and the sweep's fs-op indexing stays deterministic —
 	// crash points then land inside individual stream syncs and, with
 	// Batch, between the streams of one epoch.
 	LogShards int
@@ -87,16 +85,11 @@ type Config struct {
 	// cadence is rounded up to a batch multiple so the schedule still
 	// fires.
 	Batch int
-	// FullCheckpoints runs every checkpoint as a full-root write instead
-	// of the default incremental delta chained onto the last full image —
-	// the ablation sweep, and the pre-delta behaviour.
-	FullCheckpoints bool
 	// MaxDeltaChain caps the delta chain before a compaction rewrites it
 	// into a fresh full base (0 = the store default). Small values put
-	// compactions inside the sweep, so crash points land mid-rewrite. The
-	// harness always forces SerialCompaction: a due compaction runs
-	// synchronously inside the checkpoint that tripped it, on the workload
-	// thread, so the sweep's fs-op indexing stays deterministic.
+	// compactions inside the sweep, so crash points land mid-rewrite
+	// (Deterministic runs a due compaction inside the checkpoint that
+	// tripped it, on the workload thread).
 	MaxDeltaChain int
 	// Readers runs this many concurrent snapshot readers alongside every
 	// workload — the reference run, each crash replay, and the post-crash
@@ -536,8 +529,8 @@ func (r *runner) runStoreWorkload(fs vfs.FS, rec *recorder, opCount func() int64
 	}
 	defer fl.Close()
 	srv, err := nameserver.Open(nameserver.Config{FS: fs, UnsafeNoSync: r.cfg.UnsafeNoSync, ReplayWorkers: r.cfg.ReplayWorkers,
-		LogShards: r.cfg.LogShards, SerialLogSync: r.cfg.LogShards > 1, Tracer: fl,
-		FullCheckpoints: r.cfg.FullCheckpoints, MaxDeltaChain: r.cfg.MaxDeltaChain, SerialCompaction: true})
+		LogShards: r.cfg.LogShards, Deterministic: true, Tracer: fl,
+		MaxDeltaChain: r.cfg.MaxDeltaChain})
 	if err != nil {
 		return err
 	}
@@ -575,8 +568,8 @@ func (r *runner) storePoint(n int64) (out []Violation) {
 	}
 
 	srv, err := nameserver.Open(nameserver.Config{FS: snap, ReplayWorkers: r.cfg.ReplayWorkers,
-		LogShards: r.cfg.LogShards, SerialLogSync: r.cfg.LogShards > 1,
-		FullCheckpoints: r.cfg.FullCheckpoints, MaxDeltaChain: r.cfg.MaxDeltaChain, SerialCompaction: true})
+		LogShards: r.cfg.LogShards, Deterministic: true,
+		MaxDeltaChain: r.cfg.MaxDeltaChain})
 	if err != nil {
 		return append(out, r.violation(n, "recovery failed: %v", err))
 	}
@@ -695,8 +688,8 @@ func (r *runner) runReplicaWorkload(fs vfs.FS, p *peer, rec *recorder, opCount f
 	}
 	defer fl.Close()
 	node, err := replica.Open(replica.Config{Name: "a", FS: fs, HistoryCap: r.cfg.HistoryCap, UnsafeNoSync: r.cfg.UnsafeNoSync, ReplayWorkers: r.cfg.ReplayWorkers,
-		LogShards: r.cfg.LogShards, SerialLogSync: r.cfg.LogShards > 1, Tracer: fl, Obs: r.reg,
-		FullCheckpoints: r.cfg.FullCheckpoints, MaxDeltaChain: r.cfg.MaxDeltaChain, SerialCompaction: true})
+		LogShards: r.cfg.LogShards, Deterministic: true, Tracer: fl, Obs: r.reg,
+		MaxDeltaChain: r.cfg.MaxDeltaChain})
 	if err != nil {
 		return err
 	}
@@ -747,8 +740,8 @@ func (r *runner) replicaPoint(n int64) (out []Violation) {
 	}
 
 	node, err := replica.Open(replica.Config{Name: "a", FS: snap, HistoryCap: r.cfg.HistoryCap, ReplayWorkers: r.cfg.ReplayWorkers,
-		LogShards: r.cfg.LogShards, SerialLogSync: r.cfg.LogShards > 1, Obs: r.reg,
-		FullCheckpoints: r.cfg.FullCheckpoints, MaxDeltaChain: r.cfg.MaxDeltaChain, SerialCompaction: true})
+		LogShards: r.cfg.LogShards, Deterministic: true, Obs: r.reg,
+		MaxDeltaChain: r.cfg.MaxDeltaChain})
 	if err != nil {
 		return append(out, r.violation(n, "recovery failed: %v", err))
 	}

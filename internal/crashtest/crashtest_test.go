@@ -177,13 +177,20 @@ func TestReplicaDeltaChainTorture(t *testing.T) {
 	}
 }
 
-// TestFullCheckpointsTorture sweeps the ablation — every checkpoint a full
-// root write, the pre-delta behaviour — so both sides of the
-// checkpoint_scaling comparison stay crash-safe.
-func TestFullCheckpointsTorture(t *testing.T) {
-	res, err := Run(Config{Seed: 1, Ops: 12, Mode: ModeStore, FullCheckpoints: true})
+// TestNoSyncOverlapReplicaRecovers sweeps a replica that forfeits local
+// durability (§4: a lost update is restored from the peer) while commits
+// land inside sharded mirror windows. No-sync stores run the one checkpoint
+// protocol like every other: with no commit point there is nothing for the
+// window to preserve, and its file order must still recover a prefix of the
+// updates — which the peer then completes — at every crash point.
+func TestNoSyncOverlapReplicaRecovers(t *testing.T) {
+	res, err := Run(Config{Seed: 3, Ops: 12, Mode: ModeReplica, UnsafeNoSync: true,
+		OverlapCheckpoints: true, LogShards: 3, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Points < 20 {
+		t.Fatalf("suspiciously few crash points: %d", res.Points)
 	}
 	for _, v := range res.Violations {
 		t.Errorf("%s", v)

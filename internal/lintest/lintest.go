@@ -107,13 +107,15 @@ func Run(st *core.Store, cfg Config) (Stats, error) {
 	}
 
 	// The model starts empty: the harness's subtree must not exist yet.
-	if err := st.View(func(root any) error {
-		if treeFromRoot(root).FindNode([]string{cfg.Prefix}) != nil {
-			return fmt.Errorf("lintest: subtree %q already exists", cfg.Prefix)
-		}
-		return nil
-	}); err != nil {
+	// Looking through a snapshot refuses an unversioned store up front.
+	snap, err := st.SnapshotAt()
+	if err != nil {
 		return Stats{}, err
+	}
+	exists := treeFromRoot(snap.Root()).FindNode([]string{cfg.Prefix}) != nil
+	snap.Release()
+	if exists {
+		return Stats{}, fmt.Errorf("lintest: subtree %q already exists", cfg.Prefix)
 	}
 
 	base := st.AppliedSeq()

@@ -12,6 +12,7 @@ import (
 	"smalldb/internal/core"
 	"smalldb/internal/nameserver"
 	"smalldb/internal/obs"
+	"smalldb/internal/pickle"
 	"smalldb/internal/vfs"
 )
 
@@ -73,17 +74,35 @@ func TestLinearizable(t *testing.T) {
 	})
 }
 
-// TestLockedEnquiriesAblation confirms the ablation really disables
-// versioned reads: SnapshotAt refuses, and enquiries fall back to the
-// shared lock.
-func TestLockedEnquiriesAblation(t *testing.T) {
-	st := openTree(t, func(c *core.Config) { c.LockedEnquiries = true })
+// lockedRoot holds a nameserver tree but offers the store no versions (it
+// has no SnapshotView): the store's observed, unconfigured fallback.
+type lockedRoot struct{ T *nameserver.Tree }
+
+func (r *lockedRoot) NameTree() *nameserver.Tree { return r.T }
+
+func init() { pickle.Register(&lockedRoot{}) }
+
+// TestUnversionedRootLocksEnquiries confirms a root without versions really
+// gets the paper's protocol: SnapshotAt and the checker refuse, and
+// enquiries take the shared lock.
+func TestUnversionedRootLocksEnquiries(t *testing.T) {
+	reg := obs.NewRegistry()
+	st := openTree(t, func(c *core.Config) {
+		c.Obs = reg
+		c.NewRoot = func() any { return &lockedRoot{T: nameserver.NewTree()} }
+	})
 	defer st.Close()
 	if _, err := st.SnapshotAt(); !errors.Is(err, ErrNotVersioned) {
 		t.Fatalf("SnapshotAt = %v, want ErrNotVersioned", err)
 	}
 	if _, err := Run(st, Config{Ops: 10, Readers: 1}); !errors.Is(err, ErrNotVersioned) {
 		t.Fatalf("Run = %v, want ErrNotVersioned", err)
+	}
+	if err := st.View(func(root any) error { treeFromRoot(root); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("core_enquiries_locked").Value(); got == 0 {
+		t.Fatal("enquiry on an unversioned root did not count as locked")
 	}
 }
 

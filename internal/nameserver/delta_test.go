@@ -3,9 +3,11 @@ package nameserver
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"smalldb/internal/pickle"
+	"smalldb/internal/vfs"
 )
 
 // nodesMatch compares two subtrees on every pickled field, stamps
@@ -195,4 +197,71 @@ func mustDelta(t *testing.T, cur, prev *Tree) any {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// TestDeltaCheckpointBytesTrackChurn states the incremental-checkpoint claim
+// in bytes, through the server: at a fixed absolute churn the delta file —
+// and what a restart reads of it — stays near-flat across a 4x root-size
+// sweep while the full image tracks the root, and at churn = 10% of the root
+// the delta costs at most a quarter of the full image.
+func TestDeltaCheckpointBytesTrackChurn(t *testing.T) {
+	const base, churn = 1024, 102
+	val := strings.Repeat("x", 256)
+	name := func(i int) string { return fmt.Sprintf("cpscale/dir%d/e%d", i%127, i) }
+	measure := func(entries int) (full, delta, restartDelta int64) {
+		fs := vfs.NewMem(1)
+		ns, err := Open(Config{FS: fs, Retain: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < entries; i++ {
+			if err := ns.Set(name(i), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ns.Checkpoint(); err != nil { // the full base image
+			t.Fatal(err)
+		}
+		full = ns.Stats().LastCheckpointBytes
+		for i := 0; i < churn; i++ {
+			if err := ns.Set(name(i*(entries/churn)), val+"y"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ns.Checkpoint(); err != nil { // the measured delta
+			t.Fatal(err)
+		}
+		st := ns.Stats()
+		if st.ChainLength != 2 || st.DeltaCheckpoints != 1 {
+			t.Fatalf("%d entries: chain length %d, %d deltas — not a delta chain", entries, st.ChainLength, st.DeltaCheckpoints)
+		}
+		delta = st.LastCheckpointBytes
+		if err := ns.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ns2, err := Open(Config{FS: fs, Retain: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ns2.Close()
+		rst := ns2.Stats()
+		if rst.RestartDeltasApplied != 1 {
+			t.Fatalf("%d entries: restart applied %d deltas, want 1", entries, rst.RestartDeltasApplied)
+		}
+		return full, delta, rst.RestartDeltaBytes
+	}
+	full1, delta1, restart1 := measure(base)
+	full4, delta4, restart4 := measure(4 * base)
+	if r := float64(delta1) / float64(full1); r > 0.25 {
+		t.Errorf("delta wrote %.0f%% of the full image at 10%% churn (%d of %d bytes)", 100*r, delta1, full1)
+	}
+	if g := float64(delta4) / float64(delta1); g >= 1.5 {
+		t.Errorf("delta bytes grew %.2fx across a 4x root (%d -> %d)", g, delta1, delta4)
+	}
+	if g := float64(restart4) / float64(restart1); g >= 1.5 {
+		t.Errorf("restart delta bytes grew %.2fx across a 4x root (%d -> %d)", g, restart1, restart4)
+	}
+	if g := float64(full4) / float64(full1); g <= 2.5 {
+		t.Errorf("full image grew only %.2fx across a 4x root (%d -> %d)", g, full1, full4)
+	}
 }

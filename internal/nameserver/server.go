@@ -29,29 +29,14 @@ type Config struct {
 	// LogShards passes through: the redo log's stream count (0 and 1 are
 	// the single stream; more is incompatible with SkipDamagedLogEntries).
 	LogShards int
-	// SerialLogSync passes through: epoch seals sync their streams one at a
-	// time, in stream order (the crash-sweep determinism knob).
-	SerialLogSync bool
-	// BlockingCheckpoint passes through: checkpoints hold the update
-	// lock for their whole duration instead of the default
-	// mirror-window protocol.
-	BlockingCheckpoint bool
-	// LockedEnquiries passes through: enquiries take the shared lock and
-	// are excluded during each in-memory apply, instead of reading
-	// lock-free published snapshots (the read-scaling ablation).
-	LockedEnquiries bool
-	// FullCheckpoints passes through: every checkpoint writes the full
-	// tree instead of the default incremental delta chained onto the last
-	// full image (the checkpoint_scaling ablation).
-	FullCheckpoints bool
+	// Deterministic passes through: epoch seals sync their streams one at
+	// a time and a due compaction runs inside the checkpoint that tripped
+	// it (the crash-sweep determinism knob).
+	Deterministic bool
 	// MaxDeltaChain and MaxDeltaRatio pass through: the delta-chain
 	// compaction thresholds (0 = the store defaults).
 	MaxDeltaChain int
 	MaxDeltaRatio float64
-	// SerialCompaction passes through: a due compaction runs synchronously
-	// inside the checkpoint that tripped it (the crash-sweep determinism
-	// knob).
-	SerialCompaction bool
 	// Obs and Tracer pass through to the store's instrumentation.
 	Obs    *obs.Registry
 	Tracer obs.Tracer
@@ -75,13 +60,9 @@ func Open(cfg Config) (*Server, error) {
 		SkipDamagedLogEntries: cfg.SkipDamagedLogEntries,
 		ReplayWorkers:         cfg.ReplayWorkers,
 		LogShards:             cfg.LogShards,
-		SerialLogSync:         cfg.SerialLogSync,
-		BlockingCheckpoint:    cfg.BlockingCheckpoint,
-		LockedEnquiries:       cfg.LockedEnquiries,
-		FullCheckpoints:       cfg.FullCheckpoints,
+		Deterministic:         cfg.Deterministic,
 		MaxDeltaChain:         cfg.MaxDeltaChain,
 		MaxDeltaRatio:         cfg.MaxDeltaRatio,
-		SerialCompaction:      cfg.SerialCompaction,
 		Obs:                   cfg.Obs,
 		Tracer:                cfg.Tracer,
 	})

@@ -40,7 +40,7 @@ func compatName(i int) string {
 // the base image, which the default ratio would answer with a full image
 // and a compaction.
 func compatConfig(fs vfs.FS) Config {
-	return Config{Name: "a", FS: fs, HistoryCap: compatCap, MaxDeltaRatio: 8, SerialCompaction: true}
+	return Config{Name: "a", FS: fs, HistoryCap: compatCap, MaxDeltaRatio: 8, Deterministic: true}
 }
 
 func writeCompatDir(t *testing.T, dir string) {

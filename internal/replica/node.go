@@ -39,28 +39,14 @@ type Config struct {
 	// LogShards passes through: the node's redo-log stream count (0 and 1
 	// are the single stream).
 	LogShards int
-	// SerialLogSync passes through: epoch seals sync their streams
-	// one at a time, in stream order (the crash-sweep determinism knob).
-	SerialLogSync bool
-	// BlockingCheckpoint passes through: checkpoints hold the update
-	// lock for their whole duration instead of the default
-	// mirror-window protocol.
-	BlockingCheckpoint bool
-	// LockedEnquiries passes through: enquiries take the shared lock
-	// instead of reading lock-free published snapshots (the ablation).
-	LockedEnquiries bool
-	// FullCheckpoints passes through: every checkpoint writes the full
-	// root instead of the default incremental delta chained onto the last
-	// full image (the checkpoint_scaling ablation).
-	FullCheckpoints bool
+	// Deterministic passes through: epoch seals sync their streams one at
+	// a time and a due compaction runs inside the checkpoint that tripped
+	// it (the crash-sweep determinism knob).
+	Deterministic bool
 	// MaxDeltaChain and MaxDeltaRatio pass through: the delta-chain
 	// compaction thresholds (0 = the store defaults).
 	MaxDeltaChain int
 	MaxDeltaRatio float64
-	// SerialCompaction passes through: a due compaction runs synchronously
-	// inside the checkpoint that tripped it (the crash-sweep determinism
-	// knob).
-	SerialCompaction bool
 	// Obs and Tracer pass through to the store and additionally receive
 	// the replication metrics (replica_*) and the replica.push /
 	// replica.antientropy events.
@@ -129,23 +115,19 @@ func Open(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("replica: Config.Name is required")
 	}
 	st, err := core.Open(core.Config{
-		FS:                 cfg.FS,
-		NewRoot:            NewRootWithCap(cfg.HistoryCap),
-		Retain:             cfg.Retain,
-		MaxLogBytes:        cfg.MaxLogBytes,
-		MaxLogEntries:      cfg.MaxLogEntries,
-		UnsafeNoSync:       cfg.UnsafeNoSync,
-		ReplayWorkers:      cfg.ReplayWorkers,
-		LogShards:          cfg.LogShards,
-		SerialLogSync:      cfg.SerialLogSync,
-		BlockingCheckpoint: cfg.BlockingCheckpoint,
-		LockedEnquiries:    cfg.LockedEnquiries,
-		FullCheckpoints:    cfg.FullCheckpoints,
-		MaxDeltaChain:      cfg.MaxDeltaChain,
-		MaxDeltaRatio:      cfg.MaxDeltaRatio,
-		SerialCompaction:   cfg.SerialCompaction,
-		Obs:                cfg.Obs,
-		Tracer:             cfg.Tracer,
+		FS:            cfg.FS,
+		NewRoot:       NewRootWithCap(cfg.HistoryCap),
+		Retain:        cfg.Retain,
+		MaxLogBytes:   cfg.MaxLogBytes,
+		MaxLogEntries: cfg.MaxLogEntries,
+		UnsafeNoSync:  cfg.UnsafeNoSync,
+		ReplayWorkers: cfg.ReplayWorkers,
+		LogShards:     cfg.LogShards,
+		Deterministic: cfg.Deterministic,
+		MaxDeltaChain: cfg.MaxDeltaChain,
+		MaxDeltaRatio: cfg.MaxDeltaRatio,
+		Obs:           cfg.Obs,
+		Tracer:        cfg.Tracer,
 	})
 	if err != nil {
 		return nil, err

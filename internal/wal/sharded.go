@@ -339,8 +339,8 @@ func (s *Sharded) flushParts() error {
 // Flush makes every enqueued entry durable before returning: it waits out
 // the barrier for the highest assigned sequence, sealing an epoch that
 // covers everything — the epoch boundary a checkpoint cuts at. On a closed
-// log it reports what Close, the last seal, left: a committer may hold a
-// log the blocking checkpoint has since closed and swapped out.
+// log it reports what Close, the last seal, left: a committer that has
+// released the update lock may reach here after the store's Close.
 func (s *Sharded) Flush() error {
 	s.mu.Lock()
 	hi := s.nextSeq - 1
