@@ -6,23 +6,19 @@
 //	crashtest -seed 1 -ops 50              # full sweep, store and replica modes
 //	crashtest -seed 1 -mode store -from 37 -to 37   # replay one reported point
 //
-// With -net, it runs the partition sweep instead: for every update index,
-// a two-node replica pair is partitioned at that index, the acking node
-// keeps committing through the partition (optionally power-failing at the
-// heal point with -net-crash), the partition heals, and anti-entropy must
-// converge both replicas with no acknowledged update lost — all under a
-// lossy, jittery network profile (-drop, -jitter).
+// With -net, it runs the partition sweep instead: the workload commits
+// through the primary of an N-node replica group (-nodes, default 2) at
+// write quorum W (-quorum, default ⌈N/2⌉: 1 for the pair, the majority for
+// odd N). At every update index a seeded N − W non-primary members are cut
+// away — for the pair, its only peer — the window must still be
+// acknowledged, -net-crash power-fails the point's rotating victim (point
+// mod N; 0 is the primary) at the heal point, the partition heals, and
+// every member must converge on the acked-prefix oracle with no
+// acknowledged update lost — all under a lossy, jittery network profile
+// (-drop, -jitter).
 //
-//	crashtest -net -seed 1 -ops 50                  # full partition sweep
+//	crashtest -net -seed 1 -ops 50                  # full partition sweep of a pair
 //	crashtest -net -net-crash -from 12 -to 12       # replay one point, with crash
-//
-// With -net -nodes N (N > 2), the pair generalizes to an N-node
-// quorum-commit replica group: each point partitions a seeded minority of
-// non-primary members, the window must still be acknowledged at the write
-// quorum (-quorum, default majority), -net-crash power-fails the point's
-// rotating victim — the primary included — at the heal point, and after
-// the heal every member must converge on the acked-prefix oracle.
-//
 //	crashtest -net -nodes 5 -quorum 3 -net-crash -seed 1 -ops 40
 //
 // -history-cap bounds every replica's anti-entropy history. Below -window
@@ -66,12 +62,12 @@ func main() {
 		verbose   = flag.Bool("v", false, "log progress")
 
 		net      = flag.Bool("net", false, "run the partition sweep instead of the crash-point sweep")
-		netCrash = flag.Bool("net-crash", false, "with -net: also power-fail the acking node (or, with -nodes, the point's rotating victim) at the heal point")
+		netCrash = flag.Bool("net-crash", false, "with -net: also power-fail the point's rotating victim (point mod nodes; 0 is the primary) at the heal point")
 		window   = flag.Int("window", 5, "with -net: updates committed during each partition")
-		nodes    = flag.Int("nodes", 2, "with -net: replica group size; >2 sweeps an N-node quorum-commit group with a seeded minority partition per point")
-		quorum   = flag.Int("quorum", 0, "with -net -nodes N: write quorum W (0 = majority)")
-		drop     = flag.Float64("drop", 0.05, "with -net: per-message drop probability")
-		jitter   = flag.Duration("jitter", 200*time.Microsecond, "with -net: max added delivery delay")
+		nodes    = flag.Int("nodes", 2, "with -net: replica group size N; each point cuts a seeded N-W non-primary members")
+		quorum   = flag.Int("quorum", 0, "with -net: write quorum W (0 = half of N rounded up: 1 for a pair, the majority for odd N)")
+		drop     = flag.Float64("drop", defaultDrop, "with -net: per-message drop probability")
+		jitter   = flag.Duration("jitter", defaultJitter, "with -net: max added delivery delay")
 	)
 	flag.Parse()
 
@@ -145,6 +141,38 @@ func main() {
 	}
 }
 
+// The default network weather; a replay line names -drop and -jitter only
+// when a run departs from it.
+const (
+	defaultDrop   = 0.05
+	defaultJitter = 200 * time.Microsecond
+)
+
+// netReplayLine is the command line that replays one partition point: every
+// flag that fixes the workload, the group or the netsim schedule.
+func netReplayLine(res *crashtest.NetResult, point int64, nodes, quorum, histCap int, crash bool, drop float64, jitter time.Duration) string {
+	line := fmt.Sprintf("go run ./cmd/crashtest -net -seed %d -ops %d -window %d -from %d -to %d", res.Seed, res.Ops, res.Window, point, point)
+	if crash {
+		line += " -net-crash"
+	}
+	if nodes > 2 {
+		line += fmt.Sprintf(" -nodes %d", nodes)
+	}
+	if quorum > 0 {
+		line += fmt.Sprintf(" -quorum %d", quorum)
+	}
+	if histCap > 0 {
+		line += fmt.Sprintf(" -history-cap %d", histCap)
+	}
+	if drop != defaultDrop {
+		line += fmt.Sprintf(" -drop %g", drop)
+	}
+	if jitter != defaultJitter {
+		line += fmt.Sprintf(" -jitter %s", jitter)
+	}
+	return line
+}
+
 func runNet(seed int64, ops, window, nodes, quorum, histCap, from, to, stride, shards int, crash bool, drop float64, jitter time.Duration, verbose bool) int {
 	cfg := crashtest.NetConfig{
 		Seed:   seed,
@@ -178,23 +206,9 @@ func runNet(seed int64, ops, window, nodes, quorum, histCap, from, to, stride, s
 	}
 	fmt.Printf("mode=net     seed=%d ops=%d window=%d nodes=%d crash=%v partition-points=%d violations=%d\n",
 		res.Seed, res.Ops, res.Window, nodes, crash, res.Points, len(res.Violations))
-	extra := ""
-	if crash {
-		extra = " -net-crash"
-	}
-	if nodes > 2 {
-		extra += fmt.Sprintf(" -nodes %d", nodes)
-		if quorum > 0 {
-			extra += fmt.Sprintf(" -quorum %d", quorum)
-		}
-	}
-	if histCap > 0 {
-		extra += fmt.Sprintf(" -history-cap %d", histCap)
-	}
 	for _, v := range res.Violations {
 		fmt.Printf("VIOLATION %s\n", v)
-		fmt.Printf("  replay: go run ./cmd/crashtest -net -seed %d -ops %d -window %d -from %d -to %d%s\n",
-			res.Seed, res.Ops, res.Window, v.Point, v.Point, extra)
+		fmt.Printf("  replay: %s\n", netReplayLine(res, v.Point, nodes, quorum, histCap, crash, drop, jitter))
 	}
 	if len(res.Violations) > 0 {
 		return 1

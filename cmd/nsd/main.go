@@ -12,16 +12,16 @@
 //	    -peers beta=localhost:7002,gamma=localhost:7003
 //
 // Without -name, the daemon runs unreplicated and serves the "NS" service.
-// With -name, it additionally serves the "Replica" service, pushes updates
-// to its peers, and runs anti-entropy every -anti-entropy interval.
-//
-// With -quorum W (requires -name and -peers), the daemon instead runs as
-// the primary of an N-way replica group: every NS.Set/Delete is
-// acknowledged only once W members (itself included) have it durably, with
-// laggards repaired by the group's background anti-entropy. W=0 on a peer
-// daemon leaves it a plain replica member serving quorum pushes and
-// bounded-staleness Replica.Read enquiries (see nsctl read); give each
-// peer a -peers list of its fellow members so a Read behind the client's
+// With -name, it is one member of the replica group formed with its -peers
+// and additionally serves the "Replica" service: every NS.Set/Delete
+// commits locally, streams to each peer in order, and is acknowledged once
+// -quorum W members (itself included) have it durably. The default, W = 1,
+// is the paper's rule — ack after one replica, propagate behind the ack —
+// and -quorum 2 of three is a primary that survives any one loss. Every
+// -anti-entropy interval the daemon probes each peer's version vector and
+// pushes whatever it lacks; a peer that falls behind a push is repaired at
+// once. A peer that originates no updates still wants its -peers list, so
+// a bounded-staleness Replica.Read (see nsctl read) behind the client's
 // floor can catch itself up in place instead of redirecting.
 //
 // With -debug, the daemon serves a live observability endpoint: /metrics
@@ -39,7 +39,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -55,10 +54,10 @@ func main() {
 		dir         = flag.String("dir", "", "database directory (required)")
 		listen      = flag.String("listen", ":7001", "RPC listen address")
 		name        = flag.String("name", "", "replica name; enables replication")
-		peers       = flag.String("peers", "", "comma-separated name=addr peer list")
-		quorum      = flag.Int("quorum", 0, "write quorum; >0 runs this daemon as a replica-group primary committing at W members")
+		peers       = flag.String("peers", "", "comma-separated name=addr list of the other group members")
+		quorum      = flag.Int("quorum", 0, "write quorum W: members, this one included, that hold an update before it is acknowledged (0 = 1)")
 		checkpoint  = flag.Duration("checkpoint", 24*time.Hour, "checkpoint interval (the paper's nightly checkpoint)")
-		antiEntropy = flag.Duration("anti-entropy", time.Minute, "anti-entropy interval (replicated mode)")
+		antiEntropy = flag.Duration("anti-entropy", time.Minute, "interval at which each peer's vector is probed and repaired (replicated mode)")
 		retain      = flag.Int("retain", 1, "previous checkpoint+log pairs kept for hard-error recovery")
 		debug       = flag.String("debug", "", "serve /metrics, /stats and /debug/pprof on this address")
 		slow        = flag.Duration("slow", 0, "log operations slower than this (0 disables)")
@@ -114,73 +113,34 @@ func main() {
 		closer = ns
 		log.Printf("nsd: serving %s (unreplicated) on %s", *dir, *listen)
 	} else {
-		node, err := replica.Open(replica.Config{Name: *name, FS: fs, Retain: *retain, Obs: reg, Tracer: tracer})
+		group, err := replica.ParseGroupSpec(*name, *peers, max(*quorum, 1))
+		if err != nil {
+			log.Fatalf("nsd: group config: %v", err)
+		}
+		group.AntiEntropyEvery = *antiEntropy
+		node, err := replica.Open(replica.Config{Name: *name, FS: fs, Retain: *retain, Obs: reg, Tracer: tracer, GroupConfig: group})
 		if err != nil {
 			log.Fatalf("nsd: open replica: %v", err)
 		}
 		node.Store().CheckpointEvery(*checkpoint)
+		for _, m := range group.Members[1:] {
+			// Lazy reconnecting client: a member need not be up yet, and
+			// a member restart just redials on the next push or repair
+			// round.
+			client := rpc.DialRetry(m.Addr)
+			client.Instrument(reg)
+			if err := node.Connect(m.Name, client); err != nil {
+				log.Fatalf("nsd: connect %s: %v", m.Name, err)
+			}
+		}
 		if err := srv.Register("Replica", replica.NewService(node)); err != nil {
 			log.Fatalf("nsd: %v", err)
 		}
-		if *quorum > 0 {
-			// Replica-group primary: NS updates quorum-commit through the
-			// group; the group owns push streams and anti-entropy repair.
-			gcfg, err := replica.ParseGroupSpec(*name, *peers, *quorum)
-			if err != nil {
-				log.Fatalf("nsd: group config: %v", err)
-			}
-			gcfg.AntiEntropyEvery = *antiEntropy
-			gcfg.Obs = reg
-			gcfg.Tracer = tracer
-			group, err := replica.NewGroup(node, gcfg)
-			if err != nil {
-				log.Fatalf("nsd: group: %v", err)
-			}
-			for _, m := range gcfg.Members {
-				if m.Name == *name {
-					continue
-				}
-				// Lazy reconnecting client: a member need not be up yet,
-				// and a member restart just redials on the next push or
-				// repair round.
-				client := rpc.DialRetry(m.Addr)
-				client.Instrument(reg)
-				if err := group.Connect(m.Name, client); err != nil {
-					log.Fatalf("nsd: connect %s: %v", m.Name, err)
-				}
-				// Also expose the member as a node peer so Replica.Read's
-				// server-side catch-up (SyncWith) can repair a stale read
-				// in place instead of always redirecting. The client is
-				// shared with the group's push stream; Close is
-				// idempotent, so the double ownership is safe.
-				node.AddPeer(m.Name, client)
-			}
-			if err := srv.Register("NS", replica.NewGroupNSService(group)); err != nil {
-				log.Fatalf("nsd: %v", err)
-			}
-			closer = multiCloser{group, node}
-			log.Printf("nsd: serving %s as group primary %q (N=%d, W=%d) on %s",
-				*dir, *name, len(gcfg.Members), group.W(), *listen)
-		} else {
-			if err := srv.Register("NS", replica.NewNSService(node)); err != nil {
-				log.Fatalf("nsd: %v", err)
-			}
-			for _, spec := range splitPeers(*peers) {
-				pname, addr, ok := strings.Cut(spec, "=")
-				if !ok {
-					log.Fatalf("nsd: bad -peers entry %q (want name=addr)", spec)
-				}
-				// Lazy reconnecting client: the peer need not be up yet, and
-				// a peer restart just redials on the next push or
-				// anti-entropy round.
-				client := rpc.DialRetry(addr)
-				client.Instrument(reg)
-				node.AddPeer(pname, client)
-			}
-			node.AntiEntropyEvery(*antiEntropy)
-			closer = node
-			log.Printf("nsd: serving %s as replica %q on %s", *dir, *name, *listen)
+		if err := srv.Register("NS", replica.NewNSService(node)); err != nil {
+			log.Fatalf("nsd: %v", err)
 		}
+		closer = node
+		log.Printf("nsd: serving %s as replica %q (N=%d, W=%d) on %s", *dir, *name, len(group.Members), node.W(), *listen)
 	}
 
 	var admin *obs.AdminServer
@@ -214,24 +174,4 @@ func main() {
 	if err := flight.Close(); err != nil {
 		log.Printf("nsd: flight close: %v", err)
 	}
-}
-
-// multiCloser shuts components down in order, keeping the first error.
-type multiCloser []interface{ Close() error }
-
-func (m multiCloser) Close() error {
-	var first error
-	for _, c := range m {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-func splitPeers(s string) []string {
-	if s == "" {
-		return nil
-	}
-	return strings.Split(s, ",")
 }

@@ -20,9 +20,12 @@ import (
 
 func main() {
 	// Two replicas, connected by the RPC layer over in-memory pipes (use
-	// cmd/nsd for real TCP daemons).
+	// cmd/nsd for real TCP daemons). alpha is one of a group of N = 2 at
+	// write quorum W = 2, so beta holds an update when Set returns; nsd's
+	// default, W = 1, acks after alpha alone and propagates behind the ack.
+	pair := replica.GroupConfig{Members: []replica.Member{{Name: "alpha", Addr: "pipe"}, {Name: "beta", Addr: "pipe"}}, W: 2}
 	fsA := vfs.NewMem(1)
-	alpha, err := replica.Open(replica.Config{Name: "alpha", FS: fsA, HistoryCap: 1000})
+	alpha, err := replica.Open(replica.Config{Name: "alpha", FS: fsA, HistoryCap: 1000, GroupConfig: pair})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,17 +47,17 @@ func main() {
 		go srv.ServeConn(s)
 		return rpc.NewClient(c)
 	}
-	alpha.AddPeer("beta", dial(srvB))
-	toAlpha := dial(srvA)
-	defer toAlpha.Close()
-
-	// Populate network configuration at alpha; propagation carries it to
-	// beta.
 	must := func(err error) {
 		if err != nil {
 			log.Fatal(err)
 		}
 	}
+	must(alpha.Connect("beta", dial(srvB)))
+	toAlpha := dial(srvA)
+	defer toAlpha.Close()
+
+	// Populate network configuration at alpha; its push stream carries it
+	// to beta.
 	must(alpha.Set("net/hosts/gva/addr", "16.4.0.1"))
 	must(alpha.Set("net/hosts/gva/os", "ultrix"))
 	must(alpha.Set("net/hosts/src/addr", "16.4.0.2"))

@@ -495,8 +495,10 @@ func E13(env Env) ([]*Table, error) {
 	propagated := env.iters(200, 30)
 	localOnly := 5
 
+	// a is one of a pair at W = N = 2: b holds an update when Set returns.
+	pair := replica.GroupConfig{Members: []replica.Member{{Name: "a", Addr: "pipe"}, {Name: "b", Addr: "pipe"}}, W: 2}
 	fsA := vfs.NewMem(env.Seed)
-	na, err := replica.Open(replica.Config{Name: "a", FS: fsA, HistoryCap: propagated * 2})
+	na, err := replica.Open(replica.Config{Name: "a", FS: fsA, HistoryCap: propagated * 2, GroupConfig: pair})
 	if err != nil {
 		return nil, err
 	}
@@ -520,8 +522,9 @@ func E13(env Env) ([]*Table, error) {
 	defer clientToA.Close()
 	cbConn, sbConn := net.Pipe()
 	go srvB.ServeConn(sbConn)
-	clientToB := rpc.NewClient(cbConn)
-	na.AddPeer("b", clientToB)
+	if err := na.Connect("b", rpc.NewClient(cbConn)); err != nil {
+		return nil, err
+	}
 
 	// Propagated updates flow a -> b.
 	for i := 0; i < propagated; i++ {
@@ -529,7 +532,7 @@ func E13(env Env) ([]*Table, error) {
 			return nil, err
 		}
 	}
-	// Local-only updates at b: never propagated (b has no peers wired).
+	// Local-only updates at b: never propagated (b has no members wired).
 	for i := 0; i < localOnly; i++ {
 		if err := nb.Set(fmt.Sprintf("local/k%d", i), "v"); err != nil {
 			return nil, err

@@ -24,10 +24,12 @@ const (
 	// exactly the acknowledged prefix, and replaying the remaining updates
 	// must reach the full-workload oracle.
 	ModeStore = "store"
-	// ModeReplica tortures one node of a two-node replica pair: after the
-	// crashed node recovers, anti-entropy with its peer must restore every
-	// update the pair acknowledged, then the workload finishes on the
-	// recovered node and both replicas must converge on the full oracle.
+	// ModeReplica tortures one node of a two-node replica group at W = 2,
+	// so the peer holds every update the pair acknowledged (with
+	// UnsafeNoSync it is the only place they are): after the crashed node
+	// recovers, anti-entropy with its peer must restore every one of them,
+	// then the workload finishes on the recovered node and both replicas
+	// must converge on the full oracle.
 	ModeReplica = "replica"
 )
 
@@ -632,9 +634,9 @@ func storeFingerprint(srv *nameserver.Server) (uint64, error) {
 
 // --- replica mode ---
 
-// peer is the crash-free replica "b": every update node "a" acknowledges
-// has been pushed here, so after a crash it holds exactly the acknowledged
-// prefix.
+// peer is the crash-free replica "b": node "a" commits at W = 2, so every
+// update it acknowledges has been pushed here and after a crash it holds
+// exactly the acknowledged prefix.
 type peer struct {
 	node *replica.Node
 	srv  *rpc.Server
@@ -678,8 +680,12 @@ func dialNode(node *replica.Node) (*rpc.Client, func(), error) {
 	return rpc.NewClient(cc), func() { srv.Close() }, nil
 }
 
-// runReplicaWorkload replays the plan through node "a" on fs, pushing each
-// committed update to the peer, checkpointing on the same schedule as
+// pairOf is node "a"'s group: itself and the peer, every update acked by
+// both.
+var pairOf = replica.GroupConfig{Members: []replica.Member{{Name: "a", Addr: "pipe"}, {Name: "b", Addr: "pipe"}}, W: 2}
+
+// runReplicaWorkload replays the plan through node "a" on fs, each update
+// acked once the peer holds it too, checkpointing on the same schedule as
 // store mode.
 func (r *runner) runReplicaWorkload(fs vfs.FS, p *peer, rec *recorder, opCount func() int64, rc *readerCheck) error {
 	fl, err := openFlight(fs)
@@ -689,21 +695,18 @@ func (r *runner) runReplicaWorkload(fs vfs.FS, p *peer, rec *recorder, opCount f
 	defer fl.Close()
 	node, err := replica.Open(replica.Config{Name: "a", FS: fs, HistoryCap: r.cfg.HistoryCap, UnsafeNoSync: r.cfg.UnsafeNoSync, ReplayWorkers: r.cfg.ReplayWorkers,
 		LogShards: r.cfg.LogShards, Deterministic: true, Tracer: fl, Obs: r.reg,
-		MaxDeltaChain: r.cfg.MaxDeltaChain})
+		MaxDeltaChain: r.cfg.MaxDeltaChain, GroupConfig: pairOf})
 	if err != nil {
 		return err
 	}
-	node.AddPeer("b", p.dial())
+	if err := node.Connect("b", p.dial()); err != nil {
+		node.Close()
+		return err
+	}
 	rc.launch(node.Store(), replicaTree)
 	k := 0
-	doOne := func() error {
-		return r.step(&k, rec, opCount, func(us []core.Update) error {
-			if len(us) == 1 {
-				return node.Apply(us[0])
-			}
-			return node.ApplyBatch(us)
-		})
-	}
+	// One update or a batch: the node commits both the same way.
+	doOne := func() error { return r.step(&k, rec, opCount, node.ApplyBatch) }
 	checkpoint := node.Checkpoint
 	if r.cfg.OverlapCheckpoints {
 		checkpoint = func() error {
@@ -741,7 +744,7 @@ func (r *runner) replicaPoint(n int64) (out []Violation) {
 
 	node, err := replica.Open(replica.Config{Name: "a", FS: snap, HistoryCap: r.cfg.HistoryCap, ReplayWorkers: r.cfg.ReplayWorkers,
 		LogShards: r.cfg.LogShards, Deterministic: true, Obs: r.reg,
-		MaxDeltaChain: r.cfg.MaxDeltaChain})
+		MaxDeltaChain: r.cfg.MaxDeltaChain, GroupConfig: pairOf})
 	if err != nil {
 		return append(out, r.violation(n, "recovery failed: %v", err))
 	}
@@ -811,7 +814,9 @@ func (r *runner) replicaPoint(n int64) (out []Violation) {
 		upto = peerHas
 	}
 	client := p.dial()
-	node.AddPeer("b", client)
+	if err := node.Connect("b", client); err != nil {
+		return append(out, r.violation(n, "harness: connecting the peer: %v", err))
+	}
 	if err := node.SyncWith(client); err != nil {
 		return append(out, r.violation(n, "catch-up: anti-entropy pull failed: %v", err))
 	}
@@ -830,8 +835,8 @@ func (r *runner) replicaPoint(n int64) (out []Violation) {
 		return append(out, r.violation(n, "peer diverges from the oracle prefix of %d updates after anti-entropy (%v)", upto, err))
 	}
 
-	// Finish the workload on the recovered node; pushes propagate to the
-	// peer, and both replicas must land on the full oracle.
+	// Finish the workload on the recovered node, each update acked by the
+	// peer too; both replicas must land on the full oracle.
 	for k := upto; k < len(r.plan.updates); k++ {
 		if err := node.Apply(r.plan.updates[k]); err != nil {
 			return append(out, r.violation(n, "catch-up: update %d rejected after recovery: %v", k, err))

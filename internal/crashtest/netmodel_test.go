@@ -116,20 +116,26 @@ func TestModelOracle(t *testing.T) {
 	nw := netsim.New(seed, netsim.Options{Profile: hostileProfile})
 	defer nw.Close()
 	ffs := faultfs.New(vfs.NewMem(seed), faultfs.Options{CrashAt: faultfs.Never})
-	a, err := openNetNode(nw, "a", ffs, NetConfig{}, nil)
+	// A pair at W = 1, each node pushing to the other.
+	pair := replica.GroupConfig{Members: []replica.Member{{Name: "a", Addr: "netsim"}, {Name: "b", Addr: "netsim"}}, W: 1}
+	a, err := openNetNode(nw, "a", ffs, NetConfig{}, pair, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { a.close() }()
-	b, err := openNetNode(nw, "b", vfs.NewMem(seed+1), NetConfig{}, nil)
+	b, err := openNetNode(nw, "b", vfs.NewMem(seed+1), NetConfig{}, pair, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.close()
-	ab := rpc.NewClientDialer(nw.Dialer("a", "b"))
-	a.node.AddPeer("b", ab)
-	ba := rpc.NewClientDialer(nw.Dialer("b", "a"))
-	b.node.AddPeer("a", ba)
+	connect := func(from *netNode, to string) *rpc.Client {
+		c := rpc.NewClientDialer(nw.Dialer(from.node.Name(), to))
+		if err := from.node.Connect(to, c); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	ab, ba := connect(a, "b"), connect(b, "a")
 
 	// quiesce clears the weather, converges the pair, restores the
 	// weather, and checks both replicas against the model.
@@ -190,13 +196,12 @@ func TestModelOracle(t *testing.T) {
 			// the full prefix.
 			frozen := ffs.Snapshot()
 			a.close()
-			restarted, err := openNetNode(nw, "a", frozen, NetConfig{}, nil)
+			restarted, err := openNetNode(nw, "a", frozen, NetConfig{}, pair, nil)
 			if err != nil {
 				t.Fatalf("restart of node a: %v", err)
 			}
 			a = restarted
-			ab = rpc.NewClientDialer(nw.Dialer("a", "b"))
-			a.node.AddPeer("b", ab)
+			ab = connect(a, "b")
 		}
 		quiesce("phase " + string(rune('0'+phase)))
 	}

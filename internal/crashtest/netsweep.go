@@ -2,6 +2,7 @@ package crashtest
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -20,13 +21,14 @@ import (
 const ModeNet = "net"
 
 // NetConfig configures a partition sweep: the network analogue of the
-// crash-point sweep. The same seeded workload runs once per partition
-// point k — replicas are partitioned just before update k, node "a" keeps
-// committing (and acknowledging) updates through the partition, the
-// partition heals, and anti-entropy must converge both replicas with no
-// acknowledged update lost. With Crash set, node "a" additionally loses
-// power at the heal point and recovers from its durable image first —
-// composing the network torture with the disk torture.
+// crash-point sweep. The same seeded workload runs once per partition point
+// k — the updates commit through the primary of an N-node replica group at
+// write quorum W, just before update k a seeded N − W non-primary members
+// are cut away from the rest, the window commits (and must ack) against the
+// survivors, the partition heals, and every member must converge with no
+// acknowledged update lost. With Crash set, the point's rotating victim
+// additionally loses power at the heal point and recovers from its durable
+// image first — composing the network torture with the disk torture.
 type NetConfig struct {
 	// Seed fixes the workload and, combined with the partition point, the
 	// per-point network fault schedule; (Seed, point) replays any failure.
@@ -44,21 +46,15 @@ type NetConfig struct {
 	// Shards is the number of points replayed concurrently (default
 	// GOMAXPROCS).
 	Shards int
-	// Crash also power-fails node "a" at the heal point: the acked-in-
-	// partition updates must survive the partition plus the crash.
+	// Crash also power-fails the point's victim (point mod N; 0 is the
+	// primary) at the heal point: the updates acked during the partition
+	// must survive the partition plus the crash.
 	Crash bool
-	// Nodes generalizes the sweep from the hardwired pair to an N-node
-	// quorum-commit group (replica.Group). 0 and 2 run the classic pair;
-	// N > 2 runs the group sweep: updates commit through the group at
-	// write quorum Quorum, each point partitions a seeded minority of
-	// non-primary members away from the rest, and — with Crash — the
-	// point's rotating victim (point mod N; 0 is the primary) power-fails
-	// at the heal point. Quorum-acked updates must survive all of it.
+	// Nodes is the group size N; 0 and 2 run a pair.
 	Nodes int
-	// Quorum is the group sweep's write quorum W (0 = majority). The
-	// sweep guarantees availability through any minority partition, so W
-	// may not exceed the majority — a larger W could not ack the window
-	// while the minority is unreachable.
+	// Quorum is the write quorum W (0 = ⌈N/2⌉: 1 for a pair, the majority
+	// for odd N). Each point cuts N − W members, the most the window can
+	// still be acknowledged without.
 	Quorum int
 	// HistoryCap bounds every node's anti-entropy history (0 = 10000, above
 	// any sweep's op count). A cap below Ops puts the history trim inside
@@ -84,15 +80,16 @@ type NetResult struct {
 	Window int
 	Points int
 	// FullRestores counts snapshot installs across all points and nodes: a
-	// repair the history could no longer serve (pulled by a pair node,
-	// pushed by a group primary). Zero unless HistoryCap is below Window.
+	// repair the history could no longer serve (pushed by the primary's
+	// repair loop or pulled by the convergence check). Zero unless
+	// HistoryCap is below Window.
 	FullRestores uint64
 	Violations   []Violation
 }
 
-// netPolicy fails pushes fast when the peer is partitioned away — the
-// window updates must still be acknowledged promptly — while absorbing the
-// profile's transient faults by retry.
+// netPolicy fails pushes fast when the member is partitioned away — repair
+// must get to the next member promptly — while absorbing the profile's
+// transient faults by retry.
 var netPolicy = rpc.RetryPolicy{MaxAttempts: 4, Budget: 500 * time.Millisecond, BaseDelay: 500 * time.Microsecond, MaxDelay: 5 * time.Millisecond, PerTry: 200 * time.Millisecond}
 
 // RunNet executes the partition sweep.
@@ -127,17 +124,16 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 		points = append(points, p)
 	}
 
-	pointFn := (&netRunner{cfg: cfg, plan: makePlan(cfg.Seed, cfg.Ops)}).point
-	if cfg.Nodes > 2 {
-		gr, err := newGroupRunner(cfg)
-		if err != nil {
-			return nil, err
-		}
-		pointFn = gr.point
+	gr := &groupRunner{cfg: cfg, plan: makePlan(cfg.Seed, cfg.Ops), nodes: max(cfg.Nodes, 2), quorum: cfg.Quorum}
+	if gr.quorum == 0 {
+		gr.quorum = (gr.nodes + 1) / 2
+	}
+	if gr.quorum < 1 || gr.quorum > gr.nodes {
+		return nil, fmt.Errorf("crashtest: quorum %d out of range for %d nodes", gr.quorum, gr.nodes)
 	}
 	if cfg.Logf != nil {
 		cfg.Logf("crashtest: mode=net seed=%d ops=%d window=%d crash=%v nodes=%d quorum=%d points=%d shards=%d",
-			cfg.Seed, cfg.Ops, cfg.Window, cfg.Crash, max(cfg.Nodes, 2), cfg.Quorum, len(points), cfg.Shards)
+			cfg.Seed, cfg.Ops, cfg.Window, cfg.Crash, gr.nodes, gr.quorum, len(points), cfg.Shards)
 	}
 
 	res := &NetResult{Seed: cfg.Seed, Ops: cfg.Ops, Window: cfg.Window, Points: len(points)}
@@ -157,7 +153,7 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 				if i >= int64(len(points)) {
 					return
 				}
-				vs := pointFn(points[i])
+				vs := gr.point(points[i])
 				if len(vs) > 0 {
 					mu.Lock()
 					res.Violations = append(res.Violations, vs...)
@@ -181,48 +177,20 @@ func RunNet(cfg NetConfig) (*NetResult, error) {
 // fullRestoresCounter is the replica node's snapshot-install counter.
 const fullRestoresCounter = "replica_full_restores"
 
-type netRunner struct {
-	cfg  NetConfig
-	plan *plan
-}
-
-func (r *netRunner) violation(k int, format string, args ...any) Violation {
-	return Violation{Seed: r.cfg.Seed, Mode: ModeNet, Point: int64(k), Msg: fmt.Sprintf(format, args...)}
-}
-
-// checkNetFlight validates node "a"'s flight ring on a durable image taken
-// at a point where ackedTo updates have been acknowledged: decodable,
-// non-empty, newest commit event within one of the acked count (the
-// recorder syncs each slot, so only a crash landing on the newest slot's
-// own write can lose it — and the partition sweep freezes between ops, so
-// in practice the newest commit is exactly ackedTo).
-func (r *netRunner) checkNetFlight(k int, fs vfs.FS, ackedTo int) []Violation {
-	events, err := obs.ReadFlight(fs, flightName)
-	if err != nil {
-		return []Violation{r.violation(k, "flight: unreadable on the durable image: %v", err)}
-	}
-	if len(events) == 0 {
-		return []Violation{r.violation(k, "flight: empty tail with %d acked updates", ackedTo)}
-	}
-	if max := maxCommitSeq(events); max < ackedTo-1 || max > ackedTo {
-		return []Violation{r.violation(k, "flight: newest commit event is seq %d but %d updates were acknowledged", max, ackedTo)}
-	}
-	return nil
-}
-
-// netNode is one replica endpoint inside a point's private network.
+// netNode is one replica endpoint inside a point's private network; group
+// is zero for a member that originates nothing.
 type netNode struct {
 	node *replica.Node
 	srv  *rpc.Server
 	l    *netsim.Listener
 }
 
-func openNetNode(nw *netsim.Network, name string, fs vfs.FS, cfg NetConfig, tracer obs.Tracer) (*netNode, error) {
+func openNetNode(nw *netsim.Network, name string, fs vfs.FS, cfg NetConfig, group replica.GroupConfig, tracer obs.Tracer) (*netNode, error) {
 	historyCap := cfg.HistoryCap
 	if historyCap <= 0 {
 		historyCap = 10000
 	}
-	node, err := replica.Open(replica.Config{Name: name, FS: fs, HistoryCap: historyCap, PushPolicy: netPolicy, SyncPolicy: netPolicy, Tracer: tracer, Obs: cfg.reg})
+	node, err := replica.Open(replica.Config{Name: name, FS: fs, HistoryCap: historyCap, PushPolicy: netPolicy, SyncPolicy: netPolicy, Tracer: tracer, Obs: cfg.reg, GroupConfig: group})
 	if err != nil {
 		return nil, err
 	}
@@ -255,136 +223,253 @@ func (n *netNode) close() {
 	n.node.Close()
 }
 
+// groupRunner replays partition points against an N-node group at write
+// quorum W.
+type groupRunner struct {
+	cfg    NetConfig
+	plan   *plan
+	nodes  int
+	quorum int
+}
+
+func (r *groupRunner) violation(k int, format string, args ...any) Violation {
+	return Violation{Seed: r.cfg.Seed, Mode: ModeNet, Point: int64(k), Msg: fmt.Sprintf(format, args...)}
+}
+
+// member is one non-primary group member inside a point's network.
+type member struct {
+	name string
+	ffs  *faultfs.FS
+	nn   *netNode
+	pull *rpc.Client // member -> primary, for convergence pulls
+}
+
+func memberName(i int) string { return fmt.Sprintf("n%d", i) }
+
 // point replays one partition point, converting a harness panic into a
 // violation rather than killing the whole sweep.
-func (r *netRunner) point(k int) (vs []Violation) {
+func (r *groupRunner) point(k int) (vs []Violation) {
 	defer func() {
 		if p := recover(); p != nil {
 			vs = append(vs, r.violation(k, "harness panic: %v", p))
 		}
 	}()
-	return r.netPoint(k)
+	return r.groupPoint(k)
 }
 
-func (r *netRunner) netPoint(k int) []Violation {
-	// Every point gets its own network whose schedule is fixed by
-	// (workload seed, point): the same pair replays the same weather.
-	nw := netsim.New(r.cfg.Seed*1000003+int64(k), netsim.Options{Profile: r.cfg.Profile, TraceCap: 256})
+func (r *groupRunner) groupPoint(k int) []Violation {
+	// One private network per point; (seed, point) fixes the weather, the
+	// choice of members to cut, and the crash victim — any failure replays.
+	pointSeed := r.cfg.Seed*1000003 + int64(k)
+	nw := netsim.New(pointSeed, netsim.Options{Profile: r.cfg.Profile, TraceCap: 256})
 	defer nw.Close()
+	rng := rand.New(rand.NewSource(pointSeed))
 
-	ffs := faultfs.New(vfs.NewMem(r.cfg.Seed), faultfs.Options{CrashAt: faultfs.Never})
-	fl, err := openFlight(ffs)
+	primaryName := memberName(0)
+	gcfg := replica.GroupConfig{
+		W:                r.quorum,
+		QuorumTimeout:    10 * time.Second,
+		AntiEntropyEvery: 5 * time.Millisecond,
+	}
+	for i := 0; i < r.nodes; i++ {
+		gcfg.Members = append(gcfg.Members, replica.Member{Name: memberName(i), Addr: "netsim"})
+	}
+
+	members := make([]*member, 0, r.nodes-1)
+	defer func() {
+		for _, m := range members {
+			if m.nn != nil {
+				m.nn.close()
+			}
+		}
+	}()
+	for i := 1; i < r.nodes; i++ {
+		name := memberName(i)
+		mffs := faultfs.New(vfs.NewMem(r.cfg.Seed+int64(i)), faultfs.Options{CrashAt: faultfs.Never})
+		nn, err := openNetNode(nw, name, mffs, r.cfg, replica.GroupConfig{}, nil)
+		if err != nil {
+			return []Violation{r.violation(k, "harness: opening member %s: %v", name, err)}
+		}
+		members = append(members, &member{
+			name: name,
+			ffs:  mffs,
+			nn:   nn,
+			pull: rpc.NewClientDialer(nw.Dialer(name, primaryName)),
+		})
+	}
+
+	// Primary: faultfs for the durable image, flight recorder for the
+	// commit-trail assertion.
+	pffs := faultfs.New(vfs.NewMem(r.cfg.Seed), faultfs.Options{CrashAt: faultfs.Never})
+	fl, err := openFlight(pffs)
 	if err != nil {
 		return []Violation{r.violation(k, "harness: opening flight recorder: %v", err)}
 	}
 	defer fl.Close()
-	a, err := openNetNode(nw, "a", ffs, r.cfg, fl)
+	openPrimary := func(fs vfs.FS, tracer obs.Tracer) (*netNode, error) {
+		nn, err := openNetNode(nw, primaryName, fs, r.cfg, gcfg, tracer)
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range members {
+			if err := nn.node.Connect(m.name, rpc.NewClientDialer(nw.Dialer(primaryName, m.name))); err != nil {
+				nn.close()
+				return nil, err
+			}
+		}
+		return nn, nil
+	}
+	primary, err := openPrimary(pffs, fl)
 	if err != nil {
-		return []Violation{r.violation(k, "harness: opening node a: %v", err)}
+		return []Violation{r.violation(k, "harness: opening primary: %v", err)}
 	}
 	defer func() {
-		if a != nil {
-			a.close()
+		if primary != nil {
+			primary.close()
 		}
 	}()
-	b, err := openNetNode(nw, "b", vfs.NewMem(r.cfg.Seed+1), r.cfg, nil)
-	if err != nil {
-		return []Violation{r.violation(k, "harness: opening node b: %v", err)}
-	}
-	defer b.close()
-	abClient := rpc.NewClientDialer(nw.Dialer("a", "b"))
-	a.node.AddPeer("b", abClient)
-	baClient := rpc.NewClientDialer(nw.Dialer("b", "a"))
 
-	// Prefix: updates [0, k) commit on "a" under the configured weather;
-	// pushes propagate best-effort, anti-entropy owes nothing yet.
+	// Prefix: updates [0, k) quorum-commit under the configured weather.
 	for i := 0; i < k; i++ {
-		if err := a.node.Apply(r.plan.updates[i]); err != nil {
-			return []Violation{r.violation(k, "prefix update %d not acknowledged: %v", i, err)}
+		if err := primary.node.Apply(r.plan.updates[i]); err != nil {
+			return []Violation{r.violation(k, "prefix update %d not quorum-acknowledged: %v", i, err)}
 		}
 	}
 
-	// Partition, then commit the window on "a". Every one of these Apply
-	// returns — they are acknowledged to the client — so losing any of
-	// them later is a violation.
-	nw.Partition("a", "b")
+	// Cut a seeded N − W non-primary members away from everyone else — as
+	// many as the quorum can do without; for a pair at W = 1 that is the
+	// only peer. The primary stays on the acking side: the whole point of
+	// the quorum is that it keeps acknowledging through exactly this.
+	cut := make(map[string]bool, r.nodes-r.quorum)
+	for _, mi := range rng.Perm(r.nodes - 1)[:r.nodes-r.quorum] {
+		cut[members[mi].name] = true
+	}
+	for name := range cut {
+		nw.Partition(name, primaryName)
+		for _, m := range members {
+			if !cut[m.name] {
+				nw.Partition(name, m.name)
+			}
+		}
+	}
+
+	// The window must be acknowledged at quorum W against the survivors.
 	ackedTo := k + r.cfg.Window
 	for i := k; i < ackedTo; i++ {
-		if err := a.node.Apply(r.plan.updates[i]); err != nil {
-			return []Violation{r.violation(k, "update %d not acknowledged during partition: %v", i, err)}
+		if err := primary.node.Apply(r.plan.updates[i]); err != nil {
+			return []Violation{r.violation(k, "update %d not quorum-acknowledged during partition of %v: %v", i, keys(cut), err)}
 		}
 	}
 
+	victim := -1
 	if r.cfg.Crash {
-		// Power-fail "a": freeze its synced-only durable image and
-		// restart from it, as the disk sweep does. The frozen image must
-		// hold a decodable flight ring whose newest commit event covers
-		// the updates acked during the partition (the recorder syncs each
-		// slot before the commit that emitted it is acknowledged).
-		frozen := ffs.Snapshot()
-		a.close()
-		a = nil
-		if vs := r.checkNetFlight(k, frozen, ackedTo); vs != nil {
+		victim = k % r.nodes
+	}
+	if victim == 0 {
+		// Power-fail the primary: its synced-only image must hold a
+		// decodable flight ring and every acknowledged update — an update
+		// is acked only after the local commit's sync.
+		frozen := pffs.Snapshot()
+		primary.close()
+		primary = nil
+		if vs := r.checkGroupFlight(k, frozen, ackedTo); vs != nil {
 			return vs
 		}
-		restarted, err := openNetNode(nw, "a", frozen, r.cfg, nil)
+		if primary, err = openPrimary(frozen, nil); err != nil {
+			return []Violation{r.violation(k, "recovery of the crashed primary failed: %v", err)}
+		}
+		vec, err := primary.node.Vector()
 		if err != nil {
-			return []Violation{r.violation(k, "recovery of the acking node failed: %v", err)}
+			return []Violation{r.violation(k, "reading recovered primary vector: %v", err)}
 		}
-		a = restarted
-		abClient = rpc.NewClientDialer(nw.Dialer("a", "b"))
-		a.node.AddPeer("b", abClient)
-		vec, err := a.node.Vector()
-		if err != nil {
-			return []Violation{r.violation(k, "reading recovered vector: %v", err)}
+		if recovered := int(vec[primaryName]); recovered < ackedTo {
+			return []Violation{r.violation(k, "durability: primary recovered %d updates but %d were quorum-acknowledged", recovered, ackedTo)}
 		}
-		if recovered := int(vec["a"]); recovered < ackedTo {
-			return []Violation{r.violation(k, "durability: recovered %d updates but %d were acknowledged (window acked during partition lost in crash)", recovered, ackedTo)}
+	} else if victim > 0 {
+		// Power-fail a member (possibly one of those cut off): freeze its
+		// durable image and restart from it. Member disks hold only
+		// asynchronously pushed state, so the recovered prefix is whatever
+		// had synced — convergence below is the assertion that none of it
+		// matters durably.
+		m := members[victim-1]
+		frozen := m.ffs.Snapshot()
+		m.nn.close()
+		if m.nn, err = openNetNode(nw, m.name, frozen, r.cfg, replica.GroupConfig{}, nil); err != nil {
+			m.nn = nil
+			return []Violation{r.violation(k, "recovery of crashed member %s failed: %v", m.name, err)}
 		}
+		m.pull = rpc.NewClientDialer(nw.Dialer(m.name, primaryName))
 	}
 
-	// Heal and clear the weather: convergence is now owed
-	// unconditionally, so a residual drop must not masquerade as a
-	// correctness failure.
+	// Heal and clear the weather: convergence is now owed unconditionally,
+	// so a residual drop must not masquerade as a correctness failure.
 	nw.HealAll()
 	nw.SetProfile(netsim.Profile{})
-	if vs := r.converge(k, a, b, abClient, baClient, ackedTo, "after partition heal"); vs != nil {
+	if vs := r.converge(k, primary, members, ackedTo, "after partition heal"); vs != nil {
 		return vs
 	}
 
-	// Finish the workload on "a" and require both replicas to land on the
-	// full oracle.
+	// Finish the workload at quorum and require the whole group to land
+	// on the full oracle.
 	for i := ackedTo; i < len(r.plan.updates); i++ {
-		if err := a.node.Apply(r.plan.updates[i]); err != nil {
-			return []Violation{r.violation(k, "post-heal update %d not acknowledged: %v", i, err)}
+		if err := primary.node.Apply(r.plan.updates[i]); err != nil {
+			return []Violation{r.violation(k, "post-heal update %d not quorum-acknowledged: %v", i, err)}
 		}
 	}
-	if vs := r.converge(k, a, b, abClient, baClient, len(r.plan.updates), "after finishing the workload"); vs != nil {
+	if vs := r.converge(k, primary, members, len(r.plan.updates), "after finishing the workload"); vs != nil {
 		return vs
 	}
-	if !r.cfg.Crash {
-		// Without a crash "a" records the whole workload; its durable ring
-		// must decode and cover every acknowledged update.
-		return r.checkNetFlight(k, ffs.Snapshot(), len(r.plan.updates))
+	if victim != 0 {
+		// The primary survived the whole point: its durable ring must
+		// decode and cover every acknowledged update.
+		return r.checkGroupFlight(k, pffs.Snapshot(), len(r.plan.updates))
 	}
 	return nil
 }
 
-// converge runs anti-entropy both ways and checks both replicas against the
-// oracle prefix of upto updates.
-func (r *netRunner) converge(k int, a, b *netNode, ab, ba *rpc.Client, upto int, when string) []Violation {
-	if err := a.node.SyncWith(ab); err != nil {
-		return []Violation{r.violation(k, "anti-entropy a<-b failed %s: %v", when, err)}
+// checkGroupFlight validates the primary's flight ring on a durable image
+// taken at a point where ackedTo updates have been acknowledged: decodable,
+// non-empty, newest commit event within one of the acked count (the
+// recorder syncs each slot, so only a crash landing on the newest slot's
+// own write can lose it — and the partition sweep freezes between ops, so
+// in practice the newest commit is exactly ackedTo).
+func (r *groupRunner) checkGroupFlight(k int, fs vfs.FS, ackedTo int) []Violation {
+	events, err := obs.ReadFlight(fs, flightName)
+	if err != nil {
+		return []Violation{r.violation(k, "flight: unreadable on the primary's durable image: %v", err)}
 	}
-	if err := b.node.SyncWith(ba); err != nil {
-		return []Violation{r.violation(k, "anti-entropy b<-a failed %s: %v", when, err)}
+	if len(events) == 0 {
+		return []Violation{r.violation(k, "flight: empty tail with %d acked updates", ackedTo)}
 	}
-	want := r.plan.fp[upto]
-	if got, err := replicaFingerprint(a.node); err != nil || got != want {
-		return []Violation{r.violation(k, "node a diverges from the oracle prefix of %d updates %s (%v)", upto, when, err)}
-	}
-	if got, err := replicaFingerprint(b.node); err != nil || got != want {
-		return []Violation{r.violation(k, "acked-update loss: node b diverges from the oracle prefix of %d updates %s (%v)", upto, when, err)}
+	if max := maxCommitSeq(events); max < ackedTo-1 || max > ackedTo {
+		return []Violation{r.violation(k, "flight: newest commit event is seq %d but %d updates were quorum-acknowledged", max, ackedTo)}
 	}
 	return nil
+}
+
+// converge pulls every member up to the primary and checks the whole group
+// against the oracle prefix of upto updates.
+func (r *groupRunner) converge(k int, primary *netNode, members []*member, upto int, when string) []Violation {
+	want := r.plan.fp[upto]
+	if got, err := replicaFingerprint(primary.node); err != nil || got != want {
+		return []Violation{r.violation(k, "primary diverges from the oracle prefix of %d updates %s (%v)", upto, when, err)}
+	}
+	for _, m := range members {
+		if err := m.nn.node.SyncWith(m.pull); err != nil {
+			return []Violation{r.violation(k, "anti-entropy %s<-primary failed %s: %v", m.name, when, err)}
+		}
+		if got, err := replicaFingerprint(m.nn.node); err != nil || got != want {
+			return []Violation{r.violation(k, "acked-update loss: member %s diverges from the oracle prefix of %d updates %s (%v)", m.name, upto, when, err)}
+		}
+	}
+	return nil
+}
+
+// keys lists a set's members, for violation messages.
+func keys(m map[string]bool) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
 }

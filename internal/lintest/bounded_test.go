@@ -13,12 +13,11 @@ import (
 )
 
 // makeBoundedGroup wires a quorum-commit group — primary plus remote
-// members over pipes — and returns it with every node (primary first) as a
+// members over pipes — and returns every node (primary first) as a
 // bounded-read member.
-func makeBoundedGroup(t *testing.T, w int, names ...string) (*replica.Group, []*replica.Node) {
+func makeBoundedGroup(t *testing.T, w int, names ...string) []*replica.Node {
 	t.Helper()
 	cfg := replica.GroupConfig{
-		Self:             names[0],
 		W:                w,
 		QuorumTimeout:    10 * time.Second,
 		AntiEntropyEvery: 5 * time.Millisecond,
@@ -29,7 +28,11 @@ func makeBoundedGroup(t *testing.T, w int, names ...string) (*replica.Group, []*
 	nodes := make([]*replica.Node, 0, len(names))
 	var servers []*rpc.Server
 	for i, name := range names {
-		n, err := replica.Open(replica.Config{Name: name, FS: vfs.NewMem(int64(i + 1)), HistoryCap: 4096})
+		nc := replica.Config{Name: name, FS: vfs.NewMem(int64(i + 1)), HistoryCap: 4096}
+		if i == 0 {
+			nc.GroupConfig = cfg
+		}
+		n, err := replica.Open(nc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,19 +46,14 @@ func makeBoundedGroup(t *testing.T, w int, names ...string) (*replica.Group, []*
 		}
 		servers = append(servers, srv)
 	}
-	g, err := replica.NewGroup(nodes[0], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, n := range nodes[1:] {
 		cc, sc := net.Pipe()
 		go servers[i].ServeConn(sc)
-		if err := g.Connect(n.Name(), rpc.NewClient(cc)); err != nil {
+		if err := nodes[0].Connect(n.Name(), rpc.NewClient(cc)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	t.Cleanup(func() {
-		g.Close()
 		for _, n := range nodes {
 			n.Close()
 		}
@@ -63,14 +61,14 @@ func makeBoundedGroup(t *testing.T, w int, names ...string) (*replica.Group, []*
 			s.Close()
 		}
 	})
-	return g, nodes
+	return nodes
 }
 
 // TestBoundedStalenessGroup is the satellite contract run: 32 readers
 // rotating over all 5 members of a W=3 group, every read validated against
 // the frontier witness with per-reader monotonic floors, zero violations.
 func TestBoundedStalenessGroup(t *testing.T) {
-	g, nodes := makeBoundedGroup(t, 3, "a", "b", "c", "d", "e")
+	nodes := makeBoundedGroup(t, 3, "a", "b", "c", "d", "e")
 	members := make([]BoundedMember, len(nodes))
 	for i, n := range nodes {
 		members[i] = n
@@ -79,7 +77,7 @@ func TestBoundedStalenessGroup(t *testing.T) {
 	if testing.Short() {
 		ops = 120
 	}
-	stats, err := RunBounded(g.Set, members, Config{Readers: 32, Ops: ops, Prefix: "bs"})
+	stats, err := RunBounded(nodes[0].Set, members, Config{Readers: 32, Ops: ops, Prefix: "bs"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,19 +95,19 @@ func TestBoundedStalenessGroup(t *testing.T) {
 // readers holding a higher floor must get ErrStale from it and redirect —
 // the failover path — while anti-entropy repairs it underneath them.
 func TestBoundedStalenessLaggard(t *testing.T) {
-	g, nodes := makeBoundedGroup(t, 2, "a", "b", "c")
+	nodes := makeBoundedGroup(t, 2, "a", "b", "c")
 	members := make([]BoundedMember, len(nodes))
 	for i, n := range nodes {
 		members[i] = n
 	}
 	kicked := false
 	write := func(name, value string) error {
-		if err := g.Set(name, value); err != nil {
+		if err := nodes[0].Set(name, value); err != nil {
 			return err
 		}
 		if !kicked {
 			kicked = true
-			g.MarkLagging("c")
+			nodes[0].MarkLagging("c")
 		}
 		return nil
 	}

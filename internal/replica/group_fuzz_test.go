@@ -37,13 +37,13 @@ func FuzzParseGroupSpec(f *testing.F) {
 			}
 			t.Fatalf("ParseGroupSpec(%q, %q, %d): untyped error %v", self, peers, w, err)
 		}
-		if cfg.Self != self {
-			t.Fatalf("self mangled: %q -> %q", self, cfg.Self)
+		if cfg.Members[0].Name != self {
+			t.Fatalf("self mangled: %q -> %q", self, cfg.Members[0].Name)
 		}
 		if cfg.W < 1 || cfg.W > len(cfg.Members) {
 			t.Fatalf("accepted quorum W=%d outside 1..%d", cfg.W, len(cfg.Members))
 		}
-		if verr := cfg.Validate(); verr != nil {
+		if verr := cfg.Validate(self); verr != nil {
 			t.Fatalf("accepted config fails Validate: %v", verr)
 		}
 	})

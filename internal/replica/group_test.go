@@ -3,6 +3,7 @@ package replica
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -14,29 +15,31 @@ import (
 	"smalldb/internal/vfs"
 )
 
-// groupCluster wires a primary's Group to N-1 member nodes over pipes.
+// groupCluster wires a primary to N-1 member nodes over pipes.
 type groupCluster struct {
-	group   *Group
 	primary *Node
 	members []*Node // remote members only
 	servers []*rpc.Server
 }
 
-func makeGroup(t *testing.T, w int, names ...string) *groupCluster {
+func makeGroup(t testing.TB, w int, names ...string) *groupCluster {
+	t.Helper()
+	cfg := groupOf(w, names...)
+	cfg.QuorumTimeout = 5 * time.Second
+	cfg.AntiEntropyEvery = 10 * time.Millisecond
+	return makeGroupOf(t, cfg)
+}
+
+func makeGroupOf(t testing.TB, cfg GroupConfig) *groupCluster {
 	t.Helper()
 	gc := &groupCluster{}
-	cfg := GroupConfig{
-		Self:             names[0],
-		W:                w,
-		QuorumTimeout:    5 * time.Second,
-		AntiEntropyEvery: 10 * time.Millisecond,
-	}
-	for _, name := range names {
-		cfg.Members = append(cfg.Members, Member{Name: name, Addr: "pipe"})
-	}
-	for i, name := range names {
-		fs := vfs.NewMem(int64(i + 1))
-		n, err := Open(Config{Name: name, FS: fs, HistoryCap: 100})
+	for i, m := range cfg.Members {
+		name := m.Name
+		nc := Config{Name: name, FS: vfs.NewMem(int64(i + 1))}
+		if i == 0 {
+			nc.GroupConfig = cfg
+		}
+		n, err := Open(nc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,20 +54,12 @@ func makeGroup(t *testing.T, w int, names ...string) *groupCluster {
 		gc.members = append(gc.members, n)
 		gc.servers = append(gc.servers, srv)
 	}
-	g, err := NewGroup(gc.primary, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gc.group = g
 	for i, m := range gc.members {
-		cc, sc := net.Pipe()
-		go gc.servers[i].ServeConn(sc)
-		if err := g.Connect(m.Name(), rpc.NewClient(cc)); err != nil {
+		if err := gc.primary.Connect(m.Name(), pipeTo(gc.servers[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
 	t.Cleanup(func() {
-		g.Close()
 		gc.primary.Close()
 		for _, m := range gc.members {
 			m.Close()
@@ -76,13 +71,20 @@ func makeGroup(t *testing.T, w int, names ...string) *groupCluster {
 	return gc
 }
 
+// pipeTo returns a client on a fresh in-memory connection to srv.
+func pipeTo(srv *rpc.Server) *rpc.Client {
+	cc, sc := net.Pipe()
+	go srv.ServeConn(sc)
+	return rpc.NewClient(cc)
+}
+
 func TestGroupQuorumCommitMajority(t *testing.T) {
 	gc := makeGroup(t, 0, "a", "b", "c", "d", "e") // W defaults to 3
-	if got := gc.group.W(); got != 3 {
+	if got := gc.primary.W(); got != 3 {
 		t.Fatalf("W = %d, want majority 3", got)
 	}
 	for i := 0; i < 20; i++ {
-		if err := gc.group.Set(fmt.Sprintf("svc/k%d", i), fmt.Sprintf("v%d", i)); err != nil {
+		if err := gc.primary.Set(fmt.Sprintf("svc/k%d", i), fmt.Sprintf("v%d", i)); err != nil {
 			t.Fatalf("set %d: %v", i, err)
 		}
 	}
@@ -100,7 +102,7 @@ func TestGroupQuorumCommitMajority(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	acked := gc.group.Acked()
+	acked := gc.primary.Acked()
 	if acked["a"] != 20 {
 		t.Fatalf("primary commitSeq = %d, want 20 (%v)", acked["a"], acked)
 	}
@@ -109,12 +111,12 @@ func TestGroupQuorumCommitMajority(t *testing.T) {
 func TestGroupQuorumOneAndAll(t *testing.T) {
 	// W=1: ack on local commit alone.
 	gc := makeGroup(t, 1, "a", "b", "c")
-	if err := gc.group.Set("k", "v"); err != nil {
+	if err := gc.primary.Set("k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	// W=N: ack only when every member holds the update.
 	gcAll := makeGroup(t, 3, "a", "b", "c")
-	if err := gcAll.group.Set("k", "v"); err != nil {
+	if err := gcAll.primary.Set("k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range gcAll.members {
@@ -126,13 +128,13 @@ func TestGroupQuorumOneAndAll(t *testing.T) {
 
 func TestGroupQuorumUnreachable(t *testing.T) {
 	gc := makeGroup(t, 0, "a", "b", "c")
-	gc.group.quorumTimeout = 300 * time.Millisecond
-	gc.group.cfg.PushPolicy = rpc.RetryPolicy{MaxAttempts: 2, Budget: 100 * time.Millisecond, PerTry: 50 * time.Millisecond}
-	gc.group.cfg.SyncPolicy = gc.group.cfg.PushPolicy
+	gc.primary.group.QuorumTimeout = 300 * time.Millisecond
+	gc.primary.pushPolicy = rpc.RetryPolicy{MaxAttempts: 2, Budget: 100 * time.Millisecond, PerTry: 50 * time.Millisecond}
+	gc.primary.syncPolicy = gc.primary.pushPolicy
 	for _, s := range gc.servers {
 		s.Close() // every remote member goes dark; W=2 needs one of them
 	}
-	err := gc.group.Set("k", "v")
+	err := gc.primary.Set("k", "v")
 	if !errors.Is(err, ErrQuorumUnreachable) {
 		t.Fatalf("err = %v, want ErrQuorumUnreachable", err)
 	}
@@ -144,14 +146,14 @@ func TestGroupQuorumUnreachable(t *testing.T) {
 
 func TestGroupLaggardRepair(t *testing.T) {
 	gc := makeGroup(t, 2, "a", "b", "c")
-	if err := gc.group.Set("k0", "v0"); err != nil {
+	if err := gc.primary.Set("k0", "v0"); err != nil {
 		t.Fatal(err)
 	}
 	// Force c onto the anti-entropy path, then keep committing: pushes
 	// skip c, quorum holds via b, and background repair must bring c back.
-	gc.group.MarkLagging("c")
+	gc.primary.MarkLagging("c")
 	for i := 1; i <= 10; i++ {
-		if err := gc.group.Set(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)); err != nil {
+		if err := gc.primary.Set(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)); err != nil {
 			t.Fatalf("set %d: %v", i, err)
 		}
 	}
@@ -162,14 +164,98 @@ func TestGroupLaggardRepair(t *testing.T) {
 	for {
 		v, err := gc.members[1].Lookup("k10")
 		caughtUp := err == nil && v == "v10"
-		gc.group.mu.Lock()
-		lagging := gc.group.members[1].lagging
-		gc.group.mu.Unlock()
+		gc.primary.gmu.Lock()
+		lagging := gc.primary.members[1].lagging
+		gc.primary.gmu.Unlock()
 		if caughtUp && !lagging {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("laggard c not repaired: caught up %v, still marked lagging %v, acked=%v", caughtUp, lagging, gc.group.Acked())
+			t.Fatalf("laggard c not repaired: caught up %v, still marked lagging %v, acked=%v", caughtUp, lagging, gc.primary.Acked())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestApplyDoesNotWaitForDeadMember: at W = 1 the push runs behind the ack,
+// so an unreachable member costs Apply nothing — not the push budget, which
+// here is long enough that spending any real share of it fails the test.
+func TestApplyDoesNotWaitForDeadMember(t *testing.T) {
+	const budget = 30 * time.Second
+	policy := rpc.RetryPolicy{Budget: budget}
+	n, err := Open(Config{Name: "a", FS: vfs.NewMem(1), PushPolicy: policy, SyncPolicy: policy, GroupConfig: groupOf(1, "a", "b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := rpc.NewClientDialer(func() (io.ReadWriteCloser, error) { return nil, errors.New("connection refused") })
+	if err := n.Connect("b", down); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	for i := 0; i < 3; i++ {
+		if err := n.Set(fmt.Sprintf("k%d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > budget/10 {
+		t.Fatalf("three W=1 Sets and a Close took %v against a dead member (push budget %v)", took, budget)
+	}
+}
+
+// TestStreamOverflowRepair: a member that stops draining its stream
+// overflows it, is marked lagging without blocking the commit path, and is
+// brought back by repair once it answers again.
+func TestStreamOverflowRepair(t *testing.T) {
+	nb, err := Open(Config{Name: "b", FS: vfs.NewMem(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nb.Close()
+	srvB := rpc.NewServer()
+	if err := srvB.Register("Replica", NewService(nb)); err != nil {
+		t.Fatal(err)
+	}
+	defer srvB.Close()
+
+	na, err := Open(Config{Name: "a", FS: vfs.NewMem(1), GroupConfig: groupOf(1, "a", "b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer na.Close()
+	na.queueDepth = 1
+	// Nobody serves the pipe's far end yet: the first push blocks in its
+	// write, the second batch fills the stream, the third overflows it.
+	cc, sc := net.Pipe()
+	if err := na.Connect("b", rpc.NewClient(cc)); err != nil {
+		t.Fatal(err)
+	}
+	const sets = 8
+	for i := 0; i < sets; i++ {
+		if err := na.Set(fmt.Sprintf("k%d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	na.gmu.Lock()
+	lagging := na.members[0].lagging
+	na.gmu.Unlock()
+	if !lagging {
+		t.Fatalf("%d Sets into a stream of depth 1 that nobody drains left the member unmarked", sets)
+	}
+	go srvB.ServeConn(sc)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		vec, _ := nb.Vector()
+		na.gmu.Lock()
+		lagging = na.members[0].lagging
+		na.gmu.Unlock()
+		if vec["a"] == sets && !lagging {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("overflowed member not repaired: vector %v, lagging %v", vec, lagging)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -195,11 +281,11 @@ func TestRepairRoundMultiOriginAck(t *testing.T) {
 	}
 	// W=2: Set returns only once b holds it, so b's slot for a is exactly
 	// 1 while it still lacks every z entry.
-	if err := gc.group.Set("k", "v"); err != nil {
+	if err := gc.primary.Set("k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	ms := gc.group.members[0]
-	repairedTo, err := gc.group.repairRound(ms)
+	ms := gc.primary.members[0]
+	repairedTo, err := gc.primary.repairRound(ms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +301,7 @@ func TestRepairRoundMultiOriginAck(t *testing.T) {
 func TestGroupBoundedStalenessRead(t *testing.T) {
 	gc := makeGroup(t, 2, "a", "b", "c")
 	for i := 0; i < 5; i++ {
-		if err := gc.group.Set(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)); err != nil {
+		if err := gc.primary.Set(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -294,7 +380,7 @@ func TestParseGroupSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cfg.Members) != 3 || cfg.W != 2 || cfg.Self != "a" {
+	if len(cfg.Members) != 3 || cfg.W != 2 || cfg.Members[0].Name != "a" {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 	if cfg.Members[2] != (Member{Name: "c", Addr: "host2:2"}) {
@@ -328,11 +414,32 @@ func TestParseGroupSpec(t *testing.T) {
 }
 
 func TestGroupConfigValidate(t *testing.T) {
-	if err := (&GroupConfig{}).Validate(); !errors.Is(err, ErrNoMembers) {
+	if err := (&GroupConfig{}).Validate("a"); !errors.Is(err, ErrNoMembers) {
 		t.Errorf("empty: %v", err)
 	}
-	cfg := GroupConfig{Self: "x", Members: []Member{{Name: "a", Addr: "1"}}}
-	if err := cfg.Validate(); !errors.Is(err, ErrSelfNotMember) {
+	cfg := GroupConfig{Members: []Member{{Name: "a", Addr: "1"}}}
+	if err := cfg.Validate("x"); !errors.Is(err, ErrSelfNotMember) {
 		t.Errorf("self: %v", err)
+	}
+}
+
+// BenchmarkReplicatedSet prices one replicated Set in process: every node on
+// vfs.Mem, members behind net.Pipe. N=2/W=1 is the pair (ack after the local
+// sync, the push runs behind it), N=2/W=2 waits for the one member, N=3/W=2
+// is nsbench's quorum3 shape. The anti-entropy interval is the default: a
+// probe scans the history, and the tests' 10ms would bill that to the Set.
+func BenchmarkReplicatedSet(b *testing.B) {
+	for _, tc := range []struct{ n, w int }{{2, 1}, {2, 2}, {3, 2}} {
+		b.Run(fmt.Sprintf("N=%d/W=%d", tc.n, tc.w), func(b *testing.B) {
+			cfg := groupOf(tc.w, []string{"a", "b", "c"}[:tc.n]...)
+			cfg.AntiEntropyEvery = 0
+			gc := makeGroupOf(b, cfg)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := gc.primary.Set(fmt.Sprintf("bench/k%d", i%1000), "v"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

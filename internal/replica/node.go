@@ -49,25 +49,28 @@ type Config struct {
 	MaxDeltaRatio float64
 	// Obs and Tracer pass through to the store and additionally receive
 	// the replication metrics (replica_*) and the replica.push /
-	// replica.antientropy events.
+	// replica.antientropy / replica.group_repair events.
 	Obs    *obs.Registry
 	Tracer obs.Tracer
-	// PushPolicy bounds the retrying push of each committed update to
-	// each peer (the zero value means the rpc defaults: 2s budget,
-	// exponential backoff with jitter). A push that exhausts its policy
-	// is simply dropped — the peer catches up through anti-entropy — so
-	// the budget is how long Apply is willing to stall absorbing
-	// transient network faults before handing the update to the
-	// background repair path.
+	// PushPolicy bounds each stream push of committed updates to a member
+	// (the zero value means the rpc defaults: 2s budget, exponential
+	// backoff with jitter). The push runs behind the commit, so the budget
+	// is never spent by Apply itself — only the quorum wait is, for W > 1.
+	// A push that exhausts its policy marks the member lagging and hands it
+	// to the background repair path.
 	PushPolicy rpc.RetryPolicy
-	// SyncPolicy bounds each anti-entropy RPC (Pull, Snapshot) the same
-	// way. Both policies ride on idempotency tokens, so a retried push
-	// never double-applies even if the first attempt executed and only
-	// its response was lost.
+	// SyncPolicy bounds each anti-entropy RPC (Vector, Push, Install, Pull,
+	// Snapshot) the same way. Both policies ride on idempotency tokens, so
+	// a retried push never double-applies even if the first attempt
+	// executed and only its response was lost.
 	SyncPolicy rpc.RetryPolicy
+	// GroupConfig is the group this node is a member of: the membership,
+	// the write quorum and the anti-entropy interval.
+	GroupConfig
 }
 
-// Node is one replica: a full store plus the propagation machinery.
+// Node is one member of a replica group: a full store, the ordered push
+// streams to the other members, the quorum wait and the anti-entropy loop.
 type Node struct {
 	name  string
 	store *core.Store
@@ -78,41 +81,71 @@ type Node struct {
 	pushPolicy rpc.RetryPolicy
 	syncPolicy rpc.RetryPolicy
 
-	mu    sync.Mutex // serializes local sequence assignment
-	peers map[string]*rpc.Client
+	mu sync.Mutex // serializes local sequence assignment
 
-	stopAE chan struct{}
-	aeWG   sync.WaitGroup
+	group      GroupConfig // validated, defaults filled in
+	queueDepth int
+
+	gmu       sync.Mutex
+	cond      *sync.Cond
+	members   []*memberState // connected remote members, in Connect order
+	commitSeq uint64         // highest locally committed origin seq
+	closed    bool
+
+	aeKick chan struct{}
+	aeStop chan struct{}
+	wg     sync.WaitGroup
 }
 
 // nodeMetrics is the replication-layer instrumentation; all fields are
 // nil-safe.
 type nodeMetrics struct {
-	pushes       *obs.Counter   // propagation attempts (one per peer per local update)
-	pushErrors   *obs.Counter   // failed pushes (the peer catches up by anti-entropy)
-	pushLag      *obs.Histogram // local commit → peer ack, ns
-	aeRounds     *obs.Counter   // anti-entropy pulls completed
-	aeErrors     *obs.Counter   // anti-entropy pulls failed
-	aeApplied    *obs.Counter   // divergence repairs: entries applied by anti-entropy
-	fullRestores *obs.Counter   // snapshot installs (history trimmed or hard error)
+	quorumAcks   *obs.Counter   // updates acked at the write quorum
+	quorumFails  *obs.Counter   // updates that timed out short of the quorum
+	quorumLag    *obs.Histogram // local commit → quorum ack, ns
+	pushes       *obs.Counter   // stream pushes attempted
+	pushErrors   *obs.Counter   // stream pushes failed (member goes lagging)
+	laggards     *obs.Gauge     // members currently lagging
+	queueDepth   *obs.Gauge     // entries queued across all member streams
+	aeRounds     *obs.Counter   // repair and probe rounds completed
+	aeErrors     *obs.Counter   // repair and probe rounds failed
+	aeInstalls   *obs.Counter   // full snapshot installs pushed to laggards
+	pulls        *obs.Counter   // on-demand pulls (SyncWith) completed
+	pullErrors   *obs.Counter   // on-demand pulls failed
+	pullApplied  *obs.Counter   // entries applied by on-demand pulls
+	fullRestores *obs.Counter   // snapshot installs applied here (history trimmed or hard error)
 }
 
 func newNodeMetrics(reg *obs.Registry) nodeMetrics {
 	return nodeMetrics{
-		pushes:       reg.Counter("replica_pushes"),
-		pushErrors:   reg.Counter("replica_push_errors"),
-		pushLag:      reg.Histogram("replica_push_lag_ns"),
-		aeRounds:     reg.Counter("replica_ae_rounds"),
-		aeErrors:     reg.Counter("replica_ae_errors"),
-		aeApplied:    reg.Counter("replica_ae_applied"),
+		quorumAcks:   reg.Counter("replica_group_quorum_acks"),
+		quorumFails:  reg.Counter("replica_group_quorum_fails"),
+		quorumLag:    reg.Histogram("replica_group_quorum_lag_ns"),
+		pushes:       reg.Counter("replica_group_pushes"),
+		pushErrors:   reg.Counter("replica_group_push_errors"),
+		laggards:     reg.Gauge("replica_group_laggards"),
+		queueDepth:   reg.Gauge("replica_group_queue_depth"),
+		aeRounds:     reg.Counter("replica_group_ae_rounds"),
+		aeErrors:     reg.Counter("replica_group_ae_errors"),
+		aeInstalls:   reg.Counter("replica_group_ae_installs"),
+		pulls:        reg.Counter("replica_ae_rounds"),
+		pullErrors:   reg.Counter("replica_ae_errors"),
+		pullApplied:  reg.Counter("replica_ae_applied"),
 		fullRestores: reg.Counter("replica_full_restores"),
 	}
 }
 
-// Open recovers (or initializes) a replica node.
+// Open recovers (or initializes) a replica node. Remote members attach with
+// Connect; pushes to a member start flowing once it is connected.
 func Open(cfg Config) (*Node, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("replica: Config.Name is required")
+	}
+	if len(cfg.Members) == 0 {
+		cfg.Members = []Member{{Name: cfg.Name, Addr: "local"}}
+	}
+	if err := cfg.Validate(cfg.Name); err != nil {
+		return nil, err
 	}
 	st, err := core.Open(core.Config{
 		FS:            cfg.FS,
@@ -132,15 +165,42 @@ func Open(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Node{
+	n := &Node{
 		name:       cfg.Name,
 		store:      st,
 		m:          newNodeMetrics(cfg.Obs),
 		tracer:     cfg.Tracer,
 		pushPolicy: cfg.PushPolicy,
 		syncPolicy: cfg.SyncPolicy,
-		peers:      make(map[string]*rpc.Client),
-	}, nil
+		group:      cfg.GroupConfig,
+		queueDepth: streamDepth,
+		aeKick:     make(chan struct{}, 1),
+		aeStop:     make(chan struct{}),
+	}
+	n.cond = sync.NewCond(&n.gmu)
+	if n.group.QuorumTimeout <= 0 {
+		budget := cfg.PushPolicy.Budget
+		if budget <= 0 {
+			budget = 2 * time.Second
+		}
+		n.group.QuorumTimeout = budget + budget/2
+	}
+	if n.group.AntiEntropyEvery <= 0 {
+		n.group.AntiEntropyEvery = 100 * time.Millisecond
+	}
+	// A restarted origin resumes from its own durable slot: repair is done
+	// only once a member covers everything committed before the restart.
+	vec, err := n.Vector()
+	if err != nil {
+		st.Close()
+		return nil, err
+	}
+	n.commitSeq = vec[n.name]
+	if len(cfg.Members) > 1 {
+		n.wg.Add(1)
+		go n.antiEntropyLoop()
+	}
+	return n, nil
 }
 
 // Name reports the node's name.
@@ -149,156 +209,37 @@ func (n *Node) Name() string { return n.name }
 // Store exposes the underlying store.
 func (n *Node) Store() *core.Store { return n.store }
 
-// AddPeer connects this node to a peer's RPC endpoint. The client adopts
-// the node's tracer so retrying pushes record per-attempt spans.
-func (n *Node) AddPeer(name string, client *rpc.Client) {
-	client.SetTracer(n.tracer)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.peers[name] = client
-}
-
 // --- local operations ---
 
 // Apply commits an inner update locally (stamped with this node's next
-// sequence number) and then pushes it to every peer, best-effort: a peer
-// that is down catches up later through anti-entropy.
+// sequence number), hands it to every member's push stream, and acks once
+// the write quorum holds it: at once for W = 1 — a member that is down
+// catches up later through anti-entropy — and after W - 1 member acks
+// otherwise.
 func (n *Node) Apply(inner core.Update) error {
 	return n.ApplyTraced(inner, obs.SpanContext{})
 }
 
 // ApplyTraced is Apply under a trace context: the local commit's phase
-// spans, the per-peer push (with its rpc attempts), and the peer's remote
-// apply all land in the caller's trace.
+// spans, the per-member push (with its rpc attempts), and the member's
+// remote apply all land in the caller's trace.
 func (n *Node) ApplyTraced(inner core.Update, sc obs.SpanContext) error {
-	n.mu.Lock()
-	var seq, stamp uint64
-	err := n.store.View(func(root any) error {
-		r, err := rootOf(root)
-		if err != nil {
-			return err
-		}
-		seq = r.Vector[n.name] + 1
-		stamp = r.Clock + 1
-		return nil
-	})
-	if err != nil {
-		n.mu.Unlock()
-		return err
-	}
-	ru := &Replicated{Origin: n.name, Seq: seq, Stamp: stamp, Inner: inner}
-	err = n.store.ApplyTraced(ru, sc)
-	peers := make([]*rpc.Client, 0, len(n.peers))
-	for _, p := range n.peers {
-		peers = append(peers, p)
-	}
-	n.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	committed := time.Now()
-	entry := Entry{Origin: n.name, Seq: seq, Stamp: stamp, Inner: inner}
-	for _, p := range peers {
-		// The push is a child span of the caller's trace, and its own
-		// context rides the wire so the peer's apply joins the trace too.
-		pspan := obs.StartSpan(n.tracer, sc, "replica.push")
-		wire := sc
-		if pspan.Active() {
-			wire = pspan.Context()
-		}
-		var reply PushReply
-		perr := p.CallRetryTraced(wire, "Replica.Push", &PushArgs{Entries: []Entry{entry}}, &reply, n.pushPolicy)
-		n.m.pushes.Inc()
-		if perr != nil {
-			n.m.pushErrors.Inc()
-		} else {
-			// Push lag: how far behind a peer runs between our commit
-			// point and its acknowledgement of the propagated update.
-			n.m.pushLag.ObserveSince(committed)
-		}
-		if pspan.Active() {
-			pspan.End(perr, obs.A("origin", n.name), obs.A("seq", seq), obs.A("peer", reply.Node))
-			if perr == nil && reply.Node != "" {
-				// Echo the peer's apply time into our own collector so the
-				// single-node timeline shows the remote side of the push.
-				d := time.Duration(reply.ApplyNS)
-				n.tracer.Emit(obs.Event{
-					Name:   "replica.remote_apply",
-					Time:   time.Now().Add(-d),
-					Dur:    d,
-					Trace:  wire.Trace,
-					Span:   obs.NewSpanID(),
-					Parent: wire.Span,
-					Attrs:  []obs.Attr{obs.A("node", reply.Node), obs.A("applied", reply.Applied)},
-				})
-			}
-		} else {
-			obs.Emit(n.tracer, obs.Event{Name: "replica.push", Dur: time.Since(committed), Err: perr, Attrs: []obs.Attr{
-				obs.A("origin", n.name), obs.A("seq", seq),
-			}})
-		}
-	}
-	return nil
+	return n.applyAll([]core.Update{inner}, sc)
 }
 
 // ApplyBatch commits a batch of local updates through one store batch —
-// one epoch barrier — stamping each with consecutive
-// local sequence numbers, then pushes the whole batch to every peer in a
-// single RPC. Prefix semantics follow core.Store.ApplyBatch: on error the
-// already-verified prefix is committed (and pushed) and the error returned.
+// one epoch barrier — stamping each with consecutive local sequence
+// numbers; the whole batch rides each member's stream as one push.
 func (n *Node) ApplyBatch(inners []core.Update) error {
-	if len(inners) == 0 {
-		return nil
-	}
-	n.mu.Lock()
-	var seq, stamp uint64
-	err := n.store.View(func(root any) error {
-		r, err := rootOf(root)
-		if err != nil {
-			return err
-		}
-		seq = r.Vector[n.name]
-		stamp = r.Clock
-		return nil
-	})
-	if err != nil {
-		n.mu.Unlock()
-		return err
-	}
-	entries, us := n.stamp(inners, seq, stamp)
-	// Only the applied prefix may be pushed; anti-entropy would otherwise
-	// resurrect updates this node never committed.
-	committedN, batchErr := n.store.ApplyBatchTraced(us, obs.SpanContext{})
-	peers := make([]*rpc.Client, 0, len(n.peers))
-	for _, p := range n.peers {
-		peers = append(peers, p)
-	}
-	n.mu.Unlock()
-	if committedN > 0 {
-		committed := time.Now()
-		for _, p := range peers {
-			var reply PushReply
-			perr := p.CallRetry("Replica.Push", &PushArgs{Entries: entries[:committedN]}, &reply, n.pushPolicy)
-			n.m.pushes.Inc()
-			if perr != nil {
-				n.m.pushErrors.Inc()
-			} else {
-				n.m.pushLag.ObserveSince(committed)
-			}
-			obs.Emit(n.tracer, obs.Event{Name: "replica.push", Dur: time.Since(committed), Err: perr, Attrs: []obs.Attr{
-				obs.A("origin", n.name), obs.A("seq", seq+uint64(committedN)), obs.A("batch", committedN),
-			}})
-		}
-	}
-	return batchErr
+	return n.applyAll(inners, obs.SpanContext{})
 }
 
 // commitLocal commits a batch of inner updates locally — stamping each
-// with this node's consecutive sequence numbers — without pushing to any
-// peer. It returns the committed entries; on a batch error the applied
-// prefix is returned alongside the error (core.Store.ApplyBatch prefix
-// semantics). Group mode uses it as the first half of quorum commit: the
-// group's per-member push streams take propagation from there.
+// with this node's consecutive sequence numbers and Lamport stamps — without
+// pushing to any member. It returns the committed entries; on a batch error
+// the applied prefix is returned alongside the error (core.Store.ApplyBatch
+// prefix semantics). Only that prefix may be pushed: anti-entropy would
+// otherwise resurrect updates this node never committed.
 func (n *Node) commitLocal(inners []core.Update, sc obs.SpanContext) ([]Entry, error) {
 	if len(inners) == 0 {
 		return nil, nil
@@ -318,22 +259,15 @@ func (n *Node) commitLocal(inners []core.Update, sc obs.SpanContext) ([]Entry, e
 	if err != nil {
 		return nil, err
 	}
-	entries, us := n.stamp(inners, seq, stamp)
-	committedN, batchErr := n.store.ApplyBatchTraced(us, sc)
-	return entries[:committedN], batchErr
-}
-
-// stamp assigns inners this node's consecutive sequence numbers and Lamport
-// stamps after (seq, stamp), as history entries and as the updates that log
-// them. Callers hold n.mu.
-func (n *Node) stamp(inners []core.Update, seq, stamp uint64) ([]Entry, []core.Update) {
 	entries := make([]Entry, len(inners))
 	us := make([]core.Update, len(inners))
 	for i, inner := range inners {
 		entries[i] = Entry{Origin: n.name, Seq: seq + uint64(i) + 1, Stamp: stamp + uint64(i) + 1, Inner: inner}
 		us[i] = entries[i].update()
 	}
-	return entries, us
+	committedN, batchErr := n.store.ApplyBatchTraced(us, sc)
+	// Capacity-limited: every member's pusher appends to its own copy.
+	return entries[:committedN:committedN], batchErr
 }
 
 // Set, Delete and Lookup are name-tree conveniences over Apply/View.
@@ -541,11 +475,12 @@ func (n *Node) applyEntriesTraced(entries []Entry, sc obs.SpanContext) (applied 
 	return applied, err
 }
 
-// --- anti-entropy ---
+// --- on-demand pulls ---
 
 // SyncWith pulls everything this node is missing from one peer. If the
 // peer's history has been trimmed past what we need, it falls back to a
-// full snapshot transfer.
+// full snapshot transfer. The background loop pushes; this is the pull a
+// caller asks for — a stale Read catching itself up, a harness converging.
 func (n *Node) SyncWith(client *rpc.Client) error {
 	// An anti-entropy round is its own trace root: the pull, any snapshot
 	// transfer, and every repaired entry's commit chain under it.
@@ -553,10 +488,10 @@ func (n *Node) SyncWith(client *rpc.Client) error {
 	start := time.Now()
 	applied, full, err := n.syncWith(client, root.Context())
 	if err != nil {
-		n.m.aeErrors.Inc()
+		n.m.pullErrors.Inc()
 	} else {
-		n.m.aeRounds.Inc()
-		n.m.aeApplied.Add(uint64(applied))
+		n.m.pulls.Inc()
+		n.m.pullApplied.Add(uint64(applied))
 	}
 	if root.Active() {
 		root.End(err, obs.A("applied", applied), obs.A("full_snapshot", full))
@@ -588,43 +523,14 @@ func (n *Node) syncWith(client *rpc.Client, sc obs.SpanContext) (applied int, fu
 	return applied, false, err
 }
 
-// AntiEntropyEvery starts a background loop syncing with every peer at the
-// given interval — the paper's long-term replica consistency mechanism.
-func (n *Node) AntiEntropyEvery(interval time.Duration) {
-	n.mu.Lock()
-	if n.stopAE != nil {
-		n.mu.Unlock()
-		return
-	}
-	stop := make(chan struct{})
-	n.stopAE = stop
-	n.mu.Unlock()
-	n.aeWG.Add(1)
-	go func() {
-		defer n.aeWG.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				n.mu.Lock()
-				peers := make([]*rpc.Client, 0, len(n.peers))
-				for _, p := range n.peers {
-					peers = append(peers, p)
-				}
-				n.mu.Unlock()
-				for _, p := range peers {
-					_ = n.SyncWith(p)
-				}
-			}
-		}
-	}()
-}
+// ErrInstallRegress refuses a snapshot install that would lower one of this
+// node's vector slots: the node holds updates the snapshot lacks and its own
+// history no longer reaches back to them, so they could not be re-applied on
+// top of the snapshot.
+var ErrInstallRegress = errors.New("replica: snapshot install would drop applied updates")
 
-// installSnapshot replaces this node's entire state with a peer's snapshot,
-// keeping our own-origin updates if we are ahead (they will re-propagate).
+// installSnapshot replaces this node's state with a peer's snapshot, keeping
+// every update we hold beyond it (they will re-propagate).
 func (n *Node) installSnapshot(snap *Root) error {
 	if snap == nil {
 		return fmt.Errorf("replica: nil snapshot")
@@ -637,7 +543,11 @@ func (n *Node) installSnapshot(snap *Root) error {
 }
 
 // installSnapshot is an update that replaces the whole root in place; it is
-// logged like any other update, so it is itself crash-consistent.
+// logged like any other update, so it is itself crash-consistent. An install
+// never lowers a vector slot: the entries the node holds beyond the
+// snapshot's vector are re-applied from its own history on top of the
+// snapshot, and Verify refuses the install when the history no longer
+// reaches them.
 type installSnapshot struct {
 	Snap *Root
 }
@@ -649,8 +559,14 @@ func (u *installSnapshot) Verify(root any) error {
 	if u.Snap == nil || u.Snap.Tree == nil {
 		return fmt.Errorf("replica: malformed snapshot")
 	}
-	_, err := rootOf(root)
-	return err
+	r, err := rootOf(root)
+	if err != nil {
+		return err
+	}
+	if _, lost := r.missingFrom(u.Snap.Vector); lost {
+		return fmt.Errorf("%w: have %v, snapshot %v", ErrInstallRegress, r.Vector, u.Snap.Vector)
+	}
+	return nil
 }
 
 // Apply implements core.Update.
@@ -659,6 +575,8 @@ func (u *installSnapshot) Apply(root any) error {
 	if err != nil {
 		return err
 	}
+	// What the snapshot's holder lacks of ours, in per-origin order.
+	ahead, _ := r.missingFrom(u.Snap.Vector)
 	r.Tree = u.Snap.Tree
 	r.Vector = copyVector(u.Snap.Vector)
 	if u.Snap.Clock > r.Clock {
@@ -667,6 +585,15 @@ func (u *installSnapshot) Apply(root any) error {
 	r.History = append([]Entry(nil), u.Snap.History...)
 	if u.Snap.HistoryCap > 0 {
 		r.HistoryCap = u.Snap.HistoryCap
+	}
+	for _, e := range ahead {
+		ru := e.update()
+		if ru.Inner.Verify(r.Tree) != nil || ru.Apply(r) != nil {
+			// The snapshot's tree refuses the update (a structural
+			// conflict); the slot and the history entry are kept so the
+			// vector still never moves backwards.
+			ru.record(r)
+		}
 	}
 	return nil
 }
@@ -686,21 +613,10 @@ func (n *Node) RestoreFromPeer(client *rpc.Client) error {
 // Checkpoint forwards to the store.
 func (n *Node) Checkpoint() error { return n.store.Checkpoint() }
 
-// Close stops anti-entropy and closes the store.
+// Close stops the push streams and anti-entropy, closes the member clients,
+// wakes any quorum waiter with ErrQuorumUnreachable, and closes the store.
 func (n *Node) Close() error {
-	n.mu.Lock()
-	stop := n.stopAE
-	n.stopAE = nil
-	peers := n.peers
-	n.peers = map[string]*rpc.Client{}
-	n.mu.Unlock()
-	if stop != nil {
-		close(stop)
-	}
-	n.aeWG.Wait()
-	for _, p := range peers {
-		p.Close()
-	}
+	n.closeGroup()
 	return n.store.Close()
 }
 
@@ -833,7 +749,7 @@ type VectorReply struct {
 	Node     string
 }
 
-// Vector reports this member's version vector — the group primary's
+// Vector reports this member's version vector — a pushing member's
 // anti-entropy loop uses it to compute the missing suffix to push.
 func (s *Service) Vector(args *VectorArgs, reply *VectorReply) error {
 	vec, err := s.node.Vector()
@@ -891,19 +807,13 @@ type ReadReply struct {
 
 // Read serves a bounded-staleness enquiry. A member behind the MinSeq
 // floor first tries to catch itself up with one anti-entropy round against
-// each of its peers; if still behind it answers with Stale set (typed
+// each connected member; if still behind it answers with Stale set (typed
 // errors do not survive the RPC wire, so staleness is a reply field, not
 // an error) and the client redirects to a fresher member.
 func (s *Service) Read(args *ReadArgs, reply *ReadReply) error {
 	v, frontier, err := s.node.ReadAt(args.Name, args.MinSeq)
 	if IsStale(err) {
-		s.node.mu.Lock()
-		peers := make([]*rpc.Client, 0, len(s.node.peers))
-		for _, p := range s.node.peers {
-			peers = append(peers, p)
-		}
-		s.node.mu.Unlock()
-		for _, p := range peers {
+		for _, p := range s.node.memberClients() {
 			if s.node.SyncWith(p) != nil {
 				continue
 			}

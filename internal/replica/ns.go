@@ -7,9 +7,10 @@ import (
 
 // NSService adapts a replica node to the same "NS" RPC service an
 // unreplicated name server exposes, so clients (nsctl, benchmarks) talk to
-// replicated and unreplicated daemons identically. Updates commit locally
-// — the paper's ack-after-one-replica rule — and propagate by push and
-// anti-entropy.
+// replicated and unreplicated daemons identically. Updates ack at the
+// node's write quorum — W = 1 is the paper's ack-after-one-replica rule —
+// and enquiries answer from the local member (use the Replica service's
+// Read for bounded-staleness enquiries with a MinSeq floor).
 type NSService struct {
 	node *Node
 }
@@ -25,7 +26,7 @@ func (s *NSService) Lookup(args *nameserver.LookupArgs, reply *nameserver.Lookup
 }
 
 // Set serves the remote update, carrying the caller's trace through the
-// local commit and on to the peer push.
+// local commit and on to the member pushes.
 func (s *NSService) Set(args *nameserver.SetArgs, reply *nameserver.SetReply, sc obs.SpanContext) error {
 	return s.node.SetTraced(args.Name, args.Value, sc)
 }
@@ -33,32 +34,4 @@ func (s *NSService) Set(args *nameserver.SetArgs, reply *nameserver.SetReply, sc
 // Delete serves the remote delete.
 func (s *NSService) Delete(args *nameserver.DeleteArgs, reply *nameserver.DeleteReply, sc obs.SpanContext) error {
 	return s.node.DeleteTraced(args.Name, sc)
-}
-
-// GroupNSService is the NS RPC face of a quorum-commit group member:
-// updates ack at the group's write quorum instead of after the lone local
-// commit; enquiries still answer from the local member (use the Replica
-// service's Read for bounded-staleness enquiries with a MinSeq floor).
-type GroupNSService struct {
-	group *Group
-}
-
-// NewGroupNSService returns the NS-compatible RPC service for a group.
-func NewGroupNSService(g *Group) *GroupNSService { return &GroupNSService{group: g} }
-
-// Lookup serves the remote enquiry from the local member.
-func (s *GroupNSService) Lookup(args *nameserver.LookupArgs, reply *nameserver.LookupReply) error {
-	v, err := s.group.Node().Lookup(args.Name)
-	reply.Value = v
-	return err
-}
-
-// Set serves the remote update at quorum.
-func (s *GroupNSService) Set(args *nameserver.SetArgs, reply *nameserver.SetReply, sc obs.SpanContext) error {
-	return s.group.SetTraced(args.Name, args.Value, sc)
-}
-
-// Delete serves the remote delete at quorum.
-func (s *GroupNSService) Delete(args *nameserver.DeleteArgs, reply *nameserver.DeleteReply, sc obs.SpanContext) error {
-	return s.group.DeleteTraced(args.Name, sc)
 }

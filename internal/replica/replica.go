@@ -16,16 +16,22 @@
 // this design fed into [Lampson 1986] — so replicas that have exchanged the
 // same updates agree on every value regardless of delivery order.
 //
-// Three mechanisms keep replicas together:
+// A node is one member of an N-node group (N = 1 is a lone node, the
+// paper's pair is N = 2) and one protocol keeps the members together:
 //
-//   - Propagation: after a local commit the node pushes the update to every
-//     peer, best-effort.
-//   - Anti-entropy: a periodic Pull exchanges version vectors and ships the
-//     missing suffix from the peer's history — the paper's "automatic
+//   - Propagation: a local commit is handed to every other member's ordered
+//     push stream and acknowledged once a write quorum W of members — the
+//     origin included — holds it. W = 1 is the paper's rule: ack after one
+//     replica, propagate behind the ack.
+//   - Anti-entropy: one background loop repairs a member the moment a push
+//     to it falls short, and at every interval probes each member's version
+//     vector and pushes the missing suffix from its own history (or a whole
+//     snapshot once the history is trimmed past it) — the paper's "automatic
 //     mechanisms for ensuring the long-term consistency of the name server
 //     replicas".
 //   - Restore: a node whose disk is damaged beyond local recovery fetches a
-//     full snapshot from a peer and rebuilds its store from scratch.
+//     full snapshot from a peer and rebuilds its store from scratch; the
+//     same on-demand pull (SyncWith) lets a stale reader catch itself up.
 package replica
 
 import (
@@ -187,6 +193,12 @@ func (u *Replicated) Apply(root any) error {
 	} else if err := u.Inner.Apply(r.Tree); err != nil {
 		return err
 	}
+	u.record(r)
+	return nil
+}
+
+// record advances u's vector slot and appends u to the history window.
+func (u *Replicated) record(r *Root) {
 	if r.Vector == nil {
 		r.Vector = make(map[string]uint64)
 	}
@@ -202,7 +214,6 @@ func (u *Replicated) Apply(root any) error {
 		// reallocation once the slack behind the window runs out.
 		r.History = r.History[len(r.History)-limit:]
 	}
-	return nil
 }
 
 // newerWrite reports whether a write stamped (stamp, origin) supersedes the
@@ -233,6 +244,18 @@ func rootOf(root any) (*Root, error) {
 // dropped entries the caller needs (in which case only a full snapshot can
 // help).
 func (r *Root) missingFrom(vector map[string]uint64) (entries []Entry, needFull bool) {
+	// The usual answer to a probe is "nothing": find that out from the
+	// vectors before scanning the history.
+	behind := false
+	for origin, have := range r.Vector {
+		if vector[origin] < have {
+			behind = true
+			break
+		}
+	}
+	if !behind {
+		return nil, false
+	}
 	// Oldest surviving history seq per origin, to detect trimmed gaps.
 	oldest := map[string]uint64{}
 	for _, e := range r.History {

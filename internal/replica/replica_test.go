@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,12 +21,32 @@ type cluster struct {
 	clients map[string]map[string]*rpc.Client // from -> to
 }
 
+// groupOf is the all-names membership at write quorum w. The anti-entropy
+// interval is an hour, so background probes never fire and a test that
+// applies straight to a store really has severed propagation; a member
+// marked lagging is still repaired at once.
+func groupOf(w int, names ...string) GroupConfig {
+	g := GroupConfig{W: w, AntiEntropyEvery: time.Hour}
+	for _, name := range names {
+		g.Members = append(g.Members, Member{Name: name, Addr: "pipe"})
+	}
+	return g
+}
+
+// makeCluster is a full mesh at W = 1: every update acks after the local
+// commit and propagates behind it.
 func makeCluster(t *testing.T, names ...string) *cluster {
+	return makeClusterW(t, 1, names...)
+}
+
+// makeClusterW is a full mesh at write quorum w; at w = len(names) every
+// member holds an update when Set returns.
+func makeClusterW(t *testing.T, w int, names ...string) *cluster {
 	t.Helper()
 	c := &cluster{clients: make(map[string]map[string]*rpc.Client)}
 	for i, name := range names {
 		fs := vfs.NewMem(int64(i + 1))
-		n, err := Open(Config{Name: name, FS: fs, HistoryCap: 100})
+		n, err := Open(Config{Name: name, FS: fs, HistoryCap: 100, GroupConfig: groupOf(w, names...)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +67,9 @@ func makeCluster(t *testing.T, names ...string) *cluster {
 			cc, sc := net.Pipe()
 			go c.servers[j].ServeConn(sc)
 			client := rpc.NewClient(cc)
-			c.nodes[i].AddPeer(to, client)
+			if err := c.nodes[i].Connect(to, client); err != nil {
+				t.Fatal(err)
+			}
 			c.clients[from][to] = client
 		}
 	}
@@ -62,7 +85,7 @@ func makeCluster(t *testing.T, names ...string) *cluster {
 }
 
 func TestPropagation(t *testing.T) {
-	c := makeCluster(t, "alpha", "beta", "gamma")
+	c := makeClusterW(t, 3, "alpha", "beta", "gamma")
 	if err := c.nodes[0].Set("net/hosts/a", "1"); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +98,7 @@ func TestPropagation(t *testing.T) {
 }
 
 func TestMultiMasterConvergence(t *testing.T) {
-	c := makeCluster(t, "a", "b", "c")
+	c := makeClusterW(t, 3, "a", "b", "c")
 	// Each node updates different names concurrently-ish.
 	for i := 0; i < 10; i++ {
 		for j, n := range c.nodes {
@@ -107,7 +130,7 @@ func TestMultiMasterConvergence(t *testing.T) {
 }
 
 func TestDuplicateDeliveryIgnored(t *testing.T) {
-	c := makeCluster(t, "a", "b")
+	c := makeClusterW(t, 2, "a", "b")
 	c.nodes[0].Set("x", "1")
 	// Push the same entry again by hand.
 	vec, _ := c.nodes[1].Vector()
@@ -151,22 +174,51 @@ func TestAntiEntropyCatchUp(t *testing.T) {
 	}
 }
 
+// TestAntiEntropyTimer: an entry applied straight to the origin's store —
+// never pushed, and with no further write to reveal the gap — reaches the
+// member within a few ticks of the one anti-entropy loop, and so does one
+// applied after the origin was closed and reopened, when it has forgotten
+// what its member had acked.
 func TestAntiEntropyTimer(t *testing.T) {
-	c := makeCluster(t, "a", "b")
-	na, nb := c.nodes[0], c.nodes[1]
-	// Direct store apply (no push).
-	parts, _ := nameserver.SplitPath("timer/key")
-	na.store.Apply(&Replicated{Origin: "a", Seq: 1, Inner: &nameserver.SetValue{Path: parts, Value: "v"}})
-	nb.AntiEntropyEvery(10 * time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if v, err := nb.Lookup("timer/key"); err == nil && v == "v" {
-			break
+	nb, err := Open(Config{Name: "b", FS: vfs.NewMem(2), HistoryCap: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nb.Close()
+	srvB := rpc.NewServer()
+	if err := srvB.Register("Replica", NewService(nb)); err != nil {
+		t.Fatal(err)
+	}
+	defer srvB.Close()
+
+	fsA := vfs.NewMem(1)
+	group := groupOf(1, "a", "b")
+	group.AntiEntropyEvery = 10 * time.Millisecond
+	for seq, key := range []string{"timer/key", "timer/reopened"} {
+		na, err := Open(Config{Name: "a", FS: fsA, HistoryCap: 100, GroupConfig: group})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("anti-entropy never converged")
+		if err := na.Connect("b", pipeTo(srvB)); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		parts, _ := nameserver.SplitPath(key)
+		if err := na.store.Apply(&Replicated{Origin: "a", Seq: uint64(seq + 1), Inner: &nameserver.SetValue{Path: parts, Value: "v"}}); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			if v, err := nb.Lookup(key); err == nil && v == "v" {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("anti-entropy never delivered %s", key)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if err := na.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -214,6 +266,137 @@ func TestHistoryTrimForcesFullSync(t *testing.T) {
 	}
 }
 
+// trimmedPeer opens node a with a history cap of 3 and 20 own-origin Sets —
+// so any node behind it can only be served a snapshot — plus a server for it.
+func trimmedPeer(t *testing.T) (*Node, *rpc.Server) {
+	t.Helper()
+	na, err := Open(Config{Name: "a", FS: vfs.NewMem(1), HistoryCap: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { na.Close() })
+	for i := 0; i < 20; i++ {
+		if err := na.Set(fmt.Sprintf("k%d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := rpc.NewServer()
+	if err := srv.Register("Replica", NewService(na)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return na, srv
+}
+
+// aheadNode opens lone node b with five acknowledged own-origin Sets.
+func aheadNode(t *testing.T, historyCap int) *Node {
+	t.Helper()
+	nb, err := Open(Config{Name: "b", FS: vfs.NewMem(2), HistoryCap: historyCap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nb.Close() })
+	for i := 0; i < 5; i++ {
+		if err := nb.Set(fmt.Sprintf("own/k%d", i), "mine"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return nb
+}
+
+// checkInstallKeptOwn: after installing a's snapshot, b holds a's twenty
+// updates and still every one of its own, and its next Set takes seq 6.
+func checkInstallKeptOwn(t *testing.T, nb *Node) {
+	t.Helper()
+	vec, _ := nb.Vector()
+	if vec["a"] != 20 || vec["b"] != 5 {
+		t.Fatalf("vector after install = %v, want a:20 b:5", vec)
+	}
+	for i := 0; i < 5; i++ {
+		if v, err := nb.Lookup(fmt.Sprintf("own/k%d", i)); err != nil || v != "mine" {
+			t.Fatalf("acknowledged own/k%d after install: %q %v", i, v, err)
+		}
+	}
+	if v, err := nb.Lookup("k19"); err != nil || v != "v" {
+		t.Fatalf("k19 after install: %q %v", v, err)
+	}
+	if err := nb.Set("own/next", "mine"); err != nil {
+		t.Fatal(err)
+	}
+	if vec, _ = nb.Vector(); vec["b"] != 6 {
+		t.Fatalf("next own Set took seq %d, want 6", vec["b"])
+	}
+}
+
+// checkInstallRefused: b's history (cap 3) no longer reaches its own first
+// updates, so the install is refused and b is exactly as it was.
+func checkInstallRefused(t *testing.T, nb *Node) {
+	t.Helper()
+	vec, _ := nb.Vector()
+	if vec["a"] != 0 || vec["b"] != 5 {
+		t.Fatalf("vector after refused install = %v, want b:5 only", vec)
+	}
+	if v, err := nb.Lookup("own/k0"); err != nil || v != "mine" {
+		t.Fatalf("own/k0 after refused install: %q %v", v, err)
+	}
+}
+
+// TestPulledInstallKeepsOwnUpdates: a pull answered NeedFull must not drop
+// what the puller holds beyond the snapshot.
+func TestPulledInstallKeepsOwnUpdates(t *testing.T) {
+	_, srvA := trimmedPeer(t)
+	client := pipeTo(srvA)
+	defer client.Close()
+
+	nb := aheadNode(t, 100)
+	if err := nb.SyncWith(client); err != nil {
+		t.Fatal(err)
+	}
+	checkInstallKeptOwn(t, nb)
+
+	short := aheadNode(t, 3)
+	if err := short.SyncWith(client); !errors.Is(err, ErrInstallRegress) {
+		t.Fatalf("pull into a node whose history is trimmed past its own updates: %v, want ErrInstallRegress", err)
+	}
+	checkInstallRefused(t, short)
+}
+
+// TestPushedInstallKeepsOwnUpdates: the same rule for a snapshot pushed at
+// the member through Replica.Install.
+func TestPushedInstallKeepsOwnUpdates(t *testing.T) {
+	na, _ := trimmedPeer(t)
+	for _, tc := range []struct {
+		historyCap int
+		refused    bool
+	}{{100, false}, {3, true}} {
+		nb := aheadNode(t, tc.historyCap)
+		srvB := rpc.NewServer()
+		if err := srvB.Register("Replica", NewService(nb)); err != nil {
+			t.Fatal(err)
+		}
+		defer srvB.Close()
+		client := pipeTo(srvB)
+		defer client.Close()
+		snap, err := na.snapshotRoot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply InstallReply
+		err = client.Call("Replica.Install", &InstallArgs{Root: snap}, &reply)
+		if tc.refused {
+			if err == nil || !strings.Contains(err.Error(), ErrInstallRegress.Error()) {
+				t.Fatalf("install over a trimmed history: %v, want %v", err, ErrInstallRegress)
+			}
+			checkInstallRefused(t, nb)
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkInstallKeptOwn(t, nb)
+	}
+}
+
 func TestHardErrorRestore(t *testing.T) {
 	// The §4 scenario: node b's disk dies; rebuild from node a, losing
 	// only what never propagated.
@@ -258,7 +441,7 @@ func TestHardErrorRestore(t *testing.T) {
 }
 
 func TestReplicaDurability(t *testing.T) {
-	c := makeCluster(t, "a", "b")
+	c := makeClusterW(t, 2, "a", "b")
 	c.nodes[0].Set("persist/me", "1")
 	// Crash and reopen node b from its own disk.
 	name := c.nodes[1].Name()
