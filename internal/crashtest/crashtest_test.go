@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"smalldb/internal/obs"
 )
 
 // TestPlanDeterministic: the same seed must generate the identical workload
@@ -242,18 +244,39 @@ func TestReplicaTortureWithReaders(t *testing.T) {
 
 // TestReadersDeterminism: adding readers must not change the workload's
 // file-system op indexing — the property that keeps (seed, point)
-// replayable. The reference op counts with and without readers must match.
+// replayable. The reference op counts with and without readers must match,
+// for the bare store and — where every update also crosses the point's
+// network and comes back as a traced push — for the replica group.
 func TestReadersDeterminism(t *testing.T) {
-	without, err := Run(Config{Seed: 3, Ops: 10, Mode: ModeStore, To: 1})
-	if err != nil {
-		t.Fatal(err)
+	for _, mode := range []string{ModeStore, ModeReplica} {
+		without, err := Run(Config{Seed: 3, Ops: 10, Mode: mode, To: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		with, err := Run(Config{Seed: 3, Ops: 10, Mode: mode, To: 1, Readers: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if without.TotalFSOps != with.TotalFSOps {
+			t.Fatalf("%s: readers changed the op indexing: %d fs ops without, %d with",
+				mode, without.TotalFSOps, with.TotalFSOps)
+		}
 	}
-	with, err := Run(Config{Seed: 3, Ops: 10, Mode: ModeStore, To: 1, Readers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if without.TotalFSOps != with.TotalFSOps {
-		t.Fatalf("readers changed the op indexing: %d fs ops without, %d with",
-			without.TotalFSOps, with.TotalFSOps)
+}
+
+// TestPointPanicIsAViolation: a panic inside a point — here a runner with
+// no plan, so the first touch of the workload dereferences nil — must
+// surface as a replayable "harness panic" violation of that point rather
+// than kill the sweep, whichever fault the point injects.
+func TestPointPanicIsAViolation(t *testing.T) {
+	for _, mode := range []string{ModeStore, ModeNet} {
+		r := &runner{cfg: Config{Seed: 7, Mode: mode, Batch: 1, Window: 2}, nodes: 1, quorum: 1, reg: obs.NewRegistry()}
+		vs := r.point(5)
+		if len(vs) != 1 || !strings.Contains(vs[0].Msg, "harness panic") {
+			t.Fatalf("%s: point returned %v, want one harness-panic violation", mode, vs)
+		}
+		if want := (Violation{Seed: 7, Mode: mode, Point: 5, Msg: vs[0].Msg}); vs[0] != want {
+			t.Errorf("%s: violation %+v does not name its (seed, mode, point)", mode, vs[0])
+		}
 	}
 }

@@ -7,7 +7,8 @@ import (
 // TestGroupSweepBoundedSlice runs a bounded slice of the N-node group
 // sweep: 3 nodes, majority quorum, a seeded minority partition per point.
 func TestGroupSweepBoundedSlice(t *testing.T) {
-	res, err := RunNet(NetConfig{
+	res, err := Run(Config{
+		Mode:    ModeNet,
 		Seed:    1,
 		Ops:     16,
 		Window:  3,
@@ -36,7 +37,8 @@ func TestGroupSweepFiveNodesWithCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bounded but heavy; covered in full by cmd/crashtest -nodes 5")
 	}
-	res, err := RunNet(NetConfig{
+	res, err := Run(Config{
+		Mode:    ModeNet,
 		Seed:    2,
 		Ops:     14,
 		Window:  3,
@@ -65,14 +67,14 @@ func TestGroupSweepFiveNodesWithCrash(t *testing.T) {
 // cut only the N − W members it can still ack without; a quorum above N is
 // a config error.
 func TestGroupSweepSuperMajorityQuorum(t *testing.T) {
-	res, err := RunNet(NetConfig{Seed: 1, Ops: 8, Window: 2, To: 2, Nodes: 4, Quorum: 3, Profile: hostileProfile, Logf: t.Logf})
+	res, err := Run(Config{Mode: ModeNet, Seed: 1, Ops: 8, Window: 2, To: 2, Nodes: 4, Quorum: 3, Profile: hostileProfile, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range res.Violations {
 		t.Errorf("%s", v)
 	}
-	if _, err := RunNet(NetConfig{Seed: 1, Ops: 8, Window: 2, Nodes: 3, Quorum: 9}); err == nil {
+	if _, err := Run(Config{Mode: ModeNet, Seed: 1, Ops: 8, Window: 2, Nodes: 3, Quorum: 9}); err == nil {
 		t.Fatal("W>N accepted")
 	}
 }

@@ -51,7 +51,7 @@ func TestSmallHistoryCapSweeps(t *testing.T) {
 			name = "net-group"
 		}
 		t.Run(name, func(t *testing.T) {
-			res, err := RunNet(NetConfig{Seed: 5, Ops: 20, Window: 6, HistoryCap: 4, Stride: 3, Nodes: nodes, Crash: true, Profile: hostileProfile, Logf: t.Logf})
+			res, err := Run(Config{Mode: ModeNet, Seed: 5, Ops: 20, Window: 6, HistoryCap: 4, Stride: 3, Nodes: nodes, Crash: true, Profile: hostileProfile, Logf: t.Logf})
 			if err != nil {
 				t.Fatal(err)
 			}

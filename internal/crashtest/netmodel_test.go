@@ -118,17 +118,20 @@ func TestModelOracle(t *testing.T) {
 	ffs := faultfs.New(vfs.NewMem(seed), faultfs.Options{CrashAt: faultfs.Never})
 	// A pair at W = 1, each node pushing to the other.
 	pair := replica.GroupConfig{Members: []replica.Member{{Name: "a", Addr: "netsim"}, {Name: "b", Addr: "netsim"}}, W: 1}
-	a, err := openNetNode(nw, "a", ffs, NetConfig{}, pair, nil)
+	open := func(name string, fs vfs.FS) (*endpoint, error) {
+		return openEndpoint(nw, replica.Config{Name: name, FS: fs, PushPolicy: netPolicy, SyncPolicy: netPolicy, GroupConfig: pair})
+	}
+	a, err := open("a", ffs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { a.close() }()
-	b, err := openNetNode(nw, "b", vfs.NewMem(seed+1), NetConfig{}, pair, nil)
+	b, err := open("b", vfs.NewMem(seed+1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.close()
-	connect := func(from *netNode, to string) *rpc.Client {
+	connect := func(from *endpoint, to string) *rpc.Client {
 		c := rpc.NewClientDialer(nw.Dialer(from.node.Name(), to))
 		if err := from.node.Connect(to, c); err != nil {
 			t.Fatal(err)
@@ -196,7 +199,7 @@ func TestModelOracle(t *testing.T) {
 			// the full prefix.
 			frozen := ffs.Snapshot()
 			a.close()
-			restarted, err := openNetNode(nw, "a", frozen, NetConfig{}, pair, nil)
+			restarted, err := open("a", frozen)
 			if err != nil {
 				t.Fatalf("restart of node a: %v", err)
 			}

@@ -20,7 +20,8 @@ var hostileProfile = netsim.Profile{
 // TestNetSweepBoundedSlice runs a bounded slice of the partition sweep —
 // the full sweep lives behind cmd/crashtest -net.
 func TestNetSweepBoundedSlice(t *testing.T) {
-	res, err := RunNet(NetConfig{
+	res, err := Run(Config{
+		Mode:    ModeNet,
 		Seed:    1,
 		Ops:     24,
 		Window:  4,
@@ -44,7 +45,8 @@ func TestNetSweepBoundedSlice(t *testing.T) {
 // acking node at the heal point: updates acked during the partition must
 // survive both.
 func TestNetSweepWithCrash(t *testing.T) {
-	res, err := RunNet(NetConfig{
+	res, err := Run(Config{
+		Mode:    ModeNet,
 		Seed:    2,
 		Ops:     20,
 		Window:  4,

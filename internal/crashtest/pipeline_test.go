@@ -44,7 +44,7 @@ func TestPipelinedReplayDifferential(t *testing.T) {
 		if seq := srv.Store().AppliedSeq(); seq != entries {
 			t.Errorf("workers=%d: recovered %d updates, want %d", workers, seq, entries)
 		}
-		got, err := storeFingerprint(srv)
+		got, err := fingerprint(srv.Store(), storeTree)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -60,7 +60,7 @@ func TestShardedReplayDifferential(t *testing.T) {
 		if seq := srv.Store().AppliedSeq(); seq != entries {
 			t.Errorf("shards=%d workers=%d: recovered %d updates, want %d", shards, workers, seq, entries)
 		}
-		if got, err := storeFingerprint(srv); err != nil || got != wantFP {
+		if got, err := fingerprint(srv.Store(), storeTree); err != nil || got != wantFP {
 			t.Errorf("shards=%d workers=%d: recovered state diverges from the oracle (%v)", shards, workers, err)
 		}
 		var buf []byte

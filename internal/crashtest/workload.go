@@ -1,22 +1,28 @@
-// Package crashtest is a deterministic crash-point torture harness for the
-// store: it records a seeded workload of name-server updates, counts the N
-// mutating file-system operations the workload performs, and then — for
-// every crash point n in [0, N] — replays the workload on a fresh file
-// system that crashes exactly before operation n, reopens the database
-// through the normal restart path (checkpoint load + log replay), and
-// checks the paper's durability contract:
+// Package crashtest is a deterministic torture harness for the store: one
+// sweep driver (Run) that replays a seeded workload of name-server updates
+// once per fault point and checks the paper's durability contract after
+// each. The fault is a parameter. A crash sweep counts the N mutating
+// file-system operations the workload performs and — for every crash point
+// n in [0, N] — replays it on a fresh file system that loses power exactly
+// before operation n; a partition sweep cuts, before every update k, as
+// many group members off a simulated network as the write quorum can do
+// without. So is the subject: a bare name-server store, or one member of a
+// replica group. Either way the tortured node then reopens its durable
+// image through the normal restart path (checkpoint load + log replay), or
+// carries on through the healed network, and:
 //
-//   - every update acknowledged to the client before the crash is present
-//     after recovery;
+//   - every update acknowledged to the client before the fault is present
+//     afterwards, on the node or on the members its quorum put it on;
 //   - no unacknowledged update is half-applied (a multi-arc PutSubtree is
 //     one log entry: all or nothing);
 //   - the recovered state equals, bit for bit, the in-memory oracle of the
 //     acknowledged prefix — and after catch-up (replaying the remaining
-//     updates, or pulling them from a replica peer) it equals the oracle of
-//     the full workload.
+//     updates, one anti-entropy round with every member) the whole group
+//     equals the oracle of the full workload.
 //
-// Because the workload, the file-system op indexing and the recovery path
-// are all deterministic, any violation is replayable from just (seed, n).
+// Because the workload, the file-system op indexing, the network's fault
+// schedule and the recovery path are all deterministic, any violation is
+// replayable from just (seed, point).
 package crashtest
 
 import (

@@ -83,7 +83,7 @@ type partition struct {
 	name  string
 	lock  sulock.Lock
 	root  any
-	cpSeq uint64 // sequences ≤ cpSeq are covered by this partition's checkpoint
+	cpSeq uint64 // sequences ≤ cpSeq are covered by this partition's checkpoint; written under Set.mu
 
 	applied uint64 // last sequence applied to root (any partition order; own entries only)
 }
@@ -450,55 +450,40 @@ func (s *Set) Checkpoint(part string) error {
 	if err := s.cfg.FS.Rename(tmp, cpName(p.name, cpSeq)); err != nil {
 		return err
 	}
-	oldCp := p.cpSeq
-	p.cpSeq = cpSeq
 	// Remove the superseded checkpoint.
-	if oldCpName := cpName(p.name, oldCp); oldCp != cpSeq && vfs.Exists(s.cfg.FS, oldCpName) {
+	if oldCpName := cpName(p.name, p.cpSeq); p.cpSeq != cpSeq && vfs.Exists(s.cfg.FS, oldCpName) {
 		_ = s.cfg.FS.Remove(oldCpName)
 	}
 
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p.cpSeq = cpSeq
 	return s.retireSegments()
 }
 
 // retireSegments deletes every non-active segment all of whose entries are
 // covered by their own partition's checkpoint — the shared log's flush
-// rule. Reading cpSeq without each partition's lock is safe: it only
-// grows, and a stale low value merely delays retirement.
+// rule. Called with s.mu held, which is also what every partition's cpSeq is
+// written under: two partitions checkpointing at once decide and delete one
+// after the other, so neither removes a segment the other already did. The
+// chain comes from segParts — every segment but a still-empty active one
+// holds an entry — not from a directory listing.
 func (s *Set) retireSegments() error {
-	cover := map[string]uint64{}
-	for name, p := range s.parts {
-		cover[name] = p.cpSeq
-	}
-	names, err := s.cfg.FS.List()
-	if err != nil {
-		return err
-	}
-	var segs []uint64
-	for _, n := range names {
-		if v, ok := parseSeg(n); ok {
-			segs = append(segs, v)
-		}
+	segs := make([]uint64, 0, len(s.segParts))
+	for first := range s.segParts {
+		segs = append(segs, first)
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.segBase
 	// Only a prefix of the chain may be removed: recovery verifies the
 	// remaining segments are sequence-contiguous.
 	for _, first := range segs {
-		if first == cur {
+		if first == s.segBase {
 			break // never retire the active segment
 		}
-		retirable := true
 		for part, maxSeq := range s.segParts[first] {
-			if maxSeq > cover[part] {
-				retirable = false
-				break
+			if maxSeq > s.parts[part].cpSeq {
+				return nil
 			}
-		}
-		if !retirable {
-			break
 		}
 		if err := s.cfg.FS.Remove(segName(first)); err != nil {
 			return err

@@ -261,6 +261,48 @@ func TestConcurrentPartitions(t *testing.T) {
 	}
 }
 
+// TestConcurrentCheckpoints checkpoints every partition at once, over and
+// over, on segments small enough to roll every few updates: each checkpoint
+// finds segments to retire, and two that decide on the same segment must not
+// both delete it (the loser's Checkpoint used to fail with "file does not
+// exist"), nor read each other's coverage mid-write.
+func TestConcurrentCheckpoints(t *testing.T) {
+	fs := vfs.NewMem(1)
+	parts := []string{"a", "b", "c", "d"}
+	s := openSet(t, fs, 256, parts...)
+	var wg sync.WaitGroup
+	for _, part := range parts {
+		wg.Add(1)
+		go func(part string) {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				if err := s.Apply(part, &putRow{K: fmt.Sprintf("k%d", i), V: part}); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := s.Checkpoint(part); err != nil {
+					t.Errorf("checkpoint %s after update %d: %v", part, i, err)
+					return
+				}
+			}
+		}(part)
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openSet(t, fs, 256, parts...)
+	defer s2.Close()
+	for _, part := range parts {
+		for i := 0; i < 60; i++ {
+			if v, ok := getRow(t, s2, part, fmt.Sprintf("k%d", i)); !ok || v != part {
+				t.Fatalf("%s/k%d = %q %v", part, i, v, ok)
+			}
+		}
+	}
+}
+
 func TestUnknownPartitionInLog(t *testing.T) {
 	fs := vfs.NewMem(1)
 	s := openSet(t, fs, 0, "old")

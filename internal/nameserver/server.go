@@ -2,7 +2,6 @@ package nameserver
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"smalldb/internal/core"
@@ -89,7 +88,7 @@ func (s *Server) Lookup(name string) (string, error) {
 		if err != nil {
 			return err
 		}
-		val, err = t.lookup(parts)
+		val, err = t.Lookup(parts)
 		return err
 	})
 	return val, err
@@ -107,7 +106,7 @@ func (s *Server) List(name string) ([]string, error) {
 		if err != nil {
 			return err
 		}
-		out, err = t.list(parts)
+		out, err = t.List(parts)
 		return err
 	})
 	return out, err
@@ -126,31 +125,8 @@ func (s *Server) Enumerate(name string, fn func(name, value string) error) error
 		if err != nil {
 			return err
 		}
-		n := t.find(parts)
-		if n == nil {
-			return fmt.Errorf("%w: %s", ErrNotFound, JoinPath(parts))
-		}
-		return walk(n, parts, fn)
+		return t.Enumerate(parts, fn)
 	})
-}
-
-func walk(n *Node, path []string, fn func(name, value string) error) error {
-	if n.HasValue {
-		if err := fn(JoinPath(path), n.Value); err != nil {
-			return err
-		}
-	}
-	labels := make([]string, 0, len(n.Children))
-	for k := range n.Children {
-		labels = append(labels, k)
-	}
-	sort.Strings(labels)
-	for _, k := range labels {
-		if err := walk(n.Children[k], append(path, k), fn); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SubtreeCopy returns a deep copy of the subtree at name; replication uses

@@ -404,10 +404,10 @@ func treeOf(root any) (*Tree, error) {
 	return t, nil
 }
 
-// --- read helpers used by the server and by tests ---
+// --- enquiries: what Server and the replicated service both answer from ---
 
-// lookup returns the value at parts.
-func (t *Tree) lookup(parts []string) (string, error) {
+// Lookup returns the value at parts.
+func (t *Tree) Lookup(parts []string) (string, error) {
 	n := t.find(parts)
 	if n == nil {
 		return "", fmt.Errorf("%w: %s", ErrNotFound, JoinPath(parts))
@@ -418,8 +418,8 @@ func (t *Tree) lookup(parts []string) (string, error) {
 	return n.Value, nil
 }
 
-// list returns the sorted arc labels under parts.
-func (t *Tree) list(parts []string) ([]string, error) {
+// List returns the sorted arc labels under parts.
+func (t *Tree) List(parts []string) ([]string, error) {
 	n := t.find(parts)
 	if n == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, JoinPath(parts))
@@ -430,4 +430,34 @@ func (t *Tree) list(parts []string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
+}
+
+// Enumerate calls fn for every (name, value) pair at or below parts, in
+// depth-first sorted order. Returning a non-nil error from fn stops the
+// walk.
+func (t *Tree) Enumerate(parts []string, fn func(name, value string) error) error {
+	n := t.find(parts)
+	if n == nil {
+		return fmt.Errorf("%w: %s", ErrNotFound, JoinPath(parts))
+	}
+	return walk(n, parts, fn)
+}
+
+func walk(n *Node, path []string, fn func(name, value string) error) error {
+	if n.HasValue {
+		if err := fn(JoinPath(path), n.Value); err != nil {
+			return err
+		}
+	}
+	labels := make([]string, 0, len(n.Children))
+	for k := range n.Children {
+		labels = append(labels, k)
+	}
+	sort.Strings(labels)
+	for _, k := range labels {
+		if err := walk(n.Children[k], append(path, k), fn); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -300,6 +300,9 @@ func (n *Node) DeleteTraced(name string, sc obs.SpanContext) error {
 	return n.ApplyTraced(&nameserver.DeleteSubtree{Path: parts}, sc)
 }
 
+// Lookup, List and Enumerate are nameserver's tree enquiries against the
+// replicated tree.
+
 // Lookup reads the value bound to name.
 func (n *Node) Lookup(name string) (string, error) {
 	parts, err := nameserver.SplitPath(name)
@@ -307,37 +310,45 @@ func (n *Node) Lookup(name string) (string, error) {
 		return "", err
 	}
 	var out string
-	err = n.store.View(func(root any) error {
-		r, err := rootOf(root)
-		if err != nil {
-			return err
-		}
-		t := r.Tree
-		v, err := lookupTree(t, parts)
-		if err != nil {
-			return err
-		}
-		out = v
-		return nil
+	err = n.viewTree(func(t *nameserver.Tree) (err error) {
+		out, err = t.Lookup(parts)
+		return err
 	})
 	return out, err
 }
 
-func lookupTree(t *nameserver.Tree, parts []string) (string, error) {
-	n := t.Root
-	for _, p := range parts {
-		if n == nil || n.Children == nil {
-			return "", nameserver.ErrNotFound
+// List returns the sorted child labels under name.
+func (n *Node) List(name string) ([]string, error) {
+	parts, err := nameserver.SplitPath(name)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	err = n.viewTree(func(t *nameserver.Tree) (err error) {
+		out, err = t.List(parts)
+		return err
+	})
+	return out, err
+}
+
+// Enumerate calls fn for every (name, value) pair at or below name, in
+// depth-first sorted order.
+func (n *Node) Enumerate(name string, fn func(name, value string) error) error {
+	parts, err := nameserver.SplitPath(name)
+	if err != nil {
+		return err
+	}
+	return n.viewTree(func(t *nameserver.Tree) error { return t.Enumerate(parts, fn) })
+}
+
+func (n *Node) viewTree(fn func(t *nameserver.Tree) error) error {
+	return n.store.View(func(root any) error {
+		r, err := rootOf(root)
+		if err != nil {
+			return err
 		}
-		n = n.Children[p]
-	}
-	if n == nil {
-		return "", nameserver.ErrNotFound
-	}
-	if !n.HasValue {
-		return "", nameserver.ErrNoValue
-	}
-	return n.Value, nil
+		return fn(r.Tree)
+	})
 }
 
 // ErrStale marks a bounded-staleness read served by a member whose durable
@@ -376,7 +387,7 @@ func (n *Node) ReadAt(name string, minSeq uint64) (value string, frontier uint64
 	var v string
 	var lerr error
 	_, frontier, err = n.readSnapshot(func(r *Root) {
-		v, lerr = lookupTree(r.Tree, parts)
+		v, lerr = r.Tree.Lookup(parts)
 	})
 	if err != nil {
 		return "", 0, err

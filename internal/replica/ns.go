@@ -25,6 +25,22 @@ func (s *NSService) Lookup(args *nameserver.LookupArgs, reply *nameserver.Lookup
 	return err
 }
 
+// List serves the remote enquiry for a name's child labels.
+func (s *NSService) List(args *nameserver.ListArgs, reply *nameserver.ListReply) error {
+	labels, err := s.node.List(args.Name)
+	reply.Labels = labels
+	return err
+}
+
+// Enumerate browses a whole subtree remotely.
+func (s *NSService) Enumerate(args *nameserver.EnumerateArgs, reply *nameserver.EnumerateReply) error {
+	return s.node.Enumerate(args.Name, func(name, value string) error {
+		reply.Names = append(reply.Names, name)
+		reply.Values = append(reply.Values, value)
+		return nil
+	})
+}
+
 // Set serves the remote update, carrying the caller's trace through the
 // local commit and on to the member pushes.
 func (s *NSService) Set(args *nameserver.SetArgs, reply *nameserver.SetReply, sc obs.SpanContext) error {
