@@ -274,6 +274,34 @@ func BenchmarkE14PartitionedApply(b *testing.B) {
 	}
 }
 
+// BenchmarkWideDirInsert: the cost sorted arcs pay where a hash table paid
+// none. It creates n names in one flat directory, in random order and in
+// place (no snapshot between them, as log replay runs), so every insert
+// shifts the tail of the directory's arc slice — O(fan-out), where the map
+// was O(1). ns/name is the whole run divided by n; EXPERIMENTS.md records it
+// beside the map-based tree's, and the fan-out at which a wide node is due.
+func BenchmarkWideDirInsert(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("names=%d", n), func(b *testing.B) {
+			updates := make([]*nameserver.SetValue, n)
+			for i, j := range rand.New(rand.NewSource(1)).Perm(n) {
+				updates[i] = &nameserver.SetValue{Path: []string{"wide", fmt.Sprintf("name%07d", j)}, Value: "v"}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tree := nameserver.NewTree()
+				for _, u := range updates {
+					if err := u.Apply(tree); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/name")
+		})
+	}
+}
+
 // BenchmarkE14PartitionCheckpoint: checkpointing one partition of two.
 func BenchmarkE14PartitionCheckpoint(b *testing.B) {
 	fs := vfs.NewMem(1)

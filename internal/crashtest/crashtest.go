@@ -568,7 +568,7 @@ func (r *runner) step(k *int, rec *recorder, opCount func() int64, apply func([]
 			rec.start(opCount())
 		}
 	}
-	if err := apply(r.plan.updates[*k:end]); err != nil {
+	if err := apply(r.plan.batch(*k, end)); err != nil {
 		return err
 	}
 	if rec != nil {
@@ -820,7 +820,7 @@ func (r *runner) replay(p int64) (out []Violation) {
 		return append(out, vs...)
 	}
 	for k := upto; k < len(r.plan.updates); k++ {
-		if err := s.applyBatch(r.plan.updates[k : k+1]); err != nil {
+		if err := s.applyBatch(r.plan.batch(k, k+1)); err != nil {
 			return append(out, r.violation(p, "catch-up: update %d not acknowledged after the fault: %v", k, err))
 		}
 	}

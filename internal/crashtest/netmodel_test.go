@@ -37,7 +37,10 @@ func modelInsertSubtree(m map[string]string, key string, n *nameserver.Node) {
 	if n.HasValue {
 		m[key] = n.Value
 	}
-	for arc, child := range n.Children {
+	for _, a := range n.Arcs { // the form Verify folds the update's subtree into
+		modelInsertSubtree(m, key+"/"+a.Label, a.Child)
+	}
+	for arc, child := range n.Children { // the form the generator writes
 		modelInsertSubtree(m, key+"/"+arc, child)
 	}
 }
@@ -82,12 +85,12 @@ func valueMap(t *testing.T, n *replica.Node) map[string]string {
 			if node.HasValue {
 				out[path] = node.Value
 			}
-			for arc, child := range node.Children {
-				key := arc
+			for _, a := range node.Arcs {
+				key := a.Label
 				if path != "" {
-					key = path + "/" + arc
+					key = path + "/" + a.Label
 				}
-				walk(child, key)
+				walk(a.Child, key)
 			}
 		}
 		walk(r.Tree.Root, "")
@@ -183,10 +186,11 @@ func TestModelOracle(t *testing.T) {
 			nw.Partition("a", "b")
 		}
 		for i := phase * perPhase; i < (phase+1)*perPhase; i++ {
-			if err := writer.Apply(p.updates[i]); err != nil {
+			u := p.batch(i, i+1)[0]
+			if err := writer.Apply(u); err != nil {
 				t.Fatalf("phase %d: update %d not acknowledged: %v", phase, i, err)
 			}
-			modelApply(model, p.updates[i])
+			modelApply(model, u)
 		}
 		if phase == 2 {
 			nw.Heal("a", "b")

@@ -36,8 +36,9 @@ import (
 )
 
 // plan is a recorded workload: a deterministic update sequence together
-// with the oracle fingerprint after every prefix. The update values are
-// immutable once built, so one plan is shared by every crash-point replay.
+// with the oracle fingerprint after every prefix. One plan is shared by
+// every crash-point replay, so nothing may write to its updates: whoever
+// commits them takes them from batch.
 type plan struct {
 	updates []core.Update
 	// fp[k] is the fingerprint of the oracle tree after the first k
@@ -55,7 +56,8 @@ func makePlan(seed int64, ops int) *plan {
 	p := &plan{fp: make([]uint64, 0, ops+1)}
 	p.fp = append(p.fp, fingerprintTree(oracle))
 	for i := 0; i < ops; i++ {
-		u := genUpdate(rng, oracle, i)
+		p.updates = append(p.updates, genUpdate(rng, oracle, i))
+		u := p.batch(i, i+1)[0]
 		if err := u.Verify(oracle); err != nil {
 			// The generator only emits valid updates; a failure here is
 			// a bug in the generator itself.
@@ -64,10 +66,26 @@ func makePlan(seed int64, ops int) *plan {
 		if err := u.Apply(oracle); err != nil {
 			panic(fmt.Sprintf("crashtest: oracle apply %d: %v", i, err))
 		}
-		p.updates = append(p.updates, u)
 		p.fp = append(p.fp, fingerprintTree(oracle))
 	}
 	return p
+}
+
+// batch returns updates [lo, hi) of the plan for one committer. A
+// PutSubtree's Verify replaces its map-form subtree (randSubtree writes that
+// form on purpose) with the folded one it logs, so each committer gets a
+// PutSubtree of its own around the shared, read-only subtree — and every
+// replay runs the fold inside the store, where a crash can land on it.
+func (p *plan) batch(lo, hi int) []core.Update {
+	out := make([]core.Update, hi-lo)
+	for i, u := range p.updates[lo:hi] {
+		if put, ok := u.(*nameserver.PutSubtree); ok {
+			own := *put
+			u = &own
+		}
+		out[i] = u
+	}
+	return out
 }
 
 // labels is the small component pool paths are drawn from; a small pool
@@ -93,13 +111,8 @@ func existingPaths(t *nameserver.Tree) [][]string {
 		if len(path) > 0 {
 			out = append(out, append([]string(nil), path...))
 		}
-		keys := make([]string, 0, len(n.Children))
-		for k := range n.Children {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			walk(n.Children[k], append(path, k))
+		for _, a := range n.Arcs {
+			walk(a.Child, append(path, a.Label))
 		}
 	}
 	walk(t.Root, nil)
@@ -136,7 +149,9 @@ func genUpdate(rng *rand.Rand, oracle *nameserver.Tree, i int) core.Update {
 }
 
 // randSubtree builds a small multi-arc subtree: a valued root with several
-// valued children, so one PutSubtree changes several names atomically.
+// valued children, so one PutSubtree changes several names atomically. It is
+// spelled with the input-only Children map, which the update must fold into
+// sorted arcs before it is logged.
 func randSubtree(rng *rand.Rand, i int) *nameserver.Node {
 	n := &nameserver.Node{Value: fmt.Sprintf("sub%d", i), HasValue: true, Children: map[string]*nameserver.Node{}}
 	for j, arcs := 0, 2+rng.Intn(3); j < arcs; j++ {
@@ -176,13 +191,8 @@ func fingerprintTree(t *nameserver.Tree) uint64 {
 			h.Write([]byte(n.Value))
 		}
 		h.Write([]byte{0})
-		keys := make([]string, 0, len(n.Children))
-		for k := range n.Children {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			walk(n.Children[k], append(path, k))
+		for _, a := range n.Arcs {
+			walk(a.Child, append(path, a.Label))
 		}
 	}
 	if t != nil && t.Root != nil {

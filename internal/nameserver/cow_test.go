@@ -58,7 +58,10 @@ func (m flatModel) deletePrefix(parts []string) {
 func (m flatModel) insertSubtree(parts []string, n *Node) {
 	k := strings.Join(parts, "/")
 	m[k] = flatEntry{has: n.HasValue, val: n.Value}
-	for label, c := range n.Children {
+	for _, a := range n.Arcs { // the form Verify folds the update's subtree into
+		m.insertSubtree(append(parts[:len(parts):len(parts)], a.Label), a.Child)
+	}
+	for label, c := range n.Children { // the input form, when Verify has not run
 		m.insertSubtree(append(parts[:len(parts):len(parts)], label), c)
 	}
 }
@@ -102,12 +105,12 @@ func flattenTree(t *Tree) flatModel {
 		if path != "" {
 			m[path] = flatEntry{has: n.HasValue, val: n.Value}
 		}
-		for label, c := range n.Children {
-			p := label
+		for _, a := range n.Arcs {
+			p := a.Label
 			if path != "" {
-				p = path + "/" + label
+				p = path + "/" + a.Label
 			}
-			walk(c, p)
+			walk(a.Child, p)
 		}
 	}
 	if t.Root != nil {

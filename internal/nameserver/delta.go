@@ -90,47 +90,42 @@ func diffNode(old, new *Node, path []string, d *TreeDelta) {
 	if old.Value != new.Value || old.HasValue != new.HasValue ||
 		old.Stamp != new.Stamp || old.StampBy != new.StampBy {
 		d.Ops = append(d.Ops, DeltaOp{
-			Op: DeltaSet, Path: copyPath(path),
+			Op: DeltaSet, Path: path, // nil at the root, else childPath's own array
 			Value: new.Value, HasValue: new.HasValue,
 			Stamp: new.Stamp, StampBy: new.StampBy,
 		})
 	}
-	for label, nc := range new.Children {
-		var oc *Node
-		if old.Children != nil {
-			oc = old.Children[label]
+	// Merge the two label-sorted arc lists: ops come out in label order, so
+	// the same change always pickles to the same delta. An arc to nil (which
+	// only a foreign checkpoint can hold) counts as no arc.
+	oa, na := old.Arcs, new.Arcs
+	for len(oa) > 0 || len(na) > 0 {
+		// The next label, and its child on each side that has the label.
+		fromOld := len(na) == 0 || (len(oa) > 0 && oa[0].Label <= na[0].Label)
+		fromNew := len(oa) == 0 || (len(na) > 0 && na[0].Label <= oa[0].Label)
+		var label string
+		var oc, nc *Node
+		if fromOld {
+			label, oc, oa = oa[0].Label, oa[0].Child, oa[1:]
 		}
-		if oc == nc {
-			continue // pointer-shared: content-identical under COW
+		if fromNew {
+			label, nc, na = na[0].Label, na[0].Child, na[1:]
 		}
-		childPath := childPath(path, label)
-		if oc == nil {
-			d.Ops = append(d.Ops, DeltaOp{Op: DeltaPut, Path: childPath, Subtree: nc})
-			continue
-		}
-		diffNode(oc, nc, childPath, d)
-	}
-	for label := range old.Children {
-		if new.Children == nil || new.Children[label] == nil {
+		switch {
+		case oc == nc: // pointer-shared: content-identical under COW
+		case nc == nil:
 			d.Ops = append(d.Ops, DeltaOp{Op: DeltaDelete, Path: childPath(path, label)})
+		case oc == nil:
+			d.Ops = append(d.Ops, DeltaOp{Op: DeltaPut, Path: childPath(path, label), Subtree: nc})
+		default:
+			diffNode(oc, nc, childPath(path, label), d)
 		}
 	}
 }
 
-func copyPath(p []string) []string {
-	if len(p) == 0 {
-		return nil
-	}
-	out := make([]string, len(p))
-	copy(out, p)
-	return out
-}
-
+// childPath returns p extended by label, in an array of its own.
 func childPath(p []string, label string) []string {
-	out := make([]string, len(p)+1)
-	copy(out, p)
-	out[len(p)] = label
-	return out
+	return append(p[:len(p):len(p)], label)
 }
 
 // ApplyDelta implements the core store's DeltaRoot contract: apply a
@@ -156,9 +151,9 @@ func (t *Tree) ApplyDelta(delta any) error {
 			if len(op.Path) == 0 {
 				return fmt.Errorf("nameserver: delta deletes the root")
 			}
-			parent := t.cowPath(op.Path[:len(op.Path)-1])
-			if parent != nil && parent.Children != nil {
-				delete(parent.Children, op.Path[len(op.Path)-1])
+			dir, label := split(op.Path)
+			if parent := t.cowPath(dir); parent != nil {
+				parent.unbind(label)
 			}
 		case DeltaPut:
 			if len(op.Path) == 0 {
@@ -167,14 +162,11 @@ func (t *Tree) ApplyDelta(delta any) error {
 			if op.Subtree == nil {
 				return fmt.Errorf("nameserver: delta put with nil subtree at %s", JoinPath(op.Path))
 			}
-			parent := t.ensure(op.Path[:len(op.Path)-1])
-			if parent.Children == nil {
-				parent.Children = make(map[string]*Node)
-			}
 			// The decoded subtree is owned by the delta; share it. Its
 			// nodes decode with born == 0, so later mutations copy them
 			// — exactly the discipline for checkpoint-loaded nodes.
-			parent.Children[op.Path[len(op.Path)-1]] = op.Subtree
+			dir, label := split(op.Path)
+			t.ensure(dir).bind(label, op.Subtree)
 		default:
 			return fmt.Errorf("nameserver: unknown delta op %d at %s", op.Op, JoinPath(op.Path))
 		}

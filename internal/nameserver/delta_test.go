@@ -1,6 +1,7 @@
 package nameserver
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -24,15 +25,14 @@ func nodesMatch(a, b *Node, path string) string {
 		return fmt.Sprintf("node %q: scalars %v/%q/%d/%q vs %v/%q/%d/%q",
 			path, a.HasValue, a.Value, a.Stamp, a.StampBy, b.HasValue, b.Value, b.Stamp, b.StampBy)
 	}
-	if len(a.Children) != len(b.Children) {
-		return fmt.Sprintf("node %q: %d vs %d children", path, len(a.Children), len(b.Children))
+	if len(a.Arcs) != len(b.Arcs) {
+		return fmt.Sprintf("node %q: %d vs %d children", path, len(a.Arcs), len(b.Arcs))
 	}
-	for label, ac := range a.Children {
-		bc, ok := b.Children[label]
-		if !ok {
-			return fmt.Sprintf("node %q: extra child %q", path, label)
+	for i, arc := range a.Arcs {
+		if b.Arcs[i].Label != arc.Label {
+			return fmt.Sprintf("node %q: extra child %q", path, arc.Label)
 		}
-		if d := nodesMatch(ac, bc, path+"/"+label); d != "" {
+		if d := nodesMatch(arc.Child, b.Arcs[i].Child, path+"/"+arc.Label); d != "" {
 			return d
 		}
 	}
@@ -263,5 +263,76 @@ func TestDeltaCheckpointBytesTrackChurn(t *testing.T) {
 	}
 	if g := float64(full4) / float64(full1); g <= 2.5 {
 		t.Errorf("full image grew only %.2fx across a 4x root (%d -> %d)", g, full1, full4)
+	}
+}
+
+// TestDeltaCheckpointReproducible: a delta that holds many operations —
+// sets under several directories, a delete, a subtree install, a rename —
+// comes out byte for byte the same every time the same workload is run. The
+// diff is a merge over label-sorted arcs, so its operations are listed in
+// label order (they used to come out in Go's map order, which differs from
+// run to run).
+func TestDeltaCheckpointReproducible(t *testing.T) {
+	run := func() (deltas map[string][]byte, ops int) {
+		fs := vfs.NewMem(1)
+		ns, err := Open(Config{FS: fs, Retain: 1, MaxDeltaRatio: 8, Deterministic: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 60; i++ {
+			must(ns.Set(fmt.Sprintf("dept%d/host%d/addr", i%6, i), fmt.Sprintf("v%d", i)))
+		}
+		must(ns.Checkpoint()) // the full base image
+		var base *Tree
+		must(ns.Store().View(func(root any) error { base = root.(*Tree); return nil }))
+		for i := 0; i < 60; i += 7 {
+			must(ns.Set(fmt.Sprintf("dept%d/host%d/addr", i%6, i), "changed"))
+		}
+		for i := 0; i < 5; i++ {
+			must(ns.Set(fmt.Sprintf("new%d/leaf", 4-i), "x"))
+		}
+		must(ns.Delete("dept1/host1"))
+		must(ns.Put("dept2/imported", &Node{Children: map[string]*Node{
+			"q": {Value: "1", HasValue: true}, "p": {Value: "2", HasValue: true}, "r": {},
+		}}))
+		must(ns.Rename("dept3", "moved"))
+		must(ns.Store().View(func(root any) error {
+			d, err := root.(*Tree).DeltaSince(base)
+			ops = d.(*TreeDelta).DeltaOps()
+			return err
+		}))
+		must(ns.Checkpoint()) // the measured delta
+		if st := ns.Stats(); st.DeltaCheckpoints != 1 {
+			t.Fatalf("second checkpoint was not a delta: %+v", st)
+		}
+		must(ns.Close())
+		names, err := fs.List()
+		must(err)
+		deltas = map[string][]byte{}
+		for _, name := range names {
+			if strings.HasSuffix(name, ".d") {
+				deltas[name], err = vfs.ReadFile(fs, name)
+				must(err)
+			}
+		}
+		return deltas, ops
+	}
+	first, ops := run()
+	if len(first) != 1 || ops < 10 {
+		t.Fatalf("want one delta file of many operations, got %d files, %d ops", len(first), ops)
+	}
+	for i := 0; i < 4; i++ {
+		again, _ := run()
+		for name, data := range first {
+			if !bytes.Equal(again[name], data) {
+				t.Fatalf("run %d: %s differs from the first run's (%d vs %d bytes): a %d-op delta is not reproducible", i+2, name, len(again[name]), len(data), ops)
+			}
+		}
 	}
 }

@@ -244,7 +244,7 @@ func TestSubtreeCopyIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp.Children["a"].Value = "hacked"
+	cp.Arcs[0].Child.Value = "hacked" // t/a
 	if v, _ := s.Lookup("t/a"); v != "1" {
 		t.Error("SubtreeCopy aliases the database")
 	}

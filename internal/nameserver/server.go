@@ -42,7 +42,7 @@ type Config struct {
 }
 
 // Server is a name server: the paper's worked example, its whole database a
-// tree of hash tables in virtual memory.
+// tree of string-labelled arcs in virtual memory.
 type Server struct {
 	store *core.Store
 }
@@ -197,7 +197,9 @@ func (s *Server) DeleteTraced(name string, sc obs.SpanContext) error {
 	return s.store.ApplyTraced(&DeleteSubtree{Path: parts}, sc)
 }
 
-// Put installs subtree at name, replacing any existing subtree.
+// Put installs subtree at name, replacing any existing subtree. The subtree
+// may spell a node's children as Arcs or as the Children map; it is copied,
+// never kept.
 func (s *Server) Put(name string, subtree *Node) error {
 	parts, err := SplitPath(name)
 	if err != nil {

@@ -1,8 +1,10 @@
 // Package nameserver implements the paper's running example: "a general
 // purpose name-to-value mapping, where the names are strings and the values
-// are trees whose arcs are labelled by strings", stored as "a tree of hash
-// tables... indexed by strings, [delivering] values that are further hash
-// tables" (§3), built directly on the core store.
+// are trees whose arcs are labelled by strings" (§3), built directly on the
+// core store. Where the paper keeps "a tree of hash tables... indexed by
+// strings, [delivering] values that are further hash tables", a node's table
+// here is a label-sorted slice of arcs searched by bisection: a fraction of a
+// hash table's memory, and it still pickles as the map it replaced.
 //
 // Names are slash-separated paths ("net/hosts/gva"). Every node may carry a
 // string value and arbitrarily many labelled children, so the same tree
@@ -16,7 +18,7 @@ package nameserver
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"smalldb/internal/core"
@@ -42,7 +44,8 @@ type Tree struct {
 }
 
 // Node is one name in the tree: an optional value plus string-labelled
-// arcs to children — the paper's hash table delivering further hash tables.
+// arcs to children, strictly ascending by label (nil for a leaf that never
+// had any) — the paper's hash table delivering further hash tables.
 //
 // Stamp and StampBy are replication metadata: the Lamport time and origin
 // of the write that set Value, used by the replica package's last-writer-
@@ -52,9 +55,14 @@ type Tree struct {
 type Node struct {
 	Value    string
 	HasValue bool
-	Children map[string]*Node
+	Arcs     []Arc `pickle:"Children"` // on disk and on the wire, the map it was
 	Stamp    uint64
 	StampBy  string
+
+	// Children is an input-only way to spell Arcs in a subtree handed to
+	// PutSubtree: folded into sorted Arcs before the update is logged, and
+	// nil on every node a Tree can reach.
+	Children map[string]*Node `pickle:"-"`
 
 	// born is the tree epoch this node was created in; a node born before
 	// the current epoch is reachable from a published snapshot and must be
@@ -62,9 +70,42 @@ type Node struct {
 	born uint64
 }
 
+// Arc is one labelled edge. Being a pickle.MapPair, a []Arc pickles as the
+// string-keyed map of nodes it replaced, and loads from one without building it.
+type Arc struct {
+	Label string
+	Child *Node
+}
+
+// PickleMapPair implements pickle.MapPair.
+func (Arc) PickleMapPair() {}
+
+// search returns where label's arc is, or belongs, in n, and whether it is.
+func (n *Node) search(label string) (int, bool) {
+	return slices.BinarySearchFunc(n.Arcs, label, func(a Arc, l string) int { return strings.Compare(a.Label, l) })
+}
+
+// bind points label's arc at c, inserting the arc in order if n has none.
+// The writer must own n (see prep).
+func (n *Node) bind(label string, c *Node) {
+	i, ok := n.search(label)
+	if !ok {
+		n.Arcs = slices.Insert(n.Arcs, i, Arc{Label: label})
+	}
+	n.Arcs[i].Child = c
+}
+
+// unbind removes label's arc from n, which the writer must own. The last to
+// go leaves Arcs empty, not nil: how an emptied map pickled, and still does.
+func (n *Node) unbind(label string) {
+	if i, ok := n.search(label); ok {
+		n.Arcs = slices.Delete(n.Arcs, i, i+1)
+	}
+}
+
 // NewTree returns an empty tree.
 func NewTree() *Tree {
-	return &Tree{Root: &Node{Children: make(map[string]*Node)}}
+	return &Tree{Root: &Node{Arcs: []Arc{}}}
 }
 
 // NewRoot is the core.Config.NewRoot constructor for a name-server store.
@@ -108,82 +149,70 @@ func JoinPath(parts []string) string { return strings.Join(parts, "/") }
 func (t *Tree) find(parts []string) *Node {
 	n := t.Root
 	for _, p := range parts {
-		if n == nil || n.Children == nil {
+		if n == nil {
 			return nil
 		}
-		n = n.Children[p]
+		i, ok := n.search(p)
+		if !ok {
+			return nil
+		}
+		n = n.Arcs[i].Child
 	}
 	return n
 }
 
 // prep returns a node the writer may mutate in the current epoch: n
 // itself when it was born after the last snapshot, otherwise a shallow
-// copy (fields duplicated, children map cloned with the child pointers
-// shared) stamped with the current epoch. Copying the map is what makes
-// the write invisible to snapshots: they keep reaching the old map.
+// copy (fields duplicated, arcs copied into a fresh array with the child
+// pointers shared) stamped with the current epoch. Copying the arcs is
+// what makes the write invisible to snapshots: they keep reaching the old
+// array, and no insert can land in spare capacity they share.
 func (t *Tree) prep(n *Node) *Node {
 	if n.born == t.epoch {
 		return n
 	}
-	c := &Node{Value: n.Value, HasValue: n.HasValue, Stamp: n.Stamp, StampBy: n.StampBy, born: t.epoch}
-	if n.Children != nil {
-		c.Children = make(map[string]*Node, len(n.Children))
-		for k, v := range n.Children {
-			c.Children[k] = v
-		}
-	}
-	return c
+	c := *n
+	c.Arcs, c.born = slices.Clone(n.Arcs), t.epoch
+	return &c
 }
 
-// ensure walks to parts copy-on-write, creating intermediate nodes, and
-// returns the writable node at parts. The rebuilt path is installed as the
-// tree's root; everything off the path is shared with the previous state.
-func (t *Tree) ensure(parts []string) *Node {
+// writable walks to parts copy-on-write and returns the writable node
+// there. With create it makes the nodes that are missing (ensure); without,
+// it returns nil when the path does not fully exist (cowPath; the existing
+// prefix may have been cloned, which changes no content). The rebuilt path is
+// installed as the tree's root; everything off it is shared with the past.
+func (t *Tree) writable(parts []string, create bool) *Node {
 	if t.Root == nil {
-		t.Root = &Node{Children: make(map[string]*Node), born: t.epoch}
-	} else {
-		t.Root = t.prep(t.Root)
-	}
-	n := t.Root
-	for _, p := range parts {
-		if n.Children == nil {
-			n.Children = make(map[string]*Node)
+		if !create {
+			return nil
 		}
-		child, ok := n.Children[p]
-		if ok {
-			child = t.prep(child)
-		} else {
-			child = &Node{born: t.epoch}
-		}
-		n.Children[p] = child
-		n = child
-	}
-	return n
-}
-
-// cowPath walks to the node at parts copy-on-write without creating
-// anything, returning the writable node — or nil when the path does not
-// fully exist (the existing prefix may have been cloned, which changes no
-// content).
-func (t *Tree) cowPath(parts []string) *Node {
-	if t.Root == nil {
-		return nil
+		t.Root = &Node{Arcs: []Arc{}, born: t.epoch}
 	}
 	t.Root = t.prep(t.Root)
 	n := t.Root
 	for _, p := range parts {
-		if n.Children == nil {
-			return nil
+		i, ok := n.search(p)
+		if !ok || n.Arcs[i].Child == nil {
+			if !create {
+				return nil
+			}
+			if !ok {
+				n.Arcs = slices.Insert(n.Arcs, i, Arc{Label: p})
+			}
+			n.Arcs[i].Child = &Node{born: t.epoch}
 		}
-		child, ok := n.Children[p]
-		if !ok {
-			return nil
-		}
-		child = t.prep(child)
-		n.Children[p] = child
-		n = child
+		n.Arcs[i].Child = t.prep(n.Arcs[i].Child)
+		n = n.Arcs[i].Child
 	}
 	return n
+}
+
+func (t *Tree) ensure(parts []string) *Node  { return t.writable(parts, true) }
+func (t *Tree) cowPath(parts []string) *Node { return t.writable(parts, false) }
+
+// split separates the last label of a non-empty path from its directory.
+func split(path []string) (dir []string, label string) {
+	return path[:len(path)-1], path[len(path)-1]
 }
 
 // SnapshotView implements core.VersionedRoot: it returns an immutable
@@ -209,19 +238,39 @@ func (t *Tree) FindNode(parts []string) *Node { return t.find(parts) }
 // Exported for the replica package's stamped conflict resolution.
 func (t *Tree) EnsureNode(parts []string) *Node { return t.ensure(parts) }
 
-// copyNode deep-copies a subtree.
+// copyNode deep-copies a subtree into the form the tree holds: the
+// input-only Children folded into Arcs, and Arcs strictly ascending (of two
+// arcs with one label the first stays, and an arc beats a Children entry).
 func copyNode(n *Node) *Node {
 	if n == nil {
 		return nil
 	}
 	out := &Node{Value: n.Value, HasValue: n.HasValue, Stamp: n.Stamp, StampBy: n.StampBy}
-	if n.Children != nil {
-		out.Children = make(map[string]*Node, len(n.Children))
-		for k, c := range n.Children {
-			out.Children[k] = copyNode(c)
+	if n.Arcs != nil || n.Children != nil {
+		out.Arcs = make([]Arc, 0, len(n.Arcs)+len(n.Children))
+		for _, a := range n.Arcs {
+			out.Arcs = append(out.Arcs, Arc{a.Label, copyNode(a.Child)})
 		}
+		for label, c := range n.Children {
+			out.Arcs = append(out.Arcs, Arc{label, copyNode(c)})
+		}
+		slices.SortStableFunc(out.Arcs, func(a, b Arc) int { return strings.Compare(a.Label, b.Label) })
+		out.Arcs = slices.CompactFunc(out.Arcs, func(a, b Arc) bool { return a.Label == b.Label })
 	}
 	return out
+}
+
+// canonical reports whether the subtree at n is already in that form.
+func canonical(n *Node) bool {
+	if n == nil {
+		return true
+	}
+	for i, a := range n.Arcs {
+		if (i > 0 && n.Arcs[i-1].Label >= a.Label) || !canonical(a.Child) {
+			return false
+		}
+	}
+	return n.Children == nil
 }
 
 // countNodes reports the number of nodes in a subtree, itself included.
@@ -230,8 +279,8 @@ func countNodes(n *Node) int {
 		return 0
 	}
 	total := 1
-	for _, c := range n.Children {
-		total += countNodes(c)
+	for _, a := range n.Arcs {
+		total += countNodes(a.Child)
 	}
 	return total
 }
@@ -289,11 +338,10 @@ func (u *DeleteSubtree) Apply(root any) error {
 	if err != nil {
 		return err
 	}
-	parent := t.cowPath(u.Path[:len(u.Path)-1])
-	if parent == nil || parent.Children == nil {
-		return nil // deleted by an equivalent replayed update; idempotent
+	dir, label := split(u.Path)
+	if parent := t.cowPath(dir); parent != nil { // else an equivalent replayed update deleted it; idempotent
+		parent.unbind(label)
 	}
-	delete(parent.Children, u.Path[len(u.Path)-1])
 	return nil
 }
 
@@ -304,13 +352,19 @@ type PutSubtree struct {
 	Subtree *Node
 }
 
-// Verify implements core.Update.
+// Verify implements core.Update. A subtree spelled with the input-only
+// Children, or with arcs out of order, is replaced by its canonical copy
+// here — core pickles an update after Verify and before Apply, and what is
+// logged must be what is applied.
 func (u *PutSubtree) Verify(root any) error {
 	if u.Subtree == nil {
 		return errors.New("nameserver: nil subtree")
 	}
 	if len(u.Path) == 0 {
 		return errors.New("nameserver: cannot replace the root; use paths")
+	}
+	if !canonical(u.Subtree) {
+		u.Subtree = copyNode(u.Subtree)
 	}
 	_, err := treeOf(root)
 	return err
@@ -322,12 +376,9 @@ func (u *PutSubtree) Apply(root any) error {
 	if err != nil {
 		return err
 	}
-	parent := t.ensure(u.Path[:len(u.Path)-1])
-	if parent.Children == nil {
-		parent.Children = make(map[string]*Node)
-	}
+	dir, label := split(u.Path)
 	// Deep-copy so the caller's subtree and the database never alias.
-	parent.Children[u.Path[len(u.Path)-1]] = copyNode(u.Subtree)
+	t.ensure(dir).bind(label, copyNode(u.Subtree))
 	return nil
 }
 
@@ -371,13 +422,10 @@ func (u *Move) Apply(root any) error {
 	// The moved subtree itself is shared, not copied: it is immutable
 	// under the copy-on-write discipline, so the old snapshot keeps
 	// reaching it at From while the new version reaches it at To.
-	fromParent := t.cowPath(u.From[:len(u.From)-1])
-	delete(fromParent.Children, u.From[len(u.From)-1])
-	toParent := t.ensure(u.To[:len(u.To)-1])
-	if toParent.Children == nil {
-		toParent.Children = make(map[string]*Node)
-	}
-	toParent.Children[u.To[len(u.To)-1]] = n
+	dir, label := split(u.From)
+	t.cowPath(dir).unbind(label)
+	dir, label = split(u.To)
+	t.ensure(dir).bind(label, n)
 	return nil
 }
 
@@ -399,7 +447,7 @@ func treeOf(root any) (*Tree, error) {
 		return nil, fmt.Errorf("nameserver: root is %T, not *Tree", root)
 	}
 	if t.Root == nil {
-		t.Root = &Node{Children: make(map[string]*Node)}
+		t.Root = &Node{Arcs: []Arc{}}
 	}
 	return t, nil
 }
@@ -424,11 +472,10 @@ func (t *Tree) List(parts []string) ([]string, error) {
 	if n == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, JoinPath(parts))
 	}
-	out := make([]string, 0, len(n.Children))
-	for k := range n.Children {
-		out = append(out, k)
+	out := make([]string, len(n.Arcs))
+	for i, a := range n.Arcs {
+		out[i] = a.Label
 	}
-	sort.Strings(out)
 	return out, nil
 }
 
@@ -444,18 +491,16 @@ func (t *Tree) Enumerate(parts []string, fn func(name, value string) error) erro
 }
 
 func walk(n *Node, path []string, fn func(name, value string) error) error {
+	if n == nil {
+		return nil
+	}
 	if n.HasValue {
 		if err := fn(JoinPath(path), n.Value); err != nil {
 			return err
 		}
 	}
-	labels := make([]string, 0, len(n.Children))
-	for k := range n.Children {
-		labels = append(labels, k)
-	}
-	sort.Strings(labels)
-	for _, k := range labels {
-		if err := walk(n.Children[k], append(path, k), fn); err != nil {
+	for _, a := range n.Arcs {
+		if err := walk(a.Child, append(path, a.Label), fn); err != nil {
 			return err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"sort"
 	"sync"
 )
 
@@ -321,6 +322,9 @@ func buildDecoder(rt reflect.Type) decFn {
 	case reflect.Slice:
 		if rt.Elem().Kind() == reflect.Uint8 {
 			return buildBytesDecoder(rt)
+		}
+		if rt.Elem().Implements(mapPairType) {
+			return buildPairSliceDecoder(rt)
 		}
 		return buildSliceDecoder(rt)
 	case reflect.Array:
@@ -680,6 +684,64 @@ func buildMapDecoder(rt reflect.Type) decFn {
 		default:
 			return d.tolerant(v, tag, self)
 		}
+	}
+	return self
+}
+
+// buildPairSliceDecoder reads a tMap into a map-coded pair slice (MapPair),
+// appending past a first allocation the claimed length cannot inflate.
+func buildPairSliceDecoder(rt reflect.Type) decFn {
+	if err := pairShape(rt.Elem()); err != nil {
+		return func(*Decoder, reflect.Value, byte) error { return err }
+	}
+	valFn := decoderOf(rt.Elem().Field(1).Type)
+	var self decFn
+	self = func(d *Decoder, v reflect.Value, tag byte) error {
+		if tag != tMap {
+			return d.tolerant(v, tag, self) // tNil, or a tRef that finds no such object
+		}
+		if _, err := d.readUvarint(); err != nil { // the identity id: consumed, never defined
+			return err
+		}
+		n, err := d.readUvarint()
+		if err == nil && n > MaxElems {
+			err = errf("map length %d exceeds limit %d", n, MaxElems)
+		}
+		if err == nil {
+			err = d.enter()
+		}
+		if err != nil {
+			return err
+		}
+		v.Set(reflect.MakeSlice(rt, 0, int(min(n, 4096))))
+		key := func(i int) string { return v.Index(i).Field(0).String() }
+		sorted := true
+		for i := 0; i < int(n); i++ {
+			v.Grow(1) // a no-op while the first allocation lasts
+			v.SetLen(i + 1)
+			pair := v.Index(i)
+			for f, fn := range [2]decFn{decString, valFn} {
+				tag2, err := d.readByte()
+				if err != nil {
+					return err
+				}
+				if err := fn(d, pair.Field(f), tag2); err != nil {
+					return err
+				}
+			}
+			sorted = sorted && (i == 0 || key(i-1) < key(i))
+		}
+		d.depth--
+		if sorted {
+			return nil
+		}
+		sort.Slice(v.Interface(), func(i, j int) bool { return key(i) < key(j) })
+		for i := 1; i < int(n); i++ {
+			if key(i) == key(i-1) {
+				return errf("duplicate key %q in map-coded %v", key(i), rt)
+			}
+		}
+		return nil
 	}
 	return self
 }

@@ -291,6 +291,9 @@ func buildSliceEncoder(rt reflect.Type) encFn {
 	if rt.Elem().Kind() == reflect.Uint8 {
 		return encBytes
 	}
+	if rt.Elem().Implements(mapPairType) {
+		return buildPairSliceEncoder(rt)
+	}
 	elem := encoderOf(rt.Elem())
 	return func(e *Encoder, v reflect.Value) {
 		if v.IsNil() {
@@ -414,6 +417,56 @@ func buildStringMapEncoder(rt reflect.Type) encFn {
 			e.buf = appendLenPrefixed(e.buf, k)
 			kbuf.SetString(k)
 			valFn(e, v.MapIndex(kbuf))
+			e.maybeFlush()
+		}
+		e.depth--
+	}
+}
+
+// MapPair marks the element type of a map-coded pair slice: a struct of
+// exactly two exported fields, the first a string key. A slice of such
+// elements pickles as the string-keyed map it stands for — tNil when nil,
+// else a tMap taking the one identity id the map would have taken, pairs in
+// slice order — and decodes from one by appending: no map is built, no key
+// hashed. The writer keeps the slice in ascending key order, as a map is
+// written; the reader sorts a stream that is not, and answers a duplicate
+// key, or a tRef to such a map, with an *Error.
+type MapPair interface{ PickleMapPair() }
+
+var mapPairType = reflect.TypeOf((*MapPair)(nil)).Elem()
+
+// pairShape checks et, which implements MapPair, for the shape it promises.
+func pairShape(et reflect.Type) error {
+	if et.Kind() != reflect.Struct || et.NumField() != 2 || et.Field(0).Type.Kind() != reflect.String ||
+		et.Field(0).PkgPath != "" || et.Field(1).PkgPath != "" {
+		return errf("%v implements MapPair but is not a struct of an exported string key and an exported value", et)
+	}
+	return nil
+}
+
+func buildPairSliceEncoder(rt reflect.Type) encFn {
+	if err := pairShape(rt.Elem()); err != nil {
+		return func(e *Encoder, v reflect.Value) { e.fail(err) }
+	}
+	valFn := encoderOf(rt.Elem().Field(1).Type)
+	return func(e *Encoder, v reflect.Value) {
+		if v.IsNil() {
+			e.buf = append(e.buf, tNil)
+			return
+		}
+		if !e.enter() {
+			return
+		}
+		n := v.Len()
+		e.buf = append(e.buf, tMap)
+		e.buf = binary.AppendUvarint(e.buf, e.nextRef) // never shared, so not entered in refs
+		e.nextRef++
+		e.buf = binary.AppendUvarint(e.buf, uint64(n))
+		for i := 0; i < n && e.err == nil; i++ {
+			pair := v.Index(i)
+			e.buf = append(e.buf, tString)
+			e.buf = appendLenPrefixed(e.buf, pair.Field(0).String())
+			valFn(e, pair.Field(1))
 			e.maybeFlush()
 		}
 		e.depth--

@@ -123,11 +123,13 @@ func (d *Decoder) decodeAnyTagged(tag byte) (any, error) {
 		if err := d.enter(); err != nil {
 			return nil, err
 		}
-		out := make([]any, n)
-		for i := range out {
-			if out[i], err = d.decodeAny(); err != nil {
+		out := make([]any, 0, min(n, 4096)) // grown by what the stream holds, not what it claims
+		for range n {
+			v, err := d.decodeAny()
+			if err != nil {
 				return nil, err
 			}
+			out = append(out, v)
 		}
 		d.depth--
 		return out, nil
@@ -148,7 +150,7 @@ func (d *Decoder) decodeAnyTagged(tag byte) (any, error) {
 		}
 		hole := new(any)
 		d.setRef(id, reflect.ValueOf(hole))
-		m := make(GenericMap, 0, n)
+		m := make(GenericMap, 0, min(n, 4096))
 		for i := uint64(0); i < n; i++ {
 			k, err := d.decodeAny()
 			if err != nil {

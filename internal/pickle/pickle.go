@@ -15,6 +15,9 @@
 // "identify the occurrences of addresses in the structure" and rebuild them
 // on read.
 //
+// A string-keyed table kept as a sorted slice of pairs can still pickle as
+// the map it stands for, and load without building one: see MapPair.
+//
 // Interface-typed fields require the concrete types that may appear in them
 // to be registered with Register or RegisterName, mirroring the run-time
 // typing tables that drove the original implementation.

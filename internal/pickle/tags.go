@@ -18,7 +18,7 @@ const (
 	tBytes                   // uvarint length + bytes ([]byte fast path)
 	tSlice                   // uvarint length + elements
 	tArray                   // uvarint length + elements
-	tMap                     // uvarint refid + uvarint length + key/value pairs
+	tMap                     // uvarint refid + uvarint length + key/value pairs (also a MapPair slice)
 	tStruct                  // uvarint typeid [+ inline definition] + fields
 	tPtr                     // uvarint refid + pointee
 	tRef                     // uvarint refid of a previously defined ptr/map

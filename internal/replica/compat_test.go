@@ -24,8 +24,11 @@ const (
 
 // compatName is the name update i binds. The updates between the chained
 // checkpoints rebind one name each round, so each delta holds one tree
-// operation and the files come out byte-identical run to run (a tree delta
-// lists its operations in map order).
+// operation: the directory was pinned when a tree delta still listed its
+// operations in Go's map order, and only a one-operation delta came out
+// byte-identical run to run. (A delta is now a merge over label-sorted arcs,
+// reproducible at any size — nameserver.TestDeltaCheckpointReproducible —
+// but the workload stays as it is so the pinned files keep their meaning.)
 func compatName(i int) string {
 	switch {
 	case i > 50 && i <= 55:

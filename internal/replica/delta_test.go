@@ -43,15 +43,14 @@ func treesMatch(a, b *nameserver.Node, path string) string {
 	if a.Value != b.Value || a.HasValue != b.HasValue || a.Stamp != b.Stamp || a.StampBy != b.StampBy {
 		return fmt.Sprintf("node %q: scalar mismatch", path)
 	}
-	if len(a.Children) != len(b.Children) {
-		return fmt.Sprintf("node %q: %d vs %d children", path, len(a.Children), len(b.Children))
+	if len(a.Arcs) != len(b.Arcs) {
+		return fmt.Sprintf("node %q: %d vs %d children", path, len(a.Arcs), len(b.Arcs))
 	}
-	for label, ac := range a.Children {
-		bc, ok := b.Children[label]
-		if !ok {
-			return fmt.Sprintf("node %q: extra child %q", path, label)
+	for i, arc := range a.Arcs {
+		if b.Arcs[i].Label != arc.Label {
+			return fmt.Sprintf("node %q: extra child %q", path, arc.Label)
 		}
-		if d := treesMatch(ac, bc, path+"/"+label); d != "" {
+		if d := treesMatch(arc.Child, b.Arcs[i].Child, path+"/"+arc.Label); d != "" {
 			return d
 		}
 	}

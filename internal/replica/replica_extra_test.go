@@ -94,7 +94,7 @@ func TestSnapshotIsolatedFromLiveTree(t *testing.T) {
 	if err := c.clients["b"]["a"].Call("Replica.Snapshot", &SnapshotArgs{}, &snap); err != nil {
 		t.Fatal(err)
 	}
-	snap.Root.Tree.Root.Children["k"].Value = "hacked"
+	snap.Root.Tree.FindNode([]string{"k"}).Value = "hacked"
 	if v, _ := na.Lookup("k"); v != "v1" {
 		t.Error("snapshot aliases the live tree")
 	}
