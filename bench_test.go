@@ -247,7 +247,7 @@ func BenchmarkE11RPC(b *testing.B) {
 }
 
 // BenchmarkE14PartitionedApply: an update through the §7 partitioned set —
-// same one-disk-write protocol, plus the shared-log bookkeeping.
+// the partition's own store, the same one-disk-write protocol.
 func BenchmarkE14PartitionedApply(b *testing.B) {
 	fs := vfs.NewMem(1)
 	set, err := smalldb.OpenMulti(smalldb.MultiConfig{

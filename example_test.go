@@ -79,7 +79,7 @@ func Example() {
 }
 
 // ExampleOpenMulti shows the §7 partitioned variant: independent
-// checkpoints over one shared log.
+// checkpoints, one log per partition.
 func ExampleOpenMulti() {
 	fs := smalldb.NewMemFS(1)
 	set, err := smalldb.OpenMulti(smalldb.MultiConfig{

@@ -1,12 +1,11 @@
 // Partitioned: the §7 extension through the public API — one "large"
-// database handled as several independently checkpointed partitions over a
-// single shared log ("a single log file with more complicated rules for
-// flushing the log").
+// database handled as several independently checkpointed partitions, each
+// with its own log ("multiple log files").
 //
 // The example runs a mail system's state split into three partitions
-// (mailboxes, aliases, queues), shows that an update still costs one disk
-// write, checkpoints the busy partition without blocking the others, and
-// demonstrates shared-log segment retirement.
+// (mailboxes, aliases, queues), checkpoints the busy partition without
+// blocking the others, and shows that the checkpoint empties only that
+// partition's log.
 //
 // Run with:
 //
@@ -68,7 +67,6 @@ func main() {
 			"aliases":   newMailState,
 			"queues":    newMailState,
 		},
-		SegmentBytes: 4 << 10, // small segments so retirement is visible
 	}
 	set, err := smalldb.OpenMulti(cfg)
 	if err != nil {
@@ -80,30 +78,31 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	// The quiet partitions write early — their entries land in the first
-	// segment — then the queues partition floods the log.
 	must(set.Apply("mailboxes", &Put{K: "amy", V: "inbox=3"}))
 	must(set.Apply("aliases", &Put{K: "postmaster", V: "amy"}))
 	for i := 0; i < 200; i++ {
 		must(set.Apply("queues", &Put{K: fmt.Sprintf("msg%04d", i), V: "queued"}))
 	}
 
-	segs, bytes, _ := set.Segments()
-	fmt.Printf("shared log before checkpoints: %d segments, %d bytes\n", segs, bytes)
+	// Each partition's log holds only its own entries.
+	logs := func(when string) {
+		fmt.Printf("log entries %s:", when)
+		for _, p := range set.Partitions() {
+			st, err := set.Store(p)
+			must(err)
+			fmt.Printf(" %s=%d", p, st.Stats().LogEntries)
+		}
+		fmt.Println()
+	}
+	logs("before checkpointing")
 
-	// Checkpoint the busy partition: only "queues" blocks, briefly.
+	// Checkpoint the busy partition: only "queues" blocks, briefly, and
+	// only its log empties.
 	must(set.Checkpoint("queues"))
-	segs, _, _ = set.Segments()
-	fmt.Printf("after checkpointing queues: %d segments (mailboxes/aliases entries still pin the oldest)\n", segs)
+	logs("after checkpointing queues")
 
-	// Checkpoint the rest: fully covered segments retire.
-	must(set.Checkpoint("mailboxes"))
-	must(set.Checkpoint("aliases"))
-	segs, bytes, _ = set.Segments()
-	fmt.Printf("after checkpointing all: %d segment(s), %d bytes\n", segs, bytes)
-
-	// Crash-free restart: partitions recover from their own checkpoints
-	// plus the shared log tail.
+	// Crash-free restart: each partition recovers from its own checkpoint
+	// plus its own log.
 	set.Close()
 	set2, err := smalldb.OpenMulti(cfg)
 	must(err)

@@ -3,6 +3,7 @@ package multistore
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -38,17 +39,30 @@ func init() {
 	core.RegisterUpdate(&putRow{})
 }
 
-func openSet(t *testing.T, fs vfs.FS, segBytes int64, parts ...string) *Set {
-	t.Helper()
-	cfg := Config{FS: fs, Partitions: map[string]func() any{}, SegmentBytes: segBytes}
+func tableConfig(fs vfs.FS, parts ...string) Config {
+	cfg := Config{FS: fs, Partitions: map[string]func() any{}}
 	for _, p := range parts {
 		cfg.Partitions[p] = newTable
 	}
-	s, err := Open(cfg)
+	return cfg
+}
+
+func openSet(t *testing.T, fs vfs.FS, parts ...string) *Set {
+	t.Helper()
+	s, err := Open(tableConfig(fs, parts...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+func store(t *testing.T, s *Set, part string) *core.Store {
+	t.Helper()
+	st, err := s.Store(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func getRow(t *testing.T, s *Set, part, key string) (string, bool) {
@@ -66,7 +80,7 @@ func getRow(t *testing.T, s *Set, part, key string) (string, bool) {
 
 func TestBasicPartitions(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s := openSet(t, fs, 0, "home", "src")
+	s := openSet(t, fs, "home", "src")
 	defer s.Close()
 
 	if err := s.Apply("home", &putRow{K: "a", V: "1"}); err != nil {
@@ -91,7 +105,7 @@ func TestBasicPartitions(t *testing.T) {
 
 func TestRecoveryInterleaved(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s := openSet(t, fs, 0, "a", "b", "c")
+	s := openSet(t, fs, "a", "b", "c")
 	for i := 0; i < 30; i++ {
 		part := []string{"a", "b", "c"}[i%3]
 		if err := s.Apply(part, &putRow{K: fmt.Sprintf("k%d", i), V: part}); err != nil {
@@ -101,7 +115,7 @@ func TestRecoveryInterleaved(t *testing.T) {
 	s.Close()
 	fs.Crash()
 
-	s2 := openSet(t, fs, 0, "a", "b", "c")
+	s2 := openSet(t, fs, "a", "b", "c")
 	defer s2.Close()
 	for i := 0; i < 30; i++ {
 		part := []string{"a", "b", "c"}[i%3]
@@ -113,7 +127,7 @@ func TestRecoveryInterleaved(t *testing.T) {
 
 func TestPerPartitionCheckpointIndependence(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s := openSet(t, fs, 0, "busy", "quiet")
+	s := openSet(t, fs, "busy", "quiet")
 	for i := 0; i < 20; i++ {
 		s.Apply("busy", &putRow{K: fmt.Sprintf("k%d", i), V: "v"})
 	}
@@ -124,58 +138,45 @@ func TestPerPartitionCheckpointIndependence(t *testing.T) {
 	}
 	s.Close()
 
-	s2 := openSet(t, fs, 0, "busy", "quiet")
+	s2 := openSet(t, fs, "busy", "quiet")
 	defer s2.Close()
 	if v, ok := getRow(t, s2, "busy", "k7"); !ok || v != "v" {
 		t.Error("busy partition lost data")
 	}
 	if v, ok := getRow(t, s2, "quiet", "only"); !ok || v != "one" {
-		t.Error("quiet partition lost data (its updates live only in the shared log)")
+		t.Error("quiet partition lost data (its updates live only in its log)")
 	}
 }
 
-func TestSegmentRetirement(t *testing.T) {
+// TestPerPartitionLogs: each partition logs to its own file, so
+// checkpointing one empties that partition's log and no other's.
+func TestPerPartitionLogs(t *testing.T) {
 	fs := vfs.NewMem(1)
-	// Tiny segments so rolling happens quickly.
-	s := openSet(t, fs, 256, "p", "q")
+	s := openSet(t, fs, "p", "q")
 	for i := 0; i < 40; i++ {
 		s.Apply("p", &putRow{K: fmt.Sprintf("p%d", i), V: strings.Repeat("x", 40)})
 		s.Apply("q", &putRow{K: fmt.Sprintf("q%d", i), V: strings.Repeat("y", 40)})
 	}
-	count, _, err := s.Segments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count < 3 {
-		t.Fatalf("expected several segments, have %d", count)
-	}
-	// Checkpointing only p must retire nothing (q pins the log).
 	if err := s.Checkpoint("p"); err != nil {
 		t.Fatal(err)
 	}
-	afterP, _, _ := s.Segments()
-	if afterP < count {
-		t.Errorf("segments retired while q's checkpoint is at 0: %d -> %d", count, afterP)
+	if got := store(t, s, "p").Stats().LogEntries; got != 0 {
+		t.Errorf("p's log holds %d entries after p's checkpoint, want 0", got)
 	}
-	// Checkpointing q as well frees everything but the active segment.
-	if err := s.Checkpoint("q"); err != nil {
-		t.Fatal(err)
-	}
-	afterQ, _, _ := s.Segments()
-	if afterQ != 1 {
-		t.Errorf("segments after both checkpoints: %d, want 1", afterQ)
+	if got := store(t, s, "q").Stats().LogEntries; got != 40 {
+		t.Errorf("q's log holds %d entries after p's checkpoint, want 40", got)
 	}
 	s.Close()
 
-	// Recovery from checkpoints + the remaining segment is complete.
-	s2 := openSet(t, fs, 256, "p", "q")
+	// Recovery from p's checkpoint and q's log is complete.
+	s2 := openSet(t, fs, "p", "q")
 	defer s2.Close()
 	for i := 0; i < 40; i++ {
 		if _, ok := getRow(t, s2, "p", fmt.Sprintf("p%d", i)); !ok {
-			t.Fatalf("p%d lost after retirement", i)
+			t.Fatalf("p%d lost after p's checkpoint", i)
 		}
 		if _, ok := getRow(t, s2, "q", fmt.Sprintf("q%d", i)); !ok {
-			t.Fatalf("q%d lost after retirement", i)
+			t.Fatalf("q%d lost after p's checkpoint", i)
 		}
 	}
 }
@@ -183,7 +184,7 @@ func TestSegmentRetirement(t *testing.T) {
 func TestCrashDuringPartitionCheckpoint(t *testing.T) {
 	for failAt := 1; failAt <= 3; failAt++ {
 		fs := vfs.NewMem(int64(failAt))
-		s := openSet(t, fs, 0, "p")
+		s := openSet(t, fs, "p")
 		for i := 0; i < 10; i++ {
 			s.Apply("p", &putRow{K: fmt.Sprintf("k%d", i), V: "v"})
 		}
@@ -201,7 +202,7 @@ func TestCrashDuringPartitionCheckpoint(t *testing.T) {
 		s.Close()
 		fs.Crash()
 
-		s2 := openSet(t, fs, 0, "p")
+		s2 := openSet(t, fs, "p")
 		for i := 0; i < 10; i++ {
 			if _, ok := getRow(t, s2, "p", fmt.Sprintf("k%d", i)); !ok {
 				t.Fatalf("failAt %d: k%d lost", failAt, i)
@@ -213,7 +214,7 @@ func TestCrashDuringPartitionCheckpoint(t *testing.T) {
 
 func TestOneSyncPerUpdate(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s := openSet(t, fs, 0, "p", "q", "r")
+	s := openSet(t, fs, "p", "q", "r")
 	defer s.Close()
 	syncs := 0
 	fs.FailSync = func(string) error { syncs++; return nil }
@@ -221,13 +222,13 @@ func TestOneSyncPerUpdate(t *testing.T) {
 	s.Apply("p", &putRow{K: "k", V: "v"})
 	s.Apply("q", &putRow{K: "k", V: "v"})
 	if got := syncs - before; got != 2 {
-		t.Errorf("2 updates cost %d syncs; the shared log must cost one each", got)
+		t.Errorf("2 updates cost %d syncs; each must cost one", got)
 	}
 }
 
 func TestConcurrentPartitions(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s := openSet(t, fs, 4096, "a", "b", "c", "d")
+	s := openSet(t, fs, "a", "b", "c", "d")
 	var wg sync.WaitGroup
 	for _, part := range []string{"a", "b", "c", "d"} {
 		wg.Add(1)
@@ -250,7 +251,7 @@ func TestConcurrentPartitions(t *testing.T) {
 	wg.Wait()
 	s.Close()
 
-	s2 := openSet(t, fs, 4096, "a", "b", "c", "d")
+	s2 := openSet(t, fs, "a", "b", "c", "d")
 	defer s2.Close()
 	for _, part := range []string{"a", "b", "c", "d"} {
 		for i := 0; i < 50; i++ {
@@ -262,14 +263,12 @@ func TestConcurrentPartitions(t *testing.T) {
 }
 
 // TestConcurrentCheckpoints checkpoints every partition at once, over and
-// over, on segments small enough to roll every few updates: each checkpoint
-// finds segments to retire, and two that decide on the same segment must not
-// both delete it (the loser's Checkpoint used to fail with "file does not
-// exist"), nor read each other's coverage mid-write.
+// over, beside every partition's updates: the stores share one directory, so
+// no checkpoint may touch, or be confused by, another partition's files.
 func TestConcurrentCheckpoints(t *testing.T) {
 	fs := vfs.NewMem(1)
 	parts := []string{"a", "b", "c", "d"}
-	s := openSet(t, fs, 256, parts...)
+	s := openSet(t, fs, parts...)
 	var wg sync.WaitGroup
 	for _, part := range parts {
 		wg.Add(1)
@@ -292,7 +291,7 @@ func TestConcurrentCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := openSet(t, fs, 256, parts...)
+	s2 := openSet(t, fs, parts...)
 	defer s2.Close()
 	for _, part := range parts {
 		for i := 0; i < 60; i++ {
@@ -305,7 +304,7 @@ func TestConcurrentCheckpoints(t *testing.T) {
 
 func TestUnknownPartitionInLog(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s := openSet(t, fs, 0, "old")
+	s := openSet(t, fs, "old")
 	s.Apply("old", &putRow{K: "k", V: "v"})
 	s.Close()
 	// Reopen with a config that dropped the partition.
@@ -325,16 +324,63 @@ func TestInvalidPartitionNames(t *testing.T) {
 	}
 }
 
+// TestDirectoryRule: every file must belong to a configured partition. A
+// partition dropped from the config and a directory in the old shared-log
+// layout (seg<N>, cp-<part>-<N>) are both refused — neither may open as
+// empty partitions and silently lose their data — and the refusal names
+// the file and changes nothing on disk.
+func TestDirectoryRule(t *testing.T) {
+	oldLayout := vfs.NewMem(1)
+	for _, n := range []string{"seg1", "seg21", "cp-p-20"} {
+		if err := vfs.WriteFile(oldLayout, n, []byte("data")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dropped := vfs.NewMem(1)
+	s := openSet(t, dropped, "old", "kept")
+	if err := s.Apply("old", &putRow{K: "k", V: "v"}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	for _, tc := range []struct {
+		name  string
+		fs    *vfs.Mem
+		parts []string
+	}{
+		{"dropped partition", dropped, []string{"kept"}},
+		{"old layout", oldLayout, []string{"p"}},
+		{"old layout, partition named like a segment", oldLayout, []string{"seg1"}},
+		{"old layout, partition named like the checkpoint prefix", oldLayout, []string{"cp", "seg21"}},
+	} {
+		before, _ := tc.fs.List()
+		_, err := Open(tableConfig(tc.fs, tc.parts...))
+		if !errors.Is(err, ErrNoPartition) {
+			t.Errorf("%s: Open = %v, want ErrNoPartition", tc.name, err)
+			continue
+		}
+		t.Logf("%s: %v", tc.name, err)
+		if after, _ := tc.fs.List(); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: refused Open changed the directory: %v -> %v", tc.name, before, after)
+		}
+	}
+
+	for _, bad := range []string{"with-dash", "with/slash", `with\backslash`} {
+		if _, err := Open(tableConfig(vfs.NewMem(1), bad)); err == nil {
+			t.Errorf("partition name %q accepted", bad)
+		}
+	}
+}
+
 func TestPreconditionFailureDoesNotLog(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s := openSet(t, fs, 0, "p")
+	s := openSet(t, fs, "p")
 	defer s.Close()
-	_, before, _ := s.Segments()
+	before := store(t, s, "p").Stats().LogBytes
 	if err := s.Apply("p", &putRow{K: "", V: "v"}); err == nil {
 		t.Fatal("empty key accepted")
 	}
-	_, after, _ := s.Segments()
-	if after != before {
-		t.Error("failed precondition grew the shared log")
+	if after := store(t, s, "p").Stats().LogBytes; after != before {
+		t.Error("failed precondition grew the log")
 	}
 }

@@ -10,8 +10,7 @@ import (
 
 // ShardsConfig configures a consistent-hash sharded namespace.
 type ShardsConfig struct {
-	// FS is the directory holding the shared log and per-group
-	// checkpoints.
+	// FS is the directory holding every group's checkpoints and log.
 	FS vfs.FS
 	// Groups names every group that may own keys; each becomes a Set
 	// partition. The Set's partitions are fixed at open, but the routing
@@ -26,8 +25,6 @@ type ShardsConfig struct {
 	NewRoot func() any
 	// VNodes is the virtual-node count per group (0 = DefaultVNodes).
 	VNodes int
-	// SegmentBytes passes through to the Set.
-	SegmentBytes int64
 }
 
 // Shards routes a flat key space across replica-group partitions by
@@ -69,7 +66,7 @@ func OpenShards(cfg ShardsConfig) (*Shards, error) {
 	if err != nil {
 		return nil, err
 	}
-	set, err := Open(Config{FS: cfg.FS, Partitions: parts, SegmentBytes: cfg.SegmentBytes})
+	set, err := Open(Config{FS: cfg.FS, Partitions: parts})
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +101,7 @@ func (s *Shards) ViewGroup(group string, fn func(root any) error) error {
 // AddGroup moves ~1/N of the key space onto an already-provisioned
 // partition (it must be one of the config's Groups).
 func (s *Shards) AddGroup(group string) error {
-	if _, err := s.set.part(group); err != nil {
+	if _, err := s.set.Store(group); err != nil {
 		return fmt.Errorf("%w: %q has no partition", ErrUnknownGroup, group)
 	}
 	s.mu.Lock()
@@ -130,7 +127,7 @@ func (s *Shards) Routed() []string {
 // Checkpoint checkpoints one group's partition.
 func (s *Shards) Checkpoint(group string) error { return s.set.Checkpoint(group) }
 
-// Set exposes the underlying partition set (segment stats, per-group
+// Set exposes the underlying partition set (per-group stores and
 // checkpoints).
 func (s *Shards) Set() *Set { return s.set }
 

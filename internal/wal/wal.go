@@ -173,13 +173,6 @@ func (l *Log) Size() int64 {
 	return l.size
 }
 
-// NextSeq reports the sequence number the next Append will get.
-func (l *Log) NextSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq
-}
-
 // appendFrame encodes one log entry in place at the end of buf, so the
 // append path frames straight into the shared pending buffer with no
 // per-entry allocation.
