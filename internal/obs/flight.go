@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 	"sync"
 	"time"
 
@@ -302,7 +303,7 @@ func encodeFlightSlot(buf []byte, seq uint64, e Event) {
 		if n == 255 {
 			break
 		}
-		val := fmt.Sprint(a.Value)
+		val := attrText(a.Value)
 		if len(a.Key) > 255 {
 			continue
 		}
@@ -324,6 +325,49 @@ func encodeFlightSlot(buf []byte, seq uint64, e Event) {
 	binary.LittleEndian.PutUint16(buf[12:], uint16(w))
 	crc := crc32.Checksum(buf[:len(buf)-4], flightCRC)
 	binary.LittleEndian.PutUint32(buf[len(buf)-4:], crc)
+}
+
+// attrText is fmt.Sprint(v) without fmt's per-call machinery for the kinds
+// events carry; anything else, and an error that formats itself or panics,
+// goes through fmt.Sprint.
+func attrText(v any) (s string) {
+	switch v := v.(type) {
+	case string:
+		return v
+	case int:
+		return strconv.FormatInt(int64(v), 10)
+	case int8:
+		return strconv.FormatInt(int64(v), 10)
+	case int16:
+		return strconv.FormatInt(int64(v), 10)
+	case int32:
+		return strconv.FormatInt(int64(v), 10)
+	case int64:
+		return strconv.FormatInt(v, 10)
+	case uint:
+		return strconv.FormatUint(uint64(v), 10)
+	case uint8:
+		return strconv.FormatUint(uint64(v), 10)
+	case uint16:
+		return strconv.FormatUint(uint64(v), 10)
+	case uint32:
+		return strconv.FormatUint(uint64(v), 10)
+	case uint64:
+		return strconv.FormatUint(v, 10)
+	case bool:
+		return strconv.FormatBool(v)
+	case time.Duration:
+		return v.String()
+	case fmt.Formatter: // fmt prefers Format, even to Error
+	case error:
+		defer func() {
+			if recover() != nil {
+				s = fmt.Sprint(v) // e.g. a nil pointer receiver: fmt prints <nil>
+			}
+		}()
+		return v.Error()
+	}
+	return fmt.Sprint(v)
 }
 
 // decodeFlightSlot decodes one slot, returning its sequence and event.

@@ -197,6 +197,39 @@ func TestFlightLongFieldsTruncated(t *testing.T) {
 	}
 }
 
+// nilErr is an error whose Error panics on a nil receiver, as fmt tolerates.
+type nilErr struct{ msg string }
+
+func (e *nilErr) Error() string { return e.msg }
+
+// fmtErr is an error that formats itself: fmt prefers Format to Error.
+type fmtErr struct{}
+
+func (fmtErr) Error() string                 { return "via Error" }
+func (fmtErr) Format(f fmt.State, verb rune) { fmt.Fprint(f, "via Format") }
+
+// TestFlightAttrTextMatchesSprint: a slot encoded from an attribute of each
+// kind is byte-identical to one encoded from fmt.Sprint of it.
+func TestFlightAttrTextMatchesSprint(t *testing.T) {
+	values := []any{
+		"", "text", 0, -1, 42, -1 << 63, int8(-128), int16(-300), int32(1 << 30), int64(-7),
+		uint(0), uint8(255), uint16(65535), uint32(1 << 31), uint64(1<<64 - 1), true, false,
+		time.Duration(0), -time.Second, 1500 * time.Microsecond, (1234567 * time.Nanosecond).Round(time.Microsecond),
+		(90 * time.Minute).Round(time.Second), fmt.Errorf("boom %d", 7), (*nilErr)(nil), &nilErr{"set"}, fmtErr{},
+		3.25, []int{1, 2}, TraceID(0xabc), nil, struct{ A int }{4},
+	}
+	for _, v := range values {
+		e := Event{Name: "e", Time: time.Unix(1, 2), Attrs: []Attr{A("k", v), A("tail", 1)}}
+		want := Event{Name: "e", Time: e.Time, Attrs: []Attr{A("k", fmt.Sprint(v)), A("tail", "1")}}
+		got, exp := make([]byte, 256), make([]byte, 256)
+		encodeFlightSlot(got, 9, e)
+		encodeFlightSlot(exp, 9, want)
+		if string(got) != string(exp) {
+			t.Errorf("%T %v: slot differs from the fmt.Sprint one (attrText gives %q)", v, v, attrText(v))
+		}
+	}
+}
+
 func TestReadFlightMissingAndCorruptHeader(t *testing.T) {
 	fs := vfs.NewMem(7)
 	if _, err := ReadFlight(fs, ""); err == nil {

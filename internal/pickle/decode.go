@@ -99,7 +99,16 @@ func (d *Decoder) Decode(ptr any) error {
 		return err
 	}
 	elem := rv.Elem()
-	return decoderOf(elem.Type())(d, elem, tag)
+	return midValue(decoderOf(elem.Type())(d, elem, tag))
+}
+
+// midValue reports a stream that ends inside a value as the malformed stream
+// it is: io.EOF is only for one that ends before a value starts.
+func midValue(err error) error {
+	if err == io.EOF {
+		return errf("unexpected EOF: the stream ends inside a value")
+	}
+	return err
 }
 
 func (d *Decoder) header() error {

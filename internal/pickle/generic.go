@@ -55,7 +55,12 @@ func (d *Decoder) DecodeAny() (any, error) {
 		clear(d.refs)
 	}
 	d.depth = 0
-	return d.decodeAny()
+	tag, err := d.readByte()
+	if err != nil {
+		return nil, err
+	}
+	v, err := d.decodeAnyTagged(tag)
+	return v, midValue(err)
 }
 
 // skipTagged consumes the value whose tag byte has already been read,

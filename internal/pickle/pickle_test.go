@@ -2,6 +2,7 @@ package pickle
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math"
 	"reflect"
@@ -476,6 +477,58 @@ func TestCorruptStreams(t *testing.T) {
 		mut[i] ^= 0xFF
 		var out outer
 		_ = Unmarshal(mut, &out)
+	}
+}
+
+// TestMidValueEOF: a stream that ends inside a value is malformed, a
+// *Error, from the byte-slice decoder, the streaming one and DecodeAny
+// alike; io.EOF is only for a stream that ends before a value starts.
+func TestMidValueEOF(t *testing.T) {
+	good, err := Marshal(outer{Name: "x", Tags: []string{"a"}, Attrs: map[string]string{"k": "v"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < len(good); n++ {
+		cut := good[:n]
+		var viaSlice, viaReader outer
+		_, anyErr := NewDecoder(bytes.NewReader(cut)).DecodeAny()
+		for path, err := range map[string]error{
+			"Unmarshal": Unmarshal(cut, &viaSlice),
+			"Read":      Read(bytes.NewReader(cut), &viaReader),
+			"DecodeAny": anyErr,
+		} {
+			var pe *Error
+			if n <= 1 { // nothing, or the magic byte alone: no value started
+				if err != io.EOF {
+					t.Errorf("%s of %d bytes: %v, want io.EOF", path, n, err)
+				}
+			} else if !errors.As(err, &pe) {
+				t.Errorf("%s cut at %d: %T %v, want *pickle.Error", path, n, err, err)
+			}
+		}
+	}
+	// On a stream of values, the end between two values is io.EOF and an end
+	// inside the second is an error.
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	if err := enc.Encode(inner{Label: "x", N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	first := buf.Len()
+	if err := enc.Encode(inner{Label: "x", N: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []int{first, buf.Len() - 1} {
+		dec := NewDecoder(bytes.NewReader(buf.Bytes()[:cut]))
+		var v inner
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		err := dec.Decode(&v)
+		var pe *Error
+		if cut == first && err != io.EOF || cut != first && !errors.As(err, &pe) {
+			t.Errorf("stream cut at %d of %d: %v", cut, buf.Len(), err)
+		}
 	}
 }
 

@@ -18,7 +18,8 @@
 //
 // The wire protocol is one uvarint-length-prefixed pickled message per
 // request or response, multiplexed by call ID, so one connection carries
-// any number of concurrent calls.
+// any number of concurrent calls, served by long-lived handler goroutines of
+// the connection (see ServeConn); frame buffers are reused, not allocated.
 //
 // The network is allowed to fail. A Client built over a dial function
 // (NewClientDialer, Dial, DialRetry) reconnects automatically: when the
@@ -43,6 +44,8 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,35 +120,51 @@ func init() {
 // then the trace and span IDs as uvarints, then the ordinary length-
 // prefixed payload. Untraced frames are byte-identical to the pre-
 // extension protocol, so old and new endpoints interoperate as long as
-// only new ones emit traces.
+// only new ones emit traces. The header goes into frameRoom bytes left free
+// in front of the payload, right-aligned against it.
 func writeMessage(w io.Writer, wmu *sync.Mutex, v any, sc obs.SpanContext) error {
-	payload, err := pickle.Marshal(v)
-	if err != nil {
-		return err
+	bp := framePool.Get().(*[]byte)
+	buf, err := pickle.AppendMarshal((*bp)[:frameRoom], v)
+	if err == nil {
+		var hdr [frameRoom]byte
+		n := 0
+		if sc.Trace != 0 {
+			hdr[n] = 0 // extension sentinel: zero-length frame
+			n++
+			n += binary.PutUvarint(hdr[n:], uint64(sc.Trace))
+			n += binary.PutUvarint(hdr[n:], uint64(sc.Span))
+		}
+		n += binary.PutUvarint(hdr[n:], uint64(len(buf)-frameRoom))
+		start := frameRoom - n
+		copy(buf[start:], hdr[:n])
+		wmu.Lock()
+		_, err = w.Write(buf[start:])
+		wmu.Unlock()
 	}
-	var hdr [5 * binary.MaxVarintLen64]byte
-	n := 0
-	if sc.Trace != 0 {
-		hdr[n] = 0 // extension sentinel: zero-length frame
-		n++
-		n += binary.PutUvarint(hdr[n:], uint64(sc.Trace))
-		n += binary.PutUvarint(hdr[n:], uint64(sc.Span))
+	if cap(buf) <= frameChunk {
+		*bp = buf
+		framePool.Put(bp)
 	}
-	n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
-	buf := make([]byte, 0, n+len(payload))
-	buf = append(buf, hdr[:n]...)
-	buf = append(buf, payload...)
-	wmu.Lock()
-	defer wmu.Unlock()
-	_, err = w.Write(buf)
 	return err
 }
 
-// readFrame reads one length-prefixed frame payload and its trace context
-// (zero when the frame carried none). Truncated, garbage or oversized
-// frames error; the buffer is grown in frameChunk steps as data actually
-// arrives, bounding the allocation a hostile header can cause.
+// frameRoom fits the longest header: sentinel, trace and span IDs, length.
+const frameRoom = 1 + 3*binary.MaxVarintLen64
+
+// framePool holds writeMessage's buffers; one grown past frameChunk by a
+// large message is dropped rather than pinned.
+var framePool = sync.Pool{New: func() any { b := make([]byte, frameRoom, 512); return &b }}
+
+// readFrame reads one frame into a fresh buffer.
 func readFrame(r *bufio.Reader) ([]byte, obs.SpanContext, error) {
+	return readFrameInto(nil, r)
+}
+
+// readFrameInto reads one length-prefixed frame payload into buf's storage
+// and returns it with its trace context (zero when the frame carried none).
+// Truncated, garbage or oversized frames error; the buffer grows a frameChunk
+// at most at a time as data arrives, bounding what a hostile header costs.
+func readFrameInto(buf []byte, r *bufio.Reader) ([]byte, obs.SpanContext, error) {
 	var sc obs.SpanContext
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -153,18 +172,13 @@ func readFrame(r *bufio.Reader) ([]byte, obs.SpanContext, error) {
 	}
 	if n == 0 {
 		// Trace-context extension: trace ID, span ID, then the real length.
-		tr, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, sc, err
+		var ext [3]uint64
+		for i := range ext {
+			if ext[i], err = binary.ReadUvarint(r); err != nil {
+				return nil, sc, err
+			}
 		}
-		sp, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, sc, err
-		}
-		sc = obs.SpanContext{Trace: obs.TraceID(tr), Span: obs.SpanID(sp)}
-		if n, err = binary.ReadUvarint(r); err != nil {
-			return nil, sc, err
-		}
+		sc, n = obs.SpanContext{Trace: obs.TraceID(ext[0]), Span: obs.SpanID(ext[1])}, ext[2]
 		if n == 0 {
 			return nil, sc, errors.New("rpc: malformed frame: empty message after trace extension")
 		}
@@ -172,21 +186,11 @@ func readFrame(r *bufio.Reader) ([]byte, obs.SpanContext, error) {
 	if n > maxMessage {
 		return nil, sc, fmt.Errorf("rpc: message of %d bytes exceeds limit", n)
 	}
-	if n <= frameChunk {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, sc, err
-		}
-		return buf, sc, nil
-	}
-	buf := make([]byte, 0, frameChunk)
+	buf = buf[:0]
 	for uint64(len(buf)) < n {
-		step := n - uint64(len(buf))
-		if step > frameChunk {
-			step = frameChunk
-		}
 		start := len(buf)
-		buf = append(buf, make([]byte, step)...)
+		step := int(min(n-uint64(start), frameChunk))
+		buf = slices.Grow(buf, step)[:start+step]
 		if _, err := io.ReadFull(r, buf[start:]); err != nil {
 			return nil, sc, err
 		}
@@ -194,14 +198,23 @@ func readFrame(r *bufio.Reader) ([]byte, obs.SpanContext, error) {
 	return buf, sc, nil
 }
 
-// readMessage reads one framed message into ptr, returning the frame's
-// trace context.
+// readMessage reads one framed message into ptr and returns its trace context.
 func readMessage(r *bufio.Reader, ptr any) (obs.SpanContext, error) {
-	buf, sc, err := readFrame(r)
+	return decodeFrame(new([]byte), r, ptr)
+}
+
+// decodeFrame is readMessage for a connection's reader, whose frames reuse
+// *buf's storage; a buffer grown past frameChunk by one large frame is
+// dropped rather than kept.
+func decodeFrame(buf *[]byte, r *bufio.Reader, ptr any) (obs.SpanContext, error) {
+	frame, sc, err := readFrameInto(*buf, r)
 	if err != nil {
 		return sc, err
 	}
-	return sc, pickle.Unmarshal(buf, ptr)
+	if *buf = frame; cap(frame) > frameChunk {
+		*buf = nil
+	}
+	return sc, pickle.Unmarshal(frame, ptr)
 }
 
 // --- server ---
@@ -221,37 +234,63 @@ type Server struct {
 	requests   *obs.Counter
 	errors     *obs.Counter
 	dedupeHits *obs.Counter
+	unknown    serviceMethod // metrics only: what lookup returns for a bad name
 
 	lmu       sync.Mutex
 	listeners []net.Listener
 	conns     map[io.Closer]bool
 	closed    bool
+	started   atomic.Int64 // handler goroutines ever started, for tests
 }
 
-// Instrument wires the server's metrics into reg — rpc_requests,
-// rpc_errors, rpc_open_conns, rpc_dedupe_hits, and per-method
-// rpc_calls_<Service.Method> / rpc_errors_<Service.Method> counters with
-// rpc_latency_ns_<Service.Method> histograms — and emits an "rpc.call"
-// event per dispatch to tr. Call before Serve.
+// Instrument wires the server's metrics into reg — rpc_requests, rpc_errors,
+// rpc_open_conns, rpc_dedupe_hits, and per-method rpc_calls_<Service.Method>
+// / rpc_errors_<Service.Method> counters with rpc_latency_ns_<Service.Method>
+// histograms — and emits an "rpc.call" event per dispatch to tr. Call before
+// Serve, and before or after Register.
 func (s *Server) Instrument(reg *obs.Registry, tr obs.Tracer) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.obs = reg
 	s.tracer = tr
 	s.openConns = reg.Gauge("rpc_open_conns")
 	s.requests = reg.Counter("rpc_requests")
 	s.errors = reg.Counter("rpc_errors")
 	s.dedupeHits = reg.Counter("rpc_dedupe_hits")
+	s.unknown.metrics = bindMetrics(reg, "unknown")
+	for name, svc := range s.services {
+		svc.bindMetrics(reg, name)
+	}
 }
 
 type service struct {
 	rcvr    reflect.Value
-	methods map[string]serviceMethod
+	methods map[string]*serviceMethod
 }
 
 // serviceMethod is one dispatchable method; traced methods take the
 // caller's span context as a third argument.
 type serviceMethod struct {
-	m      reflect.Method
-	traced bool
+	m       reflect.Method
+	traced  bool
+	metrics methodMetrics
+}
+
+// methodMetrics are one method's series, resolved once rather than looked
+// up by name per call; nil, and so discarding, until Instrument.
+type methodMetrics struct {
+	calls, errors *obs.Counter
+	latency       *obs.Histogram
+}
+
+func bindMetrics(reg *obs.Registry, label string) methodMetrics {
+	return methodMetrics{reg.Counter("rpc_calls_" + label), reg.Counter("rpc_errors_" + label), reg.Histogram("rpc_latency_ns_" + label)}
+}
+
+func (svc *service) bindMetrics(reg *obs.Registry, name string) {
+	for mName, sm := range svc.methods {
+		sm.metrics = bindMetrics(reg, name+"."+mName)
+	}
 }
 
 // NewServer returns an empty Server.
@@ -279,7 +318,7 @@ var (
 func (s *Server) Register(name string, rcvr any) error {
 	rv := reflect.ValueOf(rcvr)
 	rt := rv.Type()
-	svc := &service{rcvr: rv, methods: make(map[string]serviceMethod)}
+	svc := &service{rcvr: rv, methods: make(map[string]*serviceMethod)}
 	for i := 0; i < rt.NumMethod(); i++ {
 		m := rt.Method(i)
 		mt := m.Type
@@ -298,7 +337,7 @@ func (s *Server) Register(name string, rcvr any) error {
 		if mt.In(1).Kind() != reflect.Pointer || mt.In(2).Kind() != reflect.Pointer {
 			continue
 		}
-		svc.methods[m.Name] = serviceMethod{m: m, traced: mt.NumIn() == 4}
+		svc.methods[m.Name] = &serviceMethod{m: m, traced: mt.NumIn() == 4}
 	}
 	if len(svc.methods) == 0 {
 		return fmt.Errorf("rpc: %T exposes no methods of the form Method(arg *A, reply *R) error", rcvr)
@@ -308,6 +347,7 @@ func (s *Server) Register(name string, rcvr any) error {
 	if _, dup := s.services[name]; dup {
 		return fmt.Errorf("rpc: service %q already registered", name)
 	}
+	svc.bindMetrics(s.obs, name)
 	s.services[name] = svc
 	return nil
 }
@@ -339,8 +379,10 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // ServeConn serves a single connection until it fails or the server closes.
-// Requests on one connection are handled concurrently, each on its own
-// goroutine, as the calls they carry may interleave enquiries and updates.
+// Requests on one connection are handled concurrently, as the calls they
+// carry may interleave enquiries and updates: each goes to an idle handler
+// goroutine of the connection, or to a new one if none is idle. Handlers
+// live as long as the connection, so they number its peak concurrency.
 func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 	s.lmu.Lock()
 	if s.closed {
@@ -359,22 +401,40 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 		conn.Close()
 	}()
 
-	var wmu sync.Mutex
-	r := bufio.NewReader(conn)
-	var handlers sync.WaitGroup
+	type inbound struct {
+		req request
+		sc  obs.SpanContext
+	}
+	var (
+		wmu      sync.Mutex
+		handlers sync.WaitGroup
+		work     = make(chan inbound)
+		r        = bufio.NewReader(conn)
+		buf      []byte
+		in       inbound
+		err      error
+	)
 	defer handlers.Wait()
+	defer close(work)
+	handle := func(job inbound) {
+		defer handlers.Done()
+		for ok := true; ok; job, ok = <-work {
+			resp := s.serveRequest(&job.req, job.sc)
+			_ = writeMessage(conn, &wmu, resp, obs.SpanContext{})
+		}
+	}
 	for {
-		var req request
-		sc, err := readMessage(r, &req)
-		if err != nil {
+		in.req = request{}
+		if in.sc, err = decodeFrame(&buf, r, &in.req); err != nil {
 			return
 		}
-		handlers.Add(1)
-		go func(req request, sc obs.SpanContext) {
-			defer handlers.Done()
-			resp := s.serveRequest(&req, sc)
-			_ = writeMessage(conn, &wmu, resp, obs.SpanContext{})
-		}(req, sc)
+		select {
+		case work <- in:
+		default:
+			handlers.Add(1)
+			s.started.Add(1)
+			go handle(in)
+		}
 	}
 }
 
@@ -424,74 +484,46 @@ func (s *Server) dispatch(req *request, sc obs.SpanContext) (resp *response) {
 		}
 	}
 	methodCtx := span.Context()
+	svc, sm, lookupErr := s.lookup(req.Method)
 	if s.obs != nil || s.tracer != nil {
 		s.requests.Inc()
-		// Per-method metrics use only names that resolve to a
-		// registered method, so a client sending garbage cannot grow
-		// the registry without bound.
-		label := "unknown"
-		if svcName, mName, ok := splitMethod(req.Method); ok {
-			s.mu.RLock()
-			if svc := s.services[svcName]; svc != nil {
-				if _, known := svc.methods[mName]; known {
-					label = req.Method
-				}
-			}
-			s.mu.RUnlock()
-		}
-		s.obs.Counter("rpc_calls_" + label).Inc()
+		sm.metrics.calls.Inc()
 		start := time.Now()
 		defer func() {
 			dur := time.Since(start)
-			s.obs.Histogram("rpc_latency_ns_" + label).ObserveDuration(dur)
+			sm.metrics.latency.ObserveDuration(dur)
 			var err error
 			if resp.Err != "" {
 				err = ServerError(resp.Err)
 				s.errors.Inc()
-				s.obs.Counter("rpc_errors_" + label).Inc()
+				sm.metrics.errors.Inc()
 			}
 			if span.Active() {
 				span.End(err, obs.A("method", req.Method))
 			} else {
-				obs.Emit(s.tracer, obs.Event{Name: "rpc.call", Dur: dur, Err: err, Attrs: []obs.Attr{
-					obs.A("method", req.Method),
-				}})
+				obs.Emit(s.tracer, obs.Event{Name: "rpc.call", Dur: dur, Err: err, Attrs: []obs.Attr{obs.A("method", req.Method)}})
 			}
 		}()
 	}
-	svcName, mName, ok := splitMethod(req.Method)
-	if !ok {
-		resp.Err = fmt.Sprintf("rpc: malformed method %q", req.Method)
-		return resp
-	}
-	s.mu.RLock()
-	svc := s.services[svcName]
-	s.mu.RUnlock()
-	if svc == nil {
-		resp.Err = fmt.Sprintf("rpc: unknown service %q", svcName)
-		return resp
-	}
-	sm, ok := svc.methods[mName]
-	if !ok {
-		resp.Err = fmt.Sprintf("rpc: service %q has no method %q", svcName, mName)
+	if lookupErr != "" {
+		resp.Err = lookupErr
 		return resp
 	}
 	m := sm.m
 
 	argType := m.Type.In(1)   // *A
 	replyType := m.Type.In(2) // *R
-	argv := reflect.New(argType.Elem())
-	if req.Arg != nil {
-		av := reflect.ValueOf(req.Arg)
-		switch {
-		case av.Type() == argType:
-			argv = av
-		case av.Type() == argType.Elem():
-			argv.Elem().Set(av)
-		default:
-			resp.Err = fmt.Sprintf("rpc: %s wants %v, got %T", req.Method, argType, req.Arg)
-			return resp
-		}
+	argv := reflect.ValueOf(req.Arg)
+	switch {
+	case req.Arg == nil:
+		argv = reflect.New(argType.Elem())
+	case argv.Type() == argType:
+	case argv.Type() == argType.Elem():
+		argv = reflect.New(argType.Elem())
+		argv.Elem().Set(reflect.ValueOf(req.Arg))
+	default:
+		resp.Err = fmt.Sprintf("rpc: %s wants %v, got %T", req.Method, argType, req.Arg)
+		return resp
 	}
 	replyv := reflect.New(replyType.Elem())
 
@@ -514,13 +546,25 @@ func (s *Server) dispatch(req *request, sc obs.SpanContext) (resp *response) {
 	return resp
 }
 
-func splitMethod(s string) (svc, method string, ok bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '.' {
-			return s[:i], s[i+1:], i > 0 && i < len(s)-1
-		}
+// lookup resolves "Service.Method", or says why it cannot and returns
+// s.unknown, so that garbage names share one set of series and a client
+// sending them cannot grow the registry.
+func (s *Server) lookup(name string) (*service, *serviceMethod, string) {
+	svcName, mName, ok := strings.Cut(name, ".")
+	if !ok || svcName == "" || mName == "" {
+		return nil, &s.unknown, fmt.Sprintf("rpc: malformed method %q", name)
 	}
-	return "", "", false
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	svc := s.services[svcName]
+	if svc == nil {
+		return nil, &s.unknown, fmt.Sprintf("rpc: unknown service %q", svcName)
+	}
+	sm := svc.methods[mName]
+	if sm == nil {
+		return nil, &s.unknown, fmt.Sprintf("rpc: service %q has no method %q", svcName, mName)
+	}
+	return svc, sm, ""
 }
 
 // Close stops all listeners and open connections.
@@ -675,7 +719,7 @@ type pendingCall struct {
 
 // callResult is a response or a transport failure.
 type callResult struct {
-	resp *response
+	resp response
 	err  error
 }
 
@@ -777,9 +821,11 @@ func (c *Client) ensureConnLocked() (*clientConn, error) {
 
 func (c *Client) readLoop(cc *clientConn) {
 	r := bufio.NewReader(cc.rwc)
+	var buf []byte
+	var resp response
 	for {
-		var resp response
-		if _, err := readMessage(r, &resp); err != nil {
+		resp = response{}
+		if _, err := decodeFrame(&buf, r, &resp); err != nil {
 			c.connFailed(cc, err)
 			return
 		}
@@ -788,7 +834,7 @@ func (c *Client) readLoop(cc *clientConn) {
 		delete(c.pending, resp.ID)
 		c.mu.Unlock()
 		if pc != nil {
-			pc.ch <- callResult{resp: &resp}
+			pc.ch <- callResult{resp: resp}
 		}
 		// A nil pc is a response whose caller stopped waiting (timeout);
 		// it is discarded, not leaked.
@@ -847,9 +893,6 @@ func (c *Client) CallTraced(sc obs.SpanContext, method string, arg, reply any) e
 // pending-call entry is removed, so the late response is discarded rather
 // than leaked.
 func (c *Client) CallTimeout(method string, arg, reply any, d time.Duration) error {
-	if d <= 0 {
-		return c.call(method, arg, reply, 0, 0, obs.SpanContext{})
-	}
 	return c.call(method, arg, reply, 0, d, obs.SpanContext{})
 }
 
