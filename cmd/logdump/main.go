@@ -117,17 +117,8 @@ func summarize(fs vfs.FS) {
 				fmt.Printf("%s: empty\n", sn)
 				continue
 			}
-			entries := 0
-			var first, last uint64
-			wal.Replay(fs, sn, start, wal.ReplayOptions{Monotonic: true}, func(seq uint64, _ []byte) error {
-				if entries == 0 {
-					first = seq
-				}
-				last = seq
-				entries++
-				return nil
-			})
-			fmt.Printf("%s: %d entries (seq %d..%d)\n", sn, entries, first, last)
+			res, _ := wal.Replay(fs, sn, start, wal.ReplayOptions{Monotonic: true}, func(uint64, []byte) error { return nil })
+			fmt.Printf("%s: %d entries (seq %d..%d)\n", sn, res.Entries, start, res.LastSeq)
 		}
 		if len(streams) > 1 {
 			first, ok, err := wal.FirstSeqSharded(fs, n)
@@ -135,7 +126,9 @@ func summarize(fs vfs.FS) {
 				continue
 			}
 			res, err := wal.ReplayShardedPipelined(fs, n, first, wal.ReplayOptions{}, 4,
-				func(_ uint64, _ []byte) (any, error) { return nil, nil },
+				func([]byte) (wal.DecodeFunc, error) {
+					return func(uint64, []byte) (any, error) { return nil, nil }, nil
+				},
 				func(_ uint64, _ any) error { return nil })
 			if err != nil {
 				fmt.Printf("%s (merged): %v\n", n, err)
@@ -211,12 +204,19 @@ func statsLogFile(fs vfs.FS, name string) {
 	// the global sequences.
 	var h obs.Histogram
 	var first, last uint64
+	var forms [2]struct{ n, bytes int64 } // self-describing, table-relative
 	res, err := wal.Replay(fs, name, start, wal.ReplayOptions{SkipDamaged: true, Monotonic: true}, func(seq uint64, payload []byte) error {
 		if first == 0 {
 			first = seq
 		}
 		last = seq
 		h.Observe(int64(len(payload)))
+		f := &forms[0]
+		if pickle.IsTableRelative(payload) {
+			f = &forms[1]
+		}
+		f.n++
+		f.bytes += int64(len(payload))
 		return nil
 	})
 	if err != nil {
@@ -226,6 +226,9 @@ func statsLogFile(fs vfs.FS, name string) {
 	fmt.Printf("%s: %d entries (seq %d..%d), %d bytes on disk (%.1f%% framing overhead)\n",
 		name, s.Count, first, last, size, overheadPct(size, s.Sum))
 	fmt.Printf("  payload sizes: %s\n", s.SizeString())
+	fmt.Printf("  head: %d-byte type table; entries: %d self-describing (mean %.1f B), %d table-relative (mean %.1f B)\n",
+		len(res.Head), forms[0].n, float64(forms[0].bytes)/float64(max(forms[0].n, 1)),
+		forms[1].n, float64(forms[1].bytes)/float64(max(forms[1].n, 1)))
 	if res.Truncated {
 		fmt.Printf("  (torn tail entry discarded at offset %d)\n", res.GoodSize)
 	}
@@ -274,6 +277,9 @@ func dumpLog(fs vfs.FS, base string, max, stream int) {
 	}
 
 	fmt.Printf("%s: sharded log, %d streams: %s\n", base, len(streams), strings.Join(streams, ", "))
+	for _, sn := range streams {
+		printHead(fs, sn)
+	}
 	first, ok, err := wal.FirstSeqSharded(fs, base)
 	if err != nil {
 		fatal("%v", err)
@@ -283,15 +289,11 @@ func dumpLog(fs vfs.FS, base string, max, stream int) {
 		return
 	}
 	n := 0
+	// Decode off the merge's worker pool, each stream against its own head.
 	res, err := wal.ReplayShardedPipelined(fs, base, first, wal.ReplayOptions{}, 4,
-		func(seq uint64, payload []byte) (any, error) {
-			// Decode generically off the merge's worker pool; formatting
-			// failures are per-entry notes, not errors.
-			v, derr := pickle.NewDecoder(strings.NewReader(string(payload))).DecodeAny()
-			if derr != nil {
-				return fmt.Sprintf("%d bytes (undecodable: %v)", len(payload), derr), nil
-			}
-			return pickle.Format(v), nil
+		func(head []byte) (wal.DecodeFunc, error) {
+			tab, err := pickle.ParseTable(head)
+			return func(_ uint64, payload []byte) (any, error) { return formatEntry(tab, payload), nil }, err
 		},
 		func(seq uint64, v any) error {
 			if max > 0 && n >= max {
@@ -317,7 +319,37 @@ func dumpLog(fs vfs.FS, base string, max, stream int) {
 
 var errStop = fmt.Errorf("stop")
 
+// printHead prints, with ids, the type table a log file's entries are
+// pickled against, and returns it.
+func printHead(fs vfs.FS, name string) *pickle.Table {
+	head, err := wal.ReadHead(fs, name)
+	var tab *pickle.Table
+	if err == nil {
+		tab, err = pickle.ParseTable(head)
+	}
+	switch {
+	case err != nil:
+		fmt.Printf("%s: head unreadable: %v\n", name, err)
+	case tab == nil:
+		fmt.Printf("%s: no head; entries are self-describing\n", name)
+	default:
+		fmt.Printf("%s: %d-byte head, type table:\n%s", name, len(head), tab)
+	}
+	return tab
+}
+
+// formatEntry renders an entry of either form; a failure is a note on the
+// entry, not an error.
+func formatEntry(tab *pickle.Table, payload []byte) string {
+	v, err := tab.UnmarshalAny(payload)
+	if err != nil {
+		return fmt.Sprintf("%d bytes (undecodable: %v)", len(payload), err)
+	}
+	return pickle.Format(v)
+}
+
 func dumpLogFile(fs vfs.FS, name string, max int) {
+	tab := printHead(fs, name)
 	start, ok, err := wal.FirstSeq(fs, name)
 	if err != nil {
 		fatal("%v", err)
@@ -332,12 +364,7 @@ func dumpLogFile(fs vfs.FS, name string, max int) {
 			return errStop
 		}
 		n++
-		v, derr := pickle.NewDecoder(strings.NewReader(string(payload))).DecodeAny()
-		if derr != nil {
-			fmt.Printf("entry %d: %d bytes (undecodable: %v)\n", seq, len(payload), derr)
-			return nil
-		}
-		fmt.Printf("entry %d: %s\n", seq, pickle.Format(v))
+		fmt.Printf("entry %d: %s\n", seq, formatEntry(tab, payload))
 		return nil
 	})
 	if err != nil && err != errStop {

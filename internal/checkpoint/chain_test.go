@@ -147,7 +147,7 @@ func TestDeltaCrashBeforeCommit(t *testing.T) {
 	fs := vfs.NewMem(1)
 	mustInit(t, fs, "base")
 	writeCheckpointFile(fs, DeltaName(2), writeBytes([]byte("d2")))
-	createEmptySynced(fs, LogName(2))
+	vfs.WriteFile(fs, LogName(2), nil)
 	fs.Crash()
 
 	st, err := Recover(fs, 0)
@@ -168,7 +168,7 @@ func TestDeltaCrashAfterCommit(t *testing.T) {
 	fs := vfs.NewMem(1)
 	mustInit(t, fs, "base")
 	writeCheckpointFile(fs, DeltaName(2), writeBytes([]byte("d2")))
-	createEmptySynced(fs, LogName(2))
+	vfs.WriteFile(fs, LogName(2), nil)
 	vfs.WriteFile(fs, "newversion", []byte("2\n"))
 	fs.Crash()
 
@@ -222,7 +222,7 @@ func TestChainCrashMidCleanup(t *testing.T) {
 	// already deleted, the rest of the cleanup never ran, stale debris of
 	// an aborted full switch to 5 also on disk.
 	writeCheckpointFile(fs, DeltaName(4), writeBytes([]byte("d4")))
-	createEmptySynced(fs, LogName(4))
+	vfs.WriteFile(fs, LogName(4), nil)
 	vfs.WriteFile(fs, versionFile, []byte("4\n"))
 	writeCheckpointFile(fs, CheckpointName(5), writeBytes([]byte("stale")))
 	if err := fs.Remove(LogName(2)); err != nil {

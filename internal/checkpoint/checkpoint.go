@@ -202,14 +202,15 @@ func versionComplete(fs vfs.FS, v uint64) bool {
 }
 
 // Init creates version 1: the caller streams the initial checkpoint (for an
-// empty database, the pickled empty root) through write. Crashing anywhere
-// during Init leaves a directory Recover still reports as uninitialized.
-func Init(fs vfs.FS, write func(w io.Writer) error) (State, error) {
+// empty database, the pickled empty root) through write, and the log file
+// holds head as its head frame. Crashing anywhere during Init leaves a
+// directory Recover still reports as uninitialized.
+func Init(fs vfs.FS, write func(w io.Writer) error, head []byte) (State, error) {
 	const v = 1
 	if err := writeCheckpointFile(fs, CheckpointName(v), write); err != nil {
 		return State{}, err
 	}
-	if err := createEmptySynced(fs, LogName(v)); err != nil {
+	if err := vfs.WriteFile(fs, LogName(v), wal.HeadFrame(head)); err != nil {
 		return State{}, err
 	}
 	// The version file's durable appearance is the commit point of Init.
@@ -234,18 +235,6 @@ func writeCheckpointFile(fs vfs.FS, name string, write func(w io.Writer) error) 
 	if err := bw.Flush(); err != nil {
 		f.Close()
 		return fmt.Errorf("checkpoint: writing %s: %w", name, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func createEmptySynced(fs vfs.FS, name string) error {
-	f, err := fs.Create(name)
-	if err != nil {
-		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -622,19 +611,21 @@ func CreateLogFile(fs vfs.FS, v uint64) (vfs.File, error) {
 	return f, nil
 }
 
-// CreateShardLogFiles creates version v's empty stream files — stream 0 is
-// LogName(v) itself, so a one-shard call is CreateLogFile — syncs each, and
-// returns the open handles in stream order: the sharded non-blocking
-// checkpoint hands them to the mirror window via AttachMirrorFiles. On
-// error every file it created is closed and removed.
-func CreateShardLogFiles(fs vfs.FS, v uint64, shards int) ([]vfs.File, error) {
+// CreateShardLogFiles creates version v's stream files — stream 0 is
+// LogName(v) itself — each holding only head as its head frame (nothing when
+// head is nil), syncs each, and returns the open handles in stream order: the
+// non-blocking checkpoint hands them to the mirror window via
+// AttachMirrorFiles. On error every file it created is closed and removed.
+func CreateShardLogFiles(fs vfs.FS, v uint64, shards int, head []byte) ([]vfs.File, error) {
 	files := make([]vfs.File, 0, shards)
 	for i := 0; i < shards; i++ {
 		f, err := fs.Create(ShardLogName(v, i))
 		if err == nil {
-			if serr := f.Sync(); serr != nil {
+			if _, err = f.Write(wal.HeadFrame(head)); err == nil {
+				err = f.Sync()
+			}
+			if err != nil {
 				f.Close()
-				err = serr
 			}
 		}
 		if err != nil {

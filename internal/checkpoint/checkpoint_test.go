@@ -19,7 +19,7 @@ func writeBytes(b []byte) func(io.Writer) error {
 
 func mustInit(t *testing.T, fs vfs.FS, content string) State {
 	t.Helper()
-	st, err := Init(fs, writeBytes([]byte(content)))
+	st, err := Init(fs, writeBytes([]byte(content)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRecoverAfterCrashBeforeCommit(t *testing.T) {
 	fs := vfs.NewMem(1)
 	mustInit(t, fs, "cp1")
 	writeCheckpointFile(fs, CheckpointName(2), writeBytes([]byte("cp2")))
-	createEmptySynced(fs, LogName(2))
+	vfs.WriteFile(fs, LogName(2), nil)
 	f, _ := fs.Create("newversion")
 	f.Write([]byte("2\n")) // never synced
 	f.Close()
@@ -140,7 +140,7 @@ func TestRecoverAfterCrashAfterCommit(t *testing.T) {
 	fs := vfs.NewMem(1)
 	mustInit(t, fs, "cp1")
 	writeCheckpointFile(fs, CheckpointName(2), writeBytes([]byte("cp2")))
-	createEmptySynced(fs, LogName(2))
+	vfs.WriteFile(fs, LogName(2), nil)
 	vfs.WriteFile(fs, "newversion", []byte("2\n"))
 	fs.Crash()
 
@@ -168,7 +168,7 @@ func TestRecoverMidCleanupCrash(t *testing.T) {
 	fs := vfs.NewMem(1)
 	mustInit(t, fs, "cp1")
 	writeCheckpointFile(fs, CheckpointName(2), writeBytes([]byte("cp2")))
-	createEmptySynced(fs, LogName(2))
+	vfs.WriteFile(fs, LogName(2), nil)
 	vfs.WriteFile(fs, "newversion", []byte("2\n"))
 	fs.Remove("version")
 	fs.Crash()
@@ -365,7 +365,7 @@ func TestShardedAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, err := CreateShardLogFiles(fs, next, 3)
+	files, err := CreateShardLogFiles(fs, next, 3, []byte("head"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ func initV1(t *testing.T, fs vfs.FS, body string) State {
 	st, err := Init(fs, func(w io.Writer) error {
 		_, err := w.Write([]byte(body))
 		return err
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestSwitchCrashWindows(t *testing.T) {
 	// entries, then a switch to v2. Returns the op count where the
 	// switch started.
 	scenario := func(fs vfs.FS) (switchStart int64, err error) {
-		st, err := Init(fs, writeBytes([]byte("old checkpoint")))
+		st, err := Init(fs, writeBytes([]byte("old checkpoint")), nil)
 		if err != nil {
 			return 0, err
 		}

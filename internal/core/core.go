@@ -31,6 +31,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -75,10 +76,32 @@ type Update interface {
 // recoverers (init functions are the natural place).
 func RegisterUpdate(u Update) { pickle.Register(u) }
 
+// logTable is the type table at the head of the log files this process
+// creates: logRecord and every registered update type.
+func logTable() *pickle.Table { return pickle.NewTable(&logRecord{}) }
+
 // logRecord is the pickled form of one log entry: the update in an
 // interface field, so the concrete type travels with it.
 type logRecord struct {
 	U Update
+}
+
+// logDecoder decodes a log file's entries against the table its head holds.
+func logDecoder(head []byte) (wal.DecodeFunc, error) {
+	tab, err := pickle.ParseTable(head)
+	if err != nil {
+		return nil, fmt.Errorf("core: log head unreadable: %w", err)
+	}
+	return func(seq uint64, payload []byte) (any, error) {
+		var rec logRecord
+		if err := tab.Unmarshal(payload, &rec); err != nil {
+			return nil, fmt.Errorf("core: log entry %d undecodable: %w", seq, err)
+		}
+		if rec.U == nil {
+			return nil, fmt.Errorf("core: log entry %d holds no update", seq)
+		}
+		return rec.U, nil
+	}, nil
 }
 
 // Config configures a Store.
@@ -272,6 +295,13 @@ type Store struct {
 	// the new version's files in place (FinishMirror), never replaces it.
 	log *wal.Sharded
 
+	// ownTab is the type table this process writes at the head of every log
+	// file it creates. logTab is the one the next entry is pickled against:
+	// the table of the file the log appends to, nil while that file has no
+	// head or a mirror window spans two files whose heads differ.
+	ownTab *pickle.Table
+	logTab atomic.Pointer[pickle.Table]
+
 	// mu guards the fields below (log/checkpoint administration).
 	mu         sync.Mutex
 	cpState    checkpoint.State
@@ -333,15 +363,17 @@ type Store struct {
 // registry or tracer is configured.
 func (s *Store) initObs() {
 	s.tracer = s.cfg.Tracer
-	s.hist.verify = obs.NewHistogram()
-	s.hist.pickle = obs.NewHistogram()
-	s.hist.commit = obs.NewHistogram()
-	s.hist.apply = obs.NewHistogram()
-	s.hist.cpPickle = obs.NewHistogram()
-	s.hist.cpIO = obs.NewHistogram()
-	s.hist.cpStall = obs.NewHistogram()
-	s.hist.cpSwitch = obs.NewHistogram()
 	reg := s.cfg.Obs
+	for _, h := range []struct {
+		p    **obs.Histogram
+		name string
+	}{{&s.hist.verify, "core_update_verify_ns"}, {&s.hist.pickle, "core_update_pickle_ns"},
+		{&s.hist.commit, "core_update_commit_ns"}, {&s.hist.apply, "core_update_apply_ns"},
+		{&s.hist.cpPickle, "core_checkpoint_pickle_ns"}, {&s.hist.cpIO, "core_checkpoint_io_ns"},
+		{&s.hist.cpStall, "checkpoint_stall_ns"}, {&s.hist.cpSwitch, "core_checkpoint_switch_ns"}} {
+		*h.p = obs.NewHistogram()
+		reg.Register(h.name, *h.p)
+	}
 	s.ctr.enquiries = reg.Counter("core_enquiries")
 	s.ctr.updates = reg.Counter("core_updates")
 	s.ctr.checkpoints = reg.Counter("core_checkpoints")
@@ -351,14 +383,6 @@ func (s *Store) initObs() {
 	s.ctr.compactions = reg.Counter("core_compactions")
 	s.cpInflight = reg.Gauge("core_checkpoint_inflight")
 	if reg != nil {
-		reg.Register("core_update_verify_ns", s.hist.verify)
-		reg.Register("core_update_pickle_ns", s.hist.pickle)
-		reg.Register("core_update_commit_ns", s.hist.commit)
-		reg.Register("core_update_apply_ns", s.hist.apply)
-		reg.Register("core_checkpoint_pickle_ns", s.hist.cpPickle)
-		reg.Register("core_checkpoint_io_ns", s.hist.cpIO)
-		reg.Register("checkpoint_stall_ns", s.hist.cpStall)
-		reg.Register("core_checkpoint_switch_ns", s.hist.cpSwitch)
 		reg.Register("core_log_bytes", func() any {
 			s.mu.Lock()
 			defer s.mu.Unlock()
@@ -407,9 +431,7 @@ func poolHitRate(gets, misses uint64) any {
 	if gets == 0 {
 		return -1
 	}
-	if misses > gets { // counters are read racily; clamp
-		misses = gets
-	}
+	misses = min(misses, gets) // counters are read racily; clamp
 	return int64((gets - misses) * 100 / gets)
 }
 
@@ -464,7 +486,7 @@ func Open(cfg Config) (*Store, error) {
 		// sharded recovery notes in internal/wal.
 		return nil, fmt.Errorf("core: SkipDamagedLogEntries is not supported with LogShards > 1")
 	}
-	s := &Store{cfg: cfg}
+	s := &Store{cfg: cfg, ownTab: logTable()}
 	// Probe a throwaway root: versioning is a property of the root type,
 	// and initObs needs it to pick the lock instrumentation.
 	_, s.versioned = cfg.NewRoot().(VersionedRoot)
@@ -491,7 +513,7 @@ func (s *Store) initFresh() (*Store, error) {
 		werr := pickle.Write(cw, &header{NextSeq: 1, Root: root})
 		baseBytes = cw.n
 		return werr
-	})
+	}, s.ownTab.Bytes())
 	if err != nil {
 		return nil, err
 	}
@@ -530,8 +552,6 @@ func (s *Store) load(st checkpoint.State) error {
 	var res wal.ShardedReplayResult
 	usedFallback := false
 	if err == nil {
-		s.baseBytes.Store(cs.baseBytes)
-		s.deltaBytes.Store(cs.deltaBytes)
 		// Pin the chain's state — exactly what on-disk version st.Version
 		// records, before replay mutates the root — so the first
 		// post-restart checkpoint can chain a delta onto it.
@@ -553,8 +573,6 @@ func (s *Store) load(st checkpoint.State) error {
 		if ferr != nil {
 			return fmt.Errorf("core: current checkpoint unusable (%v) and previous one too: %w", err, ferr)
 		}
-		s.baseBytes.Store(cs.baseBytes)
-		s.deltaBytes.Store(cs.deltaBytes)
 		prevRes, ferr := s.replayInto(hdr, checkpoint.LogName(prev), hdr.NextSeq, replayOpts)
 		if ferr != nil {
 			return fmt.Errorf("core: current checkpoint unusable (%v) and previous log too: %w", err, ferr)
@@ -574,6 +592,8 @@ func (s *Store) load(st checkpoint.State) error {
 	if err != nil {
 		return err
 	}
+	s.baseBytes.Store(cs.baseBytes)
+	s.deltaBytes.Store(cs.deltaBytes)
 	s.root = hdr.Root
 	s.log = l
 	s.cpState = st
@@ -638,48 +658,44 @@ func (s *Store) readChain(chain []uint64) (*header, chainStats, error) {
 	return hdr, cs, nil
 }
 
-func (s *Store) readCheckpoint(name string) (*header, int64, time.Duration, error) {
+// readPickled decodes the one value in the named checkpoint file into ptr,
+// prefetching the file ahead of the decoder so disk reads overlap decode CPU
+// (the decoder adds its own small-read buffering on top). It reports the
+// bytes read and the time taken.
+func (s *Store) readPickled(name, what string, ptr any) (int64, time.Duration, error) {
 	start := time.Now()
 	f, err := s.cfg.FS.Open(name)
 	if err != nil {
-		return nil, 0, 0, err
+		return 0, 0, err
 	}
 	defer f.Close()
-	var hdr header
-	// Prefetch the file ahead of the decoder so disk reads overlap
-	// decode CPU; the decoder adds its own small-read buffering on top.
 	ra := checkpoint.NewReadAhead(f)
 	defer ra.Close()
 	cr := &countingReader{r: ra}
-	if err := pickle.Read(cr, &hdr); err != nil {
-		return nil, 0, 0, fmt.Errorf("core: reading checkpoint %s: %w", name, err)
+	if err := pickle.Read(cr, ptr); err != nil {
+		return 0, 0, fmt.Errorf("core: reading %s %s: %w", what, name, err)
 	}
-	if hdr.Root == nil || hdr.NextSeq == 0 {
-		return nil, 0, 0, fmt.Errorf("core: checkpoint %s is malformed", name)
+	return cr.n, time.Since(start), nil
+}
+
+func (s *Store) readCheckpoint(name string) (*header, int64, time.Duration, error) {
+	var hdr header
+	n, dur, err := s.readPickled(name, "checkpoint", &hdr)
+	if err == nil && (hdr.Root == nil || hdr.NextSeq == 0) {
+		err = fmt.Errorf("core: checkpoint %s is malformed", name)
 	}
-	return &hdr, cr.n, time.Since(start), nil
+	return &hdr, n, dur, err
 }
 
 // readDelta reads one delta checkpoint file and validates its chain link
 // against the version its name claims.
 func (s *Store) readDelta(name string, want uint64) (*deltaHeader, int64, time.Duration, error) {
-	start := time.Now()
-	f, err := s.cfg.FS.Open(name)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer f.Close()
-	ra := checkpoint.NewReadAhead(f)
-	defer ra.Close()
-	cr := &countingReader{r: ra}
 	var dh deltaHeader
-	if err := pickle.Read(cr, &dh); err != nil {
-		return nil, 0, 0, fmt.Errorf("core: reading delta checkpoint %s: %w", name, err)
+	n, dur, err := s.readPickled(name, "delta checkpoint", &dh)
+	if err == nil && (dh.Version != want || dh.Parent != want-1 || dh.NextSeq == 0 || dh.Delta == nil) {
+		err = fmt.Errorf("core: delta checkpoint %s is malformed (version %d, parent %d)", name, dh.Version, dh.Parent)
 	}
-	if dh.Version != want || dh.Parent != want-1 || dh.NextSeq == 0 || dh.Delta == nil {
-		return nil, 0, 0, fmt.Errorf("core: delta checkpoint %s is malformed (version %d, parent %d)", name, dh.Version, dh.Parent)
-	}
-	return &dh, cr.n, time.Since(start), nil
+	return &dh, n, dur, err
 }
 
 // replayWorkers resolves Config.ReplayWorkers: 0 sizes the decode pool
@@ -690,11 +706,7 @@ func (s *Store) replayWorkers() int {
 	if s.cfg.ReplayWorkers != 0 {
 		return s.cfg.ReplayWorkers
 	}
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	return w
+	return min(runtime.GOMAXPROCS(0), 8)
 }
 
 // replayInto replays the named log onto hdr.Root, returning the replay
@@ -709,19 +721,9 @@ func (s *Store) replayInto(hdr *header, logName string, firstSeq uint64, opts wa
 	// Progress events let an operator watch a long restart converge.
 	const progressEvery = 10000
 	start := time.Now()
-	res, err := wal.ReplayShardedPipelined(s.cfg.FS, logName, firstSeq, opts, s.replayWorkers(),
-		func(seq uint64, payload []byte) (any, error) {
-			rec := new(logRecord)
-			if err := pickle.Unmarshal(payload, rec); err != nil {
-				return nil, fmt.Errorf("core: log entry %d undecodable: %w", seq, err)
-			}
-			if rec.U == nil {
-				return nil, fmt.Errorf("core: log entry %d holds no update", seq)
-			}
-			return rec, nil
-		},
+	res, err := wal.ReplayShardedPipelined(s.cfg.FS, logName, firstSeq, opts, s.replayWorkers(), logDecoder,
 		func(seq uint64, v any) error {
-			if err := v.(*logRecord).U.Apply(hdr.Root); err != nil {
+			if err := v.(Update).Apply(hdr.Root); err != nil {
 				return fmt.Errorf("core: replaying entry %d: %w", seq, err)
 			}
 			if n := seq - firstSeq + 1; n%progressEvery == 0 {
@@ -875,8 +877,9 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) (applied int, err error)
 
 	var (
 		log   = s.log
-		seq   uint64       // last applied update's sequence
-		wait  func() error // its durability barrier
+		tab   = s.logTab.Load() // stable under the update lock (see checkpointNonBlocking)
+		seq   uint64            // last applied update's sequence
+		wait  func() error      // its durability barrier
 		bytes int
 		fatal bool // err poisoned the store
 		// Phase times summed over the call; commitNS is enqueue plus
@@ -897,7 +900,7 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) (applied int, err error)
 		// straight back to the pool and the steady-state path allocates
 		// nothing.
 		bufp := payloadPool.Get().(*[]byte)
-		payload, perr := pickle.AppendMarshal((*bufp)[:0], &logRecord{U: u})
+		payload, perr := tab.AppendMarshal((*bufp)[:0], &logRecord{U: u})
 		if perr != nil {
 			err = fmt.Errorf("core: pickling update: %w", perr)
 			break
@@ -1073,9 +1076,7 @@ func (s *Store) publishDurable(frontier uint64) {
 	}
 	if n > 0 {
 		rem := copy(s.pendingPub, s.pendingPub[n:])
-		for i := rem; i < len(s.pendingPub); i++ {
-			s.pendingPub[i] = pendingPub{}
-		}
+		clear(s.pendingPub[rem:])
 		s.pendingPub = s.pendingPub[:rem]
 	}
 	s.pubMu.Unlock()
@@ -1121,30 +1122,13 @@ func (s *Store) Err() error {
 
 // maybeAutoCheckpoint triggers a checkpoint when an update left the log
 // past its configured thresholds. The updating goroutine only checks
-// counters: the checkpoint itself runs on a background goroutine, so the
-// update that crossed the threshold does not pay the checkpoint's latency.
-// Single-flight (checkpointing); Close waits for an in-flight one.
+// counters: the checkpoint itself runs in the background, so the update that
+// crossed the threshold does not pay the checkpoint's latency.
 func (s *Store) maybeAutoCheckpoint() {
-	if s.cfg.MaxLogBytes <= 0 && s.cfg.MaxLogEntries <= 0 {
+	if s.cfg.MaxLogBytes <= 0 && s.cfg.MaxLogEntries <= 0 || !s.autoCheckpointDue() {
 		return
 	}
-	if !s.autoCheckpointDue() {
-		return
-	}
-	if !s.checkpointing.CompareAndSwap(false, true) {
-		return // one at a time
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.checkpointing.Store(false)
-		return
-	}
-	s.cpWG.Add(1) // under mu with closed checked, so Close cannot be Waiting yet
-	s.mu.Unlock()
-	go func() {
-		defer s.checkpointing.Store(false)
-		defer s.cpWG.Done()
+	s.background(&s.checkpointing, func() {
 		// Re-check: a manual or timer checkpoint may have emptied the log
 		// while this goroutine was starting. Best effort — a failure
 		// leaves the old version current and surfaces through
@@ -1152,6 +1136,27 @@ func (s *Store) maybeAutoCheckpoint() {
 		if s.autoCheckpointDue() {
 			_ = s.Checkpoint()
 		}
+	})
+}
+
+// background runs fn on a goroutine Close waits for, single-flight under
+// busy; it does nothing while busy or once the store is closed.
+func (s *Store) background(busy *atomic.Bool, fn func()) {
+	if !busy.CompareAndSwap(false, true) {
+		return
+	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		busy.Store(false)
+		return
+	}
+	s.cpWG.Add(1) // under mu with closed checked, so Close cannot be Waiting yet
+	s.mu.Unlock()
+	go func() {
+		defer busy.Store(false)
+		defer s.cpWG.Done()
+		fn()
 	}()
 }
 
@@ -1160,16 +1165,8 @@ func (s *Store) maybeAutoCheckpoint() {
 func (s *Store) autoCheckpointDue() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.poisoned != nil {
-		return false
-	}
-	if s.cfg.MaxLogBytes > 0 && s.log.Size() > s.cfg.MaxLogBytes {
-		return true
-	}
-	if s.cfg.MaxLogEntries > 0 && s.logEntries > s.cfg.MaxLogEntries {
-		return true
-	}
-	return false
+	return !s.closed && s.poisoned == nil &&
+		(s.cfg.MaxLogBytes > 0 && s.log.Size() > s.cfg.MaxLogBytes || s.cfg.MaxLogEntries > 0 && s.logEntries > s.cfg.MaxLogEntries)
 }
 
 // Checkpoint records the database on disk and starts an empty log (§3).
@@ -1237,32 +1234,17 @@ func (s *Store) maybeCompact() {
 	if !s.compactionDue() {
 		return
 	}
+	compact := func() {
+		s.cpMu.Lock()
+		err := s.compactLocked()
+		s.cpMu.Unlock()
+		s.noteCheckpointErr(err)
+	}
 	if s.cfg.Deterministic {
-		s.cpMu.Lock()
-		err := s.compactLocked()
-		s.cpMu.Unlock()
-		s.noteCheckpointErr(err)
-		return
+		compact()
+	} else {
+		s.background(&s.compacting, compact)
 	}
-	if !s.compacting.CompareAndSwap(false, true) {
-		return // one at a time
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.compacting.Store(false)
-		return
-	}
-	s.cpWG.Add(1) // under mu with closed checked, so Close cannot be Waiting yet
-	s.mu.Unlock()
-	go func() {
-		defer s.compacting.Store(false)
-		defer s.cpWG.Done()
-		s.cpMu.Lock()
-		err := s.compactLocked()
-		s.cpMu.Unlock()
-		s.noteCheckpointErr(err)
-	}()
 }
 
 // compactLocked re-checks the thresholds under cpMu (a concurrent manual
@@ -1429,8 +1411,15 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 	}
 	buf := sw.buf
 	pickleTime := time.Since(p0)
+	prevTab := s.logTab.Load()
 	if perr == nil {
 		perr = log.BeginMirror()
+	}
+	if perr == nil && !bytes.Equal(prevTab.Bytes(), s.ownTab.Bytes()) {
+		// The window's entries land in the old file and the new one, whose
+		// heads differ: pickle them self-describing. (Committers load logTab
+		// under the update lock.)
+		s.logTab.Store(nil)
 	}
 	stall := time.Since(cpStart)
 	s.lock.UpdateUnlock()
@@ -1450,6 +1439,7 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 	next := cur.Version + 1
 	abort := func(err error) error {
 		log.AbortMirror()
+		s.logTab.Store(prevTab)
 		checkpoint.Abort(s.cfg.FS, next)
 		return err
 	}
@@ -1520,7 +1510,7 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 	ioTime := time.Since(ioStart)
 
 	switchStart := time.Now()
-	files, err := checkpoint.CreateShardLogFiles(s.cfg.FS, next, log.Shards())
+	files, err := checkpoint.CreateShardLogFiles(s.cfg.FS, next, log.Shards(), s.ownTab.Bytes())
 	if err != nil {
 		return abort(err)
 	}
@@ -1560,6 +1550,7 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 		s.poisonUnlessClosed(err)
 		return err
 	}
+	s.logTab.Store(s.ownTab)
 	s.ctr.cpMirrored.Add(uint64(mirrored))
 	newBase := next
 	if isDelta {
@@ -1603,8 +1594,16 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 	checkpoint.ObserveSwitch(s.cpOpts(), cpStart)
 	switchTime := time.Since(switchStart)
 
-	s.recordCheckpointStats(stall, pickleTime, ioTime, switchTime)
+	s.hist.cpPickle.ObserveDuration(pickleTime)
+	s.hist.cpIO.ObserveDuration(ioTime)
+	s.hist.cpSwitch.ObserveDuration(switchTime)
+	s.ctr.checkpoints.Inc()
 	s.recordStats(func(st *Stats) {
+		st.Checkpoints++
+		st.CheckpointPickleTime += pickleTime
+		st.CheckpointIOTime += ioTime
+		st.CheckpointStallTime += stall
+		st.CheckpointSwitchTime += switchTime
 		st.LastCheckpointBytes = cpBytes
 		if isDelta {
 			st.DeltaCheckpoints++
@@ -1625,22 +1624,6 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 		obs.A("mirrored", mirrored),
 	}})
 	return nil
-}
-
-// recordCheckpointStats folds one successful checkpoint's phase times into
-// the histograms, counters and sums.
-func (s *Store) recordCheckpointStats(stall, pickleTime, ioTime, switchTime time.Duration) {
-	s.hist.cpPickle.ObserveDuration(pickleTime)
-	s.hist.cpIO.ObserveDuration(ioTime)
-	s.hist.cpSwitch.ObserveDuration(switchTime)
-	s.ctr.checkpoints.Inc()
-	s.recordStats(func(st *Stats) {
-		st.Checkpoints++
-		st.CheckpointPickleTime += pickleTime
-		st.CheckpointIOTime += ioTime
-		st.CheckpointStallTime += stall
-		st.CheckpointSwitchTime += switchTime
-	})
 }
 
 func (s *Store) poisonUnlessClosed(err error) {
@@ -1788,18 +1771,8 @@ func (s *Store) History(fn func(seq uint64, u Update) error) error {
 			return fmt.Errorf("core: audit trail gap: %s starts at sequence %d, expected %d", name, first, expect)
 		}
 		res, err := wal.ReplayShardedPipelined(s.cfg.FS, name, first,
-			wal.ReplayOptions{SkipDamaged: s.cfg.SkipDamagedLogEntries}, s.replayWorkers(),
-			func(seq uint64, payload []byte) (any, error) {
-				var rec logRecord
-				if err := pickle.Unmarshal(payload, &rec); err != nil {
-					return nil, fmt.Errorf("core: audit entry %d undecodable: %w", seq, err)
-				}
-				return rec.U, nil
-			},
-			func(seq uint64, v any) error {
-				u, _ := v.(Update)
-				return fn(seq, u)
-			})
+			wal.ReplayOptions{SkipDamaged: s.cfg.SkipDamagedLogEntries}, s.replayWorkers(), logDecoder,
+			func(seq uint64, v any) error { return fn(seq, v.(Update)) })
 		if err != nil {
 			return err
 		}
@@ -1890,9 +1863,21 @@ func (s *Store) walOpts() wal.Options {
 // logShards normalizes Config.LogShards: 0 and 1 both mean one stream.
 func (s *Store) logShards() int { return max(1, s.cfg.LogShards) }
 
-// openLog opens the store's redo log rooted at base. At one stream the
-// layout is the paper's: the base file alone.
+// openLog opens the store's redo log rooted at base, to which entries are
+// pickled against the table its streams' shared head holds; a fresh log's
+// head is this process's table. At one stream the layout is the paper's: the
+// base file alone.
 func (s *Store) openLog(base string, nextSeq uint64) (*wal.Sharded, error) {
-	return wal.OpenSharded(s.cfg.FS, base, s.logShards(), nextSeq,
+	l, err := wal.OpenSharded(s.cfg.FS, base, s.logShards(), nextSeq, s.ownTab.Bytes(),
 		wal.ShardedOptions{Options: s.walOpts(), SequentialSync: s.cfg.Deterministic})
+	if err != nil {
+		return nil, err
+	}
+	tab, err := pickle.ParseTable(l.Head())
+	if err != nil {
+		l.Close()
+		return nil, err
+	}
+	s.logTab.Store(tab)
+	return l, nil
 }

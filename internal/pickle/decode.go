@@ -29,6 +29,7 @@ type Decoder struct {
 	r       *bufio.Reader // streaming input; nil when reading from data
 	data    []byte        // slice input (Unmarshal path)
 	pos     int
+	tab     *Table // the stream's type table, when it was pickled against one
 	types   []*streamType
 	readHdr bool
 	scratch []byte // reused by readName on the streaming path
@@ -90,9 +91,7 @@ func (d *Decoder) Decode(ptr any) error {
 	if err := d.header(); err != nil {
 		return err
 	}
-	if len(d.refs) > 0 {
-		clear(d.refs)
-	}
+	d.refs = reuseMap(d.refs)
 	d.depth = 0
 	tag, err := d.readByte()
 	if err != nil {
@@ -119,10 +118,38 @@ func (d *Decoder) header() error {
 	if err != nil {
 		return err
 	}
-	if b != magic {
+	switch b {
+	case magic:
+		d.tab = nil
+	case tableMagic:
+		var want uint16
+		for i := range 2 { // byte by byte: a slice of a local array would escape
+			c, err := d.readByte()
+			if err != nil {
+				return midValue(err)
+			}
+			want |= uint16(c) << (8 * i)
+		}
+		if d.tab == nil || d.tab.fp != want {
+			return errf("stream was pickled against type table %04x, which this reader lacks", want)
+		}
+	default:
 		return errf("bad magic byte %#x: not a pickle stream", b)
 	}
 	d.readHdr = true
+	return nil
+}
+
+// claim checks a length the stream claims against limit and — on the
+// byte-slice path, where every element takes at least one byte — against the
+// bytes left, before anything is allocated for it.
+func (d *Decoder) claim(n, limit uint64, what string) error {
+	if n > limit {
+		return errf("%s %d exceeds limit %d", what, n, limit)
+	}
+	if d.r == nil && n > uint64(len(d.data)-d.pos) {
+		return errf("%s %d exceeds the %d bytes left", what, n, len(d.data)-d.pos)
+	}
 	return nil
 }
 
@@ -185,23 +212,10 @@ func (d *Decoder) readUvarint() (uint64, error) {
 	return 0, errf("varint overflows a 64-bit integer")
 }
 
+// readVarint reads a zig-zag varint, as binary.AppendVarint wrote it.
 func (d *Decoder) readVarint() (int64, error) {
-	if d.r != nil {
-		i, err := binary.ReadVarint(d.r)
-		return i, wrapEOF(err)
-	}
-	i, n := binary.Varint(d.data[d.pos:])
-	if n > 0 {
-		d.pos += n
-		return i, nil
-	}
-	if n == 0 {
-		if d.pos >= len(d.data) {
-			return 0, io.EOF
-		}
-		return 0, errf("truncated stream")
-	}
-	return 0, errf("varint overflows a 64-bit integer")
+	u, err := d.readUvarint()
+	return int64(u>>1) ^ -int64(u&1), err
 }
 
 func (d *Decoder) readFull(p []byte) error {
@@ -221,44 +235,23 @@ func (d *Decoder) readFull(p []byte) error {
 }
 
 func (d *Decoder) readString(limit uint64) (string, error) {
-	n, err := d.readUvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > limit {
-		return "", errf("string length %d exceeds limit %d", n, limit)
-	}
-	if d.r == nil {
-		if uint64(len(d.data)-d.pos) < n {
-			return "", errf("truncated stream")
-		}
-		s := string(d.data[d.pos : d.pos+int(n)])
-		d.pos += int(n)
-		return s, nil
-	}
-	buf := make([]byte, n)
-	if err := d.readFull(buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
+	b, err := d.readName(limit)
+	return string(b), err
 }
 
-// readName reads a length-prefixed name, returning bytes valid only until
-// the next read. On the slice path this is a view into the input; on the
-// streaming path it is the Decoder's scratch buffer. It exists so the hot
-// interface-type lookup allocates nothing.
+// readName reads a length-prefixed name or string, returning bytes valid
+// only until the next read. On the slice path this is a view into the input;
+// on the streaming path it is the Decoder's scratch buffer. It exists so the
+// hot interface-type lookup allocates nothing.
 func (d *Decoder) readName(limit uint64) ([]byte, error) {
 	n, err := d.readUvarint()
+	if err == nil {
+		err = d.claim(n, limit, "string length")
+	}
 	if err != nil {
 		return nil, err
 	}
-	if n > limit {
-		return nil, errf("string length %d exceeds limit %d", n, limit)
-	}
 	if d.r == nil {
-		if uint64(len(d.data)-d.pos) < n {
-			return nil, errf("truncated stream")
-		}
 		s := d.data[d.pos : d.pos+int(n)]
 		d.pos += int(n)
 		return s, nil
@@ -388,28 +381,12 @@ func (d *Decoder) tolerant(v reflect.Value, tag byte, self decFn) error {
 		return err
 	case tRef:
 		return d.decodeRef(v)
-	case tIface:
-		name, err := d.readName(4096)
+	case tIface, tIfaceID:
+		cv, err := d.decodeConcrete(tag)
 		if err != nil {
 			return err
 		}
-		rt, ok := lookupTypeBytes(name)
-		if !ok {
-			return errf("stream has unregistered concrete type %q; call pickle.Register", name)
-		}
-		if err := d.enter(); err != nil {
-			return err
-		}
-		cv := reflect.New(rt).Elem()
-		tag2, err := d.readByte()
-		if err != nil {
-			return err
-		}
-		if err := decoderOf(rt)(d, cv, tag2); err != nil {
-			return err
-		}
-		d.depth--
-		if rt != v.Type() {
+		if rt := cv.Type(); rt != v.Type() {
 			n, _ := lookupName(rt)
 			return errf("stream has %q but target is %v", n, v.Type())
 		}
@@ -541,11 +518,11 @@ func buildBytesDecoder(rt reflect.Type) decFn {
 			return nil
 		case tString, tBytes:
 			n, err := d.readUvarint()
+			if err == nil {
+				err = d.claim(n, MaxStringLen, "string length")
+			}
 			if err != nil {
 				return err
-			}
-			if n > MaxStringLen {
-				return errf("string length %d exceeds limit %d", n, MaxStringLen)
 			}
 			b := make([]byte, n)
 			if err := d.readFull(b); err != nil {
@@ -565,13 +542,13 @@ func buildBytesDecoder(rt reflect.Type) decFn {
 
 func decodeSliceElems(d *Decoder, v reflect.Value, rt reflect.Type, elem decFn) error {
 	n, err := d.readUvarint()
+	if err == nil {
+		err = d.claim(n, MaxElems, "slice length")
+	}
+	if err == nil {
+		err = d.enter()
+	}
 	if err != nil {
-		return err
-	}
-	if n > MaxElems {
-		return errf("slice length %d exceeds limit %d", n, MaxElems)
-	}
-	if err := d.enter(); err != nil {
 		return err
 	}
 	s := reflect.MakeSlice(rt, int(n), int(n))
@@ -655,13 +632,13 @@ func buildMapDecoder(rt reflect.Type) decFn {
 				return err
 			}
 			n, err := d.readUvarint()
+			if err == nil {
+				err = d.claim(n, MaxElems, "map length")
+			}
+			if err == nil {
+				err = d.enter()
+			}
 			if err != nil {
-				return err
-			}
-			if n > MaxElems {
-				return errf("map length %d exceeds limit %d", n, MaxElems)
-			}
-			if err := d.enter(); err != nil {
 				return err
 			}
 			m := reflect.MakeMapWithSize(rt, int(n))
@@ -874,28 +851,12 @@ func decIface(d *Decoder, v reflect.Value, tag byte) error {
 	case tNil:
 		v.Set(reflect.Zero(v.Type()))
 		return nil
-	case tIface:
-		name, err := d.readName(4096)
+	case tIface, tIfaceID:
+		cv, err := d.decodeConcrete(tag)
 		if err != nil {
 			return err
 		}
-		rt, ok := lookupTypeBytes(name)
-		if !ok {
-			return errf("stream has unregistered concrete type %q; call pickle.Register", name)
-		}
-		if err := d.enter(); err != nil {
-			return err
-		}
-		cv := reflect.New(rt).Elem()
-		tag2, err := d.readByte()
-		if err != nil {
-			return err
-		}
-		if err := decoderOf(rt)(d, cv, tag2); err != nil {
-			return err
-		}
-		d.depth--
-		if !rt.AssignableTo(v.Type()) {
+		if rt := cv.Type(); !rt.AssignableTo(v.Type()) {
 			n, _ := lookupName(rt)
 			return errf("concrete type %q does not implement target interface %v", n, v.Type())
 		}
@@ -904,6 +865,45 @@ func decIface(d *Decoder, v reflect.Value, tag byte) error {
 	default:
 		return d.tolerant(v, tag, decIface)
 	}
+}
+
+// ifaceName reads the registered name an interface value carries: inline
+// after tIface, by table id after tIfaceID.
+func (d *Decoder) ifaceName(tag byte) ([]byte, error) {
+	if tag == tIface {
+		return d.readName(4096)
+	}
+	id, err := d.readUvarint()
+	if err != nil {
+		return nil, err
+	}
+	if d.tab == nil || id >= uint64(len(d.tab.names)) {
+		return nil, errf("interface type id %d is not in the stream's type table", id)
+	}
+	return d.tab.names[id], nil
+}
+
+// decodeConcrete decodes an interface value's concrete value, whose tIface or
+// tIfaceID tag has been read, into a fresh value of its registered type.
+func (d *Decoder) decodeConcrete(tag byte) (reflect.Value, error) {
+	name, err := d.ifaceName(tag)
+	if err != nil {
+		return reflect.Value{}, err
+	}
+	rt, ok := lookupTypeBytes(name)
+	if !ok {
+		return reflect.Value{}, errf("stream has unregistered concrete type %q; call pickle.Register", name)
+	}
+	if err := d.enter(); err != nil {
+		return reflect.Value{}, err
+	}
+	cv := reflect.New(rt).Elem()
+	tag2, err := d.readByte()
+	if err == nil {
+		err = decoderOf(rt)(d, cv, tag2)
+	}
+	d.depth--
+	return cv, err
 }
 
 func mismatch(tag byte, v reflect.Value) error {
@@ -916,6 +916,13 @@ func (d *Decoder) readStructType() (*streamType, error) {
 	id, err := d.readUvarint()
 	if err != nil {
 		return nil, err
+	}
+	if d.tab != nil {
+		// A table-relative stream defines nothing inline.
+		if id >= uint64(len(d.tab.structs)) {
+			return nil, errf("struct type id %d is not in the stream's type table (%d types)", id, len(d.tab.structs))
+		}
+		return d.tab.structs[id], nil
 	}
 	switch {
 	case id < uint64(len(d.types)):
@@ -988,21 +995,7 @@ func (d *Decoder) readStructTypeDef() (*streamType, error) {
 // skipStructTypeDef advances past an inline struct definition, validating
 // the same limits readStructTypeDef enforces.
 func (d *Decoder) skipStructTypeDef() error {
-	skipStr := func(limit uint64) error {
-		n, err := d.readUvarint()
-		if err != nil {
-			return err
-		}
-		if n > limit {
-			return errf("string length %d exceeds limit %d", n, limit)
-		}
-		if uint64(len(d.data)-d.pos) < n {
-			return errf("truncated stream")
-		}
-		d.pos += int(n)
-		return nil
-	}
-	if err := skipStr(4096); err != nil {
+	if _, err := d.readName(4096); err != nil {
 		return err
 	}
 	nf, err := d.readUvarint()
@@ -1013,7 +1006,7 @@ func (d *Decoder) skipStructTypeDef() error {
 		return errf("struct claims %d fields", nf)
 	}
 	for i := uint64(0); i < nf; i++ {
-		if err := skipStr(4096); err != nil {
+		if _, err := d.readName(4096); err != nil {
 			return err
 		}
 	}

@@ -25,6 +25,7 @@ import (
 // call, so each Encode produces an independently decodable value graph.
 type Encoder struct {
 	w        io.Writer
+	tab      *Table // when set, the stream is pickled against it
 	buf      []byte // output accumulates here; flushed to w per Encode
 	types    map[reflect.Type]uint64
 	wroteHdr bool
@@ -39,7 +40,7 @@ type Encoder struct {
 
 // NewEncoder returns an Encoder writing to w.
 func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{w: w, types: make(map[reflect.Type]uint64)}
+	return &Encoder{w: w}
 }
 
 // Encode pickles v, which may be any value built from bools, integers,
@@ -50,12 +51,14 @@ func (e *Encoder) Encode(v any) error {
 		return e.err
 	}
 	if !e.wroteHdr {
-		e.buf = append(e.buf, magic)
+		if e.tab != nil {
+			e.buf = binary.LittleEndian.AppendUint16(append(e.buf, tableMagic), e.tab.fp)
+		} else {
+			e.buf = append(e.buf, magic)
+		}
 		e.wroteHdr = true
 	}
-	if len(e.refs) > 0 {
-		clear(e.refs)
-	}
+	e.refs = reuseMap(e.refs)
 	e.nextRef = 0
 	e.depth = 0
 	rv := reflect.ValueOf(v)
@@ -514,13 +517,20 @@ type structEncPlan struct {
 	fns     []encFn
 }
 
-func buildStructEncoder(rt reflect.Type) encFn {
+// typedefOf is rt's wire-form definition: name, field count, field names.
+func typedefOf(rt reflect.Type) []byte {
 	fields := fieldsOf(rt)
-	p := &structEncPlan{rt: rt}
-	p.typedef = appendLenPrefixed(p.typedef, rt.String())
-	p.typedef = binary.AppendUvarint(p.typedef, uint64(len(fields)))
+	def := appendLenPrefixed(nil, rt.String())
+	def = binary.AppendUvarint(def, uint64(len(fields)))
 	for _, f := range fields {
-		p.typedef = appendLenPrefixed(p.typedef, f.name)
+		def = appendLenPrefixed(def, f.name)
+	}
+	return def
+}
+
+func buildStructEncoder(rt reflect.Type) encFn {
+	p := &structEncPlan{rt: rt, typedef: typedefOf(rt)}
+	for _, f := range fieldsOf(rt) {
 		p.idx = append(p.idx, f.index)
 		p.fns = append(p.fns, encoderOf(rt.Field(f.index).Type))
 	}
@@ -532,16 +542,25 @@ func (p *structEncPlan) encode(e *Encoder, v reflect.Value) {
 		return
 	}
 	e.buf = append(e.buf, tStruct)
-	id, known := e.types[p.rt]
-	if !known {
+	if e.tab != nil {
+		id, ok := e.tab.structIDs[string(p.typedef)]
+		if !ok {
+			e.fail(errNotInTable)
+			return
+		}
+		e.buf = binary.AppendUvarint(e.buf, id)
+	} else if id, known := e.types[p.rt]; known {
+		e.buf = binary.AppendUvarint(e.buf, id)
+	} else {
 		// Inline definition, emitted exactly once per Encoder at the
 		// first use of the type.
+		if e.types == nil {
+			e.types = make(map[reflect.Type]uint64)
+		}
 		id = uint64(len(e.types))
 		e.types[p.rt] = id
 		e.buf = binary.AppendUvarint(e.buf, id)
 		e.buf = append(e.buf, p.typedef...)
-	} else {
-		e.buf = binary.AppendUvarint(e.buf, id)
 	}
 	for i, fn := range p.fns {
 		if e.err != nil {
@@ -590,8 +609,16 @@ func encInterface(e *Encoder, v reflect.Value) {
 	if !e.enter() {
 		return
 	}
-	e.buf = append(e.buf, tIface)
-	e.buf = appendLenPrefixed(e.buf, name)
+	if e.tab == nil {
+		e.buf = append(e.buf, tIface)
+		e.buf = appendLenPrefixed(e.buf, name)
+	} else if id, ok := e.tab.nameIDs[name]; ok {
+		e.buf = append(e.buf, tIfaceID)
+		e.buf = binary.AppendUvarint(e.buf, id)
+	} else {
+		e.fail(errNotInTable)
+		return
+	}
 	encoderOf(elem.Type())(e, elem)
 	e.depth--
 }

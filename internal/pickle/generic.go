@@ -51,9 +51,7 @@ func (d *Decoder) DecodeAny() (any, error) {
 	if err := d.header(); err != nil {
 		return nil, err
 	}
-	if len(d.refs) > 0 {
-		clear(d.refs)
-	}
+	d.refs = reuseMap(d.refs)
 	d.depth = 0
 	tag, err := d.readByte()
 	if err != nil {
@@ -215,11 +213,12 @@ func (d *Decoder) decodeAnyTagged(tag byte) (any, error) {
 			return nil, errf("reference to undefined object %d", id)
 		}
 		return rv.Interface(), nil
-	case tIface:
-		name, err := d.readString(4096)
+	case tIface, tIfaceID:
+		nb, err := d.ifaceName(tag)
 		if err != nil {
 			return nil, err
 		}
+		name := string(nb) // before the next read reuses nb's storage
 		if err := d.enter(); err != nil {
 			return nil, err
 		}

@@ -27,16 +27,22 @@
 // methods instead of structurally, so types with unexported invariants
 // round-trip correctly.
 //
+// A Table lifts the type descriptions out of a family of streams: it names
+// the registered types and struct definitions once, and a stream pickled
+// against it refers to them by id and carries data only. Readers tell the two
+// forms apart by the first byte.
+//
 // The package is the foundation for both the redo log (each log entry is a
-// pickled update record) and checkpoints (a checkpoint is the pickled root
-// of the entire database).
+// pickled update record, pickled against the type table at the head of its
+// log file) and checkpoints (a checkpoint is the pickled root of the entire
+// database).
 package pickle
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"reflect"
-	"sort"
 	"sync"
 )
 
@@ -101,31 +107,11 @@ func RegisterName(name string, value any) {
 	typeToName[rt] = name
 }
 
-// RegisteredNames reports the names of all registered concrete types, sorted.
-// It exists for diagnostic tools such as cmd/logdump.
-func RegisteredNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(nameToType))
-	for n := range nameToType {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 func lookupName(rt reflect.Type) (string, bool) {
 	regMu.RLock()
 	defer regMu.RUnlock()
 	n, ok := typeToName[rt]
 	return n, ok
-}
-
-func lookupType(name string) (reflect.Type, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	t, ok := nameToType[name]
-	return t, ok
 }
 
 func canonicalName(rt reflect.Type) string {
@@ -149,9 +135,27 @@ func canonicalName(rt reflect.Type) string {
 // pool.
 const maxPooledBuf = 1 << 20
 
+// maxPooledRefs bounds the identity and type maps a coder keeps from one
+// value to the next.
+const maxPooledRefs = 1 << 12
+
+// reuseMap readies an identity or type map for the next value: emptied, or
+// dropped when the last value grew it past maxPooledRefs — clear costs
+// O(capacity), so one large value (a snapshot install, a checkpoint image)
+// would otherwise tax every small one after it.
+func reuseMap[M ~map[K]V, K comparable, V any](m M) M {
+	if len(m) > maxPooledRefs {
+		return nil
+	}
+	if len(m) > 0 {
+		clear(m)
+	}
+	return m
+}
+
 var encoderPool = sync.Pool{New: func() any {
 	codec.encPoolMisses.Add(1)
-	return &Encoder{types: make(map[reflect.Type]uint64)}
+	return new(Encoder)
 }}
 
 var decoderPool = sync.Pool{New: func() any {
@@ -169,65 +173,63 @@ func putEncoder(e *Encoder) {
 		return
 	}
 	e.w = nil
+	e.tab = nil
 	e.buf = e.buf[:0]
 	e.wroteHdr = false
 	e.err = nil
-	if len(e.types) > 0 {
-		clear(e.types)
-	}
-	if len(e.refs) > 0 {
-		clear(e.refs)
-	}
+	e.types = reuseMap(e.types)
+	e.refs = reuseMap(e.refs)
 	e.nextRef = 0
 	e.depth = 0
 	encoderPool.Put(e)
 }
 
+// decode runs fn on a pooled Decoder reading data against t.
+func (t *Table) decode(data []byte, fn func(*Decoder) (any, error)) (any, error) {
+	codec.decPoolGets.Add(1)
+	d := decoderPool.Get().(*Decoder)
+	d.data, d.tab = data, t
+	v, err := fn(d)
+	putDecoder(d)
+	return v, err
+}
+
+func putDecoder(d *Decoder) {
+	d.data = nil
+	d.tab = nil
+	d.pos = 0
+	d.types = d.types[:0]
+	d.readHdr = false
+	d.refs = reuseMap(d.refs)
+	d.depth = 0
+	decoderPool.Put(d)
+}
+
 // Marshal pickles v into a fresh byte slice. It is the paper's PickleWrite.
 func Marshal(v any) ([]byte, error) {
-	e := getEncoder()
-	if err := e.Encode(v); err != nil {
-		putEncoder(e)
-		return nil, err
-	}
-	out := make([]byte, len(e.buf))
-	copy(out, e.buf)
-	putEncoder(e)
-	return out, nil
+	return AppendMarshal(nil, v)
 }
 
 // AppendMarshal pickles v and appends the result to dst, returning the
 // extended slice. It is Marshal for callers that already own a buffer —
 // the log append path — so steady-state pickling allocates nothing.
 func AppendMarshal(dst []byte, v any) ([]byte, error) {
-	e := getEncoder()
-	if err := e.Encode(v); err != nil {
-		putEncoder(e)
-		return dst, err
-	}
-	dst = append(dst, e.buf...)
-	putEncoder(e)
-	return dst, nil
+	return (*Table)(nil).AppendMarshal(dst, v)
 }
 
 // Unmarshal reads a pickled value from data into the variable pointed to by
 // ptr. It is the paper's PickleRead. It decodes directly from data on
-// pooled state, with no intermediate buffering.
+// pooled state, with no intermediate buffering. A stream pickled against a
+// Table decodes here only when this process built that table; otherwise it
+// needs Table.Unmarshal.
 func Unmarshal(data []byte, ptr any) error {
-	codec.decPoolGets.Add(1)
-	d := decoderPool.Get().(*Decoder)
-	d.data = data
-	err := d.Decode(ptr)
-	d.data = nil
-	d.pos = 0
-	d.types = d.types[:0]
-	d.readHdr = false
-	if len(d.refs) > 0 {
-		clear(d.refs)
+	var t *Table
+	if IsTableRelative(data) && len(data) >= 3 {
+		if b, ok := built.Load(binary.LittleEndian.Uint16(data[1:])); ok {
+			t = b.(*Table)
+		}
 	}
-	d.depth = 0
-	decoderPool.Put(d)
-	return err
+	return t.Unmarshal(data, ptr)
 }
 
 // Write pickles v onto w; it is a streaming PickleWrite, used for

@@ -259,19 +259,6 @@ func TestBinaryMarshalerTypes(t *testing.T) {
 	}
 }
 
-func TestRegisteredNames(t *testing.T) {
-	names := RegisteredNames()
-	found := false
-	for _, n := range names {
-		if n == "smalldb/internal/pickle.rect" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("rect not in registry: %v", names)
-	}
-}
-
 func TestMultipleValuesShareTypeTable(t *testing.T) {
 	// The second encoding of the same struct type must be smaller than
 	// the first (no repeated type definition).
@@ -350,5 +337,44 @@ func TestQuickSharedGraph(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPooledCodersDropOvergrownMaps: a pooled decoder or encoder that just
+// handled a value of 100 000 shared objects drops its identity map on the
+// way back to the pool instead of clearing it — clear is O(capacity), and
+// every small value after it would pay for the large one — while a small
+// value's map is kept for reuse.
+func TestPooledCodersDropOvergrownMaps(t *testing.T) {
+	big := make([]*int, 100000)
+	for i := range big {
+		big[i] = new(int)
+	}
+	small := []*int{new(int)}
+	for _, v := range []struct {
+		val  []*int
+		kept bool
+	}{{big, false}, {small, true}} {
+		data, err := Marshal(v.val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &Decoder{data: data}
+		var out []*int
+		if err := d.Decode(&out); err != nil || len(d.refs) != len(v.val) {
+			t.Fatalf("decoded %d refs: %v", len(d.refs), err)
+		}
+		putDecoder(d)
+		if kept := d.refs != nil; kept != v.kept {
+			t.Errorf("decoder after %d refs: map kept = %v", len(v.val), kept)
+		}
+		e := getEncoder()
+		if err := e.Encode(v.val); err != nil || len(e.refs) != len(v.val) {
+			t.Fatalf("encoded %d refs: %v", len(e.refs), err)
+		}
+		putEncoder(e)
+		if kept := e.refs != nil; kept != v.kept {
+			t.Errorf("encoder after %d refs: map kept = %v", len(v.val), kept)
+		}
 	}
 }

@@ -2,7 +2,10 @@ package pickle
 
 // Wire tags. Every encoded value starts with one tag byte. The stream as a
 // whole begins with the magic byte so that a checkpoint or log entry fed to
-// the wrong reader fails loudly instead of decoding garbage.
+// the wrong reader fails loudly instead of decoding garbage; a stream pickled
+// against a Table begins with tableMagic and the table's fingerprint instead.
+const tableMagic byte = 0xD7
+
 const (
 	magic byte = 0xD6 // arbitrary, unlikely first byte of text
 
@@ -24,7 +27,7 @@ const (
 	tRef                     // uvarint refid of a previously defined ptr/map
 	tIface                   // type name string + concrete value
 	tBinary                  // uvarint length + encoding.BinaryMarshaler bytes
-	tagMax
+	tIfaceID                 // uvarint Table name id + concrete value (table-relative streams only)
 )
 
 func tagName(t byte) string {
@@ -59,7 +62,7 @@ func tagName(t byte) string {
 		return "pointer"
 	case tRef:
 		return "ref"
-	case tIface:
+	case tIface, tIfaceID:
 		return "interface"
 	case tBinary:
 		return "binary-marshaled"

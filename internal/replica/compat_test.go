@@ -6,9 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"smalldb/internal/core"
+	"smalldb/internal/pickle"
 	"smalldb/internal/vfs"
+	"smalldb/internal/wal"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/parent_datadir from this build (run at the commit the directory should pin)")
@@ -88,12 +92,44 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// TestDataDirCompatWithParent pins "no format change" in both directions
-// against a data directory written by the parent commit (full history,
-// delta chain, log tail; regenerate with -update-golden at that commit).
-// Forward: this build opens the parent's directory and recovers the same
-// state. Reverse: this build writes the same workload to a byte-identical
-// directory, so the parent opens what this build writes.
+// copyDir writes files into a fresh directory and returns it as an FS.
+func copyDir(t *testing.T, files map[string][]byte) vfs.FS {
+	t.Helper()
+	dir := t.TempDir()
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs, err := vfs.NewOS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// historyOf lists the updates a store's logs hold, each with its sequence
+// and pickled self-describing: logs of either form compare entry for entry.
+func historyOf(t *testing.T, s *core.Store) string {
+	t.Helper()
+	var out []string
+	if err := s.History(func(seq uint64, u core.Update) error {
+		b, err := pickle.Marshal(u)
+		out = append(out, fmt.Sprintf("%d %x", seq, b))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Join(out, "\n")
+}
+
+// TestDataDirCompatWithParent pins the format in both directions against a
+// data directory written before log files had heads (full history, delta
+// chain, log tail; regenerate with -update-golden at the commit the directory
+// should pin). Forward: this build opens that directory and recovers the same
+// state. Reverse: this build writes the same workload to byte-identical
+// checkpoint, delta and version files; its log begins with a type table and
+// pickles entries against it, and holds, entry for entry, the same updates.
 func TestDataDirCompatWithParent(t *testing.T) {
 	if *updateGolden {
 		if err := os.RemoveAll(goldenDir); err != nil {
@@ -112,7 +148,7 @@ func TestDataDirCompatWithParent(t *testing.T) {
 	for name, want := range golden {
 		if got, ok := written[name]; !ok {
 			t.Errorf("this build wrote no %s", name)
-		} else if !bytes.Equal(got, want) {
+		} else if !bytes.Equal(got, want) && !strings.HasPrefix(name, "logfile") {
 			t.Errorf("%s: this build wrote %d bytes that differ from the parent's %d", name, len(got), len(want))
 		}
 	}
@@ -122,22 +158,22 @@ func TestDataDirCompatWithParent(t *testing.T) {
 		}
 	}
 
-	// Open a copy: recovery may repair the directory it opens.
-	cp := t.TempDir()
-	for name, data := range golden {
-		if err := os.WriteFile(filepath.Join(cp, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fs, err := vfs.NewOS(cp)
+	ourNode, err := Open(compatConfig(copyDir(t, written)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Open(compatConfig(fs))
+	ourLog := historyOf(t, ourNode.Store())
+	ourNode.Close()
+
+	// Open a copy: recovery may repair the directory it opens.
+	n, err := Open(compatConfig(copyDir(t, golden)))
 	if err != nil {
 		t.Fatalf("opening the parent's data directory: %v", err)
 	}
 	defer n.Close()
+	if parentLog := historyOf(t, n.Store()); ourLog != parentLog || strings.Count(ourLog, "\n") != compatUpdates-61 {
+		t.Errorf("this build's log holds the updates\n%s\nthe parent's\n%s", ourLog, parentLog)
+	}
 	st := n.Store().Stats()
 	if st.RestartDeltasApplied != 2 || st.RestartEntries != compatUpdates-60 {
 		t.Errorf("recovery applied %d deltas and replayed %d entries, want 2 and %d", st.RestartDeltasApplied, st.RestartEntries, compatUpdates-60)
@@ -175,5 +211,88 @@ func TestDataDirCompatWithParent(t *testing.T) {
 	// The window keeps sliding on the recovered root.
 	if err := n.Set("after/recovery", "v"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMixedFormatLogs: the parent's directory — a log without a head — keeps
+// working across the format change. Updates appended to the headless log are
+// self-describing; a checkpoint's mirror window spans that log and a new one
+// that begins with a head, so the window's entries are self-describing in
+// both; after the switch entries are table-relative. The reopened tree
+// matches the model.
+func TestMixedFormatLogs(t *testing.T) {
+	golden := readDir(t, goldenDir)
+	fs := copyDir(t, golden)
+	model := map[string]string{}
+	for i := 1; i <= compatUpdates; i++ {
+		model[compatName(i)] = fmt.Sprintf("v%d", i)
+	}
+	n, err := Open(compatConfig(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := func(name, v string) {
+		if err := n.Set(name, v); err != nil {
+			t.Fatal(err)
+		}
+		model[name] = v
+	}
+	// forms lists the form of each entry a log file holds: 'c' for
+	// self-describing, 't' for table-relative, after 'h' when it has a head.
+	forms := func(name string) string {
+		first, _, err := wal.FirstSeq(fs, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []byte
+		res, err := wal.Replay(fs, name, first, wal.ReplayOptions{}, func(_ uint64, p []byte) error {
+			form := byte('c')
+			if pickle.IsTableRelative(p) {
+				form = 't'
+			}
+			out = append(out, form)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Head != nil {
+			return "h" + string(out)
+		}
+		return string(out)
+	}
+	for i := range 3 {
+		set(fmt.Sprintf("mixed/before%d", i), "b")
+	}
+	if got := forms("logfile4"); got != strings.Repeat("c", compatUpdates-60+3) {
+		t.Errorf("the parent's log after 3 more updates holds %q", got)
+	}
+	n.Store().SetCheckpointStageHook(func(stage core.CheckpointStage) {
+		if stage == core.StageMirrorOpen {
+			set("mixed/window0", "w")
+			set("mixed/window1", "w")
+		}
+	})
+	if err := n.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	n.Store().SetCheckpointStageHook(nil)
+	for i := range 3 {
+		set(fmt.Sprintf("mixed/after%d", i), "a")
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := forms("logfile5"); got != "hccttt" {
+		t.Errorf("the checkpoint's new log holds %q, want a head, the window self-describing, then table-relative", got)
+	}
+	if n, err = Open(compatConfig(fs)); err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	for name, want := range model {
+		if got, err := n.Lookup(name); err != nil || got != want {
+			t.Errorf("%s = %q, %v; want %q", name, got, err, want)
+		}
 	}
 }

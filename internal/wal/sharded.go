@@ -21,6 +21,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -122,12 +123,13 @@ type Sharded struct {
 }
 
 // OpenSharded opens the sharded log rooted at base with the given stream
-// count, creating (and syncing) any stream files that do not exist yet —
-// stream 0 is the base file of the single-stream layout, so opening an
-// existing single-stream log with shards > 1 upgrades it in place. nextSeq
-// is one past the last recovered sequence, as reported by
-// ReplayShardedPipelined.
-func OpenSharded(fs vfs.FS, base string, shards int, nextSeq uint64, opts ShardedOptions) (*Sharded, error) {
+// count — stream 0 is the base file of the single-stream layout, so opening
+// an existing single-stream log with shards > 1 upgrades it in place. A
+// stream file that does not exist yet, or holds nothing, is created (and
+// synced) holding only a head frame: head for the base, the base's own head
+// for every other stream, so one log's streams share a head. nextSeq is one
+// past the last recovered sequence, as reported by ReplayShardedPipelined.
+func OpenSharded(fs vfs.FS, base string, shards int, nextSeq uint64, head []byte, opts ShardedOptions) (*Sharded, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("wal: shard count must be >= 1, got %d", shards)
 	}
@@ -152,11 +154,13 @@ func OpenSharded(fs vfs.FS, base string, shards int, nextSeq uint64, opts Sharde
 	for i := 0; i < shards; i++ {
 		name := ShardName(base, i)
 		var l *Log
-		var err error
-		if vfs.Exists(fs, name) {
+		size, err := fs.Stat(name)
+		if err != nil || size == 0 && head != nil {
+			// Absent, or left empty by a crash inside its creation.
+			err = vfs.WriteFile(fs, name, HeadFrame(head))
+		}
+		if err == nil {
 			l, err = Open(fs, name, nextSeq, opts.Options)
-		} else {
-			l, err = Create(fs, name, nextSeq, opts.Options)
 		}
 		if err != nil {
 			for _, open := range s.streams {
@@ -164,9 +168,21 @@ func OpenSharded(fs vfs.FS, base string, shards int, nextSeq uint64, opts Sharde
 			}
 			return nil, err
 		}
+		head = l.head
 		s.streams = append(s.streams, l)
 	}
 	return s, nil
+}
+
+// Head reports the head frame payload every stream held when opened, nil
+// when any stream lacks it or holds another.
+func (s *Sharded) Head() []byte {
+	for _, l := range s.streams[1:] {
+		if !bytes.Equal(l.head, s.streams[0].head) {
+			return nil
+		}
+	}
+	return s.streams[0].head
 }
 
 // Shards reports the stream count.
@@ -269,9 +285,7 @@ func (s *Sharded) sealLocked() error {
 	if len(s.parts) == 0 {
 		// Everything up to hi was flushed by an earlier, wider seal (or
 		// a stream-level Flush); nothing to sync.
-		if hi > s.durable {
-			s.durable = hi
-		}
+		s.durable = max(s.durable, hi)
 		return nil
 	}
 	s.mu.Unlock()
@@ -285,9 +299,7 @@ func (s *Sharded) sealLocked() error {
 		}
 		return s.err
 	}
-	if hi > s.durable {
-		s.durable = hi
-	}
+	s.durable = max(s.durable, hi)
 	s.em.epochs.Inc()
 	s.em.entries.Observe(int64(s.durable - was))
 	s.em.streams.Observe(int64(len(s.parts)))

@@ -37,10 +37,14 @@ import (
 // applier's error wins.
 var errStopped = errors.New("wal: replay stopped")
 
+// A DecodeFunc turns one log entry's payload into the value applied for it.
+type DecodeFunc func(seq uint64, payload []byte) (any, error)
+
 // replayJob carries one intact log entry through the decode pool.
 type replayJob struct {
 	seq     uint64
 	payload []byte
+	decode  DecodeFunc // its stream file's
 	v       any
 	err     error
 	done    chan struct{} // closed when v/err are ready
@@ -98,13 +102,14 @@ func FirstSeqSharded(fs vfs.FS, base string) (uint64, bool, error) {
 // base (whatever streams exist on disk, regardless of the configured shard
 // count), decoding entries concurrently on up to workers goroutines and
 // applying them strictly in global sequence order starting at firstSeq.
-// decode must not touch shared state; payload is owned by the callee. The
-// base file alone is the paper's single log: its sequences are checked
-// dense in-stream, SkipDamaged applies, and with workers <= 1 it is read by
-// the plain sequential Replay — the reference the pipelined paths are
-// tested against.
+// Each file's entries decode with the DecodeFunc newDecode returns for its
+// head payload (nil without one). A DecodeFunc must not touch shared state;
+// payload is owned by the callee. The base file alone is the paper's single
+// log: its sequences are checked dense in-stream, SkipDamaged applies, and
+// with workers <= 1 it is read by the plain sequential Replay — the
+// reference the pipelined paths are tested against.
 func ReplayShardedPipelined(fs vfs.FS, base string, firstSeq uint64, opts ReplayOptions, workers int,
-	decode func(seq uint64, payload []byte) (any, error),
+	newDecode func(head []byte) (DecodeFunc, error),
 	apply func(seq uint64, v any) error) (ShardedReplayResult, error) {
 	names, err := ShardFiles(fs, base)
 	if err != nil {
@@ -117,7 +122,18 @@ func ReplayShardedPipelined(fs vfs.FS, base string, firstSeq uint64, opts Replay
 		return ShardedReplayResult{}, err
 	}
 	single := len(names) == 1 && names[0] == base
+	decoders := make([]DecodeFunc, len(names))
+	for i, name := range names {
+		head, err := ReadHead(fs, name)
+		if err == nil {
+			decoders[i], err = newDecode(head)
+		}
+		if err != nil {
+			return ShardedReplayResult{}, err
+		}
+	}
 	if single && workers <= 1 {
+		decode := decoders[0]
 		res, err := Replay(fs, base, firstSeq, opts, func(seq uint64, payload []byte) error {
 			v, err := decode(seq, payload)
 			if err != nil {
@@ -164,7 +180,7 @@ func ReplayShardedPipelined(fs vfs.FS, base string, firstSeq uint64, opts Replay
 		go func() {
 			defer decodeWG.Done()
 			for j := range jobs {
-				j.v, j.err = decode(j.seq, j.payload)
+				j.v, j.err = j.decode(j.seq, j.payload)
 				close(j.done)
 			}
 		}()
@@ -175,10 +191,10 @@ func ReplayShardedPipelined(fs vfs.FS, base string, firstSeq uint64, opts Replay
 		sc := &streamScan{ch: make(chan *replayJob, 2*workers)}
 		scans[si] = sc
 		scanWG.Add(1)
-		go func(name string) {
+		go func(name string, decode DecodeFunc) {
 			defer scanWG.Done()
 			sc.res, sc.err = Replay(fs, name, firstSeq, sopts, func(seq uint64, payload []byte) error {
-				j := &replayJob{seq: seq, payload: payload, done: make(chan struct{})}
+				j := &replayJob{seq: seq, payload: payload, decode: decode, done: make(chan struct{})}
 				select {
 				case sc.ch <- j:
 				case <-stop:
@@ -192,7 +208,7 @@ func ReplayShardedPipelined(fs vfs.FS, base string, firstSeq uint64, opts Replay
 				return nil
 			})
 			close(sc.ch)
-		}(name)
+		}(name, decoders[si])
 	}
 	go func() {
 		scanWG.Wait()

@@ -17,8 +17,8 @@ func collectSharded(t *testing.T, fs vfs.FS, base string, firstSeq uint64, opts 
 	t.Helper()
 	var got []string
 	res, err := ReplayShardedPipelined(fs, base, firstSeq, opts, 4,
-		func(seq uint64, payload []byte) (any, error) {
-			return string(payload), nil
+		func([]byte) (DecodeFunc, error) {
+			return func(seq uint64, payload []byte) (any, error) { return string(payload), nil }, nil
 		},
 		func(seq uint64, v any) error {
 			got = append(got, v.(string))
@@ -62,7 +62,7 @@ func TestShardFiles(t *testing.T) {
 func TestShardedAppendReplay(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 4} {
 		fs := vfs.NewMem(1)
-		s, err := OpenSharded(fs, "log", shards, 1, ShardedOptions{})
+		s, err := OpenSharded(fs, "log", shards, 1, nil, ShardedOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 	_, want := collect(t, single, "log", 1, ReplayOptions{})
 
 	fs := vfs.NewMem(1)
-	s, _ := OpenSharded(fs, "log", 4, 1, ShardedOptions{})
+	s, _ := OpenSharded(fs, "log", 4, 1, nil, ShardedOptions{})
 	for i := 0; i < n; i++ {
 		s.Append([]byte(fmt.Sprintf("e%d", i)))
 	}
@@ -132,7 +132,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 // exist, so the shard count can change across restarts in both directions.
 func TestShardedReopenChangedShardCount(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s, _ := OpenSharded(fs, "log", 3, 1, ShardedOptions{})
+	s, _ := OpenSharded(fs, "log", 3, 1, nil, ShardedOptions{})
 	for i := 0; i < 10; i++ {
 		s.Append([]byte(fmt.Sprintf("a%d", i)))
 	}
@@ -143,7 +143,7 @@ func TestShardedReopenChangedShardCount(t *testing.T) {
 		if res.Entries < 10 {
 			t.Fatalf("newShards=%d: lost entries: %+v", newShards, res)
 		}
-		s2, err := OpenSharded(fs, "log", newShards, res.NextSeq, ShardedOptions{})
+		s2, err := OpenSharded(fs, "log", newShards, res.NextSeq, nil, ShardedOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestShardedReopenChangedShardCount(t *testing.T) {
 // truncated so the sequences can be reused.
 func TestShardedGapDiscardsUnacked(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s, _ := OpenSharded(fs, "log", 2, 1, ShardedOptions{})
+	s, _ := OpenSharded(fs, "log", 2, 1, nil, ShardedOptions{})
 	for i := 0; i < 4; i++ { // seqs 1..4, acked
 		s.Append([]byte(fmt.Sprintf("acked-%d", i)))
 	}
@@ -196,7 +196,7 @@ func TestShardedGapDiscardsUnacked(t *testing.T) {
 
 	// After repair the orphan is gone from disk: reopening at NextSeq and
 	// appending reuses sequence 5 with no collision.
-	s2, err := OpenSharded(fs, "log", 2, res.NextSeq, ShardedOptions{})
+	s2, err := OpenSharded(fs, "log", 2, res.NextSeq, nil, ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestShardedDuplicateSeqDetected(t *testing.T) {
 		l.Close()
 	}
 	_, err := ReplayShardedPipelined(fs, "log", 1, ReplayOptions{}, 2,
-		func(seq uint64, payload []byte) (any, error) { return nil, nil },
+		func([]byte) (DecodeFunc, error) { return func(uint64, []byte) (any, error) { return nil, nil }, nil },
 		func(seq uint64, v any) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("got %v", err)
@@ -232,7 +232,7 @@ func TestShardedDuplicateSeqDetected(t *testing.T) {
 // the tail.
 func TestShardedTornStreamTail(t *testing.T) {
 	fs := vfs.NewMem(3)
-	s, _ := OpenSharded(fs, "log", 2, 1, ShardedOptions{})
+	s, _ := OpenSharded(fs, "log", 2, 1, nil, ShardedOptions{})
 	for i := 0; i < 4; i++ {
 		s.Append([]byte(fmt.Sprintf("acked-%d", i)))
 	}
@@ -252,7 +252,7 @@ func TestShardedTornStreamTail(t *testing.T) {
 	if got[3] != "acked-3" {
 		t.Errorf("entries: %v", got)
 	}
-	s2, err := OpenSharded(fs, "log", 2, res.NextSeq, ShardedOptions{})
+	s2, err := OpenSharded(fs, "log", 2, res.NextSeq, nil, ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestShardedTornStreamTail(t *testing.T) {
 // per-stream pending buffers, and the epoch barrier.
 func TestShardedConcurrentAppenders(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s, _ := OpenSharded(fs, "log", 4, 1, ShardedOptions{})
+	s, _ := OpenSharded(fs, "log", 4, 1, nil, ShardedOptions{})
 	var wg sync.WaitGroup
 	const writers, each = 8, 50
 	for w := 0; w < writers; w++ {
@@ -314,7 +314,7 @@ func testEpochBatching(t *testing.T, shards int) {
 		time.Sleep(time.Millisecond)
 		return nil
 	}
-	s, _ := OpenSharded(fs, "log", shards, 1, ShardedOptions{})
+	s, _ := OpenSharded(fs, "log", shards, 1, nil, ShardedOptions{})
 	mu.Lock()
 	baseline := syncs
 	mu.Unlock()
@@ -346,7 +346,7 @@ func testEpochBatching(t *testing.T, shards int) {
 func TestShardedOneStreamIsPlainLog(t *testing.T) {
 	fs := vfs.NewMem(1)
 	before := runtime.NumGoroutine()
-	s, err := OpenSharded(fs, "log", 1, 1, ShardedOptions{})
+	s, err := OpenSharded(fs, "log", 1, 1, nil, ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestShardedOneStreamIsPlainLog(t *testing.T) {
 
 func TestShardedFlushDurable(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s, _ := OpenSharded(fs, "log", 3, 1, ShardedOptions{})
+	s, _ := OpenSharded(fs, "log", 3, 1, nil, ShardedOptions{})
 	var waits []func() error
 	for i := 0; i < 5; i++ {
 		_, wait := s.AppendAsync([]byte(fmt.Sprintf("async-%d", i)))
@@ -399,7 +399,7 @@ func TestShardedFlushDurable(t *testing.T) {
 
 func TestShardedSequentialSync(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s, _ := OpenSharded(fs, "log", 4, 1, ShardedOptions{SequentialSync: true})
+	s, _ := OpenSharded(fs, "log", 4, 1, nil, ShardedOptions{SequentialSync: true})
 	for i := 0; i < 16; i++ {
 		if _, err := s.Append([]byte(fmt.Sprintf("e%d", i))); err != nil {
 			t.Fatal(err)
@@ -418,7 +418,7 @@ func TestShardedSequentialSync(t *testing.T) {
 // invariant, per stream.
 func TestShardedMirrorWindow(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s, _ := OpenSharded(fs, "old", 3, 1, ShardedOptions{})
+	s, _ := OpenSharded(fs, "old", 3, 1, nil, ShardedOptions{})
 	for i := 0; i < 5; i++ { // seqs 1..5: before the window
 		s.Append([]byte(fmt.Sprintf("pre-%d", i)))
 	}
@@ -487,7 +487,7 @@ func TestShardedMirrorWindow(t *testing.T) {
 // synced.
 func TestSealWaitsForStreamFlushInFlight(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s, err := OpenSharded(fs, "old", 1, 1, ShardedOptions{})
+	s, err := OpenSharded(fs, "old", 1, 1, nil, ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +540,7 @@ func TestSealWaitsForStreamFlushInFlight(t *testing.T) {
 // by sealing against an already-closed stream.
 func TestCloseIsTheLastSeal(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s, err := OpenSharded(fs, "log", 1, 1, ShardedOptions{})
+	s, err := OpenSharded(fs, "log", 1, 1, nil, ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +581,7 @@ func TestCloseIsTheLastSeal(t *testing.T) {
 
 func TestShardedAbortMirror(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s, _ := OpenSharded(fs, "old", 2, 1, ShardedOptions{})
+	s, _ := OpenSharded(fs, "old", 2, 1, nil, ShardedOptions{})
 	s.Append([]byte("a"))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -605,7 +605,7 @@ func TestShardedAbortMirror(t *testing.T) {
 
 func TestShardedClosed(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s, _ := OpenSharded(fs, "log", 2, 1, ShardedOptions{})
+	s, _ := OpenSharded(fs, "log", 2, 1, nil, ShardedOptions{})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +623,7 @@ func TestShardedClosed(t *testing.T) {
 
 func TestFirstSeqSharded(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s, _ := OpenSharded(fs, "log", 3, 7, ShardedOptions{})
+	s, _ := OpenSharded(fs, "log", 3, 7, nil, ShardedOptions{})
 	for i := 0; i < 4; i++ { // seqs 7..10 spread across streams
 		s.Append([]byte("x"))
 	}
@@ -634,7 +634,7 @@ func TestFirstSeqSharded(t *testing.T) {
 	}
 
 	empty := vfs.NewMem(1)
-	s2, _ := OpenSharded(empty, "log", 2, 1, ShardedOptions{})
+	s2, _ := OpenSharded(empty, "log", 2, 1, nil, ShardedOptions{})
 	s2.Close()
 	if _, ok, err := FirstSeqSharded(empty, "log"); ok || err != nil {
 		t.Errorf("empty: %v %v", ok, err)
@@ -649,7 +649,7 @@ func TestShardedAppendAllocCeiling(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	fs := vfs.NewMem(1)
-	s, err := OpenSharded(fs, "log", 4, 1, ShardedOptions{})
+	s, err := OpenSharded(fs, "log", 4, 1, nil, ShardedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,4 +668,36 @@ func TestShardedAppendAllocCeiling(t *testing.T) {
 	if allocs > 4 {
 		t.Errorf("Sharded.Append: %.1f allocs/op, want <= 4", allocs)
 	}
+}
+
+// TestShardedStreamsShareHead: every stream of a log is opened under the
+// base's head. A stream left empty by a crash inside its creation gets that
+// head before it takes an entry; a stream holding another head makes Head
+// report none, so a writer cannot pickle against a table some stream lacks.
+func TestShardedStreamsShareHead(t *testing.T) {
+	fs := vfs.NewMem(1)
+	s, err := OpenSharded(fs, "log", 3, 1, []byte("h"), ShardedOptions{})
+	if err != nil || string(s.Head()) != "h" {
+		t.Fatalf("fresh log: head %q: %v", s.Head(), err)
+	}
+	s.Close()
+	if err := vfs.WriteFile(fs, "log.1", nil); err != nil {
+		t.Fatal(err)
+	}
+	s, err = OpenSharded(fs, "log", 3, 1, []byte("this process's"), ShardedOptions{})
+	if err != nil || string(s.Head()) != "h" {
+		t.Fatalf("emptied stream: head %q: %v", s.Head(), err)
+	}
+	s.Close()
+	if head, err := ReadHead(fs, "log.1"); err != nil || string(head) != "h" {
+		t.Fatalf("emptied stream re-headed with %q: %v", head, err)
+	}
+	if err := vfs.WriteFile(fs, "log.2", HeadFrame([]byte("x"))); err != nil {
+		t.Fatal(err)
+	}
+	s, err = OpenSharded(fs, "log", 3, 1, []byte("h"), ShardedOptions{})
+	if err != nil || s.Head() != nil {
+		t.Fatalf("streams with different heads: head %q: %v", s.Head(), err)
+	}
+	s.Close()
 }

@@ -9,6 +9,11 @@
 //
 //	uvarint sequence | uvarint length | payload | crc32c(sequence, length, payload)
 //
+// A file may begin with a head frame: the same framing at the reserved
+// sequence 0, synced with the file's creation. Its payload is opaque here —
+// the store keeps there the pickle.Table its entries are pickled against —
+// and ReadHead and Replay hand it back, never as an entry.
+//
 // The leading length plays the role the paper gives it — "this detection
 // comes from including the log entry's length on the first page of the
 // entry" — and the trailing CRC substitutes for the 1987 disk hardware's
@@ -53,8 +58,8 @@ type Options struct {
 	// what it costs.
 	NoSync bool
 	// Obs, when non-nil, receives the log's metrics: wal_appends,
-	// wal_append_bytes, wal_flushes, wal_flush_ns, wal_flush_bytes and
-	// wal_group_entries.
+	// wal_append_bytes (entry frames), wal_head_bytes, wal_flushes,
+	// wal_flush_ns, wal_flush_bytes and wal_group_entries.
 	Obs *obs.Registry
 	// Tracer, when non-nil, receives a "log.flush" event per disk write.
 	Tracer obs.Tracer
@@ -65,6 +70,7 @@ type Options struct {
 type metrics struct {
 	appends      *obs.Counter   // entries enqueued
 	appendBytes  *obs.Counter   // framed bytes enqueued
+	headBytes    *obs.Counter   // head frames of the files appended to
 	flushes      *obs.Counter   // disk writes (write+sync pairs)
 	flushNS      *obs.Histogram // latency of one write+sync
 	flushBytes   *obs.Histogram // bytes per disk write
@@ -75,6 +81,7 @@ func newMetrics(reg *obs.Registry) metrics {
 	return metrics{
 		appends:      reg.Counter("wal_appends"),
 		appendBytes:  reg.Counter("wal_append_bytes"),
+		headBytes:    reg.Counter("wal_head_bytes"),
 		flushes:      reg.Counter("wal_flushes"),
 		flushNS:      reg.Histogram("wal_flush_ns"),
 		flushBytes:   reg.Histogram("wal_flush_bytes"),
@@ -92,6 +99,7 @@ type Log struct {
 	mu           sync.Mutex
 	cond         *sync.Cond
 	f            vfs.File
+	head         []byte // the payload of f's head frame at open, nil without one
 	nextSeq      uint64
 	size         int64
 	pending      []byte // frames appended but not yet written+synced (group commit)
@@ -118,6 +126,7 @@ type Log struct {
 type mirrorState struct {
 	active   bool
 	f        vfs.File // nil until AttachMirrorFile
+	headLen  int64    // f's head frame, written ahead of the window's frames
 	buf      []byte   // frames not yet written to f
 	inflight int64    // bytes taken by the flush currently writing f
 	written  int64    // bytes durably written to f
@@ -126,7 +135,7 @@ type mirrorState struct {
 
 // Create creates (or truncates) the named log file and returns an empty Log
 // whose first entry will have sequence firstSeq (≥ 1; sequence 0 is
-// reserved as "nothing committed").
+// reserved as "nothing committed", and for the head frame).
 func Create(fs vfs.FS, name string, firstSeq uint64, opts Options) (*Log, error) {
 	if firstSeq == 0 {
 		return nil, fmt.Errorf("wal: firstSeq must be ≥ 1")
@@ -139,10 +148,16 @@ func Create(fs vfs.FS, name string, firstSeq uint64, opts Options) (*Log, error)
 		f.Close()
 		return nil, err
 	}
-	l := &Log{fs: fs, name: name, opts: opts, m: newMetrics(opts.Obs), f: f, nextSeq: firstSeq}
-	l.cond = sync.NewCond(&l.mu)
-	l.committed = firstSeq - 1
-	return l, nil
+	return newLog(fs, name, f, firstSeq, opts)
+}
+
+// HeadFrame is the head frame of a log file whose head payload is head: the
+// file's first bytes, nil when head is.
+func HeadFrame(head []byte) []byte {
+	if head == nil {
+		return nil
+	}
+	return frame(0, head)
 }
 
 // Open opens an existing log for appending. nextSeq must be one past the
@@ -155,18 +170,46 @@ func Open(fs vfs.FS, name string, nextSeq uint64, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newLog(fs, name, f, nextSeq, opts)
+}
+
+// newLog wraps f as a Log appending from nextSeq.
+func newLog(fs vfs.FS, name string, f vfs.File, nextSeq uint64, opts Options) (*Log, error) {
 	size, err := f.Size()
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	l := &Log{fs: fs, name: name, opts: opts, m: newMetrics(opts.Obs), f: f, nextSeq: nextSeq, size: size}
+	head, n := readHead(f, size)
+	l := &Log{fs: fs, name: name, opts: opts, m: newMetrics(opts.Obs), f: f, head: head, nextSeq: nextSeq, size: size - n}
+	l.m.headBytes.Add(uint64(n))
 	l.cond = sync.NewCond(&l.mu)
 	l.committed = nextSeq - 1
 	return l, nil
 }
 
-// Size reports the log's current size in bytes, including unsynced frames.
+// ReadHead returns the payload of the named log file's head frame, nil when
+// it has none; it fails where a Replay skipping damaged entries fails before
+// the first intact one.
+func ReadHead(fs vfs.FS, name string) ([]byte, error) {
+	res, err := Replay(fs, name, 1, ReplayOptions{Monotonic: true, SkipDamaged: true}, func(uint64, []byte) error { return errStopped })
+	if err == errStopped {
+		err = nil
+	}
+	return res.Head, err
+}
+
+// readHead returns the payload and frame length of f's intact head frame,
+// or nil and 0.
+func readHead(f vfs.File, size int64) ([]byte, int64) {
+	if seq, payload, n, err := readEntry(f, 0, size); err == nil && seq == 0 {
+		return payload, n
+	}
+	return nil, 0
+}
+
+// Size reports the bytes of the log's entries, including unsynced frames;
+// the head frame is not counted.
 func (l *Log) Size() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -434,7 +477,13 @@ func (l *Log) AttachMirrorFile(f vfs.File) error {
 	if l.mirror.f != nil {
 		return errors.New("wal: mirror file already attached")
 	}
-	l.mirror.f = f
+	size, err := f.Size() // a fresh file: its head frame, if any
+	if err != nil {
+		return err
+	}
+	_, n := readHead(f, size)
+	l.mirror.f, l.mirror.written, l.mirror.headLen = f, size, n
+	l.m.headBytes.Add(uint64(n))
 	return nil
 }
 
@@ -512,7 +561,7 @@ func (l *Log) FinishMirror(newName string) (int64, error) {
 	// and appends extend them together — so the unwritten tail and its
 	// counters carry over unchanged.
 	l.pending = l.mirror.buf
-	l.size = l.mirror.written + int64(len(l.pending))
+	l.size = l.mirror.written - l.mirror.headLen + int64(len(l.pending))
 	entries := l.mirror.entries
 	l.mirror = mirrorState{}
 	l.spare = nil
@@ -599,6 +648,8 @@ type ReplayResult struct {
 	Damaged int
 	// GoodSize is the byte offset just past the last intact entry.
 	GoodSize int64
+	// Head is the payload of the file's head frame, nil when it has none.
+	Head []byte
 }
 
 // Replay reads the named log from the beginning, calling fn for each intact
@@ -606,7 +657,10 @@ type ReplayResult struct {
 // ends replay without error. fn errors abort replay.
 //
 // firstSeq is the sequence expected of the first entry; Replay verifies the
-// sequence numbers are dense so a lost or reordered entry is detected.
+// sequence numbers are dense so a lost or reordered entry is detected. The
+// head frame comes back in the result. Every entry may depend on it, so an
+// unreadable head with intact entries behind it fails replay; one unreadable
+// or torn to the end of the file is a crash inside Create, an empty log.
 func Replay(fs vfs.FS, name string, firstSeq uint64, opts ReplayOptions, fn func(seq uint64, payload []byte) error) (ReplayResult, error) {
 	res := ReplayResult{NextSeq: firstSeq}
 	f, err := fs.Open(name)
@@ -620,6 +674,15 @@ func Replay(fs vfs.FS, name string, firstSeq uint64, opts ReplayOptions, fn func
 	}
 
 	var off int64
+	if seq, payload, n, rerr := readEntry(f, 0, size); seq == 0 && n > 0 {
+		switch {
+		case rerr == nil:
+			res.Head, off, res.GoodSize = payload, n, n
+		case errors.Is(rerr, vfs.ErrDamaged) && anyIntactFrom(f, n, size):
+			f.Close()
+			return res, fmt.Errorf("wal: %s: head frame: %w", name, rerr)
+		}
+	}
 	expect := firstSeq
 	for off < size {
 		entryStart := off
@@ -711,29 +774,18 @@ func Replay(fs vfs.FS, name string, firstSeq uint64, opts ReplayOptions, fn func
 }
 
 // FirstSeq reports the sequence number of the named log's first intact
-// entry, with ok=false for an empty (or immediately torn) log. Diagnostic
+// entry, past its head frame, with ok=false for a log holding no entry (or
+// immediately torn). Diagnostic
 // tools use it to replay a log whose starting sequence they do not know.
 func FirstSeq(fs vfs.FS, name string) (seq uint64, ok bool, err error) {
-	f, err := fs.Open(name)
-	if err != nil {
-		return 0, false, err
+	_, err = Replay(fs, name, 1, ReplayOptions{Monotonic: true}, func(s uint64, _ []byte) error {
+		seq, ok = s, true
+		return errStopped
+	})
+	if err == errStopped {
+		err = nil
 	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return 0, false, err
-	}
-	if size == 0 {
-		return 0, false, nil
-	}
-	seq, _, _, rerr := readEntry(f, 0, size)
-	if rerr != nil {
-		if errors.Is(rerr, errTorn) {
-			return 0, false, nil
-		}
-		return 0, false, rerr
-	}
-	return seq, true, nil
+	return seq, ok, err
 }
 
 // anyIntactFrom reports whether any intact entry exists at or after off:

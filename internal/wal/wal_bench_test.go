@@ -58,7 +58,7 @@ func BenchmarkShardedAppendParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s, err := OpenSharded(fs, "log", shards, 1, ShardedOptions{})
+			s, err := OpenSharded(fs, "log", shards, 1, nil, ShardedOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
