@@ -275,11 +275,12 @@ func BenchmarkE14PartitionedApply(b *testing.B) {
 }
 
 // BenchmarkWideDirInsert: the cost sorted arcs pay where a hash table paid
-// none. It creates n names in one flat directory, in random order and in
-// place (no snapshot between them, as log replay runs), so every insert
-// shifts the tail of the directory's arc slice — O(fan-out), where the map
-// was O(1). ns/name is the whole run divided by n; EXPERIMENTS.md records it
-// beside the map-based tree's, and the fan-out at which a wide node is due.
+// none. It creates n names in one directory, in random order and in place
+// (no snapshot between them, as log replay runs). A directory past 32 arcs
+// keeps them in blocks, so an insert copies one block and, when that block
+// splits, shifts the block index: it was a shift of the whole arc slice,
+// O(fan-out), where the map was O(1). ns/name is the whole run divided by
+// n; EXPERIMENTS.md records it beside the flat slice's and the map's.
 func BenchmarkWideDirInsert(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("names=%d", n), func(b *testing.B) {
@@ -299,6 +300,42 @@ func BenchmarkWideDirInsert(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/name")
 		})
+	}
+}
+
+// BenchmarkCOWSet: one update of the benchmark workload's hot path, at tree
+// level. The tree is its data set, org/deptNNN/hostNNNNN/addr for 200
+// departments of 500 hosts, loaded as its bulk load does (one PutSubtree and
+// one snapshot per department); an op sets a random existing name and
+// publishes a snapshot, so every node on the 1 → 200 → 500 → 1 path is
+// copied. B/op is what the copy costs.
+func BenchmarkCOWSet(b *testing.B) {
+	tree := nameserver.NewTree()
+	var names [][]string
+	for d := 0; d < 200; d++ {
+		dept := &nameserver.Node{Children: map[string]*nameserver.Node{}}
+		for h := 0; h < 500; h++ {
+			host := fmt.Sprintf("host%05d", d*500+h)
+			dept.Children[host] = &nameserver.Node{Children: map[string]*nameserver.Node{"addr": {Value: "v", HasValue: true}}}
+			names = append(names, []string{"org", fmt.Sprintf("dept%03d", d), host, "addr"})
+		}
+		u := &nameserver.PutSubtree{Path: []string{"org", fmt.Sprintf("dept%03d", d)}, Subtree: dept}
+		if err := u.Verify(tree); err != nil {
+			b.Fatal(err)
+		}
+		if err := u.Apply(tree); err != nil {
+			b.Fatal(err)
+		}
+		tree.SnapshotView()
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := (&nameserver.SetValue{Path: names[rng.Intn(len(names))], Value: "w"}).Apply(tree); err != nil {
+			b.Fatal(err)
+		}
+		tree.SnapshotView()
 	}
 }
 

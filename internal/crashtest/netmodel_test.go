@@ -37,7 +37,7 @@ func modelInsertSubtree(m map[string]string, key string, n *nameserver.Node) {
 	if n.HasValue {
 		m[key] = n.Value
 	}
-	for _, a := range n.Arcs { // the form Verify folds the update's subtree into
+	for _, a := range n.AllArcs() { // the form Verify folds the update's subtree into
 		modelInsertSubtree(m, key+"/"+a.Label, a.Child)
 	}
 	for arc, child := range n.Children { // the form the generator writes
@@ -85,7 +85,7 @@ func valueMap(t *testing.T, n *replica.Node) map[string]string {
 			if node.HasValue {
 				out[path] = node.Value
 			}
-			for _, a := range node.Arcs {
+			for _, a := range node.AllArcs() {
 				key := a.Label
 				if path != "" {
 					key = path + "/" + a.Label

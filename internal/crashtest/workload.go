@@ -111,7 +111,7 @@ func existingPaths(t *nameserver.Tree) [][]string {
 		if len(path) > 0 {
 			out = append(out, append([]string(nil), path...))
 		}
-		for _, a := range n.Arcs {
+		for _, a := range n.AllArcs() {
 			walk(a.Child, append(path, a.Label))
 		}
 	}
@@ -191,7 +191,7 @@ func fingerprintTree(t *nameserver.Tree) uint64 {
 			h.Write([]byte(n.Value))
 		}
 		h.Write([]byte{0})
-		for _, a := range n.Arcs {
+		for _, a := range n.AllArcs() {
 			walk(a.Child, append(path, a.Label))
 		}
 	}

@@ -3,6 +3,7 @@ package nameserver
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -58,7 +59,7 @@ func (m flatModel) deletePrefix(parts []string) {
 func (m flatModel) insertSubtree(parts []string, n *Node) {
 	k := strings.Join(parts, "/")
 	m[k] = flatEntry{has: n.HasValue, val: n.Value}
-	for _, a := range n.Arcs { // the form Verify folds the update's subtree into
+	for _, a := range n.AllArcs() { // the form Verify folds the update's subtree into
 		m.insertSubtree(append(parts[:len(parts):len(parts)], a.Label), a.Child)
 	}
 	for label, c := range n.Children { // the input form, when Verify has not run
@@ -105,7 +106,7 @@ func flattenTree(t *Tree) flatModel {
 		if path != "" {
 			m[path] = flatEntry{has: n.HasValue, val: n.Value}
 		}
-		for _, a := range n.Arcs {
+		for _, a := range n.AllArcs() {
 			p := a.Label
 			if path != "" {
 				p = path + "/" + a.Label
@@ -254,6 +255,57 @@ func TestCOWPropertyVersions(t *testing.T) {
 				runCOWProperty(t, seed, ops, tc.pubP)
 			}
 		})
+	}
+}
+
+// deptTree builds the benchmark's data set the way its bulk load does:
+// org/deptNNN/hostNNNNN/addr for 200 departments of 500 hosts, one
+// PutSubtree and one snapshot per department. It returns the hosts' names.
+func deptTree(tb testing.TB) (*Tree, [][]string) {
+	tree := NewTree()
+	var names [][]string
+	for d := 0; d < 200; d++ {
+		dept := &Node{Children: map[string]*Node{}}
+		for h := 0; h < 500; h++ {
+			host := fmt.Sprintf("host%05d", d*500+h)
+			dept.Children[host] = &Node{Children: map[string]*Node{"addr": {Value: "v", HasValue: true}}}
+			names = append(names, []string{"org", fmt.Sprintf("dept%03d", d), host, "addr"})
+		}
+		u := &PutSubtree{Path: []string{"org", fmt.Sprintf("dept%03d", d)}, Subtree: dept}
+		if err := u.Verify(tree); err != nil {
+			tb.Fatal(err)
+		}
+		if err := u.Apply(tree); err != nil {
+			tb.Fatal(err)
+		}
+		tree.SnapshotView()
+	}
+	return tree, names
+}
+
+// TestCOWSetAllocation pins what one copy-on-write Set of an existing name
+// allocates on the 1 → 200 → 500 → 1 path of that data set: the copied
+// nodes, the two wide directories' indexes and one block of each, about
+// 3 KB. Copying the directories' whole arc arrays cost 17.7 KB.
+func TestCOWSetAllocation(t *testing.T) {
+	tree, names := deptTree(t)
+	rng := rand.New(rand.NewSource(1))
+	set := func() {
+		(&SetValue{Path: names[rng.Intn(len(names))], Value: "w"}).Apply(tree)
+		tree.SnapshotView()
+	}
+	for i := 0; i < 2000; i++ { // the first write to each department blocks it
+		set()
+	}
+	var before, after runtime.MemStats
+	const sets = 2000
+	runtime.ReadMemStats(&before)
+	for i := 0; i < sets; i++ {
+		set()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / sets; per > 5<<10 {
+		t.Fatalf("a copy-on-write Set allocated %d bytes, want at most %d", per, 5<<10)
 	}
 }
 

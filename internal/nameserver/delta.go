@@ -51,6 +51,8 @@ type DeltaOp struct {
 // Tree: applying Ops to the older view's state yields the newer view's.
 type TreeDelta struct {
 	Ops []DeltaOp
+
+	visited int // arcs DeltaSince compared one by one: what it did not skip
 }
 
 func init() {
@@ -95,11 +97,28 @@ func diffNode(old, new *Node, path []string, d *TreeDelta) {
 			Stamp: new.Stamp, StampBy: new.StampBy,
 		})
 	}
-	// Merge the two label-sorted arc lists: ops come out in label order, so
-	// the same change always pickles to the same delta. An arc to nil (which
-	// only a foreign checkpoint can hold) counts as no arc.
-	oa, na := old.Arcs, new.Arcs
-	for len(oa) > 0 || len(na) > 0 {
+	// Merge the two label-sorted arc lists, block by block: ops come out in
+	// label order, so the same change always pickles to the same delta. Two
+	// runs in one array are shared, so equal, and skipped as far as both
+	// reach. An arc to nil (only a foreign checkpoint holds one) is no arc.
+	ob, nb := old.blockList(), new.blockList()
+	var oa, na []Arc
+	for {
+		for len(oa) == 0 && len(ob) > 0 {
+			oa, ob = ob[0], ob[1:]
+		}
+		for len(na) == 0 && len(nb) > 0 {
+			na, nb = nb[0], nb[1:]
+		}
+		if len(oa) == 0 && len(na) == 0 {
+			return
+		}
+		if len(oa) > 0 && len(na) > 0 && &oa[0] == &na[0] {
+			k := min(len(oa), len(na))
+			oa, na = oa[k:], na[k:]
+			continue
+		}
+		d.visited++
 		// The next label, and its child on each side that has the label.
 		fromOld := len(na) == 0 || (len(oa) > 0 && oa[0].Label <= na[0].Label)
 		fromNew := len(oa) == 0 || (len(na) > 0 && na[0].Label <= oa[0].Label)
@@ -138,6 +157,7 @@ func (t *Tree) ApplyDelta(delta any) error {
 	if !ok {
 		return fmt.Errorf("nameserver: delta is %T, not *TreeDelta", delta)
 	}
+	seen := map[*Node]bool{} // across ops: a pickle may share a node between two subtrees
 	for i := range d.Ops {
 		op := &d.Ops[i]
 		switch op.Op {
@@ -161,6 +181,9 @@ func (t *Tree) ApplyDelta(delta any) error {
 			}
 			if op.Subtree == nil {
 				return fmt.Errorf("nameserver: delta put with nil subtree at %s", JoinPath(op.Path))
+			}
+			if _, err := inspect(op.Subtree, false, seen); err != nil {
+				return fmt.Errorf("%w: delta put at %s", err, JoinPath(op.Path))
 			}
 			// The decoded subtree is owned by the delta; share it. Its
 			// nodes decode with born == 0, so later mutations copy them

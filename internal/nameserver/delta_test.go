@@ -2,6 +2,7 @@ package nameserver
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -25,14 +26,15 @@ func nodesMatch(a, b *Node, path string) string {
 		return fmt.Sprintf("node %q: scalars %v/%q/%d/%q vs %v/%q/%d/%q",
 			path, a.HasValue, a.Value, a.Stamp, a.StampBy, b.HasValue, b.Value, b.Stamp, b.StampBy)
 	}
-	if len(a.Arcs) != len(b.Arcs) {
-		return fmt.Sprintf("node %q: %d vs %d children", path, len(a.Arcs), len(b.Arcs))
+	aa, ba := a.AllArcs(), b.AllArcs()
+	if len(aa) != len(ba) {
+		return fmt.Sprintf("node %q: %d vs %d children", path, len(aa), len(ba))
 	}
-	for i, arc := range a.Arcs {
-		if b.Arcs[i].Label != arc.Label {
+	for i, arc := range aa {
+		if ba[i].Label != arc.Label {
 			return fmt.Sprintf("node %q: extra child %q", path, arc.Label)
 		}
-		if d := nodesMatch(arc.Child, b.Arcs[i].Child, path+"/"+arc.Label); d != "" {
+		if d := nodesMatch(arc.Child, ba[i].Child, path+"/"+arc.Label); d != "" {
 			return d
 		}
 	}
@@ -138,6 +140,53 @@ func TestTreeDeltaProportionalToChurn(t *testing.T) {
 	n := d.(*TreeDelta).DeltaOps()
 	if n == 0 || n > 30 {
 		t.Fatalf("10 leaf writes produced %d delta ops", n)
+	}
+}
+
+// TestTreeDeltaVisitsChangedBlocks: one Set in a 500-arc directory changes
+// one of its blocks, and the diff compares that block's arcs one by one and
+// skips the rest — whether the earlier view held the directory in blocks
+// or flat, as a PutSubtree leaves it until its first copy-on-write write.
+func TestTreeDeltaVisitsChangedBlocks(t *testing.T) {
+	dir := &Node{}
+	for i := 0; i < 500; i++ {
+		dir.Arcs = append(dir.Arcs, Arc{fmt.Sprintf("name%03d", i), &Node{Value: "v", HasValue: true}})
+	}
+	tree := NewTree()
+	if err := (&PutSubtree{Path: []string{"dir"}, Subtree: dir}).Apply(tree); err != nil {
+		t.Fatal(err)
+	}
+	prev := tree.SnapshotView().(*Tree)
+	for _, held := range []string{"flat", "in blocks"} {
+		(&SetValue{Path: []string{"dir", "name250"}, Value: held}).Apply(tree)
+		cur := tree.SnapshotView().(*Tree)
+		d := mustDelta(t, cur, prev).(*TreeDelta)
+		if len(d.Ops) != 1 || d.visited > 1+blockSize {
+			t.Fatalf("directory held %s: %d ops, %d arcs compared; want 1 op and at most %d arcs", held, len(d.Ops), d.visited, 1+blockSize)
+		}
+		prev = cur
+	}
+}
+
+// TestApplyDeltaRefusesSharedSubtree: a delta's subtrees come off the wire,
+// where one pickle can reach a node twice — within one put or across two.
+// ApplyDelta refuses either, and a cycle, rather than install them.
+func TestApplyDeltaRefusesSharedSubtree(t *testing.T) {
+	leaf := &Node{Value: "v", HasValue: true}
+	cycle := &Node{}
+	cycle.Arcs = []Arc{{"x", cycle}}
+	for name, ops := range map[string][]DeltaOp{
+		"within": {{Op: DeltaPut, Path: []string{"a"}, Subtree: &Node{Arcs: []Arc{{"p", leaf}, {"q", leaf}}}}},
+		"across": {{Op: DeltaPut, Path: []string{"a"}, Subtree: leaf}, {Op: DeltaPut, Path: []string{"b"}, Subtree: leaf}},
+		"cycle":  {{Op: DeltaPut, Path: []string{"a"}, Subtree: cycle}},
+	} {
+		var wire TreeDelta
+		if err := pickle.Unmarshal(mustMarshal(&TreeDelta{Ops: ops}), &wire); err != nil {
+			t.Fatal(err)
+		}
+		if err := NewTree().ApplyDelta(&wire); !errors.Is(err, ErrSharedSubtree) {
+			t.Errorf("%s: ApplyDelta = %v, want ErrSharedSubtree", name, err)
+		}
 	}
 }
 

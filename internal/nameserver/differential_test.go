@@ -178,8 +178,9 @@ func dumpTree(t *testing.T, tr *Tree) string {
 			t.Fatalf("node %q reachable from a tree holds the input-only Children map", JoinPath(path))
 		}
 		dumpLine(&sb, path, refEntry{n.Value, n.HasValue, n.Stamp, n.StampBy})
-		for i, a := range n.Arcs {
-			if a.Child == nil || (i > 0 && n.Arcs[i-1].Label >= a.Label) {
+		arcs := n.AllArcs()
+		for i, a := range arcs {
+			if a.Child == nil || (i > 0 && arcs[i-1].Label >= a.Label) {
 				t.Fatalf("node %q: arcs not strictly ascending and non-nil at %d (%q)", JoinPath(path), i, a.Label)
 			}
 			walk(a.Child, append(path, a.Label))
@@ -221,6 +222,46 @@ func refPath(rng *rand.Rand, minDepth int) []string {
 		p[i] = refLabels[rng.Intn(len(refLabels))]
 	}
 	return p
+}
+
+// The wide directory, "wide", takes names drawn from wideLabels: enough to
+// spread it over several blocks. Most steps of a run also work it, growing
+// it past two blocks and then shrinking it below half of one, over and over.
+const wideLabels = 4 * blockSize
+
+func wideLabel(rng *rand.Rand) string { return fmt.Sprintf("w%03d", rng.Intn(wideLabels)) }
+
+// wideName draws a name in the wide directory that the model holds, or
+// that it does not.
+func wideName(rng *rand.Rand, m refModel, held bool) []string {
+	for i, start := 0, rng.Intn(wideLabels); i < wideLabels; i++ {
+		if p := []string{"wide", fmt.Sprintf("w%03d", (start+i)%wideLabels)}; m.has(JoinPath(p)) == held {
+			return p
+		}
+	}
+	return []string{"wide", wideLabel(rng)}
+}
+
+// wideSpec draws a subtree whose root holds more than one block of arcs.
+func wideSpec(rng *rand.Rand, step int) refModel {
+	spec := refModel{"": {}}
+	for i, n := 0, blockSize+1+rng.Intn(blockSize); i < n; i++ {
+		spec[wideLabel(rng)] = refEntry{value: fmt.Sprintf("wide%d.%d", step, i), hasValue: true}
+	}
+	return spec
+}
+
+// flatCopy copies a subtree with every node's arcs flat: the reference for
+// the bytes a tree whose nodes hold blocks must pickle to.
+func flatCopy(n *Node) *Node {
+	c := &Node{Value: n.Value, HasValue: n.HasValue, Stamp: n.Stamp, StampBy: n.StampBy}
+	if arcs := n.AllArcs(); arcs != nil {
+		c.Arcs = make([]Arc, len(arcs))
+		for i, a := range arcs {
+			c.Arcs[i] = Arc{a.Label, flatCopy(a.Child)}
+		}
+	}
+	return c
 }
 
 // existingPath draws a path the model holds (possibly the root).
@@ -273,7 +314,7 @@ func buildSubtree(spec refModel, key string, form int) *Node {
 
 func scribble(n *Node) {
 	n.Value, n.HasValue = "scribbled on the caller's subtree after Apply", true
-	for _, a := range n.Arcs {
+	for _, a := range n.AllArcs() {
 		scribble(a.Child)
 	}
 	for _, c := range n.Children {
@@ -317,86 +358,142 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 		return raw
 	}
 
+	shrinking, fan := false, 0 // the wide directory's phase, and its arcs after the last step
 	for step := 0; step < steps; step++ {
-		var applied interface{ Apply(any) error }
-		switch r := rng.Intn(100); {
-		case r < 30:
-			u := &SetValue{Path: refPath(rng, 0), Value: fmt.Sprintf("set%d", step)}
-			verify(step, u, true)
-			applied = u
-			model.ensure(u.Path)
-			e := model[JoinPath(u.Path)]
-			e.value, e.hasValue = u.Value, true
-			model[JoinPath(u.Path)] = e
-			counts["set"]++
-		case r < 45: // the replica package's stamped write
-			path := refPath(rng, 0)
-			e := refEntry{fmt.Sprintf("stamped%d", step), rng.Intn(5) > 0, uint64(step), "origin" + refLabels[rng.Intn(3)]}
-			n := tree.EnsureNode(path)
-			n.Value, n.HasValue, n.Stamp, n.StampBy = e.value, e.hasValue, e.stamp, e.stampBy
-			model.ensure(path)
-			model[JoinPath(path)] = e
-			counts["ensure"]++
-		case r < 65:
-			spec, form := randSpec(rng, step), rng.Intn(3)
-			u := &PutSubtree{Path: refPath(rng, 0), Subtree: buildSubtree(spec, "", form)}
-			given := u.Subtree
-			if !verify(step, u, len(u.Path) > 0) {
+		// A step is one drawn update and, three times in four, one more that
+		// works the wide directory: a Set or a Delete, or a Move in or out.
+		for _, wide := range []bool{false, true} {
+			if wide && rng.Intn(4) == 0 {
 				break
 			}
-			// Verify replaces exactly the spellings that are not what the
-			// tree holds: any map, or arcs some node has out of order.
-			want := form == 0 && len(spec) > 1
-			for k := range spec {
-				if ls, _ := spec.list(k); form == 2 && len(ls) > 1 {
-					want = true
+			var applied interface{ Apply(any) error }
+			r := rng.Intn(100)
+			// Past halfway, a growing directory that has not been deleted
+			// whole is, once it holds three blocks.
+			dropDir := wide && step >= steps/2 && counts["delete-wide-dir"] == 0 && fan > 2*blockSize
+			if wide {
+				r = 0
+				if shrinking || dropDir {
+					r = 70
+				}
+				if !dropDir && rng.Intn(4) == 0 {
+					r = 90
 				}
 			}
-			if folded := u.Subtree != given; folded != want {
-				t.Fatalf("seed %d step %d: form %d subtree %v: Verify folded = %v", seed, step, form, spec, folded)
-			}
-			applied = u
-			model.ensure(u.Path[:len(u.Path)-1])
-			model.cut(JoinPath(u.Path))
-			model.graft(JoinPath(u.Path), spec)
-			counts[fmt.Sprintf("put-form%d", form)]++
-		case r < 82:
-			u := &DeleteSubtree{Path: refPath(rng, 0)}
-			if rng.Intn(3) > 0 {
-				u.Path = existingPath(rng, model)
-			}
-			if verify(step, u, len(u.Path) > 0 && model.has(JoinPath(u.Path))) {
+			switch {
+			case r < 30:
+				u := &SetValue{Path: refPath(rng, 0), Value: fmt.Sprintf("set%d", step)}
+				if wide {
+					u.Path = wideName(rng, model, false)
+				}
+				verify(step, u, true)
 				applied = u
+				model.ensure(u.Path)
+				e := model[JoinPath(u.Path)]
+				e.value, e.hasValue = u.Value, true
+				model[JoinPath(u.Path)] = e
+				counts["set"]++
+			case r < 45: // the replica package's stamped write
+				path := refPath(rng, 0)
+				e := refEntry{fmt.Sprintf("stamped%d", step), rng.Intn(5) > 0, uint64(step), "origin" + refLabels[rng.Intn(3)]}
+				n := tree.EnsureNode(path)
+				n.Value, n.HasValue, n.Stamp, n.StampBy = e.value, e.hasValue, e.stamp, e.stampBy
+				model.ensure(path)
+				model[JoinPath(path)] = e
+				counts["ensure"]++
+			case r < 65:
+				spec, form := randSpec(rng, step), rng.Intn(3)
+				path := refPath(rng, 0)
+				if rng.Intn(8) == 0 {
+					spec, path = wideSpec(rng, step), []string{"wide"}
+					counts["put-wide"]++
+				}
+				u := &PutSubtree{Path: path, Subtree: buildSubtree(spec, "", form)}
+				given := u.Subtree
+				if !verify(step, u, len(u.Path) > 0) {
+					break
+				}
+				// Verify replaces exactly the spellings that are not what the
+				// tree holds: any map, or arcs some node has out of order.
+				want := form == 0 && len(spec) > 1
+				for k := range spec {
+					if ls, _ := spec.list(k); form == 2 && len(ls) > 1 {
+						want = true
+					}
+				}
+				if folded := u.Subtree != given; folded != want {
+					t.Fatalf("seed %d step %d: form %d subtree %v: Verify folded = %v", seed, step, form, spec, folded)
+				}
+				applied = u
+				model.ensure(u.Path[:len(u.Path)-1])
 				model.cut(JoinPath(u.Path))
-				counts["delete"]++
+				model.graft(JoinPath(u.Path), spec)
+				counts[fmt.Sprintf("put-form%d", form)]++
+			case r < 82:
+				u := &DeleteSubtree{Path: refPath(rng, 0)}
+				if rng.Intn(3) > 0 {
+					u.Path = existingPath(rng, model)
+				}
+				if wide {
+					u.Path = wideName(rng, model, true)
+					if dropDir || rng.Intn(40) == 0 {
+						u.Path = []string{"wide"}
+					}
+				}
+				if verify(step, u, len(u.Path) > 0 && model.has(JoinPath(u.Path))) {
+					applied = u
+					if ls, _ := model.list(JoinPath(u.Path)); len(ls) > blockSize {
+						counts["delete-wide-dir"]++
+					}
+					model.cut(JoinPath(u.Path))
+					counts["delete"]++
+				}
+			default:
+				u := &Move{From: refPath(rng, 0), To: refPath(rng, 0)}
+				if rng.Intn(3) > 0 {
+					u.From = existingPath(rng, model)
+				}
+				if wide && shrinking {
+					u.From = wideName(rng, model, true)
+				} else if wide {
+					u.To = wideName(rng, model, false)
+				}
+				from, to := JoinPath(u.From), JoinPath(u.To)
+				ok := len(u.From) > 0 && len(u.To) > 0 && model.has(from) && !model.has(to) && !under(to, from)
+				if verify(step, u, ok) {
+					applied = u
+					moved := model.cut(from)
+					model.ensure(u.To[:len(u.To)-1])
+					model.graft(to, moved)
+					counts["move"]++
+				}
 			}
-		default:
-			u := &Move{From: refPath(rng, 0), To: refPath(rng, 0)}
-			if rng.Intn(3) > 0 {
-				u.From = existingPath(rng, model)
-			}
-			from, to := JoinPath(u.From), JoinPath(u.To)
-			ok := len(u.From) > 0 && len(u.To) > 0 && model.has(from) && !model.has(to) && !under(to, from)
-			if verify(step, u, ok) {
-				applied = u
-				moved := model.cut(from)
-				model.ensure(u.To[:len(u.To)-1])
-				model.graft(to, moved)
-				counts["move"]++
-			}
-		}
-		if applied != nil {
-			if err := applied.Apply(tree); err != nil {
-				t.Fatalf("seed %d step %d: Apply %T: %v", seed, step, applied, err)
-			}
-			if put, ok := applied.(*PutSubtree); ok {
-				scribble(put.Subtree) // the tree holds a copy, never the update's nodes
+			if applied != nil {
+				if err := applied.Apply(tree); err != nil {
+					t.Fatalf("seed %d step %d: Apply %T: %v", seed, step, applied, err)
+				}
+				if put, ok := applied.(*PutSubtree); ok {
+					scribble(put.Subtree) // the tree holds a copy, never the update's nodes
+				}
 			}
 		}
 		// 1. The live tree is the model, node for node, and in invariant form.
 		now := model.dump()
 		if got := dumpTree(t, tree); got != now {
 			t.Fatalf("seed %d step %d: live tree diverged from the model:\ntree:\n%s\nmodel:\n%s", seed, step, got, now)
+		}
+		ls, _ := tree.List([]string{"wide"}) // count the block boundaries the wide directory crosses
+		switch {
+		case len(ls)/blockSize > fan/blockSize:
+			counts["grow-past-block"]++
+		case len(ls)/blockSize < fan/blockSize:
+			counts["shrink-past-block"]++
+		}
+		if fan = len(ls); fan > 2*blockSize { // three blocks at least
+			counts["several-blocks"]++
+			shrinking = shrinking || fan > 2*blockSize+blockSize/4
+		} else if fan < blockSize/2 {
+			shrinking = false
 		}
 		if rng.Intn(100) < 2 {
 			v := refView{step: step, tree: tree.SnapshotView().(*Tree), dump: now}
@@ -431,6 +528,9 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 		if again, err := pickle.Marshal(&back); err != nil || !bytes.Equal(again, raw) {
 			t.Fatalf("seed %d step %d: tree does not round-trip to identical bytes (err %v)", seed, step, err)
 		}
+		if flat := mustMarshal(&Tree{Root: flatCopy(tree.Root)}); !bytes.Equal(flat, raw) {
+			t.Fatalf("seed %d step %d: tree does not pickle to the bytes of its flat copy", seed, step)
+		}
 		// 5. From a loaded copy of any earlier view, the delta since that
 		// view — itself through the wire — rebuilds the current tree.
 		if len(views) > 0 {
@@ -453,8 +553,10 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 			}
 		}
 	}
-	for _, kind := range []string{"set", "ensure", "put-form0", "put-form1", "put-form2", "delete", "move"} {
-		if counts[kind] < steps/100 {
+	for kind, least := range map[string]int{"set": steps / 100, "ensure": steps / 100, "put-form0": steps / 100,
+		"put-form1": steps / 100, "put-form2": steps / 100, "delete": steps / 100, "move": steps / 100,
+		"put-wide": 2, "delete-wide-dir": 1, "grow-past-block": 2, "shrink-past-block": 2, "several-blocks": 2} {
+		if counts[kind] < least {
 			t.Fatalf("seed %d: degenerate run, %q applied %d times: %v", seed, kind, counts[kind], counts)
 		}
 	}
@@ -465,14 +567,15 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 }
 
 // TestTreeDifferential is the admission test for the tree's representation:
-// 5 000 seeded operations against the flat model (a quarter of that under
-// -short or the race detector, which has nothing to find in one goroutine).
+// 5 000 seeded steps against the flat model (a quarter of that, in three
+// longer runs, under -short or the race detector, which has nothing to find
+// in one goroutine).
 func TestTreeDifferential(t *testing.T) {
-	steps := 1000
+	steps, seeds := 1000, []int64{1, 2, 3, 4, 5}
 	if testing.Short() || raceEnabled {
-		steps = 250
+		steps, seeds = 400, seeds[:3]
 	}
-	for _, seed := range []int64{1, 2, 3, 4, 5} {
+	for _, seed := range seeds {
 		runDifferential(t, seed, steps)
 	}
 }

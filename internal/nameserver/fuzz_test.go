@@ -59,6 +59,17 @@ func decodeSeeds() []decodeSeed {
 	tree := func(arcs []Arc) []byte { return mustMarshal(&Tree{Root: &Node{Arcs: arcs}}) }
 	one := tree([]Arc{{"only", &Node{}}})
 	nested := tree([]Arc{{"dir", &Node{Value: "marker"}}})
+	// A directory of a few blocks' worth of arcs, in order, reversed, and
+	// with the last label of the first block repeated as the next label.
+	var wide, reversed, straddle []Arc
+	var wideList []string
+	for i := 0; i < 3*blockSize+5; i++ {
+		label := fmt.Sprintf("w%03d", i)
+		wide, reversed = append(wide, Arc{label, leaf(label)}), append([]Arc{{label, leaf(label)}}, reversed...)
+		straddle = append(straddle, Arc{label, leaf(label)})
+		wideList = append(wideList, label)
+	}
+	straddle[blockSize].Label = straddle[blockSize-1].Label
 	return []decodeSeed{
 		{name: "ascending", image: tree([]Arc{{"a", leaf("1")}, {"b", leaf("2")}, {"c", &Node{Arcs: []Arc{{"d", leaf("4")}}}}}), wantList: "a,b,c"},
 		{name: "descending", image: tree([]Arc{{"c", leaf("3")}, {"b", leaf("2")}, {"a", leaf("1")}}), wantList: "a,b,c"},
@@ -68,6 +79,9 @@ func decodeSeeds() []decodeSeed {
 		{name: "nil-arcs", image: tree(nil), wantList: ""},
 		{name: "empty-arcs", image: tree([]Arc{}), wantList: ""},
 		{name: "nil-child", image: tree([]Arc{{"a", nil}, {"b", leaf("2")}}), wantList: "a,b"},
+		{name: "wide", image: tree(wide), wantList: strings.Join(wideList, ",")},
+		{name: "wide-descending", image: tree(reversed), wantList: strings.Join(wideList, ",")},
+		{name: "wide-duplicate-across-blocks", image: tree(straddle), wantErr: "duplicate key"},
 		// The root claims 2^26 arcs, and 2^26 + 1; the stream holds one (and,
 		// in the first, ends there: the root's last two fields are cut off).
 		{name: "length-exceeds-stream", image: patch(one[:len(one)-4], []byte{0x0e, 0x02, 0x01}, []byte{0x0e, 0x02, 0x80, 0x80, 0x80, 0x20}), wantErr: "EOF"},
@@ -126,9 +140,10 @@ func checkDecode(t *testing.T, image []byte) (*Tree, error) {
 		if n.Children != nil {
 			t.Fatal("decoded node holds the input-only Children map")
 		}
-		for i, a := range n.Arcs {
-			if i > 0 && n.Arcs[i-1].Label >= a.Label {
-				t.Fatalf("decoded arcs not strictly ascending at depth %d: %q then %q", depth, n.Arcs[i-1].Label, a.Label)
+		arcs := n.AllArcs()
+		for i, a := range arcs {
+			if i > 0 && arcs[i-1].Label >= a.Label {
+				t.Fatalf("decoded arcs not strictly ascending at depth %d: %q then %q", depth, arcs[i-1].Label, a.Label)
 			}
 			walk(a.Child, depth+1)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"smalldb/internal/pickle"
 	"smalldb/internal/vfs"
 )
 
@@ -142,6 +143,60 @@ func TestPutSubtree(t *testing.T) {
 	sub.Children["x"].Value = "mutated"
 	if v, _ := s.Lookup("imported/x"); v != "1" {
 		t.Error("subtree aliased into database")
+	}
+}
+
+// TestPutRefusesSharedSubtree: a subtree that reaches one node twice is
+// refused by Verify, so nothing is logged. A cycle used to recurse in
+// canonical until the process died of a stack overflow.
+func TestPutRefusesSharedSubtree(t *testing.T) {
+	s := open(t, vfs.NewMem(1))
+	defer s.Close()
+	cycle := &Node{}
+	cycle.Arcs = []Arc{{"x", cycle}}
+	viaChildren := &Node{}
+	viaChildren.Children = map[string]*Node{"y": {Children: map[string]*Node{"z": viaChildren}}}
+	leaf := &Node{Value: "v", HasValue: true}
+	shared := &Node{Arcs: []Arc{{"p", leaf}, {"q", &Node{Children: map[string]*Node{"r": leaf}}}}}
+	for name, sub := range map[string]*Node{"cycle": cycle, "cycle-through-children": viaChildren, "shared": shared} {
+		if err := s.Put("bad/"+name, sub); !errors.Is(err, ErrSharedSubtree) {
+			t.Errorf("%s: Put = %v, want ErrSharedSubtree", name, err)
+		}
+	}
+	if st := s.Stats(); st.LogEntries != 0 || st.AppliedSeq != 0 {
+		t.Fatalf("a refused Put reached the log: %d entries, applied seq %d", st.LogEntries, st.AppliedSeq)
+	}
+	if _, err := s.Lookup("bad"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("a refused Put changed the tree: %v", err)
+	}
+}
+
+// TestReplayedSharedSubtree: a logged PutSubtree comes back through the
+// pickle with its sharing intact. A shared node — which a build without
+// Verify's check could log — is copied once per arc to it, so the entry
+// still replays; a cycle is refused instead of recursed on.
+func TestReplayedSharedSubtree(t *testing.T) {
+	replay := func(sub *Node) (*Tree, error) {
+		var u PutSubtree
+		if err := pickle.Unmarshal(mustMarshal(&PutSubtree{Path: []string{"d"}, Subtree: sub}), &u); err != nil {
+			t.Fatal(err)
+		}
+		tree := NewTree()
+		return tree, u.Apply(tree)
+	}
+	leaf := &Node{Value: "v", HasValue: true}
+	tree, err := replay(&Node{Arcs: []Arc{{"p", leaf}, {"q", leaf}}})
+	if err != nil {
+		t.Fatalf("shared acyclic subtree: %v", err)
+	}
+	tree.EnsureNode([]string{"d", "p"}).Value = "changed"
+	if v, _ := tree.Lookup([]string{"d", "q"}); v != "v" {
+		t.Fatalf("the two arcs to one logged node share it in the tree: d/q = %q", v)
+	}
+	cycle := &Node{}
+	cycle.Arcs = []Arc{{"x", &Node{Arcs: []Arc{{"y", cycle}}}}}
+	if _, err := replay(cycle); !errors.Is(err, ErrSharedSubtree) {
+		t.Fatalf("cyclic subtree: Apply = %v, want ErrSharedSubtree", err)
 	}
 }
 

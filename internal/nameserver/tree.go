@@ -4,7 +4,9 @@
 // core store. Where the paper keeps "a tree of hash tables... indexed by
 // strings, [delivering] values that are further hash tables", a node's table
 // here is a label-sorted slice of arcs searched by bisection: a fraction of a
-// hash table's memory, and it still pickles as the map it replaced.
+// hash table's memory, and it still pickles as the map it replaced. A wide
+// directory keeps its arcs in blocks behind a short index, so a write copies
+// one block and the index, not every arc.
 //
 // Names are slash-separated paths ("net/hosts/gva"). Every node may carry a
 // string value and arbitrarily many labelled children, so the same tree
@@ -19,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 
 	"smalldb/internal/core"
@@ -45,7 +48,8 @@ type Tree struct {
 
 // Node is one name in the tree: an optional value plus string-labelled
 // arcs to children, strictly ascending by label (nil for a leaf that never
-// had any) — the paper's hash table delivering further hash tables.
+// had any) — the paper's hash table delivering further hash tables. Once
+// a write finds more than blockSize, they move to blocks; AllArcs reads both.
 //
 // Stamp and StampBy are replication metadata: the Lamport time and origin
 // of the write that set Value, used by the replica package's last-writer-
@@ -68,7 +72,16 @@ type Node struct {
 	// the current epoch is reachable from a published snapshot and must be
 	// copied, not edited. Unexported: never pickled, zero after decode.
 	born uint64
+
+	// blocks, once set, holds the arcs instead of Arcs, which stays empty:
+	// label-ordered, none empty unless it is the only one, behind an index
+	// that is the node's own. A block is never written once built, so
+	// indexes share them.
+	blocks *[][]Arc
 }
+
+// blockSize bounds a block, and so what a write copies: 768 bytes.
+const blockSize = 32
 
 // Arc is one labelled edge. Being a pickle.MapPair, a []Arc pickles as the
 // string-keyed map of nodes it replaced, and loads from one without building it.
@@ -80,26 +93,107 @@ type Arc struct {
 // PickleMapPair implements pickle.MapPair.
 func (Arc) PickleMapPair() {}
 
-// search returns where label's arc is, or belongs, in n, and whether it is.
-func (n *Node) search(label string) (int, bool) {
-	return slices.BinarySearchFunc(n.Arcs, label, func(a Arc, l string) int { return strings.Compare(a.Label, l) })
+// PicklePairs implements pickle.MapPairSource: a blocked node's arcs pickle
+// as the one map that Arcs would spell if it held them.
+func (n *Node) PicklePairs() any {
+	if n.blocks == nil {
+		return nil
+	}
+	return n.AllArcs()
+}
+
+// blockList returns n's arcs as label-ordered blocks: Arcs is a flat node's one.
+func (n *Node) blockList() [][]Arc {
+	if n.blocks != nil {
+		return *n.blocks
+	}
+	return [][]Arc{n.Arcs}
+}
+
+// AllArcs returns n's arcs in label order: Arcs itself while n is flat,
+// else a copy gathered from its blocks. The caller must not modify them.
+func (n *Node) AllArcs() []Arc {
+	if n.blocks == nil {
+		return n.Arcs
+	}
+	all := make([]Arc, 0, len(*n.blocks)*blockSize)
+	for _, b := range *n.blocks {
+		all = append(all, b...)
+	}
+	return all
+}
+
+// locate finds label's arc in n: the block j that holds it or would, its
+// place i there, and whether it is there.
+func (n *Node) locate(label string) (b []Arc, j, i int, ok bool) {
+	b = n.Arcs
+	if n.blocks != nil {
+		bs := *n.blocks
+		j = sort.Search(len(bs)-1, func(k int) bool { return bs[k+1][0].Label > label })
+		b = bs[j]
+	}
+	i, ok = slices.BinarySearchFunc(b, label, func(a Arc, l string) int { return strings.Compare(a.Label, l) })
+	return b, j, i, ok
+}
+
+// child returns the node label's arc leads to, or nil.
+func (n *Node) child(label string) *Node {
+	if b, _, i, ok := n.locate(label); ok {
+		return b[i].Child
+	}
+	return nil
+}
+
+// splice replaces arcs [i, i+del) of n's block j with ins; the writer must
+// own n (see prep). A flat node is edited in place, and blocked past
+// blockSize arcs; a block is replaced by an edited copy, halved past
+// blockSize and dropped once empty if others remain.
+func (n *Node) splice(j, i, del int, ins ...Arc) {
+	if n.blocks == nil {
+		if n.Arcs = slices.Replace(n.Arcs, i, i+del, ins...); len(n.Arcs) > blockSize {
+			n.Arcs, n.blocks = []Arc{}, chunk(n.Arcs)
+		}
+		return
+	}
+	bs := *n.blocks
+	switch b := slices.Concat(bs[j][:i], ins, bs[j][i+del:]); {
+	case len(b) > blockSize:
+		bs[j] = b[: len(b)/2 : len(b)/2]
+		*n.blocks = slices.Insert(bs, j+1, b[len(b)/2:])
+	case len(b) == 0 && len(bs) > 1:
+		*n.blocks = slices.Delete(bs, j, j+1)
+	default:
+		bs[j] = b
+	}
+}
+
+// chunk cuts arcs into full blocks: windows on their array, which nothing
+// writes again.
+func chunk(arcs []Arc) *[][]Arc {
+	bs := make([][]Arc, 0, len(arcs)/blockSize+1)
+	for len(arcs) > 0 {
+		k := min(blockSize, len(arcs))
+		bs, arcs = append(bs, arcs[:k:k]), arcs[k:]
+	}
+	return &bs
 }
 
 // bind points label's arc at c, inserting the arc in order if n has none.
 // The writer must own n (see prep).
 func (n *Node) bind(label string, c *Node) {
-	i, ok := n.search(label)
-	if !ok {
-		n.Arcs = slices.Insert(n.Arcs, i, Arc{Label: label})
+	_, j, i, ok := n.locate(label)
+	del := 0
+	if ok {
+		del = 1
 	}
-	n.Arcs[i].Child = c
+	n.splice(j, i, del, Arc{label, c})
 }
 
 // unbind removes label's arc from n, which the writer must own. The last to
-// go leaves Arcs empty, not nil: how an emptied map pickled, and still does.
+// go leaves the arcs empty, not nil: how an emptied map pickled, and still does.
 func (n *Node) unbind(label string) {
-	if i, ok := n.search(label); ok {
-		n.Arcs = slices.Delete(n.Arcs, i, i+1)
+	if _, j, i, ok := n.locate(label); ok {
+		n.splice(j, i, 1)
 	}
 }
 
@@ -125,6 +219,10 @@ var ErrNotFound = errors.New("nameserver: name not found")
 
 // ErrNoValue is returned when a node exists but carries no value.
 var ErrNoValue = errors.New("nameserver: name has no value")
+
+// ErrSharedSubtree refuses a subtree that reaches a node twice: by a cycle,
+// which no walk returns from, or by two arcs, which would alias two names.
+var ErrSharedSubtree = errors.New("nameserver: subtree reaches a node twice")
 
 // SplitPath parses a slash-separated name into its components, rejecting
 // empty components. The empty string names the root.
@@ -152,27 +250,32 @@ func (t *Tree) find(parts []string) *Node {
 		if n == nil {
 			return nil
 		}
-		i, ok := n.search(p)
-		if !ok {
-			return nil
-		}
-		n = n.Arcs[i].Child
+		n = n.child(p)
 	}
 	return n
 }
 
 // prep returns a node the writer may mutate in the current epoch: n
 // itself when it was born after the last snapshot, otherwise a shallow
-// copy (fields duplicated, arcs copied into a fresh array with the child
-// pointers shared) stamped with the current epoch. Copying the arcs is
-// what makes the write invisible to snapshots: they keep reaching the old
-// array, and no insert can land in spare capacity they share.
+// copy (child pointers shared) stamped with the current epoch, whose edits
+// snapshots cannot see: a flat node's arcs are copied to a fresh array, in
+// whose spare capacity no insert can land; a blocked node's index is
+// copied, its blocks shared; a flat node of more than blockSize arcs is
+// blocked instead, its blocks windows on the old array.
 func (t *Tree) prep(n *Node) *Node {
 	if n.born == t.epoch {
 		return n
 	}
 	c := *n
-	c.Arcs, c.born = slices.Clone(n.Arcs), t.epoch
+	switch c.born = t.epoch; {
+	case n.blocks != nil:
+		bs := slices.Clone(*n.blocks)
+		c.blocks = &bs
+	case len(n.Arcs) > blockSize:
+		c.Arcs, c.blocks = []Arc{}, chunk(n.Arcs)
+	default:
+		c.Arcs = slices.Clone(n.Arcs)
+	}
 	return &c
 }
 
@@ -191,18 +294,18 @@ func (t *Tree) writable(parts []string, create bool) *Node {
 	t.Root = t.prep(t.Root)
 	n := t.Root
 	for _, p := range parts {
-		i, ok := n.search(p)
-		if !ok || n.Arcs[i].Child == nil {
+		old := n.child(p)
+		c := old
+		if c == nil {
 			if !create {
 				return nil
 			}
-			if !ok {
-				n.Arcs = slices.Insert(n.Arcs, i, Arc{Label: p})
-			}
-			n.Arcs[i].Child = &Node{born: t.epoch}
+			c = &Node{born: t.epoch}
 		}
-		n.Arcs[i].Child = t.prep(n.Arcs[i].Child)
-		n = n.Arcs[i].Child
+		if c = t.prep(c); c != old { // a private child is already bound
+			n.bind(p, c)
+		}
+		n = c
 	}
 	return n
 }
@@ -246,9 +349,9 @@ func copyNode(n *Node) *Node {
 		return nil
 	}
 	out := &Node{Value: n.Value, HasValue: n.HasValue, Stamp: n.Stamp, StampBy: n.StampBy}
-	if n.Arcs != nil || n.Children != nil {
-		out.Arcs = make([]Arc, 0, len(n.Arcs)+len(n.Children))
-		for _, a := range n.Arcs {
+	if arcs := n.AllArcs(); arcs != nil || n.Children != nil {
+		out.Arcs = make([]Arc, 0, len(arcs)+len(n.Children))
+		for _, a := range arcs {
 			out.Arcs = append(out.Arcs, Arc{a.Label, copyNode(a.Child)})
 		}
 		for label, c := range n.Children {
@@ -260,17 +363,35 @@ func copyNode(n *Node) *Node {
 	return out
 }
 
-// canonical reports whether the subtree at n is already in that form.
-func canonical(n *Node) bool {
+// inspect walks the subtree at n and reports whether it is already in
+// copyNode's form, or ErrSharedSubtree if the walk meets a node in seen:
+// every node reached, across calls too, or with dag only those on the
+// walk's path, so that a node two arcs reach passes and only a cycle fails.
+func inspect(n *Node, dag bool, seen map[*Node]bool) (canonical bool, err error) {
 	if n == nil {
-		return true
+		return true, nil
 	}
-	for i, a := range n.Arcs {
-		if (i > 0 && n.Arcs[i-1].Label >= a.Label) || !canonical(a.Child) {
-			return false
+	if seen[n] {
+		return false, ErrSharedSubtree
+	}
+	seen[n], canonical = true, n.Children == nil
+	arcs := n.AllArcs()
+	for i, a := range arcs {
+		c, err := inspect(a.Child, dag, seen)
+		if err != nil {
+			return false, err
+		}
+		canonical = canonical && c && (i == 0 || arcs[i-1].Label < a.Label)
+	}
+	for _, c := range n.Children {
+		if _, err := inspect(c, dag, seen); err != nil {
+			return false, err
 		}
 	}
-	return n.Children == nil
+	if dag {
+		delete(seen, n)
+	}
+	return canonical, nil
 }
 
 // countNodes reports the number of nodes in a subtree, itself included.
@@ -279,7 +400,7 @@ func countNodes(n *Node) int {
 		return 0
 	}
 	total := 1
-	for _, a := range n.Arcs {
+	for _, a := range n.AllArcs() {
 		total += countNodes(a.Child)
 	}
 	return total
@@ -352,10 +473,10 @@ type PutSubtree struct {
 	Subtree *Node
 }
 
-// Verify implements core.Update. A subtree spelled with the input-only
-// Children, or with arcs out of order, is replaced by its canonical copy
-// here — core pickles an update after Verify and before Apply, and what is
-// logged must be what is applied.
+// Verify implements core.Update. A subtree that reaches a node twice is
+// refused. One spelled with the input-only Children, or with arcs out of
+// order, is replaced by its canonical copy here — core pickles an update
+// after Verify and before Apply, and what is logged must be what is applied.
 func (u *PutSubtree) Verify(root any) error {
 	if u.Subtree == nil {
 		return errors.New("nameserver: nil subtree")
@@ -363,17 +484,23 @@ func (u *PutSubtree) Verify(root any) error {
 	if len(u.Path) == 0 {
 		return errors.New("nameserver: cannot replace the root; use paths")
 	}
-	if !canonical(u.Subtree) {
+	if canonical, err := inspect(u.Subtree, false, map[*Node]bool{}); err != nil {
+		return err
+	} else if !canonical {
 		u.Subtree = copyNode(u.Subtree)
 	}
 	_, err := treeOf(root)
 	return err
 }
 
-// Apply implements core.Update.
+// Apply implements core.Update. A logged node that two arcs reach (a build
+// without Verify's check logged such) is copied for each; a cycle fails.
 func (u *PutSubtree) Apply(root any) error {
 	t, err := treeOf(root)
 	if err != nil {
+		return err
+	}
+	if _, err := inspect(u.Subtree, true, map[*Node]bool{}); err != nil {
 		return err
 	}
 	dir, label := split(u.Path)
@@ -472,9 +599,15 @@ func (t *Tree) List(parts []string) ([]string, error) {
 	if n == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, JoinPath(parts))
 	}
-	out := make([]string, len(n.Arcs))
-	for i, a := range n.Arcs {
-		out[i] = a.Label
+	bs, size := n.blockList(), 0
+	for _, b := range bs {
+		size += len(b)
+	}
+	out := make([]string, 0, size)
+	for _, b := range bs {
+		for _, a := range b {
+			out = append(out, a.Label)
+		}
 	}
 	return out, nil
 }
@@ -499,7 +632,7 @@ func walk(n *Node, path []string, fn func(name, value string) error) error {
 			return err
 		}
 	}
-	for _, a := range n.Arcs {
+	for _, a := range n.AllArcs() {
 		if err := walk(a.Child, append(path, a.Label), fn); err != nil {
 			return err
 		}

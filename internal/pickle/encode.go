@@ -438,6 +438,27 @@ type MapPair interface{ PickleMapPair() }
 
 var mapPairType = reflect.TypeOf((*MapPair)(nil)).Elem()
 
+// MapPairSource is implemented by a pointer to a struct that may keep the
+// pairs of its map-coded pair slice field elsewhere — in blocks, say —
+// leaving the field empty but not nil (nil is no map). For such a field a
+// non-nil []P from PicklePairs pickles in its place: the one tMap the pairs
+// spell, the bytes the field would be if it held them. Decoding fills the
+// field.
+type MapPairSource interface{ PicklePairs() any }
+
+var mapPairSourceType = reflect.TypeOf((*MapPairSource)(nil)).Elem()
+
+// pairSource returns what v, a MapPairSource struct, pickles in place of
+// its pair slice field, or nil.
+func pairSource(v reflect.Value) any {
+	if !v.CanAddr() { // pickled by value; PicklePairs wants a pointer
+		c := reflect.New(v.Type()).Elem()
+		c.Set(v)
+		v = c
+	}
+	return v.Addr().Interface().(MapPairSource).PicklePairs()
+}
+
 // pairShape checks et, which implements MapPair, for the shape it promises.
 func pairShape(et reflect.Type) error {
 	if et.Kind() != reflect.Struct || et.NumField() != 2 || et.Field(0).Type.Kind() != reflect.String ||
@@ -515,6 +536,7 @@ type structEncPlan struct {
 	typedef []byte // name, field count, field names — wire-ready
 	idx     []int  // reflect field indices, parallel to fns
 	fns     []encFn
+	pairs   int // a MapPairSource's pair slice field's slot, else -1
 }
 
 // typedefOf is rt's wire-form definition: name, field count, field names.
@@ -529,10 +551,14 @@ func typedefOf(rt reflect.Type) []byte {
 }
 
 func buildStructEncoder(rt reflect.Type) encFn {
-	p := &structEncPlan{rt: rt, typedef: typedefOf(rt)}
-	for _, f := range fieldsOf(rt) {
+	p := &structEncPlan{rt: rt, typedef: typedefOf(rt), pairs: -1}
+	for i, f := range fieldsOf(rt) {
+		ft := rt.Field(f.index).Type
 		p.idx = append(p.idx, f.index)
-		p.fns = append(p.fns, encoderOf(rt.Field(f.index).Type))
+		p.fns = append(p.fns, encoderOf(ft))
+		if ft.Kind() == reflect.Slice && ft.Elem().Implements(mapPairType) && reflect.PointerTo(rt).Implements(mapPairSourceType) {
+			p.pairs = i
+		}
 	}
 	return p.encode
 }
@@ -566,7 +592,13 @@ func (p *structEncPlan) encode(e *Encoder, v reflect.Value) {
 		if e.err != nil {
 			break
 		}
-		fn(e, v.Field(p.idx[i]))
+		f := v.Field(p.idx[i])
+		if i == p.pairs && f.Len() == 0 && !f.IsNil() {
+			if pairs := pairSource(v); pairs != nil {
+				f = reflect.ValueOf(pairs)
+			}
+		}
+		fn(e, f)
 		e.maybeFlush()
 	}
 	e.depth--

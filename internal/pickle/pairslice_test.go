@@ -139,6 +139,55 @@ func TestPairSliceBytesEqualMap(t *testing.T) {
 	}
 }
 
+// srcDir is an arcDir that may keep its Kids elsewhere, as a MapPairSource.
+type srcDir struct {
+	Name string
+	Kids []arc `pickle:"Kids"`
+	N    int
+
+	elsewhere []arc
+}
+
+func (d *srcDir) PicklePairs() any {
+	if d.elsewhere == nil {
+		return nil
+	}
+	return d.elsewhere
+}
+
+// TestPairSourceBytesEqualField: the pairs a MapPairSource keeps elsewhere
+// pickle as its empty field would if it held them, whether the struct is
+// reached through a pointer or pickled by value; a nil field stays no map;
+// and decoding fills the field.
+func TestPairSourceBytesEqualField(t *testing.T) {
+	kids := []arc{{"a", nil}, {"b", nil}} // no child: its type would be arcDir on both sides
+	for _, tc := range []struct {
+		src  srcDir
+		flat arcDir
+	}{
+		{srcDir{Name: "dir", Kids: []arc{}, N: 1, elsewhere: kids}, arcDir{Name: "dir", Kids: kids, N: 1}},
+		{srcDir{Name: "leaf", elsewhere: kids}, arcDir{Name: "leaf"}},
+	} {
+		for i, v := range []any{&tc.src, tc.src} {
+			got, err := Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := marshalAs(t, []any{&tc.flat, tc.flat}[i], "pickle.arcDir", "pickle.srcDir")
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s (%T): pickles as\n %x\nnot as its flat form\n %x", tc.src.Name, v, got, want)
+			}
+		}
+	}
+	var back srcDir
+	if err := Unmarshal(marshalAs(t, &arcDir{Name: "dir", Kids: kids}, "pickle.arcDir", "pickle.srcDir"), &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Kids, kids) || back.elsewhere != nil {
+		t.Fatalf("decoded %+v, want the pairs in the field", back)
+	}
+}
+
 // pairStream hand-builds the pickle of an arcDir whose Kids field holds the
 // given raw bytes, so hostile field encodings can be written literally.
 func pairStream(kids []byte) []byte {

@@ -43,14 +43,15 @@ func treesMatch(a, b *nameserver.Node, path string) string {
 	if a.Value != b.Value || a.HasValue != b.HasValue || a.Stamp != b.Stamp || a.StampBy != b.StampBy {
 		return fmt.Sprintf("node %q: scalar mismatch", path)
 	}
-	if len(a.Arcs) != len(b.Arcs) {
-		return fmt.Sprintf("node %q: %d vs %d children", path, len(a.Arcs), len(b.Arcs))
+	aa, ba := a.AllArcs(), b.AllArcs()
+	if len(aa) != len(ba) {
+		return fmt.Sprintf("node %q: %d vs %d children", path, len(aa), len(ba))
 	}
-	for i, arc := range a.Arcs {
-		if b.Arcs[i].Label != arc.Label {
+	for i, arc := range aa {
+		if ba[i].Label != arc.Label {
 			return fmt.Sprintf("node %q: extra child %q", path, arc.Label)
 		}
-		if d := treesMatch(arc.Child, b.Arcs[i].Child, path+"/"+arc.Label); d != "" {
+		if d := treesMatch(arc.Child, ba[i].Child, path+"/"+arc.Label); d != "" {
 			return d
 		}
 	}
