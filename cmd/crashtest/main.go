@@ -26,7 +26,7 @@
 //	crashtest -net -net-crash -from 12 -to 12       # replay one point, with crash
 //	crashtest -net -nodes 5 -quorum 3 -net-crash -seed 1 -ops 40
 //
-// Every workload flag (-cp-every, -overlap, -batch, -log-shards, ...)
+// Every workload flag (-cp-every, -overlap, -batch, -readers, ...)
 // shapes the workload under either fault. -history-cap bounds every
 // replica's anti-entropy history: below -window it forces snapshot-install
 // repair at every partition point; below -ops it puts the history's sliding
@@ -91,8 +91,7 @@ func parseFlags(args []string) (fs *flag.FlagSet, cfg crashtest.Config, modes []
 	fs.BoolVar(&cfg.OverlapCheckpoints, "overlap", false, "commit updates inside each checkpoint's mirror window (sweeps the non-blocking checkpoint protocol)")
 	fs.BoolVar(&cfg.UnsafeNoSync, "nosync", false, "run the tortured node without log syncs (a store, or a group at W = 1, must then report violations; at W > 1 it must still recover via the other members)")
 	fs.IntVar(&cfg.Readers, "readers", 0, "concurrent snapshot readers validating lock-free enquiries against the oracle during every workload and catch-up")
-	fs.IntVar(&cfg.LogShards, "log-shards", 0, "split the redo log into this many parallel streams (0/1 = single stream); seals sync serially so the sweep stays deterministic")
-	fs.IntVar(&cfg.Batch, "batch", 0, "group every k workload updates into one ApplyBatch — one epoch spanning several streams (0/1 = one update at a time)")
+	fs.IntVar(&cfg.Batch, "batch", 0, "group every k workload updates into one ApplyBatch — one log sync covering k entries (0/1 = one update at a time)")
 	fs.IntVar(&cfg.MaxDeltaChain, "delta-chain", 0, "compact the delta chain after this many deltas (0 = store default); small values put compactions inside the sweep")
 	fs.IntVar(&cfg.HistoryCap, "history-cap", 0, "bound every replica's anti-entropy history (0 = the replica default, 4096); below -ops it puts the history trim and snapshot-install repair inside the sweep")
 	verbose := fs.Bool("v", false, "log progress")
@@ -119,7 +118,7 @@ func parseFlags(args []string) (fs *flag.FlagSet, cfg crashtest.Config, modes []
 // replayFlags are the flags beyond the fixed head of a replay line that
 // shape a point — the workload, the group or the netsim schedule — in the
 // order the line names them.
-var replayFlags = []string{"nosync", "overlap", "cp-every", "readers", "log-shards", "batch", "delta-chain",
+var replayFlags = []string{"nosync", "overlap", "cp-every", "readers", "batch", "delta-chain",
 	"net-crash", "nodes", "quorum", "history-cap", "drop", "jitter"}
 
 // replayLine is the command line that replays one point of a sweep in mode:

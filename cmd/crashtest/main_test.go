@@ -22,8 +22,8 @@ func TestReplayLine(t *testing.T) {
 			"go run ./cmd/crashtest -net -seed 7 -ops 30 -window 4 -from 12 -to 12 -net-crash -nodes 5 -quorum 3 -history-cap 6 -drop 0.2 -jitter 1ms"},
 		{"-net -seed 7 -ops 30 -window 4 -quorum 2 -jitter 0", crashtest.ModeNet,
 			"go run ./cmd/crashtest -net -seed 7 -ops 30 -window 4 -from 12 -to 12 -quorum 2 -jitter 0s"},
-		{"-seed 3 -ops 18 -batch 3 -log-shards 4 -overlap -shards 1", crashtest.ModeStore,
-			"go run ./cmd/crashtest -seed 3 -ops 18 -mode store -from 12 -to 12 -overlap -log-shards 4 -batch 3"},
+		{"-seed 3 -ops 18 -batch 3 -overlap -shards 1", crashtest.ModeStore,
+			"go run ./cmd/crashtest -seed 3 -ops 18 -mode store -from 12 -to 12 -overlap -batch 3"},
 		{"-seed 1 -mode store -nosync -from 3 -to 90", crashtest.ModeStore,
 			"go run ./cmd/crashtest -seed 1 -ops 50 -mode store -from 12 -to 12 -nosync"},
 		{"-seed 2 -ops 24 -cp-every 2 -delta-chain 1 -history-cap 4 -readers 2 -nosync=false", crashtest.ModeReplica,

@@ -32,10 +32,9 @@ import (
 func main() {
 	var (
 		dir    = flag.String("dir", "", "database directory (required)")
-		logV   = flag.Uint64("log", 0, "dump the entries of logfile<N>, merging its streams by global sequence when the log is sharded")
+		logV   = flag.Uint64("log", 0, "dump the entries of logfile<N>")
 		archV  = flag.Uint64("archive", 0, "dump the entries of archive-logfile<N> (§4 audit trail)")
 		cpV    = flag.Uint64("checkpoint", 0, "dump checkpoint<N>'s chain (full base + deltas, header by header) and its own contents")
-		stream = flag.Int("stream", -1, "with -log/-archive: dump only stream <i> of a sharded log instead of the merge (0 = the base file)")
 		maxLen = flag.Int("max", 0, "dump at most this many log entries (0 = all)")
 		stats  = flag.Bool("stats", false, "print entry-count, byte and payload-size histogram summaries instead of entries")
 		flight = flag.Bool("flight", false, "decode the crash-surviving flight-recorder ring (the black box)")
@@ -54,31 +53,20 @@ func main() {
 	case *flight:
 		dumpFlight(fs)
 	case *stats && *logV > 0:
-		statsLog(fs, checkpoint.LogName(*logV), *stream)
+		statsLogFile(fs, checkpoint.LogName(*logV))
 	case *stats && *archV > 0:
-		statsLog(fs, checkpoint.ArchiveLogName(*archV), *stream)
+		statsLogFile(fs, checkpoint.ArchiveLogName(*archV))
 	case *stats:
 		statsAll(fs)
 	case *logV > 0:
-		dumpLog(fs, checkpoint.LogName(*logV), *maxLen, *stream)
+		dumpLogFile(fs, checkpoint.LogName(*logV), *maxLen)
 	case *archV > 0:
-		dumpLog(fs, checkpoint.ArchiveLogName(*archV), *maxLen, *stream)
+		dumpLogFile(fs, checkpoint.ArchiveLogName(*archV), *maxLen)
 	case *cpV > 0:
 		dumpCheckpoint(fs, *cpV)
 	default:
 		summarize(fs)
 	}
-}
-
-// isShardStream reports whether name is a non-base stream file of a sharded
-// log (base.<i>, i >= 1).
-func isShardStream(name string) bool {
-	dot := strings.LastIndexByte(name, '.')
-	if dot < 0 {
-		return false
-	}
-	i, err := strconv.Atoi(name[dot+1:])
-	return err == nil && i >= 1
 }
 
 func summarize(fs vfs.FS) {
@@ -97,56 +85,25 @@ func summarize(fs vfs.FS) {
 		}
 	}
 	// Count entries of each log (current and archived) without decoding
-	// payloads. Shard streams (logfileN.i) are summarized per stream, then
-	// merged under their base by global sequence.
+	// payloads.
 	for _, n := range names {
 		if !strings.HasPrefix(n, "logfile") && !strings.HasPrefix(n, "archive-logfile") {
 			continue
 		}
-		if isShardStream(n) {
-			continue // summarized under its base below
-		}
-		streams, err := wal.ShardFiles(fs, n)
-		if err != nil {
+		res, err := wal.Replay(fs, n, 0, wal.ReplayOptions{}, func(uint64, []byte) error { return nil })
+		switch {
+		case err != nil:
 			fmt.Printf("%s: %v\n", n, err)
-			continue
-		}
-		for _, sn := range streams {
-			start, ok, err := wal.FirstSeq(fs, sn)
-			if err != nil || !ok {
-				fmt.Printf("%s: empty\n", sn)
-				continue
-			}
-			res, _ := wal.Replay(fs, sn, start, wal.ReplayOptions{Monotonic: true}, func(uint64, []byte) error { return nil })
-			fmt.Printf("%s: %d entries (seq %d..%d)\n", sn, res.Entries, start, res.LastSeq)
-		}
-		if len(streams) > 1 {
-			first, ok, err := wal.FirstSeqSharded(fs, n)
-			if err != nil || !ok {
-				continue
-			}
-			res, err := wal.ReplayShardedPipelined(fs, n, first, wal.ReplayOptions{}, 4,
-				func([]byte) (wal.DecodeFunc, error) {
-					return func(uint64, []byte) (any, error) { return nil, nil }, nil
-				},
-				func(_ uint64, _ any) error { return nil })
-			if err != nil {
-				fmt.Printf("%s (merged): %v\n", n, err)
-				continue
-			}
-			gap := ""
-			if res.GapAt != 0 {
-				gap = fmt.Sprintf(", gap at seq %d (%d unacknowledged entries beyond it)", res.GapAt, res.Discarded)
-			}
-			fmt.Printf("%s (merged, %d streams): %d entries (seq %d..%d)%s\n",
-				n, len(streams), res.Entries, first, res.LastSeq, gap)
+		case res.Entries == 0:
+			fmt.Printf("%s: empty\n", n)
+		default:
+			fmt.Printf("%s: %d entries (seq %d..%d)\n", n, res.Entries, res.LastSeq-uint64(res.Entries)+1, res.LastSeq)
 		}
 	}
 }
 
-// statsAll prints a payload-size summary line for every log stream in the
-// directory, current and archived — sharded logs get one summary per
-// stream.
+// statsAll prints a payload-size summary line for every log in the
+// directory, current and archived.
 func statsAll(fs vfs.FS) {
 	names, err := fs.List()
 	if err != nil {
@@ -165,25 +122,6 @@ func statsAll(fs vfs.FS) {
 	}
 }
 
-// statsLog prints the stats of one log version: the chosen stream, or every
-// stream of a sharded log in stream order.
-func statsLog(fs vfs.FS, base string, stream int) {
-	if stream >= 0 {
-		statsLogFile(fs, wal.ShardName(base, stream))
-		return
-	}
-	streams, err := wal.ShardFiles(fs, base)
-	if err != nil {
-		fatal("%v", err)
-	}
-	if len(streams) == 0 {
-		fatal("%s: no such log (and no streams of it)", base)
-	}
-	for _, sn := range streams {
-		statsLogFile(fs, sn)
-	}
-}
-
 // statsLogFile replays one log, feeding payload sizes into a histogram,
 // and prints count/bytes/percentile summaries plus the distribution.
 func statsLogFile(fs vfs.FS, name string) {
@@ -191,21 +129,11 @@ func statsLogFile(fs vfs.FS, name string) {
 	if err != nil {
 		fatal("%v", err)
 	}
-	start, ok, err := wal.FirstSeq(fs, name)
-	if err != nil {
-		fatal("%v", err)
-	}
-	if !ok {
-		fmt.Printf("%s: empty (%d bytes on disk)\n", name, size)
-		return
-	}
-	// Skip damaged entries so a partly unreadable log still summarizes;
-	// Monotonic admits shard streams, which hold only a residue class of
-	// the global sequences.
+	// Skip damaged entries so a partly unreadable log still summarizes.
 	var h obs.Histogram
 	var first, last uint64
 	var forms [2]struct{ n, bytes int64 } // self-describing, table-relative
-	res, err := wal.Replay(fs, name, start, wal.ReplayOptions{SkipDamaged: true, Monotonic: true}, func(seq uint64, payload []byte) error {
+	res, err := wal.Replay(fs, name, 0, wal.ReplayOptions{SkipDamaged: true}, func(seq uint64, payload []byte) error {
 		if first == 0 {
 			first = seq
 		}
@@ -223,6 +151,10 @@ func statsLogFile(fs vfs.FS, name string) {
 		fatal("replaying %s: %v", name, err)
 	}
 	s := h.Snapshot()
+	if s.Count == 0 {
+		fmt.Printf("%s: empty (%d bytes on disk)\n", name, size)
+		return
+	}
 	fmt.Printf("%s: %d entries (seq %d..%d), %d bytes on disk (%.1f%% framing overhead)\n",
 		name, s.Count, first, last, size, overheadPct(size, s.Sum))
 	fmt.Printf("  payload sizes: %s\n", s.SizeString())
@@ -256,67 +188,6 @@ func overheadPct(disk, payload int64) float64 {
 	return 100 * float64(disk-payload) / float64(disk)
 }
 
-// dumpLog dumps one log version: the chosen stream alone, or — when the
-// log is sharded — every stream merged by global sequence, exactly the
-// order recovery replays them in.
-func dumpLog(fs vfs.FS, base string, max, stream int) {
-	if stream >= 0 {
-		dumpLogFile(fs, wal.ShardName(base, stream), max)
-		return
-	}
-	streams, err := wal.ShardFiles(fs, base)
-	if err != nil {
-		fatal("%v", err)
-	}
-	switch {
-	case len(streams) == 0:
-		fatal("%s: no such log (and no streams of it)", base)
-	case len(streams) == 1 && streams[0] == base:
-		dumpLogFile(fs, base, max)
-		return
-	}
-
-	fmt.Printf("%s: sharded log, %d streams: %s\n", base, len(streams), strings.Join(streams, ", "))
-	for _, sn := range streams {
-		printHead(fs, sn)
-	}
-	first, ok, err := wal.FirstSeqSharded(fs, base)
-	if err != nil {
-		fatal("%v", err)
-	}
-	if !ok {
-		fmt.Printf("%s: all streams empty\n", base)
-		return
-	}
-	n := 0
-	// Decode off the merge's worker pool, each stream against its own head.
-	res, err := wal.ReplayShardedPipelined(fs, base, first, wal.ReplayOptions{}, 4,
-		func(head []byte) (wal.DecodeFunc, error) {
-			tab, err := pickle.ParseTable(head)
-			return func(_ uint64, payload []byte) (any, error) { return formatEntry(tab, payload), nil }, err
-		},
-		func(seq uint64, v any) error {
-			if max > 0 && n >= max {
-				return errStop
-			}
-			n++
-			fmt.Printf("entry %d: %s\n", seq, v)
-			return nil
-		})
-	if err != nil && err != errStop {
-		fatal("merging %s: %v", base, err)
-	}
-	for i, sr := range res.StreamResults {
-		if sr.Truncated {
-			fmt.Printf("(%s: torn tail entry discarded at offset %d)\n", res.Names[i], sr.GoodSize)
-		}
-	}
-	if err == nil && res.GapAt != 0 {
-		fmt.Printf("(sequence gap at %d: %d entries beyond it belong to unacknowledged epochs and are ignored by recovery)\n",
-			res.GapAt, res.Discarded)
-	}
-}
-
 var errStop = fmt.Errorf("stop")
 
 // printHead prints, with ids, the type table a log file's entries are
@@ -348,18 +219,11 @@ func formatEntry(tab *pickle.Table, payload []byte) string {
 	return pickle.Format(v)
 }
 
+// dumpLogFile prints one log's head and then its entries, in sequence order.
 func dumpLogFile(fs vfs.FS, name string, max int) {
 	tab := printHead(fs, name)
-	start, ok, err := wal.FirstSeq(fs, name)
-	if err != nil {
-		fatal("%v", err)
-	}
-	if !ok {
-		fmt.Printf("%s: empty\n", name)
-		return
-	}
 	n := 0
-	res, err := wal.Replay(fs, name, start, wal.ReplayOptions{Monotonic: true}, func(seq uint64, payload []byte) error {
+	res, err := wal.Replay(fs, name, 0, wal.ReplayOptions{}, func(seq uint64, payload []byte) error {
 		if max > 0 && n >= max {
 			return errStop
 		}
@@ -369,6 +233,9 @@ func dumpLogFile(fs vfs.FS, name string, max int) {
 	})
 	if err != nil && err != errStop {
 		fatal("replaying %s: %v", name, err)
+	}
+	if n == 0 {
+		fmt.Printf("%s: empty\n", name)
 	}
 	if res.Truncated {
 		fmt.Printf("(torn tail entry discarded at offset %d)\n", res.GoodSize)

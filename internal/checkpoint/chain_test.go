@@ -17,7 +17,7 @@ func deltaSwitch(t *testing.T, fs vfs.FS, cur State, content string, opts Option
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf, err := CreateLogFile(fs, next)
+	lf, err := CreateLogFile(fs, next, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestDeltaAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf, err := CreateLogFile(fs, next)
+	lf, err := CreateLogFile(fs, next, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,37 +82,41 @@ func parseCheckpointName(name string) (v uint64, delta bool, ok bool) {
 	return v, false, ok
 }
 
-// LogName returns the log file name for a version.
+// LogName returns the log file name for a version: a version's log is this
+// one file.
 func LogName(v uint64) string { return logPrefix + strconv.FormatUint(v, 10) }
-
-// ShardLogName returns the file name of one stream of a sharded log for a
-// version: LogName(v) itself for stream 0, logfileN.<shard> above it — the
-// wal.Sharded naming convention applied to the protocol's log names.
-func ShardLogName(v uint64, shard int) string { return wal.ShardName(LogName(v), shard) }
 
 // ArchiveLogName returns the name a version's log is archived under when
 // the audit trail is kept (§4: "the log files form a complete audit trail
 // for the database, and could be retained if desired").
 func ArchiveLogName(v uint64) string { return archivePrefix + strconv.FormatUint(v, 10) }
 
-// ArchiveShardLogName returns the archive name of one stream of a sharded
-// log for a version.
-func ArchiveShardLogName(v uint64, shard int) string {
-	return wal.ShardName(ArchiveLogName(v), shard)
+// ErrStreamLog is returned by recovery for a directory holding a log split
+// into stream files (logfile<v>.<i> or archive-logfile<v>.<i>): a version's
+// log is one file, and recovery does not guess at another layout. The error
+// names the file; the directory is left as it was.
+var ErrStreamLog = errors.New("checkpoint: log stream file (a version's log is one file)")
+
+// isStreamLog reports whether name is prefix<v>.<i>: a stream of a log.
+func isStreamLog(name string) bool {
+	base, i, ok := strings.Cut(name, ".")
+	if _, err := strconv.ParseUint(i, 10, 64); !ok || err != nil {
+		return false
+	}
+	_, isLog := parseNumbered(base, logPrefix)
+	_, isArchive := parseNumbered(base, archivePrefix)
+	return isLog || isArchive
 }
 
-// ArchivedLogs lists the versions with archived logs, ascending. A version
-// whose log was sharded counts once however many streams it has.
+// ArchivedLogs lists the versions with archived logs, ascending.
 func ArchivedLogs(fs vfs.FS) ([]uint64, error) {
 	names, err := fs.List()
 	if err != nil {
 		return nil, err
 	}
-	seen := map[uint64]bool{}
 	var versions []uint64
 	for _, n := range names {
-		if v, ok := parseNumberedShard(n, archivePrefix); ok && !seen[v] {
-			seen[v] = true
+		if v, ok := parseNumbered(n, archivePrefix); ok {
 			versions = append(versions, v)
 		}
 	}
@@ -268,6 +272,15 @@ func Recover(fs vfs.FS, retain int) (State, error) {
 
 // RecoverWith is Recover with full Options.
 func RecoverWith(fs vfs.FS, opts Options) (State, error) {
+	names, err := fs.List()
+	if err != nil {
+		return State{}, err
+	}
+	for _, n := range names {
+		if isStreamLog(n) {
+			return State{}, fmt.Errorf("%w: %q", ErrStreamLog, n)
+		}
+	}
 	cur, haveNew := parseVersionFile(fs, newVersionFile)
 	if haveNew && !versionComplete(fs, cur) {
 		// newversion exists but its files don't — only possible if
@@ -283,10 +296,6 @@ func RecoverWith(fs vfs.FS, opts Options) (State, error) {
 			// or the retained previous version by hand); if not,
 			// it is a virgin directory or a crashed Init, whose
 			// debris is safe to clear.
-			names, err := fs.List()
-			if err != nil {
-				return State{}, err
-			}
 			laterCheckpoint := false
 			for _, n := range names {
 				if v, _, isCp := parseCheckpointName(n); isCp && v > 1 {
@@ -355,6 +364,7 @@ func cleanup(fs vfs.FS, cur uint64, opts Options) (State, error) {
 	type cpKind struct{ full, delta bool }
 	cps := map[uint64]cpKind{}
 	versions := map[uint64]bool{}
+	logs := map[uint64]bool{}
 	for _, n := range names {
 		if v, isDelta, ok := parseCheckpointName(n); ok {
 			k := cps[v]
@@ -365,8 +375,9 @@ func cleanup(fs vfs.FS, cur uint64, opts Options) (State, error) {
 			}
 			cps[v] = k
 			versions[v] = true
-		} else if v, ok := parseNumberedShard(n, logPrefix); ok {
+		} else if v, ok := parseNumbered(n, logPrefix); ok {
 			versions[v] = true
+			logs[v] = true
 		}
 	}
 
@@ -410,7 +421,7 @@ func cleanup(fs vfs.FS, cur uint64, opts Options) (State, error) {
 			continue
 		}
 		vbase, ok := chainBase(v)
-		if !ok || !vfs.Exists(fs, LogName(v)) {
+		if !ok || !logs[v] {
 			continue
 		}
 		retained = append(retained, v)
@@ -430,29 +441,19 @@ func cleanup(fs vfs.FS, cur uint64, opts Options) (State, error) {
 				return State{}, err
 			}
 		}
-		if keepLog[v] {
+		if keepLog[v] || !logs[v] {
 			continue
-		}
-		// A sharded version's log is all its stream files.
-		streams, err := wal.ShardFiles(fs, LogName(v))
-		if err != nil {
-			return State{}, err
 		}
 		// Only logs of *completed* versions (older than cur) belong in
 		// the audit trail; debris of a crashed switch (v > cur) never
 		// held committed updates.
 		if opts.ArchiveLogs && v < cur {
-			for _, n := range streams {
-				if err := fs.Rename(n, archivePrefix+strings.TrimPrefix(n, logPrefix)); err != nil {
-					return State{}, err
-				}
-			}
-			streams = nil
+			err = fs.Rename(LogName(v), ArchiveLogName(v))
+		} else {
+			err = fs.Remove(LogName(v))
 		}
-		for _, n := range streams {
-			if err := fs.Remove(n); err != nil {
-				return State{}, err
-			}
+		if err != nil {
+			return State{}, err
 		}
 	}
 	sort.Slice(retained, func(i, j int) bool { return retained[i] < retained[j] })
@@ -465,30 +466,6 @@ func parseNumbered(name, prefix string) (uint64, bool) {
 	}
 	v, err := strconv.ParseUint(name[len(prefix):], 10, 64)
 	if err != nil || v == 0 {
-		return 0, false
-	}
-	return v, true
-}
-
-// parseNumberedShard is parseNumbered extended to the stream files of a
-// sharded log: prefix<v> or prefix<v>.<shard> with shard >= 1.
-func parseNumberedShard(name, prefix string) (uint64, bool) {
-	if v, ok := parseNumbered(name, prefix); ok {
-		return v, true
-	}
-	if !strings.HasPrefix(name, prefix) {
-		return 0, false
-	}
-	rest := name[len(prefix):]
-	dot := strings.IndexByte(rest, '.')
-	if dot <= 0 {
-		return 0, false
-	}
-	v, err := strconv.ParseUint(rest[:dot], 10, 64)
-	if err != nil || v == 0 {
-		return 0, false
-	}
-	if shard, err := strconv.Atoi(rest[dot+1:]); err != nil || shard < 1 {
 		return 0, false
 	}
 	return v, true
@@ -512,7 +489,7 @@ func SwitchWith(fs vfs.FS, cur State, write func(w io.Writer) error, opts Option
 	if err != nil {
 		return cur, err
 	}
-	lf, err := CreateLogFile(fs, next)
+	lf, err := CreateLogFile(fs, next, nil)
 	if err != nil {
 		return cur, err
 	}
@@ -595,50 +572,28 @@ func removeIfExists(fs vfs.FS, name string) error {
 	return fs.Remove(name)
 }
 
-// CreateLogFile creates version v's empty log file, syncs it, and returns
-// the open handle: the non-blocking checkpoint hands it to the WAL's mirror
-// window so the log's tail can be drained into it before the flip. Callers
-// with no such need just Close it.
-func CreateLogFile(fs vfs.FS, v uint64) (vfs.File, error) {
+// CreateLogFile creates version v's log file holding only head as its head
+// frame (nothing when head is nil), syncs it, and returns the open handle:
+// the non-blocking checkpoint hands it to the WAL's mirror window so the
+// log's tail can be drained into it before the flip. Callers with no such
+// need just Close it. On error the file is closed and removed.
+func CreateLogFile(fs vfs.FS, v uint64, head []byte) (vfs.File, error) {
 	f, err := fs.Create(LogName(v))
 	if err != nil {
 		return nil, err
 	}
-	if err := f.Sync(); err != nil {
+	if head != nil {
+		_, err = f.Write(wal.HeadFrame(head))
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
 		f.Close()
+		_ = fs.Remove(LogName(v))
 		return nil, err
 	}
 	return f, nil
-}
-
-// CreateShardLogFiles creates version v's stream files — stream 0 is
-// LogName(v) itself — each holding only head as its head frame (nothing when
-// head is nil), syncs each, and returns the open handles in stream order: the
-// non-blocking checkpoint hands them to the mirror window via
-// AttachMirrorFiles. On error every file it created is closed and removed.
-func CreateShardLogFiles(fs vfs.FS, v uint64, shards int, head []byte) ([]vfs.File, error) {
-	files := make([]vfs.File, 0, shards)
-	for i := 0; i < shards; i++ {
-		f, err := fs.Create(ShardLogName(v, i))
-		if err == nil {
-			if _, err = f.Write(wal.HeadFrame(head)); err == nil {
-				err = f.Sync()
-			}
-			if err != nil {
-				f.Close()
-			}
-		}
-		if err != nil {
-			for j, g := range files {
-				g.Close()
-				_ = fs.Remove(ShardLogName(v, j))
-			}
-			_ = fs.Remove(ShardLogName(v, i))
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return files, nil
 }
 
 // CommitNewVersion durably writes the newversion file naming v — the commit
@@ -674,13 +629,8 @@ func Finish(fs vfs.FS, v uint64, opts Options) (State, error) {
 // succeeded. Removal is best-effort: anything left behind is cleared by the
 // next switch or recovery.
 func Abort(fs vfs.FS, v uint64) {
-	for _, n := range []string{CheckpointName(v), DeltaName(v)} {
+	for _, n := range []string{CheckpointName(v), DeltaName(v), LogName(v)} {
 		if vfs.Exists(fs, n) {
-			_ = fs.Remove(n)
-		}
-	}
-	if streams, err := wal.ShardFiles(fs, LogName(v)); err == nil {
-		for _, n := range streams {
 			_ = fs.Remove(n)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"smalldb/internal/vfs"
+	"smalldb/internal/wal"
 )
 
 func writeBytes(b []byte) func(io.Writer) error {
@@ -296,68 +297,52 @@ func TestSwitchCrashAtEverySyncPoint(t *testing.T) {
 	}
 }
 
-// TestShardedCleanupAndArchive: a version whose log was sharded has stream
-// files logfileN.1, logfileN.2, ... next to logfileN; retention, deletion
-// and archival must cover all of them, not just the base file.
+// TestShardedCleanupAndArchive: a version's log is the one file logfileN;
+// retention keeps it, archival renames it to archive-logfileN, and cleanup
+// without archival deletes it.
 func TestShardedCleanupAndArchive(t *testing.T) {
 	fs := vfs.NewMem(1)
 	st := mustInit(t, fs, "cp1")
-	// Give version 1 a sharded log: two extra stream files.
-	for _, n := range []string{ShardLogName(1, 1), ShardLogName(1, 2)} {
-		if err := vfs.WriteFile(fs, n, []byte("stream")); err != nil {
-			t.Fatal(err)
-		}
-	}
 
-	// Retained: the whole stream set survives.
+	// Retained: the log survives.
 	st2, err := SwitchWith(fs, st, writeBytes([]byte("cp2")), Options{Retain: 1, ArchiveLogs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(st2.Retained, []uint64{1}) {
-		t.Fatalf("retained %v", st2.Retained)
-	}
-	for _, n := range []string{LogName(1), ShardLogName(1, 1), ShardLogName(1, 2)} {
-		if !vfs.Exists(fs, n) {
-			t.Errorf("retained stream %s missing", n)
-		}
+	if !reflect.DeepEqual(st2.Retained, []uint64{1}) || !vfs.Exists(fs, LogName(1)) {
+		t.Fatalf("retained %v, %s present %v", st2.Retained, LogName(1), vfs.Exists(fs, LogName(1)))
 	}
 
-	// Out of the window: every stream is archived, none deleted silently.
-	st3, err := SwitchWith(fs, st2, writeBytes([]byte("cp3")), Options{Retain: 1, ArchiveLogs: true})
-	if err != nil {
+	// Out of the window: the log is archived, not deleted.
+	if _, err := SwitchWith(fs, st2, writeBytes([]byte("cp3")), Options{Retain: 1, ArchiveLogs: true}); err != nil {
 		t.Fatal(err)
 	}
-	_ = st3
-	for _, n := range []string{LogName(1), ShardLogName(1, 1), ShardLogName(1, 2), CheckpointName(1)} {
+	for _, n := range []string{LogName(1), CheckpointName(1)} {
 		if vfs.Exists(fs, n) {
 			t.Errorf("%s survived cleanup", n)
 		}
 	}
-	for shard := 0; shard < 3; shard++ {
-		if !vfs.Exists(fs, ArchiveShardLogName(1, shard)) {
-			t.Errorf("archive stream %d missing", shard)
-		}
+	if !vfs.Exists(fs, ArchiveLogName(1)) {
+		t.Error("archived log missing")
 	}
 	vers, err := ArchivedLogs(fs)
 	if err != nil || !reflect.DeepEqual(vers, []uint64{1}) {
 		t.Errorf("archived versions %v, %v", vers, err)
 	}
 
-	// Without archiving, cleanup deletes the whole stream set.
+	// Without archiving, cleanup deletes it.
 	fs2 := vfs.NewMem(1)
 	stA := mustInit(t, fs2, "cp1")
-	vfs.WriteFile(fs2, ShardLogName(1, 1), []byte("stream"))
 	if _, err := Switch(fs2, stA, writeBytes([]byte("cp2")), 0); err != nil {
 		t.Fatal(err)
 	}
-	if vfs.Exists(fs2, ShardLogName(1, 1)) {
-		t.Error("stream file survived unarchived cleanup")
+	if vfs.Exists(fs2, LogName(1)) {
+		t.Error("log survived unarchived cleanup")
 	}
 }
 
-// TestShardedAbort: Abort clears the stream files of a prepared sharded
-// switch along with the base pair.
+// TestShardedAbort: Abort clears the log file CreateLogFile made for a
+// prepared switch along with its checkpoint.
 func TestShardedAbort(t *testing.T) {
 	fs := vfs.NewMem(1)
 	st := mustInit(t, fs, "cp1")
@@ -365,21 +350,19 @@ func TestShardedAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, err := CreateShardLogFiles(fs, next, 3, []byte("head"))
+	f, err := CreateLogFile(fs, next, []byte("head"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range files {
-		f.Close()
+	f.Close()
+	if head, err := wal.ReadHead(fs, LogName(next)); err != nil || string(head) != "head" {
+		t.Fatalf("new log's head %q: %v", head, err)
 	}
 	Abort(fs, next)
-	for shard := 0; shard < 3; shard++ {
-		if vfs.Exists(fs, ShardLogName(next, shard)) {
-			t.Errorf("stream %d survived abort", shard)
+	for _, n := range []string{LogName(next), CheckpointName(next)} {
+		if vfs.Exists(fs, n) {
+			t.Errorf("%s survived abort", n)
 		}
-	}
-	if vfs.Exists(fs, CheckpointName(next)) {
-		t.Error("checkpoint survived abort")
 	}
 	if st2, err := Recover(fs, 0); err != nil || st2.Version != 1 {
 		t.Errorf("recover after abort: %+v %v", st2, err)

@@ -53,7 +53,7 @@ func TestSplitStepsEquivalentToSwitch(t *testing.T) {
 	if next != cur.Version+1 {
 		t.Fatalf("Prepare returned version %d, want %d", next, cur.Version+1)
 	}
-	lf, err := CreateLogFile(splitFS, next)
+	lf, err := CreateLogFile(splitFS, next, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSplitCrashBetweenCommitAndInstall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf, err := CreateLogFile(fs, next)
+	lf, err := CreateLogFile(fs, next, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestSplitCrashBeforeCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf, err := CreateLogFile(fs, next)
+	lf, err := CreateLogFile(fs, next, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestAbortClearsPreparedFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf, err := CreateLogFile(fs, next)
+	lf, err := CreateLogFile(fs, next, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

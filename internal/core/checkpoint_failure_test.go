@@ -43,7 +43,7 @@ func TestCheckpointStepFailures(t *testing.T) {
 		{step: "PrepareDelta", fails: "create checkpoint3.d", delta: true, arm: func(ffs *faultfs.FS, next uint64) {
 			ffs.FailName(checkpoint.DeltaName(next), boom)
 		}},
-		{step: "CreateShardLogFiles", fails: "create logfile2", arm: func(ffs *faultfs.FS, next uint64) {
+		{step: "CreateLogFile", fails: "create logfile2", arm: func(ffs *faultfs.FS, next uint64) {
 			ffs.FailName(checkpoint.LogName(next), boom)
 		}},
 		// Syncs still to come once the window is open: the checkpoint

@@ -53,46 +53,44 @@ func TestBatchSyncFailureNotVisible(t *testing.T) {
 
 // TestUpdateInvisibleUntilDurable holds a log sync open and looks: no
 // enquiry may observe the update until Apply has returned, whichever branch
-// the root selects and however many streams the log has.
+// the root selects.
 func TestUpdateInvisibleUntilDurable(t *testing.T) {
 	for _, kind := range kvKinds {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", kind.name, shards), func(t *testing.T) {
-				mem := vfs.NewMem(1)
-				s := kind.open(t, mem, shardedCfg(shards))
-				defer s.Close()
+		t.Run(kind.name, func(t *testing.T) {
+			mem := vfs.NewMem(1)
+			s := kind.open(t, mem)
+			defer s.Close()
 
-				entered, release := make(chan struct{}), make(chan struct{})
-				var once, releaseOnce sync.Once
-				letGo := func() { releaseOnce.Do(func() { close(release) }) }
-				defer letGo() // before Close, which waits for the held sync
-				mem.FailSync = func(string) error {
-					once.Do(func() {
-						close(entered)
-						<-release
-					})
-					return nil
-				}
-				done := make(chan error, 1)
-				go func() { done <- s.Apply(kind.put("k", "v")) }()
-				<-entered
-				if _, ok := kind.snapshot(t, s)["k"]; ok {
-					t.Error("update visible to an enquiry while its sync is still in flight")
-				}
-				select {
-				case err := <-done:
-					t.Fatalf("Apply returned (%v) before its sync completed", err)
-				default:
-				}
-				letGo()
-				if err := <-done; err != nil {
-					t.Fatal(err)
-				}
-				if v := kind.snapshot(t, s)["k"]; v != "v" {
-					t.Errorf("update not visible after Apply returned: k = %q", v)
-				}
-			})
-		}
+			entered, release := make(chan struct{}), make(chan struct{})
+			var once, releaseOnce sync.Once
+			letGo := func() { releaseOnce.Do(func() { close(release) }) }
+			defer letGo() // before Close, which waits for the held sync
+			mem.FailSync = func(string) error {
+				once.Do(func() {
+					close(entered)
+					<-release
+				})
+				return nil
+			}
+			done := make(chan error, 1)
+			go func() { done <- s.Apply(kind.put("k", "v")) }()
+			<-entered
+			if _, ok := kind.snapshot(t, s)["k"]; ok {
+				t.Error("update visible to an enquiry while its sync is still in flight")
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("Apply returned (%v) before its sync completed", err)
+			default:
+			}
+			letGo()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if v := kind.snapshot(t, s)["k"]; v != "v" {
+				t.Errorf("update not visible after Apply returned: k = %q", v)
+			}
+		})
 	}
 }
 
@@ -174,9 +172,6 @@ func TestSingleStreamLayoutCompat(t *testing.T) {
 	s := openKV(t, fs)
 	s.Close()
 	logName := checkpoint.LogName(1)
-	if wal.ShardName(logName, 0) != logName {
-		t.Fatalf("stream 0 of %s is named %s", logName, wal.ShardName(logName, 0))
-	}
 
 	l, err := wal.Open(fs, logName, 1, wal.Options{})
 	if err != nil {
@@ -306,8 +301,7 @@ func TestTracedCommitSpans(t *testing.T) {
 }
 
 // TestOnePublicationPerCommit: a commit call publishes one version — one
-// per single update, one per batch — and the default log reports one
-// stream.
+// per single update, one per batch.
 func TestOnePublicationPerCommit(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := openVKV(t, func(c *Config) { c.Obs = reg })
@@ -341,7 +335,4 @@ func TestOnePublicationPerCommit(t *testing.T) {
 		t.Errorf("published seq %d after 6 updates", snap.Seq())
 	}
 	snap.Release()
-	if got := reg.Snapshot()["core_log_shards"]; got != int64(1) {
-		t.Errorf("core_log_shards = %v by default, want 1", got)
-	}
 }

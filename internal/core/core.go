@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,12 +86,12 @@ type logRecord struct {
 }
 
 // logDecoder decodes a log file's entries against the table its head holds.
-func logDecoder(head []byte) (wal.DecodeFunc, error) {
+func logDecoder(head []byte) (func(seq uint64, payload []byte) (Update, error), error) {
 	tab, err := pickle.ParseTable(head)
 	if err != nil {
 		return nil, fmt.Errorf("core: log head unreadable: %w", err)
 	}
-	return func(seq uint64, payload []byte) (any, error) {
+	return func(seq uint64, payload []byte) (Update, error) {
 		var rec logRecord
 		if err := tab.Unmarshal(payload, &rec); err != nil {
 			return nil, fmt.Errorf("core: log entry %d undecodable: %w", seq, err)
@@ -119,26 +118,11 @@ type Config struct {
 	// entries instead of failing, for applications whose updates are
 	// independent (§4).
 	SkipDamagedLogEntries bool
-	// ReplayWorkers controls restart's decode pipeline: 0 picks a size
-	// from the machine (bounded), 1 forces the sequential replay, n > 1
-	// decodes log entries on n goroutines while applying them strictly in
-	// sequence order — the recovered state is identical either way.
-	ReplayWorkers int
-	// LogShards is the redo log's stream count (logfileN, logfileN.1,
-	// ...): updates hash to a stream by global sequence and are
-	// acknowledged once every stream that wrote in their epoch has synced.
-	// It is a stream count, not a mode — 0 and 1 are the paper's single
-	// stream, committed by the same pipeline. The recovered state is
-	// identical at any count (restart merges the streams by sequence), and
-	// the count may change across restarts.
-	LogShards int
 	// Deterministic makes the store's file-operation order a function of
-	// the calls made on it: each epoch seal syncs its streams one at a time
-	// in stream order instead of in parallel, and a due compaction runs
-	// synchronously inside the Checkpoint call that made it due instead of
-	// on a background goroutine. It exists for the crash sweeps, which
-	// replay a run up to a chosen file operation; it costs exactly the
-	// concurrency it removes.
+	// the calls made on it: a due compaction runs synchronously inside the
+	// Checkpoint call that made it due instead of on a background
+	// goroutine. It exists for the crash sweeps, which replay a run up to a
+	// chosen file operation.
 	Deterministic bool
 	// MaxLogBytes, when > 0, triggers an automatic checkpoint after an
 	// update leaves the log larger than this.
@@ -256,8 +240,8 @@ type Stats struct {
 }
 
 // pendingPub is one update applied in memory but not yet acknowledged
-// durable by its epoch barrier: its captured version view waits in the
-// publication queue until the durable frontier covers its sequence.
+// durable by the log: its captured version view waits in the publication
+// queue until the durable frontier covers its sequence.
 type pendingPub struct {
 	seq  uint64
 	view any
@@ -286,14 +270,14 @@ type Store struct {
 	enquiries atomic.Uint64
 
 	// pubMu guards the deferred-publication queue: views captured under
-	// the exclusive lock, published in sequence order once the epoch
-	// barrier acknowledges them.
+	// the exclusive lock, published in sequence order once the log
+	// acknowledges them durable.
 	pubMu      sync.Mutex
 	pendingPub []pendingPub
 
 	// log is the redo log. Open sets it once; a checkpoint retargets it to
-	// the new version's files in place (FinishMirror), never replaces it.
-	log *wal.Sharded
+	// the new version's file in place (FinishMirror), never replaces it.
+	log *wal.Log
 
 	// ownTab is the type table this process writes at the head of every log
 	// file it creates. logTab is the one the next entry is pickled against:
@@ -403,8 +387,6 @@ func (s *Store) initObs() {
 			defer s.mu.Unlock()
 			return int64(s.cpState.Version - s.cpState.Base + 1)
 		})
-		reg.Register("core_log_shards", func() any { return int64(s.logShards()) })
-		reg.Register("replay_decode_workers", func() any { return s.replayWorkers() })
 		reg.Register("pickle_plan_compiles", func() any {
 			st := pickle.Stats()
 			return st.EncPlanCompiles + st.DecPlanCompiles
@@ -480,12 +462,6 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.NewRoot == nil {
 		return nil, fmt.Errorf("core: Config.NewRoot is required")
 	}
-	if cfg.LogShards > 1 && cfg.SkipDamagedLogEntries {
-		// In a sequence merge, hopping over a damaged entry is
-		// indistinguishable from truncating at an epoch gap; see the
-		// sharded recovery notes in internal/wal.
-		return nil, fmt.Errorf("core: SkipDamagedLogEntries is not supported with LogShards > 1")
-	}
 	s := &Store{cfg: cfg, ownTab: logTable()}
 	// Probe a throwaway root: versioning is a property of the root type,
 	// and initObs needs it to pick the lock instrumentation.
@@ -549,7 +525,7 @@ func (s *Store) load(st checkpoint.State) error {
 	replayOpts := wal.ReplayOptions{Repair: true, SkipDamaged: s.cfg.SkipDamagedLogEntries, Obs: s.cfg.Obs}
 
 	hdr, cs, err := s.readChain(st.Chain())
-	var res wal.ShardedReplayResult
+	var res wal.ReplayResult
 	usedFallback := false
 	if err == nil {
 		// Pin the chain's state — exactly what on-disk version st.Version
@@ -698,47 +674,49 @@ func (s *Store) readDelta(name string, want uint64) (*deltaHeader, int64, time.D
 	return &dh, n, dur, err
 }
 
-// replayWorkers resolves Config.ReplayWorkers: 0 sizes the decode pool
-// from the machine, capped — past a handful of decoders the strictly
-// sequential apply is the bottleneck and more goroutines only buy memory
-// traffic.
-func (s *Store) replayWorkers() int {
-	if s.cfg.ReplayWorkers != 0 {
-		return s.cfg.ReplayWorkers
+// replayUpdates replays the named log from firstSeq (0: wherever it starts),
+// decoding each entry against the file's head and handing it to fn in
+// sequence order.
+func replayUpdates(fs vfs.FS, name string, firstSeq uint64, opts wal.ReplayOptions, fn func(seq uint64, u Update) error) (wal.ReplayResult, error) {
+	head, err := wal.ReadHead(fs, name)
+	if err != nil {
+		return wal.ReplayResult{NextSeq: firstSeq}, err
 	}
-	return min(runtime.GOMAXPROCS(0), 8)
+	decode, err := logDecoder(head)
+	if err != nil {
+		return wal.ReplayResult{NextSeq: firstSeq}, err
+	}
+	return wal.Replay(fs, name, firstSeq, opts, func(seq uint64, payload []byte) error {
+		u, err := decode(seq, payload)
+		if err != nil {
+			return err
+		}
+		return fn(seq, u)
+	})
 }
 
 // replayInto replays the named log onto hdr.Root, returning the replay
 // result. When the log was replayed after a fallback checkpoint, firstSeq
-// overrides the header's. Decoding runs on the replayWorkers() pipeline;
-// updates are applied strictly in sequence order, so the recovered root is
-// identical to a sequential replay. Recovery is layout-discovering: when
-// stream files (logfileN.1, ...) exist beside the base log, all streams
-// replay concurrently and merge by global sequence — whatever LogShards is
-// configured now.
-func (s *Store) replayInto(hdr *header, logName string, firstSeq uint64, opts wal.ReplayOptions) (wal.ShardedReplayResult, error) {
+// overrides the header's.
+func (s *Store) replayInto(hdr *header, logName string, firstSeq uint64, opts wal.ReplayOptions) (wal.ReplayResult, error) {
 	// Progress events let an operator watch a long restart converge.
 	const progressEvery = 10000
 	start := time.Now()
-	res, err := wal.ReplayShardedPipelined(s.cfg.FS, logName, firstSeq, opts, s.replayWorkers(), logDecoder,
-		func(seq uint64, v any) error {
-			if err := v.(Update).Apply(hdr.Root); err != nil {
-				return fmt.Errorf("core: replaying entry %d: %w", seq, err)
-			}
-			if n := seq - firstSeq + 1; n%progressEvery == 0 {
-				obs.Emit(s.tracer, obs.Event{Name: "replay.progress", Dur: time.Since(start), Attrs: []obs.Attr{
-					obs.A("log", logName), obs.A("entries", n),
-				}})
-			}
-			return nil
-		})
+	res, err := replayUpdates(s.cfg.FS, logName, firstSeq, opts, func(seq uint64, u Update) error {
+		if err := u.Apply(hdr.Root); err != nil {
+			return fmt.Errorf("core: replaying entry %d: %w", seq, err)
+		}
+		if n := seq - firstSeq + 1; n%progressEvery == 0 {
+			obs.Emit(s.tracer, obs.Event{Name: "replay.progress", Dur: time.Since(start), Attrs: []obs.Attr{
+				obs.A("log", logName), obs.A("entries", n),
+			}})
+		}
+		return nil
+	})
 	dur := time.Since(start)
 	s.recordStats(func(st *Stats) { st.RestartReplayTime += dur })
 	obs.Emit(s.tracer, obs.Event{Name: "restart.replay", Dur: dur, Err: err, Attrs: []obs.Attr{
 		obs.A("log", logName), obs.A("entries", res.Entries), obs.A("damaged", res.Damaged), obs.A("torn", res.Truncated),
-		obs.A("streams", len(res.Names)), obs.A("discarded", res.Discarded),
-		obs.A("decode_workers", s.replayWorkers()),
 	}})
 	return res, err
 }
@@ -790,7 +768,7 @@ func (s *Store) ApplyTraced(u Update, sc obs.SpanContext) error {
 
 // ApplyBatch commits a batch of updates through one pass of the pipeline:
 // one lock acquisition, one published version and — with a versioned root —
-// one epoch barrier covering the whole batch. The batch is NOT atomic: if
+// one log sync covering the whole batch. The batch is NOT atomic: if
 // update i fails to verify, updates [0, i) are already committed and the
 // error is returned; callers needing all-or-nothing semantics must
 // pre-validate. Locked enquiries are excluded from the first apply to the
@@ -798,8 +776,8 @@ func (s *Store) ApplyTraced(u Update, sc obs.SpanContext) error {
 // sync per update instead, all but the first under the exclusive lock, so
 // that a failed sync leaves nothing undurable in view; no caller batches
 // onto one (the nameserver and replica roots are versioned). The
-// crashtest harness uses batches to form deterministic multi-stream
-// epochs; servers can use them to amortize lock traffic on bulk loads.
+// crashtest harness uses batches to put several updates behind one sync;
+// servers can use them to amortize lock traffic on bulk loads.
 func (s *Store) ApplyBatch(us []Update) error {
 	_, err := s.commit(us, obs.SpanContext{})
 	return err
@@ -838,8 +816,8 @@ func (p phaseTracer) emit(name string, at time.Time, dur time.Duration, err erro
 // thing that depends on the root:
 //
 //   - A versioned root applies first and captures ONE new version for the
-//     whole call, releases the lock, waits out the epoch barrier — shared
-//     with every concurrent committer — and only then publishes, so
+//     whole call, releases the lock, waits for the log sync — shared with
+//     every concurrent committer — and only then publishes, so
 //     lock-free enquiries never observe state a crash could erase
 //     (published ≤ durable frontier).
 //   - An unversioned root's enquiries read the working root under the
@@ -879,7 +857,7 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) (applied int, err error)
 		log   = s.log
 		tab   = s.logTab.Load() // stable under the update lock (see checkpointNonBlocking)
 		seq   uint64            // last applied update's sequence
-		wait  func() error      // its durability barrier
+		wait  func() error      // blocks until it is durable
 		bytes int
 		fatal bool // err poisoned the store
 		// Phase times summed over the call; commitNS is enqueue plus
@@ -989,8 +967,8 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) (applied int, err error)
 		if commitNS += d; werr != nil {
 			return 0, werr
 		}
-		// seq — and by the barrier's in-order rule every sequence below
-		// it — is durable: publish the queued versions it covers before
+		// seq — and, the log syncing in order, every sequence below it —
+		// is durable: publish the queued versions it covers before
 		// acknowledging the caller, preserving read-your-writes for
 		// lock-free enquiries.
 		s.publishDurable(log.DurableSeq())
@@ -1025,11 +1003,11 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) (applied int, err error)
 	return applied, nil
 }
 
-// awaitDurable waits out one entry's durability barrier, poisoning the
-// store if the log write failed, and reports how long it took. A traced
-// commit gets its wal.sync span — and a checkpoint.mirror span when an open
-// mirror window made the sync a dual write.
-func (s *Store) awaitDurable(log *wal.Sharded, wait func() error, seq uint64, pt phaseTracer) (time.Duration, error) {
+// awaitDurable waits until one entry is durable, poisoning the store if the
+// log write failed, and reports how long it took. A traced commit gets its
+// wal.sync span — and a checkpoint.mirror span when an open mirror window
+// made the sync a dual write.
+func (s *Store) awaitDurable(log *wal.Log, wait func() error, seq uint64, pt phaseTracer) (time.Duration, error) {
 	mirror := pt.on && log.MirrorActive()
 	t := time.Now()
 	err := wait()
@@ -1064,7 +1042,7 @@ func (s *Store) queuePublish(seq uint64) {
 // sequence the durable frontier covers. Queue order is publication order:
 // views are enqueued under the exclusive lock, so they are ascending, and
 // pubMu serializes concurrent committers draining the queue after their
-// barrier. The slice is shifted in place so the steady state allocates
+// sync. The slice is shifted in place so the steady state allocates
 // nothing.
 func (s *Store) publishDurable(frontier uint64) {
 	s.pubMu.Lock()
@@ -1372,11 +1350,11 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 		s.lock.UpdateUnlock()
 		return err
 	}
-	// The flush sealed an epoch covering every applied update, but their
-	// committers may still be blocked on the barrier with their
-	// publications queued. Drain the queue here — we hold the update lock,
-	// so applied is stable — or the pinned snapshot below would sit behind
-	// applied and force the locked-pickle fallback.
+	// The flush made every applied update durable, but their committers
+	// may still be waiting on it with their publications queued. Drain the
+	// queue here — we hold the update lock, so applied is stable — or the
+	// pinned snapshot below would sit behind applied and force the
+	// locked-pickle fallback.
 	s.publishDurable(log.DurableSeq())
 	s.mu.Lock()
 	nextSeq := s.applied + 1
@@ -1510,14 +1488,12 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 	ioTime := time.Since(ioStart)
 
 	switchStart := time.Now()
-	files, err := checkpoint.CreateShardLogFiles(s.cfg.FS, next, log.Shards(), s.ownTab.Bytes())
+	f, err := checkpoint.CreateLogFile(s.cfg.FS, next, s.ownTab.Bytes())
 	if err != nil {
 		return abort(err)
 	}
-	if err := log.AttachMirrorFiles(files); err != nil {
-		for _, f := range files {
-			f.Close()
-		}
+	if err := log.AttachMirrorFile(f); err != nil {
+		f.Close()
 		return abort(err)
 	}
 	if err := log.SyncMirror(); err != nil {
@@ -1740,7 +1716,7 @@ func (s *Store) History(fn func(seq uint64, u Update) error) error {
 	s.mu.Unlock()
 
 	// Bring the current log file in line with memory (committers may still
-	// be waiting on their epoch barrier).
+	// be waiting on their sync).
 	if err := s.log.Flush(); err != nil {
 		return err
 	}
@@ -1758,25 +1734,15 @@ func (s *Store) History(fn func(seq uint64, u Update) error) error {
 	}
 	files = append(files, st.LogName())
 
-	expect := uint64(0)
+	// The oldest log may start anywhere; every later one must go on where
+	// the one before it stopped (an empty log stops where it started).
+	var next uint64
 	for _, name := range files {
-		first, ok, err := wal.FirstSeqSharded(s.cfg.FS, name)
+		res, err := replayUpdates(s.cfg.FS, name, next, wal.ReplayOptions{SkipDamaged: s.cfg.SkipDamagedLogEntries}, fn)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			continue // empty log (no updates in that era)
-		}
-		if expect != 0 && first != expect {
-			return fmt.Errorf("core: audit trail gap: %s starts at sequence %d, expected %d", name, first, expect)
-		}
-		res, err := wal.ReplayShardedPipelined(s.cfg.FS, name, first,
-			wal.ReplayOptions{SkipDamaged: s.cfg.SkipDamagedLogEntries}, s.replayWorkers(), logDecoder,
-			func(seq uint64, v any) error { return fn(seq, v.(Update)) })
-		if err != nil {
-			return err
-		}
-		expect = res.NextSeq
+		next = res.NextSeq
 	}
 	return nil
 }
@@ -1855,21 +1821,12 @@ func (s *Store) Close() error {
 	return s.log.Close()
 }
 
-// walOpts derives the log options from the config.
-func (s *Store) walOpts() wal.Options {
-	return wal.Options{NoSync: s.cfg.UnsafeNoSync, Obs: s.cfg.Obs, Tracer: s.cfg.Tracer}
-}
-
-// logShards normalizes Config.LogShards: 0 and 1 both mean one stream.
-func (s *Store) logShards() int { return max(1, s.cfg.LogShards) }
-
-// openLog opens the store's redo log rooted at base, to which entries are
-// pickled against the table its streams' shared head holds; a fresh log's
-// head is this process's table. At one stream the layout is the paper's: the
-// base file alone.
-func (s *Store) openLog(base string, nextSeq uint64) (*wal.Sharded, error) {
-	l, err := wal.OpenSharded(s.cfg.FS, base, s.logShards(), nextSeq, s.ownTab.Bytes(),
-		wal.ShardedOptions{Options: s.walOpts(), SequentialSync: s.cfg.Deterministic})
+// openLog opens the store's redo log, the one file name, to which entries are
+// pickled against the table its head holds; a fresh or emptied file's head is
+// this process's table.
+func (s *Store) openLog(name string, nextSeq uint64) (*wal.Log, error) {
+	l, err := wal.Open(s.cfg.FS, name, nextSeq, wal.Options{
+		NoSync: s.cfg.UnsafeNoSync, Head: s.ownTab.Bytes(), Obs: s.cfg.Obs, Tracer: s.cfg.Tracer})
 	if err != nil {
 		return nil, err
 	}

@@ -112,14 +112,8 @@ func replayLog(t *testing.T, data []byte) ([]Update, error) {
 		t.Fatal(err)
 	}
 	var us []Update
-	first, ok, err := wal.FirstSeq(fs, "logfile1")
-	if err == nil {
-		if !ok {
-			first = 1
-		}
-		_, err = wal.ReplayShardedPipelined(fs, "logfile1", first, wal.ReplayOptions{SkipDamaged: true, Repair: true}, 1,
-			logDecoder, func(_ uint64, v any) error { us = append(us, v.(Update)); return nil })
-	}
+	_, err := replayUpdates(fs, "logfile1", 0, wal.ReplayOptions{SkipDamaged: true, Repair: true},
+		func(_ uint64, u Update) error { us = append(us, u); return nil })
 	if err != nil && !strings.HasPrefix(err.Error(), "wal: ") && !strings.HasPrefix(err.Error(), "core: ") {
 		t.Fatalf("replay failed with an unattributed error: %T %v", err, err)
 	}
@@ -299,44 +293,35 @@ func TestTornHeadReopensEmpty(t *testing.T) {
 }
 
 // TestEmptiedStreamTakesBaseHead: a crash between the creation and the sync
-// of a sharded log's stream leaves it empty. Reopened, the store gives it the
-// base's head before pickling entries against that head's table, so every
-// stream decodes by its own head alone — no table this process built is
-// consulted, as it would not be by a build with another registry.
+// of a log file can leave it empty. Reopened, the store gives it this
+// process's head before pickling entries against that head's table, so the
+// file decodes by its own head alone.
 func TestEmptiedStreamTakesBaseHead(t *testing.T) {
-	for shards := 2; shards <= 4; shards++ {
-		fs := vfs.NewMem(1)
-		openKV(t, fs, shardedCfg(shards)).Close()
-		base := checkpoint.LogName(1)
-		if err := vfs.WriteFile(fs, wal.ShardName(base, 1), nil); err != nil {
-			t.Fatal(err)
-		}
-		s := openKV(t, fs, shardedCfg(shards))
-		for i := 0; i < 2*shards; i++ {
-			put(t, s, fmt.Sprint("k", i), "v")
-		}
-		s.Close()
-		for i := 0; i < shards; i++ {
-			name := wal.ShardName(base, i)
-			head, err := wal.ReadHead(fs, name)
-			if err != nil || !bytes.Equal(head, logTable().Bytes()) {
-				t.Fatalf("shards=%d: %s head %d bytes: %v", shards, name, len(head), err)
-			}
-			decode, err := logDecoder(head)
-			if err == nil {
-				_, err = wal.Replay(fs, name, 1, wal.ReplayOptions{Monotonic: true}, func(seq uint64, p []byte) error {
-					_, err := decode(seq, p)
-					return err
-				})
-			}
-			if err != nil {
-				t.Fatalf("shards=%d: %s: %v", shards, name, err)
-			}
-		}
-		s = openKV(t, fs, shardedCfg(shards))
-		if got := s.AppliedSeq(); got != uint64(2*shards) {
-			t.Fatalf("shards=%d: reopened at seq %d", shards, got)
-		}
-		s.Close()
+	fs := vfs.NewMem(1)
+	openKV(t, fs).Close()
+	name := checkpoint.LogName(1)
+	if err := vfs.WriteFile(fs, name, nil); err != nil {
+		t.Fatal(err)
 	}
+	s := openKV(t, fs)
+	for i := 0; i < 4; i++ {
+		put(t, s, fmt.Sprint("k", i), "v")
+	}
+	s.Close()
+	head, err := wal.ReadHead(fs, name)
+	if err != nil || !bytes.Equal(head, logTable().Bytes()) {
+		t.Fatalf("%s head %d bytes: %v", name, len(head), err)
+	}
+	var keys []string
+	if _, err := replayUpdates(fs, name, 1, wal.ReplayOptions{}, func(_ uint64, u Update) error {
+		keys = append(keys, u.(*putKV).Key)
+		return nil
+	}); err != nil || strings.Join(keys, ",") != "k0,k1,k2,k3" {
+		t.Fatalf("%s replays %v: %v", name, keys, err)
+	}
+	s = openKV(t, fs)
+	if got := s.AppliedSeq(); got != 4 {
+		t.Fatalf("reopened at seq %d", got)
+	}
+	s.Close()
 }

@@ -34,7 +34,6 @@ func TestSoakLifecycle(t *testing.T) {
 				NewRoot:       newKV,
 				Retain:        1,
 				MaxLogEntries: int64(10 + rng.Intn(40)),
-				LogShards:     1 + 3*rng.Intn(2),
 			}
 			s, err := Open(cfg)
 			if err != nil {

@@ -85,23 +85,12 @@ type Config struct {
 	// durability and recovery restores the lost updates from the other
 	// members; no violation is expected.
 	UnsafeNoSync bool
-	// ReplayWorkers passes through to recovery's decode pipeline
-	// (0 = auto, 1 = sequential), so the sweep can torture pipelined
-	// restart at every crash point.
-	ReplayWorkers int
-	// LogShards is the store's redo-log stream count (0 or 1 = the
-	// paper's single stream). The harness always opens its stores
-	// Deterministic, so each epoch seal syncs its streams one at a time in
-	// stream order and the sweep's fs-op indexing stays deterministic —
-	// crash points then land inside individual stream syncs and, with
-	// Batch, between the streams of one epoch.
-	LogShards int
 	// Batch groups every Batch consecutive workload updates into one
-	// ApplyBatch call: one epoch barrier spanning several streams, so the
-	// sweep covers crashes after some streams of an epoch synced but
-	// before the rest. 0 or 1 applies updates one at a time. Checkpoint
-	// cadence is rounded up to a batch multiple so the schedule still
-	// fires.
+	// ApplyBatch call: one log write and sync covering several entries —
+	// the group commit a single writer can form deterministically — so the
+	// sweep covers crashes inside a multi-entry flush. 0 or 1 applies
+	// updates one at a time. Checkpoint cadence is rounded up to a batch
+	// multiple so the schedule still fires.
 	Batch int
 	// MaxDeltaChain caps the delta chain before a compaction rewrites it
 	// into a fresh full base (0 = the store default). Small values put
@@ -402,9 +391,8 @@ func (e *endpoint) close() error {
 // additionally gets the group, and for its workload the flight recorder and
 // UnsafeNoSync.
 func (r *runner) memberConfig(i int, fs vfs.FS) replica.Config {
-	return replica.Config{Name: memberName(i), FS: fs, HistoryCap: r.cfg.HistoryCap, ReplayWorkers: r.cfg.ReplayWorkers,
-		LogShards: r.cfg.LogShards, Deterministic: true, MaxDeltaChain: r.cfg.MaxDeltaChain,
-		PushPolicy: r.policy, SyncPolicy: r.policy, Obs: r.reg}
+	return replica.Config{Name: memberName(i), FS: fs, HistoryCap: r.cfg.HistoryCap, Deterministic: true,
+		MaxDeltaChain: r.cfg.MaxDeltaChain, PushPolicy: r.policy, SyncPolicy: r.policy, Obs: r.reg}
 }
 
 // member is one of the group's other members: it applies what member 0
@@ -495,8 +483,8 @@ func (r *runner) open(w *world, fs vfs.FS, workload bool, rc *readerCheck) (s *s
 	}
 	noSync := workload && r.cfg.UnsafeNoSync
 	if r.nodes == 1 {
-		srv, err := nameserver.Open(nameserver.Config{FS: fs, UnsafeNoSync: noSync, ReplayWorkers: r.cfg.ReplayWorkers,
-			LogShards: r.cfg.LogShards, Deterministic: true, Tracer: tracer, MaxDeltaChain: r.cfg.MaxDeltaChain})
+		srv, err := nameserver.Open(nameserver.Config{FS: fs, UnsafeNoSync: noSync, Deterministic: true,
+			Tracer: tracer, MaxDeltaChain: r.cfg.MaxDeltaChain})
 		if err != nil {
 			return nil, err
 		}
@@ -668,6 +656,18 @@ func (r *runner) partitionRun(p int64, w *world, s *subject) (int, []Violation) 
 	}
 	if err := r.drive(s, &k, int(p)+r.cfg.Window, nil, nil); err != nil {
 		return 0, []Violation{r.violation(p, "update %d not quorum-acknowledged during partition of %v: %v", k, cut, err)}
+	}
+	// The cut holds until member 0 has given up pushing to every cut member:
+	// a push still inside its retry budget at the heal would deliver the
+	// window after all, and whether it does would race the harness.
+	deadline := time.Now().Add(r.group.QuorumTimeout)
+	for _, name := range cut {
+		for !s.node.Lagging(name) {
+			if time.Now().After(deadline) {
+				return 0, []Violation{r.violation(p, "harness: member %s was still being pushed to %v into its partition", name, r.group.QuorumTimeout)}
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 	return k, nil
 }

@@ -181,13 +181,13 @@ func TestReplicaDeltaChainTorture(t *testing.T) {
 
 // TestNoSyncOverlapReplicaRecovers sweeps a replica that forfeits local
 // durability (§4: a lost update is restored from the peer) while commits
-// land inside sharded mirror windows. No-sync stores run the one checkpoint
+// land inside mirror windows. No-sync stores run the one checkpoint
 // protocol like every other: with no commit point there is nothing for the
 // window to preserve, and its file order must still recover a prefix of the
 // updates — which the peer then completes — at every crash point.
 func TestNoSyncOverlapReplicaRecovers(t *testing.T) {
 	res, err := Run(Config{Seed: 3, Ops: 12, Mode: ModeReplica, UnsafeNoSync: true,
-		OverlapCheckpoints: true, LogShards: 3, Logf: t.Logf})
+		OverlapCheckpoints: true, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

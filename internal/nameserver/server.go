@@ -22,15 +22,8 @@ type Config struct {
 	// SkipDamagedLogEntries passes through; name-server updates are
 	// independent enough for the paper's skip-the-damaged-entry story.
 	SkipDamagedLogEntries bool
-	// ReplayWorkers passes through to the store's restart decode
-	// pipeline (0 = auto, 1 = sequential).
-	ReplayWorkers int
-	// LogShards passes through: the redo log's stream count (0 and 1 are
-	// the single stream; more is incompatible with SkipDamagedLogEntries).
-	LogShards int
-	// Deterministic passes through: epoch seals sync their streams one at
-	// a time and a due compaction runs inside the checkpoint that tripped
-	// it (the crash-sweep determinism knob).
+	// Deterministic passes through: a due compaction runs inside the
+	// checkpoint that tripped it (the crash-sweep determinism knob).
 	Deterministic bool
 	// MaxDeltaChain and MaxDeltaRatio pass through: the delta-chain
 	// compaction thresholds (0 = the store defaults).
@@ -57,8 +50,6 @@ func Open(cfg Config) (*Server, error) {
 		MaxLogBytes:           cfg.MaxLogBytes,
 		MaxLogEntries:         cfg.MaxLogEntries,
 		SkipDamagedLogEntries: cfg.SkipDamagedLogEntries,
-		ReplayWorkers:         cfg.ReplayWorkers,
-		LogShards:             cfg.LogShards,
 		Deterministic:         cfg.Deterministic,
 		MaxDeltaChain:         cfg.MaxDeltaChain,
 		MaxDeltaRatio:         cfg.MaxDeltaRatio,

@@ -528,6 +528,19 @@ func (n *Node) MarkLagging(name string) {
 	n.kickAE()
 }
 
+// Lagging reports whether the named member is on the anti-entropy path —
+// its push stream failed or overflowed — rather than being pushed to.
+func (n *Node) Lagging(name string) bool {
+	n.gmu.Lock()
+	defer n.gmu.Unlock()
+	for _, ms := range n.members {
+		if ms.name == name {
+			return ms.lagging
+		}
+	}
+	return false
+}
+
 // Acked reports the highest origin seq each connected member has applied,
 // plus this node's own committed seq under its own name.
 func (n *Node) Acked() map[string]uint64 {

@@ -33,15 +33,8 @@ type Config struct {
 	// its data from another replica". The crashtest harness uses it to
 	// exercise exactly that recovery path.
 	UnsafeNoSync bool
-	// ReplayWorkers passes through to the store's restart decode
-	// pipeline (0 = auto, 1 = sequential).
-	ReplayWorkers int
-	// LogShards passes through: the node's redo-log stream count (0 and 1
-	// are the single stream).
-	LogShards int
-	// Deterministic passes through: epoch seals sync their streams one at
-	// a time and a due compaction runs inside the checkpoint that tripped
-	// it (the crash-sweep determinism knob).
+	// Deterministic passes through: a due compaction runs inside the
+	// checkpoint that tripped it (the crash-sweep determinism knob).
 	Deterministic bool
 	// MaxDeltaChain and MaxDeltaRatio pass through: the delta-chain
 	// compaction thresholds (0 = the store defaults).
@@ -154,8 +147,6 @@ func Open(cfg Config) (*Node, error) {
 		MaxLogBytes:   cfg.MaxLogBytes,
 		MaxLogEntries: cfg.MaxLogEntries,
 		UnsafeNoSync:  cfg.UnsafeNoSync,
-		ReplayWorkers: cfg.ReplayWorkers,
-		LogShards:     cfg.LogShards,
 		Deterministic: cfg.Deterministic,
 		MaxDeltaChain: cfg.MaxDeltaChain,
 		MaxDeltaRatio: cfg.MaxDeltaRatio,

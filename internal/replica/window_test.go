@@ -170,7 +170,7 @@ func TestReplayHistoryCostLinear(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	n, err = Open(Config{Name: "a", FS: fs, HistoryCap: limit, ReplayWorkers: 1})
+	n, err = Open(Config{Name: "a", FS: fs, HistoryCap: limit})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -110,7 +110,7 @@ func TestMirrorCarriesUnflushedTail(t *testing.T) {
 	if err := l.SyncMirror(); err != nil {
 		t.Fatal(err)
 	}
-	l.enqueueSeq(1, []byte("tail"))
+	l.AppendAsync([]byte("tail"))
 	if _, err := l.FinishMirror("log2"); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestBeginMirrorRequiresQuiescedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	l.enqueueSeq(1, []byte("x"))
+	l.AppendAsync([]byte("x"))
 	if err := l.BeginMirror(); err == nil {
 		t.Fatal("BeginMirror accepted a log with pending frames")
 	}

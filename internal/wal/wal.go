@@ -27,7 +27,14 @@
 // Group commit — "arranging to record multiple commit records in a single
 // log entry (in the presence of concurrent update requests)", which the
 // paper identifies as the only scheme that can beat one-write-per-update —
-// needs no option: concurrent Appends share a single Sync.
+// needs no option: concurrent Appends share a single Sync. AppendAsync
+// splits an append into its enqueue and its wait, so a committer can release
+// its own locks in between and still share the sync.
+//
+// A log is one file, as each checkpoint version's log is in the paper's §3
+// (logfileN). A database that wants several logs is several stores, one per
+// partition (§7; internal/multistore), whose logs never order the same
+// update.
 package wal
 
 import (
@@ -36,6 +43,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"strconv"
 	"sync"
 	"time"
 
@@ -51,12 +59,18 @@ const maxSpareFlushBuf = 1 << 20
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log is closed")
 
+// errStopped ends a Replay whose callback has seen what it needed.
+var errStopped = errors.New("wal: replay stopped")
+
 // Options configures a Log.
 type Options struct {
 	// NoSync skips the Sync on append. Only for tests that model a
 	// system without a commit point; the reliability experiments show
 	// what it costs.
 	NoSync bool
+	// Head is the head frame payload Open gives a log file it finds absent
+	// or empty; nil writes no head.
+	Head []byte
 	// Obs, when non-nil, receives the log's metrics: wal_appends,
 	// wal_append_bytes (entry frames), wal_head_bytes, wal_flushes,
 	// wal_flush_ns, wal_flush_bytes and wal_group_entries.
@@ -160,11 +174,22 @@ func HeadFrame(head []byte) []byte {
 	return frame(0, head)
 }
 
-// Open opens an existing log for appending. nextSeq must be one past the
-// sequence of the last entry (as reported by Replay during recovery).
+// Open opens the named log for appending. nextSeq must be one past the
+// sequence of the last entry (as reported by Replay during recovery). A file
+// that does not exist, or is empty — left so by a crash inside its creation —
+// is first written (and synced) holding only opts.Head's frame. Any other
+// failure to stat the file is returned: a log of acknowledged updates is
+// never rewritten because it could not be read.
 func Open(fs vfs.FS, name string, nextSeq uint64, opts Options) (*Log, error) {
 	if nextSeq == 0 {
 		return nil, fmt.Errorf("wal: nextSeq must be ≥ 1")
+	}
+	size, err := fs.Stat(name)
+	if errors.Is(err, vfs.ErrNotExist) || err == nil && size == 0 && opts.Head != nil {
+		err = vfs.WriteFile(fs, name, HeadFrame(opts.Head))
+	}
+	if err != nil {
+		return nil, err
 	}
 	f, err := fs.Append(name)
 	if err != nil {
@@ -192,7 +217,7 @@ func newLog(fs vfs.FS, name string, f vfs.File, nextSeq uint64, opts Options) (*
 // it has none; it fails where a Replay skipping damaged entries fails before
 // the first intact one.
 func ReadHead(fs vfs.FS, name string) ([]byte, error) {
-	res, err := Replay(fs, name, 1, ReplayOptions{Monotonic: true, SkipDamaged: true}, func(uint64, []byte) error { return errStopped })
+	res, err := Replay(fs, name, 0, ReplayOptions{SkipDamaged: true}, func(uint64, []byte) error { return errStopped })
 	if err == errStopped {
 		err = nil
 	}
@@ -214,6 +239,25 @@ func (l *Log) Size() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.size
+}
+
+// Head reports the head frame payload of the file the log was opened on, nil
+// when it has none.
+func (l *Log) Head() []byte { return l.head }
+
+// DurableSeq reports the highest sequence known durable: every entry at or
+// below it has been acknowledged.
+func (l *Log) DurableSeq() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.committed
+}
+
+// MirrorActive reports whether a mirror window is open.
+func (l *Log) MirrorActive() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.mirror.active
 }
 
 // appendFrame encodes one log entry in place at the end of buf, so the
@@ -239,6 +283,36 @@ func frame(seq uint64, payload []byte) []byte {
 func (l *Log) Append(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	seq, err := l.enqueueLocked(payload)
+	if err != nil {
+		return 0, err
+	}
+	return seq, l.waitDurable(seq)
+}
+
+// AppendAsync is Append split in two: it frames the entry into the pending
+// buffer, doing no I/O, and returns the entry's sequence and a wait that
+// blocks until the entry is durable. A committer releases its own locks
+// between the two, so commits that overlap share a sync. On a closed or
+// poisoned log nothing is enqueued and the wait reports why.
+func (l *Log) AppendAsync(payload []byte) (uint64, func() error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	seq, err := l.enqueueLocked(payload)
+	if err != nil {
+		return 0, func() error { return err }
+	}
+	return seq, func() error {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.waitDurable(seq)
+	}
+}
+
+// enqueueLocked frames one entry at the next sequence into the pending
+// buffer, or reports why a closed or poisoned log cannot take it. Called with
+// l.mu held.
+func (l *Log) enqueueLocked(payload []byte) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
@@ -246,30 +320,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		return 0, l.err
 	}
 	seq := l.nextSeq
-	l.appendSeqLocked(seq, payload)
-	return seq, l.waitDurable(seq)
-}
-
-// enqueueSeq frames one entry under a caller-assigned sequence number, at
-// least the log's next one, without waiting for it: the log is one stream
-// of a Sharded log, whose global ticket hands out sequences across streams
-// (strictly increasing within a stream, dense only at one stream) and whose
-// epoch barrier is the wait. A closed or poisoned stream drops the frame;
-// the epoch seal's Flush surfaces the same error to every waiter, so
-// acked ⇒ durable still holds.
-func (l *Log) enqueueSeq(seq uint64, payload []byte) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed || l.err != nil || seq < l.nextSeq {
-		return
-	}
-	l.appendSeqLocked(seq, payload)
-}
-
-// appendSeqLocked frames one entry at sequence seq into the pending buffer.
-// Called with l.mu held on an open, healthy log; seq must be >= l.nextSeq.
-func (l *Log) appendSeqLocked(seq uint64, payload []byte) {
-	l.nextSeq = seq + 1
+	l.nextSeq++
 	was := len(l.pending)
 	l.pending = appendFrame(l.pending, seq, payload)
 	frameLen := len(l.pending) - was
@@ -282,6 +333,7 @@ func (l *Log) appendSeqLocked(seq uint64, payload []byte) {
 	l.size += int64(frameLen)
 	l.m.appends.Inc()
 	l.m.appendBytes.Add(uint64(frameLen))
+	return seq, nil
 }
 
 // waitDurable blocks until seq is durable. Called with l.mu held. If no
@@ -409,36 +461,14 @@ func (l *Log) flushLocked() error {
 }
 
 // Flush makes every enqueued entry durable before returning, waiting out
-// any in-flight flush. Administrative operations (audit-trail reads) use it
-// to bring the file in line with the in-memory state.
+// any in-flight flush: the cut a checkpoint makes, and how audit-trail reads
+// bring the file in line with the in-memory state. On a closed log it
+// reports what Close left — nil once Close made everything durable — since a
+// committer that has released its locks may reach here after Close.
 func (l *Log) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	for l.syncing {
-		l.cond.Wait()
-	}
-	if l.err != nil {
-		return l.err
-	}
-	if len(l.pending) == 0 {
-		return nil
-	}
-	return l.flushLocked()
-}
-
-// hasPending reports whether frames are enqueued that may not be durable
-// yet: still pending, or taken by a flush that is in flight — a stream is
-// also flushed outside seals (SyncMirror, Close), and frames such a flush
-// carries are not durable until it returns. The Sharded epoch seal uses it
-// to pick the streams it must Flush (which waits the in-flight one out)
-// before acknowledging.
-func (l *Log) hasPending() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.pending) > 0 || l.syncing
+	return l.waitDurable(l.nextSeq - 1)
 }
 
 // BeginMirror opens the mirror window. The caller must have quiesced
@@ -547,6 +577,9 @@ func (l *Log) FinishMirror(newName string) (int64, error) {
 	for l.syncing {
 		l.cond.Wait()
 	}
+	if l.closed {
+		return 0, ErrClosed
+	}
 	if l.err != nil {
 		return 0, l.err
 	}
@@ -588,15 +621,18 @@ func (l *Log) AbortMirror() {
 	}
 }
 
-// Close closes the log file. Pending unsynced frames are flushed first,
-// after any in-flight flush completes — there is never more than one flush
-// writing the file at a time, which keeps frames in sequence order.
+// Close closes the log file. It takes no frame from the moment it is called;
+// pending frames are flushed first, after any in-flight flush completes —
+// there is never more than one flush writing the file at a time, which keeps
+// frames in sequence order. That final flush acknowledges the committers
+// still waiting on the frames it writes, or fails them with its error.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return nil
 	}
+	l.closed = true
 	for l.syncing {
 		l.cond.Wait()
 	}
@@ -604,7 +640,6 @@ func (l *Log) Close() error {
 	if err == nil && len(l.pending) > 0 {
 		err = l.flushLocked()
 	}
-	l.closed = true
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
@@ -621,12 +656,6 @@ type ReplayOptions struct {
 	// Repair truncates the log file in place after a torn tail entry is
 	// detected, so a subsequent Open appends from the last good entry.
 	Repair bool
-	// Monotonic relaxes the dense-sequence check to strictly-increasing:
-	// the log is one stream of a Sharded log, carrying only the global
-	// sequences that hashed to it. The first entry must still be >=
-	// firstSeq. Cross-stream gap detection is the merge's job
-	// (ReplayShardedPipelined), not the stream's.
-	Monotonic bool
 	// Obs, when non-nil, receives the wal_torn_tails and
 	// wal_damaged_entries recovery counters.
 	Obs *obs.Registry
@@ -656,9 +685,9 @@ type ReplayResult struct {
 // entry in order. A torn tail (truncated data or bad checksum at the end)
 // ends replay without error. fn errors abort replay.
 //
-// firstSeq is the sequence expected of the first entry; Replay verifies the
-// sequence numbers are dense so a lost or reordered entry is detected. The
-// head frame comes back in the result. Every entry may depend on it, so an
+// firstSeq is the sequence expected of the first entry, 0 accepting any;
+// Replay verifies the sequence numbers are dense from there on, so a lost or
+// reordered entry is detected. The head frame comes back in the result. Every entry may depend on it, so an
 // unreadable head with intact entries behind it fails replay; one unreadable
 // or torn to the end of the file is a crash inside Create, an empty log.
 func Replay(fs vfs.FS, name string, firstSeq uint64, opts ReplayOptions, fn func(seq uint64, payload []byte) error) (ReplayResult, error) {
@@ -690,17 +719,15 @@ func Replay(fs vfs.FS, name string, firstSeq uint64, opts ReplayOptions, fn func
 		switch {
 		case rerr == nil:
 			// A sequence discontinuity with a valid CRC means the file
-			// is not the log we think it is; fail loudly. A shard
-			// stream (Monotonic) holds only the global sequences that
-			// hashed to it, so there only a regression is a
-			// discontinuity — cross-stream gaps are the merge's job.
-			if opts.Monotonic && seq < expect {
+			// is not the log we think it is; fail loudly. Sequence 0
+			// is the head's alone.
+			if seq == 0 || expect != 0 && seq != expect {
+				want := strconv.FormatUint(expect, 10)
+				if expect == 0 {
+					want = ">= 1"
+				}
 				f.Close()
-				return res, fmt.Errorf("wal: %s: entry at offset %d has sequence %d, want >= %d", name, entryStart, seq, expect)
-			}
-			if !opts.Monotonic && seq != expect {
-				f.Close()
-				return res, fmt.Errorf("wal: %s: entry at offset %d has sequence %d, want %d", name, entryStart, seq, expect)
+				return res, fmt.Errorf("wal: %s: entry at offset %d has sequence %d, want %s", name, entryStart, seq, want)
 			}
 			if err := fn(seq, payload); err != nil {
 				f.Close()
@@ -729,9 +756,7 @@ func Replay(fs vfs.FS, name string, firstSeq uint64, opts ReplayOptions, fn func
 			res.Damaged++
 			off += n
 			res.GoodSize = off
-			if opts.Monotonic && seq >= expect {
-				expect = seq + 1
-			} else if !opts.Monotonic {
+			if expect != 0 {
 				expect++
 			}
 			res.NextSeq = expect
@@ -775,10 +800,10 @@ func Replay(fs vfs.FS, name string, firstSeq uint64, opts ReplayOptions, fn func
 
 // FirstSeq reports the sequence number of the named log's first intact
 // entry, past its head frame, with ok=false for a log holding no entry (or
-// immediately torn). Diagnostic
-// tools use it to replay a log whose starting sequence they do not know.
+// immediately torn). A reader that needs only to replay such a log passes
+// Replay a firstSeq of 0 instead.
 func FirstSeq(fs vfs.FS, name string) (seq uint64, ok bool, err error) {
-	_, err = Replay(fs, name, 1, ReplayOptions{Monotonic: true}, func(s uint64, _ []byte) error {
+	_, err = Replay(fs, name, 0, ReplayOptions{}, func(s uint64, _ []byte) error {
 		seq, ok = s, true
 		return errStopped
 	})

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"smalldb/internal/vfs"
@@ -46,36 +45,6 @@ func BenchmarkAppendParallelSharedSyncs(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkShardedAppendParallel drives the epoch barrier from 16 committers
-// on a real directory, where a sync costs real time: one stream (every seal
-// flushes inline) against four (multi-stream seals flush concurrently).
-func BenchmarkShardedAppendParallel(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			fs, err := vfs.NewOS(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := OpenSharded(fs, "log", shards, 1, nil, ShardedOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			payload := make([]byte, 128)
-			b.SetParallelism(16 / runtime.GOMAXPROCS(0))
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := s.Append(payload); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
 }
 
 func BenchmarkReplay(b *testing.B) {

@@ -223,16 +223,6 @@ func TestSkipDamagedEntry(t *testing.T) {
 		t.Errorf("entries: %q", got)
 	}
 	_ = end
-
-	// The pipelined replay of the same single stream agrees: the hole the
-	// skipped entry leaves is not an epoch gap.
-	pres, pgot := collectSharded(t, fs, "log", 1, ReplayOptions{SkipDamaged: true})
-	if pres.Entries != 2 || pres.Damaged != 1 || pres.NextSeq != res.NextSeq || pres.GapAt != 0 {
-		t.Fatalf("pipelined result: %+v, sequential %+v", pres, res)
-	}
-	if pgot[0] != "first" || pgot[1] != "third" {
-		t.Errorf("pipelined entries: %q", pgot)
-	}
 }
 
 func TestSequenceDiscontinuityDetected(t *testing.T) {
@@ -243,6 +233,24 @@ func TestSequenceDiscontinuityDetected(t *testing.T) {
 	// Replaying expecting seq 1 finds seq 5: a mismatched log.
 	if _, err := Replay(fs, "log", 1, ReplayOptions{}, func(uint64, []byte) error { return nil }); err == nil {
 		t.Error("sequence discontinuity not detected")
+	}
+}
+
+// TestReplayFromAnySeq: firstSeq 0 takes the first entry's sequence, then
+// checks density from there; sequence 0 is never an entry's.
+func TestReplayFromAnySeq(t *testing.T) {
+	fs := vfs.NewMem(1)
+	vfs.WriteFile(fs, "log", append(frame(5, []byte("a")), frame(6, []byte("b"))...))
+	if res, _ := collect(t, fs, "log", 0, ReplayOptions{}); res.Entries != 2 || res.NextSeq != 7 {
+		t.Errorf("from 0: %+v", res)
+	}
+	vfs.WriteFile(fs, "gap", append(frame(5, []byte("a")), frame(7, []byte("b"))...))
+	if _, err := Replay(fs, "gap", 0, ReplayOptions{}, func(uint64, []byte) error { return nil }); err == nil {
+		t.Error("gap after the first entry not detected")
+	}
+	vfs.WriteFile(fs, "heads", append(HeadFrame([]byte("h")), HeadFrame([]byte("h"))...))
+	if _, err := Replay(fs, "heads", 0, ReplayOptions{}, func(uint64, []byte) error { return nil }); err == nil {
+		t.Error("a second head frame replayed as an entry")
 	}
 }
 
@@ -409,8 +417,8 @@ func TestFirstSeq(t *testing.T) {
 func TestFlush(t *testing.T) {
 	fs := vfs.NewMem(1)
 	l, _ := Create(fs, "log", 1, Options{})
-	// Enqueue without waiting, as a Sharded stream does.
-	l.enqueueSeq(1, []byte("async"))
+	// Enqueue without waiting, as the store's commit does.
+	l.AppendAsync([]byte("async"))
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -423,12 +431,26 @@ func TestFlush(t *testing.T) {
 	}
 }
 
+// TestFlushOnClosed: Flush on a closed log reports what Close left — nil
+// when Close made everything durable, the poison when a write had failed.
 func TestFlushOnClosed(t *testing.T) {
 	fs := vfs.NewMem(1)
 	l, _ := Create(fs, "log", 1, Options{})
+	l.AppendAsync([]byte("x"))
 	l.Close()
-	if err := l.Flush(); !errors.Is(err, ErrClosed) {
-		t.Errorf("got %v", err)
+	if err := l.Flush(); err != nil {
+		t.Errorf("healthy: got %v", err)
+	}
+
+	fail := errors.New("disk full")
+	l, _ = Create(fs, "log2", 1, Options{})
+	fs.FailSync = func(string) error { return fail }
+	_, wait := l.AppendAsync([]byte("x"))
+	wait()
+	fs.FailSync = nil
+	l.Close()
+	if err := l.Flush(); !errors.Is(err, fail) {
+		t.Errorf("poisoned: got %v", err)
 	}
 }
 
