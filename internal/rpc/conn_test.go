@@ -46,21 +46,16 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestHandlersReusedAndReaped: sequential calls on one connection share at
-// most two handlers (the second covers a response that reaches the client
-// before its handler is idle again), concurrent calls start one handler
-// each and leave them for later calls, and the connection's end reaps them
-// all. It runs over TCP, as nsd does: a net.Pipe write returns only once
-// the client has read it, which at GOMAXPROCS > CPUs can leave a handler
-// runnable but not yet idle for a whole round trip.
-func TestHandlersReusedAndReaped(t *testing.T) {
+// TestServeConnStartsNoGoroutinePerCall: over TCP, as nsd serves, a call
+// runs on the goroutine that read it. The first call leaves only the
+// client's reader and the connection's server beside the baseline, 1000
+// more leave that count where it was, and closing the client returns to
+// the baseline. The bounds are upper ones: a goroutine an earlier test left
+// behind may exit meanwhile, but nothing else starts one.
+func TestServeConnStartsNoGoroutinePerCall(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	srv := NewServer()
-	bar := &barrierSvc{release: make(chan struct{})}
 	if err := srv.Register("Arith", Arith{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Register("Bar", bar); err != nil {
 		t.Fatal(err)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -81,48 +76,22 @@ func TestHandlersReusedAndReaped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for i := 0; i < 1000; i++ {
+	call := func(i int) {
 		var r ArithReply
 		if err := c.Call("Arith.Do", &ArithArgs{A: i, B: 1}, &r); err != nil || r.Sum != i+1 {
 			t.Fatalf("call %d: %v %+v", i, err, r)
 		}
 	}
-	// Where Ps outnumber CPUs, the OS can also stall a handler (and the P
-	// it runs on) between its write and its return to idle: one per P.
-	bound := int64(2)
-	if procs := runtime.GOMAXPROCS(0); procs > runtime.NumCPU() {
-		bound = int64(procs)
+	call(0)
+	first := runtime.NumGoroutine()
+	if first > baseline+2 {
+		t.Fatalf("the first call left %d goroutines, want at most the baseline %d + the client's reader + the connection's server", first, baseline)
 	}
-	seq := srv.started.Load()
-	if seq < 1 || seq > bound {
-		t.Fatalf("1000 sequential calls started %d handlers, want 1 to %d", seq, bound)
+	for i := 1; i <= 1000; i++ {
+		call(i)
 	}
-
-	const n = 8
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := c.Call("Bar.Hold", &ArithArgs{}, nil); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	waitFor(t, "every held call to reach its handler", func() bool { return bar.held.Load() == n })
-	if got := srv.started.Load(); got < n || got > n+seq {
-		t.Fatalf("%d concurrent held calls: %d handlers started in all, want %d..%d", n, got, n, n+seq)
-	}
-	close(bar.release)
-	wg.Wait()
-	peak := srv.started.Load()
-	for i := 0; i < 100; i++ {
-		if err := c.Call("Arith.Do", &ArithArgs{A: 1, B: 1}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := srv.started.Load(); got != peak {
-		t.Fatalf("calls after the peak started %d more handlers, want 0", got-peak)
+	if got := runtime.NumGoroutine(); got > first {
+		t.Fatalf("1000 sequential calls left %d goroutines, the first call %d", got, first)
 	}
 
 	c.Close()
@@ -131,6 +100,36 @@ func TestHandlersReusedAndReaped(t *testing.T) {
 		return runtime.NumGoroutine() <= baseline
 	})
 	srv.Close()
+}
+
+// TestCallsOnOneConnectionAnsweredInOrder: a fast call pipelined behind a
+// held one on the same client is not answered until the held call is, and
+// then both replies are right.
+func TestCallsOnOneConnectionAnsweredInOrder(t *testing.T) {
+	c, srv := pipePair(t)
+	bar := &barrierSvc{release: make(chan struct{})}
+	if err := srv.Register("Bar", bar); err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan error, 1)
+	go func() { held <- c.Call("Bar.Hold", &ArithArgs{}, nil) }()
+	waitFor(t, "the held call to reach its method", func() bool { return bar.held.Load() == 1 })
+
+	var fast ArithReply
+	fastDone := make(chan error, 1)
+	go func() { fastDone <- c.Call("Arith.Do", &ArithArgs{A: 1, B: 2}, &fast) }()
+	select {
+	case err := <-fastDone:
+		t.Fatalf("the fast call was answered (%v) while the call ahead of it was held", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(bar.release)
+	if err := <-held; err != nil {
+		t.Fatalf("held call: %v", err)
+	}
+	if err := <-fastDone; err != nil || fast.Sum != 3 || fast.Product != 2 {
+		t.Fatalf("fast call: %v %+v", err, fast)
+	}
 }
 
 // TestFrameBufferReuseDoesNotAlias decodes a request holding a string and a

@@ -17,9 +17,9 @@
 // instead of a stub compiler.
 //
 // The wire protocol is one uvarint-length-prefixed pickled message per
-// request or response, multiplexed by call ID, so one connection carries
-// any number of concurrent calls, served by long-lived handler goroutines of
-// the connection (see ServeConn); frame buffers are reused, not allocated.
+// request or response, matched by call ID, so a client may pipeline calls
+// on one connection; the server answers them one at a time, in arrival
+// order (see ServeConn). Frame buffers are reused, not allocated.
 //
 // The network is allowed to fail. A Client built over a dial function
 // (NewClientDialer, Dial, DialRetry) reconnects automatically: when the
@@ -148,6 +148,15 @@ func writeMessage(w io.Writer, wmu *sync.Mutex, v any, sc obs.SpanContext) error
 	return err
 }
 
+// encodeFailed reports whether writeMessage failed before writing anything.
+func encodeFailed(err error) bool {
+	if err == nil {
+		return false // before pe, which escapes: no allocation per call
+	}
+	var pe *pickle.Error
+	return errors.As(err, &pe)
+}
+
 // frameRoom fits the longest header: sentinel, trace and span IDs, length.
 const frameRoom = 1 + 3*binary.MaxVarintLen64
 
@@ -240,7 +249,6 @@ type Server struct {
 	listeners []net.Listener
 	conns     map[io.Closer]bool
 	closed    bool
-	started   atomic.Int64 // handler goroutines ever started, for tests
 }
 
 // Instrument wires the server's metrics into reg — rpc_requests, rpc_errors,
@@ -379,10 +387,9 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // ServeConn serves a single connection until it fails or the server closes.
-// Requests on one connection are handled concurrently, as the calls they
-// carry may interleave enquiries and updates: each goes to an idle handler
-// goroutine of the connection, or to a new one if none is idle. Handlers
-// live as long as the connection, so they number its peak concurrency.
+// It answers the connection's calls one at a time, in arrival order, on the
+// goroutine that reads them, so a call wakes no other goroutine; a method
+// that blocks delays only the calls behind it on its own connection.
 func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 	s.lmu.Lock()
 	if s.closed {
@@ -401,39 +408,25 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 		conn.Close()
 	}()
 
-	type inbound struct {
-		req request
-		sc  obs.SpanContext
-	}
 	var (
-		wmu      sync.Mutex
-		handlers sync.WaitGroup
-		work     = make(chan inbound)
-		r        = bufio.NewReader(conn)
-		buf      []byte
-		in       inbound
-		err      error
+		wmu sync.Mutex
+		r   = bufio.NewReader(conn)
+		buf []byte
+		req request
 	)
-	defer handlers.Wait()
-	defer close(work)
-	handle := func(job inbound) {
-		defer handlers.Done()
-		for ok := true; ok; job, ok = <-work {
-			resp := s.serveRequest(&job.req, job.sc)
-			_ = writeMessage(conn, &wmu, resp, obs.SpanContext{})
-		}
-	}
 	for {
-		in.req = request{}
-		if in.sc, err = decodeFrame(&buf, r, &in.req); err != nil {
+		req = request{}
+		sc, err := decodeFrame(&buf, r, &req)
+		if err != nil {
 			return
 		}
-		select {
-		case work <- in:
-		default:
-			handlers.Add(1)
-			s.started.Add(1)
-			go handle(in)
+		err = writeMessage(conn, &wmu, s.serveRequest(&req, sc), obs.SpanContext{})
+		if encodeFailed(err) {
+			// Nothing was written; the caller gets the reason instead.
+			err = writeMessage(conn, &wmu, &response{ID: req.ID, Err: fmt.Sprintf("rpc: %s: encode reply: %v", req.Method, err)}, obs.SpanContext{})
+		}
+		if err != nil {
+			return
 		}
 	}
 }
@@ -669,9 +662,11 @@ func (d *dedupe) finish(client string, token uint64, resp *response) {
 // --- client ---
 
 // A Client issues calls over one connection at a time; it is safe for
-// concurrent use and multiplexes any number of outstanding calls. A client
-// built with a dial function reconnects lazily: when the connection dies,
-// in-flight calls fail with ErrDisconnected and the next call redials.
+// concurrent use and pipelines calls, which the server answers one at a
+// time in the order sent: calls that must not wait on each other need
+// separate clients. A client built with a dial function reconnects lazily:
+// when the connection dies, in-flight calls fail with ErrDisconnected and
+// the next call redials.
 type Client struct {
 	// SimulatedRTT, when set, delays every call by the given round-trip
 	// time — experiment E11's stand-in for the paper's 8 ms network.
@@ -925,6 +920,9 @@ func (c *Client) call(method string, arg, reply any, token uint64, d time.Durati
 	}
 	if err := writeMessage(cc.rwc, &cc.wmu, req, sc); err != nil {
 		c.dropPending(id)
+		if encodeFailed(err) {
+			return fmt.Errorf("rpc: %s: encode argument: %w", method, err)
+		}
 		// A failed write leaves the stream in an unknown framing state;
 		// the connection is done.
 		c.connFailed(cc, err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"smalldb/internal/obs"
 	"smalldb/internal/pickle"
 )
 
@@ -145,24 +146,89 @@ func TestConcurrentCallsMultiplex(t *testing.T) {
 	}
 }
 
-func TestSlowCallDoesNotBlockFastCall(t *testing.T) {
-	c, _ := pipePair(t)
+func TestSlowCallDoesNotBlockOtherConnection(t *testing.T) {
+	slow, srv := pipePair(t)
+	cConn, sConn := net.Pipe()
+	go srv.ServeConn(sConn)
+	fast := NewClient(cConn)
+	defer fast.Close()
 	done := make(chan struct{})
 	go func() {
 		var r ArithReply
-		c.Call("Arith.Slow", &ArithArgs{A: 300}, &r)
+		slow.Call("Arith.Slow", &ArithArgs{A: 300}, &r)
 		close(done)
 	}()
 	time.Sleep(10 * time.Millisecond)
 	start := time.Now()
 	var r ArithReply
-	if err := c.Call("Arith.Do", &ArithArgs{A: 1, B: 2}, &r); err != nil {
+	if err := fast.Call("Arith.Do", &ArithArgs{A: 1, B: 2}, &r); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
-		t.Errorf("fast call waited %v behind slow call", elapsed)
+		t.Errorf("fast call waited %v behind a slow call on another connection", elapsed)
 	}
 	<-done
+}
+
+// Opaque is registered nowhere, so pickle cannot encode it as an interface
+// value.
+type Opaque struct{ N int }
+
+type AnyMsg struct{ V any }
+
+func init() { pickle.Register(&AnyMsg{}) }
+
+type opaqueSvc struct{}
+
+func (opaqueSvc) Reply(arg *ArithArgs, reply *AnyMsg) error {
+	reply.V = Opaque{arg.A}
+	return nil
+}
+
+// TestUnpicklableReplyIsAnError: a reply pickle refuses comes back as a
+// ServerError naming the failure, and the connection serves the next call.
+func TestUnpicklableReplyIsAnError(t *testing.T) {
+	c, srv := pipePair(t)
+	if err := srv.Register("Opaque", opaqueSvc{}); err != nil {
+		t.Fatal(err)
+	}
+	err := c.CallTimeout("Opaque.Reply", &ArithArgs{A: 1}, &AnyMsg{}, 5*time.Second)
+	var se ServerError
+	if !errors.As(err, &se) || !strings.Contains(err.Error(), "Opaque.Reply: encode reply: pickle:") {
+		t.Fatalf("got %v, want a ServerError naming the reply's encode failure", err)
+	}
+	var r ArithReply
+	if err := c.CallTimeout("Arith.Do", &ArithArgs{A: 2, B: 3}, &r, 5*time.Second); err != nil || r.Sum != 5 {
+		t.Fatalf("next call on the connection: %v %+v", err, r)
+	}
+}
+
+// TestUnpicklableArgumentFailsOnlyItsCall: an argument pickle refuses fails
+// its own call once, with an error that is not retryable, while a call in
+// flight on the same connection completes.
+func TestUnpicklableArgumentFailsOnlyItsCall(t *testing.T) {
+	c, _ := pipePair(t)
+	reg := obs.NewRegistry()
+	c.Instrument(reg)
+	slow := make(chan error, 1)
+	var sr ArithReply
+	go func() { slow <- c.Call("Arith.Slow", &ArithArgs{A: 50}, &sr) }()
+	waitFor(t, "the slow call to be in flight", func() bool { return c.PendingCalls() == 1 })
+
+	err := c.CallRetry("Arith.Do", &AnyMsg{V: Opaque{1}}, nil, RetryPolicy{})
+	var pe *pickle.Error
+	if !errors.As(err, &pe) || Retryable(err) {
+		t.Fatalf("got %v, want a non-retryable error wrapping *pickle.Error", err)
+	}
+	if n := reg.Counter("rpc_retries").Value(); n != 0 {
+		t.Fatalf("CallRetry retried %d times, want one attempt", n)
+	}
+	if err := <-slow; err != nil || sr.Sum != 50 {
+		t.Fatalf("call in flight beside the refused one: %v %+v", err, sr)
+	}
+	if n := c.PendingCalls(); n != 0 {
+		t.Fatalf("pending map holds %d entries, want 0", n)
+	}
 }
 
 func TestOverTCP(t *testing.T) {
@@ -280,7 +346,33 @@ func BenchmarkCallPipe(b *testing.B) {
 	c := NewClient(cConn)
 	defer c.Close()
 	defer srv.Close()
+	benchCalls(b, c)
+}
+
+// BenchmarkCallTCP is BenchmarkCallPipe over loopback TCP, the transport
+// nsd serves: unlike net.Pipe it goes through the netpoller, so it shows
+// what waking a goroutine per call costs.
+func BenchmarkCallTCP(b *testing.B) {
+	srv := NewServer()
+	srv.Register("Echo", Echo{})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.Serve(l)
+	defer srv.Close()
+	c, err := Dial(l.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	benchCalls(b, c)
+}
+
+// benchCalls times b.N sequential echo calls on c.
+func benchCalls(b *testing.B, c *Client) {
 	b.ReportAllocs()
+	b.ResetTimer()
 	var out EchoMsg
 	for i := 0; i < b.N; i++ {
 		if err := c.Call("Echo.Echo", &EchoMsg{S: "x"}, &out); err != nil {
