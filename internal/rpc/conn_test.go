@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -47,11 +46,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestServeConnStartsNoGoroutinePerCall: over TCP, as nsd serves, a call
-// runs on the goroutine that read it. The first call leaves only the
-// client's reader and the connection's server beside the baseline, 1000
-// more leave that count where it was, and closing the client returns to
-// the baseline. The bounds are upper ones: a goroutine an earlier test left
-// behind may exit meanwhile, but nothing else starts one.
+// runs on the goroutine that read it, and the client's caller reads its own
+// reply. The first call leaves only the connection's server beside the
+// baseline, 1000 more leave that count where it was, and closing the client
+// returns to the baseline. The bounds are upper ones: a goroutine an
+// earlier test left behind may exit meanwhile, but nothing else starts one.
 func TestServeConnStartsNoGoroutinePerCall(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	srv := NewServer()
@@ -84,8 +83,8 @@ func TestServeConnStartsNoGoroutinePerCall(t *testing.T) {
 	}
 	call(0)
 	first := runtime.NumGoroutine()
-	if first > baseline+2 {
-		t.Fatalf("the first call left %d goroutines, want at most the baseline %d + the client's reader + the connection's server", first, baseline)
+	if first > baseline+1 {
+		t.Fatalf("the first call left %d goroutines, want at most the baseline %d + the connection's server", first, baseline)
 	}
 	for i := 1; i <= 1000; i++ {
 		call(i)
@@ -102,9 +101,9 @@ func TestServeConnStartsNoGoroutinePerCall(t *testing.T) {
 	srv.Close()
 }
 
-// TestCallsOnOneConnectionAnsweredInOrder: a fast call pipelined behind a
-// held one on the same client is not answered until the held call is, and
-// then both replies are right.
+// TestCallsOnOneConnectionAnsweredInOrder: a fast call queued behind a held
+// one on the same client is not answered until the held call is, and then
+// both replies are right.
 func TestCallsOnOneConnectionAnsweredInOrder(t *testing.T) {
 	c, srv := pipePair(t)
 	bar := &barrierSvc{release: make(chan struct{})}
@@ -137,10 +136,9 @@ func TestCallsOnOneConnectionAnsweredInOrder(t *testing.T) {
 // and checks the first values kept their bytes.
 func TestFrameBufferReuseDoesNotAlias(t *testing.T) {
 	var wire bytes.Buffer
-	var mu sync.Mutex
 	for _, fill := range []byte{'a', 'z'} {
 		arg := &BlobArgs{S: string(bytes.Repeat([]byte{fill}, 40)), B: bytes.Repeat([]byte{fill}, 40)}
-		if err := writeMessage(&wire, &mu, &request{ID: 1, Method: "Blob.Put", Arg: arg}, obs.SpanContext{}); err != nil {
+		if err := writeMessage(&wire, &request{ID: 1, Method: "Blob.Put", Arg: arg}, obs.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,10 +168,9 @@ func TestFrameBufferReuseDoesNotAlias(t *testing.T) {
 // frame is not kept for the next one.
 func TestLargeFrameBufferDropped(t *testing.T) {
 	var wire bytes.Buffer
-	var mu sync.Mutex
 	for _, size := range []int{3*frameChunk + 5, 10} {
 		req := &request{ID: 1, Method: "Blob.Put", Arg: &BlobArgs{B: make([]byte, size)}}
-		if err := writeMessage(&wire, &mu, req, obs.SpanContext{}); err != nil {
+		if err := writeMessage(&wire, req, obs.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
+	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"smalldb/internal/obs"
 	"smalldb/internal/pickle"
@@ -74,14 +77,101 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
+// scriptedConn is a hostile server's end of a connection: it answers
+// whatever is written to it with reply's bytes, then reads block until
+// Close, as a stalled server's would.
+type scriptedConn struct {
+	reply  *bytes.Reader
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (c *scriptedConn) Write(p []byte) (int, error) {
+	select {
+	case <-c.closed:
+		return 0, net.ErrClosed
+	default:
+		return len(p), nil
+	}
+}
+
+func (c *scriptedConn) Read(p []byte) (int, error) {
+	select {
+	case <-c.closed:
+		return 0, net.ErrClosed
+	default:
+	}
+	if c.reply.Len() > 0 {
+		return c.reply.Read(p)
+	}
+	<-c.closed
+	return 0, net.ErrClosed
+}
+
+func (c *scriptedConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
+
+// FuzzClientReply answers a dialer client's first call with arbitrary
+// bytes: a reply to another call, a truncated frame, a trace extension,
+// garbage. The call must return an error or a result of the reply's type,
+// never panic, and never outlive its deadline; and once the hostile server
+// hangs up, the next call reaches a well-behaved one and succeeds.
+func FuzzClientReply(f *testing.F) {
+	payload, err := pickle.Marshal(&response{ID: 1, Result: &ArithReply{Sum: 3, Product: 2}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frameBytes(payload)) // the right reply; the rest are in testdata
+	srv := NewServer()
+	if err := srv.Register("Arith", Arith{}); err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.Close)
+	wellBehaved := pipeDialer(srv)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hostile := &scriptedConn{reply: bytes.NewReader(data), closed: make(chan struct{})}
+		dials := 0 // dial runs under the client's lock
+		c := NewClientDialer(func() (io.ReadWriteCloser, error) {
+			if dials++; dials == 1 {
+				return hostile, nil
+			}
+			return wellBehaved()
+		})
+		defer c.Close()
+
+		const deadline = 20 * time.Millisecond
+		start := time.Now()
+		var r ArithReply
+		err := c.CallTimeout("Arith.Do", &ArithArgs{A: 1, B: 2}, &r, deadline)
+		if took := time.Since(start); took > deadline+time.Second {
+			t.Fatalf("the call took %v against a %v deadline (err %v)", took, deadline, err)
+		}
+
+		hostile.Close()
+		var next ArithReply
+		if Retryable(err) {
+			// The reply retired the connection: the next call dials afresh.
+			err = c.CallTimeout("Arith.Do", &ArithArgs{A: 2, B: 3}, &next, 5*time.Second)
+		} else {
+			// The connection was kept, and is dead now: one retry redials.
+			err = c.CallRetry("Arith.Do", &ArithArgs{A: 2, B: 3}, &next, RetryPolicy{MaxAttempts: 2, Budget: 5 * time.Second})
+		}
+		if err != nil || next != (ArithReply{Sum: 5, Product: 6}) {
+			t.Fatalf("next call against a well-behaved server: %v %+v", err, next)
+		}
+	})
+}
+
 // TestFrameRoundTrip pins the framing format: writeMessage output decodes
 // through readMessage, untraced frames carry no context, and traced frames
 // carry theirs intact.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	var mu sync.Mutex
 	in := &request{ID: 42, Method: "Svc.M", Client: "me", Token: 9}
-	if err := writeMessage(&buf, &mu, in, obs.SpanContext{}); err != nil {
+	if err := writeMessage(&buf, in, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	var out request
@@ -101,10 +191,9 @@ func TestFrameRoundTrip(t *testing.T) {
 // survives the wire and the payload still decodes.
 func TestFrameRoundTripTraced(t *testing.T) {
 	var buf bytes.Buffer
-	var mu sync.Mutex
 	in := &request{ID: 7, Method: "Svc.M"}
 	want := obs.SpanContext{Trace: 0xfeedface01, Span: 0xabc}
-	if err := writeMessage(&buf, &mu, in, want); err != nil {
+	if err := writeMessage(&buf, in, want); err != nil {
 		t.Fatal(err)
 	}
 	var out request
@@ -125,9 +214,8 @@ func TestFrameRoundTripTraced(t *testing.T) {
 // framing (no sentinel, no IDs).
 func TestReadFrameUntracedCompat(t *testing.T) {
 	var buf bytes.Buffer
-	var mu sync.Mutex
 	in := &request{ID: 3, Method: "Svc.M"}
-	if err := writeMessage(&buf, &mu, in, obs.SpanContext{}); err != nil {
+	if err := writeMessage(&buf, in, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	payload, err := pickle.Marshal(in)

@@ -84,7 +84,7 @@ func TestDialerReconnect(t *testing.T) {
 	mu.Lock()
 	serverEnd.Close()
 	mu.Unlock()
-	// The next call may race the readLoop noticing; retry absorbs it.
+	// The next call finds the connection dead when it writes; retry redials.
 	if err := c.CallRetry("Count.Bump", &CountArgs{Key: "a"}, &reply, RetryPolicy{}); err != nil {
 		t.Fatalf("call after conn death: %v", err)
 	}
@@ -176,18 +176,18 @@ func (s *errSvc) Fail(arg *CountArgs, reply *CountReply) error {
 	return errors.New("boom")
 }
 
-// TestTimeoutRemovesPending is the regression test for the pending-map
-// leak: a timed-out call must not leave its entry behind, and the late
-// response must be discarded without wedging the read loop.
+// TestTimeoutRemovesPending: a call whose method never answers times out,
+// leaves no call in flight, and takes its connection with it, so the late
+// reply is never read as another call's; the dialer client's next call
+// succeeds on a fresh connection.
 func TestTimeoutRemovesPending(t *testing.T) {
 	srv := NewServer()
 	block := make(chan struct{})
 	if err := srv.Register("Slow", &slowSvc{block: block}); err != nil {
 		t.Fatal(err)
 	}
-	cli, s := net.Pipe()
-	go srv.ServeConn(s)
-	c := NewClient(cli)
+	defer srv.Close()
+	c := NewClientDialer(pipeDialer(srv))
 	defer c.Close()
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
@@ -196,18 +196,20 @@ func TestTimeoutRemovesPending(t *testing.T) {
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)
 	}
-	if n := c.PendingCalls(); n != 0 {
-		t.Fatalf("pending map holds %d entries after timeout, want 0", n)
+	if n := reg.Gauge("rpc_inflight").Value(); n != 0 {
+		t.Fatalf("rpc_inflight = %d after the timeout, want 0", n)
 	}
-	if reg.Counter("rpc_timeouts").Value() != 1 {
-		t.Errorf("rpc_timeouts = %d, want 1", reg.Counter("rpc_timeouts").Value())
+	if n := reg.Counter("rpc_timeouts").Value(); n != 1 {
+		t.Errorf("rpc_timeouts = %d, want 1", n)
 	}
-	// Release the slow handler; its late response must be discarded and
-	// the connection must remain usable.
+	// Release the slow method: its reply goes to a closed connection.
 	close(block)
 	var reply CountReply
 	if err := c.CallTimeout("Slow.Quick", &CountArgs{}, &reply, time.Second); err != nil {
-		t.Fatalf("call after discarded late response: %v", err)
+		t.Fatalf("call after the timeout: %v", err)
+	}
+	if n := reg.Counter("rpc_reconnects").Value(); n != 1 {
+		t.Errorf("rpc_reconnects = %d, want 1", n)
 	}
 }
 
@@ -221,8 +223,8 @@ func (s *slowSvc) Wait(arg *CountArgs, reply *CountReply) error {
 func (s *slowSvc) Quick(arg *CountArgs, reply *CountReply) error { return nil }
 
 // TestConnDeathFailsPending checks the other half of the audit: when the
-// connection dies, every call in flight on it fails promptly with
-// ErrDisconnected instead of wedging forever, and the pending map drains.
+// connection dies, the call on it and every call waiting for its turn fail
+// promptly with ErrDisconnected instead of wedging forever.
 func TestConnDeathFailsPending(t *testing.T) {
 	srv := NewServer()
 	block := make(chan struct{})
@@ -234,6 +236,9 @@ func TestConnDeathFailsPending(t *testing.T) {
 	go srv.ServeConn(s)
 	c := NewClient(cli)
 	defer c.Close()
+	reg := obs.NewRegistry()
+	c.Instrument(reg)
+	inflight := reg.Gauge("rpc_inflight")
 
 	const n = 4
 	errs := make(chan error, n)
@@ -242,22 +247,16 @@ func TestConnDeathFailsPending(t *testing.T) {
 			errs <- c.Call("Slow.Wait", &CountArgs{}, nil)
 		}()
 	}
-	// Wait for all calls to be in flight.
-	deadline := time.Now().Add(2 * time.Second)
-	for c.PendingCalls() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d calls in flight", c.PendingCalls())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// One call is on the connection and n-1 wait for their turn.
+	waitFor(t, fmt.Sprintf("%d calls in flight", n), func() bool { return inflight.Value() == n })
 	cli.Close()
 	for i := 0; i < n; i++ {
 		if err := <-errs; !errors.Is(err, ErrDisconnected) && !errors.Is(err, ErrShutdown) {
 			t.Fatalf("in-flight call after conn death: %v", err)
 		}
 	}
-	if got := c.PendingCalls(); got != 0 {
-		t.Fatalf("pending map holds %d entries after conn death, want 0", got)
+	if got := inflight.Value(); got != 0 {
+		t.Fatalf("rpc_inflight = %d after conn death, want 0", got)
 	}
 }
 

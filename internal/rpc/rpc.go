@@ -17,14 +17,16 @@
 // instead of a stub compiler.
 //
 // The wire protocol is one uvarint-length-prefixed pickled message per
-// request or response, matched by call ID, so a client may pipeline calls
-// on one connection; the server answers them one at a time, in arrival
-// order (see ServeConn). Frame buffers are reused, not allocated.
+// request or response, tagged with a call ID. A connection carries one call
+// at a time: the client's caller writes its request and reads its own
+// reply, and the server answers on the goroutine that read the request (see
+// ServeConn), so no goroutine hands a message to another on either side.
+// Frame buffers are reused, not allocated.
 //
 // The network is allowed to fail. A Client built over a dial function
 // (NewClientDialer, Dial, DialRetry) reconnects automatically: when the
-// connection dies, every call in flight on it fails with ErrDisconnected
-// and the next call dials afresh. CallRetry layers at-least-once delivery
+// connection dies or a call times out, the call on it fails and the next
+// call dials afresh. CallRetry layers at-least-once delivery
 // on top — exponential backoff with jitter under a total deadline budget —
 // and stamps every attempt with the same idempotency token, which the
 // server uses to deduplicate re-executions and replay the original reply,
@@ -121,31 +123,47 @@ func init() {
 // prefixed payload. Untraced frames are byte-identical to the pre-
 // extension protocol, so old and new endpoints interoperate as long as
 // only new ones emit traces. The header goes into frameRoom bytes left free
-// in front of the payload, right-aligned against it.
-func writeMessage(w io.Writer, wmu *sync.Mutex, v any, sc obs.SpanContext) error {
-	bp := framePool.Get().(*[]byte)
-	buf, err := pickle.AppendMarshal((*bp)[:frameRoom], v)
+// in front of the payload, right-aligned against it. Each connection has
+// one writer on each side, so nothing locks around the Write.
+func writeMessage(w io.Writer, v any, sc obs.SpanContext) error {
+	bp, start, err := encodeFrame(v, sc)
 	if err == nil {
-		var hdr [frameRoom]byte
-		n := 0
-		if sc.Trace != 0 {
-			hdr[n] = 0 // extension sentinel: zero-length frame
-			n++
-			n += binary.PutUvarint(hdr[n:], uint64(sc.Trace))
-			n += binary.PutUvarint(hdr[n:], uint64(sc.Span))
-		}
-		n += binary.PutUvarint(hdr[n:], uint64(len(buf)-frameRoom))
-		start := frameRoom - n
-		copy(buf[start:], hdr[:n])
-		wmu.Lock()
-		_, err = w.Write(buf[start:])
-		wmu.Unlock()
+		_, err = w.Write((*bp)[start:])
 	}
-	if cap(buf) <= frameChunk {
-		*bp = buf
+	putFrame(bp)
+	return err
+}
+
+// encodeFrame pickles v into a pooled buffer behind its frame header; the
+// frame is (*bp)[start:], and putFrame returns the buffer. Its errors are
+// pickle's.
+func encodeFrame(v any, sc obs.SpanContext) (bp *[]byte, start int, err error) {
+	bp = framePool.Get().(*[]byte)
+	buf, err := pickle.AppendMarshal((*bp)[:frameRoom], v)
+	*bp = buf
+	if err != nil {
+		return bp, 0, err
+	}
+	var hdr [frameRoom]byte
+	n := 0
+	if sc.Trace != 0 {
+		hdr[n] = 0 // extension sentinel: zero-length frame
+		n++
+		n += binary.PutUvarint(hdr[n:], uint64(sc.Trace))
+		n += binary.PutUvarint(hdr[n:], uint64(sc.Span))
+	}
+	n += binary.PutUvarint(hdr[n:], uint64(len(buf)-frameRoom))
+	start = frameRoom - n
+	copy(buf[start:], hdr[:n])
+	return bp, start, nil
+}
+
+// putFrame returns encodeFrame's buffer to the pool, unless a large message
+// grew it past frameChunk.
+func putFrame(bp *[]byte) {
+	if cap(*bp) <= frameChunk {
 		framePool.Put(bp)
 	}
-	return err
 }
 
 // encodeFailed reports whether writeMessage failed before writing anything.
@@ -409,7 +427,6 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 	}()
 
 	var (
-		wmu sync.Mutex
 		r   = bufio.NewReader(conn)
 		buf []byte
 		req request
@@ -420,10 +437,10 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 		if err != nil {
 			return
 		}
-		err = writeMessage(conn, &wmu, s.serveRequest(&req, sc), obs.SpanContext{})
+		err = writeMessage(conn, s.serveRequest(&req, sc), obs.SpanContext{})
 		if encodeFailed(err) {
 			// Nothing was written; the caller gets the reason instead.
-			err = writeMessage(conn, &wmu, &response{ID: req.ID, Err: fmt.Sprintf("rpc: %s: encode reply: %v", req.Method, err)}, obs.SpanContext{})
+			err = writeMessage(conn, &response{ID: req.ID, Err: fmt.Sprintf("rpc: %s: encode reply: %v", req.Method, err)}, obs.SpanContext{})
 		}
 		if err != nil {
 			return
@@ -661,12 +678,12 @@ func (d *dedupe) finish(client string, token uint64, resp *response) {
 
 // --- client ---
 
-// A Client issues calls over one connection at a time; it is safe for
-// concurrent use and pipelines calls, which the server answers one at a
-// time in the order sent: calls that must not wait on each other need
-// separate clients. A client built with a dial function reconnects lazily:
-// when the connection dies, in-flight calls fail with ErrDisconnected and
-// the next call redials.
+// A Client issues calls over one connection, one call at a time: the caller
+// writes its request and reads its own reply. It is safe for concurrent use,
+// but concurrent calls queue on the client, in no promised order, so calls
+// that must not wait on each other need separate clients. A client built
+// with a dial function reconnects lazily: when the connection dies or a call
+// times out, that call fails and the next call redials.
 type Client struct {
 	// SimulatedRTT, when set, delays every call by the given round-trip
 	// time — experiment E11's stand-in for the paper's 8 ms network.
@@ -687,35 +704,28 @@ type Client struct {
 	inflight   *obs.Gauge
 
 	nextToken atomic.Uint64
+	nextID    atomic.Uint64
 
 	rmu sync.Mutex
 	rng *rand.Rand // backoff jitter
 
+	// turn holds a token while a call uses the connection.
+	turn chan struct{}
+
 	mu       sync.Mutex
 	cur      *clientConn
 	everConn bool
-	nextID   uint64
-	pending  map[uint64]*pendingCall
-	err      error // sticky death of a fixed-conn client
+	err      error // why the last connection died; a fixed-conn client's is final
 	closed   bool
 }
 
-// clientConn is one live connection with its write lock.
+// clientConn is one live connection; only the call holding the client's
+// turn reads or writes it.
 type clientConn struct {
-	rwc io.ReadWriteCloser
-	wmu sync.Mutex
-}
-
-// pendingCall is one outstanding request awaiting its response.
-type pendingCall struct {
-	cc *clientConn
-	ch chan callResult
-}
-
-// callResult is a response or a transport failure.
-type callResult struct {
-	resp response
-	err  error
+	rwc  io.ReadWriteCloser
+	r    *bufio.Reader
+	buf  []byte   // frame storage, reused across replies
+	resp response // decode target, reused across replies
 }
 
 var clientSeq atomic.Uint64
@@ -723,21 +733,20 @@ var clientSeq atomic.Uint64
 func newClient(dial func() (io.ReadWriteCloser, error)) *Client {
 	seq := clientSeq.Add(1)
 	return &Client{
-		dial:    dial,
-		id:      fmt.Sprintf("c%d.%d", os.Getpid(), seq),
-		rng:     rand.New(rand.NewSource(int64(seq))),
-		pending: make(map[uint64]*pendingCall),
+		dial: dial,
+		id:   fmt.Sprintf("c%d.%d", os.Getpid(), seq),
+		rng:  rand.New(rand.NewSource(int64(seq))),
+		turn: make(chan struct{}, 1),
 	}
 }
 
-// NewClient returns a Client bound to one fixed conn; when it dies the
-// client is dead (use NewClientDialer for reconnection).
+// NewClient returns a Client bound to one fixed conn; when it dies, or a
+// call on it times out, the client is dead (use NewClientDialer for
+// reconnection).
 func NewClient(conn io.ReadWriteCloser) *Client {
 	c := newClient(nil)
-	cc := &clientConn{rwc: conn}
-	c.cur = cc
+	c.cur = &clientConn{rwc: conn, r: bufio.NewReader(conn)}
 	c.everConn = true
-	go c.readLoop(cc)
 	return c
 }
 
@@ -795,78 +804,18 @@ func (c *Client) ensureConnLocked() (*clientConn, error) {
 		return c.cur, nil
 	}
 	if c.dial == nil {
-		if c.err != nil {
-			return nil, c.err
-		}
-		return nil, ErrShutdown
+		return nil, c.err
 	}
 	rwc, err := c.dial()
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial: %v", ErrDisconnected, err)
 	}
-	cc := &clientConn{rwc: rwc}
-	c.cur = cc
+	c.cur = &clientConn{rwc: rwc, r: bufio.NewReader(rwc)}
 	if c.everConn {
 		c.reconnects.Inc()
 	}
 	c.everConn = true
-	go c.readLoop(cc)
-	return cc, nil
-}
-
-func (c *Client) readLoop(cc *clientConn) {
-	r := bufio.NewReader(cc.rwc)
-	var buf []byte
-	var resp response
-	for {
-		resp = response{}
-		if _, err := decodeFrame(&buf, r, &resp); err != nil {
-			c.connFailed(cc, err)
-			return
-		}
-		c.mu.Lock()
-		pc := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
-		c.mu.Unlock()
-		if pc != nil {
-			pc.ch <- callResult{resp: resp}
-		}
-		// A nil pc is a response whose caller stopped waiting (timeout);
-		// it is discarded, not leaked.
-	}
-}
-
-// connFailed retires a dead connection: calls in flight on it fail with
-// ErrDisconnected, the conn is closed (unwedging any writer blocked on a
-// black-holed transport), and — for fixed-conn clients — the death is
-// sticky.
-func (c *Client) connFailed(cc *clientConn, cause error) {
-	err := fmt.Errorf("%w: %v", ErrDisconnected, cause)
-	c.mu.Lock()
-	if c.cur == cc {
-		c.cur = nil
-		if c.dial == nil && c.err == nil {
-			c.err = err
-		}
-	}
-	var failed []*pendingCall
-	for id, pc := range c.pending {
-		if pc.cc == cc {
-			delete(c.pending, id)
-			failed = append(failed, pc)
-		}
-	}
-	c.mu.Unlock()
-	cc.rwc.Close()
-	for _, pc := range failed {
-		pc.ch <- callResult{err: err}
-	}
-}
-
-func (c *Client) dropPending(id uint64) {
-	c.mu.Lock()
-	delete(c.pending, id)
-	c.mu.Unlock()
+	return c.cur, nil
 }
 
 // Call invokes "Service.Method" with arg, storing the result into reply
@@ -882,71 +831,46 @@ func (c *Client) CallTraced(sc obs.SpanContext, method string, arg, reply any) e
 	return c.call(method, arg, reply, 0, 0, sc)
 }
 
-// CallTimeout is Call with a deadline: if the response does not arrive in
-// time the call fails with ErrTimeout. The request is not cancelled on the
-// server — as in the paper's RPC, the caller just stops waiting — but the
-// pending-call entry is removed, so the late response is discarded rather
-// than leaked.
+// CallTimeout is Call with a deadline covering the whole call: waiting for
+// the connection, writing the request and reading the reply. If it passes,
+// the call fails with ErrTimeout. The request is not cancelled on the
+// server — as in the paper's RPC, the caller just stops waiting — but once
+// the request is on the connection, its late reply could no longer be told
+// from the next call's, so the connection is closed: a dialer client
+// redials on its next call, and a NewClient client is dead.
 func (c *Client) CallTimeout(method string, arg, reply any, d time.Duration) error {
 	return c.call(method, arg, reply, 0, d, obs.SpanContext{})
 }
 
-// call is the shared call path: send, then wait with an optional deadline.
-// token, when nonzero, is the idempotency token stamped on the request; sc,
-// when valid, rides the frame header to the server.
+// call is the shared call path: pickle the request, take the turn, write the
+// request and read the reply, all within the deadline when d > 0. token,
+// when nonzero, is the idempotency token stamped on the request; sc, when
+// valid, rides the frame header to the server.
 func (c *Client) call(method string, arg, reply any, token uint64, d time.Duration, sc obs.SpanContext) error {
 	if c.SimulatedRTT > 0 {
 		time.Sleep(c.SimulatedRTT)
 	}
 	c.inflight.Inc()
 	defer c.inflight.Dec()
-
-	c.mu.Lock()
-	cc, err := c.ensureConnLocked()
-	if err != nil {
-		c.mu.Unlock()
-		return err
+	var deadline time.Time
+	if d > 0 {
+		deadline = time.Now().Add(d)
 	}
-	c.nextID++
-	id := c.nextID
-	pc := &pendingCall{cc: cc, ch: make(chan callResult, 1)}
-	c.pending[id] = pc
-	c.mu.Unlock()
 
-	req := &request{ID: id, Method: method, Arg: arg}
+	req := &request{ID: c.nextID.Add(1), Method: method, Arg: arg}
 	if token != 0 {
 		req.Client = c.id
 		req.Token = token
 	}
-	if err := writeMessage(cc.rwc, &cc.wmu, req, sc); err != nil {
-		c.dropPending(id)
-		if encodeFailed(err) {
-			return fmt.Errorf("rpc: %s: encode argument: %w", method, err)
-		}
-		// A failed write leaves the stream in an unknown framing state;
-		// the connection is done.
-		c.connFailed(cc, err)
-		return fmt.Errorf("%w: write: %v", ErrDisconnected, err)
+	bp, start, err := encodeFrame(req, sc)
+	defer putFrame(bp)
+	if err != nil {
+		return fmt.Errorf("rpc: %s: encode argument: %w", method, err)
 	}
-
-	var res callResult
-	if d > 0 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		select {
-		case res = <-pc.ch:
-		case <-timer.C:
-			c.dropPending(id)
-			c.timeouts.Inc()
-			return ErrTimeout
-		}
-	} else {
-		res = <-pc.ch
+	resp, err := c.roundTrip((*bp)[start:], req.ID, deadline)
+	if err != nil {
+		return err
 	}
-	if res.err != nil {
-		return res.err
-	}
-	resp := res.resp
 	if resp.Err != "" {
 		return ServerError(resp.Err)
 	}
@@ -960,13 +884,77 @@ func (c *Client) call(method string, arg, reply any, token uint64, d time.Durati
 	res2 := reflect.ValueOf(resp.Result)
 	switch {
 	case res2.Type() == rv.Type():
-		rv.Elem().Set(res2.Elem())
+		if !res2.IsNil() { // only a hostile server sends a nil result pointer
+			rv.Elem().Set(res2.Elem())
+		}
 	case res2.Type() == rv.Type().Elem():
 		rv.Elem().Set(res2)
 	default:
 		return fmt.Errorf("rpc: reply type %T does not match result %T", reply, resp.Result)
 	}
 	return nil
+}
+
+// roundTrip takes the connection's turn, writes one request frame and reads
+// its reply, all before the deadline (zero: none). Waiting behind another
+// call runs a timer; holding the turn, the deadline closes the connection,
+// which ends a blocked write or read. Any failure, and a reply to another
+// call, retires the connection.
+func (c *Client) roundTrip(frame []byte, id uint64, deadline time.Time) (response, error) {
+	select {
+	case c.turn <- struct{}{}:
+	default:
+		var expired <-chan time.Time // nil, so never ready, without a deadline
+		if !deadline.IsZero() {
+			t := time.NewTimer(time.Until(deadline))
+			defer t.Stop()
+			expired = t.C
+		}
+		select {
+		case c.turn <- struct{}{}:
+		case <-expired:
+			c.timeouts.Inc()
+			return response{}, ErrTimeout
+		}
+	}
+	defer func() { <-c.turn }()
+	c.mu.Lock()
+	cc, err := c.ensureConnLocked()
+	c.mu.Unlock()
+	if err != nil {
+		return response{}, err
+	}
+	var timer *time.Timer
+	if !deadline.IsZero() {
+		timer = time.AfterFunc(time.Until(deadline), func() { cc.rwc.Close() })
+	}
+	cc.resp = response{}
+	if _, err = cc.rwc.Write(frame); err == nil {
+		if _, err = decodeFrame(&cc.buf, cc.r, &cc.resp); err == nil && cc.resp.ID != id {
+			err = fmt.Errorf("reply to call %d on call %d's turn", cc.resp.ID, id)
+		}
+	}
+	if timer != nil && !timer.Stop() {
+		err = ErrTimeout
+	}
+	if err == nil {
+		return cc.resp, nil
+	}
+	// The stream may hold half a frame or a late reply, so the connection is
+	// done: a dialer client redials on its next call, a fixed-conn one is dead.
+	dead := fmt.Errorf("%w: %v", ErrDisconnected, err)
+	c.mu.Lock()
+	if c.cur == cc {
+		c.cur = nil
+		c.err = dead
+	}
+	c.mu.Unlock()
+	cc.rwc.Close()
+	if err == ErrTimeout {
+		c.timeouts.Inc()
+		return response{}, err
+	}
+	return response{}, dead
 }
 
 // RetryPolicy bounds CallRetry. The zero value picks the defaults noted on
@@ -1065,16 +1053,9 @@ func (c *Client) CallRetryTraced(sc obs.SpanContext, method string, arg, reply a
 	}
 }
 
-// PendingCalls reports the number of in-flight requests in the pending map
-// (for tests and debugging: a stuck entry here is a leak).
-func (c *Client) PendingCalls() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pending)
-}
-
-// Close shuts the client down; outstanding calls fail with ErrShutdown and
-// no reconnection happens.
+// Close shuts the client down and closes its connection: the call using it
+// fails with ErrDisconnected, calls waiting for their turn and every later
+// call fail with ErrShutdown, and no reconnection happens.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -1084,15 +1065,9 @@ func (c *Client) Close() error {
 	c.closed = true
 	cc := c.cur
 	c.cur = nil
-	pending := c.pending
-	c.pending = make(map[uint64]*pendingCall)
 	c.mu.Unlock()
-	var err error
 	if cc != nil {
-		err = cc.rwc.Close()
+		return cc.rwc.Close()
 	}
-	for _, pc := range pending {
-		pc.ch <- callResult{err: ErrShutdown}
-	}
-	return err
+	return nil
 }

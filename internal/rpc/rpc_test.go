@@ -3,6 +3,7 @@ package rpc
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -68,11 +69,19 @@ func pipePair(t *testing.T) (*Client, *Server) {
 	if err := srv.Register("Echo", Echo{}); err != nil {
 		t.Fatal(err)
 	}
-	cConn, sConn := net.Pipe()
-	go srv.ServeConn(sConn)
+	cConn, _ := pipeDialer(srv)()
 	c := NewClient(cConn)
 	t.Cleanup(func() { c.Close(); srv.Close() })
 	return c, srv
+}
+
+// pipeDialer dials srv over a fresh in-memory pipe.
+func pipeDialer(srv *Server) func() (io.ReadWriteCloser, error) {
+	return func() (io.ReadWriteCloser, error) {
+		cConn, sConn := net.Pipe()
+		go srv.ServeConn(sConn)
+		return cConn, nil
+	}
 }
 
 func TestBasicCall(t *testing.T) {
@@ -210,10 +219,11 @@ func TestUnpicklableArgumentFailsOnlyItsCall(t *testing.T) {
 	c, _ := pipePair(t)
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
+	inflight := reg.Gauge("rpc_inflight")
 	slow := make(chan error, 1)
 	var sr ArithReply
 	go func() { slow <- c.Call("Arith.Slow", &ArithArgs{A: 50}, &sr) }()
-	waitFor(t, "the slow call to be in flight", func() bool { return c.PendingCalls() == 1 })
+	waitFor(t, "the slow call to be in flight", func() bool { return inflight.Value() == 1 })
 
 	err := c.CallRetry("Arith.Do", &AnyMsg{V: Opaque{1}}, nil, RetryPolicy{})
 	var pe *pickle.Error
@@ -226,8 +236,8 @@ func TestUnpicklableArgumentFailsOnlyItsCall(t *testing.T) {
 	if err := <-slow; err != nil || sr.Sum != 50 {
 		t.Fatalf("call in flight beside the refused one: %v %+v", err, sr)
 	}
-	if n := c.PendingCalls(); n != 0 {
-		t.Fatalf("pending map holds %d entries, want 0", n)
+	if n := inflight.Value(); n != 0 {
+		t.Fatalf("rpc_inflight = %d, want 0", n)
 	}
 }
 
@@ -270,20 +280,81 @@ func TestSimulatedRTT(t *testing.T) {
 	}
 }
 
+// TestCallTimeout: a call that outlives its deadline returns ErrTimeout and
+// closes its connection, whose late reply could no longer be told from the
+// next call's. A dialer client's next call succeeds on a fresh connection;
+// a fixed-connection client's next call finds its one connection dead.
 func TestCallTimeout(t *testing.T) {
-	c, _ := pipePair(t)
-	// A slow call times out.
+	fixed, srv := pipePair(t)
+	c := NewClientDialer(pipeDialer(srv))
+	defer c.Close()
+	reg := obs.NewRegistry()
+	c.Instrument(reg)
 	err := c.CallTimeout("Arith.Slow", &ArithArgs{A: 500}, &ArithReply{}, 20*time.Millisecond)
 	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("got %v", err)
+		t.Fatalf("got %v, want ErrTimeout", err)
 	}
-	// The connection is still usable for later calls.
+	if n := reg.Counter("rpc_timeouts").Value(); n != 1 {
+		t.Errorf("rpc_timeouts = %d, want 1", n)
+	}
 	var r ArithReply
-	if err := c.CallTimeout("Arith.Do", &ArithArgs{A: 2, B: 3}, &r, time.Second); err != nil {
+	if err := c.CallTimeout("Arith.Do", &ArithArgs{A: 2, B: 3}, &r, time.Second); err != nil || r.Sum != 5 {
+		t.Fatalf("next call: %v %+v", err, r)
+	}
+	if n := reg.Counter("rpc_reconnects").Value(); n != 1 {
+		t.Errorf("rpc_reconnects = %d, want 1", n)
+	}
+
+	err = fixed.CallTimeout("Arith.Slow", &ArithArgs{A: 500}, &ArithReply{}, 20*time.Millisecond)
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("fixed connection: got %v, want ErrTimeout", err)
+	}
+	if err := fixed.Call("Arith.Do", &ArithArgs{A: 2, B: 3}, &r); !errors.Is(err, ErrDisconnected) {
+		t.Fatalf("fixed connection's next call: got %v, want ErrDisconnected", err)
+	}
+}
+
+// TestCallTimeoutCoversTheWait: the deadline bounds the wait for a
+// connection another call is using, not only the wait for the reply.
+func TestCallTimeoutCoversTheWait(t *testing.T) {
+	c, srv := pipePair(t)
+	bar := &barrierSvc{release: make(chan struct{})}
+	if err := srv.Register("Bar", bar); err != nil {
 		t.Fatal(err)
 	}
-	if r.Sum != 5 {
-		t.Errorf("sum %d", r.Sum)
+	release := sync.OnceFunc(func() { close(bar.release) })
+	held := make(chan error, 1)
+	go func() { held <- c.Call("Bar.Hold", &ArithArgs{}, nil) }()
+	waitFor(t, "the held call to reach its method", func() bool { return bar.held.Load() == 1 })
+	// A deadline the wait ignores must still let the call end.
+	time.AfterFunc(time.Second, release)
+
+	start := time.Now()
+	err := c.CallTimeout("Arith.Do", &ArithArgs{A: 1, B: 2}, nil, 20*time.Millisecond)
+	if took := time.Since(start); !errors.Is(err, ErrTimeout) || took > 100*time.Millisecond {
+		t.Fatalf("a 20ms call behind a held one returned %v after %v, want ErrTimeout within 100ms", err, took)
+	}
+	release()
+	if err := <-held; err != nil {
+		t.Fatalf("held call: %v", err)
+	}
+}
+
+// TestCallAllocCeiling pins what one call allocates over net.Pipe, client
+// and server together, the call BenchmarkCallPipe times.
+func TestCallAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	c, _ := pipePair(t)
+	var out EchoMsg
+	allocs := testing.AllocsPerRun(500, func() {
+		if err := c.Call("Echo.Echo", &EchoMsg{S: "x"}, &out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 12 {
+		t.Fatalf("a call allocates %.1f times, want at most 12", allocs)
 	}
 }
 
