@@ -334,5 +334,4 @@ func TestOnePublicationPerCommit(t *testing.T) {
 	if snap.Seq() != 6 {
 		t.Errorf("published seq %d after 6 updates", snap.Seq())
 	}
-	snap.Release()
 }

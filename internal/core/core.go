@@ -260,10 +260,10 @@ type Store struct {
 	root any
 
 	// versioned reports that root implements VersionedRoot: enquiries are
-	// lock-free reads of vs's published version.
+	// lock-free reads of the version pub points to. pub stays nil on an
+	// unversioned store.
 	versioned bool
-	vs        versionSet
-	vm        versionMetrics
+	pub       atomic.Pointer[Snapshot]
 
 	// enquiries counts Views on an atomic so the lock-free read path
 	// never takes statMu.
@@ -303,10 +303,10 @@ type Store struct {
 
 	// Delta-checkpoint state, guarded by cpMu (set without it only during
 	// Open, before the store is shared). cpPrevView is the published view
-	// pinned at the last successful checkpoint — the base the next delta
+	// taken at the last successful checkpoint — the base the next delta
 	// diffs against; nil means the next checkpoint must be full. cpPrevSeq
 	// is that checkpoint's NextSeq. Retaining the view costs memory
-	// proportional to the churn since it was pinned (the COW discipline
+	// proportional to the churn since it was taken (the COW discipline
 	// shares everything unchanged).
 	cpPrevView any
 	cpPrevSeq  uint64
@@ -334,6 +334,7 @@ type Store struct {
 		enquiries, updates, checkpoints *obs.Counter
 		cpErrors, cpMirrored            *obs.Counter
 		deltaCheckpoints, compactions   *obs.Counter
+		published, locked               *obs.Counter
 	}
 	cpInflight *obs.Gauge
 	tracer     obs.Tracer
@@ -365,6 +366,8 @@ func (s *Store) initObs() {
 	s.ctr.cpMirrored = reg.Counter("checkpoint_mirrored_entries")
 	s.ctr.deltaCheckpoints = reg.Counter("core_delta_checkpoints")
 	s.ctr.compactions = reg.Counter("core_compactions")
+	s.ctr.published = reg.Counter("core_versions_published")
+	s.ctr.locked = reg.Counter("core_enquiries_locked")
 	s.cpInflight = reg.Gauge("core_checkpoint_inflight")
 	if reg != nil {
 		reg.Register("core_log_bytes", func() any {
@@ -394,16 +397,11 @@ func (s *Store) initObs() {
 		reg.Register("pickle_enc_pool_hit_rate", func() any { return poolHitRate(pickle.Stats().EncPoolGets, pickle.Stats().EncPoolMisses) })
 		reg.Register("pickle_dec_pool_hit_rate", func() any { return poolHitRate(pickle.Stats().DecPoolGets, pickle.Stats().DecPoolMisses) })
 	}
-	s.initVersionObs(reg)
 	if reg != nil || s.tracer != nil {
 		// With lock-free enquiries the shared mode is never acquired on
 		// this lock; skip its wait/contention series so /stats does not
 		// export dead metrics.
-		var opts []sulock.InstrumentOption
-		if s.versioned {
-			opts = append(opts, sulock.SkipShared())
-		}
-		s.lock.Instrument(reg, "core", s.tracer, opts...)
+		s.lock.Instrument(reg, "core", s.tracer, !s.versioned)
 	}
 }
 
@@ -734,16 +732,16 @@ func (s *Store) replayInto(hdr *header, logName string, firstSeq uint64, opts wa
 // lock, excluded during each update's in-memory apply, exactly the paper's
 // protocol.
 func (s *Store) View(fn func(root any) error) error {
-	if v := s.vs.pub.Load(); v != nil {
+	if sn := s.pub.Load(); sn != nil {
 		s.enquiries.Add(1)
 		s.ctr.enquiries.Inc()
-		return fn(v.root)
+		return fn(sn.root)
 	}
 	s.lock.Shared()
 	defer s.lock.SharedUnlock()
 	s.enquiries.Add(1)
 	s.ctr.enquiries.Inc()
-	s.vm.locked.Inc()
+	s.ctr.locked.Inc()
 	return fn(s.root)
 }
 
@@ -839,7 +837,7 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) (applied int, err error)
 		pt = phaseTracer{on: true, tr: s.tracer, ctx: upd.Context()}
 	}
 	start := time.Now()
-	lockWait := s.lock.UpdateWaited()
+	lockWait := s.lock.Update()
 	if pt.on {
 		pt.emit("lock.wait", start, lockWait, nil, obs.A("mode", "update"))
 	}
@@ -908,7 +906,7 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) (applied int, err error)
 		// Step 3: convert to exclusive and modify the virtual memory
 		// structure.
 		if applied == 0 {
-			upWait := s.lock.UpgradeWaited()
+			upWait := s.lock.Upgrade()
 			unlock = s.lock.ExclusiveUnlock
 			if pt.on && upWait > 0 {
 				pt.emit("lock.wait", t3, upWait, nil, obs.A("mode", "upgrade"))
@@ -1049,7 +1047,8 @@ func (s *Store) publishDurable(frontier uint64) {
 	n := 0
 	for n < len(s.pendingPub) && s.pendingPub[n].seq <= frontier {
 		p := s.pendingPub[n]
-		s.vs.publish(p.view, p.seq, s.vm.published, s.vm.reclaimed)
+		s.pub.Store(&Snapshot{root: p.view, seq: p.seq})
+		s.ctr.published.Inc()
 		n++
 	}
 	if n > 0 {
@@ -1325,8 +1324,8 @@ func (s *Store) stageHook(stage CheckpointStage) {
 // complete up to every acknowledgement. The crashtest overlap sweep
 // (cmd/crashtest -overlap) proves this at every faultfs op index.
 //
-// With a DeltaRoot and a pinned previous view, step 1's pickle produces a
-// delta — the diff of the pinned snapshot against the previous
+// With a DeltaRoot and a held previous view, step 1's pickle produces a
+// delta — the diff of the current snapshot against the previous
 // checkpoint's — and step 2 writes it as checkpointN.d, chaining onto the
 // previous version. Everything else (mirror window, commit point,
 // retention) is identical; a delta that would rival the base image's size
@@ -1353,7 +1352,7 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 	// The flush made every applied update durable, but their committers
 	// may still be waiting on it with their publications queued. Drain the
 	// queue here — we hold the update lock, so applied is stable — or the
-	// pinned snapshot below would sit behind applied and force the
+	// snapshot below would sit behind applied and force the
 	// locked-pickle fallback.
 	s.publishDurable(log.DurableSeq())
 	s.mu.Lock()
@@ -1364,7 +1363,7 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 	}})
 
 	// Pickle the root in memory. With a versioned root, the lock is held
-	// only long enough to pin the current published version — whose seq
+	// only long enough to load the current published version — whose seq
 	// is exactly applied, since appliers need the update lock we hold —
 	// and the pickle itself runs after the lock is released, against the
 	// immutable snapshot, concurrently with committing updates. With an
@@ -1380,7 +1379,6 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 			// Cannot happen while the update lock serializes applies;
 			// fall back to the locked pickle rather than write a torn
 			// checkpoint if the invariant is ever broken.
-			snap.Release()
 			snap = nil
 		}
 	}
@@ -1403,9 +1401,6 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 	s.lock.UpdateUnlock()
 	s.hist.cpStall.ObserveDuration(stall)
 	if perr != nil {
-		if snap != nil {
-			snap.Release()
-		}
 		putCPBuf(bufp, buf)
 		return perr
 	}
@@ -1460,7 +1455,6 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 		if !isDelta {
 			perr = pickle.Write(sw, &header{NextSeq: nextSeq, Root: curView})
 		}
-		snap.Release()
 		buf = sw.buf
 		pickleTime += time.Since(ps)
 		if perr != nil {
@@ -1542,7 +1536,7 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 
 	// The switch is complete: disk is at version next whatever becomes of
 	// the cleanup below, so the chain accounting and the next delta's base
-	// move with it. curView is the pinned published view this checkpoint
+	// move with it. curView is the published view this checkpoint
 	// recorded — exactly what on-disk version next reconstructs to. (All
 	// under cpMu, which the caller holds.)
 	if isDelta {
@@ -1790,10 +1784,8 @@ func (s *Store) AppliedSeq() uint64 {
 // ≤ durable frontier); on an unversioned one the applied sequence, which
 // only advances after the log sync.
 func (s *Store) DurableSeq() uint64 {
-	if s.versioned {
-		if v := s.vs.pub.Load(); v != nil {
-			return v.seq
-		}
+	if sn := s.pub.Load(); sn != nil {
+		return sn.seq
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -216,7 +216,6 @@ func TestShardedDeferredPublish(t *testing.T) {
 		if snap.Seq() != uint64(i+1) {
 			t.Fatalf("published seq %d after %d applies", snap.Seq(), i+1)
 		}
-		snap.Release()
 	}
 }
 

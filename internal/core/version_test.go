@@ -66,45 +66,41 @@ func putN(t *testing.T, s *Store, n int) {
 	}
 }
 
-// TestSnapshotPinnedAcrossPublishes pins one snapshot while the writer
-// publishes many newer versions: the snapshot's content must never move,
-// superseded versions must accumulate (reclamation is blocked by the
-// pin), and a single Release must let the next publish reclaim them all.
-func TestSnapshotPinnedAcrossPublishes(t *testing.T) {
+// TestSnapshotStableAcrossPublishes holds 100 snapshots, each of a different
+// version, while the writer publishes 100 newer ones and the collector runs:
+// the store keeps no superseded version, so only the readers' references
+// keep these alive, and every one must keep its Seq and its content.
+func TestSnapshotStableAcrossPublishes(t *testing.T) {
 	s := openVKV(t)
 	defer s.Close()
 
-	if err := s.Apply(&putVKV{Key: "k", Value: "pinned"}); err != nil {
-		t.Fatal(err)
+	const n = 100
+	snaps := make([]*Snapshot, n)
+	for i := range snaps {
+		putN(t, s, 1)
+		snap, err := s.SnapshotAt()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps[i] = snap
 	}
-	snap, err := s.SnapshotAt()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := snap.Seq()
+	putN(t, s, n)
+	runtime.GC()
 
-	putN(t, s, 10)
-	if got := s.RetainedVersions(); got == 0 {
-		t.Fatal("no superseded versions retained while a reader holds a pin")
-	}
-	if snap.Seq() != seq {
-		t.Fatalf("snapshot seq moved: %d → %d", seq, snap.Seq())
-	}
-	if got := snap.Root().(*vkvRoot).Data["k"]; got != "pinned" {
-		t.Fatalf("pinned snapshot shows %q, want %q", got, "pinned")
-	}
-
-	snap.Release()
-	putN(t, s, 1) // the next publish runs reclamation
-	if got := s.RetainedVersions(); got != 0 {
-		t.Fatalf("%d versions still retained after the only pin was released", got)
+	for i, snap := range snaps {
+		if snap.Seq() != uint64(i+1) {
+			t.Fatalf("snapshot %d at seq %d, want %d", i, snap.Seq(), i+1)
+		}
+		if got := snap.Root().(*vkvRoot).Data["k"]; got != "0" {
+			t.Fatalf("snapshot %d shows %q, want %q", i, got, "0")
+		}
 	}
 }
 
-// TestReclamationUnderChurn runs pin/unpin churn against a committing
-// writer: retained versions must not grow without bound, and once the
-// readers stop, one more publish must drain the retired list completely.
-func TestReclamationUnderChurn(t *testing.T) {
+// TestSnapshotsUnderChurn runs readers beside a committing writer whose
+// update at seq n writes strconv.Itoa(n): every snapshot must hold exactly
+// the value written at its Seq, and no reader may see Seq go backwards.
+func TestSnapshotsUnderChurn(t *testing.T) {
 	s := openVKV(t)
 	defer s.Close()
 
@@ -114,14 +110,27 @@ func TestReclamationUnderChurn(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var last uint64
 			for !stop.Load() {
 				snap, err := s.SnapshotAt()
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				_ = snap.Root().(*vkvRoot).Data["k"]
-				snap.Release()
+				seq := snap.Seq()
+				if seq < last {
+					t.Errorf("snapshot seq went back from %d to %d", last, seq)
+					return
+				}
+				last = seq
+				want := ""
+				if seq > 0 {
+					want = strconv.FormatUint(seq, 10)
+				}
+				if got := snap.Root().(*vkvRoot).Data["k"]; got != want {
+					t.Errorf("snapshot at seq %d holds %q, want %q", seq, got, want)
+					return
+				}
 				runtime.Gosched()
 			}
 		}()
@@ -131,68 +140,13 @@ func TestReclamationUnderChurn(t *testing.T) {
 	if testing.Short() {
 		ops = 300
 	}
-	maxRetained := 0
-	for i := 0; i < ops; i++ {
+	for i := 1; i <= ops; i++ {
 		if err := s.Apply(&putVKV{Key: "k", Value: strconv.Itoa(i)}); err != nil {
 			t.Fatal(err)
-		}
-		if n := s.RetainedVersions(); n > maxRetained {
-			maxRetained = n
 		}
 	}
 	stop.Store(true)
 	wg.Wait()
-
-	// The retained count is bounded by the versions published since the
-	// oldest outstanding pin — not by the reader count, since a descheduled
-	// reader can hold one pin across many publishes. The hard invariant is
-	// that churn never wedges reclamation: once the readers stop, a single
-	// publish must drain the retired list completely.
-	t.Logf("retained versions peaked at %d across %d publishes", maxRetained, ops)
-	putN(t, s, 1)
-	if got := s.RetainedVersions(); got != 0 {
-		t.Fatalf("%d versions retained after all readers stopped", got)
-	}
-}
-
-// TestPinTableOverflow exhausts the pin table: snapshot number pinSlots+N
-// must still succeed (degrading to an unpinned read the garbage collector
-// keeps safe) and count the overflow, and every overflowed snapshot must
-// keep reading its version's content even after the store has reclaimed
-// it.
-func TestPinTableOverflow(t *testing.T) {
-	reg := obs.NewRegistry()
-	s := openVKV(t, func(c *Config) { c.Obs = reg })
-	defer s.Close()
-
-	if err := s.Apply(&putVKV{Key: "k", Value: "old"}); err != nil {
-		t.Fatal(err)
-	}
-	const extra = 6
-	snaps := make([]*Snapshot, 0, pinSlots+extra)
-	for i := 0; i < pinSlots+extra; i++ {
-		snap, err := s.SnapshotAt()
-		if err != nil {
-			t.Fatalf("snapshot %d: %v", i, err)
-		}
-		snaps = append(snaps, snap)
-	}
-	if got := reg.Counter("core_enquiry_pin_overflow").Value(); got != extra {
-		t.Fatalf("pin overflow counter = %d, want %d", got, extra)
-	}
-
-	// Supersede and reclaim; unpinned snapshots must still read "old".
-	putN(t, s, pinSlots)
-	for i, snap := range snaps {
-		if got := snap.Root().(*vkvRoot).Data["k"]; got != "old" {
-			t.Fatalf("snapshot %d shows %q after reclamation, want %q", i, got, "old")
-		}
-		snap.Release()
-	}
-	putN(t, s, 1)
-	if got := s.RetainedVersions(); got != 0 {
-		t.Fatalf("%d versions retained after releasing every snapshot", got)
-	}
 }
 
 // TestVersionedLockSeries checks the /stats surface (the satellite fix for
@@ -214,10 +168,7 @@ func TestVersionedLockSeries(t *testing.T) {
 	if hasShared(reg) {
 		t.Error("versioned store exports dead core_lock_shared_* series")
 	}
-	for _, want := range []string{
-		"core_versions_published", "core_versions_retained",
-		"core_version_epoch", "core_reader_pins",
-	} {
+	for _, want := range []string{"core_versions_published", "core_enquiries_locked"} {
 		found := false
 		for _, n := range reg.Names() {
 			if n == want {
@@ -293,7 +244,6 @@ func TestVersionsSurviveRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer snap.Release()
 	if snap.Seq() != seq {
 		t.Fatalf("recovered snapshot at seq %d, want %d", snap.Seq(), seq)
 	}

@@ -935,7 +935,6 @@ func (rc *readerCheck) launch(st *core.Store, treeOf func(any) *nameserver.Tree)
 				} else if fp := fingerprintTree(treeOf(snap.Root())); fp != rc.plan.fp[seq] {
 					msg = fmt.Sprintf("snapshot at seq %d diverges from the oracle prefix of %d updates", seq, seq)
 				}
-				snap.Release()
 				if msg != "" {
 					rc.fail("%s", msg)
 					return

@@ -112,9 +112,7 @@ func Run(st *core.Store, cfg Config) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	exists := treeFromRoot(snap.Root()).FindNode([]string{cfg.Prefix}) != nil
-	snap.Release()
-	if exists {
+	if treeFromRoot(snap.Root()).FindNode([]string{cfg.Prefix}) != nil {
 		return Stats{}, fmt.Errorf("lintest: subtree %q already exists", cfg.Prefix)
 	}
 
@@ -158,7 +156,6 @@ func Run(st *core.Store, cfg Config) (Stats, error) {
 					}
 					held += h[at+w].j
 				}
-				snap.Release()
 				for w := range started {
 					h[at+w].hi = started[w].Load()
 				}

@@ -214,13 +214,9 @@ func TestStressNoBlockedReads(t *testing.T) {
 	if n := reg.Counter("core_versions_published").Value(); n == 0 {
 		t.Fatal("no versions published during stress")
 	}
-	if n := reg.Counter("core_versions_reclaimed").Value(); n == 0 {
-		t.Fatal("no versions reclaimed during stress")
-	}
-	t.Logf("reads=%d writes=%d checkpoints=%d published=%d reclaimed=%d",
+	t.Logf("reads=%d writes=%d checkpoints=%d published=%d",
 		reads.Load(), writes.Load(), checkpoints.Load(),
-		reg.Counter("core_versions_published").Value(),
-		reg.Counter("core_versions_reclaimed").Value())
+		reg.Counter("core_versions_published").Value())
 }
 
 // TestModelClosedForm pins the analytic model itself: lastWrite must name

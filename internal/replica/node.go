@@ -361,8 +361,7 @@ func IsStale(err error) bool {
 // single-writer case equals the origin's sequence number; it is the seq a
 // bounded-staleness read quotes as "this read reflects everything up to s".
 func (n *Node) Frontier() (uint64, error) {
-	_, f, err := n.readSnapshot(nil)
-	return f, err
+	return n.readSnapshot(nil)
 }
 
 // ReadAt serves a bounded-staleness enquiry from this member: it reads name
@@ -377,7 +376,7 @@ func (n *Node) ReadAt(name string, minSeq uint64) (value string, frontier uint64
 	}
 	var v string
 	var lerr error
-	_, frontier, err = n.readSnapshot(func(r *Root) {
+	frontier, err = n.readSnapshot(func(r *Root) {
 		v, lerr = r.Tree.Lookup(parts)
 	})
 	if err != nil {
@@ -389,34 +388,22 @@ func (n *Node) ReadAt(name string, minSeq uint64) (value string, frontier uint64
 	return v, frontier, lerr
 }
 
-// readSnapshot runs fn against a consistent root view and returns the
-// durable frontier that view reflects. It prefers the lock-free published
-// snapshot (whose seq is bounded by the durable frontier); stores without
-// versioned roots fall back to a locked View.
-func (n *Node) readSnapshot(fn func(r *Root)) (seq uint64, frontier uint64, err error) {
-	if sn, serr := n.store.SnapshotAt(); serr == nil {
-		defer sn.Release()
-		r, rerr := rootOf(sn.Root())
-		if rerr != nil {
-			return 0, 0, rerr
-		}
-		if fn != nil {
-			fn(r)
-		}
-		return sn.Seq(), vectorSum(r.Vector), nil
+// readSnapshot runs fn against the lock-free published snapshot (whose seq
+// is bounded by the durable frontier) and returns the durable frontier that
+// view reflects.
+func (n *Node) readSnapshot(fn func(r *Root)) (frontier uint64, err error) {
+	sn, err := n.store.SnapshotAt()
+	if err != nil {
+		return 0, err
 	}
-	err = n.store.View(func(root any) error {
-		r, rerr := rootOf(root)
-		if rerr != nil {
-			return rerr
-		}
-		frontier = vectorSum(r.Vector)
-		if fn != nil {
-			fn(r)
-		}
-		return nil
-	})
-	return frontier, frontier, err
+	r, err := rootOf(sn.Root())
+	if err != nil {
+		return 0, err
+	}
+	if fn != nil {
+		fn(r)
+	}
+	return vectorSum(r.Vector), nil
 }
 
 // Vector snapshots this node's version vector.
@@ -712,33 +699,15 @@ func (s *Service) Snapshot(args *SnapshotArgs, reply *SnapshotReply) (err error)
 	return err
 }
 
-// snapshotRoot returns the node's whole root for shipping to a peer. A
-// versioned store hands out its published snapshot itself, so the only
-// pickle is the RPC's own: a published root is never mutated and the
-// collector keeps it alive, so it needs no pin (Store.View takes none
-// either) past the moment it is read. An unversioned store deep-copies
-// through pickle under the shared lock, which the result must outlive.
+// snapshotRoot returns the node's whole root for shipping to a peer: the
+// published snapshot itself, so the only pickle is the RPC's own. A
+// published root is never mutated and the collector keeps it alive.
 func (n *Node) snapshotRoot() (*Root, error) {
-	if sn, err := n.store.SnapshotAt(); err == nil {
-		defer sn.Release()
-		return rootOf(sn.Root())
-	}
-	var cp Root
-	err := n.store.View(func(root any) error {
-		r, err := rootOf(root)
-		if err != nil {
-			return err
-		}
-		data, err := pickle.Marshal(r)
-		if err != nil {
-			return err
-		}
-		return pickle.Unmarshal(data, &cp)
-	})
+	sn, err := n.store.SnapshotAt()
 	if err != nil {
 		return nil, err
 	}
-	return &cp, nil
+	return rootOf(sn.Root())
 }
 
 // VectorArgs requests a member's version vector.

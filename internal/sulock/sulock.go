@@ -53,32 +53,17 @@ type instrumentation struct {
 	tracer                                        obs.Tracer
 }
 
-// InstrumentOption tunes Instrument.
-type InstrumentOption func(*instrumentOptions)
-
-type instrumentOptions struct {
-	skipShared bool
-}
-
-// SkipShared omits the shared-mode series (*_lock_shared_wait_ns,
-// *_lock_shared_contended) from the registry. A store whose enquiries
-// bypass the lock entirely — lock-free versioned reads — never acquires
-// shared mode, and exporting permanently-zero series would misleadingly
-// suggest reads still contend here. Shared acquisitions on such a lock
-// are still correct; they just go unrecorded.
-func SkipShared() InstrumentOption {
-	return func(o *instrumentOptions) { o.skipShared = true }
-}
-
 // Instrument wires the lock's contention metrics into reg under
 // prefix+"_lock_*" names (wait-time histograms and contended-acquisition
 // counters) and, if tr is non-nil, emits a "lock.wait" event for every
 // acquisition that had to block. Call before the lock is in use.
-func (l *Lock) Instrument(reg *obs.Registry, prefix string, tr obs.Tracer, opts ...InstrumentOption) {
-	var o instrumentOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
+//
+// With shared false the shared-mode series (*_lock_shared_wait_ns,
+// *_lock_shared_contended) are left out of the registry: a store whose
+// enquiries bypass the lock never acquires shared mode, and permanently
+// zero series would suggest reads still contend here. Shared acquisitions
+// on such a lock are still correct; they just go unrecorded.
+func (l *Lock) Instrument(reg *obs.Registry, prefix string, tr obs.Tracer, shared bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	ins := &instrumentation{
@@ -88,9 +73,9 @@ func (l *Lock) Instrument(reg *obs.Registry, prefix string, tr obs.Tracer, opts 
 		upContended:     reg.Counter(prefix + "_lock_upgrade_contended"),
 		tracer:          tr,
 	}
-	if !o.skipShared {
-		// The histogram/counter handles stay nil when skipped; the obs
-		// types are nil-safe, so record() needs no branch.
+	if shared {
+		// The histogram/counter handles stay nil otherwise; the obs types
+		// are nil-safe, so record() needs no branch.
 		ins.sharedWait = reg.Histogram(prefix + "_lock_shared_wait_ns")
 		ins.sharedContended = reg.Counter(prefix + "_lock_shared_contended")
 	}
@@ -149,14 +134,11 @@ func (l *Lock) SharedUnlock() {
 }
 
 // Update acquires the lock in update mode: it excludes other updaters but
-// admits shared holders. Updates run under it.
-func (l *Lock) Update() { l.UpdateWaited() }
-
-// UpdateWaited is Update, reporting how long the caller blocked — zero for
-// an uncontended acquisition, measured only when a wait actually happened.
-// Traced updates use it to record a lock-wait span without a second clock
-// read on the fast path.
-func (l *Lock) UpdateWaited() time.Duration {
+// admits shared holders. Updates run under it. It reports how long the
+// caller blocked — zero for an uncontended acquisition, measured only when
+// a wait actually happened — so a traced update records its lock-wait span
+// without a second clock read on the fast path.
+func (l *Lock) Update() time.Duration {
 	l.mu.Lock()
 	l.init()
 	if l.updater || l.urgent > 0 {
@@ -224,12 +206,9 @@ func (l *Lock) UpdateUnlock() {
 // Upgrade converts the caller's update hold to exclusive, blocking until
 // all shared holders release. This is the paper's lock conversion performed
 // after the log entry is committed and before the virtual memory structures
-// are modified.
-func (l *Lock) Upgrade() { l.UpgradeWaited() }
-
-// UpgradeWaited is Upgrade, reporting how long the caller blocked waiting
-// for readers to drain (zero when none were present).
-func (l *Lock) UpgradeWaited() time.Duration {
+// are modified. It reports how long the caller blocked waiting for readers
+// to drain (zero when none were present).
+func (l *Lock) Upgrade() time.Duration {
 	l.mu.Lock()
 	l.init()
 	if !l.updater || l.exclusive {
@@ -258,8 +237,8 @@ func (l *Lock) UpgradeWaited() time.Duration {
 	return 0
 }
 
-// ExclusiveUnlock releases an exclusive hold (acquired by Upgrade or
-// Exclusive), freeing both update and exclusive modes.
+// ExclusiveUnlock releases an exclusive hold acquired by Upgrade, freeing
+// both update and exclusive modes.
 func (l *Lock) ExclusiveUnlock() {
 	l.mu.Lock()
 	l.init()
@@ -271,15 +250,6 @@ func (l *Lock) ExclusiveUnlock() {
 	l.updater = false
 	l.cond.Broadcast()
 	l.mu.Unlock()
-}
-
-// Exclusive acquires the lock directly in exclusive mode. The paper's
-// design never needs it; it exists for the E8 ablation, which holds
-// exclusive for a whole update (disk write included) to show what the
-// three-mode matrix buys.
-func (l *Lock) Exclusive() {
-	l.Update()
-	l.Upgrade()
 }
 
 // Holders reports the current holder counts (shared, update, exclusive);
