@@ -38,7 +38,7 @@ func modelInsertSubtree(m map[string]string, key string, n *nameserver.Node) {
 		m[key] = n.Value
 	}
 	for _, a := range n.AllArcs() { // the form Verify folds the update's subtree into
-		modelInsertSubtree(m, key+"/"+a.Label, a.Child)
+		modelInsertSubtree(m, key+"/"+a.Label, a.Node())
 	}
 	for arc, child := range n.Children { // the form the generator writes
 		modelInsertSubtree(m, key+"/"+arc, child)
@@ -90,7 +90,7 @@ func valueMap(t *testing.T, n *replica.Node) map[string]string {
 				if path != "" {
 					key = path + "/" + a.Label
 				}
-				walk(a.Child, key)
+				walk(a.Node(), key)
 			}
 		}
 		walk(r.Tree.Root, "")

@@ -112,7 +112,7 @@ func existingPaths(t *nameserver.Tree) [][]string {
 			out = append(out, append([]string(nil), path...))
 		}
 		for _, a := range n.AllArcs() {
-			walk(a.Child, append(path, a.Label))
+			walk(a.Node(), append(path, a.Label))
 		}
 	}
 	walk(t.Root, nil)
@@ -192,7 +192,7 @@ func fingerprintTree(t *nameserver.Tree) uint64 {
 		}
 		h.Write([]byte{0})
 		for _, a := range n.AllArcs() {
-			walk(a.Child, append(path, a.Label))
+			walk(a.Node(), append(path, a.Label))
 		}
 	}
 	if t != nil && t.Root != nil {

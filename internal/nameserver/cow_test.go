@@ -60,7 +60,7 @@ func (m flatModel) insertSubtree(parts []string, n *Node) {
 	k := strings.Join(parts, "/")
 	m[k] = flatEntry{has: n.HasValue, val: n.Value}
 	for _, a := range n.AllArcs() { // the form Verify folds the update's subtree into
-		m.insertSubtree(append(parts[:len(parts):len(parts)], a.Label), a.Child)
+		m.insertSubtree(append(parts[:len(parts):len(parts)], a.Label), a.Node())
 	}
 	for label, c := range n.Children { // the input form, when Verify has not run
 		m.insertSubtree(append(parts[:len(parts):len(parts)], label), c)
@@ -111,7 +111,7 @@ func flattenTree(t *Tree) flatModel {
 			if path != "" {
 				p = path + "/" + a.Label
 			}
-			walk(a.Child, p)
+			walk(a.Node(), p)
 		}
 	}
 	if t.Root != nil {
@@ -285,8 +285,10 @@ func deptTree(tb testing.TB) (*Tree, [][]string) {
 
 // TestCOWSetAllocation pins what one copy-on-write Set of an existing name
 // allocates on the 1 → 200 → 500 → 1 path of that data set: the copied
-// nodes, the two wide directories' indexes and one block of each, about
-// 3 KB. Copying the directories' whole arc arrays cost 17.7 KB.
+// nodes, the two wide directories' indexes and one block of each, and the
+// host's one arc, which holds the new value inline: 3 451 bytes in 12
+// allocations (amd64). With 24-byte arcs and the leaf a node of its own it
+// was 2 630 in 13; copying the directories' whole arc arrays cost 17.7 KB.
 func TestCOWSetAllocation(t *testing.T) {
 	tree, names := deptTree(t)
 	rng := rand.New(rand.NewSource(1))

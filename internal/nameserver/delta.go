@@ -122,22 +122,25 @@ func diffNode(old, new *Node, path []string, d *TreeDelta) {
 		// The next label, and its child on each side that has the label.
 		fromOld := len(na) == 0 || (len(oa) > 0 && oa[0].Label <= na[0].Label)
 		fromNew := len(oa) == 0 || (len(na) > 0 && na[0].Label <= oa[0].Label)
-		var label string
-		var oc, nc *Node
+		var o, n Arc
 		if fromOld {
-			label, oc, oa = oa[0].Label, oa[0].Child, oa[1:]
+			o, oa = oa[0], oa[1:]
 		}
 		if fromNew {
-			label, nc, na = na[0].Label, na[0].Child, na[1:]
+			n, na = na[0], na[1:]
+		}
+		label := n.Label
+		if fromOld {
+			label = o.Label
 		}
 		switch {
-		case oc == nc: // pointer-shared: content-identical under COW
-		case nc == nil:
+		case o.Child == n.Child && o.leaf == n.leaf: // pointer-shared (content-identical under COW), or one inline leaf
+		case !n.exists():
 			d.Ops = append(d.Ops, DeltaOp{Op: DeltaDelete, Path: childPath(path, label)})
-		case oc == nil:
-			d.Ops = append(d.Ops, DeltaOp{Op: DeltaPut, Path: childPath(path, label), Subtree: nc})
-		default:
-			diffNode(oc, nc, childPath(path, label), d)
+		case !o.exists():
+			d.Ops = append(d.Ops, DeltaOp{Op: DeltaPut, Path: childPath(path, label), Subtree: n.Node()})
+		default: // an inline leaf on either side compares as the node it stands for
+			diffNode(o.Node(), n.Node(), childPath(path, label), d)
 		}
 	}
 }
@@ -162,11 +165,7 @@ func (t *Tree) ApplyDelta(delta any) error {
 		op := &d.Ops[i]
 		switch op.Op {
 		case DeltaSet:
-			n := t.ensure(op.Path)
-			n.Value = op.Value
-			n.HasValue = op.HasValue
-			n.Stamp = op.Stamp
-			n.StampBy = op.StampBy
+			t.set(op.Path, Node{Value: op.Value, HasValue: op.HasValue, Stamp: op.Stamp, StampBy: op.StampBy}, true)
 		case DeltaDelete:
 			if len(op.Path) == 0 {
 				return fmt.Errorf("nameserver: delta deletes the root")
@@ -189,7 +188,7 @@ func (t *Tree) ApplyDelta(delta any) error {
 			// nodes decode with born == 0, so later mutations copy them
 			// — exactly the discipline for checkpoint-loaded nodes.
 			dir, label := split(op.Path)
-			t.ensure(dir).bind(label, op.Subtree)
+			t.ensure(dir).bind(arcTo(label, op.Subtree))
 		default:
 			return fmt.Errorf("nameserver: unknown delta op %d at %s", op.Op, JoinPath(op.Path))
 		}

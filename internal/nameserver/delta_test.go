@@ -34,7 +34,7 @@ func nodesMatch(a, b *Node, path string) string {
 		if ba[i].Label != arc.Label {
 			return fmt.Sprintf("node %q: extra child %q", path, arc.Label)
 		}
-		if d := nodesMatch(arc.Child, ba[i].Child, path+"/"+arc.Label); d != "" {
+		if d := nodesMatch(arc.Node(), ba[i].Node(), path+"/"+arc.Label); d != "" {
 			return d
 		}
 	}
@@ -150,7 +150,7 @@ func TestTreeDeltaProportionalToChurn(t *testing.T) {
 func TestTreeDeltaVisitsChangedBlocks(t *testing.T) {
 	dir := &Node{}
 	for i := 0; i < 500; i++ {
-		dir.Arcs = append(dir.Arcs, Arc{fmt.Sprintf("name%03d", i), &Node{Value: "v", HasValue: true}})
+		dir.Arcs = append(dir.Arcs, Arc{Label: fmt.Sprintf("name%03d", i), Child: &Node{Value: "v", HasValue: true}})
 	}
 	tree := NewTree()
 	if err := (&PutSubtree{Path: []string{"dir"}, Subtree: dir}).Apply(tree); err != nil {
@@ -174,9 +174,9 @@ func TestTreeDeltaVisitsChangedBlocks(t *testing.T) {
 func TestApplyDeltaRefusesSharedSubtree(t *testing.T) {
 	leaf := &Node{Value: "v", HasValue: true}
 	cycle := &Node{}
-	cycle.Arcs = []Arc{{"x", cycle}}
+	cycle.Arcs = []Arc{{Label: "x", Child: cycle}}
 	for name, ops := range map[string][]DeltaOp{
-		"within": {{Op: DeltaPut, Path: []string{"a"}, Subtree: &Node{Arcs: []Arc{{"p", leaf}, {"q", leaf}}}}},
+		"within": {{Op: DeltaPut, Path: []string{"a"}, Subtree: &Node{Arcs: []Arc{{Label: "p", Child: leaf}, {Label: "q", Child: leaf}}}}},
 		"across": {{Op: DeltaPut, Path: []string{"a"}, Subtree: leaf}, {Op: DeltaPut, Path: []string{"b"}, Subtree: leaf}},
 		"cycle":  {{Op: DeltaPut, Path: []string{"a"}, Subtree: cycle}},
 	} {

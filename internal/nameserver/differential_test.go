@@ -180,10 +180,10 @@ func dumpTree(t *testing.T, tr *Tree) string {
 		dumpLine(&sb, path, refEntry{n.Value, n.HasValue, n.Stamp, n.StampBy})
 		arcs := n.AllArcs()
 		for i, a := range arcs {
-			if a.Child == nil || (i > 0 && arcs[i-1].Label >= a.Label) {
+			if !a.exists() || (i > 0 && arcs[i-1].Label >= a.Label) {
 				t.Fatalf("node %q: arcs not strictly ascending and non-nil at %d (%q)", JoinPath(path), i, a.Label)
 			}
-			walk(a.Child, append(path, a.Label))
+			walk(a.Node(), append(path, a.Label))
 		}
 	}
 	walk(tr.Root, nil)
@@ -251,14 +251,18 @@ func wideSpec(rng *rand.Rand, step int) refModel {
 	return spec
 }
 
-// flatCopy copies a subtree with every node's arcs flat: the reference for
-// the bytes a tree whose nodes hold blocks must pickle to.
+// flatCopy copies a subtree with every node's arcs flat and every leaf a
+// node: the reference for the bytes a tree whose nodes hold blocks and
+// inline leaves must pickle to.
 func flatCopy(n *Node) *Node {
+	if n == nil {
+		return nil
+	}
 	c := &Node{Value: n.Value, HasValue: n.HasValue, Stamp: n.Stamp, StampBy: n.StampBy}
 	if arcs := n.AllArcs(); arcs != nil {
 		c.Arcs = make([]Arc, len(arcs))
 		for i, a := range arcs {
-			c.Arcs[i] = Arc{a.Label, flatCopy(a.Child)}
+			c.Arcs[i] = Arc{Label: a.Label, Child: flatCopy(a.Node())}
 		}
 	}
 	return c
@@ -304,9 +308,9 @@ func buildSubtree(spec refModel, key string, form int) *Node {
 			}
 			n.Children[l] = c
 		case 1:
-			n.Arcs = append(n.Arcs, Arc{l, c})
+			n.Arcs = append(n.Arcs, Arc{Label: l, Child: c})
 		case 2:
-			n.Arcs = append([]Arc{{l, c}}, n.Arcs...)
+			n.Arcs = append([]Arc{{Label: l, Child: c}}, n.Arcs...)
 		}
 	}
 	return n
@@ -314,8 +318,12 @@ func buildSubtree(spec refModel, key string, form int) *Node {
 
 func scribble(n *Node) {
 	n.Value, n.HasValue = "scribbled on the caller's subtree after Apply", true
-	for _, a := range n.AllArcs() {
-		scribble(a.Child)
+	for i, a := range n.Arcs { // the update's subtree is flat
+		if a.leaf != "" {
+			n.Arcs[i].leaf = "scribbled"
+		} else {
+			scribble(a.Child)
+		}
 	}
 	for _, c := range n.Children {
 		scribble(c)

@@ -57,28 +57,29 @@ func patch(raw, old, new []byte) []byte {
 func decodeSeeds() []decodeSeed {
 	leaf := func(v string) *Node { return &Node{Value: v, HasValue: true} }
 	tree := func(arcs []Arc) []byte { return mustMarshal(&Tree{Root: &Node{Arcs: arcs}}) }
-	one := tree([]Arc{{"only", &Node{}}})
-	nested := tree([]Arc{{"dir", &Node{Value: "marker"}}})
+	one := tree([]Arc{{Label: "only", Child: &Node{}}})
+	nested := tree([]Arc{{Label: "dir", Child: &Node{Value: "marker"}}})
 	// A directory of a few blocks' worth of arcs, in order, reversed, and
 	// with the last label of the first block repeated as the next label.
 	var wide, reversed, straddle []Arc
 	var wideList []string
 	for i := 0; i < 3*blockSize+5; i++ {
 		label := fmt.Sprintf("w%03d", i)
-		wide, reversed = append(wide, Arc{label, leaf(label)}), append([]Arc{{label, leaf(label)}}, reversed...)
-		straddle = append(straddle, Arc{label, leaf(label)})
+		wide, reversed = append(wide, Arc{Label: label, Child: leaf(label)}), append([]Arc{{Label: label, Child: leaf(label)}}, reversed...)
+		straddle = append(straddle, Arc{Label: label, Child: leaf(label)})
 		wideList = append(wideList, label)
 	}
 	straddle[blockSize].Label = straddle[blockSize-1].Label
+	shared := leaf("s")
 	return []decodeSeed{
-		{name: "ascending", image: tree([]Arc{{"a", leaf("1")}, {"b", leaf("2")}, {"c", &Node{Arcs: []Arc{{"d", leaf("4")}}}}}), wantList: "a,b,c"},
-		{name: "descending", image: tree([]Arc{{"c", leaf("3")}, {"b", leaf("2")}, {"a", leaf("1")}}), wantList: "a,b,c"},
-		{name: "shuffled-nested", image: tree([]Arc{{"m", &Node{Arcs: []Arc{{"z", leaf("z")}, {"y", leaf("y")}}}}, {"a", leaf("1")}}), wantList: "a,m"},
-		{name: "duplicate-adjacent", image: tree([]Arc{{"a", leaf("1")}, {"a", leaf("2")}}), wantErr: "duplicate key"},
-		{name: "duplicate-distant", image: tree([]Arc{{"b", leaf("1")}, {"a", leaf("2")}, {"b", leaf("3")}}), wantErr: "duplicate key"},
+		{name: "ascending", image: tree([]Arc{{Label: "a", Child: leaf("1")}, {Label: "b", Child: leaf("2")}, {Label: "c", Child: &Node{Arcs: []Arc{{Label: "d", Child: leaf("4")}}}}}), wantList: "a,b,c"},
+		{name: "descending", image: tree([]Arc{{Label: "c", Child: leaf("3")}, {Label: "b", Child: leaf("2")}, {Label: "a", Child: leaf("1")}}), wantList: "a,b,c"},
+		{name: "shuffled-nested", image: tree([]Arc{{Label: "m", Child: &Node{Arcs: []Arc{{Label: "z", Child: leaf("z")}, {Label: "y", Child: leaf("y")}}}}, {Label: "a", Child: leaf("1")}}), wantList: "a,m"},
+		{name: "duplicate-adjacent", image: tree([]Arc{{Label: "a", Child: leaf("1")}, {Label: "a", Child: leaf("2")}}), wantErr: "duplicate key"},
+		{name: "duplicate-distant", image: tree([]Arc{{Label: "b", Child: leaf("1")}, {Label: "a", Child: leaf("2")}, {Label: "b", Child: leaf("3")}}), wantErr: "duplicate key"},
 		{name: "nil-arcs", image: tree(nil), wantList: ""},
 		{name: "empty-arcs", image: tree([]Arc{}), wantList: ""},
-		{name: "nil-child", image: tree([]Arc{{"a", nil}, {"b", leaf("2")}}), wantList: "a,b"},
+		{name: "nil-child", image: tree([]Arc{{Label: "a", Child: nil}, {Label: "b", Child: leaf("2")}}), wantList: "a,b"},
 		{name: "wide", image: tree(wide), wantList: strings.Join(wideList, ",")},
 		{name: "wide-descending", image: tree(reversed), wantList: strings.Join(wideList, ",")},
 		{name: "wide-duplicate-across-blocks", image: tree(straddle), wantErr: "duplicate key"},
@@ -94,10 +95,15 @@ func decodeSeeds() []decodeSeed {
 		// A Node where a Tree belongs: every field is skipped, generically,
 		// and the skipped map claims 2^26 pairs (the fuzzer's first finding:
 		// the skip path sized its result by the claim, 2 GB of it).
-		{name: "skipped-map-claims-64M", image: patch(mustMarshal(&Node{Arcs: []Arc{{"only", &Node{}}}}), []byte{0x0e, 0x01, 0x01}, []byte{0x0e, 0x01, 0x80, 0x80, 0x80, 0x20}), wantErr: "EOF"},
+		{name: "skipped-map-claims-64M", image: patch(mustMarshal(&Node{Arcs: []Arc{{Label: "only", Child: &Node{}}}}), []byte{0x0e, 0x01, 0x01}, []byte{0x0e, 0x01, 0x80, 0x80, 0x80, 0x20}), wantErr: "EOF"},
 		// dir is not a node but a reference to the root: a cycle.
-		{name: "ref-to-ancestor", image: patch(tree([]Arc{{"dir", nil}}), []byte("dir\x02"), []byte("dir\x11\x01")), wantErr: "shares a node"},
+		{name: "ref-to-ancestor", image: patch(tree([]Arc{{Label: "dir", Child: nil}}), []byte("dir\x02"), []byte("dir\x11\x01")), wantErr: "shares a node"},
 		{name: "not-a-pickle", image: []byte("checkpoint"), wantErr: "bad magic"},
+		// Arcs to nil beside leaves that load inline, at the root and below.
+		{name: "nil-beside-inline", image: tree([]Arc{{Label: "a", Child: leaf("1")}, {Label: "b"}, {Label: "c", Child: &Node{Arcs: []Arc{{Label: "d"}, {Label: "e", Child: leaf("5")}}}}}), wantList: "a,b,c"},
+		// Two arcs to one leaf: the first loads inline, and the reference the
+		// second is boxes it for both to share.
+		{name: "ref-to-inline-leaf", image: tree([]Arc{{Label: "a", Child: shared}, {Label: "b"}, {Label: "c", Child: shared}}), wantErr: "shares a node"},
 	}
 }
 
@@ -105,7 +111,7 @@ func decodeSeeds() []decodeSeed {
 // twice. Pickles preserve pointer identity, so a stream can spell a shared
 // subtree or a cycle with a reference where a node belongs; no Tree writes
 // one, the map-based tree loaded them just the same, and refusing them is
-// for whoever validates checkpoint images as a whole (ROADMAP 5(c)), not for
+// for whoever validates checkpoint images as a whole (ROADMAP 7(b)), not for
 // the arcs' decode path. The walkers below would not return from a cycle, so
 // such an image is checked for its arcs and taken no further.
 var errNotATree = errors.New("decoded graph shares a node")
@@ -145,7 +151,7 @@ func checkDecode(t *testing.T, image []byte) (*Tree, error) {
 			if i > 0 && arcs[i-1].Label >= a.Label {
 				t.Fatalf("decoded arcs not strictly ascending at depth %d: %q then %q", depth, arcs[i-1].Label, a.Label)
 			}
-			walk(a.Child, depth+1)
+			walk(a.Node(), depth+1)
 		}
 	}
 	walk(tr.Root, 0)

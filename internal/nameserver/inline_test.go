@@ -1,0 +1,309 @@
+package nameserver
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"smalldb/internal/core"
+	"smalldb/internal/pickle"
+	"smalldb/internal/vfs"
+)
+
+// An arc to a bare leaf holds the leaf's value itself, and no Node exists
+// for the leaf. These tests hold what that must save — memory, and a Node
+// allocation per leaf at load — and what it must not change: every byte
+// the tree pickles to.
+
+// bulkLoad writes depts departments of 500 hosts in the benchmark's shape,
+// org/deptNNN/hostNNNNN/addr with a distinct 48-byte value each, one
+// PutSubtree per department spelled with the input-only Children maps, and
+// checkpoints them.
+func bulkLoad(t *testing.T, fs vfs.FS, depts int) (names int) {
+	t.Helper()
+	s := open(t, fs)
+	defer s.Close()
+	for d := 0; d < depts; d++ {
+		dept := &Node{Children: map[string]*Node{}}
+		for h := 0; h < 500; h++ {
+			idx := d*500 + h
+			leaf := &Node{Value: fmt.Sprintf("%048x", idx*0x9e3779b9), HasValue: true}
+			dept.Children[fmt.Sprintf("host%05d", idx)] = &Node{Children: map[string]*Node{"addr": leaf}}
+			names++
+		}
+		if err := s.Put(fmt.Sprintf("org/dept%03d", d), dept); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+func heapAlloc() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestLoadedTreeBytesPerName: a store reopened from a checkpoint of the
+// benchmark's shape holds each name — a host node and its addr leaf — in at
+// most 260 bytes of heap. With the leaf a Node of its own it took 305.
+func TestLoadedTreeBytesPerName(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes the heap")
+	}
+	fs := vfs.NewMem(1)
+	names := bulkLoad(t, fs, 20)
+	before := heapAlloc()
+	s := open(t, fs)
+	per := (heapAlloc() - before) / uint64(names)
+	runtime.KeepAlive(s)
+	s.Close()
+	t.Logf("%d names loaded: %d heap bytes each", names, per)
+	if per > 260 {
+		t.Fatalf("a loaded name takes %d heap bytes, want at most 260", per)
+	}
+}
+
+// TestTreeDecodeAllocatesNoLeafNode: loading that image decodes each addr
+// leaf straight into its host's arc. Per name the decode allocates the host
+// node, its arc array, two labels and the value: five, where a Node per leaf
+// made six.
+func TestTreeDecodeAllocatesNoLeafNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	fs := vfs.NewMem(1)
+	names := bulkLoad(t, fs, 4)
+	s := open(t, fs)
+	var image []byte
+	s.Store().View(func(root any) error {
+		image = mustMarshal(root)
+		return nil
+	})
+	s.Close()
+	var tr Tree
+	allocs := testing.AllocsPerRun(3, func() {
+		tr = Tree{}
+		if err := pickle.Unmarshal(image, &tr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if a := tr.at([]string{"org", "dept000", "host00000", "addr"}); a.Child != nil || a.leaf == "" {
+		t.Fatalf("a loaded addr leaf is %+v, not inline in its arc", a)
+	}
+	per := allocs / float64(names)
+	t.Logf("%d names decoded: %.2f allocations each", names, per)
+	if per > 5.5 {
+		t.Fatalf("decoding allocates %.2f times per name, want at most 5.5", per)
+	}
+}
+
+// pinnedShapes is a tree holding an inline leaf beside each shape that must
+// stay a node: a stamped leaf, a leaf with no value, one with an empty
+// value, an emptied directory, and an arc to nil.
+func pinnedShapes() *Tree {
+	tr := NewTree()
+	for _, u := range []*SetValue{{Path: []string{"d", "inline"}, Value: "v"}, {Path: []string{"d", "empty"}, Value: ""}, {Path: []string{"d", "gone", "x"}, Value: "x"}} {
+		if err := u.Apply(tr); err != nil {
+			panic(err)
+		}
+	}
+	(&DeleteSubtree{Path: []string{"d", "gone", "x"}}).Apply(tr)
+	n := tr.EnsureNode([]string{"d", "stamped"})
+	n.Value, n.HasValue, n.Stamp, n.StampBy = "s", true, 7, "a"
+	tr.EnsureNode([]string{"d", "novalue"})
+	tr.ensure([]string{"d"}).bind(Arc{Label: "nil"})
+	return tr
+}
+
+// TestInlineLeafFormatPins: a tree with inline leaves pickles to the bytes of
+// the same tree spelled with a Node per leaf — as a whole checkpoint image,
+// as a delta after one Set, and as a PutSubtree log entry — and loads back to
+// the same bytes, with each shape that is not a bare leaf still a node.
+func TestInlineLeafFormatPins(t *testing.T) {
+	tr := pinnedShapes()
+	if a := tr.at([]string{"d", "inline"}); a.Child != nil || a.leaf != "v" {
+		t.Fatalf("a Set of a new name left %+v, not an inline leaf", a)
+	}
+
+	// The checkpoint image, as a store writes it at its creation: every file
+	// of the new store, byte for byte.
+	files := func(root *Tree) map[string]string {
+		fs := vfs.NewMem(1)
+		st, err := core.Open(core.Config{FS: fs, NewRoot: func() any { return root }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		out := map[string]string{}
+		names, _ := fs.List()
+		for _, name := range names {
+			b, err := vfs.ReadFile(fs, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[name] = string(b)
+		}
+		return out
+	}
+	if got, want := files(tr), files(&Tree{Root: flatCopy(tr.Root)}); len(got) < 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("store created with inline leaves:\n %q\nwith node leaves:\n %q", got, want)
+	}
+	raw := mustMarshal(tr)
+	var back Tree
+	if err := pickle.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if again := mustMarshal(&back); !bytes.Equal(again, raw) {
+		t.Fatal("the image does not load back to the same bytes")
+	}
+	for label, inline := range map[string]bool{"inline": true, "empty": false, "gone": false, "stamped": false, "novalue": false, "nil": false} {
+		a := back.at([]string{"d", label})
+		if (a.leaf != "") != inline || (a.Child == nil) != (inline || label == "nil") {
+			t.Errorf("loaded %s: %+v", label, a)
+		}
+	}
+	if gone := back.at([]string{"d", "gone"}).Child; gone.Arcs == nil || len(gone.Arcs) != 0 {
+		t.Errorf("the emptied directory loaded with arcs %#v", gone.Arcs)
+	}
+
+	// A delta after one Set of an existing leaf, and of a new one.
+	prev := tr.SnapshotView().(*Tree)
+	for _, tc := range []struct {
+		path []string
+		want DeltaOp
+	}{
+		{[]string{"d", "inline"}, DeltaOp{Op: DeltaSet, Path: []string{"d", "inline"}, Value: "w", HasValue: true}},
+		{[]string{"d", "new"}, DeltaOp{Op: DeltaPut, Path: []string{"d", "new"}, Subtree: &Node{Value: "w", HasValue: true}}},
+	} {
+		(&SetValue{Path: tc.path, Value: "w"}).Apply(tr)
+		cur := tr.SnapshotView().(*Tree)
+		if got, want := mustMarshal(mustDelta(t, cur, prev)), mustMarshal(&TreeDelta{Ops: []DeltaOp{tc.want}}); !bytes.Equal(got, want) {
+			t.Fatalf("delta after a Set of %v:\n %x\nwant\n %x", tc.path, got, want)
+		}
+		prev = cur
+	}
+
+	// A PutSubtree log entry, self-describing and table-relative.
+	u := &PutSubtree{Path: []string{"p"}, Subtree: &Node{Children: map[string]*Node{
+		"leaf": {Value: "1", HasValue: true}, "dir": {Children: map[string]*Node{"x": {Value: "2", HasValue: true}}},
+		"stamped": {Value: "3", HasValue: true, Stamp: 1}, "bare": {},
+	}}}
+	if err := u.Verify(NewTree()); err != nil {
+		t.Fatal(err)
+	}
+	if u.Subtree.arc("leaf").leaf != "1" {
+		t.Fatal("Verify's canonical copy holds the bare leaf as a node")
+	}
+	flat := &PutSubtree{Path: u.Path, Subtree: flatCopy(u.Subtree)}
+	if !bytes.Equal(mustMarshal(u), mustMarshal(flat)) {
+		t.Fatal("a PutSubtree with inline leaves pickles unlike its node-leaf spelling")
+	}
+	tab := pickle.NewTable(&PutSubtree{})
+	got, err1 := tab.AppendMarshal(nil, u)
+	want, err2 := tab.AppendMarshal(nil, flat)
+	if err1 != nil || err2 != nil || !bytes.Equal(got, want) {
+		t.Fatalf("table-relative PutSubtree differs (%v, %v)", err1, err2)
+	}
+}
+
+// TestInlineLeafLookupAllocs: reading an inline leaf allocates nothing.
+func TestInlineLeafLookupAllocs(t *testing.T) {
+	tr := pinnedShapes()
+	parts := []string{"d", "inline"}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if v, err := tr.Lookup(parts); err != nil || v != "v" {
+			t.Fatal(v, err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Lookup of an inline leaf allocated %.0f times", allocs)
+	}
+}
+
+// leafTree builds a small tree from b, a byte an arc: in turn, under the node
+// being built, a bare leaf spelled inline or as a node, a stamped leaf, a
+// leaf with no value or with an empty one, an emptied directory, an arc to
+// nil, a directory filled by the bytes that follow, or the end of the node.
+// A Set of one more name then copies the root, in blocks if it is wide.
+func leafTree(b []byte) *Tree {
+	b = b[:min(len(b), 9999)] // so that the labels ascend
+	var build func(depth int) *Node
+	build = func(depth int) *Node {
+		n := &Node{Arcs: []Arc{}}
+		for len(b) > 0 {
+			c := b[0]
+			b = b[1:]
+			a, v := Arc{Label: fmt.Sprintf("%04d", len(n.Arcs))}, fmt.Sprint(c)
+			switch c % 9 {
+			case 0:
+				a.leaf = v
+			case 1:
+				a.Child = &Node{Value: v, HasValue: true}
+			case 2:
+				a.Child = &Node{Value: v, HasValue: true, Stamp: uint64(c), StampBy: "s"}
+			case 3:
+				a.Child = &Node{}
+			case 4:
+				a.Child = &Node{HasValue: true}
+			case 5:
+				a.Child = &Node{Arcs: []Arc{}}
+			case 7:
+				if depth < 4 {
+					a.Child = build(depth + 1)
+				}
+			case 8:
+				return n
+			}
+			n.Arcs = append(n.Arcs, a)
+		}
+		return n
+	}
+	tr := &Tree{Root: build(0)}
+	tr.SnapshotView()
+	(&SetValue{Path: []string{"zz"}, Value: "z"}).Apply(tr)
+	return tr
+}
+
+// FuzzInlineLeafPickle: a tree mixing inline leaves with leaves that must
+// stay nodes pickles to the bytes of its all-node spelling, loads with every
+// bare leaf inline and the same names, and pickles again to the same bytes.
+// Its seeds are in testdata/fuzz/FuzzInlineLeafPickle.
+func FuzzInlineLeafPickle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tr := leafTree(b)
+		raw := mustMarshal(tr)
+		if flat := mustMarshal(&Tree{Root: flatCopy(tr.Root)}); !bytes.Equal(raw, flat) {
+			t.Fatalf("inline leaves pickle as\n %x\nnot as node leaves\n %x", raw, flat)
+		}
+		var back Tree
+		if err := pickle.Unmarshal(raw, &back); err != nil {
+			t.Fatal(err)
+		}
+		if again := mustMarshal(&back); !bytes.Equal(again, raw) {
+			t.Fatal("the loaded tree pickles to other bytes")
+		}
+		var walk func(n *Node)
+		walk = func(n *Node) {
+			for _, a := range n.AllArcs() {
+				if a.Child != nil && a.Child.bare() {
+					t.Fatalf("bare leaf %q loaded as a node", a.Label)
+				}
+				if a.Child != nil {
+					walk(a.Child)
+				}
+			}
+		}
+		walk(back.Root)
+		want, _ := enumerateTree(tr, nil)
+		if got, _ := enumerateTree(&back, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("loaded tree enumerates %v, want %v", got, want)
+		}
+	})
+}

@@ -1,7 +1,6 @@
 package nameserver
 
 import (
-	"fmt"
 	"time"
 
 	"smalldb/internal/core"
@@ -118,29 +117,6 @@ func (s *Server) Enumerate(name string, fn func(name, value string) error) error
 		}
 		return t.Enumerate(parts, fn)
 	})
-}
-
-// SubtreeCopy returns a deep copy of the subtree at name; replication uses
-// it for snapshots.
-func (s *Server) SubtreeCopy(name string) (*Node, error) {
-	parts, err := SplitPath(name)
-	if err != nil {
-		return nil, err
-	}
-	var out *Node
-	err = s.store.View(func(root any) error {
-		t, err := treeOf(root)
-		if err != nil {
-			return err
-		}
-		n := t.find(parts)
-		if n == nil {
-			return fmt.Errorf("%w: %s", ErrNotFound, JoinPath(parts))
-		}
-		out = copyNode(n)
-		return nil
-	})
-	return out, err
 }
 
 // Count reports the number of nodes in the whole tree.

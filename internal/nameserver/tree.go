@@ -12,7 +12,7 @@
 // string value and arbitrarily many labelled children, so the same tree
 // naturally holds user-account records, network configuration and file
 // directories — the §1 examples. Enquiry operations (Lookup, List,
-// Enumerate, SubtreeCopy) are pure virtual-memory reads; update operations
+// Enumerate) are pure virtual-memory reads; update operations
 // (SetValue, DeleteSubtree, PutSubtree, Move) are single-shot transactions,
 // each a registered update type that pickles into one log entry.
 package nameserver
@@ -50,6 +50,8 @@ type Tree struct {
 // arcs to children, strictly ascending by label (nil for a leaf that never
 // had any) — the paper's hash table delivering further hash tables. Once
 // a write finds more than blockSize, they move to blocks; AllArcs reads both.
+// A leaf with a value and nothing else is usually no Node at all: its
+// parent's arc holds the value (see Arc).
 //
 // Stamp and StampBy are replication metadata: the Lamport time and origin
 // of the write that set Value, used by the replica package's last-writer-
@@ -80,18 +82,71 @@ type Node struct {
 	blocks *[][]Arc
 }
 
-// blockSize bounds a block, and so what a write copies: 768 bytes.
+// blockSize bounds a block, and so what a write copies: 1 280 bytes.
 const blockSize = 32
 
 // Arc is one labelled edge. Being a pickle.MapPair, a []Arc pickles as the
 // string-keyed map of nodes it replaced, and loads from one without building it.
+//
+// An arc to a bare leaf — a non-empty value and nothing else: no arcs, no
+// stamps — holds the value itself, with Child nil, and the leaf is no Node
+// of its own. It pickles as that Node (pickle.MapPairInline), and loads back
+// into its arc. An arc with neither Child nor value is an arc to nil, which
+// only a foreign image holds, and which enquiries take for no name.
 type Arc struct {
 	Label string
 	Child *Node
+
+	leaf string // an inline leaf's value
 }
 
 // PickleMapPair implements pickle.MapPair.
 func (Arc) PickleMapPair() {}
+
+// PickleBox implements pickle.MapPairInline: an inline leaf pickles as its node.
+func (a *Arc) PickleBox(box any) bool {
+	if a.leaf == "" {
+		return false
+	}
+	*box.(*Node) = Node{Value: a.leaf, HasValue: true}
+	return true
+}
+
+// PickleUnbox implements pickle.MapPairInline: a bare leaf loads into its arc.
+func (a *Arc) PickleUnbox(box any) bool {
+	n := box.(*Node)
+	if !n.bare() {
+		return false
+	}
+	a.leaf = n.Value
+	return true
+}
+
+// Node returns the node a leads to: Child, or a copy of the leaf a holds
+// inline, which the tree does not see written, or nil.
+func (a Arc) Node() *Node {
+	if a.leaf != "" {
+		return &Node{Value: a.leaf, HasValue: true}
+	}
+	return a.Child
+}
+
+// exists reports whether a leads to a name: an arc to nil does not.
+func (a Arc) exists() bool { return a.Child != nil || a.leaf != "" }
+
+// bare reports whether n may live inline in its arc.
+func (n *Node) bare() bool {
+	return n.HasValue && n.Value != "" && n.Arcs == nil && n.blocks == nil && n.Children == nil &&
+		n.Stamp == 0 && n.StampBy == ""
+}
+
+// arcTo returns label's arc to n, which holds n inline when n is bare.
+func arcTo(label string, n *Node) Arc {
+	if n != nil && n.bare() {
+		return Arc{Label: label, leaf: n.Value}
+	}
+	return Arc{Label: label, Child: n}
+}
 
 // PicklePairs implements pickle.MapPairSource: a blocked node's arcs pickle
 // as the one map that Arcs would spell if it held them.
@@ -136,12 +191,12 @@ func (n *Node) locate(label string) (b []Arc, j, i int, ok bool) {
 	return b, j, i, ok
 }
 
-// child returns the node label's arc leads to, or nil.
-func (n *Node) child(label string) *Node {
+// arc returns label's arc in n, or no arc.
+func (n *Node) arc(label string) Arc {
 	if b, _, i, ok := n.locate(label); ok {
-		return b[i].Child
+		return b[i]
 	}
-	return nil
+	return Arc{}
 }
 
 // splice replaces arcs [i, i+del) of n's block j with ins; the writer must
@@ -156,7 +211,10 @@ func (n *Node) splice(j, i, del int, ins ...Arc) {
 		return
 	}
 	bs := *n.blocks
-	switch b := slices.Concat(bs[j][:i], ins, bs[j][i+del:]); {
+	// One array, sized once: slices.Concat, built on Grow, allocates a
+	// second one under the race detector.
+	b := make([]Arc, 0, len(bs[j])-del+len(ins))
+	switch b = append(append(append(b, bs[j][:i]...), ins...), bs[j][i+del:]...); {
 	case len(b) > blockSize:
 		bs[j] = b[: len(b)/2 : len(b)/2]
 		*n.blocks = slices.Insert(bs, j+1, b[len(b)/2:])
@@ -178,15 +236,15 @@ func chunk(arcs []Arc) *[][]Arc {
 	return &bs
 }
 
-// bind points label's arc at c, inserting the arc in order if n has none.
-// The writer must own n (see prep).
-func (n *Node) bind(label string, c *Node) {
-	_, j, i, ok := n.locate(label)
+// bind puts a in place of the arc with a's label, or in order if n has
+// none. The writer must own n (see prep).
+func (n *Node) bind(a Arc) {
+	_, j, i, ok := n.locate(a.Label)
 	del := 0
 	if ok {
 		del = 1
 	}
-	n.splice(j, i, del, Arc{label, c})
+	n.splice(j, i, del, a)
 }
 
 // unbind removes label's arc from n, which the writer must own. The last to
@@ -243,16 +301,17 @@ func SplitPath(path string) ([]string, error) {
 // JoinPath is the inverse of SplitPath.
 func JoinPath(parts []string) string { return strings.Join(parts, "/") }
 
-// find walks the tree to the node named by parts, or nil.
-func (t *Tree) find(parts []string) *Node {
-	n := t.Root
+// at walks the tree to the name parts and returns the arc that leads
+// there (the root's is an arc to Root), or no arc.
+func (t *Tree) at(parts []string) Arc {
+	a := Arc{Child: t.Root}
 	for _, p := range parts {
-		if n == nil {
-			return nil
+		if a.Child == nil {
+			return Arc{}
 		}
-		n = n.child(p)
+		a = a.Child.arc(p)
 	}
-	return n
+	return a
 }
 
 // prep returns a node the writer may mutate in the current epoch: n
@@ -294,16 +353,20 @@ func (t *Tree) writable(parts []string, create bool) *Node {
 	t.Root = t.prep(t.Root)
 	n := t.Root
 	for _, p := range parts {
-		old := n.child(p)
-		c := old
-		if c == nil {
-			if !create {
-				return nil
-			}
+		a := n.arc(p)
+		var c *Node
+		switch {
+		case a.Child != nil:
+			c = t.prep(a.Child)
+		case a.leaf != "":
+			c = &Node{Value: a.leaf, HasValue: true, born: t.epoch}
+		case !create:
+			return nil
+		default:
 			c = &Node{born: t.epoch}
 		}
-		if c = t.prep(c); c != old { // a private child is already bound
-			n.bind(p, c)
+		if c != a.Child { // a private child is already bound
+			n.bind(Arc{Label: p, Child: c})
 		}
 		n = c
 	}
@@ -312,6 +375,37 @@ func (t *Tree) writable(parts []string, create bool) *Node {
 
 func (t *Tree) ensure(parts []string) *Node  { return t.writable(parts, true) }
 func (t *Tree) cowPath(parts []string) *Node { return t.writable(parts, false) }
+
+// set gives the name parts s's value and presence, and with stamps its
+// stamps too, creating the name and its ancestors if missing. A leaf left
+// bare is put inline in its parent's arc; any other node is made writable.
+func (t *Tree) set(parts []string, s Node, stamps bool) {
+	if len(parts) > 0 {
+		dir, label := split(parts)
+		p := t.ensure(dir)
+		var leaf Node
+		if a := p.arc(label); a.Child != nil {
+			leaf = *a.Child
+		} else if a.leaf != "" {
+			leaf = Node{Value: a.leaf, HasValue: true}
+		}
+		if leaf.Arcs == nil && leaf.blocks == nil {
+			if leaf.scalars(s, stamps); leaf.bare() {
+				p.bind(Arc{Label: label, leaf: leaf.Value})
+				return
+			}
+		}
+	}
+	t.ensure(parts).scalars(s, stamps)
+}
+
+// scalars copies s's value and presence to n, and with stamps its stamps.
+func (n *Node) scalars(s Node, stamps bool) {
+	n.Value, n.HasValue = s.Value, s.HasValue
+	if stamps {
+		n.Stamp, n.StampBy = s.Stamp, s.StampBy
+	}
+}
 
 // split separates the last label of a non-empty path from its directory.
 func split(path []string) (dir []string, label string) {
@@ -333,17 +427,19 @@ func (t *Tree) SnapshotView() any {
 
 // FindNode walks to the node named by parts, or nil. Exported for the
 // replica package's stamped conflict resolution. The returned node must
-// not be mutated; use EnsureNode for a writable node.
-func (t *Tree) FindNode(parts []string) *Node { return t.find(parts) }
+// not be mutated (for an inline leaf it is a copy); use EnsureNode for a
+// writable node.
+func (t *Tree) FindNode(parts []string) *Node { return t.at(parts).Node() }
 
 // EnsureNode walks to parts copy-on-write, creating intermediate nodes,
 // and returns a node the caller may mutate before the update finishes.
 // Exported for the replica package's stamped conflict resolution.
 func (t *Tree) EnsureNode(parts []string) *Node { return t.ensure(parts) }
 
-// copyNode deep-copies a subtree into the form the tree holds: the
-// input-only Children folded into Arcs, and Arcs strictly ascending (of two
-// arcs with one label the first stays, and an arc beats a Children entry).
+// copyNode deep-copies a subtree into the form the tree holds: bare leaves
+// inline, the input-only Children folded into Arcs, and Arcs strictly
+// ascending (of two arcs with one label the first stays, and an arc beats a
+// Children entry).
 func copyNode(n *Node) *Node {
 	if n == nil {
 		return nil
@@ -352,15 +448,26 @@ func copyNode(n *Node) *Node {
 	if arcs := n.AllArcs(); arcs != nil || n.Children != nil {
 		out.Arcs = make([]Arc, 0, len(arcs)+len(n.Children))
 		for _, a := range arcs {
-			out.Arcs = append(out.Arcs, Arc{a.Label, copyNode(a.Child)})
+			if a.Child != nil {
+				a = copyArc(a.Label, a.Child)
+			}
+			out.Arcs = append(out.Arcs, a)
 		}
 		for label, c := range n.Children {
-			out.Arcs = append(out.Arcs, Arc{label, copyNode(c)})
+			out.Arcs = append(out.Arcs, copyArc(label, c))
 		}
 		slices.SortStableFunc(out.Arcs, func(a, b Arc) int { return strings.Compare(a.Label, b.Label) })
 		out.Arcs = slices.CompactFunc(out.Arcs, func(a, b Arc) bool { return a.Label == b.Label })
 	}
 	return out
+}
+
+// copyArc returns label's arc to a copy of n, holding it inline if bare.
+func copyArc(label string, n *Node) Arc {
+	if a := arcTo(label, n); a.Child == nil { // inline, or an arc to nil
+		return a
+	}
+	return Arc{Label: label, Child: copyNode(n)}
 }
 
 // inspect walks the subtree at n and reports whether it is already in
@@ -394,13 +501,17 @@ func inspect(n *Node, dag bool, seen map[*Node]bool) (canonical bool, err error)
 	return canonical, nil
 }
 
-// countNodes reports the number of nodes in a subtree, itself included.
+// countNodes reports the number of names in a subtree, itself and inline
+// leaves included.
 func countNodes(n *Node) int {
 	if n == nil {
 		return 0
 	}
 	total := 1
 	for _, a := range n.AllArcs() {
+		if a.leaf != "" {
+			total++
+		}
 		total += countNodes(a.Child)
 	}
 	return total
@@ -426,9 +537,7 @@ func (u *SetValue) Apply(root any) error {
 	if err != nil {
 		return err
 	}
-	n := t.ensure(u.Path)
-	n.Value = u.Value
-	n.HasValue = true
+	t.set(u.Path, Node{Value: u.Value, HasValue: true}, false)
 	return nil
 }
 
@@ -447,7 +556,7 @@ func (u *DeleteSubtree) Verify(root any) error {
 	if len(u.Path) == 0 {
 		return errors.New("nameserver: cannot delete the root")
 	}
-	if t.find(u.Path) == nil {
+	if !t.at(u.Path).exists() {
 		return fmt.Errorf("%w: %s", ErrNotFound, JoinPath(u.Path))
 	}
 	return nil
@@ -505,7 +614,7 @@ func (u *PutSubtree) Apply(root any) error {
 	}
 	dir, label := split(u.Path)
 	// Deep-copy so the caller's subtree and the database never alias.
-	t.ensure(dir).bind(label, copyNode(u.Subtree))
+	t.ensure(dir).bind(copyArc(label, u.Subtree))
 	return nil
 }
 
@@ -524,10 +633,10 @@ func (u *Move) Verify(root any) error {
 	if len(u.From) == 0 || len(u.To) == 0 {
 		return errors.New("nameserver: move involving the root")
 	}
-	if t.find(u.From) == nil {
+	if !t.at(u.From).exists() {
 		return fmt.Errorf("%w: %s", ErrNotFound, JoinPath(u.From))
 	}
-	if t.find(u.To) != nil {
+	if t.at(u.To).exists() {
 		return fmt.Errorf("nameserver: destination %s exists", JoinPath(u.To))
 	}
 	if isPrefix(u.From, u.To) {
@@ -542,8 +651,8 @@ func (u *Move) Apply(root any) error {
 	if err != nil {
 		return err
 	}
-	n := t.find(u.From)
-	if n == nil {
+	a := t.at(u.From)
+	if !a.exists() {
 		return fmt.Errorf("nameserver: move source vanished: %s", JoinPath(u.From))
 	}
 	// The moved subtree itself is shared, not copied: it is immutable
@@ -551,8 +660,8 @@ func (u *Move) Apply(root any) error {
 	// reaching it at From while the new version reaches it at To.
 	dir, label := split(u.From)
 	t.cowPath(dir).unbind(label)
-	dir, label = split(u.To)
-	t.ensure(dir).bind(label, n)
+	dir, a.Label = split(u.To)
+	t.ensure(dir).bind(a)
 	return nil
 }
 
@@ -583,23 +692,29 @@ func treeOf(root any) (*Tree, error) {
 
 // Lookup returns the value at parts.
 func (t *Tree) Lookup(parts []string) (string, error) {
-	n := t.find(parts)
-	if n == nil {
+	switch a := t.at(parts); {
+	case a.leaf != "":
+		return a.leaf, nil
+	case a.Child == nil:
 		return "", fmt.Errorf("%w: %s", ErrNotFound, JoinPath(parts))
-	}
-	if !n.HasValue {
+	case !a.Child.HasValue:
 		return "", fmt.Errorf("%w: %s", ErrNoValue, JoinPath(parts))
+	default:
+		return a.Child.Value, nil
 	}
-	return n.Value, nil
 }
 
 // List returns the sorted arc labels under parts.
 func (t *Tree) List(parts []string) ([]string, error) {
-	n := t.find(parts)
-	if n == nil {
+	a := t.at(parts)
+	if !a.exists() {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, JoinPath(parts))
 	}
-	bs, size := n.blockList(), 0
+	var bs [][]Arc // none under an inline leaf
+	if a.Child != nil {
+		bs = a.Child.blockList()
+	}
+	size := 0
 	for _, b := range bs {
 		size += len(b)
 	}
@@ -616,14 +731,19 @@ func (t *Tree) List(parts []string) ([]string, error) {
 // depth-first sorted order. Returning a non-nil error from fn stops the
 // walk.
 func (t *Tree) Enumerate(parts []string, fn func(name, value string) error) error {
-	n := t.find(parts)
-	if n == nil {
+	a := t.at(parts)
+	if !a.exists() {
 		return fmt.Errorf("%w: %s", ErrNotFound, JoinPath(parts))
 	}
-	return walk(n, parts, fn)
+	return walk(a, parts, fn)
 }
 
-func walk(n *Node, path []string, fn func(name, value string) error) error {
+// walk enumerates the name at path, to which a leads, and all below it.
+func walk(a Arc, path []string, fn func(name, value string) error) error {
+	if a.leaf != "" {
+		return fn(JoinPath(path), a.leaf)
+	}
+	n := a.Child
 	if n == nil {
 		return nil
 	}
@@ -633,7 +753,7 @@ func walk(n *Node, path []string, fn func(name, value string) error) error {
 		}
 	}
 	for _, a := range n.AllArcs() {
-		if err := walk(a.Child, append(path, a.Label), fn); err != nil {
+		if err := walk(a, append(path, a.Label), fn); err != nil {
 			return err
 		}
 	}

@@ -406,6 +406,15 @@ func (d *Decoder) decodeRef(v reflect.Value) error {
 	if !ok {
 		return errf("reference to undefined object %d", id)
 	}
+	if rv.Kind() == reflect.Struct && rv.Field(1).Type() == v.Type() {
+		// A pair holding the value unboxed boxes it, to share with v.
+		box, key := reflect.New(v.Type().Elem()), rv.Field(0).String()
+		rv.Addr().Interface().(MapPairInline).PickleBox(box.Interface())
+		rv.SetZero()
+		rv.Field(0).SetString(key)
+		rv.Field(1).Set(box)
+		rv, d.refs[id] = box, box
+	}
 	if !rv.Type().AssignableTo(v.Type()) {
 		return errf("shared object %d has type %v, target wants %v", id, rv.Type(), v.Type())
 	}
@@ -677,10 +686,48 @@ func buildMapDecoder(rt reflect.Type) decFn {
 // buildPairSliceDecoder reads a tMap into a map-coded pair slice (MapPair),
 // appending past a first allocation the claimed length cannot inflate.
 func buildPairSliceDecoder(rt reflect.Type) decFn {
-	if err := pairShape(rt.Elem()); err != nil {
+	inline, err := pairShape(rt.Elem())
+	if err != nil {
 		return func(*Decoder, reflect.Value, byte) error { return err }
 	}
-	valFn := decoderOf(rt.Elem().Field(1).Type)
+	vt := rt.Elem().Field(1).Type
+	ptrFn := decoderOf(vt)
+	value := func(d *Decoder, pair reflect.Value, tag byte) error { return ptrFn(d, pair.Field(1), tag) }
+	if inline {
+		// A pointed-to value decodes into a box, which the pair may keep
+		// unboxed; the value's id then names the pair, and decodeRef boxes it
+		// again for a later reference.
+		elemFn, boxes := decoderOf(vt.Elem()), boxPool(vt.Elem())
+		value = func(d *Decoder, pair reflect.Value, tag byte) error {
+			if tag != tPtr {
+				return ptrFn(d, pair.Field(1), tag)
+			}
+			id, err := d.readUvarint()
+			if err == nil {
+				err = d.enter()
+			}
+			if err != nil {
+				return err
+			}
+			box := boxes.Get()
+			bv := reflect.ValueOf(box)
+			bv.Elem().SetZero()
+			d.setRef(id, bv)
+			if tag, err = d.readByte(); err == nil {
+				err = elemFn(d, bv.Elem(), tag)
+			}
+			d.depth--
+			switch {
+			case err != nil:
+			case pair.Addr().Interface().(MapPairInline).PickleUnbox(box):
+				d.refs[id] = pair
+				boxes.Put(box)
+			default:
+				pair.Field(1).Set(bv)
+			}
+			return err
+		}
+	}
 	var self decFn
 	self = func(d *Decoder, v reflect.Value, tag byte) error {
 		if tag != tMap {
@@ -699,28 +746,39 @@ func buildPairSliceDecoder(rt reflect.Type) decFn {
 		if err != nil {
 			return err
 		}
-		v.Set(reflect.MakeSlice(rt, 0, int(min(n, 4096))))
-		key := func(i int) string { return v.Index(i).Field(0).String() }
+		if v.SetZero(); n == 0 {
+			v.Set(reflect.MakeSlice(rt, 0, 0)) // empty, not nil
+		}
+		v.Grow(int(min(n, 4096))) // in place: MakeSlice would box a slice header too
 		sorted := true
 		for i := 0; i < int(n); i++ {
 			v.Grow(1) // a no-op while the first allocation lasts
 			v.SetLen(i + 1)
 			pair := v.Index(i)
-			for f, fn := range [2]decFn{decString, valFn} {
-				tag2, err := d.readByte()
-				if err != nil {
-					return err
-				}
-				if err := fn(d, pair.Field(f), tag2); err != nil {
-					return err
-				}
+			tag2, err := d.readByte()
+			if err == nil {
+				err = decString(d, pair.Field(0), tag2)
 			}
-			sorted = sorted && (i == 0 || key(i-1) < key(i))
+			if err == nil {
+				tag2, err = d.readByte()
+			}
+			if err == nil {
+				err = value(d, pair, tag2)
+			}
+			if err != nil {
+				return err
+			}
+			sorted = sorted && (i == 0 || v.Index(i-1).Field(0).String() < pair.Field(0).String())
 		}
 		d.depth--
 		if sorted {
 			return nil
 		}
+		if inline { // sort a copy: ids may name pairs where they stand
+			v.Set(reflect.AppendSlice(reflect.MakeSlice(rt, 0, v.Len()), v))
+		}
+		pairs := v // captured here alone, so that v stays off the heap
+		key := func(i int) string { return pairs.Index(i).Field(0).String() }
 		sort.Slice(v.Interface(), func(i, j int) bool { return key(i) < key(j) })
 		for i := 1; i < int(n); i++ {
 			if key(i) == key(i-1) {

@@ -427,7 +427,8 @@ func buildStringMapEncoder(rt reflect.Type) encFn {
 }
 
 // MapPair marks the element type of a map-coded pair slice: a struct of
-// exactly two exported fields, the first a string key. A slice of such
+// exactly two exported fields, the first a string key, followed by none but
+// MapPairInline's unexported ones. A slice of such
 // elements pickles as the string-keyed map it stands for — tNil when nil,
 // else a tMap taking the one identity id the map would have taken, pairs in
 // slice order — and decodes from one by appending: no map is built, no key
@@ -459,20 +460,74 @@ func pairSource(v reflect.Value) any {
 	return v.Addr().Interface().(MapPairSource).PicklePairs()
 }
 
-// pairShape checks et, which implements MapPair, for the shape it promises.
-func pairShape(et reflect.Type) error {
-	if et.Kind() != reflect.Struct || et.NumField() != 2 || et.Field(0).Type.Kind() != reflect.String ||
-		et.Field(0).PkgPath != "" || et.Field(1).PkgPath != "" {
-		return errf("%v implements MapPair but is not a struct of an exported string key and an exported value", et)
+// MapPairInline is MapPair's one optional hook, implemented by a pointer to a
+// pair whose value, a pointer, may be held unboxed: the pointed-to value kept
+// in unexported fields of the pair's own, past the two, and the value field
+// nil. Such a pair pickles as if the field pointed to that value, which no
+// other pointer shares; and each pointed-to value decoded into a pair is
+// offered to it, to keep unboxed. A later reference to a value kept so boxes
+// it, for the pair and the reference to share — in the slice as decoded
+// until then: a pair that has moved since (its slice grown past a first
+// allocation, or sorted) keeps its value unboxed and unshared.
+type MapPairInline interface {
+	// PickleBox sets *box, box a pointer of the value field's type, to the
+	// value the pair holds unboxed, and reports whether it holds one.
+	PickleBox(box any) bool
+	// PickleUnbox offers the pair the value just decoded into *box and
+	// reports whether it took the value unboxed; box is the caller's again.
+	PickleUnbox(box any) bool
+}
+
+var mapPairInlineType = reflect.TypeOf((*MapPairInline)(nil)).Elem()
+
+// pairShape checks et, which implements MapPair, for the shape it promises,
+// and reports whether *et implements MapPairInline.
+func pairShape(et reflect.Type) (inline bool, err error) {
+	ok := et.Kind() == reflect.Struct && et.NumField() >= 2 && et.Field(0).Type.Kind() == reflect.String &&
+		et.Field(0).PkgPath == "" && et.Field(1).PkgPath == ""
+	inline = ok && reflect.PointerTo(et).Implements(mapPairInlineType) && et.Field(1).Type.Kind() == reflect.Pointer
+	for i := 2; ok && i < et.NumField(); i++ {
+		ok = inline && et.Field(i).PkgPath != ""
 	}
-	return nil
+	if !ok {
+		return false, errf("%v implements MapPair but is not a struct of an exported string key and an exported value", et)
+	}
+	return inline, nil
+}
+
+// boxPool returns a pool of pointers to fresh values of et: the boxes an
+// unboxed pair value goes through on its way to and from the wire.
+func boxPool(et reflect.Type) *sync.Pool {
+	return &sync.Pool{New: func() any { return reflect.New(et).Interface() }}
 }
 
 func buildPairSliceEncoder(rt reflect.Type) encFn {
-	if err := pairShape(rt.Elem()); err != nil {
+	inline, err := pairShape(rt.Elem())
+	if err != nil {
 		return func(e *Encoder, v reflect.Value) { e.fail(err) }
 	}
-	valFn := encoderOf(rt.Elem().Field(1).Type)
+	vt := rt.Elem().Field(1).Type
+	valFn := encoderOf(vt)
+	var boxed encFn // an unboxed value, as the pointer encoder writes an unshared one
+	if inline {
+		elemFn, boxes := encoderOf(vt.Elem()), boxPool(vt.Elem())
+		boxed = func(e *Encoder, pair reflect.Value) {
+			box := boxes.Get()
+			if !pair.Addr().Interface().(MapPairInline).PickleBox(box) {
+				boxes.Put(box)
+				valFn(e, pair.Field(1))
+				return
+			}
+			if e.enter() {
+				e.buf = append(e.buf, tPtr)
+				e.buf = binary.AppendUvarint(e.buf, e.nextRef) // unshared, so not entered in refs
+				e.nextRef++
+				elemFn(e, reflect.ValueOf(box).Elem())
+				e.depth--
+			}
+			boxes.Put(box)
+		}
+	}
 	return func(e *Encoder, v reflect.Value) {
 		if v.IsNil() {
 			e.buf = append(e.buf, tNil)
@@ -490,7 +545,11 @@ func buildPairSliceEncoder(rt reflect.Type) encFn {
 			pair := v.Index(i)
 			e.buf = append(e.buf, tString)
 			e.buf = appendLenPrefixed(e.buf, pair.Field(0).String())
-			valFn(e, pair.Field(1))
+			if f := pair.Field(1); inline && f.IsNil() {
+				boxed(e, pair)
+			} else {
+				valFn(e, f)
+			}
 			e.maybeFlush()
 		}
 		e.depth--

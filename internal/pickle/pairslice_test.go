@@ -340,3 +340,61 @@ func TestPairSliceDecodeAllocs(t *testing.T) {
 		t.Errorf("decode of %d arcs: %.0f allocs, want <= %d", n, allocs, 2*n+60)
 	}
 }
+
+// boxDir is an arcDir whose pairs keep a childless directory of no N unboxed,
+// as its name alone: a MapPairInline.
+type boxDir struct {
+	Name string
+	Kids []boxArc `pickle:"Kids"`
+	N    int
+}
+
+type boxArc struct {
+	Label string
+	Dir   *boxDir
+
+	name string
+}
+
+func (boxArc) PickleMapPair() {}
+
+func (a *boxArc) PickleBox(box any) bool {
+	*box.(*boxDir) = boxDir{Name: a.name}
+	return a.name != ""
+}
+
+func (a *boxArc) PickleUnbox(box any) bool {
+	d := box.(*boxDir)
+	if d.Kids != nil || d.N != 0 || d.Name == "" {
+		return false
+	}
+	a.name = d.Name
+	return true
+}
+
+// TestPairInlineBytesEqualBoxed: a pair holding its value unboxed pickles as
+// the pointer it stands for and loads unboxed again, and a later reference
+// to such a value boxes it for the pair and the reference to share.
+func TestPairInlineBytesEqualBoxed(t *testing.T) {
+	flat := &arcDir{Name: "root", Kids: []arc{{"a", &arcDir{Name: "leaf"}}, {"b", &arcDir{Name: "kept", N: 1}}, {"c", nil}}}
+	want := marshalAs(t, flat, "pickle.arcDir", "pickle.boxDir")
+	var back *boxDir
+	if err := Unmarshal(want, &back); err != nil {
+		t.Fatal(err)
+	}
+	if k := back.Kids; k[0].Dir != nil || k[0].name != "leaf" || k[1].Dir == nil || k[2].Dir != nil || k[2].name != "" {
+		t.Fatalf("loaded %+v: want a unboxed, b boxed, c nil", k)
+	}
+	if got, err := Marshal(back); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("an unboxed value pickles unlike the pointer it stands for (%v)", err)
+	}
+
+	leaf := &arcDir{Name: "leaf"}
+	var shared *boxDir
+	if err := Unmarshal(marshalAs(t, &arcDir{Kids: []arc{{"a", leaf}, {"b", leaf}}}, "pickle.arcDir", "pickle.boxDir"), &shared); err != nil {
+		t.Fatal(err)
+	}
+	if k := shared.Kids; k[0].Dir == nil || k[0].Dir != k[1].Dir || k[0].name != "" {
+		t.Fatalf("a referenced unboxed value is not boxed and shared: %+v", k)
+	}
+}

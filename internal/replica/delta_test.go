@@ -51,7 +51,7 @@ func treesMatch(a, b *nameserver.Node, path string) string {
 		if ba[i].Label != arc.Label {
 			return fmt.Sprintf("node %q: extra child %q", path, arc.Label)
 		}
-		if d := treesMatch(arc.Child, ba[i].Child, path+"/"+arc.Label); d != "" {
+		if d := treesMatch(arc.Node(), ba[i].Node(), path+"/"+arc.Label); d != "" {
 			return d
 		}
 	}
