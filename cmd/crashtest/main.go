@@ -92,7 +92,7 @@ func parseFlags(args []string) (fs *flag.FlagSet, cfg crashtest.Config, modes []
 	fs.BoolVar(&cfg.UnsafeNoSync, "nosync", false, "run the tortured node without log syncs (a store, or a group at W = 1, must then report violations; at W > 1 it must still recover via the other members)")
 	fs.IntVar(&cfg.Readers, "readers", 0, "concurrent snapshot readers validating lock-free enquiries against the oracle during every workload and catch-up")
 	fs.IntVar(&cfg.Batch, "batch", 0, "group every k workload updates into one ApplyBatch — one log sync covering k entries (0/1 = one update at a time)")
-	fs.IntVar(&cfg.MaxDeltaChain, "delta-chain", 0, "compact the delta chain after this many deltas (0 = store default); small values put compactions inside the sweep")
+	fs.IntVar(&cfg.MaxDeltaChain, "delta-chain", 0, "write a full image once the chain holds this many deltas (0 = store default); small values put re-bases inside the sweep")
 	fs.IntVar(&cfg.HistoryCap, "history-cap", 0, "bound every replica's anti-entropy history (0 = the replica default, 4096); below -ops it puts the history trim and snapshot-install repair inside the sweep")
 	verbose := fs.Bool("v", false, "log progress")
 

@@ -102,16 +102,15 @@ func TestRetentionKeepsReferencedBase(t *testing.T) {
 	}
 }
 
-// TestFullSwitchCollapsesChain: a full switch on top of a delta chain (the
-// compactor's move) lets retention drop the old chain once it leaves the
-// window.
+// TestFullSwitchCollapsesChain: a full switch on top of a delta chain (a
+// re-base) lets retention drop the old chain once it leaves the window.
 func TestFullSwitchCollapsesChain(t *testing.T) {
 	fs := vfs.NewMem(1)
 	st := mustInit(t, fs, "base")
 	st = deltaSwitch(t, fs, st, "d2", Options{Retain: 1})
 	st = deltaSwitch(t, fs, st, "d3", Options{Retain: 1})
 
-	// Compaction: switch to a fresh full image at version 4. Version 3 is
+	// Re-base: switch to a fresh full image at version 4. Version 3 is
 	// retained, so its whole chain (1, 2.d, 3.d) must survive this switch.
 	st, err := SwitchWith(fs, st, writeBytes([]byte("full4")), Options{Retain: 1})
 	if err != nil {

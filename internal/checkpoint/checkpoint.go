@@ -515,25 +515,7 @@ func SwitchWith(fs vfs.FS, cur State, write func(w io.Writer) error, opts Option
 // leaves only debris that recovery clears. It reports the new version
 // number.
 func Prepare(fs vfs.FS, cur State, write func(w io.Writer) error, opts Options) (uint64, error) {
-	next := cur.Version + 1
-	// An aborted earlier switch to next may have left the opposite-kind
-	// file behind; clear it before this switch can commit, or recovery
-	// would resolve next's chain through stale debris.
-	if err := removeIfExists(fs, DeltaName(next)); err != nil {
-		return 0, err
-	}
-	var written int64
-	counted := func(w io.Writer) error {
-		cw := &countingWriter{w: w}
-		err := write(cw)
-		written = cw.n
-		return err
-	}
-	if err := writeCheckpointFile(fs, CheckpointName(next), counted); err != nil {
-		return 0, err
-	}
-	opts.Obs.Histogram("checkpoint_bytes").Observe(written)
-	return next, nil
+	return prepare(fs, cur, write, opts, CheckpointName, DeltaName, "checkpoint_bytes")
 }
 
 // PrepareDelta is Prepare for a chained incremental switch: it writes and
@@ -545,11 +527,20 @@ func Prepare(fs vfs.FS, cur State, write func(w io.Writer) error, opts Options) 
 // clears. The caller must hold a State whose own chain is intact (any
 // State returned by this package satisfies that).
 func PrepareDelta(fs vfs.FS, cur State, write func(w io.Writer) error, opts Options) (uint64, error) {
+	return prepare(fs, cur, write, opts, DeltaName, CheckpointName, "checkpoint_delta_bytes")
+}
+
+// prepare writes and syncs the next version's file of one kind, named by
+// name, and observes its size in the histogram hist. First it clears the
+// file of the other kind, named by debris, that an aborted earlier switch
+// to next may have left: before this switch commits, or recovery would
+// resolve next's chain through it.
+func prepare(fs vfs.FS, cur State, write func(w io.Writer) error, opts Options, name, debris func(uint64) string, hist string) (uint64, error) {
 	next := cur.Version + 1
-	// Clear opposite-kind debris of an aborted switch, as in Prepare: a
-	// stale full image at next would silently become the chain's base.
-	if err := removeIfExists(fs, CheckpointName(next)); err != nil {
-		return 0, err
+	if d := debris(next); vfs.Exists(fs, d) {
+		if err := fs.Remove(d); err != nil {
+			return 0, err
+		}
 	}
 	var written int64
 	counted := func(w io.Writer) error {
@@ -558,18 +549,11 @@ func PrepareDelta(fs vfs.FS, cur State, write func(w io.Writer) error, opts Opti
 		written = cw.n
 		return err
 	}
-	if err := writeCheckpointFile(fs, DeltaName(next), counted); err != nil {
+	if err := writeCheckpointFile(fs, name(next), counted); err != nil {
 		return 0, err
 	}
-	opts.Obs.Histogram("checkpoint_delta_bytes").Observe(written)
+	opts.Obs.Histogram(hist).Observe(written)
 	return next, nil
-}
-
-func removeIfExists(fs vfs.FS, name string) error {
-	if !vfs.Exists(fs, name) {
-		return nil
-	}
-	return fs.Remove(name)
 }
 
 // CreateLogFile creates version v's log file holding only head as its head

@@ -118,12 +118,6 @@ type Config struct {
 	// entries instead of failing, for applications whose updates are
 	// independent (§4).
 	SkipDamagedLogEntries bool
-	// Deterministic makes the store's file-operation order a function of
-	// the calls made on it: a due compaction runs synchronously inside the
-	// Checkpoint call that made it due instead of on a background
-	// goroutine. It exists for the crash sweeps, which replay a run up to a
-	// chosen file operation.
-	Deterministic bool
 	// MaxLogBytes, when > 0, triggers an automatic checkpoint after an
 	// update leaves the log larger than this.
 	MaxLogBytes int64
@@ -141,17 +135,16 @@ type Config struct {
 	// checkpoints run the same mirror-window protocol, whose file order
 	// still recovers a prefix of the updates at every crash point.
 	UnsafeNoSync bool
-	// MaxDeltaChain bounds the delta chain: once a checkpoint would make
-	// the chain (full base + deltas) longer than this, a compaction
-	// rewrites the chain into a fresh full image. 0 means the default
+	// MaxDeltaChain bounds the deltas a chain holds: a checkpoint whose
+	// chain already holds this many writes a full image instead, so the
+	// chain never exceeds MaxDeltaChain+1 files. 0 means the default
 	// (DefaultMaxDeltaChain). Longer chains mean less checkpoint I/O and
 	// more restart work.
 	MaxDeltaChain int
-	// MaxDeltaRatio bounds the chain's cumulative delta bytes relative to
-	// its base image: past base*MaxDeltaRatio a compaction runs, and any
-	// single delta that large is written as a full image instead (at that
-	// point the delta machinery saves nothing). 0 means the default
-	// (DefaultMaxDeltaRatio).
+	// MaxDeltaRatio bounds the chain's delta bytes relative to its base
+	// image: a checkpoint writes a delta only if the chain's deltas,
+	// this one included, stay within base*MaxDeltaRatio, and a full image
+	// otherwise. 0 means the default (DefaultMaxDeltaRatio).
 	MaxDeltaRatio float64
 	// Obs, when non-nil, receives the store's metrics (core_*), the
 	// log's (wal_*), the checkpoint protocol's (checkpoint_*) and the
@@ -177,7 +170,7 @@ type Stats struct {
 	Checkpoints uint64
 	// DeltaCheckpoints counts the checkpoints (included in Checkpoints)
 	// that wrote a delta file instead of a full image; Compactions counts
-	// the full checkpoints forced to collapse a delta chain.
+	// the full checkpoints written over a chain that held deltas.
 	DeltaCheckpoints uint64
 	Compactions      uint64
 	// LastCheckpointBytes is the pickled size of the most recent
@@ -223,7 +216,7 @@ type Stats struct {
 	// the base), RestartReplayTime is the log replay. The scaling claim
 	// (cost proportional to churn, not root size) is about the delta and
 	// replay components; the base read is paid once per chain, not per
-	// restart of a busy store (compaction refreshes it).
+	// restart of a busy store (a full checkpoint refreshes it).
 	RestartCheckpointTime time.Duration
 	RestartDeltaTime      time.Duration
 	RestartDeltaBytes     int64
@@ -297,7 +290,6 @@ type Store struct {
 	cpHook     func(CheckpointStage) // test instrumentation; see SetCheckpointStageHook
 
 	checkpointing atomic.Bool    // auto-checkpoint in flight
-	compacting    atomic.Bool    // background compaction in flight
 	cpMu          sync.Mutex     // serializes whole checkpoints end to end
 	cpWG          sync.WaitGroup // in-flight auto-checkpoint goroutines; Close waits
 
@@ -307,13 +299,12 @@ type Store struct {
 	// diffs against; nil means the next checkpoint must be full. cpPrevSeq
 	// is that checkpoint's NextSeq. Retaining the view costs memory
 	// proportional to the churn since it was taken (the COW discipline
-	// shares everything unchanged).
+	// shares everything unchanged). baseBytes and deltaBytes are the
+	// pickled sizes of the chain's full base image and of its deltas.
 	cpPrevView any
 	cpPrevSeq  uint64
-
-	// Chain accounting, read by compactionDue off the checkpoint path.
-	baseBytes  atomic.Int64 // pickled size of the chain's full base image
-	deltaBytes atomic.Int64 // cumulative delta sizes since that base
+	baseBytes  int64
+	deltaBytes int64
 
 	// statMu guards stats. Every write to stats — including the
 	// restart-time fields set during Open — goes through recordStats, so
@@ -499,7 +490,7 @@ func (s *Store) initFresh() (*Store, error) {
 	s.log = l
 	s.cpState = st
 	s.applied = 0
-	s.baseBytes.Store(baseBytes)
+	s.baseBytes = baseBytes
 	s.seedDeltaBase(root, 1)
 	s.queuePublish(0)
 	s.publishDurable(0)
@@ -566,8 +557,7 @@ func (s *Store) load(st checkpoint.State) error {
 	if err != nil {
 		return err
 	}
-	s.baseBytes.Store(cs.baseBytes)
-	s.deltaBytes.Store(cs.deltaBytes)
+	s.baseBytes, s.deltaBytes = cs.baseBytes, cs.deltaBytes
 	s.root = hdr.Root
 	s.log = l
 	s.cpState = st
@@ -1102,10 +1092,21 @@ func (s *Store) Err() error {
 // counters: the checkpoint itself runs in the background, so the update that
 // crossed the threshold does not pay the checkpoint's latency.
 func (s *Store) maybeAutoCheckpoint() {
-	if s.cfg.MaxLogBytes <= 0 && s.cfg.MaxLogEntries <= 0 || !s.autoCheckpointDue() {
+	if s.cfg.MaxLogBytes <= 0 && s.cfg.MaxLogEntries <= 0 || !s.autoCheckpointDue() ||
+		!s.checkpointing.CompareAndSwap(false, true) {
 		return
 	}
-	s.background(&s.checkpointing, func() {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		s.checkpointing.Store(false)
+		return
+	}
+	s.cpWG.Add(1) // under mu with closed checked, so Close cannot be Waiting yet
+	s.mu.Unlock()
+	go func() {
+		defer s.checkpointing.Store(false)
+		defer s.cpWG.Done()
 		// Re-check: a manual or timer checkpoint may have emptied the log
 		// while this goroutine was starting. Best effort — a failure
 		// leaves the old version current and surfaces through
@@ -1113,27 +1114,6 @@ func (s *Store) maybeAutoCheckpoint() {
 		if s.autoCheckpointDue() {
 			_ = s.Checkpoint()
 		}
-	})
-}
-
-// background runs fn on a goroutine Close waits for, single-flight under
-// busy; it does nothing while busy or once the store is closed.
-func (s *Store) background(busy *atomic.Bool, fn func()) {
-	if !busy.CompareAndSwap(false, true) {
-		return
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		busy.Store(false)
-		return
-	}
-	s.cpWG.Add(1) // under mu with closed checked, so Close cannot be Waiting yet
-	s.mu.Unlock()
-	go func() {
-		defer busy.Store(false)
-		defer s.cpWG.Done()
-		fn()
 	}()
 }
 
@@ -1149,29 +1129,20 @@ func (s *Store) autoCheckpointDue() bool {
 // Checkpoint records the database on disk and starts an empty log (§3).
 // With a DeltaRoot (the default for the nameserver and replica roots) the
 // checkpoint file holds only the subtrees changed since the previous
-// checkpoint, chained onto the last full image; a full rewrite (compaction)
-// runs automatically once the chain crosses Config.MaxDeltaChain or
-// Config.MaxDeltaRatio. Updates are excluded at most while the root is
-// pickled in memory; every disk transfer happens while updates keep
-// committing (see checkpointNonBlocking). Enquiries proceed throughout.
+// checkpoint, chained onto the last full image, unless that would take the
+// chain past Config.MaxDeltaChain or Config.MaxDeltaRatio: then the
+// checkpoint writes a full image itself. Updates are excluded at most while
+// the root is pickled in memory; every disk transfer happens while updates
+// keep committing (see checkpointNonBlocking). Enquiries proceed throughout.
 // Concurrent Checkpoint calls serialize; each performs a full switch.
 func (s *Store) Checkpoint() error {
 	s.cpMu.Lock()
-	err := s.checkpointLocked(false)
+	s.cpInflight.Set(1)
+	err := s.checkpointNonBlocking()
+	s.cpInflight.Set(0)
 	s.cpMu.Unlock()
 	s.noteCheckpointErr(err)
-	if err == nil {
-		s.maybeCompact()
-	}
 	return err
-}
-
-// checkpointLocked runs one checkpoint switch; the caller holds cpMu.
-// forceFull makes a delta-capable store write a full image (compaction).
-func (s *Store) checkpointLocked(forceFull bool) error {
-	s.cpInflight.Set(1)
-	defer s.cpInflight.Set(0)
-	return s.checkpointNonBlocking(forceFull)
 }
 
 // noteCheckpointErr records a checkpoint outcome where LastCheckpointErr,
@@ -1184,66 +1155,6 @@ func (s *Store) noteCheckpointErr(err error) {
 		s.ctr.cpErrors.Inc()
 		obs.Emit(s.tracer, obs.Event{Name: "checkpoint.error", Err: err})
 	}
-}
-
-// compactionDue reports whether the delta chain has outgrown its bounds
-// and should be rewritten into a fresh full image.
-func (s *Store) compactionDue() bool {
-	s.mu.Lock()
-	st := s.cpState
-	unhealthy := s.closed || s.poisoned != nil
-	s.mu.Unlock()
-	if unhealthy || st.Version <= st.Base {
-		return false
-	}
-	if int(st.Version-st.Base) >= s.maxDeltaChain() {
-		return true
-	}
-	bb := s.baseBytes.Load()
-	return bb > 0 && float64(s.deltaBytes.Load()) > s.maxDeltaRatio()*float64(bb)
-}
-
-// maybeCompact rewrites the delta chain into a fresh full image when it
-// has outgrown its bounds — on a single-flight background goroutine, so
-// the checkpoint that tripped the threshold doesn't absorb a full-root
-// write, or synchronously under Config.Deterministic.
-func (s *Store) maybeCompact() {
-	if !s.compactionDue() {
-		return
-	}
-	compact := func() {
-		s.cpMu.Lock()
-		err := s.compactLocked()
-		s.cpMu.Unlock()
-		s.noteCheckpointErr(err)
-	}
-	if s.cfg.Deterministic {
-		compact()
-	} else {
-		s.background(&s.compacting, compact)
-	}
-}
-
-// compactLocked re-checks the thresholds under cpMu (a concurrent manual
-// Checkpoint may have compacted already) and runs the full switch.
-func (s *Store) compactLocked() error {
-	if !s.compactionDue() {
-		return nil
-	}
-	s.mu.Lock()
-	chainLen := int64(1 + s.cpState.Version - s.cpState.Base)
-	s.mu.Unlock()
-	obs.Emit(s.tracer, obs.Event{Name: "checkpoint.compact", Attrs: []obs.Attr{
-		obs.A("chain_len", chainLen),
-		obs.A("delta_bytes", s.deltaBytes.Load()),
-		obs.A("base_bytes", s.baseBytes.Load()),
-	}})
-	err := s.checkpointLocked(true)
-	if err == nil {
-		s.ctr.compactions.Inc()
-		s.recordStats(func(st *Stats) { st.Compactions++ })
-	}
-	return err
 }
 
 // LastCheckpointErr reports the outcome of the most recent checkpoint
@@ -1328,10 +1239,12 @@ func (s *Store) stageHook(stage CheckpointStage) {
 // delta — the diff of the current snapshot against the previous
 // checkpoint's — and step 2 writes it as checkpointN.d, chaining onto the
 // previous version. Everything else (mirror window, commit point,
-// retention) is identical; a delta that would rival the base image's size
-// is discarded and the full root pickled instead. forceFull is the
-// compactor's handle: it collapses the chain into a fresh full image.
-func (s *Store) checkpointNonBlocking(forceFull bool) error {
+// retention) is identical. The checkpoint picks its image kind before it
+// writes anything: a delta only while the chain holds fewer than
+// MaxDeltaChain deltas and its delta bytes, this one's included, stay
+// within MaxDeltaRatio of the base image's; a full image otherwise, which
+// starts a fresh chain.
+func (s *Store) checkpointNonBlocking() error {
 	s.lock.UpdateUrgent()
 	s.mu.Lock()
 	err := s.unusable()
@@ -1422,34 +1335,20 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 	if snap != nil {
 		ps := time.Now()
 		curView = snap.Root()
-		if prevView := s.cpPrevView; prevView != nil && !forceFull {
-			if dr, ok := curView.(DeltaRoot); ok {
-				delta, derr := dr.DeltaSince(prevView)
-				if derr == nil {
-					dh := &deltaHeader{
-						Version: next, Parent: cur.Version,
-						FromSeq: s.cpPrevSeq, NextSeq: nextSeq,
-						Subtrees: deltaOps(delta), Delta: delta,
-					}
-					if perr = pickle.Write(sw, dh); perr == nil {
-						isDelta = true
-						subtrees = dh.Subtrees
-					}
-				}
-				if !isDelta {
-					// A failed diff or pickle is not fatal — fall back to
-					// the full image this checkpoint would otherwise be.
-					sw.buf = sw.buf[:0]
-					perr = nil
-				}
+		dr, ok := curView.(DeltaRoot)
+		if ok && s.cpPrevView != nil && int(cur.Version-cur.Base) < s.maxDeltaChain() {
+			if delta, derr := dr.DeltaSince(s.cpPrevView); derr == nil {
+				subtrees = deltaOps(delta)
+				isDelta = pickle.Write(sw, &deltaHeader{
+					Version: next, Parent: cur.Version,
+					FromSeq: s.cpPrevSeq, NextSeq: nextSeq,
+					Subtrees: subtrees, Delta: delta,
+				}) == nil && float64(s.deltaBytes+int64(len(sw.buf))) <= s.maxDeltaRatio()*float64(s.baseBytes)
 			}
-		}
-		if isDelta {
-			// Size guard: a delta rivaling the base image saves nothing
-			// and still lengthens the chain; write a fresh full image.
-			if bb := s.baseBytes.Load(); bb <= 0 || float64(len(sw.buf)) >= s.maxDeltaRatio()*float64(bb) {
-				sw.buf = sw.buf[:0]
-				isDelta = false
+			if !isDelta {
+				// A failed diff or pickle is not fatal, and an outsized
+				// delta saves nothing: write the full image instead.
+				sw.buf, subtrees = sw.buf[:0], 0
 			}
 		}
 		if !isDelta {
@@ -1539,11 +1438,11 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 	// move with it. curView is the published view this checkpoint
 	// recorded — exactly what on-disk version next reconstructs to. (All
 	// under cpMu, which the caller holds.)
+	compacted := !isDelta && cur.Version > cur.Base
 	if isDelta {
-		s.deltaBytes.Add(cpBytes)
+		s.deltaBytes += cpBytes
 	} else {
-		s.baseBytes.Store(cpBytes)
-		s.deltaBytes.Store(0)
+		s.baseBytes, s.deltaBytes = cpBytes, 0
 	}
 	if _, ok := curView.(DeltaRoot); ok {
 		s.cpPrevView = curView
@@ -1578,9 +1477,15 @@ func (s *Store) checkpointNonBlocking(forceFull bool) error {
 		if isDelta {
 			st.DeltaCheckpoints++
 		}
+		if compacted {
+			st.Compactions++
+		}
 	})
 	if isDelta {
 		s.ctr.deltaCheckpoints.Inc()
+	}
+	if compacted {
+		s.ctr.compactions.Inc()
 	}
 	obs.Emit(s.tracer, obs.Event{Name: "checkpoint.finish", Dur: time.Since(cpStart), Attrs: []obs.Attr{
 		obs.A("version", next),

@@ -33,8 +33,8 @@ type DeltaRoot interface {
 // inspection tooling.
 type deltaOpCounter interface{ DeltaOps() int }
 
-// Defaults for the compaction thresholds; see Config.MaxDeltaChain and
-// Config.MaxDeltaRatio.
+// Defaults for the bounds past which a checkpoint writes a full image; see
+// Config.MaxDeltaChain and Config.MaxDeltaRatio.
 const (
 	DefaultMaxDeltaChain = 8
 	DefaultMaxDeltaRatio = 0.5

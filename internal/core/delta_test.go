@@ -216,32 +216,27 @@ func TestDeltaRestartEquivalence(t *testing.T) {
 	s.Close()
 }
 
-// TestCompactionByChainLength: crossing MaxDeltaChain rewrites the chain
-// into a fresh full image.
+// TestCompactionByChainLength: once the chain holds MaxDeltaChain deltas,
+// the next checkpoint writes a fresh full image itself.
 func TestCompactionByChainLength(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s := openDKV(t, fs, func(c *Config) {
-		c.MaxDeltaChain = 2
-		c.Deterministic = true
-	})
+	s := openDKV(t, fs, func(c *Config) { c.MaxDeltaChain = 2 })
 	defer s.Close()
 	populateDKV(t, s, 100)
 	if err := s.Checkpoint(); err != nil { // v2: full
 		t.Fatal(err)
 	}
-	for round := 0; round < 2; round++ {
+	for round := 0; round < 3; round++ {
 		if err := s.Apply(&putDKV{Key: fmt.Sprintf("churn%d", round), Value: "x"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Checkpoint(); err != nil { // v3, v4: deltas
+		if err := s.Checkpoint(); err != nil { // v3, v4: deltas; v5: full
 			t.Fatal(err)
 		}
 	}
-	// The second delta made the chain hit the bound; Deterministic ran
-	// a full switch (v5) inside that Checkpoint call.
 	st := s.Stats()
-	if st.Compactions != 1 {
-		t.Fatalf("compactions = %d, want 1", st.Compactions)
+	if st.DeltaCheckpoints != 2 || st.Compactions != 1 {
+		t.Fatalf("%d deltas and %d compactions, want 2 and 1", st.DeltaCheckpoints, st.Compactions)
 	}
 	if st.ChainLength != 1 {
 		t.Fatalf("chain length %d after compaction", st.ChainLength)
@@ -249,19 +244,16 @@ func TestCompactionByChainLength(t *testing.T) {
 	if s.Version() != 5 || !vfs.Exists(fs, checkpoint.CheckpointName(5)) {
 		t.Fatalf("version %d; compacted full image missing", s.Version())
 	}
-	if err := s.LastCheckpointErr(); err != nil {
-		t.Fatal(err)
-	}
 }
 
-// TestCompactionByRatio: cumulative delta bytes crossing
-// base*MaxDeltaRatio triggers compaction even with a short chain.
+// TestCompactionByRatio: the checkpoint whose delta would take the chain's
+// delta bytes past base*MaxDeltaRatio writes a full image instead, even
+// with a short chain.
 func TestCompactionByRatio(t *testing.T) {
 	fs := vfs.NewMem(1)
 	s := openDKV(t, fs, func(c *Config) {
 		c.MaxDeltaRatio = 0.05
 		c.MaxDeltaChain = 100 // out of the way: the ratio must trigger first
-		c.Deterministic = true
 	})
 	defer s.Close()
 	populateDKV(t, s, 300)
@@ -269,8 +261,8 @@ func TestCompactionByRatio(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := s.Version()
-	// Tiny per-checkpoint churn: each delta passes the single-delta size
-	// guard, and the cumulative sum crosses base*0.05 after a few rounds.
+	// Tiny per-checkpoint churn: each delta fits on its own, and the
+	// chain's sum crosses base*0.05 after a few rounds.
 	for i := 0; ; i++ {
 		if i > 50 {
 			t.Fatal("compaction never triggered")
@@ -286,7 +278,7 @@ func TestCompactionByRatio(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.ChainLength != 1 {
+	if st.ChainLength != 1 || vfs.Exists(fs, checkpoint.DeltaName(s.Version())) {
 		t.Fatalf("chain length %d after ratio compaction", st.ChainLength)
 	}
 	if st.DeltaCheckpoints == 0 {
@@ -294,6 +286,30 @@ func TestCompactionByRatio(t *testing.T) {
 	}
 	if s.Version() <= base {
 		t.Fatal("version did not advance")
+	}
+}
+
+// TestChainBoundAfterEveryCheckpoint: the chain bound holds the moment each
+// Checkpoint call returns, however fast the calls follow one another —
+// no re-base is left for later.
+func TestChainBoundAfterEveryCheckpoint(t *testing.T) {
+	const maxChain = 2
+	s := openDKV(t, vfs.NewMem(1), func(c *Config) { c.MaxDeltaChain = maxChain })
+	defer s.Close()
+	populateDKV(t, s, 100)
+	for i := 0; i < 12; i++ {
+		if err := s.Apply(&putDKV{Key: fmt.Sprintf("key%04d", i), Value: "z"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Stats().ChainLength; got > maxChain+1 {
+			t.Fatalf("checkpoint %d left a chain of %d files, bound %d", i, got, maxChain+1)
+		}
+	}
+	if st := s.Stats(); st.DeltaCheckpoints == 0 || st.Compactions == 0 {
+		t.Fatalf("%d deltas and %d compactions: the bound was never tested", st.DeltaCheckpoints, st.Compactions)
 	}
 }
 

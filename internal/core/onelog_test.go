@@ -236,7 +236,7 @@ func TestShardedRejectsSkipDamaged(t *testing.T) {
 // prefix semantics when a mid-batch Verify fails.
 func TestShardedApplyBatch(t *testing.T) {
 	fs := vfs.NewMem(1)
-	s := openKV(t, fs, func(c *Config) { c.Deterministic = true })
+	s := openKV(t, fs)
 
 	var batch []Update
 	for i := 0; i < 10; i++ {

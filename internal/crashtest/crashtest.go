@@ -92,11 +92,11 @@ type Config struct {
 	// updates one at a time. Checkpoint cadence is rounded up to a batch
 	// multiple so the schedule still fires.
 	Batch int
-	// MaxDeltaChain caps the delta chain before a compaction rewrites it
-	// into a fresh full base (0 = the store default). Small values put
-	// compactions inside the sweep, so crash points land mid-rewrite
-	// (Deterministic runs a due compaction inside the checkpoint that
-	// tripped it, on the workload thread).
+	// MaxDeltaChain caps the deltas a chain holds: the checkpoint after
+	// the cap writes a fresh full base (0 = the store default). Set, it
+	// also lifts the store's delta-to-base size bound, which a sweep's tiny
+	// tree fails at most checkpoints, so the sweep writes deltas and its
+	// crash points land inside both image kinds.
 	MaxDeltaChain int
 	// Readers runs this many concurrent snapshot readers alongside every
 	// workload — the reference run, each point's replay, and the post-fault
@@ -158,6 +158,9 @@ type Result struct {
 	Ops        int
 	TotalFSOps int64 // N: mutating fs ops in the crash-free workload (crash sweeps)
 	Points     int   // points replayed
+	// Deltas and Rebases count, for a crash sweep, the reference run's delta
+	// checkpoints and its full ones written over a chain holding deltas.
+	Deltas, Rebases uint64
 	// DeltaRecoveries counts the points whose recovery loaded a
 	// delta-checkpoint chain, FullRestores the snapshot installs across all
 	// points and nodes: a catch-up or repair the history no longer reached
@@ -168,10 +171,11 @@ type Result struct {
 }
 
 type runner struct {
-	cfg     Config // defaults filled in
-	cpEvery int
-	plan    *plan
-	rec     *recorder // crash sweeps: the reference run's ack windows
+	cfg        Config // defaults filled in
+	cpEvery    int
+	deltaRatio float64 // every store's MaxDeltaRatio; see Config.MaxDeltaChain
+	plan       *plan
+	rec        *recorder // crash sweeps: the reference run's ack windows
 
 	// The subject's shape: N members at write quorum W. A bare store is
 	// N = W = 1 with no group; otherwise member 0 takes the writes under
@@ -180,8 +184,8 @@ type runner struct {
 	group         replica.GroupConfig
 	policy        rpc.RetryPolicy
 
-	// reg collects every replica node's counters across all points, plus
-	// the harness's own deltaRecoveriesCounter.
+	// reg collects every store's counters across all points, plus the
+	// harness's own deltaRecoveriesCounter.
 	reg *obs.Registry
 }
 
@@ -268,6 +272,9 @@ func Run(cfg Config) (*Result, error) {
 		// cadence or it might never fire.
 		r.cpEvery = ((r.cpEvery + cfg.Batch - 1) / cfg.Batch) * cfg.Batch
 	}
+	if cfg.MaxDeltaChain > 0 {
+		r.deltaRatio = 8
+	}
 	r.cfg, r.plan = cfg, makePlan(cfg.Seed, cfg.Ops)
 
 	res := &Result{Mode: cfg.Mode, Seed: cfg.Seed, Ops: cfg.Ops}
@@ -278,6 +285,7 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("crashtest: reference run failed: %w", err)
 		}
 		res.TotalFSOps, last = n, n
+		res.Deltas, res.Rebases = r.reg.Counter("core_delta_checkpoints").Value(), r.reg.Counter("core_compactions").Value()
 	}
 	to := cfg.To
 	if to <= 0 || to > last {
@@ -288,8 +296,8 @@ func Run(cfg Config) (*Result, error) {
 		points = append(points, p)
 	}
 	res.Points = len(points)
-	r.logf("crashtest: mode=%s seed=%d ops=%d nodes=%d quorum=%d fs-ops=%d points=%d shards=%d",
-		cfg.Mode, cfg.Seed, cfg.Ops, r.nodes, r.quorum, res.TotalFSOps, len(points), cfg.Shards)
+	r.logf("crashtest: mode=%s seed=%d ops=%d nodes=%d quorum=%d fs-ops=%d deltas=%d rebases=%d points=%d shards=%d",
+		cfg.Mode, cfg.Seed, cfg.Ops, r.nodes, r.quorum, res.TotalFSOps, res.Deltas, res.Rebases, len(points), cfg.Shards)
 
 	var (
 		mu   sync.Mutex
@@ -391,8 +399,8 @@ func (e *endpoint) close() error {
 // additionally gets the group, and for its workload the flight recorder and
 // UnsafeNoSync.
 func (r *runner) memberConfig(i int, fs vfs.FS) replica.Config {
-	return replica.Config{Name: memberName(i), FS: fs, HistoryCap: r.cfg.HistoryCap, Deterministic: true,
-		MaxDeltaChain: r.cfg.MaxDeltaChain, PushPolicy: r.policy, SyncPolicy: r.policy, Obs: r.reg}
+	return replica.Config{Name: memberName(i), FS: fs, HistoryCap: r.cfg.HistoryCap,
+		MaxDeltaChain: r.cfg.MaxDeltaChain, MaxDeltaRatio: r.deltaRatio, PushPolicy: r.policy, SyncPolicy: r.policy, Obs: r.reg}
 }
 
 // member is one of the group's other members: it applies what member 0
@@ -483,8 +491,8 @@ func (r *runner) open(w *world, fs vfs.FS, workload bool, rc *readerCheck) (s *s
 	}
 	noSync := workload && r.cfg.UnsafeNoSync
 	if r.nodes == 1 {
-		srv, err := nameserver.Open(nameserver.Config{FS: fs, UnsafeNoSync: noSync, Deterministic: true,
-			Tracer: tracer, MaxDeltaChain: r.cfg.MaxDeltaChain})
+		srv, err := nameserver.Open(nameserver.Config{FS: fs, UnsafeNoSync: noSync, Obs: r.reg,
+			Tracer: tracer, MaxDeltaChain: r.cfg.MaxDeltaChain, MaxDeltaRatio: r.deltaRatio})
 		if err != nil {
 			return nil, err
 		}
@@ -929,14 +937,12 @@ func (rc *readerCheck) launch(st *core.Store, treeOf func(any) *nameserver.Tree)
 					return
 				}
 				seq := int(snap.Seq())
-				var msg string
 				if seq >= len(rc.plan.fp) {
-					msg = fmt.Sprintf("snapshot at seq %d beyond the %d-update plan", seq, len(rc.plan.updates))
-				} else if fp := fingerprintTree(treeOf(snap.Root())); fp != rc.plan.fp[seq] {
-					msg = fmt.Sprintf("snapshot at seq %d diverges from the oracle prefix of %d updates", seq, seq)
+					rc.fail("snapshot at seq %d beyond the %d-update plan", seq, len(rc.plan.updates))
+					return
 				}
-				if msg != "" {
-					rc.fail("%s", msg)
+				if fp := fingerprintTree(treeOf(snap.Root())); fp != rc.plan.fp[seq] {
+					rc.fail("snapshot at seq %d diverges from the oracle prefix of %d updates", seq, seq)
 					return
 				}
 				// Yield so spinning lock-free readers never starve the

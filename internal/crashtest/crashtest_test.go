@@ -134,9 +134,9 @@ func TestOverlapReplicaTorture(t *testing.T) {
 
 // TestDeltaChainCompactionTorture sweeps a store-mode workload whose
 // checkpoints are incremental deltas with the chain capped at one link, so
-// every second checkpoint trips a serial compaction: crash points land
-// inside delta writes, inside the chain's version commits, and inside the
-// compaction's full-base rewrite. Recovery at each point loads base +
+// the checkpoint after each delta re-bases onto a fresh full image: crash
+// points land inside delta writes, inside the chain's version commits, and
+// inside the full-base rewrite. Recovery at each point loads base +
 // surviving deltas + log replay and must still land on the oracle prefix.
 func TestDeltaChainCompactionTorture(t *testing.T) {
 	res, err := Run(Config{Seed: 1, Ops: 15, Mode: ModeStore, CheckpointEvery: 3, MaxDeltaChain: 1, Logf: t.Logf})
@@ -146,33 +146,39 @@ func TestDeltaChainCompactionTorture(t *testing.T) {
 	if res.Points < 20 {
 		t.Fatalf("suspiciously few crash points: %d", res.Points)
 	}
-	for _, v := range res.Violations {
-		t.Errorf("%s", v)
-	}
+	checkDeltaChainSweep(t, res)
 }
 
 // TestOverlapDeltaChainTorture commits updates inside every checkpoint's
-// mirror window — including the compaction rewrites the short chain cap
-// forces — so the sweep covers updates acknowledged while a delta or a
-// compacted full base is in flight.
+// mirror window — including the re-bases the short chain cap forces — so
+// the sweep covers updates acknowledged while a delta or a fresh full base
+// is in flight.
 func TestOverlapDeltaChainTorture(t *testing.T) {
 	res, err := Run(Config{Seed: 1, Ops: 12, Mode: ModeStore, CheckpointEvery: 3, MaxDeltaChain: 1,
 		OverlapCheckpoints: true, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range res.Violations {
-		t.Errorf("%s", v)
-	}
+	checkDeltaChainSweep(t, res)
 }
 
-// TestReplicaDeltaChainTorture runs the short-chain compaction sweep on a
-// replica node: the delta chain, the compaction, and the anti-entropy
-// catch-up after each recovery all compose.
+// TestReplicaDeltaChainTorture runs the short-chain sweep on a replica
+// node: the delta chain, the re-base, and the anti-entropy catch-up after
+// each recovery all compose.
 func TestReplicaDeltaChainTorture(t *testing.T) {
 	res, err := Run(Config{Seed: 2, Ops: 10, Mode: ModeReplica, CheckpointEvery: 3, MaxDeltaChain: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
+	}
+	checkDeltaChainSweep(t, res)
+}
+
+// checkDeltaChainSweep fails a delta-chain sweep that found violations, or
+// whose workload wrote no delta or no re-base, so never swept inside one.
+func checkDeltaChainSweep(t *testing.T, res *Result) {
+	t.Helper()
+	if res.Deltas == 0 || res.Rebases == 0 {
+		t.Errorf("the workload wrote %d deltas and %d re-bases; the sweep needs both", res.Deltas, res.Rebases)
 	}
 	for _, v := range res.Violations {
 		t.Errorf("%s", v)

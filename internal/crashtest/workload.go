@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"smalldb/internal/core"
@@ -163,15 +164,7 @@ func randSubtree(rng *rand.Rand, i int) *nameserver.Node {
 }
 
 func pathPrefix(prefix, path []string) bool {
-	if len(path) < len(prefix) {
-		return false
-	}
-	for i := range prefix {
-		if path[i] != prefix[i] {
-			return false
-		}
-	}
-	return true
+	return len(path) >= len(prefix) && slices.Equal(path[:len(prefix)], prefix)
 }
 
 // fingerprintTree hashes a canonical enumeration of the tree: every node in

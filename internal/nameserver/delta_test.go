@@ -324,7 +324,7 @@ func TestDeltaCheckpointBytesTrackChurn(t *testing.T) {
 func TestDeltaCheckpointReproducible(t *testing.T) {
 	run := func() (deltas map[string][]byte, ops int) {
 		fs := vfs.NewMem(1)
-		ns, err := Open(Config{FS: fs, Retain: 1, MaxDeltaRatio: 8, Deterministic: true})
+		ns, err := Open(Config{FS: fs, Retain: 1, MaxDeltaRatio: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,11 +21,8 @@ type Config struct {
 	// SkipDamagedLogEntries passes through; name-server updates are
 	// independent enough for the paper's skip-the-damaged-entry story.
 	SkipDamagedLogEntries bool
-	// Deterministic passes through: a due compaction runs inside the
-	// checkpoint that tripped it (the crash-sweep determinism knob).
-	Deterministic bool
-	// MaxDeltaChain and MaxDeltaRatio pass through: the delta-chain
-	// compaction thresholds (0 = the store defaults).
+	// MaxDeltaChain and MaxDeltaRatio pass through: the bounds past which
+	// a checkpoint writes a full image (0 = the store defaults).
 	MaxDeltaChain int
 	MaxDeltaRatio float64
 	// Obs and Tracer pass through to the store's instrumentation.
@@ -49,7 +46,6 @@ func Open(cfg Config) (*Server, error) {
 		MaxLogBytes:           cfg.MaxLogBytes,
 		MaxLogEntries:         cfg.MaxLogEntries,
 		SkipDamagedLogEntries: cfg.SkipDamagedLogEntries,
-		Deterministic:         cfg.Deterministic,
 		MaxDeltaChain:         cfg.MaxDeltaChain,
 		MaxDeltaRatio:         cfg.MaxDeltaRatio,
 		Obs:                   cfg.Obs,

@@ -44,10 +44,9 @@ func compatName(i int) string {
 }
 
 // compatConfig keeps the chain on disk: on a tree this small a delta rivals
-// the base image, which the default ratio would answer with a full image
-// and a compaction.
+// the base image, which the default ratio would answer with a full image.
 func compatConfig(fs vfs.FS) Config {
-	return Config{Name: "a", FS: fs, HistoryCap: compatCap, MaxDeltaRatio: 8, Deterministic: true}
+	return Config{Name: "a", FS: fs, HistoryCap: compatCap, MaxDeltaRatio: 8}
 }
 
 func writeCompatDir(t *testing.T, dir string) {

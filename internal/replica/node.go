@@ -33,11 +33,8 @@ type Config struct {
 	// its data from another replica". The crashtest harness uses it to
 	// exercise exactly that recovery path.
 	UnsafeNoSync bool
-	// Deterministic passes through: a due compaction runs inside the
-	// checkpoint that tripped it (the crash-sweep determinism knob).
-	Deterministic bool
-	// MaxDeltaChain and MaxDeltaRatio pass through: the delta-chain
-	// compaction thresholds (0 = the store defaults).
+	// MaxDeltaChain and MaxDeltaRatio pass through: the bounds past which
+	// a checkpoint writes a full image (0 = the store defaults).
 	MaxDeltaChain int
 	MaxDeltaRatio float64
 	// Obs and Tracer pass through to the store and additionally receive
@@ -147,7 +144,6 @@ func Open(cfg Config) (*Node, error) {
 		MaxLogBytes:   cfg.MaxLogBytes,
 		MaxLogEntries: cfg.MaxLogEntries,
 		UnsafeNoSync:  cfg.UnsafeNoSync,
-		Deterministic: cfg.Deterministic,
 		MaxDeltaChain: cfg.MaxDeltaChain,
 		MaxDeltaRatio: cfg.MaxDeltaRatio,
 		Obs:           cfg.Obs,

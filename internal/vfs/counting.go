@@ -7,7 +7,7 @@ import "sync/atomic"
 // with it to measure what a checkpoint or a restart actually cost the disk
 // — independent of the store's own accounting — and Reset the counters
 // between measurement windows. The counters are atomic, so concurrent
-// writers (sharded log streams, background compactions) tally correctly.
+// writers (sharded log streams, background checkpoints) tally correctly.
 type Counting struct {
 	fs         FS
 	readBytes  atomic.Int64
