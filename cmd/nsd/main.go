@@ -26,9 +26,9 @@
 //
 // With -debug, the daemon serves a live observability endpoint: /metrics
 // (JSON counters and histogram percentiles), /stats (human-readable, with
-// ?buckets=1 for full distributions and a recent-events ring), and
-// /debug/pprof/. With -slow, operations slower than the threshold (and all
-// errors) are logged.
+// ?buckets=1 for full distributions, then the flight recorder's recent
+// events), /debug/trace, /debug/flight and /debug/pprof/. With -slow,
+// operations slower than the threshold (and all errors) are logged.
 package main
 
 import (
@@ -74,21 +74,21 @@ func main() {
 	}
 
 	// The registry is always built (it is one map); -debug decides
-	// whether it is served. The tracer fans out to the /stats
-	// recent-events ring, the span collector behind /debug/trace and the
-	// "Trace" RPC service, the crash-surviving flight recorder in the
-	// database directory, and (with -slow) the slow-op logger.
+	// whether it is served. The tracer fans out to the span collector
+	// behind /debug/trace and the "Trace" RPC service, the crash-surviving
+	// flight recorder in the database directory (whose in-memory tail is
+	// /debug/flight and /stats' recent events), and (with -slow) the
+	// slow-op logger.
 	reg := obs.NewRegistry()
-	recorder := obs.NewRecorder(128)
 	traces := obs.NewTraceBuffer(4096)
 	flight, err := obs.OpenFlight(obs.FlightConfig{FS: fs, FlushEvery: 250 * time.Millisecond})
 	if err != nil {
 		log.Fatalf("nsd: flight recorder: %v", err)
 	}
 	defer flight.PanicFlush()
-	var tracer obs.Tracer = obs.Multi(recorder, traces, flight)
+	var tracer obs.Tracer = obs.Multi(traces, flight)
 	if *slow > 0 {
-		tracer = obs.Multi(recorder, traces, flight, obs.SlowOps(*slow, log.Printf))
+		tracer = obs.Multi(traces, flight, obs.SlowOps(*slow, log.Printf))
 	}
 	startTime := time.Now()
 	reg.Register("proc_uptime_seconds", func() any { return int64(time.Since(startTime).Seconds()) })
@@ -145,7 +145,7 @@ func main() {
 
 	var admin *obs.AdminServer
 	if *debug != "" {
-		admin, err = obs.ServeAdminOpts(*debug, reg, obs.MuxOptions{Recorder: recorder, Traces: traces, Flight: flight})
+		admin, err = obs.ServeAdmin(*debug, reg, obs.MuxOptions{Traces: traces, Flight: flight})
 		if err != nil {
 			log.Fatalf("nsd: debug listen: %v", err)
 		}

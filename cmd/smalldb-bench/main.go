@@ -9,9 +9,9 @@
 //	smalldb-bench -quick          # small iteration counts (seconds, not minutes)
 //	smalldb-bench -list           # list experiment ids
 //
-// The experiments run over the internal/disk model of the paper's 1987
-// hardware. What the shipped daemon costs on this machine — end to end and
-// layer by layer — is benchmark/'s nsbench.
+// The experiments run over a vfs.Metered file system with bench.MicroVAX,
+// the profile of the paper's 1987 disk. What the shipped daemon costs on
+// this machine — end to end and layer by layer — is benchmark/'s nsbench.
 package main
 
 import (
@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"smalldb/internal/bench"
-	"smalldb/internal/disk"
 )
 
 func main() {
@@ -48,10 +47,10 @@ func main() {
 			ids = append(ids, strings.TrimSpace(id))
 		}
 	}
-	prof := disk.MicroVAX
+	prof := bench.MicroVAX
 	fmt.Println("smalldb experiment harness — reproducing Birrell/Jones/Wobber, SOSP 1987")
-	fmt.Printf("disk model: %s (%v/write op, %dKB/s streaming, CPU ×%.0f)\n",
-		prof.Name, prof.PerOpWrite, prof.WriteBytesPerSec>>10, prof.CPUSlowdown)
+	fmt.Printf("disk model: MicroVAX-II-1987 (%v/write op, %dKB/s streaming, CPU ×%d)\n",
+		prof.PerOpWrite, prof.WriteBytesPerSec>>10, bench.CPUSlowdown)
 	if err := bench.Run(env, ids...); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)

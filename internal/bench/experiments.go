@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"smalldb/internal/disk"
 	"smalldb/internal/nameserver"
 	"smalldb/internal/vfs"
 )
@@ -62,9 +61,9 @@ func Run(env Env, ids ...string) error {
 
 // modeledFS builds the standard experiment substrate: in-memory files
 // behind the MicroVAX disk model. scale 0 = accounting only.
-func modeledFS(seed int64, scale float64) (*vfs.Mem, *disk.Disk) {
+func modeledFS(seed int64, scale float64) (*vfs.Mem, *vfs.Metered) {
 	mem := vfs.NewMem(seed)
-	return mem, disk.New(mem, disk.MicroVAX, scale)
+	return mem, vfs.NewMetered(mem, MicroVAX, scale)
 }
 
 // buildNS opens a name server on fs and populates it with env.DBEntries
@@ -86,7 +85,7 @@ func buildNS(env Env, fs vfs.FS, cfg nameserver.Config) (*nameserver.Server, err
 }
 
 func slow(cpu time.Duration) time.Duration {
-	return time.Duration(float64(cpu) * disk.MicroVAX.CPUSlowdown)
+	return time.Duration(float64(cpu) * CPUSlowdown)
 }
 
 // E1 measures enquiry latency: a pure virtual-memory lookup.
@@ -246,7 +245,7 @@ func E4(env Env) ([]*Table, error) {
 		}
 		s.Close()
 
-		d2 := disk.New(mem, disk.MicroVAX, 0)
+		d2 := vfs.NewMetered(mem, MicroVAX, 0)
 		t0 := time.Now()
 		s2, err := nameserver.Open(nameserver.Config{FS: d2})
 		if err != nil {
@@ -475,7 +474,7 @@ func E7(env Env) ([]*Table, error) {
 		}
 
 		// Restart cost for the final state.
-		d2 := disk.New(mem, disk.MicroVAX, 0)
+		d2 := vfs.NewMetered(mem, MicroVAX, 0)
 		s2, err := nameserver.Open(nameserver.Config{FS: d2})
 		if err != nil {
 			return nil, err

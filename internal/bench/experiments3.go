@@ -8,9 +8,9 @@ import (
 	"time"
 
 	"smalldb/internal/core"
-	"smalldb/internal/disk"
 	"smalldb/internal/multistore"
 	"smalldb/internal/pickle"
+	"smalldb/internal/vfs"
 )
 
 // e14Root is the per-partition database of E14.
@@ -58,7 +58,7 @@ func E14(env Env) ([]*Table, error) {
 	// model: its pickling CPU, slowed, plus its modeled disk time.
 	// Both arms start it from a collected heap, so neither pays for the
 	// other's garbage.
-	checkpoint := func(st *core.Store, d *disk.Disk) (time.Duration, error) {
+	checkpoint := func(st *core.Store, d *vfs.Metered) (time.Duration, error) {
 		runtime.GC()
 		pre := st.Stats()
 		d.ResetStats()

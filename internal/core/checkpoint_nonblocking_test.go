@@ -17,21 +17,17 @@ import (
 // the checkpoint itself, and the update-lock stall the checkpoint charges
 // is a small fraction of its total duration.
 func TestUpdatesProgressDuringSlowCheckpoint(t *testing.T) {
-	mem := vfs.NewMem(1)
-	slow := vfs.NewSlow(mem)
+	// ~4 MiB/s: the checkpoint's megabyte takes ~250ms; an update's
+	// ~100-byte log write costs microseconds of transfer.
+	slow := vfs.NewMetered(vfs.NewMem(1), vfs.Profile{WriteBytesPerSec: 4 << 20}, 1)
 	s := openKV(t, slow, func(c *Config) { c.Retain = 1 })
 	defer s.Close()
 
-	// ~1 MiB of root state, built at full speed.
+	// ~1 MiB of root state.
 	val := strings.Repeat("x", 4096)
 	for i := 0; i < 256; i++ {
 		put(t, s, fmt.Sprintf("big%d", i), val)
 	}
-
-	// ~4 MiB/s: the checkpoint's megabyte takes ~250ms; an update's
-	// ~100-byte log write costs microseconds of pacing.
-	slow.SetDelay(0, 4<<20)
-	defer slow.SetDelay(0, 0)
 
 	windowOpen := make(chan struct{})
 	var once sync.Once

@@ -103,9 +103,9 @@ func TestCrashPointSweep(t *testing.T) {
 // and reopens — both as the process left the disk and after a power failure
 // — and requires every acknowledged update to be present.
 func TestSyncFailureSweep(t *testing.T) {
-	probe := vfs.NewCounting(vfs.NewMem(1))
+	probe := vfs.NewMetered(vfs.NewMem(1), vfs.Profile{}, 0)
 	sweepRun(probe)
-	syncs := probe.Syncs()
+	syncs := probe.Stats().Syncs
 	if syncs == 0 {
 		t.Fatal("workload performed no syncs")
 	}

@@ -12,20 +12,13 @@ import (
 
 // MuxOptions selects the optional data sources behind the admin mux.
 type MuxOptions struct {
-	// Recorder, if non-nil, supplies the recent-events section of /stats.
-	Recorder *Recorder
 	// Traces, if non-nil, serves /debug/trace: recent traces, and a full
 	// per-trace timeline with ?id=<hex trace id>.
 	Traces *TraceBuffer
-	// Flight, if non-nil, serves /debug/flight: the live in-memory tail of
-	// the crash-surviving flight recorder.
+	// Flight, if non-nil, serves /debug/flight, the live in-memory tail of
+	// the crash-surviving flight recorder, and the recent-events section
+	// of /stats.
 	Flight *FlightRecorder
-}
-
-// Mux builds the admin HTTP mux for a registry with only a recent-events
-// recorder attached; see NewMux for the full option set.
-func Mux(r *Registry, rec *Recorder) *http.ServeMux {
-	return NewMux(r, MuxOptions{Recorder: rec})
 }
 
 // NewMux builds the admin HTTP mux for a registry:
@@ -33,13 +26,13 @@ func Mux(r *Registry, rec *Recorder) *http.ServeMux {
 //	/metrics       registry snapshot as JSON (counters, gauges, histogram
 //	               percentile summaries)
 //	/stats         the same, human-readable (durations and sizes formatted,
-//	               ASCII bucket bars with ?buckets=1)
+//	               ASCII bucket bars with ?buckets=1), then the flight
+//	               recorder's recent events
 //	/debug/trace   recent traces; ?id=<hex> renders one commit timeline
 //	/debug/flight  the flight recorder's in-memory tail
 //	/debug/pprof/  the standard Go profiling endpoints
 //	/debug/vars    expvar (the registry is published there too)
 func NewMux(r *Registry, opts MuxOptions) *http.ServeMux {
-	rec := opts.Recorder
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -65,9 +58,9 @@ func NewMux(r *Registry, opts MuxOptions) *http.ServeMux {
 				fmt.Fprintf(w, "\n%s:\n%s", name, s.Bar(40, bucketFormat(name)))
 			})
 		}
-		if rec != nil {
+		if opts.Flight != nil {
 			fmt.Fprintf(w, "\nrecent events:\n")
-			for _, e := range rec.Events() {
+			for _, e := range opts.Flight.Events() {
 				fmt.Fprintf(w, "  %s\n", e)
 			}
 		}
@@ -160,13 +153,7 @@ type AdminServer struct {
 // ServeAdmin starts the admin endpoint on addr, publishing the registry to
 // expvar as a side effect. It returns once the listener is bound; serving
 // continues in a background goroutine until Close.
-func ServeAdmin(addr string, r *Registry, rec *Recorder) (*AdminServer, error) {
-	return ServeAdminOpts(addr, r, MuxOptions{Recorder: rec})
-}
-
-// ServeAdminOpts is ServeAdmin with the full option set (trace buffer,
-// flight recorder).
-func ServeAdminOpts(addr string, r *Registry, opts MuxOptions) (*AdminServer, error) {
+func ServeAdmin(addr string, r *Registry, opts MuxOptions) (*AdminServer, error) {
 	r.PublishExpvar("smalldb_")
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -88,9 +88,12 @@ func TestDebugFlightEndpoint(t *testing.T) {
 }
 
 func TestStatsRendersEventTimestamps(t *testing.T) {
-	rec := NewRecorder(8)
-	rec.Emit(Event{Name: "update.commit", Time: time.Date(2026, 8, 8, 14, 5, 9, 123456000, time.Local), Dur: time.Millisecond})
-	srv := httptest.NewServer(NewMux(NewRegistry(), MuxOptions{Recorder: rec}))
+	fr, err := OpenFlight(FlightConfig{FS: vfs.NewMem(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.Emit(Event{Name: "update.commit", Time: time.Date(2026, 8, 8, 14, 5, 9, 123456000, time.Local), Dur: time.Millisecond})
+	srv := httptest.NewServer(NewMux(NewRegistry(), MuxOptions{Flight: fr}))
 	defer srv.Close()
 	code, body := getBody(t, srv.URL+"/stats")
 	if code != http.StatusOK {

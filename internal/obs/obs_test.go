@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"smalldb/internal/vfs"
 )
 
 // --- counters and gauges ---
@@ -232,23 +234,6 @@ func TestMultiFanOut(t *testing.T) {
 	}
 }
 
-func TestRecorderRing(t *testing.T) {
-	r := NewRecorder(4)
-	for i := 0; i < 10; i++ {
-		r.Emit(Event{Name: fmt.Sprintf("e%d", i)})
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring kept %d events, want 4", len(evs))
-	}
-	// Oldest-first: e6..e9 survive.
-	for i, e := range evs {
-		if want := fmt.Sprintf("e%d", 6+i); e.Name != want {
-			t.Errorf("event %d = %s, want %s", i, e.Name, want)
-		}
-	}
-}
-
 func TestSlowOpsFilter(t *testing.T) {
 	var lines []string
 	tr := SlowOps(10*time.Millisecond, func(format string, args ...any) {
@@ -362,9 +347,12 @@ func TestMuxEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("core_updates").Add(12)
 	r.Histogram("core_update_commit_ns").ObserveDuration(time.Millisecond)
-	rec := NewRecorder(8)
-	rec.Emit(Event{Name: "update.commit", Dur: time.Millisecond})
-	srv := httptest.NewServer(Mux(r, rec))
+	fr, err := OpenFlight(FlightConfig{FS: vfs.NewMem(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.Emit(Event{Name: "update.commit", Dur: time.Millisecond})
+	srv := httptest.NewServer(NewMux(r, MuxOptions{Flight: fr}))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
@@ -403,7 +391,7 @@ func TestMuxEndpoints(t *testing.T) {
 		t.Errorf("/stats status %d body %q", code, body)
 	}
 	if !strings.Contains(body, "update.commit") {
-		t.Errorf("/stats missing recorder events:\n%s", body)
+		t.Errorf("/stats missing flight recorder events:\n%s", body)
 	}
 	code, body = get("/stats?buckets=1")
 	if code != http.StatusOK || !strings.Contains(body, "#") {
@@ -419,7 +407,7 @@ func TestMuxEndpoints(t *testing.T) {
 }
 
 func TestServeAdmin(t *testing.T) {
-	a, err := ServeAdmin("127.0.0.1:0", NewRegistry(), nil)
+	a, err := ServeAdmin("127.0.0.1:0", NewRegistry(), MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // across goroutines, subsystems, and the RPC wire. Each timed region is a
 // span: it has its own SpanID, a Parent linking it into the tree, and is
 // recorded as an ordinary Event when it ends, so every existing Tracer
-// (Recorder, SlowOps, flight recorder) sees spans for free.
+// (TraceBuffer, SlowOps, flight recorder) sees spans for free.
 //
 // The API is deliberately minimal and allocation-free when disabled: a
 // Span is a small value, StartSpan on a nil/Nop tracer or a zero parent

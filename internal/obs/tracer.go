@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -145,46 +144,4 @@ func (s *slowOps) Emit(e Event) {
 		return
 	}
 	s.logf("obs: slow op: %s", e.String())
-}
-
-// A Recorder is a tracer that keeps the last N events in a ring, for tests
-// and for the /stats page's recent-events section.
-type Recorder struct {
-	mu     sync.Mutex
-	ring   []Event
-	next   int
-	filled bool
-}
-
-// NewRecorder returns a Recorder holding up to n events.
-func NewRecorder(n int) *Recorder {
-	if n <= 0 {
-		n = 64
-	}
-	return &Recorder{ring: make([]Event, n)}
-}
-
-// Emit implements Tracer.
-func (r *Recorder) Emit(e Event) {
-	r.mu.Lock()
-	r.ring[r.next] = e
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.filled = true
-	}
-	r.mu.Unlock()
-}
-
-// Events returns the recorded events, oldest first.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.filled {
-		return append([]Event(nil), r.ring[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.ring))
-	out = append(out, r.ring[r.next:]...)
-	out = append(out, r.ring[:r.next]...)
-	return out
 }

@@ -146,7 +146,7 @@ func TestApplyEntriesKeepsFirstError(t *testing.T) {
 // disk as one store batch, so it costs one log sync (two allowed: a
 // checkpoint policy may add its own), not one per entry.
 func TestRepairPushCostsOneSync(t *testing.T) {
-	cfs := vfs.NewCounting(vfs.NewMem(1))
+	cfs := vfs.NewMetered(vfs.NewMem(1), vfs.Profile{}, 0)
 	n, err := Open(Config{Name: "m", FS: cfs})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestRepairPushCostsOneSync(t *testing.T) {
 		entries[i] = Entry{Origin: "p", Seq: uint64(i + 1), Stamp: uint64(i + 1),
 			Inner: &nameserver.SetValue{Path: []string{"repair", fmt.Sprintf("k%d", i)}, Value: "v"}}
 	}
-	cfs.Reset()
+	cfs.ResetStats()
 	var reply PushReply
 	if err := NewService(n).Push(&PushArgs{Entries: entries}, &reply, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestRepairPushCostsOneSync(t *testing.T) {
 	if reply.Applied != len(entries) || reply.Vector["p"] != uint64(len(entries)) {
 		t.Fatalf("push applied %d entries, vector %v", reply.Applied, reply.Vector)
 	}
-	if got := cfs.Syncs(); got > 2 {
+	if got := cfs.Stats().Syncs; got > 2 {
 		t.Errorf("a %d-entry push cost the member %d syncs, want <= 2", len(entries), got)
 	}
 }
