@@ -85,19 +85,19 @@ type logRecord struct {
 	U Update
 }
 
-// logDecoder decodes a log file's entries against the table its head holds.
-func logDecoder(head []byte) (func(seq uint64, payload []byte) (Update, error), error) {
+// logDecoder decodes the named log's entries against the table its head holds.
+func logDecoder(name string, head []byte) (func(seq uint64, payload []byte) (Update, error), error) {
 	tab, err := pickle.ParseTable(head)
 	if err != nil {
-		return nil, fmt.Errorf("core: log head unreadable: %w", err)
+		return nil, fmt.Errorf("core: %s: log head unreadable: %w", name, err)
 	}
 	return func(seq uint64, payload []byte) (Update, error) {
 		var rec logRecord
 		if err := tab.Unmarshal(payload, &rec); err != nil {
-			return nil, fmt.Errorf("core: log entry %d undecodable: %w", seq, err)
+			return nil, fmt.Errorf("core: %s: log entry %d undecodable: %w", name, seq, err)
 		}
 		if rec.U == nil {
-			return nil, fmt.Errorf("core: log entry %d holds no update", seq)
+			return nil, fmt.Errorf("core: %s: log entry %d holds no update", name, seq)
 		}
 		return rec.U, nil
 	}, nil
@@ -670,7 +670,7 @@ func replayUpdates(fs vfs.FS, name string, firstSeq uint64, opts wal.ReplayOptio
 	if err != nil {
 		return wal.ReplayResult{NextSeq: firstSeq}, err
 	}
-	decode, err := logDecoder(head)
+	decode, err := logDecoder(name, head)
 	if err != nil {
 		return wal.ReplayResult{NextSeq: firstSeq}, err
 	}

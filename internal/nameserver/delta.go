@@ -160,7 +160,7 @@ func (t *Tree) ApplyDelta(delta any) error {
 	if !ok {
 		return fmt.Errorf("nameserver: delta is %T, not *TreeDelta", delta)
 	}
-	seen := map[*Node]bool{} // across ops: a pickle may share a node between two subtrees
+	seen := map[*Node]bool{} // across ops: a pickle may share a node between two puts' subtrees
 	for i := range d.Ops {
 		op := &d.Ops[i]
 		switch op.Op {
@@ -181,7 +181,7 @@ func (t *Tree) ApplyDelta(delta any) error {
 			if op.Subtree == nil {
 				return fmt.Errorf("nameserver: delta put with nil subtree at %s", JoinPath(op.Path))
 			}
-			if _, err := inspect(op.Subtree, false, seen); err != nil {
+			if _, err := inspect(op.Subtree, seen); err != nil {
 				return fmt.Errorf("%w: delta put at %s", err, JoinPath(op.Path))
 			}
 			// The decoded subtree is owned by the delta; share it. Its

@@ -169,24 +169,28 @@ func TestTreeDeltaVisitsChangedBlocks(t *testing.T) {
 }
 
 // TestApplyDeltaRefusesSharedSubtree: a delta's subtrees come off the wire,
-// where one pickle can reach a node twice — within one put or across two.
-// ApplyDelta refuses either, and a cycle, rather than install them.
+// where one pickle could reach a node twice — within one put or across two.
+// Within one, the node is an arc's, and a pair owns its value: decoding
+// refuses the reference, and pickling a cycle fails. Across two, Subtree is a
+// plain pointer, which pickle shares, so ApplyDelta refuses it.
 func TestApplyDeltaRefusesSharedSubtree(t *testing.T) {
 	leaf := &Node{Value: "v", HasValue: true}
+	var pe *pickle.Error
+	within := shareArc(mustMarshal(&TreeDelta{Ops: []DeltaOp{{Op: DeltaPut, Path: []string{"a"}, Subtree: &Node{Arcs: []Arc{{Label: "p", Child: leaf}, {Label: "q"}}}}}}), "p", "q")
+	if err := pickle.Unmarshal(within, &TreeDelta{}); !errors.As(err, &pe) {
+		t.Errorf("within: Unmarshal = %v, want a *pickle.Error", err)
+	}
 	cycle := &Node{}
 	cycle.Arcs = []Arc{{Label: "x", Child: cycle}}
-	for name, ops := range map[string][]DeltaOp{
-		"within": {{Op: DeltaPut, Path: []string{"a"}, Subtree: &Node{Arcs: []Arc{{Label: "p", Child: leaf}, {Label: "q", Child: leaf}}}}},
-		"across": {{Op: DeltaPut, Path: []string{"a"}, Subtree: leaf}, {Op: DeltaPut, Path: []string{"b"}, Subtree: leaf}},
-		"cycle":  {{Op: DeltaPut, Path: []string{"a"}, Subtree: cycle}},
-	} {
-		var wire TreeDelta
-		if err := pickle.Unmarshal(mustMarshal(&TreeDelta{Ops: ops}), &wire); err != nil {
-			t.Fatal(err)
-		}
-		if err := NewTree().ApplyDelta(&wire); !errors.Is(err, ErrSharedSubtree) {
-			t.Errorf("%s: ApplyDelta = %v, want ErrSharedSubtree", name, err)
-		}
+	if _, err := pickle.Marshal(&TreeDelta{Ops: []DeltaOp{{Op: DeltaPut, Path: []string{"a"}, Subtree: cycle}}}); !errors.As(err, &pe) {
+		t.Errorf("cycle: Marshal = %v, want a *pickle.Error", err)
+	}
+	var wire TreeDelta
+	if err := pickle.Unmarshal(mustMarshal(&TreeDelta{Ops: []DeltaOp{{Op: DeltaPut, Path: []string{"a"}, Subtree: leaf}, {Op: DeltaPut, Path: []string{"b"}, Subtree: leaf}}}), &wire); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewTree().ApplyDelta(&wire); !errors.Is(err, ErrSharedSubtree) {
+		t.Errorf("across: ApplyDelta = %v, want ErrSharedSubtree", err)
 	}
 }
 

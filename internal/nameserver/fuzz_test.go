@@ -16,7 +16,7 @@ import (
 	"smalldb/internal/pickle"
 )
 
-var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/FuzzTreeDecode from decodeSeeds")
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/FuzzTreeDecode and FuzzDeltaDecode from their seeds")
 
 // A checkpoint image is the one place a Tree is built by something other
 // than the tree's own operations: pickle appends whatever arcs the stream
@@ -49,11 +49,71 @@ func patch(raw, old, new []byte) []byte {
 	return bytes.Replace(raw, old, new, 1)
 }
 
+// shareArc respells the pickle raw so that the arc labelled to, which it
+// writes as an arc to nil, references the node the arc labelled from points
+// to: the image of two arcs sharing one node. A pair owns its value, so no
+// writer writes such an image; pickles before that rule did. Labels are
+// single-byte-length strings and the node's identity id is one byte.
+func shareArc(raw []byte, from, to string) []byte {
+	arc := func(label string, tag byte) []byte {
+		return append(append([]byte{0x0a, byte(len(label))}, label...), tag)
+	}
+	at := bytes.Index(raw, arc(from, 0x10))
+	if at < 0 {
+		panic(fmt.Sprintf("seed patch: no arc %q to a node in %x", from, raw))
+	}
+	id := raw[at+len(arc(from, 0x10))]
+	return patch(raw, arc(to, 0x02), append(arc(to, 0x11), id))
+}
+
+// seedCorpus holds the committed corpus entry named name of the fuzz target
+// to image, rewriting it first under -update-corpus.
+func seedCorpus(t *testing.T, target, name string, image []byte) {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", target)
+	entry := []byte("go test fuzz v1\n[]byte(" + strconv.Quote(string(image)) + ")\n")
+	if *updateCorpus {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), entry, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if on, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(on, entry) {
+		t.Errorf("committed corpus entry is not this seed (rerun with -update-corpus): %v", err)
+	}
+}
+
+// allocated runs fn and returns the bytes it allocated. However many
+// elements an image claims, decoding it must allocate in proportion to the
+// bytes it holds.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// typedDecodeError fails t unless err, from decoding image, is a
+// *pickle.Error, which is also how pickle reports a stream that ends inside a
+// value; only an image that ends before the value starts, at most the magic
+// byte, is a bare io.EOF.
+func typedDecodeError(t *testing.T, image []byte, err error) {
+	t.Helper()
+	var pe *pickle.Error
+	if !errors.As(err, &pe) && !(err == io.EOF && len(image) <= 1) {
+		t.Fatalf("decode failed with an untyped error: %T %v", err, err)
+	}
+}
+
 // decodeSeeds builds the corpus. The encoder writes arcs in slice order
 // without looking at them, so most hostile images are just the pickles of
 // trees the tree's own operations would never build; the rest are patched.
-// (Wire tags, from pickle/tags.go: 0x02 nil, 0x0e map, 0x11 ref; the root's
-// arcs take identity id 2, after the Tree and the root Node.)
+// (Wire tags, from pickle/tags.go: 0x02 nil, 0x0a string, 0x0e map, 0x10
+// pointer, 0x11 ref; the root's arcs take identity id 2, after the Tree and
+// the root Node.)
 func decodeSeeds() []decodeSeed {
 	leaf := func(v string) *Node { return &Node{Value: v, HasValue: true} }
 	tree := func(arcs []Arc) []byte { return mustMarshal(&Tree{Root: &Node{Arcs: arcs}}) }
@@ -70,7 +130,6 @@ func decodeSeeds() []decodeSeed {
 		wideList = append(wideList, label)
 	}
 	straddle[blockSize].Label = straddle[blockSize-1].Label
-	shared := leaf("s")
 	return []decodeSeed{
 		{name: "ascending", image: tree([]Arc{{Label: "a", Child: leaf("1")}, {Label: "b", Child: leaf("2")}, {Label: "c", Child: &Node{Arcs: []Arc{{Label: "d", Child: leaf("4")}}}}}), wantList: "a,b,c"},
 		{name: "descending", image: tree([]Arc{{Label: "c", Child: leaf("3")}, {Label: "b", Child: leaf("2")}, {Label: "a", Child: leaf("1")}}), wantList: "a,b,c"},
@@ -96,53 +155,35 @@ func decodeSeeds() []decodeSeed {
 		// and the skipped map claims 2^26 pairs (the fuzzer's first finding:
 		// the skip path sized its result by the claim, 2 GB of it).
 		{name: "skipped-map-claims-64M", image: patch(mustMarshal(&Node{Arcs: []Arc{{Label: "only", Child: &Node{}}}}), []byte{0x0e, 0x01, 0x01}, []byte{0x0e, 0x01, 0x80, 0x80, 0x80, 0x20}), wantErr: "EOF"},
-		// dir is not a node but a reference to the root: a cycle.
-		{name: "ref-to-ancestor", image: patch(tree([]Arc{{Label: "dir", Child: nil}}), []byte("dir\x02"), []byte("dir\x11\x01")), wantErr: "shares a node"},
+		// dir is not a node but a reference to the root: a cycle. A pair owns
+		// its value, so a reference where one belongs is refused.
+		{name: "ref-to-ancestor", image: patch(tree([]Arc{{Label: "dir", Child: nil}}), []byte("dir\x02"), []byte("dir\x11\x01")), wantErr: "owns its value"},
 		{name: "not-a-pickle", image: []byte("checkpoint"), wantErr: "bad magic"},
 		// Arcs to nil beside leaves that load inline, at the root and below.
 		{name: "nil-beside-inline", image: tree([]Arc{{Label: "a", Child: leaf("1")}, {Label: "b"}, {Label: "c", Child: &Node{Arcs: []Arc{{Label: "d"}, {Label: "e", Child: leaf("5")}}}}}), wantList: "a,b,c"},
-		// Two arcs to one leaf: the first loads inline, and the reference the
-		// second is boxes it for both to share.
-		{name: "ref-to-inline-leaf", image: tree([]Arc{{Label: "a", Child: shared}, {Label: "b"}, {Label: "c", Child: shared}}), wantErr: "shares a node"},
+		// Two arcs to one leaf, which the first would load inline: refused.
+		{name: "ref-to-inline-leaf", image: shareArc(tree([]Arc{{Label: "a", Child: leaf("s")}, {Label: "b"}, {Label: "c"}}), "a", "c"), wantErr: "owns its value"},
 	}
 }
 
-// errNotATree: the image decoded, but into a graph that reaches some node
-// twice. Pickles preserve pointer identity, so a stream can spell a shared
-// subtree or a cycle with a reference where a node belongs; no Tree writes
-// one, the map-based tree loaded them just the same, and refusing them is
-// for whoever validates checkpoint images as a whole (ROADMAP 7(b)), not for
-// the arcs' decode path. The walkers below would not return from a cycle, so
-// such an image is checked for its arcs and taken no further.
-var errNotATree = errors.New("decoded graph shares a node")
-
-// checkDecode decodes image into a Tree and requires a typed error (a
-// *pickle.Error, which is also how pickle reports a stream that ends inside a
-// value; only an image that ends before the value starts, at most the magic
-// byte, is a bare io.EOF), or else a tree in which every node's arcs are strictly ascending — unique —
-// with no input-only Children, which then answers enquiries, takes an update
-// and pickles again without incident (exercise). Nothing panics.
+// checkDecode decodes image into a Tree and requires a typed error (see
+// typedDecodeError), or else a tree in which every node's arcs are strictly
+// ascending — unique — with no input-only Children, which then answers
+// enquiries, takes an update and pickles again without incident (exercise).
+// Nothing panics. A pair owns its value, so no image decodes to a graph that
+// reaches a node twice, and the walk below returns.
 func checkDecode(t *testing.T, image []byte) (*Tree, error) {
 	t.Helper()
 	var tr Tree
 	if err := pickle.Unmarshal(image, &tr); err != nil {
-		var pe *pickle.Error
-		if !errors.As(err, &pe) && !(err == io.EOF && len(image) <= 1) {
-			t.Fatalf("decode failed with an untyped error: %T %v", err, err)
-		}
+		typedDecodeError(t, image, err)
 		return nil, err
 	}
-	seen, shared := map[*Node]bool{}, false
 	var walk func(n *Node, depth int)
 	walk = func(n *Node, depth int) {
 		if n == nil {
 			return // an arc to nil: the image said so, and enquiries treat it as no node
 		}
-		if seen[n] {
-			shared = true
-			return
-		}
-		seen[n] = true
 		if n.Children != nil {
 			t.Fatal("decoded node holds the input-only Children map")
 		}
@@ -155,9 +196,6 @@ func checkDecode(t *testing.T, image []byte) (*Tree, error) {
 		}
 	}
 	walk(tr.Root, 0)
-	if shared {
-		return nil, errNotATree
-	}
 	return &tr, nil
 }
 
@@ -180,29 +218,12 @@ func exercise(t *testing.T, tr *Tree) {
 }
 
 func TestTreeDecodeSeeds(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzTreeDecode")
 	for _, s := range decodeSeeds() {
 		t.Run(s.name, func(t *testing.T) {
-			entry := []byte("go test fuzz v1\n[]byte(" + strconv.Quote(string(s.image)) + ")\n")
-			if *updateCorpus {
-				if err := os.MkdirAll(dir, 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(dir, s.name), entry, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if on, err := os.ReadFile(filepath.Join(dir, s.name)); err != nil || !bytes.Equal(on, entry) {
-				t.Errorf("committed corpus entry is not this seed (rerun with -update-corpus): %v", err)
-			}
-
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			tr, err := checkDecode(t, s.image)
-			runtime.ReadMemStats(&after)
-			// However many elements an image claims, decoding allocates in
-			// proportion to the bytes it holds.
-			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			seedCorpus(t, "FuzzTreeDecode", s.name, s.image)
+			var tr *Tree
+			var err error
+			if grew := allocated(func() { tr, err = checkDecode(t, s.image) }); grew > 1<<20 {
 				t.Errorf("decoding %d bytes allocated %d", len(s.image), grew)
 			}
 			if s.wantErr != "" {
@@ -238,4 +259,86 @@ func FuzzTreeDecode(f *testing.F) {
 			exercise(t, tr)
 		}
 	})
+}
+
+// A delta checkpoint's TreeDelta is the other image a Tree loads from: its
+// puts carry subtrees, decoded as a checkpoint's are, and ApplyDelta grafts
+// them. What must hold of any byte string is stated in checkDelta, and held
+// against the committed seeds (TestDeltaDecodeSeeds) and against whatever the
+// fuzzer derives from them (FuzzDeltaDecode).
+
+// deltaSeeds builds FuzzDeltaDecode's corpus: one image per op kind, the
+// ways ApplyDelta refuses a delta, and the hostile spellings of a put's
+// subtree. wantErr is what decoding or applying the image fails with, ""
+// for a delta that applies.
+func deltaSeeds() []decodeSeed {
+	leaf := func(v string) *Node { return &Node{Value: v, HasValue: true} }
+	delta := func(ops ...DeltaOp) []byte { return mustMarshal(&TreeDelta{Ops: ops}) }
+	put := func(sub *Node, path ...string) DeltaOp { return DeltaOp{Op: DeltaPut, Path: path, Subtree: sub} }
+	dir := &Node{Arcs: []Arc{{Label: "p", Child: leaf("1")}, {Label: "q"}}}
+	shared := leaf("s")
+	return []decodeSeed{
+		{name: "put", image: delta(put(&Node{Arcs: []Arc{{Label: "x", Child: leaf("1")}, {Label: "y", Child: &Node{Value: "2", HasValue: true, Stamp: 4, StampBy: "n"}}}}, "a", "new"))},
+		{name: "delete", image: delta(DeltaOp{Op: DeltaDelete, Path: []string{"a", "b"}})},
+		{name: "set", image: delta(DeltaOp{Op: DeltaSet, Path: []string{"a", "c"}, Value: "v", HasValue: true, Stamp: 3, StampBy: "n"})},
+		{name: "mixed", image: delta(DeltaOp{Op: DeltaDelete, Path: []string{"d"}}, put(leaf("2"), "d"), DeltaOp{Op: DeltaSet, Path: []string{"e", "f"}, HasValue: true})},
+		{name: "put-unsorted-arcs", image: delta(put(&Node{Arcs: []Arc{{Label: "z", Child: leaf("z")}, {Label: "m"}}}, "a"))},
+		{name: "ref-in-arc", image: shareArc(delta(put(dir, "a")), "p", "q"), wantErr: "owns its value"},
+		{name: "shared-across-puts", image: delta(put(shared, "a"), put(shared, "b")), wantErr: "reaches a node twice"},
+		{name: "put-nil-subtree", image: delta(put(nil, "a")), wantErr: "nil subtree"},
+		{name: "put-root", image: delta(put(leaf("r"))), wantErr: "replaces the root"},
+		{name: "delete-root", image: delta(DeltaOp{Op: DeltaDelete}), wantErr: "deletes the root"},
+		{name: "unknown-op", image: delta(DeltaOp{Op: 9, Path: []string{"a"}}), wantErr: "unknown delta op"},
+		{name: "truncated", image: func() []byte { raw := delta(put(dir, "a")); return raw[:len(raw)-3] }(), wantErr: "EOF"},
+	}
+}
+
+// checkDelta decodes image into a TreeDelta and requires a typed error (see
+// typedDecodeError), or else a delta that ApplyDelta onto a small tree either
+// refuses or turns into a tree that pickles again. Nothing panics.
+func checkDelta(t *testing.T, image []byte) error {
+	t.Helper()
+	var d TreeDelta
+	if err := pickle.Unmarshal(image, &d); err != nil {
+		typedDecodeError(t, image, err)
+		return err
+	}
+	tr := NewTree()
+	for _, p := range [][]string{{"a", "b"}, {"a", "c"}, {"d"}} {
+		if err := (&SetValue{Path: p, Value: "v"}).Apply(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.SnapshotView()
+	if err := tr.ApplyDelta(&d); err != nil {
+		return err
+	}
+	if _, err := pickle.Marshal(tr); err != nil {
+		t.Fatalf("the tree a delta applied to does not pickle again: %v", err)
+	}
+	return nil
+}
+
+func TestDeltaDecodeSeeds(t *testing.T) {
+	for _, s := range deltaSeeds() {
+		t.Run(s.name, func(t *testing.T) {
+			seedCorpus(t, "FuzzDeltaDecode", s.name, s.image)
+			var err error
+			if grew := allocated(func() { err = checkDelta(t, s.image) }); grew > 1<<20 {
+				t.Errorf("decoding and applying %d bytes allocated %d", len(s.image), grew)
+			}
+			if s.wantErr == "" && err != nil || s.wantErr != "" && (err == nil || !strings.Contains(err.Error(), s.wantErr)) {
+				t.Fatalf("err = %v, want one containing %q", err, s.wantErr)
+			}
+		})
+	}
+}
+
+// FuzzDeltaDecode: no byte string makes loading a delta checkpoint's delta,
+// or applying it, panic, and a delta that applies leaves a tree that pickles.
+func FuzzDeltaDecode(f *testing.F) {
+	for _, s := range deltaSeeds() {
+		f.Add(s.image)
+	}
+	f.Fuzz(func(t *testing.T, image []byte) { checkDelta(t, image) })
 }

@@ -71,6 +71,21 @@ func TestLoadedTreeBytesPerName(t *testing.T) {
 	}
 }
 
+// benchImage returns the checkpoint image of bulkLoad's depts departments
+// and the names it holds.
+func benchImage(t *testing.T, depts int) (image []byte, names int) {
+	t.Helper()
+	fs := vfs.NewMem(1)
+	names = bulkLoad(t, fs, depts)
+	s := open(t, fs)
+	defer s.Close()
+	s.Store().View(func(root any) error {
+		image = mustMarshal(root)
+		return nil
+	})
+	return image, names
+}
+
 // TestTreeDecodeAllocatesNoLeafNode: loading that image decodes each addr
 // leaf straight into its host's arc. Per name the decode allocates the host
 // node, its arc array, two labels and the value: five, where a Node per leaf
@@ -79,15 +94,7 @@ func TestTreeDecodeAllocatesNoLeafNode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	fs := vfs.NewMem(1)
-	names := bulkLoad(t, fs, 4)
-	s := open(t, fs)
-	var image []byte
-	s.Store().View(func(root any) error {
-		image = mustMarshal(root)
-		return nil
-	})
-	s.Close()
+	image, names := benchImage(t, 4)
 	var tr Tree
 	allocs := testing.AllocsPerRun(3, func() {
 		tr = Tree{}
@@ -102,6 +109,33 @@ func TestTreeDecodeAllocatesNoLeafNode(t *testing.T) {
 	t.Logf("%d names decoded: %.2f allocations each", names, per)
 	if per > 5.5 {
 		t.Fatalf("decoding allocates %.2f times per name, want at most 5.5", per)
+	}
+}
+
+// TestTreeDecodeBytesPerName: decoding the image of TestLoadedTreeBytesPerName
+// allocates at most 300 bytes per name. The tree it builds keeps about 250;
+// an identity table entry for each host node and each inline leaf, which a
+// pair owning its value needs none of, made it about 460.
+func TestTreeDecodeBytesPerName(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	image, names := benchImage(t, 20)
+	var tr Tree
+	if err := pickle.Unmarshal(image, &tr); err != nil { // compiles the plans
+		t.Fatal(err)
+	}
+	var err error
+	per := allocated(func() {
+		tr = Tree{}
+		err = pickle.Unmarshal(image, &tr)
+	}) / uint64(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d names decoded: %d bytes allocated each", names, per)
+	if per > 300 {
+		t.Fatalf("decoding allocates %d bytes per name, want at most 300", per)
 	}
 }
 

@@ -1,6 +1,7 @@
 package nameserver
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 
 	"smalldb/internal/pickle"
 	"smalldb/internal/vfs"
+	"smalldb/internal/wal"
 )
 
 func open(t *testing.T, fs vfs.FS) *Server {
@@ -171,32 +173,71 @@ func TestPutRefusesSharedSubtree(t *testing.T) {
 	}
 }
 
-// TestReplayedSharedSubtree: a logged PutSubtree comes back through the
-// pickle with its sharing intact. A shared node — which a build without
-// Verify's check could log — is copied once per arc to it, so the entry
-// still replays; a cycle is refused instead of recursed on.
+// TestReplayedSharedSubtree: a log written before a pair owned its value may
+// hold a PutSubtree whose arcs reach one node twice, spelled with a
+// reference. Replay refuses that entry with a typed error naming the log
+// file and the entry's sequence number; it does not copy the node for each
+// arc. A cyclic subtree, which such a log could spell too, no longer
+// pickles, so it is never logged.
 func TestReplayedSharedSubtree(t *testing.T) {
-	replay := func(sub *Node) (*Tree, error) {
-		var u PutSubtree
-		if err := pickle.Unmarshal(mustMarshal(&PutSubtree{Path: []string{"d"}, Subtree: sub}), &u); err != nil {
+	fs := vfs.NewMem(1)
+	s := open(t, fs)
+	if err := s.Set("before", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("d", &Node{Arcs: []Arc{{Label: "p", Child: &Node{Value: "v", HasValue: true}}, {Label: "q"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the log with the Put's arc q respelled as a reference to p's node.
+	const name = "logfile1"
+	head, err := wal.ReadHead(fs, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries [][]byte
+	var first, shared uint64
+	if _, err := wal.Replay(fs, name, 0, wal.ReplayOptions{}, func(seq uint64, payload []byte) error {
+		if first == 0 {
+			first = seq
+		}
+		if bytes.Contains(payload, []byte("\x0a\x01q\x02")) {
+			payload, shared = shareArc(payload, "p", "q"), seq
+		}
+		entries = append(entries, bytes.Clone(payload))
+		return nil
+	}); err != nil || shared == 0 {
+		t.Fatalf("replaying the log: %v, the Put's entry found: %v", err, shared != 0)
+	}
+	if err := vfs.WriteFile(fs, name, wal.HeadFrame(head)); err != nil {
+		t.Fatal(err)
+	}
+	l, err := wal.Open(fs, name, first, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if _, err := l.Append(e); err != nil {
 			t.Fatal(err)
 		}
-		tree := NewTree()
-		return tree, u.Apply(tree)
 	}
-	leaf := &Node{Value: "v", HasValue: true}
-	tree, err := replay(&Node{Arcs: []Arc{{Label: "p", Child: leaf}, {Label: "q", Child: leaf}}})
-	if err != nil {
-		t.Fatalf("shared acyclic subtree: %v", err)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
-	tree.EnsureNode([]string{"d", "p"}).Value = "changed"
-	if v, _ := tree.Lookup([]string{"d", "q"}); v != "v" {
-		t.Fatalf("the two arcs to one logged node share it in the tree: d/q = %q", v)
+
+	_, err = Open(Config{FS: fs, Retain: 1})
+	var pe *pickle.Error
+	if want := fmt.Sprintf("%s: log entry %d", name, shared); !errors.As(err, &pe) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("opening over the respelled log: %v, want a *pickle.Error naming %q", err, want)
 	}
+
 	cycle := &Node{}
 	cycle.Arcs = []Arc{{Label: "x", Child: &Node{Arcs: []Arc{{Label: "y", Child: cycle}}}}}
-	if _, err := replay(cycle); !errors.Is(err, ErrSharedSubtree) {
-		t.Fatalf("cyclic subtree: Apply = %v, want ErrSharedSubtree", err)
+	if _, err := pickle.Marshal(&PutSubtree{Path: []string{"d"}, Subtree: cycle}); !errors.As(err, &pe) {
+		t.Fatalf("cyclic subtree: Marshal = %v, want a *pickle.Error", err)
 	}
 }
 

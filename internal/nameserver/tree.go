@@ -472,9 +472,8 @@ func copyArc(label string, n *Node) Arc {
 
 // inspect walks the subtree at n and reports whether it is already in
 // copyNode's form, or ErrSharedSubtree if the walk meets a node in seen:
-// every node reached, across calls too, or with dag only those on the
-// walk's path, so that a node two arcs reach passes and only a cycle fails.
-func inspect(n *Node, dag bool, seen map[*Node]bool) (canonical bool, err error) {
+// every node reached, across calls too.
+func inspect(n *Node, seen map[*Node]bool) (canonical bool, err error) {
 	if n == nil {
 		return true, nil
 	}
@@ -484,19 +483,16 @@ func inspect(n *Node, dag bool, seen map[*Node]bool) (canonical bool, err error)
 	seen[n], canonical = true, n.Children == nil
 	arcs := n.AllArcs()
 	for i, a := range arcs {
-		c, err := inspect(a.Child, dag, seen)
+		c, err := inspect(a.Child, seen)
 		if err != nil {
 			return false, err
 		}
 		canonical = canonical && c && (i == 0 || arcs[i-1].Label < a.Label)
 	}
 	for _, c := range n.Children {
-		if _, err := inspect(c, dag, seen); err != nil {
+		if _, err := inspect(c, seen); err != nil {
 			return false, err
 		}
-	}
-	if dag {
-		delete(seen, n)
 	}
 	return canonical, nil
 }
@@ -593,7 +589,7 @@ func (u *PutSubtree) Verify(root any) error {
 	if len(u.Path) == 0 {
 		return errors.New("nameserver: cannot replace the root; use paths")
 	}
-	if canonical, err := inspect(u.Subtree, false, map[*Node]bool{}); err != nil {
+	if canonical, err := inspect(u.Subtree, map[*Node]bool{}); err != nil {
 		return err
 	} else if !canonical {
 		u.Subtree = copyNode(u.Subtree)
@@ -602,14 +598,15 @@ func (u *PutSubtree) Verify(root any) error {
 	return err
 }
 
-// Apply implements core.Update. A logged node that two arcs reach (a build
-// without Verify's check logged such) is copied for each; a cycle fails.
+// Apply implements core.Update. A subtree that reaches a node twice fails:
+// none comes off the log, where an arc owns its node, but a caller may skip
+// Verify.
 func (u *PutSubtree) Apply(root any) error {
 	t, err := treeOf(root)
 	if err != nil {
 		return err
 	}
-	if _, err := inspect(u.Subtree, true, map[*Node]bool{}); err != nil {
+	if _, err := inspect(u.Subtree, map[*Node]bool{}); err != nil {
 		return err
 	}
 	dir, label := split(u.Path)

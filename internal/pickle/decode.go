@@ -406,15 +406,6 @@ func (d *Decoder) decodeRef(v reflect.Value) error {
 	if !ok {
 		return errf("reference to undefined object %d", id)
 	}
-	if rv.Kind() == reflect.Struct && rv.Field(1).Type() == v.Type() {
-		// A pair holding the value unboxed boxes it, to share with v.
-		box, key := reflect.New(v.Type().Elem()), rv.Field(0).String()
-		rv.Addr().Interface().(MapPairInline).PickleBox(box.Interface())
-		rv.SetZero()
-		rv.Field(0).SetString(key)
-		rv.Field(1).Set(box)
-		rv, d.refs[id] = box, box
-	}
 	if !rv.Type().AssignableTo(v.Type()) {
 		return errf("shared object %d has type %v, target wants %v", id, rv.Type(), v.Type())
 	}
@@ -691,42 +682,38 @@ func buildPairSliceDecoder(rt reflect.Type) decFn {
 		return func(*Decoder, reflect.Value, byte) error { return err }
 	}
 	vt := rt.Elem().Field(1).Type
-	ptrFn := decoderOf(vt)
-	value := func(d *Decoder, pair reflect.Value, tag byte) error { return ptrFn(d, pair.Field(1), tag) }
-	if inline {
-		// A pointed-to value decodes into a box, which the pair may keep
-		// unboxed; the value's id then names the pair, and decodeRef boxes it
-		// again for a later reference.
-		elemFn, boxes := decoderOf(vt.Elem()), boxPool(vt.Elem())
-		value = func(d *Decoder, pair reflect.Value, tag byte) error {
-			if tag != tPtr {
-				return ptrFn(d, pair.Field(1), tag)
-			}
-			id, err := d.readUvarint()
-			if err == nil {
-				err = d.enter()
-			}
-			if err != nil {
-				return err
-			}
-			box := boxes.Get()
-			bv := reflect.ValueOf(box)
-			bv.Elem().SetZero()
-			d.setRef(id, bv)
-			if tag, err = d.readByte(); err == nil {
-				err = elemFn(d, bv.Elem(), tag)
-			}
-			d.depth--
-			switch {
-			case err != nil:
-			case pair.Addr().Interface().(MapPairInline).PickleUnbox(box):
-				d.refs[id] = pair
-				boxes.Put(box)
-			default:
-				pair.Field(1).Set(bv)
-			}
+	ptrFn, elemFn, boxes := decoderOf(vt), decoderOf(vt.Elem()), boxPool(vt.Elem())
+	value := func(d *Decoder, pair reflect.Value, tag byte) error {
+		if tag == tRef {
+			return errf("map-coded %v holds a reference where a value belongs: a pair owns its value", rt)
+		}
+		if tag != tPtr {
+			return ptrFn(d, pair.Field(1), tag)
+		}
+		_, err := d.readUvarint() // the value's id: the pair owns it, so it is never defined
+		if err == nil {
+			err = d.enter()
+		}
+		if err == nil {
+			tag, err = d.readByte()
+		}
+		if err != nil {
 			return err
 		}
+		// Into a box, which an inline pair may keep unboxed.
+		box := boxes.Get()
+		bv := reflect.ValueOf(box)
+		bv.Elem().SetZero()
+		err = elemFn(d, bv.Elem(), tag)
+		d.depth--
+		switch {
+		case err != nil:
+		case inline && pair.Addr().Interface().(MapPairInline).PickleUnbox(box):
+			boxes.Put(box)
+		default:
+			pair.Field(1).Set(bv)
+		}
+		return err
 	}
 	var self decFn
 	self = func(d *Decoder, v reflect.Value, tag byte) error {
@@ -773,9 +760,6 @@ func buildPairSliceDecoder(rt reflect.Type) decFn {
 		d.depth--
 		if sorted {
 			return nil
-		}
-		if inline { // sort a copy: ids may name pairs where they stand
-			v.Set(reflect.AppendSlice(reflect.MakeSlice(rt, 0, v.Len()), v))
 		}
 		pairs := v // captured here alone, so that v stays off the heap
 		key := func(i int) string { return pairs.Index(i).Field(0).String() }

@@ -78,13 +78,13 @@ func (e *Encoder) fail(err error) {
 }
 
 // enter counts one level of value nesting, failing the encode when the
-// value recurses past MaxDepth (a structure with unbounded recursion that
-// never passes through a pointer or map, whose identity table would have
-// caught the cycle).
+// value recurses past MaxDepth: a cycle through map-coded pairs, which keep
+// no identity, or unbounded recursion that never passes through a pointer or
+// map, whose identity table would have caught the cycle.
 func (e *Encoder) enter() bool {
 	e.depth++
 	if e.depth > MaxDepth {
-		e.fail(errf("value exceeds maximum depth %d (unbounded recursion without pointers?)", MaxDepth))
+		e.fail(errf("value exceeds maximum depth %d (a cycle through map-coded pairs, or unbounded recursion without pointers?)", MaxDepth))
 		return false
 	}
 	return true
@@ -427,14 +427,20 @@ func buildStringMapEncoder(rt reflect.Type) encFn {
 }
 
 // MapPair marks the element type of a map-coded pair slice: a struct of
-// exactly two exported fields, the first a string key, followed by none but
-// MapPairInline's unexported ones. A slice of such
-// elements pickles as the string-keyed map it stands for — tNil when nil,
-// else a tMap taking the one identity id the map would have taken, pairs in
-// slice order — and decodes from one by appending: no map is built, no key
-// hashed. The writer keeps the slice in ascending key order, as a map is
-// written; the reader sorts a stream that is not, and answers a duplicate
-// key, or a tRef to such a map, with an *Error.
+// exactly two exported fields, a string key and a pointer value, followed by
+// none but MapPairInline's unexported ones. A slice of such elements pickles
+// as the string-keyed map it stands for — tNil when nil, else a tMap taking
+// the one identity id the map would have taken, pairs in slice order — and
+// decodes from one by appending: no map is built, no key hashed. The writer
+// keeps the slice in ascending key order, as a map is written; the reader
+// sorts a stream that is not, and answers a duplicate key, or a tRef to such
+// a map, with an *Error.
+//
+// A pair owns its value: no other pointer, in the slice or outside it, may
+// share it. The value pickles as an unshared pointer, taking the next
+// identity id, and neither side enters it in an identity table; so a value
+// reached twice pickles twice, a cycle through pairs fails at MaxDepth, and a
+// tRef where a pair's value belongs is an *Error.
 type MapPair interface{ PickleMapPair() }
 
 var mapPairType = reflect.TypeOf((*MapPair)(nil)).Elem()
@@ -461,14 +467,10 @@ func pairSource(v reflect.Value) any {
 }
 
 // MapPairInline is MapPair's one optional hook, implemented by a pointer to a
-// pair whose value, a pointer, may be held unboxed: the pointed-to value kept
-// in unexported fields of the pair's own, past the two, and the value field
-// nil. Such a pair pickles as if the field pointed to that value, which no
-// other pointer shares; and each pointed-to value decoded into a pair is
-// offered to it, to keep unboxed. A later reference to a value kept so boxes
-// it, for the pair and the reference to share — in the slice as decoded
-// until then: a pair that has moved since (its slice grown past a first
-// allocation, or sorted) keeps its value unboxed and unshared.
+// pair whose value may be held unboxed: the pointed-to value kept in
+// unexported fields of the pair's own, past the two, and the value field nil.
+// Such a pair pickles as if the field pointed to that value; and each value
+// decoded into a pair is offered to it, to keep unboxed.
 type MapPairInline interface {
 	// PickleBox sets *box, box a pointer of the value field's type, to the
 	// value the pair holds unboxed, and reports whether it holds one.
@@ -484,13 +486,13 @@ var mapPairInlineType = reflect.TypeOf((*MapPairInline)(nil)).Elem()
 // and reports whether *et implements MapPairInline.
 func pairShape(et reflect.Type) (inline bool, err error) {
 	ok := et.Kind() == reflect.Struct && et.NumField() >= 2 && et.Field(0).Type.Kind() == reflect.String &&
-		et.Field(0).PkgPath == "" && et.Field(1).PkgPath == ""
-	inline = ok && reflect.PointerTo(et).Implements(mapPairInlineType) && et.Field(1).Type.Kind() == reflect.Pointer
+		et.Field(1).Type.Kind() == reflect.Pointer && et.Field(0).PkgPath == "" && et.Field(1).PkgPath == ""
+	inline = ok && reflect.PointerTo(et).Implements(mapPairInlineType)
 	for i := 2; ok && i < et.NumField(); i++ {
 		ok = inline && et.Field(i).PkgPath != ""
 	}
 	if !ok {
-		return false, errf("%v implements MapPair but is not a struct of an exported string key and an exported value", et)
+		return false, errf("%v implements MapPair but is not a struct of an exported string key and an exported pointer value", et)
 	}
 	return inline, nil
 }
@@ -506,28 +508,8 @@ func buildPairSliceEncoder(rt reflect.Type) encFn {
 	if err != nil {
 		return func(e *Encoder, v reflect.Value) { e.fail(err) }
 	}
-	vt := rt.Elem().Field(1).Type
-	valFn := encoderOf(vt)
-	var boxed encFn // an unboxed value, as the pointer encoder writes an unshared one
-	if inline {
-		elemFn, boxes := encoderOf(vt.Elem()), boxPool(vt.Elem())
-		boxed = func(e *Encoder, pair reflect.Value) {
-			box := boxes.Get()
-			if !pair.Addr().Interface().(MapPairInline).PickleBox(box) {
-				boxes.Put(box)
-				valFn(e, pair.Field(1))
-				return
-			}
-			if e.enter() {
-				e.buf = append(e.buf, tPtr)
-				e.buf = binary.AppendUvarint(e.buf, e.nextRef) // unshared, so not entered in refs
-				e.nextRef++
-				elemFn(e, reflect.ValueOf(box).Elem())
-				e.depth--
-			}
-			boxes.Put(box)
-		}
-	}
+	et := rt.Elem().Field(1).Type.Elem()
+	elemFn, boxes := encoderOf(et), boxPool(et)
 	return func(e *Encoder, v reflect.Value) {
 		if v.IsNil() {
 			e.buf = append(e.buf, tNil)
@@ -541,16 +523,31 @@ func buildPairSliceEncoder(rt reflect.Type) encFn {
 		e.buf = binary.AppendUvarint(e.buf, e.nextRef) // never shared, so not entered in refs
 		e.nextRef++
 		e.buf = binary.AppendUvarint(e.buf, uint64(n))
+		var box any // this slice's, for each unboxed value in turn
+		if inline {
+			box = boxes.Get()
+		}
 		for i := 0; i < n && e.err == nil; i++ {
 			pair := v.Index(i)
 			e.buf = append(e.buf, tString)
 			e.buf = appendLenPrefixed(e.buf, pair.Field(0).String())
-			if f := pair.Field(1); inline && f.IsNil() {
-				boxed(e, pair)
-			} else {
-				valFn(e, f)
+			f := pair.Field(1)
+			if inline && f.IsNil() && pair.Addr().Interface().(MapPairInline).PickleBox(box) {
+				f = reflect.ValueOf(box)
+			}
+			if f.IsNil() {
+				e.buf = append(e.buf, tNil)
+			} else if e.enter() { // as the pointer encoder writes an unshared pointer
+				e.buf = append(e.buf, tPtr)
+				e.buf = binary.AppendUvarint(e.buf, e.nextRef) // the pair's own, so not entered in refs
+				e.nextRef++
+				elemFn(e, f.Elem())
+				e.depth--
 			}
 			e.maybeFlush()
+		}
+		if inline {
+			boxes.Put(box)
 		}
 		e.depth--
 	}

@@ -80,13 +80,15 @@ func marshalAs(t *testing.T, v any, from, to string) []byte {
 	return bytes.Replace(raw, []byte(from), []byte(to), 1)
 }
 
+// TestPairSliceBytesEqualMap: a map-coded pair slice pickles, and loads, as
+// the map it stands for. A pair owns its value, so the map shares none.
 func TestPairSliceBytesEqualMap(t *testing.T) {
-	shared := &mapDir{Name: "shared", Kids: map[string]*mapDir{}}
+	twin := func() *mapDir { return &mapDir{Name: "twin", Kids: map[string]*mapDir{}} }
 	root := &mapDir{Name: "root", N: 7, Kids: map[string]*mapDir{
 		"b":     {Name: "leaf"}, // nil Kids: tNil
 		"a":     {Name: "empty", Kids: map[string]*mapDir{}},
-		"d":     shared,
-		"c":     {Name: "mid", Kids: map[string]*mapDir{"z": shared, "y": nil}},
+		"d":     twin(),
+		"c":     {Name: "mid", Kids: map[string]*mapDir{"z": twin(), "y": nil}},
 		"":      {Name: "emptylabel"},
 		"\xff!": {Name: "highbyte"},
 	}}
@@ -116,9 +118,6 @@ func TestPairSliceBytesEqualMap(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back, arcs) {
 		t.Fatalf("map stream decoded into arcs:\n got %+v\nwant %+v", back, arcs)
-	}
-	if back.Kids[3].Dir.Kids[1].Dir != back.Kids[4].Dir {
-		t.Fatal("pointer sharing lost across a pair slice")
 	}
 	if back.Kids[1].Dir.Kids == nil || back.Kids[2].Dir.Kids != nil {
 		t.Fatal("nil and empty pair slices not kept apart")
@@ -373,8 +372,10 @@ func (a *boxArc) PickleUnbox(box any) bool {
 }
 
 // TestPairInlineBytesEqualBoxed: a pair holding its value unboxed pickles as
-// the pointer it stands for and loads unboxed again, and a later reference
-// to such a value boxes it for the pair and the reference to share.
+// the pointer it stands for and loads unboxed again. A pair owns its value:
+// two pairs pointing at one value pickle two copies, and a stream that
+// spells a reference where a pair's value belongs is refused, whatever the
+// reference names.
 func TestPairInlineBytesEqualBoxed(t *testing.T) {
 	flat := &arcDir{Name: "root", Kids: []arc{{"a", &arcDir{Name: "leaf"}}, {"b", &arcDir{Name: "kept", N: 1}}, {"c", nil}}}
 	want := marshalAs(t, flat, "pickle.arcDir", "pickle.boxDir")
@@ -390,11 +391,28 @@ func TestPairInlineBytesEqualBoxed(t *testing.T) {
 	}
 
 	leaf := &arcDir{Name: "leaf"}
-	var shared *boxDir
-	if err := Unmarshal(marshalAs(t, &arcDir{Kids: []arc{{"a", leaf}, {"b", leaf}}}, "pickle.arcDir", "pickle.boxDir"), &shared); err != nil {
+	shared, err := Marshal(&arcDir{Kids: []arc{{"a", leaf}, {"b", leaf}}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if k := shared.Kids; k[0].Dir == nil || k[0].Dir != k[1].Dir || k[0].name != "" {
-		t.Fatalf("a referenced unboxed value is not boxed and shared: %+v", k)
+	copies, _ := Marshal(&arcDir{Kids: []arc{{"a", &arcDir{Name: "leaf"}}, {"b", &arcDir{Name: "leaf"}}}})
+	if !bytes.Equal(shared, copies) {
+		t.Fatalf("two pairs pointing at one value pickle as\n %x\nnot as two copies\n %x", shared, copies)
+	}
+	// root.Kids = map#1{"a": &#2 arcDir{Name: "leaf"}, "b": ref #2}, and b's
+	// reference to the root (#0) and to the map (#1) besides.
+	a := []byte{tString, 1, 'a', tPtr, 2, tStruct, 0, tString, 4, 'l', 'e', 'a', 'f', tNil, tInt, 0}
+	for _, id := range []byte{2, 0, 1} {
+		kids := append(append([]byte{tMap, 1, 2}, a...), tString, 1, 'b', tRef, id)
+		for _, into := range []any{new(*arcDir), new(*boxDir)} {
+			var pe *Error
+			raw := pairStream(kids)
+			if _, ok := into.(**boxDir); ok {
+				raw = bytes.Replace(raw, []byte("pickle.arcDir"), []byte("pickle.boxDir"), 1)
+			}
+			if err := Unmarshal(raw, into); !errors.As(err, &pe) || !strings.Contains(err.Error(), "owns its value") {
+				t.Errorf("a tRef to #%d as a pair's value, into %T: err = %v, want a *pickle.Error", id, into, err)
+			}
+		}
 	}
 }

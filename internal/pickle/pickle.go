@@ -16,7 +16,8 @@
 // on read.
 //
 // A string-keyed table kept as a sorted slice of pairs can still pickle as
-// the map it stands for, and load without building one: see MapPair.
+// the map it stands for, and load without building one. Each pair owns its
+// value, which keeps no identity: see MapPair.
 //
 // Interface-typed fields require the concrete types that may appear in them
 // to be registered with Register or RegisterName, mirroring the run-time
