@@ -88,7 +88,7 @@ func parseFlags(args []string) (fs *flag.FlagSet, cfg crashtest.Config, modes []
 	fs.Int64Var(&cfg.To, "to", -1, "last point to replay (<= 0 = through the final one)")
 	fs.Int64Var(&cfg.Stride, "stride", 1, "replay every stride-th point")
 	fs.IntVar(&cfg.Shards, "shards", runtime.GOMAXPROCS(0), "points replayed in parallel")
-	fs.BoolVar(&cfg.OverlapCheckpoints, "overlap", false, "commit updates inside each checkpoint's mirror window (sweeps the non-blocking checkpoint protocol)")
+	fs.BoolVar(&cfg.OverlapCheckpoints, "overlap", false, "commit updates at each stage of every checkpoint, between its start and its flip and after it (sweeps the checkpoint's tail and flip)")
 	fs.BoolVar(&cfg.UnsafeNoSync, "nosync", false, "run the tortured node without log syncs (a store, or a group at W = 1, must then report violations; at W > 1 it must still recover via the other members)")
 	fs.IntVar(&cfg.Readers, "readers", 0, "concurrent snapshot readers validating lock-free enquiries against the oracle during every workload and catch-up")
 	fs.IntVar(&cfg.Batch, "batch", 0, "group every k workload updates into one ApplyBatch — one log sync covering k entries (0/1 = one update at a time)")

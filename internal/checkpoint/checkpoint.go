@@ -558,9 +558,9 @@ func prepare(fs vfs.FS, cur State, write func(w io.Writer) error, opts Options, 
 
 // CreateLogFile creates version v's log file holding only head as its head
 // frame (nothing when head is nil), syncs it, and returns the open handle:
-// the non-blocking checkpoint hands it to the WAL's mirror window so the
-// log's tail can be drained into it before the flip. Callers with no such
-// need just Close it. On error the file is closed and removed.
+// the store's checkpoint gives it the entries committed since its snapshot
+// before CommitNewVersion, then appends to it. Callers with no such need
+// just Close it. On error the file is closed and removed.
 func CreateLogFile(fs vfs.FS, v uint64, head []byte) (vfs.File, error) {
 	f, err := fs.Create(LogName(v))
 	if err != nil {

@@ -17,7 +17,8 @@ import (
 // in turn and states what becomes of the store: which error Checkpoint
 // returns, whether the store is poisoned, whether the next update is
 // accepted, which version is current — and that a restart recovers exactly
-// the acknowledged updates, one of them committed inside the mirror window.
+// the acknowledged updates, one of them committed while the checkpoint was
+// in flight.
 // DESIGN §6 carries the same table.
 func TestCheckpointStepFailures(t *testing.T) {
 	boom := errors.New("injected checkpoint fault")
@@ -46,10 +47,16 @@ func TestCheckpointStepFailures(t *testing.T) {
 		{step: "CreateLogFile", fails: "create logfile2", arm: func(ffs *faultfs.FS, next uint64) {
 			ffs.FailName(checkpoint.LogName(next), boom)
 		}},
-		// Syncs still to come once the window is open: the checkpoint
-		// file's, the new log file's creation, then the mirror drain's.
-		{step: "SyncMirror", fails: "sync logfile2", at: StageMirrorOpen, poisoned: true, arm: func(ffs *faultfs.FS, next uint64) {
-			ffs.FailSyncAt(3, boom)
+		// At the flip: the new log file is given the tail, the entry
+		// committed inside the window. A failure aborts the switch; the old
+		// log, which holds that entry too, stays the commit point.
+		{step: "WriteTail", fails: "write logfile2", at: StageFileWritten, arm: func(ffs *faultfs.FS, next uint64) {
+			ffs.FailName(checkpoint.LogName(next), boom)
+		}},
+		// The flip's first sync: its flush of the old log has nothing to
+		// write.
+		{step: "SyncTail", fails: "sync logfile2", at: StageFileWritten, arm: func(ffs *faultfs.FS, next uint64) {
+			ffs.FailSyncAt(1, boom)
 		}},
 		{step: "CommitNewVersion", fails: "create newversion", at: StageFileWritten, arm: func(ffs *faultfs.FS, next uint64) {
 			ffs.FailName("newversion", boom)
@@ -95,7 +102,7 @@ func TestCheckpointStepFailures(t *testing.T) {
 			}
 
 			s.SetCheckpointStageHook(func(stage CheckpointStage) {
-				if stage == StageMirrorOpen {
+				if stage == StageTailOpen {
 					ack("in-window", "1")
 				}
 				if stage == row.at {

@@ -32,7 +32,7 @@ func TestUpdatesProgressDuringSlowCheckpoint(t *testing.T) {
 	windowOpen := make(chan struct{})
 	var once sync.Once
 	s.SetCheckpointStageHook(func(stage CheckpointStage) {
-		if stage == StageMirrorOpen {
+		if stage == StageTailOpen {
 			once.Do(func() { close(windowOpen) })
 		}
 	})
@@ -85,13 +85,23 @@ func TestUpdatesProgressDuringSlowCheckpoint(t *testing.T) {
 	}
 }
 
-// TestMirroredEntriesSurvivReopen: updates committed inside the mirror
-// window must be visible after a clean close and reopen — they live only in
-// the new log once the version flipped.
+// TestMirroredEntriesSurviveReopen: updates committed while a checkpoint is
+// in flight must be visible after a clean close and reopen. Those before the
+// flip reach the new log as its tail, copied from the old one; the one at
+// the flipped stage is appended to the new log alone.
 func TestMirroredEntriesSurviveReopen(t *testing.T) {
 	fs := vfs.NewMem(1)
-	reg := obs.NewRegistry()
-	s := openKV(t, fs, func(c *Config) { c.Obs = reg })
+	var tail any
+	tr := obs.FuncTracer(func(e obs.Event) {
+		if e.Name == "checkpoint.finish" {
+			for _, a := range e.Attrs {
+				if a.Key == "tail" {
+					tail = a.Value
+				}
+			}
+		}
+	})
+	s := openKV(t, fs, func(c *Config) { c.Tracer = tr })
 	put(t, s, "before", "1")
 
 	s.SetCheckpointStageHook(func(stage CheckpointStage) {
@@ -103,16 +113,16 @@ func TestMirroredEntriesSurviveReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetCheckpointStageHook(nil)
-	if got := reg.Counter("checkpoint_mirrored_entries").Value(); got != 3 {
-		t.Errorf("checkpoint_mirrored_entries = %d, want 3", got)
+	if tail != int64(2) {
+		t.Errorf("checkpoint.finish tail = %v, want 2", tail)
 	}
 	s.Close()
 
 	s2 := openKV(t, fs)
 	defer s2.Close()
-	for _, k := range []string{"before", "at-mirror-open", "at-file-written", "at-flipped"} {
+	for _, k := range []string{"before", "at-tail-open", "at-file-written", "at-flipped"} {
 		if _, ok := get(t, s2, k); !ok {
-			t.Errorf("key %s lost across the mirror-window checkpoint", k)
+			t.Errorf("key %s lost across the checkpoint", k)
 		}
 	}
 }
@@ -130,7 +140,7 @@ func TestAutoCheckpointOffUpdatePath(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	s.SetCheckpointStageHook(func(stage CheckpointStage) {
-		if stage == StageMirrorOpen {
+		if stage == StageTailOpen {
 			once.Do(func() {
 				close(inWindow)
 				<-release
@@ -139,7 +149,7 @@ func TestAutoCheckpointOffUpdatePath(t *testing.T) {
 	})
 	defer s.SetCheckpointStageHook(nil)
 
-	// Cross the threshold; the auto checkpoint parks at mirror-open.
+	// Cross the threshold; the auto checkpoint parks at tail-open.
 	for i := 0; i < 10; i++ {
 		put(t, s, fmt.Sprintf("k%d", i), "v")
 	}
@@ -165,7 +175,7 @@ func TestCloseWaitsForInflightAutoCheckpoint(t *testing.T) {
 	started := make(chan struct{})
 	var once sync.Once
 	s.SetCheckpointStageHook(func(stage CheckpointStage) {
-		if stage == StageMirrorOpen {
+		if stage == StageTailOpen {
 			once.Do(func() { close(started) })
 			time.Sleep(20 * time.Millisecond) // hold the window open across Close
 		}
@@ -194,7 +204,8 @@ func TestCloseWaitsForInflightAutoCheckpoint(t *testing.T) {
 
 // TestConcurrentCheckpointChurn exercises Apply/View/Checkpoint/Stats/
 // History from many goroutines at once; its value is under -race, where any
-// unsynchronized access in the mirror-window paths would trip the detector.
+// unsynchronized access in the checkpoint's tail and flip would trip the
+// detector.
 func TestConcurrentCheckpointChurn(t *testing.T) {
 	fs := vfs.NewMem(1)
 	s := openKV(t, fs)

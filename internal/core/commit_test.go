@@ -229,9 +229,8 @@ func TestSingleStreamLayoutCompat(t *testing.T) {
 }
 
 // TestTracedCommitSpans: a traced update is one update.commit span whose
-// children name every phase of the protocol, on both branches — plus a
-// checkpoint.mirror span when the sync paid for a mirror window's dual
-// write.
+// children name every phase of the protocol, on both branches — inside a
+// checkpoint too, whose files no commit's sync writes.
 func TestTracedCommitSpans(t *testing.T) {
 	for _, kind := range kvKinds {
 		t.Run(kind.name, func(t *testing.T) {
@@ -279,22 +278,18 @@ func TestTracedCommitSpans(t *testing.T) {
 					t.Errorf("traced commit has no %s span (have %v)", want, got)
 				}
 			}
-			if got["checkpoint.mirror"] {
-				t.Error("checkpoint.mirror span outside a mirror window")
-			}
-
 			var inWindow map[string]bool
 			s.SetCheckpointStageHook(func(st CheckpointStage) {
-				if st == StageMirrorOpen {
-					inWindow = children("mirrored")
+				if st == StageTailOpen {
+					inWindow = children("in-window")
 				}
 			})
 			if err := s.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 			s.SetCheckpointStageHook(nil)
-			if !inWindow["checkpoint.mirror"] || !inWindow["wal.sync"] {
-				t.Errorf("commit inside a mirror window lacks its checkpoint.mirror span (have %v)", inWindow)
+			if len(inWindow) != len(got) || !inWindow["wal.sync"] {
+				t.Errorf("commit inside a checkpoint has spans %v, want those of a plain commit, %v", inWindow, got)
 			}
 		})
 	}

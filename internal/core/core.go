@@ -15,13 +15,13 @@
 //     the disk write that is the commit point; (3) upgrade to exclusive and
 //     apply the mutation to the in-memory structure. Every update takes the
 //     same pipeline (commit); no update is visible before it is durable.
-//   - A checkpoint (Checkpoint) pickles the entire root under the update
-//     lock — in memory only — then writes it to disk and installs it with
-//     the version-file protocol in the background while updates keep
-//     committing (the WAL mirror-window protocol; see checkpointNonBlocking
-//     and DESIGN.md), finally retargeting the log in a brief critical
-//     section. Every store runs this one protocol; a root that offers no
-//     versions is pickled under the update lock instead of from a snapshot.
+//   - A checkpoint (Checkpoint) takes a snapshot of the root under the
+//     update lock, then pickles it and writes it to disk while updates keep
+//     committing, and flips to the new version in a second short hold of
+//     the lock: the new log gets the entries committed meanwhile, then
+//     newversion names it (see checkpointNonBlocking and DESIGN.md). Every
+//     store runs this one protocol; a root that offers no versions is
+//     pickled under the update lock instead of from a snapshot.
 //   - Open recovers: find the current checkpoint, load it, replay the log.
 //
 // The database root and every update type are ordinary Go values; the
@@ -132,8 +132,8 @@ type Config struct {
 	// commit point, and a crash can lose acknowledged updates. It exists
 	// only as an ablation (E5/E9) quantifying what the paper's one disk
 	// write per update buys and costs. It selects no other code path:
-	// checkpoints run the same mirror-window protocol, whose file order
-	// still recovers a prefix of the updates at every crash point.
+	// checkpoints run the same protocol, syncing their own files, whose
+	// order still recovers a prefix of the updates at every crash point.
 	UnsafeNoSync bool
 	// MaxDeltaChain bounds the deltas a chain holds: a checkpoint whose
 	// chain already holds this many writes a full image instead, so the
@@ -196,12 +196,13 @@ type Stats struct {
 	CheckpointPickleTime time.Duration
 	CheckpointIOTime     time.Duration
 	// CheckpointStallTime is the update-lock hold time attributable to
-	// checkpoints: the log flush plus, for an unversioned root, the
-	// in-memory pickle.
+	// checkpoints, both holds of each: at the start the log flush plus,
+	// for an unversioned root, the in-memory pickle; at the flip the log
+	// flush, the tail's write and sync, and the newversion commit.
 	CheckpointStallTime time.Duration
 	// CheckpointSwitchTime covers the version-switch protocol: new log
-	// creation, mirror drain, newversion commit, install and retention
-	// cleanup — everything past the checkpoint file write.
+	// creation, the flip, install and retention cleanup — everything past
+	// the checkpoint file write.
 	CheckpointSwitchTime time.Duration
 
 	// Per-checkpoint phase distributions, in nanoseconds.
@@ -269,13 +270,13 @@ type Store struct {
 	pendingPub []pendingPub
 
 	// log is the redo log. Open sets it once; a checkpoint retargets it to
-	// the new version's file in place (FinishMirror), never replaces it.
+	// the new version's file in place (wal.Log.Retarget), never replaces it.
 	log *wal.Log
 
 	// ownTab is the type table this process writes at the head of every log
 	// file it creates. logTab is the one the next entry is pickled against:
 	// the table of the file the log appends to, nil while that file has no
-	// head or a mirror window spans two files whose heads differ.
+	// head or a checkpoint's tail spans two files whose heads differ.
 	ownTab *pickle.Table
 	logTab atomic.Pointer[pickle.Table]
 
@@ -322,10 +323,9 @@ type Store struct {
 	// ctr mirrors the headline counters into cfg.Obs (nil-safe when no
 	// registry is configured).
 	ctr struct {
-		enquiries, updates, checkpoints *obs.Counter
-		cpErrors, cpMirrored            *obs.Counter
-		deltaCheckpoints, compactions   *obs.Counter
-		published, locked               *obs.Counter
+		enquiries, updates, checkpoints, cpErrors *obs.Counter
+		deltaCheckpoints, compactions             *obs.Counter
+		published, locked                         *obs.Counter
 	}
 	cpInflight *obs.Gauge
 	tracer     obs.Tracer
@@ -354,7 +354,6 @@ func (s *Store) initObs() {
 	s.ctr.updates = reg.Counter("core_updates")
 	s.ctr.checkpoints = reg.Counter("core_checkpoints")
 	s.ctr.cpErrors = reg.Counter("core_checkpoint_errors")
-	s.ctr.cpMirrored = reg.Counter("checkpoint_mirrored_entries")
 	s.ctr.deltaCheckpoints = reg.Counter("core_delta_checkpoints")
 	s.ctr.compactions = reg.Counter("core_compactions")
 	s.ctr.published = reg.Counter("core_versions_published")
@@ -746,8 +745,7 @@ func (s *Store) Apply(u Update) error {
 // ApplyTraced is Apply carrying a trace context. When sc belongs to a
 // trace and the store has a tracer, the update becomes an "update.commit"
 // span under sc with a child span per phase — lock wait, verify, pickle,
-// WAL append, the durability sync (plus checkpoint.mirror when a mirror
-// window made it a dual write) and apply. An invalid sc degrades to
+// WAL append, the durability sync and apply. An invalid sc degrades to
 // exactly the untraced path.
 func (s *Store) ApplyTraced(u Update, sc obs.SpanContext) error {
 	_, err := s.commit([]Update{u}, sc)
@@ -885,7 +883,7 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) (applied int, err error)
 		}
 		if !s.versioned {
 			// Durable before visible to a shared-lock enquiry.
-			d, werr := s.awaitDurable(log, wait, useq, pt)
+			d, werr := s.awaitDurable(wait, useq, pt)
 			if commitNS += d; werr != nil {
 				err, fatal = werr, true
 				break
@@ -951,7 +949,7 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) (applied int, err error)
 		wait = log.Flush
 	}
 	if s.versioned {
-		d, werr := s.awaitDurable(log, wait, seq, pt)
+		d, werr := s.awaitDurable(wait, seq, pt)
 		if commitNS += d; werr != nil {
 			return 0, werr
 		}
@@ -993,18 +991,13 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) (applied int, err error)
 
 // awaitDurable waits until one entry is durable, poisoning the store if the
 // log write failed, and reports how long it took. A traced commit gets its
-// wal.sync span — and a checkpoint.mirror span when an open mirror window
-// made the sync a dual write.
-func (s *Store) awaitDurable(log *wal.Log, wait func() error, seq uint64, pt phaseTracer) (time.Duration, error) {
-	mirror := pt.on && log.MirrorActive()
+// wal.sync span.
+func (s *Store) awaitDurable(wait func() error, seq uint64, pt phaseTracer) (time.Duration, error) {
 	t := time.Now()
 	err := wait()
 	d := time.Since(t)
 	if pt.on {
 		pt.emit("wal.sync", t, d, err, obs.A("seq", seq))
-		if mirror {
-			pt.emit("checkpoint.mirror", t, d, nil, obs.A("dual_write", true))
-		}
 	}
 	if err != nil {
 		s.poison(err)
@@ -1131,9 +1124,10 @@ func (s *Store) autoCheckpointDue() bool {
 // checkpoint file holds only the subtrees changed since the previous
 // checkpoint, chained onto the last full image, unless that would take the
 // chain past Config.MaxDeltaChain or Config.MaxDeltaRatio: then the
-// checkpoint writes a full image itself. Updates are excluded at most while
-// the root is pickled in memory; every disk transfer happens while updates
-// keep committing (see checkpointNonBlocking). Enquiries proceed throughout.
+// checkpoint writes a full image itself. Updates are excluded only by two
+// short holds of the update lock, at the start and at the flip; the
+// checkpoint file is written while they keep committing (see
+// checkpointNonBlocking). Enquiries proceed throughout.
 // Concurrent Checkpoint calls serialize; each performs a full switch.
 func (s *Store) Checkpoint() error {
 	s.cpMu.Lock()
@@ -1169,23 +1163,21 @@ func (s *Store) LastCheckpointErr() error {
 }
 
 // CheckpointStage identifies a point inside a checkpoint at which the store
-// calls the hook installed by SetCheckpointStageHook. The crashtest harness
-// uses the stages to apply updates deterministically inside the mirror
-// window, so its crash-point sweep covers concurrent-with-checkpoint commits
-// without racing goroutines.
+// calls the hook installed by SetCheckpointStageHook, with the update lock
+// released. The crashtest harness uses the stages to apply updates
+// deterministically while a checkpoint is in flight, without racing
+// goroutines.
 type CheckpointStage string
 
 const (
-	// StageMirrorOpen: the update lock has been released; appends commit
-	// to the old log and are buffered for the new one. The checkpoint
-	// file has not been written.
-	StageMirrorOpen CheckpointStage = "mirror-open"
-	// StageFileWritten: the checkpoint file and the new log exist and the
-	// mirror is durably caught up; the version has not flipped.
+	// StageTailOpen: appends commit to the old log and are copied for the
+	// new one. The checkpoint file has not been written.
+	StageTailOpen CheckpointStage = "tail-open"
+	// StageFileWritten: the checkpoint file and the new log, holding only
+	// its head, exist; the version has not flipped.
 	StageFileWritten CheckpointStage = "file-written"
-	// StageFlipped: newversion is durably installed (the switch is
-	// committed) but the WAL still appends to the old file, dual-writing
-	// the new one.
+	// StageFlipped: newversion is durably installed and the log appends to
+	// the new file.
 	StageFlipped CheckpointStage = "flipped"
 )
 
@@ -1208,42 +1200,36 @@ func (s *Store) stageHook(stage CheckpointStage) {
 	}
 }
 
-// checkpointNonBlocking is the mirror-window checkpoint:
+// checkpointNonBlocking is the store's one checkpoint: the paper's §3
+// switch, with its file writes taken off the update lock.
 //
-//  1. Under the update lock: flush the commit pipeline (every
-//     applied update becomes durable in the old log), record nextSeq,
-//     pickle the root into a pooled in-memory buffer — the only disk-free,
-//     CPU-bound work — and open the WAL's mirror window. Release the lock;
-//     updates commit normally from here on, to the old log, with each
-//     frame also buffered for the new one.
-//  2. In the background: stream the buffered checkpoint to disk and sync
-//     it, create the new log file, attach it to the mirror window and
-//     drain the mirrored tail into it. From the attach on, every flush
-//     writes and syncs both logs before acknowledging, so at every
-//     instant the new log durably holds every acknowledged entry with
-//     seq >= nextSeq. Then commit the switch (newversion durable) and
-//     install the version file.
-//  3. A brief mu-only critical section retargets the WAL to the new file
-//     and swaps the checkpoint state; retention cleanup runs last, after
-//     the old file handle is closed.
+//  1. Under the update lock: flush the commit pipeline (every applied update
+//     becomes durable in the old log), record nextSeq, take the published
+//     snapshot — or, for an unversioned root, pickle the root — and begin the
+//     log's tail, a copy of every frame appended from here on.
+//  2. Off the lock: pickle the snapshot, write and sync the checkpoint file,
+//     and create the new log file holding its head.
+//  3. The flip, under the update lock again: flush the old log, write the
+//     tail into the new log file and sync it, commit the switch (newversion
+//     durable) and retarget the log to the new file. Release the lock, then
+//     install the version file and tidy what fell out of retention.
 //
-// Crash safety at every op: before the newversion commit, recovery
-// restores the old checkpoint + old log, which received every
-// acknowledged update throughout (it stays the commit point); the debris
-// of the new version is cleared. After the commit, recovery restores the
-// new checkpoint + new log, which the dual-sync rule has kept durably
-// complete up to every acknowledgement. The crashtest overlap sweep
-// (cmd/crashtest -overlap) proves this at every faultfs op index.
+// Crash safety is the paper's own argument. Until newversion exists the old
+// log is the commit point, and recovery clears the new version's debris.
+// newversion is written only once the new log durably holds every entry from
+// nextSeq on, and the lock keeps any entry from landing in between. The
+// crashtest overlap sweep (cmd/crashtest -overlap) checks this at every fs
+// op. No commit waits on the checkpoint's files, so their failure aborts the
+// switch and leaves the store healthy.
 //
-// With a DeltaRoot and a held previous view, step 1's pickle produces a
+// With a DeltaRoot and a held previous view, step 2's pickle produces a
 // delta — the diff of the current snapshot against the previous
-// checkpoint's — and step 2 writes it as checkpointN.d, chaining onto the
-// previous version. Everything else (mirror window, commit point,
-// retention) is identical. The checkpoint picks its image kind before it
-// writes anything: a delta only while the chain holds fewer than
-// MaxDeltaChain deltas and its delta bytes, this one's included, stay
-// within MaxDeltaRatio of the base image's; a full image otherwise, which
-// starts a fresh chain.
+// checkpoint's — written as checkpointN.d, chaining onto the previous
+// version. Everything else (tail, flip, retention) is identical. The
+// checkpoint picks its image kind before it writes anything: a delta only
+// while the chain holds fewer than MaxDeltaChain deltas and its delta bytes,
+// this one's included, stay within MaxDeltaRatio of the base image's; a full
+// image otherwise, which starts a fresh chain.
 func (s *Store) checkpointNonBlocking() error {
 	s.lock.UpdateUrgent()
 	s.mu.Lock()
@@ -1302,29 +1288,28 @@ func (s *Store) checkpointNonBlocking() error {
 	pickleTime := time.Since(p0)
 	prevTab := s.logTab.Load()
 	if perr == nil {
-		perr = log.BeginMirror()
+		perr = log.BeginTail()
 	}
 	if perr == nil && !bytes.Equal(prevTab.Bytes(), s.ownTab.Bytes()) {
-		// The window's entries land in the old file and the new one, whose
+		// The tail's entries land in the old file and the new one, whose
 		// heads differ: pickle them self-describing. (Committers load logTab
 		// under the update lock.)
 		s.logTab.Store(nil)
 	}
-	stall := time.Since(cpStart)
+	stall := time.Since(cpStart) // with the flip's hold, observed once
 	s.lock.UpdateUnlock()
-	s.hist.cpStall.ObserveDuration(stall)
+	defer func() { s.hist.cpStall.ObserveDuration(stall) }()
 	if perr != nil {
 		putCPBuf(bufp, buf)
 		return perr
 	}
-	s.stageHook(StageMirrorOpen)
+	s.stageHook(StageTailOpen)
 
-	// Background from here: updates keep committing to the old log while
-	// the checkpoint goes to disk. abort undoes the window, leaving the
-	// old version current and the store healthy.
+	// Off the lock until the flip: updates keep committing to the old log.
+	// abort leaves the old version current and the store healthy.
 	next := cur.Version + 1
 	abort := func(err error) error {
-		log.AbortMirror()
+		log.EndTail()
 		s.logTab.Store(prevTab)
 		checkpoint.Abort(s.cfg.FS, next)
 		return err
@@ -1385,53 +1370,65 @@ func (s *Store) checkpointNonBlocking() error {
 	if err != nil {
 		return abort(err)
 	}
-	if err := log.AttachMirrorFile(f); err != nil {
+	s.stageHook(StageFileWritten)
+
+	// The flip: under the update lock, no entry lands between the tail's
+	// sync and the commit point.
+	s.lock.UpdateUrgent()
+	flipStart := time.Now()
+	unlock := func() {
+		stall += time.Since(flipStart)
+		s.lock.UpdateUnlock()
+	}
+	fail := func(err error) error {
+		unlock()
 		f.Close()
 		return abort(err)
 	}
-	if err := log.SyncMirror(); err != nil {
-		// A failed mirror write has already poisoned the WAL (appends
-		// see the failure); record it at the store too.
+	if err := log.Flush(); err != nil {
+		// The old log's own failure: the commits it carried fail with it.
 		s.poisonUnlessClosed(err)
-		return abort(err)
+		return fail(err)
 	}
-	s.stageHook(StageFileWritten)
-
-	// The commit point: newversion durably names the new version.
-	if err := checkpoint.CommitNewVersion(s.cfg.FS, next); err != nil {
-		return abort(err)
+	tail, copied := log.EndTail()
+	if len(tail) > 0 {
+		if _, err = f.Write(tail); err == nil {
+			err = f.Sync()
+		}
 	}
-	if err := checkpoint.InstallVersion(s.cfg.FS); err != nil {
-		// The switch is committed on disk (a restart recovers the new
-		// version — complete, thanks to the dual-sync rule) but this
-		// process cannot finish it; running on would diverge from what
-		// recovery restores.
-		s.poisonUnlessClosed(err)
-		log.AbortMirror()
-		return err
+	if err == nil { // the commit point: newversion durably names next
+		err = checkpoint.CommitNewVersion(s.cfg.FS, next)
 	}
-	s.stageHook(StageFlipped)
-
-	// Brief critical section: retarget the log to its new file and swap
-	// the checkpoint state. The old file handle is closed inside.
-	mirrored, err := log.FinishMirror(checkpoint.LogName(next))
 	if err != nil {
+		return fail(err)
+	}
+	if err := log.Retarget(f); err != nil {
+		// The switch is committed on disk, but this process cannot append
+		// to the log recovery now reads.
+		unlock()
+		f.Close()
 		s.poisonUnlessClosed(err)
 		return err
 	}
 	s.logTab.Store(s.ownTab)
-	s.ctr.cpMirrored.Add(uint64(mirrored))
 	newBase := next
 	if isDelta {
 		newBase = cur.Base
 	}
-	s.mu.Lock()
-	// Provisional state until Finish reports retention; logEntries counts
-	// what the new log holds — exactly the window's mirrored entries plus
-	// whatever commits from now on.
+	s.mu.Lock() // provisional state until Finish reports retention
 	s.cpState = checkpoint.State{Version: next, Base: newBase, Retained: cur.Retained}
-	s.logEntries = int64(s.applied - (nextSeq - 1))
+	s.logEntries = copied
 	s.mu.Unlock()
+	unlock()
+
+	if err := checkpoint.InstallVersion(s.cfg.FS); err != nil {
+		// The switch is committed on disk (a restart recovers the new
+		// version) but this process cannot finish it; running on would
+		// diverge from what recovery restores.
+		s.poisonUnlessClosed(err)
+		return err
+	}
+	s.stageHook(StageFlipped)
 
 	// The switch is complete: disk is at version next whatever becomes of
 	// the cleanup below, so the chain accounting and the next delta's base
@@ -1449,7 +1446,7 @@ func (s *Store) checkpointNonBlocking() error {
 		s.cpPrevSeq = nextSeq
 	}
 
-	// Retention cleanup last — after the WAL stopped touching the old
+	// Retention cleanup last — after the log stopped touching the old
 	// file. A crash here leaves debris recovery clears the same way, and so
 	// does a failure: the store runs on, healthy, at version next, and the
 	// next checkpoint's cleanup starts over from the directory listing.
@@ -1496,7 +1493,7 @@ func (s *Store) checkpointNonBlocking() error {
 		obs.A("pickle", pickleTime.Round(time.Microsecond)),
 		obs.A("io", ioTime.Round(time.Microsecond)),
 		obs.A("switch", switchTime.Round(time.Microsecond)),
-		obs.A("mirrored", mirrored),
+		obs.A("tail", copied),
 	}})
 	return nil
 }

@@ -111,10 +111,10 @@ func TestShardedReplicaTorture(t *testing.T) {
 	}
 }
 
-// TestShardedOverlapTorture commits batches inside each checkpoint's mirror
-// window, so a window's dual writes carry several entries each, and every
-// crash point across the attach/sync/switch must still recover the exact
-// acked prefix.
+// TestShardedOverlapTorture commits batches while each checkpoint is in
+// flight, so its tail carries several entries per flush, and every crash
+// point across the tail's write and sync and the switch must still recover
+// the exact acked prefix.
 func TestShardedOverlapTorture(t *testing.T) {
 	res, err := Run(Config{Seed: 24, Ops: 10, Mode: ModeStore, Batch: 2, OverlapCheckpoints: true, Logf: t.Logf})
 	if err != nil {

@@ -71,12 +71,12 @@ type Config struct {
 	// GOMAXPROCS). Points are independent, so sharding does not affect the
 	// result.
 	Shards int
-	// OverlapCheckpoints commits workload updates *inside* each
-	// checkpoint's mirror window: at every checkpoint stage (mirror
-	// open, file written, version flipped) the workload applies a couple
-	// more updates through the store's stage hook, so the crash sweep
-	// covers updates that are acknowledged while the whole-database
-	// write is in flight and durable only through the mirror protocol.
+	// OverlapCheckpoints commits workload updates while each checkpoint
+	// is in flight: at every checkpoint stage (tail open, file written,
+	// version flipped) the workload applies a couple more updates through
+	// the store's stage hook, so the crash sweep covers updates that are
+	// acknowledged while the whole-database write is in flight and reach
+	// the new log only through the checkpoint's tail.
 	OverlapCheckpoints bool
 	// UnsafeNoSync runs the tortured node's workload without log syncs.
 	// Where nobody else holds its updates — ModeStore, or W = 1 — this is a
@@ -525,8 +525,8 @@ func (r *runner) open(w *world, fs vfs.FS, workload bool, rc *readerCheck) (s *s
 // --- the workload ---
 
 // overlapPerStage is how many workload updates OverlapCheckpoints commits
-// at each checkpoint stage — six per checkpoint, spread across the mirror
-// window's three stages.
+// at each checkpoint stage — six per checkpoint, spread across its three
+// stages.
 const overlapPerStage = 2
 
 // drive commits the plan's updates from *k up to stop through s, Batch at a
@@ -577,8 +577,8 @@ func (r *runner) step(k *int, rec *recorder, opCount func() int64, apply func([]
 }
 
 // overlapCheckpoint runs one checkpoint with the stage hook applying
-// overlapPerStage more workload updates at each stage of the mirror
-// window, then clears the hook. The first error — from the checkpoint
+// overlapPerStage more workload updates at each stage of the checkpoint,
+// then clears the hook. The first error — from the checkpoint
 // itself or from an in-window update — stops the workload.
 func overlapCheckpoint(st *core.Store, cp func() error, doOne func() error, remaining func() bool) error {
 	var hookErr error
@@ -797,12 +797,10 @@ func (r *runner) replay(p int64) (out []Violation) {
 
 	// So does every other member, and W − 1 of them hold all of the
 	// acknowledged prefix. The group must agree on the longest prefix any of
-	// them holds, which can run past acked on either side: with the
-	// mirror-window checkpoint an update can be durable in the old log yet
-	// unacknowledged until the new log's sync, so recovery may surface
-	// acked+1 updates; and the flight-recorder write between the log sync
-	// and the ack is a crash point, a crash there still letting the
-	// already-durable update's push go out.
+	// them holds, which can run past acked on either side: the
+	// flight-recorder write between the log sync and the ack is a crash
+	// point, a crash there still letting the already-durable update's
+	// push go out.
 	upto, holders := recovered, 0
 	for _, m := range w.members {
 		vec, err := m.node.Vector()

@@ -102,9 +102,9 @@ func TestNoSyncReplicaRecovers(t *testing.T) {
 }
 
 // TestOverlapStoreTorture sweeps every crash point of a store-mode
-// workload that commits updates *inside* each checkpoint's mirror window —
-// the acceptance sweep for the non-blocking checkpoint: an update
-// acknowledged mid-window must survive a crash at any subsequent op,
+// workload that commits updates *while* each checkpoint is in flight — the
+// acceptance sweep for the checkpoint's tail and flip: an update
+// acknowledged mid-checkpoint must survive a crash at any subsequent op,
 // whether recovery reads the old log, the new log, or either side of the
 // version flip.
 func TestOverlapStoreTorture(t *testing.T) {
@@ -149,8 +149,8 @@ func TestDeltaChainCompactionTorture(t *testing.T) {
 	checkDeltaChainSweep(t, res)
 }
 
-// TestOverlapDeltaChainTorture commits updates inside every checkpoint's
-// mirror window — including the re-bases the short chain cap forces — so
+// TestOverlapDeltaChainTorture commits updates while every checkpoint is in
+// flight — including the re-bases the short chain cap forces — so
 // the sweep covers updates acknowledged while a delta or a fresh full base
 // is in flight.
 func TestOverlapDeltaChainTorture(t *testing.T) {
@@ -187,10 +187,11 @@ func checkDeltaChainSweep(t *testing.T, res *Result) {
 
 // TestNoSyncOverlapReplicaRecovers sweeps a replica that forfeits local
 // durability (§4: a lost update is restored from the peer) while commits
-// land inside mirror windows. No-sync stores run the one checkpoint
-// protocol like every other: with no commit point there is nothing for the
-// window to preserve, and its file order must still recover a prefix of the
-// updates — which the peer then completes — at every crash point.
+// land while checkpoints are in flight. No-sync stores run the one
+// checkpoint protocol like every other: with no commit point there is
+// nothing for the tail to preserve, and its file order must still recover a
+// prefix of the updates — which the peer then completes — at every crash
+// point.
 func TestNoSyncOverlapReplicaRecovers(t *testing.T) {
 	res, err := Run(Config{Seed: 3, Ops: 12, Mode: ModeReplica, UnsafeNoSync: true,
 		OverlapCheckpoints: true, Logf: t.Logf})

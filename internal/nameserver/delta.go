@@ -165,6 +165,9 @@ func (t *Tree) ApplyDelta(delta any) error {
 		op := &d.Ops[i]
 		switch op.Op {
 		case DeltaSet:
+			if err := checkDepth(op.Path, 0); err != nil {
+				return err
+			}
 			t.set(op.Path, Node{Value: op.Value, HasValue: op.HasValue, Stamp: op.Stamp, StampBy: op.StampBy}, true)
 		case DeltaDelete:
 			if len(op.Path) == 0 {
@@ -181,7 +184,11 @@ func (t *Tree) ApplyDelta(delta any) error {
 			if op.Subtree == nil {
 				return fmt.Errorf("nameserver: delta put with nil subtree at %s", JoinPath(op.Path))
 			}
-			if _, err := inspect(op.Subtree, seen); err != nil {
+			_, height, err := inspect(op.Subtree, seen)
+			if err == nil {
+				err = checkDepth(op.Path, height)
+			}
+			if err != nil {
 				return fmt.Errorf("%w: delta put at %s", err, JoinPath(op.Path))
 			}
 			// The decoded subtree is owned by the delta; share it. Its

@@ -332,6 +332,85 @@ func TestPathValidation(t *testing.T) {
 	}
 }
 
+// TestNameDepthBound: an update that would bind a name past MaxNameLabels
+// labels is refused, by each update that can deepen the tree, so every later
+// checkpoint still succeeds; a name at the bound checkpoints, reopens and
+// reads back.
+func TestNameDepthBound(t *testing.T) {
+	labels := func(prefix string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("%s%d", prefix, i)
+		}
+		return out
+	}
+	name := func(prefix string, n int) string { return JoinPath(labels(prefix, n)) }
+	// chain is a subtree whose longest name below its root has n labels.
+	chain := func(height int) *Node {
+		root := &Node{}
+		for i, n := 1, root; i <= height; i++ {
+			child := &Node{Value: "v", HasValue: i == height}
+			n.Arcs = []Arc{{Label: "c", Child: child}}
+			n = child
+		}
+		return root
+	}
+	fs := vfs.NewMem(1)
+	s := open(t, fs)
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrTooDeep) {
+			t.Errorf("%s = %v, want ErrTooDeep", what, err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint after %s: %v", what, err)
+		}
+	}
+	refused("Set one label past the bound", s.Set(name("x", MaxNameLabels+1), "v"))
+	refused("Put past the bound", s.Put(name("p", 100), chain(MaxNameLabels-99)))
+	if err := s.Put(name("q", 100), chain(MaxNameLabels-100)); err != nil {
+		t.Fatalf("Put at the bound: %v", err)
+	}
+	if err := s.Set("short/leaf", "v"); err != nil {
+		t.Fatal(err)
+	}
+	refused("Rename past the bound", s.Rename(name("q", 2), name("r", 3)))
+	if err := s.Rename(name("q", 1), "r"); err != nil {
+		t.Fatalf("Rename to a shallower name: %v", err)
+	}
+	if err := s.Rename("short", name("s", MaxNameLabels-1)); err != nil {
+		t.Fatalf("Rename to the bound: %v", err)
+	}
+
+	deep := name("d", MaxNameLabels)
+	if err := s.Set(deep, "at the bound"); err != nil {
+		t.Fatalf("Set at the bound: %v", err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint with a name at the bound: %v", err)
+	}
+	s.Close()
+	s = open(t, fs)
+	defer s.Close()
+	if v, err := s.Lookup(deep); err != nil || v != "at the bound" {
+		t.Fatalf("after reopen: %q, %v", v, err)
+	}
+	if v, err := s.Lookup(name("s", MaxNameLabels-1) + "/leaf"); err != nil || v != "v" {
+		t.Fatalf("renamed leaf after reopen: %q, %v", v, err)
+	}
+
+	// A delta read from disk is held to the same bound.
+	tr := NewTree()
+	for _, op := range []DeltaOp{
+		{Op: DeltaSet, Path: labels("x", MaxNameLabels+1), Value: "v", HasValue: true},
+		{Op: DeltaPut, Path: labels("p", 100), Subtree: chain(MaxNameLabels - 99)},
+	} {
+		if err := tr.ApplyDelta(&TreeDelta{Ops: []DeltaOp{op}}); !errors.Is(err, ErrTooDeep) {
+			t.Errorf("ApplyDelta of a %v op past the bound = %v, want ErrTooDeep", op.Op, err)
+		}
+	}
+}
+
 // Property: a random sequence of sets and deletes matches a flat map oracle.
 func TestQuickOracle(t *testing.T) {
 	type op struct {

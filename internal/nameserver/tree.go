@@ -282,6 +282,23 @@ var ErrNoValue = errors.New("nameserver: name has no value")
 // which no walk returns from, or by two arcs, which would alias two names.
 var ErrSharedSubtree = errors.New("nameserver: subtree reaches a node twice")
 
+// MaxNameLabels bounds the labels of a name. A checkpoint pickles the tree
+// as nested values, three per label, within pickle.MaxDepth (512); 128
+// leaves room for the replica root's wrapping.
+const MaxNameLabels = 128
+
+// ErrTooDeep refuses an update that would bind a name of more than
+// MaxNameLabels labels: no checkpoint could then record the tree.
+var ErrTooDeep = errors.New("nameserver: name has too many labels")
+
+// checkDepth refuses a name of path's labels plus height more.
+func checkDepth(path []string, height int) error {
+	if n := len(path) + height; n > MaxNameLabels {
+		return fmt.Errorf("%w: %s reaches %d, past %d", ErrTooDeep, JoinPath(path), n, MaxNameLabels)
+	}
+	return nil
+}
+
 // SplitPath parses a slash-separated name into its components, rejecting
 // empty components. The empty string names the root.
 func SplitPath(path string) ([]string, error) {
@@ -471,30 +488,34 @@ func copyArc(label string, n *Node) Arc {
 }
 
 // inspect walks the subtree at n and reports whether it is already in
-// copyNode's form, or ErrSharedSubtree if the walk meets a node in seen:
-// every node reached, across calls too.
-func inspect(n *Node, seen map[*Node]bool) (canonical bool, err error) {
+// copyNode's form and its height, the labels of its longest name below n;
+// or ErrSharedSubtree if the walk meets a node in seen: every node reached,
+// across calls too.
+func inspect(n *Node, seen map[*Node]bool) (canonical bool, height int, err error) {
 	if n == nil {
-		return true, nil
+		return true, 0, nil
 	}
 	if seen[n] {
-		return false, ErrSharedSubtree
+		return false, 0, ErrSharedSubtree
 	}
 	seen[n], canonical = true, n.Children == nil
 	arcs := n.AllArcs()
 	for i, a := range arcs {
-		c, err := inspect(a.Child, seen)
+		c, h, err := inspect(a.Child, seen)
 		if err != nil {
-			return false, err
+			return false, 0, err
 		}
 		canonical = canonical && c && (i == 0 || arcs[i-1].Label < a.Label)
+		height = max(height, h+1)
 	}
 	for _, c := range n.Children {
-		if _, err := inspect(c, seen); err != nil {
-			return false, err
+		_, h, err := inspect(c, seen)
+		if err != nil {
+			return false, 0, err
 		}
+		height = max(height, h+1)
 	}
-	return canonical, nil
+	return canonical, height, nil
 }
 
 // countNodes reports the number of names in a subtree, itself and inline
@@ -523,6 +544,9 @@ type SetValue struct {
 
 // Verify implements core.Update.
 func (u *SetValue) Verify(root any) error {
+	if err := checkDepth(u.Path, 0); err != nil {
+		return err
+	}
 	_, err := treeOf(root)
 	return err
 }
@@ -578,10 +602,11 @@ type PutSubtree struct {
 	Subtree *Node
 }
 
-// Verify implements core.Update. A subtree that reaches a node twice is
-// refused. One spelled with the input-only Children, or with arcs out of
-// order, is replaced by its canonical copy here — core pickles an update
-// after Verify and before Apply, and what is logged must be what is applied.
+// Verify implements core.Update. A subtree that reaches a node twice, or
+// would bind a name too deep, is refused. One spelled with the input-only
+// Children, or with arcs out of order, is replaced by its canonical copy
+// here — core pickles an update after Verify and before Apply, and what is
+// logged must be what is applied.
 func (u *PutSubtree) Verify(root any) error {
 	if u.Subtree == nil {
 		return errors.New("nameserver: nil subtree")
@@ -589,12 +614,17 @@ func (u *PutSubtree) Verify(root any) error {
 	if len(u.Path) == 0 {
 		return errors.New("nameserver: cannot replace the root; use paths")
 	}
-	if canonical, err := inspect(u.Subtree, map[*Node]bool{}); err != nil {
+	canonical, height, err := inspect(u.Subtree, map[*Node]bool{})
+	if err == nil {
+		err = checkDepth(u.Path, height)
+	}
+	if err != nil {
 		return err
-	} else if !canonical {
+	}
+	if !canonical {
 		u.Subtree = copyNode(u.Subtree)
 	}
-	_, err := treeOf(root)
+	_, err = treeOf(root)
 	return err
 }
 
@@ -606,7 +636,7 @@ func (u *PutSubtree) Apply(root any) error {
 	if err != nil {
 		return err
 	}
-	if _, err := inspect(u.Subtree, map[*Node]bool{}); err != nil {
+	if _, _, err := inspect(u.Subtree, map[*Node]bool{}); err != nil {
 		return err
 	}
 	dir, label := split(u.Path)
@@ -616,7 +646,7 @@ func (u *PutSubtree) Apply(root any) error {
 }
 
 // Move renames the subtree at From to To. Preconditions: From exists, To
-// does not, and To is not inside From.
+// does not, To is not inside From, and no name lands too deep.
 type Move struct {
 	From, To []string
 }
@@ -630,8 +660,18 @@ func (u *Move) Verify(root any) error {
 	if len(u.From) == 0 || len(u.To) == 0 {
 		return errors.New("nameserver: move involving the root")
 	}
-	if !t.at(u.From).exists() {
+	a := t.at(u.From)
+	if !a.exists() {
 		return fmt.Errorf("%w: %s", ErrNotFound, JoinPath(u.From))
+	}
+	if len(u.To) > len(u.From) { // else no moved name gets deeper
+		_, height, err := inspect(a.Child, map[*Node]bool{})
+		if err == nil {
+			err = checkDepth(u.To, height)
+		}
+		if err != nil {
+			return err
+		}
 	}
 	if t.at(u.To).exists() {
 		return fmt.Errorf("nameserver: destination %s exists", JoinPath(u.To))

@@ -215,9 +215,9 @@ func TestDataDirCompatWithParent(t *testing.T) {
 
 // TestMixedFormatLogs: the parent's directory — a log without a head — keeps
 // working across the format change. Updates appended to the headless log are
-// self-describing; a checkpoint's mirror window spans that log and a new one
-// that begins with a head, so the window's entries are self-describing in
-// both; after the switch entries are table-relative. The reopened tree
+// self-describing; a checkpoint's tail spans that log and a new one that
+// begins with a head, so the tail's entries are self-describing in both;
+// after the switch entries are table-relative. The reopened tree
 // matches the model.
 func TestMixedFormatLogs(t *testing.T) {
 	golden := readDir(t, goldenDir)
@@ -267,7 +267,7 @@ func TestMixedFormatLogs(t *testing.T) {
 		t.Errorf("the parent's log after 3 more updates holds %q", got)
 	}
 	n.Store().SetCheckpointStageHook(func(stage core.CheckpointStage) {
-		if stage == core.StageMirrorOpen {
+		if stage == core.StageTailOpen {
 			set("mixed/window0", "w")
 			set("mixed/window1", "w")
 		}

@@ -66,8 +66,8 @@ func notWithin(t *testing.T, ch <-chan error, release chan struct{}, what string
 	}
 }
 
-// TestShardName: a log is one file. Through a whole mirror window the log
-// touches the two files it is given and creates no other.
+// TestShardName: a log is one file. Through a whole checkpoint window the
+// log touches the two files it is given and creates no other.
 func TestShardName(t *testing.T) {
 	fs := vfs.NewMem(1)
 	l, err := Create(fs, "logfile3", 1, Options{})
@@ -75,23 +75,11 @@ func TestShardName(t *testing.T) {
 		t.Fatal(err)
 	}
 	commit(t, l, "a")
-	if err := l.BeginMirror(); err != nil {
-		t.Fatal(err)
-	}
-	mf, err := fs.Create("logfile4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AttachMirrorFile(mf); err != nil {
+	if err := l.BeginTail(); err != nil {
 		t.Fatal(err)
 	}
 	commit(t, l, "b")
-	if err := l.SyncMirror(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.FinishMirror("logfile4"); err != nil {
-		t.Fatal(err)
-	}
+	flip(t, l, fs, "logfile4", nil)
 	commit(t, l, "c")
 	l.Close()
 	if names, _ := fs.List(); strings.Join(names, " ") != "logfile3 logfile4" {
@@ -413,44 +401,27 @@ func TestShardedSequentialSync(t *testing.T) {
 	l.Close()
 }
 
-// TestShardedMirrorWindow drives a mirror window on the enqueue-then-wait
-// path: the old file stays the commit point throughout, and after the
-// retarget the new file holds every window entry — the checkpoint flip
-// invariant.
+// TestShardedMirrorWindow drives a checkpoint's window on the
+// enqueue-then-wait path: the old file stays the commit point throughout,
+// and after the retarget the new file holds every window entry — the
+// checkpoint flip invariant.
 func TestShardedMirrorWindow(t *testing.T) {
 	fs := vfs.NewMem(1)
 	l, _ := Create(fs, "old", 1, Options{})
 	for i := 0; i < 5; i++ { // seqs 1..5: before the window
 		commit(t, l, fmt.Sprintf("pre-%d", i))
 	}
-	if l.MirrorActive() {
-		t.Fatal("mirror active before BeginMirror")
-	}
-	if err := l.BeginMirror(); err != nil {
+	if err := l.BeginTail(); err != nil {
 		t.Fatal(err)
 	}
-	if !l.MirrorActive() {
-		t.Fatal("mirror not active")
-	}
-	f, err := fs.Create("new")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AttachMirrorFile(f); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ { // seqs 6..9: dual-written
+	for i := 0; i < 4; i++ { // seqs 6..9: in the window
 		commit(t, l, fmt.Sprintf("win-%d", i))
 	}
-	if err := l.SyncMirror(); err != nil {
-		t.Fatal(err)
+	if entries := flip(t, l, fs, "new", nil); entries != 4 {
+		t.Errorf("window entries = %d, want 4", entries)
 	}
-	entries, err := l.FinishMirror("new")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if entries != 4 || l.MirrorActive() {
-		t.Errorf("window entries = %d, still active %v; want 4, false", entries, l.MirrorActive())
+	if tail, entries := l.EndTail(); tail != nil || entries != 0 {
+		t.Errorf("tail still open after the flip: %q (%d entries)", tail, entries)
 	}
 	for i := 0; i < 2; i++ { // seqs 10..11: new file only
 		commit(t, l, fmt.Sprintf("post-%d", i))
@@ -465,32 +436,25 @@ func TestShardedMirrorWindow(t *testing.T) {
 	}
 }
 
-// TestSealWaitsForStreamFlushInFlight: a checkpoint's SyncMirror flushes the
-// log on its own goroutine, taking a committer's frame with it. The
-// committer's wait then finds nothing pending — and must still not
-// acknowledge the frame until the flush carrying it has synced.
+// TestSealWaitsForStreamFlushInFlight: a checkpoint's flip flushes the log
+// on its own goroutine, taking a committer's frame with it. The committer's
+// wait then finds nothing pending — and must still not acknowledge the
+// frame until the flush carrying it has synced.
 func TestSealWaitsForStreamFlushInFlight(t *testing.T) {
 	fs := vfs.NewMem(1)
 	l, err := Create(fs, "old", 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.BeginMirror(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := fs.Create("new")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AttachMirrorFile(f); err != nil {
+	if err := l.BeginTail(); err != nil {
 		t.Fatal(err)
 	}
 	_, wait := l.AppendAsync([]byte("in the window"))
 
 	entered, release := holdFirstSync(fs)
-	mirrored := make(chan error, 1)
-	go func() { mirrored <- l.SyncMirror() }()
-	<-entered // SyncMirror's flush holds the frame; its sync is in flight
+	flushed := make(chan error, 1)
+	go func() { flushed <- l.Flush() }()
+	<-entered // the flip's flush holds the frame; its sync is in flight
 
 	acked := make(chan error, 1)
 	go func() { acked <- wait() }()
@@ -499,10 +463,10 @@ func TestSealWaitsForStreamFlushInFlight(t *testing.T) {
 	if err := <-acked; err != nil {
 		t.Fatal(err)
 	}
-	if err := <-mirrored; err != nil {
+	if err := <-flushed; err != nil {
 		t.Fatal(err)
 	}
-	l.AbortMirror()
+	l.EndTail()
 	l.Close()
 }
 
@@ -541,18 +505,23 @@ func TestCloseIsTheLastSeal(t *testing.T) {
 	}
 }
 
+// TestShardedAbortMirror: a checkpoint that aborts right after BeginTail
+// ends the tail with nothing copied, and the log goes on committing to its
+// old file.
 func TestShardedAbortMirror(t *testing.T) {
 	fs := vfs.NewMem(1)
 	l, _ := Create(fs, "old", 1, Options{})
 	commit(t, l, "a")
-	if err := l.BeginMirror(); err != nil {
+	if err := l.BeginTail(); err != nil {
 		t.Fatal(err)
 	}
-	l.AbortMirror()
-	if l.MirrorActive() {
-		t.Error("mirror still active after abort")
+	if tail, entries := l.EndTail(); tail != nil || entries != 0 {
+		t.Errorf("aborted tail copied %q (%d entries)", tail, entries)
 	}
 	commit(t, l, "b")
+	if tail, entries := l.EndTail(); tail != nil || entries != 0 {
+		t.Errorf("tail still open after abort: %q (%d entries)", tail, entries)
+	}
 	l.Close()
 	if res, _ := collect(t, fs, "old", 1, ReplayOptions{}); res.Entries != 2 {
 		t.Errorf("%+v", res)

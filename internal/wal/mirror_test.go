@@ -1,12 +1,17 @@
 package wal
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 	"testing"
 
 	"smalldb/internal/vfs"
 )
+
+// The tests in this file drive a checkpoint's use of the log: BeginTail at
+// its start, EndTail and Retarget at its flip. The new log file mirrors the
+// window between the two — it gets a copy of every entry the window
+// committed — so the names keep the word.
 
 // mirrorAppend appends n entries tagged with tag and returns their payloads.
 func mirrorAppend(t *testing.T, l *Log, n int, tag string) []string {
@@ -22,12 +27,42 @@ func mirrorAppend(t *testing.T, l *Log, n int, tag string) []string {
 	return out
 }
 
-// TestMirrorWindowReplayBothFiles drives a full mirror window and checks the
-// two invariants the checkpoint protocol relies on: every entry acknowledged
-// before the window closes is durable in the OLD file (recovery before the
-// version flip), and every entry of the window is durable in the NEW file
-// (recovery after the flip) — including entries appended before the mirror
-// file even existed and entries appended after the dual-write began.
+// flip does what the store's checkpoint does at its flip, with appends
+// quiesced: flush the log, end the tail, write it into a new file named name
+// holding head's frame, sync that and retarget the log to it. It reports the
+// tail's entries.
+func flip(t *testing.T, l *Log, fs vfs.FS, name string, head []byte) int64 {
+	t.Helper()
+	f, err := fs.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(HeadFrame(head)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tail, entries := l.EndTail()
+	if _, err := f.Write(tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Retarget(f); err != nil {
+		t.Fatal(err)
+	}
+	return entries
+}
+
+// TestMirrorWindowReplayBothFiles drives a checkpoint's window from
+// BeginTail to the retarget and checks the two invariants the checkpoint
+// relies on: every entry acknowledged before the flip is durable in the OLD
+// file (recovery before the version flip), and the NEW file holds every entry
+// of the window — those committed through Append and through the
+// enqueue-then-wait path alike — followed by every entry after it
+// (recovery after the flip).
 func TestMirrorWindowReplayBothFiles(t *testing.T) {
 	fs := vfs.NewMem(1)
 	l, err := Create(fs, "log1", 1, Options{})
@@ -35,100 +70,85 @@ func TestMirrorWindowReplayBothFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	pre := mirrorAppend(t, l, 3, "pre") // seqs 1..3, before the window
-
-	if err := l.BeginMirror(); err != nil {
+	if err := l.BeginTail(); err != nil {
 		t.Fatal(err)
 	}
-	early := mirrorAppend(t, l, 2, "early") // seqs 4..5, buffered: no mirror file yet
-
-	mf, err := fs.Create("log2")
-	if err != nil {
-		t.Fatal(err)
+	win := mirrorAppend(t, l, 2, "win") // seqs 4..5
+	for i := 0; i < 2; i++ {            // seqs 6..7
+		p := fmt.Sprintf("async-%d", i)
+		commit(t, l, p)
+		win = append(win, p)
 	}
-	if err := l.AttachMirrorFile(mf); err != nil {
-		t.Fatal(err)
+	if entries := flip(t, l, fs, "log2", []byte("head")); entries != 4 {
+		t.Errorf("tail entries = %d, want 4", entries)
 	}
-	if err := l.SyncMirror(); err != nil {
-		t.Fatal(err)
+	tail := int64(0)
+	for i, p := range win {
+		tail += int64(len(frame(uint64(4+i), []byte(p))))
 	}
-	late := mirrorAppend(t, l, 2, "late") // seqs 6..7, dual-written
-
-	entries, err := l.FinishMirror("log2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if entries != 4 {
-		t.Errorf("window entries = %d, want 4", entries)
+	if got := l.Size(); got != tail {
+		t.Errorf("Size after the retarget = %d, want the tail's %d bytes", got, tail)
 	}
 	post := mirrorAppend(t, l, 2, "post") // seqs 8..9, new file only
 	l.Close()
 
-	// The old file holds everything up to the window's end: it stayed the
-	// commit point throughout.
-	res, got := collect(t, fs, "log1", 1, ReplayOptions{})
-	want := append(append(append([]string{}, pre...), early...), late...)
-	if res.Entries != len(want) {
-		t.Fatalf("old log: %d entries, want %d", res.Entries, len(want))
+	// The old file holds everything up to the flip: it stayed the commit
+	// point throughout.
+	_, got := strs(t, fs, "log1", 1, ReplayOptions{})
+	if want := append(append([]string{}, pre...), win...); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("old log holds %v, want %v", got, want)
 	}
-	for i, p := range got {
-		if string(p) != want[i] {
-			t.Errorf("old log entry %d = %q, want %q", i, p, want[i])
-		}
-	}
-
-	// The new file holds the window plus everything after it, starting at
-	// the window's first sequence — exactly what replay from the new
-	// checkpoint needs.
-	res2, got2 := collect(t, fs, "log2", 4, ReplayOptions{})
-	want2 := append(append(append([]string{}, early...), late...), post...)
-	if res2.Entries != len(want2) || res2.LastSeq != 9 {
-		t.Fatalf("new log: %+v, want %d entries ending at seq 9", res2, len(want2))
-	}
-	for i, p := range got2 {
-		if string(p) != want2[i] {
-			t.Errorf("new log entry %d = %q, want %q", i, p, want2[i])
-		}
+	// The new file holds its head, the window and everything after it,
+	// starting at the window's first sequence — exactly what replay from
+	// the new checkpoint needs.
+	res, got := strs(t, fs, "log2", 4, ReplayOptions{})
+	if want := append(append([]string{}, win...), post...); fmt.Sprint(got) != fmt.Sprint(want) || string(res.Head) != "head" {
+		t.Errorf("new log holds head %q and %v, want %q and %v", res.Head, got, "head", want)
 	}
 }
 
-// TestMirrorCarriesUnflushedTail: frames appended after the last SyncMirror
-// and still unflushed when FinishMirror runs must commit to the NEW file —
-// the retarget hands the pending tail over rather than dropping it.
+// TestMirrorCarriesUnflushedTail: the tail copies a frame when it is
+// appended, before any flush writes it, and Retarget refuses to move a log
+// whose frames are not yet durable in the old file — they would land in the
+// new file twice, or in no file recovery reads before the flip.
 func TestMirrorCarriesUnflushedTail(t *testing.T) {
 	fs := vfs.NewMem(1)
 	l, err := Create(fs, "log1", 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.BeginMirror(); err != nil {
+	defer l.Close()
+	if err := l.BeginTail(); err != nil {
 		t.Fatal(err)
 	}
-	mf, _ := fs.Create("log2")
-	if err := l.AttachMirrorFile(mf); err != nil {
+	l.AppendAsync([]byte("unflushed"))
+	tail, entries := l.EndTail()
+	if entries != 1 || !bytes.Equal(tail, frame(1, []byte("unflushed"))) {
+		t.Errorf("tail = %q (%d entries), want the unflushed frame", tail, entries)
+	}
+	f, err := fs.Create("log2")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.SyncMirror(); err != nil {
-		t.Fatal(err)
-	}
-	l.AppendAsync([]byte("tail"))
-	if _, err := l.FinishMirror("log2"); err != nil {
-		t.Fatal(err)
+	if err := l.Retarget(f); err == nil {
+		t.Fatal("Retarget accepted a log with an unflushed frame")
 	}
 	if err := l.Flush(); err != nil {
-		t.Fatalf("tail commit after retarget: %v", err)
+		t.Fatal(err)
 	}
-	l.Close()
-	res, got := collect(t, fs, "log2", 1, ReplayOptions{})
-	if res.Entries != 1 || string(got[0]) != "tail" {
-		t.Errorf("new log: %+v %q", res, got)
+	if res, _ := collect(t, fs, "log1", 1, ReplayOptions{}); res.Entries != 1 {
+		t.Errorf("old log holds %d entries, want the flushed frame", res.Entries)
+	}
+	if err := l.Retarget(f); err != nil {
+		t.Fatalf("Retarget on a flushed log: %v", err)
 	}
 }
 
-// TestBeginMirrorRequiresQuiescedLog: the window may only open on a flushed
+// TestBeginTailRequiresFlushedLog: the tail may only begin on a flushed
 // log (the store holds the update lock and flushes first); an unflushed
-// frame would be invisible to the checkpoint's pickled root AND missing
-// from the mirror — lost after the flip.
-func TestBeginMirrorRequiresQuiescedLog(t *testing.T) {
+// frame would be in neither the checkpoint's pickled root nor the tail —
+// lost after the flip.
+func TestBeginTailRequiresFlushedLog(t *testing.T) {
 	fs := vfs.NewMem(1)
 	l, err := Create(fs, "log1", 1, Options{})
 	if err != nil {
@@ -136,88 +156,43 @@ func TestBeginMirrorRequiresQuiescedLog(t *testing.T) {
 	}
 	defer l.Close()
 	l.AppendAsync([]byte("x"))
-	if err := l.BeginMirror(); err == nil {
-		t.Fatal("BeginMirror accepted a log with pending frames")
+	if err := l.BeginTail(); err == nil {
+		t.Fatal("BeginTail accepted a log with pending frames")
 	}
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.BeginMirror(); err != nil {
-		t.Fatalf("BeginMirror on flushed log: %v", err)
+	if err := l.BeginTail(); err != nil {
+		t.Fatalf("BeginTail on a flushed log: %v", err)
 	}
-	if err := l.BeginMirror(); err == nil {
-		t.Fatal("BeginMirror accepted a second window")
-	}
-	l.AbortMirror()
 }
 
-// TestAbortMirror: aborting the window discards the mirror state and the
-// log keeps committing to its original file as if nothing happened.
+// TestAbortMirror: a checkpoint that aborts ends its tail without a
+// retarget. The log keeps committing to its original file as if nothing
+// happened, and copies nothing more; ending a tail that is not open is
+// harmless.
 func TestAbortMirror(t *testing.T) {
 	fs := vfs.NewMem(1)
 	l, err := Create(fs, "log1", 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.BeginMirror(); err != nil {
+	if err := l.BeginTail(); err != nil {
 		t.Fatal(err)
 	}
 	mirrorAppend(t, l, 2, "win")
-	mf, _ := fs.Create("log2")
-	if err := l.AttachMirrorFile(mf); err != nil {
-		t.Fatal(err)
+	l.EndTail()
+	commit(t, l, "after-0")
+	mirrorAppend(t, l, 1, "after")
+	if tail, entries := l.EndTail(); tail != nil || entries != 0 {
+		t.Errorf("ended tail copied %q (%d entries)", tail, entries)
 	}
-	l.AbortMirror()
-	mirrorAppend(t, l, 2, "after")
 	l.Close()
 
-	res, _ := collect(t, fs, "log1", 1, ReplayOptions{})
-	if res.Entries != 4 {
+	if res, _ := collect(t, fs, "log1", 1, ReplayOptions{}); res.Entries != 4 {
 		t.Errorf("old log entries = %d, want 4", res.Entries)
 	}
-	// Aborting twice, or with no window open, is harmless.
-	l2, _ := Create(fs, "log3", 1, Options{})
-	l2.AbortMirror()
-	l2.Close()
-}
-
-// TestMirrorSyncFailurePoisons: once the dual-write rule is in force, a
-// mirror-file sync failure must fail the acknowledgement and poison the
-// log — acking on the old file alone would let the version flip lose the
-// update.
-func TestMirrorSyncFailurePoisons(t *testing.T) {
-	fs := vfs.NewMem(1)
-	boom := errors.New("mirror disk died")
-	l, err := Create(fs, "log1", 1, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if names, _ := fs.List(); len(names) != 1 {
+		t.Errorf("files = %v, want log1 alone", names)
 	}
-	if err := l.BeginMirror(); err != nil {
-		t.Fatal(err)
-	}
-	mf, _ := fs.Create("log2")
-	if err := l.AttachMirrorFile(mf); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.SyncMirror(); err != nil {
-		t.Fatal(err)
-	}
-	fs.FailSync = func(name string) error {
-		if name == "log2" {
-			return boom
-		}
-		return nil
-	}
-	if _, err := l.Append([]byte("x")); !errors.Is(err, boom) {
-		t.Fatalf("append during failed mirror sync: %v, want %v", err, boom)
-	}
-	fs.FailSync = nil
-	if _, err := l.Append([]byte("y")); !errors.Is(err, boom) {
-		t.Fatalf("log not poisoned after mirror failure: %v", err)
-	}
-	if _, err := l.FinishMirror("log2"); !errors.Is(err, boom) {
-		t.Fatalf("FinishMirror on poisoned log: %v", err)
-	}
-	l.AbortMirror()
-	l.Close()
 }

@@ -105,8 +105,6 @@ func newMetrics(reg *obs.Registry) metrics {
 
 // Log is an open redo log positioned for appending.
 type Log struct {
-	fs   vfs.FS
-	name string
 	opts Options
 	m    metrics
 
@@ -122,29 +120,13 @@ type Log struct {
 	pendingHi    uint64 // highest seq in pending
 	committed    uint64 // highest seq known durable
 	syncing      bool
-	holdFlush    bool  // blocks new flush leaders; see FinishMirror
 	err          error // sticky: a failed log write poisons the log
 	closed       bool
-	mirror       mirrorState
-}
-
-// mirrorState is the mirror window a non-blocking checkpoint opens: every
-// frame appended while the window is open still commits durably to the
-// current (old) file — which remains the commit point — and is additionally
-// buffered for the checkpoint's new log file. Once the new file is attached,
-// each flush writes and syncs BOTH files before acknowledging, so at every
-// instant after a successful SyncMirror the new file durably holds every
-// acknowledged entry of the window; the version flip is then safe at any
-// point and FinishMirror retargets the log with a lock-only critical
-// section.
-type mirrorState struct {
-	active   bool
-	f        vfs.File // nil until AttachMirrorFile
-	headLen  int64    // f's head frame, written ahead of the window's frames
-	buf      []byte   // frames not yet written to f
-	inflight int64    // bytes taken by the flush currently writing f
-	written  int64    // bytes durably written to f
-	entries  int64    // frames appended during the window
+	// A checkpoint's tail: while tailFrom is not 0, every frame appended
+	// from sequence tailFrom on is also copied into tail, for the new log
+	// file the checkpoint creates (see BeginTail).
+	tail     []byte
+	tailFrom uint64
 }
 
 // Create creates (or truncates) the named log file and returns an empty Log
@@ -162,7 +144,7 @@ func Create(fs vfs.FS, name string, firstSeq uint64, opts Options) (*Log, error)
 		f.Close()
 		return nil, err
 	}
-	return newLog(fs, name, f, firstSeq, opts)
+	return newLog(f, firstSeq, opts)
 }
 
 // HeadFrame is the head frame of a log file whose head payload is head: the
@@ -195,18 +177,18 @@ func Open(fs vfs.FS, name string, nextSeq uint64, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newLog(fs, name, f, nextSeq, opts)
+	return newLog(f, nextSeq, opts)
 }
 
 // newLog wraps f as a Log appending from nextSeq.
-func newLog(fs vfs.FS, name string, f vfs.File, nextSeq uint64, opts Options) (*Log, error) {
+func newLog(f vfs.File, nextSeq uint64, opts Options) (*Log, error) {
 	size, err := f.Size()
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	head, n := readHead(f, size)
-	l := &Log{fs: fs, name: name, opts: opts, m: newMetrics(opts.Obs), f: f, head: head, nextSeq: nextSeq, size: size - n}
+	l := &Log{opts: opts, m: newMetrics(opts.Obs), f: f, head: head, nextSeq: nextSeq, size: size - n}
 	l.m.headBytes.Add(uint64(n))
 	l.cond = sync.NewCond(&l.mu)
 	l.committed = nextSeq - 1
@@ -251,13 +233,6 @@ func (l *Log) DurableSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.committed
-}
-
-// MirrorActive reports whether a mirror window is open.
-func (l *Log) MirrorActive() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.mirror.active
 }
 
 // appendFrame encodes one log entry in place at the end of buf, so the
@@ -324,9 +299,8 @@ func (l *Log) enqueueLocked(payload []byte) (uint64, error) {
 	was := len(l.pending)
 	l.pending = appendFrame(l.pending, seq, payload)
 	frameLen := len(l.pending) - was
-	if l.mirror.active {
-		l.mirror.buf = append(l.mirror.buf, l.pending[was:]...)
-		l.mirror.entries++
+	if l.tailFrom != 0 {
+		l.tail = append(l.tail, l.pending[was:]...)
 	}
 	l.pendingCount++
 	l.pendingHi = seq
@@ -351,7 +325,7 @@ func (l *Log) waitDurable(seq uint64) error {
 		if l.committed >= seq {
 			return nil
 		}
-		if !l.syncing && !l.holdFlush && len(l.pending) > 0 {
+		if !l.syncing && len(l.pending) > 0 {
 			if err := l.flushLocked(); err != nil {
 				return err
 			}
@@ -366,10 +340,7 @@ func (l *Log) waitDurable(seq uint64) error {
 
 // flushLocked writes and syncs all pending frames. Called with l.mu held
 // and no flush in flight; marks itself the flush in flight (l.syncing),
-// releases l.mu around the I/O, and wakes every waiter when done. While a mirror file is attached, the mirrored
-// frames are written and synced to it too, and no entry is acknowledged
-// (committed advanced) until both files are durable — the invariant the
-// non-blocking checkpoint's version flip depends on.
+// releases l.mu around the I/O, and wakes every waiter when done.
 func (l *Log) flushLocked() error {
 	l.syncing = true
 	defer func() {
@@ -386,32 +357,15 @@ func (l *Log) flushLocked() error {
 	l.pending = l.spare[:0]
 	l.spare = nil
 	l.pendingCount = 0
-	var mbuf []byte
-	var mf vfs.File
-	if l.mirror.f != nil && len(l.mirror.buf) > 0 {
-		mf = l.mirror.f
-		mbuf = l.mirror.buf
-		l.mirror.buf = nil
-		l.mirror.inflight = int64(len(mbuf))
-	}
-	if len(buf) == 0 && mbuf == nil {
+	if len(buf) == 0 {
 		l.spare = buf
 		return nil
 	}
 	l.mu.Unlock()
 	start := time.Now()
-	var werr, serr error
-	if len(buf) > 0 {
-		_, werr = l.f.Write(buf)
-		if werr == nil && !l.opts.NoSync {
-			serr = l.f.Sync()
-		}
-	}
-	var merr error
-	if werr == nil && serr == nil && mf != nil {
-		if _, merr = mf.Write(mbuf); merr == nil && !l.opts.NoSync {
-			merr = mf.Sync()
-		}
+	_, err := l.f.Write(buf)
+	if err == nil && !l.opts.NoSync {
+		err = l.f.Sync()
 	}
 	dur := time.Since(start)
 	l.m.flushes.Inc()
@@ -419,14 +373,7 @@ func (l *Log) flushLocked() error {
 	l.m.flushBytes.Observe(int64(len(buf)))
 	l.m.groupEntries.Observe(int64(entries))
 	if l.opts.Tracer != nil {
-		ferr := werr
-		if ferr == nil {
-			ferr = serr
-		}
-		if ferr == nil {
-			ferr = merr
-		}
-		l.opts.Tracer.Emit(obs.Event{Name: "log.flush", Time: start, Dur: dur, Err: ferr, Attrs: []obs.Attr{
+		l.opts.Tracer.Emit(obs.Event{Name: "log.flush", Time: start, Dur: dur, Err: err, Attrs: []obs.Attr{
 			obs.A("bytes", len(buf)), obs.A("entries", entries), obs.A("hi_seq", hi),
 		}})
 	}
@@ -437,27 +384,14 @@ func (l *Log) flushLocked() error {
 	if l.spare == nil && cap(buf) <= maxSpareFlushBuf {
 		l.spare = buf[:0]
 	}
-	if mf != nil {
-		l.mirror.inflight = 0
-		if merr == nil {
-			l.mirror.written += int64(len(mbuf))
-		}
+	if err != nil {
+		l.err = fmt.Errorf("wal: append failed, log poisoned: %w", err)
+		return l.err
 	}
-	if werr == nil && serr == nil && merr == nil {
-		if len(buf) > 0 && hi > l.committed {
-			l.committed = hi
-		}
-		return nil
+	if hi > l.committed {
+		l.committed = hi
 	}
-	err := werr
-	if err == nil {
-		err = serr
-	}
-	if err == nil {
-		err = merr
-	}
-	l.err = fmt.Errorf("wal: append failed, log poisoned: %w", err)
-	return l.err
+	return nil
 }
 
 // Flush makes every enqueued entry durable before returning, waiting out
@@ -471,154 +405,70 @@ func (l *Log) Flush() error {
 	return l.waitDurable(l.nextSeq - 1)
 }
 
-// BeginMirror opens the mirror window. The caller must have quiesced
-// appends (the store holds the update lock) and flushed the log: every
-// frame appended from here on is buffered for the checkpoint's new log
-// file in addition to committing durably to the current one.
-func (l *Log) BeginMirror() error {
+// BeginTail starts a checkpoint's tail: from here on every appended frame
+// is also copied, for the new log file, which must hold every entry from
+// the checkpoint's NextSeq on. The caller must have quiesced appends (the
+// store holds the update lock) and flushed the log, or a frame enqueued
+// before would be in neither the checkpoint nor the tail.
+func (l *Log) BeginTail() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
+	if err := l.settledLocked("BeginTail"); err != nil {
+		return err
 	}
-	if l.err != nil {
-		return l.err
-	}
-	if l.mirror.active {
-		return errors.New("wal: mirror window already open")
-	}
-	if len(l.pending) > 0 || l.syncing {
-		return errors.New("wal: BeginMirror requires a flushed log")
-	}
-	l.mirror = mirrorState{active: true}
+	l.tail, l.tailFrom = nil, l.nextSeq
 	return nil
 }
 
-// AttachMirrorFile hands the mirror window the new log file (created and
-// synced by the checkpoint protocol). Until SyncMirror returns, frames
-// buffered since BeginMirror may still be waiting; afterwards every flush
-// keeps the file durably caught up before acknowledging.
-func (l *Log) AttachMirrorFile(f vfs.File) error {
+// EndTail stops the tail and returns the frames copied since BeginTail and
+// the number of entries they hold: what the checkpoint writes into its new
+// log file at the flip, or drops when it aborts. With no tail open it
+// returns nothing.
+func (l *Log) EndTail() ([]byte, int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.mirror.active {
-		return errors.New("wal: AttachMirrorFile without BeginMirror")
+	tail, entries := l.tail, int64(0)
+	if l.tailFrom != 0 {
+		entries = int64(l.nextSeq - l.tailFrom)
 	}
-	if l.mirror.f != nil {
-		return errors.New("wal: mirror file already attached")
+	l.tail, l.tailFrom = nil, 0
+	return tail, entries
+}
+
+// Retarget makes f the file the log appends to, and
+// closes the old one: the end of a checkpoint, whose new log file f durably
+// holds its head frame and the tail. The sequence numbering goes on
+// unchanged. The caller must have quiesced appends and flushed the log, so
+// no frame is owed to the old file.
+func (l *Log) Retarget(f vfs.File) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.settledLocked("Retarget"); err != nil {
+		return err
 	}
-	size, err := f.Size() // a fresh file: its head frame, if any
+	size, err := f.Size()
 	if err != nil {
 		return err
 	}
 	_, n := readHead(f, size)
-	l.mirror.f, l.mirror.written, l.mirror.headLen = f, size, n
 	l.m.headBytes.Add(uint64(n))
+	_ = l.f.Close() // the superseded version's log; best-effort
+	l.f, l.size = f, size-n
 	return nil
 }
 
-// SyncMirror drains the mirror backlog: when it returns nil, every entry
-// acknowledged so far with a sequence inside the window is durably in the
-// mirror file — and the dual-write rule in flushLocked keeps that invariant
-// for every later acknowledgement, so the checkpoint may flip the version
-// at any moment after this.
-func (l *Log) SyncMirror() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+// settledLocked reports why op cannot run now: on a closed or poisoned log,
+// or with a frame not yet durable. Called with l.mu held.
+func (l *Log) settledLocked(op string) error {
+	switch {
+	case l.closed:
 		return ErrClosed
+	case l.err != nil:
+		return l.err
+	case len(l.pending) > 0 || l.syncing:
+		return fmt.Errorf("wal: %s requires a flushed log", op)
 	}
-	if !l.mirror.active || l.mirror.f == nil {
-		return errors.New("wal: SyncMirror without attached mirror")
-	}
-	// Wait for progress, not for quiet: under a steady append stream the
-	// log is flushing almost continuously and a wait for !syncing could
-	// starve forever — but every one of those flushes drains the mirror
-	// backlog too, so it is enough to watch mirror.written reach the
-	// bytes appended so far. Frames appended after this point are the
-	// dual-write rule's problem, not ours.
-	target := l.mirror.written + l.mirror.inflight + int64(len(l.mirror.buf))
-	for {
-		if l.err != nil {
-			return l.err
-		}
-		if l.mirror.written >= target {
-			return nil
-		}
-		if !l.syncing && !l.holdFlush {
-			if err := l.flushLocked(); err != nil {
-				return err
-			}
-			continue
-		}
-		l.cond.Wait()
-	}
-}
-
-// FinishMirror ends the mirror window by retargeting the log to the mirror
-// file: the same Log keeps its sequence numbering and pending frames but
-// appends to (and syncs) the new file from now on, and the old file handle
-// is closed. The caller must have called SyncMirror and flipped the version
-// first. It reports how many entries were appended during the window.
-func (l *Log) FinishMirror(newName string) (int64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
-	}
-	// Block new flush leaders while we wait for the in-flight one: under a
-	// steady append stream the log is otherwise flushing back-to-back and
-	// this wait could starve. Parked appenders resume on the broadcast.
-	l.holdFlush = true
-	defer func() {
-		l.holdFlush = false
-		l.cond.Broadcast()
-	}()
-	for l.syncing {
-		l.cond.Wait()
-	}
-	if l.closed {
-		return 0, ErrClosed
-	}
-	if l.err != nil {
-		return 0, l.err
-	}
-	if !l.mirror.active || l.mirror.f == nil {
-		return 0, errors.New("wal: FinishMirror without attached mirror")
-	}
-	old := l.f
-	l.f = l.mirror.f
-	l.name = newName
-	// Since the last drain (SyncMirror at the latest), pending and
-	// mirror.buf have held the same frames — flushes empty them together
-	// and appends extend them together — so the unwritten tail and its
-	// counters carry over unchanged.
-	l.pending = l.mirror.buf
-	l.size = l.mirror.written - l.mirror.headLen + int64(len(l.pending))
-	entries := l.mirror.entries
-	l.mirror = mirrorState{}
-	l.spare = nil
-	_ = old.Close() // the superseded version's log; best-effort
-	return entries, nil
-}
-
-// AbortMirror ends the mirror window without switching files: buffered
-// mirror frames are discarded and the mirror file, if attached, is closed.
-// The log keeps appending to its current file. Safe to call in any state.
-func (l *Log) AbortMirror() {
-	l.mu.Lock()
-	l.holdFlush = true
-	for l.syncing {
-		l.cond.Wait()
-	}
-	l.holdFlush = false
-	f := l.mirror.f
-	l.mirror = mirrorState{}
-	l.cond.Broadcast()
-	l.mu.Unlock()
-	if f != nil {
-		_ = f.Close()
-	}
+	return nil
 }
 
 // Close closes the log file. It takes no frame from the moment it is called;
