@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -337,6 +338,60 @@ func BenchmarkCOWSet(b *testing.B) {
 		}
 		tree.SnapshotView()
 	}
+}
+
+// BenchmarkLoadedLookup: random Lookups on a store reopened from a
+// checkpoint of the benchmark workload's data set, org/deptNNN/hostNNNNN/addr
+// for 200 departments of 500 hosts with a distinct 48-byte value each: the
+// tree as nsd holds it after a restart, each host/addr an inline path in its
+// department's arc. Besides ns/op it reports heap-B/name, the live heap the
+// load added per name.
+func BenchmarkLoadedLookup(b *testing.B) {
+	mem := vfs.NewMem(1)
+	s, err := nameserver.Open(nameserver.Config{FS: mem})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var names []string
+	for d := 0; d < 200; d++ {
+		dept := &nameserver.Node{Children: map[string]*nameserver.Node{}}
+		for h := 0; h < 500; h++ {
+			host := fmt.Sprintf("host%05d", d*500+h)
+			leaf := &nameserver.Node{Value: fmt.Sprintf("%048x", (d*500+h)*0x9e3779b9), HasValue: true}
+			dept.Children[host] = &nameserver.Node{Children: map[string]*nameserver.Node{"addr": leaf}}
+			names = append(names, fmt.Sprintf("org/dept%03d/%s/addr", d, host))
+		}
+		if err := s.Put(fmt.Sprintf("org/dept%03d", d), dept); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	s.Close()
+	s = nil // so that the heap before the load holds no tree
+	live := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second frees what the first left to pools' victim caches
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := live()
+	if s, err = nameserver.Open(nameserver.Config{FS: mem}); err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	perName := float64(live()-before) / float64(len(names))
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Lookup(names[rng.Intn(len(names))]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(perName, "heap-B/name")
 }
 
 // BenchmarkE14PartitionCheckpoint: checkpointing one partition of two.

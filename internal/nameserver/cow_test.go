@@ -286,9 +286,10 @@ func deptTree(tb testing.TB) (*Tree, [][]string) {
 // TestCOWSetAllocation pins what one copy-on-write Set of an existing name
 // allocates on the 1 → 200 → 500 → 1 path of that data set: the copied
 // nodes, the two wide directories' indexes and one block of each, and the
-// host's one arc, which holds the new value inline: 3 451 bytes in 12
-// allocations (amd64). With 24-byte arcs and the leaf a node of its own it
-// was 2 630 in 13; copying the directories' whole arc arrays cost 17.7 KB.
+// host's inline path to addr, rebuilt with the new value: 3 315 bytes in 11
+// allocations (amd64). With the host a node of its own, whose one arc was
+// copied, it was 3 451 in 12; with 24-byte arcs and the leaf a node of its
+// own 2 630 in 13; copying the directories' whole arc arrays cost 17.7 KB.
 func TestCOWSetAllocation(t *testing.T) {
 	tree, names := deptTree(t)
 	rng := rand.New(rand.NewSource(1))

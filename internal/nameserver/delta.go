@@ -134,12 +134,12 @@ func diffNode(old, new *Node, path []string, d *TreeDelta) {
 			label = o.Label
 		}
 		switch {
-		case o.Child == n.Child && o.leaf == n.leaf: // pointer-shared (content-identical under COW), or one inline leaf
+		case o.Child == n.Child && o.leaf == n.leaf: // pointer-shared (content-identical under COW), or one inline path
 		case !n.exists():
 			d.Ops = append(d.Ops, DeltaOp{Op: DeltaDelete, Path: childPath(path, label)})
 		case !o.exists():
 			d.Ops = append(d.Ops, DeltaOp{Op: DeltaPut, Path: childPath(path, label), Subtree: n.Node()})
-		default: // an inline leaf on either side compares as the node it stands for
+		default: // an inline path on either side compares as the nodes it stands for
 			diffNode(o.Node(), n.Node(), childPath(path, label), d)
 		}
 	}

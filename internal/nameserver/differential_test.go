@@ -330,6 +330,99 @@ func scribble(n *Node) {
 	}
 }
 
+// inlinePaths returns the names at the end of tr's inline paths of at least
+// one plain node, each with the labels of the name whose arc holds the path.
+func inlinePaths(tr *Tree) (ends [][]string, heads []int) {
+	var walk func(n *Node, path []string)
+	walk = func(n *Node, path []string) {
+		for _, a := range n.AllArcs() {
+			end := append(path[:len(path):len(path)], a.Label)
+			if a.Child != nil {
+				walk(a.Child, end)
+			} else if span(a.leaf) > 1 {
+				heads = append(heads, len(end))
+				for label, leaf, ok := pathNext(a.leaf); ok; label, leaf, ok = pathNext(leaf) {
+					end = append(end, label)
+				}
+				ends = append(ends, end)
+			}
+		}
+	}
+	walk(tr.Root, nil)
+	return ends, heads
+}
+
+// chainStep draws an update that makes or meets an inline path of tr and
+// applies it to the model m. It returns the update, its kind, and the name
+// whose arc must hold an inline path once it is applied, if any: a new name
+// two to four labels below its deepest existing node; or, on a path tr
+// holds, a Set of its own name, a Set beside one of its names or below its
+// leaf, a Delete of its leaf or its head, or a Move of one of its names; or
+// a Put of a chain. verify is runDifferential's.
+func chainStep(rng *rand.Rand, tr *Tree, m refModel, step int, verify func(int, interface{ Verify(any) error }, bool) bool) (u interface{ Apply(any) error }, kind string, inline []string) {
+	base := existingPath(rng, m)
+	fresh := append(base[:min(len(base), 3):min(len(base), 3)], fmt.Sprint("c", step)) // a name no step made
+	set := func(path []string) *SetValue {
+		u := &SetValue{Path: path, Value: fmt.Sprint("chain", step)}
+		verify(step, u, true)
+		m.ensure(path)
+		e := m[JoinPath(path)]
+		e.value, e.hasValue = u.Value, true
+		m[JoinPath(path)] = e
+		return u
+	}
+	ends, heads := inlinePaths(tr)
+	k := rng.Intn(7)
+	if len(ends) == 0 {
+		k = 0
+	}
+	var end []string
+	var head int
+	if k > 0 {
+		i := rng.Intn(len(ends))
+		end, head = ends[i], heads[i]
+	}
+	switch k {
+	case 0:
+		return set(append(fresh, refPath(rng, 1)...)), "chain-new", fresh
+	case 1:
+		return set(end), "chain-set", end[:head]
+	case 2: // beside the head or a name below it, or below the leaf
+		dir := end[:head-1+rng.Intn(len(end)-head+2)]
+		return set(append(dir[:len(dir):len(dir)], fmt.Sprint("c", step))), "chain-sibling", nil
+	case 3, 4:
+		u, kind := &DeleteSubtree{Path: end}, "chain-delete-leaf"
+		if k == 4 {
+			u.Path, kind = end[:head], "chain-delete-head"
+		}
+		verify(step, u, true)
+		m.cut(JoinPath(u.Path))
+		return u, kind, nil
+	case 5:
+		u := &Move{From: end[:head+rng.Intn(len(end)-head+1)], To: fresh}
+		from, to := JoinPath(u.From), JoinPath(u.To)
+		if !verify(step, u, !under(to, from)) {
+			return nil, "", nil
+		}
+		moved := m.cut(from)
+		m.ensure(u.To[:len(u.To)-1])
+		m.graft(to, moved)
+		return u, "chain-move", nil
+	default:
+		spec, key := refModel{"": {}}, ""
+		for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+			key = strings.Trim(key+"/"+refLabels[rng.Intn(len(refLabels))], "/")
+			spec[key] = refEntry{}
+		}
+		spec[key] = refEntry{value: fmt.Sprint("chain", step), hasValue: true}
+		u := &PutSubtree{Path: fresh, Subtree: buildSubtree(spec, "", rng.Intn(3))}
+		verify(step, u, true)
+		m.ensure(fresh[:len(fresh)-1])
+		m.graft(JoinPath(fresh), spec)
+		return u, "chain-put", fresh
+	}
+}
+
 // refView is a published snapshot, the model's dump when it was taken, and
 // the snapshot's pickle.
 type refView struct {
@@ -485,6 +578,18 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 				}
 			}
 		}
+		// One step in two also makes or meets an inline path.
+		if rng.Intn(2) == 0 {
+			if u, kind, inline := chainStep(rng, tree, model, step, verify); u != nil {
+				if err := u.Apply(tree); err != nil {
+					t.Fatalf("seed %d step %d: Apply %s %+v: %v", seed, step, kind, u, err)
+				}
+				if a := tree.at(inline); inline != nil && span(a.leaf) < 2 {
+					t.Fatalf("seed %d step %d: %s %+v left %q holding %+v, not an inline path", seed, step, kind, u, JoinPath(inline), a)
+				}
+				counts[kind]++
+			}
+		}
 		// 1. The live tree is the model, node for node, and in invariant form.
 		now := model.dump()
 		if got := dumpTree(t, tree); got != now {
@@ -563,7 +668,9 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 	}
 	for kind, least := range map[string]int{"set": steps / 100, "ensure": steps / 100, "put-form0": steps / 100,
 		"put-form1": steps / 100, "put-form2": steps / 100, "delete": steps / 100, "move": steps / 100,
-		"put-wide": 2, "delete-wide-dir": 1, "grow-past-block": 2, "shrink-past-block": 2, "several-blocks": 2} {
+		"put-wide": 2, "delete-wide-dir": 1, "grow-past-block": 2, "shrink-past-block": 2, "several-blocks": 2,
+		"chain-new": steps / 100, "chain-set": steps / 100, "chain-sibling": steps / 100, "chain-delete-leaf": steps / 100,
+		"chain-delete-head": steps / 100, "chain-move": steps / 100, "chain-put": steps / 100} {
 		if counts[kind] < least {
 			t.Fatalf("seed %d: degenerate run, %q applied %d times: %v", seed, kind, counts[kind], counts)
 		}

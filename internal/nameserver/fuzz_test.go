@@ -163,6 +163,10 @@ func decodeSeeds() []decodeSeed {
 		{name: "nil-beside-inline", image: tree([]Arc{{Label: "a", Child: leaf("1")}, {Label: "b"}, {Label: "c", Child: &Node{Arcs: []Arc{{Label: "d"}, {Label: "e", Child: leaf("5")}}}}}), wantList: "a,b,c"},
 		// Two arcs to one leaf, which the first would load inline: refused.
 		{name: "ref-to-inline-leaf", image: shareArc(tree([]Arc{{Label: "a", Child: leaf("s")}, {Label: "b"}, {Label: "c"}}), "a", "c"), wantErr: "owns its value"},
+		// A bare path of two plain nodes, which loads inline, beside chains
+		// that must stay nodes: to a value led by NUL, through a stamped node.
+		{name: "chain", image: tree([]Arc{{Label: "a", Child: &Node{Arcs: []Arc{{Label: "b", Child: &Node{Arcs: []Arc{{Label: "c", Child: leaf("3")}}}}}}},
+			{Label: "n", Child: &Node{Arcs: []Arc{{Label: "o", Child: leaf("\x00")}}}}, {Label: "s", Child: &Node{Arcs: []Arc{{Label: "t", Child: leaf("t")}}, Stamp: 1}}}), wantList: "a,n,s"},
 	}
 }
 

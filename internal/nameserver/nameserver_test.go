@@ -381,6 +381,18 @@ func TestNameDepthBound(t *testing.T) {
 	if err := s.Rename("short", name("s", MaxNameLabels-1)); err != nil {
 		t.Fatalf("Rename to the bound: %v", err)
 	}
+	// A name's labels past its deepest existing node are one inline path,
+	// whose labels all count: h0 holds x and j0 → … → j99.
+	for _, n := range []string{"h0/x", "h0/" + name("j", 100)} {
+		if err := s.Set(n, "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refused("Rename of a node holding an inline path past the bound", s.Rename("h0", name("k", MaxNameLabels-99)))
+	refused("Rename of an inline path past the bound", s.Rename("h0/j0", name("k", MaxNameLabels-98)))
+	if err := s.Rename("h0", name("k", MaxNameLabels-100)); err != nil {
+		t.Fatalf("Rename of a node holding an inline path to the bound: %v", err)
+	}
 
 	deep := name("d", MaxNameLabels)
 	if err := s.Set(deep, "at the bound"); err != nil {

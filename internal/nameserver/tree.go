@@ -18,6 +18,7 @@
 package nameserver
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -51,7 +52,8 @@ type Tree struct {
 // had any) — the paper's hash table delivering further hash tables. Once
 // a write finds more than blockSize, they move to blocks; AllArcs reads both.
 // A leaf with a value and nothing else is usually no Node at all: its
-// parent's arc holds the value (see Arc).
+// parent's arc holds the value, and the labels of any single-child chain
+// leading to it (see Arc).
 //
 // Stamp and StampBy are replication metadata: the Lamport time and origin
 // of the write that set Value, used by the replica package's last-writer-
@@ -88,62 +90,138 @@ const blockSize = 32
 // Arc is one labelled edge. Being a pickle.MapPair, a []Arc pickles as the
 // string-keyed map of nodes it replaced, and loads from one without building it.
 //
-// An arc to a bare leaf — a non-empty value and nothing else: no arcs, no
-// stamps — holds the value itself, with Child nil, and the leaf is no Node
-// of its own. It pickles as that Node (pickle.MapPairInline), and loads back
-// into its arc. An arc with neither Child nor value is an arc to nil, which
-// only a foreign image holds, and which enquiries take for no name.
+// An arc to a bare path holds the path in leaf, with Child nil, and no node
+// on it is a Node of its own: radix-tree path compression. A bare path is
+// any number of plain nodes — no value, no stamps, one arc — leading to a
+// bare leaf: a value neither empty nor led by a NUL byte, and nothing else.
+// An arc to a bare leaf holds its value; an arc to a plain node holds a NUL
+// byte, the uvarint length of the node's one label, the label, and that
+// arc's leaf: host → addr → "v" is an arc labelled host holding
+// "\x00\x04addrv". It pickles as the nodes it stands for
+// (pickle.MapPairInline), and loads back into its arc. An arc with neither
+// Child nor leaf is an arc to nil, which only a foreign image holds, and
+// which enquiries take for no name.
 type Arc struct {
 	Label string
 	Child *Node
 
-	leaf string // an inline leaf's value
+	leaf string // an inline path: a bare leaf's value, or a plain node's one arc
 }
 
 // PickleMapPair implements pickle.MapPair.
 func (Arc) PickleMapPair() {}
 
-// PickleBox implements pickle.MapPairInline: an inline leaf pickles as its node.
+// PickleBox implements pickle.MapPairInline: an inline path pickles as its
+// first node, whose one arc pickles as the rest.
 func (a *Arc) PickleBox(box any) bool {
 	if a.leaf == "" {
 		return false
 	}
-	*box.(*Node) = Node{Value: a.leaf, HasValue: true}
+	a.unbox(box.(*Node))
 	return true
 }
 
-// PickleUnbox implements pickle.MapPairInline: a bare leaf loads into its arc.
+// PickleUnbox implements pickle.MapPairInline: a bare path loads into its
+// arc. Its nodes load deepest first, so a chain folds one node at a time.
 func (a *Arc) PickleUnbox(box any) bool {
-	n := box.(*Node)
-	if !n.bare() {
-		return false
-	}
-	a.leaf = n.Value
-	return true
+	a.leaf = box.(*Node).inline()
+	return a.leaf != ""
 }
 
-// Node returns the node a leads to: Child, or a copy of the leaf a holds
-// inline, which the tree does not see written, or nil.
+// Node returns the node a leads to: Child, or a copy of the first node of
+// the path a holds inline, which the tree does not see written, or nil.
 func (a Arc) Node() *Node {
-	if a.leaf != "" {
-		return &Node{Value: a.leaf, HasValue: true}
+	if a.leaf == "" {
+		return a.Child
 	}
-	return a.Child
+	n := &Node{}
+	a.unbox(n)
+	return n
+}
+
+// unbox makes n, which must be new or a pickle box that only unbox has
+// written, the first node of the path a holds inline, reusing n's arc array.
+func (a Arc) unbox(n *Node) {
+	if label, rest, ok := pathNext(a.leaf); ok {
+		n.Value, n.HasValue, n.Arcs = "", false, append(n.Arcs[:0], Arc{Label: label, leaf: rest})
+	} else {
+		n.Value, n.HasValue, n.Arcs = a.leaf, true, nil
+	}
+}
+
+// step returns the arc labelled label out of the name a leads to, or no arc.
+func (a Arc) step(label string) Arc {
+	if a.Child != nil {
+		return a.Child.arc(label)
+	}
+	if l, rest, ok := pathNext(a.leaf); ok && l == label {
+		return Arc{Label: l, leaf: rest}
+	}
+	return Arc{}
 }
 
 // exists reports whether a leads to a name: an arc to nil does not.
 func (a Arc) exists() bool { return a.Child != nil || a.leaf != "" }
 
-// bare reports whether n may live inline in its arc.
-func (n *Node) bare() bool {
-	return n.HasValue && n.Value != "" && n.Arcs == nil && n.blocks == nil && n.Children == nil &&
-		n.Stamp == 0 && n.StampBy == ""
+// pathNext splits the leaf of an arc to a plain node into the label of that
+// node's one arc and the arc's leaf; ok is false for a bare leaf's value.
+func pathNext(leaf string) (label, rest string, ok bool) {
+	if leaf == "" || leaf[0] != 0 {
+		return "", "", false
+	}
+	n, k := uint64(leaf[1]), 1
+	if n >= 0x80 { // a label of 128 bytes or more
+		n, k = binary.Uvarint([]byte(leaf[1:min(len(leaf), 1+binary.MaxVarintLen64)])) // a copy on the stack
+	}
+	i, j := 1+k, 1+k+int(n)
+	return leaf[i:j], leaf[j:], true
 }
 
-// arcTo returns label's arc to n, which holds n inline when n is bare.
+// fold returns the leaf of an arc to a plain node whose one arc, labelled
+// label, holds leaf.
+func fold(label, leaf string) string {
+	var n [binary.MaxVarintLen64]byte
+	return "\x00" + string(binary.AppendUvarint(n[:0], uint64(len(label)))) + label + leaf
+}
+
+// span reports the names an inline path holds: one per label, the arc's
+// own included; none for no path.
+func span(leaf string) (names int) {
+	for ; leaf != ""; names++ {
+		_, leaf, _ = pathNext(leaf)
+	}
+	return names
+}
+
+// bare reports whether n is a bare leaf.
+func (n *Node) bare() bool {
+	return n.HasValue && n.Value != "" && n.Value[0] != 0 && n.Arcs == nil && n.plain()
+}
+
+// plain reports whether n has neither stamps nor blocks nor the input-only
+// Children, which no node on an inline path has.
+func (n *Node) plain() bool {
+	return n.blocks == nil && n.Children == nil && n.Stamp == 0 && n.StampBy == ""
+}
+
+// inline returns the leaf of an arc holding n inline, or "" if n must stay
+// a Node: n is neither a bare leaf nor a plain node whose one arc is inline.
+func (n *Node) inline() string {
+	switch {
+	case n.bare():
+		return n.Value
+	case len(n.Arcs) == 1 && n.Arcs[0].leaf != "" && !n.HasValue && n.Value == "" && n.plain():
+		return fold(n.Arcs[0].Label, n.Arcs[0].leaf)
+	}
+	return ""
+}
+
+// arcTo returns label's arc to n, which holds n inline when it may.
 func arcTo(label string, n *Node) Arc {
-	if n != nil && n.bare() {
-		return Arc{Label: label, leaf: n.Value}
+	if n != nil {
+		if leaf := n.inline(); leaf != "" {
+			return Arc{Label: label, leaf: leaf}
+		}
 	}
 	return Arc{Label: label, Child: n}
 }
@@ -321,14 +399,27 @@ func JoinPath(parts []string) string { return strings.Join(parts, "/") }
 // at walks the tree to the name parts and returns the arc that leads
 // there (the root's is an arc to Root), or no arc.
 func (t *Tree) at(parts []string) Arc {
-	a := Arc{Child: t.Root}
-	for _, p := range parts {
-		if a.Child == nil {
-			return Arc{}
-		}
-		a = a.Child.arc(p)
+	if i, _, a := t.reach(parts); i == len(parts) {
+		return a
 	}
-	return a
+	return Arc{}
+}
+
+// reach walks the tree along parts as far as names exist. It returns how
+// many of parts' labels do (i), the arc to the last of those, and how many
+// lead to the last Node on the way (h): past it, the walk read an inline path.
+func (t *Tree) reach(parts []string) (i, h int, a Arc) {
+	for a = (Arc{Child: t.Root}); i < len(parts); i++ {
+		next := a.step(parts[i])
+		if !next.exists() {
+			break
+		}
+		if a.Child != nil {
+			h = i
+		}
+		a = next
+	}
+	return i, h, a
 }
 
 // prep returns a node the writer may mutate in the current epoch: n
@@ -375,8 +466,9 @@ func (t *Tree) writable(parts []string, create bool) *Node {
 		switch {
 		case a.Child != nil:
 			c = t.prep(a.Child)
-		case a.leaf != "":
-			c = &Node{Value: a.leaf, HasValue: true, born: t.epoch}
+		case a.leaf != "": // open the inline path: its first node becomes a Node
+			c = a.Node()
+			c.born = t.epoch
 		case !create:
 			return nil
 		default:
@@ -395,20 +487,31 @@ func (t *Tree) cowPath(parts []string) *Node { return t.writable(parts, false) }
 
 // set gives the name parts s's value and presence, and with stamps its
 // stamps too, creating the name and its ancestors if missing. A leaf left
-// bare is put inline in its parent's arc; any other node is made writable.
+// bare is held inline, with the path to it from the last Node on the way: a
+// new name's from its deepest existing ancestor, opened if inline; an
+// inline path's own name's from the node whose arc holds the path. Any
+// other node is made writable.
 func (t *Tree) set(parts []string, s Node, stamps bool) {
 	if len(parts) > 0 {
-		dir, label := split(parts)
-		p := t.ensure(dir)
-		var leaf Node
-		if a := p.arc(label); a.Child != nil {
-			leaf = *a.Child
-		} else if a.leaf != "" {
+		i, h, a := t.reach(parts)
+		var leaf Node // what the name holds now: nothing if it is new
+		isLeaf := true
+		switch {
+		case i < len(parts):
+			h = i
+		case a.Child != nil:
+			leaf, isLeaf = *a.Child, a.Child.Arcs == nil && a.Child.blocks == nil
+		case a.leaf[0] == 0: // a plain node on an inline path
+			isLeaf = false
+		default:
 			leaf = Node{Value: a.leaf, HasValue: true}
 		}
-		if leaf.Arcs == nil && leaf.blocks == nil {
+		if isLeaf {
 			if leaf.scalars(s, stamps); leaf.bare() {
-				p.bind(Arc{Label: label, leaf: leaf.Value})
+				for j := len(parts) - 1; j > h; j-- {
+					leaf.Value = fold(parts[j], leaf.Value)
+				}
+				t.ensure(parts[:h]).bind(Arc{Label: parts[h], leaf: leaf.Value})
 				return
 			}
 		}
@@ -453,7 +556,7 @@ func (t *Tree) FindNode(parts []string) *Node { return t.at(parts).Node() }
 // Exported for the replica package's stamped conflict resolution.
 func (t *Tree) EnsureNode(parts []string) *Node { return t.ensure(parts) }
 
-// copyNode deep-copies a subtree into the form the tree holds: bare leaves
+// copyNode deep-copies a subtree into the form the tree holds: bare paths
 // inline, the input-only Children folded into Arcs, and Arcs strictly
 // ascending (of two arcs with one label the first stays, and an arc beats a
 // Children entry).
@@ -479,12 +582,12 @@ func copyNode(n *Node) *Node {
 	return out
 }
 
-// copyArc returns label's arc to a copy of n, holding it inline if bare.
+// copyArc returns label's arc to a copy of n, holding it inline if it may.
 func copyArc(label string, n *Node) Arc {
 	if a := arcTo(label, n); a.Child == nil { // inline, or an arc to nil
 		return a
 	}
-	return Arc{Label: label, Child: copyNode(n)}
+	return arcTo(label, copyNode(n))
 }
 
 // inspect walks the subtree at n and reports whether it is already in
@@ -506,7 +609,7 @@ func inspect(n *Node, seen map[*Node]bool) (canonical bool, height int, err erro
 			return false, 0, err
 		}
 		canonical = canonical && c && (i == 0 || arcs[i-1].Label < a.Label)
-		height = max(height, h+1)
+		height = max(height, h+1, span(a.leaf))
 	}
 	for _, c := range n.Children {
 		_, h, err := inspect(c, seen)
@@ -519,17 +622,14 @@ func inspect(n *Node, seen map[*Node]bool) (canonical bool, height int, err erro
 }
 
 // countNodes reports the number of names in a subtree, itself and inline
-// leaves included.
+// paths included.
 func countNodes(n *Node) int {
 	if n == nil {
 		return 0
 	}
 	total := 1
 	for _, a := range n.AllArcs() {
-		if a.leaf != "" {
-			total++
-		}
-		total += countNodes(a.Child)
+		total += countNodes(a.Child) + span(a.leaf)
 	}
 	return total
 }
@@ -667,7 +767,7 @@ func (u *Move) Verify(root any) error {
 	if len(u.To) > len(u.From) { // else no moved name gets deeper
 		_, height, err := inspect(a.Child, map[*Node]bool{})
 		if err == nil {
-			err = checkDepth(u.To, height)
+			err = checkDepth(u.To, max(height, span(a.leaf)-1))
 		}
 		if err != nil {
 			return err
@@ -730,11 +830,11 @@ func treeOf(root any) (*Tree, error) {
 // Lookup returns the value at parts.
 func (t *Tree) Lookup(parts []string) (string, error) {
 	switch a := t.at(parts); {
-	case a.leaf != "":
+	case a.leaf != "" && a.leaf[0] != 0:
 		return a.leaf, nil
-	case a.Child == nil:
+	case !a.exists():
 		return "", fmt.Errorf("%w: %s", ErrNotFound, JoinPath(parts))
-	case !a.Child.HasValue:
+	case a.Child == nil || !a.Child.HasValue: // a plain node on an inline path has none
 		return "", fmt.Errorf("%w: %s", ErrNoValue, JoinPath(parts))
 	default:
 		return a.Child.Value, nil
@@ -750,6 +850,8 @@ func (t *Tree) List(parts []string) ([]string, error) {
 	var bs [][]Arc // none under an inline leaf
 	if a.Child != nil {
 		bs = a.Child.blockList()
+	} else if label, _, ok := pathNext(a.leaf); ok {
+		return []string{label}, nil
 	}
 	size := 0
 	for _, b := range bs {
@@ -777,6 +879,9 @@ func (t *Tree) Enumerate(parts []string, fn func(name, value string) error) erro
 
 // walk enumerates the name at path, to which a leads, and all below it.
 func walk(a Arc, path []string, fn func(name, value string) error) error {
+	if label, rest, ok := pathNext(a.leaf); ok {
+		return walk(Arc{Label: label, leaf: rest}, append(path, label), fn)
+	}
 	if a.leaf != "" {
 		return fn(JoinPath(path), a.leaf)
 	}

@@ -36,7 +36,8 @@ import (
 // (what crashtest needs); with FlushEvery > 0 a background goroutine
 // flushes dirty slots on that cadence, keeping the recorder off the commit
 // path for production daemons. PanicFlush flushes on the way out of a
-// panicking goroutine.
+// panicking goroutine. A slot is encoded as it is written, so between two
+// flushes only the last Slots events emitted are ever encoded.
 
 const (
 	flightFileMagic = "FLRH"
@@ -72,11 +73,11 @@ type FlightRecorder struct {
 	slotSize int
 	slots    int
 
-	seq     uint64   // last assigned event sequence (1-based)
-	flushed uint64   // last sequence durably written and synced
-	enc     [][]byte // encoded-slot ring, index (seq-1)%slots
-	mem     []Event  // in-memory mirror ring, same indexing
-	err     error    // latest write/sync failure (diagnostic only)
+	seq     uint64  // last assigned event sequence (1-based)
+	flushed uint64  // last sequence durably written and synced
+	mem     []Event // the ring of events, index (seq-1)%slots
+	slot    []byte  // one slot's encoding, as flushLocked writes it
+	err     error   // latest write/sync failure (diagnostic only)
 
 	syncEach bool
 	stop     chan struct{}
@@ -117,8 +118,8 @@ func OpenFlight(cfg FlightConfig) (*FlightRecorder, error) {
 		name:     cfg.Name,
 		slotSize: cfg.SlotSize,
 		slots:    cfg.Slots,
-		enc:      make([][]byte, cfg.Slots),
 		mem:      make([]Event, cfg.Slots),
+		slot:     make([]byte, cfg.SlotSize),
 		syncEach: cfg.FlushEvery <= 0,
 	}
 	if !r.syncEach {
@@ -139,20 +140,15 @@ func (r *FlightRecorder) Emit(e Event) {
 	}
 	r.mu.Lock()
 	r.seq++
-	i := int((r.seq - 1) % uint64(r.slots))
-	if r.enc[i] == nil {
-		r.enc[i] = make([]byte, r.slotSize)
-	}
-	encodeFlightSlot(r.enc[i], r.seq, e)
-	r.mem[i] = e
+	r.mem[int((r.seq-1)%uint64(r.slots))] = e
 	if r.syncEach {
 		r.flushLocked()
 	}
 	r.mu.Unlock()
 }
 
-// flushLocked writes every slot in (r.flushed, r.seq] and syncs. Caller
-// holds r.mu.
+// flushLocked encodes and writes every slot in (r.flushed, r.seq] and
+// syncs. Caller holds r.mu.
 func (r *FlightRecorder) flushLocked() {
 	if r.seq == r.flushed {
 		return
@@ -165,7 +161,8 @@ func (r *FlightRecorder) flushLocked() {
 	for s := lo; s <= r.seq; s++ {
 		i := int((s - 1) % uint64(r.slots))
 		off := int64(flightHeaderLen) + int64(i)*int64(r.slotSize)
-		if _, err := r.f.WriteAt(r.enc[i], off); err != nil {
+		encodeFlightSlot(r.slot, s, r.mem[i])
+		if _, err := r.f.WriteAt(r.slot, off); err != nil {
 			failed = err
 			break
 		}

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -159,6 +161,46 @@ func TestFlightPeriodicFlush(t *testing.T) {
 	}
 	if len(events) != 2 || events[1].Name != "buffered" {
 		t.Errorf("after explicit Flush: %+v", events)
+	}
+	if err := fr.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFlightFlushEncodesLastSlots: with a background flush, events emitted
+// past the ring's capacity between two flushes are never written. One Flush
+// after more emits than slots leaves exactly the last Slots events on disk,
+// in a file byte-equal to one written by encoding every event as it came.
+func TestFlightFlushEncodesLastSlots(t *testing.T) {
+	const slots, size, emits = 8, 128, 21
+	fs := vfs.NewMem(6)
+	fr, err := OpenFlight(FlightConfig{FS: fs, Slots: slots, SlotSize: size, FlushEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := time.Unix(1000, 0)
+	want := make([]byte, flightHeaderLen+slots*size) // eager: each event encoded into its slot as emitted
+	copy(want, flightFileMagic)
+	binary.LittleEndian.PutUint32(want[4:], size)
+	binary.LittleEndian.PutUint32(want[8:], slots)
+	for seq := uint64(2); seq <= emits+1; seq++ { // 1 is flight.start, overwritten
+		e := Event{Name: fmt.Sprintf("e%d", seq), Time: base.Add(time.Duration(seq)), Attrs: []Attr{A("seq", seq)}}
+		fr.Emit(e)
+		i := (seq - 1) % slots
+		encodeFlightSlot(want[flightHeaderLen+i*size:][:size], seq, e)
+	}
+	if err := fr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ReadFlight(fs, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != slots || events[0].Name != fmt.Sprintf("e%d", emits+2-slots) || events[slots-1].Name != fmt.Sprintf("e%d", emits+1) {
+		t.Fatalf("read %d events, %v, want e%d to e%d", len(events), events, emits+2-slots, emits+1)
+	}
+	if got, err := vfs.ReadFile(fs, "flightrec"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("ring file (err %v) differs from eager encoding:\n %x\nwant\n %x", err, got, want)
 	}
 	if err := fr.Close(); err != nil {
 		t.Fatal(err)

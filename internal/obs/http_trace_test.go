@@ -108,7 +108,7 @@ func TestDebugFlightEmptyRing(t *testing.T) {
 	// A recorder whose only event hasn't happened yet can't occur via
 	// OpenFlight (it stamps flight.start), so exercise the empty branch
 	// with a zero-value ring the way a future constructor might.
-	fr := &FlightRecorder{slots: 4, enc: make([][]byte, 4), mem: make([]Event, 4)}
+	fr := &FlightRecorder{slots: 4, mem: make([]Event, 4)}
 	srv := httptest.NewServer(NewMux(NewRegistry(), MuxOptions{Flight: fr}))
 	defer srv.Close()
 	if code, body := getBody(t, srv.URL+"/debug/flight"); code != http.StatusOK || !strings.Contains(body, "no flight events") {
