@@ -13,7 +13,7 @@ import (
 // API, writing content as the delta body.
 func deltaSwitch(t *testing.T, fs vfs.FS, cur State, content string, opts Options) State {
 	t.Helper()
-	next, err := PrepareDelta(fs, cur, writeBytes([]byte(content)), opts)
+	next, err := PrepareDelta(fs, cur, []byte(content), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestFullSwitchCollapsesChain(t *testing.T) {
 
 	// Re-base: switch to a fresh full image at version 4. Version 3 is
 	// retained, so its whole chain (1, 2.d, 3.d) must survive this switch.
-	st, err := SwitchWith(fs, st, writeBytes([]byte("full4")), Options{Retain: 1})
+	st, err := SwitchWith(fs, st, []byte("full4"), Options{Retain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestFullSwitchCollapsesChain(t *testing.T) {
 	}
 
 	// One more switch and the old chain leaves the window entirely.
-	st, err = SwitchWith(fs, st, writeBytes([]byte("full5")), Options{Retain: 1})
+	st, err = SwitchWith(fs, st, []byte("full5"), Options{Retain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFullSwitchCollapsesChain(t *testing.T) {
 func TestDeltaCrashBeforeCommit(t *testing.T) {
 	fs := vfs.NewMem(1)
 	mustInit(t, fs, "base")
-	writeCheckpointFile(fs, DeltaName(2), writeBytes([]byte("d2")))
+	vfs.WriteFile(fs, DeltaName(2), []byte("d2"))
 	vfs.WriteFile(fs, LogName(2), nil)
 	fs.Crash()
 
@@ -166,7 +166,7 @@ func TestDeltaCrashBeforeCommit(t *testing.T) {
 func TestDeltaCrashAfterCommit(t *testing.T) {
 	fs := vfs.NewMem(1)
 	mustInit(t, fs, "base")
-	writeCheckpointFile(fs, DeltaName(2), writeBytes([]byte("d2")))
+	vfs.WriteFile(fs, DeltaName(2), []byte("d2"))
 	vfs.WriteFile(fs, LogName(2), nil)
 	vfs.WriteFile(fs, "newversion", []byte("2\n"))
 	fs.Crash()
@@ -220,10 +220,10 @@ func TestChainCrashMidCleanup(t *testing.T) {
 	// switch: newversion already installed as version, one old log
 	// already deleted, the rest of the cleanup never ran, stale debris of
 	// an aborted full switch to 5 also on disk.
-	writeCheckpointFile(fs, DeltaName(4), writeBytes([]byte("d4")))
+	vfs.WriteFile(fs, DeltaName(4), []byte("d4"))
 	vfs.WriteFile(fs, LogName(4), nil)
 	vfs.WriteFile(fs, versionFile, []byte("4\n"))
-	writeCheckpointFile(fs, CheckpointName(5), writeBytes([]byte("stale")))
+	vfs.WriteFile(fs, CheckpointName(5), []byte("stale"))
 	if err := fs.Remove(LogName(2)); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestPrepareClearsOppositeKindDebris(t *testing.T) {
 	st := mustInit(t, fs, "base")
 
 	// Debris: a failed full switch to 2 that Abort never cleaned.
-	writeCheckpointFile(fs, CheckpointName(2), writeBytes([]byte("stale-full")))
+	vfs.WriteFile(fs, CheckpointName(2), []byte("stale-full"))
 	st = deltaSwitch(t, fs, st, "d2", Options{})
 	if st.Version != 2 || st.Base != 1 {
 		t.Fatalf("state %+v (stale full image became the base?)", st)
@@ -271,8 +271,8 @@ func TestPrepareClearsOppositeKindDebris(t *testing.T) {
 	}
 
 	// And the other direction: stale delta debris before a full switch.
-	writeCheckpointFile(fs, DeltaName(3), writeBytes([]byte("stale-delta")))
-	st, err := SwitchWith(fs, st, writeBytes([]byte("full3")), Options{})
+	vfs.WriteFile(fs, DeltaName(3), []byte("stale-delta"))
+	st, err := SwitchWith(fs, st, []byte("full3"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestPrepareClearsOppositeKindDebris(t *testing.T) {
 func TestDeltaAbort(t *testing.T) {
 	fs := vfs.NewMem(1)
 	st := mustInit(t, fs, "base")
-	next, err := PrepareDelta(fs, st, writeBytes([]byte("d2")), Options{})
+	next, err := PrepareDelta(fs, st, []byte("d2"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,10 +36,8 @@
 package checkpoint
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -205,13 +203,13 @@ func versionComplete(fs vfs.FS, v uint64) bool {
 	return err == nil
 }
 
-// Init creates version 1: the caller streams the initial checkpoint (for an
-// empty database, the pickled empty root) through write, and the log file
-// holds head as its head frame. Crashing anywhere during Init leaves a
-// directory Recover still reports as uninitialized.
-func Init(fs vfs.FS, write func(w io.Writer) error, head []byte) (State, error) {
+// Init creates version 1: image is the initial checkpoint (for an empty
+// database, the pickled empty root), and the log file holds head as its head
+// frame. Crashing anywhere during Init leaves a directory Recover still
+// reports as uninitialized.
+func Init(fs vfs.FS, image, head []byte) (State, error) {
 	const v = 1
-	if err := writeCheckpointFile(fs, CheckpointName(v), write); err != nil {
+	if err := vfs.WriteFile(fs, CheckpointName(v), image); err != nil {
 		return State{}, err
 	}
 	if err := vfs.WriteFile(fs, LogName(v), wal.HeadFrame(head)); err != nil {
@@ -222,29 +220,6 @@ func Init(fs vfs.FS, write func(w io.Writer) error, head []byte) (State, error) 
 		return State{}, err
 	}
 	return State{Version: v, Base: v}, nil
-}
-
-func writeCheckpointFile(fs vfs.FS, name string, write func(w io.Writer) error) error {
-	f, err := fs.Create(name)
-	if err != nil {
-		return err
-	}
-	// The pickler streams many small writes; buffer them so a checkpoint
-	// costs a few large file writes rather than one syscall per field.
-	bw := bufio.NewWriterSize(f, 1<<16)
-	if err := write(bw); err != nil {
-		f.Close()
-		return fmt.Errorf("checkpoint: writing %s: %w", name, err)
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("checkpoint: writing %s: %w", name, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // Options configures recovery and switching beyond the base protocol.
@@ -472,20 +447,20 @@ func parseNumbered(name, prefix string) (uint64, bool) {
 }
 
 // Switch performs the paper's checkpoint switch from cur to cur.Version+1.
-// write streams the new checkpoint's contents. The switch commits when the
+// image is the new checkpoint's contents. The switch commits when the
 // newversion file is durably on disk; a crash at any earlier point leaves
 // the old version current, and a crash after leaves the new version
 // recoverable. retain is as for Recover.
-func Switch(fs vfs.FS, cur State, write func(w io.Writer) error, retain int) (State, error) {
-	return SwitchWith(fs, cur, write, Options{Retain: retain})
+func Switch(fs vfs.FS, cur State, image []byte, retain int) (State, error) {
+	return SwitchWith(fs, cur, image, Options{Retain: retain})
 }
 
 // SwitchWith is Switch with full Options. It composes the split protocol
 // steps below; callers that need to interleave other work between the steps
 // (the store's non-blocking checkpoint) call them directly.
-func SwitchWith(fs vfs.FS, cur State, write func(w io.Writer) error, opts Options) (State, error) {
+func SwitchWith(fs vfs.FS, cur State, image []byte, opts Options) (State, error) {
 	start := time.Now()
-	next, err := Prepare(fs, cur, write, opts)
+	next, err := Prepare(fs, cur, image, opts)
 	if err != nil {
 		return cur, err
 	}
@@ -510,12 +485,12 @@ func SwitchWith(fs vfs.FS, cur State, write func(w io.Writer) error, opts Option
 }
 
 // Prepare performs the first step of a switch from cur: write and sync the
-// next version's checkpoint file, streamed through write. The version files
+// next version's checkpoint file, holding image. The version files
 // are untouched — the old version remains current, and a crash (or Abort)
 // leaves only debris that recovery clears. It reports the new version
 // number.
-func Prepare(fs vfs.FS, cur State, write func(w io.Writer) error, opts Options) (uint64, error) {
-	return prepare(fs, cur, write, opts, CheckpointName, DeltaName, "checkpoint_bytes")
+func Prepare(fs vfs.FS, cur State, image []byte, opts Options) (uint64, error) {
+	return prepare(fs, cur, image, opts, CheckpointName, DeltaName, "checkpoint_bytes")
 }
 
 // PrepareDelta is Prepare for a chained incremental switch: it writes and
@@ -526,8 +501,8 @@ func Prepare(fs vfs.FS, cur State, write func(w io.Writer) error, opts Options) 
 // as is the crash behavior: an uncommitted delta is debris that recovery
 // clears. The caller must hold a State whose own chain is intact (any
 // State returned by this package satisfies that).
-func PrepareDelta(fs vfs.FS, cur State, write func(w io.Writer) error, opts Options) (uint64, error) {
-	return prepare(fs, cur, write, opts, DeltaName, CheckpointName, "checkpoint_delta_bytes")
+func PrepareDelta(fs vfs.FS, cur State, image []byte, opts Options) (uint64, error) {
+	return prepare(fs, cur, image, opts, DeltaName, CheckpointName, "checkpoint_delta_bytes")
 }
 
 // prepare writes and syncs the next version's file of one kind, named by
@@ -535,24 +510,17 @@ func PrepareDelta(fs vfs.FS, cur State, write func(w io.Writer) error, opts Opti
 // file of the other kind, named by debris, that an aborted earlier switch
 // to next may have left: before this switch commits, or recovery would
 // resolve next's chain through it.
-func prepare(fs vfs.FS, cur State, write func(w io.Writer) error, opts Options, name, debris func(uint64) string, hist string) (uint64, error) {
+func prepare(fs vfs.FS, cur State, image []byte, opts Options, name, debris func(uint64) string, hist string) (uint64, error) {
 	next := cur.Version + 1
 	if d := debris(next); vfs.Exists(fs, d) {
 		if err := fs.Remove(d); err != nil {
 			return 0, err
 		}
 	}
-	var written int64
-	counted := func(w io.Writer) error {
-		cw := &countingWriter{w: w}
-		err := write(cw)
-		written = cw.n
-		return err
-	}
-	if err := writeCheckpointFile(fs, name(next), counted); err != nil {
+	if err := vfs.WriteFile(fs, name(next), image); err != nil {
 		return 0, err
 	}
-	opts.Obs.Histogram(hist).Observe(written)
+	opts.Obs.Histogram(hist).Observe(int64(len(image)))
 	return next, nil
 }
 
@@ -625,16 +593,4 @@ func Abort(fs vfs.FS, v uint64) {
 func ObserveSwitch(opts Options, start time.Time) {
 	opts.Obs.Counter("checkpoint_switches").Inc()
 	opts.Obs.Histogram("checkpoint_switch_ns").ObserveSince(start)
-}
-
-// countingWriter counts the bytes streamed through it.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

@@ -3,24 +3,17 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
-	"io"
 	"reflect"
 	"testing"
 
 	"smalldb/internal/vfs"
+	"smalldb/internal/vfs/faultfs"
 	"smalldb/internal/wal"
 )
 
-func writeBytes(b []byte) func(io.Writer) error {
-	return func(w io.Writer) error {
-		_, err := w.Write(b)
-		return err
-	}
-}
-
 func mustInit(t *testing.T, fs vfs.FS, content string) State {
 	t.Helper()
-	st, err := Init(fs, writeBytes([]byte(content)), nil)
+	st, err := Init(fs, []byte(content), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +52,7 @@ func TestRecoverVirgin(t *testing.T) {
 func TestSwitch(t *testing.T) {
 	fs := vfs.NewMem(1)
 	st := mustInit(t, fs, "cp1")
-	st2, err := Switch(fs, st, writeBytes([]byte("cp2")), 0)
+	st2, err := Switch(fs, st, []byte("cp2"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +78,7 @@ func TestSwitch(t *testing.T) {
 func TestSwitchRetainsPrevious(t *testing.T) {
 	fs := vfs.NewMem(1)
 	st := mustInit(t, fs, "cp1")
-	st2, err := Switch(fs, st, writeBytes([]byte("cp2")), 1)
+	st2, err := Switch(fs, st, []byte("cp2"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +89,7 @@ func TestSwitchRetainsPrevious(t *testing.T) {
 		t.Error("previous version not retained")
 	}
 	// A further switch with retain 1 drops version 1 but keeps 2.
-	st3, err := Switch(fs, st2, writeBytes([]byte("cp3")), 1)
+	st3, err := Switch(fs, st2, []byte("cp3"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +107,7 @@ func TestRecoverAfterCrashBeforeCommit(t *testing.T) {
 	// deleted.
 	fs := vfs.NewMem(1)
 	mustInit(t, fs, "cp1")
-	writeCheckpointFile(fs, CheckpointName(2), writeBytes([]byte("cp2")))
+	vfs.WriteFile(fs, CheckpointName(2), []byte("cp2"))
 	vfs.WriteFile(fs, LogName(2), nil)
 	f, _ := fs.Create("newversion")
 	f.Write([]byte("2\n")) // never synced
@@ -140,7 +133,7 @@ func TestRecoverAfterCrashAfterCommit(t *testing.T) {
 	// deleted: version 2 is current; recovery finishes the switch.
 	fs := vfs.NewMem(1)
 	mustInit(t, fs, "cp1")
-	writeCheckpointFile(fs, CheckpointName(2), writeBytes([]byte("cp2")))
+	vfs.WriteFile(fs, CheckpointName(2), []byte("cp2"))
 	vfs.WriteFile(fs, LogName(2), nil)
 	vfs.WriteFile(fs, "newversion", []byte("2\n"))
 	fs.Crash()
@@ -168,7 +161,7 @@ func TestRecoverMidCleanupCrash(t *testing.T) {
 	// Crash after deleting version but before renaming newversion.
 	fs := vfs.NewMem(1)
 	mustInit(t, fs, "cp1")
-	writeCheckpointFile(fs, CheckpointName(2), writeBytes([]byte("cp2")))
+	vfs.WriteFile(fs, CheckpointName(2), []byte("cp2"))
 	vfs.WriteFile(fs, LogName(2), nil)
 	vfs.WriteFile(fs, "newversion", []byte("2\n"))
 	fs.Remove("version")
@@ -187,7 +180,7 @@ func TestRecoverCrashedInit(t *testing.T) {
 	// Crash during Init (before the version file is durable): the
 	// directory recovers as uninitialized and a fresh Init succeeds.
 	fs := vfs.NewMem(1)
-	writeCheckpointFile(fs, CheckpointName(1), writeBytes([]byte("partial")))
+	vfs.WriteFile(fs, CheckpointName(1), []byte("partial"))
 	fs.Crash()
 	if _, err := Recover(fs, 1); !errors.Is(err, ErrNotInitialized) {
 		t.Fatalf("got %v", err)
@@ -207,22 +200,25 @@ func TestRecoverDamagedVersionOfEstablishedDB(t *testing.T) {
 	// checkpoints exist) must be reported, not silently reinitialized.
 	fs := vfs.NewMem(1)
 	st := mustInit(t, fs, "cp1")
-	st, _ = Switch(fs, st, writeBytes([]byte("cp2")), 0)
+	st, _ = Switch(fs, st, []byte("cp2"), 0)
 	fs.Remove("version")
 	if _, err := Recover(fs, 0); err == nil || errors.Is(err, ErrNotInitialized) {
 		t.Errorf("got %v", err)
 	}
 }
 
+// TestCheckpointWriterError: an error writing the new image fails the switch,
+// which does not commit.
 func TestCheckpointWriterError(t *testing.T) {
-	fs := vfs.NewMem(1)
-	st := mustInit(t, fs, "cp1")
-	boom := errors.New("pickling failed")
-	if _, err := Switch(fs, st, func(io.Writer) error { return boom }, 0); !errors.Is(err, boom) {
+	ffs := faultfs.New(vfs.NewMem(1), faultfs.Options{CrashAt: faultfs.Never})
+	st := mustInit(t, ffs, "cp1")
+	boom := errors.New("image write failed")
+	ffs.FailName(CheckpointName(2), boom)
+	if _, err := Switch(ffs, st, []byte("cp2"), 0); !errors.Is(err, boom) {
 		t.Fatalf("got %v", err)
 	}
-	// The failed switch must not have committed.
-	got, err := Recover(fs, 0)
+	ffs.ClearFaults()
+	got, err := Recover(ffs, 0)
 	if err != nil || got.Version != 1 {
 		t.Errorf("after failed switch: %+v, %v", got, err)
 	}
@@ -233,7 +229,7 @@ func TestManySwitches(t *testing.T) {
 	st := mustInit(t, fs, "v1")
 	for i := 2; i <= 20; i++ {
 		var err error
-		st, err = Switch(fs, st, writeBytes([]byte(fmt.Sprintf("v%d", i))), 1)
+		st, err = Switch(fs, st, []byte(fmt.Sprintf("v%d", i)), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +265,7 @@ func TestSwitchCrashAtEverySyncPoint(t *testing.T) {
 			}
 			return nil
 		}
-		_, serr := Switch(fs, st, writeBytes([]byte("new-checkpoint")), 1)
+		_, serr := Switch(fs, st, []byte("new-checkpoint"), 1)
 		fs.FailSync = nil
 		fs.Crash()
 
@@ -305,7 +301,7 @@ func TestShardedCleanupAndArchive(t *testing.T) {
 	st := mustInit(t, fs, "cp1")
 
 	// Retained: the log survives.
-	st2, err := SwitchWith(fs, st, writeBytes([]byte("cp2")), Options{Retain: 1, ArchiveLogs: true})
+	st2, err := SwitchWith(fs, st, []byte("cp2"), Options{Retain: 1, ArchiveLogs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +310,7 @@ func TestShardedCleanupAndArchive(t *testing.T) {
 	}
 
 	// Out of the window: the log is archived, not deleted.
-	if _, err := SwitchWith(fs, st2, writeBytes([]byte("cp3")), Options{Retain: 1, ArchiveLogs: true}); err != nil {
+	if _, err := SwitchWith(fs, st2, []byte("cp3"), Options{Retain: 1, ArchiveLogs: true}); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []string{LogName(1), CheckpointName(1)} {
@@ -333,7 +329,7 @@ func TestShardedCleanupAndArchive(t *testing.T) {
 	// Without archiving, cleanup deletes it.
 	fs2 := vfs.NewMem(1)
 	stA := mustInit(t, fs2, "cp1")
-	if _, err := Switch(fs2, stA, writeBytes([]byte("cp2")), 0); err != nil {
+	if _, err := Switch(fs2, stA, []byte("cp2"), 0); err != nil {
 		t.Fatal(err)
 	}
 	if vfs.Exists(fs2, LogName(1)) {
@@ -346,7 +342,7 @@ func TestShardedCleanupAndArchive(t *testing.T) {
 func TestShardedAbort(t *testing.T) {
 	fs := vfs.NewMem(1)
 	st := mustInit(t, fs, "cp1")
-	next, err := Prepare(fs, st, writeBytes([]byte("cp2")), Options{})
+	next, err := Prepare(fs, st, []byte("cp2"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"io"
 	"reflect"
 	"testing"
 
@@ -10,10 +9,7 @@ import (
 
 func initV1(t *testing.T, fs vfs.FS, body string) State {
 	t.Helper()
-	st, err := Init(fs, func(w io.Writer) error {
-		_, err := w.Write([]byte(body))
-		return err
-	}, nil)
+	st, err := Init(fs, []byte(body), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,20 +29,17 @@ func names(t *testing.T, fs vfs.FS) []string {
 // leave the directory in exactly the state one SwitchWith call does — the
 // split API is a decomposition, not a second protocol.
 func TestSplitStepsEquivalentToSwitch(t *testing.T) {
-	write := func(w io.Writer) error {
-		_, err := w.Write([]byte("root-v2"))
-		return err
-	}
+	image := []byte("root-v2")
 
 	monoFS := vfs.NewMem(1)
-	monoSt, err := SwitchWith(monoFS, initV1(t, monoFS, "root-v1"), write, Options{Retain: 1})
+	monoSt, err := SwitchWith(monoFS, initV1(t, monoFS, "root-v1"), image, Options{Retain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	splitFS := vfs.NewMem(1)
 	cur := initV1(t, splitFS, "root-v1")
-	next, err := Prepare(splitFS, cur, write, Options{})
+	next, err := Prepare(splitFS, cur, image, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +82,7 @@ func TestSplitStepsEquivalentToSwitch(t *testing.T) {
 func TestSplitCrashBetweenCommitAndInstall(t *testing.T) {
 	fs := vfs.NewMem(1)
 	cur := initV1(t, fs, "root-v1")
-	next, err := Prepare(fs, cur, func(w io.Writer) error {
-		_, err := w.Write([]byte("root-v2"))
-		return err
-	}, Options{})
+	next, err := Prepare(fs, cur, []byte("root-v2"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +116,7 @@ func TestSplitCrashBetweenCommitAndInstall(t *testing.T) {
 func TestSplitCrashBeforeCommit(t *testing.T) {
 	fs := vfs.NewMem(1)
 	cur := initV1(t, fs, "root-v1")
-	next, err := Prepare(fs, cur, func(w io.Writer) error {
-		_, err := w.Write([]byte("root-v2"))
-		return err
-	}, Options{})
+	next, err := Prepare(fs, cur, []byte("root-v2"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +144,7 @@ func TestSplitCrashBeforeCommit(t *testing.T) {
 func TestAbortClearsPreparedFiles(t *testing.T) {
 	fs := vfs.NewMem(1)
 	cur := initV1(t, fs, "root-v1")
-	next, err := Prepare(fs, cur, func(w io.Writer) error {
-		_, err := w.Write([]byte("root-v2"))
-		return err
-	}, Options{})
+	next, err := Prepare(fs, cur, []byte("root-v2"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestSwitchCrashWindows(t *testing.T) {
 	// entries, then a switch to v2. Returns the op count where the
 	// switch started.
 	scenario := func(fs vfs.FS) (switchStart int64, err error) {
-		st, err := Init(fs, writeBytes([]byte("old checkpoint")), nil)
+		st, err := Init(fs, []byte("old checkpoint"), nil)
 		if err != nil {
 			return 0, err
 		}
@@ -42,7 +42,7 @@ func TestSwitchCrashWindows(t *testing.T) {
 		if ffs, ok := fs.(*faultfs.FS); ok {
 			switchStart = ffs.OpCount()
 		}
-		_, err = SwitchWith(fs, st, writeBytes([]byte("new checkpoint")), Options{})
+		_, err = SwitchWith(fs, st, []byte("new checkpoint"), Options{})
 		return switchStart, err
 	}
 

@@ -274,11 +274,9 @@ type Store struct {
 	log *wal.Log
 
 	// ownTab is the type table this process writes at the head of every log
-	// file it creates. logTab is the one the next entry is pickled against:
-	// the table of the file the log appends to, nil while that file has no
-	// head or a checkpoint's tail spans two files whose heads differ.
+	// file it creates, and pickles every entry against: Open checkpoints a
+	// log that carries any other head (or none) out of service.
 	ownTab *pickle.Table
-	logTab atomic.Pointer[pickle.Table]
 
 	// mu guards the fields below (log/checkpoint administration).
 	mu         sync.Mutex
@@ -466,18 +464,24 @@ func Open(cfg Config) (*Store, error) {
 	if err := s.load(st); err != nil {
 		return nil, err
 	}
+	if !bytes.Equal(s.log.Head(), s.ownTab.Bytes()) {
+		// An older build's log: move to a version whose log carries this
+		// build's head before serving, so every entry is written one way.
+		if err := s.Checkpoint(); err != nil {
+			s.log.Close()
+			return nil, err
+		}
+	}
 	return s, nil
 }
 
 func (s *Store) initFresh() (*Store, error) {
 	root := s.cfg.NewRoot()
-	var baseBytes int64
-	st, err := checkpoint.Init(s.cfg.FS, func(w io.Writer) error {
-		cw := &countingWriter{w: w}
-		werr := pickle.Write(cw, &header{NextSeq: 1, Root: root})
-		baseBytes = cw.n
-		return werr
-	}, s.ownTab.Bytes())
+	image, err := pickle.Marshal(&header{NextSeq: 1, Root: root})
+	if err != nil {
+		return nil, err
+	}
+	st, err := checkpoint.Init(s.cfg.FS, image, s.ownTab.Bytes())
 	if err != nil {
 		return nil, err
 	}
@@ -489,7 +493,7 @@ func (s *Store) initFresh() (*Store, error) {
 	s.log = l
 	s.cpState = st
 	s.applied = 0
-	s.baseBytes = baseBytes
+	s.baseBytes = int64(len(image))
 	s.seedDeltaBase(root, 1)
 	s.queuePublish(0)
 	s.publishDurable(0)
@@ -622,9 +626,8 @@ func (s *Store) readChain(chain []uint64) (*header, chainStats, error) {
 }
 
 // readPickled decodes the one value in the named checkpoint file into ptr,
-// prefetching the file ahead of the decoder so disk reads overlap decode CPU
-// (the decoder adds its own small-read buffering on top). It reports the
-// bytes read and the time taken.
+// streaming from the file through the decoder's own read buffer. It reports
+// the bytes read and the time taken.
 func (s *Store) readPickled(name, what string, ptr any) (int64, time.Duration, error) {
 	start := time.Now()
 	f, err := s.cfg.FS.Open(name)
@@ -632,9 +635,7 @@ func (s *Store) readPickled(name, what string, ptr any) (int64, time.Duration, e
 		return 0, 0, err
 	}
 	defer f.Close()
-	ra := checkpoint.NewReadAhead(f)
-	defer ra.Close()
-	cr := &countingReader{r: ra}
+	cr := &countingReader{r: f}
 	if err := pickle.Read(cr, ptr); err != nil {
 		return 0, 0, fmt.Errorf("core: reading %s %s: %w", what, name, err)
 	}
@@ -841,9 +842,8 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) (applied int, err error)
 
 	var (
 		log   = s.log
-		tab   = s.logTab.Load() // stable under the update lock (see checkpointNonBlocking)
-		seq   uint64            // last applied update's sequence
-		wait  func() error      // blocks until it is durable
+		seq   uint64       // last applied update's sequence
+		wait  func() error // blocks until it is durable
 		bytes int
 		fatal bool // err poisoned the store
 		// Phase times summed over the call; commitNS is enqueue plus
@@ -864,7 +864,7 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) (applied int, err error)
 		// straight back to the pool and the steady-state path allocates
 		// nothing.
 		bufp := payloadPool.Get().(*[]byte)
-		payload, perr := tab.AppendMarshal((*bufp)[:0], &logRecord{U: u})
+		payload, perr := s.ownTab.AppendMarshal((*bufp)[:0], &logRecord{U: u})
 		if perr != nil {
 			err = fmt.Errorf("core: pickling update: %w", perr)
 			break
@@ -1269,7 +1269,7 @@ func (s *Store) checkpointNonBlocking() error {
 	// unversioned root the pickle is the one phase that excludes updates.
 	p0 := time.Now()
 	bufp := cpBufPool.Get().(*[]byte)
-	sw := &sliceWriter{buf: (*bufp)[:0]}
+	buf := (*bufp)[:0]
 	var perr error
 	var snap *Snapshot
 	if s.versioned {
@@ -1282,19 +1282,11 @@ func (s *Store) checkpointNonBlocking() error {
 		}
 	}
 	if snap == nil && perr == nil {
-		perr = pickle.Write(sw, &header{NextSeq: nextSeq, Root: s.root})
+		buf, perr = pickle.AppendMarshal(buf, &header{NextSeq: nextSeq, Root: s.root})
 	}
-	buf := sw.buf
 	pickleTime := time.Since(p0)
-	prevTab := s.logTab.Load()
 	if perr == nil {
 		perr = log.BeginTail()
-	}
-	if perr == nil && !bytes.Equal(prevTab.Bytes(), s.ownTab.Bytes()) {
-		// The tail's entries land in the old file and the new one, whose
-		// heads differ: pickle them self-describing. (Committers load logTab
-		// under the update lock.)
-		s.logTab.Store(nil)
 	}
 	stall := time.Since(cpStart) // with the flip's hold, observed once
 	s.lock.UpdateUnlock()
@@ -1310,7 +1302,6 @@ func (s *Store) checkpointNonBlocking() error {
 	next := cur.Version + 1
 	abort := func(err error) error {
 		log.EndTail()
-		s.logTab.Store(prevTab)
 		checkpoint.Abort(s.cfg.FS, next)
 		return err
 	}
@@ -1324,22 +1315,22 @@ func (s *Store) checkpointNonBlocking() error {
 		if ok && s.cpPrevView != nil && int(cur.Version-cur.Base) < s.maxDeltaChain() {
 			if delta, derr := dr.DeltaSince(s.cpPrevView); derr == nil {
 				subtrees = deltaOps(delta)
-				isDelta = pickle.Write(sw, &deltaHeader{
+				buf, derr = pickle.AppendMarshal(buf, &deltaHeader{
 					Version: next, Parent: cur.Version,
 					FromSeq: s.cpPrevSeq, NextSeq: nextSeq,
 					Subtrees: subtrees, Delta: delta,
-				}) == nil && float64(s.deltaBytes+int64(len(sw.buf))) <= s.maxDeltaRatio()*float64(s.baseBytes)
+				})
+				isDelta = derr == nil && float64(s.deltaBytes+int64(len(buf))) <= s.maxDeltaRatio()*float64(s.baseBytes)
 			}
 			if !isDelta {
 				// A failed diff or pickle is not fatal, and an outsized
 				// delta saves nothing: write the full image instead.
-				sw.buf, subtrees = sw.buf[:0], 0
+				buf, subtrees = buf[:0], 0
 			}
 		}
 		if !isDelta {
-			perr = pickle.Write(sw, &header{NextSeq: nextSeq, Root: curView})
+			buf, perr = pickle.AppendMarshal(buf, &header{NextSeq: nextSeq, Root: curView})
 		}
-		buf = sw.buf
 		pickleTime += time.Since(ps)
 		if perr != nil {
 			putCPBuf(bufp, buf)
@@ -1347,16 +1338,12 @@ func (s *Store) checkpointNonBlocking() error {
 		}
 	}
 	cpBytes := int64(len(buf))
-	writeBody := func(w io.Writer) error {
-		_, werr := w.Write(buf)
-		return werr
-	}
 	ioStart := time.Now()
 	var prepErr error
 	if isDelta {
-		_, prepErr = checkpoint.PrepareDelta(s.cfg.FS, cur, writeBody, s.cpOpts())
+		_, prepErr = checkpoint.PrepareDelta(s.cfg.FS, cur, buf, s.cpOpts())
 	} else {
-		_, prepErr = checkpoint.Prepare(s.cfg.FS, cur, writeBody, s.cpOpts())
+		_, prepErr = checkpoint.Prepare(s.cfg.FS, cur, buf, s.cpOpts())
 	}
 	if prepErr != nil {
 		putCPBuf(bufp, buf)
@@ -1410,7 +1397,6 @@ func (s *Store) checkpointNonBlocking() error {
 		s.poisonUnlessClosed(err)
 		return err
 	}
-	s.logTab.Store(s.ownTab)
 	newBase := next
 	if isDelta {
 		newBase = cur.Base
@@ -1513,30 +1499,6 @@ var cpBufPool = sync.Pool{New: func() any { return new([]byte) }}
 func putCPBuf(bufp *[]byte, buf []byte) {
 	*bufp = buf[:0]
 	cpBufPool.Put(bufp)
-}
-
-// sliceWriter appends everything written to an in-memory buffer. The
-// checkpoint pickler streams through it (the encoder flushes every few KB),
-// so the pickled root lands in one growing buffer without an extra
-// encoder-side copy.
-type sliceWriter struct{ buf []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-// countingWriter counts the bytes written, sizing the initial checkpoint
-// image.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // countingReader counts the bytes the decoder consumed, sizing checkpoint
@@ -1715,20 +1677,9 @@ func (s *Store) Close() error {
 	return s.log.Close()
 }
 
-// openLog opens the store's redo log, the one file name, to which entries are
-// pickled against the table its head holds; a fresh or emptied file's head is
-// this process's table.
+// openLog opens the store's redo log, the one file name; a fresh or emptied
+// file takes this process's table as its head.
 func (s *Store) openLog(name string, nextSeq uint64) (*wal.Log, error) {
-	l, err := wal.Open(s.cfg.FS, name, nextSeq, wal.Options{
+	return wal.Open(s.cfg.FS, name, nextSeq, wal.Options{
 		NoSync: s.cfg.UnsafeNoSync, Head: s.ownTab.Bytes(), Obs: s.cfg.Obs, Tracer: s.cfg.Tracer})
-	if err != nil {
-		return nil, err
-	}
-	tab, err := pickle.ParseTable(l.Head())
-	if err != nil {
-		l.Close()
-		return nil, err
-	}
-	s.logTab.Store(tab)
-	return l, nil
 }

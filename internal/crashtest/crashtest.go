@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,10 +16,12 @@ import (
 	"smalldb/internal/nameserver"
 	"smalldb/internal/netsim"
 	"smalldb/internal/obs"
+	"smalldb/internal/pickle"
 	"smalldb/internal/replica"
 	"smalldb/internal/rpc"
 	"smalldb/internal/vfs"
 	"smalldb/internal/vfs/faultfs"
+	"smalldb/internal/wal"
 )
 
 // Modes of the torture run: what is tortured and by which kind of fault.
@@ -416,18 +419,32 @@ type world struct {
 	nw      *netsim.Network
 	ffs     *faultfs.FS
 	members []*member
+	// disks holds every disk a node ran on, beneath its faultfs: the
+	// tortured node's, each member's, then each restart's image.
+	disks []*vfs.Mem
+}
+
+// newDisk returns a node's fresh disk, which loses power before fs op crashAt.
+func (w *world) newDisk(seed, crashAt int64) *faultfs.FS {
+	w.disks = append(w.disks, vfs.NewMem(seed))
+	return faultfs.New(w.disks[len(w.disks)-1], faultfs.Options{CrashAt: crashAt})
+}
+
+// restartDisk returns the disk a node restarts on after a power failure: the
+// durable image of ffs.
+func (w *world) restartDisk(ffs *faultfs.FS) *vfs.Mem {
+	w.disks = append(w.disks, ffs.Snapshot())
+	return w.disks[len(w.disks)-1]
 }
 
 // newWorld builds point p's world; (seed, point) fixes the weather, the
 // choice of members to cut and the crash victim — any failure replays. The
 // tortured disk loses power before its fs op crashAt.
 func (r *runner) newWorld(p, crashAt int64) (*world, error) {
-	w := &world{
-		nw:  netsim.New(r.pointSeed(p), netsim.Options{Profile: r.cfg.Profile, TraceCap: 256}),
-		ffs: faultfs.New(vfs.NewMem(r.cfg.Seed), faultfs.Options{CrashAt: crashAt}),
-	}
+	w := &world{nw: netsim.New(r.pointSeed(p), netsim.Options{Profile: r.cfg.Profile, TraceCap: 256})}
+	w.ffs = w.newDisk(r.cfg.Seed, crashAt)
 	for i := 1; i < r.nodes; i++ {
-		ffs := faultfs.New(vfs.NewMem(r.cfg.Seed+int64(i)), faultfs.Options{CrashAt: faultfs.Never})
+		ffs := w.newDisk(r.cfg.Seed+int64(i), faultfs.Never)
 		ep, err := openEndpoint(w.nw, r.memberConfig(i, ffs))
 		if err != nil {
 			w.close()
@@ -722,6 +739,7 @@ func (r *runner) replay(p int64) (out []Violation) {
 		if s != nil {
 			s.close()
 		}
+		out = append(out, r.logFormViolations(p, w)...)
 	}()
 	if r.cfg.Mode == ModeNet {
 		if s, err = r.open(w, w.ffs, true, rc); err != nil {
@@ -741,7 +759,7 @@ func (r *runner) replay(p int64) (out []Violation) {
 		// from its durable image. A member acks a push only after its own
 		// sync, so it recovers at least what it acknowledged.
 		m := w.members[victim-1]
-		cfg := r.memberConfig(victim, m.ffs.Snapshot())
+		cfg := r.memberConfig(victim, w.restartDisk(m.ffs))
 		m.close()
 		if m.endpoint, err = openEndpoint(w.nw, cfg); err != nil {
 			m.endpoint = nil
@@ -752,7 +770,7 @@ func (r *runner) replay(p int64) (out []Violation) {
 		// The tortured node lost power: its synced-only image must hold a
 		// decodable flight ring, and recovery through the normal restart
 		// path everything the check below asks for.
-		frozen := w.ffs.Snapshot()
+		frozen := w.restartDisk(w.ffs)
 		if s != nil {
 			s.close()
 			s = nil
@@ -835,6 +853,30 @@ func (r *runner) replay(p int64) (out []Violation) {
 		// The tortured node never lost power and recorded the whole point:
 		// its durable ring must decode and cover every acknowledged update.
 		out = append(out, r.checkFlight(p, w.ffs.Snapshot(), len(r.plan.updates), len(r.plan.updates))...)
+	}
+	return out
+}
+
+// logFormViolations holds every log file on every disk of the point to the
+// store's one write encoding: entries pickled against the file's head, never
+// a self-describing one. It reads each disk beneath its faultfs, so no fs op
+// is indexed.
+func (r *runner) logFormViolations(p int64, w *world) (out []Violation) {
+	for i, mem := range w.disks {
+		names, _ := mem.List() // a Mem lists without error
+		for _, name := range names {
+			if !strings.Contains(name, "logfile") {
+				continue
+			}
+			if _, err := wal.Replay(mem, name, 0, wal.ReplayOptions{}, func(seq uint64, payload []byte) error {
+				if !pickle.IsTableRelative(payload) {
+					return fmt.Errorf("entry %d is self-describing", seq)
+				}
+				return nil
+			}); err != nil {
+				out = append(out, r.violation(p, "log format: disk %d's %s: %v", i, name, err))
+			}
+		}
 	}
 	return out
 }

@@ -12,15 +12,11 @@ import (
 type Config struct {
 	// FS holds the checkpoint and log files.
 	FS vfs.FS
-	// Retain and the checkpoint policies pass through to the underlying
+	// Retain and the checkpoint policy pass through to the underlying
 	// store.
 	Retain        int
 	UnsafeNoSync  bool
-	MaxLogBytes   int64
 	MaxLogEntries int64
-	// SkipDamagedLogEntries passes through; name-server updates are
-	// independent enough for the paper's skip-the-damaged-entry story.
-	SkipDamagedLogEntries bool
 	// MaxDeltaChain and MaxDeltaRatio pass through: the bounds past which
 	// a checkpoint writes a full image (0 = the store defaults).
 	MaxDeltaChain int
@@ -39,17 +35,15 @@ type Server struct {
 // Open recovers (or initializes) a name server from cfg.FS.
 func Open(cfg Config) (*Server, error) {
 	st, err := core.Open(core.Config{
-		FS:                    cfg.FS,
-		NewRoot:               NewRoot,
-		Retain:                cfg.Retain,
-		UnsafeNoSync:          cfg.UnsafeNoSync,
-		MaxLogBytes:           cfg.MaxLogBytes,
-		MaxLogEntries:         cfg.MaxLogEntries,
-		SkipDamagedLogEntries: cfg.SkipDamagedLogEntries,
-		MaxDeltaChain:         cfg.MaxDeltaChain,
-		MaxDeltaRatio:         cfg.MaxDeltaRatio,
-		Obs:                   cfg.Obs,
-		Tracer:                cfg.Tracer,
+		FS:            cfg.FS,
+		NewRoot:       NewRoot,
+		Retain:        cfg.Retain,
+		UnsafeNoSync:  cfg.UnsafeNoSync,
+		MaxLogEntries: cfg.MaxLogEntries,
+		MaxDeltaChain: cfg.MaxDeltaChain,
+		MaxDeltaRatio: cfg.MaxDeltaRatio,
+		Obs:           cfg.Obs,
+		Tracer:        cfg.Tracer,
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package pickle
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -64,6 +65,56 @@ func TestAppendMarshalAllocCeiling(t *testing.T) {
 	// With a caller-owned destination even the output buffer is reused.
 	if allocs > 1 {
 		t.Errorf("AppendMarshal(record): %.1f allocs/op, want <= 1", allocs)
+	}
+}
+
+type allocBlob struct {
+	B []byte
+}
+
+// TestAppendMarshalInPlace: a table-relative value larger than the pooled
+// scratch buffer may ever grow (maxPooledBuf) pickles straight into a
+// caller's buffer with room, so a checkpoint image costs no allocation and
+// no copy; and a value the table lacks appends Marshal's bytes after dst.
+func TestAppendMarshalInPlace(t *testing.T) {
+	tab := NewTable(&allocBlob{})
+	var big any = &allocBlob{B: make([]byte, 2*maxPooledBuf)}
+	dst := []byte("prefix")
+	out, err := tab.AppendMarshal(dst, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !IsTableRelative(out[len(dst):]) {
+		t.Fatal("blob not pickled against its table")
+	}
+	var back allocBlob
+	if err := tab.Unmarshal(out[len(dst):], &back); err != nil || len(back.B) != 2*maxPooledBuf {
+		t.Fatalf("round trip: %d bytes, %v", len(back.B), err)
+	}
+	if !raceEnabled {
+		buf := make([]byte, 0, 2*len(out))
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := tab.AppendMarshal(buf[:len(dst)], big); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("AppendMarshal of a %d-byte value into a buffer with room: %.1f allocs/op, want 0", len(out), allocs)
+		}
+	}
+
+	// The table lacks allocRecord: the fallback pickles self-describing,
+	// after dst and nothing else.
+	fallback, err := tab.AppendMarshal(dst, allocRec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Marshal(allocRec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fallback, append([]byte("prefix"), want...)) {
+		t.Errorf("fallback appended %x, want prefix then %x", fallback, want)
 	}
 }
 

@@ -18,10 +18,10 @@ import (
 // trees. Unmarshal additionally reads straight from the caller's byte
 // slice — no bufio layer, no per-call buffering — on a pooled Decoder.
 
-// A Decoder reads pickled values from an input stream. It is the inverse of
-// Encoder: the stream's struct-type table accumulates across Decode calls on
-// the same Decoder, while pointer/map identity is scoped to a single decoded
-// value graph.
+// A Decoder reads pickled values from an input stream — a checkpoint file,
+// say — the inverse of Marshal: the stream's struct-type table accumulates
+// across Decode calls on the same Decoder, while pointer/map identity is
+// scoped to a single decoded value graph.
 //
 // A Decoder buffers its input; do not interleave reads on the underlying
 // reader with Decode calls.

@@ -3,7 +3,6 @@ package pickle
 import (
 	"encoding"
 	"encoding/binary"
-	"io"
 	"math"
 	"reflect"
 	"sort"
@@ -16,62 +15,46 @@ import (
 // definition resolved ahead of time — is compiled and cached in a
 // package-wide sync.Map. Steady-state encoding therefore walks no
 // reflection trees: each value dispatches straight into its type's program,
-// which appends bytes to a grow-only buffer. Marshal and AppendMarshal run
-// on pooled Encoders, so pickling a registered update in the store's commit
-// path costs near-zero allocations.
+// which appends bytes to one buffer. Marshal and AppendMarshal run on pooled
+// encoders, so pickling a registered update in the store's commit path costs
+// near-zero allocations, and a checkpoint image pickled into a buffer with
+// room costs none.
 
-// An Encoder pickles values onto an output stream. Struct type definitions
-// are emitted once per Encoder; pointer/map identity is tracked per Encode
-// call, so each Encode produces an independently decodable value graph.
-type Encoder struct {
-	w        io.Writer
-	tab      *Table // when set, the stream is pickled against it
-	buf      []byte // output accumulates here; flushed to w per Encode
-	types    map[reflect.Type]uint64
-	wroteHdr bool
-	err      error // first error; sticky
+// An encoder pickles one value by appending it to buf: the caller's slice
+// (AppendMarshal) or the encoder's own pooled scratch (Marshal).
+type encoder struct {
+	tab   *Table // when set, the stream is pickled against it
+	buf   []byte // the value is appended here
+	types map[reflect.Type]uint64
+	err   error // first error; sticky
 
-	// Per-Encode-call state: the identity table for shared pointers and
+	// Per-value state: the identity table for shared pointers and
 	// maps, and the recursion depth.
 	refs    map[uintptr]uint64
 	nextRef uint64
 	depth   int
 }
 
-// NewEncoder returns an Encoder writing to w.
-func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{w: w}
-}
-
-// Encode pickles v, which may be any value built from bools, integers,
-// floats, complex numbers, strings, slices, arrays, maps, structs (exported
-// fields only), pointers and registered interface values.
-func (e *Encoder) Encode(v any) error {
-	if e.err != nil {
-		return e.err
+// Encode appends the pickled stream of v — its header, then the value — to
+// e.buf. v may be any value built from bools, integers, floats, complex
+// numbers, strings, slices, arrays, maps, structs (exported fields only),
+// pointers and registered interface values.
+func (e *encoder) Encode(v any) error {
+	if e.tab != nil {
+		e.buf = binary.LittleEndian.AppendUint16(append(e.buf, tableMagic), e.tab.fp)
+	} else {
+		e.buf = append(e.buf, magic)
 	}
-	if !e.wroteHdr {
-		if e.tab != nil {
-			e.buf = binary.LittleEndian.AppendUint16(append(e.buf, tableMagic), e.tab.fp)
-		} else {
-			e.buf = append(e.buf, magic)
-		}
-		e.wroteHdr = true
-	}
-	e.refs = reuseMap(e.refs)
-	e.nextRef = 0
-	e.depth = 0
 	rv := reflect.ValueOf(v)
 	if !rv.IsValid() {
 		e.buf = append(e.buf, tNil)
 	} else {
 		encoderOf(rv.Type())(e, rv)
 	}
-	e.flush()
 	return e.err
 }
 
-func (e *Encoder) fail(err error) {
+func (e *encoder) fail(err error) {
 	if e.err == nil {
 		e.err = err
 	}
@@ -81,7 +64,7 @@ func (e *Encoder) fail(err error) {
 // value recurses past MaxDepth: a cycle through map-coded pairs, which keep
 // no identity, or unbounded recursion that never passes through a pointer or
 // map, whose identity table would have caught the cycle.
-func (e *Encoder) enter() bool {
+func (e *encoder) enter() bool {
 	e.depth++
 	if e.depth > MaxDepth {
 		e.fail(errf("value exceeds maximum depth %d (a cycle through map-coded pairs, or unbounded recursion without pointers?)", MaxDepth))
@@ -91,7 +74,7 @@ func (e *Encoder) enter() bool {
 }
 
 // ref assigns the next identity-table id to the pointer or map at p.
-func (e *Encoder) ref(p uintptr) uint64 {
+func (e *encoder) ref(p uintptr) uint64 {
 	if e.refs == nil {
 		e.refs = make(map[uintptr]uint64)
 	}
@@ -99,29 +82,6 @@ func (e *Encoder) ref(p uintptr) uint64 {
 	e.nextRef++
 	e.refs[p] = id
 	return id
-}
-
-// flush drains the accumulated buffer to the underlying writer. A
-// buffer-only encoder (Marshal, AppendMarshal) has no writer and never
-// flushes.
-func (e *Encoder) flush() {
-	if e.w == nil || len(e.buf) == 0 {
-		return
-	}
-	if e.err == nil {
-		if _, err := e.w.Write(e.buf); err != nil {
-			e.err = err
-		}
-	}
-	e.buf = e.buf[:0]
-}
-
-// maybeFlush bounds the buffer while streaming a large value (a whole
-// database root during a checkpoint) through an io.Writer.
-func (e *Encoder) maybeFlush() {
-	if e.w != nil && len(e.buf) >= 1<<15 {
-		e.flush()
-	}
 }
 
 func appendLenPrefixed(buf []byte, s string) []byte {
@@ -151,7 +111,7 @@ func usesBinaryMarshaling(rt reflect.Type) bool {
 
 // An encFn is one compiled encode program: it appends the pickled form of a
 // value of one fixed static type to e.buf.
-type encFn func(e *Encoder, v reflect.Value)
+type encFn func(e *encoder, v reflect.Value)
 
 // encPlans caches the compiled per-type encode programs.
 var encPlans sync.Map // reflect.Type -> encFn
@@ -170,7 +130,7 @@ func encoderOf(rt reflect.Type) encFn {
 		fn encFn
 	)
 	wg.Add(1)
-	stub := encFn(func(e *Encoder, v reflect.Value) {
+	stub := encFn(func(e *encoder, v reflect.Value) {
 		wg.Wait()
 		fn(e, v)
 	})
@@ -218,13 +178,13 @@ func buildEncoder(rt reflect.Type) encFn {
 	case reflect.Interface:
 		return encInterface
 	default:
-		return func(e *Encoder, v reflect.Value) {
+		return func(e *encoder, v reflect.Value) {
 			e.fail(errf("cannot pickle value of kind %v (%v)", rt.Kind(), rt))
 		}
 	}
 }
 
-func encBool(e *Encoder, v reflect.Value) {
+func encBool(e *encoder, v reflect.Value) {
 	if v.Bool() {
 		e.buf = append(e.buf, tTrue)
 	} else {
@@ -232,40 +192,39 @@ func encBool(e *Encoder, v reflect.Value) {
 	}
 }
 
-func encInt(e *Encoder, v reflect.Value) {
+func encInt(e *encoder, v reflect.Value) {
 	e.buf = append(e.buf, tInt)
 	e.buf = binary.AppendVarint(e.buf, v.Int())
 }
 
-func encUint(e *Encoder, v reflect.Value) {
+func encUint(e *encoder, v reflect.Value) {
 	e.buf = append(e.buf, tUint)
 	e.buf = binary.AppendUvarint(e.buf, v.Uint())
 }
 
-func encFloat32(e *Encoder, v reflect.Value) {
+func encFloat32(e *encoder, v reflect.Value) {
 	e.buf = append(e.buf, tFloat32)
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(float32(v.Float())))
 }
 
-func encFloat64(e *Encoder, v reflect.Value) {
+func encFloat64(e *encoder, v reflect.Value) {
 	e.buf = append(e.buf, tFloat64)
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v.Float()))
 }
 
-func encComplex(e *Encoder, v reflect.Value) {
+func encComplex(e *encoder, v reflect.Value) {
 	c := v.Complex()
 	e.buf = append(e.buf, tComplex)
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(real(c)))
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(imag(c)))
 }
 
-func encString(e *Encoder, v reflect.Value) {
+func encString(e *encoder, v reflect.Value) {
 	e.buf = append(e.buf, tString)
 	e.buf = appendLenPrefixed(e.buf, v.String())
-	e.maybeFlush()
 }
 
-func encBytes(e *Encoder, v reflect.Value) {
+func encBytes(e *encoder, v reflect.Value) {
 	if v.IsNil() {
 		e.buf = append(e.buf, tNil)
 		return
@@ -274,10 +233,9 @@ func encBytes(e *Encoder, v reflect.Value) {
 	e.buf = append(e.buf, tBytes)
 	e.buf = binary.AppendUvarint(e.buf, uint64(len(b)))
 	e.buf = append(e.buf, b...)
-	e.maybeFlush()
 }
 
-func encBinaryMarshaler(e *Encoder, v reflect.Value) {
+func encBinaryMarshaler(e *encoder, v reflect.Value) {
 	bm := v.Interface().(encoding.BinaryMarshaler)
 	data, err := bm.MarshalBinary()
 	if err != nil {
@@ -287,7 +245,6 @@ func encBinaryMarshaler(e *Encoder, v reflect.Value) {
 	e.buf = append(e.buf, tBinary)
 	e.buf = binary.AppendUvarint(e.buf, uint64(len(data)))
 	e.buf = append(e.buf, data...)
-	e.maybeFlush()
 }
 
 func buildSliceEncoder(rt reflect.Type) encFn {
@@ -298,7 +255,7 @@ func buildSliceEncoder(rt reflect.Type) encFn {
 		return buildPairSliceEncoder(rt)
 	}
 	elem := encoderOf(rt.Elem())
-	return func(e *Encoder, v reflect.Value) {
+	return func(e *encoder, v reflect.Value) {
 		if v.IsNil() {
 			e.buf = append(e.buf, tNil)
 			return
@@ -311,7 +268,6 @@ func buildSliceEncoder(rt reflect.Type) encFn {
 		e.buf = binary.AppendUvarint(e.buf, uint64(n))
 		for i := 0; i < n && e.err == nil; i++ {
 			elem(e, v.Index(i))
-			e.maybeFlush()
 		}
 		e.depth--
 	}
@@ -320,7 +276,7 @@ func buildSliceEncoder(rt reflect.Type) encFn {
 func buildArrayEncoder(rt reflect.Type) encFn {
 	elem := encoderOf(rt.Elem())
 	n := rt.Len()
-	return func(e *Encoder, v reflect.Value) {
+	return func(e *encoder, v reflect.Value) {
 		if !e.enter() {
 			return
 		}
@@ -328,7 +284,6 @@ func buildArrayEncoder(rt reflect.Type) encFn {
 		e.buf = binary.AppendUvarint(e.buf, uint64(n))
 		for i := 0; i < n && e.err == nil; i++ {
 			elem(e, v.Index(i))
-			e.maybeFlush()
 		}
 		e.depth--
 	}
@@ -341,7 +296,7 @@ func buildMapEncoder(rt reflect.Type) encFn {
 	keyFn := encoderOf(rt.Key())
 	valFn := encoderOf(rt.Elem())
 	cmp := keyComparer(rt.Key())
-	return func(e *Encoder, v reflect.Value) {
+	return func(e *encoder, v reflect.Value) {
 		if v.IsNil() {
 			e.buf = append(e.buf, tNil)
 			return
@@ -374,7 +329,6 @@ func buildMapEncoder(rt reflect.Type) encFn {
 			}
 			keyFn(e, k)
 			valFn(e, v.MapIndex(k))
-			e.maybeFlush()
 		}
 		e.depth--
 	}
@@ -387,7 +341,7 @@ func buildMapEncoder(rt reflect.Type) encFn {
 func buildStringMapEncoder(rt reflect.Type) encFn {
 	valFn := encoderOf(rt.Elem())
 	kt := rt.Key()
-	return func(e *Encoder, v reflect.Value) {
+	return func(e *encoder, v reflect.Value) {
 		if v.IsNil() {
 			e.buf = append(e.buf, tNil)
 			return
@@ -420,7 +374,6 @@ func buildStringMapEncoder(rt reflect.Type) encFn {
 			e.buf = appendLenPrefixed(e.buf, k)
 			kbuf.SetString(k)
 			valFn(e, v.MapIndex(kbuf))
-			e.maybeFlush()
 		}
 		e.depth--
 	}
@@ -506,11 +459,11 @@ func boxPool(et reflect.Type) *sync.Pool {
 func buildPairSliceEncoder(rt reflect.Type) encFn {
 	inline, err := pairShape(rt.Elem())
 	if err != nil {
-		return func(e *Encoder, v reflect.Value) { e.fail(err) }
+		return func(e *encoder, v reflect.Value) { e.fail(err) }
 	}
 	et := rt.Elem().Field(1).Type.Elem()
 	elemFn, boxes := encoderOf(et), boxPool(et)
-	return func(e *Encoder, v reflect.Value) {
+	return func(e *encoder, v reflect.Value) {
 		if v.IsNil() {
 			e.buf = append(e.buf, tNil)
 			return
@@ -544,7 +497,6 @@ func buildPairSliceEncoder(rt reflect.Type) encFn {
 				elemFn(e, f.Elem())
 				e.depth--
 			}
-			e.maybeFlush()
 		}
 		if inline {
 			boxes.Put(box)
@@ -586,7 +538,7 @@ func fieldsOf(rt reflect.Type) []fieldInfo {
 
 // structEncPlan is the compiled program for one struct type: the field
 // programs in pickle order and the type's inline stream definition,
-// pre-encoded so its first use per Encoder is a single append.
+// pre-encoded so its first use per encoder is a single append.
 type structEncPlan struct {
 	rt      reflect.Type
 	typedef []byte // name, field count, field names — wire-ready
@@ -619,7 +571,7 @@ func buildStructEncoder(rt reflect.Type) encFn {
 	return p.encode
 }
 
-func (p *structEncPlan) encode(e *Encoder, v reflect.Value) {
+func (p *structEncPlan) encode(e *encoder, v reflect.Value) {
 	if !e.enter() {
 		return
 	}
@@ -634,7 +586,7 @@ func (p *structEncPlan) encode(e *Encoder, v reflect.Value) {
 	} else if id, known := e.types[p.rt]; known {
 		e.buf = binary.AppendUvarint(e.buf, id)
 	} else {
-		// Inline definition, emitted exactly once per Encoder at the
+		// Inline definition, emitted exactly once per encoder at the
 		// first use of the type.
 		if e.types == nil {
 			e.types = make(map[reflect.Type]uint64)
@@ -655,14 +607,13 @@ func (p *structEncPlan) encode(e *Encoder, v reflect.Value) {
 			}
 		}
 		fn(e, f)
-		e.maybeFlush()
 	}
 	e.depth--
 }
 
 func buildPointerEncoder(rt reflect.Type) encFn {
 	elem := encoderOf(rt.Elem())
-	return func(e *Encoder, v reflect.Value) {
+	return func(e *encoder, v reflect.Value) {
 		if v.IsNil() {
 			e.buf = append(e.buf, tNil)
 			return
@@ -683,7 +634,7 @@ func buildPointerEncoder(rt reflect.Type) encFn {
 	}
 }
 
-func encInterface(e *Encoder, v reflect.Value) {
+func encInterface(e *encoder, v reflect.Value) {
 	if v.IsNil() {
 		e.buf = append(e.buf, tNil)
 		return

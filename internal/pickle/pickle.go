@@ -130,10 +130,10 @@ func canonicalName(rt reflect.Type) string {
 	return star + rt.PkgPath() + "." + rt.Name()
 }
 
-// Marshal and Unmarshal run on pooled codec state: the Encoder (with its
-// grow-only output buffer and type table) and the Decoder are recycled
-// across calls, and oversized buffers are dropped rather than pinned in the
-// pool.
+// Marshal and Unmarshal run on pooled codec state: the encoder (with its
+// grow-only scratch buffer and type table) and the Decoder are recycled
+// across calls, and an oversized scratch buffer is dropped rather than
+// pinned in the pool.
 const maxPooledBuf = 1 << 20
 
 // maxPooledRefs bounds the identity and type maps a coder keeps from one
@@ -156,7 +156,7 @@ func reuseMap[M ~map[K]V, K comparable, V any](m M) M {
 
 var encoderPool = sync.Pool{New: func() any {
 	codec.encPoolMisses.Add(1)
-	return new(Encoder)
+	return new(encoder)
 }}
 
 var decoderPool = sync.Pool{New: func() any {
@@ -164,25 +164,28 @@ var decoderPool = sync.Pool{New: func() any {
 	return new(Decoder)
 }}
 
-func getEncoder() *Encoder {
+func getEncoder() *encoder {
 	codec.encPoolGets.Add(1)
-	return encoderPool.Get().(*Encoder)
+	return encoderPool.Get().(*encoder)
 }
 
-func putEncoder(e *Encoder) {
+func putEncoder(e *encoder) {
 	if cap(e.buf) > maxPooledBuf {
 		return
 	}
-	e.w = nil
-	e.tab = nil
 	e.buf = e.buf[:0]
-	e.wroteHdr = false
+	e.reset()
+	encoderPool.Put(e)
+}
+
+// reset readies e, its buffer aside, for the next value.
+func (e *encoder) reset() {
+	e.tab = nil
 	e.err = nil
 	e.types = reuseMap(e.types)
 	e.refs = reuseMap(e.refs)
 	e.nextRef = 0
 	e.depth = 0
-	encoderPool.Put(e)
 }
 
 // decode runs fn on a pooled Decoder reading data against t.
@@ -207,13 +210,23 @@ func putDecoder(d *Decoder) {
 }
 
 // Marshal pickles v into a fresh byte slice. It is the paper's PickleWrite.
+// The value is pickled into the pooled encoder's scratch buffer and copied
+// out, so the result is its one allocation.
 func Marshal(v any) ([]byte, error) {
-	return AppendMarshal(nil, v)
+	e := getEncoder()
+	err := e.Encode(v)
+	var out []byte
+	if err == nil {
+		out = append([]byte(nil), e.buf...)
+	}
+	putEncoder(e)
+	return out, err
 }
 
-// AppendMarshal pickles v and appends the result to dst, returning the
-// extended slice. It is Marshal for callers that already own a buffer —
-// the log append path — so steady-state pickling allocates nothing.
+// AppendMarshal pickles v straight onto the end of dst, returning the
+// extended slice. It is Marshal for callers that own a buffer — a log
+// entry, an rpc frame, a checkpoint image — so pickling into a buffer with
+// room allocates nothing, whatever the value's size.
 func AppendMarshal(dst []byte, v any) ([]byte, error) {
 	return (*Table)(nil).AppendMarshal(dst, v)
 }
@@ -231,12 +244,6 @@ func Unmarshal(data []byte, ptr any) error {
 		}
 	}
 	return t.Unmarshal(data, ptr)
-}
-
-// Write pickles v onto w; it is a streaming PickleWrite, used for
-// checkpoints, whose pickled form should not be materialised in one buffer.
-func Write(w io.Writer, v any) error {
-	return NewEncoder(w).Encode(v)
 }
 
 // Read reads one pickled value from r into the variable pointed to by ptr.

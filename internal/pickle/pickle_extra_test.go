@@ -2,7 +2,6 @@ package pickle
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -94,32 +93,6 @@ func TestDifferentNamedTypesSameShape(t *testing.T) {
 	}
 	if out.A != "a" || out.B != "b" {
 		t.Errorf("got %+v", out)
-	}
-}
-
-type failingWriter struct{ after int }
-
-func (w *failingWriter) Write(p []byte) (int, error) {
-	if w.after <= 0 {
-		return 0, errors.New("write exploded")
-	}
-	w.after -= len(p)
-	return len(p), nil
-}
-
-func TestEncoderWriteErrors(t *testing.T) {
-	// A write error at any point must surface and stick.
-	for after := 0; after < 40; after += 3 {
-		w := &failingWriter{after: after}
-		enc := NewEncoder(w)
-		err := enc.Encode(outer{Name: "x", Tags: []string{"a", "b"}, Attrs: map[string]string{"k": "v"}})
-		if err == nil {
-			continue // wrote fully within budget
-		}
-		// Sticky: the next Encode fails immediately.
-		if err2 := enc.Encode(1); err2 == nil {
-			t.Fatalf("after=%d: error not sticky", after)
-		}
 	}
 }
 
@@ -256,20 +229,6 @@ func TestBinaryMarshalerTypes(t *testing.T) {
 	}
 	if !mOut["t"].Equal(at) {
 		t.Errorf("map time mangled: %v", mOut["t"])
-	}
-}
-
-func TestMultipleValuesShareTypeTable(t *testing.T) {
-	// The second encoding of the same struct type must be smaller than
-	// the first (no repeated type definition).
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	enc.Encode(inner{Label: "aaaa", N: 1})
-	first := buf.Len()
-	enc.Encode(inner{Label: "aaaa", N: 2})
-	second := buf.Len() - first
-	if second >= first {
-		t.Errorf("type table not shared: first=%d second=%d", first, second)
 	}
 }
 

@@ -399,32 +399,6 @@ func TestPointerLevelTolerance(t *testing.T) {
 	}
 }
 
-func TestEncoderStream(t *testing.T) {
-	// Multiple Encode calls on one Encoder share the type table; the
-	// matching Decoder must decode all of them in order.
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	for i := 0; i < 5; i++ {
-		if err := enc.Encode(inner{Label: "x", N: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dec := NewDecoder(&buf)
-	for i := 0; i < 5; i++ {
-		var v inner
-		if err := dec.Decode(&v); err != nil {
-			t.Fatalf("decode %d: %v", i, err)
-		}
-		if v.N != i {
-			t.Errorf("decode %d: got %d", i, v.N)
-		}
-	}
-	var v inner
-	if err := dec.Decode(&v); err != io.EOF {
-		t.Errorf("expected EOF, got %v", err)
-	}
-}
-
 func TestTypeMismatch(t *testing.T) {
 	data, err := Marshal("a string")
 	if err != nil {
@@ -505,29 +479,6 @@ func TestMidValueEOF(t *testing.T) {
 			} else if !errors.As(err, &pe) {
 				t.Errorf("%s cut at %d: %T %v, want *pickle.Error", path, n, err, err)
 			}
-		}
-	}
-	// On a stream of values, the end between two values is io.EOF and an end
-	// inside the second is an error.
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	if err := enc.Encode(inner{Label: "x", N: 1}); err != nil {
-		t.Fatal(err)
-	}
-	first := buf.Len()
-	if err := enc.Encode(inner{Label: "x", N: 2}); err != nil {
-		t.Fatal(err)
-	}
-	for _, cut := range []int{first, buf.Len() - 1} {
-		dec := NewDecoder(bytes.NewReader(buf.Bytes()[:cut]))
-		var v inner
-		if err := dec.Decode(&v); err != nil {
-			t.Fatal(err)
-		}
-		err := dec.Decode(&v)
-		var pe *Error
-		if cut == first && err != io.EOF || cut != first && !errors.As(err, &pe) {
-			t.Errorf("stream cut at %d of %d: %v", cut, buf.Len(), err)
 		}
 	}
 }

@@ -170,20 +170,27 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// AppendMarshal pickles v against t and appends it to dst; a value holding a
-// type t lacks, or a nil t, is pickled self-describing.
+// AppendMarshal pickles v against t onto the end of dst; a value holding a
+// type t lacks, or a nil t, is pickled self-describing. On error the result
+// holds dst's bytes alone.
 func (t *Table) AppendMarshal(dst []byte, v any) ([]byte, error) {
 	e := getEncoder()
-	e.tab = t
+	scratch := e.buf
+	e.tab, e.buf = t, dst
 	err := e.Encode(v)
-	if err == nil {
-		dst = append(dst, e.buf...)
-	}
-	putEncoder(e)
 	if err == errNotInTable {
-		return AppendMarshal(dst, v)
+		out := e.buf[:len(dst)]
+		e.reset()
+		e.buf = out
+		err = e.Encode(v)
 	}
-	return dst, err
+	out := e.buf
+	e.buf = scratch
+	putEncoder(e)
+	if err != nil {
+		return out[:len(dst)], err
+	}
+	return out, nil
 }
 
 // Unmarshal reads a pickled value from data into the variable pointed to by

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -9,9 +10,11 @@ import (
 	"strings"
 	"testing"
 
+	"smalldb/internal/checkpoint"
 	"smalldb/internal/core"
 	"smalldb/internal/pickle"
 	"smalldb/internal/vfs"
+	"smalldb/internal/vfs/faultfs"
 	"smalldb/internal/wal"
 )
 
@@ -113,22 +116,74 @@ func historyOf(t *testing.T, s *core.Store) string {
 	t.Helper()
 	var out []string
 	if err := s.History(func(seq uint64, u core.Update) error {
-		b, err := pickle.Marshal(u)
-		out = append(out, fmt.Sprintf("%d %x", seq, b))
-		return err
+		return appendEntry(&out, seq, u)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	return strings.Join(out, "\n")
 }
 
+// logHistory is historyOf read straight from one log file of self-describing
+// entries, with no store open: the parent's log, before Open re-heads it.
+func logHistory(t *testing.T, fs vfs.FS, name string) string {
+	t.Helper()
+	var out []string
+	replayLog(t, fs, name, func(seq uint64, p []byte) error {
+		var rec struct{ U core.Update } // a core log record, matched by field name
+		if err := pickle.Unmarshal(p, &rec); err != nil {
+			return err
+		}
+		return appendEntry(&out, seq, rec.U)
+	})
+	return strings.Join(out, "\n")
+}
+
+func appendEntry(out *[]string, seq uint64, u core.Update) error {
+	b, err := pickle.Marshal(u)
+	*out = append(*out, fmt.Sprintf("%d %x", seq, b))
+	return err
+}
+
+// replayLog hands fn every entry of the named log file and reports whether
+// the file has a head.
+func replayLog(t *testing.T, fs vfs.FS, name string, fn func(seq uint64, payload []byte) error) (head bool) {
+	t.Helper()
+	res, err := wal.Replay(fs, name, 0, wal.ReplayOptions{}, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Head != nil
+}
+
+// logForms lists the form of each entry the named log file holds: 'c' for
+// self-describing, 't' for table-relative, after 'h' when it has a head.
+// Every log this build writes reads 'h' followed by 't's only.
+func logForms(t *testing.T, fs vfs.FS, name string) string {
+	t.Helper()
+	var out []byte
+	head := replayLog(t, fs, name, func(_ uint64, p []byte) error {
+		form := byte('c')
+		if pickle.IsTableRelative(p) {
+			form = 't'
+		}
+		out = append(out, form)
+		return nil
+	})
+	if head {
+		return "h" + string(out)
+	}
+	return string(out)
+}
+
 // TestDataDirCompatWithParent pins the format in both directions against a
 // data directory written before log files had heads (full history, delta
 // chain, log tail; regenerate with -update-golden at the commit the directory
-// should pin). Forward: this build opens that directory and recovers the same
-// state. Reverse: this build writes the same workload to byte-identical
+// should pin). Forward: this build opens that directory, recovers the same
+// state and re-heads it, moving to a version whose log carries this build's
+// table. Reverse: this build writes the same workload to byte-identical
 // checkpoint, delta and version files; its log begins with a type table and
-// pickles entries against it, and holds, entry for entry, the same updates.
+// pickles entries against it, and holds, entry for entry, the same updates as
+// the parent's log read before Open re-heads it.
 func TestDataDirCompatWithParent(t *testing.T) {
 	if *updateGolden {
 		if err := os.RemoveAll(goldenDir); err != nil {
@@ -157,25 +212,36 @@ func TestDataDirCompatWithParent(t *testing.T) {
 		}
 	}
 
+	if got, want := logForms(t, copyDir(t, written), "logfile4"), "h"+strings.Repeat("t", compatUpdates-60); got != want {
+		t.Errorf("this build's log holds %q, want %q", got, want)
+	}
 	ourNode, err := Open(compatConfig(copyDir(t, written)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ourLog := historyOf(t, ourNode.Store())
+	if v := ourNode.Store().Version(); v != 4 {
+		t.Errorf("this build's directory opened at version %d, want 4: nothing to re-head", v)
+	}
 	ourNode.Close()
 
-	// Open a copy: recovery may repair the directory it opens.
-	n, err := Open(compatConfig(copyDir(t, golden)))
+	// Open a copy: recovery may repair the directory it opens, and Open
+	// re-heads it.
+	fs := copyDir(t, golden)
+	if parentLog := logHistory(t, fs, "logfile4"); ourLog != parentLog || strings.Count(ourLog, "\n") != compatUpdates-61 {
+		t.Errorf("this build's log holds the updates\n%s\nthe parent's\n%s", ourLog, parentLog)
+	}
+	n, err := Open(compatConfig(fs))
 	if err != nil {
 		t.Fatalf("opening the parent's data directory: %v", err)
 	}
 	defer n.Close()
-	if parentLog := historyOf(t, n.Store()); ourLog != parentLog || strings.Count(ourLog, "\n") != compatUpdates-61 {
-		t.Errorf("this build's log holds the updates\n%s\nthe parent's\n%s", ourLog, parentLog)
-	}
 	st := n.Store().Stats()
 	if st.RestartDeltasApplied != 2 || st.RestartEntries != compatUpdates-60 {
 		t.Errorf("recovery applied %d deltas and replayed %d entries, want 2 and %d", st.RestartDeltasApplied, st.RestartEntries, compatUpdates-60)
+	}
+	if v := n.Store().Version(); v != 5 || st.Checkpoints != 1 || logForms(t, fs, "logfile5") != "h" {
+		t.Errorf("Open left version %d after %d checkpoints, want one re-head to version 5 with an empty log", v, st.Checkpoints)
 	}
 	err = n.Store().View(func(root any) error {
 		r := root.(*Root)
@@ -211,20 +277,70 @@ func TestDataDirCompatWithParent(t *testing.T) {
 	if err := n.Set("after/recovery", "v"); err != nil {
 		t.Fatal(err)
 	}
+	if got := logForms(t, fs, "logfile5"); got != "ht" {
+		t.Errorf("the re-headed log holds %q, want a head and one table-relative entry", got)
+	}
 }
 
-// TestMixedFormatLogs: the parent's directory — a log without a head — keeps
-// working across the format change. Updates appended to the headless log are
-// self-describing; a checkpoint's tail spans that log and a new one that
-// begins with a head, so the tail's entries are self-describing in both;
-// after the switch entries are table-relative. The reopened tree
-// matches the model.
+// TestReheadFailureKeepsParentVersion: when Open's re-head checkpoint fails,
+// Open fails with its error and the parent's version stays current,
+// untouched; the next Open re-heads.
+func TestReheadFailureKeepsParentVersion(t *testing.T) {
+	mem := vfs.NewMem(1)
+	for name, data := range readDir(t, goldenDir) {
+		if err := vfs.WriteFile(mem, name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ffs := faultfs.New(mem, faultfs.Options{CrashAt: faultfs.Never})
+	boom := errors.New("checkpoint image write failed")
+	ffs.FailName(checkpoint.CheckpointName(5), boom) // a full image or a delta
+	if n, err := Open(compatConfig(ffs)); !errors.Is(err, boom) {
+		if err == nil {
+			n.Close()
+		}
+		t.Fatalf("Open with the re-head failing = %v, want %v", err, boom)
+	}
+	if v, err := vfs.ReadFile(ffs, "version"); err != nil || string(v) != "4\n" {
+		t.Errorf("version file after the failed re-head: %q, %v", v, err)
+	}
+	if got := logForms(t, ffs, "logfile4"); got != strings.Repeat("c", compatUpdates-60) {
+		t.Errorf("the parent's log after the failed re-head holds %q", got)
+	}
+	for _, name := range []string{checkpoint.CheckpointName(5), checkpoint.DeltaName(5), checkpoint.LogName(5)} {
+		if vfs.Exists(ffs, name) {
+			t.Errorf("the failed re-head left %s", name)
+		}
+	}
+
+	ffs.ClearFaults()
+	n, err := Open(compatConfig(ffs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if v := n.Store().Version(); v != 5 || logForms(t, ffs, "logfile5") != "h" {
+		t.Errorf("second Open at version %d, want a re-head to 5", v)
+	}
+	if v, err := n.Lookup(compatName(compatUpdates)); err != nil || v != fmt.Sprintf("v%d", compatUpdates) {
+		t.Errorf("after the re-head: %q, %v", v, err)
+	}
+}
+
+// TestMixedFormatLogs: the parent's directory — a log without a head, its
+// entries self-describing — keeps working across the format change. Open
+// re-heads it, and from then on every log file, a checkpoint's new log with
+// the entries committed inside its window included, holds a head and
+// table-relative entries only. The reopened tree matches the model.
 func TestMixedFormatLogs(t *testing.T) {
 	golden := readDir(t, goldenDir)
 	fs := copyDir(t, golden)
 	model := map[string]string{}
 	for i := 1; i <= compatUpdates; i++ {
 		model[compatName(i)] = fmt.Sprintf("v%d", i)
+	}
+	if got := logForms(t, fs, "logfile4"); got != strings.Repeat("c", compatUpdates-60) {
+		t.Errorf("the parent's log holds %q", got)
 	}
 	n, err := Open(compatConfig(fs))
 	if err != nil {
@@ -236,35 +352,14 @@ func TestMixedFormatLogs(t *testing.T) {
 		}
 		model[name] = v
 	}
-	// forms lists the form of each entry a log file holds: 'c' for
-	// self-describing, 't' for table-relative, after 'h' when it has a head.
-	forms := func(name string) string {
-		first, _, err := wal.FirstSeq(fs, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []byte
-		res, err := wal.Replay(fs, name, first, wal.ReplayOptions{}, func(_ uint64, p []byte) error {
-			form := byte('c')
-			if pickle.IsTableRelative(p) {
-				form = 't'
-			}
-			out = append(out, form)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Head != nil {
-			return "h" + string(out)
-		}
-		return string(out)
+	if vfs.Exists(fs, "logfile4") {
+		t.Error("the parent's log outlived Open's re-head")
 	}
 	for i := range 3 {
 		set(fmt.Sprintf("mixed/before%d", i), "b")
 	}
-	if got := forms("logfile4"); got != strings.Repeat("c", compatUpdates-60+3) {
-		t.Errorf("the parent's log after 3 more updates holds %q", got)
+	if got := logForms(t, fs, "logfile5"); got != "httt" {
+		t.Errorf("the re-headed log after 3 updates holds %q", got)
 	}
 	n.Store().SetCheckpointStageHook(func(stage core.CheckpointStage) {
 		if stage == core.StageTailOpen {
@@ -282,8 +377,8 @@ func TestMixedFormatLogs(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := forms("logfile5"); got != "hccttt" {
-		t.Errorf("the checkpoint's new log holds %q, want a head, the window self-describing, then table-relative", got)
+	if got := logForms(t, fs, "logfile6"); got != "httttt" {
+		t.Errorf("the checkpoint's new log holds %q, want a head, then table-relative entries only", got)
 	}
 	if n, err = Open(compatConfig(fs)); err != nil {
 		t.Fatal(err)

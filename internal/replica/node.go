@@ -23,10 +23,8 @@ type Config struct {
 	FS vfs.FS
 	// HistoryCap bounds the anti-entropy history kept in the database.
 	HistoryCap int
-	// Retain and the checkpoint policies pass through to the store.
-	Retain        int
-	MaxLogBytes   int64
-	MaxLogEntries int64
+	// Retain passes through to the store.
+	Retain int
 	// UnsafeNoSync passes through to the store: the node forfeits local
 	// durability and relies on its peers to restore lost updates — the §4
 	// replica story, where "we respond to a hard error ... by restoring
@@ -141,8 +139,6 @@ func Open(cfg Config) (*Node, error) {
 		FS:            cfg.FS,
 		NewRoot:       NewRootWithCap(cfg.HistoryCap),
 		Retain:        cfg.Retain,
-		MaxLogBytes:   cfg.MaxLogBytes,
-		MaxLogEntries: cfg.MaxLogEntries,
 		UnsafeNoSync:  cfg.UnsafeNoSync,
 		MaxDeltaChain: cfg.MaxDeltaChain,
 		MaxDeltaRatio: cfg.MaxDeltaRatio,

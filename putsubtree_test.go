@@ -109,7 +109,8 @@ func logHead(t *testing.T, log []byte) []byte {
 }
 
 // openOverLog opens a fresh store's first files with log in place of its
-// own log file.
+// own log file. Open re-heads a log whose head is not this build's, and
+// retaining the previous version keeps log in the store's History.
 func openOverLog(t *testing.T, log []byte) *nameserver.Server {
 	t.Helper()
 	fs := vfs.NewMem(1)
@@ -121,7 +122,7 @@ func openOverLog(t *testing.T, log []byte) *nameserver.Server {
 	if err := vfs.WriteFile(fs, "logfile1", log); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := nameserver.Open(nameserver.Config{FS: fs})
+	srv, err := nameserver.Open(nameserver.Config{FS: fs, Retain: 1})
 	if err != nil {
 		t.Fatalf("open over a golden log: %v", err)
 	}
