@@ -91,13 +91,16 @@ func summarize(fs vfs.FS) {
 			continue
 		}
 		res, err := wal.Replay(fs, n, 0, wal.ReplayOptions{}, func(uint64, []byte) error { return nil })
+		// The file runs ahead of its frames in zeros: show both ends.
+		size, _ := fs.Stat(n)
+		ends := fmt.Sprintf("entries end at byte %d of %d allocated", res.GoodSize, size)
 		switch {
 		case err != nil:
 			fmt.Printf("%s: %v\n", n, err)
 		case res.Entries == 0:
-			fmt.Printf("%s: empty\n", n)
+			fmt.Printf("%s: empty, %s\n", n, ends)
 		default:
-			fmt.Printf("%s: %d entries (seq %d..%d)\n", n, res.Entries, res.LastSeq-uint64(res.Entries)+1, res.LastSeq)
+			fmt.Printf("%s: %d entries (seq %d..%d), %s\n", n, res.Entries, res.LastSeq-uint64(res.Entries)+1, res.LastSeq, ends)
 		}
 	}
 }

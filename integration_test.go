@@ -229,6 +229,9 @@ func TestLogdumpOnRealDirectory(t *testing.T) {
 	if !strings.Contains(text, "logfile1: 1 entries") {
 		t.Errorf("summary missing log count:\n%s", text)
 	}
+	if !strings.Contains(text, "of 65536 allocated") {
+		t.Errorf("summary missing the log's allocated length:\n%s", text)
+	}
 
 	// Entry dump decodes the update generically.
 	out, err = exec.Command(filepath.Join(bin, "logdump"), "-dir", dbdir, "-log", "1").CombinedOutput()

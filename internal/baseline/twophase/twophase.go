@@ -86,7 +86,7 @@ func Open(fs vfs.FS) (*DB, error) {
 			sf.Close()
 			return nil, err
 		}
-		db.log, err = wal.Open(fs, logFile, res.NextSeq, wal.Options{})
+		db.log, err = wal.Open(fs, logFile, res, wal.Options{})
 		if err != nil {
 			sf.Close()
 			return nil, err

@@ -27,7 +27,7 @@ func TestSwitchCrashWindows(t *testing.T) {
 		if err != nil {
 			return 0, err
 		}
-		l, err := wal.Open(fs, st.LogName(), 1, wal.Options{})
+		l, err := wal.Open(fs, st.LogName(), wal.ReplayResult{NextSeq: 1}, wal.Options{})
 		if err != nil {
 			return 0, err
 		}

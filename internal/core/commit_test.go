@@ -173,7 +173,11 @@ func TestSingleStreamLayoutCompat(t *testing.T) {
 	s.Close()
 	logName := checkpoint.LogName(1)
 
-	l, err := wal.Open(fs, logName, 1, wal.Options{})
+	res, err := wal.Replay(fs, logName, 1, wal.ReplayOptions{}, func(uint64, []byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := wal.Open(fs, logName, res, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +215,7 @@ func TestSingleStreamLayoutCompat(t *testing.T) {
 		}
 	}
 	var keys []string
-	res, err := wal.Replay(fs, logName, 1, wal.ReplayOptions{}, func(seq uint64, payload []byte) error {
+	res, err = wal.Replay(fs, logName, 1, wal.ReplayOptions{}, func(seq uint64, payload []byte) error {
 		var rec logRecord
 		if err := pickle.Unmarshal(payload, &rec); err != nil {
 			return err

@@ -481,11 +481,13 @@ func (s *Store) initFresh() (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := checkpoint.Init(s.cfg.FS, image, s.ownTab.Bytes())
+	head := s.ownTab.Bytes()
+	st, err := checkpoint.Init(s.cfg.FS, image, head)
 	if err != nil {
 		return nil, err
 	}
-	l, err := s.openLog(st.LogName(), 1)
+	// Init wrote the log holding only its head frame.
+	l, err := s.openLog(st.LogName(), wal.ReplayResult{NextSeq: 1, GoodSize: int64(len(wal.HeadFrame(head))), Head: head})
 	if err != nil {
 		return nil, err
 	}
@@ -556,7 +558,7 @@ func (s *Store) load(st checkpoint.State) error {
 		return err
 	}
 
-	l, err := s.openLog(st.LogName(), res.NextSeq)
+	l, err := s.openLog(st.LogName(), res)
 	if err != nil {
 		return err
 	}
@@ -1677,9 +1679,9 @@ func (s *Store) Close() error {
 	return s.log.Close()
 }
 
-// openLog opens the store's redo log, the one file name; a fresh or emptied
-// file takes this process's table as its head.
-func (s *Store) openLog(name string, nextSeq uint64) (*wal.Log, error) {
-	return wal.Open(s.cfg.FS, name, nextSeq, wal.Options{
+// openLog opens the store's redo log, the one file name, where the replay at
+// left it; a fresh or emptied file takes this process's table as its head.
+func (s *Store) openLog(name string, at wal.ReplayResult) (*wal.Log, error) {
+	return wal.Open(s.cfg.FS, name, at, wal.Options{
 		NoSync: s.cfg.UnsafeNoSync, Head: s.ownTab.Bytes(), Obs: s.cfg.Obs, Tracer: s.cfg.Tracer})
 }

@@ -515,7 +515,7 @@ func TestSkipDamagedLogEntries(t *testing.T) {
 	fs := vfs.NewMem(1)
 	s := openKV(t, fs)
 	put(t, s, "a", "1")
-	sizeBefore, _ := fs.Stat(checkpoint.LogName(1)) // the head frame and entry 1
+	sizeBefore := frameEnd(t, fs, s) // the head frame and entry 1
 	put(t, s, "b", "2")
 	put(t, s, "c", "3")
 	s.Close()

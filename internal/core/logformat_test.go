@@ -99,6 +99,12 @@ func logSeeds() []logSeed {
 		{name: "head-at-offset", file: cat(walFrame(1, classic(&logRecord{U: &putKV{Key: "k1"}})), head), wantErr: "sequence 0, want 2"},
 		{name: "map-claims-64M", file: cat(head, walFrame(1, bigMap)), wantErr: "exceeds the"},
 		{name: "not-a-log", file: []byte("logfile"), wantKeys: ""},
+		// A log file runs ahead of its frames in zeros: they end it cleanly
+		// unless anything but zeros follows them.
+		{name: "zero-tail", file: cat(head, walFrame(1, compact("k1")), make([]byte, 100)), wantKeys: "k1"},
+		{name: "zeros-only", file: make([]byte, 64), wantKeys: ""},
+		{name: "stale-frame-past-zeros", file: cat(head, walFrame(1, compact("k1")), make([]byte, 40), walFrame(3, compact("k3"))), wantKeys: "k1"},
+		{name: "zeros-then-byte", file: cat(head, walFrame(1, compact("k1")), make([]byte, 40), []byte{1}), wantKeys: "k1"},
 	}
 }
 
@@ -185,6 +191,18 @@ func FuzzLogReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { replayLog(t, data) })
 }
 
+// frameEnd reports the offset in s's log file past its last frame: its head
+// frame and the entry bytes the log reports, not the file's length, which
+// runs ahead of them.
+func frameEnd(t *testing.T, fs vfs.FS, s *Store) int64 {
+	t.Helper()
+	head, err := wal.ReadHead(fs, checkpoint.LogName(s.Version()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(wal.HeadFrame(head))) + s.Stats().LogBytes
+}
+
 // compactLog writes n updates k0..k<n-1> to a fresh store and closes it,
 // returning the file offset each entry starts at.
 func compactLog(t *testing.T, fs *vfs.Mem, n int) []int64 {
@@ -192,7 +210,7 @@ func compactLog(t *testing.T, fs *vfs.Mem, n int) []int64 {
 	s := openKV(t, fs, func(c *Config) { c.Retain = 0 })
 	offs := make([]int64, n)
 	for i := range offs {
-		offs[i], _ = fs.Stat(checkpoint.LogName(1))
+		offs[i] = frameEnd(t, fs, s)
 		put(t, s, fmt.Sprintf("k%d", i), "v")
 	}
 	if err := s.Close(); err != nil {

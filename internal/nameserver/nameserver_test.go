@@ -212,10 +212,8 @@ func TestReplayedSharedSubtree(t *testing.T) {
 	}); err != nil || shared == 0 {
 		t.Fatalf("replaying the log: %v, the Put's entry found: %v", err, shared != 0)
 	}
-	if err := vfs.WriteFile(fs, name, wal.HeadFrame(head)); err != nil {
-		t.Fatal(err)
-	}
-	l, err := wal.Open(fs, name, first, wal.Options{})
+	// Replayed to nothing, the log is rewritten holding only its head.
+	l, err := wal.Open(fs, name, wal.ReplayResult{NextSeq: first}, wal.Options{Head: head})
 	if err != nil {
 		t.Fatal(err)
 	}

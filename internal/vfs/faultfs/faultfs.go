@@ -1,8 +1,8 @@
 // Package faultfs wraps a vfs.Mem with deterministic fault injection for
 // crash-consistency torture testing.
 //
-// Every mutating call — Create, Append-that-creates, Rename, Remove, Write,
-// WriteAt, Truncate, Sync — is assigned a monotonically increasing op index.
+// Every mutating call — Create, Rename, Remove, Write, WriteAt, Truncate,
+// Sync — is assigned a monotonically increasing op index.
 // A torture harness first runs a workload once to count its ops, then
 // replays it with CrashAt(n) for every n: when the workload's n-th mutating
 // op is about to execute, the file system "loses power" — the op does not
@@ -45,7 +45,6 @@ type Op uint8
 // The mutating op kinds, in no particular order.
 const (
 	OpCreate Op = iota
-	OpAppend
 	OpRename
 	OpRemove
 	OpWrite
@@ -53,7 +52,7 @@ const (
 	OpSync
 )
 
-var opNames = [...]string{"create", "append", "rename", "remove", "write", "truncate", "sync"}
+var opNames = [...]string{"create", "rename", "remove", "write", "truncate", "sync"}
 
 func (o Op) String() string {
 	if int(o) < len(opNames) {
@@ -311,19 +310,6 @@ func (f *FS) Open(name string) (vfs.File, error) {
 		return nil, err
 	}
 	inner, err := f.mem.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &file{fs: f, inner: inner}, nil
-}
-
-// Append implements vfs.FS. It is indexed as a mutating op because it
-// creates the file when absent.
-func (f *FS) Append(name string) (vfs.File, error) {
-	if err := f.step(OpAppend, name); err != nil {
-		return nil, err
-	}
-	inner, err := f.mem.Append(name)
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,8 @@ type memFile struct {
 	current      []byte         // content as the running program sees it
 	damaged      map[int64]bool // damaged byte offsets (durable content)
 	dirty        map[int64]bool // page indices overwritten since last sync
-	minDirty     int64          // lowest offset written since last sync; -1 = none
+	minDirty     int64          // lowest offset written or truncated to since last sync; -1 = none
+	maxDirty     int64          // end of the highest range written or truncated since last sync
 	failedFrom   int64          // start of a failed sync's damaged tail; -1 = none
 	syncedExists bool           // whether the file survives a crash at all
 	cow          bool           // byte slices are shared with a clone parent
@@ -102,21 +103,6 @@ func (m *Mem) Open(name string) (File, error) {
 		return nil, err
 	}
 	return &memHandle{fs: m, f: f, name: name}, nil
-}
-
-// Append implements FS.
-func (m *Mem) Append(name string) (File, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := ValidName(name); err != nil {
-		return nil, err
-	}
-	f, ok := m.files[name]
-	if !ok {
-		f = &memFile{damaged: make(map[int64]bool), minDirty: -1, failedFrom: -1, syncedExists: true}
-		m.files[name] = f
-	}
-	return &memHandle{fs: m, f: f, name: name, writable: true, pos: int64(len(f.current))}, nil
 }
 
 // OpenRW implements FS.
@@ -193,7 +179,7 @@ func (m *Mem) Crash() {
 		}
 		f.current = append(f.current[:0:0], f.synced...)
 		f.dirty = nil
-		f.minDirty = -1
+		f.minDirty, f.maxDirty = -1, 0
 		f.failedFrom = -1
 	}
 }
@@ -291,7 +277,7 @@ func (m *Mem) CrashTorn(pageSize int) {
 		}
 		f.current = append(f.synced[:0:0], f.synced...)
 		f.dirty = nil
-		f.minDirty = -1
+		f.minDirty, f.maxDirty = -1, 0
 	}
 }
 
@@ -362,7 +348,7 @@ func (h *memHandle) readAtLocked(p []byte, off int64) (int, error) {
 		return 0, io.EOF
 	}
 	n := copy(p, h.f.current[off:])
-	for i := off; i < off+int64(n); i++ {
+	for i := off; i < off+int64(n) && len(h.f.damaged) > 0; i++ {
 		if h.f.damaged[i] {
 			return 0, fmt.Errorf("%w: %s at offset %d", ErrDamaged, h.name, i)
 		}
@@ -406,14 +392,12 @@ func (h *memHandle) writeAtLocked(p []byte, off int64) (int, error) {
 		for pg := off / dirtyPageSize; pg <= (off+int64(len(p))-1)/dirtyPageSize; pg++ {
 			h.f.dirty[pg] = true
 		}
-		if h.f.minDirty < 0 || off < h.f.minDirty {
-			h.f.minDirty = off
-		}
+		h.f.touch(off, off+int64(len(p)))
 	}
 	// Overwriting repairs damage at those offsets once synced; track by
 	// clearing damage on write (the new data is what subsequent reads
 	// should see).
-	for i := off; i < off+int64(len(p)); i++ {
+	for i := off; i < off+int64(len(p)) && len(h.f.damaged) > 0; i++ {
 		delete(h.f.damaged, i)
 	}
 	return len(p), nil
@@ -448,6 +432,7 @@ func (h *memHandle) Truncate(size int64) error {
 	}
 	h.f.materialize()
 	cur := int64(len(h.f.current))
+	h.f.touch(min(size, cur), max(size, cur))
 	switch {
 	case size < cur:
 		h.f.current = h.f.current[:size]
@@ -460,52 +445,65 @@ func (h *memHandle) Truncate(size int64) error {
 func (h *memHandle) Sync() error {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
+	var err error
 	if h.fs.FailSync != nil {
-		if err := h.fs.FailSync(h.name); err != nil {
-			// A failed sync is an interrupted flush: the unsynced
-			// tail being transferred is now indeterminate on disk,
-			// and §2's torn-update model says a partially written
-			// page reads back as an error. Make the tail durable but
-			// damaged (the marks survive Crash) rather than
-			// pretending the flush never started. Overwriting the
-			// region, or a later successful Sync of it, repairs it.
-			h.f.materialize()
-			if start := int64(len(h.f.synced)); int64(len(h.f.current)) > start {
-				for off := start; off < int64(len(h.f.current)); off++ {
-					h.f.damaged[off] = true
-				}
-				h.f.synced = append(h.f.synced, h.f.current[start:]...)
-				if h.f.failedFrom < 0 || start < h.f.failedFrom {
-					h.f.failedFrom = start
-				}
-			}
-			h.f.syncedExists = true
-			// dirty/minDirty stay set: the data is still unflushed,
-			// and a retried Sync must know the region to repair.
-			return err
-		}
+		err = h.fs.FailSync(h.name)
 	}
 	h.f.materialize()
-	// A successful flush repairs earlier failed-sync damage: the whole
-	// region is rewritten from intact in-memory data.
-	if h.f.failedFrom >= 0 {
+	if err != nil {
+		// A failed sync is an interrupted flush: every byte written
+		// since the last sync — appended or over synced bytes — is
+		// now indeterminate on disk, and §2's torn-update model says
+		// a partially written page reads back as an error. Make the
+		// written pages, from the lowest byte written, durable but
+		// damaged (the marks survive Crash) rather than pretending
+		// the flush never started, or leaving a reader data no crash
+		// would keep. Overwriting the region, or a later successful
+		// Sync of it, repairs it.
+		for pg := range h.f.dirty {
+			for off := max(pg*dirtyPageSize, h.f.minDirty); off < min((pg+1)*dirtyPageSize, h.f.maxDirty, int64(len(h.f.current))); off++ {
+				h.f.damaged[off] = true
+			}
+		}
+		if h.f.minDirty >= 0 && (h.f.failedFrom < 0 || h.f.minDirty < h.f.failedFrom) {
+			h.f.failedFrom = h.f.minDirty
+		}
+	} else if h.f.failedFrom >= 0 {
+		// A successful flush repairs earlier failed-sync damage: the
+		// whole region is rewritten from intact in-memory data.
 		for off := h.f.failedFrom; off < int64(len(h.f.current)); off++ {
 			delete(h.f.damaged, off)
 		}
 		h.f.failedFrom = -1
 	}
-	// Fast path for append-only files (logs): when nothing within the
-	// already-synced extent was overwritten, only the new tail needs
-	// copying. This keeps a growing log's sync cost linear overall.
-	if h.f.minDirty >= int64(len(h.f.synced)) && len(h.f.current) >= len(h.f.synced) {
-		h.f.synced = append(h.f.synced, h.f.current[len(h.f.synced):]...)
-	} else {
-		h.f.synced = append(h.f.synced[:0:0], h.f.current...)
+	// Only the bytes written or truncated since the last sync, and a grown
+	// file's new tail, differ from the synced copy, so only they are
+	// copied: a log's sync costs what it wrote, whether it appends or
+	// overwrites its own zeros.
+	old := min(int64(len(h.f.synced)), int64(len(h.f.current)))
+	if err == nil || old == int64(len(h.f.synced)) { // a failed sync persists no shrink
+		h.f.synced = append(h.f.synced[:old], h.f.current[old:]...)
+	}
+	if h.f.minDirty >= 0 && h.f.minDirty < old {
+		copy(h.f.synced[h.f.minDirty:old], h.f.current[h.f.minDirty:min(old, h.f.maxDirty)])
 	}
 	h.f.syncedExists = true
+	if err != nil {
+		// The data is still unflushed, and a retried Sync must know
+		// the region to repair.
+		return err
+	}
 	h.f.dirty = nil
-	h.f.minDirty = -1
+	h.f.minDirty, h.f.maxDirty = -1, 0
 	return nil
+}
+
+// touch records [from, to) as written or truncated since the last sync.
+func (f *memFile) touch(from, to int64) {
+	if f.minDirty < 0 || from < f.minDirty {
+		f.minDirty = from
+	}
+	f.maxDirty = max(f.maxDirty, to)
 }
 
 func (h *memHandle) Close() error {

@@ -13,8 +13,8 @@ func TestCloneSyncedIsDurableView(t *testing.T) {
 	if err := WriteFile(m, "a", []byte("durable")); err != nil {
 		t.Fatal(err)
 	}
-	f, _ := m.Append("a")
-	f.Write([]byte("-unsynced"))
+	f, _ := m.OpenRW("a")
+	f.WriteAt([]byte("-unsynced"), 7)
 	f.Close()
 	g, _ := m.Create("never-synced")
 	g.Write([]byte("x"))
@@ -96,47 +96,58 @@ func TestCloneSyncedOfClone(t *testing.T) {
 
 // TestFailedSyncDamagesFlushedRegion checks the §2 torn-update model: after
 // a failed sync, reads of the region being flushed report errors — both
-// live and after a crash — until the region is rewritten.
+// live and after a crash — until the region is rewritten. The region is
+// the same whether the flush appended or overwrote synced bytes in place,
+// and the synced bytes before it stay readable.
 func TestFailedSyncDamagesFlushedRegion(t *testing.T) {
-	m := NewMem(1)
-	if err := WriteFile(m, "a", []byte("good-prefix-")); err != nil {
-		t.Fatal(err)
-	}
-	f, _ := m.Append("a")
-	f.Write([]byte("torn-tail"))
 	boom := errors.New("power gone")
-	m.FailSync = func(string) error { return boom }
-	if err := f.Sync(); !errors.Is(err, boom) {
-		t.Fatalf("sync err = %v", err)
-	}
-	m.FailSync = nil
+	for _, synced := range []string{"good-prefix-", "good-prefix-\x00\x00\x00\x00\x00\x00\x00\x00\x00"} {
+		m := NewMem(1)
+		if err := WriteFile(m, "a", []byte(synced)); err != nil {
+			t.Fatal(err)
+		}
+		f, _ := m.OpenRW("a")
+		f.WriteAt([]byte("torn-tail"), 12)
+		m.FailSync = func(string) error { return boom }
+		if err := f.Sync(); !errors.Is(err, boom) {
+			t.Fatalf("%q: sync err = %v", synced, err)
+		}
+		m.FailSync = nil
 
-	// Live reads of the flushed region fail now.
-	if _, err := ReadFile(m, "a"); !errors.Is(err, ErrDamaged) {
-		t.Fatalf("read after failed sync = %v, want ErrDamaged", err)
-	}
+		// Live reads of the flushed region fail now.
+		if _, err := ReadFile(m, "a"); !errors.Is(err, ErrDamaged) {
+			t.Fatalf("%q: read after failed sync = %v, want ErrDamaged", synced, err)
+		}
 
-	// The damage survives a crash: the tail is durable but unreadable.
-	c := m.CloneSynced()
-	if _, err := ReadFile(c, "a"); !errors.Is(err, ErrDamaged) {
-		t.Fatalf("read of crash image = %v, want ErrDamaged", err)
-	}
+		// The damage survives a crash: the region is durable but
+		// unreadable, and what was synced before it is intact.
+		c := m.CloneSynced()
+		if _, err := ReadFile(c, "a"); !errors.Is(err, ErrDamaged) {
+			t.Fatalf("%q: read of crash image = %v, want ErrDamaged", synced, err)
+		}
+		cf, _ := c.Open("a")
+		prefix := make([]byte, 12)
+		if _, err := cf.ReadAt(prefix, 0); err != nil || string(prefix) != "good-prefix-" {
+			t.Fatalf("%q: synced prefix after the failed sync: %q, %v", synced, prefix, err)
+		}
 
-	// A retried, successful sync repairs it (the data was still in memory).
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
+		// A retried, successful sync repairs it (the data was still in
+		// memory).
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFile(m, "a")
+		if err != nil || string(got) != "good-prefix-torn-tail" {
+			t.Fatalf("%q: after repair: %q, %v", synced, got, err)
+		}
+		f.Close()
 	}
-	got, err := ReadFile(m, "a")
-	if err != nil || string(got) != "good-prefix-torn-tail" {
-		t.Fatalf("after repair: %q, %v", got, err)
-	}
-	f.Close()
 
 	// Overwriting the damaged region also repairs it.
 	m2 := NewMem(1)
 	WriteFile(m2, "b", []byte("0123"))
-	g, _ := m2.Append("b")
-	g.Write([]byte("4567"))
+	g, _ := m2.OpenRW("b")
+	g.WriteAt([]byte("4567"), 4)
 	m2.FailSync = func(string) error { return boom }
 	g.Sync()
 	m2.FailSync = nil
@@ -145,7 +156,7 @@ func TestFailedSyncDamagesFlushedRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Close()
-	got, err = ReadFile(m2, "b")
+	got, err := ReadFile(m2, "b")
 	if err != nil || string(got) != "abcdefgh" {
 		t.Fatalf("after overwrite: %q, %v", got, err)
 	}

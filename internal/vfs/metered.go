@@ -125,9 +125,6 @@ func (m *Metered) Open(name string) (File, error) {
 	return f, err
 }
 
-// Append implements FS.
-func (m *Metered) Append(name string) (File, error) { return m.wrap(m.fs.Append(name)) }
-
 // OpenRW implements FS.
 func (m *Metered) OpenRW(name string) (File, error) { return m.wrap(m.fs.OpenRW(name)) }
 

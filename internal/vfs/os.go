@@ -67,19 +67,6 @@ func (o *OS) Open(name string) (File, error) {
 	return &osHandle{f: f, name: name}, nil
 }
 
-// Append implements FS.
-func (o *OS) Append(name string) (File, error) {
-	p, err := o.path(name)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(p, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &osHandle{f: f, name: name}, nil
-}
-
 // OpenRW implements FS.
 func (o *OS) OpenRW(name string) (File, error) {
 	p, err := o.path(name)

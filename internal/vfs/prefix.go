@@ -21,9 +21,6 @@ func (p *Prefixed) Create(name string) (File, error) { return p.fs.Create(p.pref
 // Open implements FS.
 func (p *Prefixed) Open(name string) (File, error) { return p.fs.Open(p.prefix + name) }
 
-// Append implements FS.
-func (p *Prefixed) Append(name string) (File, error) { return p.fs.Append(p.prefix + name) }
-
 // OpenRW implements FS.
 func (p *Prefixed) OpenRW(name string) (File, error) { return p.fs.OpenRW(p.prefix + name) }
 

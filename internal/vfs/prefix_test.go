@@ -60,11 +60,11 @@ func TestPrefixedCrashLosesUnsynced(t *testing.T) {
 	if err := WriteFile(a, "durable", []byte("kept")); err != nil {
 		t.Fatal(err)
 	}
-	f, err := a.Append("durable")
+	f, err := a.OpenRW("durable")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte(" and lost")); err != nil {
+	if _, err := f.WriteAt([]byte(" and lost"), 4); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

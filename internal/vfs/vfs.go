@@ -1,8 +1,8 @@
 // Package vfs is the file-system abstraction under the checkpoint and log
 // machinery. The paper stores all durable state as a handful of files in a
 // single directory ("We use a single directory for our disk structures") and
-// relies on only a few primitives: create, append, atomic rename, remove,
-// and fsync. This package captures exactly those primitives in the FS
+// relies on only a few primitives: create, write in place, atomic rename,
+// remove, and fsync. This package captures exactly those primitives in the FS
 // interface and provides two implementations:
 //
 //   - OS: a directory on the real file system.
@@ -66,8 +66,6 @@ type FS interface {
 	Create(name string) (File, error)
 	// Open opens an existing file read-only.
 	Open(name string) (File, error)
-	// Append opens a file for appending, creating it if absent.
-	Append(name string) (File, error)
 	// OpenRW opens an existing file for read/write without truncation.
 	OpenRW(name string) (File, error)
 	// Rename atomically renames oldname to newname, replacing any

@@ -162,9 +162,9 @@ func TestShardedMatchesSequential(t *testing.T) {
 // where it stopped, however often, and one replay reads every era.
 func TestShardedReopenChangedShardCount(t *testing.T) {
 	fs := vfs.NewMem(1)
-	next := uint64(1)
+	at := ReplayResult{NextSeq: 1}
 	for round := 0; round < 3; round++ {
-		l, err := Open(fs, "log", next, Options{})
+		l, err := Open(fs, "log", at, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,8 +172,7 @@ func TestShardedReopenChangedShardCount(t *testing.T) {
 			commit(t, l, fmt.Sprintf("r%d-%d", round, i))
 		}
 		l.Close()
-		res, _ := strs(t, fs, "log", 1, ReplayOptions{})
-		next = res.NextSeq
+		at, _ = strs(t, fs, "log", 1, ReplayOptions{})
 	}
 	res, got := strs(t, fs, "log", 1, ReplayOptions{})
 	if res.Entries != 12 || got[4] != "r1-0" || got[11] != "r2-3" {
@@ -201,7 +200,7 @@ func TestShardedGapDiscardsUnacked(t *testing.T) {
 	if res.Entries != 4 || res.NextSeq != 5 || got[3] != "acked-3" {
 		t.Fatalf("after crash: %+v %v", res, got)
 	}
-	l2, err := Open(fs, "log", res.NextSeq, Options{})
+	l2, err := Open(fs, "log", res, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,10 +234,11 @@ func TestShardedTornStreamTail(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		commit(t, l, fmt.Sprintf("acked-%d", i))
 	}
+	end := l.Size()
 	l.Close()
 	full := frame(5, []byte("this frame is torn in half"))
-	f, _ := fs.Append("log")
-	f.Write(full[:len(full)/2])
+	f, _ := fs.OpenRW("log")
+	f.WriteAt(full[:len(full)/2], end)
 	f.Close()
 	fs.CrashTorn(8)
 
@@ -246,7 +246,7 @@ func TestShardedTornStreamTail(t *testing.T) {
 	if res.Entries != 4 || !res.Truncated || got[3] != "acked-3" {
 		t.Fatalf("%+v %v", res, got)
 	}
-	l2, err := Open(fs, "log", res.NextSeq, Options{})
+	l2, err := Open(fs, "log", res, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func testGroupCommitBatches(t *testing.T) {
 func TestShardedOneStreamIsPlainLog(t *testing.T) {
 	fs := vfs.NewMem(1)
 	before := runtime.NumGoroutine()
-	l, err := Open(fs, "log", 1, Options{Head: []byte("h")})
+	l, err := Open(fs, "log", ReplayResult{NextSeq: 1}, Options{Head: []byte("h")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +552,7 @@ func TestShardedClosed(t *testing.T) {
 // entry, however the log was opened; a log holding only a head has none.
 func TestFirstSeqSharded(t *testing.T) {
 	fs := vfs.NewMem(1)
-	l, _ := Open(fs, "log", 7, Options{Head: []byte("h")})
+	l, _ := Open(fs, "log", ReplayResult{NextSeq: 7}, Options{Head: []byte("h")})
 	for i := 0; i < 4; i++ { // seqs 7..10
 		commit(t, l, "x")
 	}
@@ -561,7 +561,7 @@ func TestFirstSeqSharded(t *testing.T) {
 		t.Errorf("got %d %v %v", seq, ok, err)
 	}
 
-	l2, _ := Open(fs, "empty", 1, Options{Head: []byte("h")})
+	l2, _ := Open(fs, "empty", ReplayResult{NextSeq: 1}, Options{Head: []byte("h")})
 	l2.Close()
 	if _, ok, err := FirstSeq(fs, "empty"); ok || err != nil {
 		t.Errorf("head only: %v %v", ok, err)
@@ -605,11 +605,7 @@ func TestShardedStreamsShareHead(t *testing.T) {
 	fs := vfs.NewMem(1)
 	open := func(head string) *Log {
 		t.Helper()
-		l, err := Open(fs, "log", 1, Options{Head: []byte(head)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l
+		return reopen(t, fs, "log", Options{Head: []byte(head)})
 	}
 	l := open("h")
 	if string(l.Head()) != "h" {
@@ -654,13 +650,13 @@ func (f statFails) Stat(string) (int64, error) { return 0, f.err }
 // Open returns the error and leaves the bytes alone.
 func TestOpenStatErrorKeepsLog(t *testing.T) {
 	mem := vfs.NewMem(1)
-	l, _ := Open(mem, "log", 1, Options{Head: []byte("h")})
+	l, _ := Open(mem, "log", ReplayResult{NextSeq: 1}, Options{Head: []byte("h")})
 	commit(t, l, "acknowledged")
 	l.Close()
 	before, _ := vfs.ReadFile(mem, "log")
 
 	eio := errors.New("input/output error")
-	if _, err := Open(statFails{mem, eio}, "log", 2, Options{Head: []byte("h")}); !errors.Is(err, eio) {
+	if _, err := Open(statFails{mem, eio}, "log", ReplayResult{NextSeq: 2}, Options{Head: []byte("h")}); !errors.Is(err, eio) {
 		t.Fatalf("Open over a failing stat = %v, want %v", err, eio)
 	}
 	if after, _ := vfs.ReadFile(mem, "log"); !bytes.Equal(before, after) {

@@ -35,9 +35,20 @@
 // (logfileN). A database that wants several logs is several stores, one per
 // partition (§7; internal/multistore), whose logs never order the same
 // update.
+//
+// The file runs ahead of its frames. A flush whose frames would pass the
+// file's end carries zeros up to the next 64 KiB boundary in its one write,
+// and later flushes overwrite those zeros in place. A sync that changes no
+// file size is the one data write the paper counts: on ext4 an appending
+// fsync also commits a journal transaction for the new size, one more
+// device write per update. So zeros running from a frame boundary to the
+// end of the file are the log's clean end, not a torn tail; a zero run with
+// anything but zeros behind it is torn, since the flush that left it
+// persisted a later page before an earlier one.
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -56,6 +67,13 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // maxSpareFlushBuf bounds the flush buffer kept across group commits.
 const maxSpareFlushBuf = 1 << 20
 
+// allocChunk is the boundary a flush that passes the file's end extends the
+// file to, with zeros.
+const allocChunk = 64 << 10
+
+// zeros is what an extending flush appends to its frames.
+var zeros [allocChunk]byte
+
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log is closed")
 
@@ -69,11 +87,12 @@ type Options struct {
 	// what it costs.
 	NoSync bool
 	// Head is the head frame payload Open gives a log file it finds absent
-	// or empty; nil writes no head.
+	// or holding no frame; nil writes no head.
 	Head []byte
 	// Obs, when non-nil, receives the log's metrics: wal_appends,
 	// wal_append_bytes (entry frames), wal_head_bytes, wal_flushes,
-	// wal_flush_ns, wal_flush_bytes and wal_group_entries.
+	// wal_extends (flushes that grew the file), wal_flush_ns,
+	// wal_flush_bytes (entry frames) and wal_group_entries.
 	Obs *obs.Registry
 	// Tracer, when non-nil, receives a "log.flush" event per disk write.
 	Tracer obs.Tracer
@@ -86,6 +105,7 @@ type metrics struct {
 	appendBytes  *obs.Counter   // framed bytes enqueued
 	headBytes    *obs.Counter   // head frames of the files appended to
 	flushes      *obs.Counter   // disk writes (write+sync pairs)
+	extends      *obs.Counter   // flushes that grew the file
 	flushNS      *obs.Histogram // latency of one write+sync
 	flushBytes   *obs.Histogram // bytes per disk write
 	groupEntries *obs.Histogram // entries sharing one disk write
@@ -97,6 +117,7 @@ func newMetrics(reg *obs.Registry) metrics {
 		appendBytes:  reg.Counter("wal_append_bytes"),
 		headBytes:    reg.Counter("wal_head_bytes"),
 		flushes:      reg.Counter("wal_flushes"),
+		extends:      reg.Counter("wal_extends"),
 		flushNS:      reg.Histogram("wal_flush_ns"),
 		flushBytes:   reg.Histogram("wal_flush_bytes"),
 		groupEntries: reg.Histogram("wal_group_entries"),
@@ -112,8 +133,10 @@ type Log struct {
 	cond         *sync.Cond
 	f            vfs.File
 	head         []byte // the payload of f's head frame at open, nil without one
+	headLen      int64  // the length of f's head frame
 	nextSeq      uint64
-	size         int64
+	end          int64  // file offset past the last frame enqueued
+	alloc        int64  // f's length: zeros from the last frame written up to here
 	pending      []byte // frames appended but not yet written+synced (group commit)
 	spare        []byte // the previous flush's buffer, recycled to rebuild pending
 	pendingCount int    // entries in pending
@@ -144,7 +167,7 @@ func Create(fs vfs.FS, name string, firstSeq uint64, opts Options) (*Log, error)
 		f.Close()
 		return nil, err
 	}
-	return newLog(f, firstSeq, opts)
+	return newLog(f, firstSeq, 0, nil, opts)
 }
 
 // HeadFrame is the head frame of a log file whose head payload is head: the
@@ -156,39 +179,47 @@ func HeadFrame(head []byte) []byte {
 	return frame(0, head)
 }
 
-// Open opens the named log for appending. nextSeq must be one past the
-// sequence of the last entry (as reported by Replay during recovery). A file
-// that does not exist, or is empty — left so by a crash inside its creation —
-// is first written (and synced) holding only opts.Head's frame. Any other
-// failure to stat the file is returned: a log of acknowledged updates is
-// never rewritten because it could not be read.
-func Open(fs vfs.FS, name string, nextSeq uint64, opts Options) (*Log, error) {
-	if nextSeq == 0 {
+// Open opens the named log for appending where the replay at left it: the
+// next entry takes sequence at.NextSeq and is written at at.GoodSize, past
+// the last intact frame, whatever the file holds beyond — so Open reads
+// nothing of the log. A torn tail must have been cut first (Replay with
+// Repair). A file that does not exist, or holds no frame — left so by a
+// crash inside its creation — is first written (and synced) holding only
+// opts.Head's frame. Any other failure to stat the file is returned: a log
+// of acknowledged updates is never rewritten because it could not be read.
+func Open(fs vfs.FS, name string, at ReplayResult, opts Options) (*Log, error) {
+	if at.NextSeq == 0 {
 		return nil, fmt.Errorf("wal: nextSeq must be ≥ 1")
 	}
+	end, head := at.GoodSize, at.Head
 	size, err := fs.Stat(name)
-	if errors.Is(err, vfs.ErrNotExist) || err == nil && size == 0 && opts.Head != nil {
+	switch {
+	case errors.Is(err, vfs.ErrNotExist) || err == nil && end == 0 && opts.Head != nil:
+		end, head = int64(len(HeadFrame(opts.Head))), opts.Head
 		err = vfs.WriteFile(fs, name, HeadFrame(opts.Head))
+	case err == nil && (size < end || at.Truncated && size > end):
+		err = fmt.Errorf("wal: %s holds %d bytes where its replay ended at %d: replay it with Repair before opening", name, size, end)
 	}
 	if err != nil {
 		return nil, err
 	}
-	f, err := fs.Append(name)
+	f, err := fs.OpenRW(name)
 	if err != nil {
 		return nil, err
 	}
-	return newLog(f, nextSeq, opts)
+	return newLog(f, at.NextSeq, end, head, opts)
 }
 
-// newLog wraps f as a Log appending from nextSeq.
-func newLog(f vfs.File, nextSeq uint64, opts Options) (*Log, error) {
-	size, err := f.Size()
+// newLog wraps f as a Log appending from nextSeq at offset end, past a head
+// frame holding head.
+func newLog(f vfs.File, nextSeq uint64, end int64, head []byte, opts Options) (*Log, error) {
+	alloc, err := f.Size()
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	head, n := readHead(f, size)
-	l := &Log{opts: opts, m: newMetrics(opts.Obs), f: f, head: head, nextSeq: nextSeq, size: size - n}
+	n := int64(len(HeadFrame(head)))
+	l := &Log{opts: opts, m: newMetrics(opts.Obs), f: f, head: head, headLen: n, nextSeq: nextSeq, end: end, alloc: alloc}
 	l.m.headBytes.Add(uint64(n))
 	l.cond = sync.NewCond(&l.mu)
 	l.committed = nextSeq - 1
@@ -220,7 +251,7 @@ func readHead(f vfs.File, size int64) ([]byte, int64) {
 func (l *Log) Size() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.size
+	return l.end - l.headLen
 }
 
 // Head reports the head frame payload of the file the log was opened on, nil
@@ -304,7 +335,7 @@ func (l *Log) enqueueLocked(payload []byte) (uint64, error) {
 	}
 	l.pendingCount++
 	l.pendingHi = seq
-	l.size += int64(frameLen)
+	l.end += int64(frameLen)
 	l.m.appends.Inc()
 	l.m.appendBytes.Add(uint64(frameLen))
 	return seq, nil
@@ -338,9 +369,12 @@ func (l *Log) waitDurable(seq uint64) error {
 	}
 }
 
-// flushLocked writes and syncs all pending frames. Called with l.mu held
-// and no flush in flight; marks itself the flush in flight (l.syncing),
-// releases l.mu around the I/O, and wakes every waiter when done.
+// flushLocked writes and syncs all pending frames, in one write at the end
+// of the frames already written; the write carries zeros up to the next
+// allocChunk boundary when the frames would pass the file's end. Called with
+// l.mu held and no flush in flight; marks itself the flush in flight
+// (l.syncing), releases l.mu around the I/O, and wakes every waiter when
+// done.
 func (l *Log) flushLocked() error {
 	l.syncing = true
 	defer func() {
@@ -361,16 +395,24 @@ func (l *Log) flushLocked() error {
 		l.spare = buf
 		return nil
 	}
+	n := len(buf)
+	off := l.end - int64(n)
+	alloc := l.alloc
+	if off+int64(n) > alloc {
+		alloc = (off + int64(n) + allocChunk - 1) / allocChunk * allocChunk
+		buf = append(buf, zeros[:alloc-off-int64(n)]...)
+	}
 	l.mu.Unlock()
 	start := time.Now()
-	_, err := l.f.Write(buf)
+	_, err := l.f.WriteAt(buf, off)
 	if err == nil && !l.opts.NoSync {
 		err = l.f.Sync()
 	}
 	dur := time.Since(start)
+	buf = buf[:n]
 	l.m.flushes.Inc()
 	l.m.flushNS.ObserveDuration(dur)
-	l.m.flushBytes.Observe(int64(len(buf)))
+	l.m.flushBytes.Observe(int64(n))
 	l.m.groupEntries.Observe(int64(entries))
 	if l.opts.Tracer != nil {
 		l.opts.Tracer.Emit(obs.Event{Name: "log.flush", Time: start, Dur: dur, Err: err, Attrs: []obs.Attr{
@@ -387,6 +429,10 @@ func (l *Log) flushLocked() error {
 	if err != nil {
 		l.err = fmt.Errorf("wal: append failed, log poisoned: %w", err)
 		return l.err
+	}
+	if alloc > l.alloc {
+		l.alloc = alloc
+		l.m.extends.Inc()
 	}
 	if hi > l.committed {
 		l.committed = hi
@@ -437,9 +483,10 @@ func (l *Log) EndTail() ([]byte, int64) {
 
 // Retarget makes f the file the log appends to, and
 // closes the old one: the end of a checkpoint, whose new log file f durably
-// holds its head frame and the tail. The sequence numbering goes on
-// unchanged. The caller must have quiesced appends and flushed the log, so
-// no frame is owed to the old file.
+// holds its head frame and the tail, and nothing past them. The sequence
+// numbering goes on unchanged. The caller must have quiesced appends and
+// flushed the log, so no frame is owed to the old file; the old file keeps
+// its zeros until retention removes it.
 func (l *Log) Retarget(f vfs.File) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -453,7 +500,7 @@ func (l *Log) Retarget(f vfs.File) error {
 	_, n := readHead(f, size)
 	l.m.headBytes.Add(uint64(n))
 	_ = l.f.Close() // the superseded version's log; best-effort
-	l.f, l.size = f, size-n
+	l.f, l.headLen, l.end, l.alloc = f, n, size, size
 	return nil
 }
 
@@ -525,15 +572,18 @@ type ReplayResult struct {
 	// Damaged is the number of unreadable entries skipped (only with
 	// SkipDamaged).
 	Damaged int
-	// GoodSize is the byte offset just past the last intact entry.
+	// GoodSize is the byte offset just past the last intact entry: where
+	// the log's zeros begin, if it ends in them, and where Open appends.
 	GoodSize int64
 	// Head is the payload of the file's head frame, nil when it has none.
 	Head []byte
 }
 
 // Replay reads the named log from the beginning, calling fn for each intact
-// entry in order. A torn tail (truncated data or bad checksum at the end)
-// ends replay without error. fn errors abort replay.
+// entry in order. Zeros from a frame boundary to the end of the file are the
+// log's clean end. A torn tail (truncated data or bad checksum at the end,
+// zeros with anything but zeros behind them) ends replay without error. fn
+// errors abort replay.
 //
 // firstSeq is the sequence expected of the first entry, 0 accepting any;
 // Replay verifies the sequence numbers are dense from there on, so a lost or
@@ -589,6 +639,9 @@ func Replay(fs vfs.FS, name string, firstSeq uint64, opts ReplayOptions, fn func
 			res.GoodSize = off
 			expect = seq + 1
 			res.NextSeq = expect
+		case zeroFrom(f, off, size):
+			// The file's allocated tail, where the next flush writes.
+			off = size // stop
 		case errors.Is(rerr, vfs.ErrDamaged) && n > 0 && !anyIntactFrom(f, off+n, size):
 			// Unreadable data running to the end of the log, with no
 			// intact entry beyond it: indistinguishable from a flush
@@ -680,6 +733,18 @@ func anyIntactFrom(f vfs.File, off, size int64) bool {
 		}
 	}
 	return false
+}
+
+// zeroFrom reports whether every byte of f from off to size reads as zero.
+func zeroFrom(f vfs.File, off, size int64) bool {
+	var buf [4 << 10]byte
+	for ; off < size; off += int64(len(buf)) {
+		n, err := f.ReadAt(buf[:], off)
+		if err != nil && (err != io.EOF || off+int64(n) < size) || !bytes.Equal(buf[:n], zeros[:n]) {
+			return false
+		}
+	}
+	return true
 }
 
 // errTorn marks a partially written tail entry.

@@ -32,7 +32,7 @@ func TestTornTailMatrix(t *testing.T) {
 		t.Run(fmt.Sprintf("tail%d", tailSize), func(t *testing.T) {
 			// Build the intact log once to learn the frame boundaries.
 			build := func(fs vfs.FS) (prefixEnd, fileEnd int64) {
-				l, err := Open(fs, "log", 1, Options{})
+				l, err := Open(fs, "log", ReplayResult{NextSeq: 1}, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -112,7 +112,7 @@ func TestTornTailMatrix(t *testing.T) {
 				if size, err := fs.Stat("log"); err != nil || size != wantGood {
 					t.Fatalf("cut=%d: repaired size %d, want %d (%v)", cut, size, wantGood, err)
 				}
-				l, err := Open(fs, "log", res.NextSeq, Options{})
+				l, err := Open(fs, "log", res, Options{})
 				if err != nil {
 					t.Fatalf("cut=%d: reopen after repair: %v", cut, err)
 				}
