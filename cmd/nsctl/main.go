@@ -142,7 +142,7 @@ func main() {
 			}
 		}
 		sc := obs.NewRootContext()
-		if err := client.CallTraced(sc, "NS.Set", &nameserver.SetArgs{Name: name, Value: value}, &nameserver.SetReply{}); err != nil {
+		if err := client.CallRetry(sc, "NS.Set", &nameserver.SetArgs{Name: name, Value: value}, &nameserver.SetReply{}, rpc.RetryPolicy{}); err != nil {
 			fatal("trace: set: %v", err)
 		}
 		var reply nameserver.TraceReply

@@ -75,10 +75,10 @@ func main() {
 
 	// The registry is always built (it is one map); -debug decides
 	// whether it is served. The tracer fans out to the span collector
-	// behind /debug/trace and the "Trace" RPC service, the crash-surviving
-	// flight recorder in the database directory (whose in-memory tail is
-	// /debug/flight and /stats' recent events), and (with -slow) the
-	// slow-op logger.
+	// behind /debug/trace and the "Trace" RPC service (the calls whose
+	// callers sent a trace context), the crash-surviving flight recorder
+	// in the database directory (whose in-memory tail is /debug/flight and
+	// /stats' recent events), and (with -slow) the slow-op logger.
 	reg := obs.NewRegistry()
 	traces := obs.NewTraceBuffer(4096)
 	flight, err := obs.OpenFlight(obs.FlightConfig{FS: fs, FlushEvery: 250 * time.Millisecond})
@@ -136,7 +136,7 @@ func main() {
 		if err := srv.Register("Replica", replica.NewService(node)); err != nil {
 			log.Fatalf("nsd: %v", err)
 		}
-		if err := srv.Register("NS", replica.NewNSService(node)); err != nil {
+		if err := srv.Register("NS", nameserver.NewRPCService(node)); err != nil {
 			log.Fatalf("nsd: %v", err)
 		}
 		closer = node

@@ -364,6 +364,57 @@ func TestDebugEndpoint(t *testing.T) {
 	}
 }
 
+// TestTraceEndToEnd runs nsctl trace against a live nsd. A call is traced
+// only when its caller sends a context: untraced calls leave /debug/trace
+// empty, and nsctl trace's Set, printed as its commit's timeline, is the
+// one trace listed after it.
+func TestTraceEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs real binaries")
+	}
+	bin := buildTools(t)
+	addr := freePort(t)
+	debugAddr := freePort(t)
+	daemon := exec.Command(filepath.Join(bin, "nsd"), "-dir", t.TempDir(), "-listen", addr, "-debug", debugAddr)
+	daemon.Stderr = os.Stderr
+	if err := daemon.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		daemon.Process.Signal(os.Interrupt)
+		daemon.Wait()
+	}()
+	waitForServer(t, addr)
+	waitForServer(t, debugAddr)
+	base := "http://" + debugAddr
+
+	if out, err := nsctl(t, bin, addr, "set", "obs/k1", "v"); err != nil {
+		t.Fatalf("set: %v\n%s", err, out)
+	}
+	if out, err := nsctl(t, bin, addr, "lookup", "obs/k1"); err != nil {
+		t.Fatalf("lookup: %v\n%s", err, out)
+	}
+	if _, body := httpGet(t, base+"/debug/trace"); !strings.Contains(body, "no traces recorded") {
+		t.Errorf("/debug/trace after untraced calls:\n%s", body)
+	}
+	out, err := nsctl(t, bin, addr, "trace", "obs/k1")
+	if err != nil {
+		t.Fatalf("trace: %v\n%s", err, out)
+	}
+	var id string
+	if _, err := fmt.Sscanf(out, "trace %s 8 events", &id); err != nil {
+		t.Fatalf("trace output does not open with an 8-event header: %v\n%s", err, out)
+	}
+	for _, name := range []string{"rpc.call", "update.commit", "lock.wait", "verify", "pickle", "wal.append", "apply", "wal.sync"} {
+		if !strings.Contains(out, name) {
+			t.Errorf("trace timeline lacks %s:\n%s", name, out)
+		}
+	}
+	if _, body := httpGet(t, base+"/debug/trace"); strings.Count(body, " events") != 1 || !strings.Contains(body, strings.TrimSuffix(id, ":")) {
+		t.Errorf("/debug/trace should list trace %s alone:\n%s", id, body)
+	}
+}
+
 // TestCrashTortureBounded runs the crashtest CLI with a small op budget:
 // every crash point of a 10-update workload, in both store and replica
 // modes, must recover with zero invariant violations. A full-size sweep

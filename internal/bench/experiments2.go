@@ -377,7 +377,7 @@ func E11(env Env) ([]*Table, error) {
 	go srv.ServeConn(sConn)
 	client := rpc.NewClient(cConn)
 	defer client.Close()
-	client.SimulatedRTT = 8 * time.Millisecond
+	rtt := 8 * time.Millisecond // the paper's network; each timed call sleeps it first
 
 	iters := env.iters(100, 15)
 	rng := rand.New(rand.NewSource(env.Seed))
@@ -401,6 +401,7 @@ func E11(env Env) ([]*Table, error) {
 	for i := 0; i < iters; i++ {
 		name := NameFor(rng.Intn(1000))
 		t0 := time.Now()
+		time.Sleep(rtt)
 		var lr nameserver.LookupReply
 		if err := client.Call("NS.Lookup", &nameserver.LookupArgs{Name: name}, &lr); err != nil {
 			return nil, err
@@ -413,6 +414,7 @@ func E11(env Env) ([]*Table, error) {
 	for i := 0; i < iters; i++ {
 		name := NameFor(rng.Intn(1000))
 		t0 := time.Now()
+		time.Sleep(rtt)
 		if err := client.Call("NS.Set", &nameserver.SetArgs{Name: name, Value: Value(rng, 32)}, &nameserver.SetReply{}); err != nil {
 			return nil, err
 		}
@@ -425,7 +427,6 @@ func E11(env Env) ([]*Table, error) {
 	// 1987-equivalent: the 8 ms RTT is already at period-accurate speed;
 	// the server phases scale by the CPU model and the log write is the
 	// modeled disk.
-	rtt := 8 * time.Millisecond
 	enq1987 := rtt + slow(lookupCPU)
 	upd1987 := rtt + slow(updCPU) + updDisk
 

@@ -745,16 +745,6 @@ func (s *Store) Apply(u Update) error {
 	return err
 }
 
-// ApplyTraced is Apply carrying a trace context. When sc belongs to a
-// trace and the store has a tracer, the update becomes an "update.commit"
-// span under sc with a child span per phase — lock wait, verify, pickle,
-// WAL append, the durability sync and apply. An invalid sc degrades to
-// exactly the untraced path.
-func (s *Store) ApplyTraced(u Update, sc obs.SpanContext) error {
-	_, err := s.commit([]Update{u}, sc)
-	return err
-}
-
 // ApplyBatch commits a batch of updates through one pass of the pipeline:
 // one lock acquisition, one published version and — with a versioned root —
 // one log sync covering the whole batch. The batch is NOT atomic: if
@@ -772,11 +762,15 @@ func (s *Store) ApplyBatch(us []Update) error {
 	return err
 }
 
-// ApplyBatchTraced is ApplyBatch carrying a trace context (see ApplyTraced)
-// and reporting how many updates it committed. An error with the store still
-// usable is a refusal of us[applied] — its Verify failed — and a caller that
-// can classify the refusal may resume with us[applied+1:]. An error that
-// poisoned the store reports 0: nothing the call did is acknowledged.
+// ApplyBatchTraced is ApplyBatch carrying a trace context and reporting how
+// many updates it committed. When sc belongs to a trace and the store has a
+// tracer, the batch becomes an "update.commit" span under sc with a child
+// span per phase — lock wait, verify, pickle, WAL append, the durability
+// sync and apply. A zero sc is exactly the untraced path. An error with
+// the store still usable is a refusal of us[applied] — its Verify failed —
+// and a caller that can classify the refusal may resume with
+// us[applied+1:]. An error that poisoned the store reports 0: nothing the
+// call did is acknowledged.
 func (s *Store) ApplyBatchTraced(us []Update, sc obs.SpanContext) (applied int, err error) {
 	return s.commit(us, sc)
 }
@@ -821,12 +815,8 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) (applied int, err error)
 		return 0, nil
 	}
 	tracing := s.tracer != nil && s.tracer != obs.Nop
-	var upd obs.Span
-	var pt phaseTracer
-	if tracing && sc.Trace != 0 {
-		upd = obs.StartSpan(s.tracer, sc, "update.commit")
-		pt = phaseTracer{on: true, tr: s.tracer, ctx: upd.Context()}
-	}
+	upd := obs.StartSpan(s.tracer, sc, "update.commit")
+	pt := phaseTracer{on: upd.Active(), tr: s.tracer, ctx: upd.Context()}
 	start := time.Now()
 	lockWait := s.lock.Update()
 	if pt.on {

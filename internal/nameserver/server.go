@@ -127,31 +127,27 @@ func (s *Server) Count() (int, error) {
 
 // Set binds value to name, creating intermediate names.
 func (s *Server) Set(name, value string) error {
-	return s.SetTraced(name, value, obs.SpanContext{})
-}
-
-// SetTraced is Set under a trace context: the commit's phase spans land in
-// the caller's trace.
-func (s *Server) SetTraced(name, value string, sc obs.SpanContext) error {
 	parts, err := SplitPath(name)
 	if err != nil {
 		return err
 	}
-	return s.store.ApplyTraced(&SetValue{Path: parts, Value: value}, sc)
+	return s.store.Apply(&SetValue{Path: parts, Value: value})
 }
 
 // Delete removes name and its whole subtree.
 func (s *Server) Delete(name string) error {
-	return s.DeleteTraced(name, obs.SpanContext{})
-}
-
-// DeleteTraced is Delete under a trace context.
-func (s *Server) DeleteTraced(name string, sc obs.SpanContext) error {
 	parts, err := SplitPath(name)
 	if err != nil {
 		return err
 	}
-	return s.store.ApplyTraced(&DeleteSubtree{Path: parts}, sc)
+	return s.store.Apply(&DeleteSubtree{Path: parts})
+}
+
+// ApplyTraced commits one update under a trace context: when sc belongs to
+// a trace, the commit's phase spans land in it. A zero sc is Store().Apply.
+func (s *Server) ApplyTraced(u core.Update, sc obs.SpanContext) error {
+	_, err := s.store.ApplyBatchTraced([]core.Update{u}, sc)
+	return err
 }
 
 // Put installs subtree at name, replacing any existing subtree. The subtree

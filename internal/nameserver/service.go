@@ -1,19 +1,31 @@
 package nameserver
 
 import (
+	"smalldb/internal/core"
 	"smalldb/internal/obs"
 	"smalldb/internal/pickle"
 )
 
-// RPCService exposes a Server over the rpc package — the paper's §6 client
-// interface, with marshalling generated from the types rather than written
-// by hand. Register it as "NS".
-type RPCService struct {
-	srv *Server
+// Backend is the name tree an RPCService serves: a Server, or a replica
+// node, which acks an update at its write quorum and answers enquiries from
+// its local copy. ApplyTraced commits one update; a zero sc is untraced.
+type Backend interface {
+	Lookup(name string) (string, error)
+	List(name string) ([]string, error)
+	Enumerate(name string, fn func(name, value string) error) error
+	ApplyTraced(u core.Update, sc obs.SpanContext) error
 }
 
-// NewRPCService wraps a Server for remote access.
-func NewRPCService(s *Server) *RPCService { return &RPCService{srv: s} }
+// RPCService exposes a Backend over the rpc package — the paper's §6 client
+// interface, with marshalling generated from the types rather than written
+// by hand. Register it as "NS": clients talk to replicated and unreplicated
+// daemons identically.
+type RPCService struct {
+	b Backend
+}
+
+// NewRPCService wraps a Backend for remote access.
+func NewRPCService(b Backend) *RPCService { return &RPCService{b: b} }
 
 // LookupArgs names a single entry.
 type LookupArgs struct{ Name string }
@@ -23,7 +35,7 @@ type LookupReply struct{ Value string }
 
 // Lookup is the remote enquiry.
 func (s *RPCService) Lookup(args *LookupArgs, reply *LookupReply) error {
-	v, err := s.srv.Lookup(args.Name)
+	v, err := s.b.Lookup(args.Name)
 	reply.Value = v
 	return err
 }
@@ -37,7 +49,11 @@ type SetReply struct{}
 // Set is the remote update. It takes the rpc layer's span context so a
 // traced request's commit timeline chains under the caller's trace.
 func (s *RPCService) Set(args *SetArgs, reply *SetReply, sc obs.SpanContext) error {
-	return s.srv.SetTraced(args.Name, args.Value, sc)
+	parts, err := SplitPath(args.Name)
+	if err != nil {
+		return err
+	}
+	return s.b.ApplyTraced(&SetValue{Path: parts, Value: args.Value}, sc)
 }
 
 // DeleteArgs names a subtree.
@@ -48,7 +64,11 @@ type DeleteReply struct{}
 
 // Delete removes a subtree remotely.
 func (s *RPCService) Delete(args *DeleteArgs, reply *DeleteReply, sc obs.SpanContext) error {
-	return s.srv.DeleteTraced(args.Name, sc)
+	parts, err := SplitPath(args.Name)
+	if err != nil {
+		return err
+	}
+	return s.b.ApplyTraced(&DeleteSubtree{Path: parts}, sc)
 }
 
 // ListArgs names a node.
@@ -59,7 +79,7 @@ type ListReply struct{ Labels []string }
 
 // List enumerates a node's children remotely.
 func (s *RPCService) List(args *ListArgs, reply *ListReply) error {
-	labels, err := s.srv.List(args.Name)
+	labels, err := s.b.List(args.Name)
 	reply.Labels = labels
 	return err
 }
@@ -75,7 +95,7 @@ type EnumerateReply struct {
 
 // Enumerate browses a whole subtree remotely.
 func (s *RPCService) Enumerate(args *EnumerateArgs, reply *EnumerateReply) error {
-	return s.srv.Enumerate(args.Name, func(name, value string) error {
+	return s.b.Enumerate(args.Name, func(name, value string) error {
 		reply.Names = append(reply.Names, name)
 		reply.Values = append(reply.Values, value)
 		return nil

@@ -90,7 +90,7 @@ func TestApplyEntriesMatchesPerEntryLoop(t *testing.T) {
 				}
 			}
 
-			gotN, gotErr := batched.applyEntries(batch)
+			gotN, gotErr := batched.applyEntries(batch, obs.SpanContext{})
 			wantN, wantErr := applyEntriesOneByOne(reference, batch)
 			if gotN != wantN {
 				t.Fatalf("seed %d round %d: applied %d of %d, per-entry loop applied %d", seed, round, gotN, len(batch), wantN)
@@ -133,7 +133,7 @@ func TestApplyEntriesKeepsFirstError(t *testing.T) {
 		{Origin: "x", Seq: 1, Stamp: 2, Inner: &nameserver.SetValue{Path: []string{"k"}, Value: "v"}},
 		{Origin: "x", Seq: 2, Stamp: 3, Inner: &nameserver.DeleteSubtree{Path: []string{"second"}}},
 	}
-	applied, err := n.applyEntries(entries)
+	applied, err := n.applyEntries(entries, obs.SpanContext{})
 	if applied != 1 {
 		t.Errorf("applied %d entries, want 1", applied)
 	}

@@ -333,7 +333,7 @@ func (n *Node) pusher(ms *memberState) {
 		}
 		var reply PushReply
 		start := time.Now()
-		err := ms.client.CallRetryTraced(wire, "Replica.Push", &PushArgs{Entries: batch}, &reply, n.pushPolicy)
+		err := ms.client.CallRetry(wire, "Replica.Push", &PushArgs{Entries: batch}, &reply, n.pushPolicy)
 		n.m.pushes.Inc()
 		// The event is out before the ack below wakes the committer, so a
 		// W > 1 caller's tracer sees commit and push in one fixed order —
@@ -467,7 +467,7 @@ func (n *Node) repair(ms *memberState) {
 // member and returns the origin seq the member then covers.
 func (n *Node) repairRound(ms *memberState) (uint64, error) {
 	var vec VectorReply
-	if err := ms.client.CallRetry("Replica.Vector", &VectorArgs{}, &vec, n.syncPolicy); err != nil {
+	if err := ms.client.CallRetry(obs.SpanContext{}, "Replica.Vector", &VectorArgs{}, &vec, n.syncPolicy); err != nil {
 		return 0, err
 	}
 	var entries []Entry
@@ -489,7 +489,7 @@ func (n *Node) repairRound(ms *memberState) (uint64, error) {
 			return 0, err
 		}
 		var reply InstallReply
-		if err := ms.client.CallRetry("Replica.Install", &InstallArgs{Root: snap}, &reply, n.syncPolicy); err != nil {
+		if err := ms.client.CallRetry(obs.SpanContext{}, "Replica.Install", &InstallArgs{Root: snap}, &reply, n.syncPolicy); err != nil {
 			return 0, err
 		}
 		n.m.aeInstalls.Inc()
@@ -499,7 +499,7 @@ func (n *Node) repairRound(ms *memberState) (uint64, error) {
 		return vec.Vector[n.name], nil
 	}
 	var reply PushReply
-	if err := ms.client.CallRetry("Replica.Push", &PushArgs{Entries: entries}, &reply, n.syncPolicy); err != nil {
+	if err := ms.client.CallRetry(obs.SpanContext{}, "Replica.Push", &PushArgs{Entries: entries}, &reply, n.syncPolicy); err != nil {
 		return 0, err
 	}
 	// Repair batches are multi-origin and (origin, seq)-sorted, so

@@ -27,18 +27,23 @@ func makeGroup(t testing.TB, w int, names ...string) *groupCluster {
 	cfg := groupOf(w, names...)
 	cfg.QuorumTimeout = 5 * time.Second
 	cfg.AntiEntropyEvery = 10 * time.Millisecond
-	return makeGroupOf(t, cfg)
+	return makeGroupOf(t, Config{GroupConfig: cfg})
 }
 
-func makeGroupOf(t testing.TB, cfg GroupConfig) *groupCluster {
+// makeGroupOf opens the primary from primary, naming it after the group's
+// first member, and every other member behind an rpc server. Everything
+// the primary's goroutines read is set before Open starts them. The
+// members and their servers share the primary's tracer.
+func makeGroupOf(t testing.TB, primary Config) *groupCluster {
 	t.Helper()
 	gc := &groupCluster{}
-	for i, m := range cfg.Members {
-		name := m.Name
-		nc := Config{Name: name, FS: vfs.NewMem(int64(i + 1))}
+	for i, m := range primary.Members {
+		nc := Config{Name: m.Name, Tracer: primary.Tracer}
 		if i == 0 {
-			nc.GroupConfig = cfg
+			nc = primary
+			nc.Name = m.Name
 		}
+		nc.FS = vfs.NewMem(int64(i + 1))
 		n, err := Open(nc)
 		if err != nil {
 			t.Fatal(err)
@@ -48,6 +53,9 @@ func makeGroupOf(t testing.TB, cfg GroupConfig) *groupCluster {
 			continue
 		}
 		srv := rpc.NewServer()
+		if primary.Tracer != nil {
+			srv.Instrument(obs.NewRegistry(), primary.Tracer)
+		}
 		if err := srv.Register("Replica", NewService(n)); err != nil {
 			t.Fatal(err)
 		}
@@ -127,10 +135,11 @@ func TestGroupQuorumOneAndAll(t *testing.T) {
 }
 
 func TestGroupQuorumUnreachable(t *testing.T) {
-	gc := makeGroup(t, 0, "a", "b", "c")
-	gc.primary.group.QuorumTimeout = 300 * time.Millisecond
-	gc.primary.pushPolicy = rpc.RetryPolicy{MaxAttempts: 2, Budget: 100 * time.Millisecond, PerTry: 50 * time.Millisecond}
-	gc.primary.syncPolicy = gc.primary.pushPolicy
+	cfg := groupOf(0, "a", "b", "c")
+	cfg.QuorumTimeout = 300 * time.Millisecond
+	cfg.AntiEntropyEvery = 10 * time.Millisecond
+	policy := rpc.RetryPolicy{MaxAttempts: 2, Budget: 100 * time.Millisecond, PerTry: 50 * time.Millisecond}
+	gc := makeGroupOf(t, Config{GroupConfig: cfg, PushPolicy: policy, SyncPolicy: policy})
 	for _, s := range gc.servers {
 		s.Close() // every remote member goes dark; W=2 needs one of them
 	}
@@ -433,7 +442,7 @@ func BenchmarkReplicatedSet(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d/W=%d", tc.n, tc.w), func(b *testing.B) {
 			cfg := groupOf(tc.w, []string{"a", "b", "c"}[:tc.n]...)
 			cfg.AntiEntropyEvery = 0
-			gc := makeGroupOf(b, cfg)
+			gc := makeGroupOf(b, Config{GroupConfig: cfg})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := gc.primary.Set(fmt.Sprintf("bench/k%d", i%1000), "v"); err != nil {

@@ -200,12 +200,12 @@ func (n *Node) Store() *core.Store { return n.store }
 // catches up later through anti-entropy — and after W - 1 member acks
 // otherwise.
 func (n *Node) Apply(inner core.Update) error {
-	return n.ApplyTraced(inner, obs.SpanContext{})
+	return n.applyAll([]core.Update{inner}, obs.SpanContext{})
 }
 
 // ApplyTraced is Apply under a trace context: the local commit's phase
 // spans, the per-member push (with its rpc attempts), and the member's
-// remote apply all land in the caller's trace.
+// remote apply all land in the caller's trace. A zero sc is Apply.
 func (n *Node) ApplyTraced(inner core.Update, sc obs.SpanContext) error {
 	return n.applyAll([]core.Update{inner}, sc)
 }
@@ -257,30 +257,20 @@ func (n *Node) commitLocal(inners []core.Update, sc obs.SpanContext) ([]Entry, e
 
 // Set binds value to name in the replicated tree.
 func (n *Node) Set(name, value string) error {
-	return n.SetTraced(name, value, obs.SpanContext{})
-}
-
-// SetTraced is Set under a trace context.
-func (n *Node) SetTraced(name, value string, sc obs.SpanContext) error {
 	parts, err := nameserver.SplitPath(name)
 	if err != nil {
 		return err
 	}
-	return n.ApplyTraced(&nameserver.SetValue{Path: parts, Value: value}, sc)
+	return n.Apply(&nameserver.SetValue{Path: parts, Value: value})
 }
 
 // Delete removes name and its subtree.
 func (n *Node) Delete(name string) error {
-	return n.DeleteTraced(name, obs.SpanContext{})
-}
-
-// DeleteTraced is Delete under a trace context.
-func (n *Node) DeleteTraced(name string, sc obs.SpanContext) error {
 	parts, err := nameserver.SplitPath(name)
 	if err != nil {
 		return err
 	}
-	return n.ApplyTraced(&nameserver.DeleteSubtree{Path: parts}, sc)
+	return n.Apply(&nameserver.DeleteSubtree{Path: parts})
 }
 
 // Lookup, List and Enumerate are nameserver's tree enquiries against the
@@ -414,18 +404,13 @@ func (n *Node) Vector() (map[string]uint64, error) {
 
 // applyEntries applies remote entries in order, skipping already-applied
 // ones and stopping an origin's run at a gap. It reports how many entries
-// were newly applied.
-func (n *Node) applyEntries(entries []Entry) (applied int, err error) {
-	return n.applyEntriesTraced(entries, obs.SpanContext{})
-}
-
-// applyEntriesTraced is applyEntries under a trace context: the batch's
-// local commit records its phase spans into the pushing side's trace. The
-// entries go through one store batch — one log sync however many a
-// coalesced or repair push carries — resumed after each refused entry, so
-// every entry is still judged against the state its predecessors left. Of
-// several unclassified refusals the first is reported.
-func (n *Node) applyEntriesTraced(entries []Entry, sc obs.SpanContext) (applied int, err error) {
+// were newly applied. Under a trace context sc the batch's local commit
+// records its phase spans into the pushing side's trace. The entries go
+// through one store batch — one log sync however many a coalesced or repair
+// push carries — resumed after each refused entry, so every entry is still
+// judged against the state its predecessors left. Of several unclassified
+// refusals the first is reported.
+func (n *Node) applyEntries(entries []Entry, sc obs.SpanContext) (applied int, err error) {
 	us := make([]core.Update, len(entries))
 	for i, e := range entries {
 		us[i] = e.update()
@@ -490,17 +475,17 @@ func (n *Node) syncWith(client *rpc.Client, sc obs.SpanContext) (applied int, fu
 		return 0, false, err
 	}
 	var reply PullReply
-	if err := client.CallRetryTraced(sc, "Replica.Pull", &PullArgs{Vector: vec}, &reply, n.syncPolicy); err != nil {
+	if err := client.CallRetry(sc, "Replica.Pull", &PullArgs{Vector: vec}, &reply, n.syncPolicy); err != nil {
 		return 0, false, err
 	}
 	if reply.NeedFull {
 		var snap SnapshotReply
-		if err := client.CallRetryTraced(sc, "Replica.Snapshot", &SnapshotArgs{}, &snap, n.syncPolicy); err != nil {
+		if err := client.CallRetry(sc, "Replica.Snapshot", &SnapshotArgs{}, &snap, n.syncPolicy); err != nil {
 			return 0, true, err
 		}
 		return 0, true, n.installSnapshot(snap.Root)
 	}
-	applied, err = n.applyEntriesTraced(reply.Entries, sc)
+	applied, err = n.applyEntries(reply.Entries, sc)
 	return applied, false, err
 }
 
@@ -585,7 +570,7 @@ func (u *installSnapshot) Apply(root any) error {
 // had not propagated anywhere.
 func (n *Node) RestoreFromPeer(client *rpc.Client) error {
 	var snap SnapshotReply
-	if err := client.CallRetry("Replica.Snapshot", &SnapshotArgs{}, &snap, n.syncPolicy); err != nil {
+	if err := client.CallRetry(obs.SpanContext{}, "Replica.Snapshot", &SnapshotArgs{}, &snap, n.syncPolicy); err != nil {
 		return err
 	}
 	return n.installSnapshot(snap.Root)
@@ -640,7 +625,7 @@ type PushReply struct {
 // under the origin's trace ID.
 func (s *Service) Push(args *PushArgs, reply *PushReply, sc obs.SpanContext) error {
 	start := time.Now()
-	applied, err := s.node.applyEntriesTraced(args.Entries, sc)
+	applied, err := s.node.applyEntries(args.Entries, sc)
 	reply.Applied = applied
 	reply.Node = s.node.name
 	reply.ApplyNS = int64(time.Since(start))

@@ -3,9 +3,12 @@ package replica
 import (
 	"net"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"smalldb/internal/nameserver"
+	"smalldb/internal/obs"
 	"smalldb/internal/rpc"
 	"smalldb/internal/vfs"
 )
@@ -28,7 +31,8 @@ func serveNS(t *testing.T, svc any) *rpc.Client {
 }
 
 // TestNSServiceMatchesNameserver: a client cannot tell a replicated daemon
-// from an unreplicated one. The same names go in through NS.Set, and every
+// from an unreplicated one. The NS service serves a Node as it serves a
+// nameserver.Server: the same names go in through NS.Set, and every
 // enquiry — hit, miss, valueless interior name — answers identically, error
 // text included.
 func TestNSServiceMatchesNameserver(t *testing.T) {
@@ -44,7 +48,7 @@ func TestNSServiceMatchesNameserver(t *testing.T) {
 	defer node.Close()
 	clients := map[string]*rpc.Client{
 		"nameserver": serveNS(t, nameserver.NewRPCService(plain)),
-		"replica":    serveNS(t, NewNSService(node)),
+		"replica":    serveNS(t, nameserver.NewRPCService(node)),
 	}
 
 	for _, name := range []string{"d/b", "d/a", "d/c/deep", "e"} {
@@ -100,5 +104,121 @@ func TestNSServiceMatchesNameserver(t *testing.T) {
 	}
 	if want := []string{"d/a", "d/b", "d/c/deep"}; !reflect.DeepEqual(en.Names, want) {
 		t.Errorf("replica NS.Enumerate d = %v, want %v", en.Names, want)
+	}
+}
+
+// TestNSServiceTracesOnlyCallersTraces: behind an instrumented rpc server,
+// the NS service over a Server and over a W = 2 Node starts no trace of its
+// own. An untraced Set leaves nothing in the trace buffer, only untraced
+// events. A Set under the caller's context puts the call, its commit and
+// the commit's six phases under that trace — at W = 2 also the push, its
+// rpc attempt and the member's commit.
+func TestNSServiceTracesOnlyCallersTraces(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T, tr obs.Tracer) nameserver.Backend
+		// untraced lists the events an untraced Set must emit.
+		untraced []string
+	}{
+		{"server", func(t *testing.T, tr obs.Tracer) nameserver.Backend {
+			s, err := nameserver.Open(nameserver.Config{FS: vfs.NewMem(1), Tracer: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			return s
+		}, []string{"rpc.call", "update.commit", "log.flush"}},
+		{"node W=2", func(t *testing.T, tr obs.Tracer) nameserver.Backend {
+			return makeGroupOf(t, Config{GroupConfig: groupOf(2, "a", "b"), Tracer: tr}).primary
+		}, []string{"rpc.call", "update.commit", "log.flush", "replica.push"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var events []obs.Event
+			tb := obs.NewTraceBuffer(256)
+			tr := obs.Multi(tb, obs.FuncTracer(func(e obs.Event) {
+				mu.Lock()
+				events = append(events, e)
+				mu.Unlock()
+			}))
+			srv := rpc.NewServer()
+			srv.Instrument(obs.NewRegistry(), tr)
+			if err := srv.Register("NS", nameserver.NewRPCService(tc.open(t, tr))); err != nil {
+				t.Fatal(err)
+			}
+			cc, sc := net.Pipe()
+			go srv.ServeConn(sc)
+			client := rpc.NewClient(cc)
+			t.Cleanup(func() {
+				client.Close()
+				srv.Close()
+			})
+			taken := func() []obs.Event {
+				mu.Lock()
+				defer mu.Unlock()
+				out := events
+				events = nil
+				return out
+			}
+			taken() // drop the events of opening the store
+
+			if err := client.Call("NS.Set", &nameserver.SetArgs{Name: "a/b", Value: "1"}, &nameserver.SetReply{}); err != nil {
+				t.Fatal(err)
+			}
+			if got := tb.Traces(); len(got) != 0 {
+				t.Errorf("untraced Set started traces: %+v", got)
+			}
+			seen := map[string]bool{}
+			for _, e := range taken() {
+				if e.Trace != 0 || !slices.Contains(tc.untraced, e.Name) {
+					t.Errorf("untraced Set emitted %v", e)
+				}
+				seen[e.Name] = true
+			}
+			for _, name := range tc.untraced {
+				if !seen[name] {
+					t.Errorf("untraced Set emitted no %s", name)
+				}
+			}
+
+			root := obs.NewRootContext()
+			if err := client.CallRetry(root, "NS.Set", &nameserver.SetArgs{Name: "a/b", Value: "2"}, &nameserver.SetReply{}, rpc.RetryPolicy{}); err != nil {
+				t.Fatal(err)
+			}
+			trace := tb.Trace(root.Trace)
+			children := func(parent obs.SpanID, name string) []obs.Event {
+				var out []obs.Event
+				for _, e := range trace {
+					if e.Parent == parent && e.Name == name {
+						out = append(out, e)
+					}
+				}
+				return out
+			}
+			// one follows the chain parent → name and returns its one span.
+			one := func(parent obs.Event, name string) obs.Event {
+				t.Helper()
+				got := children(parent.Span, name)
+				if len(got) != 1 {
+					t.Fatalf("%d %s spans under %s, want 1; trace:\n%v", len(got), name, parent.Name, trace)
+				}
+				return got[0]
+			}
+			commitHasPhases := func(commit obs.Event) {
+				t.Helper()
+				for _, phase := range []string{"lock.wait", "verify", "pickle", "wal.append", "apply", "wal.sync"} {
+					if len(children(commit.Span, phase)) == 0 {
+						t.Errorf("no %s span under %v", phase, commit)
+					}
+				}
+			}
+			call := one(obs.Event{Name: "the caller", Span: root.Span}, "rpc.call")
+			commitHasPhases(one(call, "update.commit"))
+			if tc.name == "server" {
+				return
+			}
+			attempt := one(one(call, "replica.push"), "rpc.attempt")
+			commitHasPhases(one(one(attempt, "rpc.call"), "update.commit"))
+		})
 	}
 }

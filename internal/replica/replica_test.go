@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"smalldb/internal/nameserver"
+	"smalldb/internal/obs"
 	"smalldb/internal/rpc"
 	"smalldb/internal/vfs"
 )
@@ -139,7 +140,7 @@ func TestDuplicateDeliveryIgnored(t *testing.T) {
 	}
 	parts, _ := nameserver.SplitPath("x")
 	entry := Entry{Origin: "a", Seq: 1, Inner: &nameserver.SetValue{Path: parts, Value: "1"}}
-	applied, err := c.nodes[1].applyEntries([]Entry{entry})
+	applied, err := c.nodes[1].applyEntries([]Entry{entry}, obs.SpanContext{})
 	if err != nil || applied != 0 {
 		t.Errorf("duplicate applied=%d err=%v", applied, err)
 	}

@@ -157,7 +157,7 @@ func FuzzClientReply(f *testing.F) {
 			err = c.CallTimeout("Arith.Do", &ArithArgs{A: 2, B: 3}, &next, 5*time.Second)
 		} else {
 			// The connection was kept, and is dead now: one retry redials.
-			err = c.CallRetry("Arith.Do", &ArithArgs{A: 2, B: 3}, &next, RetryPolicy{MaxAttempts: 2, Budget: 5 * time.Second})
+			err = c.CallRetry(obs.SpanContext{}, "Arith.Do", &ArithArgs{A: 2, B: 3}, &next, RetryPolicy{MaxAttempts: 2, Budget: 5 * time.Second})
 		}
 		if err != nil || next != (ArithReply{Sum: 5, Product: 6}) {
 			t.Fatalf("next call against a well-behaved server: %v %+v", err, next)

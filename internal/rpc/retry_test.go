@@ -85,7 +85,7 @@ func TestDialerReconnect(t *testing.T) {
 	serverEnd.Close()
 	mu.Unlock()
 	// The next call finds the connection dead when it writes; retry redials.
-	if err := c.CallRetry("Count.Bump", &CountArgs{Key: "a"}, &reply, RetryPolicy{}); err != nil {
+	if err := c.CallRetry(obs.SpanContext{}, "Count.Bump", &CountArgs{Key: "a"}, &reply, RetryPolicy{}); err != nil {
 		t.Fatalf("call after conn death: %v", err)
 	}
 	if reply.N != 2 {
@@ -115,7 +115,7 @@ func TestCallRetryAbsorbsDialFailures(t *testing.T) {
 	defer c.Close()
 
 	var reply CountReply
-	err := c.CallRetry("Count.Bump", &CountArgs{Key: "k"}, &reply, RetryPolicy{BaseDelay: 100 * time.Microsecond})
+	err := c.CallRetry(obs.SpanContext{}, "Count.Bump", &CountArgs{Key: "k"}, &reply, RetryPolicy{BaseDelay: 100 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestCallRetryBudgetExhausted(t *testing.T) {
 	})
 	defer c.Close()
 	start := time.Now()
-	err := c.CallRetry("Count.Bump", &CountArgs{}, nil, RetryPolicy{Budget: 50 * time.Millisecond, BaseDelay: time.Millisecond})
+	err := c.CallRetry(obs.SpanContext{}, "Count.Bump", &CountArgs{}, nil, RetryPolicy{Budget: 50 * time.Millisecond, BaseDelay: time.Millisecond})
 	if err == nil {
 		t.Fatal("call against dead endpoint succeeded")
 	}
@@ -159,7 +159,7 @@ func TestCallRetryStopsOnServerError(t *testing.T) {
 	go srv.ServeConn(s)
 	c := NewClient(cli)
 	defer c.Close()
-	err := c.CallRetry("Err.Fail", &CountArgs{}, nil, RetryPolicy{})
+	err := c.CallRetry(obs.SpanContext{}, "Err.Fail", &CountArgs{}, nil, RetryPolicy{})
 	var se ServerError
 	if !errors.As(err, &se) {
 		t.Fatalf("want ServerError, got %v", err)
@@ -291,7 +291,7 @@ func TestIdempotencyDedupe(t *testing.T) {
 
 	// First, prove the path works.
 	var reply CountReply
-	if err := c.CallRetry("Count.Bump", &CountArgs{Key: "x"}, &reply, RetryPolicy{}); err != nil {
+	if err := c.CallRetry(obs.SpanContext{}, "Count.Bump", &CountArgs{Key: "x"}, &reply, RetryPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	// Black-hole srv->cli: the request gets through and executes, but the
@@ -304,7 +304,7 @@ func TestIdempotencyDedupe(t *testing.T) {
 		nw.Heal("srv", "cli")
 		close(healed)
 	}()
-	err = c.CallRetry("Count.Bump", &CountArgs{Key: "x"}, &reply, RetryPolicy{
+	err = c.CallRetry(obs.SpanContext{}, "Count.Bump", &CountArgs{Key: "x"}, &reply, RetryPolicy{
 		PerTry: 10 * time.Millisecond, Budget: 2 * time.Second, BaseDelay: 5 * time.Millisecond,
 	})
 	<-healed
@@ -384,7 +384,7 @@ func TestCallRetryOverHostileNetsim(t *testing.T) {
 	policy := RetryPolicy{Budget: 5 * time.Second, BaseDelay: 200 * time.Microsecond, MaxDelay: 2 * time.Millisecond, PerTry: 250 * time.Millisecond}
 	for i := 0; i < n; i++ {
 		var reply CountReply
-		if err := c.CallRetry("Count.Bump", &CountArgs{Key: "h"}, &reply, policy); err != nil {
+		if err := c.CallRetry(obs.SpanContext{}, "Count.Bump", &CountArgs{Key: "h"}, &reply, policy); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}

@@ -272,8 +272,9 @@ type Server struct {
 // Instrument wires the server's metrics into reg — rpc_requests, rpc_errors,
 // rpc_open_conns, rpc_dedupe_hits, and per-method rpc_calls_<Service.Method>
 // / rpc_errors_<Service.Method> counters with rpc_latency_ns_<Service.Method>
-// histograms — and emits an "rpc.call" event per dispatch to tr. Call before
-// Serve, and before or after Register.
+// histograms — and emits an "rpc.call" event per dispatch to tr: a span in
+// the caller's trace when the request carried one, an untraced event
+// otherwise. Call before Serve, and before or after Register.
 func (s *Server) Instrument(reg *obs.Registry, tr obs.Tracer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -477,22 +478,15 @@ func (s *Server) serveRequest(req *request, sc obs.SpanContext) *response {
 }
 
 // dispatch has a named result so the deferred panic handler can still
-// deliver a response after recovering. sc is the caller's trace context;
-// when the server has a tracer, the call becomes an "rpc.call" span —
-// parented to sc when the request carried a trace, or the root of a fresh
-// one when it did not, which is how every update entering through the RPC
-// boundary gets stamped with a trace — and traced methods receive the
-// span's context so their own child spans chain under the call.
+// deliver a response after recovering. sc is the caller's trace context.
+// A call that carried one becomes an "rpc.call" span under it (when the
+// server has a tracer), and traced methods receive the span's context so
+// their own child spans chain under the call. A call that carried none
+// starts no trace: the server emits one untraced "rpc.call" event, and
+// traced methods receive the zero context.
 func (s *Server) dispatch(req *request, sc obs.SpanContext) (resp *response) {
 	resp = &response{ID: req.ID}
-	var span obs.Span
-	if s.tracer != nil {
-		if sc.Valid() {
-			span = obs.StartSpan(s.tracer, sc, "rpc.call")
-		} else {
-			span = obs.StartRoot(s.tracer, "rpc.call")
-		}
-	}
+	span := obs.StartSpan(s.tracer, sc, "rpc.call")
 	methodCtx := span.Context()
 	svc, sm, lookupErr := s.lookup(req.Method)
 	if s.obs != nil || s.tracer != nil {
@@ -685,10 +679,6 @@ func (d *dedupe) finish(client string, token uint64, resp *response) {
 // with a dial function reconnects lazily: when the connection dies or a call
 // times out, that call fails and the next call redials.
 type Client struct {
-	// SimulatedRTT, when set, delays every call by the given round-trip
-	// time — experiment E11's stand-in for the paper's 8 ms network.
-	SimulatedRTT time.Duration
-
 	dial func() (io.ReadWriteCloser, error)
 	id   string // identity for idempotency tokens
 
@@ -788,9 +778,9 @@ func (c *Client) Instrument(reg *obs.Registry) {
 	c.inflight = reg.Gauge("rpc_inflight")
 }
 
-// SetTracer attaches a tracer to the client: traced calls (CallTraced,
-// CallRetryTraced) record an "rpc.attempt" span per attempt. Call before
-// the client is in use.
+// SetTracer attaches a tracer to the client: a CallRetry under a trace
+// context records an "rpc.attempt" span per attempt. Call before the client
+// is in use.
 func (c *Client) SetTracer(t obs.Tracer) { c.tracer = t }
 
 // ensureConnLocked returns the live connection, dialing one if needed.
@@ -825,12 +815,6 @@ func (c *Client) Call(method string, arg any, reply any) error {
 	return c.call(method, arg, reply, 0, 0, obs.SpanContext{})
 }
 
-// CallTraced is Call with a trace context: the request's frame carries sc
-// across the wire, so the server-side spans land in the caller's trace.
-func (c *Client) CallTraced(sc obs.SpanContext, method string, arg, reply any) error {
-	return c.call(method, arg, reply, 0, 0, sc)
-}
-
 // CallTimeout is Call with a deadline covering the whole call: waiting for
 // the connection, writing the request and reading the reply. If it passes,
 // the call fails with ErrTimeout. The request is not cancelled on the
@@ -847,9 +831,6 @@ func (c *Client) CallTimeout(method string, arg, reply any, d time.Duration) err
 // when nonzero, is the idempotency token stamped on the request; sc, when
 // valid, rides the frame header to the server.
 func (c *Client) call(method string, arg, reply any, token uint64, d time.Duration, sc obs.SpanContext) error {
-	if c.SimulatedRTT > 0 {
-		time.Sleep(c.SimulatedRTT)
-	}
 	c.inflight.Inc()
 	defer c.inflight.Dec()
 	var deadline time.Time
@@ -996,16 +977,13 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // that executed a previous attempt replays its response instead of
 // re-executing. Server-side errors are returned immediately — the request
 // executed, and retrying would not change the answer.
-func (c *Client) CallRetry(method string, arg, reply any, p RetryPolicy) error {
-	return c.CallRetryTraced(obs.SpanContext{}, method, arg, reply, p)
-}
-
-// CallRetryTraced is CallRetry with a trace context: every attempt becomes
-// an "rpc.attempt" span under sc (when the client has a tracer), and the
-// attempt's own span context rides the wire — so the trace shows each
-// retry and reconnect individually, with the server-side "rpc.call" span
-// parented under the attempt that actually reached it.
-func (c *Client) CallRetryTraced(sc obs.SpanContext, method string, arg, reply any, p RetryPolicy) error {
+//
+// sc is the caller's trace context, zero for an untraced call. Under a
+// trace every attempt becomes an "rpc.attempt" span under sc (when the
+// client has a tracer), and the attempt's own span context rides the wire —
+// so the trace shows each retry and reconnect individually, with the
+// server-side "rpc.call" span parented under the attempt that reached it.
+func (c *Client) CallRetry(sc obs.SpanContext, method string, arg, reply any, p RetryPolicy) error {
 	p = p.withDefaults()
 	deadline := time.Now().Add(p.Budget)
 	token := c.nextToken.Add(1)

@@ -225,7 +225,7 @@ func TestUnpicklableArgumentFailsOnlyItsCall(t *testing.T) {
 	go func() { slow <- c.Call("Arith.Slow", &ArithArgs{A: 50}, &sr) }()
 	waitFor(t, "the slow call to be in flight", func() bool { return inflight.Value() == 1 })
 
-	err := c.CallRetry("Arith.Do", &AnyMsg{V: Opaque{1}}, nil, RetryPolicy{})
+	err := c.CallRetry(obs.SpanContext{}, "Arith.Do", &AnyMsg{V: Opaque{1}}, nil, RetryPolicy{})
 	var pe *pickle.Error
 	if !errors.As(err, &pe) || Retryable(err) {
 		t.Fatalf("got %v, want a non-retryable error wrapping *pickle.Error", err)
@@ -264,19 +264,6 @@ func TestOverTCP(t *testing.T) {
 	}
 	if out.S != "over tcp" {
 		t.Errorf("got %q", out.S)
-	}
-}
-
-func TestSimulatedRTT(t *testing.T) {
-	c, _ := pipePair(t)
-	c.SimulatedRTT = 30 * time.Millisecond
-	start := time.Now()
-	var r ArithReply
-	if err := c.Call("Arith.Do", &ArithArgs{A: 1, B: 1}, &r); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
-		t.Errorf("call took %v, expected ≥ 30ms RTT", elapsed)
 	}
 }
 

@@ -3,7 +3,9 @@ package vfs
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -44,7 +46,7 @@ const dirtyPageSize = 512
 type memFile struct {
 	synced       []byte         // durable content
 	current      []byte         // content as the running program sees it
-	damaged      map[int64]bool // damaged byte offsets (durable content)
+	damaged      ranges         // damaged bytes (durable content)
 	dirty        map[int64]bool // page indices overwritten since last sync
 	minDirty     int64          // lowest offset written or truncated to since last sync; -1 = none
 	maxDirty     int64          // end of the highest range written or truncated since last sync
@@ -89,7 +91,7 @@ func (m *Mem) Create(name string) (File, error) {
 	if err := ValidName(name); err != nil {
 		return nil, err
 	}
-	f := &memFile{damaged: make(map[int64]bool), minDirty: -1, failedFrom: -1, syncedExists: true}
+	f := &memFile{minDirty: -1, failedFrom: -1, syncedExists: true}
 	m.files[name] = f
 	return &memHandle{fs: m, f: f, name: name, writable: true}, nil
 }
@@ -202,16 +204,11 @@ func (m *Mem) CloneSynced() *Mem {
 		nf := &memFile{
 			synced:       f.synced,
 			current:      f.synced, // the durable view IS the content after a crash
-			damaged:      make(map[int64]bool, len(f.damaged)),
+			damaged:      append(ranges(nil), f.damaged...).set(int64(len(f.synced)), math.MaxInt64, false),
 			minDirty:     -1,
 			failedFrom:   -1,
 			syncedExists: true,
 			cow:          true,
-		}
-		for off := range f.damaged {
-			if off < int64(len(f.synced)) {
-				nf.damaged[off] = true
-			}
 		}
 		// The parent now shares its synced slice with the clone; its next
 		// mutation must copy first too.
@@ -268,10 +265,7 @@ func (m *Mem) CrashTorn(pageSize int) {
 			if keep%pageSize != 0 && m.rng.Intn(2) == 0 {
 				// The last, partially written page reads back
 				// as an error.
-				pageStart := int64(len(durable) - keep%pageSize)
-				for off := pageStart; off < int64(len(durable)); off++ {
-					f.damaged[off] = true
-				}
+				f.damaged = f.damaged.set(int64(len(durable)-keep%pageSize), int64(len(durable)), true)
 			}
 			f.synced = durable
 		}
@@ -290,9 +284,7 @@ func (m *Mem) Damage(name string, off, n int64) error {
 	if err != nil {
 		return err
 	}
-	for i := off; i < off+n; i++ {
-		f.damaged[i] = true
-	}
+	f.damaged = f.damaged.set(off, off+n, true)
 	return nil
 }
 
@@ -348,10 +340,9 @@ func (h *memHandle) readAtLocked(p []byte, off int64) (int, error) {
 		return 0, io.EOF
 	}
 	n := copy(p, h.f.current[off:])
-	for i := off; i < off+int64(n) && len(h.f.damaged) > 0; i++ {
-		if h.f.damaged[i] {
-			return 0, fmt.Errorf("%w: %s at offset %d", ErrDamaged, h.name, i)
-		}
+	rs := h.f.damaged
+	if i := sort.Search(len(rs), func(i int) bool { return rs[i].to > off }); i < len(rs) && max(rs[i].from, off) < off+int64(n) {
+		return 0, fmt.Errorf("%w: %s at offset %d", ErrDamaged, h.name, max(rs[i].from, off))
 	}
 	if n < len(p) {
 		return n, io.EOF
@@ -397,9 +388,7 @@ func (h *memHandle) writeAtLocked(p []byte, off int64) (int, error) {
 	// Overwriting repairs damage at those offsets once synced; track by
 	// clearing damage on write (the new data is what subsequent reads
 	// should see).
-	for i := off; i < off+int64(len(p)) && len(h.f.damaged) > 0; i++ {
-		delete(h.f.damaged, i)
-	}
+	h.f.damaged = h.f.damaged.set(off, off+int64(len(p)), false)
 	return len(p), nil
 }
 
@@ -461,9 +450,7 @@ func (h *memHandle) Sync() error {
 		// would keep. Overwriting the region, or a later successful
 		// Sync of it, repairs it.
 		for pg := range h.f.dirty {
-			for off := max(pg*dirtyPageSize, h.f.minDirty); off < min((pg+1)*dirtyPageSize, h.f.maxDirty, int64(len(h.f.current))); off++ {
-				h.f.damaged[off] = true
-			}
+			h.f.damaged = h.f.damaged.set(max(pg*dirtyPageSize, h.f.minDirty), min((pg+1)*dirtyPageSize, h.f.maxDirty, int64(len(h.f.current))), true)
 		}
 		if h.f.minDirty >= 0 && (h.f.failedFrom < 0 || h.f.minDirty < h.f.failedFrom) {
 			h.f.failedFrom = h.f.minDirty
@@ -471,9 +458,7 @@ func (h *memHandle) Sync() error {
 	} else if h.f.failedFrom >= 0 {
 		// A successful flush repairs earlier failed-sync damage: the
 		// whole region is rewritten from intact in-memory data.
-		for off := h.f.failedFrom; off < int64(len(h.f.current)); off++ {
-			delete(h.f.damaged, off)
-		}
+		h.f.damaged = h.f.damaged.set(h.f.failedFrom, int64(len(h.f.current)), false)
 		h.f.failedFrom = -1
 	}
 	// Only the bytes written or truncated since the last sync, and a grown
@@ -511,4 +496,31 @@ func (h *memHandle) Close() error {
 	defer h.fs.mu.Unlock()
 	h.closed = true
 	return nil
+}
+
+// ranges holds a file's damaged bytes as sorted, disjoint, non-touching
+// [from, to) ranges.
+type ranges []byteRange
+
+type byteRange struct{ from, to int64 }
+
+// set marks [from, to) damaged, or intact when damaged is false.
+func (rs ranges) set(from, to int64, damaged bool) ranges {
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].to >= from })
+	j := i
+	for j < len(rs) && rs[j].from <= to {
+		j++
+	}
+	if from >= to || !damaged && i == j {
+		return rs
+	}
+	lo, hi := from, to // the span of [from, to) and the ranges it meets
+	if i < j {
+		lo, hi = min(lo, rs[i].from), max(hi, rs[j-1].to)
+	}
+	mid := []byteRange{{lo, hi}}
+	if !damaged {
+		mid = slices.DeleteFunc([]byteRange{{lo, from}, {to, hi}}, func(r byteRange) bool { return r.from == r.to })
+	}
+	return slices.Replace(rs, i, j, mid...)
 }

@@ -2,7 +2,11 @@ package vfs
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -159,5 +163,72 @@ func TestFailedSyncDamagesFlushedRegion(t *testing.T) {
 	got, err := ReadFile(m2, "b")
 	if err != nil || string(got) != "abcdefgh" {
 		t.Fatalf("after overwrite: %q, %v", got, err)
+	}
+}
+
+// TestDamageRanges drives one file's damage through Damage and WriteAt in
+// random order against a per-byte reference. After every step the file
+// holds the reference's runs as its ranges, ReadAt of every window fails at
+// the window's first damaged byte, and a clone keeps the runs below the
+// synced length.
+func TestDamageRanges(t *testing.T) {
+	const size = 120
+	m := NewMem(1)
+	if err := WriteFile(m, "f", make([]byte, size)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := m.OpenRW("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := map[int64]bool{}
+	runs := func(end int64) (out ranges) {
+		for i := int64(0); i < end; i++ {
+			switch {
+			case !ref[i]:
+			case len(out) > 0 && out[len(out)-1].to == i:
+				out[len(out)-1].to++
+			default:
+				out = append(out, byteRange{i, i + 1})
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 400; step++ {
+		from, n := rng.Int63n(size), rng.Int63n(24)-4 // sometimes empty
+		damage := rng.Intn(2) == 0
+		if damage {
+			m.Damage("f", from, n) // may run past the end
+		} else {
+			n = min(n, size-from)
+			f.WriteAt(make([]byte, max(n, 0)), from)
+		}
+		for i := from; i < from+n; i++ {
+			ref[i] = damage
+		}
+		if got, want := m.files["f"].damaged, runs(size+24); !slices.Equal(got, want) {
+			t.Fatalf("step %d: ranges %v, want %v", step, got, want)
+		}
+		for a := int64(0); a < size; a += 5 {
+			for b := a; b <= size; b += 7 {
+				want := ""
+				for i := a; i < b; i++ {
+					if ref[i] {
+						want = fmt.Sprintf("at offset %d", i)
+						break
+					}
+				}
+				_, err := f.ReadAt(make([]byte, b-a), a)
+				if want == "" && err != nil || want != "" && (!errors.Is(err, ErrDamaged) || !strings.HasSuffix(err.Error(), want)) {
+					t.Fatalf("step %d: ReadAt [%d, %d) = %v, want damage %q", step, a, b, err, want)
+				}
+			}
+		}
+		if step%50 == 0 {
+			if got, want := m.CloneSynced().files["f"].damaged, runs(size); !slices.Equal(got, want) {
+				t.Fatalf("step %d: clone's ranges %v, want %v", step, got, want)
+			}
+		}
 	}
 }
