@@ -320,12 +320,11 @@ func dumpCheckpoint(fs vfs.FS, v uint64) {
 
 // decodeFile generically decodes the single pickled value in a file.
 func decodeFile(fs vfs.FS, name string) (any, error) {
-	f, err := fs.Open(name)
+	data, err := vfs.ReadFile(fs, name)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return pickle.NewDecoder(f).DecodeAny()
+	return pickle.UnmarshalAny(data)
 }
 
 // fieldOf renders one named field of a generically decoded struct, "?" when

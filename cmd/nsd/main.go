@@ -39,6 +39,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	rtdebug "runtime/debug"
 	"syscall"
 	"time"
 
@@ -152,6 +153,9 @@ func main() {
 		log.Printf("nsd: debug endpoint on http://%s (/metrics /stats /debug/trace /debug/flight /debug/pprof/)", admin.Addr)
 	}
 
+	// Restart read each checkpoint file whole: return the heap those dead
+	// buffers grew before serving (kept, it raised lookup rss_mb by 17%).
+	rtdebug.FreeOSMemory()
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatalf("nsd: listen: %v", err)

@@ -34,7 +34,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -627,21 +626,18 @@ func (s *Store) readChain(chain []uint64) (*header, chainStats, error) {
 	return hdr, cs, nil
 }
 
-// readPickled decodes the one value in the named checkpoint file into ptr,
-// streaming from the file through the decoder's own read buffer. It reports
-// the bytes read and the time taken.
+// readPickled reads the named checkpoint file whole and decodes its one
+// value into ptr, reporting the file's size and the time taken.
 func (s *Store) readPickled(name, what string, ptr any) (int64, time.Duration, error) {
 	start := time.Now()
-	f, err := s.cfg.FS.Open(name)
-	if err != nil {
-		return 0, 0, err
+	data, err := vfs.ReadFile(s.cfg.FS, name)
+	if err == nil {
+		err = pickle.Unmarshal(data, ptr)
 	}
-	defer f.Close()
-	cr := &countingReader{r: f}
-	if err := pickle.Read(cr, ptr); err != nil {
+	if err != nil {
 		return 0, 0, fmt.Errorf("core: reading %s %s: %w", what, name, err)
 	}
-	return cr.n, time.Since(start), nil
+	return int64(len(data)), time.Since(start), nil
 }
 
 func (s *Store) readCheckpoint(name string) (*header, int64, time.Duration, error) {
@@ -1491,19 +1487,6 @@ var cpBufPool = sync.Pool{New: func() any { return new([]byte) }}
 func putCPBuf(bufp *[]byte, buf []byte) {
 	*bufp = buf[:0]
 	cpBufPool.Put(bufp)
-}
-
-// countingReader counts the bytes the decoder consumed, sizing checkpoint
-// files on the restart path without an extra stat.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // CheckpointEvery starts a background goroutine checkpointing at the given

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -508,6 +511,38 @@ func TestHardErrorNoFallbackWithoutRetention(t *testing.T) {
 	fs.Damage(checkpoint.CheckpointName(2), 0, 10)
 	if _, err := Open(Config{FS: fs, NewRoot: newKV}); err == nil {
 		t.Error("open succeeded with damaged checkpoint and no retention")
+	}
+}
+
+// TestHostileCheckpointLength: a checkpoint whose one string claims nearly
+// pickle.MaxStringLen bytes, in a file of under a hundred, is refused by name
+// before anything is allocated for the claim.
+func TestHostileCheckpointLength(t *testing.T) {
+	fs := vfs.NewMem(1)
+	openKV(t, fs).Close()
+	img, err := pickle.Marshal(&header{NextSeq: 1, Root: &kvRoot{Data: map[string]string{"": "hostile"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(img, []byte("hostile")) - 1 // the string's length varint
+	if at < 0 || img[at] != byte(len("hostile")) {
+		t.Fatalf("no one-byte length before the string in %x", img)
+	}
+	img = append(binary.AppendUvarint(img[:at:at], pickle.MaxStringLen-1), "hos"...)
+	name := checkpoint.CheckpointName(1)
+	if err := vfs.WriteFile(fs, name, img); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Open(Config{FS: fs, NewRoot: newKV})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), name) {
+		t.Fatalf("Open of a %d-byte image claiming a %d-byte string: err = %v, want one naming %s", len(img), pickle.MaxStringLen-1, err, name)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("Open allocated %d bytes refusing a %d-byte image", grew, len(img))
 	}
 }
 

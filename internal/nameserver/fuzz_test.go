@@ -13,10 +13,12 @@ import (
 	"strings"
 	"testing"
 
+	"smalldb/internal/checkpoint"
 	"smalldb/internal/pickle"
+	"smalldb/internal/vfs"
 )
 
-var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/FuzzTreeDecode and FuzzDeltaDecode from their seeds")
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/FuzzTreeDecode, FuzzDeltaDecode and FuzzCheckpointChain from their seeds")
 
 // A checkpoint image is the one place a Tree is built by something other
 // than the tree's own operations: pickle appends whatever arcs the stream
@@ -345,4 +347,141 @@ func FuzzDeltaDecode(f *testing.F) {
 		f.Add(s.image)
 	}
 	f.Fuzz(func(t *testing.T, image []byte) { checkDelta(t, image) })
+}
+
+// Restart reads a checkpoint chain from files: the full image, then each
+// delta link on it, each read whole and decoded. FuzzCheckpointChain puts
+// the fuzzed bytes in place of either file of a committed directory, and
+// requires Open to refuse the directory or serve a name space whose
+// enquiries do not panic.
+
+// chainDir builds a committed name-server directory whose chain is a full
+// image and one delta link, with a log entry past it, and returns the names
+// of the image and the delta.
+func chainDir(t testing.TB) (dir *vfs.Mem, image, delta string) {
+	t.Helper()
+	dir = vfs.NewMem(1)
+	ns, err := Open(Config{FS: dir, Retain: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		must(ns.Set(fmt.Sprintf("host/h%d/addr", i), fmt.Sprintf("16.4.0.%d", i)))
+	}
+	must(ns.Checkpoint())
+	must(ns.Set("host/h1/addr", "16.4.0.21"))
+	must(ns.Delete("host/h2/addr"))
+	must(ns.Checkpoint())
+	must(ns.Set("host/h3/addr", "16.4.0.23"))
+	chain, err := checkpoint.ChainOf(dir, ns.Store().Version())
+	must(err)
+	must(ns.Close())
+	if len(chain) != 2 {
+		t.Fatalf("chain %v: want a full image and one delta", chain)
+	}
+	return dir, checkpoint.CheckpointName(chain[0]), checkpoint.DeltaName(chain[1])
+}
+
+// openWith opens a copy of dir in which file replaces the named file. A
+// server it returns has answered a bounded walk of Lookups and Lists.
+func openWith(t *testing.T, dir *vfs.Mem, name string, file []byte) (*Server, error) {
+	t.Helper()
+	fs := dir.CloneSynced()
+	if err := vfs.WriteFile(fs, name, file); err != nil {
+		t.Fatal(err)
+	}
+	ns, err := Open(Config{FS: fs, Retain: 1})
+	if err != nil {
+		return nil, err
+	}
+	budget := 1000
+	var walk func(name string)
+	walk = func(name string) {
+		if budget--; budget < 0 {
+			return
+		}
+		ns.Lookup(name)
+		labels, _ := ns.List(name)
+		for _, l := range labels {
+			walk(name + "/" + l)
+		}
+	}
+	walk("")
+	return ns, nil
+}
+
+// TestCheckpointChainSeeds: the committed corpus is the real image and
+// delta; each restores the name space in its own place, and in the other's
+// the store falls back to the retained version or refuses to open.
+func TestCheckpointChainSeeds(t *testing.T) {
+	dir, image, delta := chainDir(t)
+	files := map[string][]byte{}
+	for seed, name := range map[string]string{"image": image, "delta": delta} {
+		raw, err := vfs.ReadFile(dir, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seedCorpus(t, "FuzzCheckpointChain", seed, raw)
+		files[name] = raw
+	}
+	for _, tc := range []struct {
+		name     string
+		file     []byte
+		fallback bool
+		wantErr  string
+	}{
+		{image, files[image], false, ""},
+		{delta, files[delta], false, ""},
+		{delta, files[image], true, ""},
+		{image, files[delta], false, "malformed"},
+	} {
+		ns, err := openWith(t, dir, tc.name, tc.file)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%d bytes as %s: err = %v, want one containing %q", len(tc.file), tc.name, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%d bytes as %s: %v", len(tc.file), tc.name, err)
+		}
+		if st := ns.Stats(); st.RestartUsedFallback != tc.fallback {
+			t.Errorf("%d bytes as %s: fallback %v, want %v", len(tc.file), tc.name, st.RestartUsedFallback, tc.fallback)
+		}
+		for name, want := range map[string]string{"host/h1/addr": "16.4.0.21", "host/h3/addr": "16.4.0.23", "host/h19/addr": "16.4.0.19"} {
+			if got, err := ns.Lookup(name); got != want {
+				t.Errorf("%d bytes as %s: %s = %q (%v), want %q", len(tc.file), tc.name, name, got, err, want)
+			}
+		}
+		if _, err := ns.Lookup("host/h2/addr"); err == nil {
+			t.Errorf("%d bytes as %s: the deleted name is back", len(tc.file), tc.name)
+		}
+		ns.Close()
+	}
+}
+
+// FuzzCheckpointChain: no byte string, as a checkpoint chain's full image or
+// its delta link, makes Open or the enquiries on what it serves panic.
+func FuzzCheckpointChain(f *testing.F) {
+	dir, image, delta := chainDir(f)
+	for _, name := range []string{image, delta} {
+		raw, err := vfs.ReadFile(dir, name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, file []byte) {
+		for _, name := range []string{image, delta} {
+			if ns, err := openWith(t, dir, name, file); err == nil {
+				ns.Close()
+			}
+		}
+	})
 }

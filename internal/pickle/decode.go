@@ -1,7 +1,6 @@
 package pickle
 
 import (
-	"bufio"
 	"encoding"
 	"encoding/binary"
 	"io"
@@ -15,24 +14,17 @@ import (
 // into a Go type compiles a per-type decode program (overflow checks, field
 // tables and element programs resolved ahead of time) cached in a
 // package-wide sync.Map, so steady-state Unmarshal walks no reflection
-// trees. Unmarshal additionally reads straight from the caller's byte
-// slice — no bufio layer, no per-call buffering — on a pooled Decoder.
+// trees. Every decode reads straight from the caller's byte slice on a
+// pooled decoder, so a claimed length is checked against the bytes left
+// before anything is allocated for it.
 
-// A Decoder reads pickled values from an input stream — a checkpoint file,
-// say — the inverse of Marshal: the stream's struct-type table accumulates
-// across Decode calls on the same Decoder, while pointer/map identity is
-// scoped to a single decoded value graph.
-//
-// A Decoder buffers its input; do not interleave reads on the underlying
-// reader with Decode calls.
-type Decoder struct {
-	r       *bufio.Reader // streaming input; nil when reading from data
-	data    []byte        // slice input (Unmarshal path)
-	pos     int
-	tab     *Table // the stream's type table, when it was pickled against one
-	types   []*streamType
-	readHdr bool
-	scratch []byte // reused by readName on the streaming path
+// A decoder reads one pickled value from a byte slice — the inverse of
+// Marshal. Pointer/map identity is scoped to the one decoded value graph.
+type decoder struct {
+	data  []byte
+	pos   int
+	tab   *Table // the stream's type table, when it was pickled against one
+	types []*streamType
 
 	// Per-value-graph state: the identity table for shared pointers and
 	// maps, and the recursion depth.
@@ -42,9 +34,9 @@ type Decoder struct {
 
 // streamType is a struct type as described by the stream: its printed name
 // (diagnostics only — matching is by field name) and its field names in
-// stream order. Instances seen on the byte-slice path are interned by their
-// raw definition bytes, so the per-target field match below is computed
-// once per (stream type, target type) pair process-wide.
+// stream order. Instances are interned by their raw definition bytes, so the
+// per-target field match below is computed once per (stream type, target
+// type) pair process-wide.
 type streamType struct {
 	name   string
 	fields []string
@@ -69,36 +61,36 @@ func (st *streamType) matchFor(p *structDecPlan) []int {
 	return m
 }
 
-// typeIntern deduplicates stream-type definitions across Decoders, keyed by
+// typeIntern deduplicates stream-type definitions across decoders, keyed by
 // the raw definition bytes. The lookup on the hot path allocates nothing.
 var typeIntern struct {
 	sync.RWMutex
 	m map[string]*streamType
 }
 
-// NewDecoder returns a Decoder reading from r.
-func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: bufio.NewReader(r)}
-}
-
-// Decode reads the next pickled value into the variable pointed to by ptr,
-// which must be a non-nil pointer.
-func (d *Decoder) Decode(ptr any) error {
+// unmarshal decodes the value in d.data into the variable pointed to by
+// ptr, which must be a non-nil pointer.
+func (d *decoder) unmarshal(ptr any) error {
 	rv := reflect.ValueOf(ptr)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		return errf("Decode target must be a non-nil pointer, got %T", ptr)
+		return errf("Unmarshal target must be a non-nil pointer, got %T", ptr)
 	}
-	if err := d.header(); err != nil {
-		return err
-	}
-	d.refs = reuseMap(d.refs)
-	d.depth = 0
-	tag, err := d.readByte()
+	tag, err := d.start()
 	if err != nil {
 		return err
 	}
 	elem := rv.Elem()
 	return midValue(decoderOf(elem.Type())(d, elem, tag))
+}
+
+// start reads the stream's header and the tag byte of its value.
+func (d *decoder) start() (byte, error) {
+	if err := d.header(); err != nil {
+		return 0, err
+	}
+	d.refs = reuseMap(d.refs)
+	d.depth = 0
+	return d.readByte()
 }
 
 // midValue reports a stream that ends inside a value as the malformed stream
@@ -110,10 +102,7 @@ func midValue(err error) error {
 	return err
 }
 
-func (d *Decoder) header() error {
-	if d.readHdr {
-		return nil
-	}
+func (d *decoder) header() error {
 	b, err := d.readByte()
 	if err != nil {
 		return err
@@ -136,18 +125,17 @@ func (d *Decoder) header() error {
 	default:
 		return errf("bad magic byte %#x: not a pickle stream", b)
 	}
-	d.readHdr = true
 	return nil
 }
 
-// claim checks a length the stream claims against limit and — on the
-// byte-slice path, where every element takes at least one byte — against the
-// bytes left, before anything is allocated for it.
-func (d *Decoder) claim(n, limit uint64, what string) error {
+// claim checks a length the stream claims against limit and — every element
+// taking at least one byte — against the bytes left, before anything is
+// allocated for it.
+func (d *decoder) claim(n, limit uint64, what string) error {
 	if n > limit {
 		return errf("%s %d exceeds limit %d", what, n, limit)
 	}
-	if d.r == nil && n > uint64(len(d.data)-d.pos) {
+	if n > uint64(len(d.data)-d.pos) {
 		return errf("%s %d exceeds the %d bytes left", what, n, len(d.data)-d.pos)
 	}
 	return nil
@@ -155,7 +143,7 @@ func (d *Decoder) claim(n, limit uint64, what string) error {
 
 // enter counts one level of value nesting, bounding what a hostile stream
 // can make the decoder recurse.
-func (d *Decoder) enter() error {
+func (d *decoder) enter() error {
 	d.depth++
 	if d.depth > MaxDepth {
 		return errf("stream exceeds maximum depth %d", MaxDepth)
@@ -163,28 +151,14 @@ func (d *Decoder) enter() error {
 	return nil
 }
 
-func (d *Decoder) setRef(id uint64, v reflect.Value) {
+func (d *decoder) setRef(id uint64, v reflect.Value) {
 	if d.refs == nil {
 		d.refs = make(map[uint64]reflect.Value)
 	}
 	d.refs[id] = v
 }
 
-func wrapEOF(err error) error {
-	if err == io.EOF {
-		return io.EOF
-	}
-	if err == io.ErrUnexpectedEOF {
-		return errf("truncated stream")
-	}
-	return err
-}
-
-func (d *Decoder) readByte() (byte, error) {
-	if d.r != nil {
-		b, err := d.r.ReadByte()
-		return b, wrapEOF(err)
-	}
+func (d *decoder) readByte() (byte, error) {
 	if d.pos >= len(d.data) {
 		return 0, io.EOF
 	}
@@ -193,11 +167,7 @@ func (d *Decoder) readByte() (byte, error) {
 	return b, nil
 }
 
-func (d *Decoder) readUvarint() (uint64, error) {
-	if d.r != nil {
-		u, err := binary.ReadUvarint(d.r)
-		return u, wrapEOF(err)
-	}
+func (d *decoder) readUvarint() (uint64, error) {
 	u, n := binary.Uvarint(d.data[d.pos:])
 	if n > 0 {
 		d.pos += n
@@ -213,19 +183,12 @@ func (d *Decoder) readUvarint() (uint64, error) {
 }
 
 // readVarint reads a zig-zag varint, as binary.AppendVarint wrote it.
-func (d *Decoder) readVarint() (int64, error) {
+func (d *decoder) readVarint() (int64, error) {
 	u, err := d.readUvarint()
 	return int64(u>>1) ^ -int64(u&1), err
 }
 
-func (d *Decoder) readFull(p []byte) error {
-	if d.r != nil {
-		_, err := io.ReadFull(d.r, p)
-		if err == io.EOF {
-			err = errf("truncated stream")
-		}
-		return wrapEOF(err)
-	}
+func (d *decoder) readFull(p []byte) error {
 	if len(d.data)-d.pos < len(p) {
 		return errf("truncated stream")
 	}
@@ -234,16 +197,14 @@ func (d *Decoder) readFull(p []byte) error {
 	return nil
 }
 
-func (d *Decoder) readString(limit uint64) (string, error) {
+func (d *decoder) readString(limit uint64) (string, error) {
 	b, err := d.readName(limit)
 	return string(b), err
 }
 
-// readName reads a length-prefixed name or string, returning bytes valid
-// only until the next read. On the slice path this is a view into the input;
-// on the streaming path it is the Decoder's scratch buffer. It exists so the
-// hot interface-type lookup allocates nothing.
-func (d *Decoder) readName(limit uint64) ([]byte, error) {
+// readName reads a length-prefixed name or string as a view into the input.
+// It exists so the hot interface-type lookup allocates nothing.
+func (d *decoder) readName(limit uint64) ([]byte, error) {
 	n, err := d.readUvarint()
 	if err == nil {
 		err = d.claim(n, limit, "string length")
@@ -251,22 +212,12 @@ func (d *Decoder) readName(limit uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.r == nil {
-		s := d.data[d.pos : d.pos+int(n)]
-		d.pos += int(n)
-		return s, nil
-	}
-	if uint64(cap(d.scratch)) < n {
-		d.scratch = make([]byte, n)
-	}
-	s := d.scratch[:n]
-	if err := d.readFull(s); err != nil {
-		return nil, err
-	}
+	s := d.data[d.pos : d.pos+int(n)]
+	d.pos += int(n)
 	return s, nil
 }
 
-func (d *Decoder) readFloat64() (float64, error) {
+func (d *decoder) readFloat64() (float64, error) {
 	var b [8]byte
 	if err := d.readFull(b[:]); err != nil {
 		return 0, err
@@ -277,7 +228,7 @@ func (d *Decoder) readFloat64() (float64, error) {
 // A decFn is one compiled decode program: given the already-read tag byte
 // of the next stream value, it decodes that value into v, which must be
 // settable and of the program's fixed static type.
-type decFn func(d *Decoder, v reflect.Value, tag byte) error
+type decFn func(d *decoder, v reflect.Value, tag byte) error
 
 // decPlans caches the compiled per-type decode programs.
 var decPlans sync.Map // reflect.Type -> decFn
@@ -293,7 +244,7 @@ func decoderOf(rt reflect.Type) decFn {
 		fn decFn
 	)
 	wg.Add(1)
-	stub := decFn(func(d *Decoder, v reflect.Value, tag byte) error {
+	stub := decFn(func(d *decoder, v reflect.Value, tag byte) error {
 		wg.Wait()
 		return fn(d, v, tag)
 	})
@@ -340,7 +291,7 @@ func buildDecoder(rt reflect.Type) decFn {
 	case reflect.Interface:
 		return decIface
 	default:
-		return func(d *Decoder, v reflect.Value, tag byte) error {
+		return func(d *decoder, v reflect.Value, tag byte) error {
 			return errf("cannot decode into value of kind %v (%v)", rt.Kind(), rt)
 		}
 	}
@@ -352,7 +303,7 @@ func buildDecoder(rt reflect.Type) decFn {
 // mirror case lives in the pointer program), a shared reference resolves
 // through the identity table, and an interface-pickled value decodes into
 // its own concrete type.
-func (d *Decoder) tolerant(v reflect.Value, tag byte, self decFn) error {
+func (d *decoder) tolerant(v reflect.Value, tag byte, self decFn) error {
 	switch tag {
 	case tNil:
 		switch v.Kind() {
@@ -397,7 +348,7 @@ func (d *Decoder) tolerant(v reflect.Value, tag byte, self decFn) error {
 	}
 }
 
-func (d *Decoder) decodeRef(v reflect.Value) error {
+func (d *decoder) decodeRef(v reflect.Value) error {
 	id, err := d.readUvarint()
 	if err != nil {
 		return err
@@ -413,7 +364,7 @@ func (d *Decoder) decodeRef(v reflect.Value) error {
 	return nil
 }
 
-func decBool(d *Decoder, v reflect.Value, tag byte) error {
+func decBool(d *decoder, v reflect.Value, tag byte) error {
 	switch tag {
 	case tFalse:
 		v.SetBool(false)
@@ -426,7 +377,7 @@ func decBool(d *Decoder, v reflect.Value, tag byte) error {
 	}
 }
 
-func decInt(d *Decoder, v reflect.Value, tag byte) error {
+func decInt(d *decoder, v reflect.Value, tag byte) error {
 	if tag != tInt {
 		return d.tolerant(v, tag, decInt)
 	}
@@ -441,7 +392,7 @@ func decInt(d *Decoder, v reflect.Value, tag byte) error {
 	return nil
 }
 
-func decUint(d *Decoder, v reflect.Value, tag byte) error {
+func decUint(d *decoder, v reflect.Value, tag byte) error {
 	if tag != tUint {
 		return d.tolerant(v, tag, decUint)
 	}
@@ -456,7 +407,7 @@ func decUint(d *Decoder, v reflect.Value, tag byte) error {
 	return nil
 }
 
-func decFloat(d *Decoder, v reflect.Value, tag byte) error {
+func decFloat(d *decoder, v reflect.Value, tag byte) error {
 	switch tag {
 	case tFloat32:
 		var b [4]byte
@@ -480,7 +431,7 @@ func decFloat(d *Decoder, v reflect.Value, tag byte) error {
 	}
 }
 
-func decComplex(d *Decoder, v reflect.Value, tag byte) error {
+func decComplex(d *decoder, v reflect.Value, tag byte) error {
 	if tag != tComplex {
 		return d.tolerant(v, tag, decComplex)
 	}
@@ -496,7 +447,7 @@ func decComplex(d *Decoder, v reflect.Value, tag byte) error {
 	return nil
 }
 
-func decString(d *Decoder, v reflect.Value, tag byte) error {
+func decString(d *decoder, v reflect.Value, tag byte) error {
 	if tag != tString && tag != tBytes {
 		return d.tolerant(v, tag, decString)
 	}
@@ -511,7 +462,7 @@ func decString(d *Decoder, v reflect.Value, tag byte) error {
 func buildBytesDecoder(rt reflect.Type) decFn {
 	elem := decoderOf(rt.Elem())
 	var self decFn
-	self = func(d *Decoder, v reflect.Value, tag byte) error {
+	self = func(d *decoder, v reflect.Value, tag byte) error {
 		switch tag {
 		case tNil:
 			v.Set(reflect.Zero(rt))
@@ -540,7 +491,7 @@ func buildBytesDecoder(rt reflect.Type) decFn {
 	return self
 }
 
-func decodeSliceElems(d *Decoder, v reflect.Value, rt reflect.Type, elem decFn) error {
+func decodeSliceElems(d *decoder, v reflect.Value, rt reflect.Type, elem decFn) error {
 	n, err := d.readUvarint()
 	if err == nil {
 		err = d.claim(n, MaxElems, "slice length")
@@ -569,7 +520,7 @@ func decodeSliceElems(d *Decoder, v reflect.Value, rt reflect.Type, elem decFn) 
 func buildSliceDecoder(rt reflect.Type) decFn {
 	elem := decoderOf(rt.Elem())
 	var self decFn
-	self = func(d *Decoder, v reflect.Value, tag byte) error {
+	self = func(d *decoder, v reflect.Value, tag byte) error {
 		switch tag {
 		case tNil:
 			v.Set(reflect.Zero(rt))
@@ -587,7 +538,7 @@ func buildArrayDecoder(rt reflect.Type) decFn {
 	elem := decoderOf(rt.Elem())
 	n := rt.Len()
 	var self decFn
-	self = func(d *Decoder, v reflect.Value, tag byte) error {
+	self = func(d *decoder, v reflect.Value, tag byte) error {
 		if tag != tArray {
 			return d.tolerant(v, tag, self)
 		}
@@ -621,7 +572,7 @@ func buildMapDecoder(rt reflect.Type) decFn {
 	valFn := decoderOf(rt.Elem())
 	kt, vt := rt.Key(), rt.Elem()
 	var self decFn
-	self = func(d *Decoder, v reflect.Value, tag byte) error {
+	self = func(d *decoder, v reflect.Value, tag byte) error {
 		switch tag {
 		case tNil:
 			v.Set(reflect.Zero(rt))
@@ -679,11 +630,11 @@ func buildMapDecoder(rt reflect.Type) decFn {
 func buildPairSliceDecoder(rt reflect.Type) decFn {
 	inline, err := pairShape(rt.Elem())
 	if err != nil {
-		return func(*Decoder, reflect.Value, byte) error { return err }
+		return func(*decoder, reflect.Value, byte) error { return err }
 	}
 	vt := rt.Elem().Field(1).Type
 	ptrFn, elemFn, boxes := decoderOf(vt), decoderOf(vt.Elem()), boxPool(vt.Elem())
-	value := func(d *Decoder, pair reflect.Value, tag byte) error {
+	value := func(d *decoder, pair reflect.Value, tag byte) error {
 		if tag == tRef {
 			return errf("map-coded %v holds a reference where a value belongs: a pair owns its value", rt)
 		}
@@ -716,7 +667,7 @@ func buildPairSliceDecoder(rt reflect.Type) decFn {
 		return err
 	}
 	var self decFn
-	self = func(d *Decoder, v reflect.Value, tag byte) error {
+	self = func(d *decoder, v reflect.Value, tag byte) error {
 		if tag != tMap {
 			return d.tolerant(v, tag, self) // tNil, or a tRef that finds no such object
 		}
@@ -799,7 +750,7 @@ func buildStructDecoder(rt reflect.Type) decFn {
 		p.fns = append(p.fns, decoderOf(rt.Field(f.index).Type))
 	}
 	var self decFn
-	self = func(d *Decoder, v reflect.Value, tag byte) error {
+	self = func(d *decoder, v reflect.Value, tag byte) error {
 		switch tag {
 		case tStruct:
 			st, err := d.readStructType()
@@ -852,7 +803,7 @@ func buildPointerDecoder(rt reflect.Type) decFn {
 	elem := decoderOf(rt.Elem())
 	et := rt.Elem()
 	var self decFn
-	self = func(d *Decoder, v reflect.Value, tag byte) error {
+	self = func(d *decoder, v reflect.Value, tag byte) error {
 		switch tag {
 		case tNil:
 			v.Set(reflect.Zero(rt))
@@ -888,7 +839,7 @@ func buildPointerDecoder(rt reflect.Type) decFn {
 	return self
 }
 
-func decIface(d *Decoder, v reflect.Value, tag byte) error {
+func decIface(d *decoder, v reflect.Value, tag byte) error {
 	switch tag {
 	case tNil:
 		v.Set(reflect.Zero(v.Type()))
@@ -911,7 +862,7 @@ func decIface(d *Decoder, v reflect.Value, tag byte) error {
 
 // ifaceName reads the registered name an interface value carries: inline
 // after tIface, by table id after tIfaceID.
-func (d *Decoder) ifaceName(tag byte) ([]byte, error) {
+func (d *decoder) ifaceName(tag byte) ([]byte, error) {
 	if tag == tIface {
 		return d.readName(4096)
 	}
@@ -927,7 +878,7 @@ func (d *Decoder) ifaceName(tag byte) ([]byte, error) {
 
 // decodeConcrete decodes an interface value's concrete value, whose tIface or
 // tIfaceID tag has been read, into a fresh value of its registered type.
-func (d *Decoder) decodeConcrete(tag byte) (reflect.Value, error) {
+func (d *decoder) decodeConcrete(tag byte) (reflect.Value, error) {
 	name, err := d.ifaceName(tag)
 	if err != nil {
 		return reflect.Value{}, err
@@ -954,7 +905,7 @@ func mismatch(tag byte, v reflect.Value) error {
 
 // readStructType reads a struct type id and, on first occurrence, its inline
 // definition.
-func (d *Decoder) readStructType() (*streamType, error) {
+func (d *decoder) readStructType() (*streamType, error) {
 	id, err := d.readUvarint()
 	if err != nil {
 		return nil, err
@@ -981,24 +932,21 @@ func (d *Decoder) readStructType() (*streamType, error) {
 	}
 }
 
-func (d *Decoder) readStructTypeDef() (*streamType, error) {
-	var start int
-	if d.r == nil {
-		// Byte-slice path: scan the definition first so an
-		// already-interned type is found without allocating.
-		start = d.pos
-		if err := d.skipStructTypeDef(); err != nil {
-			return nil, err
-		}
-		raw := d.data[start:d.pos]
-		typeIntern.RLock()
-		st := typeIntern.m[string(raw)]
-		typeIntern.RUnlock()
-		if st != nil {
-			return st, nil
-		}
-		d.pos = start
+func (d *decoder) readStructTypeDef() (*streamType, error) {
+	// Scan the definition first so an already-interned type is found
+	// without allocating.
+	start := d.pos
+	if err := d.skipStructTypeDef(); err != nil {
+		return nil, err
 	}
+	raw := d.data[start:d.pos]
+	typeIntern.RLock()
+	st := typeIntern.m[string(raw)]
+	typeIntern.RUnlock()
+	if st != nil {
+		return st, nil
+	}
+	d.pos = start
 	name, err := d.readString(4096)
 	if err != nil {
 		return nil, err
@@ -1017,26 +965,23 @@ func (d *Decoder) readStructTypeDef() (*streamType, error) {
 			return nil, err
 		}
 	}
-	st := &streamType{name: name, fields: fields}
-	if d.r == nil {
-		raw := d.data[start:d.pos]
-		typeIntern.Lock()
-		if prev := typeIntern.m[string(raw)]; prev != nil {
-			st = prev
-		} else {
-			if typeIntern.m == nil {
-				typeIntern.m = make(map[string]*streamType)
-			}
-			typeIntern.m[string(raw)] = st
+	st = &streamType{name: name, fields: fields}
+	typeIntern.Lock()
+	if prev := typeIntern.m[string(raw)]; prev != nil {
+		st = prev
+	} else {
+		if typeIntern.m == nil {
+			typeIntern.m = make(map[string]*streamType)
 		}
-		typeIntern.Unlock()
+		typeIntern.m[string(raw)] = st
 	}
+	typeIntern.Unlock()
 	return st, nil
 }
 
 // skipStructTypeDef advances past an inline struct definition, validating
 // the same limits readStructTypeDef enforces.
-func (d *Decoder) skipStructTypeDef() error {
+func (d *decoder) skipStructTypeDef() error {
 	if _, err := d.readName(4096); err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 package pickle_test
 
 import (
-	"bytes"
 	"fmt"
 
 	"smalldb/internal/pickle"
@@ -62,7 +61,7 @@ func Example_schemaEvolution() {
 	// Output: "amy" ""
 }
 
-func ExampleDecoder_DecodeAny() {
+func ExampleUnmarshalAny() {
 	// A stream can be decoded without knowing its Go types — this is how
 	// cmd/logdump renders any database's log entries.
 	type Update struct {
@@ -70,7 +69,7 @@ func ExampleDecoder_DecodeAny() {
 		Value string
 	}
 	data, _ := pickle.Marshal(&Update{Key: "host", Value: "16.4.0.1"})
-	v, err := pickle.NewDecoder(bytes.NewReader(data)).DecodeAny()
+	v, err := pickle.UnmarshalAny(data)
 	if err != nil {
 		panic(err)
 	}

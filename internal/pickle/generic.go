@@ -44,16 +44,9 @@ type GenericIface struct {
 	Value    any
 }
 
-// DecodeAny reads the next pickled value generically. Structs decode to
-// GenericStruct, maps to GenericMap, slices and arrays to []any, pointers to
-// *any, integers to int64/uint64.
-func (d *Decoder) DecodeAny() (any, error) {
-	if err := d.header(); err != nil {
-		return nil, err
-	}
-	d.refs = reuseMap(d.refs)
-	d.depth = 0
-	tag, err := d.readByte()
+// unmarshalAny decodes the value in d.data generically.
+func (d *decoder) unmarshalAny() (any, error) {
+	tag, err := d.start()
 	if err != nil {
 		return nil, err
 	}
@@ -62,14 +55,14 @@ func (d *Decoder) DecodeAny() (any, error) {
 }
 
 // skipTagged consumes the value whose tag byte has already been read,
-// discarding it. It shares the Decoder's identity table so that shared
+// discarding it. It shares the decoder's identity table so that shared
 // objects defined inside skipped fields still resolve from kept fields.
-func (d *Decoder) skipTagged(tag byte) error {
+func (d *decoder) skipTagged(tag byte) error {
 	_, err := d.decodeAnyTagged(tag)
 	return err
 }
 
-func (d *Decoder) decodeAny() (any, error) {
+func (d *decoder) decodeAny() (any, error) {
 	tag, err := d.readByte()
 	if err != nil {
 		return nil, err
@@ -77,7 +70,7 @@ func (d *Decoder) decodeAny() (any, error) {
 	return d.decodeAnyTagged(tag)
 }
 
-func (d *Decoder) decodeAnyTagged(tag byte) (any, error) {
+func (d *decoder) decodeAnyTagged(tag byte) (any, error) {
 	switch tag {
 	case tNil:
 		return nil, nil

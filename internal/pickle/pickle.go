@@ -42,7 +42,6 @@ package pickle
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"reflect"
 	"sync"
 )
@@ -131,7 +130,7 @@ func canonicalName(rt reflect.Type) string {
 }
 
 // Marshal and Unmarshal run on pooled codec state: the encoder (with its
-// grow-only scratch buffer and type table) and the Decoder are recycled
+// grow-only scratch buffer and type table) and the decoder are recycled
 // across calls, and an oversized scratch buffer is dropped rather than
 // pinned in the pool.
 const maxPooledBuf = 1 << 20
@@ -161,7 +160,7 @@ var encoderPool = sync.Pool{New: func() any {
 
 var decoderPool = sync.Pool{New: func() any {
 	codec.decPoolMisses.Add(1)
-	return new(Decoder)
+	return new(decoder)
 }}
 
 func getEncoder() *encoder {
@@ -188,22 +187,21 @@ func (e *encoder) reset() {
 	e.depth = 0
 }
 
-// decode runs fn on a pooled Decoder reading data against t.
-func (t *Table) decode(data []byte, fn func(*Decoder) (any, error)) (any, error) {
+// decode runs fn on a pooled decoder reading data against t.
+func (t *Table) decode(data []byte, fn func(*decoder) (any, error)) (any, error) {
 	codec.decPoolGets.Add(1)
-	d := decoderPool.Get().(*Decoder)
+	d := decoderPool.Get().(*decoder)
 	d.data, d.tab = data, t
 	v, err := fn(d)
 	putDecoder(d)
 	return v, err
 }
 
-func putDecoder(d *Decoder) {
+func putDecoder(d *decoder) {
 	d.data = nil
 	d.tab = nil
 	d.pos = 0
 	d.types = d.types[:0]
-	d.readHdr = false
 	d.refs = reuseMap(d.refs)
 	d.depth = 0
 	decoderPool.Put(d)
@@ -233,7 +231,8 @@ func AppendMarshal(dst []byte, v any) ([]byte, error) {
 
 // Unmarshal reads a pickled value from data into the variable pointed to by
 // ptr. It is the paper's PickleRead. It decodes directly from data on
-// pooled state, with no intermediate buffering. A stream pickled against a
+// pooled state, with no intermediate buffering: a checkpoint image, a log
+// entry and an rpc frame are each read whole first. A stream pickled against a
 // Table decodes here only when this process built that table; otherwise it
 // needs Table.Unmarshal.
 func Unmarshal(data []byte, ptr any) error {
@@ -246,7 +245,10 @@ func Unmarshal(data []byte, ptr any) error {
 	return t.Unmarshal(data, ptr)
 }
 
-// Read reads one pickled value from r into the variable pointed to by ptr.
-func Read(r io.Reader, ptr any) error {
-	return NewDecoder(r).Decode(ptr)
+// UnmarshalAny reads a self-describing pickled value from data generically.
+// Structs decode to GenericStruct, maps to GenericMap, slices and arrays to
+// []any, pointers to *any, integers to int64/uint64. A stream pickled against
+// a Table needs Table.UnmarshalAny.
+func UnmarshalAny(data []byte) (any, error) {
+	return (*Table)(nil).UnmarshalAny(data)
 }

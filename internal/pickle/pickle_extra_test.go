@@ -1,7 +1,6 @@
 package pickle
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -182,8 +181,7 @@ func TestGenericDecodeFuzzedStream(t *testing.T) {
 		for j := 0; j < 1+rng.Intn(3); j++ {
 			mut[rng.Intn(len(mut))] ^= byte(1 + rng.Intn(255))
 		}
-		dec := NewDecoder(bytes.NewReader(mut))
-		v, err := dec.DecodeAny()
+		v, err := UnmarshalAny(mut)
 		if err == nil {
 			_ = Format(v) // and formatting must not panic
 		}
@@ -318,9 +316,9 @@ func TestPooledCodersDropOvergrownMaps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := &Decoder{data: data}
+		d := &decoder{data: data}
 		var out []*int
-		if err := d.Decode(&out); err != nil || len(d.refs) != len(v.val) {
+		if err := d.unmarshal(&out); err != nil || len(d.refs) != len(v.val) {
 			t.Fatalf("decoded %d refs: %v", len(d.refs), err)
 		}
 		putDecoder(d)

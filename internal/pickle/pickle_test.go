@@ -455,8 +455,7 @@ func TestCorruptStreams(t *testing.T) {
 }
 
 // TestMidValueEOF: a stream that ends inside a value is malformed, a
-// *Error, from the byte-slice decoder, the streaming one and DecodeAny
-// alike; io.EOF is only for a stream that ends before a value starts.
+// *Error, from Unmarshal and UnmarshalAny alike; io.EOF is only for a stream that ends before a value starts.
 func TestMidValueEOF(t *testing.T) {
 	good, err := Marshal(outer{Name: "x", Tags: []string{"a"}, Attrs: map[string]string{"k": "v"}})
 	if err != nil {
@@ -464,12 +463,11 @@ func TestMidValueEOF(t *testing.T) {
 	}
 	for n := 0; n < len(good); n++ {
 		cut := good[:n]
-		var viaSlice, viaReader outer
-		_, anyErr := NewDecoder(bytes.NewReader(cut)).DecodeAny()
+		var out outer
+		_, anyErr := UnmarshalAny(cut)
 		for path, err := range map[string]error{
-			"Unmarshal": Unmarshal(cut, &viaSlice),
-			"Read":      Read(bytes.NewReader(cut), &viaReader),
-			"DecodeAny": anyErr,
+			"Unmarshal":    Unmarshal(cut, &out),
+			"UnmarshalAny": anyErr,
 		} {
 			var pe *Error
 			if n <= 1 { // nothing, or the magic byte alone: no value started
@@ -525,7 +523,7 @@ func TestGenericDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := NewDecoder(bytes.NewReader(data)).DecodeAny()
+	v, err := UnmarshalAny(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +557,7 @@ func TestFormatCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := NewDecoder(bytes.NewReader(data)).DecodeAny()
+	v, err := UnmarshalAny(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ var errNotInTable = &Error{msg: "value holds a type its table lacks"}
 // built maps a fingerprint to the table NewTable built with it — nil once two
 // different built tables share it — so the package's Unmarshal still decodes
 // a stream this process pickled against a table of its own making. A Table's
-// methods and a Decoder never consult it: the nil Table reads no such stream.
+// methods never consult it: the nil Table reads no such stream.
 var built sync.Map // uint16 -> *Table
 
 // NewTable builds the table for values of the roots' types: every struct
@@ -108,7 +108,7 @@ func ParseTable(b []byte) (*Table, error) {
 	}
 	b = bytes.Clone(b)
 	t := &Table{raw: b, fp: uint16(crc32.ChecksumIEEE(b)), nameIDs: map[string]uint64{}, structIDs: map[string]uint64{}}
-	d := &Decoder{data: b}
+	d := &decoder{data: b}
 	n, err := d.readUvarint()
 	if err == nil {
 		err = d.claim(n, MaxElems, "table name count")
@@ -196,11 +196,12 @@ func (t *Table) AppendMarshal(dst []byte, v any) ([]byte, error) {
 // Unmarshal reads a pickled value from data into the variable pointed to by
 // ptr: a stream pickled against t, or a self-describing one.
 func (t *Table) Unmarshal(data []byte, ptr any) error {
-	_, err := t.decode(data, func(d *Decoder) (any, error) { return nil, d.Decode(ptr) })
+	_, err := t.decode(data, func(d *decoder) (any, error) { return nil, d.unmarshal(ptr) })
 	return err
 }
 
-// UnmarshalAny is Unmarshal decoding generically, as Decoder.DecodeAny does.
+// UnmarshalAny is Unmarshal decoding generically, as the package's
+// UnmarshalAny does.
 func (t *Table) UnmarshalAny(data []byte) (any, error) {
-	return t.decode(data, (*Decoder).DecodeAny)
+	return t.decode(data, (*decoder).unmarshalAny)
 }
