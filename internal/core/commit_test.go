@@ -253,7 +253,7 @@ func TestTracedCommitSpans(t *testing.T) {
 			children := func(key string) map[string]bool {
 				t.Helper()
 				sc := obs.NewRootContext()
-				if _, err := s.ApplyBatchTraced([]Update{kind.put(key, "v")}, sc); err != nil {
+				if _, err := s.ApplyBatchTraced([]Update{kind.put(key, "v")}, sc, nil); err != nil {
 					t.Fatal(err)
 				}
 				mu.Lock()

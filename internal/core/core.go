@@ -737,7 +737,7 @@ func (s *Store) View(fn func(root any) error) error {
 // verify, log write — the commit point — and apply. On return the update
 // is durable, applied, and visible to enquiries.
 func (s *Store) Apply(u Update) error {
-	_, err := s.commit([]Update{u}, obs.SpanContext{})
+	_, err := s.commit([]Update{u}, obs.SpanContext{}, nil)
 	return err
 }
 
@@ -754,7 +754,7 @@ func (s *Store) Apply(u Update) error {
 // crashtest harness uses batches to put several updates behind one sync;
 // servers can use them to amortize lock traffic on bulk loads.
 func (s *Store) ApplyBatch(us []Update) error {
-	_, err := s.commit(us, obs.SpanContext{})
+	_, err := s.commit(us, obs.SpanContext{}, nil)
 	return err
 }
 
@@ -767,8 +767,15 @@ func (s *Store) ApplyBatch(us []Update) error {
 // and a caller that can classify the refusal may resume with
 // us[applied+1:]. An error that poisoned the store reports 0: nothing the
 // call did is acknowledged.
-func (s *Store) ApplyBatchTraced(us []Update, sc obs.SpanContext) (applied int, err error) {
-	return s.commit(us, sc)
+//
+// A non-nil logged is called once, with the number of updates applied,
+// when the applied prefix is on the log queue and applied in memory but
+// before the call waits for it to be durable; it is skipped when nothing
+// was applied or the batch poisoned the store. A replica uses it to start
+// the prefix's push while the local sync runs. The update lock is released
+// by then, so logged may block without stalling enquiries.
+func (s *Store) ApplyBatchTraced(us []Update, sc obs.SpanContext, logged func(applied int)) (applied int, err error) {
+	return s.commit(us, sc, logged)
 }
 
 // phaseTracer emits the child spans of one traced commit; the zero value
@@ -795,10 +802,10 @@ func (p phaseTracer) emit(name string, at time.Time, dur time.Duration, err erro
 // thing that depends on the root:
 //
 //   - A versioned root applies first and captures ONE new version for the
-//     whole call, releases the lock, waits for the log sync — shared with
-//     every concurrent committer — and only then publishes, so
-//     lock-free enquiries never observe state a crash could erase
-//     (published ≤ durable frontier).
+//     whole call, releases the lock, runs the caller's logged hook, waits
+//     for the log sync — shared with every concurrent committer — and only
+//     then publishes, so lock-free enquiries never observe state a crash
+//     could erase (published ≤ durable frontier).
 //   - An unversioned root's enquiries read the working root under the
 //     shared lock, so each entry is synced before it is applied (under the
 //     update lock for the first, enquiries still running).
@@ -806,7 +813,7 @@ func (p phaseTracer) emit(name string, at time.Time, dur time.Duration, err erro
 // Either way nothing is visible before it is durable, and the caller hears
 // the outcome — success, or a refusal decided against applied-but-
 // unpublished state — only after both.
-func (s *Store) commit(us []Update, sc obs.SpanContext) (applied int, err error) {
+func (s *Store) commit(us []Update, sc obs.SpanContext, logged func(applied int)) (applied int, err error) {
 	if len(us) == 0 {
 		return 0, nil
 	}
@@ -924,6 +931,9 @@ func (s *Store) commit(us []Update, sc obs.SpanContext) (applied int, err error)
 	unlock()
 	if fatal {
 		return 0, err
+	}
+	if logged != nil && applied > 0 {
+		logged(applied)
 	}
 
 	// Even on a verify error the applied prefix is enqueued and applied;

@@ -1,6 +1,7 @@
 package crashtest
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -485,12 +486,13 @@ func replicaTree(root any) *nameserver.Tree { return root.(*replica.Root).Tree }
 const flightName = "flightrec"
 
 // open opens the tortured database on fs — the bare store, or member 0
-// serving on w's network and connected to every other member — and starts
-// rc's readers on it. The workload phase runs under UnsafeNoSync when
-// configured and records into a flight ring on fs, in synchronous mode so
-// its fs ops are deterministic (reference and crash runs see identical op
-// indices) and every event is durable before the update that emitted it is
-// acknowledged to the harness; recovery from a durable image does neither.
+// serving on w's network and, for its workload, connected to every other
+// member (see connect) — and starts rc's readers on it. The workload phase
+// runs under UnsafeNoSync when configured and records into a flight ring on
+// fs, in synchronous mode so its fs ops are deterministic (reference and
+// crash runs see identical op indices) and every event is durable before
+// the update that emitted it is acknowledged to the harness; recovery from
+// a durable image does neither.
 func (r *runner) open(w *world, fs vfs.FS, workload bool, rc *readerCheck) (s *subject, err error) {
 	var tracer obs.Tracer
 	closeFlight := func() {}
@@ -521,8 +523,8 @@ func (r *runner) open(w *world, fs vfs.FS, workload bool, rc *readerCheck) (s *s
 		if err != nil {
 			return nil, err
 		}
-		for _, m := range w.members {
-			if err := ep.node.Connect(m.node.Name(), rpc.NewClientDialer(w.nw.Dialer(cfg.Name, m.node.Name()))); err != nil {
+		if workload {
+			if err := r.connect(w, ep.node); err != nil {
 				ep.close()
 				return nil, err
 			}
@@ -537,6 +539,18 @@ func (r *runner) open(w *world, fs vfs.FS, workload bool, rc *readerCheck) (s *s
 	}
 	rc.launch(s.store, s.treeOf)
 	return s, nil
+}
+
+// connect attaches every other member to member 0's node. A recovered node
+// meets them only once the harness has read what its own disk recovered: at
+// W > 1 its gate then pulls back whatever they hold of it.
+func (r *runner) connect(w *world, node *replica.Node) error {
+	for _, m := range w.members {
+		if err := node.Connect(m.node.Name(), rpc.NewClientDialer(w.nw.Dialer(node.Name(), m.node.Name()))); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // --- the workload ---
@@ -655,23 +669,18 @@ func (r *runner) reference() (int64, error) {
 	return w.ffs.OpCount(), nil
 }
 
-// partitionRun is a partition point's workload on member 0, already open
-// as s: the prefix [0, p) commits at quorum under the configured weather, a
-// seeded N − W of the other members — as many as the quorum can do without;
-// for a pair at W = 1, the only peer — are cut away from everyone else, and
-// the window must still be acknowledged against the survivors. Member 0
-// stays on the acking side: the whole point of the quorum is that it keeps
-// acknowledging through exactly this. It returns how many updates were
-// acknowledged.
-func (r *runner) partitionRun(p int64, w *world, s *subject) (int, []Violation) {
-	k := 0
-	if err := r.drive(s, &k, int(p), nil, nil); err != nil {
-		return 0, []Violation{r.violation(p, "prefix update %d not quorum-acknowledged: %v", k, err)}
-	}
-	var cut []string
+// cutAt is the members partition point p cuts off: a seeded N − W of the
+// other members — as many as the quorum can do without; for a pair at
+// W = 1, the only peer.
+func (r *runner) cutAt(p int64, w *world) (cut []string) {
 	for _, mi := range rand.New(rand.NewSource(r.pointSeed(p))).Perm(r.nodes - 1)[:r.nodes-r.quorum] {
 		cut = append(cut, w.members[mi].node.Name())
 	}
+	return cut
+}
+
+// partition cuts the named members away from everyone else.
+func (r *runner) partition(w *world, cut []string) {
 	for _, name := range cut {
 		for _, other := range r.group.Members {
 			if !slices.Contains(cut, other.Name) {
@@ -679,6 +688,27 @@ func (r *runner) partitionRun(p int64, w *world, s *subject) (int, []Violation) 
 			}
 		}
 	}
+}
+
+// partitionRun is a partition point's workload on member 0, already open
+// as s: the prefix [0, p) commits at quorum under the configured weather,
+// the members cutAt(p) are cut away — point 0 cut them before member 0
+// opened — and the window must still be acknowledged against the
+// survivors. Member 0 stays on the acking side: the whole point of the
+// quorum is that it keeps acknowledging through exactly this, once it has
+// taken its own stream back from every member. It returns how many updates
+// were acknowledged.
+func (r *runner) partitionRun(p int64, w *world, s *subject, cut []string) (int, []Violation) {
+	k := 0
+	if err := r.drive(s, &k, int(p), nil, nil); err != nil {
+		return 0, []Violation{r.violation(p, "prefix update %d not quorum-acknowledged: %v", k, err)}
+	}
+	if p == 0 && r.quorum > 1 {
+		if vs := r.gateRefusal(p, w, s, cut); vs != nil {
+			return 0, vs
+		}
+	}
+	r.partition(w, cut)
 	if err := r.drive(s, &k, int(p)+r.cfg.Window, nil, nil); err != nil {
 		return 0, []Violation{r.violation(p, "update %d not quorum-acknowledged during partition of %v: %v", k, cut, err)}
 	}
@@ -695,6 +725,28 @@ func (r *runner) partitionRun(p int64, w *world, s *subject) (int, []Violation) 
 		}
 	}
 	return k, nil
+}
+
+// gateRefusal holds member 0, opened at W > 1 while cut members are away,
+// to the gate: its first update must be refused with nothing logged, since
+// a cut member might hold entries of its origin. Once the cut heals, member
+// 0 must reconcile within the quorum timeout.
+func (r *runner) gateRefusal(p int64, w *world, s *subject, cut []string) []Violation {
+	if err := s.applyBatch(r.plan.batch(0, min(r.cfg.Batch, len(r.plan.updates)))); !errors.Is(err, replica.ErrUnreconciled) {
+		return []Violation{r.violation(p, "gate: update 0 with %v cut off before member 0 pulled from them returned %v, want ErrUnreconciled", cut, err)}
+	}
+	if got := s.store.AppliedSeq(); got != 0 {
+		return []Violation{r.violation(p, "gate: a refused update 0 left %d updates logged", got)}
+	}
+	w.nw.HealAll()
+	deadline := time.Now().Add(r.group.QuorumTimeout)
+	for err := s.node.Reconcile(); err != nil; err = s.node.Reconcile() {
+		if time.Now().After(deadline) {
+			return []Violation{r.violation(p, "gate: member 0 still unreconciled %v after the heal: %v", r.group.QuorumTimeout, err)}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return nil
 }
 
 // --- one point ---
@@ -730,9 +782,14 @@ func (r *runner) replay(p int64) (out []Violation) {
 	}
 	defer w.close()
 	var (
-		s                *subject // the tortured node, while it is up
-		rc               = r.newReaderCheck()
-		acked, attempted int
+		s  *subject // the tortured node, while it is up
+		rc = r.newReaderCheck()
+		// issued counts the updates the workload handed the tortured node
+		// before it died: past attempted when the crash cut an update's
+		// first fs op, or one whose failure the workload never sees (a
+		// flight-recorder write), so that it went on to the next update.
+		// It bounds what a member holds only at W > 1 (see below).
+		acked, attempted, issued int
 	)
 	defer func() {
 		out = append(out, r.readerViolations(p, rc)...)
@@ -742,17 +799,23 @@ func (r *runner) replay(p int64) (out []Violation) {
 		out = append(out, r.logFormViolations(p, w)...)
 	}()
 	if r.cfg.Mode == ModeNet {
+		cut := r.cutAt(p, w)
+		if p == 0 {
+			// The cut comes before update 0, so before member 0 opens too.
+			r.partition(w, cut)
+		}
 		if s, err = r.open(w, w.ffs, true, rc); err != nil {
 			return []Violation{r.violation(p, "harness: opening member %s: %v", memberName(0), err)}
 		}
 		var vs []Violation
-		if acked, vs = r.partitionRun(p, w, s); vs != nil {
+		if acked, vs = r.partitionRun(p, w, s, cut); vs != nil {
 			return vs
 		}
-		attempted = acked
+		attempted, issued = acked, acked
 	} else {
-		_ = r.crashRun(w, nil, rc) // the error is the crash itself
-		acked, attempted = r.rec.ackedAt(p), r.rec.attemptedAt(p)
+		run := &recorder{}
+		_ = r.crashRun(w, run, rc) // the error is the crash itself
+		acked, attempted, issued = r.rec.ackedAt(p), r.rec.attemptedAt(p), len(run.startOp)
 	}
 	if victim > 0 {
 		// Power-fail a member (possibly one of those cut off): restart it
@@ -803,6 +866,11 @@ func (r *runner) replay(p int64) (out []Violation) {
 	// first; alone, that is exactly the loss the self-test expects the
 	// harness to catch.
 	recovered := int(s.store.AppliedSeq())
+	if victim == 0 && s.node != nil {
+		if err := r.connect(w, s.node); err != nil {
+			return append(out, r.violation(p, "harness: connecting recovered member %s: %v", memberName(0), err))
+		}
+	}
 	if recovered < acked && !(r.cfg.UnsafeNoSync && r.quorum > 1) {
 		out = append(out, r.violation(p, "durability: recovered %d updates but %d were acknowledged", recovered, acked))
 	}
@@ -818,7 +886,16 @@ func (r *runner) replay(p int64) (out []Violation) {
 	// them holds, which can run past acked on either side: the
 	// flight-recorder write between the log sync and the ack is a crash
 	// point, a crash there still letting the already-durable update's
-	// push go out.
+	// push go out. At W = 1 a push leaves only after the local commit, so
+	// a member holds no update the tortured node did not attempt. At W > 1
+	// the push leaves once the entry is on the log queue, before any of its
+	// fs ops, so a member may hold more: never one the workload did not
+	// issue, and every update it holds is held to the oracle by the
+	// convergence below.
+	limit, what := attempted, "attempted"
+	if r.quorum > 1 {
+		limit, what = issued, "issued"
+	}
 	upto, holders := recovered, 0
 	for _, m := range w.members {
 		vec, err := m.node.Vector()
@@ -826,8 +903,8 @@ func (r *runner) replay(p int64) (out []Violation) {
 			return append(out, r.violation(p, "harness: reading member %s's vector: %v", m.node.Name(), err))
 		}
 		held := int(vec[memberName(0)])
-		if held > attempted {
-			return append(out, r.violation(p, "phantom: member %s holds %d updates but only %d were attempted", m.node.Name(), held, attempted))
+		if held > limit {
+			return append(out, r.violation(p, "phantom: member %s holds %d updates but only %d were %s", m.node.Name(), held, limit, what))
 		}
 		if held >= acked {
 			holders++

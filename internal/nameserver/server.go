@@ -146,7 +146,7 @@ func (s *Server) Delete(name string) error {
 // ApplyTraced commits one update under a trace context: when sc belongs to
 // a trace, the commit's phase spans land in it. A zero sc is Store().Apply.
 func (s *Server) ApplyTraced(u core.Update, sc obs.SpanContext) error {
-	_, err := s.store.ApplyBatchTraced([]core.Update{u}, sc)
+	_, err := s.store.ApplyBatchTraced([]core.Update{u}, sc, nil)
 	return err
 }
 

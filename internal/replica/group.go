@@ -5,7 +5,12 @@
 // once a configurable write quorum W of members — the origin counts as one —
 // have synced and applied it. W = 1 is the paper's §4 rule, ack after one
 // replica: the wait is over before it starts and the streams run behind the
-// ack. N = 1 is the lone node, a pair is N = 2. Members that fall behind
+// local commit. At W > 1 an entry goes onto the streams as soon as it is
+// logged and applied, so the members' syncs run beside the origin's own;
+// the ack still waits for both. A member may then hold an entry its origin
+// never made durable, so a W > 1 origin takes its own stream back from
+// every member before it originates after a restart (see reconcile).
+// N = 1 is the lone node, a pair is N = 2. Members that fall behind
 // (partition, crash, full queue) are marked lagging and repaired in the
 // background by a push-style anti-entropy loop driven from the origin's own
 // history; the per-member streams stay ordered so a push can never be
@@ -187,18 +192,23 @@ func (n *Node) Connect(name string, client *rpc.Client) error {
 		}
 	}
 	n.members = append(n.members, ms)
+	owed := slices.Contains(n.owed, name)
 	n.gmu.Unlock()
 	n.wg.Add(1)
 	go n.pusher(ms)
+	if owed {
+		n.kickAE() // the gate's pull from it starts at once
+	}
 	return nil
 }
 
 // applyAll is every local update's path: commit locally through one epoch
-// barrier, hand the committed entries to each member's stream, and ack once
-// the write quorum holds them. Prefix semantics follow
-// core.Store.ApplyBatch: on a batch error the committed prefix still fans
-// out (and is quorum-waited) and the batch error is returned; if the quorum
-// wait fails too, the errors are joined so the caller sees both.
+// barrier, hand the committed entries to each member's stream — at W > 1
+// the commit has done so before its sync — and ack once the write quorum
+// holds them. Prefix semantics follow core.Store.ApplyBatch: on a batch
+// error the committed prefix still fans out (and is quorum-waited) and the
+// batch error is returned; if the quorum wait fails too, the errors are
+// joined so the caller sees both.
 func (n *Node) applyAll(inners []core.Update, sc obs.SpanContext) error {
 	entries, batchErr := n.commitLocal(inners, sc)
 	if len(entries) == 0 {
@@ -206,14 +216,32 @@ func (n *Node) applyAll(inners []core.Update, sc obs.SpanContext) error {
 	}
 	committed := time.Now()
 	last := entries[len(entries)-1].Seq
+	// At W = 1 nothing waits for a member, so the push leaves only once
+	// the entry is durable here: no member ever holds an entry a restart
+	// of this node could lose.
+	if n.group.W == 1 && !n.stream(entries, sc) {
+		return fmt.Errorf("%w: node closed", ErrQuorumUnreachable)
+	}
+	if err := n.awaitQuorum(last, committed); err != nil {
+		// Surface both failures: the caller must learn that the suffix was
+		// never committed anywhere (batchErr) AND that even the committed
+		// prefix is not quorum-durable (err).
+		return errors.Join(err, batchErr)
+	}
+	return batchErr
+}
+
+// stream hands committed entries to the push stream of every member that is
+// not lagging — a member whose stream is full is marked lagging instead —
+// and raises commitSeq. It reports false, handing nothing on, once the node
+// is closed.
+func (n *Node) stream(entries []Entry, sc obs.SpanContext) bool {
 	n.gmu.Lock()
 	if n.closed {
 		n.gmu.Unlock()
-		return fmt.Errorf("%w: node closed", ErrQuorumUnreachable)
+		return false
 	}
-	if last > n.commitSeq {
-		n.commitSeq = last
-	}
+	n.commitSeq = max(n.commitSeq, entries[len(entries)-1].Seq)
 	lagged := false
 	for _, ms := range n.members {
 		if ms.lagging {
@@ -234,13 +262,7 @@ func (n *Node) applyAll(inners []core.Update, sc obs.SpanContext) error {
 	if lagged {
 		n.kickAE()
 	}
-	if err := n.awaitQuorum(last, committed); err != nil {
-		// Surface both failures: the caller must learn that the suffix was
-		// never committed anywhere (batchErr) AND that even the committed
-		// prefix is not quorum-durable (err).
-		return errors.Join(err, batchErr)
-	}
-	return batchErr
+	return true
 }
 
 // awaitQuorum blocks until W members (this one included) have applied seq,
@@ -335,9 +357,17 @@ func (n *Node) pusher(ms *memberState) {
 		start := time.Now()
 		err := ms.client.CallRetry(wire, "Replica.Push", &PushArgs{Entries: batch}, &reply, n.pushPolicy)
 		n.m.pushes.Inc()
-		// The event is out before the ack below wakes the committer, so a
-		// W > 1 caller's tracer sees commit and push in one fixed order —
-		// the crash sweep's fs-op indexing runs through the flight recorder.
+		// At W > 1 the push left before the batch's local sync returned;
+		// its event and ack wait for that commit to return — the committer
+		// waits for it too, so this costs nothing — and the event is out
+		// before the ack wakes the committer. A W > 1 caller's tracer thus
+		// sees commit and push in one fixed order: the crash sweep's fs-op
+		// indexing runs through the flight recorder.
+		n.gmu.Lock()
+		for n.settled < last && !n.closed {
+			n.cond.Wait()
+		}
+		n.gmu.Unlock()
 		attrs := []obs.Attr{obs.A("origin", n.name), obs.A("seq", last), obs.A("peer", ms.name)}
 		if !span.Active() {
 			obs.Emit(n.tracer, obs.Event{Name: "replica.push", Dur: time.Since(start), Err: err, Attrs: attrs})
@@ -393,13 +423,14 @@ func (n *Node) kickAE() {
 	}
 }
 
-// antiEntropyLoop is the one background consistency mechanism. A kick
-// repairs the members marked lagging; a tick additionally probes every
-// other connected member — one Vector call each — and pushes whatever it
-// turns out to lack, so a member converges with no new write to reveal the
-// gap: after it lost its disk, after this node restarted and forgot what
-// its members had acked, or when an entry reached this node's store by a
-// path other than Apply.
+// antiEntropyLoop is the one background consistency mechanism. Every kick
+// and tick first runs a round of the gate while a member is still owed
+// (see reconcile). A kick repairs the members marked lagging; a tick
+// additionally probes every other connected member — one Vector call each
+// — and pushes whatever it turns out to lack, so a member converges with
+// no new write to reveal the gap: after it lost its disk, after this node
+// restarted and forgot what its members had acked, or when an entry
+// reached this node's store by a path other than Apply.
 func (n *Node) antiEntropyLoop() {
 	defer n.wg.Done()
 	t := time.NewTicker(n.group.AntiEntropyEvery)
@@ -421,6 +452,7 @@ func (n *Node) antiEntropyLoop() {
 			}
 		}
 		n.gmu.Unlock()
+		n.pullOwed()
 		for _, ms := range due {
 			n.repair(ms)
 		}
@@ -542,7 +574,8 @@ func (n *Node) Lagging(name string) bool {
 }
 
 // Acked reports the highest origin seq each connected member has applied,
-// plus this node's own committed seq under its own name.
+// plus, under this node's own name, the highest it has handed to the push
+// streams.
 func (n *Node) Acked() map[string]uint64 {
 	n.gmu.Lock()
 	defer n.gmu.Unlock()

@@ -10,6 +10,7 @@ import (
 
 	"smalldb/internal/core"
 	"smalldb/internal/nameserver"
+	"smalldb/internal/netsim"
 	"smalldb/internal/obs"
 	"smalldb/internal/rpc"
 	"smalldb/internal/vfs"
@@ -31,10 +32,11 @@ func makeGroup(t testing.TB, w int, names ...string) *groupCluster {
 }
 
 // makeGroupOf opens the primary from primary, naming it after the group's
-// first member, and every other member behind an rpc server. Everything
-// the primary's goroutines read is set before Open starts them. The
-// members and their servers share the primary's tracer.
-func makeGroupOf(t testing.TB, primary Config) *groupCluster {
+// first member, and every other member behind an rpc server. Node i runs on
+// disks[i] when disks are given, on a vfs.Mem of its own otherwise.
+// Everything the primary's goroutines read is set before Open starts them.
+// The members and their servers share the primary's tracer.
+func makeGroupOf(t testing.TB, primary Config, disks ...vfs.FS) *groupCluster {
 	t.Helper()
 	gc := &groupCluster{}
 	for i, m := range primary.Members {
@@ -44,6 +46,9 @@ func makeGroupOf(t testing.TB, primary Config) *groupCluster {
 			nc.Name = m.Name
 		}
 		nc.FS = vfs.NewMem(int64(i + 1))
+		if disks != nil {
+			nc.FS = disks[i]
+		}
 		n, err := Open(nc)
 		if err != nil {
 			t.Fatal(err)
@@ -140,6 +145,10 @@ func TestGroupQuorumUnreachable(t *testing.T) {
 	cfg.AntiEntropyEvery = 10 * time.Millisecond
 	policy := rpc.RetryPolicy{MaxAttempts: 2, Budget: 100 * time.Millisecond, PerTry: 50 * time.Millisecond}
 	gc := makeGroupOf(t, Config{GroupConfig: cfg, PushPolicy: policy, SyncPolicy: policy})
+	// The first Set reconciles with every member while they still answer.
+	if err := gc.primary.Set("first", "v"); err != nil {
+		t.Fatal(err)
+	}
 	for _, s := range gc.servers {
 		s.Close() // every remote member goes dark; W=2 needs one of them
 	}
@@ -150,6 +159,69 @@ func TestGroupQuorumUnreachable(t *testing.T) {
 	// The update still committed locally and survives for anti-entropy.
 	if v, lerr := gc.primary.Lookup("k"); lerr != nil || v != "v" {
 		t.Fatalf("local commit lost: %q %v", v, lerr)
+	}
+}
+
+// TestReconcileRefusesWhileMemberDown: a restarted W = 2 primary that cannot
+// reach one member refuses its first Set with ErrUnreconciled and logs
+// nothing; a later Set is refused at once rather than after another pull's
+// retry budget. Once the member answers again, the anti-entropy loop
+// reconciles by itself and the next Set succeeds.
+func TestReconcileRefusesWhileMemberDown(t *testing.T) {
+	nw := netsim.New(1, netsim.Options{})
+	defer nw.Close()
+	b := serveNet(t, nw, Config{Name: "b", FS: vfs.NewMem(2)})
+	c := serveNet(t, nw, Config{Name: "c", FS: vfs.NewMem(3)})
+	defer b.close()
+	defer c.close()
+	fs := vfs.NewMem(1)
+	group := groupOf(2, "a", "b", "c")
+	group.AntiEntropyEvery = 10 * time.Millisecond
+	primary := func() *netNode {
+		a := serveNet(t, nw, Config{Name: "a", FS: fs, PushPolicy: fastPolicy, SyncPolicy: fastPolicy, GroupConfig: group})
+		connect(a, b, nw)
+		connect(a, c, nw)
+		return a
+	}
+	a := primary()
+	if err := a.node.Set("k0", "v"); err != nil {
+		t.Fatal(err)
+	}
+	a.close()
+	// c's replies vanish, so every pull to it runs out its retry budget.
+	nw.PartitionOneWay("c", "a")
+	a = primary()
+	defer a.close()
+	before := a.node.Store().AppliedSeq()
+	if err := a.node.Set("k1", "v"); !errors.Is(err, ErrUnreconciled) {
+		t.Fatalf("Set with member c down = %v, want ErrUnreconciled", err)
+	}
+	start := time.Now()
+	if err := a.node.Set("k1", "v"); !errors.Is(err, ErrUnreconciled) {
+		t.Fatalf("second Set with member c down = %v, want ErrUnreconciled", err)
+	}
+	if d := time.Since(start); d >= fastPolicy.Budget/2 {
+		t.Errorf("a Set refused after a failed round took %v, want at once", d)
+	}
+	if got := a.node.Store().AppliedSeq(); got != before {
+		t.Fatalf("refused Sets moved AppliedSeq %d -> %d", before, got)
+	}
+	nw.Heal("a", "c")
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		a.node.gmu.Lock()
+		owed := len(a.node.owed)
+		a.node.gmu.Unlock()
+		if owed == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the anti-entropy loop never reconciled with c after the heal")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := a.node.Set("k1", "v"); err != nil {
+		t.Fatalf("Set once c answers: %v", err)
 	}
 }
 
@@ -432,17 +504,32 @@ func TestGroupConfigValidate(t *testing.T) {
 	}
 }
 
-// BenchmarkReplicatedSet prices one replicated Set in process: every node on
-// vfs.Mem, members behind net.Pipe. N=2/W=1 is the pair (ack after the local
-// sync, the push runs behind it), N=2/W=2 waits for the one member, N=3/W=2
-// is nsbench's quorum3 shape. The anti-entropy interval is the default: a
-// probe scans the history, and the tests' 10ms would bill that to the Set.
+// BenchmarkReplicatedSet prices one replicated Set in process, members
+// behind net.Pipe. N=2/W=1 is the pair (ack after the local sync, the push
+// runs behind it), N=2/W=2 waits for the one member, N=3/W=2 is nsbench's
+// quorum3 shape. Each shape runs with every node on vfs.Mem, then with
+// every node on a disk arm of its own that takes 1ms a sync
+// ("sync=1ms"): there a W=2 Set costs about one modeled sync, since the
+// members' syncs run beside the primary's. The anti-entropy interval is
+// the default: a probe scans the history, and the tests' 10ms would bill
+// that to the Set.
 func BenchmarkReplicatedSet(b *testing.B) {
-	for _, tc := range []struct{ n, w int }{{2, 1}, {2, 2}, {3, 2}} {
-		b.Run(fmt.Sprintf("N=%d/W=%d", tc.n, tc.w), func(b *testing.B) {
+	for _, tc := range []struct {
+		n, w    int
+		modeled bool
+	}{{2, 1, false}, {2, 2, false}, {3, 2, false}, {2, 1, true}, {2, 2, true}, {3, 2, true}} {
+		name := fmt.Sprintf("N=%d/W=%d", tc.n, tc.w)
+		if tc.modeled {
+			name += "/sync=1ms"
+		}
+		b.Run(name, func(b *testing.B) {
 			cfg := groupOf(tc.w, []string{"a", "b", "c"}[:tc.n]...)
 			cfg.AntiEntropyEvery = 0
-			gc := makeGroupOf(b, Config{GroupConfig: cfg})
+			var disks []vfs.FS
+			for i := 0; tc.modeled && i < tc.n; i++ {
+				disks = append(disks, vfs.NewMetered(vfs.NewMem(int64(i+1)), vfs.Profile{PerOpWrite: time.Millisecond}, 1))
+			}
+			gc := makeGroupOf(b, Config{GroupConfig: cfg}, disks...)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := gc.primary.Set(fmt.Sprintf("bench/k%d", i%1000), "v"); err != nil {

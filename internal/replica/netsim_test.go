@@ -27,7 +27,14 @@ type netNode struct {
 // serves its Replica service at the netsim endpoint named cfgName.
 func openNetNode(t *testing.T, nw *netsim.Network, cfgName string, fs vfs.FS) *netNode {
 	t.Helper()
-	n, err := Open(Config{Name: cfgName, FS: fs, HistoryCap: 1000, PushPolicy: fastPolicy, SyncPolicy: fastPolicy, GroupConfig: groupOf(1, "a", "b")})
+	return serveNet(t, nw, Config{Name: cfgName, FS: fs, HistoryCap: 1000, PushPolicy: fastPolicy, SyncPolicy: fastPolicy, GroupConfig: groupOf(1, "a", "b")})
+}
+
+// serveNet opens a node from cfg and serves its Replica service at the
+// netsim endpoint named after it.
+func serveNet(t *testing.T, nw *netsim.Network, cfg Config) *netNode {
+	t.Helper()
+	n, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +42,7 @@ func openNetNode(t *testing.T, nw *netsim.Network, cfgName string, fs vfs.FS) *n
 	if err := srv.Register("Replica", NewService(n)); err != nil {
 		t.Fatal(err)
 	}
-	l, err := nw.Listen(cfgName)
+	l, err := nw.Listen(cfg.Name)
 	if err != nil {
 		t.Fatal(err)
 	}

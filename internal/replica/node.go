@@ -3,6 +3,7 @@ package replica
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,15 +43,16 @@ type Config struct {
 	Tracer obs.Tracer
 	// PushPolicy bounds each stream push of committed updates to a member
 	// (the zero value means the rpc defaults: 2s budget, exponential
-	// backoff with jitter). The push runs behind the commit, so the budget
-	// is never spent by Apply itself — only the quorum wait is, for W > 1.
-	// A push that exhausts its policy marks the member lagging and hands it
-	// to the background repair path.
+	// backoff with jitter). Apply never waits out the budget itself: at
+	// W = 1 the push runs behind the commit, and at W > 1 it leaves beside
+	// the local sync and only the quorum wait is spent on it. A push that
+	// exhausts its policy marks the member lagging and hands it to the
+	// background repair path.
 	PushPolicy rpc.RetryPolicy
 	// SyncPolicy bounds each anti-entropy RPC (Vector, Push, Install, Pull,
-	// Snapshot) the same way. Both policies ride on idempotency tokens, so
-	// a retried push never double-applies even if the first attempt
-	// executed and only its response was lost.
+	// Snapshot) the same way, the gate's pulls included. Both policies
+	// ride on idempotency tokens, so a retried push never double-applies
+	// even if the first attempt executed and only its response was lost.
 	SyncPolicy rpc.RetryPolicy
 	// GroupConfig is the group this node is a member of: the membership,
 	// the write quorum and the anti-entropy interval.
@@ -74,11 +76,23 @@ type Node struct {
 	group      GroupConfig // validated, defaults filled in
 	queueDepth int
 
-	gmu       sync.Mutex
-	cond      *sync.Cond
-	members   []*memberState // connected remote members, in Connect order
-	commitSeq uint64         // highest locally committed origin seq
+	gmu     sync.Mutex
+	cond    *sync.Cond
+	members []*memberState // connected remote members, in Connect order
+	// commitSeq is the highest origin seq handed to the push streams — at
+	// W > 1 before its local sync returns — and so what a lagging member
+	// must cover before it rejoins them. settled is the highest origin seq
+	// whose local commit has returned, durable or lost to the failure that
+	// poisoned the store: a pusher counts no ack beyond it.
+	commitSeq uint64
+	settled   uint64
 	closed    bool
+	// The gate (see reconcile): owed names the members a W > 1 node has
+	// still to take its own stream back from, and gateErr is why the last
+	// round of pulls left one owed — nil before the first round since the
+	// gate closed.
+	owed    []string
+	gateErr error
 
 	aeKick chan struct{}
 	aeStop chan struct{}
@@ -173,12 +187,15 @@ func Open(cfg Config) (*Node, error) {
 	}
 	// A restarted origin resumes from its own durable slot: repair is done
 	// only once a member covers everything committed before the restart.
+	// At W > 1 a member may hold more of this origin than that, so the node
+	// originates nothing until it has reconciled with every member.
 	vec, err := n.Vector()
 	if err != nil {
 		st.Close()
 		return nil, err
 	}
-	n.commitSeq = vec[n.name]
+	n.commitSeq, n.settled = vec[n.name], vec[n.name]
+	n.owed = n.peers()
 	if len(cfg.Members) > 1 {
 		n.wg.Add(1)
 		go n.antiEntropyLoop()
@@ -197,8 +214,10 @@ func (n *Node) Store() *core.Store { return n.store }
 // Apply commits an inner update locally (stamped with this node's next
 // sequence number), hands it to every member's push stream, and acks once
 // the write quorum holds it: at once for W = 1 — a member that is down
-// catches up later through anti-entropy — and after W - 1 member acks
-// otherwise.
+// catches up later through anti-entropy — and otherwise once it is durable
+// here and W - 1 members have acked it. A W > 1 node fails with
+// ErrUnreconciled, committing nothing, until it has pulled from every
+// member since Open or RestoreFromPeer (see reconcile).
 func (n *Node) Apply(inner core.Update) error {
 	return n.applyAll([]core.Update{inner}, obs.SpanContext{})
 }
@@ -218,17 +237,25 @@ func (n *Node) ApplyBatch(inners []core.Update) error {
 }
 
 // commitLocal commits a batch of inner updates locally — stamping each
-// with this node's consecutive sequence numbers and Lamport stamps — without
-// pushing to any member. It returns the committed entries; on a batch error
-// the applied prefix is returned alongside the error (core.Store.ApplyBatch
-// prefix semantics). Only that prefix may be pushed: anti-entropy would
-// otherwise resurrect updates this node never committed.
+// with this node's consecutive sequence numbers and Lamport stamps. It
+// returns the committed entries; on a batch error the applied prefix is
+// returned alongside the error (core.Store.ApplyBatch prefix semantics).
+// Only that prefix may be pushed: anti-entropy would otherwise resurrect
+// updates this node never committed. At W = 1 it pushes nothing: applyAll
+// streams the entries once mu is released, so two concurrent committers may
+// enqueue out of order, and a member that then sees a gap goes lagging and
+// is repaired. At W > 1 it hands the prefix to the push streams under mu
+// once it is logged and applied — stream order is log order — so the
+// members' syncs run beside the local one.
 func (n *Node) commitLocal(inners []core.Update, sc obs.SpanContext) ([]Entry, error) {
 	if len(inners) == 0 {
 		return nil, nil
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if err := n.reconcile(); err != nil {
+		return nil, err
+	}
 	var seq, stamp uint64
 	err := n.store.View(func(root any) error {
 		r, err := rootOf(root)
@@ -248,9 +275,123 @@ func (n *Node) commitLocal(inners []core.Update, sc obs.SpanContext) ([]Entry, e
 		entries[i] = Entry{Origin: n.name, Seq: seq + uint64(i) + 1, Stamp: stamp + uint64(i) + 1, Inner: inner}
 		us[i] = entries[i].update()
 	}
-	committedN, batchErr := n.store.ApplyBatchTraced(us, sc)
+	var logged func(int)
+	loggedN := 0
+	if n.group.W > 1 {
+		logged = func(k int) {
+			loggedN = k
+			n.stream(entries[:k:k], sc)
+		}
+	}
+	committedN, batchErr := n.store.ApplyBatchTraced(us, sc, logged)
+	if k := max(committedN, loggedN); k > 0 {
+		n.gmu.Lock()
+		n.settled = max(n.settled, entries[k-1].Seq)
+		n.cond.Broadcast()
+		n.gmu.Unlock()
+	}
 	// Capacity-limited: every member's pusher appends to its own copy.
 	return entries[:committedN:committedN], batchErr
+}
+
+// ErrUnreconciled refuses, with nothing logged, a local update at a W > 1
+// node that has not pulled from every member since it opened or restored
+// from a peer; it wraps why a member did not answer.
+var ErrUnreconciled = errors.New("replica: own stream not yet taken back from every member")
+
+// reconcile is the gate a W > 1 node's local update passes under mu, so no
+// sequence number is assigned before it opens: nil once the node has pulled
+// from every member since Open or RestoreFromPeer. Any member may hold
+// entries of this origin beyond its durable slot — pushed before a sync that
+// failed or was cut by a crash, or committed before a restore from a staler
+// peer — and reusing their sequence numbers would fork the stream. The
+// anti-entropy loop runs rounds of these pulls as members connect, so a
+// restarted origin has usually reconciled before its first update; until a
+// round has failed, an update runs one itself. After that an update fails
+// at once with why, and kicks the loop to try again: a W > 1 origin that
+// restarts while a member is unreachable accepts no update until that
+// member answers, but no update waits on it for long.
+func (n *Node) reconcile() error {
+	n.gmu.Lock()
+	first := len(n.owed) > 0 && n.gateErr == nil
+	n.gmu.Unlock()
+	if first {
+		n.pullOwed()
+	}
+	n.gmu.Lock()
+	defer n.gmu.Unlock()
+	if len(n.owed) == 0 {
+		return nil
+	}
+	n.kickAE()
+	why := n.gateErr
+	if why == nil {
+		why = fmt.Errorf("%v not connected", n.owed)
+	}
+	return fmt.Errorf("%w: %w", ErrUnreconciled, why)
+}
+
+// Reconcile runs the gate by itself, outside any update: one round of
+// pulls from the members still owed, reporting whether the node may
+// originate.
+func (n *Node) Reconcile() error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.gmu.Lock()
+	n.gateErr = nil
+	n.gmu.Unlock()
+	return n.reconcile()
+}
+
+// pullOwed is one round of the gate: an untraced pull from every connected
+// member still owed, side by side. A member whose pull succeeds is owed no
+// more; gateErr records why the others failed. The loop's round and an
+// update's may overlap: a pull applies only what the node lacks.
+func (n *Node) pullOwed() {
+	n.gmu.Lock()
+	var due []*memberState
+	for _, ms := range n.members {
+		if slices.Contains(n.owed, ms.name) {
+			due = append(due, ms)
+		}
+	}
+	n.gmu.Unlock()
+	if len(due) == 0 {
+		return
+	}
+	errs := make([]error, len(due))
+	var wg sync.WaitGroup
+	for i, ms := range due {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := n.syncWith(ms.client, obs.SpanContext{}); err != nil {
+				errs[i] = fmt.Errorf("%s: %w", ms.name, err)
+			}
+		}()
+	}
+	wg.Wait()
+	n.gmu.Lock()
+	for i, ms := range due {
+		if errs[i] == nil {
+			n.owed = slices.DeleteFunc(n.owed, func(name string) bool { return name == ms.name })
+		}
+	}
+	n.gateErr = errors.Join(errs...)
+	n.gmu.Unlock()
+}
+
+// peers names the members a W > 1 node reconciles with; none at W = 1.
+func (n *Node) peers() (out []string) {
+	if n.group.W == 1 {
+		return nil
+	}
+	for _, m := range n.group.Members {
+		if m.Name != n.name {
+			out = append(out, m.Name)
+		}
+	}
+	return out
 }
 
 // Set, Delete and Lookup are name-tree conveniences over Apply/View.
@@ -416,7 +557,7 @@ func (n *Node) applyEntries(entries []Entry, sc obs.SpanContext) (applied int, e
 		us[i] = e.update()
 	}
 	for len(us) > 0 {
-		k, aerr := n.store.ApplyBatchTraced(us, sc)
+		k, aerr := n.store.ApplyBatchTraced(us, sc, nil)
 		applied += k
 		if aerr == nil {
 			break
@@ -453,12 +594,6 @@ func (n *Node) SyncWith(client *rpc.Client) error {
 	root := obs.StartRoot(n.tracer, "replica.antientropy")
 	start := time.Now()
 	applied, full, err := n.syncWith(client, root.Context())
-	if err != nil {
-		n.m.pullErrors.Inc()
-	} else {
-		n.m.pulls.Inc()
-		n.m.pullApplied.Add(uint64(applied))
-	}
 	if root.Active() {
 		root.End(err, obs.A("applied", applied), obs.A("full_snapshot", full))
 	} else {
@@ -469,7 +604,16 @@ func (n *Node) SyncWith(client *rpc.Client) error {
 	return err
 }
 
+// syncWith is one pull from client, counted in the pull metrics.
 func (n *Node) syncWith(client *rpc.Client, sc obs.SpanContext) (applied int, full bool, err error) {
+	defer func() {
+		if err != nil {
+			n.m.pullErrors.Inc()
+		} else {
+			n.m.pulls.Inc()
+			n.m.pullApplied.Add(uint64(applied))
+		}
+	}()
 	vec, err := n.Vector()
 	if err != nil {
 		return 0, false, err
@@ -502,6 +646,9 @@ func (n *Node) installSnapshot(snap *Root) error {
 		return fmt.Errorf("replica: nil snapshot")
 	}
 	err := n.store.Apply(&installSnapshot{Snap: snap})
+	if errors.Is(err, ErrAlreadyApplied) {
+		return nil
+	}
 	if err == nil {
 		n.m.fullRestores.Inc()
 	}
@@ -528,6 +675,15 @@ func (u *installSnapshot) Verify(root any) error {
 	r, err := rootOf(root)
 	if err != nil {
 		return err
+	}
+	// A pull answered against a vector that has since moved on can bring a
+	// snapshot holding nothing this node lacks: it is not logged again.
+	news := false
+	for o, seq := range u.Snap.Vector {
+		news = news || seq > r.Vector[o]
+	}
+	if !news {
+		return fmt.Errorf("%w: snapshot %v holds nothing beyond %v", ErrAlreadyApplied, u.Snap.Vector, r.Vector)
 	}
 	if _, lost := r.missingFrom(u.Snap.Vector); lost {
 		return fmt.Errorf("%w: have %v, snapshot %v", ErrInstallRegress, r.Vector, u.Snap.Vector)
@@ -567,8 +723,14 @@ func (u *installSnapshot) Apply(root any) error {
 // RestoreFromPeer rebuilds a replica from a peer's full snapshot — the
 // paper's hard-error recovery. Call it on a freshly opened (empty or
 // reinitialized) node whose disk was lost; the node loses only updates that
-// had not propagated anywhere.
+// had not propagated anywhere. The peer may be staler than another member,
+// so a W > 1 node reconciles again before it next originates.
 func (n *Node) RestoreFromPeer(client *rpc.Client) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.gmu.Lock()
+	n.owed, n.gateErr = n.peers(), nil
+	n.gmu.Unlock()
 	var snap SnapshotReply
 	if err := client.CallRetry(obs.SpanContext{}, "Replica.Snapshot", &SnapshotArgs{}, &snap, n.syncPolicy); err != nil {
 		return err
