@@ -18,10 +18,10 @@
 // -quorum W members (itself included) have it durably. The default, W = 1,
 // is the paper's rule — ack after one replica, propagate behind the ack —
 // and -quorum 2 of three is a primary that survives any one loss. Above
-// W = 1 the push leaves beside the local sync, so after a start the daemon
-// pulls from every peer before it takes a Set; while one has not answered,
-// every Set is refused at once. Every
-// -anti-entropy interval the daemon probes each peer's version vector and
+// W = 1 the push to W − 1 peers leaves beside the local sync, so after a
+// start the daemon pulls from every peer before it takes a Set; while one
+// has not answered, every Set is refused at once. Every -anti-entropy
+// interval the daemon probes each peer's version vector and
 // pushes whatever it lacks; a peer that falls behind a push is repaired at
 // once. A peer that originates no updates still wants its -peers list, so
 // a bounded-staleness Replica.Read (see nsctl read) behind the client's

@@ -865,7 +865,14 @@ func (r *runner) replay(p int64) (out []Violation) {
 	// behind a quorum that put every acknowledged update on another member
 	// first; alone, that is exactly the loss the self-test expects the
 	// harness to catch.
-	recovered := int(s.store.AppliedSeq())
+	// Count and state come from one published view, read before a recovered
+	// node meets its members: connecting kicks the gate's pull, which would
+	// otherwise land between the two reads.
+	recovered, got := 0, uint64(0)
+	sn, fpErr := s.store.SnapshotAt()
+	if fpErr == nil {
+		recovered, got = int(sn.Seq()), fingerprintTree(s.treeOf(sn.Root()))
+	}
 	if victim == 0 && s.node != nil {
 		if err := r.connect(w, s.node); err != nil {
 			return append(out, r.violation(p, "harness: connecting recovered member %s: %v", memberName(0), err))
@@ -877,8 +884,8 @@ func (r *runner) replay(p int64) (out []Violation) {
 	if recovered > attempted {
 		return append(out, r.violation(p, "phantom: recovered %d updates but only %d were attempted", recovered, attempted))
 	}
-	if got, err := fingerprint(s.store, s.treeOf); err != nil || got != r.plan.fp[recovered] {
-		return append(out, r.violation(p, "atomicity: recovered state diverges from the oracle prefix of %d updates (%v)", recovered, err))
+	if fpErr != nil || got != r.plan.fp[recovered] {
+		return append(out, r.violation(p, "atomicity: recovered state diverges from the oracle prefix of %d updates (%v)", recovered, fpErr))
 	}
 
 	// So does every other member, and W − 1 of them hold all of the

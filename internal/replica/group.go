@@ -1,20 +1,25 @@
 // A node is one member of an N-node replica group. The node an update
 // arrives at commits it locally (it is the update's origin — the
-// single-writer store underneath is untouched), fans the entry out to every
-// other member through per-member ordered push streams, and acks the client
+// single-writer store underneath is untouched), hands the entry to every
+// member's ordered push stream as soon as it is logged, and acks the client
 // once a configurable write quorum W of members — the origin counts as one —
 // have synced and applied it. W = 1 is the paper's §4 rule, ack after one
-// replica: the wait is over before it starts and the streams run behind the
-// local commit. At W > 1 an entry goes onto the streams as soon as it is
-// logged and applied, so the members' syncs run beside the origin's own;
-// the ack still waits for both. A member may then hold an entry its origin
-// never made durable, so a W > 1 origin takes its own stream back from
-// every member before it originates after a restart (see reconcile).
-// N = 1 is the lone node, a pair is N = 2. Members that fall behind
-// (partition, crash, full queue) are marked lagging and repaired in the
-// background by a push-style anti-entropy loop driven from the origin's own
-// history; the per-member streams stay ordered so a push can never be
-// silently skipped as a sequence gap and still counted as an ack.
+// replica: the wait is over before it starts. A quorum needs W − 1 members,
+// so only that many are eager: the first W − 1 members not lagging, in
+// Connect order, are pushed each entry at once, and their syncs run beside
+// the origin's own. Every other member is lazy: its stream is coalesced over
+// a short linger and pushed only the prefix the origin has made durable, so
+// it never holds an entry its origin could lose. Any member's ack counts
+// toward the quorum, so a dead eager member costs a Set one lazy push, and
+// once it goes lagging the next member in line is eager. An eager member
+// may hold an entry its origin never made durable, so a W > 1 origin takes
+// its own stream back from every member before it originates after a
+// restart (see reconcile). N = 1 is the lone node, a pair is N = 2. Members
+// that fall behind (partition, crash, full queue) are marked lagging and
+// repaired in the background by a push-style anti-entropy loop driven from
+// the origin's own history; the per-member streams stay ordered so a push
+// can never be silently skipped as a sequence gap and still counted as an
+// ack.
 
 package replica
 
@@ -145,6 +150,14 @@ var ErrQuorumUnreachable = errors.New("replica: write quorum unreachable")
 // anti-entropy instead.
 const streamDepth = 1024
 
+// A lazy member's pusher waits lazyLinger for more of its stream to queue,
+// and any pusher coalesces queued batches into one push up to pushCap
+// entries.
+const (
+	lazyLinger = 3 * time.Millisecond
+	pushCap    = 256
+)
+
 // push is one queued stream batch and the trace of the update that
 // committed it.
 type push struct {
@@ -203,26 +216,17 @@ func (n *Node) Connect(name string, client *rpc.Client) error {
 }
 
 // applyAll is every local update's path: commit locally through one epoch
-// barrier, hand the committed entries to each member's stream — at W > 1
-// the commit has done so before its sync — and ack once the write quorum
-// holds them. Prefix semantics follow core.Store.ApplyBatch: on a batch
-// error the committed prefix still fans out (and is quorum-waited) and the
-// batch error is returned; if the quorum wait fails too, the errors are
-// joined so the caller sees both.
+// barrier — the commit hands the entries to the push streams once they are
+// logged — and ack once the write quorum holds them. Prefix semantics
+// follow core.Store.ApplyBatch: on a batch error the committed prefix still
+// fans out (and is quorum-waited) and the batch error is returned; if the
+// quorum wait fails too, the errors are joined so the caller sees both.
 func (n *Node) applyAll(inners []core.Update, sc obs.SpanContext) error {
 	entries, batchErr := n.commitLocal(inners, sc)
 	if len(entries) == 0 {
 		return batchErr
 	}
-	committed := time.Now()
-	last := entries[len(entries)-1].Seq
-	// At W = 1 nothing waits for a member, so the push leaves only once
-	// the entry is durable here: no member ever holds an entry a restart
-	// of this node could lose.
-	if n.group.W == 1 && !n.stream(entries, sc) {
-		return fmt.Errorf("%w: node closed", ErrQuorumUnreachable)
-	}
-	if err := n.awaitQuorum(last, committed); err != nil {
+	if err := n.awaitQuorum(entries[len(entries)-1].Seq, time.Now()); err != nil {
 		// Surface both failures: the caller must learn that the suffix was
 		// never committed anywhere (batchErr) AND that even the committed
 		// prefix is not quorum-durable (err).
@@ -231,15 +235,14 @@ func (n *Node) applyAll(inners []core.Update, sc obs.SpanContext) error {
 	return batchErr
 }
 
-// stream hands committed entries to the push stream of every member that is
+// stream hands logged entries to the push stream of every member that is
 // not lagging — a member whose stream is full is marked lagging instead —
-// and raises commitSeq. It reports false, handing nothing on, once the node
-// is closed.
-func (n *Node) stream(entries []Entry, sc obs.SpanContext) bool {
+// and raises commitSeq. It hands nothing on once the node is closed.
+func (n *Node) stream(entries []Entry, sc obs.SpanContext) {
 	n.gmu.Lock()
 	if n.closed {
 		n.gmu.Unlock()
-		return false
+		return
 	}
 	n.commitSeq = max(n.commitSeq, entries[len(entries)-1].Seq)
 	lagged := false
@@ -262,7 +265,22 @@ func (n *Node) stream(entries []Entry, sc obs.SpanContext) bool {
 	if lagged {
 		n.kickAE()
 	}
-	return true
+}
+
+// eager reports whether ms is one of the first W − 1 members, in Connect
+// order, that are not lagging: those are pushed an entry as soon as it is
+// logged. Caller holds gmu.
+func (n *Node) eager(ms *memberState) bool {
+	rank := 0
+	for _, o := range n.members {
+		if o == ms {
+			return rank < n.group.W-1
+		}
+		if !o.lagging {
+			rank++
+		}
+	}
+	return false
 }
 
 // awaitQuorum blocks until W members (this one included) have applied seq,
@@ -308,14 +326,23 @@ func (n *Node) awaitQuorum(seq uint64, committed time.Time) error {
 
 // pusher drains one member's ordered stream. Order is what makes an ack
 // trustworthy: entries reach the member in origin-sequence order, so the
-// member's replied vector slot climbs without silent gap-skips. Any push
-// failure (or a reply that does not cover the batch) flips the member to
-// lagging; from then on the pusher discards its queue — burning the push
-// budget per queued batch against a dead member would stall repair — and
-// anti-entropy owns the member until it has caught back up.
+// member's replied vector slot climbs without silent gap-skips. An eager
+// member is pushed each batch at once; a lazy one lingers for more to
+// queue, waits for the batch's local commit to return and is pushed only
+// its durable prefix. Any push failure (or a reply that does not cover the
+// batch) flips the member to lagging; from then on the pusher discards its
+// queue — burning the push budget per queued batch against a dead member
+// would stall repair — and anti-entropy owns the member until it has
+// caught back up.
 func (n *Node) pusher(ms *memberState) {
 	defer n.wg.Done()
 	for p := range ms.ch {
+		n.gmu.Lock()
+		lazy := !n.eager(ms)
+		n.gmu.Unlock()
+		if lazy {
+			time.Sleep(lazyLinger)
+		}
 		// Coalesce whatever else is already queued into this push: one
 		// RPC absorbs the whole backlog, so a member running behind the
 		// commit rate pays per-push cost once per burst instead of once
@@ -323,7 +350,7 @@ func (n *Node) pusher(ms *memberState) {
 		// push rides the newest traced update's trace.
 		batch, sc := p.entries, p.sc
 	coalesce:
-		for {
+		for len(batch) < pushCap {
 			select {
 			case more, ok := <-ms.ch:
 				if !ok {
@@ -339,7 +366,13 @@ func (n *Node) pusher(ms *memberState) {
 		}
 		n.m.queueDepth.Add(-int64(len(batch)))
 		n.gmu.Lock()
-		skip := ms.lagging
+		for lazy && n.settled < batch[len(batch)-1].Seq && !n.closed {
+			n.cond.Wait()
+		}
+		for lazy && len(batch) > 0 && batch[len(batch)-1].Seq > n.durable {
+			batch = batch[:len(batch)-1]
+		}
+		skip := ms.lagging || len(batch) == 0
 		n.gmu.Unlock()
 		if skip {
 			continue
@@ -357,8 +390,8 @@ func (n *Node) pusher(ms *memberState) {
 		start := time.Now()
 		err := ms.client.CallRetry(wire, "Replica.Push", &PushArgs{Entries: batch}, &reply, n.pushPolicy)
 		n.m.pushes.Inc()
-		// At W > 1 the push left before the batch's local sync returned;
-		// its event and ack wait for that commit to return — the committer
+		// An eager push left before the batch's local sync returned; its
+		// event and ack wait for that commit to return — the committer
 		// waits for it too, so this costs nothing — and the event is out
 		// before the ack wakes the committer. A W > 1 caller's tracer thus
 		// sees commit and push in one fixed order: the crash sweep's fs-op
@@ -574,8 +607,8 @@ func (n *Node) Lagging(name string) bool {
 }
 
 // Acked reports the highest origin seq each connected member has applied,
-// plus, under this node's own name, the highest it has handed to the push
-// streams.
+// plus, under this node's own name, the highest it has logged and handed
+// to the push streams, durable or not yet.
 func (n *Node) Acked() map[string]uint64 {
 	n.gmu.Lock()
 	defer n.gmu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -286,6 +287,102 @@ func TestApplyDoesNotWaitForDeadMember(t *testing.T) {
 	}
 }
 
+// TestEagerMemberDies: at N = 3, W = 2 the first member connected, b, is
+// the one eager member. Cut off mid-stream, it costs the next Set only c's
+// lazy push — far under the quorum timeout — then goes lagging, and c is
+// eager from then on.
+func TestEagerMemberDies(t *testing.T) {
+	nw := netsim.New(1, netsim.Options{})
+	defer nw.Close()
+	b := serveNet(t, nw, Config{Name: "b", FS: vfs.NewMem(2)})
+	c := serveNet(t, nw, Config{Name: "c", FS: vfs.NewMem(3)})
+	defer b.close()
+	defer c.close()
+	group := groupOf(2, "a", "b", "c")
+	group.QuorumTimeout = 2 * time.Second
+	a := serveNet(t, nw, Config{Name: "a", FS: vfs.NewMem(1), PushPolicy: fastPolicy, SyncPolicy: fastPolicy, GroupConfig: group})
+	defer a.close()
+	connect(a, b, nw)
+	connect(a, c, nw)
+	eager := func(name string) bool {
+		a.node.gmu.Lock()
+		defer a.node.gmu.Unlock()
+		for _, ms := range a.node.members {
+			if ms.name == name {
+				return a.node.eager(ms)
+			}
+		}
+		return false
+	}
+	for i := 0; i < 5; i++ {
+		if err := a.node.Set(fmt.Sprintf("k%d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !eager("b") || eager("c") {
+		t.Fatalf("eager b=%v c=%v, want only b", eager("b"), eager("c"))
+	}
+	nw.Partition("a", "b")
+	start := time.Now()
+	if err := a.node.Set("cut", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d >= group.QuorumTimeout/10 {
+		t.Fatalf("the Set after the eager member was cut took %v, want under %v", d, group.QuorumTimeout/10)
+	}
+	if v, err := c.node.Lookup("cut"); err != nil || v != "v" {
+		t.Fatalf("c lacks the acked Set: %q %v", v, err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !a.node.Lagging("b") {
+		if time.Now().After(deadline) {
+			t.Fatal("the cut eager member never went lagging")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !eager("c") {
+		t.Fatal("c was not promoted to eager once b went lagging")
+	}
+	if err := a.node.Set("after", "v"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentW1Committers: at N = 2, W = 1 eight goroutines of Sets feed
+// b's stream in log order, so b never sees a gap and is never marked
+// lagging.
+func TestConcurrentW1Committers(t *testing.T) {
+	reg := obs.NewRegistry()
+	gc := makeGroupOf(t, Config{Obs: reg, GroupConfig: groupOf(1, "a", "b")})
+	const goroutines, sets = 8, 50
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < sets; i++ {
+				if err := gc.primary.Set(fmt.Sprintf("g%d/k%d", g, i), "v"); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if !awaitSlot(t, gc.members[0], "a", goroutines*sets) {
+		t.Fatalf("b never reached seq %d", goroutines*sets)
+	}
+	pushErrs, laggards := reg.Counter("replica_group_push_errors").Value(), reg.Gauge("replica_group_laggards").Value()
+	if pushErrs != 0 || laggards != 0 || gc.primary.Lagging("b") {
+		t.Fatalf("push errors %d, laggards %d, b lagging %v: want none", pushErrs, laggards, gc.primary.Lagging("b"))
+	}
+}
+
 // TestStreamOverflowRepair: a member that stops draining its stream
 // overflows it, is marked lagging without blocking the commit path, and is
 // brought back by repair once it answers again.
@@ -510,9 +607,10 @@ func TestGroupConfigValidate(t *testing.T) {
 // quorum3 shape. Each shape runs with every node on vfs.Mem, then with
 // every node on a disk arm of its own that takes 1ms a sync
 // ("sync=1ms"): there a W=2 Set costs about one modeled sync, since the
-// members' syncs run beside the primary's. The anti-entropy interval is
-// the default: a probe scans the history, and the tests' 10ms would bill
-// that to the Set.
+// eager member's sync runs beside the primary's. pushes/op counts the
+// primary's stream pushes: the lazy members' pushes are coalesced. The
+// anti-entropy interval is the default: a probe scans the history, and the
+// tests' 10ms would bill that to the Set.
 func BenchmarkReplicatedSet(b *testing.B) {
 	for _, tc := range []struct {
 		n, w    int
@@ -529,13 +627,17 @@ func BenchmarkReplicatedSet(b *testing.B) {
 			for i := 0; tc.modeled && i < tc.n; i++ {
 				disks = append(disks, vfs.NewMetered(vfs.NewMem(int64(i+1)), vfs.Profile{PerOpWrite: time.Millisecond}, 1))
 			}
-			gc := makeGroupOf(b, Config{GroupConfig: cfg}, disks...)
+			reg := obs.NewRegistry()
+			gc := makeGroupOf(b, Config{Obs: reg, GroupConfig: cfg}, disks...)
+			pushes := reg.Counter("replica_group_pushes")
 			b.ResetTimer()
+			before := pushes.Value()
 			for i := 0; i < b.N; i++ {
 				if err := gc.primary.Set(fmt.Sprintf("bench/k%d", i%1000), "v"); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(pushes.Value()-before)/float64(b.N), "pushes/op")
 		})
 	}
 }

@@ -43,9 +43,9 @@ type Config struct {
 	Tracer obs.Tracer
 	// PushPolicy bounds each stream push of committed updates to a member
 	// (the zero value means the rpc defaults: 2s budget, exponential
-	// backoff with jitter). Apply never waits out the budget itself: at
-	// W = 1 the push runs behind the commit, and at W > 1 it leaves beside
-	// the local sync and only the quorum wait is spent on it. A push that
+	// backoff with jitter). Apply never waits out the budget itself: an
+	// eager member's push leaves beside the local sync, a lazy member's
+	// behind it, and only the quorum wait is spent on either. A push that
 	// exhausts its policy marks the member lagging and hands it to the
 	// background repair path.
 	PushPolicy rpc.RetryPolicy
@@ -79,13 +79,15 @@ type Node struct {
 	gmu     sync.Mutex
 	cond    *sync.Cond
 	members []*memberState // connected remote members, in Connect order
-	// commitSeq is the highest origin seq handed to the push streams — at
-	// W > 1 before its local sync returns — and so what a lagging member
-	// must cover before it rejoins them. settled is the highest origin seq
-	// whose local commit has returned, durable or lost to the failure that
-	// poisoned the store: a pusher counts no ack beyond it.
+	// commitSeq is the highest origin seq handed to the push streams —
+	// before its local sync returns — and so what a lagging member must
+	// cover before it rejoins them. settled is the highest origin seq whose
+	// local commit has returned, durable or lost to the failure that
+	// poisoned the store: a pusher counts no ack beyond it. durable is the
+	// highest that returned durable: a lazy member is pushed nothing beyond.
 	commitSeq uint64
 	settled   uint64
+	durable   uint64
 	closed    bool
 	// The gate (see reconcile): owed names the members a W > 1 node has
 	// still to take its own stream back from, and gateErr is why the last
@@ -194,7 +196,7 @@ func Open(cfg Config) (*Node, error) {
 		st.Close()
 		return nil, err
 	}
-	n.commitSeq, n.settled = vec[n.name], vec[n.name]
+	n.commitSeq, n.settled, n.durable = vec[n.name], vec[n.name], vec[n.name]
 	n.owed = n.peers()
 	if len(cfg.Members) > 1 {
 		n.wg.Add(1)
@@ -212,7 +214,7 @@ func (n *Node) Store() *core.Store { return n.store }
 // --- local operations ---
 
 // Apply commits an inner update locally (stamped with this node's next
-// sequence number), hands it to every member's push stream, and acks once
+// sequence number), hands it to the members' push streams, and acks once
 // the write quorum holds it: at once for W = 1 — a member that is down
 // catches up later through anti-entropy — and otherwise once it is durable
 // here and W - 1 members have acked it. A W > 1 node fails with
@@ -241,12 +243,10 @@ func (n *Node) ApplyBatch(inners []core.Update) error {
 // returns the committed entries; on a batch error the applied prefix is
 // returned alongside the error (core.Store.ApplyBatch prefix semantics).
 // Only that prefix may be pushed: anti-entropy would otherwise resurrect
-// updates this node never committed. At W = 1 it pushes nothing: applyAll
-// streams the entries once mu is released, so two concurrent committers may
-// enqueue out of order, and a member that then sees a gap goes lagging and
-// is repaired. At W > 1 it hands the prefix to the push streams under mu
-// once it is logged and applied — stream order is log order — so the
-// members' syncs run beside the local one.
+// updates this node never committed. It hands the prefix to the push
+// streams under mu once it is logged and applied — stream order is log
+// order — so the eager members' syncs run beside the local one, and records
+// how far the commit settled and how far it is durable for the pushers.
 func (n *Node) commitLocal(inners []core.Update, sc obs.SpanContext) ([]Entry, error) {
 	if len(inners) == 0 {
 		return nil, nil
@@ -275,18 +275,17 @@ func (n *Node) commitLocal(inners []core.Update, sc obs.SpanContext) ([]Entry, e
 		entries[i] = Entry{Origin: n.name, Seq: seq + uint64(i) + 1, Stamp: stamp + uint64(i) + 1, Inner: inner}
 		us[i] = entries[i].update()
 	}
-	var logged func(int)
 	loggedN := 0
-	if n.group.W > 1 {
-		logged = func(k int) {
-			loggedN = k
-			n.stream(entries[:k:k], sc)
-		}
-	}
-	committedN, batchErr := n.store.ApplyBatchTraced(us, sc, logged)
-	if k := max(committedN, loggedN); k > 0 {
+	committedN, batchErr := n.store.ApplyBatchTraced(us, sc, func(k int) {
+		loggedN = k
+		n.stream(entries[:k:k], sc)
+	})
+	if loggedN > 0 {
 		n.gmu.Lock()
-		n.settled = max(n.settled, entries[k-1].Seq)
+		n.settled = max(n.settled, entries[loggedN-1].Seq)
+		if committedN > 0 {
+			n.durable = max(n.durable, entries[committedN-1].Seq)
+		}
 		n.cond.Broadcast()
 		n.gmu.Unlock()
 	}

@@ -256,6 +256,56 @@ func TestPushOverlapsLocalSync(t *testing.T) {
 	requireSame(t, a, gc.members[0], gc.members[1])
 }
 
+// TestLazyMemberHoldsNoOrphan: at N = 3, W = 2 eager b holds seq k while
+// the primary's log sync is still held and lazy c does not. When that sync
+// fails, c's slot never passes the durable prefix k − 1.
+func TestLazyMemberHoldsNoOrphan(t *testing.T) {
+	ffs := faultfs.New(vfs.NewMem(1), faultfs.Options{CrashAt: faultfs.Never})
+	hfs := &holdFS{FS: ffs, held: make(chan struct{}), release: make(chan struct{})}
+	gc := makeGroupOf(t, Config{GroupConfig: groupOf(2, "a", "b", "c")}, hfs, vfs.NewMem(2), vfs.NewMem(3))
+	b, c := gc.members[0], gc.members[1]
+	const k = 3
+	for i := 1; i < k; i++ {
+		if err := gc.primary.Set(fmt.Sprintf("x/%d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !awaitSlot(t, c, "a", k-1) {
+		t.Fatalf("lazy c never reached the durable seq %d", k-1)
+	}
+	// maxSlot is the highest slot c shows for a over a few lingers.
+	maxSlot := func() (slot uint64) {
+		for end := time.Now().Add(10 * lazyLinger); time.Now().Before(end); time.Sleep(time.Millisecond) {
+			vec, err := c.Vector()
+			if err != nil {
+				t.Fatal(err)
+			}
+			slot = max(slot, vec["a"])
+		}
+		return slot
+	}
+	ffs.FailSyncAt(1, errors.New("injected sync failure"))
+	hfs.armed.Store(true)
+	done := make(chan error, 1)
+	go func() { done <- gc.primary.Set("y/orphan", "v") }()
+	<-hfs.held
+	reached := awaitSlot(t, b, "a", k)
+	held := maxSlot()
+	hfs.release <- struct{}{}
+	if !reached {
+		t.Fatalf("eager b never reached seq %d while the primary's sync was held", k)
+	}
+	if held >= k {
+		t.Fatalf("lazy c reached seq %d while the primary's sync was held", held)
+	}
+	if err := <-done; err == nil {
+		t.Fatal("Set succeeded though its log sync failed")
+	}
+	if after := maxSlot(); after != k-1 {
+		t.Fatalf("after the failed sync lazy c's slot is %d, want the durable prefix %d", after, k-1)
+	}
+}
+
 // TestStaleSnapshotIsNotLogged: a snapshot holding nothing the node lacks —
 // what a pull answered against an outdated vector can bring — is skipped,
 // not logged as an install that would rewrite the node's root.
