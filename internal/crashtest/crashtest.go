@@ -481,6 +481,15 @@ type subject struct {
 func storeTree(root any) *nameserver.Tree   { return root.(*nameserver.Tree) }
 func replicaTree(root any) *nameserver.Tree { return root.(*replica.Root).Tree }
 
+// originSlot renders the tortured origin's slot in a replica root's vector,
+// which a bare store's root has none of.
+func originSlot(root any) string {
+	if r, ok := root.(*replica.Root); ok {
+		return fmt.Sprint(r.Vector[memberName(0)])
+	}
+	return "none"
+}
+
 // flightName is the ring file the torture workloads record into, on the
 // same tortured fs as the store itself.
 const flightName = "flightrec"
@@ -868,10 +877,11 @@ func (r *runner) replay(p int64) (out []Violation) {
 	// Count and state come from one published view, read before a recovered
 	// node meets its members: connecting kicks the gate's pull, which would
 	// otherwise land between the two reads.
-	recovered, got := 0, uint64(0)
+	recovered, got, slot := 0, uint64(0), "none"
 	sn, fpErr := s.store.SnapshotAt()
 	if fpErr == nil {
 		recovered, got = int(sn.Seq()), fingerprintTree(s.treeOf(sn.Root()))
+		slot = originSlot(sn.Root())
 	}
 	if victim == 0 && s.node != nil {
 		if err := r.connect(w, s.node); err != nil {
@@ -882,7 +892,8 @@ func (r *runner) replay(p int64) (out []Violation) {
 		out = append(out, r.violation(p, "durability: recovered %d updates but %d were acknowledged", recovered, acked))
 	}
 	if recovered > attempted {
-		return append(out, r.violation(p, "phantom: recovered %d updates but only %d were attempted", recovered, attempted))
+		return append(out, r.violation(p, "phantom: recovered %d updates but only %d were attempted (%s's vector slot %s)",
+			recovered, attempted, memberName(0), slot))
 	}
 	if fpErr != nil || got != r.plan.fp[recovered] {
 		return append(out, r.violation(p, "atomicity: recovered state diverges from the oracle prefix of %d updates (%v)", recovered, fpErr))
@@ -911,7 +922,8 @@ func (r *runner) replay(p int64) (out []Violation) {
 		}
 		held := int(vec[memberName(0)])
 		if held > limit {
-			return append(out, r.violation(p, "phantom: member %s holds %d updates but only %d were %s", m.node.Name(), held, limit, what))
+			return append(out, r.violation(p, "phantom: member %s holds %d updates but only %d were %s (its store seq %d)",
+				m.node.Name(), held, limit, what, m.node.Store().AppliedSeq()))
 		}
 		if held >= acked {
 			holders++

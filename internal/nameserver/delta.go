@@ -157,8 +157,8 @@ func childPath(p []string, label string) []string {
 // once snapshots exist.
 func (t *Tree) ApplyDelta(delta any) error {
 	d, ok := delta.(*TreeDelta)
-	if !ok {
-		return fmt.Errorf("nameserver: delta is %T, not *TreeDelta", delta)
+	if !ok || d == nil {
+		return fmt.Errorf("nameserver: delta is %#v, not a *TreeDelta", delta)
 	}
 	seen := map[*Node]bool{} // across ops: a pickle may share a node between two puts' subtrees
 	for i := range d.Ops {
@@ -168,7 +168,7 @@ func (t *Tree) ApplyDelta(delta any) error {
 			if err := checkDepth(op.Path, 0); err != nil {
 				return err
 			}
-			t.set(op.Path, Node{Value: op.Value, HasValue: op.HasValue, Stamp: op.Stamp, StampBy: op.StampBy}, true)
+			t.set(op.Path, Node{Value: op.Value, HasValue: op.HasValue, Stamp: op.Stamp, StampBy: op.StampBy}, true, false)
 		case DeltaDelete:
 			if len(op.Path) == 0 {
 				return fmt.Errorf("nameserver: delta deletes the root")

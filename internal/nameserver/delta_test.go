@@ -228,8 +228,7 @@ func TestTreeDeltaStamps(t *testing.T) {
 	tree := NewTree()
 	(&SetValue{Path: []string{"x"}, Value: "0"}).Apply(tree)
 	v1 := tree.SnapshotView().(*Tree)
-	n := tree.EnsureNode([]string{"x"})
-	n.Value, n.HasValue, n.Stamp, n.StampBy = "1", true, 42, "nodeB"
+	tree.SetStamped([]string{"x"}, "1", 42, "nodeB")
 	v2 := tree.SnapshotView().(*Tree)
 
 	recon := NewTree()

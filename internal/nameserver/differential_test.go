@@ -494,14 +494,31 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 				e.value, e.hasValue = u.Value, true
 				model[JoinPath(u.Path)] = e
 				counts["set"]++
-			case r < 45: // the replica package's stamped write
+			case r < 45: // the replica package's stamped write; half of them at a stamped name, as old as its write or older
 				path := refPath(rng, 0)
-				e := refEntry{fmt.Sprintf("stamped%d", step), rng.Intn(5) > 0, uint64(step), "origin" + refLabels[rng.Intn(3)]}
-				n := tree.EnsureNode(path)
-				n.Value, n.HasValue, n.Stamp, n.StampBy = e.value, e.hasValue, e.stamp, e.stampBy
-				model.ensure(path)
-				model[JoinPath(path)] = e
-				counts["ensure"]++
+				e := refEntry{fmt.Sprintf("stamped%d", step), true, 1 + uint64(rng.Intn(step+1)), "origin" + refLabels[rng.Intn(3)]}
+				var stamped []string
+				for _, k := range model.keys() {
+					if model[k].stamp > 0 {
+						stamped = append(stamped, k)
+					}
+				}
+				if len(stamped) > 0 && rng.Intn(2) == 0 {
+					path, _ = SplitPath(stamped[rng.Intn(len(stamped))])
+					e.stamp = max(1, model[JoinPath(path)].stamp-uint64(rng.Intn(2))) // a tie goes by origin
+				}
+				held, ok := model[JoinPath(path)]
+				wins := !ok || (!held.hasValue && held.stamp == 0) || e.stamp > held.stamp || (e.stamp == held.stamp && e.stampBy >= held.stampBy)
+				if won := tree.SetStamped(path, e.value, e.stamp, e.stampBy); won != wins {
+					t.Fatalf("seed %d step %d: SetStamped(%v, %+v) over %+v won = %v, model says %v", seed, step, path, e, held, won, wins)
+				}
+				if wins {
+					model.ensure(path)
+					model[JoinPath(path)] = e
+					counts["stamped"]++
+				} else {
+					counts["stamped-lost"]++
+				}
 			case r < 65:
 				spec, form := randSpec(rng, step), rng.Intn(3)
 				path := refPath(rng, 0)
@@ -666,7 +683,7 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 			}
 		}
 	}
-	for kind, least := range map[string]int{"set": steps / 100, "ensure": steps / 100, "put-form0": steps / 100,
+	for kind, least := range map[string]int{"set": steps / 100, "stamped": steps / 100, "stamped-lost": steps / 100, "put-form0": steps / 100,
 		"put-form1": steps / 100, "put-form2": steps / 100, "delete": steps / 100, "move": steps / 100,
 		"put-wide": 2, "delete-wide-dir": 1, "grow-past-block": 2, "shrink-past-block": 2, "several-blocks": 2,
 		"chain-new": steps / 100, "chain-set": steps / 100, "chain-sibling": steps / 100, "chain-delete-leaf": steps / 100,

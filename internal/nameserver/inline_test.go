@@ -144,24 +144,28 @@ func TestTreeDecodeBytesPerName(t *testing.T) {
 	}
 }
 
-// pinnedShapes is a tree holding an inline leaf and an inline path of two
-// plain nodes beside each shape that must stay a node: a stamped leaf, a
-// leaf with no value, one with an empty value, one whose value starts with
-// a NUL byte, a plain node leading to that leaf, an emptied directory, and
-// an arc to nil.
+// pinnedShapes is a tree holding an inline leaf, an inline path of two
+// plain nodes and a stamped inline leaf beside each shape that must stay a
+// node: a leaf with no value, one with an empty value, one whose value
+// starts with a NUL byte, a plain node leading to that leaf, a leaf whose
+// value starts with the stamp mark, an emptied directory, and an arc to nil.
 func pinnedShapes() *Tree {
 	tr := NewTree()
 	for _, u := range []*SetValue{{Path: []string{"d", "inline"}, Value: "v"}, {Path: []string{"d", "empty"}, Value: ""},
 		{Path: []string{"d", "gone", "x"}, Value: "x"}, {Path: []string{"d", "chain", "x", "y"}, Value: "c"},
-		{Path: []string{"d", "nul", "x"}, Value: "\x00n"}} {
+		{Path: []string{"d", "nul", "x"}, Value: "\x00n"}, {Path: []string{"d", "mark"}, Value: "\x01m"}} {
 		if err := u.Apply(tr); err != nil {
 			panic(err)
 		}
 	}
 	(&DeleteSubtree{Path: []string{"d", "gone", "x"}}).Apply(tr)
-	n := tr.EnsureNode([]string{"d", "stamped"})
-	n.Value, n.HasValue, n.Stamp, n.StampBy = "s", true, 7, "a"
-	tr.EnsureNode([]string{"d", "novalue"})
+	if !tr.SetStamped([]string{"d", "stamped"}, "s", 7, "a") {
+		panic("a stamped write to a new name lost")
+	}
+	if tr.SetStamped([]string{"d", "stamped"}, "lost", 6, "b") || tr.SetStamped([]string{"d", "stamped"}, "lost", 7, "") {
+		panic("an older stamped write won")
+	}
+	tr.ensure([]string{"d", "novalue"})
 	tr.ensure([]string{"d"}).bind(Arc{Label: "nil"})
 	return tr
 }
@@ -177,6 +181,9 @@ func TestInlineLeafFormatPins(t *testing.T) {
 	}
 	if a := tr.at([]string{"d", "chain"}); a.Child != nil || a.leaf != "\x00\x01x\x00\x01yc" {
 		t.Fatalf("a Set of a name three labels below d left %+v, not an inline path", a)
+	}
+	if a := tr.at([]string{"d", "stamped"}); a.Child != nil || a.leaf != "\x01\x07\x01as" {
+		t.Fatalf("a stamped Set of a new name, then two that lose, left %+v, not the first's inline leaf", a)
 	}
 
 	// The checkpoint image, as a store writes it at its creation: every file
@@ -210,7 +217,7 @@ func TestInlineLeafFormatPins(t *testing.T) {
 	if again := mustMarshal(&back); !bytes.Equal(again, raw) {
 		t.Fatal("the image does not load back to the same bytes")
 	}
-	for label, inline := range map[string]bool{"inline": true, "chain": true, "empty": false, "nul": false, "gone": false, "stamped": false, "novalue": false, "nil": false} {
+	for label, inline := range map[string]bool{"inline": true, "chain": true, "empty": false, "nul": false, "gone": false, "stamped": true, "mark": false, "novalue": false, "nil": false} {
 		a := back.at([]string{"d", label})
 		if (a.leaf != "") != inline || (a.Child == nil) != (inline || label == "nil") {
 			t.Errorf("loaded %s: %+v", label, a)
@@ -225,19 +232,27 @@ func TestInlineLeafFormatPins(t *testing.T) {
 	}
 
 	// A delta after one Set of an existing leaf, of a new one, of an inline
-	// path's own name, and of a name two labels below an existing node.
+	// path's own name, of a name two labels below an existing node, and
+	// stamped, of a stamped inline leaf and of a new name under a chain.
 	prev := tr.SnapshotView().(*Tree)
 	w := &Node{Value: "w", HasValue: true}
 	for _, tc := range []struct {
-		path []string
-		want DeltaOp
+		path  []string
+		stamp uint64 // a stamped Set's, by "b"
+		want  DeltaOp
 	}{
-		{[]string{"d", "inline"}, DeltaOp{Op: DeltaSet, Path: []string{"d", "inline"}, Value: "w", HasValue: true}},
-		{[]string{"d", "new"}, DeltaOp{Op: DeltaPut, Path: []string{"d", "new"}, Subtree: w}},
-		{[]string{"d", "chain", "x", "y"}, DeltaOp{Op: DeltaSet, Path: []string{"d", "chain", "x", "y"}, Value: "w", HasValue: true}},
-		{[]string{"d", "new2", "p", "q"}, DeltaOp{Op: DeltaPut, Path: []string{"d", "new2"}, Subtree: &Node{Arcs: []Arc{{Label: "p", Child: &Node{Arcs: []Arc{{Label: "q", Child: w}}}}}}}},
+		{[]string{"d", "inline"}, 0, DeltaOp{Op: DeltaSet, Path: []string{"d", "inline"}, Value: "w", HasValue: true}},
+		{[]string{"d", "new"}, 0, DeltaOp{Op: DeltaPut, Path: []string{"d", "new"}, Subtree: w}},
+		{[]string{"d", "chain", "x", "y"}, 0, DeltaOp{Op: DeltaSet, Path: []string{"d", "chain", "x", "y"}, Value: "w", HasValue: true}},
+		{[]string{"d", "new2", "p", "q"}, 0, DeltaOp{Op: DeltaPut, Path: []string{"d", "new2"}, Subtree: &Node{Arcs: []Arc{{Label: "p", Child: &Node{Arcs: []Arc{{Label: "q", Child: w}}}}}}}},
+		{[]string{"d", "stamped"}, 8, DeltaOp{Op: DeltaSet, Path: []string{"d", "stamped"}, Value: "w", HasValue: true, Stamp: 8, StampBy: "b"}},
+		{[]string{"d", "chain", "x", "z"}, 9, DeltaOp{Op: DeltaPut, Path: []string{"d", "chain", "x", "z"}, Subtree: &Node{Value: "w", HasValue: true, Stamp: 9, StampBy: "b"}}},
 	} {
-		(&SetValue{Path: tc.path, Value: "w"}).Apply(tr)
+		if tc.stamp == 0 {
+			(&SetValue{Path: tc.path, Value: "w"}).Apply(tr)
+		} else if !tr.SetStamped(tc.path, "w", tc.stamp, "b") {
+			t.Fatalf("a stamped Set of %v stamped %d lost", tc.path, tc.stamp)
+		}
 		cur := tr.SnapshotView().(*Tree)
 		if got, want := mustMarshal(mustDelta(t, cur, prev)), mustMarshal(&TreeDelta{Ops: []DeltaOp{tc.want}}); !bytes.Equal(got, want) {
 			t.Fatalf("delta after a Set of %v:\n %x\nwant\n %x", tc.path, got, want)
@@ -286,12 +301,14 @@ func TestInlineLeafLookupAllocs(t *testing.T) {
 }
 
 // leafTree builds a small tree from b, a byte an arc: in turn, under the node
-// being built, a bare leaf spelled inline or as a node, a stamped leaf, a
-// leaf with no value or with an empty one, an emptied directory, an arc to
-// nil — or, from byte 0x80 on, a bare path of one to three plain nodes,
-// spelled inline or as nodes —, a directory filled by the bytes that follow,
-// or the end of the node. A Set of one more name then copies the root, in
-// blocks if it is wide.
+// being built, a bare leaf spelled inline or as a node — from byte 0x80 on, a
+// node whose value starts with the stamp mark —, a stamped leaf spelled as a
+// node or, from 0x80 on, inline, a leaf with no value or with an empty one,
+// an emptied directory, an arc to nil — or, from byte 0x80 on, a bare path
+// of one to three plain nodes, spelled inline or as nodes, its leaf stamped
+// from byte 186 on —, a directory filled by the bytes that follow, or the
+// end of the node. A Set of one more name then copies the root, in blocks
+// if it is wide.
 func leafTree(b []byte) *Tree {
 	b = b[:min(len(b), 9999)] // so that the labels ascend
 	var build func(depth int) *Node
@@ -305,9 +322,13 @@ func leafTree(b []byte) *Tree {
 			case 0:
 				a.leaf = v
 			case 1:
-				a.Child = &Node{Value: v, HasValue: true}
+				if a.Child = (&Node{Value: v, HasValue: true}); c >= 0x80 {
+					a.Child.Value = "\x01" + v
+				}
 			case 2:
-				a.Child = &Node{Value: v, HasValue: true, Stamp: uint64(c), StampBy: "s"}
+				if a.Child = (&Node{Value: v, HasValue: true, Stamp: uint64(c), StampBy: "s"}); c >= 0x80 {
+					a = copyArc(a.Label, a.Child)
+				}
 			case 3:
 				a.Child = &Node{}
 			case 4:
@@ -317,6 +338,9 @@ func leafTree(b []byte) *Tree {
 			case 6:
 				if c >= 0x80 {
 					n := &Node{Value: v, HasValue: true}
+					if c >= 186 {
+						n.Stamp, n.StampBy = uint64(c), "s"
+					}
 					for i := 1 + int(c/9)%3; i > 0; i-- {
 						n = &Node{Arcs: []Arc{{Label: fmt.Sprint("p", i), Child: n}}}
 					}

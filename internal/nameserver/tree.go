@@ -93,20 +93,25 @@ const blockSize = 32
 // An arc to a bare path holds the path in leaf, with Child nil, and no node
 // on it is a Node of its own: radix-tree path compression. A bare path is
 // any number of plain nodes — no value, no stamps, one arc — leading to a
-// bare leaf: a value neither empty nor led by a NUL byte, and nothing else.
-// An arc to a bare leaf holds its value; an arc to a plain node holds a NUL
-// byte, the uvarint length of the node's one label, the label, and that
-// arc's leaf: host → addr → "v" is an arc labelled host holding
-// "\x00\x04addrv". It pickles as the nodes it stands for
-// (pickle.MapPairInline), and loads back into its arc. An arc with neither
-// Child nor leaf is an arc to nil, which only a foreign image holds, and
-// which enquiries take for no name.
+// bare leaf: a value neither empty nor led by a byte below 2, perhaps
+// stamps, and nothing else. An arc to an unstamped bare leaf holds its
+// value; to a stamped one, the byte 1, the uvarint Stamp, the uvarint
+// length of StampBy, StampBy and the value; to a plain node, a NUL byte, the
+// uvarint length of the node's one label, the label, and that arc's leaf:
+// host → addr → "v" is an arc labelled host holding "\x00\x04addrv", and
+// with addr stamped 7 by "a", "\x00\x04addr\x01\x07\x01av". It pickles as
+// the nodes it stands for (pickle.MapPairInline), and loads back into its
+// arc. An arc with neither Child nor leaf is an arc to nil, which only a
+// foreign image holds, and which enquiries take for no name.
 type Arc struct {
 	Label string
 	Child *Node
 
-	leaf string // an inline path: a bare leaf's value, or a plain node's one arc
+	leaf string // an inline path: a bare leaf, or a plain node's one arc
 }
+
+// stampMark leads the leaf of an arc to a stamped bare leaf.
+const stampMark = 1
 
 // PickleMapPair implements pickle.MapPair.
 func (Arc) PickleMapPair() {}
@@ -144,8 +149,32 @@ func (a Arc) Node() *Node {
 func (a Arc) unbox(n *Node) {
 	if label, rest, ok := pathNext(a.leaf); ok {
 		n.Value, n.HasValue, n.Arcs = "", false, append(n.Arcs[:0], Arc{Label: label, leaf: rest})
+		n.Stamp, n.StampBy = 0, ""
 	} else {
-		n.Value, n.HasValue, n.Arcs = a.leaf, true, nil
+		n.HasValue, n.Arcs = true, nil
+		n.Value, n.Stamp, n.StampBy = bareLeaf(a.leaf)
+	}
+}
+
+// bareLeaf returns the value and stamps of the bare leaf an arc holds.
+func bareLeaf(leaf string) (value string, stamp uint64, by string) {
+	if leaf[0] != stampMark {
+		return leaf, 0, ""
+	}
+	stamp, i := uvarint(leaf, 1)
+	n, i := uvarint(leaf, i)
+	return leaf[i+int(n):], stamp, leaf[i : i+int(n)]
+}
+
+// uvarint decodes the uvarint at s[i:], which the tree wrote, and returns
+// it and the index past it.
+func uvarint(s string, i int) (v uint64, next int) {
+	for shift := 0; ; shift += 7 {
+		b := s[i]
+		i++
+		if v |= uint64(b&0x7f) << shift; b < 0x80 {
+			return v, i
+		}
 	}
 }
 
@@ -164,16 +193,13 @@ func (a Arc) step(label string) Arc {
 func (a Arc) exists() bool { return a.Child != nil || a.leaf != "" }
 
 // pathNext splits the leaf of an arc to a plain node into the label of that
-// node's one arc and the arc's leaf; ok is false for a bare leaf's value.
+// node's one arc and the arc's leaf; ok is false for a bare leaf.
 func pathNext(leaf string) (label, rest string, ok bool) {
 	if leaf == "" || leaf[0] != 0 {
 		return "", "", false
 	}
-	n, k := uint64(leaf[1]), 1
-	if n >= 0x80 { // a label of 128 bytes or more
-		n, k = binary.Uvarint([]byte(leaf[1:min(len(leaf), 1+binary.MaxVarintLen64)])) // a copy on the stack
-	}
-	i, j := 1+k, 1+k+int(n)
+	n, i := uvarint(leaf, 1)
+	j := i + int(n)
 	return leaf[i:j], leaf[j:], true
 }
 
@@ -182,6 +208,25 @@ func pathNext(leaf string) (label, rest string, ok bool) {
 func fold(label, leaf string) string {
 	var n [binary.MaxVarintLen64]byte
 	return "\x00" + string(binary.AppendUvarint(n[:0], uint64(len(label)))) + label + leaf
+}
+
+// leafOf returns the leaf of an arc holding the path of plain nodes through
+// labels to the bare leaf n, in one allocation: none for an unstamped leaf
+// at the arc itself, which holds n's value.
+func leafOf(labels []string, n *Node) string {
+	if len(labels) == 0 && n.plain() {
+		return n.Value
+	}
+	var buf [128]byte
+	b := buf[:0]
+	for _, l := range labels {
+		b = append(binary.AppendUvarint(append(b, 0), uint64(len(l))), l...)
+	}
+	if !n.plain() {
+		b = binary.AppendUvarint(binary.AppendUvarint(append(b, stampMark), n.Stamp), uint64(len(n.StampBy)))
+		b = append(b, n.StampBy...)
+	}
+	return string(append(b, n.Value...))
 }
 
 // span reports the names an inline path holds: one per label, the arc's
@@ -195,11 +240,11 @@ func span(leaf string) (names int) {
 
 // bare reports whether n is a bare leaf.
 func (n *Node) bare() bool {
-	return n.HasValue && n.Value != "" && n.Value[0] != 0 && n.Arcs == nil && n.plain()
+	return n.HasValue && n.Value != "" && n.Value[0] > stampMark && n.Arcs == nil && n.blocks == nil && n.Children == nil
 }
 
 // plain reports whether n has neither stamps nor blocks nor the input-only
-// Children, which no node on an inline path has.
+// Children, which no plain node on an inline path has.
 func (n *Node) plain() bool {
 	return n.blocks == nil && n.Children == nil && n.Stamp == 0 && n.StampBy == ""
 }
@@ -209,7 +254,7 @@ func (n *Node) plain() bool {
 func (n *Node) inline() string {
 	switch {
 	case n.bare():
-		return n.Value
+		return leafOf(nil, n)
 	case len(n.Arcs) == 1 && n.Arcs[0].leaf != "" && !n.HasValue && n.Value == "" && n.plain():
 		return fold(n.Arcs[0].Label, n.Arcs[0].leaf)
 	}
@@ -486,37 +531,43 @@ func (t *Tree) ensure(parts []string) *Node  { return t.writable(parts, true) }
 func (t *Tree) cowPath(parts []string) *Node { return t.writable(parts, false) }
 
 // set gives the name parts s's value and presence, and with stamps its
-// stamps too, creating the name and its ancestors if missing. A leaf left
-// bare is held inline, with the path to it from the last Node on the way: a
-// new name's from its deepest existing ancestor, opened if inline; an
-// inline path's own name's from the node whose arc holds the path. Any
-// other node is made writable.
-func (t *Tree) set(parts []string, s Node, stamps bool) {
-	if len(parts) > 0 {
-		i, h, a := t.reach(parts)
-		var leaf Node // what the name holds now: nothing if it is new
-		isLeaf := true
-		switch {
-		case i < len(parts):
-			h = i
-		case a.Child != nil:
-			leaf, isLeaf = *a.Child, a.Child.Arcs == nil && a.Child.blocks == nil
-		case a.leaf[0] == 0: // a plain node on an inline path
-			isLeaf = false
-		default:
-			leaf = Node{Value: a.leaf, HasValue: true}
-		}
-		if isLeaf {
-			if leaf.scalars(s, stamps); leaf.bare() {
-				for j := len(parts) - 1; j > h; j-- {
-					leaf.Value = fold(parts[j], leaf.Value)
-				}
-				t.ensure(parts[:h]).bind(Arc{Label: parts[h], leaf: leaf.Value})
-				return
-			}
-		}
+// stamps too, creating the name and its ancestors if missing — unless lww
+// and the name holds a newer write than s (see newer), when set changes
+// nothing and returns false. A leaf left bare is held inline, with the path
+// to it from the last Node on the way: a new name's from its deepest
+// existing ancestor, opened if inline; an inline path's own name's from the
+// node whose arc holds the path. Any other node is made writable.
+func (t *Tree) set(parts []string, s Node, stamps, lww bool) bool {
+	i, h, a := t.reach(parts)
+	var now Node                // what the name holds now: nothing if it is new
+	inlinable := len(parts) > 0 // the root is no arc's
+	switch {
+	case i < len(parts):
+		h = i
+	case a.Child != nil:
+		now = *a.Child
+		inlinable = inlinable && now.Arcs == nil && now.blocks == nil
+	case !a.exists(): // no root
+	case a.leaf[0] == 0: // a plain node on an inline path
+		inlinable = false
+	default:
+		a.unbox(&now)
+	}
+	if lww && !newer(&s, &now) {
+		return false
+	}
+	if now.scalars(s, stamps); inlinable && now.bare() {
+		t.ensure(parts[:h]).bind(Arc{Label: parts[h], leaf: leafOf(parts[h+1:], &now)})
+		return true
 	}
 	t.ensure(parts).scalars(s, stamps)
+	return true
+}
+
+// newer reports whether s's write supersedes the one on n: last-writer-wins
+// on (Stamp, StampBy), a name never written losing to any, and a tie to s.
+func newer(s, n *Node) bool {
+	return !n.HasValue && n.Stamp == 0 || s.Stamp > n.Stamp || s.Stamp == n.Stamp && s.StampBy >= n.StampBy
 }
 
 // scalars copies s's value and presence to n, and with stamps its stamps.
@@ -545,16 +596,17 @@ func (t *Tree) SnapshotView() any {
 	return &Tree{Root: r}
 }
 
-// FindNode walks to the node named by parts, or nil. Exported for the
-// replica package's stamped conflict resolution. The returned node must
-// not be mutated (for an inline leaf it is a copy); use EnsureNode for a
-// writable node.
+// FindNode walks to the node named by parts, or nil. The returned node must
+// not be mutated (for an inline leaf it is a copy).
 func (t *Tree) FindNode(parts []string) *Node { return t.at(parts).Node() }
 
-// EnsureNode walks to parts copy-on-write, creating intermediate nodes,
-// and returns a node the caller may mutate before the update finishes.
-// Exported for the replica package's stamped conflict resolution.
-func (t *Tree) EnsureNode(parts []string) *Node { return t.ensure(parts) }
+// SetStamped gives the name parts value, written at Lamport time stamp by
+// origin by, unless it holds a newer write: the replica package's
+// last-writer-wins Set, one walk to compare and write. It creates the name
+// and its ancestors if missing, and reports whether the write won.
+func (t *Tree) SetStamped(parts []string, value string, stamp uint64, by string) bool {
+	return t.set(parts, Node{Value: value, HasValue: true, Stamp: stamp, StampBy: by}, true, true)
+}
 
 // copyNode deep-copies a subtree into the form the tree holds: bare paths
 // inline, the input-only Children folded into Arcs, and Arcs strictly
@@ -657,7 +709,7 @@ func (u *SetValue) Apply(root any) error {
 	if err != nil {
 		return err
 	}
-	t.set(u.Path, Node{Value: u.Value, HasValue: true}, false)
+	t.set(u.Path, Node{Value: u.Value, HasValue: true}, false, false)
 	return nil
 }
 
@@ -831,7 +883,8 @@ func treeOf(root any) (*Tree, error) {
 func (t *Tree) Lookup(parts []string) (string, error) {
 	switch a := t.at(parts); {
 	case a.leaf != "" && a.leaf[0] != 0:
-		return a.leaf, nil
+		v, _, _ := bareLeaf(a.leaf)
+		return v, nil
 	case !a.exists():
 		return "", fmt.Errorf("%w: %s", ErrNotFound, JoinPath(parts))
 	case a.Child == nil || !a.Child.HasValue: // a plain node on an inline path has none
@@ -883,7 +936,8 @@ func walk(a Arc, path []string, fn func(name, value string) error) error {
 		return walk(Arc{Label: label, leaf: rest}, append(path, label), fn)
 	}
 	if a.leaf != "" {
-		return fn(JoinPath(path), a.leaf)
+		v, _, _ := bareLeaf(a.leaf)
+		return fn(JoinPath(path), v)
 	}
 	n := a.Child
 	if n == nil {

@@ -142,9 +142,12 @@ func (s Span) End(err error, attrs ...Attr) {
 // A TraceBuffer is a Tracer that collects recent traced events (those with
 // a non-zero TraceID) in a ring, indexed so a whole trace can be pulled
 // out by ID — the span collector behind /debug/trace and `nsctl trace`.
+// The ring is allocated at the first traced event, so a process nobody
+// traces holds none for the collector to scan.
 type TraceBuffer struct {
 	mu     sync.Mutex
-	ring   []Event
+	size   int
+	ring   []Event // nil until the first traced event
 	next   int
 	filled bool
 }
@@ -155,7 +158,7 @@ func NewTraceBuffer(n int) *TraceBuffer {
 	if n <= 0 {
 		n = 1024
 	}
-	return &TraceBuffer{ring: make([]Event, n)}
+	return &TraceBuffer{size: n}
 }
 
 // Emit implements Tracer; untraced events are dropped.
@@ -164,6 +167,9 @@ func (b *TraceBuffer) Emit(e Event) {
 		return
 	}
 	b.mu.Lock()
+	if b.ring == nil {
+		b.ring = make([]Event, b.size)
+	}
 	b.ring[b.next] = e
 	b.next++
 	if b.next == len(b.ring) {

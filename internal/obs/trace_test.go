@@ -145,6 +145,22 @@ func TestTraceBufferCollectsByTrace(t *testing.T) {
 	}
 }
 
+// TestTraceBufferRingOnFirstTrace: untraced events leave the ring
+// unallocated and every enquiry empty; the first traced event allocates it.
+func TestTraceBufferRingOnFirstTrace(t *testing.T) {
+	tb := NewTraceBuffer(4096)
+	for i := 0; i < 100; i++ {
+		tb.Emit(Event{Name: "untraced", Span: SpanID(i + 1)})
+	}
+	if tb.ring != nil || len(tb.Traces()) != 0 || len(tb.Trace(1)) != 0 {
+		t.Fatalf("untraced events allocated a ring of %d", len(tb.ring))
+	}
+	tb.Emit(Event{Name: "traced", Trace: 1, Span: 1})
+	if len(tb.ring) != 4096 || len(tb.Trace(1)) != 1 {
+		t.Fatalf("after a traced event: ring %d, trace %+v", len(tb.ring), tb.Trace(1))
+	}
+}
+
 func TestTraceBufferWraps(t *testing.T) {
 	tb := NewTraceBuffer(4)
 	for i := 0; i < 10; i++ {

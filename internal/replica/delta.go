@@ -136,8 +136,8 @@ func (r *Root) DeltaSince(prev any) (any, error) {
 // loads first, then each delta applies in version order).
 func (r *Root) ApplyDelta(delta any) error {
 	d, ok := delta.(*RootDelta)
-	if !ok {
-		return fmt.Errorf("replica: delta is %T, not *replica.RootDelta", delta)
+	if !ok || d == nil {
+		return fmt.Errorf("replica: delta is %#v, not a *replica.RootDelta", delta)
 	}
 	if r.Tree == nil {
 		r.Tree = nameserver.NewTree()

@@ -225,3 +225,15 @@ func mustRootDelta(t *testing.T, cur, prev *Root) any {
 	}
 	return d
 }
+
+// TestRootDeltaNilRefused: a delta that decodes to a nil pointer, which a
+// damaged or hostile delta file can, is an error, not a panic.
+func TestRootDeltaNilRefused(t *testing.T) {
+	r := NewRootWithCap(4)().(*Root)
+	if err := r.ApplyDelta((*RootDelta)(nil)); err == nil {
+		t.Fatal("a nil *RootDelta applied")
+	}
+	if err := r.Tree.ApplyDelta((*nameserver.TreeDelta)(nil)); err == nil {
+		t.Fatal("a nil *TreeDelta applied")
+	}
+}

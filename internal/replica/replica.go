@@ -183,13 +183,7 @@ func (u *Replicated) Apply(root any) error {
 		r.Clock = u.Stamp
 	}
 	if set, ok := u.Inner.(*nameserver.SetValue); ok && u.Stamp > 0 {
-		n := r.Tree.EnsureNode(set.Path)
-		if newerWrite(u.Stamp, u.Origin, n) {
-			n.Value = set.Value
-			n.HasValue = true
-			n.Stamp = u.Stamp
-			n.StampBy = u.Origin
-		}
+		r.Tree.SetStamped(set.Path, set.Value, u.Stamp, u.Origin)
 	} else if err := u.Inner.Apply(r.Tree); err != nil {
 		return err
 	}
@@ -214,18 +208,6 @@ func (u *Replicated) record(r *Root) {
 		// reallocation once the slack behind the window runs out.
 		r.History = r.History[len(r.History)-limit:]
 	}
-}
-
-// newerWrite reports whether a write stamped (stamp, origin) supersedes the
-// value currently on n.
-func newerWrite(stamp uint64, origin string, n *nameserver.Node) bool {
-	if !n.HasValue && n.Stamp == 0 {
-		return true
-	}
-	if stamp != n.Stamp {
-		return stamp > n.Stamp
-	}
-	return origin >= n.StampBy
 }
 
 func rootOf(root any) (*Root, error) {
