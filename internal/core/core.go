@@ -772,8 +772,8 @@ func (s *Store) ApplyBatch(us []Update) error {
 // when the applied prefix is on the log queue and applied in memory but
 // before the call waits for it to be durable; it is skipped when nothing
 // was applied or the batch poisoned the store. A replica uses it to start
-// the prefix's push while the local sync runs. The update lock is released
-// by then, so logged may block without stalling enquiries.
+// the prefix's push while the local sync runs. It runs under the update lock,
+// so in log order, and must neither block nor take the update lock.
 func (s *Store) ApplyBatchTraced(us []Update, sc obs.SpanContext, logged func(applied int)) (applied int, err error) {
 	return s.commit(us, sc, logged)
 }
@@ -802,7 +802,7 @@ func (p phaseTracer) emit(name string, at time.Time, dur time.Duration, err erro
 // thing that depends on the root:
 //
 //   - A versioned root applies first and captures ONE new version for the
-//     whole call, releases the lock, runs the caller's logged hook, waits
+//     whole call, runs the caller's logged hook, releases the lock, waits
 //     for the log sync — shared with every concurrent committer — and only
 //     then publishes, so lock-free enquiries never observe state a crash
 //     could erase (published ≤ durable frontier).
@@ -928,12 +928,12 @@ func (s *Store) commit(us []Update, sc obs.SpanContext, logged func(applied int)
 			s.queuePublish(seq)
 		}
 	}
+	if logged != nil && applied > 0 && !fatal {
+		logged(applied)
+	}
 	unlock()
 	if fatal {
 		return 0, err
-	}
-	if logged != nil && applied > 0 {
-		logged(applied)
 	}
 
 	// Even on a verify error the applied prefix is enqueued and applied;

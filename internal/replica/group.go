@@ -19,7 +19,8 @@
 // repaired in the background by a push-style anti-entropy loop driven from
 // the origin's own history; the per-member streams stay ordered so a push
 // can never be silently skipped as a sequence gap and still counted as an
-// ack.
+// ack. Entries enter the streams under the store's update lock, so in log
+// order, and concurrent commits share one local sync as a lone store's do.
 
 package replica
 
@@ -215,18 +216,49 @@ func (n *Node) Connect(name string, client *rpc.Client) error {
 	return nil
 }
 
-// applyAll is every local update's path: commit locally through one epoch
-// barrier — the commit hands the entries to the push streams once they are
-// logged — and ack once the write quorum holds them. Prefix semantics
-// follow core.Store.ApplyBatch: on a batch error the committed prefix still
-// fans out (and is quorum-waited) and the batch error is returned; if the
-// quorum wait fails too, the errors are joined so the caller sees both.
+// applyAll is every local update's path: past the gate, one store batch
+// stamps each update under the store's update lock (Replicated.Verify) and
+// hands the logged prefix to the push streams under it too — stream order is
+// log order, and concurrent commits share a sync — then the ack waits for
+// the write quorum. Prefix semantics follow core.Store.ApplyBatch: on a
+// batch error the committed prefix still fans out (and is quorum-waited) and
+// the batch error is returned; if the quorum wait fails too, the errors are
+// joined so the caller sees both.
 func (n *Node) applyAll(inners []core.Update, sc obs.SpanContext) error {
-	entries, batchErr := n.commitLocal(inners, sc)
-	if len(entries) == 0 {
+	if len(inners) == 0 {
+		return nil
+	}
+	n.mu.RLock()
+	if err := n.reconcile(); err != nil {
+		n.mu.RUnlock()
+		return err
+	}
+	us := make([]core.Update, len(inners))
+	for i, inner := range inners {
+		us[i] = &Replicated{Origin: n.name, Inner: inner, local: true}
+	}
+	var entries []Entry // capacity-limited: every pusher appends to its own copy
+	committed, batchErr := n.store.ApplyBatchTraced(us, sc, func(k int) {
+		entries = make([]Entry, k)
+		for i, u := range us[:k] {
+			entries[i] = u.(*Replicated).entry()
+		}
+		n.stream(entries, sc)
+	})
+	n.mu.RUnlock()
+	if len(entries) > 0 { // how far it settled and is durable, for the pushers
+		n.gmu.Lock()
+		n.settled = max(n.settled, entries[len(entries)-1].Seq)
+		if committed > 0 {
+			n.durable = max(n.durable, entries[committed-1].Seq)
+		}
+		n.cond.Broadcast()
+		n.gmu.Unlock()
+	}
+	if committed == 0 {
 		return batchErr
 	}
-	if err := n.awaitQuorum(entries[len(entries)-1].Seq, time.Now()); err != nil {
+	if err := n.awaitQuorum(entries[committed-1].Seq, time.Now()); err != nil {
 		// Surface both failures: the caller must learn that the suffix was
 		// never committed anywhere (batchErr) AND that even the committed
 		// prefix is not quorum-durable (err).

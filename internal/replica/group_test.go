@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -348,38 +349,84 @@ func TestEagerMemberDies(t *testing.T) {
 	}
 }
 
-// TestConcurrentW1Committers: at N = 2, W = 1 eight goroutines of Sets feed
-// b's stream in log order, so b never sees a gap and is never marked
-// lagging.
-func TestConcurrentW1Committers(t *testing.T) {
-	reg := obs.NewRegistry()
-	gc := makeGroupOf(t, Config{Obs: reg, GroupConfig: groupOf(1, "a", "b")})
-	const goroutines, sets = 8, 50
-	errs := make(chan error, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < sets; i++ {
-				if err := gc.primary.Set(fmt.Sprintf("g%d/k%d", g, i), "v"); err != nil {
-					errs <- err
-					return
+// TestConcurrentCommitters: goroutines of Sets at the primary feed every
+// member's stream in log order, so no member sees a gap or is marked
+// lagging, and the primary's log holds its seqs in order. At N = 3, W = 2 on
+// disks that take 1ms a sync the committers share the primary's syncs, as a
+// lone store's do: it flushes fewer times than it commits Sets.
+func TestConcurrentCommitters(t *testing.T) {
+	for _, tc := range []struct {
+		n, w, goroutines, sets int
+		modeled                bool
+	}{{2, 1, 8, 50, false}, {3, 2, 8, 40, true}} {
+		name := fmt.Sprintf("N=%d/W=%d", tc.n, tc.w)
+		if tc.modeled {
+			name += "/sync=1ms"
+		}
+		t.Run(name, func(t *testing.T) {
+			var disks []vfs.FS
+			for i := 0; tc.modeled && i < tc.n; i++ {
+				disks = append(disks, vfs.NewMetered(vfs.NewMem(int64(i+1)), vfs.Profile{PerOpWrite: time.Millisecond}, 1))
+			}
+			reg := obs.NewRegistry()
+			gc := makeGroupOf(t, Config{Obs: reg, GroupConfig: groupOf(tc.w, []string{"a", "b", "c"}[:tc.n]...)}, disks...)
+			flushes := reg.Counter("wal_flushes")
+			before := flushes.Value()
+			errs := make(chan error, tc.goroutines)
+			var wg sync.WaitGroup
+			for g := 0; g < tc.goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < tc.sets; i++ {
+						if err := gc.primary.Set(fmt.Sprintf("g%d/k%d", g, i), "v"); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			total := tc.goroutines * tc.sets
+			f := flushes.Value() - before
+			t.Logf("%d Sets, %d flushes at the primary", total, f)
+			if tc.modeled && f >= uint64(total) {
+				t.Errorf("the primary flushed its log %d times for %d concurrent Sets: its committers never shared a sync", f, total)
+			}
+			for _, m := range gc.members {
+				if !awaitSlot(t, m, "a", uint64(total)) {
+					t.Fatalf("%s never reached seq %d", m.Name(), total)
+				}
+				if gc.primary.Lagging(m.Name()) {
+					t.Fatalf("%s is lagging", m.Name())
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if !awaitSlot(t, gc.members[0], "a", goroutines*sets) {
-		t.Fatalf("b never reached seq %d", goroutines*sets)
-	}
-	pushErrs, laggards := reg.Counter("replica_group_push_errors").Value(), reg.Gauge("replica_group_laggards").Value()
-	if pushErrs != 0 || laggards != 0 || gc.primary.Lagging("b") {
-		t.Fatalf("push errors %d, laggards %d, b lagging %v: want none", pushErrs, laggards, gc.primary.Lagging("b"))
+			pushErrs, laggards := reg.Counter("replica_group_push_errors").Value(), reg.Gauge("replica_group_laggards").Value()
+			if pushErrs != 0 || laggards != 0 {
+				t.Fatalf("push errors %d, laggards %d: want none", pushErrs, laggards)
+			}
+			var seqs []uint64
+			if err := gc.primary.Store().History(func(_ uint64, u core.Update) error {
+				if r, ok := u.(*Replicated); ok && r.Origin == "a" {
+					seqs = append(seqs, r.Seq)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for i, seq := range seqs {
+				if seq != uint64(i+1) {
+					t.Fatalf("log entry %d of a's stream holds seq %d: the log is out of seq order", i, seq)
+				}
+			}
+			if len(seqs) != total {
+				t.Fatalf("the log holds %d of a's updates, want %d", len(seqs), total)
+			}
+		})
 	}
 }
 
@@ -514,9 +561,8 @@ func TestServiceReadCatchUp(t *testing.T) {
 	// A member behind the floor catches itself up from its peer inside
 	// Service.Read rather than failing straight away.
 	c := makeCluster(t, "a", "b")
-	// Commit at a without pushing, so b really is behind the floor.
-	parts := []string{"x"}
-	if _, err := c.nodes[0].commitLocal([]core.Update{&nameserver.SetValue{Path: parts, Value: "1"}}, obs.SpanContext{}); err != nil {
+	// Commit at a's store without pushing, so b really is behind the floor.
+	if err := c.nodes[0].store.Apply(&Replicated{Origin: "a", Inner: &nameserver.SetValue{Path: []string{"x"}, Value: "1"}, local: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.nodes[1].ReadAt("x", 1); !IsStale(err) {
@@ -607,18 +653,24 @@ func TestGroupConfigValidate(t *testing.T) {
 // quorum3 shape. Each shape runs with every node on vfs.Mem, then with
 // every node on a disk arm of its own that takes 1ms a sync
 // ("sync=1ms"): there a W=2 Set costs about one modeled sync, since the
-// eager member's sync runs beside the primary's. pushes/op counts the
-// primary's stream pushes: the lazy members' pushes are coalesced. The
-// anti-entropy interval is the default: a probe scans the history, and the
-// tests' 10ms would bill that to the Set.
+// eager member's sync runs beside the primary's. The quorum3 shape runs
+// once more with four concurrent setters ("setters=4"), whose commits share
+// the primary's syncs. pushes/op counts the primary's stream pushes: the
+// lazy members' pushes are coalesced. syncs/op counts the primary's log
+// flushes. The anti-entropy interval is the default: a probe scans the
+// history, and the tests' 10ms would bill that to the Set.
 func BenchmarkReplicatedSet(b *testing.B) {
 	for _, tc := range []struct {
 		n, w    int
 		modeled bool
-	}{{2, 1, false}, {2, 2, false}, {3, 2, false}, {2, 1, true}, {2, 2, true}, {3, 2, true}} {
+		setters int
+	}{{2, 1, false, 1}, {2, 2, false, 1}, {3, 2, false, 1}, {2, 1, true, 1}, {2, 2, true, 1}, {3, 2, true, 1}, {3, 2, true, 4}} {
 		name := fmt.Sprintf("N=%d/W=%d", tc.n, tc.w)
 		if tc.modeled {
 			name += "/sync=1ms"
+		}
+		if tc.setters > 1 {
+			name += fmt.Sprintf("/setters=%d", tc.setters)
 		}
 		b.Run(name, func(b *testing.B) {
 			cfg := groupOf(tc.w, []string{"a", "b", "c"}[:tc.n]...)
@@ -629,15 +681,26 @@ func BenchmarkReplicatedSet(b *testing.B) {
 			}
 			reg := obs.NewRegistry()
 			gc := makeGroupOf(b, Config{Obs: reg, GroupConfig: cfg}, disks...)
-			pushes := reg.Counter("replica_group_pushes")
+			pushes, flushes := reg.Counter("replica_group_pushes"), reg.Counter("wal_flushes")
 			b.ResetTimer()
-			before := pushes.Value()
-			for i := 0; i < b.N; i++ {
-				if err := gc.primary.Set(fmt.Sprintf("bench/k%d", i%1000), "v"); err != nil {
-					b.Fatal(err)
-				}
+			pushed, flushed := pushes.Value(), flushes.Value()
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			for range tc.setters {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := next.Add(1) - 1; i < int64(b.N); i = next.Add(1) - 1 {
+						if err := gc.primary.Set(fmt.Sprintf("bench/k%d", i%1000), "v"); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
 			}
-			b.ReportMetric(float64(pushes.Value()-before)/float64(b.N), "pushes/op")
+			wg.Wait()
+			b.ReportMetric(float64(pushes.Value()-pushed)/float64(b.N), "pushes/op")
+			b.ReportMetric(float64(flushes.Value()-flushed)/float64(b.N), "syncs/op")
 		})
 	}
 }

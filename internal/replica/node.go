@@ -71,7 +71,9 @@ type Node struct {
 	pushPolicy rpc.RetryPolicy
 	syncPolicy rpc.RetryPolicy
 
-	mu sync.Mutex // serializes local sequence assignment
+	// mu keeps local commits out while RestoreFromPeer re-closes the gate:
+	// each commit holds it shared from the gate through its store commit.
+	mu sync.RWMutex
 
 	group      GroupConfig // validated, defaults filled in
 	queueDepth int
@@ -238,68 +240,14 @@ func (n *Node) ApplyBatch(inners []core.Update) error {
 	return n.applyAll(inners, obs.SpanContext{})
 }
 
-// commitLocal commits a batch of inner updates locally — stamping each
-// with this node's consecutive sequence numbers and Lamport stamps. It
-// returns the committed entries; on a batch error the applied prefix is
-// returned alongside the error (core.Store.ApplyBatch prefix semantics).
-// Only that prefix may be pushed: anti-entropy would otherwise resurrect
-// updates this node never committed. It hands the prefix to the push
-// streams under mu once it is logged and applied — stream order is log
-// order — so the eager members' syncs run beside the local one, and records
-// how far the commit settled and how far it is durable for the pushers.
-func (n *Node) commitLocal(inners []core.Update, sc obs.SpanContext) ([]Entry, error) {
-	if len(inners) == 0 {
-		return nil, nil
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if err := n.reconcile(); err != nil {
-		return nil, err
-	}
-	var seq, stamp uint64
-	err := n.store.View(func(root any) error {
-		r, err := rootOf(root)
-		if err != nil {
-			return err
-		}
-		seq = r.Vector[n.name]
-		stamp = r.Clock
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	entries := make([]Entry, len(inners))
-	us := make([]core.Update, len(inners))
-	for i, inner := range inners {
-		entries[i] = Entry{Origin: n.name, Seq: seq + uint64(i) + 1, Stamp: stamp + uint64(i) + 1, Inner: inner}
-		us[i] = entries[i].update()
-	}
-	loggedN := 0
-	committedN, batchErr := n.store.ApplyBatchTraced(us, sc, func(k int) {
-		loggedN = k
-		n.stream(entries[:k:k], sc)
-	})
-	if loggedN > 0 {
-		n.gmu.Lock()
-		n.settled = max(n.settled, entries[loggedN-1].Seq)
-		if committedN > 0 {
-			n.durable = max(n.durable, entries[committedN-1].Seq)
-		}
-		n.cond.Broadcast()
-		n.gmu.Unlock()
-	}
-	// Capacity-limited: every member's pusher appends to its own copy.
-	return entries[:committedN:committedN], batchErr
-}
-
 // ErrUnreconciled refuses, with nothing logged, a local update at a W > 1
 // node that has not pulled from every member since it opened or restored
 // from a peer; it wraps why a member did not answer.
 var ErrUnreconciled = errors.New("replica: own stream not yet taken back from every member")
 
-// reconcile is the gate a W > 1 node's local update passes under mu, so no
-// sequence number is assigned before it opens: nil once the node has pulled
+// reconcile is the gate a W > 1 node's local update passes holding mu
+// shared, before the store's update lock, so no sequence number is assigned
+// before it opens: nil once the node has pulled
 // from every member since Open or RestoreFromPeer. Any member may hold
 // entries of this origin beyond its durable slot — pushed before a sync that
 // failed or was cut by a crash, or committed before a restore from a staler
@@ -334,8 +282,6 @@ func (n *Node) reconcile() error {
 // pulls from the members still owed, reporting whether the node may
 // originate.
 func (n *Node) Reconcile() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.gmu.Lock()
 	n.gateErr = nil
 	n.gmu.Unlock()

@@ -1,0 +1,151 @@
+package replica
+
+import (
+	"bytes"
+	"errors"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
+	"strconv"
+	"testing"
+
+	"smalldb/internal/nameserver"
+	"smalldb/internal/pickle"
+)
+
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/FuzzPushArgs from its seeds")
+
+// A member decodes a push from the wire and judges each entry with
+// Replicated.Verify. What must hold of any byte string is stated in
+// checkPush, and held against the committed seeds (TestPushArgsSeeds) and
+// whatever the fuzzer derives from them (FuzzPushArgs).
+
+// pushRoot is a small replicated root the entries are judged against: a's
+// stream at seq 2, b's at 1, three names.
+func pushRoot(t testing.TB) *Root {
+	t.Helper()
+	r := NewRootWithCap(8)().(*Root)
+	for _, e := range []Entry{
+		{Origin: "a", Seq: 1, Stamp: 1, Inner: pushSet("x/y")},
+		{Origin: "a", Seq: 2, Stamp: 2, Inner: pushSet("x/z")},
+		{Origin: "b", Seq: 1, Stamp: 3, Inner: pushSet("w")},
+	} {
+		u := e.update()
+		if err := u.Verify(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := u.Apply(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
+}
+
+func pushSet(name string) *nameserver.SetValue {
+	parts, _ := nameserver.SplitPath(name)
+	return &nameserver.SetValue{Path: parts, Value: "v"}
+}
+
+// pushSeeds builds FuzzPushArgs's corpus: entries Verify accepts, each way
+// it refuses one — the seq-0 entry among them — and a truncated push.
+func pushSeeds(t testing.TB) map[string][]byte {
+	t.Helper()
+	push := func(entries ...Entry) []byte {
+		raw, err := pickle.Marshal(&PushArgs{Entries: entries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	next := push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: pushSet("x/q")})
+	return map[string][]byte{
+		"empty":          push(),
+		"next":           next,
+		"next-of-b":      push(Entry{Origin: "b", Seq: 2, Stamp: 9, Inner: pushSet("w")}),
+		"new-origin":     push(Entry{Origin: "c", Seq: 1, Stamp: 1, Inner: pushSet("c/1")}),
+		"duplicate":      push(Entry{Origin: "a", Seq: 1, Stamp: 1, Inner: pushSet("x/y")}),
+		"gap":            push(Entry{Origin: "a", Seq: 9, Stamp: 9, Inner: pushSet("x/q")}),
+		"seq0":           push(Entry{Origin: "a", Seq: 0, Stamp: 0, Inner: pushSet("x/q")}),
+		"no-origin":      push(Entry{Seq: 3, Stamp: 4, Inner: pushSet("x/q")}),
+		"nil-inner":      push(Entry{Origin: "a", Seq: 3, Stamp: 4}),
+		"nil-move":       push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: (*nameserver.Move)(nil)}),
+		"delete":         push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: &nameserver.DeleteSubtree{Path: []string{"x"}}}),
+		"delete-missing": push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: &nameserver.DeleteSubtree{Path: []string{"nope"}}}),
+		"delete-root":    push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: &nameserver.DeleteSubtree{}}),
+		"move":           push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: &nameserver.Move{From: []string{"x"}, To: []string{"m", "n"}}}),
+		"put":            push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: &nameserver.PutSubtree{Path: []string{"p"}, Subtree: &nameserver.Node{Value: "v", HasValue: true}}}),
+		"nested":         push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: &Replicated{Origin: "b", Seq: 2, Inner: pushSet("w")}}),
+		"mixed":          push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: pushSet("x/q")}, Entry{Origin: "a", Seq: 0, Inner: pushSet("x/r")}, Entry{Origin: "b", Seq: 2, Stamp: 5, Inner: pushSet("w")}),
+		"truncated":      next[:len(next)-3],
+	}
+}
+
+// checkPush decodes data into PushArgs and requires a *pickle.Error, or
+// else entries whose updates Verify against pushRoot either accepts — and
+// Apply then applies — or refuses with a typed replica error or the inner
+// update's own refusal.
+// An entry with seq 0 is always refused as malformed: a decoded update is
+// never local, so Verify's stamping cannot be reached from the wire. Nothing
+// panics.
+func checkPush(t *testing.T, data []byte) {
+	t.Helper()
+	var args PushArgs
+	if err := pickle.Unmarshal(data, &args); err != nil {
+		var pe *pickle.Error
+		if !errors.As(err, &pe) && !(err == io.EOF && len(data) <= 1) {
+			t.Fatalf("decode failed with an untyped error: %T %v", err, err)
+		}
+		return
+	}
+	r := pushRoot(t)
+	for i, e := range args.Entries {
+		u := e.update()
+		err := u.Verify(r)
+		switch {
+		case e.Seq == 0 && !errors.Is(err, ErrMalformedEntry):
+			t.Fatalf("entry %d has seq 0 and was not refused as malformed: %v", i, err)
+		case u.Seq != e.Seq || u.Stamp != e.Stamp:
+			t.Fatalf("entry %d was restamped %d/%d from the wire's %d/%d", i, u.Seq, u.Stamp, e.Seq, e.Stamp)
+		case err == nil:
+			// A member's store is poisoned by an entry it verified but
+			// could not apply.
+			if aerr := u.Apply(r); aerr != nil {
+				t.Fatalf("entry %d verified but failed to apply: %v", i, aerr)
+			}
+		case errors.Is(err, ErrMalformedEntry), errors.Is(err, ErrAlreadyApplied), errors.Is(err, ErrSequenceGap):
+		default:
+			if ierr := e.Inner.Verify(r.Tree); ierr == nil || ierr.Error() != err.Error() {
+				t.Fatalf("entry %d refused with %v, neither typed nor its inner update's refusal (%v)", i, err, ierr)
+			}
+		}
+	}
+}
+
+func TestPushArgsSeeds(t *testing.T) {
+	for name, data := range pushSeeds(t) {
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join("testdata", "fuzz", "FuzzPushArgs")
+			entry := []byte("go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n")
+			if *updateCorpus {
+				if err := os.MkdirAll(dir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), entry, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if on, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(on, entry) {
+				t.Errorf("committed corpus entry is not this seed (rerun with -update-corpus): %v", err)
+			}
+			checkPush(t, data)
+		})
+	}
+}
+
+func FuzzPushArgs(f *testing.F) {
+	for _, data := range pushSeeds(f) {
+		f.Add(data)
+	}
+	f.Fuzz(checkPush)
+}

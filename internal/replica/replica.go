@@ -37,6 +37,7 @@ package replica
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 
 	"smalldb/internal/core"
@@ -135,6 +136,10 @@ var ErrAlreadyApplied = errors.New("replica: update already applied")
 // from the same origin; anti-entropy must fill the gap first.
 var ErrSequenceGap = errors.New("replica: sequence gap")
 
+// ErrMalformedEntry refuses an update that lacks its origin, its sequence
+// number or its inner update — nil, or a nil pointer, as a push can decode.
+var ErrMalformedEntry = errors.New("replica: update missing origin, sequence stamp or inner update")
+
 // Replicated wraps an inner update with its replication stamps; it is the
 // only update type a replicated store logs.
 type Replicated struct {
@@ -142,17 +147,25 @@ type Replicated struct {
 	Seq    uint64
 	Stamp  uint64
 	Inner  core.Update
+	// local marks an update this node originates, not yet stamped: Verify
+	// stamps it. Unexported, so no log entry or push carries it.
+	local bool
 }
 
-// Verify implements core.Update: per-origin dedupe and ordering, then the
-// inner update's own preconditions against the tree.
+// Verify implements core.Update: a local update is stamped from the root it
+// applies to, under the store's update lock, so seq order is log order; then
+// per-origin dedupe and ordering, and the inner update's own preconditions.
 func (u *Replicated) Verify(root any) error {
 	r, err := rootOf(root)
 	if err != nil {
 		return err
 	}
-	if u.Origin == "" || u.Seq == 0 {
-		return fmt.Errorf("replica: update missing origin/sequence stamp")
+	if u.local {
+		u.Seq, u.Stamp = r.Vector[u.Origin]+1, r.Clock+1
+	}
+	in := reflect.ValueOf(u.Inner)
+	if u.Origin == "" || u.Seq == 0 || !in.IsValid() || in.Kind() == reflect.Pointer && in.IsNil() {
+		return fmt.Errorf("%w: %q/%d", ErrMalformedEntry, u.Origin, u.Seq)
 	}
 	applied := r.Vector[u.Origin]
 	switch {
@@ -160,9 +173,6 @@ func (u *Replicated) Verify(root any) error {
 		return fmt.Errorf("%w: %s/%d (have %d)", ErrAlreadyApplied, u.Origin, u.Seq, applied)
 	case u.Seq > applied+1:
 		return fmt.Errorf("%w: %s/%d (have %d)", ErrSequenceGap, u.Origin, u.Seq, applied)
-	}
-	if u.Inner == nil {
-		return fmt.Errorf("replica: nil inner update")
 	}
 	return u.Inner.Verify(r.Tree)
 }
@@ -191,13 +201,18 @@ func (u *Replicated) Apply(root any) error {
 	return nil
 }
 
+// entry returns the entry u logs.
+func (u *Replicated) entry() Entry {
+	return Entry{Origin: u.Origin, Seq: u.Seq, Stamp: u.Stamp, Inner: u.Inner}
+}
+
 // record advances u's vector slot and appends u to the history window.
 func (u *Replicated) record(r *Root) {
 	if r.Vector == nil {
 		r.Vector = make(map[string]uint64)
 	}
 	r.Vector[u.Origin] = u.Seq
-	r.History = append(r.History, Entry{Origin: u.Origin, Seq: u.Seq, Stamp: u.Stamp, Inner: u.Inner})
+	r.History = append(r.History, u.entry())
 	limit := r.HistoryCap
 	if limit <= 0 {
 		limit = DefaultHistoryCap
