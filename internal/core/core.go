@@ -826,11 +826,26 @@ func (s *Store) commit(us []Update, sc obs.SpanContext, logged func(applied int)
 		pt.emit("lock.wait", start, lockWait, nil, obs.A("mode", "update"))
 	}
 	unlock := s.lock.UpdateUnlock
+	held := true
+	defer func() {
+		// A panic in an update's Verify or Apply, or in logged, must not
+		// leave the lock taken and every later update blocked: poison the
+		// store with the panic, release whichever mode is held, panic on.
+		if held {
+			p := recover()
+			s.poison(fmt.Errorf("core: update panicked in commit: %v", p))
+			unlock()
+			if p != nil {
+				panic(p)
+			}
+		}
+	}()
 
 	s.mu.Lock()
 	err = s.unusable()
 	s.mu.Unlock()
 	if err != nil {
+		held = false
 		unlock()
 		return 0, err
 	}
@@ -931,6 +946,7 @@ func (s *Store) commit(us []Update, sc obs.SpanContext, logged func(applied int)
 	if logged != nil && applied > 0 && !fatal {
 		logged(applied)
 	}
+	held = false
 	unlock()
 	if fatal {
 		return 0, err

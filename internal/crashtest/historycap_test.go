@@ -42,9 +42,9 @@ func TestSmallHistoryCapSweeps(t *testing.T) {
 		}
 	})
 	// The partition window outlasts the cap, so the cut-off side can only
-	// be repaired by a snapshot — Pull → NeedFull → Snapshot in the pair,
-	// needFull → Install pushed by the group primary — composed with a
-	// power failure at the heal point.
+	// be repaired by a snapshot — a Pull answered with the peer's root in
+	// the pair, a root pushed by the group primary — composed with a power
+	// failure at the heal point.
 	for _, nodes := range []int{2, 3} {
 		name := "net-pair"
 		if nodes > 2 {

@@ -159,7 +159,7 @@ func TestRepairPushCostsOneSync(t *testing.T) {
 	}
 	cfs.ResetStats()
 	var reply PushReply
-	if err := NewService(n).Push(&PushArgs{Entries: entries}, &reply, obs.SpanContext{}); err != nil {
+	if err := NewService(n).Push(&Catchup{Entries: entries}, &reply, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if reply.Applied != len(entries) || reply.Vector["p"] != uint64(len(entries)) {

@@ -17,10 +17,12 @@
 // restart (see reconcile). N = 1 is the lone node, a pair is N = 2. Members
 // that fall behind (partition, crash, full queue) are marked lagging and
 // repaired in the background by a push-style anti-entropy loop driven from
-// the origin's own history; the per-member streams stay ordered so a push
-// can never be silently skipped as a sequence gap and still counted as an
-// ack. Entries enter the streams under the store's update lock, so in log
-// order, and concurrent commits share one local sync as a lone store's do.
+// the origin's own history: an empty Push probes the member's vector, and a
+// second Push carries the Catchup it lacks. The per-member streams stay
+// ordered so a push can never be silently skipped as a sequence gap and
+// still counted as an ack. Entries enter the streams under the store's
+// update lock, so in log order, and concurrent commits share one local sync
+// as a lone store's do.
 
 package replica
 
@@ -420,7 +422,7 @@ func (n *Node) pusher(ms *memberState) {
 		}
 		var reply PushReply
 		start := time.Now()
-		err := ms.client.CallRetry(wire, "Replica.Push", &PushArgs{Entries: batch}, &reply, n.pushPolicy)
+		err := ms.client.CallRetry(wire, "Replica.Push", &Catchup{Entries: batch}, &reply, n.pushPolicy)
 		n.m.pushes.Inc()
 		// An eager push left before the batch's local sync returned; its
 		// event and ack wait for that commit to return — the committer
@@ -453,13 +455,8 @@ func (n *Node) pusher(ms *memberState) {
 				})
 			}
 		}
-		// The ack is the member's post-apply slot for OUR origin (stream
-		// batches are all local-origin entries); prefer the replied vector
-		// over Seq, which only names the last entry's origin.
-		acked := reply.Seq
-		if reply.Vector != nil {
-			acked = reply.Vector[n.name]
-		}
+		// The ack is the member's post-apply slot for OUR origin.
+		acked := reply.Vector[n.name]
 		n.gmu.Lock()
 		switch {
 		case err != nil, acked < last:
@@ -491,8 +488,8 @@ func (n *Node) kickAE() {
 // antiEntropyLoop is the one background consistency mechanism. Every kick
 // and tick first runs a round of the gate while a member is still owed
 // (see reconcile). A kick repairs the members marked lagging; a tick
-// additionally probes every other connected member — one Vector call each
-// — and pushes whatever it turns out to lack, so a member converges with
+// additionally probes every other connected member — one empty Push each —
+// and pushes whatever it turns out to lack, so a member converges with
 // no new write to reveal the gap: after it lost its disk, after this node
 // restarted and forgot what its members had acked, or when an entry
 // reached this node's store by a path other than Apply.
@@ -524,13 +521,11 @@ func (n *Node) antiEntropyLoop() {
 	}
 }
 
-// repair runs rounds against one member: fetch its vector, push the
-// missing suffix from our own history (or a full snapshot when the history
-// has been trimmed past the member's vector). A probed member gets one
-// round; a lagging one gets rounds until it has covered every seq committed
-// so far — re-checked under the lock so a commit racing the repair keeps
-// the member lagging and the loop running — or a round fails (the next kick
-// or tick retries).
+// repair runs rounds of repairRound against one member. A probed member
+// gets one round; a lagging one gets rounds until it has covered every seq
+// committed so far — re-checked under the lock so a commit racing the
+// repair keeps the member lagging and the loop running — or a round fails
+// (the next kick or tick retries).
 func (n *Node) repair(ms *memberState) {
 	for {
 		repairedTo, err := n.repairRound(ms)
@@ -560,55 +555,32 @@ func (n *Node) repair(ms *memberState) {
 	}
 }
 
-// repairRound ships one round of missing entries (or a snapshot) to the
-// member and returns the origin seq the member then covers.
+// repairRound probes the member with an empty push, whose reply carries its
+// vector, then pushes it the catch-up it lacks — the missing suffix of our
+// history, or our root once the history has been trimmed past it — and
+// returns the origin seq the member then covers. A repair batch may mix
+// origins, so only the member's replied slot for our own origin is an ack
+// of local seqs.
 func (n *Node) repairRound(ms *memberState) (uint64, error) {
-	var vec VectorReply
-	if err := ms.client.CallRetry(obs.SpanContext{}, "Replica.Vector", &VectorArgs{}, &vec, n.syncPolicy); err != nil {
+	var probe PushReply
+	if err := ms.client.CallRetry(obs.SpanContext{}, "Replica.Push", &Catchup{}, &probe, n.syncPolicy); err != nil {
 		return 0, err
 	}
-	var entries []Entry
-	var needFull bool
-	err := n.store.View(func(root any) error {
-		r, rerr := rootOf(root)
-		if rerr != nil {
-			return rerr
-		}
-		entries, needFull = r.missingFrom(vec.Vector)
-		return nil
-	})
+	c, err := n.catchupFor(probe.Vector)
 	if err != nil {
 		return 0, err
 	}
-	if needFull {
-		snap, err := n.snapshotRoot()
-		if err != nil {
-			return 0, err
-		}
-		var reply InstallReply
-		if err := ms.client.CallRetry(obs.SpanContext{}, "Replica.Install", &InstallArgs{Root: snap}, &reply, n.syncPolicy); err != nil {
-			return 0, err
-		}
-		n.m.aeInstalls.Inc()
-		return snap.Vector[n.name], nil
-	}
-	if len(entries) == 0 {
-		return vec.Vector[n.name], nil
+	if c.Root == nil && len(c.Entries) == 0 {
+		return probe.Vector[n.name], nil
 	}
 	var reply PushReply
-	if err := ms.client.CallRetry(obs.SpanContext{}, "Replica.Push", &PushArgs{Entries: entries}, &reply, n.syncPolicy); err != nil {
+	if err := ms.client.CallRetry(obs.SpanContext{}, "Replica.Push", &c, &reply, n.syncPolicy); err != nil {
 		return 0, err
 	}
-	// Repair batches are multi-origin and (origin, seq)-sorted, so
-	// reply.Seq may name ANOTHER origin's slot; trusting it here would
-	// inflate ms.acked and let awaitQuorum count acks the member never
-	// received. Only the member's replied vector slot for our own origin
-	// is an ack of local seqs; without a vector, fall back to the slot
-	// the member proved before the push rather than guess.
-	if reply.Vector != nil {
-		return reply.Vector[n.name], nil
+	if c.Root != nil {
+		n.m.aeInstalls.Inc()
 	}
-	return vec.Vector[n.name], nil
+	return reply.Vector[n.name], nil
 }
 
 // MarkLagging forces a member onto the anti-entropy path (test hook and

@@ -501,7 +501,7 @@ func TestRepairRoundMultiOriginAck(t *testing.T) {
 		entries = append(entries, Entry{Origin: "z", Seq: uint64(i), Stamp: uint64(i), Inner: &nameserver.SetValue{Path: parts, Value: "v"}})
 	}
 	var pr PushReply
-	if err := svcA.Push(&PushArgs{Entries: entries}, &pr, obs.SpanContext{}); err != nil {
+	if err := svcA.Push(&Catchup{Entries: entries}, &pr, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	// W=2: Set returns only once b holds it, so b's slot for a is exactly

@@ -49,8 +49,8 @@ type Config struct {
 	// exhausts its policy marks the member lagging and hands it to the
 	// background repair path.
 	PushPolicy rpc.RetryPolicy
-	// SyncPolicy bounds each anti-entropy RPC (Vector, Push, Install, Pull,
-	// Snapshot) the same way, the gate's pulls included. Both policies
+	// SyncPolicy bounds each anti-entropy RPC (a repair's probe and Push, a
+	// Pull) the same way, the gate's pulls included. Both policies
 	// ride on idempotency tokens, so a retried push never double-applies
 	// even if the first attempt executed and only its response was lost.
 	SyncPolicy rpc.RetryPolicy
@@ -527,15 +527,61 @@ func (n *Node) applyEntries(entries []Entry, sc obs.SpanContext) (applied int, e
 	return applied, err
 }
 
-// --- on-demand pulls ---
+// --- catch-ups ---
 
-// SyncWith pulls everything this node is missing from one peer. If the
-// peer's history has been trimmed past what we need, it falls back to a
-// full snapshot transfer. The background loop pushes; this is the pull a
-// caller asks for — a stale Read catching itself up, a harness converging.
+// Catchup is the one message that brings a node up to a peer, both ways: a
+// repair's Push and a Pull's answer. It holds either the entries the
+// receiver's vector lacks, in (origin, seq) order, or — once the sender's
+// history no longer reaches back to them — the sender's published root and
+// no entries.
+type Catchup struct {
+	Entries []Entry
+	Root    *Root
+}
+
+// catchupFor returns what a holder of vector lacks of this node: the missing
+// suffix of the history, or the published root itself when the history has
+// been trimmed past vector or vector is nil. The root is shipped as published,
+// so the only pickle is the RPC's own: a published root is never mutated and
+// the collector keeps it alive.
+func (n *Node) catchupFor(vector map[string]uint64) (c Catchup, err error) {
+	err = n.store.View(func(root any) error {
+		r, err := rootOf(root)
+		if err != nil {
+			return err
+		}
+		if vector != nil {
+			var full bool
+			if c.Entries, full = r.missingFrom(vector); !full {
+				return nil
+			}
+		}
+		c.Root = r
+		return nil
+	})
+	return c, err
+}
+
+// absorb brings a catch-up into this node — its entries through
+// applyEntries, its root through installSnapshot — and reports how many
+// entries were newly applied. A catch-up carrying both is refused.
+func (n *Node) absorb(c *Catchup, sc obs.SpanContext) (applied int, err error) {
+	switch {
+	case c.Root == nil:
+		return n.applyEntries(c.Entries, sc)
+	case len(c.Entries) > 0:
+		return 0, fmt.Errorf("%w: a catch-up carries a root and %d entries", ErrMalformedEntry, len(c.Entries))
+	}
+	return 0, n.installSnapshot(c.Root)
+}
+
+// SyncWith pulls everything this node is missing from one peer: the entries
+// it lacks, or the peer's whole root once the peer's history has been
+// trimmed past them. The background loop pushes; this is the pull a caller
+// asks for — a stale Read catching itself up, a harness converging.
 func (n *Node) SyncWith(client *rpc.Client) error {
-	// An anti-entropy round is its own trace root: the pull, any snapshot
-	// transfer, and every repaired entry's commit chain under it.
+	// An anti-entropy round is its own trace root: the pull and every
+	// repaired entry's commit chain under it.
 	root := obs.StartRoot(n.tracer, "replica.antientropy")
 	start := time.Now()
 	applied, full, err := n.syncWith(client, root.Context())
@@ -563,19 +609,12 @@ func (n *Node) syncWith(client *rpc.Client, sc obs.SpanContext) (applied int, fu
 	if err != nil {
 		return 0, false, err
 	}
-	var reply PullReply
-	if err := client.CallRetry(sc, "Replica.Pull", &PullArgs{Vector: vec}, &reply, n.syncPolicy); err != nil {
+	var c Catchup
+	if err := client.CallRetry(sc, "Replica.Pull", &PullArgs{Vector: vec}, &c, n.syncPolicy); err != nil {
 		return 0, false, err
 	}
-	if reply.NeedFull {
-		var snap SnapshotReply
-		if err := client.CallRetry(sc, "Replica.Snapshot", &SnapshotArgs{}, &snap, n.syncPolicy); err != nil {
-			return 0, true, err
-		}
-		return 0, true, n.installSnapshot(snap.Root)
-	}
-	applied, err = n.applyEntries(reply.Entries, sc)
-	return applied, false, err
+	applied, err = n.absorb(&c, sc)
+	return applied, c.Root != nil, err
 }
 
 // ErrInstallRegress refuses a snapshot install that would lower one of this
@@ -587,9 +626,6 @@ var ErrInstallRegress = errors.New("replica: snapshot install would drop applied
 // installSnapshot replaces this node's state with a peer's snapshot, keeping
 // every update we hold beyond it (they will re-propagate).
 func (n *Node) installSnapshot(snap *Root) error {
-	if snap == nil {
-		return fmt.Errorf("replica: nil snapshot")
-	}
 	err := n.store.Apply(&installSnapshot{Snap: snap})
 	if errors.Is(err, ErrAlreadyApplied) {
 		return nil
@@ -615,7 +651,7 @@ func init() { core.RegisterUpdate(&installSnapshot{}) }
 // Verify implements core.Update.
 func (u *installSnapshot) Verify(root any) error {
 	if u.Snap == nil || u.Snap.Tree == nil {
-		return fmt.Errorf("replica: malformed snapshot")
+		return fmt.Errorf("%w: snapshot without a tree", ErrMalformedEntry)
 	}
 	r, err := rootOf(root)
 	if err != nil {
@@ -676,11 +712,12 @@ func (n *Node) RestoreFromPeer(client *rpc.Client) error {
 	n.gmu.Lock()
 	n.owed, n.gateErr = n.peers(), nil
 	n.gmu.Unlock()
-	var snap SnapshotReply
-	if err := client.CallRetry(obs.SpanContext{}, "Replica.Snapshot", &SnapshotArgs{}, &snap, n.syncPolicy); err != nil {
+	var c Catchup // a nil vector asks for the root
+	if err := client.CallRetry(obs.SpanContext{}, "Replica.Pull", &PullArgs{}, &c, n.syncPolicy); err != nil {
 		return err
 	}
-	return n.installSnapshot(snap.Root)
+	_, err := n.absorb(&c, obs.SpanContext{})
+	return err
 }
 
 // Checkpoint forwards to the store.
@@ -703,142 +740,52 @@ type Service struct {
 // NewService returns the RPC service for a node.
 func NewService(n *Node) *Service { return &Service{node: n} }
 
-// PushArgs carries propagated updates.
-type PushArgs struct {
-	Entries []Entry
-}
-
 // PushReply reports how many entries were newly applied, which node
 // applied them, and how long the remote apply took — the origin echoes
-// Node/ApplyNS into its trace as the remote half of the push. Vector is
-// the member's full post-apply version vector: it is the authoritative
+// Node/ApplyNS into its trace as the remote half of the push. Vector is the
+// member's full post-apply version vector: it is the authoritative
 // per-origin ack, and quorum commit counts an ack only when the pusher's
-// own slot in it covers the pushed entries, because a push that races
-// ahead of its predecessors is silently skipped as a sequence gap
-// (applied = 0, no error) and must not count. Seq duplicates the slot for
-// the origin of the last pushed entry — only meaningful for single-origin
-// batches; multi-origin pushers (anti-entropy repair) must read Vector,
-// since a (origin, seq)-sorted batch can end on another origin's slot.
+// own slot in it covers the pushed entries, because a push that races ahead
+// of its predecessors is silently skipped as a sequence gap (applied = 0, no
+// error) and must not count. An empty push is a probe: its reply is the
+// member's vector.
 type PushReply struct {
 	Applied int
 	Node    string
 	ApplyNS int64
-	Seq     uint64
 	Vector  map[string]uint64
 }
 
-// Push applies propagated updates. It takes the rpc layer's span context,
-// so a traced push records the remote applies into this node's collector
-// under the origin's trace ID.
-func (s *Service) Push(args *PushArgs, reply *PushReply, sc obs.SpanContext) error {
+// Push brings a catch-up into this node: a stream's entries, a repair's
+// suffix or root, or nothing. It takes the rpc layer's span context, so a
+// traced push records the remote applies into this node's collector under
+// the origin's trace ID.
+func (s *Service) Push(args *Catchup, reply *PushReply, sc obs.SpanContext) error {
 	start := time.Now()
-	applied, err := s.node.applyEntries(args.Entries, sc)
+	applied, err := s.node.absorb(args, sc)
 	reply.Applied = applied
 	reply.Node = s.node.name
 	reply.ApplyNS = int64(time.Since(start))
-	if vec, verr := s.node.Vector(); verr == nil {
-		reply.Vector = vec
-		if len(args.Entries) > 0 {
-			reply.Seq = vec[args.Entries[len(args.Entries)-1].Origin]
-		}
+	vec, verr := s.node.Vector()
+	if err == nil {
+		// Every answered push carries the member's vector: a probe
+		// answered with a nil one would draw the pusher's whole root.
+		reply.Vector, err = vec, verr
 	}
 	return err
 }
 
-// PullArgs carries the caller's version vector.
+// PullArgs carries the caller's version vector. A nil Vector asks for the
+// whole root, as RestoreFromPeer does; Node.Vector never returns nil, so
+// SyncWith's pull is never taken for a restore.
 type PullArgs struct {
 	Vector map[string]uint64
 }
 
-// PullReply carries the entries the caller is missing, or NeedFull if the
-// history has been trimmed past the caller's vector.
-type PullReply struct {
-	Entries  []Entry
-	NeedFull bool
-}
-
-// Pull computes the missing suffix for a caller's vector.
-func (s *Service) Pull(args *PullArgs, reply *PullReply) error {
-	return s.node.store.View(func(root any) error {
-		r, err := rootOf(root)
-		if err != nil {
-			return err
-		}
-		reply.Entries, reply.NeedFull = r.missingFrom(args.Vector)
-		return nil
-	})
-}
-
-// SnapshotArgs requests a full snapshot.
-type SnapshotArgs struct{}
-
-// SnapshotReply carries the node's entire root.
-type SnapshotReply struct {
-	Root *Root
-}
-
-// Snapshot returns the node's full state.
-func (s *Service) Snapshot(args *SnapshotArgs, reply *SnapshotReply) (err error) {
-	reply.Root, err = s.node.snapshotRoot()
+// Pull answers the catch-up a holder of the caller's vector lacks.
+func (s *Service) Pull(args *PullArgs, reply *Catchup) (err error) {
+	*reply, err = s.node.catchupFor(args.Vector)
 	return err
-}
-
-// snapshotRoot returns the node's whole root for shipping to a peer: the
-// published snapshot itself, so the only pickle is the RPC's own. A
-// published root is never mutated and the collector keeps it alive.
-func (n *Node) snapshotRoot() (*Root, error) {
-	sn, err := n.store.SnapshotAt()
-	if err != nil {
-		return nil, err
-	}
-	return rootOf(sn.Root())
-}
-
-// VectorArgs requests a member's version vector.
-type VectorArgs struct{}
-
-// VectorReply carries the member's version vector and durable frontier.
-type VectorReply struct {
-	Vector   map[string]uint64
-	Frontier uint64
-	Node     string
-}
-
-// Vector reports this member's version vector — a pushing member's
-// anti-entropy loop uses it to compute the missing suffix to push.
-func (s *Service) Vector(args *VectorArgs, reply *VectorReply) error {
-	vec, err := s.node.Vector()
-	if err != nil {
-		return err
-	}
-	reply.Vector = vec
-	reply.Frontier = vectorSum(vec)
-	reply.Node = s.node.name
-	return nil
-}
-
-// InstallArgs carries a full snapshot pushed to a member whose lag has
-// outrun the history — the push-style dual of Snapshot/RestoreFromPeer.
-type InstallArgs struct {
-	Root *Root
-}
-
-// InstallReply acknowledges a snapshot install.
-type InstallReply struct {
-	Node     string
-	Frontier uint64
-}
-
-// Install replaces this member's state with the pushed snapshot.
-func (s *Service) Install(args *InstallArgs, reply *InstallReply) error {
-	if err := s.node.installSnapshot(args.Root); err != nil {
-		return err
-	}
-	reply.Node = s.node.name
-	if vec, err := s.node.Vector(); err == nil {
-		reply.Frontier = vectorSum(vec)
-	}
-	return nil
 }
 
 // ReadArgs is a bounded-staleness enquiry: the member may answer from its
@@ -893,16 +840,9 @@ func (s *Service) Read(args *ReadArgs, reply *ReadReply) error {
 }
 
 func init() {
-	pickle.Register(&PushArgs{})
+	pickle.Register(&Catchup{})
 	pickle.Register(&PushReply{})
 	pickle.Register(&PullArgs{})
-	pickle.Register(&PullReply{})
-	pickle.Register(&SnapshotArgs{})
-	pickle.Register(&SnapshotReply{})
-	pickle.Register(&VectorArgs{})
-	pickle.Register(&VectorReply{})
-	pickle.Register(&InstallArgs{})
-	pickle.Register(&InstallReply{})
 	pickle.Register(&ReadArgs{})
 	pickle.Register(&ReadReply{})
 }

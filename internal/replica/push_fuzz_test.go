@@ -11,13 +11,16 @@ import (
 	"testing"
 
 	"smalldb/internal/nameserver"
+	"smalldb/internal/obs"
 	"smalldb/internal/pickle"
+	"smalldb/internal/vfs"
 )
 
 var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/FuzzPushArgs from its seeds")
 
-// A member decodes a push from the wire and judges each entry with
-// Replicated.Verify. What must hold of any byte string is stated in
+// A node decodes a catch-up from the wire — a Push's argument or a Pull's
+// reply — and judges each entry with Replicated.Verify, or a root with
+// installSnapshot.Verify. What must hold of any byte string is stated in
 // checkPush, and held against the committed seeds (TestPushArgsSeeds) and
 // whatever the fuzzer derives from them (FuzzPushArgs).
 
@@ -48,58 +51,73 @@ func pushSet(name string) *nameserver.SetValue {
 }
 
 // pushSeeds builds FuzzPushArgs's corpus: entries Verify accepts, each way
-// it refuses one — the seq-0 entry among them — and a truncated push.
+// it refuses one — the seq-0 entry among them — a truncated push, a root one
+// step ahead of pushRoot, that root with an entry beside it, and a root
+// without a tree.
 func pushSeeds(t testing.TB) map[string][]byte {
 	t.Helper()
-	push := func(entries ...Entry) []byte {
-		raw, err := pickle.Marshal(&PushArgs{Entries: entries})
+	marshal := func(c *Catchup) []byte {
+		raw, err := pickle.Marshal(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return raw
 	}
-	next := push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: pushSet("x/q")})
+	push := func(entries ...Entry) []byte { return marshal(&Catchup{Entries: entries}) }
+	nextEntry := Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: pushSet("x/q")}
+	next := push(nextEntry)
+	ahead := pushRoot(t)
+	if u := nextEntry.update(); u.Verify(ahead) != nil || u.Apply(ahead) != nil {
+		t.Fatal("the next entry does not apply to pushRoot")
+	}
 	return map[string][]byte{
-		"empty":          push(),
-		"next":           next,
-		"next-of-b":      push(Entry{Origin: "b", Seq: 2, Stamp: 9, Inner: pushSet("w")}),
-		"new-origin":     push(Entry{Origin: "c", Seq: 1, Stamp: 1, Inner: pushSet("c/1")}),
-		"duplicate":      push(Entry{Origin: "a", Seq: 1, Stamp: 1, Inner: pushSet("x/y")}),
-		"gap":            push(Entry{Origin: "a", Seq: 9, Stamp: 9, Inner: pushSet("x/q")}),
-		"seq0":           push(Entry{Origin: "a", Seq: 0, Stamp: 0, Inner: pushSet("x/q")}),
-		"no-origin":      push(Entry{Seq: 3, Stamp: 4, Inner: pushSet("x/q")}),
-		"nil-inner":      push(Entry{Origin: "a", Seq: 3, Stamp: 4}),
-		"nil-move":       push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: (*nameserver.Move)(nil)}),
-		"delete":         push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: &nameserver.DeleteSubtree{Path: []string{"x"}}}),
-		"delete-missing": push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: &nameserver.DeleteSubtree{Path: []string{"nope"}}}),
-		"delete-root":    push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: &nameserver.DeleteSubtree{}}),
-		"move":           push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: &nameserver.Move{From: []string{"x"}, To: []string{"m", "n"}}}),
-		"put":            push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: &nameserver.PutSubtree{Path: []string{"p"}, Subtree: &nameserver.Node{Value: "v", HasValue: true}}}),
-		"nested":         push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: &Replicated{Origin: "b", Seq: 2, Inner: pushSet("w")}}),
-		"mixed":          push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: pushSet("x/q")}, Entry{Origin: "a", Seq: 0, Inner: pushSet("x/r")}, Entry{Origin: "b", Seq: 2, Stamp: 5, Inner: pushSet("w")}),
-		"truncated":      next[:len(next)-3],
+		"root":             marshal(&Catchup{Root: ahead}),
+		"root-and-entries": marshal(&Catchup{Root: ahead, Entries: []Entry{nextEntry}}),
+		"root-nil-tree":    marshal(&Catchup{Root: &Root{Vector: map[string]uint64{"a": 3}, HistoryCap: 8}}),
+		"empty":            push(),
+		"next":             next,
+		"next-of-b":        push(Entry{Origin: "b", Seq: 2, Stamp: 9, Inner: pushSet("w")}),
+		"new-origin":       push(Entry{Origin: "c", Seq: 1, Stamp: 1, Inner: pushSet("c/1")}),
+		"duplicate":        push(Entry{Origin: "a", Seq: 1, Stamp: 1, Inner: pushSet("x/y")}),
+		"gap":              push(Entry{Origin: "a", Seq: 9, Stamp: 9, Inner: pushSet("x/q")}),
+		"seq0":             push(Entry{Origin: "a", Seq: 0, Stamp: 0, Inner: pushSet("x/q")}),
+		"no-origin":        push(Entry{Seq: 3, Stamp: 4, Inner: pushSet("x/q")}),
+		"nil-inner":        push(Entry{Origin: "a", Seq: 3, Stamp: 4}),
+		"nil-move":         push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: (*nameserver.Move)(nil)}),
+		"delete":           push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: &nameserver.DeleteSubtree{Path: []string{"x"}}}),
+		"delete-missing":   push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: &nameserver.DeleteSubtree{Path: []string{"nope"}}}),
+		"delete-root":      push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: &nameserver.DeleteSubtree{}}),
+		"move":             push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: &nameserver.Move{From: []string{"x"}, To: []string{"m", "n"}}}),
+		"put":              push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: &nameserver.PutSubtree{Path: []string{"p"}, Subtree: &nameserver.Node{Value: "v", HasValue: true}}}),
+		"nested":           push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: &Replicated{Origin: "b", Seq: 2, Inner: pushSet("w")}}),
+		"mixed":            push(Entry{Origin: "a", Seq: 3, Stamp: 4, Inner: pushSet("x/q")}, Entry{Origin: "a", Seq: 0, Inner: pushSet("x/r")}, Entry{Origin: "b", Seq: 2, Stamp: 5, Inner: pushSet("w")}),
+		"truncated":        next[:len(next)-3],
 	}
 }
 
-// checkPush decodes data into PushArgs and requires a *pickle.Error, or
-// else entries whose updates Verify against pushRoot either accepts — and
-// Apply then applies — or refuses with a typed replica error or the inner
-// update's own refusal.
+// checkPush decodes data into a Catchup and requires a *pickle.Error, or
+// else a catch-up checkRoot accepts, or entries whose updates Verify against
+// pushRoot either accepts — and Apply then applies — or refuses with a typed
+// replica error or the inner update's own refusal.
 // An entry with seq 0 is always refused as malformed: a decoded update is
 // never local, so Verify's stamping cannot be reached from the wire. Nothing
 // panics.
 func checkPush(t *testing.T, data []byte) {
 	t.Helper()
-	var args PushArgs
-	if err := pickle.Unmarshal(data, &args); err != nil {
+	var c Catchup
+	if err := pickle.Unmarshal(data, &c); err != nil {
 		var pe *pickle.Error
 		if !errors.As(err, &pe) && !(err == io.EOF && len(data) <= 1) {
 			t.Fatalf("decode failed with an untyped error: %T %v", err, err)
 		}
 		return
 	}
+	if c.Root != nil {
+		checkRoot(t, &c)
+		return
+	}
 	r := pushRoot(t)
-	for i, e := range args.Entries {
+	for i, e := range c.Entries {
 		u := e.update()
 		err := u.Verify(r)
 		switch {
@@ -119,6 +137,47 @@ func checkPush(t *testing.T, data []byte) {
 				t.Fatalf("entry %d refused with %v, neither typed nor its inner update's refusal (%v)", i, err, ierr)
 			}
 		}
+	}
+}
+
+// checkRoot holds a catch-up carrying a root to the receiver's rules: with
+// entries beside the root a node refuses it as malformed; alone, the root's
+// install either verifies against pushRoot — and then applies, lowering no
+// slot of pushRoot's vector or the root's — or is refused with a typed
+// error.
+func checkRoot(t *testing.T, c *Catchup) {
+	t.Helper()
+	if len(c.Entries) > 0 {
+		n, err := Open(Config{Name: "m", FS: vfs.NewMem(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		if _, err := n.absorb(c, obs.SpanContext{}); !errors.Is(err, ErrMalformedEntry) {
+			t.Fatalf("a root with %d entries was not refused as malformed: %v", len(c.Entries), err)
+		}
+		return
+	}
+	r := pushRoot(t)
+	want := copyVector(r.Vector)
+	for o, seq := range c.Root.Vector {
+		want[o] = max(want[o], seq)
+	}
+	u := &installSnapshot{Snap: c.Root}
+	err := u.Verify(r)
+	switch {
+	case err == nil:
+		if aerr := u.Apply(r); aerr != nil {
+			t.Fatalf("root verified but failed to install: %v", aerr)
+		}
+		for o, seq := range want {
+			if r.Vector[o] < seq {
+				t.Fatalf("install left %s at %d, below %d", o, r.Vector[o], seq)
+			}
+		}
+	case errors.Is(err, ErrMalformedEntry), errors.Is(err, ErrAlreadyApplied), errors.Is(err, ErrInstallRegress):
+	default:
+		t.Fatalf("root refused with an untyped error: %v", err)
 	}
 }
 

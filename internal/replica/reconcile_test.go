@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"smalldb/internal/netsim"
+	"smalldb/internal/obs"
 	"smalldb/internal/rpc"
 	"smalldb/internal/vfs"
 	"smalldb/internal/vfs/faultfs"
@@ -318,7 +319,7 @@ func TestStaleSnapshotIsNotLogged(t *testing.T) {
 	if err := n.Set("x", "1"); err != nil {
 		t.Fatal(err)
 	}
-	stale, err := n.snapshotRoot()
+	stale, err := n.catchupFor(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,8 @@ func TestStaleSnapshotIsNotLogged(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := n.Store().AppliedSeq()
-	if err := n.installSnapshot(stale); err != nil {
+	var reply PushReply
+	if err := NewService(n).Push(&stale, &reply, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := n.Store().AppliedSeq(); got != before {

@@ -17,7 +17,11 @@
 // same updates agree on every value regardless of delivery order.
 //
 // A node is one member of an N-node group (N = 1 is a lone node, the
-// paper's pair is N = 2) and one protocol keeps the members together:
+// paper's pair is N = 2) and one protocol keeps the members together. Its
+// unit is the catch-up (Catchup): the entries a receiver's version vector
+// lacks, or — once the sender's history is trimmed past them — the sender's
+// whole root. Two messages carry it: Push brings one into a member, and Pull
+// asks a member for one.
 //
 //   - Propagation: a local commit is handed to every other member's ordered
 //     push stream and acknowledged once a write quorum W of members — the
@@ -25,13 +29,12 @@
 //     replica, propagate behind the ack.
 //   - Anti-entropy: one background loop repairs a member the moment a push
 //     to it falls short, and at every interval probes each member's version
-//     vector and pushes the missing suffix from its own history (or a whole
-//     snapshot once the history is trimmed past it) — the paper's "automatic
-//     mechanisms for ensuring the long-term consistency of the name server
-//     replicas".
-//   - Restore: a node whose disk is damaged beyond local recovery fetches a
-//     full snapshot from a peer and rebuilds its store from scratch; the
-//     same on-demand pull (SyncWith) lets a stale reader catch itself up.
+//     vector with an empty Push and pushes the catch-up it lacks — the
+//     paper's "automatic mechanisms for ensuring the long-term consistency
+//     of the name server replicas".
+//   - Restore: a node whose disk is damaged beyond local recovery pulls a
+//     peer's root and rebuilds its store from it; the same on-demand pull
+//     (SyncWith) lets a stale reader catch itself up.
 package replica
 
 import (
@@ -136,9 +139,10 @@ var ErrAlreadyApplied = errors.New("replica: update already applied")
 // from the same origin; anti-entropy must fill the gap first.
 var ErrSequenceGap = errors.New("replica: sequence gap")
 
-// ErrMalformedEntry refuses an update that lacks its origin, its sequence
-// number or its inner update — nil, or a nil pointer, as a push can decode.
-var ErrMalformedEntry = errors.New("replica: update missing origin, sequence stamp or inner update")
+// ErrMalformedEntry refuses what a catch-up can decode but no node sends: an
+// update that lacks its origin, its sequence number or its inner update —
+// nil, or a nil pointer — a root without a tree, or a root with entries.
+var ErrMalformedEntry = errors.New("replica: malformed update or catch-up")
 
 // Replicated wraps an inner update with its replication stamps; it is the
 // only update type a replicated store logs.

@@ -3,10 +3,14 @@ package replica
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"smalldb/internal/nameserver"
 	"smalldb/internal/obs"
+	"smalldb/internal/rpc"
+	"smalldb/internal/vfs"
 )
 
 // Property: under any interleaving of local updates and pairwise syncs,
@@ -82,16 +86,44 @@ func TestConvergenceProperty(t *testing.T) {
 	}
 }
 
-// TestSnapshotIsolatedFromLiveTree: Service.Snapshot hands the rpc layer the
-// published root itself (no copy under the lock); the copy a peer receives
-// is the wire's, and mutating it must not reach the live database.
+// TestServiceMethods: the replica service is three RPCs — Push brings a
+// Catchup into a member, Pull asks one for a Catchup, Read is a
+// bounded-staleness enquiry.
+func TestServiceMethods(t *testing.T) {
+	n, err := Open(Config{Name: "a", FS: vfs.NewMem(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	reg := obs.NewRegistry()
+	srv := rpc.NewServer()
+	srv.Instrument(reg, nil)
+	if err := srv.Register("Replica", NewService(n)); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, name := range reg.Names() {
+		if m, ok := strings.CutPrefix(name, "rpc_calls_Replica."); ok {
+			got = append(got, m)
+		}
+	}
+	slices.Sort(got)
+	if want := []string{"Pull", "Push", "Read"}; !slices.Equal(got, want) {
+		t.Fatalf("Replica registers %v, want %v", got, want)
+	}
+}
+
+// TestSnapshotIsolatedFromLiveTree: a Pull answered with a root hands the
+// rpc layer the published root itself (no copy under the lock); the copy a
+// peer receives is the wire's, and mutating it must not reach the live
+// database.
 func TestSnapshotIsolatedFromLiveTree(t *testing.T) {
 	c := makeCluster(t, "a", "b")
 	na := c.nodes[0]
 	na.Set("k", "v1")
 
-	var snap SnapshotReply
-	if err := c.clients["b"]["a"].Call("Replica.Snapshot", &SnapshotArgs{}, &snap); err != nil {
+	var snap Catchup
+	if err := c.clients["b"]["a"].Call("Replica.Pull", &PullArgs{}, &snap); err != nil {
 		t.Fatal(err)
 	}
 	snap.Root.Tree.FindNode([]string{"k"}).Value = "hacked"
@@ -113,11 +145,11 @@ func TestPushBatchAppliesInOrder(t *testing.T) {
 	// check, so only the in-order prefix lands; a second push completes.
 	shuffled := []Entry{entries[1], entries[0], entries[2], entries[4], entries[3]}
 	var reply PushReply
-	if err := svc.Push(&PushArgs{Entries: shuffled}, &reply, obs.SpanContext{}); err != nil {
+	if err := svc.Push(&Catchup{Entries: shuffled}, &reply, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	var second PushReply
-	if err := svc.Push(&PushArgs{Entries: entries}, &second, obs.SpanContext{}); err != nil {
+	if err := svc.Push(&Catchup{Entries: entries}, &second, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 5; i++ {

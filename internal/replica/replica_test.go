@@ -342,10 +342,13 @@ func checkInstallRefused(t *testing.T, nb *Node) {
 	}
 }
 
-// TestPulledInstallKeepsOwnUpdates: a pull answered NeedFull must not drop
-// what the puller holds beyond the snapshot.
+// TestPulledInstallKeepsOwnUpdates: a pull answered with a root must not
+// drop what the puller holds beyond it, and the root comes back in the
+// pull's own reply: one call to the server, not a second for the snapshot.
 func TestPulledInstallKeepsOwnUpdates(t *testing.T) {
 	_, srvA := trimmedPeer(t)
+	reg := obs.NewRegistry()
+	srvA.Instrument(reg, nil)
 	client := pipeTo(srvA)
 	defer client.Close()
 
@@ -354,6 +357,9 @@ func TestPulledInstallKeepsOwnUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkInstallKeptOwn(t, nb)
+	if calls := reg.Counter("rpc_requests").Value(); calls != 1 {
+		t.Fatalf("a pull past a trimmed history made %d calls to the server, want 1", calls)
+	}
 
 	short := aheadNode(t, 3)
 	if err := short.SyncWith(client); !errors.Is(err, ErrInstallRegress) {
@@ -362,8 +368,8 @@ func TestPulledInstallKeepsOwnUpdates(t *testing.T) {
 	checkInstallRefused(t, short)
 }
 
-// TestPushedInstallKeepsOwnUpdates: the same rule for a snapshot pushed at
-// the member through Replica.Install.
+// TestPushedInstallKeepsOwnUpdates: the same rule for a root pushed at the
+// member through Replica.Push.
 func TestPushedInstallKeepsOwnUpdates(t *testing.T) {
 	na, _ := trimmedPeer(t)
 	for _, tc := range []struct {
@@ -378,12 +384,16 @@ func TestPushedInstallKeepsOwnUpdates(t *testing.T) {
 		defer srvB.Close()
 		client := pipeTo(srvB)
 		defer client.Close()
-		snap, err := na.snapshotRoot()
+		vec, _ := nb.Vector()
+		c, err := na.catchupFor(vec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var reply InstallReply
-		err = client.Call("Replica.Install", &InstallArgs{Root: snap}, &reply)
+		if c.Root == nil || len(c.Entries) > 0 {
+			t.Fatalf("catch-up past a trimmed history: root %v, %d entries; want the root alone", c.Root != nil, len(c.Entries))
+		}
+		var reply PushReply
+		err = client.Call("Replica.Push", &c, &reply)
 		if tc.refused {
 			if err == nil || !strings.Contains(err.Error(), ErrInstallRegress.Error()) {
 				t.Fatalf("install over a trimmed history: %v, want %v", err, ErrInstallRegress)

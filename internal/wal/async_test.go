@@ -548,26 +548,6 @@ func TestShardedClosed(t *testing.T) {
 	}
 }
 
-// TestFirstSeqSharded: FirstSeq looks past the head frame to the first
-// entry, however the log was opened; a log holding only a head has none.
-func TestFirstSeqSharded(t *testing.T) {
-	fs := vfs.NewMem(1)
-	l, _ := Open(fs, "log", ReplayResult{NextSeq: 7}, Options{Head: []byte("h")})
-	for i := 0; i < 4; i++ { // seqs 7..10
-		commit(t, l, "x")
-	}
-	l.Close()
-	if seq, ok, err := FirstSeq(fs, "log"); err != nil || !ok || seq != 7 {
-		t.Errorf("got %d %v %v", seq, ok, err)
-	}
-
-	l2, _ := Open(fs, "empty", ReplayResult{NextSeq: 1}, Options{Head: []byte("h")})
-	l2.Close()
-	if _, ok, err := FirstSeq(fs, "empty"); ok || err != nil {
-		t.Errorf("head only: %v %v", ok, err)
-	}
-}
-
 // TestShardedAppendAllocCeiling pins the store's commit path's allocation
 // count: the enqueue frames in place and adds only the wait closure to what
 // Append costs.

@@ -701,21 +701,6 @@ func Replay(fs vfs.FS, name string, firstSeq uint64, opts ReplayOptions, fn func
 	return res, nil
 }
 
-// FirstSeq reports the sequence number of the named log's first intact
-// entry, past its head frame, with ok=false for a log holding no entry (or
-// immediately torn). A reader that needs only to replay such a log passes
-// Replay a firstSeq of 0 instead.
-func FirstSeq(fs vfs.FS, name string) (seq uint64, ok bool, err error) {
-	_, err = Replay(fs, name, 0, ReplayOptions{}, func(s uint64, _ []byte) error {
-		seq, ok = s, true
-		return errStopped
-	})
-	if err == errStopped {
-		err = nil
-	}
-	return seq, ok, err
-}
-
 // anyIntactFrom reports whether any intact entry exists at or after off:
 // the test separating a hard-failed entry in the middle of the log (intact
 // data follows it) from a torn tail (unreadable to the end). It walks

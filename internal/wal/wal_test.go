@@ -256,7 +256,8 @@ func TestSequenceDiscontinuityDetected(t *testing.T) {
 }
 
 // TestReplayFromAnySeq: firstSeq 0 takes the first entry's sequence, then
-// checks density from there; sequence 0 is never an entry's.
+// checks density from there; sequence 0 is never an entry's. A missing file
+// is an error; junk, or a head alone, replays no entry.
 func TestReplayFromAnySeq(t *testing.T) {
 	fs := vfs.NewMem(1)
 	vfs.WriteFile(fs, "log", append(frame(5, []byte("a")), frame(6, []byte("b"))...))
@@ -270,6 +271,19 @@ func TestReplayFromAnySeq(t *testing.T) {
 	vfs.WriteFile(fs, "heads", append(HeadFrame([]byte("h")), HeadFrame([]byte("h"))...))
 	if _, err := Replay(fs, "heads", 0, ReplayOptions{}, func(uint64, []byte) error { return nil }); err == nil {
 		t.Error("a second head frame replayed as an entry")
+	}
+	if _, err := Replay(fs, "missing", 0, ReplayOptions{}, func(uint64, []byte) error { return nil }); err == nil {
+		t.Error("missing file: no error")
+	}
+	// A file of junk, or a log holding only its head, has no entry: no
+	// error either.
+	vfs.WriteFile(fs, "junk", []byte{0xFF, 0xFE})
+	l, _ := Open(fs, "head-only", ReplayResult{NextSeq: 1}, Options{Head: []byte("h")})
+	l.Close()
+	for _, name := range []string{"junk", "head-only"} {
+		if res, got := collect(t, fs, name, 0, ReplayOptions{}); res.Entries != 0 || len(got) != 0 {
+			t.Errorf("%s: %+v, %d entries", name, res, len(got))
+		}
 	}
 }
 
@@ -401,35 +415,6 @@ func TestClosedLog(t *testing.T) {
 	}
 	if err := l.Close(); err != nil { // double close is fine
 		t.Errorf("double close: %v", err)
-	}
-}
-
-func TestFirstSeq(t *testing.T) {
-	fs := vfs.NewMem(1)
-	l, _ := Create(fs, "log", 7, Options{})
-	l.Append([]byte("x"))
-	l.Close()
-	seq, ok, err := FirstSeq(fs, "log")
-	if err != nil || !ok || seq != 7 {
-		t.Errorf("got %d %v %v", seq, ok, err)
-	}
-
-	// Empty log.
-	l2, _ := Create(fs, "empty", 1, Options{})
-	l2.Close()
-	if _, ok, err := FirstSeq(fs, "empty"); ok || err != nil {
-		t.Errorf("empty: %v %v", ok, err)
-	}
-
-	// Missing file.
-	if _, _, err := FirstSeq(fs, "missing"); err == nil {
-		t.Error("missing file: no error")
-	}
-
-	// Garbage-only file.
-	vfs.WriteFile(fs, "junk", []byte{0xFF, 0xFE})
-	if _, ok, err := FirstSeq(fs, "junk"); ok || err != nil {
-		t.Errorf("junk: %v %v", ok, err)
 	}
 }
 
