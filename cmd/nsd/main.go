@@ -103,16 +103,14 @@ func main() {
 	if err := srv.Register("Trace", nameserver.NewTraceService(traces)); err != nil {
 		log.Fatalf("nsd: %v", err)
 	}
+	// Both branches end with one name server: a lone store's, or a replica
+	// node's, whose commit is replicated and whose Close stops the group.
+	var ns *nameserver.Server
 	var closer interface{ Close() error }
-
 	if *name == "" {
-		ns, err := nameserver.Open(nameserver.Config{FS: fs, Retain: *retain, Obs: reg, Tracer: tracer})
+		ns, err = nameserver.Open(nameserver.Config{FS: fs, Retain: *retain, Obs: reg, Tracer: tracer})
 		if err != nil {
 			log.Fatalf("nsd: open: %v", err)
-		}
-		ns.CheckpointEvery(*checkpoint)
-		if err := srv.Register("NS", nameserver.NewRPCService(ns)); err != nil {
-			log.Fatalf("nsd: %v", err)
 		}
 		closer = ns
 		log.Printf("nsd: serving %s (unreplicated) on %s", *dir, *listen)
@@ -126,7 +124,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("nsd: open replica: %v", err)
 		}
-		node.Store().CheckpointEvery(*checkpoint)
 		for _, m := range group.Members[1:] {
 			// Lazy reconnecting client: a member need not be up yet, and
 			// a member restart just redials on the next push or repair
@@ -140,11 +137,12 @@ func main() {
 		if err := srv.Register("Replica", replica.NewService(node)); err != nil {
 			log.Fatalf("nsd: %v", err)
 		}
-		if err := srv.Register("NS", nameserver.NewRPCService(node)); err != nil {
-			log.Fatalf("nsd: %v", err)
-		}
-		closer = node
+		ns, closer = node.Server, node
 		log.Printf("nsd: serving %s as replica %q (N=%d, W=%d) on %s", *dir, *name, len(group.Members), node.W(), *listen)
+	}
+	ns.CheckpointEvery(*checkpoint)
+	if err := srv.Register("NS", nameserver.NewRPCService(ns)); err != nil {
+		log.Fatalf("nsd: %v", err)
 	}
 
 	var admin *obs.AdminServer

@@ -49,7 +49,7 @@ func TestShardedReplayDifferential(t *testing.T) {
 		if seq := srv.Store().AppliedSeq(); seq != entries {
 			t.Errorf("batch=%d: recovered %d updates, want %d", batch, seq, entries)
 		}
-		if got, err := fingerprint(srv.Store(), storeTree); err != nil || got != fingerprintTree(oracle) {
+		if got, err := fingerprint(srv.Store()); err != nil || got != fingerprintTree(oracle) {
 			t.Errorf("batch=%d: recovered state diverges from the oracle (%v)", batch, err)
 		}
 		var buf []byte

@@ -404,7 +404,7 @@ func (e *endpoint) close() error {
 // UnsafeNoSync.
 func (r *runner) memberConfig(i int, fs vfs.FS) replica.Config {
 	return replica.Config{Name: memberName(i), FS: fs, HistoryCap: r.cfg.HistoryCap,
-		MaxDeltaChain: r.cfg.MaxDeltaChain, MaxDeltaRatio: r.deltaRatio, PushPolicy: r.policy, SyncPolicy: r.policy, Obs: r.reg}
+		MaxDeltaChain: r.cfg.MaxDeltaChain, MaxDeltaRatio: r.deltaRatio, Policy: r.policy, Obs: r.reg}
 }
 
 // member is one of the group's other members: it applies what member 0
@@ -467,19 +467,21 @@ func (w *world) close() {
 	w.nw.Close()
 }
 
-// subject is the tortured database behind the few operations the workload
-// and the post-fault check need.
+// subject is the tortured name server and the close that ends all it opened.
 type subject struct {
-	store      *core.Store
-	applyBatch func([]core.Update) error
-	checkpoint func() error
-	close      func() error
-	treeOf     func(root any) *nameserver.Tree
-	node       *replica.Node // nil for a bare store
+	*nameserver.Server
+	close func() error
+	node  *replica.Node // member 0's node; nil for a lone server
 }
 
-func storeTree(root any) *nameserver.Tree   { return root.(*nameserver.Tree) }
-func replicaTree(root any) *nameserver.Tree { return root.(*replica.Root).Tree }
+// treeOf is the name tree in a store root, a bare tree or a replica's.
+func treeOf(root any) *nameserver.Tree {
+	t, err := nameserver.TreeOf(root)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
 
 // originSlot renders the tortured origin's slot in a replica root's vector,
 // which a bare store's root has none of.
@@ -524,7 +526,7 @@ func (r *runner) open(w *world, fs vfs.FS, workload bool, rc *readerCheck) (s *s
 		if err != nil {
 			return nil, err
 		}
-		s = &subject{store: srv.Store(), applyBatch: srv.Store().ApplyBatch, checkpoint: srv.Checkpoint, close: srv.Close, treeOf: storeTree}
+		s = &subject{Server: srv, close: srv.Close}
 	} else {
 		cfg := r.memberConfig(0, fs)
 		cfg.UnsafeNoSync, cfg.Tracer, cfg.GroupConfig = noSync, tracer, r.group
@@ -538,7 +540,7 @@ func (r *runner) open(w *world, fs vfs.FS, workload bool, rc *readerCheck) (s *s
 				return nil, err
 			}
 		}
-		s = &subject{store: ep.node.Store(), applyBatch: ep.node.ApplyBatch, checkpoint: ep.node.Checkpoint, close: ep.close, treeOf: replicaTree, node: ep.node}
+		s = &subject{Server: ep.node.Server, close: ep.close, node: ep.node}
 	}
 	closeDB := s.close
 	s.close = func() error {
@@ -546,7 +548,7 @@ func (r *runner) open(w *world, fs vfs.FS, workload bool, rc *readerCheck) (s *s
 		closeFlight()
 		return err
 	}
-	rc.launch(s.store, s.treeOf)
+	rc.launch(s.Store())
 	return s, nil
 }
 
@@ -577,10 +579,10 @@ const overlapPerStage = 2
 // rather than a range loop's.
 func (r *runner) drive(s *subject, k *int, stop int, rec *recorder, opCount func() int64) error {
 	more := func() bool { return *k < stop }
-	doOne := func() error { return r.step(k, rec, opCount, s.applyBatch) }
-	checkpoint := s.checkpoint
+	doOne := func() error { return r.step(k, rec, opCount, s.ApplyBatch) }
+	checkpoint := s.Checkpoint
 	if r.cfg.OverlapCheckpoints {
-		checkpoint = func() error { return overlapCheckpoint(s.store, s.checkpoint, doOne, more) }
+		checkpoint = func() error { return overlapCheckpoint(s.Store(), s.Checkpoint, doOne, more) }
 	}
 	for more() {
 		if err := doOne(); err != nil {
@@ -741,10 +743,10 @@ func (r *runner) partitionRun(p int64, w *world, s *subject, cut []string) (int,
 // a cut member might hold entries of its origin. Once the cut heals, member
 // 0 must reconcile within the quorum timeout.
 func (r *runner) gateRefusal(p int64, w *world, s *subject, cut []string) []Violation {
-	if err := s.applyBatch(r.plan.batch(0, min(r.cfg.Batch, len(r.plan.updates)))); !errors.Is(err, replica.ErrUnreconciled) {
+	if err := s.ApplyBatch(r.plan.batch(0, min(r.cfg.Batch, len(r.plan.updates)))); !errors.Is(err, replica.ErrUnreconciled) {
 		return []Violation{r.violation(p, "gate: update 0 with %v cut off before member 0 pulled from them returned %v, want ErrUnreconciled", cut, err)}
 	}
-	if got := s.store.AppliedSeq(); got != 0 {
+	if got := s.Store().AppliedSeq(); got != 0 {
 		return []Violation{r.violation(p, "gate: a refused update 0 left %d updates logged", got)}
 	}
 	w.nw.HealAll()
@@ -859,7 +861,7 @@ func (r *runner) replay(p int64) (out []Violation) {
 		if s, err = r.open(w, frozen, false, rc); err != nil {
 			return append(out, r.violation(p, "recovery failed: %v", err))
 		}
-		if s.store.Stats().RestartDeltasApplied > 0 {
+		if s.Store().Stats().RestartDeltasApplied > 0 {
 			r.reg.Counter(deltaRecoveriesCounter).Inc()
 		}
 	}
@@ -878,9 +880,9 @@ func (r *runner) replay(p int64) (out []Violation) {
 	// node meets its members: connecting kicks the gate's pull, which would
 	// otherwise land between the two reads.
 	recovered, got, slot := 0, uint64(0), "none"
-	sn, fpErr := s.store.SnapshotAt()
+	sn, fpErr := s.Store().SnapshotAt()
 	if fpErr == nil {
-		recovered, got = int(sn.Seq()), fingerprintTree(s.treeOf(sn.Root()))
+		recovered, got = int(sn.Seq()), fingerprintTree(treeOf(sn.Root()))
 		slot = originSlot(sn.Root())
 	}
 	if victim == 0 && s.node != nil {
@@ -940,7 +942,7 @@ func (r *runner) replay(p int64) (out []Violation) {
 		return append(out, vs...)
 	}
 	for k := upto; k < len(r.plan.updates); k++ {
-		if err := s.applyBatch(r.plan.batch(k, k+1)); err != nil {
+		if err := s.ApplyBatch(r.plan.batch(k, k+1)); err != nil {
 			return append(out, r.violation(p, "catch-up: update %d not acknowledged after the fault: %v", k, err))
 		}
 	}
@@ -989,14 +991,14 @@ func (r *runner) converge(p int64, w *world, s *subject, upto int, when string) 
 			return []Violation{r.violation(p, "catch-up: anti-entropy %s<-%s failed %s: %v", s.node.Name(), m.node.Name(), when, err)}
 		}
 	}
-	if got, err := fingerprint(s.store, s.treeOf); err != nil || got != r.plan.fp[upto] {
+	if got, err := fingerprint(s.Store()); err != nil || got != r.plan.fp[upto] {
 		return []Violation{r.violation(p, "catch-up: state diverges from the oracle prefix of %d updates %s (%v)", upto, when, err)}
 	}
 	for _, m := range w.members {
 		if err := pull(w.nw, m.node, s.node); err != nil {
 			return []Violation{r.violation(p, "catch-up: anti-entropy %s<-%s failed %s: %v", m.node.Name(), s.node.Name(), when, err)}
 		}
-		if got, err := fingerprint(m.node.Store(), replicaTree); err != nil || got != r.plan.fp[upto] {
+		if got, err := fingerprint(m.node.Store()); err != nil || got != r.plan.fp[upto] {
 			return []Violation{r.violation(p, "acked-update loss: member %s diverges from the oracle prefix of %d updates %s (%v)", m.node.Name(), upto, when, err)}
 		}
 	}
@@ -1012,7 +1014,7 @@ func pull(nw *netsim.Network, to, from *replica.Node) error {
 }
 
 // fingerprint hashes the name tree under a store's current root.
-func fingerprint(st *core.Store, treeOf func(root any) *nameserver.Tree) (fp uint64, err error) {
+func fingerprint(st *core.Store) (fp uint64, err error) {
 	err = st.View(func(root any) error {
 		fp = fingerprintTree(treeOf(root))
 		return nil
@@ -1053,10 +1055,8 @@ func (rc *readerCheck) fail(format string, args ...any) {
 	rc.mu.Unlock()
 }
 
-// launch starts the readers against an open store. treeOf extracts the
-// name tree from a snapshot root (bare tree in store mode, replica root's
-// tree otherwise).
-func (rc *readerCheck) launch(st *core.Store, treeOf func(any) *nameserver.Tree) {
+// launch starts the readers against an open store.
+func (rc *readerCheck) launch(st *core.Store) {
 	for i := 0; i < rc.readers; i++ {
 		rc.wg.Add(1)
 		go func() {

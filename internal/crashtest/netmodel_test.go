@@ -122,7 +122,7 @@ func TestModelOracle(t *testing.T) {
 	// A pair at W = 1, each node pushing to the other.
 	pair := replica.GroupConfig{Members: []replica.Member{{Name: "a", Addr: "netsim"}, {Name: "b", Addr: "netsim"}}, W: 1}
 	open := func(name string, fs vfs.FS) (*endpoint, error) {
-		return openEndpoint(nw, replica.Config{Name: name, FS: fs, PushPolicy: netPolicy, SyncPolicy: netPolicy, GroupConfig: pair})
+		return openEndpoint(nw, replica.Config{Name: name, FS: fs, Policy: netPolicy, GroupConfig: pair})
 	}
 	a, err := open("a", ffs)
 	if err != nil {

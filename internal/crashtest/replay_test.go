@@ -42,7 +42,7 @@ func TestPipelinedReplayDifferential(t *testing.T) {
 	if seq := srv.Store().AppliedSeq(); seq != entries {
 		t.Errorf("recovered %d updates, want %d", seq, entries)
 	}
-	if got, err := fingerprint(srv.Store(), storeTree); err != nil || got != want {
+	if got, err := fingerprint(srv.Store()); err != nil || got != want {
 		t.Errorf("recovered state diverges from the oracle (%v)", err)
 	}
 }

@@ -290,15 +290,13 @@ func checkHistory(histories [][]observation, writers int) error {
 }
 
 // treeFromRoot extracts the nameserver tree from a store root: either the
-// tree itself or a replica root embedding one.
+// tree itself or a root keeping one (nameserver.TreeOf).
 func treeFromRoot(root any) *nameserver.Tree {
-	switch r := root.(type) {
-	case *nameserver.Tree:
-		return r
-	case interface{ NameTree() *nameserver.Tree }:
-		return r.NameTree()
+	t, err := nameserver.TreeOf(root)
+	if err != nil {
+		panic(fmt.Sprintf("lintest: %v", err))
 	}
-	panic(fmt.Sprintf("lintest: root %T holds no nameserver tree", root))
+	return t
 }
 
 // ErrNotVersioned re-exports the store's sentinel for callers gating on

@@ -27,9 +27,18 @@ type Config struct {
 }
 
 // Server is a name server: the paper's worked example, its whole database a
-// tree of string-labelled arcs in virtual memory.
+// tree of string-labelled arcs in virtual memory. Its enquiries read the
+// store's tree; every update goes through its commit, which is the store's
+// own for a lone server and a replica node's replicated one.
 type Server struct {
-	store *core.Store
+	store  *core.Store
+	commit func([]core.Update, obs.SpanContext) error
+}
+
+// NewServer serves the name tree in st, committing every update through
+// commit (a zero span context is an untraced commit).
+func NewServer(st *core.Store, commit func([]core.Update, obs.SpanContext) error) *Server {
+	return &Server{store: st, commit: commit}
 }
 
 // Open recovers (or initializes) a name server from cfg.FS.
@@ -48,10 +57,14 @@ func Open(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Server{store: st}, nil
+	return NewServer(st, func(us []core.Update, sc obs.SpanContext) error {
+		_, err := st.ApplyBatchTraced(us, sc, nil)
+		return err
+	}), nil
 }
 
-// Store exposes the underlying store (for replication and experiments).
+// Store exposes the underlying store (for replication and experiments). An
+// update applied to it directly bypasses the server's commit.
 func (s *Server) Store() *core.Store { return s.store }
 
 // --- enquiries: shared lock, no disk ---
@@ -64,7 +77,7 @@ func (s *Server) Lookup(name string) (string, error) {
 	}
 	var val string
 	err = s.store.View(func(root any) error {
-		t, err := treeOf(root)
+		t, err := TreeOf(root)
 		if err != nil {
 			return err
 		}
@@ -82,7 +95,7 @@ func (s *Server) List(name string) ([]string, error) {
 	}
 	var out []string
 	err = s.store.View(func(root any) error {
-		t, err := treeOf(root)
+		t, err := TreeOf(root)
 		if err != nil {
 			return err
 		}
@@ -101,7 +114,7 @@ func (s *Server) Enumerate(name string, fn func(name, value string) error) error
 		return err
 	}
 	return s.store.View(func(root any) error {
-		t, err := treeOf(root)
+		t, err := TreeOf(root)
 		if err != nil {
 			return err
 		}
@@ -113,7 +126,7 @@ func (s *Server) Enumerate(name string, fn func(name, value string) error) error
 func (s *Server) Count() (int, error) {
 	var n int
 	err := s.store.View(func(root any) error {
-		t, err := treeOf(root)
+		t, err := TreeOf(root)
 		if err != nil {
 			return err
 		}
@@ -123,7 +136,24 @@ func (s *Server) Count() (int, error) {
 	return n, err
 }
 
-// --- updates: single-shot transactions ---
+// --- updates: single-shot transactions, each through commit ---
+
+// Apply commits one update.
+func (s *Server) Apply(u core.Update) error {
+	return s.commit([]core.Update{u}, obs.SpanContext{})
+}
+
+// ApplyBatch commits a batch of updates through one commit, with the
+// prefix semantics of core.Store.ApplyBatch.
+func (s *Server) ApplyBatch(us []core.Update) error {
+	return s.commit(us, obs.SpanContext{})
+}
+
+// ApplyTraced commits one update under a trace context: when sc belongs to
+// a trace, the commit's phase spans land in it. A zero sc is Apply.
+func (s *Server) ApplyTraced(u core.Update, sc obs.SpanContext) error {
+	return s.commit([]core.Update{u}, sc)
+}
 
 // Set binds value to name, creating intermediate names.
 func (s *Server) Set(name, value string) error {
@@ -131,7 +161,7 @@ func (s *Server) Set(name, value string) error {
 	if err != nil {
 		return err
 	}
-	return s.store.Apply(&SetValue{Path: parts, Value: value})
+	return s.Apply(&SetValue{Path: parts, Value: value})
 }
 
 // Delete removes name and its whole subtree.
@@ -140,14 +170,7 @@ func (s *Server) Delete(name string) error {
 	if err != nil {
 		return err
 	}
-	return s.store.Apply(&DeleteSubtree{Path: parts})
-}
-
-// ApplyTraced commits one update under a trace context: when sc belongs to
-// a trace, the commit's phase spans land in it. A zero sc is Store().Apply.
-func (s *Server) ApplyTraced(u core.Update, sc obs.SpanContext) error {
-	_, err := s.store.ApplyBatchTraced([]core.Update{u}, sc, nil)
-	return err
+	return s.Apply(&DeleteSubtree{Path: parts})
 }
 
 // Put installs subtree at name, replacing any existing subtree. The subtree
@@ -158,7 +181,7 @@ func (s *Server) Put(name string, subtree *Node) error {
 	if err != nil {
 		return err
 	}
-	return s.store.Apply(&PutSubtree{Path: parts, Subtree: subtree})
+	return s.Apply(&PutSubtree{Path: parts, Subtree: subtree})
 }
 
 // Rename moves the subtree at from to to.
@@ -171,7 +194,7 @@ func (s *Server) Rename(from, to string) error {
 	if err != nil {
 		return err
 	}
-	return s.store.Apply(&Move{From: f, To: tt})
+	return s.Apply(&Move{From: f, To: tt})
 }
 
 // --- administration ---

@@ -1,31 +1,22 @@
 package nameserver
 
 import (
-	"smalldb/internal/core"
 	"smalldb/internal/obs"
 	"smalldb/internal/pickle"
 )
 
-// Backend is the name tree an RPCService serves: a Server, or a replica
-// node, which acks an update at its write quorum and answers enquiries from
-// its local copy. ApplyTraced commits one update; a zero sc is untraced.
-type Backend interface {
-	Lookup(name string) (string, error)
-	List(name string) ([]string, error)
-	Enumerate(name string, fn func(name, value string) error) error
-	ApplyTraced(u core.Update, sc obs.SpanContext) error
-}
-
-// RPCService exposes a Backend over the rpc package — the paper's §6 client
+// RPCService exposes a Server over the rpc package — the paper's §6 client
 // interface, with marshalling generated from the types rather than written
-// by hand. Register it as "NS": clients talk to replicated and unreplicated
-// daemons identically.
+// by hand. Register it as "NS". A replica node is a Server whose commit is
+// replicated, so clients talk to replicated and unreplicated daemons
+// identically: an update acks once the node's commit returns, an enquiry
+// answers from the local tree.
 type RPCService struct {
-	b Backend
+	srv *Server
 }
 
-// NewRPCService wraps a Backend for remote access.
-func NewRPCService(b Backend) *RPCService { return &RPCService{b: b} }
+// NewRPCService wraps a Server for remote access.
+func NewRPCService(s *Server) *RPCService { return &RPCService{srv: s} }
 
 // LookupArgs names a single entry.
 type LookupArgs struct{ Name string }
@@ -35,7 +26,7 @@ type LookupReply struct{ Value string }
 
 // Lookup is the remote enquiry.
 func (s *RPCService) Lookup(args *LookupArgs, reply *LookupReply) error {
-	v, err := s.b.Lookup(args.Name)
+	v, err := s.srv.Lookup(args.Name)
 	reply.Value = v
 	return err
 }
@@ -53,7 +44,7 @@ func (s *RPCService) Set(args *SetArgs, reply *SetReply, sc obs.SpanContext) err
 	if err != nil {
 		return err
 	}
-	return s.b.ApplyTraced(&SetValue{Path: parts, Value: args.Value}, sc)
+	return s.srv.ApplyTraced(&SetValue{Path: parts, Value: args.Value}, sc)
 }
 
 // DeleteArgs names a subtree.
@@ -68,7 +59,7 @@ func (s *RPCService) Delete(args *DeleteArgs, reply *DeleteReply, sc obs.SpanCon
 	if err != nil {
 		return err
 	}
-	return s.b.ApplyTraced(&DeleteSubtree{Path: parts}, sc)
+	return s.srv.ApplyTraced(&DeleteSubtree{Path: parts}, sc)
 }
 
 // ListArgs names a node.
@@ -79,7 +70,7 @@ type ListReply struct{ Labels []string }
 
 // List enumerates a node's children remotely.
 func (s *RPCService) List(args *ListArgs, reply *ListReply) error {
-	labels, err := s.b.List(args.Name)
+	labels, err := s.srv.List(args.Name)
 	reply.Labels = labels
 	return err
 }
@@ -95,7 +86,7 @@ type EnumerateReply struct {
 
 // Enumerate browses a whole subtree remotely.
 func (s *RPCService) Enumerate(args *EnumerateArgs, reply *EnumerateReply) error {
-	return s.b.Enumerate(args.Name, func(name, value string) error {
+	return s.srv.Enumerate(args.Name, func(name, value string) error {
 		reply.Names = append(reply.Names, name)
 		reply.Values = append(reply.Values, value)
 		return nil

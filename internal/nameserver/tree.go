@@ -866,6 +866,18 @@ func isPrefix(prefix, path []string) bool {
 	return true
 }
 
+// TreeOf finds the name tree in a store root: the root itself, or the tree
+// a root keeps inside it and returns from NameTree, as a replica's does.
+// Enquiries read through it. An update takes only a bare *Tree (treeOf), so
+// a name-tree update applied raw to a store whose root keeps more than the
+// tree is refused.
+func TreeOf(root any) (*Tree, error) {
+	if r, ok := root.(interface{ NameTree() *Tree }); ok && r.NameTree() != nil {
+		root = r.NameTree()
+	}
+	return treeOf(root)
+}
+
 func treeOf(root any) (*Tree, error) {
 	t, ok := root.(*Tree)
 	if !ok {

@@ -18,7 +18,7 @@ import (
 // one store commit — one log sync — per entry, the loop a push used to run.
 func applyEntriesOneByOne(n *Node, entries []Entry) (applied int, err error) {
 	for _, e := range entries {
-		aerr := n.store.Apply(e.update())
+		aerr := n.Store().Apply(e.update())
 		switch {
 		case aerr == nil:
 			applied++
@@ -111,8 +111,8 @@ func TestApplyEntriesMatchesPerEntryLoop(t *testing.T) {
 			}
 		}
 		var got, want *Root
-		batched.store.View(func(root any) error { got = root.(*Root); return nil })
-		reference.store.View(func(root any) error { want = root.(*Root); return nil })
+		batched.Store().View(func(root any) error { got = root.(*Root); return nil })
+		reference.Store().View(func(root any) error { want = root.(*Root); return nil })
 		rootsMatch(t, got, want)
 		if v, _ := batched.Vector(); v["x"]+v["y"]+v["z"] < 60 || resumed < 10 || refused < 3 {
 			t.Fatalf("seed %d: vector %v, %d batches resumed past a refusal, %d reported one: the stream does not exercise the resume", seed, v, resumed, refused)

@@ -218,14 +218,17 @@ func (n *Node) Connect(name string, client *rpc.Client) error {
 	return nil
 }
 
-// applyAll is every local update's path: past the gate, one store batch
-// stamps each update under the store's update lock (Replicated.Verify) and
-// hands the logged prefix to the push streams under it too — stream order is
-// log order, and concurrent commits share a sync — then the ack waits for
-// the write quorum. Prefix semantics follow core.Store.ApplyBatch: on a
-// batch error the committed prefix still fans out (and is quorum-waited) and
-// the batch error is returned; if the quorum wait fails too, the errors are
-// joined so the caller sees both.
+// applyAll is the node's commit, every local update's path: past the gate
+// (reconcile), one store batch stamps each update under the store's update
+// lock (Replicated.Verify) and hands the logged prefix to the push streams
+// under it too — stream order is log order, and concurrent commits share a
+// sync — then the ack waits for the write quorum. Under a trace context sc
+// the local commit's phase spans, each member's push (with its rpc
+// attempts) and the member's remote apply land in sc's trace. Prefix
+// semantics follow core.Store.ApplyBatch: on a batch error the committed
+// prefix still fans out (and is quorum-waited) and the batch error is
+// returned; if the quorum wait fails too, the errors are joined so the
+// caller sees both.
 func (n *Node) applyAll(inners []core.Update, sc obs.SpanContext) error {
 	if len(inners) == 0 {
 		return nil
@@ -240,7 +243,7 @@ func (n *Node) applyAll(inners []core.Update, sc obs.SpanContext) error {
 		us[i] = &Replicated{Origin: n.name, Inner: inner, local: true}
 	}
 	var entries []Entry // capacity-limited: every pusher appends to its own copy
-	committed, batchErr := n.store.ApplyBatchTraced(us, sc, func(k int) {
+	committed, batchErr := n.Store().ApplyBatchTraced(us, sc, func(k int) {
 		entries = make([]Entry, k)
 		for i, u := range us[:k] {
 			entries[i] = u.(*Replicated).entry()
@@ -422,7 +425,7 @@ func (n *Node) pusher(ms *memberState) {
 		}
 		var reply PushReply
 		start := time.Now()
-		err := ms.client.CallRetry(wire, "Replica.Push", &Catchup{Entries: batch}, &reply, n.pushPolicy)
+		err := ms.client.CallRetry(wire, "Replica.Push", &Catchup{Entries: batch}, &reply, n.policy)
 		n.m.pushes.Inc()
 		// An eager push left before the batch's local sync returned; its
 		// event and ack wait for that commit to return — the committer
@@ -563,7 +566,7 @@ func (n *Node) repair(ms *memberState) {
 // of local seqs.
 func (n *Node) repairRound(ms *memberState) (uint64, error) {
 	var probe PushReply
-	if err := ms.client.CallRetry(obs.SpanContext{}, "Replica.Push", &Catchup{}, &probe, n.syncPolicy); err != nil {
+	if err := ms.client.CallRetry(obs.SpanContext{}, "Replica.Push", &Catchup{}, &probe, n.policy); err != nil {
 		return 0, err
 	}
 	c, err := n.catchupFor(probe.Vector)
@@ -574,7 +577,7 @@ func (n *Node) repairRound(ms *memberState) (uint64, error) {
 		return probe.Vector[n.name], nil
 	}
 	var reply PushReply
-	if err := ms.client.CallRetry(obs.SpanContext{}, "Replica.Push", &c, &reply, n.syncPolicy); err != nil {
+	if err := ms.client.CallRetry(obs.SpanContext{}, "Replica.Push", &c, &reply, n.policy); err != nil {
 		return 0, err
 	}
 	if c.Root != nil {

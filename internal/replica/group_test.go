@@ -146,7 +146,7 @@ func TestGroupQuorumUnreachable(t *testing.T) {
 	cfg.QuorumTimeout = 300 * time.Millisecond
 	cfg.AntiEntropyEvery = 10 * time.Millisecond
 	policy := rpc.RetryPolicy{MaxAttempts: 2, Budget: 100 * time.Millisecond, PerTry: 50 * time.Millisecond}
-	gc := makeGroupOf(t, Config{GroupConfig: cfg, PushPolicy: policy, SyncPolicy: policy})
+	gc := makeGroupOf(t, Config{GroupConfig: cfg, Policy: policy})
 	// The first Set reconciles with every member while they still answer.
 	if err := gc.primary.Set("first", "v"); err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestReconcileRefusesWhileMemberDown(t *testing.T) {
 	group := groupOf(2, "a", "b", "c")
 	group.AntiEntropyEvery = 10 * time.Millisecond
 	primary := func() *netNode {
-		a := serveNet(t, nw, Config{Name: "a", FS: fs, PushPolicy: fastPolicy, SyncPolicy: fastPolicy, GroupConfig: group})
+		a := serveNet(t, nw, Config{Name: "a", FS: fs, Policy: fastPolicy, GroupConfig: group})
 		connect(a, b, nw)
 		connect(a, c, nw)
 		return a
@@ -266,7 +266,7 @@ func TestGroupLaggardRepair(t *testing.T) {
 func TestApplyDoesNotWaitForDeadMember(t *testing.T) {
 	const budget = 30 * time.Second
 	policy := rpc.RetryPolicy{Budget: budget}
-	n, err := Open(Config{Name: "a", FS: vfs.NewMem(1), PushPolicy: policy, SyncPolicy: policy, GroupConfig: groupOf(1, "a", "b")})
+	n, err := Open(Config{Name: "a", FS: vfs.NewMem(1), Policy: policy, GroupConfig: groupOf(1, "a", "b")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestEagerMemberDies(t *testing.T) {
 	defer c.close()
 	group := groupOf(2, "a", "b", "c")
 	group.QuorumTimeout = 2 * time.Second
-	a := serveNet(t, nw, Config{Name: "a", FS: vfs.NewMem(1), PushPolicy: fastPolicy, SyncPolicy: fastPolicy, GroupConfig: group})
+	a := serveNet(t, nw, Config{Name: "a", FS: vfs.NewMem(1), Policy: fastPolicy, GroupConfig: group})
 	defer a.close()
 	connect(a, b, nw)
 	connect(a, c, nw)
@@ -562,7 +562,7 @@ func TestServiceReadCatchUp(t *testing.T) {
 	// Service.Read rather than failing straight away.
 	c := makeCluster(t, "a", "b")
 	// Commit at a's store without pushing, so b really is behind the floor.
-	if err := c.nodes[0].store.Apply(&Replicated{Origin: "a", Inner: &nameserver.SetValue{Path: []string{"x"}, Value: "1"}, local: true}); err != nil {
+	if err := c.nodes[0].Store().Apply(&Replicated{Origin: "a", Inner: &nameserver.SetValue{Path: []string{"x"}, Value: "1"}, local: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.nodes[1].ReadAt("x", 1); !IsStale(err) {

@@ -27,7 +27,7 @@ type netNode struct {
 // serves its Replica service at the netsim endpoint named cfgName.
 func openNetNode(t *testing.T, nw *netsim.Network, cfgName string, fs vfs.FS) *netNode {
 	t.Helper()
-	return serveNet(t, nw, Config{Name: cfgName, FS: fs, HistoryCap: 1000, PushPolicy: fastPolicy, SyncPolicy: fastPolicy, GroupConfig: groupOf(1, "a", "b")})
+	return serveNet(t, nw, Config{Name: cfgName, FS: fs, HistoryCap: 1000, Policy: fastPolicy, GroupConfig: groupOf(1, "a", "b")})
 }
 
 // serveNet opens a node from cfg and serves its Replica service at the

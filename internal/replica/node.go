@@ -41,35 +41,42 @@ type Config struct {
 	// replica.antientropy / replica.group_repair events.
 	Obs    *obs.Registry
 	Tracer obs.Tracer
-	// PushPolicy bounds each stream push of committed updates to a member
-	// (the zero value means the rpc defaults: 2s budget, exponential
-	// backoff with jitter). Apply never waits out the budget itself: an
-	// eager member's push leaves beside the local sync, a lazy member's
-	// behind it, and only the quorum wait is spent on either. A push that
-	// exhausts its policy marks the member lagging and hands it to the
-	// background repair path.
-	PushPolicy rpc.RetryPolicy
-	// SyncPolicy bounds each anti-entropy RPC (a repair's probe and Push, a
-	// Pull) the same way, the gate's pulls included. Both policies
-	// ride on idempotency tokens, so a retried push never double-applies
-	// even if the first attempt executed and only its response was lost.
-	SyncPolicy rpc.RetryPolicy
+	// Policy bounds each RPC to a member (the zero value means the rpc
+	// defaults: 2s budget, exponential backoff with jitter): a stream push
+	// of committed updates, and each anti-entropy call — a repair's probe
+	// and Push, a Pull, the gate's pulls included. A commit never waits out
+	// the budget itself: an eager member's push leaves beside the local
+	// sync, a lazy member's behind it, and only the quorum wait is spent on
+	// either. A push that exhausts the policy marks the member lagging and
+	// hands it to the background repair path. Every call rides on an
+	// idempotency token, so a retried push never double-applies even if the
+	// first attempt executed and only its response was lost.
+	Policy rpc.RetryPolicy
 	// GroupConfig is the group this node is a member of: the membership,
 	// the write quorum and the anti-entropy interval.
 	GroupConfig
 }
 
-// Node is one member of a replica group: a full store, the ordered push
-// streams to the other members, the quorum wait and the anti-entropy loop.
+// Node is one member of a replica group: a name server whose commit is
+// replicated (applyAll), the ordered push streams to the other members, the
+// quorum wait and the anti-entropy loop. Its enquiries are the Server's,
+// answered from the local tree. Each of the Server's updates — Set, Delete,
+// Put, Rename, Apply, ApplyBatch, ApplyTraced, the NS service's included —
+// is stamped with this node's next sequence number, handed to the members'
+// push streams, and acked once the write quorum holds it: at once for
+// W = 1 — a member that is down catches up later through anti-entropy —
+// and otherwise once it is durable here and W − 1 members have acked it. A
+// W > 1 node fails an update with ErrUnreconciled, committing nothing,
+// until it has pulled from every member since Open or RestoreFromPeer (see
+// reconcile).
 type Node struct {
-	name  string
-	store *core.Store
+	*nameserver.Server
+	name string
 
 	m      nodeMetrics
 	tracer obs.Tracer
 
-	pushPolicy rpc.RetryPolicy
-	syncPolicy rpc.RetryPolicy
+	policy rpc.RetryPolicy
 
 	// mu keeps local commits out while RestoreFromPeer re-closes the gate:
 	// each commit holds it shared from the gate through its store commit.
@@ -168,19 +175,18 @@ func Open(cfg Config) (*Node, error) {
 	}
 	n := &Node{
 		name:       cfg.Name,
-		store:      st,
 		m:          newNodeMetrics(cfg.Obs),
 		tracer:     cfg.Tracer,
-		pushPolicy: cfg.PushPolicy,
-		syncPolicy: cfg.SyncPolicy,
+		policy:     cfg.Policy,
 		group:      cfg.GroupConfig,
 		queueDepth: streamDepth,
 		aeKick:     make(chan struct{}, 1),
 		aeStop:     make(chan struct{}),
 	}
+	n.Server = nameserver.NewServer(st, n.applyAll)
 	n.cond = sync.NewCond(&n.gmu)
 	if n.group.QuorumTimeout <= 0 {
-		budget := cfg.PushPolicy.Budget
+		budget := cfg.Policy.Budget
 		if budget <= 0 {
 			budget = 2 * time.Second
 		}
@@ -209,36 +215,6 @@ func Open(cfg Config) (*Node, error) {
 
 // Name reports the node's name.
 func (n *Node) Name() string { return n.name }
-
-// Store exposes the underlying store.
-func (n *Node) Store() *core.Store { return n.store }
-
-// --- local operations ---
-
-// Apply commits an inner update locally (stamped with this node's next
-// sequence number), hands it to the members' push streams, and acks once
-// the write quorum holds it: at once for W = 1 — a member that is down
-// catches up later through anti-entropy — and otherwise once it is durable
-// here and W - 1 members have acked it. A W > 1 node fails with
-// ErrUnreconciled, committing nothing, until it has pulled from every
-// member since Open or RestoreFromPeer (see reconcile).
-func (n *Node) Apply(inner core.Update) error {
-	return n.applyAll([]core.Update{inner}, obs.SpanContext{})
-}
-
-// ApplyTraced is Apply under a trace context: the local commit's phase
-// spans, the per-member push (with its rpc attempts), and the member's
-// remote apply all land in the caller's trace. A zero sc is Apply.
-func (n *Node) ApplyTraced(inner core.Update, sc obs.SpanContext) error {
-	return n.applyAll([]core.Update{inner}, sc)
-}
-
-// ApplyBatch commits a batch of local updates through one store batch —
-// one epoch barrier — stamping each with consecutive local sequence
-// numbers; the whole batch rides each member's stream as one push.
-func (n *Node) ApplyBatch(inners []core.Update) error {
-	return n.applyAll(inners, obs.SpanContext{})
-}
 
 // ErrUnreconciled refuses, with nothing logged, a local update at a W > 1
 // node that has not pulled from every member since it opened or restored
@@ -339,77 +315,6 @@ func (n *Node) peers() (out []string) {
 	return out
 }
 
-// Set, Delete and Lookup are name-tree conveniences over Apply/View.
-
-// Set binds value to name in the replicated tree.
-func (n *Node) Set(name, value string) error {
-	parts, err := nameserver.SplitPath(name)
-	if err != nil {
-		return err
-	}
-	return n.Apply(&nameserver.SetValue{Path: parts, Value: value})
-}
-
-// Delete removes name and its subtree.
-func (n *Node) Delete(name string) error {
-	parts, err := nameserver.SplitPath(name)
-	if err != nil {
-		return err
-	}
-	return n.Apply(&nameserver.DeleteSubtree{Path: parts})
-}
-
-// Lookup, List and Enumerate are nameserver's tree enquiries against the
-// replicated tree.
-
-// Lookup reads the value bound to name.
-func (n *Node) Lookup(name string) (string, error) {
-	parts, err := nameserver.SplitPath(name)
-	if err != nil {
-		return "", err
-	}
-	var out string
-	err = n.viewTree(func(t *nameserver.Tree) (err error) {
-		out, err = t.Lookup(parts)
-		return err
-	})
-	return out, err
-}
-
-// List returns the sorted child labels under name.
-func (n *Node) List(name string) ([]string, error) {
-	parts, err := nameserver.SplitPath(name)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	err = n.viewTree(func(t *nameserver.Tree) (err error) {
-		out, err = t.List(parts)
-		return err
-	})
-	return out, err
-}
-
-// Enumerate calls fn for every (name, value) pair at or below name, in
-// depth-first sorted order.
-func (n *Node) Enumerate(name string, fn func(name, value string) error) error {
-	parts, err := nameserver.SplitPath(name)
-	if err != nil {
-		return err
-	}
-	return n.viewTree(func(t *nameserver.Tree) error { return t.Enumerate(parts, fn) })
-}
-
-func (n *Node) viewTree(fn func(t *nameserver.Tree) error) error {
-	return n.store.View(func(root any) error {
-		r, err := rootOf(root)
-		if err != nil {
-			return err
-		}
-		return fn(r.Tree)
-	})
-}
-
 // ErrStale marks a bounded-staleness read served by a member whose durable
 // frontier has not yet reached the caller's MinSeq floor; the caller should
 // catch the member up or redirect to a fresher one.
@@ -460,7 +365,7 @@ func (n *Node) ReadAt(name string, minSeq uint64) (value string, frontier uint64
 // is bounded by the durable frontier) and returns the durable frontier that
 // view reflects.
 func (n *Node) readSnapshot(fn func(r *Root)) (frontier uint64, err error) {
-	sn, err := n.store.SnapshotAt()
+	sn, err := n.Store().SnapshotAt()
 	if err != nil {
 		return 0, err
 	}
@@ -477,7 +382,7 @@ func (n *Node) readSnapshot(fn func(r *Root)) (frontier uint64, err error) {
 // Vector snapshots this node's version vector.
 func (n *Node) Vector() (map[string]uint64, error) {
 	var out map[string]uint64
-	err := n.store.View(func(root any) error {
+	err := n.Store().View(func(root any) error {
 		r, err := rootOf(root)
 		if err != nil {
 			return err
@@ -502,7 +407,7 @@ func (n *Node) applyEntries(entries []Entry, sc obs.SpanContext) (applied int, e
 		us[i] = e.update()
 	}
 	for len(us) > 0 {
-		k, aerr := n.store.ApplyBatchTraced(us, sc, nil)
+		k, aerr := n.Store().ApplyBatchTraced(us, sc, nil)
 		applied += k
 		if aerr == nil {
 			break
@@ -545,7 +450,7 @@ type Catchup struct {
 // so the only pickle is the RPC's own: a published root is never mutated and
 // the collector keeps it alive.
 func (n *Node) catchupFor(vector map[string]uint64) (c Catchup, err error) {
-	err = n.store.View(func(root any) error {
+	err = n.Store().View(func(root any) error {
 		r, err := rootOf(root)
 		if err != nil {
 			return err
@@ -610,7 +515,7 @@ func (n *Node) syncWith(client *rpc.Client, sc obs.SpanContext) (applied int, fu
 		return 0, false, err
 	}
 	var c Catchup
-	if err := client.CallRetry(sc, "Replica.Pull", &PullArgs{Vector: vec}, &c, n.syncPolicy); err != nil {
+	if err := client.CallRetry(sc, "Replica.Pull", &PullArgs{Vector: vec}, &c, n.policy); err != nil {
 		return 0, false, err
 	}
 	applied, err = n.absorb(&c, sc)
@@ -626,7 +531,7 @@ var ErrInstallRegress = errors.New("replica: snapshot install would drop applied
 // installSnapshot replaces this node's state with a peer's snapshot, keeping
 // every update we hold beyond it (they will re-propagate).
 func (n *Node) installSnapshot(snap *Root) error {
-	err := n.store.Apply(&installSnapshot{Snap: snap})
+	err := n.Store().Apply(&installSnapshot{Snap: snap})
 	if errors.Is(err, ErrAlreadyApplied) {
 		return nil
 	}
@@ -713,21 +618,18 @@ func (n *Node) RestoreFromPeer(client *rpc.Client) error {
 	n.owed, n.gateErr = n.peers(), nil
 	n.gmu.Unlock()
 	var c Catchup // a nil vector asks for the root
-	if err := client.CallRetry(obs.SpanContext{}, "Replica.Pull", &PullArgs{}, &c, n.syncPolicy); err != nil {
+	if err := client.CallRetry(obs.SpanContext{}, "Replica.Pull", &PullArgs{}, &c, n.policy); err != nil {
 		return err
 	}
 	_, err := n.absorb(&c, obs.SpanContext{})
 	return err
 }
 
-// Checkpoint forwards to the store.
-func (n *Node) Checkpoint() error { return n.store.Checkpoint() }
-
 // Close stops the push streams and anti-entropy, closes the member clients,
 // wakes any quorum waiter with ErrQuorumUnreachable, and closes the store.
 func (n *Node) Close() error {
 	n.closeGroup()
-	return n.store.Close()
+	return n.Store().Close()
 }
 
 // --- RPC service ---

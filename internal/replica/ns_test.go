@@ -4,6 +4,7 @@ import (
 	"net"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestNSServiceMatchesNameserver(t *testing.T) {
 	defer node.Close()
 	clients := map[string]*rpc.Client{
 		"nameserver": serveNS(t, nameserver.NewRPCService(plain)),
-		"replica":    serveNS(t, nameserver.NewRPCService(node)),
+		"replica":    serveNS(t, nameserver.NewRPCService(node.Server)),
 	}
 
 	for _, name := range []string{"d/b", "d/a", "d/c/deep", "e"} {
@@ -116,11 +117,11 @@ func TestNSServiceMatchesNameserver(t *testing.T) {
 func TestNSServiceTracesOnlyCallersTraces(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		open func(t *testing.T, tr obs.Tracer) nameserver.Backend
+		open func(t *testing.T, tr obs.Tracer) *nameserver.Server
 		// untraced lists the events an untraced Set must emit.
 		untraced []string
 	}{
-		{"server", func(t *testing.T, tr obs.Tracer) nameserver.Backend {
+		{"server", func(t *testing.T, tr obs.Tracer) *nameserver.Server {
 			s, err := nameserver.Open(nameserver.Config{FS: vfs.NewMem(1), Tracer: tr})
 			if err != nil {
 				t.Fatal(err)
@@ -128,8 +129,8 @@ func TestNSServiceTracesOnlyCallersTraces(t *testing.T) {
 			t.Cleanup(func() { s.Close() })
 			return s
 		}, []string{"rpc.call", "update.commit", "log.flush"}},
-		{"node W=2", func(t *testing.T, tr obs.Tracer) nameserver.Backend {
-			return makeGroupOf(t, Config{GroupConfig: groupOf(2, "a", "b"), Tracer: tr}).primary
+		{"node W=2", func(t *testing.T, tr obs.Tracer) *nameserver.Server {
+			return makeGroupOf(t, Config{GroupConfig: groupOf(2, "a", "b"), Tracer: tr}).primary.Server
 		}, []string{"rpc.call", "update.commit", "log.flush", "replica.push"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -221,4 +222,57 @@ func TestNSServiceTracesOnlyCallersTraces(t *testing.T) {
 			commitHasPhases(one(one(attempt, "rpc.call"), "update.commit"))
 		})
 	}
+}
+
+// TestServerUpdatesCommitThroughNode: every name-server update of a node
+// goes through its replicated commit, and a raw one goes nowhere. A raw
+// name-tree update applied to a node's store is refused, and neither the
+// node's tree nor its vector moves. Put and Rename, which the node has from
+// nameserver.Server, are stamped, advance the origin's slot, and have
+// reached the W = 2 member once they are acked.
+func TestServerUpdatesCommitThroughNode(t *testing.T) {
+	gc := makeGroup(t, 2, "a", "b")
+	a := gc.primary
+	if err := a.Set("x", "1"); err != nil {
+		t.Fatal(err)
+	}
+	before := dump(t, a)
+	err := a.Store().Apply(&nameserver.SetValue{Path: []string{"raw"}, Value: "v"})
+	if err == nil || !strings.Contains(err.Error(), "root is *replica.Root, not *Tree") {
+		t.Fatalf("raw name-tree update on a replica store = %v, want refused", err)
+	}
+	if got := dump(t, a); got != before {
+		t.Fatalf("refused update moved the node:\n%s\n--- was ---\n%s", got, before)
+	}
+
+	sub := &nameserver.Node{Children: map[string]*nameserver.Node{"c": {Value: "pv", HasValue: true}}}
+	if err := a.Put("p", sub); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Rename("p", "q"); err != nil {
+		t.Fatal(err)
+	}
+	var tail []Entry
+	if err := a.Store().View(func(root any) error {
+		h := root.(*Root).History
+		tail = slices.Clone(h[len(h)-2:])
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range tail {
+		if e.Origin != "a" || e.Seq != uint64(i+2) || e.Stamp != uint64(i+2) {
+			t.Errorf("entry %d = %s/%d stamp %d, want a/%d stamp %d", i, e.Origin, e.Seq, e.Stamp, i+2, i+2)
+		}
+	}
+	if _, ok := tail[0].Inner.(*nameserver.PutSubtree); !ok {
+		t.Errorf("entry 0 holds %T, want *nameserver.PutSubtree", tail[0].Inner)
+	}
+	if _, ok := tail[1].Inner.(*nameserver.Move); !ok {
+		t.Errorf("entry 1 holds %T, want *nameserver.Move", tail[1].Inner)
+	}
+	if v, err := gc.members[0].Lookup("q/c"); err != nil || v != "pv" {
+		t.Errorf("member b: q/c = %q, %v; want pv", v, err)
+	}
+	requireSame(t, a, gc.members[0])
 }

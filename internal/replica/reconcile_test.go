@@ -71,7 +71,7 @@ func TestRestoredOriginDoesNotForkItsStream(t *testing.T) {
 	defer b.close()
 	defer c.close()
 	origin := func(fs vfs.FS) *netNode {
-		return serveNet(t, nw, Config{Name: "a", FS: fs, HistoryCap: 1000, PushPolicy: fastPolicy, SyncPolicy: fastPolicy, GroupConfig: groupOf(2, "a", "b", "c")})
+		return serveNet(t, nw, Config{Name: "a", FS: fs, HistoryCap: 1000, Policy: fastPolicy, GroupConfig: groupOf(2, "a", "b", "c")})
 	}
 	a := origin(vfs.NewMem(1))
 	connect(a, b, nw)

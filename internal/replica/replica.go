@@ -6,15 +6,18 @@
 // those updates that had been applied to the damaged replica but not
 // propagated to any other replica" (§4).
 //
-// Each node is a full store (checkpoint + log) whose root embeds the
-// replication metadata — a version vector, a Lamport clock, and a bounded
-// history of recent updates — so that the metadata is exactly as
-// crash-consistent as the data it describes. Every update carries (origin,
-// sequence, stamp): a node applies a remote update only in per-origin
-// sequence order, and conflicting value writes resolve by last-writer-wins
-// on (stamp, origin) — the role timestamps play in the global name service
-// this design fed into [Lampson 1986] — so replicas that have exchanged the
-// same updates agree on every value regardless of delivery order.
+// Each node is a name server (nameserver.Server) whose commit is
+// replicated: its enquiries and update entry points are the Server's, and
+// only how an update commits is this package's. Its store (checkpoint +
+// log) has a root that embeds the replication metadata — a version
+// vector, a Lamport clock, and a bounded history of recent updates — so
+// that the metadata is exactly as crash-consistent as the data it
+// describes. Every update carries (origin, sequence, stamp): a node applies
+// a remote update only in per-origin sequence order, and conflicting value
+// writes resolve by last-writer-wins on (stamp, origin) — the role
+// timestamps play in the global name service this design fed into
+// [Lampson 1986] — so replicas that have exchanged the same updates agree
+// on every value regardless of delivery order.
 //
 // A node is one member of an N-node group (N = 1 is a lone node, the
 // paper's pair is N = 2) and one protocol keeps the members together. Its
@@ -64,6 +67,11 @@ type Root struct {
 	History    []Entry
 	HistoryCap int
 }
+
+// NameTree returns the name tree the root keeps, for nameserver.TreeOf:
+// the Server's enquiries read it, while a raw name-tree update is still
+// refused by a replica store.
+func (r *Root) NameTree() *nameserver.Tree { return r.Tree }
 
 // SnapshotView implements core.VersionedRoot, so replica nodes serve
 // lock-free snapshot enquiries too. The tree contributes its own

@@ -24,12 +24,12 @@ func TestConvergenceProperty(t *testing.T) {
 		apply := func(n *Node, key, val string) {
 			parts, _ := nameserver.SplitPath(key)
 			var seq, stamp uint64
-			n.store.View(func(root any) error {
+			n.Store().View(func(root any) error {
 				seq = root.(*Root).Vector[n.name] + 1
 				stamp = root.(*Root).Clock + 1
 				return nil
 			})
-			if err := n.store.Apply(&Replicated{Origin: n.name, Seq: seq, Stamp: stamp, Inner: &nameserver.SetValue{Path: parts, Value: val}}); err != nil {
+			if err := n.Store().Apply(&Replicated{Origin: n.name, Seq: seq, Stamp: stamp, Inner: &nameserver.SetValue{Path: parts, Value: val}}); err != nil {
 				t.Fatal(err)
 			}
 		}

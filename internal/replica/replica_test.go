@@ -153,11 +153,11 @@ func TestAntiEntropyCatchUp(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		parts, _ := nameserver.SplitPath(fmt.Sprintf("k%d", i))
 		var seq uint64
-		na.store.View(func(root any) error {
+		na.Store().View(func(root any) error {
 			seq = root.(*Root).Vector["a"] + 1
 			return nil
 		})
-		if err := na.store.Apply(&Replicated{Origin: "a", Seq: seq, Inner: &nameserver.SetValue{Path: parts, Value: "v"}}); err != nil {
+		if err := na.Store().Apply(&Replicated{Origin: "a", Seq: seq, Inner: &nameserver.SetValue{Path: parts, Value: "v"}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,7 +204,7 @@ func TestAntiEntropyTimer(t *testing.T) {
 			t.Fatal(err)
 		}
 		parts, _ := nameserver.SplitPath(key)
-		if err := na.store.Apply(&Replicated{Origin: "a", Seq: uint64(seq + 1), Inner: &nameserver.SetValue{Path: parts, Value: "v"}}); err != nil {
+		if err := na.Store().Apply(&Replicated{Origin: "a", Seq: uint64(seq + 1), Inner: &nameserver.SetValue{Path: parts, Value: "v"}}); err != nil {
 			t.Fatal(err)
 		}
 		deadline := time.Now().Add(2 * time.Second)
@@ -245,7 +245,7 @@ func TestHistoryTrimForcesFullSync(t *testing.T) {
 
 	for i := 0; i < 20; i++ {
 		parts, _ := nameserver.SplitPath(fmt.Sprintf("k%d", i))
-		na.store.Apply(&Replicated{Origin: "a", Seq: uint64(i + 1), Inner: &nameserver.SetValue{Path: parts, Value: "v"}})
+		na.Store().Apply(&Replicated{Origin: "a", Seq: uint64(i + 1), Inner: &nameserver.SetValue{Path: parts, Value: "v"}})
 	}
 
 	cc, sc := net.Pipe()
@@ -476,7 +476,7 @@ func TestSequenceGapDetected(t *testing.T) {
 	c := makeCluster(t, "a", "b")
 	nb := c.nodes[1]
 	parts, _ := nameserver.SplitPath("gap")
-	err := nb.store.Apply(&Replicated{Origin: "x", Seq: 5, Inner: &nameserver.SetValue{Path: parts, Value: "v"}})
+	err := nb.Store().Apply(&Replicated{Origin: "x", Seq: 5, Inner: &nameserver.SetValue{Path: parts, Value: "v"}})
 	if !errors.Is(err, ErrSequenceGap) {
 		t.Errorf("got %v", err)
 	}

@@ -145,18 +145,6 @@ func New(mem *vfs.Mem, opts Options) *FS {
 	return f
 }
 
-// SetCrashAt arms (or, with a negative n, disarms) the crash point. Ops
-// already indexed keep their indices; the crash fires when op n is about to
-// execute.
-func (f *FS) SetCrashAt(n int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.crashAt = n
-	if n >= 0 && f.next >= n && !f.crashed {
-		f.fireCrashLocked()
-	}
-}
-
 // FailSyncAt makes the k-th Sync from now (1-based) fail with err, once.
 func (f *FS) FailSyncAt(k int64, err error) {
 	f.mu.Lock()
