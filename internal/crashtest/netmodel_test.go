@@ -38,7 +38,7 @@ func modelInsertSubtree(m map[string]string, key string, n *nameserver.Node) {
 		m[key] = n.Value
 	}
 	for _, a := range n.AllArcs() { // the form Verify folds the update's subtree into
-		modelInsertSubtree(m, key+"/"+a.Label, a.Node())
+		modelInsertSubtree(m, key+"/"+a.Label(), a.Node())
 	}
 	for arc, child := range n.Children { // the form the generator writes
 		modelInsertSubtree(m, key+"/"+arc, child)
@@ -86,9 +86,9 @@ func valueMap(t *testing.T, n *replica.Node) map[string]string {
 				out[path] = node.Value
 			}
 			for _, a := range node.AllArcs() {
-				key := a.Label
+				key := a.Label()
 				if path != "" {
-					key = path + "/" + a.Label
+					key = path + "/" + a.Label()
 				}
 				walk(a.Node(), key)
 			}

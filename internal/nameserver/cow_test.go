@@ -60,7 +60,7 @@ func (m flatModel) insertSubtree(parts []string, n *Node) {
 	k := strings.Join(parts, "/")
 	m[k] = flatEntry{has: n.HasValue, val: n.Value}
 	for _, a := range n.AllArcs() { // the form Verify folds the update's subtree into
-		m.insertSubtree(append(parts[:len(parts):len(parts)], a.Label), a.Node())
+		m.insertSubtree(append(parts[:len(parts):len(parts)], a.Label()), a.Node())
 	}
 	for label, c := range n.Children { // the input form, when Verify has not run
 		m.insertSubtree(append(parts[:len(parts):len(parts)], label), c)
@@ -107,9 +107,9 @@ func flattenTree(t *Tree) flatModel {
 			m[path] = flatEntry{has: n.HasValue, val: n.Value}
 		}
 		for _, a := range n.AllArcs() {
-			p := a.Label
+			p := a.Label()
 			if path != "" {
-				p = path + "/" + a.Label
+				p = path + "/" + a.Label()
 			}
 			walk(a.Node(), p)
 		}

@@ -120,8 +120,8 @@ func diffNode(old, new *Node, path []string, d *TreeDelta) {
 		}
 		d.visited++
 		// The next label, and its child on each side that has the label.
-		fromOld := len(na) == 0 || (len(oa) > 0 && oa[0].Label <= na[0].Label)
-		fromNew := len(oa) == 0 || (len(na) > 0 && na[0].Label <= oa[0].Label)
+		fromOld := len(na) == 0 || (len(oa) > 0 && oa[0].Label() <= na[0].Label())
+		fromNew := len(oa) == 0 || (len(na) > 0 && na[0].Label() <= oa[0].Label())
 		var o, n Arc
 		if fromOld {
 			o, oa = oa[0], oa[1:]
@@ -129,12 +129,12 @@ func diffNode(old, new *Node, path []string, d *TreeDelta) {
 		if fromNew {
 			n, na = na[0], na[1:]
 		}
-		label := n.Label
+		label := n.Label()
 		if fromOld {
-			label = o.Label
+			label = o.Label()
 		}
 		switch {
-		case o.Child == n.Child && o.leaf == n.leaf: // pointer-shared (content-identical under COW), or one inline path
+		case o.Child == n.Child && o.leaf() == n.leaf(): // pointer-shared (content-identical under COW), or one inline path
 		case !n.exists():
 			d.Ops = append(d.Ops, DeltaOp{Op: DeltaDelete, Path: childPath(path, label)})
 		case !o.exists():

@@ -31,10 +31,10 @@ func nodesMatch(a, b *Node, path string) string {
 		return fmt.Sprintf("node %q: %d vs %d children", path, len(aa), len(ba))
 	}
 	for i, arc := range aa {
-		if ba[i].Label != arc.Label {
-			return fmt.Sprintf("node %q: extra child %q", path, arc.Label)
+		if ba[i].Label() != arc.Label() {
+			return fmt.Sprintf("node %q: extra child %q", path, arc.Label())
 		}
-		if d := nodesMatch(arc.Node(), ba[i].Node(), path+"/"+arc.Label); d != "" {
+		if d := nodesMatch(arc.Node(), ba[i].Node(), path+"/"+arc.Label()); d != "" {
 			return d
 		}
 	}
@@ -150,7 +150,7 @@ func TestTreeDeltaProportionalToChurn(t *testing.T) {
 func TestTreeDeltaVisitsChangedBlocks(t *testing.T) {
 	dir := &Node{}
 	for i := 0; i < 500; i++ {
-		dir.Arcs = append(dir.Arcs, Arc{Label: fmt.Sprintf("name%03d", i), Child: &Node{Value: "v", HasValue: true}})
+		dir.Arcs = append(dir.Arcs, arcOf(fmt.Sprintf("name%03d", i), &Node{Value: "v", HasValue: true}))
 	}
 	tree := NewTree()
 	if err := (&PutSubtree{Path: []string{"dir"}, Subtree: dir}).Apply(tree); err != nil {
@@ -176,12 +176,12 @@ func TestTreeDeltaVisitsChangedBlocks(t *testing.T) {
 func TestApplyDeltaRefusesSharedSubtree(t *testing.T) {
 	leaf := &Node{Value: "v", HasValue: true}
 	var pe *pickle.Error
-	within := shareArc(mustMarshal(&TreeDelta{Ops: []DeltaOp{{Op: DeltaPut, Path: []string{"a"}, Subtree: &Node{Arcs: []Arc{{Label: "p", Child: leaf}, {Label: "q"}}}}}}), "p", "q")
+	within := shareArc(mustMarshal(&TreeDelta{Ops: []DeltaOp{{Op: DeltaPut, Path: []string{"a"}, Subtree: &Node{Arcs: []Arc{arcOf("p", leaf), arcOf("q", nil)}}}}}), "p", "q")
 	if err := pickle.Unmarshal(within, &TreeDelta{}); !errors.As(err, &pe) {
 		t.Errorf("within: Unmarshal = %v, want a *pickle.Error", err)
 	}
 	cycle := &Node{}
-	cycle.Arcs = []Arc{{Label: "x", Child: cycle}}
+	cycle.Arcs = []Arc{arcOf("x", cycle)}
 	if _, err := pickle.Marshal(&TreeDelta{Ops: []DeltaOp{{Op: DeltaPut, Path: []string{"a"}, Subtree: cycle}}}); !errors.As(err, &pe) {
 		t.Errorf("cycle: Marshal = %v, want a *pickle.Error", err)
 	}

@@ -180,10 +180,10 @@ func dumpTree(t *testing.T, tr *Tree) string {
 		dumpLine(&sb, path, refEntry{n.Value, n.HasValue, n.Stamp, n.StampBy})
 		arcs := n.AllArcs()
 		for i, a := range arcs {
-			if !a.exists() || (i > 0 && arcs[i-1].Label >= a.Label) {
-				t.Fatalf("node %q: arcs not strictly ascending and non-nil at %d (%q)", JoinPath(path), i, a.Label)
+			if !a.exists() || (i > 0 && arcs[i-1].Label() >= a.Label()) {
+				t.Fatalf("node %q: arcs not strictly ascending and non-nil at %d (%q)", JoinPath(path), i, a.Label())
 			}
-			walk(a.Node(), append(path, a.Label))
+			walk(a.Node(), append(path, a.Label()))
 		}
 	}
 	walk(tr.Root, nil)
@@ -262,7 +262,7 @@ func flatCopy(n *Node) *Node {
 	if arcs := n.AllArcs(); arcs != nil {
 		c.Arcs = make([]Arc, len(arcs))
 		for i, a := range arcs {
-			c.Arcs[i] = Arc{Label: a.Label, Child: flatCopy(a.Node())}
+			c.Arcs[i] = arcOf(a.Label(), flatCopy(a.Node()))
 		}
 	}
 	return c
@@ -308,9 +308,9 @@ func buildSubtree(spec refModel, key string, form int) *Node {
 			}
 			n.Children[l] = c
 		case 1:
-			n.Arcs = append(n.Arcs, Arc{Label: l, Child: c})
+			n.Arcs = append(n.Arcs, arcOf(l, c))
 		case 2:
-			n.Arcs = append([]Arc{{Label: l, Child: c}}, n.Arcs...)
+			n.Arcs = append([]Arc{arcOf(l, c)}, n.Arcs...)
 		}
 	}
 	return n
@@ -319,8 +319,8 @@ func buildSubtree(spec refModel, key string, form int) *Node {
 func scribble(n *Node) {
 	n.Value, n.HasValue = "scribbled on the caller's subtree after Apply", true
 	for i, a := range n.Arcs { // the update's subtree is flat
-		if a.leaf != "" {
-			n.Arcs[i].leaf = "scribbled"
+		if a.leaf() != "" {
+			n.Arcs[i] = inlineArc(a.Label(), nil, &Node{Value: "scribbled", HasValue: true})
 		} else {
 			scribble(a.Child)
 		}
@@ -336,13 +336,13 @@ func inlinePaths(tr *Tree) (ends [][]string, heads []int) {
 	var walk func(n *Node, path []string)
 	walk = func(n *Node, path []string) {
 		for _, a := range n.AllArcs() {
-			end := append(path[:len(path):len(path)], a.Label)
+			end := append(path[:len(path):len(path)], a.Label())
 			if a.Child != nil {
 				walk(a.Child, end)
-			} else if span(a.leaf) > 1 {
+			} else if span(a) > 1 {
 				heads = append(heads, len(end))
-				for label, leaf, ok := pathNext(a.leaf); ok; label, leaf, ok = pathNext(leaf) {
-					end = append(end, label)
+				for next, ok := a.next(); ok; next, ok = next.next() {
+					end = append(end, next.Label())
 				}
 				ends = append(ends, end)
 			}
@@ -601,7 +601,7 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 				if err := u.Apply(tree); err != nil {
 					t.Fatalf("seed %d step %d: Apply %s %+v: %v", seed, step, kind, u, err)
 				}
-				if a := tree.at(inline); inline != nil && span(a.leaf) < 2 {
+				if a := tree.at(inline); inline != nil && span(a) < 2 {
 					t.Fatalf("seed %d step %d: %s %+v left %q holding %+v, not an inline path", seed, step, kind, u, JoinPath(inline), a)
 				}
 				counts[kind]++
@@ -711,3 +711,7 @@ func TestTreeDifferential(t *testing.T) {
 		runDifferential(t, seed, steps)
 	}
 }
+
+// arcOf returns label's arc to child, which it holds as a Node whatever its
+// shape: a tree spelled with a Node per name.
+func arcOf(label string, child *Node) Arc { return Arc{path: pathOf(label, ""), Child: child} }

@@ -119,28 +119,45 @@ func typedDecodeError(t *testing.T, image []byte, err error) {
 func decodeSeeds() []decodeSeed {
 	leaf := func(v string) *Node { return &Node{Value: v, HasValue: true} }
 	tree := func(arcs []Arc) []byte { return mustMarshal(&Tree{Root: &Node{Arcs: arcs}}) }
-	one := tree([]Arc{{Label: "only", Child: &Node{}}})
-	nested := tree([]Arc{{Label: "dir", Child: &Node{Value: "marker"}}})
+	one := tree([]Arc{arcOf("only", &Node{})})
+	nested := tree([]Arc{arcOf("dir", &Node{Value: "marker"})})
 	// A directory of a few blocks' worth of arcs, in order, reversed, and
 	// with the last label of the first block repeated as the next label.
 	var wide, reversed, straddle []Arc
 	var wideList []string
 	for i := 0; i < 3*blockSize+5; i++ {
 		label := fmt.Sprintf("w%03d", i)
-		wide, reversed = append(wide, Arc{Label: label, Child: leaf(label)}), append([]Arc{{Label: label, Child: leaf(label)}}, reversed...)
-		straddle = append(straddle, Arc{Label: label, Child: leaf(label)})
+		wide, reversed = append(wide, arcOf(label, leaf(label))), append([]Arc{arcOf(label, leaf(label))}, reversed...)
+		straddle = append(straddle, arcOf(label, leaf(label)))
 		wideList = append(wideList, label)
 	}
-	straddle[blockSize].Label = straddle[blockSize-1].Label
+	straddle[blockSize] = arcOf(straddle[blockSize-1].Label(), straddle[blockSize].Child)
+	// The edge labels, in turn as an arc to a node, an inline leaf, an
+	// inline path and a stamped inline leaf, beside an arc to nil.
+	edges := NewTree()
+	for i, l := range edgeLabels {
+		switch i % 4 {
+		case 0:
+			edges.set([]string{l, "c"}, Node{Value: "n", HasValue: true}, false, false)
+		case 1:
+			edges.set([]string{l}, Node{Value: "v", HasValue: true}, false, false)
+		case 2:
+			edges.set([]string{l, "x", "y"}, Node{Value: "p", HasValue: true}, false, false)
+		case 3:
+			edges.SetStamped([]string{l}, "s", 3, "a")
+		}
+	}
+	edges.Root.bind(arcOf("nil", nil))
+	edgeList, _ := edges.List(nil)
 	return []decodeSeed{
-		{name: "ascending", image: tree([]Arc{{Label: "a", Child: leaf("1")}, {Label: "b", Child: leaf("2")}, {Label: "c", Child: &Node{Arcs: []Arc{{Label: "d", Child: leaf("4")}}}}}), wantList: "a,b,c"},
-		{name: "descending", image: tree([]Arc{{Label: "c", Child: leaf("3")}, {Label: "b", Child: leaf("2")}, {Label: "a", Child: leaf("1")}}), wantList: "a,b,c"},
-		{name: "shuffled-nested", image: tree([]Arc{{Label: "m", Child: &Node{Arcs: []Arc{{Label: "z", Child: leaf("z")}, {Label: "y", Child: leaf("y")}}}}, {Label: "a", Child: leaf("1")}}), wantList: "a,m"},
-		{name: "duplicate-adjacent", image: tree([]Arc{{Label: "a", Child: leaf("1")}, {Label: "a", Child: leaf("2")}}), wantErr: "duplicate key"},
-		{name: "duplicate-distant", image: tree([]Arc{{Label: "b", Child: leaf("1")}, {Label: "a", Child: leaf("2")}, {Label: "b", Child: leaf("3")}}), wantErr: "duplicate key"},
+		{name: "ascending", image: tree([]Arc{arcOf("a", leaf("1")), arcOf("b", leaf("2")), arcOf("c", &Node{Arcs: []Arc{arcOf("d", leaf("4"))}})}), wantList: "a,b,c"},
+		{name: "descending", image: tree([]Arc{arcOf("c", leaf("3")), arcOf("b", leaf("2")), arcOf("a", leaf("1"))}), wantList: "a,b,c"},
+		{name: "shuffled-nested", image: tree([]Arc{arcOf("m", &Node{Arcs: []Arc{arcOf("z", leaf("z")), arcOf("y", leaf("y"))}}), arcOf("a", leaf("1"))}), wantList: "a,m"},
+		{name: "duplicate-adjacent", image: tree([]Arc{arcOf("a", leaf("1")), arcOf("a", leaf("2"))}), wantErr: "duplicate key"},
+		{name: "duplicate-distant", image: tree([]Arc{arcOf("b", leaf("1")), arcOf("a", leaf("2")), arcOf("b", leaf("3"))}), wantErr: "duplicate key"},
 		{name: "nil-arcs", image: tree(nil), wantList: ""},
 		{name: "empty-arcs", image: tree([]Arc{}), wantList: ""},
-		{name: "nil-child", image: tree([]Arc{{Label: "a", Child: nil}, {Label: "b", Child: leaf("2")}}), wantList: "a,b"},
+		{name: "nil-child", image: tree([]Arc{arcOf("a", nil), arcOf("b", leaf("2"))}), wantList: "a,b"},
 		{name: "wide", image: tree(wide), wantList: strings.Join(wideList, ",")},
 		{name: "wide-descending", image: tree(reversed), wantList: strings.Join(wideList, ",")},
 		{name: "wide-duplicate-across-blocks", image: tree(straddle), wantErr: "duplicate key"},
@@ -156,19 +173,22 @@ func decodeSeeds() []decodeSeed {
 		// A Node where a Tree belongs: every field is skipped, generically,
 		// and the skipped map claims 2^26 pairs (the fuzzer's first finding:
 		// the skip path sized its result by the claim, 2 GB of it).
-		{name: "skipped-map-claims-64M", image: patch(mustMarshal(&Node{Arcs: []Arc{{Label: "only", Child: &Node{}}}}), []byte{0x0e, 0x01, 0x01}, []byte{0x0e, 0x01, 0x80, 0x80, 0x80, 0x20}), wantErr: "EOF"},
+		{name: "skipped-map-claims-64M", image: patch(mustMarshal(&Node{Arcs: []Arc{arcOf("only", &Node{})}}), []byte{0x0e, 0x01, 0x01}, []byte{0x0e, 0x01, 0x80, 0x80, 0x80, 0x20}), wantErr: "EOF"},
 		// dir is not a node but a reference to the root: a cycle. A pair owns
 		// its value, so a reference where one belongs is refused.
-		{name: "ref-to-ancestor", image: patch(tree([]Arc{{Label: "dir", Child: nil}}), []byte("dir\x02"), []byte("dir\x11\x01")), wantErr: "owns its value"},
+		{name: "ref-to-ancestor", image: patch(tree([]Arc{arcOf("dir", nil)}), []byte("dir\x02"), []byte("dir\x11\x01")), wantErr: "owns its value"},
 		{name: "not-a-pickle", image: []byte("checkpoint"), wantErr: "bad magic"},
 		// Arcs to nil beside leaves that load inline, at the root and below.
-		{name: "nil-beside-inline", image: tree([]Arc{{Label: "a", Child: leaf("1")}, {Label: "b"}, {Label: "c", Child: &Node{Arcs: []Arc{{Label: "d"}, {Label: "e", Child: leaf("5")}}}}}), wantList: "a,b,c"},
+		{name: "nil-beside-inline", image: tree([]Arc{arcOf("a", leaf("1")), arcOf("b", nil), arcOf("c", &Node{Arcs: []Arc{arcOf("d", nil), arcOf("e", leaf("5"))}})}), wantList: "a,b,c"},
 		// Two arcs to one leaf, which the first would load inline: refused.
-		{name: "ref-to-inline-leaf", image: shareArc(tree([]Arc{{Label: "a", Child: leaf("s")}, {Label: "b"}, {Label: "c"}}), "a", "c"), wantErr: "owns its value"},
+		{name: "ref-to-inline-leaf", image: shareArc(tree([]Arc{arcOf("a", leaf("s")), arcOf("b", nil), arcOf("c", nil)}), "a", "c"), wantErr: "owns its value"},
 		// A bare path of two plain nodes, which loads inline, beside chains
 		// that must stay nodes: to a value led by NUL, through a stamped node.
-		{name: "chain", image: tree([]Arc{{Label: "a", Child: &Node{Arcs: []Arc{{Label: "b", Child: &Node{Arcs: []Arc{{Label: "c", Child: leaf("3")}}}}}}},
-			{Label: "n", Child: &Node{Arcs: []Arc{{Label: "o", Child: leaf("\x00")}}}}, {Label: "s", Child: &Node{Arcs: []Arc{{Label: "t", Child: leaf("t")}}, Stamp: 1}}}), wantList: "a,n,s"},
+		{name: "chain", image: tree([]Arc{arcOf("a", &Node{Arcs: []Arc{arcOf("b", &Node{Arcs: []Arc{arcOf("c", leaf("3"))}})}}),
+			arcOf("n", &Node{Arcs: []Arc{arcOf("o", leaf("\x00"))}}), arcOf("s", &Node{Arcs: []Arc{arcOf("t", leaf("t"))}, Stamp: 1})}), wantList: "a,n,s"},
+		// Labels where the length before them grows to two and three bytes,
+		// labels holding NUL and the stamp mark, labels prefixing others.
+		{name: "edge-labels", image: mustMarshal(edges), wantList: strings.Join(edgeList, ",")},
 	}
 }
 
@@ -195,8 +215,8 @@ func checkDecode(t *testing.T, image []byte) (*Tree, error) {
 		}
 		arcs := n.AllArcs()
 		for i, a := range arcs {
-			if i > 0 && arcs[i-1].Label >= a.Label {
-				t.Fatalf("decoded arcs not strictly ascending at depth %d: %q then %q", depth, arcs[i-1].Label, a.Label)
+			if i > 0 && arcs[i-1].Label() >= a.Label() {
+				t.Fatalf("decoded arcs not strictly ascending at depth %d: %q then %q", depth, arcs[i-1].Label(), a.Label())
 			}
 			walk(a.Node(), depth+1)
 		}
@@ -281,14 +301,14 @@ func deltaSeeds() []decodeSeed {
 	leaf := func(v string) *Node { return &Node{Value: v, HasValue: true} }
 	delta := func(ops ...DeltaOp) []byte { return mustMarshal(&TreeDelta{Ops: ops}) }
 	put := func(sub *Node, path ...string) DeltaOp { return DeltaOp{Op: DeltaPut, Path: path, Subtree: sub} }
-	dir := &Node{Arcs: []Arc{{Label: "p", Child: leaf("1")}, {Label: "q"}}}
+	dir := &Node{Arcs: []Arc{arcOf("p", leaf("1")), arcOf("q", nil)}}
 	shared := leaf("s")
 	return []decodeSeed{
-		{name: "put", image: delta(put(&Node{Arcs: []Arc{{Label: "x", Child: leaf("1")}, {Label: "y", Child: &Node{Value: "2", HasValue: true, Stamp: 4, StampBy: "n"}}}}, "a", "new"))},
+		{name: "put", image: delta(put(&Node{Arcs: []Arc{arcOf("x", leaf("1")), arcOf("y", &Node{Value: "2", HasValue: true, Stamp: 4, StampBy: "n"})}}, "a", "new"))},
 		{name: "delete", image: delta(DeltaOp{Op: DeltaDelete, Path: []string{"a", "b"}})},
 		{name: "set", image: delta(DeltaOp{Op: DeltaSet, Path: []string{"a", "c"}, Value: "v", HasValue: true, Stamp: 3, StampBy: "n"})},
 		{name: "mixed", image: delta(DeltaOp{Op: DeltaDelete, Path: []string{"d"}}, put(leaf("2"), "d"), DeltaOp{Op: DeltaSet, Path: []string{"e", "f"}, HasValue: true})},
-		{name: "put-unsorted-arcs", image: delta(put(&Node{Arcs: []Arc{{Label: "z", Child: leaf("z")}, {Label: "m"}}}, "a"))},
+		{name: "put-unsorted-arcs", image: delta(put(&Node{Arcs: []Arc{arcOf("z", leaf("z")), arcOf("m", nil)}}, "a"))},
 		{name: "ref-in-arc", image: shareArc(delta(put(dir, "a")), "p", "q"), wantErr: "owns its value"},
 		{name: "shared-across-puts", image: delta(put(shared, "a"), put(shared, "b")), wantErr: "reaches a node twice"},
 		{name: "put-nil-subtree", image: delta(put(nil, "a")), wantErr: "nil subtree"},

@@ -2,10 +2,16 @@ package nameserver
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"smalldb/internal/core"
 	"smalldb/internal/pickle"
@@ -43,34 +49,76 @@ func bulkLoad(t *testing.T, fs vfs.FS, depts int) (names int) {
 	return names
 }
 
-func heapAlloc() uint64 {
+// heap returns the live heap and the bytes of the spans that hold it, the
+// heap's share of the resident set.
+func heap() (live, inUse uint64) {
 	var m runtime.MemStats
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&m)
-	return m.HeapAlloc
+	return m.HeapAlloc, m.HeapInuse
 }
 
-// TestLoadedTreeBytesPerName: a store reopened from a checkpoint of the
-// benchmark's shape holds each name — a host node and its addr leaf — in at
-// most 140 bytes of heap: 122 on amd64, the host's arc in its department's
-// block, the host label and one string holding addr and the value. With the
-// host a Node of its own, its one arc holding the leaf, it took 251; with
-// the leaf a Node too, 305.
+// flatLoad writes one directory of names bare leaves, flat/nNNNNN with a
+// distinct 48-byte value each, in one PutSubtree, and checkpoints it.
+func flatLoad(t *testing.T, fs vfs.FS, names int) {
+	t.Helper()
+	s := open(t, fs)
+	defer s.Close()
+	dir := &Node{Children: map[string]*Node{}}
+	for i := 0; i < names; i++ {
+		dir.Children[fmt.Sprintf("n%05d", i)] = &Node{Value: fmt.Sprintf("%048x", i*0x9e3779b9), HasValue: true}
+	}
+	if err := s.Put("flat", dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadedTreeBytesPerName: a store reopened from a checkpoint holds each
+// name in at most a ceiling's heap bytes, and in spans of at most another's:
+// what the load's garbage leaves as holes among the names shows in the
+// second. In the benchmark's shape a name — a host node and its addr leaf —
+// takes 90 on amd64: the host's 24-byte arc in its department's block, and
+// the one 64-byte string that arc holds, with the host label, addr and the
+// value. With the label a string of its own beside the path, in a 40-byte
+// arc, it took 122; with the host a Node of its own, its one arc holding
+// the leaf, 251; with the leaf a Node too, 305. Its spans take 109; 120 at
+// 122, and 157 when the decode folded addr's path apart, in the size class
+// of the host's, each kept path beside a dead one. In one flat directory of
+// 10⁵ bare leaves a name takes 93, in as many of spans: its arc, its
+// 55-byte string, and the slack of the arc array the decoder grows.
 func TestLoadedTreeBytesPerName(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes the heap")
 	}
-	fs := vfs.NewMem(1)
-	names := bulkLoad(t, fs, 20)
-	before := heapAlloc()
-	s := open(t, fs)
-	per := (heapAlloc() - before) / uint64(names)
-	runtime.KeepAlive(s)
-	s.Close()
-	t.Logf("%d names loaded: %d heap bytes each", names, per)
-	if per > 140 {
-		t.Fatalf("a loaded name takes %d heap bytes, want at most 140", per)
+	if size := unsafe.Sizeof(Arc{}); unsafe.Sizeof(uintptr(0)) == 8 && size != 24 {
+		t.Fatalf("an arc is %d bytes, want 24: one string and a pointer", size)
+	}
+	for _, tc := range []struct {
+		name          string
+		load          func(fs vfs.FS) (names int)
+		ceiling, span uint64
+	}{
+		{"benchmark", func(fs vfs.FS) int { return bulkLoad(t, fs, 20) }, 100, 125},
+		{"flat", func(fs vfs.FS) int { flatLoad(t, fs, 100000); return 100000 }, 100, 110},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := vfs.NewMem(1)
+			names := tc.load(fs)
+			live0, inUse0 := heap()
+			s := open(t, fs)
+			live, inUse := heap()
+			runtime.KeepAlive(s)
+			s.Close()
+			per, spans := (live-live0)/uint64(names), (inUse-inUse0)/uint64(names)
+			t.Logf("%d names loaded: %d heap bytes each, in %d bytes of spans", names, per, spans)
+			if per > tc.ceiling || spans > tc.span {
+				t.Fatalf("a loaded name takes %d heap bytes in %d of spans, want at most %d in %d", per, spans, tc.ceiling, tc.span)
+			}
+		})
 	}
 }
 
@@ -91,9 +139,11 @@ func benchImage(t *testing.T, depts int) (image []byte, names int) {
 
 // TestTreeDecodeAllocatesNoLeafNode: loading that image decodes each
 // host/addr path straight into its department's arc. Per name the decode
-// allocates the host's arc array, two labels, the value and the path's
-// string: five (5.01), of which two stay. A Node per host made five too,
-// all staying, and a Node per leaf six.
+// allocates the addr leaf's box, the value and addr's label, which pickle
+// hands up boxed, the host's arc array, and the host's path, which folds
+// them: five (5.01), of which one stays. With a label string beside each
+// path it was five too, two staying; a Node per host made five, all
+// staying, and a Node per leaf six.
 func TestTreeDecodeAllocatesNoLeafNode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -106,7 +156,7 @@ func TestTreeDecodeAllocatesNoLeafNode(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if a := tr.at([]string{"org", "dept000", "host00000"}); a.Child != nil || span(a.leaf) != 2 {
+	if a := tr.at([]string{"org", "dept000", "host00000"}); a.Child != nil || span(a) != 2 {
 		t.Fatalf("a loaded host is %+v, not an inline path to its addr leaf", a)
 	}
 	per := allocs / float64(names)
@@ -117,10 +167,13 @@ func TestTreeDecodeAllocatesNoLeafNode(t *testing.T) {
 }
 
 // TestTreeDecodeBytesPerName: decoding the image of TestLoadedTreeBytesPerName
-// allocates at most 300 bytes per name: 217 on amd64, of which the tree it
-// builds keeps about 120. With a Node per host it was 249, keeping about 250;
-// an identity table entry for each host node and each inline leaf, which a
-// pair owning its value needs none of, made it about 460.
+// allocates at most 300 bytes per name: 262 on amd64, of which the tree it
+// builds keeps about 90. Folding addr's path apart from the host's, in the
+// same size class, made 224 and left each kept path's neighbour a hole;
+// with a label string beside each path it was 217, keeping about 120; with
+// a Node per host 249, keeping about 250; an identity table entry for each
+// host node and each inline leaf, which a pair owning its value needs none
+// of, made it about 460.
 func TestTreeDecodeBytesPerName(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -166,7 +219,7 @@ func pinnedShapes() *Tree {
 		panic("an older stamped write won")
 	}
 	tr.ensure([]string{"d", "novalue"})
-	tr.ensure([]string{"d"}).bind(Arc{Label: "nil"})
+	tr.ensure([]string{"d"}).bind(arcOf("nil", nil))
 	return tr
 }
 
@@ -176,13 +229,13 @@ func pinnedShapes() *Tree {
 // the same bytes, with each shape that is not a bare leaf still a node.
 func TestInlineLeafFormatPins(t *testing.T) {
 	tr := pinnedShapes()
-	if a := tr.at([]string{"d", "inline"}); a.Child != nil || a.leaf != "v" {
+	if a := tr.at([]string{"d", "inline"}); a.Child != nil || a.leaf() != "v" {
 		t.Fatalf("a Set of a new name left %+v, not an inline leaf", a)
 	}
-	if a := tr.at([]string{"d", "chain"}); a.Child != nil || a.leaf != "\x00\x01x\x00\x01yc" {
+	if a := tr.at([]string{"d", "chain"}); a.Child != nil || a.leaf() != "\x00\x01x\x00\x01yc" {
 		t.Fatalf("a Set of a name three labels below d left %+v, not an inline path", a)
 	}
-	if a := tr.at([]string{"d", "stamped"}); a.Child != nil || a.leaf != "\x01\x07\x01as" {
+	if a := tr.at([]string{"d", "stamped"}); a.Child != nil || a.leaf() != "\x01\x07\x01as" {
 		t.Fatalf("a stamped Set of a new name, then two that lose, left %+v, not the first's inline leaf", a)
 	}
 
@@ -219,7 +272,7 @@ func TestInlineLeafFormatPins(t *testing.T) {
 	}
 	for label, inline := range map[string]bool{"inline": true, "chain": true, "empty": false, "nul": false, "gone": false, "stamped": true, "mark": false, "novalue": false, "nil": false} {
 		a := back.at([]string{"d", label})
-		if (a.leaf != "") != inline || (a.Child == nil) != (inline || label == "nil") {
+		if (a.leaf() != "") != inline || (a.Child == nil) != (inline || label == "nil") {
 			t.Errorf("loaded %s: %+v", label, a)
 		}
 	}
@@ -244,7 +297,7 @@ func TestInlineLeafFormatPins(t *testing.T) {
 		{[]string{"d", "inline"}, 0, DeltaOp{Op: DeltaSet, Path: []string{"d", "inline"}, Value: "w", HasValue: true}},
 		{[]string{"d", "new"}, 0, DeltaOp{Op: DeltaPut, Path: []string{"d", "new"}, Subtree: w}},
 		{[]string{"d", "chain", "x", "y"}, 0, DeltaOp{Op: DeltaSet, Path: []string{"d", "chain", "x", "y"}, Value: "w", HasValue: true}},
-		{[]string{"d", "new2", "p", "q"}, 0, DeltaOp{Op: DeltaPut, Path: []string{"d", "new2"}, Subtree: &Node{Arcs: []Arc{{Label: "p", Child: &Node{Arcs: []Arc{{Label: "q", Child: w}}}}}}}},
+		{[]string{"d", "new2", "p", "q"}, 0, DeltaOp{Op: DeltaPut, Path: []string{"d", "new2"}, Subtree: &Node{Arcs: []Arc{arcOf("p", &Node{Arcs: []Arc{arcOf("q", w)}})}}}},
 		{[]string{"d", "stamped"}, 8, DeltaOp{Op: DeltaSet, Path: []string{"d", "stamped"}, Value: "w", HasValue: true, Stamp: 8, StampBy: "b"}},
 		{[]string{"d", "chain", "x", "z"}, 9, DeltaOp{Op: DeltaPut, Path: []string{"d", "chain", "x", "z"}, Subtree: &Node{Value: "w", HasValue: true, Stamp: 9, StampBy: "b"}}},
 	} {
@@ -269,7 +322,7 @@ func TestInlineLeafFormatPins(t *testing.T) {
 	if err := u.Verify(NewTree()); err != nil {
 		t.Fatal(err)
 	}
-	if u.Subtree.arc("leaf").leaf != "1" || u.Subtree.arc("chain").leaf != "\x00\x01x\x00\x01y4" {
+	if u.Subtree.arc("leaf").leaf() != "1" || u.Subtree.arc("chain").leaf() != "\x00\x01x\x00\x01y4" {
 		t.Fatal("Verify's canonical copy holds the bare leaf or the bare path as nodes")
 	}
 	flat := &PutSubtree{Path: u.Path, Subtree: flatCopy(u.Subtree)}
@@ -300,6 +353,155 @@ func TestInlineLeafLookupAllocs(t *testing.T) {
 	}
 }
 
+// edgeLabels are labels at the edges of an arc's path encoding: 127, 128
+// and 16 384 bytes long, where the uvarint length before the label grows
+// from one byte to two and to three; labels holding a NUL byte or the stamp
+// mark, the bytes that lead an inline plain node and a stamped leaf; and
+// labels that are prefixes of each other.
+var edgeLabels = []string{strings.Repeat("l", 127), strings.Repeat("m", 128), strings.Repeat("n", 16384),
+	"\x00", "\x01", "\x01x", "a", "a\x00", "a\x00b", "ab"}
+
+// TestArcEdgeShapes: each edge label, as an arc to a Node, an inline bare
+// leaf, an inline plain-node path and a stamped inline leaf, beside an arc
+// to nil loaded from a foreign image. The tree pickles to the bytes of its
+// all-Node spelling, List gives the labels in byte order, and Lookup and
+// Enumerate agree with a map model: as built, after Sets, Deletes and
+// Renames, and after a reload from a checkpoint.
+func TestArcEdgeShapes(t *testing.T) {
+	model := map[string]string{} // name → value
+	tr := NewTree()
+	apply := func(u core.Update) {
+		t.Helper()
+		if err := u.Verify(tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := u.Apply(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set := func(v string, parts ...string) {
+		apply(&SetValue{Path: parts, Value: v})
+		model[JoinPath(parts)] = v
+	}
+	for _, l := range edgeLabels {
+		set("n", "node", l)
+		set("c", "node", l, "c")
+		set("v", "bare", l)
+		set("p", "path", l, "x", "y")
+		if !tr.SetStamped([]string{"stamped", l}, "s", 3, "a") {
+			t.Fatal("a stamped Set of a new name lost")
+		}
+		model["stamped/"+l] = "s"
+	}
+	for _, l := range edgeLabels {
+		for dir, shape := range map[string]func(a Arc) bool{
+			"node":    func(a Arc) bool { return a.Child != nil },
+			"bare":    func(a Arc) bool { return a.Child == nil && a.leaf() == "v" },
+			"path":    func(a Arc) bool { return a.Child == nil && span(a) == 3 },
+			"stamped": func(a Arc) bool { return a.Child == nil && a.leaf() == "\x01\x03\x01as" },
+		} {
+			if a := tr.at([]string{dir, l}); a.Label() != l || !shape(a) {
+				t.Fatalf("%s/%.20q: the arc is not of its shape: %.60q", dir, l, a.path)
+			}
+		}
+	}
+	tr.ensure([]string{"bare"}).bind(arcOf("nil", nil))
+	var foreign Tree
+	if err := pickle.Unmarshal(mustMarshal(tr), &foreign); err != nil {
+		t.Fatal(err)
+	}
+	tr = &foreign
+
+	check := func(when string) {
+		t.Helper()
+		if raw, flat := mustMarshal(tr), mustMarshal(&Tree{Root: flatCopy(tr.Root)}); !bytes.Equal(raw, flat) {
+			t.Fatalf("%s: the tree pickles unlike its all-Node spelling", when)
+		}
+		// dir → labels under it; the four directories stay when emptied
+		lists := map[string]map[string]bool{"": {"bare": true, "node": true, "path": true, "stamped": true}, "bare": {"nil": true}}
+		for name, v := range model {
+			parts, _ := SplitPath(name)
+			for i := range parts {
+				dir := JoinPath(parts[:i])
+				if lists[dir] == nil {
+					lists[dir] = map[string]bool{}
+				}
+				lists[dir][parts[i]] = true
+			}
+			if got, err := tr.Lookup(parts); err != nil || got != v {
+				t.Fatalf("%s: Lookup(%.40q) = %q, %v; want %q", when, name, got, err, v)
+			}
+		}
+		for dir, labels := range lists {
+			var want []string
+			for l := range labels {
+				want = append(want, l)
+			}
+			sort.Strings(want)
+			parts, _ := SplitPath(dir)
+			if got, err := tr.List(parts); err != nil || !slices.Equal(got, want) {
+				t.Fatalf("%s: List(%.40q) = %.200q, %v; want %.200q", when, dir, got, err, want)
+			}
+		}
+		if _, err := tr.Lookup([]string{"bare", "nil"}); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: Lookup of the arc to nil: %v", when, err)
+		}
+		got := map[string]string{}
+		tr.Enumerate(nil, func(name, value string) error { got[name] = value; return nil })
+		if !maps.Equal(got, model) {
+			t.Fatalf("%s: Enumerate gives %d names, the model %d", when, len(got), len(model))
+		}
+	}
+	check("loaded from a foreign image")
+
+	rename := func(from, to []string) {
+		apply(&Move{From: from, To: to})
+		f, tt := JoinPath(from), JoinPath(to)
+		for name, v := range model {
+			if name == f || strings.HasPrefix(name, f+"/") {
+				delete(model, name)
+				model[tt+name[len(f):]] = v
+			}
+		}
+	}
+	remove := func(parts ...string) {
+		apply(&DeleteSubtree{Path: parts})
+		p := JoinPath(parts)
+		for name := range model {
+			if name == p || strings.HasPrefix(name, p+"/") {
+				delete(model, name)
+			}
+		}
+	}
+	for i, l := range edgeLabels {
+		set("w", "bare", l)
+		set("q", "path", l, "x", "y")
+		if i%2 == 0 {
+			set("z", "path", l, "x", "z") // opens the inline path
+			remove("node", l, "c")
+			remove("stamped", l)
+			rename([]string{"bare", l}, []string{"moved", l})
+		} else {
+			remove("path", l, "x")
+			set("r", "path", l)
+			rename([]string{"path", l}, []string{"moved", l})
+			rename([]string{"stamped", l}, []string{"deep", l, "er"})
+		}
+	}
+	check("after Sets, Deletes and Renames")
+
+	fs := vfs.NewMem(1)
+	for _, root := range []func() any{func() any { return tr }, NewRoot} {
+		st, err := core.Open(core.Config{FS: fs, NewRoot: root})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.View(func(root any) error { tr = root.(*Tree); return nil })
+		st.Close()
+	}
+	check("reloaded from a checkpoint")
+}
+
 // leafTree builds a small tree from b, a byte an arc: in turn, under the node
 // being built, a bare leaf spelled inline or as a node — from byte 0x80 on, a
 // node whose value starts with the stamp mark —, a stamped leaf spelled as a
@@ -307,27 +509,34 @@ func TestInlineLeafLookupAllocs(t *testing.T) {
 // an emptied directory, an arc to nil — or, from byte 0x80 on, a bare path
 // of one to three plain nodes, spelled inline or as nodes, its leaf stamped
 // from byte 186 on —, a directory filled by the bytes that follow, or the
-// end of the node. A Set of one more name then copies the root, in blocks
+// end of the node — or, at bytes 242 and 251, the next arc's label made an
+// edge label: its place's four digits followed, in turn, by 123, 124 or
+// 16 380 more bytes (a label 127, 128 or 16 384 bytes long), a NUL byte or
+// the stamp mark. A Set of one more name then copies the root, in blocks
 // if it is wide.
 func leafTree(b []byte) *Tree {
 	b = b[:min(len(b), 9999)] // so that the labels ascend
+	tails := []string{strings.Repeat("l", 123), strings.Repeat("m", 124), strings.Repeat("n", 16380), "\x00", "\x01"}
+	edges := 0
 	var build func(depth int) *Node
 	build = func(depth int) *Node {
 		n := &Node{Arcs: []Arc{}}
+		tail := ""
 		for len(b) > 0 {
 			c := b[0]
 			b = b[1:]
-			a, v := Arc{Label: fmt.Sprintf("%04d", len(n.Arcs))}, fmt.Sprint(c)
+			a, v := arcOf(fmt.Sprintf("%04d", len(n.Arcs))+tail, nil), fmt.Sprint(c)
+			tail = ""
 			switch c % 9 {
 			case 0:
-				a.leaf = v
+				a = inlineArc(a.Label(), nil, &Node{Value: v, HasValue: true})
 			case 1:
 				if a.Child = (&Node{Value: v, HasValue: true}); c >= 0x80 {
 					a.Child.Value = "\x01" + v
 				}
 			case 2:
 				if a.Child = (&Node{Value: v, HasValue: true, Stamp: uint64(c), StampBy: "s"}); c >= 0x80 {
-					a = copyArc(a.Label, a.Child)
+					a = copyArc(a.Label(), a.Child)
 				}
 			case 3:
 				a.Child = &Node{}
@@ -342,10 +551,10 @@ func leafTree(b []byte) *Tree {
 						n.Stamp, n.StampBy = uint64(c), "s"
 					}
 					for i := 1 + int(c/9)%3; i > 0; i-- {
-						n = &Node{Arcs: []Arc{{Label: fmt.Sprint("p", i), Child: n}}}
+						n = &Node{Arcs: []Arc{arcOf(fmt.Sprint("p", i), n)}}
 					}
 					if a.Child = n; c/27%2 == 0 {
-						a = copyArc(a.Label, n)
+						a = copyArc(a.Label(), n)
 					}
 				}
 			case 7:
@@ -353,7 +562,11 @@ func leafTree(b []byte) *Tree {
 					a.Child = build(depth + 1)
 				}
 			case 8:
-				return n
+				if c < 0xF0 {
+					return n
+				}
+				tail, edges = tails[edges%len(tails)], edges+1
+				continue
 			}
 			n.Arcs = append(n.Arcs, a)
 		}
@@ -387,8 +600,8 @@ func FuzzInlineLeafPickle(f *testing.F) {
 		var walk func(n *Node)
 		walk = func(n *Node) {
 			for _, a := range n.AllArcs() {
-				if a.Child != nil && a.Child.inline() != "" {
-					t.Fatalf("bare path %q loaded as a node", a.Label)
+				if a.Child != nil && a.Child.inline() {
+					t.Fatalf("bare path %q loaded as a node", a.Label())
 				}
 				if a.Child != nil {
 					walk(a.Child)

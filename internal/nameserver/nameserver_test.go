@@ -155,11 +155,11 @@ func TestPutRefusesSharedSubtree(t *testing.T) {
 	s := open(t, vfs.NewMem(1))
 	defer s.Close()
 	cycle := &Node{}
-	cycle.Arcs = []Arc{{Label: "x", Child: cycle}}
+	cycle.Arcs = []Arc{arcOf("x", cycle)}
 	viaChildren := &Node{}
 	viaChildren.Children = map[string]*Node{"y": {Children: map[string]*Node{"z": viaChildren}}}
 	leaf := &Node{Value: "v", HasValue: true}
-	shared := &Node{Arcs: []Arc{{Label: "p", Child: leaf}, {Label: "q", Child: &Node{Children: map[string]*Node{"r": leaf}}}}}
+	shared := &Node{Arcs: []Arc{arcOf("p", leaf), arcOf("q", &Node{Children: map[string]*Node{"r": leaf}})}}
 	for name, sub := range map[string]*Node{"cycle": cycle, "cycle-through-children": viaChildren, "shared": shared} {
 		if err := s.Put("bad/"+name, sub); !errors.Is(err, ErrSharedSubtree) {
 			t.Errorf("%s: Put = %v, want ErrSharedSubtree", name, err)
@@ -185,7 +185,7 @@ func TestReplayedSharedSubtree(t *testing.T) {
 	if err := s.Set("before", "v"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("d", &Node{Arcs: []Arc{{Label: "p", Child: &Node{Value: "v", HasValue: true}}, {Label: "q"}}}); err != nil {
+	if err := s.Put("d", &Node{Arcs: []Arc{arcOf("p", &Node{Value: "v", HasValue: true}), arcOf("q", nil)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -233,7 +233,7 @@ func TestReplayedSharedSubtree(t *testing.T) {
 	}
 
 	cycle := &Node{}
-	cycle.Arcs = []Arc{{Label: "x", Child: &Node{Arcs: []Arc{{Label: "y", Child: cycle}}}}}
+	cycle.Arcs = []Arc{arcOf("x", &Node{Arcs: []Arc{arcOf("y", cycle)}})}
 	if _, err := pickle.Marshal(&PutSubtree{Path: []string{"d"}, Subtree: cycle}); !errors.As(err, &pe) {
 		t.Fatalf("cyclic subtree: Marshal = %v, want a *pickle.Error", err)
 	}
@@ -348,7 +348,7 @@ func TestNameDepthBound(t *testing.T) {
 		root := &Node{}
 		for i, n := 1, root; i <= height; i++ {
 			child := &Node{Value: "v", HasValue: i == height}
-			n.Arcs = []Arc{{Label: "c", Child: child}}
+			n.Arcs = []Arc{arcOf("c", child)}
 			n = child
 		}
 		return root

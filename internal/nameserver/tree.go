@@ -3,10 +3,10 @@
 // are trees whose arcs are labelled by strings" (§3), built directly on the
 // core store. Where the paper keeps "a tree of hash tables... indexed by
 // strings, [delivering] values that are further hash tables", a node's table
-// here is a label-sorted slice of arcs searched by bisection: a fraction of a
-// hash table's memory, and it still pickles as the map it replaced. A wide
-// directory keeps its arcs in blocks behind a short index, so a write copies
-// one block and the index, not every arc.
+// here is a label-sorted slice of 24-byte arcs searched by bisection, each
+// one string and a pointer: a fraction of a hash table's memory, and it
+// still pickles as the map it replaced. A wide directory keeps its arcs in
+// blocks behind a short index, so a write copies one block and the index.
 //
 // Names are slash-separated paths ("net/hosts/gva"). Every node may carry a
 // string value and arbitrarily many labelled children, so the same tree
@@ -84,59 +84,87 @@ type Node struct {
 	blocks *[][]Arc
 }
 
-// blockSize bounds a block, and so what a write copies: 1 280 bytes.
+// blockSize bounds a block, and so what a write copies: 768 bytes.
 const blockSize = 32
 
 // Arc is one labelled edge. Being a pickle.MapPair, a []Arc pickles as the
 // string-keyed map of nodes it replaced, and loads from one without building it.
 //
-// An arc to a bare path holds the path in leaf, with Child nil, and no node
-// on it is a Node of its own: radix-tree path compression. A bare path is
-// any number of plain nodes — no value, no stamps, one arc — leading to a
-// bare leaf: a value neither empty nor led by a byte below 2, perhaps
-// stamps, and nothing else. An arc to an unstamped bare leaf holds its
-// value; to a stamped one, the byte 1, the uvarint Stamp, the uvarint
-// length of StampBy, StampBy and the value; to a plain node, a NUL byte, the
-// uvarint length of the node's one label, the label, and that arc's leaf:
-// host → addr → "v" is an arc labelled host holding "\x00\x04addrv", and
-// with addr stamped 7 by "a", "\x00\x04addr\x01\x07\x01av". It pickles as
-// the nodes it stands for (pickle.MapPairInline), and loads back into its
-// arc. An arc with neither Child nor leaf is an arc to nil, which only a
-// foreign image holds, and which enquiries take for no name.
+// path is the uvarint length of the label, the label, and the arc's leaf:
+// empty for an arc to a Node, or to nil (only a foreign image holds one, and
+// enquiries take it for no name). An arc to a bare path holds the path in
+// its leaf, with Child nil, and no node on it is a Node of its own: radix-
+// tree path compression. A bare path is any number of plain nodes — no
+// value, no stamps, one arc — leading to a bare leaf: a value neither empty
+// nor led by a byte below 2, perhaps stamps, and nothing else. The leaf of
+// an arc to an unstamped bare leaf is its value; to a stamped one, the byte
+// 1, the uvarint Stamp, the uvarint length of StampBy, StampBy and the
+// value; to a plain node, a NUL byte and the path of that node's one arc:
+// host → addr → "v" is "\x04host\x00\x04addrv", and with addr stamped 7 by
+// "a", "\x04host\x00\x04addr\x01\x07\x01av". It pickles as the nodes it
+// stands for (pickle.MapPairInline), and loads back into its arc.
 type Arc struct {
-	Label string
+	path  string
 	Child *Node
-
-	leaf string // an inline path: a bare leaf, or a plain node's one arc
 }
 
 // stampMark leads the leaf of an arc to a stamped bare leaf.
 const stampMark = 1
 
-// PickleMapPair implements pickle.MapPair.
-func (Arc) PickleMapPair() {}
+// Label returns a's label.
+func (a Arc) Label() string {
+	n, i := uvarint(a.path, 0)
+	return a.path[i : i+int(n)]
+}
+
+// leaf returns a's inline path: a bare leaf, or a plain node's one arc.
+func (a Arc) leaf() string {
+	n, i := uvarint(a.path, 0)
+	return a.path[i+int(n):]
+}
+
+// pathOf returns the path of label's arc holding leaf: one allocation, two past 128 bytes.
+func pathOf[L string | []byte](label L, leaf string) string {
+	var buf [128]byte
+	return string(append(append(binary.AppendUvarint(buf[:0], uint64(len(label))), label...), leaf...))
+}
+
+// PickleKey and PickleSetKey implement pickle.MapPair.
+func (a Arc) PickleKey() string        { return a.Label() }
+func (a *Arc) PickleSetKey(key []byte) { a.path = pathOf(key, "") }
 
 // PickleBox implements pickle.MapPairInline: an inline path pickles as its
 // first node, whose one arc pickles as the rest.
 func (a *Arc) PickleBox(box any) bool {
-	if a.leaf == "" {
-		return false
+	if a.leaf() != "" {
+		a.unbox(box.(*Node))
 	}
-	a.unbox(box.(*Node))
-	return true
+	return a.leaf() != ""
 }
 
 // PickleUnbox implements pickle.MapPairInline: a bare path loads into its
-// arc. Its nodes load deepest first, so a chain folds one node at a time.
-func (a *Arc) PickleUnbox(box any) bool {
-	a.leaf = box.(*Node).inline()
-	return a.leaf != ""
+// arc. A chain of one-arc nodes comes whole, left boxed, and folds in one
+// allocation; under a node that stays one, the chain below it folds.
+func (a *Arc) PickleUnbox(key []byte, box any) bool {
+	n := box.(*Node)
+	if n.inline() {
+		*a = inlineArc(key, nil, n)
+		return true
+	}
+	for len(n.Arcs) == 1 && n.Arcs[0].Child != nil {
+		if c := n.Arcs[0]; c.Child.inline() {
+			n.Arcs[0] = inlineArc(c.Label(), nil, c.Child)
+		} else {
+			n = c.Child
+		}
+	}
+	return false
 }
 
 // Node returns the node a leads to: Child, or a copy of the first node of
 // the path a holds inline, which the tree does not see written, or nil.
 func (a Arc) Node() *Node {
-	if a.leaf == "" {
+	if a.leaf() == "" {
 		return a.Child
 	}
 	n := &Node{}
@@ -147,12 +175,12 @@ func (a Arc) Node() *Node {
 // unbox makes n, which must be new or a pickle box that only unbox has
 // written, the first node of the path a holds inline, reusing n's arc array.
 func (a Arc) unbox(n *Node) {
-	if label, rest, ok := pathNext(a.leaf); ok {
-		n.Value, n.HasValue, n.Arcs = "", false, append(n.Arcs[:0], Arc{Label: label, leaf: rest})
+	if next, ok := a.next(); ok {
+		n.Value, n.HasValue, n.Arcs = "", false, append(n.Arcs[:0], next)
 		n.Stamp, n.StampBy = 0, ""
 	} else {
 		n.HasValue, n.Arcs = true, nil
-		n.Value, n.Stamp, n.StampBy = bareLeaf(a.leaf)
+		n.Value, n.Stamp, n.StampBy = bareLeaf(a.leaf())
 	}
 }
 
@@ -167,15 +195,16 @@ func bareLeaf(leaf string) (value string, stamp uint64, by string) {
 }
 
 // uvarint decodes the uvarint at s[i:], which the tree wrote, and returns
-// it and the index past it.
+// it and the index past it; at the end of s, 0 and i.
 func uvarint(s string, i int) (v uint64, next int) {
-	for shift := 0; ; shift += 7 {
+	for shift := 0; i < len(s); shift += 7 {
 		b := s[i]
 		i++
 		if v |= uint64(b&0x7f) << shift; b < 0x80 {
-			return v, i
+			break
 		}
 	}
+	return v, i
 }
 
 // step returns the arc labelled label out of the name a leads to, or no arc.
@@ -183,57 +212,29 @@ func (a Arc) step(label string) Arc {
 	if a.Child != nil {
 		return a.Child.arc(label)
 	}
-	if l, rest, ok := pathNext(a.leaf); ok && l == label {
-		return Arc{Label: l, leaf: rest}
+	if next, ok := a.next(); ok && next.Label() == label {
+		return next
 	}
 	return Arc{}
 }
 
 // exists reports whether a leads to a name: an arc to nil does not.
-func (a Arc) exists() bool { return a.Child != nil || a.leaf != "" }
+func (a Arc) exists() bool { return a.Child != nil || a.leaf() != "" }
 
-// pathNext splits the leaf of an arc to a plain node into the label of that
-// node's one arc and the arc's leaf; ok is false for a bare leaf.
-func pathNext(leaf string) (label, rest string, ok bool) {
-	if leaf == "" || leaf[0] != 0 {
-		return "", "", false
+// next returns the one arc of the plain node a holds inline, a window on
+// a's path; ok is false if a holds no plain node.
+func (a Arc) next() (next Arc, ok bool) {
+	if leaf := a.leaf(); leaf != "" && leaf[0] == 0 {
+		return Arc{path: leaf[1:]}, true
 	}
-	n, i := uvarint(leaf, 1)
-	j := i + int(n)
-	return leaf[i:j], leaf[j:], true
+	return Arc{}, false
 }
 
-// fold returns the leaf of an arc to a plain node whose one arc, labelled
-// label, holds leaf.
-func fold(label, leaf string) string {
-	var n [binary.MaxVarintLen64]byte
-	return "\x00" + string(binary.AppendUvarint(n[:0], uint64(len(label)))) + label + leaf
-}
-
-// leafOf returns the leaf of an arc holding the path of plain nodes through
-// labels to the bare leaf n, in one allocation: none for an unstamped leaf
-// at the arc itself, which holds n's value.
-func leafOf(labels []string, n *Node) string {
-	if len(labels) == 0 && n.plain() {
-		return n.Value
-	}
-	var buf [128]byte
-	b := buf[:0]
-	for _, l := range labels {
-		b = append(binary.AppendUvarint(append(b, 0), uint64(len(l))), l...)
-	}
-	if !n.plain() {
-		b = binary.AppendUvarint(binary.AppendUvarint(append(b, stampMark), n.Stamp), uint64(len(n.StampBy)))
-		b = append(b, n.StampBy...)
-	}
-	return string(append(b, n.Value...))
-}
-
-// span reports the names an inline path holds: one per label, the arc's
-// own included; none for no path.
-func span(leaf string) (names int) {
-	for ; leaf != ""; names++ {
-		_, leaf, _ = pathNext(leaf)
+// span reports the names an arc holds inline: one per label, its own
+// included; none for an arc to a Node or to nil.
+func span(a Arc) (names int) {
+	for ; a.leaf() != ""; names++ {
+		a, _ = a.next()
 	}
 	return names
 }
@@ -249,26 +250,41 @@ func (n *Node) plain() bool {
 	return n.blocks == nil && n.Children == nil && n.Stamp == 0 && n.StampBy == ""
 }
 
-// inline returns the leaf of an arc holding n inline, or "" if n must stay
-// a Node: n is neither a bare leaf nor a plain node whose one arc is inline.
-func (n *Node) inline() string {
-	switch {
-	case n.bare():
-		return leafOf(nil, n)
-	case len(n.Arcs) == 1 && n.Arcs[0].leaf != "" && !n.HasValue && n.Value == "" && n.plain():
-		return fold(n.Arcs[0].Label, n.Arcs[0].leaf)
+// inline reports whether an arc may hold n inline: n is a bare leaf or a
+// plain node whose one arc is inline or leads to a node that may be.
+func (n *Node) inline() bool {
+	return n.bare() || len(n.Arcs) == 1 && (n.Arcs[0].leaf() != "" || n.Arcs[0].Child != nil && n.Arcs[0].Child.inline()) &&
+		!n.HasValue && n.Value == "" && n.plain()
+}
+
+// inlineArc returns label's arc holding the path of plain nodes through
+// labels to n, which an arc may hold inline: one allocation, two past 128 bytes.
+func inlineArc[L string | []byte](label L, labels []string, n *Node) Arc {
+	var buf [128]byte
+	b := append(binary.AppendUvarint(buf[:0], uint64(len(label))), label...)
+	for _, l := range labels {
+		b = append(binary.AppendUvarint(append(b, 0), uint64(len(l))), l...)
 	}
-	return ""
+	for ; !n.bare(); n = n.Arcs[0].Child { // a plain node whose one arc is inline or leads on
+		a := n.Arcs[0]
+		if a.Child == nil {
+			return Arc{path: string(append(append(b, 0), a.path...))}
+		}
+		b = append(binary.AppendUvarint(append(b, 0), uint64(len(a.Label()))), a.Label()...)
+	}
+	if !n.plain() {
+		b = binary.AppendUvarint(binary.AppendUvarint(append(b, stampMark), n.Stamp), uint64(len(n.StampBy)))
+		b = append(b, n.StampBy...)
+	}
+	return Arc{path: string(append(b, n.Value...))}
 }
 
 // arcTo returns label's arc to n, which holds n inline when it may.
 func arcTo(label string, n *Node) Arc {
-	if n != nil {
-		if leaf := n.inline(); leaf != "" {
-			return Arc{Label: label, leaf: leaf}
-		}
+	if n != nil && n.inline() {
+		return inlineArc(label, nil, n)
 	}
-	return Arc{Label: label, Child: n}
+	return Arc{path: pathOf(label, ""), Child: n}
 }
 
 // PicklePairs implements pickle.MapPairSource: a blocked node's arcs pickle
@@ -307,10 +323,10 @@ func (n *Node) locate(label string) (b []Arc, j, i int, ok bool) {
 	b = n.Arcs
 	if n.blocks != nil {
 		bs := *n.blocks
-		j = sort.Search(len(bs)-1, func(k int) bool { return bs[k+1][0].Label > label })
+		j = sort.Search(len(bs)-1, func(k int) bool { return bs[k+1][0].Label() > label })
 		b = bs[j]
 	}
-	i, ok = slices.BinarySearchFunc(b, label, func(a Arc, l string) int { return strings.Compare(a.Label, l) })
+	i, ok = slices.BinarySearchFunc(b, label, func(a Arc, l string) int { return strings.Compare(a.Label(), l) })
 	return b, j, i, ok
 }
 
@@ -362,7 +378,7 @@ func chunk(arcs []Arc) *[][]Arc {
 // bind puts a in place of the arc with a's label, or in order if n has
 // none. The writer must own n (see prep).
 func (n *Node) bind(a Arc) {
-	_, j, i, ok := n.locate(a.Label)
+	_, j, i, ok := n.locate(a.Label())
 	del := 0
 	if ok {
 		del = 1
@@ -511,16 +527,16 @@ func (t *Tree) writable(parts []string, create bool) *Node {
 		switch {
 		case a.Child != nil:
 			c = t.prep(a.Child)
-		case a.leaf != "": // open the inline path: its first node becomes a Node
-			c = a.Node()
+		case a.leaf() != "": // open the inline path: its first node becomes a Node
+			c, a = a.Node(), Arc{path: pathOf(p, "")}
 			c.born = t.epoch
 		case !create:
 			return nil
 		default:
-			c = &Node{born: t.epoch}
+			c, a = &Node{born: t.epoch}, Arc{path: pathOf(p, "")}
 		}
-		if c != a.Child { // a private child is already bound
-			n.bind(Arc{Label: p, Child: c})
+		if c != a.Child { // a private child is already bound; a's path is p's alone
+			n.bind(Arc{path: a.path, Child: c})
 		}
 		n = c
 	}
@@ -548,7 +564,7 @@ func (t *Tree) set(parts []string, s Node, stamps, lww bool) bool {
 		now = *a.Child
 		inlinable = inlinable && now.Arcs == nil && now.blocks == nil
 	case !a.exists(): // no root
-	case a.leaf[0] == 0: // a plain node on an inline path
+	case a.leaf()[0] == 0: // a plain node on an inline path
 		inlinable = false
 	default:
 		a.unbox(&now)
@@ -557,7 +573,7 @@ func (t *Tree) set(parts []string, s Node, stamps, lww bool) bool {
 		return false
 	}
 	if now.scalars(s, stamps); inlinable && now.bare() {
-		t.ensure(parts[:h]).bind(Arc{Label: parts[h], leaf: leafOf(parts[h+1:], &now)})
+		t.ensure(parts[:h]).bind(inlineArc(parts[h], parts[h+1:], &now))
 		return true
 	}
 	t.ensure(parts).scalars(s, stamps)
@@ -621,15 +637,15 @@ func copyNode(n *Node) *Node {
 		out.Arcs = make([]Arc, 0, len(arcs)+len(n.Children))
 		for _, a := range arcs {
 			if a.Child != nil {
-				a = copyArc(a.Label, a.Child)
+				a = copyArc(a.Label(), a.Child)
 			}
 			out.Arcs = append(out.Arcs, a)
 		}
 		for label, c := range n.Children {
 			out.Arcs = append(out.Arcs, copyArc(label, c))
 		}
-		slices.SortStableFunc(out.Arcs, func(a, b Arc) int { return strings.Compare(a.Label, b.Label) })
-		out.Arcs = slices.CompactFunc(out.Arcs, func(a, b Arc) bool { return a.Label == b.Label })
+		slices.SortStableFunc(out.Arcs, func(a, b Arc) int { return strings.Compare(a.Label(), b.Label()) })
+		out.Arcs = slices.CompactFunc(out.Arcs, func(a, b Arc) bool { return a.Label() == b.Label() })
 	}
 	return out
 }
@@ -660,8 +676,8 @@ func inspect(n *Node, seen map[*Node]bool) (canonical bool, height int, err erro
 		if err != nil {
 			return false, 0, err
 		}
-		canonical = canonical && c && (i == 0 || arcs[i-1].Label < a.Label)
-		height = max(height, h+1, span(a.leaf))
+		canonical = canonical && c && (i == 0 || arcs[i-1].Label() < a.Label())
+		height = max(height, h+1, span(a))
 	}
 	for _, c := range n.Children {
 		_, h, err := inspect(c, seen)
@@ -681,7 +697,7 @@ func countNodes(n *Node) int {
 	}
 	total := 1
 	for _, a := range n.AllArcs() {
-		total += countNodes(a.Child) + span(a.leaf)
+		total += countNodes(a.Child) + span(a)
 	}
 	return total
 }
@@ -819,7 +835,7 @@ func (u *Move) Verify(root any) error {
 	if len(u.To) > len(u.From) { // else no moved name gets deeper
 		_, height, err := inspect(a.Child, map[*Node]bool{})
 		if err == nil {
-			err = checkDepth(u.To, max(height, span(a.leaf)-1))
+			err = checkDepth(u.To, max(height, span(a)-1))
 		}
 		if err != nil {
 			return err
@@ -849,8 +865,8 @@ func (u *Move) Apply(root any) error {
 	// reaching it at From while the new version reaches it at To.
 	dir, label := split(u.From)
 	t.cowPath(dir).unbind(label)
-	dir, a.Label = split(u.To)
-	t.ensure(dir).bind(a)
+	dir, label = split(u.To)
+	t.ensure(dir).bind(Arc{path: pathOf(label, a.leaf()), Child: a.Child})
 	return nil
 }
 
@@ -894,8 +910,8 @@ func treeOf(root any) (*Tree, error) {
 // Lookup returns the value at parts.
 func (t *Tree) Lookup(parts []string) (string, error) {
 	switch a := t.at(parts); {
-	case a.leaf != "" && a.leaf[0] != 0:
-		v, _, _ := bareLeaf(a.leaf)
+	case a.leaf() != "" && a.leaf()[0] != 0:
+		v, _, _ := bareLeaf(a.leaf())
 		return v, nil
 	case !a.exists():
 		return "", fmt.Errorf("%w: %s", ErrNotFound, JoinPath(parts))
@@ -915,8 +931,8 @@ func (t *Tree) List(parts []string) ([]string, error) {
 	var bs [][]Arc // none under an inline leaf
 	if a.Child != nil {
 		bs = a.Child.blockList()
-	} else if label, _, ok := pathNext(a.leaf); ok {
-		return []string{label}, nil
+	} else if next, ok := a.next(); ok {
+		return []string{next.Label()}, nil
 	}
 	size := 0
 	for _, b := range bs {
@@ -925,7 +941,7 @@ func (t *Tree) List(parts []string) ([]string, error) {
 	out := make([]string, 0, size)
 	for _, b := range bs {
 		for _, a := range b {
-			out = append(out, a.Label)
+			out = append(out, a.Label())
 		}
 	}
 	return out, nil
@@ -944,11 +960,11 @@ func (t *Tree) Enumerate(parts []string, fn func(name, value string) error) erro
 
 // walk enumerates the name at path, to which a leads, and all below it.
 func walk(a Arc, path []string, fn func(name, value string) error) error {
-	if label, rest, ok := pathNext(a.leaf); ok {
-		return walk(Arc{Label: label, leaf: rest}, append(path, label), fn)
+	if next, ok := a.next(); ok {
+		return walk(next, append(path, next.Label()), fn)
 	}
-	if a.leaf != "" {
-		v, _, _ := bareLeaf(a.leaf)
+	if leaf := a.leaf(); leaf != "" {
+		v, _, _ := bareLeaf(leaf)
 		return fn(JoinPath(path), v)
 	}
 	n := a.Child
@@ -961,7 +977,7 @@ func walk(a Arc, path []string, fn func(name, value string) error) error {
 		}
 	}
 	for _, a := range n.AllArcs() {
-		if err := walk(a, append(path, a.Label), fn); err != nil {
+		if err := walk(a, append(path, a.Label()), fn); err != nil {
 			return err
 		}
 	}

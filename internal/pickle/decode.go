@@ -30,6 +30,7 @@ type decoder struct {
 	// maps, and the recursion depth.
 	refs  map[uint64]reflect.Value
 	depth int
+	boxed int // boxes being decoded into, one inside another
 }
 
 // streamType is a struct type as described by the stream: its printed name
@@ -276,7 +277,7 @@ func buildDecoder(rt reflect.Type) decFn {
 		if rt.Elem().Kind() == reflect.Uint8 {
 			return buildBytesDecoder(rt)
 		}
-		if rt.Elem().Implements(mapPairType) {
+		if reflect.PointerTo(rt.Elem()).Implements(mapPairType) {
 			return buildPairSliceDecoder(rt)
 		}
 		return buildSliceDecoder(rt)
@@ -628,18 +629,20 @@ func buildMapDecoder(rt reflect.Type) decFn {
 // buildPairSliceDecoder reads a tMap into a map-coded pair slice (MapPair),
 // appending past a first allocation the claimed length cannot inflate.
 func buildPairSliceDecoder(rt reflect.Type) decFn {
-	inline, err := pairShape(rt.Elem())
+	vi, inline, err := pairShape(rt.Elem())
 	if err != nil {
 		return func(*decoder, reflect.Value, byte) error { return err }
 	}
-	vt := rt.Elem().Field(1).Type
+	vt := rt.Elem().Field(vi).Type
 	ptrFn, elemFn, boxes := decoderOf(vt), decoderOf(vt.Elem()), boxPool(vt.Elem())
-	value := func(d *decoder, pair reflect.Value, tag byte) error {
+	value := func(d *decoder, p MapPair, f reflect.Value, key []byte, tag byte, keep bool) error {
 		if tag == tRef {
 			return errf("map-coded %v holds a reference where a value belongs: a pair owns its value", rt)
 		}
 		if tag != tPtr {
-			return ptrFn(d, pair.Field(1), tag)
+			err := ptrFn(d, f, tag)
+			p.PickleSetKey(key)
+			return err
 		}
 		_, err := d.readUvarint() // the value's id: the pair owns it, so it is never defined
 		if err == nil {
@@ -655,14 +658,17 @@ func buildPairSliceDecoder(rt reflect.Type) decFn {
 		box := boxes.Get()
 		bv := reflect.ValueOf(box)
 		bv.Elem().SetZero()
+		d.boxed++
 		err = elemFn(d, bv.Elem(), tag)
+		d.boxed--
 		d.depth--
 		switch {
 		case err != nil:
-		case inline && pair.Addr().Interface().(MapPairInline).PickleUnbox(box):
+		case inline && !keep && p.(MapPairInline).PickleUnbox(key, box):
 			boxes.Put(box)
 		default:
-			pair.Field(1).Set(bv)
+			f.Set(bv)
+			p.PickleSetKey(key)
 		}
 		return err
 	}
@@ -694,26 +700,30 @@ func buildPairSliceDecoder(rt reflect.Type) decFn {
 			v.SetLen(i + 1)
 			pair := v.Index(i)
 			tag2, err := d.readByte()
+			var key []byte
+			if err == nil && tag2 != tString && tag2 != tBytes {
+				err = errf("map-coded %v has a key of tag %d, not a string", rt, tag2)
+			}
 			if err == nil {
-				err = decString(d, pair.Field(0), tag2)
+				key, err = d.readName(MaxStringLen)
 			}
 			if err == nil {
 				tag2, err = d.readByte()
 			}
-			if err == nil {
-				err = value(d, pair, tag2)
+			if err == nil { // a box's one pair is left to its box's pair (MapPairInline)
+				err = value(d, pair.Addr().Interface().(MapPair), pair.Field(vi), key, tag2, n == 1 && d.boxed > 0)
 			}
 			if err != nil {
 				return err
 			}
-			sorted = sorted && (i == 0 || v.Index(i-1).Field(0).String() < pair.Field(0).String())
+			sorted = sorted && (i == 0 || v.Index(i-1).Addr().Interface().(MapPair).PickleKey() < string(key))
 		}
 		d.depth--
 		if sorted {
 			return nil
 		}
 		pairs := v // captured here alone, so that v stays off the heap
-		key := func(i int) string { return pairs.Index(i).Field(0).String() }
+		key := func(i int) string { return pairs.Index(i).Addr().Interface().(MapPair).PickleKey() }
 		sort.Slice(v.Interface(), func(i, j int) bool { return key(i) < key(j) })
 		for i := 1; i < int(n); i++ {
 			if key(i) == key(i-1) {

@@ -251,7 +251,7 @@ func buildSliceEncoder(rt reflect.Type) encFn {
 	if rt.Elem().Kind() == reflect.Uint8 {
 		return encBytes
 	}
-	if rt.Elem().Implements(mapPairType) {
+	if reflect.PointerTo(rt.Elem()).Implements(mapPairType) {
 		return buildPairSliceEncoder(rt)
 	}
 	elem := encoderOf(rt.Elem())
@@ -379,22 +379,26 @@ func buildStringMapEncoder(rt reflect.Type) encFn {
 	}
 }
 
-// MapPair marks the element type of a map-coded pair slice: a struct of
-// exactly two exported fields, a string key and a pointer value, followed by
-// none but MapPairInline's unexported ones. A slice of such elements pickles
-// as the string-keyed map it stands for — tNil when nil, else a tMap taking
-// the one identity id the map would have taken, pairs in slice order — and
-// decodes from one by appending: no map is built, no key hashed. The writer
-// keeps the slice in ascending key order, as a map is written; the reader
-// sorts a stream that is not, and answers a duplicate key, or a tRef to such
-// a map, with an *Error.
+// MapPair is implemented by a pointer to the element of a map-coded pair
+// slice: a struct with exactly one exported pointer field, the value, whose
+// other fields are the pair's own and do not pickle. The pair supplies its
+// key and receives it. A slice of such elements pickles as the string-keyed
+// map it stands for — tNil when nil, else a tMap taking the one identity id
+// the map would have taken, pairs in slice order — and decodes from one by
+// appending: no map is built, no key hashed. The writer keeps the slice in
+// ascending key order, as a map is written; the reader sorts a stream that
+// is not, and answers a duplicate key, or a tRef to such a map, with an
+// *Error.
 //
 // A pair owns its value: no other pointer, in the slice or outside it, may
 // share it. The value pickles as an unshared pointer, taking the next
 // identity id, and neither side enters it in an identity table; so a value
 // reached twice pickles twice, a cycle through pairs fails at MaxDepth, and a
 // tRef where a pair's value belongs is an *Error.
-type MapPair interface{ PickleMapPair() }
+type MapPair interface {
+	PickleKey() string       // returns the pair's key
+	PickleSetKey(key []byte) // gives a decoded pair its key, a view into the stream that it copies
+}
 
 var mapPairType = reflect.TypeOf((*MapPair)(nil)).Elem()
 
@@ -419,35 +423,39 @@ func pairSource(v reflect.Value) any {
 	return v.Addr().Interface().(MapPairSource).PicklePairs()
 }
 
-// MapPairInline is MapPair's one optional hook, implemented by a pointer to a
-// pair whose value may be held unboxed: the pointed-to value kept in
-// unexported fields of the pair's own, past the two, and the value field nil.
-// Such a pair pickles as if the field pointed to that value; and each value
-// decoded into a pair is offered to it, to keep unboxed.
+// MapPairInline is MapPair's one optional hook, for a pair whose value may be
+// held unboxed: the pointed-to value kept in the pair's own fields, and the
+// value field nil. Such a pair pickles as if the field pointed to that value;
+// and each value decoded into a pair is offered to it, to keep unboxed —
+// except the value of the one pair of a map inside a box, which stays boxed
+// in its field: a chain of one-pair boxes reaches its outermost pair whole.
 type MapPairInline interface {
 	// PickleBox sets *box, box a pointer of the value field's type, to the
 	// value the pair holds unboxed, and reports whether it holds one.
 	PickleBox(box any) bool
-	// PickleUnbox offers the pair the value just decoded into *box and
-	// reports whether it took the value unboxed; box is the caller's again.
-	PickleUnbox(box any) bool
+	// PickleUnbox offers the pair its key, as PickleSetKey does, and the
+	// value just decoded into *box, and reports whether it took both, the
+	// value unboxed; box is the caller's again. If it did not, the value
+	// field is set and PickleSetKey called.
+	PickleUnbox(key []byte, box any) bool
 }
 
 var mapPairInlineType = reflect.TypeOf((*MapPairInline)(nil)).Elem()
 
-// pairShape checks et, which implements MapPair, for the shape it promises,
-// and reports whether *et implements MapPairInline.
-func pairShape(et reflect.Type) (inline bool, err error) {
-	ok := et.Kind() == reflect.Struct && et.NumField() >= 2 && et.Field(0).Type.Kind() == reflect.String &&
-		et.Field(1).Type.Kind() == reflect.Pointer && et.Field(0).PkgPath == "" && et.Field(1).PkgPath == ""
-	inline = ok && reflect.PointerTo(et).Implements(mapPairInlineType)
-	for i := 2; ok && i < et.NumField(); i++ {
-		ok = inline && et.Field(i).PkgPath != ""
+// pairShape checks et, whose pointer implements MapPair, for the shape it
+// promises: it returns the value field's index and whether *et implements
+// MapPairInline.
+func pairShape(et reflect.Type) (value int, inline bool, err error) {
+	n := 0
+	for i := 0; et.Kind() == reflect.Struct && i < et.NumField(); i++ {
+		if f := et.Field(i); f.PkgPath == "" && f.Type.Kind() == reflect.Pointer {
+			value, n = i, n+1
+		}
 	}
-	if !ok {
-		return false, errf("%v implements MapPair but is not a struct of an exported string key and an exported pointer value", et)
+	if n != 1 {
+		return 0, false, errf("%v implements MapPair but is not a struct of one exported pointer value", et)
 	}
-	return inline, nil
+	return value, reflect.PointerTo(et).Implements(mapPairInlineType), nil
 }
 
 // boxPool returns a pool of pointers to fresh values of et: the boxes an
@@ -457,11 +465,11 @@ func boxPool(et reflect.Type) *sync.Pool {
 }
 
 func buildPairSliceEncoder(rt reflect.Type) encFn {
-	inline, err := pairShape(rt.Elem())
+	vi, inline, err := pairShape(rt.Elem())
 	if err != nil {
 		return func(e *encoder, v reflect.Value) { e.fail(err) }
 	}
-	et := rt.Elem().Field(1).Type.Elem()
+	et := rt.Elem().Field(vi).Type.Elem()
 	elemFn, boxes := encoderOf(et), boxPool(et)
 	return func(e *encoder, v reflect.Value) {
 		if v.IsNil() {
@@ -482,10 +490,11 @@ func buildPairSliceEncoder(rt reflect.Type) encFn {
 		}
 		for i := 0; i < n && e.err == nil; i++ {
 			pair := v.Index(i)
+			p := pair.Addr().Interface().(MapPair)
 			e.buf = append(e.buf, tString)
-			e.buf = appendLenPrefixed(e.buf, pair.Field(0).String())
-			f := pair.Field(1)
-			if inline && f.IsNil() && pair.Addr().Interface().(MapPairInline).PickleBox(box) {
+			e.buf = appendLenPrefixed(e.buf, p.PickleKey())
+			f := pair.Field(vi)
+			if inline && f.IsNil() && p.(MapPairInline).PickleBox(box) {
 				f = reflect.ValueOf(box)
 			}
 			if f.IsNil() {
@@ -564,7 +573,7 @@ func buildStructEncoder(rt reflect.Type) encFn {
 		ft := rt.Field(f.index).Type
 		p.idx = append(p.idx, f.index)
 		p.fns = append(p.fns, encoderOf(ft))
-		if ft.Kind() == reflect.Slice && ft.Elem().Implements(mapPairType) && reflect.PointerTo(rt).Implements(mapPairSourceType) {
+		if ft.Kind() == reflect.Slice && reflect.PointerTo(ft.Elem()).Implements(mapPairType) && reflect.PointerTo(rt).Implements(mapPairSourceType) {
 			p.pairs = i
 		}
 	}

@@ -31,7 +31,8 @@ type arc struct {
 	Dir   *arcDir
 }
 
-func (arc) PickleMapPair() {}
+func (a arc) PickleKey() string        { return a.Label }
+func (a *arc) PickleSetKey(key []byte) { a.Label = string(key) }
 
 // toArcs converts a map-form tree, preserving pointer sharing.
 func toArcs(m *mapDir, seen map[*mapDir]*arcDir) *arcDir {
@@ -275,7 +276,8 @@ func TestPairSliceRefToMap(t *testing.T) {
 
 type badPair struct{ Label, Value, Extra string }
 
-func (badPair) PickleMapPair() {}
+func (p badPair) PickleKey() string        { return p.Label }
+func (p *badPair) PickleSetKey(key []byte) { p.Label = string(key) }
 
 func TestPairSliceBadShape(t *testing.T) {
 	var pe *Error
@@ -332,19 +334,20 @@ type boxArc struct {
 	name string
 }
 
-func (boxArc) PickleMapPair() {}
+func (a boxArc) PickleKey() string        { return a.Label }
+func (a *boxArc) PickleSetKey(key []byte) { a.Label = string(key) }
 
 func (a *boxArc) PickleBox(box any) bool {
 	*box.(*boxDir) = boxDir{Name: a.name}
 	return a.name != ""
 }
 
-func (a *boxArc) PickleUnbox(box any) bool {
+func (a *boxArc) PickleUnbox(key []byte, box any) bool {
 	d := box.(*boxDir)
 	if d.Kids != nil || d.N != 0 || d.Name == "" {
 		return false
 	}
-	a.name = d.Name
+	a.Label, a.name = string(key), d.Name
 	return true
 }
 
@@ -391,5 +394,36 @@ func TestPairInlineBytesEqualBoxed(t *testing.T) {
 				t.Errorf("a tRef to #%d as a pair's value, into %T: err = %v, want a *pickle.Error", id, into, err)
 			}
 		}
+	}
+}
+
+// TestPairInlineOnePairStaysBoxed: inside a box, the value of a map's one
+// pair is left boxed in its field, for the pair the box is offered to; the
+// pairs of a wider map inside a box, and the one pair of a map outside any,
+// are offered their values as ever.
+func TestPairInlineOnePairStaysBoxed(t *testing.T) {
+	leaf := func(name string) *arcDir { return &arcDir{Name: name} }
+	raw := marshalAs(t, &arcDir{Kids: []arc{
+		{"one", &arcDir{Kids: []arc{{"b", leaf("deep")}}}},
+		{"two", &arcDir{Kids: []arc{{"c", leaf("x")}, {"d", leaf("y")}}}},
+	}}, "pickle.arcDir", "pickle.boxDir")
+	var back *boxDir
+	if err := Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if one := back.Kids[0].Dir.Kids[0]; one.Label != "b" || one.Dir == nil || one.Dir.Name != "deep" || one.name != "" {
+		t.Errorf("a box's one pair: %+v, want its value boxed", one)
+	}
+	for _, two := range back.Kids[1].Dir.Kids {
+		if two.Dir != nil || two.name == "" {
+			t.Errorf("a pair of a box's two: %+v, want its value unboxed", two)
+		}
+	}
+	var top *boxDir
+	if err := Unmarshal(marshalAs(t, &arcDir{Kids: []arc{{"only", leaf("top")}}}, "pickle.arcDir", "pickle.boxDir"), &top); err != nil {
+		t.Fatal(err)
+	}
+	if k := top.Kids[0]; k.Dir != nil || k.name != "top" {
+		t.Errorf("the one pair outside any box: %+v, want its value unboxed", k)
 	}
 }

@@ -48,10 +48,10 @@ func treesMatch(a, b *nameserver.Node, path string) string {
 		return fmt.Sprintf("node %q: %d vs %d children", path, len(aa), len(ba))
 	}
 	for i, arc := range aa {
-		if ba[i].Label != arc.Label {
-			return fmt.Sprintf("node %q: extra child %q", path, arc.Label)
+		if ba[i].Label() != arc.Label() {
+			return fmt.Sprintf("node %q: extra child %q", path, arc.Label())
 		}
-		if d := treesMatch(arc.Node(), ba[i].Node(), path+"/"+arc.Label); d != "" {
+		if d := treesMatch(arc.Node(), ba[i].Node(), path+"/"+arc.Label()); d != "" {
 			return d
 		}
 	}

@@ -59,11 +59,12 @@ func heapAlloc() uint64 {
 
 // TestReplicatedTreeBytesPerName: a member reopened from a checkpoint of 10 000
 // stamped Sets in the benchmark's shape, its history window one entry, holds
-// each name in at most 160 heap bytes: 123 on amd64, the host's arc in its
-// department's block, the host label and one string holding addr, the
-// stamps and the value, whose 63 bytes take the 64-byte size class that the
-// plain tree's 54 do. With the addr leaf a Node of its own for its stamps,
-// and so the host too, it took 355.
+// each name in at most 115 heap bytes: 107 on amd64, the host's 24-byte arc
+// in its department's block and the one string it holds, with the host
+// label, addr, the stamps and the value, whose 73 bytes take the 80-byte
+// size class. With the label a string of its own beside the path, in a
+// 40-byte arc, it took 123; with the addr leaf a Node of its own for its
+// stamps, and so the host too, 355.
 // The history window's bytes per entry, the rest of a member's per-update
 // memory, are logged.
 func TestReplicatedTreeBytesPerName(t *testing.T) {
@@ -77,7 +78,7 @@ func TestReplicatedTreeBytesPerName(t *testing.T) {
 	per := loadedBytes(t, tree) / names
 	perEntry := (int64(loadedBytes(t, window)) - int64(per*names)) / names
 	t.Logf("%d stamped names loaded: %d heap bytes each; a history entry %d more", names, per, perEntry)
-	if per > 160 {
-		t.Fatalf("a loaded stamped name takes %d heap bytes, want at most 160", per)
+	if per > 115 {
+		t.Fatalf("a loaded stamped name takes %d heap bytes, want at most 115", per)
 	}
 }

@@ -301,6 +301,7 @@ type serviceMethod struct {
 	m       reflect.Method
 	traced  bool
 	metrics methodMetrics
+	attrs   []obs.Attr // its "rpc.call" events' method, built once; nil for s.unknown
 }
 
 // methodMetrics are one method's series, resolved once rather than looked
@@ -364,7 +365,7 @@ func (s *Server) Register(name string, rcvr any) error {
 		if mt.In(1).Kind() != reflect.Pointer || mt.In(2).Kind() != reflect.Pointer {
 			continue
 		}
-		svc.methods[m.Name] = &serviceMethod{m: m, traced: mt.NumIn() == 4}
+		svc.methods[m.Name] = &serviceMethod{m: m, traced: mt.NumIn() == 4, attrs: []obs.Attr{obs.A("method", name+"."+m.Name)}}
 	}
 	if len(svc.methods) == 0 {
 		return fmt.Errorf("rpc: %T exposes no methods of the form Method(arg *A, reply *R) error", rcvr)
@@ -502,10 +503,14 @@ func (s *Server) dispatch(req *request, sc obs.SpanContext) (resp *response) {
 				s.errors.Inc()
 				sm.metrics.errors.Inc()
 			}
+			attrs := sm.attrs
+			if attrs == nil { // an unknown method's: the name the caller sent
+				attrs = []obs.Attr{obs.A("method", req.Method)}
+			}
 			if span.Active() {
-				span.End(err, obs.A("method", req.Method))
+				span.End(err, attrs...)
 			} else {
-				obs.Emit(s.tracer, obs.Event{Name: "rpc.call", Dur: dur, Err: err, Attrs: []obs.Attr{obs.A("method", req.Method)}})
+				obs.Emit(s.tracer, obs.Event{Name: "rpc.call", Dur: dur, Err: err, Attrs: attrs})
 			}
 		}()
 	}
