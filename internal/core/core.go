@@ -41,7 +41,6 @@ import (
 	"smalldb/internal/checkpoint"
 	"smalldb/internal/obs"
 	"smalldb/internal/pickle"
-	"smalldb/internal/sulock"
 	"smalldb/internal/vfs"
 	"smalldb/internal/wal"
 )
@@ -147,9 +146,10 @@ type Config struct {
 	MaxDeltaRatio float64
 	// Obs, when non-nil, receives the store's metrics (core_*), the
 	// log's (wal_*), the checkpoint protocol's (checkpoint_*) and the
-	// three-mode lock's (core_lock_*), for export through the debug
-	// endpoint. The store keeps its phase histograms regardless, so
-	// Stats() always carries percentiles.
+	// waits of the three-mode lock's contended acquisitions (core_lock_*,
+	// see lock.go), for export through the debug endpoint. The store
+	// keeps its phase histograms regardless, so Stats() always carries
+	// percentiles.
 	Obs *obs.Registry
 	// Tracer, when non-nil, receives structured events: update.commit,
 	// checkpoint.start/finish, restart.replay, log.flush, lock.wait.
@@ -242,10 +242,15 @@ type pendingPub struct {
 
 // Store is an open small database.
 type Store struct {
-	cfg  Config
-	lock sulock.Lock
+	cfg Config
 
-	// root is the working (mutable) database root, guarded by lock:
+	// upd and rw are the paper's three-mode lock (lock.go); waits
+	// accounts their contended acquisitions.
+	upd   sync.Mutex
+	rw    sync.RWMutex
+	waits struct{ shared, update, upgrade lockMode }
+
+	// root is the working (mutable) database root, guarded by the lock:
 	// updates mutate it under exclusive mode. With a versioned root,
 	// enquiries never touch it — they read the published version below —
 	// and every mutation is copy-on-write with respect to published
@@ -384,12 +389,15 @@ func (s *Store) initObs() {
 		reg.Register("pickle_enc_pool_hit_rate", func() any { return poolHitRate(pickle.Stats().EncPoolGets, pickle.Stats().EncPoolMisses) })
 		reg.Register("pickle_dec_pool_hit_rate", func() any { return poolHitRate(pickle.Stats().DecPoolGets, pickle.Stats().DecPoolMisses) })
 	}
-	if reg != nil || s.tracer != nil {
-		// With lock-free enquiries the shared mode is never acquired on
-		// this lock; skip its wait/contention series so /stats does not
-		// export dead metrics.
-		s.lock.Instrument(reg, "core", s.tracer, !s.versioned)
+	s.waits.update = newLockMode(reg, s.tracer, "update")
+	s.waits.upgrade = newLockMode(reg, s.tracer, "upgrade")
+	sharedReg := reg
+	if s.versioned {
+		// With lock-free enquiries shared mode is never acquired; leave
+		// its series out so /stats does not export dead metrics.
+		sharedReg = nil
 	}
+	s.waits.shared = newLockMode(sharedReg, s.tracer, "shared")
 }
 
 // poolHitRate renders a pool's hit rate in percent (gets that found warm
@@ -725,8 +733,8 @@ func (s *Store) View(fn func(root any) error) error {
 		s.ctr.enquiries.Inc()
 		return fn(sn.root)
 	}
-	s.lock.Shared()
-	defer s.lock.SharedUnlock()
+	s.lockShared()
+	defer s.rw.RUnlock()
 	s.enquiries.Add(1)
 	s.ctr.enquiries.Inc()
 	s.ctr.locked.Inc()
@@ -821,11 +829,11 @@ func (s *Store) commit(us []Update, sc obs.SpanContext, logged func(applied int)
 	upd := obs.StartSpan(s.tracer, sc, "update.commit")
 	pt := phaseTracer{on: upd.Active(), tr: s.tracer, ctx: upd.Context()}
 	start := time.Now()
-	lockWait := s.lock.Update()
+	lockWait := s.lockUpdate()
 	if pt.on {
 		pt.emit("lock.wait", start, lockWait, nil, obs.A("mode", "update"))
 	}
-	unlock := s.lock.UpdateUnlock
+	upgraded := false
 	held := true
 	defer func() {
 		// A panic in an update's Verify or Apply, or in logged, must not
@@ -834,7 +842,7 @@ func (s *Store) commit(us []Update, sc obs.SpanContext, logged func(applied int)
 		if held {
 			p := recover()
 			s.poison(fmt.Errorf("core: update panicked in commit: %v", p))
-			unlock()
+			s.release(upgraded)
 			if p != nil {
 				panic(p)
 			}
@@ -846,7 +854,7 @@ func (s *Store) commit(us []Update, sc obs.SpanContext, logged func(applied int)
 	s.mu.Unlock()
 	if err != nil {
 		held = false
-		unlock()
+		s.release(false)
 		return 0, err
 	}
 
@@ -904,8 +912,8 @@ func (s *Store) commit(us []Update, sc obs.SpanContext, logged func(applied int)
 		// Step 3: convert to exclusive and modify the virtual memory
 		// structure.
 		if applied == 0 {
-			upWait := s.lock.Upgrade()
-			unlock = s.lock.ExclusiveUnlock
+			upWait := s.upgrade()
+			upgraded = true
 			if pt.on && upWait > 0 {
 				pt.emit("lock.wait", t3, upWait, nil, obs.A("mode", "upgrade"))
 			}
@@ -947,7 +955,7 @@ func (s *Store) commit(us []Update, sc obs.SpanContext, logged func(applied int)
 		logged(applied)
 	}
 	held = false
-	unlock()
+	s.release(upgraded)
 	if fatal {
 		return 0, err
 	}
@@ -1245,13 +1253,13 @@ func (s *Store) stageHook(stage CheckpointStage) {
 // this one's included, stay within MaxDeltaRatio of the base image's; a full
 // image otherwise, which starts a fresh chain.
 func (s *Store) checkpointNonBlocking() error {
-	s.lock.UpdateUrgent()
+	s.lockUpdate()
 	s.mu.Lock()
 	err := s.unusable()
 	cur := s.cpState
 	s.mu.Unlock()
 	if err != nil {
-		s.lock.UpdateUnlock()
+		s.upd.Unlock()
 		return err
 	}
 
@@ -1259,7 +1267,7 @@ func (s *Store) checkpointNonBlocking() error {
 	cpStart := time.Now()
 	if err := log.Flush(); err != nil {
 		s.poisonUnlessClosed(err)
-		s.lock.UpdateUnlock()
+		s.upd.Unlock()
 		return err
 	}
 	// The flush made every applied update durable, but their committers
@@ -1303,7 +1311,7 @@ func (s *Store) checkpointNonBlocking() error {
 		perr = log.BeginTail()
 	}
 	stall := time.Since(cpStart) // with the flip's hold, observed once
-	s.lock.UpdateUnlock()
+	s.upd.Unlock()
 	defer func() { s.hist.cpStall.ObserveDuration(stall) }()
 	if perr != nil {
 		putCPBuf(bufp, buf)
@@ -1375,11 +1383,11 @@ func (s *Store) checkpointNonBlocking() error {
 
 	// The flip: under the update lock, no entry lands between the tail's
 	// sync and the commit point.
-	s.lock.UpdateUrgent()
+	s.lockUpdate()
 	flipStart := time.Now()
 	unlock := func() {
 		stall += time.Since(flipStart)
-		s.lock.UpdateUnlock()
+		s.upd.Unlock()
 	}
 	fail := func(err error) error {
 		unlock()
@@ -1563,8 +1571,8 @@ func (s *Store) History(fn func(seq uint64, u Update) error) error {
 	// read mid-switch.
 	s.cpMu.Lock()
 	defer s.cpMu.Unlock()
-	s.lock.UpdateUrgent()
-	defer s.lock.UpdateUnlock()
+	s.lockUpdate()
+	defer s.upd.Unlock()
 
 	s.mu.Lock()
 	if s.closed {
@@ -1593,15 +1601,27 @@ func (s *Store) History(fn func(seq uint64, u Update) error) error {
 	}
 	files = append(files, st.LogName())
 
-	// The oldest log may start anywhere; every later one must go on where
-	// the one before it stopped (an empty log stops where it started).
+	// The oldest log may start anywhere. A later one starts at its
+	// checkpoint's NextSeq, at or before where the one before it stopped:
+	// the updates committed while that checkpoint ran are in both. fn sees
+	// each once, and a gap between two logs fails.
 	var next uint64
 	for _, name := range files {
-		res, err := replayUpdates(s.cfg.FS, name, next, wal.ReplayOptions{SkipDamaged: s.cfg.SkipDamagedLogEntries}, fn)
+		first := true
+		_, err := replayUpdates(s.cfg.FS, name, 0, wal.ReplayOptions{SkipDamaged: s.cfg.SkipDamagedLogEntries}, func(seq uint64, u Update) error {
+			if first && next != 0 && seq > next {
+				return fmt.Errorf("core: %s starts at sequence %d, want at most %d", name, seq, next)
+			}
+			first = false
+			if seq < next {
+				return nil
+			}
+			next = seq + 1
+			return fn(seq, u)
+		})
 		if err != nil {
 			return err
 		}
-		next = res.NextSeq
 	}
 	return nil
 }

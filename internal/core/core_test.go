@@ -651,12 +651,20 @@ func TestClosedStore(t *testing.T) {
 func TestAuditTrailHistory(t *testing.T) {
 	fs := vfs.NewMem(1)
 	s := openKV(t, fs, func(c *Config) { c.ArchiveLogs = true; c.Retain = 0 })
-	// Three eras of updates separated by checkpoints.
+	// Three eras of updates separated by checkpoints. era1-c commits while
+	// the first checkpoint runs, so both era-1's log and era-2's (which
+	// starts with a copy of it) hold it: History must deliver it once.
 	put(t, s, "era1-a", "1")
 	put(t, s, "era1-b", "2")
+	s.SetCheckpointStageHook(func(stage CheckpointStage) {
+		if stage == StageTailOpen {
+			put(t, s, "era1-c", "5")
+		}
+	})
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	s.SetCheckpointStageHook(nil)
 	put(t, s, "era2-a", "3")
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -673,7 +681,7 @@ func TestAuditTrailHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seqs) != 4 {
+	if len(seqs) != 5 {
 		t.Fatalf("history has %d entries: %v", len(seqs), keys)
 	}
 	for i, seq := range seqs {
@@ -681,7 +689,7 @@ func TestAuditTrailHistory(t *testing.T) {
 			t.Errorf("seq[%d] = %d", i, seq)
 		}
 	}
-	want := []string{"era1-a", "era1-b", "era2-a", "era3-a"}
+	want := []string{"era1-a", "era1-b", "era1-c", "era2-a", "era3-a"}
 	for i, k := range keys {
 		if k != want[i] {
 			t.Errorf("keys = %v", keys)
@@ -697,7 +705,7 @@ func TestAuditTrailHistory(t *testing.T) {
 	if err := s2.History(func(uint64, Update) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 {
+	if n != 5 {
 		t.Errorf("history after restart: %d entries", n)
 	}
 }

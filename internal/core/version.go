@@ -65,10 +65,3 @@ func (sn *Snapshot) Seq() uint64 { return sn.seq }
 
 // Root returns the snapshot's immutable database root.
 func (sn *Snapshot) Root() any { return sn.root }
-
-// LockHolders reports the three-mode lock's current holder counts
-// (shared, update, exclusive) — the sulock holder assertion tests use to
-// prove that versioned enquiries take zero locks.
-func (s *Store) LockHolders() (shared int, update, exclusive bool) {
-	return s.lock.Holders()
-}

@@ -107,11 +107,11 @@ func TestUnversionedRootLocksEnquiries(t *testing.T) {
 }
 
 // TestStressNoBlockedReads is the read-availability stress test: 32
-// readers, one writer, and one checkpointer run concurrently while a
-// monitor polls the lock; no enquiry may ever hold (or wait on) the
-// shared lock, and the store must publish and reclaim versions the whole
-// time. Under -race this also hammers the publication and reclamation
-// memory ordering.
+// readers, one writer, and one checkpointer run concurrently; no enquiry
+// may ever take the shared lock (core_enquiries_locked stays 0, which
+// counts every locked View), and the store must publish and reclaim
+// versions the whole time. Under -race this also hammers the publication
+// and reclamation memory ordering.
 func TestStressNoBlockedReads(t *testing.T) {
 	reg := obs.NewRegistry()
 	st := openTree(t, func(c *core.Config) { c.Obs = reg })
@@ -125,8 +125,7 @@ func TestStressNoBlockedReads(t *testing.T) {
 	const readers = 32
 	var stop atomic.Bool
 	var reads, writes, checkpoints atomic.Uint64
-	var sharedSeen atomic.Int64
-	errs := make(chan error, readers+3)
+	errs := make(chan error, readers+2)
 	var wg sync.WaitGroup
 
 	for r := 0; r < readers; r++ {
@@ -182,17 +181,6 @@ func TestStressNoBlockedReads(t *testing.T) {
 		}
 	}()
 
-	wg.Add(1)
-	go func() { // monitor: the shared lock must stay untouched throughout
-		defer wg.Done()
-		for !stop.Load() {
-			if shared, _, _ := st.LockHolders(); shared > 0 {
-				sharedSeen.Add(int64(shared))
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
-
 	time.Sleep(dur)
 	stop.Store(true)
 	wg.Wait()
@@ -204,9 +192,6 @@ func TestStressNoBlockedReads(t *testing.T) {
 	if reads.Load() == 0 || writes.Load() == 0 || checkpoints.Load() == 0 {
 		t.Fatalf("idle stress: reads=%d writes=%d checkpoints=%d",
 			reads.Load(), writes.Load(), checkpoints.Load())
-	}
-	if n := sharedSeen.Load(); n != 0 {
-		t.Fatalf("shared lock held %d times during lock-free reads", n)
 	}
 	if n := reg.Counter("core_enquiries_locked").Value(); n != 0 {
 		t.Fatalf("%d enquiries fell back to the shared lock", n)
