@@ -297,15 +297,14 @@ type Store struct {
 	cpWG          sync.WaitGroup // in-flight auto-checkpoint goroutines; Close waits
 
 	// Delta-checkpoint state, guarded by cpMu (set without it only during
-	// Open, before the store is shared). cpPrevView is the published view
-	// taken at the last successful checkpoint — the base the next delta
-	// diffs against; nil means the next checkpoint must be full. cpPrevSeq
-	// is that checkpoint's NextSeq. Retaining the view costs memory
-	// proportional to the churn since it was taken (the COW discipline
-	// shares everything unchanged). baseBytes and deltaBytes are the
-	// pickled sizes of the chain's full base image and of its deltas.
-	cpPrevView any
+	// Open, before the store is shared). cpPrevSeq is the NextSeq of the
+	// version on disk, where the current log begins, and cpMark the
+	// DeltaMark of the state it records: what the next checkpoint folds its
+	// delta from, with the log (DeltaRoot). 0 means the next checkpoint must
+	// be full. baseBytes and deltaBytes are the pickled sizes of the
+	// chain's full base image and of its deltas.
 	cpPrevSeq  uint64
+	cpMark     int
 	baseBytes  int64
 	deltaBytes int64
 
@@ -503,18 +502,19 @@ func (s *Store) initFresh() (*Store, error) {
 	s.cpState = st
 	s.applied = 0
 	s.baseBytes = int64(len(image))
-	s.seedDeltaBase(root, 1)
+	s.markDeltaBase(root, 1)
 	s.queuePublish(0)
 	s.publishDurable(0)
 	return s, nil
 }
 
-// seedDeltaBase pins the view the next checkpoint will diff against, when
-// the root type supports delta checkpoints at all.
-func (s *Store) seedDeltaBase(root any, nextSeq uint64) {
+// markDeltaBase records root, the state of the version on disk whose log
+// begins at nextSeq, as the one the next checkpoint's delta folds from,
+// when the root type supports delta checkpoints at all.
+func (s *Store) markDeltaBase(root any, nextSeq uint64) {
+	s.cpPrevSeq = 0
 	if dr, ok := root.(DeltaRoot); ok {
-		s.cpPrevView = dr.SnapshotView()
-		s.cpPrevSeq = nextSeq
+		s.cpPrevSeq, s.cpMark = nextSeq, dr.DeltaMark()
 	}
 }
 
@@ -529,17 +529,17 @@ func (s *Store) load(st checkpoint.State) error {
 	var res wal.ReplayResult
 	usedFallback := false
 	if err == nil {
-		// Pin the chain's state — exactly what on-disk version st.Version
+		// Mark the chain's state — exactly what on-disk version st.Version
 		// records, before replay mutates the root — so the first
 		// post-restart checkpoint can chain a delta onto it.
-		s.seedDeltaBase(hdr.Root, hdr.NextSeq)
+		s.markDeltaBase(hdr.Root, hdr.NextSeq)
 		res, err = s.replayInto(hdr, st.LogName(), hdr.NextSeq, replayOpts)
 	}
 	if err != nil && len(st.Retained) > 0 {
 		// Hard-error fallback through the newest retained version. The
 		// next checkpoint after a fallback is always full: the on-disk
 		// current version is damaged and must not become a delta parent.
-		s.cpPrevView, s.cpPrevSeq = nil, 0
+		s.cpPrevSeq = 0
 		prev := st.Retained[len(st.Retained)-1]
 		chain, cerr := checkpoint.ChainOf(s.cfg.FS, prev)
 		if cerr != nil {
@@ -1143,10 +1143,10 @@ func (s *Store) autoCheckpointDue() bool {
 
 // Checkpoint records the database on disk and starts an empty log (§3).
 // With a DeltaRoot (the default for the nameserver and replica roots) the
-// checkpoint file holds only the subtrees changed since the previous
-// checkpoint, chained onto the last full image, unless that would take the
-// chain past Config.MaxDeltaChain or Config.MaxDeltaRatio: then the
-// checkpoint writes a full image itself. Updates are excluded only by two
+// checkpoint file holds only the names the retiring log wrote, chained onto
+// the last full image, unless that would take the chain past
+// Config.MaxDeltaChain or Config.MaxDeltaRatio: then the checkpoint writes a
+// full image itself. Updates are excluded only by two
 // short holds of the update lock, at the start and at the flip; the
 // checkpoint file is written while they keep committing (see
 // checkpointNonBlocking). Enquiries proceed throughout.
@@ -1244,14 +1244,16 @@ func (s *Store) stageHook(stage CheckpointStage) {
 // op. No commit waits on the checkpoint's files, so their failure aborts the
 // switch and leaves the store healthy.
 //
-// With a DeltaRoot and a held previous view, step 2's pickle produces a
-// delta — the diff of the current snapshot against the previous
-// checkpoint's — written as checkpointN.d, chaining onto the previous
-// version. Everything else (tail, flip, retention) is identical. The
-// checkpoint picks its image kind before it writes anything: a delta only
-// while the chain holds fewer than MaxDeltaChain deltas and its delta bytes,
-// this one's included, stay within MaxDeltaRatio of the base image's; a full
-// image otherwise, which starts a fresh chain.
+// With a DeltaRoot, step 2 reads back the entries the old log holds up to
+// nextSeq — every update applied since the previous checkpoint — and the
+// snapshot folds them into a delta (DeltaOf), written as checkpointN.d,
+// chaining onto the previous version. Everything else (tail, flip,
+// retention) is identical. The checkpoint picks its image kind before it
+// writes anything: a delta only while the chain holds fewer than
+// MaxDeltaChain deltas and its delta bytes, this one's included, stay within
+// MaxDeltaRatio of the base image's; a full image otherwise, which starts a
+// fresh chain, and also when the range cannot be read whole or folded or is
+// larger than the base image.
 func (s *Store) checkpointNonBlocking() error {
 	s.lockUpdate()
 	s.mu.Lock()
@@ -1279,6 +1281,7 @@ func (s *Store) checkpointNonBlocking() error {
 	s.mu.Lock()
 	nextSeq := s.applied + 1
 	s.mu.Unlock()
+	logBytes := log.Size() // the entries from cpPrevSeq to nextSeq
 	obs.Emit(s.tracer, obs.Event{Name: "checkpoint.start", Attrs: []obs.Attr{
 		obs.A("version", cur.Version), obs.A("next_seq", nextSeq),
 	}})
@@ -1334,8 +1337,17 @@ func (s *Store) checkpointNonBlocking() error {
 		ps := time.Now()
 		curView = snap.Root()
 		dr, ok := curView.(DeltaRoot)
-		if ok && s.cpPrevView != nil && int(cur.Version-cur.Base) < s.maxDeltaChain() {
-			if delta, derr := dr.DeltaSince(s.cpPrevView); derr == nil {
+		// A log range larger than the chain's full image, and than the
+		// delta bytes MaxDeltaRatio lets the chain hold when that is more,
+		// is not read back: the image written instead is smaller than the
+		// log this checkpoint retires. A bulk load onto the empty initial
+		// image is such a range, whose fold would pickle a tree-sized delta
+		// only to fail MaxDeltaRatio. Below it, many updates of a few names
+		// still fold into a delta of those names.
+		foldable := float64(logBytes) <= max(1, s.maxDeltaRatio())*float64(s.baseBytes)
+		if ok && s.cpPrevSeq != 0 && int(cur.Version-cur.Base) < s.maxDeltaChain() && foldable {
+			delta, derr := dr.DeltaOf(s.cpMark, s.loggedRange(cur.LogName(), nextSeq))
+			if derr == nil {
 				subtrees = deltaOps(delta)
 				buf, derr = pickle.AppendMarshal(buf, &deltaHeader{
 					Version: next, Parent: cur.Version,
@@ -1345,8 +1357,9 @@ func (s *Store) checkpointNonBlocking() error {
 				isDelta = derr == nil && float64(s.deltaBytes+int64(len(buf))) <= s.maxDeltaRatio()*float64(s.baseBytes)
 			}
 			if !isDelta {
-				// A failed diff or pickle is not fatal, and an outsized
-				// delta saves nothing: write the full image instead.
+				// A range the root cannot fold, or a log that cannot be
+				// read whole, is not fatal, and an outsized delta saves
+				// nothing: write the full image instead.
 				buf, subtrees = buf[:0], 0
 			}
 		}
@@ -1441,18 +1454,16 @@ func (s *Store) checkpointNonBlocking() error {
 	// The switch is complete: disk is at version next whatever becomes of
 	// the cleanup below, so the chain accounting and the next delta's base
 	// move with it. curView is the published view this checkpoint
-	// recorded — exactly what on-disk version next reconstructs to. (All
-	// under cpMu, which the caller holds.)
+	// recorded — exactly what on-disk version next reconstructs to — and
+	// the new log begins at nextSeq. (All under cpMu, which the caller
+	// holds.)
 	compacted := !isDelta && cur.Version > cur.Base
 	if isDelta {
 		s.deltaBytes += cpBytes
 	} else {
 		s.baseBytes, s.deltaBytes = cpBytes, 0
 	}
-	if _, ok := curView.(DeltaRoot); ok {
-		s.cpPrevView = curView
-		s.cpPrevSeq = nextSeq
-	}
+	s.markDeltaBase(curView, nextSeq)
 
 	// Retention cleanup last — after the log stopped touching the old
 	// file. A crash here leaves debris recovery clears the same way, and so

@@ -1,34 +1,51 @@
 package core
 
+import (
+	"errors"
+	"fmt"
+
+	"smalldb/internal/wal"
+)
+
 // DeltaRoot is the contract a root type implements to get incremental
 // delta checkpoints: instead of pickling the whole root every time, the
-// store pickles only the difference since the previous checkpoint's
-// published view, chained onto the last full image on disk (see
-// internal/checkpoint's delta-chain notes for the file protocol).
+// store pickles only what changed since the previous checkpoint, chained
+// onto the last full image on disk (see internal/checkpoint's delta-chain
+// notes for the file protocol).
 //
-// It extends VersionedRoot because the delta machinery rides the same
-// copy-on-write snapshots that power lock-free enquiries: the store pins
-// the published view at each checkpoint and diffs the next checkpoint's
-// view against it, with no locking and no extra bookkeeping on the update
-// path. An unversioned root always checkpoints in full.
+// The paper's disk already says what changed: the log a checkpoint retires
+// holds every update applied since the previous one (§3). So the store pins
+// nothing between checkpoints. It keeps that checkpoint's first log sequence
+// and its view's DeltaMark, and at the next checkpoint reads the retiring
+// log's entries back and hands them to the new snapshot's DeltaOf, which
+// folds them into a delta against itself. A range it cannot read whole, one
+// larger than the base image or one the root cannot fold gets a full image.
+// DeltaRoot extends VersionedRoot because the fold reads the immutable
+// snapshot the checkpoint records; an unversioned root checkpoints in full.
 type DeltaRoot interface {
 	VersionedRoot
 
-	// DeltaSince returns a pickleable value transforming prev — an
-	// earlier SnapshotView of this root — into this root's state. Both
-	// views are immutable; the receiver is the newer one. The returned
-	// value's concrete type must be registered with pickle.Register.
-	DeltaSince(prev any) (any, error)
+	// DeltaMark returns the O(1) summary of this view that a later DeltaOf
+	// needs of the state it folds from, which it no longer sees.
+	DeltaMark() int
 
-	// ApplyDelta applies a value produced by DeltaSince to this root,
-	// which must hold the state of the view the delta was diffed against.
+	// DeltaOf returns a pickleable value turning the state of an earlier
+	// view, whose DeltaMark was mark, into the state of this immutable
+	// view. updates calls each on every update applied between the two, in
+	// log order, and returns the first error, each's included. An error is
+	// not fatal: the checkpoint writes a full image. The returned value's
+	// concrete type must be registered with pickle.Register.
+	DeltaOf(mark int, updates func(each func(Update) error) error) (any, error)
+
+	// ApplyDelta applies a value produced by DeltaOf to this root, which
+	// must hold the state of the view the delta was folded from.
 	// Recovery calls it on the chain's loaded base, oldest delta first.
 	// The delta's ownership transfers to the root: decoded subtrees may be
 	// shared rather than copied, so a delta must not be applied twice.
 	ApplyDelta(delta any) error
 }
 
-// deltaOpCounter is optionally implemented by DeltaSince results to report
+// deltaOpCounter is optionally implemented by DeltaOf results to report
 // how many subtree operations the delta holds, for checkpoint headers and
 // inspection tooling.
 type deltaOpCounter interface{ DeltaOps() int }
@@ -60,4 +77,38 @@ func deltaOps(delta any) int {
 		return c.DeltaOps()
 	}
 	return 0
+}
+
+// errRangeEnd stops the read of a retiring log at its last entry to fold.
+var errRangeEnd = errors.New("core: end of the folded range")
+
+// loggedRange returns the iterator DeltaOf folds: the updates the named log
+// holds from s.cpPrevSeq up to nextSeq, exclusive, which are those applied
+// since the previous checkpoint and before this one's snapshot. Committers
+// append to the log meanwhile; the read stops at entry nextSeq-1, which the
+// checkpoint's flush made durable, and decodes nothing past it. A range that
+// is not all there, in order and readable, is an error.
+func (s *Store) loggedRange(logName string, nextSeq uint64) func(each func(Update) error) error {
+	from := s.cpPrevSeq
+	return func(each func(Update) error) error {
+		if from == nextSeq {
+			return nil
+		}
+		_, err := replayUpdates(s.cfg.FS, logName, from, wal.ReplayOptions{}, func(seq uint64, u Update) error {
+			if err := each(u); err != nil {
+				return err
+			}
+			if seq == nextSeq-1 {
+				return errRangeEnd
+			}
+			return nil
+		})
+		switch {
+		case errors.Is(err, errRangeEnd):
+			return nil
+		case err == nil:
+			return fmt.Errorf("core: %s ends before entry %d", logName, nextSeq-1)
+		}
+		return err
+	}
 }

@@ -1,20 +1,24 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"smalldb/internal/checkpoint"
 	"smalldb/internal/pickle"
 	"smalldb/internal/vfs"
+	"smalldb/internal/wal"
 )
 
 // dkvRoot is a delta-capable variant of the kv test root: SnapshotView
-// copies the table (an immutable view), DeltaSince diffs two views,
-// ApplyDelta replays the diff. It stands in for the real tree roots so the
-// DeltaRoot contract is tested without depending on their COW machinery.
+// copies the table (an immutable view), DeltaOf folds the keys the logged
+// updates wrote into their current values or deletions, ApplyDelta replays
+// them. It stands in for the real tree roots so the DeltaRoot contract is
+// tested without depending on their COW machinery.
 type dkvRoot struct {
 	Data map[string]string
 }
@@ -36,22 +40,33 @@ type dkvDelta struct {
 
 func (d *dkvDelta) DeltaOps() int { return len(d.Put) + len(d.Del) }
 
-func (r *dkvRoot) DeltaSince(prev any) (any, error) {
-	p, ok := prev.(*dkvRoot)
-	if !ok {
-		return nil, fmt.Errorf("delta base is %T", prev)
+func (r *dkvRoot) DeltaMark() int { return 0 }
+
+func (r *dkvRoot) DeltaOf(_ int, updates func(each func(Update) error) error) (any, error) {
+	written := map[string]bool{}
+	err := updates(func(u Update) error {
+		switch u := u.(type) {
+		case *putDKV:
+			written[u.Key] = true
+		case *delDKV:
+			written[u.Key] = true
+		default:
+			return fmt.Errorf("cannot fold a %T", u)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	d := &dkvDelta{Put: map[string]string{}}
-	for k, v := range r.Data {
-		if ov, ok := p.Data[k]; !ok || ov != v {
+	for k := range written {
+		if v, ok := r.Data[k]; ok {
 			d.Put[k] = v
-		}
-	}
-	for k := range p.Data {
-		if _, ok := r.Data[k]; !ok {
+		} else {
 			d.Del = append(d.Del, k)
 		}
 	}
+	sort.Strings(d.Del)
 	return d, nil
 }
 
@@ -422,5 +437,56 @@ func TestDeltaChainFallback(t *testing.T) {
 	}
 	if vfs.Exists(fs, checkpoint.DeltaName(4)) {
 		t.Fatal("checkpoint after fallback chained onto a damaged version")
+	}
+}
+
+// TestDamagedLogWritesFullImage: a delta is folded from the log the
+// checkpoint retires, so an entry of it damaged between two checkpoints —
+// in the middle of the log or at its end, and whether or not recovery would
+// skip damaged entries — makes the checkpoint write a full image, and a
+// restart returns what memory held.
+func TestDamagedLogWritesFullImage(t *testing.T) {
+	for _, skip := range []bool{false, true} {
+		for _, entry := range []uint64{2, 5} {
+			fs := vfs.NewMem(1)
+			s := openDKV(t, fs, func(c *Config) { c.SkipDamagedLogEntries = skip })
+			populateDKV(t, s, 200)
+			if err := s.Checkpoint(); err != nil { // v2: full
+				t.Fatal(err)
+			}
+			first := s.AppliedSeq() + 1
+			for i := 0; i < 5; i++ {
+				if err := s.Apply(&putDKV{Key: fmt.Sprintf("key%04d", i), Value: "changed"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Replay stops before the entry to damage: GoodSize is where it
+			// starts. Damage its payload.
+			stop := errors.New("stop")
+			res, _ := wal.Replay(fs, checkpoint.LogName(2), first, wal.ReplayOptions{}, func(seq uint64, _ []byte) error {
+				if seq == first+entry-1 {
+					return stop
+				}
+				return nil
+			})
+			if err := fs.Damage(checkpoint.LogName(2), res.GoodSize+3, 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats(); st.DeltaCheckpoints != 0 || !vfs.Exists(fs, checkpoint.CheckpointName(3)) {
+				t.Fatalf("skip=%v, entry %d damaged: the checkpoint wrote a delta (%d deltas)", skip, entry, st.DeltaCheckpoints)
+			}
+			want := dkvData(t, s)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s = openDKV(t, fs, func(c *Config) { c.SkipDamagedLogEntries = skip })
+			if got := dkvData(t, s); !reflect.DeepEqual(got, want) {
+				t.Fatalf("skip=%v, entry %d damaged: restart diverged from memory", skip, entry)
+			}
+			s.Close()
+		}
 	}
 }

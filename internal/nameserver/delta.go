@@ -1,20 +1,24 @@
-// Incremental checkpoint support: the difference between two published
-// snapshots of a Tree, as a pickleable value.
+// Incremental checkpoint support: what turns the tree one checkpoint
+// recorded into the tree the next records, as a pickleable value.
 //
-// Discovery rides on the copy-on-write discipline: a mutation rebuilds
-// every node along its path and shares everything else, so between two
-// snapshot views a subtree whose root pointer is unchanged is content-
-// identical, and the diff needs to descend only where pointers differ —
-// cost proportional to the churn between the snapshots, not to the tree.
-// (The reverse implication does not hold: a Move reinstalls a shared
-// subtree pointer under a new parent, so the diff sees a changed parent
-// and pickles the moved subtree in full — a move costs its subtree's
-// size, the same as the PutSubtree that created it.)
+// The store keeps no earlier tree to compare with. The log the checkpoint
+// retires holds every update applied since the previous one, and DeltaOf
+// folds them: each marks the names it wrote in a trie — a Set its name, a
+// Delete, a Put and both ends of a Move each name whose subtree it removed
+// or replaced, dropping every mark below — and each marked name then
+// contributes its state in the snapshot being checkpointed: its value for a
+// Set, its subtree or its absence for the rest. The ops come out in label
+// order, so the same log always pickles to the same delta, and their number
+// follows the log range, not the tree. (A moved subtree is carried whole, as
+// the PutSubtree that created it was.)
 package nameserver
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
+	"smalldb/internal/core"
 	"smalldb/internal/pickle"
 )
 
@@ -51,8 +55,6 @@ type DeltaOp struct {
 // Tree: applying Ops to the older view's state yields the newer view's.
 type TreeDelta struct {
 	Ops []DeltaOp
-
-	visited int // arcs DeltaSince compared one by one: what it did not skip
 }
 
 func init() {
@@ -64,84 +66,127 @@ func init() {
 // checkpoint header's subtree count.
 func (d *TreeDelta) DeltaOps() int { return len(d.Ops) }
 
-// DeltaSince implements the core store's DeltaRoot contract: it returns a
-// *TreeDelta transforming prev — an earlier SnapshotView of this tree —
-// into t's state. Both trees must be immutable for the duration (snapshot
-// views are). The walk skips every pointer-shared subtree, so its cost is
-// proportional to what changed between the two views.
-func (t *Tree) DeltaSince(prev any) (any, error) {
-	p, ok := prev.(*Tree)
-	if !ok {
-		return nil, fmt.Errorf("nameserver: delta base is %T, not *Tree", prev)
+// DeltaMark implements the core store's DeltaRoot contract: the fold needs
+// nothing of the earlier tree but the log.
+func (t *Tree) DeltaMark() int { return 0 }
+
+// DeltaOf implements the core store's DeltaRoot contract: it folds the
+// name-tree updates applied since an earlier view into a *TreeDelta that
+// turns that view's state into t's. t must be immutable for the duration
+// (snapshot views are). An update of any other type is refused.
+func (t *Tree) DeltaOf(_ int, updates func(each func(core.Update) error) error) (any, error) {
+	var w written
+	if err := updates(w.add); err != nil {
+		return nil, err
 	}
 	d := &TreeDelta{}
-	oldRoot, newRoot := p.Root, t.Root
-	if oldRoot == nil {
-		oldRoot = &Node{}
+	if _, err := w.fold(Arc{Child: t.Root}, nil, d); err != nil {
+		return nil, err
 	}
-	if newRoot == nil {
-		newRoot = &Node{}
-	}
-	diffNode(oldRoot, newRoot, nil, d)
 	return d, nil
 }
 
-// diffNode appends the ops turning old into new to d. old and new are both
-// non-nil and pointer-distinct (callers handle the other cases).
-func diffNode(old, new *Node, path []string, d *TreeDelta) {
-	if old.Value != new.Value || old.HasValue != new.HasValue ||
-		old.Stamp != new.Stamp || old.StampBy != new.StampBy {
-		d.Ops = append(d.Ops, DeltaOp{
-			Op: DeltaSet, Path: path, // nil at the root, else childPath's own array
-			Value: new.Value, HasValue: new.HasValue,
-			Stamp: new.Stamp, StampBy: new.StampBy,
-		})
+// written is a trie of the names a log range wrote: set marks a name whose
+// value a Set wrote, whole one whose subtree an update removed or replaced,
+// below which nothing is marked, and made one that an update in the range
+// may have created: a Set, a Put or a Move there or below.
+type written struct {
+	kids             map[string]*written
+	set, whole, made bool
+}
+
+// add marks the names u wrote.
+func (w *written) add(u core.Update) error {
+	switch u := u.(type) {
+	case *SetValue:
+		w.mark(u.Path, false, true)
+	case *DeleteSubtree:
+		w.mark(u.Path, true, false)
+	case *PutSubtree:
+		w.mark(u.Path, true, true)
+	case *Move:
+		w.mark(u.From, true, false)
+		w.mark(u.To, true, true)
+	default:
+		return fmt.Errorf("nameserver: a %T cannot be folded into a delta", u)
 	}
-	// Merge the two label-sorted arc lists, block by block: ops come out in
-	// label order, so the same change always pickles to the same delta. Two
-	// runs in one array are shared, so equal, and skipped as far as both
-	// reach. An arc to nil (only a foreign checkpoint holds one) is no arc.
-	ob, nb := old.blockList(), new.blockList()
-	var oa, na []Arc
-	for {
-		for len(oa) == 0 && len(ob) > 0 {
-			oa, ob = ob[0], ob[1:]
-		}
-		for len(na) == 0 && len(nb) > 0 {
-			na, nb = nb[0], nb[1:]
-		}
-		if len(oa) == 0 && len(na) == 0 {
+	return nil
+}
+
+// mark records that the name path was written, whole or its value alone,
+// by an update that makes the names on its way if made.
+func (w *written) mark(path []string, whole, made bool) {
+	for _, label := range path {
+		if w.whole {
 			return
 		}
-		if len(oa) > 0 && len(na) > 0 && &oa[0] == &na[0] {
-			k := min(len(oa), len(na))
-			oa, na = oa[k:], na[k:]
-			continue
+		w.made = w.made || made
+		next := w.kids[label]
+		if next == nil {
+			if w.kids == nil {
+				w.kids = map[string]*written{}
+			}
+			next = &written{}
+			w.kids[label] = next
 		}
-		d.visited++
-		// The next label, and its child on each side that has the label.
-		fromOld := len(na) == 0 || (len(oa) > 0 && oa[0].Label() <= na[0].Label())
-		fromNew := len(oa) == 0 || (len(na) > 0 && na[0].Label() <= oa[0].Label())
-		var o, n Arc
-		if fromOld {
-			o, oa = oa[0], oa[1:]
+		w = next
+	}
+	w.made = w.made || made
+	if whole {
+		w.whole, w.kids = true, nil
+	} else {
+		w.set = true
+	}
+}
+
+// fold appends to d, in label order, the state of every name w marks at and
+// below path, to which a leads in the later tree, and reports whether the
+// name at path is there once d applies to the earlier state.
+func (w *written) fold(a Arc, path []string, d *TreeDelta) (there bool, err error) {
+	switch {
+	case w.whole && len(path) == 0:
+		return false, errors.New("nameserver: a logged update replaced the root")
+	case w.whole && a.exists():
+		d.Ops = append(d.Ops, DeltaOp{Op: DeltaPut, Path: path, Subtree: a.Node()})
+		return true, nil
+	case w.whole:
+		d.Ops = append(d.Ops, DeltaOp{Op: DeltaDelete, Path: path})
+		return false, nil
+	case !a.exists():
+		return false, fmt.Errorf("nameserver: %s was written, and is gone with no update removing it", JoinPath(path))
+	}
+	at := len(d.Ops)
+	if w.set {
+		d.Ops = append(d.Ops, setOp(a, path))
+	}
+	labels := make([]string, 0, len(w.kids))
+	for label := range w.kids {
+		labels = append(labels, label)
+	}
+	slices.Sort(labels)
+	there = w.set || len(path) == 0 // the root always is
+	for _, label := range labels {
+		k, err := w.kids[label].fold(a.step(label), childPath(path, label), d)
+		if err != nil {
+			return false, err
 		}
-		if fromNew {
-			n, na = na[0], na[1:]
-		}
-		label := n.Label()
-		if fromOld {
-			label = o.Label()
-		}
-		switch {
-		case o.Child == n.Child && o.leaf() == n.leaf(): // pointer-shared (content-identical under COW), or one inline path
-		case !n.exists():
-			d.Ops = append(d.Ops, DeltaOp{Op: DeltaDelete, Path: childPath(path, label)})
-		case !o.exists():
-			d.Ops = append(d.Ops, DeltaOp{Op: DeltaPut, Path: childPath(path, label), Subtree: n.Node()})
-		default: // an inline path on either side compares as the nodes it stands for
-			diffNode(o.Node(), n.Node(), childPath(path, label), d)
-		}
+		there = there || k
+	}
+	if !there && w.made {
+		// The range may have made this name on the way to one it then
+		// deleted, and no op below makes it: set it, so the delta does.
+		d.Ops = slices.Insert(d.Ops, at, setOp(a, path))
+	}
+	return true, nil // a name the range did not make was there before it
+}
+
+// setOp returns the DeltaSet giving path the scalars of the name a leads to.
+func setOp(a Arc, path []string) DeltaOp {
+	n := a.Node()
+	return DeltaOp{
+		Op: DeltaSet, Path: path, // nil at the root, else childPath's own array
+		Value: n.Value, HasValue: n.HasValue,
+		Stamp: n.Stamp, StampBy: n.StampBy,
 	}
 }
 
@@ -151,7 +196,7 @@ func childPath(p []string, label string) []string {
 }
 
 // ApplyDelta implements the core store's DeltaRoot contract: apply a
-// *TreeDelta produced by DeltaSince to this tree. It is called on the
+// *TreeDelta produced by DeltaOf to this tree. It is called on the
 // working root during recovery (after the chain's base loads, before log
 // replay) and respects the copy-on-write discipline, so it is also safe
 // once snapshots exist.

@@ -6,11 +6,43 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
+	"smalldb/internal/core"
+	"smalldb/internal/obs"
 	"smalldb/internal/pickle"
 	"smalldb/internal/vfs"
 )
+
+// finishes records the attributes of every checkpoint.finish event.
+type finishes struct {
+	mu     sync.Mutex
+	events []map[string]any
+}
+
+func (f *finishes) Emit(e obs.Event) {
+	if e.Name != "checkpoint.finish" {
+		return
+	}
+	attrs := map[string]any{}
+	for _, a := range e.Attrs {
+		attrs[a.Key] = a.Value
+	}
+	f.mu.Lock()
+	f.events = append(f.events, attrs)
+	f.mu.Unlock()
+}
+
+// last returns the attributes of the latest checkpoint.finish.
+func (f *finishes) last() map[string]any {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.events) == 0 {
+		return nil
+	}
+	return f.events[len(f.events)-1]
+}
 
 // nodesMatch compares two subtrees on every pickled field, stamps
 // included (flatModel only covers values, and deltas must preserve
@@ -57,35 +89,43 @@ func roundTripDelta(t *testing.T, d any) *TreeDelta {
 	return out
 }
 
-// TestTreeDeltaProperty: random updates with snapshots at random points;
-// a reconstruction tree fed only pickled deltas must track every snapshot
-// exactly.
+// TestTreeDeltaProperty: seeded histories of the crash sweeps' update mix
+// — Set, Delete, Put, Move — and stamped Sets, as a replica applies them,
+// with checkpoints at random points. At each, the fold of the updates applied
+// since the previous one, through the wire, must rebuild the snapshot on the
+// previous snapshot's state, and land where the reference diff of the two
+// snapshots lands.
 func TestTreeDeltaProperty(t *testing.T) {
 	ops := 600
 	if testing.Short() {
 		ops = 150
 	}
-	for _, seed := range []int64{1, 2, 3, 4, 5} {
+	for _, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 8} {
 		rng := rand.New(rand.NewSource(seed))
 		tree := NewTree()
-		recon := NewTree()
+		recon, ref := NewTree(), NewTree()
 		prev := tree.SnapshotView().(*Tree)
+		var logged []core.Update
 		snapshots, deltaOps, applied := 0, 0, 0
 		for i := 0; i < ops; i++ {
-			u := genUpdate(rng)
-			if err := u.Verify(tree); err != nil {
-				continue
-			}
-			if err := u.Apply(tree); err != nil {
-				t.Fatalf("seed %d op %d: %v", seed, i, err)
+			if rng.Intn(10) == 0 { // a replica's stamped Set: it logs the SetValue it wraps
+				path := []string{"abcd"[rng.Intn(4):][:1], "ab"[rng.Intn(2):][:1]}
+				tree.SetStamped(path, fmt.Sprintf("w%d", i), uint64(1+rng.Intn(i+1)), "origin"+"xyz"[rng.Intn(3):][:1])
+				logged = append(logged, &SetValue{Path: path})
+			} else {
+				u := genUpdate(rng)
+				if err := u.Verify(tree); err != nil {
+					continue
+				}
+				if err := u.Apply(tree); err != nil {
+					t.Fatalf("seed %d op %d: %v", seed, i, err)
+				}
+				logged = append(logged, u.(core.Update))
 			}
 			applied++
 			if rng.Float64() < 0.15 {
 				cur := tree.SnapshotView().(*Tree)
-				d, err := cur.DeltaSince(prev)
-				if err != nil {
-					t.Fatalf("seed %d op %d: DeltaSince: %v", seed, i, err)
-				}
+				d, _ := foldDelta(t, cur, logged)
 				wire := roundTripDelta(t, d)
 				deltaOps += len(wire.Ops)
 				if err := recon.ApplyDelta(wire); err != nil {
@@ -94,7 +134,13 @@ func TestTreeDeltaProperty(t *testing.T) {
 				if diff := nodesMatch(recon.Root, cur.Root, ""); diff != "" {
 					t.Fatalf("seed %d op %d: reconstruction diverged: %s", seed, i, diff)
 				}
-				prev = cur
+				if err := ref.ApplyDelta(roundTripDelta(t, diffDelta(cur, prev))); err != nil {
+					t.Fatalf("seed %d op %d: ApplyDelta of the reference: %v", seed, i, err)
+				}
+				if diff := nodesMatch(recon.Root, ref.Root, ""); diff != "" {
+					t.Fatalf("seed %d op %d: the fold and the reference diff disagree: %s", seed, i, diff)
+				}
+				prev, logged = cur, nil
 				snapshots++
 			}
 		}
@@ -105,67 +151,108 @@ func TestTreeDeltaProperty(t *testing.T) {
 	}
 }
 
+// TestTreeDeltaKeepsEmptiedParent: a Set makes the names on its way, and a
+// Delete of the name it was made for leaves them there, empty. The fold
+// sets such a parent too, so the delta makes it on a state that lacked it.
+func TestTreeDeltaKeepsEmptiedParent(t *testing.T) {
+	tree := NewTree()
+	updates := []core.Update{
+		&SetValue{Path: []string{"p", "q", "r"}, Value: "v"},
+		&DeleteSubtree{Path: []string{"p", "q"}},
+	}
+	for _, u := range updates {
+		if err := u.Verify(tree); err != nil {
+			t.Fatal(err)
+		}
+		if err := u.Apply(tree); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur := tree.SnapshotView().(*Tree)
+	d, _ := foldDelta(t, cur, updates)
+	recon := NewTree()
+	if err := recon.ApplyDelta(roundTripDelta(t, d)); err != nil {
+		t.Fatal(err)
+	}
+	if diff := nodesMatch(recon.Root, cur.Root, ""); diff != "" {
+		t.Fatalf("%+v rebuilt a different tree: %s", d.Ops, diff)
+	}
+}
+
 func TestTreeDeltaEmpty(t *testing.T) {
 	tree := NewTree()
 	(&SetValue{Path: []string{"a"}, Value: "1"}).Apply(tree)
-	v1 := tree.SnapshotView().(*Tree)
-	v2 := tree.SnapshotView().(*Tree)
-	d, err := v2.DeltaSince(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := d.(*TreeDelta).DeltaOps(); n != 0 {
-		t.Fatalf("delta of identical snapshots has %d ops", n)
+	if d, _ := foldDelta(t, tree.SnapshotView().(*Tree), nil); d.DeltaOps() != 0 {
+		t.Fatalf("the fold of no updates has %d ops", d.DeltaOps())
 	}
 }
 
-// TestTreeDeltaProportionalToChurn: touching a handful of names in a big
-// tree yields a delta whose op count is on the order of the churn, not
-// the tree.
+// TestTreeDeltaProportionalToChurn: touching a handful of names yields a
+// delta of one op per name the log range wrote, whatever the size of the
+// tree around them: the fold reads the log, not the tree.
 func TestTreeDeltaProportionalToChurn(t *testing.T) {
-	tree := NewTree()
-	for i := 0; i < 2000; i++ {
-		p := []string{fmt.Sprintf("dir%d", i%50), fmt.Sprintf("leaf%d", i)}
-		(&SetValue{Path: p, Value: "x"}).Apply(tree)
-	}
-	v1 := tree.SnapshotView().(*Tree)
-	for i := 0; i < 10; i++ {
-		(&SetValue{Path: []string{"dir0", fmt.Sprintf("leaf%d", i*50)}, Value: "y"}).Apply(tree)
-	}
-	v2 := tree.SnapshotView().(*Tree)
-	d, err := v2.DeltaSince(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := d.(*TreeDelta).DeltaOps()
-	if n == 0 || n > 30 {
-		t.Fatalf("10 leaf writes produced %d delta ops", n)
+	for _, names := range []int{2000, 8000} {
+		tree := NewTree()
+		for i := 0; i < names; i++ {
+			p := []string{fmt.Sprintf("dir%d", i%50), fmt.Sprintf("leaf%d", i)}
+			(&SetValue{Path: p, Value: "x"}).Apply(tree)
+		}
+		tree.SnapshotView()
+		var logged []core.Update
+		for i := 0; i < 10; i++ {
+			u := &SetValue{Path: []string{"dir0", fmt.Sprintf("leaf%d", i*50)}, Value: "y"}
+			u.Apply(tree)
+			logged = append(logged, u, u) // each name written twice
+		}
+		d, folded := foldDelta(t, tree.SnapshotView().(*Tree), logged)
+		if folded != 20 || d.DeltaOps() != 10 {
+			t.Fatalf("%d names: 20 writes of 10 names folded %d entries into %d ops, want 20 into 10", names, folded, d.DeltaOps())
+		}
 	}
 }
 
-// TestTreeDeltaVisitsChangedBlocks: one Set in a 500-arc directory changes
-// one of its blocks, and the diff compares that block's arcs one by one and
-// skips the rest — whether the earlier view held the directory in blocks
-// or flat, as a PutSubtree leaves it until its first copy-on-write write.
+// TestTreeDeltaVisitsChangedBlocks: one Set in a wide directory folds into
+// one op whether the directory holds 500 arcs or 5 000, flat or in blocks,
+// as a PutSubtree leaves it until its first copy-on-write write.
 func TestTreeDeltaVisitsChangedBlocks(t *testing.T) {
-	dir := &Node{}
-	for i := 0; i < 500; i++ {
-		dir.Arcs = append(dir.Arcs, arcOf(fmt.Sprintf("name%03d", i), &Node{Value: "v", HasValue: true}))
+	for _, width := range []int{500, 5000} {
+		dir := &Node{}
+		for i := 0; i < width; i++ {
+			dir.Arcs = append(dir.Arcs, arcOf(fmt.Sprintf("name%04d", i), &Node{Value: "v", HasValue: true}))
+		}
+		tree := NewTree()
+		if err := (&PutSubtree{Path: []string{"dir"}, Subtree: dir}).Apply(tree); err != nil {
+			t.Fatal(err)
+		}
+		prev := tree.SnapshotView().(*Tree)
+		for _, held := range []string{"flat", "in blocks"} {
+			u := &SetValue{Path: []string{"dir", "name0250"}, Value: held}
+			u.Apply(tree)
+			cur := tree.SnapshotView().(*Tree)
+			d, folded := foldDelta(t, cur, []core.Update{u})
+			if folded != 1 || len(d.Ops) != 1 || d.Ops[0].Op != DeltaSet {
+				t.Fatalf("%d arcs held %s: 1 Set folded into %+v, want one DeltaSet", width, held, d.Ops)
+			}
+			recon := roundTripTree(t, prev)
+			if err := recon.ApplyDelta(roundTripDelta(t, d)); err != nil {
+				t.Fatal(err)
+			}
+			if diff := nodesMatch(recon.Root, cur.Root, ""); diff != "" {
+				t.Fatalf("%d arcs held %s: %s", width, held, diff)
+			}
+			prev = cur
+		}
 	}
-	tree := NewTree()
-	if err := (&PutSubtree{Path: []string{"dir"}, Subtree: dir}).Apply(tree); err != nil {
+}
+
+// roundTripTree returns a loaded copy of tr, as a restart reads its image.
+func roundTripTree(t *testing.T, tr *Tree) *Tree {
+	t.Helper()
+	out := &Tree{}
+	if err := pickle.Unmarshal(mustMarshal(tr), out); err != nil {
 		t.Fatal(err)
 	}
-	prev := tree.SnapshotView().(*Tree)
-	for _, held := range []string{"flat", "in blocks"} {
-		(&SetValue{Path: []string{"dir", "name250"}, Value: held}).Apply(tree)
-		cur := tree.SnapshotView().(*Tree)
-		d := mustDelta(t, cur, prev).(*TreeDelta)
-		if len(d.Ops) != 1 || d.visited > 1+blockSize {
-			t.Fatalf("directory held %s: %d ops, %d arcs compared; want 1 op and at most %d arcs", held, len(d.Ops), d.visited, 1+blockSize)
-		}
-		prev = cur
-	}
+	return out
 }
 
 // TestApplyDeltaRefusesSharedSubtree: a delta's subtrees come off the wire,
@@ -201,20 +288,17 @@ func TestTreeDeltaMove(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		(&SetValue{Path: []string{"src", fmt.Sprintf("k%d", i)}, Value: "v"}).Apply(tree)
 	}
-	v1 := tree.SnapshotView().(*Tree)
-	recon := NewTree()
-	if err := recon.ApplyDelta(roundTripDelta(t, mustDelta(t, v1, NewTree().SnapshotView().(*Tree)))); err != nil {
-		t.Fatal(err)
-	}
-	if diff := nodesMatch(recon.Root, v1.Root, ""); diff != "" {
-		t.Fatalf("base reconstruction: %s", diff)
-	}
-
-	if err := (&Move{From: []string{"src"}, To: []string{"dst"}}).Apply(tree); err != nil {
+	recon := roundTripTree(t, tree.SnapshotView().(*Tree))
+	move := &Move{From: []string{"src"}, To: []string{"dst"}}
+	if err := move.Apply(tree); err != nil {
 		t.Fatal(err)
 	}
 	v2 := tree.SnapshotView().(*Tree)
-	d := roundTripDelta(t, mustDelta(t, v2, v1))
+	fold, _ := foldDelta(t, v2, []core.Update{move})
+	d := roundTripDelta(t, fold)
+	if len(d.Ops) != 2 || d.Ops[0].Op != DeltaPut || d.Ops[1].Op != DeltaDelete {
+		t.Fatalf("a move folded into %+v, want a put and a delete", d.Ops)
+	}
 	if err := recon.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
@@ -227,13 +311,13 @@ func TestTreeDeltaMove(t *testing.T) {
 func TestTreeDeltaStamps(t *testing.T) {
 	tree := NewTree()
 	(&SetValue{Path: []string{"x"}, Value: "0"}).Apply(tree)
-	v1 := tree.SnapshotView().(*Tree)
+	tree.SnapshotView()
 	tree.SetStamped([]string{"x"}, "1", 42, "nodeB")
-	v2 := tree.SnapshotView().(*Tree)
+	d, _ := foldDelta(t, tree.SnapshotView().(*Tree), []core.Update{&SetValue{Path: []string{"x"}, Value: "1"}})
 
 	recon := NewTree()
 	(&SetValue{Path: []string{"x"}, Value: "0"}).Apply(recon)
-	if err := recon.ApplyDelta(roundTripDelta(t, mustDelta(t, v2, v1))); err != nil {
+	if err := recon.ApplyDelta(roundTripDelta(t, d)); err != nil {
 		t.Fatal(err)
 	}
 	got := recon.FindNode([]string{"x"})
@@ -242,27 +326,113 @@ func TestTreeDeltaStamps(t *testing.T) {
 	}
 }
 
-func mustDelta(t *testing.T, cur, prev *Tree) any {
-	t.Helper()
-	d, err := cur.DeltaSince(prev)
+// TestBulkLoadPicklesOneImage: the first checkpoint of a bulk load —
+// PutSubtrees on an empty store, as the benchmark's setup does — writes a
+// full image, since a delta of the whole tree cannot pass MaxDeltaRatio of
+// the empty image it would chain onto. Its log is larger than that image, so
+// the checkpoint reads none of it back: nothing is folded and no delta
+// pickled, and the image is the checkpoint's one pickle. A later checkpoint
+// of a few Sets does read its log and writes a delta.
+func TestBulkLoadPicklesOneImage(t *testing.T) {
+	var cps finishes
+	fs := vfs.NewMetered(vfs.NewMem(1), vfs.Profile{}, 0)
+	ns, err := Open(Config{FS: fs, Tracer: &cps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d
+	defer ns.Close()
+	for d := 0; d < 20; d++ {
+		dept := &Node{Children: map[string]*Node{}}
+		for h := 0; h < 100; h++ {
+			dept.Children[fmt.Sprintf("host%05d", d*100+h)] = &Node{Children: map[string]*Node{"addr": {Value: fmt.Sprintf("%048x", d*100+h), HasValue: true}}}
+		}
+		if err := ns.Put(fmt.Sprintf("org/dept%03d", d), dept); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.ResetStats()
+	if err := ns.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// What a checkpoint reads besides a log range is its version's small
+	// state files.
+	ev, bulkRead := cps.last(), fs.Stats().BytesRead
+	if image, _ := ev["bytes"].(int64); ev["delta"] != false || bulkRead > image/100 {
+		t.Fatalf("bulk load: checkpoint.finish %v after reading %d bytes; want a full image and its log left unread", ev, bulkRead)
+	}
+	for i := 0; i < 3; i++ {
+		if err := ns.Set(fmt.Sprintf("org/dept000/host%05d/addr", i), "changed"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.ResetStats()
+	if err := ns.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if ev, read := cps.last(), fs.Stats().BytesRead; ev["delta"] != true || read <= bulkRead {
+		t.Fatalf("three Sets: checkpoint.finish %v after reading %d bytes; want a delta folded from its log", ev, read)
+	}
+}
+
+// TestHotNamesFoldToADelta: many updates of a few names make a log range
+// larger than MaxDeltaRatio of the base image, but the delta the fold makes
+// of it holds those names alone, so the checkpoint still writes a delta of
+// one op a name rather than the full image.
+func TestHotNamesFoldToADelta(t *testing.T) {
+	const names, sets = 1024, 700
+	val := strings.Repeat("x", 256)
+	var cps finishes
+	fs := vfs.NewMetered(vfs.NewMem(1), vfs.Profile{}, 0)
+	ns, err := Open(Config{FS: fs, Retain: 1, Tracer: &cps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Close()
+	for i := 0; i < names; i++ {
+		if err := ns.Set(fmt.Sprintf("hot/dir%d/e%d", i%127, i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ns.Checkpoint(); err != nil { // the full base image
+		t.Fatal(err)
+	}
+	full := ns.Stats().LastCheckpointBytes
+	for i := 0; i < sets; i++ {
+		if err := ns.Set(fmt.Sprintf("hot/dir%d/e%d", i%2, i%2), fmt.Sprintf("%s%d", val, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.ResetStats()
+	if err := ns.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ev, read := cps.last(), fs.Stats().BytesRead
+	t.Logf("%d Sets of 2 names: %d log bytes read over a %d-byte image, checkpoint.finish %v", sets, read, full, ev)
+	if float64(read) <= 0.5*float64(full) {
+		t.Fatalf("the log range read %d bytes, not past MaxDeltaRatio 0.5 of the %d-byte image", read, full)
+	}
+	if ev["delta"] != true || ev["subtrees"] != 2 {
+		t.Fatalf("checkpoint.finish %v: want a delta of the 2 names", ev)
+	}
+	if b, _ := ev["bytes"].(int64); b > full/100 {
+		t.Fatalf("a delta of 2 names took %d bytes against a %d-byte image", b, full)
+	}
 }
 
 // TestDeltaCheckpointBytesTrackChurn states the incremental-checkpoint claim
 // in bytes, through the server: at a fixed absolute churn the delta file —
 // and what a restart reads of it — stays near-flat across a 4x root-size
 // sweep while the full image tracks the root, and at churn = 10% of the root
-// the delta costs at most a quarter of the full image.
+// the delta costs at most a quarter of the full image. The delta holds one op
+// per entry of the log it folds, at every root size.
 func TestDeltaCheckpointBytesTrackChurn(t *testing.T) {
 	const base, churn = 1024, 102
 	val := strings.Repeat("x", 256)
 	name := func(i int) string { return fmt.Sprintf("cpscale/dir%d/e%d", i%127, i) }
 	measure := func(entries int) (full, delta, restartDelta int64) {
 		fs := vfs.NewMem(1)
-		ns, err := Open(Config{FS: fs, Retain: 1})
+		var cps finishes
+		ns, err := Open(Config{FS: fs, Retain: 1, Tracer: &cps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,6 +458,9 @@ func TestDeltaCheckpointBytesTrackChurn(t *testing.T) {
 			t.Fatalf("%d entries: chain length %d, %d deltas — not a delta chain", entries, st.ChainLength, st.DeltaCheckpoints)
 		}
 		delta = st.LastCheckpointBytes
+		if ops := cps.last()["subtrees"]; ops != churn {
+			t.Fatalf("%d entries: %d Sets folded into %v ops, want one each", entries, churn, ops)
+		}
 		if err := ns.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -321,13 +494,13 @@ func TestDeltaCheckpointBytesTrackChurn(t *testing.T) {
 // TestDeltaCheckpointReproducible: a delta that holds many operations —
 // sets under several directories, a delete, a subtree install, a rename —
 // comes out byte for byte the same every time the same workload is run. The
-// diff is a merge over label-sorted arcs, so its operations are listed in
-// label order (they used to come out in Go's map order, which differs from
-// run to run).
+// fold lists the names it marked in label order (a delta once came out in
+// Go's map order, which differs from run to run).
 func TestDeltaCheckpointReproducible(t *testing.T) {
 	run := func() (deltas map[string][]byte, ops int) {
 		fs := vfs.NewMem(1)
-		ns, err := Open(Config{FS: fs, Retain: 1, MaxDeltaRatio: 8})
+		var cps finishes
+		ns, err := Open(Config{FS: fs, Retain: 1, MaxDeltaRatio: 8, Tracer: &cps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,8 +514,6 @@ func TestDeltaCheckpointReproducible(t *testing.T) {
 			must(ns.Set(fmt.Sprintf("dept%d/host%d/addr", i%6, i), fmt.Sprintf("v%d", i)))
 		}
 		must(ns.Checkpoint()) // the full base image
-		var base *Tree
-		must(ns.Store().View(func(root any) error { base = root.(*Tree); return nil }))
 		for i := 0; i < 60; i += 7 {
 			must(ns.Set(fmt.Sprintf("dept%d/host%d/addr", i%6, i), "changed"))
 		}
@@ -354,12 +525,8 @@ func TestDeltaCheckpointReproducible(t *testing.T) {
 			"q": {Value: "1", HasValue: true}, "p": {Value: "2", HasValue: true}, "r": {},
 		}}))
 		must(ns.Rename("dept3", "moved"))
-		must(ns.Store().View(func(root any) error {
-			d, err := root.(*Tree).DeltaSince(base)
-			ops = d.(*TreeDelta).DeltaOps()
-			return err
-		}))
 		must(ns.Checkpoint()) // the measured delta
+		ops = cps.last()["subtrees"].(int)
 		if st := ns.Stats(); st.DeltaCheckpoints != 1 {
 			t.Fatalf("second checkpoint was not a delta: %+v", st)
 		}

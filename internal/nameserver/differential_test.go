@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"smalldb/internal/core"
 	"smalldb/internal/pickle"
 )
 
@@ -426,16 +427,18 @@ func chainStep(rng *rand.Rand, tr *Tree, m refModel, step int, verify func(int, 
 // refView is a published snapshot, the model's dump when it was taken, and
 // the snapshot's pickle.
 type refView struct {
-	step  int
-	tree  *Tree
-	dump  string
-	image []byte
+	step   int
+	tree   *Tree
+	dump   string
+	image  []byte
+	logged int // updates applied before it
 }
 
 func runDifferential(t *testing.T, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 	tree, model := NewTree(), refModel{"": {}}
 	var views []refView
+	var logged []core.Update // every update applied, as a log holds it
 	counts := map[string]int{}
 
 	// verify runs u.Verify and requires it to agree with the model's
@@ -512,6 +515,7 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 				if won := tree.SetStamped(path, e.value, e.stamp, e.stampBy); won != wins {
 					t.Fatalf("seed %d step %d: SetStamped(%v, %+v) over %+v won = %v, model says %v", seed, step, path, e, held, won, wins)
 				}
+				logged = append(logged, &SetValue{Path: path, Value: e.value}) // what a replica logs, won or lost
 				if wins {
 					model.ensure(path)
 					model[JoinPath(path)] = e
@@ -590,6 +594,7 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 				if err := applied.Apply(tree); err != nil {
 					t.Fatalf("seed %d step %d: Apply %T: %v", seed, step, applied, err)
 				}
+				logged = append(logged, applied.(core.Update))
 				if put, ok := applied.(*PutSubtree); ok {
 					scribble(put.Subtree) // the tree holds a copy, never the update's nodes
 				}
@@ -601,6 +606,7 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 				if err := u.Apply(tree); err != nil {
 					t.Fatalf("seed %d step %d: Apply %s %+v: %v", seed, step, kind, u, err)
 				}
+				logged = append(logged, u.(core.Update))
 				if a := tree.at(inline); inline != nil && span(a) < 2 {
 					t.Fatalf("seed %d step %d: %s %+v left %q holding %+v, not an inline path", seed, step, kind, u, JoinPath(inline), a)
 				}
@@ -626,7 +632,7 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 			shrinking = false
 		}
 		if rng.Intn(100) < 2 {
-			v := refView{step: step, tree: tree.SnapshotView().(*Tree), dump: now}
+			v := refView{step: step, tree: tree.SnapshotView().(*Tree), dump: now, logged: len(logged)}
 			v.image = roundTrip(step, v.tree, new(Tree))
 			views = append(views, v)
 		}
@@ -661,25 +667,25 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 		if flat := mustMarshal(&Tree{Root: flatCopy(tree.Root)}); !bytes.Equal(flat, raw) {
 			t.Fatalf("seed %d step %d: tree does not pickle to the bytes of its flat copy", seed, step)
 		}
-		// 5. From a loaded copy of any earlier view, the delta since that
-		// view — itself through the wire — rebuilds the current tree.
+		// 5. From a loaded copy of any earlier view, the fold of the updates
+		// applied since — through the wire — rebuilds the current tree, as
+		// the reference diff of the two does.
 		if len(views) > 0 {
 			v := views[rng.Intn(len(views))]
-			var base Tree
-			if err := pickle.Unmarshal(v.image, &base); err != nil {
-				t.Fatalf("seed %d step %d: loading view %d: %v", seed, step, v.step, err)
-			}
-			d, err := tree.DeltaSince(v.tree)
-			if err != nil {
-				t.Fatalf("seed %d step %d: DeltaSince(view %d): %v", seed, step, v.step, err)
-			}
-			var wire TreeDelta
-			roundTrip(step, d, &wire)
-			if err := base.ApplyDelta(&wire); err != nil {
-				t.Fatalf("seed %d step %d: ApplyDelta(view %d): %v", seed, step, v.step, err)
-			}
-			if got := dumpTree(t, &base); got != now {
-				t.Fatalf("seed %d step %d: view %d + delta != current tree:\ngot:\n%s\nmodel:\n%s", seed, step, v.step, got, now)
+			fold, _ := foldDelta(t, tree, logged[v.logged:])
+			for what, d := range map[string]*TreeDelta{"fold": fold, "reference diff": diffDelta(tree, v.tree)} {
+				var base Tree
+				var wd TreeDelta
+				if err := pickle.Unmarshal(v.image, &base); err != nil {
+					t.Fatalf("seed %d step %d: loading view %d: %v", seed, step, v.step, err)
+				}
+				roundTrip(step, d, &wd)
+				if err := base.ApplyDelta(&wd); err != nil {
+					t.Fatalf("seed %d step %d: ApplyDelta of the %s (view %d): %v", seed, step, what, v.step, err)
+				}
+				if got := dumpTree(t, &base); got != now {
+					t.Fatalf("seed %d step %d: view %d + %s != current tree:\ngot:\n%s\nmodel:\n%s", seed, step, v.step, what, got, now)
+				}
 			}
 		}
 	}

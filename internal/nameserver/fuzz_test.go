@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"smalldb/internal/checkpoint"
+	"smalldb/internal/core"
 	"smalldb/internal/pickle"
 	"smalldb/internal/vfs"
 )
@@ -231,8 +232,20 @@ func exercise(t *testing.T, tr *Tree) {
 		if err := tr.Enumerate(nil, func(string, string) error { return nil }); err != nil {
 			t.Fatalf("Enumerate of a decoded tree: %v", err)
 		}
-		if _, err := tr.DeltaSince(NewTree()); err != nil {
-			t.Fatalf("DeltaSince of a decoded tree: %v", err)
+		labels, _ := tr.List(nil)
+		d, err := tr.DeltaOf(0, func(each func(core.Update) error) error { // every name, as a fold carries it
+			for _, l := range labels {
+				if err := each(&PutSubtree{Path: []string{l}}); err != nil {
+					return err
+				}
+			}
+			return each(&SetValue{})
+		})
+		if err != nil {
+			t.Fatalf("DeltaOf of a decoded tree: %v", err)
+		}
+		if _, err := pickle.Marshal(d); err != nil {
+			t.Fatalf("the delta of a decoded tree does not pickle: %v", err)
 		}
 	}
 	if err := (&SetValue{Path: []string{"a", "fuzz"}, Value: "v"}).Apply(tr); err != nil {

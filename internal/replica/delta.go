@@ -1,14 +1,16 @@
-// Incremental checkpoint support for replicated roots. The tree diff is
-// delegated to nameserver.TreeDelta; the replication metadata rides along:
-// the version vector and clock are tiny and travel as full copies, and the
-// history — the one piece that can rival the tree in size — ships as the
-// appended suffix plus a dropped-prefix count, reconstructed against the
-// previous snapshot's history on apply.
+// Incremental checkpoint support for replicated roots. The tree's part is
+// nameserver's fold of the inner updates the retiring log holds; the
+// replication metadata rides along: the version vector and clock are tiny
+// and travel as full copies, and the history — the one piece that can rival
+// the tree in size — ships as the appended suffix plus a dropped-prefix
+// count, reconstructed against the previous checkpoint's history on apply.
+// What the fold needs of that history is its length, the root's DeltaMark.
 package replica
 
 import (
 	"fmt"
 
+	"smalldb/internal/core"
 	"smalldb/internal/nameserver"
 	"smalldb/internal/pickle"
 )
@@ -27,9 +29,9 @@ type RootDelta struct {
 	// History reconstruction: drop HistoryDropped entries from the front
 	// of the previous history, then append HistoryAppended. When
 	// HistoryFull is set the previous history is discarded and
-	// HistoryAppended is the entire new history (the defensive fallback
-	// when the append-only relation between the two histories cannot be
-	// verified).
+	// HistoryAppended is the entire new history: older builds, which
+	// compared two views' histories, set it when they could not relate
+	// them; a fold never needs to.
 	HistoryDropped  int
 	HistoryAppended []Entry
 	HistoryFull     bool
@@ -47,44 +49,36 @@ func (d *RootDelta) DeltaOps() int {
 	return d.Tree.DeltaOps()
 }
 
-func vectorSum(v map[string]uint64) uint64 {
-	var s uint64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
+// DeltaMark implements the core store's DeltaRoot contract: the length of
+// the history window, which the next delta's HistoryDropped counts from.
+func (r *Root) DeltaMark() int { return len(r.History) }
 
-func entrySame(a, b Entry) bool {
-	return a.Origin == b.Origin && a.Seq == b.Seq && a.Stamp == b.Stamp
-}
-
-// DeltaSince implements the core store's DeltaRoot contract: it returns a
-// *RootDelta transforming prev — an earlier SnapshotView of this root —
-// into r's state.
+// DeltaOf implements the core store's DeltaRoot contract: it folds the
+// updates applied since an earlier view — whose history window held mark
+// entries — into a *RootDelta that turns that view's state into r's.
 //
-// The history delta leans on an invariant of Replicated.Apply: each apply
-// appends exactly one history entry and raises exactly one vector slot by
-// one, so the number of entries appended between two snapshots equals the
-// difference of their vector sums. That count splits the current history
-// into a surviving prefix (a suffix of the previous history) and the
-// appended suffix. The split is verified against the previous history's
-// boundary entries; if anything disagrees (say the history was replaced
-// wholesale by a restore), the delta falls back to carrying the full
-// history.
-func (r *Root) DeltaSince(prev any) (any, error) {
-	p, ok := prev.(*Root)
-	if !ok {
-		return nil, fmt.Errorf("replica: delta base is %T, not *replica.Root", prev)
+// The tree's part is the inner updates' fold. The history's leans on an
+// invariant of Replicated.Apply: each apply appends exactly one entry to
+// the window, so of r's window the last as many entries as the range holds
+// Replicated updates are new, and the rest are the earlier window's tail.
+// An install, which replaces the root wholesale, is refused: the checkpoint
+// writes a full image.
+func (r *Root) DeltaOf(mark int, updates func(each func(core.Update) error) error) (any, error) {
+	tree := r.Tree
+	if tree == nil {
+		tree = nameserver.NewTree()
 	}
-	curTree, prevTree := r.Tree, p.Tree
-	if curTree == nil {
-		curTree = nameserver.NewTree()
-	}
-	if prevTree == nil {
-		prevTree = nameserver.NewTree()
-	}
-	td, err := curTree.DeltaSince(prevTree)
+	appended := 0
+	td, err := tree.DeltaOf(0, func(each func(core.Update) error) error {
+		return updates(func(u core.Update) error {
+			ru, ok := u.(*Replicated)
+			if !ok {
+				return fmt.Errorf("replica: a %T cannot be folded into a delta", u)
+			}
+			appended++
+			return each(ru.Inner)
+		})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -94,44 +88,17 @@ func (r *Root) DeltaSince(prev any) (any, error) {
 		Clock:      r.Clock,
 		HistoryCap: r.HistoryCap,
 	}
-
-	appended := vectorSum(r.Vector) - vectorSum(p.Vector)
-	if appended >= uint64(len(r.History)) {
-		// Every surviving entry is new since prev (or the relation is
-		// unverifiable); ship the whole history and drop all of prev's.
-		d.HistoryDropped = len(p.History)
-		d.HistoryAppended = append([]Entry(nil), r.History...)
-		if appended > uint64(len(r.History)) && len(r.History) > 0 {
-			// Trim has discarded some of the appended entries; prev's
-			// suffix is simply gone. Dropping all of prev and appending
-			// all of cur still yields exactly cur's history.
-			d.HistoryFull = true
-		}
-		return d, nil
+	survive := max(len(r.History)-appended, 0)
+	if survive > mark {
+		return nil, fmt.Errorf("replica: history of %d entries holds %d more than %d earlier plus %d appended", len(r.History), survive-mark, mark, appended)
 	}
-
-	survive := len(r.History) - int(appended)
-	dropped := len(p.History) - survive
-	verified := dropped >= 0
-	if verified && survive > 0 {
-		// The surviving prefix of cur must be the tail of prev. Entries
-		// are immutable once appended, so checking both boundary entries
-		// suffices to catch any wholesale replacement.
-		verified = entrySame(r.History[0], p.History[dropped]) &&
-			entrySame(r.History[survive-1], p.History[len(p.History)-1])
-	}
-	if !verified {
-		d.HistoryFull = true
-		d.HistoryAppended = append([]Entry(nil), r.History...)
-		return d, nil
-	}
-	d.HistoryDropped = dropped
+	d.HistoryDropped = mark - survive
 	d.HistoryAppended = append([]Entry(nil), r.History[survive:]...)
 	return d, nil
 }
 
 // ApplyDelta implements the core store's DeltaRoot contract: apply a
-// *RootDelta produced by DeltaSince. r must hold the previous snapshot's
+// *RootDelta produced by DeltaOf. r must hold the previous snapshot's
 // state (the recovery path guarantees this: the chain's base checkpoint
 // loads first, then each delta applies in version order).
 func (r *Root) ApplyDelta(delta any) error {

@@ -2,16 +2,22 @@ package replica
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"smalldb/internal/checkpoint"
+	"smalldb/internal/core"
 	"smalldb/internal/nameserver"
 	"smalldb/internal/pickle"
+	"smalldb/internal/vfs"
 )
 
 // applyN applies n replicated SetValue updates from origin to r, starting
-// at per-origin sequence startSeq, stamping from the root's clock.
-func applyN(t *testing.T, r *Root, origin string, startSeq uint64, n int) {
+// at per-origin sequence startSeq, stamping from the root's clock, and
+// returns them as the log holds them.
+func applyN(t *testing.T, r *Root, origin string, startSeq uint64, n int) (logged []core.Update) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		seq := startSeq + uint64(i)
@@ -30,7 +36,9 @@ func applyN(t *testing.T, r *Root, origin string, startSeq uint64, n int) {
 		if err := u.Apply(r); err != nil {
 			t.Fatalf("apply %s/%d: %v", origin, seq, err)
 		}
+		logged = append(logged, u)
 	}
+	return logged
 }
 
 func treesMatch(a, b *nameserver.Node, path string) string {
@@ -94,38 +102,93 @@ func wireDelta(t *testing.T, d any) *RootDelta {
 	return out
 }
 
-// TestRootDeltaRoundTrip: recovery-style reconstruction — a root holding
-// the previous snapshot's state plus the wire delta lands exactly on the
-// current snapshot, history and all.
-func TestRootDeltaRoundTrip(t *testing.T) {
-	mk := NewRootWithCap(64)
-	live := mk().(*Root)
-	recon := mk().(*Root)
-	applyN(t, live, "a", 1, 10)
-	applyN(t, live, "b", 1, 5)
-	applyN(t, recon, "a", 1, 10)
-	applyN(t, recon, "b", 1, 5)
-	prev := live.SnapshotView().(*Root)
-
-	applyN(t, live, "a", 11, 3)
-	applyN(t, live, "c", 1, 2)
-	cur := live.SnapshotView().(*Root)
-
-	d, err := cur.DeltaSince(prev)
+// mustFold is foldRoot through the wire, failing the test on an error.
+func mustFold(t *testing.T, cur *Root, mark int, updates []core.Update) *RootDelta {
+	t.Helper()
+	d, err := foldRoot(cur, mark, updates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := wireDelta(t, d)
-	if wire.HistoryFull {
-		t.Error("append-only histories should not need the full fallback")
+	return wireDelta(t, d)
+}
+
+// TestRootDeltaRoundTrip: seeded histories of the crash sweeps' update mix —
+// Set, Delete, Put, Move — as stamped Replicated entries from three origins,
+// in a history window driven past its cap, with checkpoints at random points.
+// At each, the fold of the entries applied since the previous one, through
+// the wire, must rebuild the snapshot on the previous one's state, history
+// and all, and land where the reference delta of the two snapshots lands.
+func TestRootDeltaRoundTrip(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		mk := NewRootWithCap(3 + int(seed))
+		live, recon, ref := mk().(*Root), mk().(*Root), mk().(*Root)
+		prev := live.SnapshotView().(*Root)
+		var logged []core.Update
+		checkpoints, folded := 0, 0
+		for i := 0; i < 400; i++ {
+			origin := "abc"[rng.Intn(3):][:1]
+			u := &Replicated{Origin: origin, Seq: live.Vector[origin] + 1, Stamp: live.Clock + 1 + uint64(rng.Intn(3)), Inner: genInner(rng, live.Tree, i)}
+			if u.Verify(live) != nil {
+				continue
+			}
+			if err := u.Apply(live); err != nil {
+				t.Fatalf("seed %d update %d: %v", seed, i, err)
+			}
+			logged = append(logged, u)
+			if rng.Intn(12) > 0 {
+				continue
+			}
+			cur := live.SnapshotView().(*Root)
+			if err := recon.ApplyDelta(mustFold(t, cur, prev.DeltaMark(), logged)); err != nil {
+				t.Fatalf("seed %d update %d: ApplyDelta: %v", seed, i, err)
+			}
+			rootsMatch(t, recon, cur)
+			if err := ref.ApplyDelta(wireDelta(t, diffRootDelta(cur, prev))); err != nil {
+				t.Fatalf("seed %d update %d: ApplyDelta of the reference: %v", seed, i, err)
+			}
+			rootsMatch(t, ref, recon)
+			folded += len(logged)
+			prev, logged = cur, nil
+			checkpoints++
+		}
+		if checkpoints < 10 || folded < 200 {
+			t.Fatalf("seed %d: degenerate run, %d entries folded over %d checkpoints", seed, folded, checkpoints)
+		}
 	}
-	if len(wire.HistoryAppended) != 5 {
-		t.Errorf("appended %d entries, want 5", len(wire.HistoryAppended))
+}
+
+// genInner draws an update of the crash sweeps' mix against tr: Set 55%,
+// Put 15%, Delete 15% and Move 15% of names that exist where it can.
+func genInner(rng *rand.Rand, tr *nameserver.Tree, i int) core.Update {
+	labels := []string{"net", "usr", "a", "b"}
+	path := func() []string {
+		p := make([]string, 1+rng.Intn(3))
+		for j := range p {
+			p[j] = labels[rng.Intn(len(labels))]
+		}
+		return p
 	}
-	if err := recon.ApplyDelta(wire); err != nil {
-		t.Fatal(err)
+	existing := func() []string {
+		p := path()
+		for len(p) > 1 && tr.FindNode(p) == nil {
+			p = p[:len(p)-1]
+		}
+		return p
 	}
-	rootsMatch(t, recon, cur)
+	switch r := rng.Intn(100); {
+	case r < 55:
+		return &nameserver.SetValue{Path: path(), Value: fmt.Sprintf("v%d", i)}
+	case r < 70:
+		sub := &nameserver.Node{Value: fmt.Sprintf("sub%d", i), HasValue: true, Children: map[string]*nameserver.Node{}}
+		for j := 0; j < 2+rng.Intn(3); j++ {
+			sub.Children[labels[rng.Intn(len(labels))]] = &nameserver.Node{Value: fmt.Sprintf("sub%d-%d", i, j), HasValue: true}
+		}
+		return &nameserver.PutSubtree{Path: path(), Subtree: sub}
+	case r < 85:
+		return &nameserver.DeleteSubtree{Path: existing()}
+	}
+	return &nameserver.Move{From: existing(), To: path()}
 }
 
 // TestRootDeltaHistoryTrim: the cap forces drops from the front; the delta
@@ -138,10 +201,10 @@ func TestRootDeltaHistoryTrim(t *testing.T) {
 	applyN(t, recon, "a", 1, 8)
 	prev := live.SnapshotView().(*Root)
 
-	applyN(t, live, "a", 9, 5) // pushes 5 entries out of the capped history
+	logged := applyN(t, live, "a", 9, 5) // pushes 5 entries out of the capped history
 	cur := live.SnapshotView().(*Root)
 
-	wire := wireDelta(t, mustRootDelta(t, cur, prev))
+	wire := mustFold(t, cur, prev.DeltaMark(), logged)
 	if wire.HistoryDropped != 5 || len(wire.HistoryAppended) != 5 {
 		t.Errorf("dropped %d appended %d, want 5/5", wire.HistoryDropped, len(wire.HistoryAppended))
 	}
@@ -161,47 +224,37 @@ func TestRootDeltaHistoryOverrun(t *testing.T) {
 	applyN(t, recon, "a", 1, 4)
 	prev := live.SnapshotView().(*Root)
 
-	applyN(t, live, "a", 5, 10)
+	logged := applyN(t, live, "a", 5, 10)
 	cur := live.SnapshotView().(*Root)
 
-	wire := wireDelta(t, mustRootDelta(t, cur, prev))
+	wire := mustFold(t, cur, prev.DeltaMark(), logged)
+	if wire.HistoryDropped != 4 || len(wire.HistoryAppended) != 4 {
+		t.Errorf("dropped %d appended %d, want 4/4", wire.HistoryDropped, len(wire.HistoryAppended))
+	}
 	if err := recon.ApplyDelta(wire); err != nil {
 		t.Fatal(err)
 	}
 	rootsMatch(t, recon, cur)
 }
 
-// TestRootDeltaFullFallback: a history that was replaced wholesale (as a
-// restore does) breaks the append-only relation; the delta must detect the
-// mismatch and fall back to carrying the full history rather than splicing
-// garbage.
+// TestRootDeltaFullFallback: a range holding a snapshot install, which
+// replaces the root wholesale, is not folded — the checkpoint falls back to
+// a full image — and neither is one whose history holds more than the range
+// and the earlier window can account for.
 func TestRootDeltaFullFallback(t *testing.T) {
 	mk := NewRootWithCap(64)
 	live := mk().(*Root)
-	recon := mk().(*Root)
 	applyN(t, live, "a", 1, 6)
-	applyN(t, recon, "a", 1, 6)
 	prev := live.SnapshotView().(*Root)
-
-	// Wholesale replacement keeping the vector sum plausible: rewrite the
-	// entries' stamps so boundary checks cannot match, then append one.
-	replaced := make([]Entry, len(live.History))
-	for i, e := range live.History {
-		e.Stamp += 1000
-		replaced[i] = e
-	}
-	live.History = replaced
-	applyN(t, live, "a", 7, 1)
+	logged := applyN(t, live, "a", 7, 1)
 	cur := live.SnapshotView().(*Root)
-
-	wire := wireDelta(t, mustRootDelta(t, cur, prev))
-	if !wire.HistoryFull {
-		t.Fatal("replaced history not detected; delta would splice garbage")
+	install := &installSnapshot{Snap: cur}
+	if _, err := foldRoot(cur, prev.DeltaMark(), append(logged, install)); err == nil {
+		t.Error("a range holding an install folded")
 	}
-	if err := recon.ApplyDelta(wire); err != nil {
-		t.Fatal(err)
+	if _, err := foldRoot(cur, prev.DeltaMark()-1, logged); err == nil {
+		t.Error("a history longer than the earlier window plus the range folded")
 	}
-	rootsMatch(t, recon, cur)
 }
 
 // TestRootDeltaEmpty: no changes, no ops, empty history delta.
@@ -210,20 +263,10 @@ func TestRootDeltaEmpty(t *testing.T) {
 	live := mk().(*Root)
 	applyN(t, live, "a", 1, 3)
 	v1 := live.SnapshotView().(*Root)
-	v2 := live.SnapshotView().(*Root)
-	wire := wireDelta(t, mustRootDelta(t, v2, v1))
+	wire := mustFold(t, live.SnapshotView().(*Root), v1.DeltaMark(), nil)
 	if wire.DeltaOps() != 0 || len(wire.HistoryAppended) != 0 || wire.HistoryDropped != 0 {
-		t.Errorf("delta of identical snapshots: %+v", wire)
+		t.Errorf("the fold of no updates: %+v", wire)
 	}
-}
-
-func mustRootDelta(t *testing.T, cur, prev *Root) any {
-	t.Helper()
-	d, err := cur.DeltaSince(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
 }
 
 // TestRootDeltaNilRefused: a delta that decodes to a nil pointer, which a
@@ -235,5 +278,75 @@ func TestRootDeltaNilRefused(t *testing.T) {
 	}
 	if err := r.Tree.ApplyDelta((*nameserver.TreeDelta)(nil)); err == nil {
 		t.Fatal("a nil *TreeDelta applied")
+	}
+}
+
+// TestInstallInRangeWritesFullImage: a checkpoint whose log range holds a
+// snapshot install, which replaces the root wholesale, writes a full image,
+// where the same range without it writes a delta; Close and Open return what
+// memory held.
+func TestInstallInRangeWritesFullImage(t *testing.T) {
+	fs := vfs.NewMem(1)
+	n, err := Open(Config{Name: "b", FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := func(name string) {
+		t.Helper()
+		if err := n.Set(name, "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpointKind := func(want string) {
+		t.Helper()
+		if err := n.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		v := n.Store().Version()
+		if got := map[bool]string{true: "delta", false: "full"}[vfs.Exists(fs, checkpoint.DeltaName(v))]; got != want {
+			t.Fatalf("checkpoint %d wrote a %s image, want %s", v, got, want)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		set(fmt.Sprintf("host/h%d", i))
+	}
+	checkpointKind("full")
+	set("host/h1")
+	checkpointKind("delta")
+	set("host/h2")
+	snap := NewRootWithCap(0)().(*Root)
+	snap.Vector["z"], snap.Clock = 1, 9
+	snap.Tree.SetStamped([]string{"from", "z"}, "v", 9, "z")
+	if err := n.installSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	set("host/h3")
+	checkpointKind("full")
+
+	state := func(n *Node) string {
+		t.Helper()
+		var out []string
+		if err := n.Store().View(func(root any) error {
+			r := root.(*Root)
+			out = append(out, fmt.Sprint(r.Vector, r.Clock, len(r.History)))
+			return r.Tree.Enumerate(nil, func(name, value string) error {
+				out = append(out, name+"="+value)
+				return nil
+			})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(out, "\n")
+	}
+	want := state(n)
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err = Open(Config{Name: "b", FS: fs}); err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if got := state(n); got != want {
+		t.Fatalf("restart recovered\n%s\nmemory held\n%s", got, want)
 	}
 }

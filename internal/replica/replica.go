@@ -297,6 +297,15 @@ func (r *Root) missingFrom(vector map[string]uint64) (entries []Entry, needFull 
 	return entries, false
 }
 
+// vectorSum counts the updates a version vector covers.
+func vectorSum(v map[string]uint64) uint64 {
+	var s uint64
+	for _, x := range v {
+		s += x
+	}
+	return s
+}
+
 // copyVector snapshots a version vector.
 func copyVector(v map[string]uint64) map[string]uint64 {
 	out := make(map[string]uint64, len(v))
