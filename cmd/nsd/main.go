@@ -27,11 +27,11 @@
 // a bounded-staleness Replica.Read (see nsctl read) behind the client's
 // floor can catch itself up in place instead of redirecting.
 //
-// With -debug, the daemon serves a live observability endpoint: /metrics
-// (JSON counters and histogram percentiles), /stats (human-readable, with
-// ?buckets=1 for full distributions, then the flight recorder's recent
-// events), /debug/trace, /debug/flight and /debug/pprof/. With -slow,
-// operations slower than the threshold (and all errors) are logged.
+// With -debug, the daemon serves a live observability endpoint over plain
+// HTTP GET: /metrics (JSON), /stats (human-readable; ?buckets=1 adds
+// distributions, then the flight recorder's recent events), /debug/trace,
+// /debug/flight and /debug/pprof/ (CPU profile, trace, named profiles).
+// With -slow, operations over the threshold (and all errors) are logged.
 package main
 
 import (
@@ -63,7 +63,7 @@ func main() {
 		checkpoint  = flag.Duration("checkpoint", 24*time.Hour, "checkpoint interval (the paper's nightly checkpoint)")
 		antiEntropy = flag.Duration("anti-entropy", time.Minute, "interval at which each peer's vector is probed and repaired (replicated mode)")
 		retain      = flag.Int("retain", 1, "previous checkpoint+log pairs kept for hard-error recovery")
-		debug       = flag.String("debug", "", "serve /metrics, /stats and /debug/pprof on this address")
+		debug       = flag.String("debug", "", "serve /metrics, /stats, /debug/trace, /debug/flight and /debug/pprof/ over plain HTTP GET on this address")
 		slow        = flag.Duration("slow", 0, "log operations slower than this (0 disables)")
 	)
 	flag.Parse()
@@ -147,7 +147,7 @@ func main() {
 
 	var admin *obs.AdminServer
 	if *debug != "" {
-		admin, err = obs.ServeAdmin(*debug, reg, obs.MuxOptions{Traces: traces, Flight: flight})
+		admin, err = obs.ServeAdmin(*debug, reg, obs.AdminOptions{Traces: traces, Flight: flight})
 		if err != nil {
 			log.Fatalf("nsd: debug listen: %v", err)
 		}

@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -47,6 +50,8 @@ const (
 )
 
 var flightCRC = crc32.MakeTable(crc32.Castagnoli)
+
+var errNotFlight = errors.New("obs: not a flight-recorder ring")
 
 // FlightConfig configures a FlightRecorder.
 type FlightConfig struct {
@@ -456,12 +461,12 @@ func ReadFlight(fs vfs.FS, name string) ([]Event, error) {
 		return nil, fmt.Errorf("obs: flight header unreadable: %w", err)
 	}
 	if string(hdr[:4]) != flightFileMagic {
-		return nil, fmt.Errorf("obs: %s is not a flight-recorder ring", name)
+		return nil, fmt.Errorf("%w: %s", errNotFlight, name)
 	}
 	slotSize := int(binary.LittleEndian.Uint32(hdr[4:]))
 	slots := int(binary.LittleEndian.Uint32(hdr[8:]))
 	if slotSize <= flightSlotOver || slotSize > 1<<20 || slots <= 0 || slots > 1<<20 {
-		return nil, fmt.Errorf("obs: flight header corrupt (slotSize=%d slots=%d)", slotSize, slots)
+		return nil, fmt.Errorf("%w: header corrupt (slotSize=%d slots=%d)", errNotFlight, slotSize, slots)
 	}
 	type rec struct {
 		seq uint64
@@ -471,18 +476,16 @@ func ReadFlight(fs vfs.FS, name string) ([]Event, error) {
 	buf := make([]byte, slotSize)
 	for i := 0; i < slots; i++ {
 		off := int64(flightHeaderLen) + int64(i)*int64(slotSize)
-		if _, err := f.ReadAt(buf, off); err != nil {
-			continue // short file tail, or a damaged (ErrDamaged) slot
+		if _, err := f.ReadAt(buf, off); errors.Is(err, io.EOF) {
+			break // the file (or its torn tail) ends here: no later slot exists
+		} else if err != nil {
+			continue // a damaged (ErrDamaged) slot
 		}
 		if seq, e, ok := decodeFlightSlot(buf); ok {
 			recs = append(recs, rec{seq, e})
 		}
 	}
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && recs[j-1].seq > recs[j].seq; j-- {
-			recs[j-1], recs[j] = recs[j], recs[j-1]
-		}
-	}
+	slices.SortFunc(recs, func(a, b rec) int { return cmp.Compare(a.seq, b.seq) })
 	out := make([]Event, len(recs))
 	for i, r := range recs {
 		out[i] = r.e

@@ -285,6 +285,49 @@ func TestReadFlightMissingAndCorruptHeader(t *testing.T) {
 	}
 }
 
+// TestReadFlightStopsAtFileEnd: a header that claims far more slots than
+// the file holds costs reads up to the file's end, not one per claimed
+// slot, and a torn last slot is dropped like a damaged one.
+func TestReadFlightStopsAtFileEnd(t *testing.T) {
+	m := vfs.NewMetered(vfs.NewMem(9), vfs.Profile{}, 0)
+	hdr := make([]byte, flightHeaderLen)
+	copy(hdr, flightFileMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], 1<<20) // 1 MiB slots
+	binary.LittleEndian.PutUint32(hdr[8:], 1<<20) // 2^20 of them
+	if err := vfs.WriteFile(m, "flightrec", hdr); err != nil {
+		t.Fatal(err)
+	}
+	m.ResetStats()
+	events, err := ReadFlight(m, "")
+	if err != nil || len(events) != 0 {
+		t.Fatalf("header-only ring: %d events, %v; want none", len(events), err)
+	}
+	if reads := m.Stats().Reads; reads > 4 {
+		t.Errorf("header-only ring cost %d reads, want at most 4", reads)
+	}
+
+	fr, err := OpenFlight(FlightConfig{FS: m, Slots: 4, SlotSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.Emit(Event{Name: "kept"})
+	fr.Emit(Event{Name: "torn"})
+	if err := fr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := vfs.ReadFile(m, "flightrec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vfs.WriteFile(m, "flightrec", img[:flightHeaderLen+2*128+60]); err != nil {
+		t.Fatal(err)
+	}
+	events, err = ReadFlight(m, "")
+	if err != nil || len(events) != 2 || events[1].Name != "kept" {
+		t.Errorf("torn tail: decoded %+v, %v; want flight.start + kept", events, err)
+	}
+}
+
 func TestFlightPanicFlush(t *testing.T) {
 	fs := vfs.NewMem(8)
 	fr, err := OpenFlight(FlightConfig{FS: fs, FlushEvery: time.Hour})

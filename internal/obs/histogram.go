@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -21,7 +22,6 @@ const numBuckets = 65
 // The maximum is tracked exactly. The zero value is ready to use; a nil
 // *Histogram discards observations.
 type Histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Int64
 	max     atomic.Int64
 	buckets [numBuckets]atomic.Uint64
@@ -59,7 +59,6 @@ func (h *Histogram) Observe(v int64) {
 		v = 0
 	}
 	h.buckets[bucketOf(v)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 	for {
 		old := h.max.Load()
@@ -90,9 +89,9 @@ type Snapshot struct {
 }
 
 // Snapshot captures the current distribution. Concurrent observations may
-// be partially included; each observation is internally consistent enough
-// for monitoring (the count and bucket totals can transiently disagree by
-// in-flight observations). A nil histogram yields a zero snapshot.
+// be partially included, which is consistent enough for monitoring (the
+// sum and max can transiently disagree with the bucket counts by in-flight
+// observations). A nil histogram yields a zero snapshot.
 func (h *Histogram) Snapshot() Snapshot {
 	var s Snapshot
 	if h == nil {
@@ -149,27 +148,15 @@ func (s Snapshot) Quantile(q float64) int64 {
 	return s.Max
 }
 
-// String renders the snapshot as a compact JSON object, so a *Histogram
-// (via its Snapshot) can be published as an expvar.Var.
+// String renders the snapshot as a compact JSON object, the form /metrics
+// serves it in.
 func (s Snapshot) String() string {
 	return fmt.Sprintf(`{"count":%d,"sum":%d,"mean":%d,"p50":%d,"p90":%d,"p99":%d,"max":%d}`,
 		s.Count, s.Sum, s.Mean, s.P50, s.P90, s.P99, s.Max)
 }
 
-// String satisfies expvar.Var: the histogram renders as its snapshot.
+// String renders the histogram as its snapshot's JSON object.
 func (h *Histogram) String() string { return h.Snapshot().String() }
-
-// Buckets calls fn for each non-empty bucket in ascending value order with
-// the bucket's value range and count; the /stats page renders these as an
-// ASCII distribution.
-func (s Snapshot) Buckets(fn func(lo, hi int64, n uint64)) {
-	for i, n := range s.buckets {
-		if n > 0 {
-			lo, hi := bucketBounds(i)
-			fn(lo, hi, n)
-		}
-	}
-}
 
 // DurationString formats the snapshot's summary fields as durations, for
 // human-readable output of latency histograms.
@@ -211,22 +198,17 @@ func (s Snapshot) Bar(width int, format func(int64) string) string {
 	if format == nil {
 		format = func(v int64) string { return fmt.Sprintf("%d", v) }
 	}
-	var peak uint64
-	s.Buckets(func(_, _ int64, n uint64) {
-		if n > peak {
-			peak = n
-		}
-	})
+	peak := slices.Max(s.buckets[:])
 	if peak == 0 {
 		return "  (empty)\n"
 	}
 	var b strings.Builder
-	s.Buckets(func(lo, hi int64, n uint64) {
-		w := int(float64(width) * float64(n) / float64(peak))
-		if w == 0 {
-			w = 1
+	for i, n := range s.buckets {
+		if n > 0 {
+			lo, hi := bucketBounds(i)
+			w := max(1, int(float64(width)*float64(n)/float64(peak)))
+			fmt.Fprintf(&b, "  [%12s, %12s)  %-*s %d\n", format(lo), format(hi), width, strings.Repeat("#", w), n)
 		}
-		fmt.Fprintf(&b, "  [%12s, %12s)  %-*s %d\n", format(lo), format(hi), width, strings.Repeat("#", w), n)
-	})
+	}
 	return b.String()
 }

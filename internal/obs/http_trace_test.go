@@ -3,14 +3,26 @@ package obs
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"smalldb/internal/vfs"
 )
+
+// serveAdmin starts the admin endpoint on a loopback port until the test
+// ends and returns its base URL.
+func serveAdmin(t *testing.T, r *Registry, opts AdminOptions) string {
+	t.Helper()
+	a, err := ServeAdmin("127.0.0.1:0", r, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	return "http://" + a.Addr
+}
 
 func getBody(t *testing.T, url string) (int, string) {
 	t.Helper()
@@ -28,11 +40,10 @@ func getBody(t *testing.T, url string) (int, string) {
 
 func TestDebugTraceEndpoint(t *testing.T) {
 	tb := NewTraceBuffer(64)
-	srv := httptest.NewServer(NewMux(NewRegistry(), MuxOptions{Traces: tb}))
-	defer srv.Close()
+	base := serveAdmin(t, NewRegistry(), AdminOptions{Traces: tb})
 
 	// Empty collector: the list must say so rather than 500 or hang.
-	if code, body := getBody(t, srv.URL+"/debug/trace"); code != http.StatusOK || !strings.Contains(body, "no traces recorded") {
+	if code, body := getBody(t, base+"/debug/trace"); code != http.StatusOK || !strings.Contains(body, "no traces recorded") {
 		t.Errorf("empty list: %d %q", code, body)
 	}
 
@@ -43,11 +54,11 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	root.End(nil)
 	id := uint64(root.Context().Trace)
 
-	code, body := getBody(t, srv.URL+"/debug/trace")
+	code, body := getBody(t, base+"/debug/trace")
 	if code != http.StatusOK || !strings.Contains(body, fmt.Sprintf("%016x", id)) || !strings.Contains(body, "update.commit") {
 		t.Errorf("trace list: %d\n%s", code, body)
 	}
-	code, body = getBody(t, fmt.Sprintf("%s/debug/trace?id=%016x", srv.URL, id))
+	code, body = getBody(t, fmt.Sprintf("%s/debug/trace?id=%016x", base, id))
 	if code != http.StatusOK || !strings.Contains(body, "update.commit") || !strings.Contains(body, "  wal.sync") {
 		t.Errorf("timeline: %d\n%s", code, body)
 	}
@@ -56,10 +67,10 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	}
 
 	// Unknown id says so; a non-hex id is a 400.
-	if _, body := getBody(t, srv.URL+"/debug/trace?id=abcdef"); !strings.Contains(body, "no events") {
+	if _, body := getBody(t, base+"/debug/trace?id=abcdef"); !strings.Contains(body, "no events") {
 		t.Errorf("unknown id: %q", body)
 	}
-	if code, _ := getBody(t, srv.URL+"/debug/trace?id=zzz"); code != http.StatusBadRequest {
+	if code, _ := getBody(t, base+"/debug/trace?id=zzz"); code != http.StatusBadRequest {
 		t.Errorf("bad id status %d, want 400", code)
 	}
 }
@@ -71,18 +82,16 @@ func TestDebugFlightEndpoint(t *testing.T) {
 	}
 	defer fr.Close()
 	fr.Emit(Event{Name: "update.commit", Dur: time.Millisecond})
-	srv := httptest.NewServer(NewMux(NewRegistry(), MuxOptions{Flight: fr}))
-	defer srv.Close()
+	base := serveAdmin(t, NewRegistry(), AdminOptions{Flight: fr})
 
-	code, body := getBody(t, srv.URL+"/debug/flight")
+	code, body := getBody(t, base+"/debug/flight")
 	if code != http.StatusOK || !strings.Contains(body, "flight.start") || !strings.Contains(body, "update.commit") {
 		t.Errorf("/debug/flight: %d\n%s", code, body)
 	}
 
 	// Without a flight recorder the route falls through to the index 404.
-	bare := httptest.NewServer(NewMux(NewRegistry(), MuxOptions{}))
-	defer bare.Close()
-	if code, _ := getBody(t, bare.URL+"/debug/flight"); code != http.StatusNotFound {
+	bare := serveAdmin(t, NewRegistry(), AdminOptions{})
+	if code, _ := getBody(t, bare+"/debug/flight"); code != http.StatusNotFound {
 		t.Errorf("unconfigured /debug/flight status %d, want 404", code)
 	}
 }
@@ -93,9 +102,8 @@ func TestStatsRendersEventTimestamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	fr.Emit(Event{Name: "update.commit", Time: time.Date(2026, 8, 8, 14, 5, 9, 123456000, time.Local), Dur: time.Millisecond})
-	srv := httptest.NewServer(NewMux(NewRegistry(), MuxOptions{Flight: fr}))
-	defer srv.Close()
-	code, body := getBody(t, srv.URL+"/stats")
+	base := serveAdmin(t, NewRegistry(), AdminOptions{Flight: fr})
+	code, body := getBody(t, base+"/stats")
 	if code != http.StatusOK {
 		t.Fatalf("/stats status %d", code)
 	}
@@ -109,9 +117,46 @@ func TestDebugFlightEmptyRing(t *testing.T) {
 	// OpenFlight (it stamps flight.start), so exercise the empty branch
 	// with a zero-value ring the way a future constructor might.
 	fr := &FlightRecorder{slots: 4, mem: make([]Event, 4)}
-	srv := httptest.NewServer(NewMux(NewRegistry(), MuxOptions{Flight: fr}))
-	defer srv.Close()
-	if code, body := getBody(t, srv.URL+"/debug/flight"); code != http.StatusOK || !strings.Contains(body, "no flight events") {
+	base := serveAdmin(t, NewRegistry(), AdminOptions{Flight: fr})
+	if code, body := getBody(t, base+"/debug/flight"); code != http.StatusOK || !strings.Contains(body, "no flight events") {
 		t.Errorf("empty flight tail: %d %q", code, body)
+	}
+}
+
+// TestAdminProfilesAndRefusals covers the profiling routes that replace
+// net/http/pprof and the responder's answers to requests it refuses.
+func TestAdminProfilesAndRefusals(t *testing.T) {
+	base := serveAdmin(t, NewRegistry(), AdminOptions{})
+	if code, body := getBody(t, base+"/debug/pprof/"); code != http.StatusOK || !strings.Contains(body, "heap") {
+		t.Errorf("/debug/pprof/: %d %q", code, body)
+	}
+	if code, body := getBody(t, base+"/debug/pprof/heap?debug=1"); code != http.StatusOK || !strings.Contains(body, "# runtime.MemStats") {
+		t.Errorf("/debug/pprof/heap?debug=1: %d, MemStats missing", code)
+	}
+	if code, body := getBody(t, base+"/debug/pprof/profile?seconds=1"); code != http.StatusOK || !strings.HasPrefix(body, "\x1f\x8b") {
+		t.Errorf("/debug/pprof/profile: %d, %d bytes, want a gzipped profile", code, len(body))
+	}
+	if code, _ := getBody(t, base+"/debug/pprof/profile?seconds=x"); code != http.StatusBadRequest {
+		t.Errorf("bad seconds status %d, want 400", code)
+	}
+	for _, path := range []string{"/debug/vars", "/debug/pprof/cmdline", "/nope"} {
+		if code, _ := getBody(t, base+path); code != http.StatusNotFound {
+			t.Errorf("%s status %d, want 404", path, code)
+		}
+	}
+	for _, req := range []string{
+		"POST /metrics HTTP/1.1\r\n\r\n",
+		"GET /metrics HTTP/1.1\r\nX: " + strings.Repeat("a", maxRequest) + "\r\n\r\n",
+	} {
+		c, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		go c.Write([]byte(req))
+		resp, _ := io.ReadAll(c)
+		c.Close()
+		if !strings.HasPrefix(string(resp), "HTTP/1.1 400 Bad Request\r\n") {
+			t.Errorf("%.20q... answered %.40q, want 400", req, resp)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package obs is the system's observability substrate: atomic counters and
 // gauges, log-bucketed latency histograms with percentile snapshots, a
 // pluggable structured-event Tracer, and a Registry that exports everything
-// as expvar-compatible JSON and over an HTTP admin endpoint.
+// as JSON and text over a small HTTP admin endpoint.
 //
 // The paper's §5 evaluation decomposes every update into verify / pickle /
 // commit / apply phases; this package generalizes that instrumentation so
@@ -45,7 +45,7 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// String renders the counter as JSON, satisfying expvar.Var.
+// String renders the counter as its decimal value.
 func (c *Counter) String() string { return fmt.Sprintf("%d", c.Value()) }
 
 // A Gauge is an atomic instantaneous value (open connections, queue depth).
@@ -84,5 +84,5 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// String renders the gauge as JSON, satisfying expvar.Var.
+// String renders the gauge as its decimal value.
 func (g *Gauge) String() string { return fmt.Sprintf("%d", g.Value()) }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -352,12 +351,11 @@ func TestMuxEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	fr.Emit(Event{Name: "update.commit", Dur: time.Millisecond})
-	srv := httptest.NewServer(NewMux(r, MuxOptions{Flight: fr}))
-	defer srv.Close()
+	base := serveAdmin(t, r, AdminOptions{Flight: fr})
 
 	get := func(path string) (int, string) {
 		t.Helper()
-		resp, err := http.Get(srv.URL + path)
+		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
@@ -407,7 +405,7 @@ func TestMuxEndpoints(t *testing.T) {
 }
 
 func TestServeAdmin(t *testing.T) {
-	a, err := ServeAdmin("127.0.0.1:0", NewRegistry(), MuxOptions{})
+	a, err := ServeAdmin("127.0.0.1:0", NewRegistry(), AdminOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,6 +418,26 @@ func TestServeAdmin(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics status %d", resp.StatusCode)
 	}
+	// maxConns requests at once, on a server that has served none, are
+	// all served.
+	base := serveAdmin(t, NewRegistry(), AdminOptions{})
+	var wg sync.WaitGroup
+	for i := 0; i < maxConns; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(base + "/stats")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("concurrent /stats status %d", resp.StatusCode)
+			}
+		}()
+	}
+	wg.Wait()
 	var nilSrv *AdminServer
 	if err := nilSrv.Close(); err != nil {
 		t.Errorf("nil AdminServer.Close = %v", err)

@@ -2,10 +2,10 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -29,57 +29,29 @@ func NewRegistry() *Registry {
 }
 
 // Counter returns the named counter, creating it if needed.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v, ok := r.vars[name]; ok {
-		if c, ok := v.(*Counter); ok {
-			return c
-		}
-		return nil // name already taken by another kind; drop updates
-	}
-	c := &Counter{}
-	r.vars[name] = c
-	return c
-}
+func (r *Registry) Counter(name string) *Counter { return metric[Counter](r, name) }
 
 // Gauge returns the named gauge, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v, ok := r.vars[name]; ok {
-		if g, ok := v.(*Gauge); ok {
-			return g
-		}
-		return nil
-	}
-	g := &Gauge{}
-	r.vars[name] = g
-	return g
-}
+func (r *Registry) Gauge(name string) *Gauge { return metric[Gauge](r, name) }
 
 // Histogram returns the named histogram, creating it if needed.
-func (r *Registry) Histogram(name string) *Histogram {
+func (r *Registry) Histogram(name string) *Histogram { return metric[Histogram](r, name) }
+
+// metric returns the *T named name, creating it if needed. A name already
+// taken by another kind of metric yields nil, which drops its updates.
+func metric[T any](r *Registry, name string) *T {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if v, ok := r.vars[name]; ok {
-		if h, ok := v.(*Histogram); ok {
-			return h
-		}
-		return nil
+		m, _ := v.(*T)
+		return m
 	}
-	h := NewHistogram()
-	r.vars[name] = h
-	return h
+	m := new(T)
+	r.vars[name] = m
+	return m
 }
 
 // Register installs an existing metric (or a func() any computed on
@@ -113,17 +85,6 @@ func (r *Registry) Names() []string {
 // metric object (*Counter, *Gauge, *Histogram) or the result of a
 // registered func.
 func (r *Registry) Each(fn func(name string, v any)) {
-	r.each(func(name string, v any) {
-		if f, ok := v.(func() any); ok {
-			fn(name, f())
-			return
-		}
-		fn(name, v)
-	})
-}
-
-// each is Each without evaluating registered funcs.
-func (r *Registry) each(fn func(name string, v any)) {
 	if r == nil {
 		return
 	}
@@ -139,7 +100,11 @@ func (r *Registry) each(fn func(name string, v any)) {
 	r.mu.Unlock()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
 	for _, e := range entries {
-		fn(e.name, e.v)
+		if f, ok := e.v.(func() any); ok {
+			fn(e.name, f())
+		} else {
+			fn(e.name, e.v)
+		}
 	}
 }
 
@@ -202,41 +167,11 @@ func (r *Registry) WriteText(w io.Writer) {
 }
 
 func writeHistogramText(w io.Writer, name string, s Snapshot) {
-	if hasSuffix(name, "_ns") {
+	if strings.HasSuffix(name, "_ns") {
 		fmt.Fprintf(w, "%-40s %s\n", name, s.DurationString())
-	} else if hasSuffix(name, "_bytes") {
+	} else if strings.HasSuffix(name, "_bytes") {
 		fmt.Fprintf(w, "%-40s %s\n", name, s.SizeString())
 	} else {
 		fmt.Fprintf(w, "%-40s %s\n", name, s.String())
 	}
-}
-
-func hasSuffix(s, suf string) bool {
-	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
-}
-
-// PublishExpvar publishes every currently registered metric into the
-// process-global expvar namespace under prefix+name. Names already
-// published (by an earlier call or another registry) are skipped, since
-// expvar.Publish panics on duplicates.
-func (r *Registry) PublishExpvar(prefix string) {
-	r.each(func(name string, v any) {
-		full := prefix + name
-		if expvar.Get(full) != nil {
-			return
-		}
-		switch m := v.(type) {
-		case *Counter:
-			expvar.Publish(full, m)
-		case *Gauge:
-			expvar.Publish(full, m)
-		case *Histogram:
-			expvar.Publish(full, m)
-		case func() any:
-			expvar.Publish(full, expvar.Func(m))
-		default:
-			val := v
-			expvar.Publish(full, expvar.Func(func() any { return val }))
-		}
-	})
 }

@@ -27,6 +27,7 @@ type Stats struct {
 	Opens        int64
 	BytesWritten int64 // bytes made durable by Syncs
 	BytesRead    int64
+	Reads        int64 // Read and ReadAt calls, empty ones too
 	// ModeledIO is the total modeled disk time of all operations, as if
 	// they had run on the profiled hardware one at a time.
 	ModeledIO time.Duration
@@ -108,9 +109,7 @@ func (m *Metered) charge(perOp time.Duration, bytes, bps int64, count func(*Stat
 }
 
 func (m *Metered) read(n int) {
-	if n > 0 {
-		m.charge(0, int64(n), m.prof.ReadBytesPerSec, func(s *Stats) { s.BytesRead += int64(n) })
-	}
+	m.charge(0, int64(n), m.prof.ReadBytesPerSec, func(s *Stats) { s.Reads++; s.BytesRead += int64(n) })
 }
 
 // Create implements FS.
