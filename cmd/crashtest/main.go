@@ -27,10 +27,10 @@
 //	crashtest -net -nodes 5 -quorum 3 -net-crash -seed 1 -ops 40
 //
 // Every workload flag (-cp-every, -overlap, -batch, -readers, ...)
-// shapes the workload under either fault. -history-cap bounds every
-// replica's anti-entropy history: below -window it forces snapshot-install
-// repair at every partition point; below -ops it puts the history's sliding
-// window under every crash point.
+// shapes the workload under either fault. A catch-up is read from the
+// sender's logs, so -cp-every below -window, whose checkpoint retires the
+// log holding the start of every partition window, forces snapshot-install
+// repair at every partition point.
 //
 // A violation prints as a replayable (seed, point) pair; the exit status is
 // 1 when any invariant broke, 2 on a setup error.
@@ -93,7 +93,6 @@ func parseFlags(args []string) (fs *flag.FlagSet, cfg crashtest.Config, modes []
 	fs.IntVar(&cfg.Readers, "readers", 0, "concurrent snapshot readers validating lock-free enquiries against the oracle during every workload and catch-up")
 	fs.IntVar(&cfg.Batch, "batch", 0, "group every k workload updates into one ApplyBatch — one log sync covering k entries (0/1 = one update at a time)")
 	fs.IntVar(&cfg.MaxDeltaChain, "delta-chain", 0, "write a full image once the chain holds this many deltas (0 = store default); small values put re-bases inside the sweep")
-	fs.IntVar(&cfg.HistoryCap, "history-cap", 0, "bound every replica's anti-entropy history (0 = the replica default, 4096); below -ops it puts the history trim and snapshot-install repair inside the sweep")
 	verbose := fs.Bool("v", false, "log progress")
 
 	net := fs.Bool("net", false, "run the partition sweep instead of the crash-point sweep")
@@ -119,7 +118,7 @@ func parseFlags(args []string) (fs *flag.FlagSet, cfg crashtest.Config, modes []
 // shape a point — the workload, the group or the netsim schedule — in the
 // order the line names them.
 var replayFlags = []string{"nosync", "overlap", "cp-every", "readers", "batch", "delta-chain",
-	"net-crash", "nodes", "quorum", "history-cap", "drop", "jitter"}
+	"net-crash", "nodes", "quorum", "drop", "jitter"}
 
 // replayLine is the command line that replays one point of a sweep in mode:
 // the seed, the size and the point, then every flag of replayFlags the run

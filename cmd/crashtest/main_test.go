@@ -18,16 +18,16 @@ func TestReplayLine(t *testing.T) {
 	}{
 		{"-net -seed 7 -ops 30 -window 4", crashtest.ModeNet,
 			"go run ./cmd/crashtest -net -seed 7 -ops 30 -window 4 -from 12 -to 12"},
-		{"-net -seed 7 -ops 30 -window 4 -jitter 1ms -drop 0.2 -history-cap 6 -quorum 3 -nodes 5 -net-crash -v -stride 2", crashtest.ModeNet,
-			"go run ./cmd/crashtest -net -seed 7 -ops 30 -window 4 -from 12 -to 12 -net-crash -nodes 5 -quorum 3 -history-cap 6 -drop 0.2 -jitter 1ms"},
+		{"-net -seed 7 -ops 30 -window 4 -jitter 1ms -drop 0.2 -cp-every 3 -quorum 3 -nodes 5 -net-crash -v -stride 2", crashtest.ModeNet,
+			"go run ./cmd/crashtest -net -seed 7 -ops 30 -window 4 -from 12 -to 12 -cp-every 3 -net-crash -nodes 5 -quorum 3 -drop 0.2 -jitter 1ms"},
 		{"-net -seed 7 -ops 30 -window 4 -quorum 2 -jitter 0", crashtest.ModeNet,
 			"go run ./cmd/crashtest -net -seed 7 -ops 30 -window 4 -from 12 -to 12 -quorum 2 -jitter 0s"},
 		{"-seed 3 -ops 18 -batch 3 -overlap -shards 1", crashtest.ModeStore,
 			"go run ./cmd/crashtest -seed 3 -ops 18 -mode store -from 12 -to 12 -overlap -batch 3"},
 		{"-seed 1 -mode store -nosync -from 3 -to 90", crashtest.ModeStore,
 			"go run ./cmd/crashtest -seed 1 -ops 50 -mode store -from 12 -to 12 -nosync"},
-		{"-seed 2 -ops 24 -cp-every 2 -delta-chain 1 -history-cap 4 -readers 2 -nosync=false", crashtest.ModeReplica,
-			"go run ./cmd/crashtest -seed 2 -ops 24 -mode replica -from 12 -to 12 -cp-every 2 -readers 2 -delta-chain 1 -history-cap 4"},
+		{"-seed 2 -ops 24 -cp-every 2 -delta-chain 1 -readers 2 -nosync=false", crashtest.ModeReplica,
+			"go run ./cmd/crashtest -seed 2 -ops 24 -mode replica -from 12 -to 12 -cp-every 2 -readers 2 -delta-chain 1"},
 	} {
 		fs, _, _ := parseFlags(strings.Fields(tc.args))
 		if got := replayLine(fs, tc.mode, 12); got != tc.want {

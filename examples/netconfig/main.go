@@ -25,13 +25,13 @@ func main() {
 	// default, W = 1, acks after alpha alone and propagates behind the ack.
 	pair := replica.GroupConfig{Members: []replica.Member{{Name: "alpha", Addr: "pipe"}, {Name: "beta", Addr: "pipe"}}, W: 2}
 	fsA := vfs.NewMem(1)
-	alpha, err := replica.Open(replica.Config{Name: "alpha", FS: fsA, HistoryCap: 1000, GroupConfig: pair})
+	alpha, err := replica.Open(replica.Config{Name: "alpha", FS: fsA, GroupConfig: pair})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer alpha.Close()
 	fsB := vfs.NewMem(2)
-	beta, err := replica.Open(replica.Config{Name: "beta", FS: fsB, HistoryCap: 1000})
+	beta, err := replica.Open(replica.Config{Name: "beta", FS: fsB})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func main() {
 	// losing nothing (everything had propagated).
 	beta.Close()
 	fsB2 := vfs.NewMem(99)
-	beta2, err := replica.Open(replica.Config{Name: "beta", FS: fsB2, HistoryCap: 1000})
+	beta2, err := replica.Open(replica.Config{Name: "beta", FS: fsB2})
 	must(err)
 	defer beta2.Close()
 	must(beta2.RestoreFromPeer(toAlpha))

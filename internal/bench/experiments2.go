@@ -499,13 +499,13 @@ func E13(env Env) ([]*Table, error) {
 	// a is one of a pair at W = N = 2: b holds an update when Set returns.
 	pair := replica.GroupConfig{Members: []replica.Member{{Name: "a", Addr: "pipe"}, {Name: "b", Addr: "pipe"}}, W: 2}
 	fsA := vfs.NewMem(env.Seed)
-	na, err := replica.Open(replica.Config{Name: "a", FS: fsA, HistoryCap: propagated * 2, GroupConfig: pair})
+	na, err := replica.Open(replica.Config{Name: "a", FS: fsA, GroupConfig: pair})
 	if err != nil {
 		return nil, err
 	}
 	defer na.Close()
 	fsB := vfs.NewMem(env.Seed + 1)
-	nb, err := replica.Open(replica.Config{Name: "b", FS: fsB, HistoryCap: propagated * 2})
+	nb, err := replica.Open(replica.Config{Name: "b", FS: fsB})
 	if err != nil {
 		return nil, err
 	}
@@ -543,7 +543,7 @@ func E13(env Env) ([]*Table, error) {
 	// Hard error: b's disk is lost entirely. Rebuild from a.
 	nb.Close()
 	fresh := vfs.NewMem(env.Seed + 99)
-	nb2, err := replica.Open(replica.Config{Name: "b", FS: fresh, HistoryCap: propagated * 2})
+	nb2, err := replica.Open(replica.Config{Name: "b", FS: fresh})
 	if err != nil {
 		return nil, err
 	}

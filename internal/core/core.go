@@ -298,13 +298,11 @@ type Store struct {
 
 	// Delta-checkpoint state, guarded by cpMu (set without it only during
 	// Open, before the store is shared). cpPrevSeq is the NextSeq of the
-	// version on disk, where the current log begins, and cpMark the
-	// DeltaMark of the state it records: what the next checkpoint folds its
-	// delta from, with the log (DeltaRoot). 0 means the next checkpoint must
-	// be full. baseBytes and deltaBytes are the pickled sizes of the
-	// chain's full base image and of its deltas.
+	// version on disk, where the current log begins: the next checkpoint
+	// folds its delta from the log from there (DeltaRoot). 0 means the next
+	// checkpoint must be full. baseBytes and deltaBytes are the pickled
+	// sizes of the chain's full base image and of its deltas.
 	cpPrevSeq  uint64
-	cpMark     int
 	baseBytes  int64
 	deltaBytes int64
 
@@ -513,8 +511,8 @@ func (s *Store) initFresh() (*Store, error) {
 // when the root type supports delta checkpoints at all.
 func (s *Store) markDeltaBase(root any, nextSeq uint64) {
 	s.cpPrevSeq = 0
-	if dr, ok := root.(DeltaRoot); ok {
-		s.cpPrevSeq, s.cpMark = nextSeq, dr.DeltaMark()
+	if _, ok := root.(DeltaRoot); ok {
+		s.cpPrevSeq = nextSeq
 	}
 }
 
@@ -1346,7 +1344,7 @@ func (s *Store) checkpointNonBlocking() error {
 		// still fold into a delta of those names.
 		foldable := float64(logBytes) <= max(1, s.maxDeltaRatio())*float64(s.baseBytes)
 		if ok && s.cpPrevSeq != 0 && int(cur.Version-cur.Base) < s.maxDeltaChain() && foldable {
-			delta, derr := dr.DeltaOf(s.cpMark, s.loggedRange(cur.LogName(), nextSeq))
+			delta, derr := dr.DeltaOf(s.loggedRange(cur.LogName(), nextSeq))
 			if derr == nil {
 				subtrees = deltaOps(delta)
 				buf, derr = pickle.AppendMarshal(buf, &deltaHeader{
@@ -1572,18 +1570,18 @@ func (s *Store) cpOpts() checkpoint.Options {
 
 // History replays the database's audit trail — every archived log (with
 // Config.ArchiveLogs), every retained log, and the current log, in
-// sequence order — calling fn for each update ever committed that is still
-// on disk. It holds the update lock, so updates are excluded while the
-// trail is read but enquiries proceed. The trail starts at the oldest log
-// still present; sequence continuity across files is verified.
+// sequence order — calling fn for each update still on disk, up to the
+// sequence of the version published when it starts (DurableSeq). It holds
+// off a checkpoint's file switch (cpMu), but neither updates nor enquiries:
+// committers append to the current log meanwhile, and the read stops at
+// that sequence, which is durable, decoding nothing past it. The trail
+// starts at the oldest log still present; sequence continuity across files
+// is verified.
 func (s *Store) History(fn func(seq uint64, u Update) error) error {
-	// cpMu first (the same order Checkpoint uses): a background
-	// checkpoint renames and deletes log files; the trail must not be
-	// read mid-switch.
+	// A background checkpoint renames and deletes log files; the trail
+	// must not be read mid-switch.
 	s.cpMu.Lock()
 	defer s.cpMu.Unlock()
-	s.lockUpdate()
-	defer s.upd.Unlock()
 
 	s.mu.Lock()
 	if s.closed {
@@ -1592,13 +1590,7 @@ func (s *Store) History(fn func(seq uint64, u Update) error) error {
 	}
 	st := s.cpState
 	s.mu.Unlock()
-
-	// Bring the current log file in line with memory (committers may still
-	// be waiting on their sync).
-	if err := s.log.Flush(); err != nil {
-		return err
-	}
-
+	through := s.DurableSeq()
 	var files []string
 	archived, err := checkpoint.ArchivedLogs(s.cfg.FS)
 	if err != nil {
@@ -1624,13 +1616,20 @@ func (s *Store) History(fn func(seq uint64, u Update) error) error {
 				return fmt.Errorf("core: %s starts at sequence %d, want at most %d", name, seq, next)
 			}
 			first = false
-			if seq < next {
-				return nil
+			if seq >= next && seq <= through {
+				next = seq + 1
+				if err := fn(seq, u); err != nil {
+					return err
+				}
 			}
-			next = seq + 1
-			return fn(seq, u)
+			if seq >= through {
+				return errRangeEnd
+			}
+			return nil
 		})
-		if err != nil {
+		if errors.Is(err, errRangeEnd) {
+			break
+		} else if err != nil {
 			return err
 		}
 	}

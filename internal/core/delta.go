@@ -15,27 +15,23 @@ import (
 //
 // The paper's disk already says what changed: the log a checkpoint retires
 // holds every update applied since the previous one (§3). So the store pins
-// nothing between checkpoints. It keeps that checkpoint's first log sequence
-// and its view's DeltaMark, and at the next checkpoint reads the retiring
-// log's entries back and hands them to the new snapshot's DeltaOf, which
-// folds them into a delta against itself. A range it cannot read whole, one
-// larger than the base image or one the root cannot fold gets a full image.
+// nothing between checkpoints. It keeps that checkpoint's first log
+// sequence, and at the next checkpoint reads the retiring log's entries back
+// and hands them to the new snapshot's DeltaOf, which folds them into a
+// delta against itself. A range it cannot read whole, one larger than the
+// base image or one the root cannot fold gets a full image.
 // DeltaRoot extends VersionedRoot because the fold reads the immutable
 // snapshot the checkpoint records; an unversioned root checkpoints in full.
 type DeltaRoot interface {
 	VersionedRoot
 
-	// DeltaMark returns the O(1) summary of this view that a later DeltaOf
-	// needs of the state it folds from, which it no longer sees.
-	DeltaMark() int
-
 	// DeltaOf returns a pickleable value turning the state of an earlier
-	// view, whose DeltaMark was mark, into the state of this immutable
-	// view. updates calls each on every update applied between the two, in
-	// log order, and returns the first error, each's included. An error is
-	// not fatal: the checkpoint writes a full image. The returned value's
-	// concrete type must be registered with pickle.Register.
-	DeltaOf(mark int, updates func(each func(Update) error) error) (any, error)
+	// view into the state of this immutable view. updates calls each on
+	// every update applied between the two, in log order, and returns the
+	// first error, each's included. An error is not fatal: the checkpoint
+	// writes a full image. The returned value's concrete type must be
+	// registered with pickle.Register.
+	DeltaOf(updates func(each func(Update) error) error) (any, error)
 
 	// ApplyDelta applies a value produced by DeltaOf to this root, which
 	// must hold the state of the view the delta was folded from.
@@ -79,7 +75,8 @@ func deltaOps(delta any) int {
 	return 0
 }
 
-// errRangeEnd stops the read of a retiring log at its last entry to fold.
+// errRangeEnd stops a read of a log that committers may still append to at
+// its last entry wanted.
 var errRangeEnd = errors.New("core: end of the folded range")
 
 // loggedRange returns the iterator DeltaOf folds: the updates the named log

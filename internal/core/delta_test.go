@@ -40,9 +40,7 @@ type dkvDelta struct {
 
 func (d *dkvDelta) DeltaOps() int { return len(d.Put) + len(d.Del) }
 
-func (r *dkvRoot) DeltaMark() int { return 0 }
-
-func (r *dkvRoot) DeltaOf(_ int, updates func(each func(Update) error) error) (any, error) {
+func (r *dkvRoot) DeltaOf(updates func(each func(Update) error) error) (any, error) {
 	written := map[string]bool{}
 	err := updates(func(u Update) error {
 		switch u := u.(type) {

@@ -14,8 +14,8 @@ import (
 //	update    compatible  conflict   conflict
 //	exclusive  conflict   conflict   conflict
 //
-// Update mode holds upd, a sync.Mutex: updaters, checkpoints and History
-// exclude each other while enquiries run. Shared mode is RLock on rw.
+// Update mode holds upd, a sync.Mutex: updaters and checkpoints exclude
+// each other while enquiries run. Shared mode is RLock on rw.
 // Exclusive mode is update mode plus Lock on rw, taken by upgrading after
 // the commit. Package sync guarantees the two policy choices the matrix
 // leaves open. A pending Lock on a sync.RWMutex admits no new reader, so a

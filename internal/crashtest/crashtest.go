@@ -111,14 +111,6 @@ type Config struct {
 	// check that lock-free enquiries never observe a torn or stale
 	// version, at every point. 0 disables.
 	Readers int
-	// HistoryCap bounds every replica node's anti-entropy history (0 = the
-	// replica default, 4096 — above any sweep's op count). A cap below Ops
-	// puts the history trim inside the sweep: every point then also lands
-	// around a trimmed history and its delta checkpoints' dropped-prefix
-	// counts, and a member that has lost more than the cap — to a crash
-	// without syncs, or to a partition longer than the cap — can only be
-	// repaired by a full snapshot install.
-	HistoryCap int
 
 	// Window (ModeNet) is how many updates commit during each partition
 	// (default 5).
@@ -167,8 +159,8 @@ type Result struct {
 	Deltas, Rebases uint64
 	// DeltaRecoveries counts the points whose recovery loaded a
 	// delta-checkpoint chain, FullRestores the snapshot installs across all
-	// points and nodes: a catch-up or repair the history no longer reached
-	// back far enough to serve.
+	// points and nodes: a catch-up or repair the sender's logs no longer
+	// reached back far enough to serve.
 	DeltaRecoveries uint64
 	FullRestores    uint64
 	Violations      []Violation
@@ -353,7 +345,7 @@ func (r *runner) violation(p int64, format string, args ...any) Violation {
 
 // memberName names group member i. Member 0 is "a" and the crash sweep's
 // peer "b", as they have always been: a node's name is pickled into its
-// vector and history, and the store's delta-or-full checkpoint choice — so
+// vector and log entries, and the store's delta-or-full checkpoint choice — so
 // the fs-op indexing — follows those bytes.
 func memberName(i int) string { return string(rune('a' + i)) }
 
@@ -403,7 +395,7 @@ func (e *endpoint) close() error {
 // additionally gets the group, and for its workload the flight recorder and
 // UnsafeNoSync.
 func (r *runner) memberConfig(i int, fs vfs.FS) replica.Config {
-	return replica.Config{Name: memberName(i), FS: fs, HistoryCap: r.cfg.HistoryCap,
+	return replica.Config{Name: memberName(i), FS: fs,
 		MaxDeltaChain: r.cfg.MaxDeltaChain, MaxDeltaRatio: r.deltaRatio, Policy: r.policy, Obs: r.reg}
 }
 

@@ -2,20 +2,20 @@ package crashtest
 
 import "testing"
 
-// TestSmallHistoryCapSweeps puts the history trim inside every kind of
-// sweep: each run's cap is below its op count, so the window slides at
-// every later crash and partition point. Each run also asserts that the
-// path it exists for was actually taken, so a retuned default cannot leave
-// it passing vacuously.
+// TestSmallHistoryCapSweeps puts log trims inside every kind of sweep: a
+// catch-up is read from the sender's logs, and checkpoints fall closer
+// together than a sweep's op count. Each run also asserts that the path it
+// exists for was actually taken, so a retuned default cannot leave it
+// passing vacuously. (The name is from when a small cap on a history window
+// in the replica root forced these paths.)
 func TestSmallHistoryCapSweeps(t *testing.T) {
-	// Checkpoints fall closer together than the cap, so every delta
-	// checkpoint after the first trim carries a partial HistoryDropped
-	// count. Only some crash points recover through one: the store writes
-	// a full image whenever a delta would rival the base, which on a tree
-	// this small is most of the time — hence 40 ops under a cap of 4, and
-	// an assertion that only asks for some.
+	// Checkpoints fall every two updates, so crash points land inside
+	// delta chains. Only some recover through one: the store writes a full
+	// image whenever a delta would rival the base, which on a tree this
+	// small is most of the time — hence 40 ops, and an assertion that only
+	// asks for some.
 	t.Run("replica-delta", func(t *testing.T) {
-		res, err := Run(Config{Seed: 3, Ops: 40, Mode: ModeReplica, HistoryCap: 4, CheckpointEvery: 2, Stride: 3, Logf: t.Logf})
+		res, err := Run(Config{Seed: 3, Ops: 40, Mode: ModeReplica, CheckpointEvery: 2, Stride: 3, Logf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,31 +27,34 @@ func TestSmallHistoryCapSweeps(t *testing.T) {
 		}
 	})
 	// Without log syncs the crashed node loses everything since its last
-	// checkpoint — more than the peer's history still holds — so its
-	// catch-up is a pulled snapshot install.
+	// checkpoint, which it reloads through a delta chain, and takes the
+	// rest back from its peer's log as entries: the peer never
+	// checkpoints, so its log reaches back to any checkpoint of the
+	// node's.
 	t.Run("replica-nosync", func(t *testing.T) {
-		res, err := Run(Config{Seed: 4, Ops: 24, Mode: ModeReplica, HistoryCap: 3, CheckpointEvery: 8, UnsafeNoSync: true, Stride: 3, Logf: t.Logf})
+		res, err := Run(Config{Seed: 4, Ops: 24, Mode: ModeReplica, CheckpointEvery: 8, UnsafeNoSync: true, MaxDeltaChain: 2, Stride: 3, Logf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.FullRestores == 0 {
-			t.Error("no catch-up needed a snapshot install")
+		if res.DeltaRecoveries == 0 {
+			t.Errorf("none of %d crash points recovered through a delta chain", res.Points)
 		}
 		for _, v := range res.Violations {
 			t.Errorf("%s", v)
 		}
 	})
-	// The partition window outlasts the cap, so the cut-off side can only
-	// be repaired by a snapshot — a Pull answered with the peer's root in
-	// the pair, a root pushed by the group primary — composed with a power
-	// failure at the heal point.
+	// A checkpoint falls inside every partition window and retires the log
+	// holding its start, so the cut-off side can only be repaired by a
+	// snapshot — a Pull answered with the peer's root in the pair, a root
+	// pushed by the group primary — composed with a power failure at the
+	// heal point.
 	for _, nodes := range []int{2, 3} {
 		name := "net-pair"
 		if nodes > 2 {
 			name = "net-group"
 		}
 		t.Run(name, func(t *testing.T) {
-			res, err := Run(Config{Mode: ModeNet, Seed: 5, Ops: 20, Window: 6, HistoryCap: 4, Stride: 3, Nodes: nodes, Crash: true, Profile: hostileProfile, Logf: t.Logf})
+			res, err := Run(Config{Mode: ModeNet, Seed: 5, Ops: 20, Window: 6, CheckpointEvery: 4, Stride: 3, Nodes: nodes, Crash: true, Profile: hostileProfile, Logf: t.Logf})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +62,7 @@ func TestSmallHistoryCapSweeps(t *testing.T) {
 				t.Fatal("sweep replayed no points")
 			}
 			if res.FullRestores < uint64(res.Points) {
-				t.Errorf("%d snapshot installs over %d partition points: the trimmed history still served some repairs", res.FullRestores, res.Points)
+				t.Errorf("%d snapshot installs over %d partition points: the logs still served some repairs", res.FullRestores, res.Points)
 			}
 			for _, v := range res.Violations {
 				t.Errorf("%s", v)

@@ -28,7 +28,7 @@ func makeBoundedGroup(t *testing.T, w int, names ...string) []*replica.Node {
 	nodes := make([]*replica.Node, 0, len(names))
 	var servers []*rpc.Server
 	for i, name := range names {
-		nc := replica.Config{Name: name, FS: vfs.NewMem(int64(i + 1)), HistoryCap: 4096}
+		nc := replica.Config{Name: name, FS: vfs.NewMem(int64(i + 1))}
 		if i == 0 {
 			nc.GroupConfig = cfg
 		}

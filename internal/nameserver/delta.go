@@ -66,15 +66,11 @@ func init() {
 // checkpoint header's subtree count.
 func (d *TreeDelta) DeltaOps() int { return len(d.Ops) }
 
-// DeltaMark implements the core store's DeltaRoot contract: the fold needs
-// nothing of the earlier tree but the log.
-func (t *Tree) DeltaMark() int { return 0 }
-
 // DeltaOf implements the core store's DeltaRoot contract: it folds the
 // name-tree updates applied since an earlier view into a *TreeDelta that
 // turns that view's state into t's. t must be immutable for the duration
 // (snapshot views are). An update of any other type is refused.
-func (t *Tree) DeltaOf(_ int, updates func(each func(core.Update) error) error) (any, error) {
+func (t *Tree) DeltaOf(updates func(each func(core.Update) error) error) (any, error) {
 	var w written
 	if err := updates(w.add); err != nil {
 		return nil, err

@@ -86,7 +86,7 @@ func diffNode(old, new *Node, path []string, d *TreeDelta) {
 // the fold took.
 func foldDelta(t *testing.T, cur *Tree, updates []core.Update) (d *TreeDelta, folded int) {
 	t.Helper()
-	got, err := cur.DeltaOf(0, func(each func(core.Update) error) error {
+	got, err := cur.DeltaOf(func(each func(core.Update) error) error {
 		for _, u := range updates {
 			folded++
 			if err := each(u); err != nil {

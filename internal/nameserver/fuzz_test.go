@@ -233,7 +233,7 @@ func exercise(t *testing.T, tr *Tree) {
 			t.Fatalf("Enumerate of a decoded tree: %v", err)
 		}
 		labels, _ := tr.List(nil)
-		d, err := tr.DeltaOf(0, func(each func(core.Update) error) error { // every name, as a fold carries it
+		d, err := tr.DeltaOf(func(each func(core.Update) error) error { // every name, as a fold carries it
 			for _, l := range labels {
 				if err := each(&PutSubtree{Path: []string{l}}); err != nil {
 					return err

@@ -32,22 +32,24 @@ func applyEntriesOneByOne(n *Node, entries []Entry) (applied int, err error) {
 
 // TestApplyEntriesMatchesPerEntryLoop drives two nodes with the same seeded
 // stream of push batches — in-order runs from three origins salted with
-// duplicates, sequence gaps, reordering and entries whose inner update the
-// receiver must refuse — one through applyEntries' batched commit, one
-// through the per-entry reference. Applied counts, reported errors, vectors,
-// histories and trees must agree after every batch.
+// duplicates, sequence gaps, reordering, malformed entries and entries whose
+// inner update no longer applies at the receiver, which take their slots as
+// no-ops — one through applyEntries' batched commit, one through the
+// per-entry reference. Applied counts, reported errors, vectors and trees
+// must agree after every batch.
 func TestApplyEntriesMatchesPerEntryLoop(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		open := func(fsSeed int64) *Node {
-			n, err := Open(Config{Name: "m", FS: vfs.NewMem(fsSeed), HistoryCap: 16})
+		reg := obs.NewRegistry()
+		open := func(fsSeed int64, reg *obs.Registry) *Node {
+			n, err := Open(Config{Name: "m", FS: vfs.NewMem(fsSeed), Obs: reg})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { n.Close() })
 			return n
 		}
-		batched, reference := open(1), open(2)
+		batched, reference := open(1, reg), open(2, nil)
 
 		origins := []string{"x", "y", "z"}
 		next := map[string]uint64{"x": 1, "y": 1, "z": 1}
@@ -64,12 +66,15 @@ func TestApplyEntriesMatchesPerEntryLoop(t *testing.T) {
 					continue
 				case p == 1: // gap: skip a sequence number for good measure
 					next[origin]++
+				case p == 2: // malformed: no node sends seq 0
+					batch = append(batch, Entry{Origin: origin, Inner: &nameserver.SetValue{Path: []string{origin}, Value: "v"}})
+					continue
 				}
 				stamp++
 				path := []string{origin, fmt.Sprintf("k%d", rng.Intn(8))}
 				var inner core.Update = &nameserver.SetValue{Path: path, Value: fmt.Sprintf("v%d", stamp)}
 				if rng.Intn(8) == 0 {
-					// Refused wherever the name is not bound at that point.
+					// A no-op wherever the name is not bound at that point.
 					inner = &nameserver.DeleteSubtree{Path: []string{origin, fmt.Sprintf("k%d", rng.Intn(24))}}
 				}
 				e := Entry{Origin: origin, Seq: next[origin], Stamp: stamp, Inner: inner}
@@ -114,31 +119,81 @@ func TestApplyEntriesMatchesPerEntryLoop(t *testing.T) {
 		batched.Store().View(func(root any) error { got = root.(*Root); return nil })
 		reference.Store().View(func(root any) error { want = root.(*Root); return nil })
 		rootsMatch(t, got, want)
-		if v, _ := batched.Vector(); v["x"]+v["y"]+v["z"] < 60 || resumed < 10 || refused < 3 {
-			t.Fatalf("seed %d: vector %v, %d batches resumed past a refusal, %d reported one: the stream does not exercise the resume", seed, v, resumed, refused)
+		noops := reg.Counter("replica_noop_applies").Value()
+		if v, _ := batched.Vector(); v["x"]+v["y"]+v["z"] < 60 || resumed < 10 || refused < 3 || noops < 3 {
+			t.Fatalf("seed %d: vector %v, %d batches resumed past a refusal, %d reported one, %d no-ops: the stream does not exercise the resume", seed, v, resumed, refused, noops)
 		}
 	}
 }
 
 // TestApplyEntriesKeepsFirstError: of several entries refused for reasons a
-// later round cannot cure, the first is the one reported.
+// later round cannot cure, the first is the one reported, and the entries
+// between them still apply.
 func TestApplyEntriesKeepsFirstError(t *testing.T) {
 	n, err := Open(Config{Name: "m", FS: vfs.NewMem(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
+	set := &nameserver.SetValue{Path: []string{"k"}, Value: "v"}
 	entries := []Entry{
-		{Origin: "x", Seq: 1, Stamp: 1, Inner: &nameserver.DeleteSubtree{Path: []string{"first"}}},
-		{Origin: "x", Seq: 1, Stamp: 2, Inner: &nameserver.SetValue{Path: []string{"k"}, Value: "v"}},
-		{Origin: "x", Seq: 2, Stamp: 3, Inner: &nameserver.DeleteSubtree{Path: []string{"second"}}},
+		{Origin: "first", Inner: set},
+		{Origin: "x", Seq: 1, Stamp: 2, Inner: set},
+		{Origin: "second", Inner: set},
 	}
 	applied, err := n.applyEntries(entries, obs.SpanContext{})
 	if applied != 1 {
 		t.Errorf("applied %d entries, want 1", applied)
 	}
-	if err == nil || !errors.Is(err, nameserver.ErrNotFound) || !strings.Contains(err.Error(), "first") {
+	if err == nil || !errors.Is(err, ErrMalformedEntry) || !strings.Contains(err.Error(), "first") {
 		t.Errorf("reported %v, want the first refusal (of %q)", err, "first")
+	}
+}
+
+// TestNoopEntryTakesItsSlot: a remote entry whose inner update fails its
+// precondition here — a delete of a name that is not there — is logged and
+// takes its slot and its stamp as a no-op, so the origin's next entry
+// applies; a counter and a replica.noop event say so, and a restart replays
+// the same state.
+func TestNoopEntryTakesItsSlot(t *testing.T) {
+	fs := vfs.NewMem(1)
+	reg := obs.NewRegistry()
+	var events []obs.Event
+	tr := obs.FuncTracer(func(e obs.Event) {
+		if e.Name == "replica.noop" {
+			events = append(events, e)
+		}
+	})
+	n, err := Open(Config{Name: "m", FS: fs, Obs: reg, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := []Entry{
+		{Origin: "x", Seq: 1, Stamp: 7, Inner: &nameserver.DeleteSubtree{Path: []string{"gone"}}},
+		{Origin: "x", Seq: 2, Stamp: 8, Inner: &nameserver.SetValue{Path: []string{"k"}, Value: "v"}},
+	}
+	if applied, err := n.applyEntries(entries, obs.SpanContext{}); applied != 2 || err != nil {
+		t.Fatalf("applied %d entries, %v; want 2, nil", applied, err)
+	}
+	if got := reg.Counter("replica_noop_applies").Value(); got != 1 || len(events) != 1 || !errors.Is(events[0].Err, nameserver.ErrNotFound) {
+		t.Fatalf("%d no-ops counted, events %v; want one, for x/1's not found", got, events)
+	}
+	state := func(n *Node) string {
+		var clock uint64
+		n.Store().View(func(root any) error { clock = root.(*Root).Clock; return nil })
+		return fmt.Sprintf("%s clock %d", dump(t, n), clock)
+	}
+	want := state(n)
+	if want != "k=v\nvector map[x:2] clock 8" {
+		t.Fatalf("after the no-op: %s", want)
+	}
+	n.Close()
+	if n, err = Open(Config{Name: "m", FS: fs}); err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if got := state(n); got != want {
+		t.Fatalf("restart replayed %s, want %s", got, want)
 	}
 }
 

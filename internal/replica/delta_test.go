@@ -66,8 +66,7 @@ func treesMatch(a, b *nameserver.Node, path string) string {
 	return ""
 }
 
-// rootsMatch compares every checkpointed field of two roots, history
-// included.
+// rootsMatch compares every checkpointed field of two roots.
 func rootsMatch(t *testing.T, got, want *Root) {
 	t.Helper()
 	if d := treesMatch(got.Tree.Root, want.Tree.Root, ""); d != "" {
@@ -76,16 +75,8 @@ func rootsMatch(t *testing.T, got, want *Root) {
 	if !reflect.DeepEqual(got.Vector, want.Vector) {
 		t.Fatalf("vector %v, want %v", got.Vector, want.Vector)
 	}
-	if got.Clock != want.Clock || got.HistoryCap != want.HistoryCap {
-		t.Fatalf("clock/cap %d/%d, want %d/%d", got.Clock, got.HistoryCap, want.Clock, want.HistoryCap)
-	}
-	if len(got.History) != len(want.History) {
-		t.Fatalf("history length %d, want %d", len(got.History), len(want.History))
-	}
-	for i := range got.History {
-		if !entrySame(got.History[i], want.History[i]) {
-			t.Fatalf("history[%d] = %+v, want %+v", i, got.History[i], want.History[i])
-		}
+	if got.Clock != want.Clock {
+		t.Fatalf("clock %d, want %d", got.Clock, want.Clock)
 	}
 }
 
@@ -103,9 +94,9 @@ func wireDelta(t *testing.T, d any) *RootDelta {
 }
 
 // mustFold is foldRoot through the wire, failing the test on an error.
-func mustFold(t *testing.T, cur *Root, mark int, updates []core.Update) *RootDelta {
+func mustFold(t *testing.T, cur *Root, updates []core.Update) *RootDelta {
 	t.Helper()
-	d, err := foldRoot(cur, mark, updates)
+	d, err := foldRoot(cur, updates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,23 +105,22 @@ func mustFold(t *testing.T, cur *Root, mark int, updates []core.Update) *RootDel
 
 // TestRootDeltaRoundTrip: seeded histories of the crash sweeps' update mix —
 // Set, Delete, Put, Move — as stamped Replicated entries from three origins,
-// in a history window driven past its cap, with checkpoints at random points.
-// At each, the fold of the entries applied since the previous one, through
-// the wire, must rebuild the snapshot on the previous one's state, history
-// and all, and land where the reference delta of the two snapshots lands.
+// with checkpoints at random points. At each, the fold of the entries
+// applied since the previous one, through the wire, must rebuild the
+// snapshot on the previous one's state, vector and clock included, and land
+// where the reference delta of the two snapshots lands.
 func TestRootDeltaRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		mk := NewRootWithCap(3 + int(seed))
-		live, recon, ref := mk().(*Root), mk().(*Root), mk().(*Root)
+		live, recon, ref := NewRoot().(*Root), NewRoot().(*Root), NewRoot().(*Root)
 		prev := live.SnapshotView().(*Root)
 		var logged []core.Update
 		checkpoints, folded := 0, 0
 		for i := 0; i < 400; i++ {
 			origin := "abc"[rng.Intn(3):][:1]
 			u := &Replicated{Origin: origin, Seq: live.Vector[origin] + 1, Stamp: live.Clock + 1 + uint64(rng.Intn(3)), Inner: genInner(rng, live.Tree, i)}
-			if u.Verify(live) != nil {
-				continue
+			if u.Verify(live) != nil || u.Inner.Verify(live.Tree) != nil {
+				continue // a no-op's range is refused, for a full image
 			}
 			if err := u.Apply(live); err != nil {
 				t.Fatalf("seed %d update %d: %v", seed, i, err)
@@ -140,7 +130,7 @@ func TestRootDeltaRoundTrip(t *testing.T) {
 				continue
 			}
 			cur := live.SnapshotView().(*Root)
-			if err := recon.ApplyDelta(mustFold(t, cur, prev.DeltaMark(), logged)); err != nil {
+			if err := recon.ApplyDelta(mustFold(t, cur, logged)); err != nil {
 				t.Fatalf("seed %d update %d: ApplyDelta: %v", seed, i, err)
 			}
 			rootsMatch(t, recon, cur)
@@ -191,80 +181,26 @@ func genInner(rng *rand.Rand, tr *nameserver.Tree, i int) core.Update {
 	return &nameserver.Move{From: existing(), To: path()}
 }
 
-// TestRootDeltaHistoryTrim: the cap forces drops from the front; the delta
-// must carry the dropped count and reconstruct the trimmed history.
-func TestRootDeltaHistoryTrim(t *testing.T) {
-	mk := NewRootWithCap(8)
-	live := mk().(*Root)
-	recon := mk().(*Root)
-	applyN(t, live, "a", 1, 8)
-	applyN(t, recon, "a", 1, 8)
-	prev := live.SnapshotView().(*Root)
-
-	logged := applyN(t, live, "a", 9, 5) // pushes 5 entries out of the capped history
-	cur := live.SnapshotView().(*Root)
-
-	wire := mustFold(t, cur, prev.DeltaMark(), logged)
-	if wire.HistoryDropped != 5 || len(wire.HistoryAppended) != 5 {
-		t.Errorf("dropped %d appended %d, want 5/5", wire.HistoryDropped, len(wire.HistoryAppended))
-	}
-	if err := recon.ApplyDelta(wire); err != nil {
-		t.Fatal(err)
-	}
-	rootsMatch(t, recon, cur)
-}
-
-// TestRootDeltaHistoryOverrun: more appends than the cap — every prev entry
-// is gone and the delta ships the whole (capped) history.
-func TestRootDeltaHistoryOverrun(t *testing.T) {
-	mk := NewRootWithCap(4)
-	live := mk().(*Root)
-	recon := mk().(*Root)
-	applyN(t, live, "a", 1, 4)
-	applyN(t, recon, "a", 1, 4)
-	prev := live.SnapshotView().(*Root)
-
-	logged := applyN(t, live, "a", 5, 10)
-	cur := live.SnapshotView().(*Root)
-
-	wire := mustFold(t, cur, prev.DeltaMark(), logged)
-	if wire.HistoryDropped != 4 || len(wire.HistoryAppended) != 4 {
-		t.Errorf("dropped %d appended %d, want 4/4", wire.HistoryDropped, len(wire.HistoryAppended))
-	}
-	if err := recon.ApplyDelta(wire); err != nil {
-		t.Fatal(err)
-	}
-	rootsMatch(t, recon, cur)
-}
-
 // TestRootDeltaFullFallback: a range holding a snapshot install, which
 // replaces the root wholesale, is not folded — the checkpoint falls back to
-// a full image — and neither is one whose history holds more than the range
-// and the earlier window can account for.
+// a full image.
 func TestRootDeltaFullFallback(t *testing.T) {
-	mk := NewRootWithCap(64)
-	live := mk().(*Root)
+	live := NewRoot().(*Root)
 	applyN(t, live, "a", 1, 6)
-	prev := live.SnapshotView().(*Root)
 	logged := applyN(t, live, "a", 7, 1)
 	cur := live.SnapshotView().(*Root)
 	install := &installSnapshot{Snap: cur}
-	if _, err := foldRoot(cur, prev.DeltaMark(), append(logged, install)); err == nil {
+	if _, err := foldRoot(cur, append(logged, install)); err == nil {
 		t.Error("a range holding an install folded")
-	}
-	if _, err := foldRoot(cur, prev.DeltaMark()-1, logged); err == nil {
-		t.Error("a history longer than the earlier window plus the range folded")
 	}
 }
 
-// TestRootDeltaEmpty: no changes, no ops, empty history delta.
+// TestRootDeltaEmpty: no changes, no ops.
 func TestRootDeltaEmpty(t *testing.T) {
-	mk := NewRootWithCap(16)
-	live := mk().(*Root)
+	live := NewRoot().(*Root)
 	applyN(t, live, "a", 1, 3)
-	v1 := live.SnapshotView().(*Root)
-	wire := mustFold(t, live.SnapshotView().(*Root), v1.DeltaMark(), nil)
-	if wire.DeltaOps() != 0 || len(wire.HistoryAppended) != 0 || wire.HistoryDropped != 0 {
+	wire := mustFold(t, live.SnapshotView().(*Root), nil)
+	if wire.DeltaOps() != 0 || wire.Vector["a"] != 3 || wire.Clock != 3 {
 		t.Errorf("the fold of no updates: %+v", wire)
 	}
 }
@@ -272,7 +208,7 @@ func TestRootDeltaEmpty(t *testing.T) {
 // TestRootDeltaNilRefused: a delta that decodes to a nil pointer, which a
 // damaged or hostile delta file can, is an error, not a panic.
 func TestRootDeltaNilRefused(t *testing.T) {
-	r := NewRootWithCap(4)().(*Root)
+	r := NewRoot().(*Root)
 	if err := r.ApplyDelta((*RootDelta)(nil)); err == nil {
 		t.Fatal("a nil *RootDelta applied")
 	}
@@ -313,14 +249,28 @@ func TestInstallInRangeWritesFullImage(t *testing.T) {
 	checkpointKind("full")
 	set("host/h1")
 	checkpointKind("delta")
+	// A peer's snapshot holds all of b but its next update, which b's log
+	// holds, and one update of its own.
+	var snap Root
+	if err := n.Store().View(func(root any) error {
+		data, err := pickle.Marshal(root)
+		if err == nil {
+			err = pickle.Unmarshal(data, &snap)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
 	set("host/h2")
-	snap := NewRootWithCap(0)().(*Root)
-	snap.Vector["z"], snap.Clock = 1, 9
-	snap.Tree.SetStamped([]string{"from", "z"}, "v", 9, "z")
-	if err := n.installSnapshot(snap); err != nil {
+	snap.Vector["z"], snap.Clock = 1, 99
+	snap.Tree.SetStamped([]string{"from", "z"}, "v", 99, "z")
+	if err := n.installSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
 	set("host/h3")
+	if v, _ := n.Vector(); v["b"] != 53 || v["z"] != 1 {
+		t.Fatalf("vector after the install and one more Set: %v, want b:53 z:1", v)
+	}
 	checkpointKind("full")
 
 	state := func(n *Node) string {
@@ -328,7 +278,7 @@ func TestInstallInRangeWritesFullImage(t *testing.T) {
 		var out []string
 		if err := n.Store().View(func(root any) error {
 			r := root.(*Root)
-			out = append(out, fmt.Sprint(r.Vector, r.Clock, len(r.History)))
+			out = append(out, fmt.Sprint(r.Vector, r.Clock))
 			return r.Tree.Enumerate(nil, func(name, value string) error {
 				out = append(out, name+"="+value)
 				return nil

@@ -11,36 +11,9 @@ import (
 // the delta of two snapshot views compared whole, as delta checkpoints were
 // built while the store kept the previous checkpoint's view. Its tree part
 // replaces every top-level name of either view wholesale (the name server's
-// tests hold the fine-grained tree diff). Its history part leans on the
-// invariant that each apply appends one entry and raises one vector slot by
-// one, so the difference of the vector sums splits the current window into
-// the earlier window's tail and the appended entries; the split is checked
-// at its boundary entries, and a window replaced wholesale is carried whole.
+// tests hold the fine-grained tree diff).
 func diffRootDelta(cur, prev *Root) *RootDelta {
-	d := &RootDelta{
-		Tree:       diffTopLevel(cur.Tree, prev.Tree),
-		Vector:     copyVector(cur.Vector),
-		Clock:      cur.Clock,
-		HistoryCap: cur.HistoryCap,
-	}
-	appended := vectorSum(cur.Vector) - vectorSum(prev.Vector)
-	if appended >= uint64(len(cur.History)) {
-		d.HistoryDropped = len(prev.History)
-		d.HistoryAppended = append([]Entry(nil), cur.History...)
-		d.HistoryFull = appended > uint64(len(cur.History)) && len(cur.History) > 0
-		return d
-	}
-	survive := len(cur.History) - int(appended)
-	dropped := len(prev.History) - survive
-	if dropped < 0 || survive > 0 && (!entrySame(cur.History[0], prev.History[dropped]) ||
-		!entrySame(cur.History[survive-1], prev.History[len(prev.History)-1])) {
-		d.HistoryFull = true
-		d.HistoryAppended = append([]Entry(nil), cur.History...)
-		return d
-	}
-	d.HistoryDropped = dropped
-	d.HistoryAppended = append([]Entry(nil), cur.History[survive:]...)
-	return d
+	return &RootDelta{Tree: diffTopLevel(cur.Tree, prev.Tree), Vector: copyVector(cur.Vector), Clock: cur.Clock}
 }
 
 // diffTopLevel returns the tree delta that sets cur's root and puts or
@@ -69,15 +42,10 @@ func diffTopLevel(cur, prev *nameserver.Tree) *nameserver.TreeDelta {
 	return d
 }
 
-func entrySame(a, b Entry) bool {
-	return a.Origin == b.Origin && a.Seq == b.Seq && a.Stamp == b.Stamp
-}
-
 // foldRoot folds updates, as a checkpoint folds the log it retires, into the
-// delta turning the state of an earlier view whose DeltaMark was mark into
-// cur's.
-func foldRoot(cur *Root, mark int, updates []core.Update) (*RootDelta, error) {
-	d, err := cur.DeltaOf(mark, func(each func(core.Update) error) error {
+// delta turning the state of an earlier view into cur's.
+func foldRoot(cur *Root, updates []core.Update) (*RootDelta, error) {
+	d, err := cur.DeltaOf(func(each func(core.Update) error) error {
 		for _, u := range updates {
 			if err := each(u); err != nil {
 				return err

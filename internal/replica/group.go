@@ -17,7 +17,7 @@
 // restart (see reconcile). N = 1 is the lone node, a pair is N = 2. Members
 // that fall behind (partition, crash, full queue) are marked lagging and
 // repaired in the background by a push-style anti-entropy loop driven from
-// the origin's own history: an empty Push probes the member's vector, and a
+// the origin's own logs: an empty Push probes the member's vector, and a
 // second Push carries the Catchup it lacks. The per-member streams stay
 // ordered so a push can never be silently skipped as a sequence gap and
 // still counted as an ack. Entries enter the streams under the store's
@@ -559,8 +559,8 @@ func (n *Node) repair(ms *memberState) {
 }
 
 // repairRound probes the member with an empty push, whose reply carries its
-// vector, then pushes it the catch-up it lacks — the missing suffix of our
-// history, or our root once the history has been trimmed past it — and
+// vector, then pushes it the catch-up it lacks — the entries our logs hold
+// beyond its vector, or our root once they no longer reach back to it — and
 // returns the origin seq the member then covers. A repair batch may mix
 // origins, so only the member's replied slot for our own origin is an ack
 // of local seqs.

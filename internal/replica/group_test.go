@@ -488,7 +488,7 @@ func TestStreamOverflowRepair(t *testing.T) {
 
 func TestRepairRoundMultiOriginAck(t *testing.T) {
 	// Any member may originate writes, so a repair batch can mix origins —
-	// and missingFrom sorts it by (origin, seq), so the last entry's slot
+	// and catchupFor sorts it by (origin, seq), so the last entry's slot
 	// may belong to a foreign origin numerically ahead of ours. The round
 	// must report the member's slot for OUR origin, not the last entry's:
 	// an inflated ack would let awaitQuorum count the member for local

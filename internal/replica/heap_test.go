@@ -13,9 +13,9 @@ import (
 // stampedLoad writes names in the benchmark's shape,
 // org/deptNNN/hostNNNNN/addr with a distinct 48-byte value each, as a
 // replica member's stamped Sets in batches of 1 000, and checkpoints them.
-func stampedLoad(t *testing.T, fs vfs.FS, names, historyCap int) {
+func stampedLoad(t *testing.T, fs vfs.FS, names int) {
 	t.Helper()
-	n, err := Open(Config{Name: "alpha", FS: fs, HistoryCap: historyCap})
+	n, err := Open(Config{Name: "alpha", FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,26 +58,23 @@ func heapAlloc() uint64 {
 }
 
 // TestReplicatedTreeBytesPerName: a member reopened from a checkpoint of 10 000
-// stamped Sets in the benchmark's shape, its history window one entry, holds
-// each name in at most 115 heap bytes: 107 on amd64, the host's 24-byte arc
-// in its department's block and the one string it holds, with the host
-// label, addr, the stamps and the value, whose 73 bytes take the 80-byte
-// size class. With the label a string of its own beside the path, in a
-// 40-byte arc, it took 123; with the addr leaf a Node of its own for its
-// stamps, and so the host too, 355.
-// The history window's bytes per entry, the rest of a member's per-update
-// memory, are logged.
+// stamped Sets in the benchmark's shape holds each name in at most 115 heap
+// bytes: 107 on amd64, the host's 24-byte arc in its department's block and
+// the one string it holds, with the host label, addr, the stamps and the
+// value, whose 73 bytes take the 80-byte size class. With the label a string
+// of its own beside the path, in a 40-byte arc, it took 123; with the addr
+// leaf a Node of its own for its stamps, and so the host too, 355. The root
+// keeps nothing per update beside its names: the recent updates are the
+// log's.
 func TestReplicatedTreeBytesPerName(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes the heap")
 	}
 	const names = 10000
-	tree, window := vfs.NewMem(1), vfs.NewMem(1)
-	stampedLoad(t, tree, names, 1)
-	stampedLoad(t, window, names, names)
-	per := loadedBytes(t, tree) / names
-	perEntry := (int64(loadedBytes(t, window)) - int64(per*names)) / names
-	t.Logf("%d stamped names loaded: %d heap bytes each; a history entry %d more", names, per, perEntry)
+	fs := vfs.NewMem(1)
+	stampedLoad(t, fs, names)
+	per := loadedBytes(t, fs) / names
+	t.Logf("%d stamped names loaded: %d heap bytes each", names, per)
 	if per > 115 {
 		t.Fatalf("a loaded stamped name takes %d heap bytes, want at most 115", per)
 	}

@@ -27,7 +27,7 @@ type netNode struct {
 // serves its Replica service at the netsim endpoint named cfgName.
 func openNetNode(t *testing.T, nw *netsim.Network, cfgName string, fs vfs.FS) *netNode {
 	t.Helper()
-	return serveNet(t, nw, Config{Name: cfgName, FS: fs, HistoryCap: 1000, Policy: fastPolicy, GroupConfig: groupOf(1, "a", "b")})
+	return serveNet(t, nw, Config{Name: cfgName, FS: fs, Policy: fastPolicy, GroupConfig: groupOf(1, "a", "b")})
 }
 
 // serveNet opens a node from cfg and serves its Replica service at the
@@ -230,5 +230,51 @@ func TestConvergenceUnderHostileNetwork(t *testing.T) {
 		if _, err := b.node.Lookup(fmt.Sprintf("h/a%d", i)); err != nil {
 			t.Fatalf("b missing h/a%d: %v", i, err)
 		}
+	}
+}
+
+// TestConcurrentDeletesConverge: two W = 1 origins delete the same name
+// while cut off from each other, then heal. Each delete finds the name
+// already gone at the other origin; it still takes its slot there, as a
+// no-op, so neither stream stalls behind it, and anti-entropy alone brings
+// the pair together, a later Set included.
+func TestConcurrentDeletesConverge(t *testing.T) {
+	nw := netsim.New(1, netsim.Options{})
+	defer nw.Close()
+	open := func(name string, seed int64) *netNode {
+		g := groupOf(1, "a", "b")
+		g.AntiEntropyEvery = 20 * time.Millisecond
+		return serveNet(t, nw, Config{Name: name, FS: vfs.NewMem(seed), Policy: fastPolicy, GroupConfig: g})
+	}
+	a, b := open("a", 1), open("b", 2)
+	defer a.close()
+	defer b.close()
+	connect(a, b, nw)
+	connect(b, a, nw)
+
+	if err := a.node.Set("x", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if !awaitSlot(t, b.node, "a", 1) {
+		t.Fatal("b never took a's Set")
+	}
+	nw.Partition("a", "b")
+	for _, n := range []*netNode{a, b} {
+		if err := n.node.Delete("x"); err != nil {
+			t.Fatalf("%s: delete x: %v", n.node.Name(), err)
+		}
+	}
+	if err := b.node.Set("after", "v"); err != nil {
+		t.Fatal(err)
+	}
+	nw.Heal("a", "b")
+	if !awaitSlot(t, a.node, "b", 2) || !awaitSlot(t, b.node, "a", 2) {
+		va, _ := a.node.Vector()
+		vb, _ := b.node.Vector()
+		t.Fatalf("the pair never converged: a %v, b %v", va, vb)
+	}
+	requireSame(t, a.node, b.node)
+	if v, err := a.node.Lookup("after"); err != nil || v != "v" {
+		t.Fatalf("a: after = %q, %v", v, err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -22,9 +23,8 @@ type Config struct {
 	Name string
 	// FS holds this node's own checkpoint and log files.
 	FS vfs.FS
-	// HistoryCap bounds the anti-entropy history kept in the database.
-	HistoryCap int
-	// Retain passes through to the store.
+	// Retain passes through to the store: the retained logs, with the
+	// current one, are what a catch-up reads its entries from.
 	Retain int
 	// UnsafeNoSync passes through to the store: the node forfeits local
 	// durability and relies on its peers to restore lost updates — the §4
@@ -126,7 +126,8 @@ type nodeMetrics struct {
 	pulls        *obs.Counter   // on-demand pulls (SyncWith) completed
 	pullErrors   *obs.Counter   // on-demand pulls failed
 	pullApplied  *obs.Counter   // entries applied by on-demand pulls
-	fullRestores *obs.Counter   // snapshot installs applied here (history trimmed or hard error)
+	fullRestores *obs.Counter   // snapshot installs applied here (logs trimmed or hard error)
+	noops        *obs.Counter   // remote entries that took their slot here as no-ops
 }
 
 func newNodeMetrics(reg *obs.Registry) nodeMetrics {
@@ -145,6 +146,7 @@ func newNodeMetrics(reg *obs.Registry) nodeMetrics {
 		pullErrors:   reg.Counter("replica_ae_errors"),
 		pullApplied:  reg.Counter("replica_ae_applied"),
 		fullRestores: reg.Counter("replica_full_restores"),
+		noops:        reg.Counter("replica_noop_applies"),
 	}
 }
 
@@ -162,7 +164,7 @@ func Open(cfg Config) (*Node, error) {
 	}
 	st, err := core.Open(core.Config{
 		FS:            cfg.FS,
-		NewRoot:       NewRootWithCap(cfg.HistoryCap),
+		NewRoot:       NewRoot,
 		Retain:        cfg.Retain,
 		UnsafeNoSync:  cfg.UnsafeNoSync,
 		MaxDeltaChain: cfg.MaxDeltaChain,
@@ -399,35 +401,33 @@ func (n *Node) Vector() (map[string]uint64, error) {
 // records its phase spans into the pushing side's trace. The entries go
 // through one store batch — one log sync however many a coalesced or repair
 // push carries — resumed after each refused entry, so every entry is still
-// judged against the state its predecessors left. Of several unclassified
-// refusals the first is reported.
+// judged against the state its predecessors left. A duplicate or a gap is
+// no error (a later round fills the gap); of the other refusals — a
+// malformed entry, a store that can no longer commit — the first is
+// reported. An entry whose inner update no longer applies here still takes
+// its slot (Replicated.Apply): replica_noop_applies and a replica.noop event
+// say so.
 func (n *Node) applyEntries(entries []Entry, sc obs.SpanContext) (applied int, err error) {
-	us := make([]core.Update, len(entries))
+	all := make([]core.Update, len(entries))
 	for i, e := range entries {
-		us[i] = e.update()
+		all[i] = e.update()
 	}
-	for len(us) > 0 {
+	for us := all; len(us) > 0; {
 		k, aerr := n.Store().ApplyBatchTraced(us, sc, nil)
 		applied += k
 		if aerr == nil {
 			break
 		}
-		switch {
-		case errors.Is(aerr, ErrAlreadyApplied):
-			// fine: duplicate delivery
-		case errors.Is(aerr, ErrSequenceGap):
-			// later anti-entropy round will fill it
-		default:
-			// An inner precondition failure against our state: the
-			// update was valid where it committed, so forced convergence
-			// is impossible for this entry; skip it but surface the
-			// error — the first one; a store that can no longer commit
-			// lands here too, once per remaining entry.
-			if err == nil {
-				err = aerr
-			}
+		if err == nil && !errors.Is(aerr, ErrAlreadyApplied) && !errors.Is(aerr, ErrSequenceGap) {
+			err = aerr
 		}
 		us = us[k+1:]
+	}
+	for _, u := range all {
+		if ru := u.(*Replicated); ru.refused != nil {
+			n.m.noops.Inc()
+			obs.Emit(n.tracer, obs.Event{Name: "replica.noop", Err: ru.refused, Attrs: []obs.Attr{obs.A("origin", ru.Origin), obs.A("seq", ru.Seq)}})
+		}
 	}
 	return applied, err
 }
@@ -437,34 +437,65 @@ func (n *Node) applyEntries(entries []Entry, sc obs.SpanContext) (applied int, e
 // Catchup is the one message that brings a node up to a peer, both ways: a
 // repair's Push and a Pull's answer. It holds either the entries the
 // receiver's vector lacks, in (origin, seq) order, or — once the sender's
-// history no longer reaches back to them — the sender's published root and
-// no entries.
+// logs no longer reach back to them — the sender's published root and no
+// entries.
 type Catchup struct {
 	Entries []Entry
 	Root    *Root
 }
 
-// catchupFor returns what a holder of vector lacks of this node: the missing
-// suffix of the history, or the published root itself when the history has
-// been trimmed past vector or vector is nil. The root is shipped as published,
-// so the only pickle is the RPC's own: a published root is never mutated and
-// the collector keeps it alive.
-func (n *Node) catchupFor(vector map[string]uint64) (c Catchup, err error) {
-	err = n.Store().View(func(root any) error {
-		r, err := rootOf(root)
-		if err != nil {
-			return err
+// errLogsRead ends a catch-up's read of the logs early.
+var errLogsRead = errors.New("replica: catch-up read done")
+
+// catchupFor returns what a holder of vector lacks of this node's published
+// view: the entries it lacks, read back from the logs (Store.History) up to
+// the view's seq, or the view's root itself when an origin's run no longer
+// starts in the logs — or they cannot be read — or vector is nil. The root is
+// shipped as published, so the only pickle is the RPC's own: a published
+// root is never mutated and the collector keeps it alive.
+func (n *Node) catchupFor(vector map[string]uint64) (Catchup, error) {
+	sn, err := n.Store().SnapshotAt()
+	if err != nil {
+		return Catchup{}, err
+	}
+	r, err := rootOf(sn.Root())
+	if err != nil || vector == nil {
+		return Catchup{Root: r}, err
+	}
+	// The usual answer to a probe is "nothing": find that out from the
+	// vectors before reading the logs.
+	if !ahead(r.Vector, vector) {
+		return Catchup{}, nil
+	}
+	have := copyVector(vector) // each origin's last seq the holder or entries reach
+	var entries []Entry
+	err = n.Store().History(func(seq uint64, u core.Update) error {
+		ru, ok := u.(*Replicated) // an install carries no entries of its own
+		switch {
+		case seq > sn.Seq() || ok && ru.Seq > have[ru.Origin]+1:
+			return errLogsRead
+		case ok && ru.Seq == have[ru.Origin]+1:
+			have[ru.Origin] = ru.Seq
+			entries = append(entries, ru.entry())
 		}
-		if vector != nil {
-			var full bool
-			if c.Entries, full = r.missingFrom(vector); !full {
-				return nil
-			}
-		}
-		c.Root = r
 		return nil
 	})
-	return c, err
+	if err != nil && !errors.Is(err, errLogsRead) || ahead(r.Vector, have) {
+		return Catchup{Root: r}, nil
+	}
+	// Each origin's run is in log order, which is its seq order.
+	slices.SortStableFunc(entries, func(a, b Entry) int { return strings.Compare(a.Origin, b.Origin) })
+	return Catchup{Entries: entries}, nil
+}
+
+// ahead reports whether vector v holds some update that w lacks.
+func ahead(v, w map[string]uint64) bool {
+	for origin, seq := range v {
+		if w[origin] < seq {
+			return true
+		}
+	}
+	return false
 }
 
 // absorb brings a catch-up into this node — its entries through
@@ -481,8 +512,8 @@ func (n *Node) absorb(c *Catchup, sc obs.SpanContext) (applied int, err error) {
 }
 
 // SyncWith pulls everything this node is missing from one peer: the entries
-// it lacks, or the peer's whole root once the peer's history has been
-// trimmed past them. The background loop pushes; this is the pull a caller
+// it lacks, or the peer's whole root once the peer's logs no longer reach
+// back to them. The background loop pushes; this is the pull a caller
 // asks for — a stale Read catching itself up, a harness converging.
 func (n *Node) SyncWith(client *rpc.Client) error {
 	// An anti-entropy round is its own trace root: the pull and every
@@ -524,31 +555,46 @@ func (n *Node) syncWith(client *rpc.Client, sc obs.SpanContext) (applied int, fu
 
 // ErrInstallRegress refuses a snapshot install that would lower one of this
 // node's vector slots: the node holds updates the snapshot lacks and its own
-// history no longer reaches back to them, so they could not be re-applied on
-// top of the snapshot.
+// logs no longer reach back to them, so they could not be re-applied on top
+// of the snapshot.
 var ErrInstallRegress = errors.New("replica: snapshot install would drop applied updates")
 
 // installSnapshot replaces this node's state with a peer's snapshot, keeping
-// every update we hold beyond it (they will re-propagate).
+// every update it holds beyond it: they are read back from its own logs, as
+// the catch-up the snapshot's holder lacks, and re-propagate from here. An
+// update committed between that read and the install leaves the read short,
+// and the read is tried again.
 func (n *Node) installSnapshot(snap *Root) error {
-	err := n.Store().Apply(&installSnapshot{Snap: snap})
-	if errors.Is(err, ErrAlreadyApplied) {
-		return nil
+	for try := 1; ; try++ {
+		own, err := n.catchupFor(snap.Vector)
+		if err != nil {
+			return err
+		}
+		err = n.Store().Apply(&installSnapshot{Snap: snap, Ahead: own.Entries})
+		switch {
+		case errors.Is(err, ErrAlreadyApplied):
+			return nil
+		case errors.Is(err, ErrInstallRegress) && own.Root == nil && try < 3:
+			continue
+		case err == nil:
+			n.m.fullRestores.Inc()
+		}
+		return err
 	}
-	if err == nil {
-		n.m.fullRestores.Inc()
-	}
-	return err
 }
 
 // installSnapshot is an update that replaces the whole root in place; it is
 // logged like any other update, so it is itself crash-consistent. An install
-// never lowers a vector slot: the entries the node holds beyond the
-// snapshot's vector are re-applied from its own history on top of the
-// snapshot, and Verify refuses the install when the history no longer
-// reaches them.
+// never lowers a vector slot: Ahead holds the entries the node held beyond
+// the snapshot's vector, each origin's run continuing the snapshot's slot,
+// and they are re-applied on top of the snapshot, as any remote entry is.
+// An install they do not bring back up to every slot the node holds is
+// refused with ErrInstallRegress: by Verify, and on replay by Apply — an
+// install logged by an older build, which took those entries from a history
+// window in the root, carries none, and this build cannot recover them.
 type installSnapshot struct {
-	Snap *Root
+	Snap  *Root
+	Ahead []Entry
 }
 
 func init() { core.RegisterUpdate(&installSnapshot{}) }
@@ -564,15 +610,23 @@ func (u *installSnapshot) Verify(root any) error {
 	}
 	// A pull answered against a vector that has since moved on can bring a
 	// snapshot holding nothing this node lacks: it is not logged again.
-	news := false
-	for o, seq := range u.Snap.Vector {
-		news = news || seq > r.Vector[o]
-	}
-	if !news {
+	if !ahead(u.Snap.Vector, r.Vector) {
 		return fmt.Errorf("%w: snapshot %v holds nothing beyond %v", ErrAlreadyApplied, u.Snap.Vector, r.Vector)
 	}
-	if _, lost := r.missingFrom(u.Snap.Vector); lost {
-		return fmt.Errorf("%w: have %v, snapshot %v", ErrInstallRegress, r.Vector, u.Snap.Vector)
+	return u.regress(r)
+}
+
+// regress refuses the install when the snapshot's vector, advanced by Ahead,
+// falls short of one of r's slots.
+func (u *installSnapshot) regress(r *Root) error {
+	to := copyVector(u.Snap.Vector)
+	for _, e := range u.Ahead {
+		if e.Seq == to[e.Origin]+1 {
+			to[e.Origin] = e.Seq
+		}
+	}
+	if ahead(r.Vector, to) {
+		return fmt.Errorf("%w: have %v, snapshot %v and %d own entries reach %v", ErrInstallRegress, r.Vector, u.Snap.Vector, len(u.Ahead), to)
 	}
 	return nil
 }
@@ -583,24 +637,18 @@ func (u *installSnapshot) Apply(root any) error {
 	if err != nil {
 		return err
 	}
-	// What the snapshot's holder lacks of ours, in per-origin order.
-	ahead, _ := r.missingFrom(u.Snap.Vector)
+	if err := u.regress(r); err != nil {
+		return err
+	}
 	r.Tree = u.Snap.Tree
 	r.Vector = copyVector(u.Snap.Vector)
-	if u.Snap.Clock > r.Clock {
-		r.Clock = u.Snap.Clock
-	}
-	r.History = append([]Entry(nil), u.Snap.History...)
-	if u.Snap.HistoryCap > 0 {
-		r.HistoryCap = u.Snap.HistoryCap
-	}
-	for _, e := range ahead {
-		ru := e.update()
-		if ru.Inner.Verify(r.Tree) != nil || ru.Apply(r) != nil {
-			// The snapshot's tree refuses the update (a structural
-			// conflict); the slot and the history entry are kept so the
-			// vector still never moves backwards.
-			ru.record(r)
+	r.Clock = max(r.Clock, u.Snap.Clock)
+	for _, e := range u.Ahead {
+		if e.Seq != r.Vector[e.Origin]+1 {
+			continue
+		}
+		if err := e.update().Apply(r); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"smalldb/internal/core"
 	"smalldb/internal/nameserver"
 	"smalldb/internal/obs"
 	"smalldb/internal/rpc"
@@ -252,14 +253,14 @@ func TestServerUpdatesCommitThroughNode(t *testing.T) {
 	if err := a.Rename("p", "q"); err != nil {
 		t.Fatal(err)
 	}
-	var tail []Entry
-	if err := a.Store().View(func(root any) error {
-		h := root.(*Root).History
-		tail = slices.Clone(h[len(h)-2:])
+	var logged []Entry
+	if err := a.Store().History(func(_ uint64, u core.Update) error {
+		logged = append(logged, u.(*Replicated).entry())
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
+	tail := logged[len(logged)-2:]
 	for i, e := range tail {
 		if e.Origin != "a" || e.Seq != uint64(i+2) || e.Stamp != uint64(i+2) {
 			t.Errorf("entry %d = %s/%d stamp %d, want a/%d stamp %d", i, e.Origin, e.Seq, e.Stamp, i+2, i+2)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"smalldb/internal/nameserver"
@@ -28,7 +29,7 @@ var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/Fuzz
 // stream at seq 2, b's at 1, three names.
 func pushRoot(t testing.TB) *Root {
 	t.Helper()
-	r := NewRootWithCap(8)().(*Root)
+	r := NewRoot().(*Root)
 	for _, e := range []Entry{
 		{Origin: "a", Seq: 1, Stamp: 1, Inner: pushSet("x/y")},
 		{Origin: "a", Seq: 2, Stamp: 2, Inner: pushSet("x/z")},
@@ -73,7 +74,7 @@ func pushSeeds(t testing.TB) map[string][]byte {
 	return map[string][]byte{
 		"root":             marshal(&Catchup{Root: ahead}),
 		"root-and-entries": marshal(&Catchup{Root: ahead, Entries: []Entry{nextEntry}}),
-		"root-nil-tree":    marshal(&Catchup{Root: &Root{Vector: map[string]uint64{"a": 3}, HistoryCap: 8}}),
+		"root-nil-tree":    marshal(&Catchup{Root: &Root{Vector: map[string]uint64{"a": 3}}}),
 		"empty":            push(),
 		"next":             next,
 		"next-of-b":        push(Entry{Origin: "b", Seq: 2, Stamp: 9, Inner: pushSet("w")}),
@@ -97,8 +98,9 @@ func pushSeeds(t testing.TB) map[string][]byte {
 
 // checkPush decodes data into a Catchup and requires a *pickle.Error, or
 // else a catch-up checkRoot accepts, or entries whose updates Verify against
-// pushRoot either accepts — and Apply then applies — or refuses with a typed
-// replica error or the inner update's own refusal.
+// pushRoot either accepts — and Apply then applies, as a no-op where the
+// inner update's own precondition fails there — or refuses with a typed
+// replica error.
 // An entry with seq 0 is always refused as malformed: a decoded update is
 // never local, so Verify's stamping cannot be reached from the wire. Nothing
 // panics.
@@ -133,9 +135,7 @@ func checkPush(t *testing.T, data []byte) {
 			}
 		case errors.Is(err, ErrMalformedEntry), errors.Is(err, ErrAlreadyApplied), errors.Is(err, ErrSequenceGap):
 		default:
-			if ierr := e.Inner.Verify(r.Tree); ierr == nil || ierr.Error() != err.Error() {
-				t.Fatalf("entry %d refused with %v, neither typed nor its inner update's refusal (%v)", i, err, ierr)
-			}
+			t.Fatalf("entry %d refused with an untyped error: %v", i, err)
 		}
 	}
 }
@@ -181,6 +181,10 @@ func checkRoot(t *testing.T, c *Catchup) {
 	}
 }
 
+// TestPushArgsSeeds holds each committed corpus entry to its seed: the same
+// bytes, or bytes that decode to the same catch-up. An entry committed while
+// the root kept a history window carries that window's fields, which
+// decoding skips.
 func TestPushArgsSeeds(t *testing.T) {
 	for name, data := range pushSeeds(t) {
 		t.Run(name, func(t *testing.T) {
@@ -194,12 +198,29 @@ func TestPushArgsSeeds(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if on, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(on, entry) {
-				t.Errorf("committed corpus entry is not this seed (rerun with -update-corpus): %v", err)
+			on, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			quoted := strings.TrimSuffix(strings.TrimPrefix(string(on), "go test fuzz v1\n[]byte("), ")\n")
+			committed, err := strconv.Unquote(quoted)
+			if err != nil || !bytes.Equal(on, entry) && repickled(committed) != repickled(string(data)) {
+				t.Errorf("committed corpus entry does not decode to this seed (rerun with -update-corpus): %v", err)
 			}
 			checkPush(t, data)
 		})
 	}
+}
+
+// repickled is the catch-up data decodes to, pickled again; "" when it does
+// not decode.
+func repickled(data string) string {
+	var c Catchup
+	if pickle.Unmarshal([]byte(data), &c) != nil {
+		return ""
+	}
+	out, _ := pickle.Marshal(&c)
+	return string(out)
 }
 
 func FuzzPushArgs(f *testing.F) {

@@ -66,12 +66,12 @@ func awaitSlot(t *testing.T, n *Node, origin string, seq uint64) bool {
 func TestRestoredOriginDoesNotForkItsStream(t *testing.T) {
 	nw := netsim.New(1, netsim.Options{})
 	defer nw.Close()
-	b := serveNet(t, nw, Config{Name: "b", FS: vfs.NewMem(2), HistoryCap: 1000})
-	c := serveNet(t, nw, Config{Name: "c", FS: vfs.NewMem(3), HistoryCap: 1000})
+	b := serveNet(t, nw, Config{Name: "b", FS: vfs.NewMem(2)})
+	c := serveNet(t, nw, Config{Name: "c", FS: vfs.NewMem(3)})
 	defer b.close()
 	defer c.close()
 	origin := func(fs vfs.FS) *netNode {
-		return serveNet(t, nw, Config{Name: "a", FS: fs, HistoryCap: 1000, Policy: fastPolicy, GroupConfig: groupOf(2, "a", "b", "c")})
+		return serveNet(t, nw, Config{Name: "a", FS: fs, Policy: fastPolicy, GroupConfig: groupOf(2, "a", "b", "c")})
 	}
 	a := origin(vfs.NewMem(1))
 	connect(a, b, nw)

@@ -10,11 +10,12 @@
 // replicated: its enquiries and update entry points are the Server's, and
 // only how an update commits is this package's. Its store (checkpoint +
 // log) has a root that embeds the replication metadata — a version
-// vector, a Lamport clock, and a bounded history of recent updates — so
-// that the metadata is exactly as crash-consistent as the data it
-// describes. Every update carries (origin, sequence, stamp): a node applies
-// a remote update only in per-origin sequence order, and conflicting value
-// writes resolve by last-writer-wins on (stamp, origin) — the role
+// vector and a Lamport clock — so that the metadata is exactly as
+// crash-consistent as the data it describes; the recent updates themselves
+// are the ones its logs hold. Every update carries (origin, sequence,
+// stamp): a node applies a remote update only in per-origin sequence order,
+// each takes its slot even where it no longer applies, and conflicting
+// value writes resolve by last-writer-wins on (stamp, origin) — the role
 // timestamps play in the global name service this design fed into
 // [Lampson 1986] — so replicas that have exchanged the same updates agree
 // on every value regardless of delivery order.
@@ -22,9 +23,9 @@
 // A node is one member of an N-node group (N = 1 is a lone node, the
 // paper's pair is N = 2) and one protocol keeps the members together. Its
 // unit is the catch-up (Catchup): the entries a receiver's version vector
-// lacks, or — once the sender's history is trimmed past them — the sender's
-// whole root. Two messages carry it: Push brings one into a member, and Pull
-// asks a member for one.
+// lacks, read from the sender's logs, or — once those no longer reach back
+// to them — the sender's whole root. Two messages carry it: Push brings one
+// into a member, and Pull asks a member for one.
 //
 //   - Propagation: a local commit is handed to every other member's ordered
 //     push stream and acknowledged once a write quorum W of members — the
@@ -44,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 
 	"smalldb/internal/core"
 	"smalldb/internal/nameserver"
@@ -62,10 +62,6 @@ type Root struct {
 	// another always carries a larger stamp, and last-writer-wins picks
 	// it everywhere.
 	Clock uint64
-	// History holds the most recent updates, for anti-entropy; bounded
-	// by HistoryCap.
-	History    []Entry
-	HistoryCap int
 }
 
 // NameTree returns the name tree the root keeps, for nameserver.TreeOf:
@@ -76,15 +72,7 @@ func (r *Root) NameTree() *nameserver.Tree { return r.Tree }
 // SnapshotView implements core.VersionedRoot, so replica nodes serve
 // lock-free snapshot enquiries too. The tree contributes its own
 // copy-on-write view; the version vector is copied (Replicated.Apply
-// mutates it in place). History is a sliding window over an append-only
-// backing array that the snapshot shares with the writer, under one
-// invariant: the writer stores only at or past every snapshot's end;
-// re-slice never rewrites. Each snapshot keeps its own slice header;
-// Replicated.Apply appends at the writer's end — which no snapshot's end
-// exceeds — and trims by re-slicing the start forward, which stores
-// nothing; everything else (install, delta apply) replaces the slice
-// wholesale with a fresh array. So no slot inside any snapshot's window
-// is written again.
+// mutates it in place).
 func (r *Root) SnapshotView() any {
 	var tv *nameserver.Tree
 	if r.Tree == nil {
@@ -92,13 +80,7 @@ func (r *Root) SnapshotView() any {
 	} else {
 		tv = r.Tree.SnapshotView().(*nameserver.Tree)
 	}
-	return &Root{
-		Tree:       tv,
-		Vector:     copyVector(r.Vector),
-		Clock:      r.Clock,
-		History:    r.History,
-		HistoryCap: r.HistoryCap,
-	}
+	return &Root{Tree: tv, Vector: copyVector(r.Vector), Clock: r.Clock}
 }
 
 // Entry is one replicated update: who issued it, its per-origin sequence,
@@ -115,22 +97,10 @@ func (e Entry) update() *Replicated {
 	return &Replicated{Origin: e.Origin, Seq: e.Seq, Stamp: e.Stamp, Inner: e.Inner}
 }
 
-// DefaultHistoryCap bounds the per-node history when no cap is configured.
-const DefaultHistoryCap = 4096
-
-// NewRootWithCap returns a core.Config.NewRoot constructor with the given
-// history bound.
-func NewRootWithCap(limit int) func() any {
-	if limit <= 0 {
-		limit = DefaultHistoryCap
-	}
-	return func() any {
-		return &Root{
-			Tree:       nameserver.NewTree(),
-			Vector:     make(map[string]uint64),
-			HistoryCap: limit,
-		}
-	}
+// NewRoot is the core.Config.NewRoot of a replica store: an empty tree and
+// vector.
+func NewRoot() any {
+	return &Root{Tree: nameserver.NewTree(), Vector: make(map[string]uint64)}
 }
 
 func init() {
@@ -160,13 +130,17 @@ type Replicated struct {
 	Stamp  uint64
 	Inner  core.Update
 	// local marks an update this node originates, not yet stamped: Verify
-	// stamps it. Unexported, so no log entry or push carries it.
-	local bool
+	// stamps it. refused is why Apply took a remote update's slot without
+	// applying it. Unexported, so no log entry or push carries either.
+	local   bool
+	refused error
 }
 
 // Verify implements core.Update: a local update is stamped from the root it
 // applies to, under the store's update lock, so seq order is log order; then
-// per-origin dedupe and ordering, and the inner update's own preconditions.
+// per-origin dedupe and ordering. Only a local update answers for its inner
+// update's preconditions: a remote one was valid where it committed, and
+// Apply decides what it does here.
 func (u *Replicated) Verify(root any) error {
 	r, err := rootOf(root)
 	if err != nil {
@@ -185,8 +159,10 @@ func (u *Replicated) Verify(root any) error {
 		return fmt.Errorf("%w: %s/%d (have %d)", ErrAlreadyApplied, u.Origin, u.Seq, applied)
 	case u.Seq > applied+1:
 		return fmt.Errorf("%w: %s/%d (have %d)", ErrSequenceGap, u.Origin, u.Seq, applied)
+	case u.local:
+		return u.Inner.Verify(r.Tree)
 	}
-	return u.Inner.Verify(r.Tree)
+	return nil
 }
 
 // Apply implements core.Update. Value writes (SetValue) resolve conflicts
@@ -195,7 +171,11 @@ func (u *Replicated) Verify(root any) error {
 // Structural updates (deletes, moves, subtree puts) apply in arrival
 // order; a concurrent structural conflict resolves to a valid — but
 // order-dependent — state, as in the paper's system before its timestamped
-// successor.
+// successor. Apply is total on a remote update: one whose inner
+// precondition fails here (say, a delete of a name another origin deleted
+// first) still takes its slot and raises the clock, as a no-op, so its
+// origin's later updates are not held behind it. Replay calls only Apply,
+// so Apply runs that check itself.
 func (u *Replicated) Apply(root any) error {
 	r, err := rootOf(root)
 	if err != nil {
@@ -204,37 +184,30 @@ func (u *Replicated) Apply(root any) error {
 	if u.Stamp > r.Clock {
 		r.Clock = u.Stamp
 	}
-	if set, ok := u.Inner.(*nameserver.SetValue); ok && u.Stamp > 0 {
-		r.Tree.SetStamped(set.Path, set.Value, u.Stamp, u.Origin)
-	} else if err := u.Inner.Apply(r.Tree); err != nil {
-		return err
+	if !u.local { // Verify has held a local update to its precondition
+		u.refused = u.Inner.Verify(r.Tree)
 	}
-	u.record(r)
+	set, isSet := u.Inner.(*nameserver.SetValue)
+	switch {
+	case u.refused != nil:
+		// A no-op here: the slot is still taken below.
+	case isSet && u.Stamp > 0:
+		r.Tree.SetStamped(set.Path, set.Value, u.Stamp, u.Origin)
+	default:
+		if err := u.Inner.Apply(r.Tree); err != nil {
+			return err
+		}
+	}
+	if r.Vector == nil {
+		r.Vector = make(map[string]uint64)
+	}
+	r.Vector[u.Origin] = u.Seq
 	return nil
 }
 
 // entry returns the entry u logs.
 func (u *Replicated) entry() Entry {
 	return Entry{Origin: u.Origin, Seq: u.Seq, Stamp: u.Stamp, Inner: u.Inner}
-}
-
-// record advances u's vector slot and appends u to the history window.
-func (u *Replicated) record(r *Root) {
-	if r.Vector == nil {
-		r.Vector = make(map[string]uint64)
-	}
-	r.Vector[u.Origin] = u.Seq
-	r.History = append(r.History, u.entry())
-	limit := r.HistoryCap
-	if limit <= 0 {
-		limit = DefaultHistoryCap
-	}
-	if len(r.History) > limit {
-		// Slide the window forward over the backing array instead of
-		// copying it: the only copy left is append's own amortised
-		// reallocation once the slack behind the window runs out.
-		r.History = r.History[len(r.History)-limit:]
-	}
 }
 
 func rootOf(root any) (*Root, error) {
@@ -246,55 +219,6 @@ func rootOf(root any) (*Root, error) {
 		r.Tree = nameserver.NewTree()
 	}
 	return r, nil
-}
-
-// missingFrom returns the entries of r.History that a holder of vector
-// lacks, in per-origin sequence order, and whether the history has already
-// dropped entries the caller needs (in which case only a full snapshot can
-// help).
-func (r *Root) missingFrom(vector map[string]uint64) (entries []Entry, needFull bool) {
-	// The usual answer to a probe is "nothing": find that out from the
-	// vectors before scanning the history.
-	behind := false
-	for origin, have := range r.Vector {
-		if vector[origin] < have {
-			behind = true
-			break
-		}
-	}
-	if !behind {
-		return nil, false
-	}
-	// Oldest surviving history seq per origin, to detect trimmed gaps.
-	oldest := map[string]uint64{}
-	for _, e := range r.History {
-		if o, ok := oldest[e.Origin]; !ok || e.Seq < o {
-			oldest[e.Origin] = e.Seq
-		}
-	}
-	for origin, have := range r.Vector {
-		theirs := vector[origin]
-		if theirs >= have {
-			continue
-		}
-		o, inHistory := oldest[origin]
-		if !inHistory || o > theirs+1 {
-			// History no longer reaches back to theirs+1.
-			return nil, true
-		}
-	}
-	for _, e := range r.History {
-		if e.Seq > vector[e.Origin] {
-			entries = append(entries, e)
-		}
-	}
-	sort.SliceStable(entries, func(i, j int) bool {
-		if entries[i].Origin != entries[j].Origin {
-			return entries[i].Origin < entries[j].Origin
-		}
-		return entries[i].Seq < entries[j].Seq
-	})
-	return entries, false
 }
 
 // vectorSum counts the updates a version vector covers.

@@ -47,7 +47,7 @@ func makeClusterW(t *testing.T, w int, names ...string) *cluster {
 	c := &cluster{clients: make(map[string]map[string]*rpc.Client)}
 	for i, name := range names {
 		fs := vfs.NewMem(int64(i + 1))
-		n, err := Open(Config{Name: name, FS: fs, HistoryCap: 100, GroupConfig: groupOf(w, names...)})
+		n, err := Open(Config{Name: name, FS: fs, GroupConfig: groupOf(w, names...)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestAntiEntropyCatchUp(t *testing.T) {
 // applied after the origin was closed and reopened, when it has forgotten
 // what its member had acked.
 func TestAntiEntropyTimer(t *testing.T) {
-	nb, err := Open(Config{Name: "b", FS: vfs.NewMem(2), HistoryCap: 100})
+	nb, err := Open(Config{Name: "b", FS: vfs.NewMem(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestAntiEntropyTimer(t *testing.T) {
 	group := groupOf(1, "a", "b")
 	group.AntiEntropyEvery = 10 * time.Millisecond
 	for seq, key := range []string{"timer/key", "timer/reopened"} {
-		na, err := Open(Config{Name: "a", FS: fsA, HistoryCap: 100, GroupConfig: group})
+		na, err := Open(Config{Name: "a", FS: fsA, GroupConfig: group})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,10 +224,10 @@ func TestAntiEntropyTimer(t *testing.T) {
 }
 
 func TestHistoryTrimForcesFullSync(t *testing.T) {
-	// Node a's history cap is tiny; node b falls far behind and must get
+	// Node a checkpoints its log away; node b, behind all of it, must get
 	// a full snapshot.
 	fsA := vfs.NewMem(1)
-	na, err := Open(Config{Name: "a", FS: fsA, HistoryCap: 3})
+	na, err := Open(Config{Name: "a", FS: fsA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestHistoryTrimForcesFullSync(t *testing.T) {
 	defer srvA.Close()
 
 	fsB := vfs.NewMem(2)
-	nb, err := Open(Config{Name: "b", FS: fsB, HistoryCap: 3})
+	nb, err := Open(Config{Name: "b", FS: fsB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,6 +246,9 @@ func TestHistoryTrimForcesFullSync(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		parts, _ := nameserver.SplitPath(fmt.Sprintf("k%d", i))
 		na.Store().Apply(&Replicated{Origin: "a", Seq: uint64(i + 1), Inner: &nameserver.SetValue{Path: parts, Value: "v"}})
+	}
+	if err := na.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
 
 	cc, sc := net.Pipe()
@@ -267,11 +270,12 @@ func TestHistoryTrimForcesFullSync(t *testing.T) {
 	}
 }
 
-// trimmedPeer opens node a with a history cap of 3 and 20 own-origin Sets —
-// so any node behind it can only be served a snapshot — plus a server for it.
+// trimmedPeer opens node a with 20 own-origin Sets checkpointed out of its
+// log — so any node behind it can only be served a snapshot — plus a server
+// for it.
 func trimmedPeer(t *testing.T) (*Node, *rpc.Server) {
 	t.Helper()
-	na, err := Open(Config{Name: "a", FS: vfs.NewMem(1), HistoryCap: 3})
+	na, err := Open(Config{Name: "a", FS: vfs.NewMem(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,6 +285,9 @@ func trimmedPeer(t *testing.T) (*Node, *rpc.Server) {
 			t.Fatal(err)
 		}
 	}
+	if err := na.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	srv := rpc.NewServer()
 	if err := srv.Register("Replica", NewService(na)); err != nil {
 		t.Fatal(err)
@@ -289,16 +296,22 @@ func trimmedPeer(t *testing.T) (*Node, *rpc.Server) {
 	return na, srv
 }
 
-// aheadNode opens lone node b with five acknowledged own-origin Sets.
-func aheadNode(t *testing.T, historyCap int) *Node {
+// aheadNode opens lone node b with five acknowledged own-origin Sets, in its
+// log or, checkpointed, no longer.
+func aheadNode(t *testing.T, checkpointed bool) *Node {
 	t.Helper()
-	nb, err := Open(Config{Name: "b", FS: vfs.NewMem(2), HistoryCap: historyCap})
+	nb, err := Open(Config{Name: "b", FS: vfs.NewMem(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nb.Close() })
 	for i := 0; i < 5; i++ {
 		if err := nb.Set(fmt.Sprintf("own/k%d", i), "mine"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if checkpointed {
+		if err := nb.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,8 +342,8 @@ func checkInstallKeptOwn(t *testing.T, nb *Node) {
 	}
 }
 
-// checkInstallRefused: b's history (cap 3) no longer reaches its own first
-// updates, so the install is refused and b is exactly as it was.
+// checkInstallRefused: b's log no longer reaches its own updates, so the
+// install is refused and b is exactly as it was.
 func checkInstallRefused(t *testing.T, nb *Node) {
 	t.Helper()
 	vec, _ := nb.Vector()
@@ -352,18 +365,18 @@ func TestPulledInstallKeepsOwnUpdates(t *testing.T) {
 	client := pipeTo(srvA)
 	defer client.Close()
 
-	nb := aheadNode(t, 100)
+	nb := aheadNode(t, false)
 	if err := nb.SyncWith(client); err != nil {
 		t.Fatal(err)
 	}
 	checkInstallKeptOwn(t, nb)
 	if calls := reg.Counter("rpc_requests").Value(); calls != 1 {
-		t.Fatalf("a pull past a trimmed history made %d calls to the server, want 1", calls)
+		t.Fatalf("a pull past a checkpointed log made %d calls to the server, want 1", calls)
 	}
 
-	short := aheadNode(t, 3)
+	short := aheadNode(t, true)
 	if err := short.SyncWith(client); !errors.Is(err, ErrInstallRegress) {
-		t.Fatalf("pull into a node whose history is trimmed past its own updates: %v, want ErrInstallRegress", err)
+		t.Fatalf("pull into a node whose log no longer holds its own updates: %v, want ErrInstallRegress", err)
 	}
 	checkInstallRefused(t, short)
 }
@@ -373,10 +386,9 @@ func TestPulledInstallKeepsOwnUpdates(t *testing.T) {
 func TestPushedInstallKeepsOwnUpdates(t *testing.T) {
 	na, _ := trimmedPeer(t)
 	for _, tc := range []struct {
-		historyCap int
-		refused    bool
-	}{{100, false}, {3, true}} {
-		nb := aheadNode(t, tc.historyCap)
+		checkpointed, refused bool
+	}{{false, false}, {true, true}} {
+		nb := aheadNode(t, tc.checkpointed)
 		srvB := rpc.NewServer()
 		if err := srvB.Register("Replica", NewService(nb)); err != nil {
 			t.Fatal(err)
@@ -390,13 +402,13 @@ func TestPushedInstallKeepsOwnUpdates(t *testing.T) {
 			t.Fatal(err)
 		}
 		if c.Root == nil || len(c.Entries) > 0 {
-			t.Fatalf("catch-up past a trimmed history: root %v, %d entries; want the root alone", c.Root != nil, len(c.Entries))
+			t.Fatalf("catch-up past a checkpointed log: root %v, %d entries; want the root alone", c.Root != nil, len(c.Entries))
 		}
 		var reply PushReply
 		err = client.Call("Replica.Push", &c, &reply)
 		if tc.refused {
 			if err == nil || !strings.Contains(err.Error(), ErrInstallRegress.Error()) {
-				t.Fatalf("install over a trimmed history: %v, want %v", err, ErrInstallRegress)
+				t.Fatalf("install over a checkpointed log: %v, want %v", err, ErrInstallRegress)
 			}
 			checkInstallRefused(t, nb)
 			continue
@@ -420,7 +432,7 @@ func TestHardErrorRestore(t *testing.T) {
 	}
 	// b's disk is wiped: simulate with a brand-new node directory.
 	freshFS := vfs.NewMem(99)
-	nb2, err := Open(Config{Name: "b", FS: freshFS, HistoryCap: 100})
+	nb2, err := Open(Config{Name: "b", FS: freshFS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +453,7 @@ func TestHardErrorRestore(t *testing.T) {
 	// The restore is durable: crash and reopen.
 	nb2.Close()
 	freshFS.Crash()
-	nb3, err := Open(Config{Name: "b", FS: freshFS, HistoryCap: 100})
+	nb3, err := Open(Config{Name: "b", FS: freshFS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +470,7 @@ func TestReplicaDurability(t *testing.T) {
 	name := c.nodes[1].Name()
 	c.nodes[1].Close()
 	c.fss[1].Crash()
-	nb, err := Open(Config{Name: name, FS: c.fss[1], HistoryCap: 100})
+	nb, err := Open(Config{Name: name, FS: c.fss[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
