@@ -505,7 +505,7 @@ func TestFacadeAuditTrail(t *testing.T) {
 	st.Apply(&addBook{K: "two", V: "2"})
 
 	var trail []string
-	err = st.History(func(seq uint64, u smalldb.Update) error {
+	err = st.History(true, func(seq uint64, u smalldb.Update) error {
 		trail = append(trail, fmt.Sprintf("%d:%s", seq, u.(*addBook).K))
 		return nil
 	})

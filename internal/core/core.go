@@ -126,6 +126,12 @@ type Config struct {
 	// is superseded, instead of deleting it — the §4 audit trail. The
 	// History method replays it.
 	ArchiveLogs bool
+	// KeepLog, when set, keeps the logs holding an update it answers true
+	// for: a superseded log is archived, and each checkpoint deletes
+	// archived logs, oldest first, up to the first holding such an update
+	// (none with ArchiveLogs). A replica node keeps this way the updates it
+	// originated that a member has not acknowledged.
+	KeepLog func(u Update) bool
 	// UnsafeNoSync skips the sync on every log append: there is no
 	// commit point, and a crash can lose acknowledged updates. It exists
 	// only as an ablation (E5/E9) quantifying what the paper's one disk
@@ -1474,6 +1480,9 @@ func (s *Store) checkpointNonBlocking() error {
 	s.mu.Lock()
 	s.cpState = newState
 	s.mu.Unlock()
+	if s.cfg.KeepLog != nil && !s.cfg.ArchiveLogs {
+		s.pruneArchive()
+	}
 	checkpoint.ObserveSwitch(s.cpOpts(), cpStart)
 	switchTime := time.Since(switchStart)
 
@@ -1565,19 +1574,38 @@ func (s *Store) CheckpointEvery(interval time.Duration) {
 
 // cpOpts derives the checkpoint-protocol options from the config.
 func (s *Store) cpOpts() checkpoint.Options {
-	return checkpoint.Options{Retain: s.cfg.Retain, ArchiveLogs: s.cfg.ArchiveLogs, Obs: s.cfg.Obs}
+	return checkpoint.Options{Retain: s.cfg.Retain, ArchiveLogs: s.cfg.ArchiveLogs || s.cfg.KeepLog != nil, Obs: s.cfg.Obs}
 }
 
-// History replays the database's audit trail — every archived log (with
-// Config.ArchiveLogs), every retained log, and the current log, in
-// sequence order — calling fn for each update still on disk, up to the
-// sequence of the version published when it starts (DurableSeq). It holds
-// off a checkpoint's file switch (cpMu), but neither updates nor enquiries:
-// committers append to the current log meanwhile, and the read stops at
-// that sequence, which is durable, decoding nothing past it. The trail
-// starts at the oldest log still present; sequence continuity across files
-// is verified.
-func (s *Store) History(fn func(seq uint64, u Update) error) error {
+// pruneArchive deletes archived logs, oldest first, up to the first that
+// holds an update KeepLog keeps or cannot be read whole. A failure leaves
+// the rest to the next checkpoint.
+func (s *Store) pruneArchive() {
+	archived, _ := checkpoint.ArchivedLogs(s.cfg.FS)
+	for _, v := range archived {
+		name := checkpoint.ArchiveLogName(v)
+		_, err := replayUpdates(s.cfg.FS, name, 0, wal.ReplayOptions{SkipDamaged: s.cfg.SkipDamagedLogEntries}, func(_ uint64, u Update) error {
+			if s.cfg.KeepLog(u) {
+				return errRangeEnd
+			}
+			return nil
+		})
+		if err != nil || s.cfg.FS.Remove(name) != nil {
+			return
+		}
+	}
+}
+
+// History replays the database's log trail — with archived set, every
+// archived log (Config.ArchiveLogs or KeepLog) first, then every retained
+// log and the current log, in sequence order — calling fn for each update
+// still on disk, up to the sequence of the version published when it
+// starts (DurableSeq). It holds off a checkpoint's file switch (cpMu), but
+// neither updates nor enquiries: committers append to the current log
+// meanwhile, and the read stops at that sequence, which is durable,
+// decoding nothing past it. The trail starts at the oldest log read;
+// sequence continuity across files is verified.
+func (s *Store) History(archived bool, fn func(seq uint64, u Update) error) error {
 	// A background checkpoint renames and deletes log files; the trail
 	// must not be read mid-switch.
 	s.cpMu.Lock()
@@ -1592,12 +1620,14 @@ func (s *Store) History(fn func(seq uint64, u Update) error) error {
 	s.mu.Unlock()
 	through := s.DurableSeq()
 	var files []string
-	archived, err := checkpoint.ArchivedLogs(s.cfg.FS)
-	if err != nil {
-		return err
-	}
-	for _, v := range archived {
-		files = append(files, checkpoint.ArchiveLogName(v))
+	if archived {
+		vs, err := checkpoint.ArchivedLogs(s.cfg.FS)
+		if err != nil {
+			return err
+		}
+		for _, v := range vs {
+			files = append(files, checkpoint.ArchiveLogName(v))
+		}
 	}
 	for _, v := range st.Retained {
 		files = append(files, checkpoint.LogName(v))

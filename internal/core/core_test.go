@@ -673,7 +673,7 @@ func TestAuditTrailHistory(t *testing.T) {
 
 	var seqs []uint64
 	var keys []string
-	err := s.History(func(seq uint64, u Update) error {
+	err := s.History(true, func(seq uint64, u Update) error {
 		seqs = append(seqs, seq)
 		keys = append(keys, u.(*putKV).Key)
 		return nil
@@ -702,7 +702,7 @@ func TestAuditTrailHistory(t *testing.T) {
 	s2 := openKV(t, fs, func(c *Config) { c.ArchiveLogs = true; c.Retain = 0 })
 	defer s2.Close()
 	n := 0
-	if err := s2.History(func(uint64, Update) error { n++; return nil }); err != nil {
+	if err := s2.History(true, func(uint64, Update) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 5 {
@@ -717,7 +717,7 @@ func TestHistoryWithoutArchiveCoversCurrentLog(t *testing.T) {
 	s.Checkpoint() // era-1 log deleted (no archive)
 	put(t, s, "b", "2")
 	var keys []string
-	if err := s.History(func(_ uint64, u Update) error {
+	if err := s.History(true, func(_ uint64, u Update) error {
 		keys = append(keys, u.(*putKV).Key)
 		return nil
 	}); err != nil {
@@ -727,6 +727,62 @@ func TestHistoryWithoutArchiveCoversCurrentLog(t *testing.T) {
 		t.Errorf("history = %v (only the current era is on disk)", keys)
 	}
 	s.Close()
+}
+
+// TestKeepLogArchivesUntilReleased: with KeepLog a superseded log is
+// archived, and a checkpoint deletes archived logs only from the oldest up
+// to the first that still holds a kept update, so the trail History reads
+// stays contiguous; History without archived reads only the retained and
+// current logs. The archive survives a restart.
+func TestKeepLogArchivesUntilReleased(t *testing.T) {
+	fs := vfs.NewMem(1)
+	kept := map[string]bool{"a": true}
+	keep := func(c *Config) {
+		c.Retain = 0
+		c.KeepLog = func(u Update) bool { return kept[u.(*putKV).Key] }
+	}
+	trail := func(s *Store, archived bool) string {
+		t.Helper()
+		var keys []string
+		if err := s.History(archived, func(_ uint64, u Update) error {
+			keys = append(keys, u.(*putKV).Key)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		vs, err := checkpoint.ArchivedLogs(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%v archived %v", keys, vs)
+	}
+	s := openKV(t, fs, keep)
+	for _, k := range []string{"a", "b"} {
+		put(t, s, k, "1")
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := trail(s, true), "[a b] archived [1 2]"; got != want {
+		t.Fatalf("kept a, then b: %s, want %s", got, want)
+	}
+	if got, want := trail(s, false), "[] archived [1 2]"; got != want {
+		t.Fatalf("without the archive: %s, want %s", got, want)
+	}
+	s.Close()
+	s = openKV(t, fs, keep)
+	defer s.Close()
+	if got, want := trail(s, true), "[a b] archived [1 2]"; got != want {
+		t.Fatalf("after a restart: %s, want %s", got, want)
+	}
+	kept["a"] = false
+	put(t, s, "c", "1")
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := trail(s, true), "[] archived []"; got != want {
+		t.Fatalf("a released: %s, want %s", got, want)
+	}
 }
 
 func TestHistoryConcurrentWithEnquiries(t *testing.T) {
@@ -744,7 +800,7 @@ func TestHistoryConcurrentWithEnquiries(t *testing.T) {
 		}
 	}()
 	n := 0
-	if err := s.History(func(uint64, Update) error { n++; return nil }); err != nil {
+	if err := s.History(true, func(uint64, Update) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	<-done

@@ -278,7 +278,7 @@ func TestCheckpointAndHistoryNotStarved(t *testing.T) {
 				{"Checkpoint", s.Checkpoint},
 				{"History", func() error {
 					var prev uint64
-					return s.History(func(seq uint64, _ Update) error {
+					return s.History(true, func(seq uint64, _ Update) error {
 						if prev != 0 && seq != prev+1 {
 							return fmt.Errorf("sequence %d after %d", seq, prev)
 						}

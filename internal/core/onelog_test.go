@@ -289,7 +289,7 @@ func TestShardedHistory(t *testing.T) {
 	defer s.Close()
 
 	var seqs []uint64
-	if err := s.History(func(seq uint64, u Update) error {
+	if err := s.History(true, func(seq uint64, u Update) error {
 		seqs = append(seqs, seq)
 		return nil
 	}); err != nil {

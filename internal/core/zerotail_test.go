@@ -89,7 +89,7 @@ func TestFlipLeavesSupersededLog(t *testing.T) {
 		t.Errorf("superseded log went from %d to %d bytes", size, after)
 	}
 	var n int
-	if err := s.History(func(uint64, Update) error { n++; return nil }); err != nil || n != 10 {
+	if err := s.History(true, func(uint64, Update) error { n++; return nil }); err != nil || n != 10 {
 		t.Errorf("history over the superseded log: %d entries, %v", n, err)
 	}
 }

@@ -87,7 +87,8 @@ type Config struct {
 	// self-test: the harness must report lost acknowledged updates. At
 	// W > 1 it exercises the paper's §4 story — the node forfeits local
 	// durability and recovery restores the lost updates from the other
-	// members; no violation is expected.
+	// members, which checkpoint just before it does, so the restore may be
+	// a root; no violation is expected.
 	UnsafeNoSync bool
 	// Batch groups every Batch consecutive workload updates into one
 	// ApplyBatch call: one log write and sync covering several entries —
@@ -463,7 +464,19 @@ func (w *world) close() {
 type subject struct {
 	*nameserver.Server
 	close func() error
-	node  *replica.Node // member 0's node; nil for a lone server
+	node  *replica.Node   // member 0's node; nil for a lone server
+	peers []*replica.Node // member 0's peers when it runs without log syncs
+}
+
+// Checkpoint checkpoints member 0's store, just after its peers' stores when
+// it runs without log syncs (see Config.UnsafeNoSync).
+func (s *subject) Checkpoint() error {
+	for _, p := range s.peers {
+		if err := p.Checkpoint(); err != nil {
+			return err
+		}
+	}
+	return s.Server.Checkpoint()
 }
 
 // treeOf is the name tree in a store root, a bare tree or a replica's.
@@ -533,6 +546,11 @@ func (r *runner) open(w *world, fs vfs.FS, workload bool, rc *readerCheck) (s *s
 			}
 		}
 		s = &subject{Server: ep.node.Server, close: ep.close, node: ep.node}
+		if noSync {
+			for _, m := range w.members {
+				s.peers = append(s.peers, m.node)
+			}
+		}
 	}
 	closeDB := s.close
 	s.close = func() error {

@@ -27,17 +27,16 @@ func TestSmallHistoryCapSweeps(t *testing.T) {
 		}
 	})
 	// Without log syncs the crashed node loses everything since its last
-	// checkpoint, which it reloads through a delta chain, and takes the
-	// rest back from its peer's log as entries: the peer never
-	// checkpoints, so its log reaches back to any checkpoint of the
-	// node's.
+	// checkpoint. Its peer checkpoints just before it does, so a crash
+	// inside that checkpoint loses more than the peer's log still holds,
+	// and the catch-up is a pulled snapshot install.
 	t.Run("replica-nosync", func(t *testing.T) {
-		res, err := Run(Config{Seed: 4, Ops: 24, Mode: ModeReplica, CheckpointEvery: 8, UnsafeNoSync: true, MaxDeltaChain: 2, Stride: 3, Logf: t.Logf})
+		res, err := Run(Config{Seed: 4, Ops: 24, Mode: ModeReplica, CheckpointEvery: 8, UnsafeNoSync: true, Stride: 3, Logf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.DeltaRecoveries == 0 {
-			t.Errorf("none of %d crash points recovered through a delta chain", res.Points)
+		if res.FullRestores == 0 {
+			t.Error("no catch-up needed a snapshot install")
 		}
 		for _, v := range res.Violations {
 			t.Errorf("%s", v)

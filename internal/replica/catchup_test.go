@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"smalldb/internal/checkpoint"
 	"smalldb/internal/core"
 	"smalldb/internal/pickle"
 	"smalldb/internal/vfs"
@@ -152,5 +153,36 @@ func appendRecord(t *testing.T, fs vfs.FS, u core.Update) {
 	}
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUpgradeKeepsParentLogTail: a group member that opens the parent
+// build's directory checkpoints the parent's log out before it serves. That
+// log holds updates the member originated and no member has acknowledged
+// since it opened, so the checkpoint archives it: its entries are still
+// there for an install over them, though a member that is only behind is
+// served the root.
+func TestUpgradeKeepsParentLogTail(t *testing.T) {
+	golden := readDir(t, goldenDir)
+	want := logHistory(t, copyDir(t, golden), "logfile4")
+	cfg := compatConfig(copyDir(t, golden))
+	cfg.GroupConfig = groupOf(1, "a", "b")
+	n, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if v := n.Store().Version(); v != 5 {
+		t.Fatalf("opened at version %d, want 5: the parent's log re-headed", v)
+	}
+	if vs, err := checkpoint.ArchivedLogs(cfg.FS); err != nil || len(vs) != 1 || vs[0] != 4 {
+		t.Fatalf("archived logs %v (%v), want [4]", vs, err)
+	}
+	if got := historyOf(t, n.Store()); got != want {
+		t.Errorf("the archived trail holds\n%s\nwant the parent's log\n%s", got, want)
+	}
+	c, err := n.catchupFor(map[string]uint64{"a": 61})
+	if err != nil || c.Root == nil {
+		t.Errorf("catch-up of a member behind the re-headed log: root %v, %d entries, %v; want the root", c.Root != nil, len(c.Entries), err)
 	}
 }

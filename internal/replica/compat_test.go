@@ -113,7 +113,7 @@ func copyDir(t *testing.T, files map[string][]byte) vfs.FS {
 func historyOf(t *testing.T, s *core.Store) string {
 	t.Helper()
 	var out []string
-	if err := s.History(func(seq uint64, u core.Update) error {
+	if err := s.History(true, func(seq uint64, u core.Update) error {
 		return appendEntry(&out, seq, u)
 	}); err != nil {
 		t.Fatal(err)

@@ -42,11 +42,7 @@ func (d *RootDelta) DeltaOps() int {
 // An install, which replaces the root wholesale, is refused: the checkpoint
 // writes a full image.
 func (r *Root) DeltaOf(updates func(each func(core.Update) error) error) (any, error) {
-	tree := r.Tree
-	if tree == nil {
-		tree = nameserver.NewTree()
-	}
-	td, err := tree.DeltaOf(func(each func(core.Update) error) error {
+	td, err := r.Tree.DeltaOf(func(each func(core.Update) error) error {
 		return updates(func(u core.Update) error {
 			ru, ok := u.(*Replicated)
 			if !ok {

@@ -410,7 +410,7 @@ func TestConcurrentCommitters(t *testing.T) {
 				t.Fatalf("push errors %d, laggards %d: want none", pushErrs, laggards)
 			}
 			var seqs []uint64
-			if err := gc.primary.Store().History(func(_ uint64, u core.Update) error {
+			if err := gc.primary.Store().History(true, func(_ uint64, u core.Update) error {
 				if r, ok := u.(*Replicated); ok && r.Origin == "a" {
 					seqs = append(seqs, r.Seq)
 				}

@@ -278,3 +278,134 @@ func TestConcurrentDeletesConverge(t *testing.T) {
 		t.Fatalf("a: after = %q, %v", v, err)
 	}
 }
+
+// TestCheckpointedOriginsConverge: W = 1 origins that are cut off from one
+// another each write and checkpoint, then heal. A checkpoint keeps the log
+// holding an update its origin has not had acknowledged (unshipped), so
+// whichever way the catch-up runs — entries, or a root installed over the
+// receiver's own updates — the group converges. Each case would otherwise
+// leave both sides refusing the other's root with ErrInstallRegress.
+func TestCheckpointedOriginsConverge(t *testing.T) {
+	open := func(t *testing.T, nw *netsim.Network, name string, fs vfs.FS, names ...string) *netNode {
+		g := groupOf(1, names...)
+		g.AntiEntropyEvery = 20 * time.Millisecond
+		return serveNet(t, nw, Config{Name: name, FS: fs, Policy: fastPolicy, GroupConfig: g})
+	}
+	setThenCheckpoint := func(t *testing.T, n *Node, names ...string) {
+		t.Helper()
+		for _, name := range names {
+			if err := n.Set(name, n.Name()); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The cut holds until each origin has given up pushing to the other: a
+	// push still retrying at the heal would deliver the update after all.
+	awaitLagging := func(t *testing.T, n *Node, member string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !n.Lagging(member) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s still pushing to %s", n.Name(), member)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	awaitSame := func(t *testing.T, want map[string]uint64, nodes ...*Node) {
+		t.Helper()
+		for _, n := range nodes {
+			for origin, seq := range want {
+				if !awaitSlot(t, n, origin, seq) {
+					vec, _ := n.Vector()
+					t.Fatalf("%s never reached %s/%d: %v", n.Name(), origin, seq, vec)
+				}
+			}
+		}
+		requireSame(t, nodes...)
+	}
+
+	// Two checkpoints on each side: past the current log and any retained
+	// one.
+	t.Run("pair", func(t *testing.T) {
+		nw := netsim.New(1, netsim.Options{})
+		defer nw.Close()
+		a, b := open(t, nw, "a", vfs.NewMem(1), "a", "b"), open(t, nw, "b", vfs.NewMem(2), "a", "b")
+		defer a.close()
+		defer b.close()
+		connect(a, b, nw)
+		connect(b, a, nw)
+		setThenCheckpoint(t, a.node, "x")
+		if !awaitSlot(t, b.node, "a", 1) {
+			t.Fatal("b never took a's Set")
+		}
+		nw.Partition("a", "b")
+		setThenCheckpoint(t, a.node, "a1", "a2")
+		setThenCheckpoint(t, b.node, "b1", "b2")
+		awaitLagging(t, a.node, "b")
+		awaitLagging(t, b.node, "a")
+		nw.Heal("a", "b")
+		awaitSame(t, map[string]uint64{"a": 3, "b": 2}, a.node, b.node)
+	})
+
+	// a restarts while cut off, so it has heard from no member when it
+	// checkpoints again: its archived log stays.
+	t.Run("restart", func(t *testing.T) {
+		nw := netsim.New(2, netsim.Options{})
+		defer nw.Close()
+		fsA := vfs.NewMem(1)
+		a, b := open(t, nw, "a", fsA, "a", "b"), open(t, nw, "b", vfs.NewMem(2), "a", "b")
+		defer b.close()
+		connect(b, a, nw)
+		nw.Partition("a", "b")
+		setThenCheckpoint(t, a.node, "a1")
+		a.close()
+		a = open(t, nw, "a", fsA, "a", "b")
+		defer a.close()
+		setThenCheckpoint(t, a.node, "a2")
+		setThenCheckpoint(t, b.node, "b1", "b2")
+		awaitLagging(t, b.node, "a")
+		connect(a, b, nw)
+		nw.Heal("a", "b")
+		awaitSame(t, map[string]uint64{"a": 2, "b": 2}, a.node, b.node)
+	})
+
+	// b holds c's update only inside the root it installed from c, so no
+	// log of b's holds it as an entry; c is then gone for good.
+	t.Run("relayed", func(t *testing.T) {
+		nw := netsim.New(3, netsim.Options{})
+		defer nw.Close()
+		names := []string{"a", "b", "c"}
+		nodes := map[string]*netNode{}
+		for i, name := range names {
+			nodes[name] = open(t, nw, name, vfs.NewMem(int64(i+1)), names...)
+			defer nodes[name].close()
+		}
+		for _, from := range names {
+			for _, to := range names {
+				if from != to {
+					connect(nodes[from], nodes[to], nw)
+				}
+			}
+		}
+		a, b, c := nodes["a"].node, nodes["b"].node, nodes["c"].node
+		nw.Partition("a", "b")
+		nw.Partition("a", "c")
+		nw.Partition("b", "c")
+		setThenCheckpoint(t, c, "c1")
+		awaitLagging(t, c, "b")
+		nw.Heal("b", "c")
+		if !awaitSlot(t, b, "c", 1) {
+			t.Fatal("b never took c's Set")
+		}
+		nw.Partition("b", "c")
+		setThenCheckpoint(t, a, "a1")
+		setThenCheckpoint(t, b, "b1")
+		awaitLagging(t, a, "b")
+		awaitLagging(t, b, "a")
+		nw.Heal("a", "b")
+		awaitSame(t, map[string]uint64{"a": 1, "b": 1, "c": 1}, a, b)
+	})
+}

@@ -23,8 +23,8 @@ type Config struct {
 	Name string
 	// FS holds this node's own checkpoint and log files.
 	FS vfs.FS
-	// Retain passes through to the store: the retained logs, with the
-	// current one, are what a catch-up reads its entries from.
+	// Retain passes through to the store: a catch-up reads its entries from
+	// the retained logs and the current one (and archived ones: catchupFor).
 	Retain int
 	// UnsafeNoSync passes through to the store: the node forfeits local
 	// durability and relies on its peers to restore lost updates — the §4
@@ -162,19 +162,6 @@ func Open(cfg Config) (*Node, error) {
 	if err := cfg.Validate(cfg.Name); err != nil {
 		return nil, err
 	}
-	st, err := core.Open(core.Config{
-		FS:            cfg.FS,
-		NewRoot:       NewRoot,
-		Retain:        cfg.Retain,
-		UnsafeNoSync:  cfg.UnsafeNoSync,
-		MaxDeltaChain: cfg.MaxDeltaChain,
-		MaxDeltaRatio: cfg.MaxDeltaRatio,
-		Obs:           cfg.Obs,
-		Tracer:        cfg.Tracer,
-	})
-	if err != nil {
-		return nil, err
-	}
 	n := &Node{
 		name:       cfg.Name,
 		m:          newNodeMetrics(cfg.Obs),
@@ -184,6 +171,24 @@ func Open(cfg Config) (*Node, error) {
 		queueDepth: streamDepth,
 		aeKick:     make(chan struct{}, 1),
 		aeStop:     make(chan struct{}),
+	}
+	var keep func(core.Update) bool
+	if len(cfg.Members) > 1 {
+		keep = n.unshipped
+	}
+	st, err := core.Open(core.Config{
+		FS:            cfg.FS,
+		NewRoot:       NewRoot,
+		Retain:        cfg.Retain,
+		UnsafeNoSync:  cfg.UnsafeNoSync,
+		MaxDeltaChain: cfg.MaxDeltaChain,
+		MaxDeltaRatio: cfg.MaxDeltaRatio,
+		KeepLog:       keep,
+		Obs:           cfg.Obs,
+		Tracer:        cfg.Tracer,
+	})
+	if err != nil {
+		return nil, err
 	}
 	n.Server = nameserver.NewServer(st, n.applyAll)
 	n.cond = sync.NewCond(&n.gmu)
@@ -447,11 +452,26 @@ type Catchup struct {
 // errLogsRead ends a catch-up's read of the logs early.
 var errLogsRead = errors.New("replica: catch-up read done")
 
+// unshipped is a group node's core.Config.KeepLog: an update it originated
+// that a member has not acknowledged since this node opened keeps its log,
+// archived, so that an install of a member's root here can re-apply it.
+func (n *Node) unshipped(u core.Update) bool {
+	ru, ok := u.(*Replicated)
+	if !ok || ru.Origin != n.name {
+		return false
+	}
+	n.gmu.Lock()
+	defer n.gmu.Unlock()
+	return len(n.members) < len(n.group.Members)-1 || slices.ContainsFunc(n.members, func(ms *memberState) bool { return ms.acked < ru.Seq })
+}
+
 // catchupFor returns what a holder of vector lacks of this node's published
 // view: the entries it lacks, read back from the logs (Store.History) up to
 // the view's seq, or the view's root itself when an origin's run no longer
-// starts in the logs — or they cannot be read — or vector is nil. The root is
-// shipped as published, so the only pickle is the RPC's own: a published
+// starts in the logs — or they cannot be read — or vector is nil. Only a
+// holder of an update this node lacks is served from the archived logs too
+// (unshipped): the root would have it install over that update. The root
+// is shipped as published, so the only pickle is the RPC's own: a published
 // root is never mutated and the collector keeps it alive.
 func (n *Node) catchupFor(vector map[string]uint64) (Catchup, error) {
 	sn, err := n.Store().SnapshotAt()
@@ -469,7 +489,7 @@ func (n *Node) catchupFor(vector map[string]uint64) (Catchup, error) {
 	}
 	have := copyVector(vector) // each origin's last seq the holder or entries reach
 	var entries []Entry
-	err = n.Store().History(func(seq uint64, u core.Update) error {
+	err = n.Store().History(ahead(vector, r.Vector), func(seq uint64, u core.Update) error {
 		ru, ok := u.(*Replicated) // an install carries no entries of its own
 		switch {
 		case seq > sn.Seq() || ok && ru.Seq > have[ru.Origin]+1:
@@ -554,9 +574,9 @@ func (n *Node) syncWith(client *rpc.Client, sc obs.SpanContext) (applied int, fu
 }
 
 // ErrInstallRegress refuses a snapshot install that would lower one of this
-// node's vector slots: the node holds updates the snapshot lacks and its own
-// logs no longer reach back to them, so they could not be re-applied on top
-// of the snapshot.
+// node's vector slots: the node holds updates the snapshot lacks — not its
+// own, which its logs keep (unshipped) — and its logs no longer reach back
+// to them, so they could not be re-applied on top of the snapshot.
 var ErrInstallRegress = errors.New("replica: snapshot install would drop applied updates")
 
 // installSnapshot replaces this node's state with a peer's snapshot, keeping

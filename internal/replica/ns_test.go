@@ -254,7 +254,7 @@ func TestServerUpdatesCommitThroughNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	var logged []Entry
-	if err := a.Store().History(func(_ uint64, u core.Update) error {
+	if err := a.Store().History(true, func(_ uint64, u core.Update) error {
 		logged = append(logged, u.(*Replicated).entry())
 		return nil
 	}); err != nil {

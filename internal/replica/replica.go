@@ -9,16 +9,17 @@
 // Each node is a name server (nameserver.Server) whose commit is
 // replicated: its enquiries and update entry points are the Server's, and
 // only how an update commits is this package's. Its store (checkpoint +
-// log) has a root that embeds the replication metadata — a version
-// vector and a Lamport clock — so that the metadata is exactly as
-// crash-consistent as the data it describes; the recent updates themselves
-// are the ones its logs hold. Every update carries (origin, sequence,
-// stamp): a node applies a remote update only in per-origin sequence order,
-// each takes its slot even where it no longer applies, and conflicting
-// value writes resolve by last-writer-wins on (stamp, origin) — the role
-// timestamps play in the global name service this design fed into
-// [Lampson 1986] — so replicas that have exchanged the same updates agree
-// on every value regardless of delivery order.
+// log) has a root that embeds the replication metadata — a version vector
+// and a Lamport clock — so that the metadata is exactly as crash-consistent
+// as the data it describes; the recent updates themselves are the ones its
+// logs hold, archived past checkpoints while a member lacks one the node
+// originated. Every update carries (origin, sequence, stamp): a node
+// applies a remote update only in per-origin sequence order, each takes its
+// slot even where it no longer applies, and conflicting value writes
+// resolve by last-writer-wins on (stamp, origin) — the role timestamps play
+// in the global name service this design fed into [Lampson 1986] — so
+// replicas that have exchanged the same updates agree on every value
+// regardless of delivery order.
 //
 // A node is one member of an N-node group (N = 1 is a lone node, the
 // paper's pair is N = 2) and one protocol keeps the members together. Its

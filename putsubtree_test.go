@@ -80,7 +80,7 @@ func treeImage(t *testing.T, srv *nameserver.Server) []byte {
 func historyOf(t *testing.T, s *core.Store) string {
 	t.Helper()
 	var out []string
-	if err := s.History(func(seq uint64, u core.Update) error {
+	if err := s.History(true, func(seq uint64, u core.Update) error {
 		b, err := pickle.Marshal(u)
 		out = append(out, fmt.Sprintf("%d %x", seq, b))
 		return err
